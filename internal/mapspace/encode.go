@@ -86,7 +86,10 @@ func (s *Space) Decode(vec []float64) (Mapping, error) {
 	}
 	d := s.NumDims()
 	i := d // skip problem id
-	des := desired{logs: make([][4]float64, d)}
+	ws := getScratch()
+	defer putScratch(ws)
+	des := &ws.des
+	des.reset(d, s.NumTensors())
 	levelToSlot := [arch.NumLevels]int{ChainL1, ChainL2, ChainDRAM}
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		for dim := 0; dim < d; dim++ {
@@ -99,7 +102,6 @@ func (s *Space) Decode(vec []float64) (Mapping, error) {
 		i++
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		des.ranks[l] = make([]float64, d)
 		for dim := 0; dim < d; dim++ {
 			r := vec[i]
 			if math.IsNaN(r) {
@@ -110,13 +112,12 @@ func (s *Space) Decode(vec []float64) (Mapping, error) {
 		}
 	}
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		des.alloc[level] = make([]float64, s.NumTensors())
 		for t := range des.alloc[level] {
 			des.alloc[level][t] = clamp01(vec[i])
 			i++
 		}
 	}
-	return s.projectDesired(des), nil
+	return s.projectDesired(ws), nil
 }
 
 // sanitizeLog bounds a desired log2 tile factor so NaNs and infinities from

@@ -50,22 +50,11 @@ func (c FactorChain) Logs() [4]float64 {
 	return out
 }
 
-// LogDistance returns the squared Euclidean distance between the chain's
-// log2 factors and the desired log2 factors, the metric used by projection
-// (paper §4.2: "nearest neighbor valid mappings based on euclidean
-// distance").
-func (c FactorChain) LogDistance(desired [4]float64) float64 {
-	sum := 0.0
-	for i, f := range c {
-		d := math.Log2(float64(f)) - desired[i]
-		sum += d * d
-	}
-	return sum
-}
-
 // EnumerateChains returns every ordered 4-way factorization of n. The count
 // is the multiplicative function ∏ C(e_i+3, 3) over n's prime-power
 // exponents — a few hundred entries for the dimension sizes in Table 1.
+// Each call re-enumerates; map-space code reads chains through the shared
+// per-size table instead (Space.Chains), which holds them in this order.
 func EnumerateChains(n int) []FactorChain {
 	if n < 1 {
 		return nil
@@ -82,40 +71,6 @@ func EnumerateChains(n int) []FactorChain {
 		}
 	}
 	return out
-}
-
-// NearestChain returns the chain among candidates minimizing LogDistance to
-// desired, considering only chains whose spatial factor is at most
-// spatialCap (<= 0 means uncapped). The boolean reports whether any chain
-// qualified.
-func NearestChain(candidates []FactorChain, desired [4]float64, spatialCap int) (FactorChain, bool) {
-	best := FactorChain{}
-	bestDist := math.Inf(1)
-	found := false
-	for _, c := range candidates {
-		if spatialCap > 0 && c[ChainSpatial] > spatialCap {
-			continue
-		}
-		if d := c.LogDistance(desired); d < bestDist {
-			bestDist = d
-			best = c
-			found = true
-		}
-	}
-	return best, found
-}
-
-// countChains returns the number of ordered 4-way factorizations of n
-// without materializing them, used for map-space size estimation.
-func countChains(n int) float64 {
-	count := 0.0
-	for _, a := range Divisors(n) {
-		rem1 := n / a
-		for _, b := range Divisors(rem1) {
-			count += float64(len(Divisors(rem1 / b)))
-		}
-	}
-	return count
 }
 
 // smallestPrimeFactor returns the smallest prime dividing n, or 1 for n<=1.

@@ -37,20 +37,44 @@ type Mapping struct {
 	Alloc [arch.OnChipLevels][]float64
 }
 
-// Clone returns a deep copy of the mapping.
+// Clone returns a deep copy of the mapping. The copy's integer slices share
+// one new backing array and its allocation slices another, each
+// capacity-capped so an append to one never spills into the next; empty
+// slices stay nil.
 func (m *Mapping) Clone() Mapping {
 	var out Mapping
+	n := len(m.Spatial)
 	for l := range m.Tile {
-		out.Tile[l] = append([]int(nil), m.Tile[l]...)
+		n += len(m.Tile[l]) + len(m.Order[l])
 	}
-	out.Spatial = append([]int(nil), m.Spatial...)
+	ints := make([]int, 0, n)
+	for l := range m.Tile {
+		out.Tile[l], ints = carve(ints, m.Tile[l])
+	}
+	out.Spatial, ints = carve(ints, m.Spatial)
 	for l := range m.Order {
-		out.Order[l] = append([]int(nil), m.Order[l]...)
+		out.Order[l], ints = carve(ints, m.Order[l])
 	}
+	nf := 0
 	for l := range m.Alloc {
-		out.Alloc[l] = append([]float64(nil), m.Alloc[l]...)
+		nf += len(m.Alloc[l])
+	}
+	fracs := make([]float64, 0, nf)
+	for l := range m.Alloc {
+		out.Alloc[l], fracs = carve(fracs, m.Alloc[l])
 	}
 	return out
+}
+
+// carve appends src to buf, whose capacity must hold it, and returns the
+// capacity-capped copy (nil for an empty src) and the extended buf.
+func carve[T any](buf, src []T) ([]T, []T) {
+	if len(src) == 0 {
+		return nil, buf
+	}
+	start := len(buf)
+	buf = append(buf, src...)
+	return buf[start:len(buf):len(buf)], buf
 }
 
 // Chain returns dimension d's four-band factorization.

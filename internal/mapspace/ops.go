@@ -48,16 +48,9 @@ func (s *Space) moveResampleChain(rng *rand.Rand, m *Mapping) {
 			budget /= sp
 		}
 	}
-	var eligible []FactorChain
-	for _, c := range s.chains[dim] {
-		if c[ChainSpatial] <= budget {
-			eligible = append(eligible, c)
-		}
+	if c, ok := s.tables[dim].draw(rng, budget); ok {
+		m.SetChain(dim, c)
 	}
-	if len(eligible) == 0 {
-		return
-	}
-	m.SetChain(dim, eligible[rng.Intn(len(eligible))])
 }
 
 func (s *Space) moveSwapOrder(rng *rand.Rand, m *Mapping) {
@@ -97,7 +90,8 @@ func (s *Space) moveShiftAlloc(rng *rand.Rand, m *Mapping) {
 func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) {
 	dim := rng.Intn(s.NumDims())
 	c := m.Chain(dim)
-	var srcs []int
+	var bands [4]int
+	srcs := bands[:0]
 	for band, f := range c {
 		if f > 1 {
 			srcs = append(srcs, band)
@@ -152,8 +146,8 @@ func (s *Space) Mutate(rng *rand.Rand, m *Mapping, rate float64) Mapping {
 	changed := false
 	for dim := 0; dim < s.NumDims(); dim++ {
 		if rng.Float64() < rate {
-			c := s.chains[dim][rng.Intn(len(s.chains[dim]))]
-			out.SetChain(dim, c)
+			chains := s.tables[dim].chains
+			out.SetChain(dim, chains[rng.Intn(len(chains))])
 			changed = true
 		}
 	}

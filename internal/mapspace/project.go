@@ -2,7 +2,6 @@ package mapspace
 
 import (
 	"math"
-	"sort"
 
 	"mindmappings/internal/arch"
 )
@@ -10,16 +9,33 @@ import (
 // desired captures a possibly-infeasible target point in mapping space:
 // continuous log2 tile factors, continuous loop-order rank scores (lower is
 // outer), and continuous allocations. Projection turns it into the nearest
-// valid Mapping.
+// valid Mapping. It lives in the pooled workspace, so its slices are reused
+// from call to call.
 type desired struct {
 	logs  [][4]float64
 	ranks [arch.NumLevels][]float64
 	alloc [arch.OnChipLevels][]float64
 }
 
-func (s *Space) desiredFrom(m *Mapping) desired {
+// reset sizes des for d dimensions and nt tensors, all entries zero.
+func (des *desired) reset(d, nt int) {
+	des.logs = grow(des.logs, d)
+	clear(des.logs)
+	for l := range des.ranks {
+		des.ranks[l] = grow(des.ranks[l], d)
+		clear(des.ranks[l])
+	}
+	for l := range des.alloc {
+		des.alloc[l] = grow(des.alloc[l], nt)
+		clear(des.alloc[l])
+	}
+}
+
+// desiredFrom sets ws.des to the point m asks for and returns it.
+func (s *Space) desiredFrom(ws *scratch, m *Mapping) *desired {
 	d := s.NumDims()
-	des := desired{logs: make([][4]float64, d)}
+	des := &ws.des
+	des.reset(d, s.NumTensors())
 	structurallyComplete := len(m.Spatial) == d
 	for l := range m.Tile {
 		if len(m.Tile[l]) != d {
@@ -43,7 +59,6 @@ func (s *Space) desiredFrom(m *Mapping) desired {
 		}
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		des.ranks[l] = make([]float64, d)
 		if isPermutation(m.Order[l], d) {
 			for pos, dim := range m.Order[l] {
 				des.ranks[l][dim] = float64(pos)
@@ -51,7 +66,6 @@ func (s *Space) desiredFrom(m *Mapping) desired {
 		} // else: all-zero ranks decode to the identity order
 	}
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		des.alloc[level] = make([]float64, s.NumTensors())
 		for t := range des.alloc[level] {
 			if t < len(m.Alloc[level]) {
 				des.alloc[level][t] = m.Alloc[level][t]
@@ -69,7 +83,10 @@ func (s *Space) desiredFrom(m *Mapping) desired {
 // for tile factors, rank space for loop orders, and fraction space for
 // allocations.
 func (s *Space) Project(m Mapping) Mapping {
-	return s.projectDesired(s.desiredFrom(&m))
+	ws := getScratch()
+	defer putScratch(ws)
+	s.desiredFrom(ws, &m)
+	return s.projectDesired(ws)
 }
 
 // Reproject adapts a mapping solved for a different problem shape of the
@@ -82,7 +99,9 @@ func (s *Space) Project(m Mapping) Mapping {
 // on-chip blocking, not the outer DRAM trip count, is what the search
 // spent its budget discovering.
 func (s *Space) Reproject(m *Mapping) Mapping {
-	des := s.desiredFrom(m)
+	ws := getScratch()
+	defer putScratch(ws)
+	des := s.desiredFrom(ws, m)
 	for dim := 0; dim < s.NumDims(); dim++ {
 		onchip := des.logs[dim][ChainL1] + des.logs[dim][ChainSpatial] + des.logs[dim][ChainL2]
 		dram := math.Log2(float64(s.Prob.Shape[dim])) - onchip
@@ -91,7 +110,7 @@ func (s *Space) Reproject(m *Mapping) Mapping {
 		}
 		des.logs[dim][ChainDRAM] = dram
 	}
-	return s.projectDesired(des)
+	return s.projectDesired(ws)
 }
 
 // Repair returns m unchanged when it is already valid, otherwise its
@@ -103,38 +122,40 @@ func (s *Space) Repair(m Mapping) Mapping {
 	return s.Project(m)
 }
 
-func (s *Space) projectDesired(des desired) Mapping {
+// projectDesired returns the valid mapping nearest ws.des.
+func (s *Space) projectDesired(ws *scratch) Mapping {
 	m := s.emptyMapping()
+	des := &ws.des
 
 	// 1. Per-dimension nearest factor chains under the PE budget. Greedy in
 	// descending desired spatial so large parallelism requests are honored
 	// first.
-	d := s.NumDims()
-	dims := make([]int, d)
+	dims := grow(ws.dims, s.NumDims())
+	ws.dims = dims
 	for i := range dims {
 		dims[i] = i
 	}
-	sort.SliceStable(dims, func(a, b int) bool {
-		return des.logs[dims[a]][ChainSpatial] > des.logs[dims[b]][ChainSpatial]
+	sortStable(dims, func(a, b int) bool {
+		return des.logs[a][ChainSpatial] > des.logs[b][ChainSpatial]
 	})
 	budget := s.Arch.NumPEs
 	for _, dim := range dims {
-		c, ok := NearestChain(s.chains[dim], des.logs[dim], budget)
+		c, ok := s.tables[dim].nearest(&des.logs[dim], budget)
 		if !ok {
 			// Always possible: spatial factor 1 chains exist for every size.
-			c, _ = NearestChain(s.chains[dim], des.logs[dim], 1)
+			c, _ = s.tables[dim].nearest(&des.logs[dim], 1)
 		}
 		m.SetChain(dim, c)
 		budget /= c[ChainSpatial]
 	}
 
 	// 2. Shrink tiles until footprints fit raw buffer capacity.
-	s.shrinkToFit(&m, des.logs)
+	s.shrinkToFit(ws, &m, des.logs)
 
 	// 3. Loop orders: argsort of the rank scores, ties broken by dimension
 	// index for determinism.
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		m.Order[l] = ranksToPerm(des.ranks[l])
+		ranksToPerm(m.Order[l], des.ranks[l])
 	}
 
 	// 4. Allocations: clamp the request and project onto the feasible
@@ -144,7 +165,7 @@ func (s *Space) projectDesired(des desired) Mapping {
 			m.Alloc[level][t] = clamp01(des.alloc[level][t])
 		}
 	}
-	if !s.repairAlloc(&m) {
+	if !s.repairAlloc(ws, &m) {
 		// shrinkToFit guarantees feasibility; reaching here means a logic
 		// error, so fail safe with the always-valid minimal mapping.
 		m = s.minimalMapping()
@@ -162,15 +183,15 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// ranksToPerm converts per-dimension rank scores into a permutation
-// (outermost first). Lower scores go outer; ties resolve by dimension index.
-func ranksToPerm(ranks []float64) []int {
-	perm := identityPerm(len(ranks))
-	if len(ranks) == 0 {
-		return perm
+// ranksToPerm fills perm with the permutation (outermost first) that the
+// per-dimension rank scores ask for. Lower scores go outer; ties resolve by
+// dimension index; NaN scores count as 0.
+func ranksToPerm(perm []int, ranks []float64) {
+	for i := range perm {
+		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := ranks[perm[a]], ranks[perm[b]]
+	sortStable(perm, func(a, b int) bool {
+		ra, rb := ranks[a], ranks[b]
 		if math.IsNaN(ra) {
 			ra = 0
 		}
@@ -179,7 +200,17 @@ func ranksToPerm(ranks []float64) []int {
 		}
 		return ra < rb
 	})
-	return perm
+}
+
+// sortStable is an insertion sort of the small index slices projection
+// orders. Every stable sort yields the same order under a strict weak
+// ordering; this one allocates nothing.
+func sortStable(idx []int, less func(a, b int) bool) {
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && less(idx[j], idx[j-1]); j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
 }
 
 // bandProduct returns the cumulative tile factor of dimension dim at the
@@ -197,16 +228,14 @@ func bandProduct(m *Mapping, level arch.Level, dim int) int {
 // on-chip levels. Termination: every replacement strictly reduces the
 // offending cumulative tile factor, which is bounded below by 1, and the
 // all-ones tiling fits by construction of the Space.
-func (s *Space) shrinkToFit(m *Mapping, logs [][4]float64) {
+func (s *Space) shrinkToFit(ws *scratch, m *Mapping, logs [][4]float64) {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
-		for s.totalFootprint(m, level) > capWords+allocTolerance {
-			if !s.shrinkOnce(m, level, logs) {
+		for s.totalFootprint(ws, m, level) > capWords+allocTolerance {
+			if !s.shrinkOnce(ws, m, level, logs) {
 				// Nothing left to shrink at this level; force minimal
 				// on-chip tiles for every dimension as a final safety net.
-				for dim, size := range s.Prob.Shape {
-					m.SetChain(dim, FactorChain{1, 1, 1, size})
-				}
+				s.setMinimalTiling(m)
 				break
 			}
 		}
@@ -218,21 +247,20 @@ func (s *Space) shrinkToFit(m *Mapping, logs [][4]float64) {
 // footprint tensor, and replaces its chain with the nearest one having a
 // strictly smaller cumulative factor (and no larger spatial factor, to keep
 // the PE budget satisfied). Returns false when no dimension can shrink.
-func (s *Space) shrinkOnce(m *Mapping, level arch.Level, logs [][4]float64) bool {
-	tile := m.CumulativeTile(level)
+func (s *Space) shrinkOnce(ws *scratch, m *Mapping, level arch.Level, logs [][4]float64) bool {
+	tile := ws.tileAt(m, level)
 	// Tensors by descending footprint.
-	type tfp struct {
-		t  int
-		fp float64
+	nt := s.NumTensors()
+	ws.fps, ws.order = grow(ws.fps, nt), grow(ws.order, nt)
+	fps, order := ws.fps, ws.order
+	for t := range order {
+		order[t] = t
+		fps[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile))
 	}
-	var order []tfp
-	for t := range s.Prob.Algo.Tensors {
-		order = append(order, tfp{t, float64(s.Prob.Algo.Tensors[t].Footprint(tile))})
-	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].fp > order[b].fp })
+	sortStable(order, func(a, b int) bool { return fps[a] > fps[b] })
 
-	for _, cand := range order {
-		tensor := &s.Prob.Algo.Tensors[cand.t]
+	for _, t := range order {
+		tensor := &s.Prob.Algo.Tensors[t]
 		bestDim := -1
 		bestProd := 1
 		for _, dim := range tensor.Dims {
@@ -244,13 +272,11 @@ func (s *Space) shrinkOnce(m *Mapping, level arch.Level, logs [][4]float64) bool
 		if bestDim < 0 {
 			continue
 		}
-		cur := m.Chain(bestDim)
-		curSpatial := cur[ChainSpatial]
+		curSpatial := m.Spatial[bestDim]
 		curProd := bandProduct(m, level, bestDim)
-		best := FactorChain{}
-		bestDist := math.Inf(1)
-		found := false
-		for _, c := range s.chains[bestDim] {
+		table := s.tables[bestDim]
+		best, bestDist := -1, math.Inf(1)
+		for i, c := range table.chains {
 			if c[ChainSpatial] > curSpatial {
 				continue
 			}
@@ -261,14 +287,12 @@ func (s *Space) shrinkOnce(m *Mapping, level arch.Level, logs [][4]float64) bool
 			if p >= curProd {
 				continue
 			}
-			if dist := c.LogDistance(logs[bestDim]); dist < bestDist {
-				bestDist = dist
-				best = c
-				found = true
+			if dist := logDist(&table.logs[i], &logs[bestDim], bestDist); dist < bestDist {
+				best, bestDist = i, dist
 			}
 		}
-		if found {
-			m.SetChain(bestDim, best)
+		if best >= 0 {
+			m.SetChain(bestDim, table.chains[best])
 			return true
 		}
 	}

@@ -122,16 +122,23 @@ func TestProjectGarbageProperty(t *testing.T) {
 }
 
 func TestRanksToPerm(t *testing.T) {
-	perm := ranksToPerm([]float64{2, 0, 1})
-	if perm[0] != 1 || perm[1] != 2 || perm[2] != 0 {
-		t.Fatalf("ranksToPerm = %v", perm)
+	perm := func(ranks ...float64) []int {
+		p := make([]int, len(ranks))
+		ranksToPerm(p, ranks)
+		return p
+	}
+	if p := perm(2, 0, 1); p[0] != 1 || p[1] != 2 || p[2] != 0 {
+		t.Fatalf("ranksToPerm = %v", p)
 	}
 	// Ties resolve by dimension index.
-	perm = ranksToPerm([]float64{1, 1, 0})
-	if perm[0] != 2 || perm[1] != 0 || perm[2] != 1 {
-		t.Fatalf("ranksToPerm ties = %v", perm)
+	if p := perm(1, 1, 0); p[0] != 2 || p[1] != 0 || p[2] != 1 {
+		t.Fatalf("ranksToPerm ties = %v", p)
 	}
-	if got := ranksToPerm(nil); len(got) != 0 {
+	// NaN scores count as 0.
+	if p := perm(1, math.NaN(), -1); p[0] != 2 || p[1] != 1 || p[2] != 0 {
+		t.Fatalf("ranksToPerm NaN = %v", p)
+	}
+	if got := perm(); len(got) != 0 {
 		t.Fatal("empty ranks must give empty perm")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
@@ -22,13 +23,13 @@ type Space struct {
 	Arch arch.Spec
 	Prob loopnest.Problem
 
-	chains [][]FactorChain // per-dimension ordered 4-way factorizations
+	tables []*chainTable // per-dimension shared chain tables
 }
 
 // New constructs the map space for the given accelerator and problem,
-// pre-enumerating per-dimension tile factorizations. It fails if the
-// problem or architecture is invalid, or if even the minimal tiling cannot
-// fit the on-chip buffers.
+// looking up the shared per-size chain tables of its dimensions. It fails
+// if the problem or architecture is invalid, or if even the minimal tiling
+// cannot fit the on-chip buffers.
 func New(a arch.Spec, p loopnest.Problem) (*Space, error) {
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("mapspace: %w", err)
@@ -36,9 +37,9 @@ func New(a arch.Spec, p loopnest.Problem) (*Space, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("mapspace: %w", err)
 	}
-	s := &Space{Arch: a, Prob: p}
-	for _, size := range p.Shape {
-		s.chains = append(s.chains, EnumerateChains(size))
+	s := &Space{Arch: a, Prob: p, tables: make([]*chainTable, len(p.Shape))}
+	for dim, size := range p.Shape {
+		s.tables[dim] = chainsFor(size)
 	}
 	min := s.minimalMapping()
 	if err := s.IsMember(&min); err != nil {
@@ -53,8 +54,61 @@ func (s *Space) NumDims() int { return len(s.Prob.Shape) }
 // NumTensors returns the number of tensors in the algorithm.
 func (s *Space) NumTensors() int { return len(s.Prob.Algo.Tensors) }
 
-// Chains exposes the pre-enumerated factorization chains of dimension d.
-func (s *Space) Chains(d int) []FactorChain { return s.chains[d] }
+// Chains returns the factorization chains of dimension d in EnumerateChains
+// order. The slice is read-only: it belongs to the chain table shared by
+// every Space, in every goroutine, with a dimension of the same size.
+func (s *Space) Chains(d int) []FactorChain {
+	c := s.tables[d].chains
+	return c[:len(c):len(c)]
+}
+
+// scratch is the per-call workspace of the map-space routines. Tensor
+// footprints are closures, so any tile buffer handed to them escapes to the
+// heap; pooling the workspace keeps sampling, projection and membership
+// tests free of allocations apart from the mappings they return.
+type scratch struct {
+	tile   []int     // cumulative tile at one level
+	shares []float64 // per-tensor footprint shares of one level
+	extra  []float64 // per-tensor weights or surpluses
+	dims   []int     // dimension visiting order
+	order  []int     // tensors by descending footprint
+	fps    []float64 // per-tensor footprints
+	des    desired   // projection target
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
+func putScratch(ws *scratch) { scratchPool.Put(ws) }
+
+// grow returns buf resliced to length n, reallocating only when too short.
+// The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// tileAt loads m's cumulative tile at level into the workspace.
+func (ws *scratch) tileAt(m *Mapping, level arch.Level) []int {
+	ws.tile = m.CumulativeTileInto(ws.tile, level)
+	return ws.tile
+}
+
+// sharesAt returns each tensor's footprint at level under m as a fraction
+// of the level's capacity, and the fractions' sum.
+func (s *Space) sharesAt(ws *scratch, m *Mapping, level arch.Level) ([]float64, float64) {
+	capWords := float64(s.Arch.LevelWords(level))
+	tile := ws.tileAt(m, level)
+	ws.shares = grow(ws.shares, s.NumTensors())
+	sum := 0.0
+	for t := range ws.shares {
+		ws.shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
+		sum += ws.shares[t]
+	}
+	return ws.shares, sum
+}
 
 // FootprintWords returns tensor t's resident footprint in words at an
 // on-chip level under mapping m.
@@ -64,8 +118,8 @@ func (s *Space) FootprintWords(m *Mapping, level arch.Level, t int) float64 {
 }
 
 // totalFootprint returns the summed tensor footprints at a level.
-func (s *Space) totalFootprint(m *Mapping, level arch.Level) float64 {
-	tile := m.CumulativeTile(level)
+func (s *Space) totalFootprint(ws *scratch, m *Mapping, level arch.Level) float64 {
+	tile := ws.tileAt(m, level)
 	total := 0.0
 	for t := range s.Prob.Algo.Tensors {
 		total += float64(s.Prob.Algo.Tensors[t].Footprint(tile))
@@ -75,9 +129,9 @@ func (s *Space) totalFootprint(m *Mapping, level arch.Level) float64 {
 
 // fitsBuffers reports whether the summed footprints fit the raw capacity of
 // both on-chip levels (a necessary condition for any allocation to exist).
-func (s *Space) fitsBuffers(m *Mapping) bool {
+func (s *Space) fitsBuffers(ws *scratch, m *Mapping) bool {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		if s.totalFootprint(m, level) > float64(s.Arch.LevelWords(level))+allocTolerance {
+		if s.totalFootprint(ws, m, level) > float64(s.Arch.LevelWords(level))+allocTolerance {
 			return false
 		}
 	}
@@ -123,6 +177,8 @@ func (s *Space) IsMember(m *Mapping) error {
 		}
 	}
 	nt := s.NumTensors()
+	ws := getScratch()
+	defer putScratch(ws)
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		if len(m.Alloc[level]) != nt {
 			return fmt.Errorf("mapspace: level %s has %d allocations, want %d",
@@ -140,7 +196,7 @@ func (s *Space) IsMember(m *Mapping) error {
 			return fmt.Errorf("mapspace: level %s allocations sum to %v > 1", level, sum)
 		}
 		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
+		tile := ws.tileAt(m, level)
 		for t := range s.Prob.Algo.Tensors {
 			fp := float64(s.Prob.Algo.Tensors[t].Footprint(tile))
 			if fp > m.Alloc[level][t]*capWords+allocTolerance {
@@ -152,16 +208,26 @@ func (s *Space) IsMember(m *Mapping) error {
 	return nil
 }
 
+// isPermutation reports whether p is a permutation of [0, n), tracking
+// seen entries in a bitset that lives on the stack for n <= 64.
 func isPermutation(p []int, n int) bool {
 	if len(p) != n {
 		return false
 	}
-	seen := make([]bool, n)
+	var small [1]uint64
+	seen := small[:]
+	if n > 64 {
+		seen = make([]uint64, (n+63)/64)
+	}
 	for _, v := range p {
-		if v < 0 || v >= n || seen[v] {
+		if v < 0 || v >= n {
 			return false
 		}
-		seen[v] = true
+		word, bit := v/64, uint64(1)<<(v%64)
+		if seen[word]&bit != 0 {
+			return false
+		}
+		seen[word] |= bit
 	}
 	return true
 }
@@ -172,104 +238,102 @@ func isPermutation(p []int, n int) bool {
 // mapping, which is always valid.
 func (s *Space) Random(rng *rand.Rand) Mapping {
 	const maxTries = 64
+	ws := getScratch()
+	defer putScratch(ws)
+	m := s.emptyMapping()
 	for try := 0; try < maxTries; try++ {
-		m := s.randomTiling(rng)
-		if !s.fitsBuffers(&m) {
-			continue
+		s.randomTiling(ws, rng, &m)
+		if s.fitsBuffers(ws, &m) {
+			s.randomOrders(rng, &m)
+			s.randomAlloc(ws, rng, &m)
+			return m
 		}
-		s.randomOrders(rng, &m)
-		s.randomAlloc(rng, &m)
-		return m
 	}
-	min := s.minimalMapping()
-	s.randomOrders(rng, &min)
-	return min
+	s.setMinimalTiling(&m)
+	s.coverAlloc(ws, &m)
+	s.randomOrders(rng, &m)
+	return m
 }
 
-// randomTiling samples per-dimension factor chains under the PE budget,
+// randomTiling samples every dimension's factor chain under the PE budget,
 // visiting dimensions in random order so no dimension systematically starves
 // the spatial budget.
-func (s *Space) randomTiling(rng *rand.Rand) Mapping {
-	d := s.NumDims()
-	m := s.emptyMapping()
+func (s *Space) randomTiling(ws *scratch, rng *rand.Rand, m *Mapping) {
+	ws.dims = grow(ws.dims, s.NumDims())
+	permInto(rng, ws.dims)
 	budget := s.Arch.NumPEs
-	for _, dim := range rng.Perm(d) {
-		// Filter to chains that respect the remaining spatial budget.
-		var eligible []FactorChain
-		for _, c := range s.chains[dim] {
-			if c[ChainSpatial] <= budget {
-				eligible = append(eligible, c)
-			}
-		}
-		c := eligible[rng.Intn(len(eligible))]
+	for _, dim := range ws.dims {
+		// Spatial-factor-1 chains always qualify: budget stays >= 1.
+		c, _ := s.tables[dim].draw(rng, budget)
 		m.SetChain(dim, c)
 		budget /= c[ChainSpatial]
 	}
-	return m
+}
+
+// permInto fills p with a pseudo-random permutation of [0, len(p)), making
+// exactly the draws rng.Perm(len(p)) makes (math/rand keeps Perm's stream
+// fixed for compatibility) without allocating.
+func permInto(rng *rand.Rand, p []int) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
 }
 
 func (s *Space) randomOrders(rng *rand.Rand, m *Mapping) {
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		m.Order[l] = rng.Perm(s.NumDims())
+		permInto(rng, m.Order[l])
 	}
 }
 
 // randomAlloc assigns each tensor its required footprint share plus a
 // random split of (part of) the remaining capacity, so allocation stays a
 // genuinely free programmable attribute while remaining valid.
-func (s *Space) randomAlloc(rng *rand.Rand, m *Mapping) {
+func (s *Space) randomAlloc(ws *scratch, rng *rand.Rand, m *Mapping) {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
-		shares := make([]float64, nt)
-		sum := 0.0
-		for t := range shares {
-			shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
-			sum += shares[t]
-		}
+		shares, sum := s.sharesAt(ws, m, level)
 		slack := (1 - sum) * rng.Float64()
-		weights := make([]float64, nt)
+		ws.extra = grow(ws.extra, nt)
+		weights := ws.extra
 		wsum := 0.0
 		for t := range weights {
 			weights[t] = rng.Float64() + 1e-6
 			wsum += weights[t]
 		}
-		m.Alloc[level] = make([]float64, nt)
 		for t := range shares {
 			m.Alloc[level][t] = shares[t] + slack*weights[t]/wsum
 		}
 	}
 }
 
+// emptyMapping returns a mapping with all-ones tiles, identity loop orders
+// and zero allocations. Its integer slices share one backing array and its
+// allocation slices another; each is capacity-capped, so an append to one
+// never spills into the next.
 func (s *Space) emptyMapping() Mapping {
-	d := s.NumDims()
+	d, nt := s.NumDims(), s.NumTensors()
 	var m Mapping
+	ints := make([]int, (2*int(arch.NumLevels)+1)*d)
+	for i := range ints[:(int(arch.NumLevels)+1)*d] {
+		ints[i] = 1 // tiles and spatial factors
+	}
 	for l := range m.Tile {
-		m.Tile[l] = make([]int, d)
-		for i := range m.Tile[l] {
-			m.Tile[l][i] = 1
+		m.Tile[l], ints = ints[:d:d], ints[d:]
+	}
+	m.Spatial, ints = ints[:d:d], ints[d:]
+	for l := range m.Order {
+		m.Order[l], ints = ints[:d:d], ints[d:]
+		for i := range m.Order[l] {
+			m.Order[l][i] = i
 		}
 	}
-	m.Spatial = make([]int, d)
-	for i := range m.Spatial {
-		m.Spatial[i] = 1
-	}
-	for l := range m.Order {
-		m.Order[l] = identityPerm(d)
-	}
+	fracs := make([]float64, arch.OnChipLevels*nt)
 	for l := range m.Alloc {
-		m.Alloc[l] = make([]float64, s.NumTensors())
+		m.Alloc[l] = fracs[l*nt : (l+1)*nt : (l+1)*nt]
 	}
 	return m
-}
-
-func identityPerm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
 }
 
 // Minimal returns the always-valid baseline mapping: every loop at DRAM,
@@ -283,12 +347,19 @@ func (s *Space) Minimal() Mapping {
 // which fits any reasonable buffer configuration; allocations are
 // footprint-proportional with the slack spread evenly.
 func (s *Space) minimalMapping() Mapping {
+	ws := getScratch()
+	defer putScratch(ws)
 	m := s.emptyMapping()
+	s.setMinimalTiling(&m)
+	s.coverAlloc(ws, &m)
+	return m
+}
+
+// setMinimalTiling moves every loop to DRAM.
+func (s *Space) setMinimalTiling(m *Mapping) {
 	for dim, size := range s.Prob.Shape {
 		m.SetChain(dim, FactorChain{1, 1, 1, size})
 	}
-	s.coverAlloc(&m)
-	return m
 }
 
 // TightenAlloc sets every buffer allocation to exactly its tensor's
@@ -296,19 +367,15 @@ func (s *Space) minimalMapping() Mapping {
 // allocation-energy model, cheapest) allocation for the mapping's tiling.
 // It returns false when the tiling does not fit raw capacity.
 func (s *Space) TightenAlloc(m *Mapping) bool {
+	ws := getScratch()
+	defer putScratch(ws)
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
-		sum := 0.0
+		shares, sum := s.sharesAt(ws, m, level)
 		if len(m.Alloc[level]) != nt {
 			m.Alloc[level] = make([]float64, nt)
 		}
-		for t := range s.Prob.Algo.Tensors {
-			share := float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
-			m.Alloc[level][t] = share
-			sum += share
-		}
+		copy(m.Alloc[level], shares)
 		if sum > 1+allocTolerance {
 			return false
 		}
@@ -317,20 +384,13 @@ func (s *Space) TightenAlloc(m *Mapping) bool {
 }
 
 // coverAlloc sets allocations to exactly cover footprints plus an even
-// share of the slack. It assumes footprints fit raw capacity.
-func (s *Space) coverAlloc(m *Mapping) {
+// share of the slack. It assumes footprints fit raw capacity and that m's
+// allocation slices have one entry per tensor.
+func (s *Space) coverAlloc(ws *scratch, m *Mapping) {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
-		sum := 0.0
-		shares := make([]float64, nt)
-		for t := range shares {
-			shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
-			sum += shares[t]
-		}
+		shares, sum := s.sharesAt(ws, m, level)
 		slack := math.Max(0, 1-sum)
-		m.Alloc[level] = make([]float64, nt)
 		for t := range shares {
 			m.Alloc[level][t] = shares[t] + slack/float64(nt)
 		}
@@ -342,24 +402,18 @@ func (s *Space) coverAlloc(m *Mapping) {
 // fit the remaining capacity, and proportions are otherwise preserved. It
 // returns false when the tiling's footprints exceed raw capacity (no
 // allocation can fix that).
-func (s *Space) repairAlloc(m *Mapping) bool {
+func (s *Space) repairAlloc(ws *scratch, m *Mapping) bool {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
-		shares := make([]float64, nt)
-		sumShares := 0.0
-		for t := range shares {
-			shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
-			sumShares += shares[t]
-		}
+		shares, sumShares := s.sharesAt(ws, m, level)
 		if sumShares > 1+allocTolerance {
 			return false
 		}
 		if len(m.Alloc[level]) != nt {
 			m.Alloc[level] = make([]float64, nt)
 		}
-		surplus := make([]float64, nt)
+		ws.extra = grow(ws.extra, nt)
+		surplus := ws.extra
 		sumSurplus := 0.0
 		for t := range shares {
 			surplus[t] = math.Max(0, math.Min(1, m.Alloc[level][t])-shares[t])
@@ -382,8 +436,8 @@ func (s *Space) repairAlloc(m *Mapping) bool {
 // loop orders per level, and bank-granular allocations per on-chip level.
 func (s *Space) SizeLog10() float64 {
 	total := 0.0
-	for _, size := range s.Prob.Shape {
-		total += math.Log10(countChains(size))
+	for _, t := range s.tables {
+		total += math.Log10(float64(len(t.chains)))
 	}
 	d := float64(s.NumDims())
 	logFact := func(n float64) float64 {

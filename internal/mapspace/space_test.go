@@ -226,7 +226,7 @@ func TestRepairAllocRaisesToFootprint(t *testing.T) {
 	s := testSpaceCNN(t)
 	m := s.minimalMapping()
 	m.Alloc[arch.L1] = []float64{0, 0, 0}
-	if !s.repairAlloc(&m) {
+	if !s.repairAlloc(getScratch(), &m) {
 		t.Fatal("repairAlloc failed on feasible tiling")
 	}
 	if err := s.IsMember(&m); err != nil {
