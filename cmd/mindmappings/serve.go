@@ -43,7 +43,6 @@ func cmdServe(args []string) error {
 	queueCap := fs.Int("queue", 64, "pending-job queue capacity")
 	trainWorkers := fs.Int("trainworkers", 2, "training pipeline worker count (separate pool from search workers)")
 	trainQueue := fs.Int("trainqueue", 16, "pending-training-job queue capacity")
-	cacheCap := fs.Int("cache", 0, "deprecated alias for -evalcache-cap")
 	evalCacheCap := fs.Int("evalcache-cap", 0,
 		fmt.Sprintf("shared eval-cache capacity in entries (default %d); occupancy is reported as eval_cache_utilization", service.DefaultEvalCacheCapacity))
 	regCap := fs.Int("maxmodels", service.DefaultRegistryCapacity, "max surrogates resident in memory (LRU beyond this)")
@@ -81,9 +80,6 @@ func cmdServe(args []string) error {
 	}
 	if *atlasDir == "" {
 		*atlasDir = filepath.Join(*modelDir, "atlas")
-	}
-	if *evalCacheCap <= 0 {
-		*evalCacheCap = *cacheCap // honor the deprecated alias
 	}
 	faults, err := resilience.ParseFaults(*faultsSpec)
 	if err != nil {

@@ -110,10 +110,10 @@ func (s *Spec) Validate() error {
 // AppendFingerprint appends a canonical binary encoding of every Spec
 // field to dst and returns the extended slice. Two specs differing in any
 // field produce different fingerprints, and equal specs always produce
-// identical bytes, so the fingerprint is a stable cache-key component
-// (search.CacheKey uses it to keep evaluations of the same mapping on
-// different accelerators apart) without fmt-style reflection or its
-// allocations.
+// identical bytes, so the fingerprint is a stable identity component
+// (evaluator fingerprints embed it, which keeps cached evaluations of the
+// same mapping on different accelerators apart) without fmt-style
+// reflection or its allocations.
 func (s *Spec) AppendFingerprint(dst []byte) []byte {
 	appendInt := func(v int) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))

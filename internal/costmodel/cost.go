@@ -63,15 +63,32 @@ func (c *Cost) Reset(nt int) {
 // Clone returns a deep copy of the exported cost fields, detached from any
 // evaluation workspace. Costs stored in shared caches must be clones: the
 // original may be an EvaluateInto workspace whose slices are overwritten by
-// the next evaluation.
+// the next evaluation. All per-level slices are carved from one backing
+// array, capacity-capped so an append to one never writes into another:
+// a clone costs a single allocation.
 func (c *Cost) Clone() Cost {
 	out := *c
-	for l := range c.Accesses {
-		out.Accesses[l] = append([]float64(nil), c.Accesses[l]...)
-		out.EnergyPJ[l] = append([]float64(nil), c.EnergyPJ[l]...)
-	}
 	out.Scratch = nil
+	n := 0
+	for l := range c.Accesses {
+		n += len(c.Accesses[l]) + len(c.EnergyPJ[l])
+	}
+	buf := make([]float64, n)
+	for l := range c.Accesses {
+		out.Accesses[l], buf = carve(buf, c.Accesses[l])
+		out.EnergyPJ[l], buf = carve(buf, c.EnergyPJ[l])
+	}
 	return out
+}
+
+// carve copies src into the front of buf and returns the copy, capped at
+// its length, and the rest of buf. A nil src stays nil.
+func carve(buf, src []float64) (dst, rest []float64) {
+	if src == nil {
+		return nil, buf
+	}
+	k := copy(buf, src)
+	return buf[:k:k], buf[k:]
 }
 
 // CopyTo copies the exported cost fields into dst, reusing dst's slices

@@ -39,8 +39,8 @@ type Evaluator interface {
 	// AppendFingerprint appends a canonical binary identity of the
 	// evaluator — backend name, accelerator, and problem — to dst and
 	// returns the extended slice. Distinct (backend, arch, problem)
-	// triples yield distinct fingerprints; the cache middleware prefixes
-	// its keys with it so different backends never share entries.
+	// triples yield distinct fingerprints; the cache middleware interns it
+	// into its key prefix so different backends never share entries.
 	AppendFingerprint(dst []byte) []byte
 	// EvaluateInto computes the cost of one mapping into the caller-owned
 	// workspace c, overwriting its previous contents. Reusing c across
@@ -109,27 +109,27 @@ func AppendBackendFingerprint(dst []byte, name string, a *arch.Spec, p *loopnest
 	return dst
 }
 
-// AppendMappingKey appends the raw bits of every cost-relevant mapping
-// attribute (tile factors, spatial factors, loop orders, buffer
-// allocations) to dst and returns the extended slice. Combined with an
-// evaluator fingerprint prefix — which pins the problem arity, so no
-// per-section length prefixes are needed — the result is a collision-free
-// memoization key. Appending into a reused buffer allocates nothing.
+// AppendMappingKey appends a compact, canonical encoding of every
+// cost-relevant mapping attribute to dst and returns the extended slice:
+// tile factors, spatial factors, and loop orders as uvarints (one byte for
+// values below 128), then buffer allocations as raw little-endian float64
+// bits. Uvarints are a prefix code, so a fixed field count decodes
+// uniquely; combined with a prefix naming the evaluator — which pins the
+// problem arity, so no per-section length prefixes are needed — the
+// result is a collision-free memoization key. Appending into a reused
+// buffer allocates nothing.
 func AppendMappingKey(dst []byte, m *mapspace.Mapping) []byte {
-	appendInt := func(v int) {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-	}
 	for l := range m.Tile {
 		for _, v := range m.Tile[l] {
-			appendInt(v)
+			dst = binary.AppendUvarint(dst, uint64(v))
 		}
 	}
 	for _, v := range m.Spatial {
-		appendInt(v)
+		dst = binary.AppendUvarint(dst, uint64(v))
 	}
 	for l := range m.Order {
 		for _, v := range m.Order[l] {
-			appendInt(v)
+			dst = binary.AppendUvarint(dst, uint64(v))
 		}
 	}
 	for l := range m.Alloc {

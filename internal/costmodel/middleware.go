@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"context"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,29 +124,67 @@ type BytesCache interface {
 	GetBytes(key []byte) (Cost, bool)
 }
 
-// cached memoizes inner's evaluations under fingerprint-prefixed keys.
+// maxInternedBytes bounds the process-wide fingerprint intern table at
+// 4 MiB of fingerprints (~3,500 cnn-layer evaluators). A server fed
+// ever-new problems starts a fresh table when it would overflow; the IDs
+// already handed out stay valid, since IDs are never reused.
+const maxInternedBytes = 4 << 20
+
+// evaluatorIDs interns evaluator fingerprints to small IDs, so cache keys
+// carry a one- or two-byte uvarint instead of a ~1 KB fingerprint. next
+// only ever grows: after a reset an evaluator seen before gets a fresh ID
+// (its old entries age out of the LRU), and no ID ever names two
+// fingerprints, so keys stay collision-free by construction.
+var evaluatorIDs struct {
+	sync.Mutex
+	ids   map[string]uint64 // by fingerprint
+	bytes int               // fingerprint bytes held by ids
+	next  uint64
+}
+
+// evaluatorID returns the interned ID of fingerprint fp, assigning the
+// next one on first use.
+func evaluatorID(fp []byte) uint64 {
+	evaluatorIDs.Lock()
+	defer evaluatorIDs.Unlock()
+	if id, ok := evaluatorIDs.ids[string(fp)]; ok {
+		return id
+	}
+	if evaluatorIDs.ids == nil || evaluatorIDs.bytes+len(fp) > maxInternedBytes {
+		evaluatorIDs.ids = map[string]uint64{}
+		evaluatorIDs.bytes = 0
+	}
+	evaluatorIDs.next++
+	evaluatorIDs.ids[string(fp)] = evaluatorIDs.next
+	evaluatorIDs.bytes += len(fp)
+	return evaluatorIDs.next
+}
+
+// cached memoizes inner's evaluations under evaluator-ID-prefixed keys.
 type cached struct {
 	inner  Evaluator
 	cache  Cache
 	bytes  BytesCache // non-nil when cache supports binary-key lookups
-	prefix []byte     // evaluator fingerprint, computed once
+	prefix []byte     // uvarint evaluator ID, interned once
 	keys   sync.Pool
 }
 
-// WithCache wraps inner so evaluations are memoized in cache, keyed by the
-// evaluator fingerprint plus the mapping's attribute bits — evaluators
-// differing in backend, accelerator, or problem never share entries. Hits
-// skip inner entirely (and therefore any latency or counting wrapped
-// inside); misses store a detached clone. When cache also implements
-// BytesCache the hit path is allocation-free (the pooled binary key buffer
-// is looked up directly); otherwise, and on every miss, the only
-// steady-state allocation is the key string itself. A nil cache returns
-// inner unchanged.
+// WithCache wraps inner so evaluations are memoized in cache, keyed by an
+// interned evaluator ID plus the mapping's attributes (AppendMappingKey).
+// Equal evaluators — same backend, accelerator, and problem — share one ID,
+// so separate jobs reuse each other's entries; evaluators differing in any
+// of them never share entries. Hits skip inner entirely (and therefore any
+// latency or counting wrapped inside); misses store a detached clone. When
+// cache also implements BytesCache the hit path is allocation-free (the
+// pooled binary key buffer is looked up directly) and a miss allocates the
+// key string and the clone; otherwise every lookup also builds the key
+// string. A nil cache returns inner unchanged.
 func WithCache(inner Evaluator, cache Cache) Evaluator {
-	c := &cached{inner: inner, cache: cache, prefix: inner.AppendFingerprint(nil)}
 	if cache == nil {
 		return inner
 	}
+	id := evaluatorID(inner.AppendFingerprint(nil))
+	c := &cached{inner: inner, cache: cache, prefix: binary.AppendUvarint(nil, id)}
 	if bc, ok := cache.(BytesCache); ok {
 		c.bytes = bc
 	}
@@ -159,7 +198,10 @@ func (e *cached) AppendFingerprint(dst []byte) []byte { return e.inner.AppendFin
 func (e *cached) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *Cost) error {
 	buf, _ := e.keys.Get().(*[]byte)
 	if buf == nil {
-		buf = new([]byte)
+		// Sized for a typical key, so a fresh buffer is not regrown
+		// through every power of two while the key is appended.
+		b := make([]byte, 0, 256)
+		buf = &b
 	}
 	*buf = AppendMappingKey(append((*buf)[:0], e.prefix...), m)
 	if e.bytes != nil {

@@ -193,7 +193,7 @@ func TestCacheMiddlewareMemoizes(t *testing.T) {
 
 // TestCacheSeparatesBackends: the same mapping evaluated by different
 // backends (or on different accelerators) must occupy different entries —
-// fingerprint-prefixed keys guarantee it.
+// evaluator-ID-prefixed keys guarantee it.
 func TestCacheSeparatesBackends(t *testing.T) {
 	f := newFixture(t, 15)
 	cache := newMapCache()

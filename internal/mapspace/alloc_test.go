@@ -78,6 +78,24 @@ func TestIsMemberAllocs(t *testing.T) {
 	}
 }
 
+// Repair and Perturb test every candidate with check: an invalid one must
+// cost no allocations either, only IsMember formats a message.
+func TestCheckInvalidAllocs(t *testing.T) {
+	for _, s := range []*Space{testSpaceCNN(t), testSpaceMTTKRP(t)} {
+		m := s.Random(rand.New(rand.NewSource(4)))
+		bad := m.Clone()
+		bad.Tile[0][0] *= 2 // breaks the dimension's factor product
+		over := m.Clone()
+		over.Alloc[0][0] = 2 // out of [0,1]
+		for _, c := range []*Mapping{&bad, &over} {
+			if s.check(c).rule == valid || s.IsMember(c) == nil {
+				t.Fatal("corrupted mapping passed the validity check")
+			}
+			pinAllocs(t, "check of an invalid mapping", 0, func() { s.check(c) })
+		}
+	}
+}
+
 func TestCloneAllocs(t *testing.T) {
 	s := testSpaceCNN(t)
 	m := s.Random(rand.New(rand.NewSource(4)))

@@ -31,7 +31,7 @@ func (s *Space) Perturb(rng *rand.Rand, m *Mapping) Mapping {
 			s.moveFactorBetweenBands(rng, &out)
 		}
 		out = s.Repair(out)
-		if s.IsMember(&out) == nil {
+		if s.check(&out).rule == valid {
 			return out
 		}
 	}

@@ -116,7 +116,7 @@ func (s *Space) Reproject(m *Mapping) Mapping {
 // Repair returns m unchanged when it is already valid, otherwise its
 // projection. All mutation-style operators funnel through this.
 func (s *Space) Repair(m Mapping) Mapping {
-	if s.IsMember(&m) == nil {
+	if s.check(&m).rule == valid {
 		return m
 	}
 	return s.Project(m)

@@ -143,37 +143,73 @@ func (s *Space) fitsBuffers(ws *scratch, m *Mapping) bool {
 // permutation validity, allocation bounds, and per-tensor footprint fit
 // within the allocated buffer share. A nil error means m ∈ M(a,p).
 func (s *Space) IsMember(m *Mapping) error {
+	if v := s.check(m); v.rule != valid {
+		return s.describe(m, v)
+	}
+	return nil
+}
+
+// rule names one validity rule of check.
+type rule uint8
+
+const (
+	valid rule = iota
+	ruleTileCount
+	ruleOrderCount
+	ruleSpatialCount
+	ruleFactorPositive
+	ruleFactorProduct
+	ruleSpatialPEs
+	ruleOrderPermutation
+	ruleAllocCount
+	ruleAllocRange
+	ruleAllocSum
+	ruleFootprint
+)
+
+// violation is the first rule a mapping breaks, with where it broke and
+// the computed value a message needs; the zero value means the mapping is
+// valid. Returning it instead of an error keeps validity tests — Repair
+// and Perturb run one per candidate — free of allocations.
+type violation struct {
+	rule  rule
+	level arch.Level
+	index int     // dimension or tensor, per rule
+	value float64 // allocation sum or footprint in words, per rule
+}
+
+// check applies the IsMember rules in order and returns the first
+// violation.
+func (s *Space) check(m *Mapping) violation {
 	d := s.NumDims()
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if len(m.Tile[l]) != d {
-			return fmt.Errorf("mapspace: level %s has %d tile factors, want %d", l, len(m.Tile[l]), d)
+			return violation{rule: ruleTileCount, level: l}
 		}
 		if len(m.Order[l]) != d {
-			return fmt.Errorf("mapspace: level %s has %d order entries, want %d", l, len(m.Order[l]), d)
+			return violation{rule: ruleOrderCount, level: l}
 		}
 	}
 	if len(m.Spatial) != d {
-		return fmt.Errorf("mapspace: %d spatial factors, want %d", len(m.Spatial), d)
+		return violation{rule: ruleSpatialCount}
 	}
 	for dim := 0; dim < d; dim++ {
 		c := m.Chain(dim)
 		for _, f := range c {
 			if f < 1 {
-				return fmt.Errorf("mapspace: dim %s has non-positive factor in %v",
-					s.Prob.Algo.DimNames[dim], c)
+				return violation{rule: ruleFactorPositive, index: dim}
 			}
 		}
 		if c.Product() != s.Prob.Shape[dim] {
-			return fmt.Errorf("mapspace: dim %s factors %v product %d != size %d",
-				s.Prob.Algo.DimNames[dim], c, c.Product(), s.Prob.Shape[dim])
+			return violation{rule: ruleFactorProduct, index: dim}
 		}
 	}
-	if pes := m.SpatialPEs(); pes > s.Arch.NumPEs {
-		return fmt.Errorf("mapspace: spatial product %d exceeds %d PEs", pes, s.Arch.NumPEs)
+	if m.SpatialPEs() > s.Arch.NumPEs {
+		return violation{rule: ruleSpatialPEs}
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if !isPermutation(m.Order[l], d) {
-			return fmt.Errorf("mapspace: level %s order %v is not a permutation", l, m.Order[l])
+			return violation{rule: ruleOrderPermutation, level: l}
 		}
 	}
 	nt := s.NumTensors()
@@ -181,29 +217,62 @@ func (s *Space) IsMember(m *Mapping) error {
 	defer putScratch(ws)
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		if len(m.Alloc[level]) != nt {
-			return fmt.Errorf("mapspace: level %s has %d allocations, want %d",
-				level, len(m.Alloc[level]), nt)
+			return violation{rule: ruleAllocCount, level: level}
 		}
 		sum := 0.0
 		for t, a := range m.Alloc[level] {
 			if a < 0 || a > 1 {
-				return fmt.Errorf("mapspace: level %s tensor %s allocation %v out of [0,1]",
-					level, s.Prob.Algo.Tensors[t].Name, a)
+				return violation{rule: ruleAllocRange, level: level, index: t}
 			}
 			sum += a
 		}
 		if sum > 1+allocTolerance {
-			return fmt.Errorf("mapspace: level %s allocations sum to %v > 1", level, sum)
+			return violation{rule: ruleAllocSum, level: level, value: sum}
 		}
 		capWords := float64(s.Arch.LevelWords(level))
 		tile := ws.tileAt(m, level)
 		for t := range s.Prob.Algo.Tensors {
 			fp := float64(s.Prob.Algo.Tensors[t].Footprint(tile))
 			if fp > m.Alloc[level][t]*capWords+allocTolerance {
-				return fmt.Errorf("mapspace: level %s tensor %s footprint %.0f words exceeds allocated %.0f",
-					level, s.Prob.Algo.Tensors[t].Name, fp, m.Alloc[level][t]*capWords)
+				return violation{rule: ruleFootprint, level: level, index: t, value: fp}
 			}
 		}
+	}
+	return violation{}
+}
+
+// describe formats violation v of m as IsMember's error.
+func (s *Space) describe(m *Mapping, v violation) error {
+	d, l := s.NumDims(), v.level
+	switch v.rule {
+	case ruleTileCount:
+		return fmt.Errorf("mapspace: level %s has %d tile factors, want %d", l, len(m.Tile[l]), d)
+	case ruleOrderCount:
+		return fmt.Errorf("mapspace: level %s has %d order entries, want %d", l, len(m.Order[l]), d)
+	case ruleSpatialCount:
+		return fmt.Errorf("mapspace: %d spatial factors, want %d", len(m.Spatial), d)
+	case ruleFactorPositive:
+		return fmt.Errorf("mapspace: dim %s has non-positive factor in %v",
+			s.Prob.Algo.DimNames[v.index], m.Chain(v.index))
+	case ruleFactorProduct:
+		c := m.Chain(v.index)
+		return fmt.Errorf("mapspace: dim %s factors %v product %d != size %d",
+			s.Prob.Algo.DimNames[v.index], c, c.Product(), s.Prob.Shape[v.index])
+	case ruleSpatialPEs:
+		return fmt.Errorf("mapspace: spatial product %d exceeds %d PEs", m.SpatialPEs(), s.Arch.NumPEs)
+	case ruleOrderPermutation:
+		return fmt.Errorf("mapspace: level %s order %v is not a permutation", l, m.Order[l])
+	case ruleAllocCount:
+		return fmt.Errorf("mapspace: level %s has %d allocations, want %d",
+			l, len(m.Alloc[l]), s.NumTensors())
+	case ruleAllocRange:
+		return fmt.Errorf("mapspace: level %s tensor %s allocation %v out of [0,1]",
+			l, s.Prob.Algo.Tensors[v.index].Name, m.Alloc[l][v.index])
+	case ruleAllocSum:
+		return fmt.Errorf("mapspace: level %s allocations sum to %v > 1", l, v.value)
+	case ruleFootprint:
+		return fmt.Errorf("mapspace: level %s tensor %s footprint %.0f words exceeds allocated %.0f",
+			l, s.Prob.Algo.Tensors[v.index].Name, v.value, m.Alloc[l][v.index]*float64(s.Arch.LevelWords(l)))
 	}
 	return nil
 }

@@ -162,7 +162,7 @@ type Context struct {
 	// (the service's /v1/metrics reporting).
 	Evals *costmodel.Counter
 	// Cache, when non-nil, memoizes evaluations (costmodel.WithCache)
-	// under fingerprint-prefixed keys, so evaluations of the same mapping
+	// under evaluator-ID-prefixed keys, so evaluations of the same mapping
 	// by different backends or accelerators never mix. Hits skip the
 	// cost-model compute and its emulated QueryLatency but still count
 	// toward the evaluation budget, so budget accounting is unchanged.
@@ -300,8 +300,8 @@ type tracker struct {
 
 	// own is the scalar evaluation workspace: with no cache configured,
 	// steady-state evaluation allocates nothing (the Cost doubles as the
-	// backend's workspace); with a cache, the only per-eval allocation is
-	// the key string.
+	// backend's workspace); with a cache, a miss allocates the key string
+	// and the stored clone.
 	own costmodel.Cost
 
 	// Per-candidate batch state, reused across batches.

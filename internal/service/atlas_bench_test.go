@@ -44,6 +44,30 @@ func BenchmarkEvalCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalCacheMiss measures the shared-cache miss path through the
+// costmodel middleware: 256 mappings cycle through 64 slots, so every
+// iteration builds the key string, evaluates, clones, and evicts the least
+// recently used entry (run with -benchmem; the budget is 2 allocs/op, the
+// key and the clone).
+func BenchmarkEvalCacheMiss(b *testing.B) {
+	inner, ms := cacheFixture(b, 256)
+	ev := costmodel.WithCache(inner, NewEvalCache(64))
+	ctx := context.Background()
+	var ws costmodel.Cost
+	for i := range ms {
+		if err := ev.EvaluateInto(ctx, &ms[i], &ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ev.EvaluateInto(ctx, &ms[i%len(ms)], &ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAtlasExactHit measures serving a repeat request from the atlas:
 // submit-to-terminal-job latency for a stored answer. Compare against
 // BenchmarkColdSearchJob for the repeat-traffic speedup.

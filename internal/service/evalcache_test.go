@@ -1,10 +1,18 @@
 package service
 
 import (
+	"container/list"
+	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"mindmappings/internal/arch"
 	"mindmappings/internal/costmodel"
+	"mindmappings/internal/loopnest"
+	"mindmappings/internal/mapspace"
 )
 
 func TestEvalCacheHitMissCounters(t *testing.T) {
@@ -58,26 +66,244 @@ func TestEvalCacheUpdateExisting(t *testing.T) {
 	}
 }
 
-func TestEvalCacheConcurrent(t *testing.T) {
-	c := NewEvalCache(128)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 500; i++ {
-				k := fmt.Sprintf("k%d", (g*7+i)%200)
-				if cost, ok := c.Get(k); ok && cost.EDP < 0 {
-					t.Error("corrupt entry")
-					return
+// raceEnabled is set by race_test.go: the race detector makes sync.Pool
+// drop a quarter of its items, so the middleware's pooled key buffer
+// re-allocates and the allocation pins below do not hold under -race.
+var raceEnabled bool
+
+// refLRU is the reference the slot-slice cache must match exactly: the
+// textbook container/list LRU.
+type refLRU struct {
+	capacity     int
+	ll           *list.List // front = most recently used; values are keys
+	items        map[string]*list.Element
+	vals         map[string]float64
+	hits, misses uint64
+}
+
+func newRefLRU(capacity int) *refLRU {
+	return &refLRU{capacity: capacity, ll: list.New(),
+		items: map[string]*list.Element{}, vals: map[string]float64{}}
+}
+
+func (r *refLRU) get(key string) (float64, bool) {
+	el, ok := r.items[key]
+	if !ok {
+		r.misses++
+		return 0, false
+	}
+	r.hits++
+	r.ll.MoveToFront(el)
+	return r.vals[key], true
+}
+
+func (r *refLRU) put(key string, v float64) {
+	r.vals[key] = v
+	if el, ok := r.items[key]; ok {
+		r.ll.MoveToFront(el)
+		return
+	}
+	r.items[key] = r.ll.PushFront(key)
+	if r.ll.Len() > r.capacity {
+		oldest := r.ll.Back()
+		r.ll.Remove(oldest)
+		delete(r.items, oldest.Value.(string))
+		delete(r.vals, oldest.Value.(string))
+	}
+}
+
+// order lists the reference's keys, most recently used first.
+func (r *refLRU) order() []string {
+	var out []string
+	for el := r.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(string))
+	}
+	return out
+}
+
+// order walks the cache's recency list front to back, checking that the
+// back links mirror the forward ones.
+func (c *EvalCache) order(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	prev := int32(-1)
+	for i := c.head; i >= 0; i = c.slots[i].next {
+		if c.slots[i].prev != prev {
+			t.Fatalf("slot %d prev = %d, want %d", i, c.slots[i].prev, prev)
+		}
+		if c.index[c.slots[i].key] != i {
+			t.Fatalf("index does not point key %q at slot %d", c.slots[i].key, i)
+		}
+		out = append(out, c.slots[i].key)
+		prev = i
+	}
+	if c.tail != prev {
+		t.Fatalf("tail = %d, want %d", c.tail, prev)
+	}
+	return out
+}
+
+// TestEvalCacheMatchesReferenceLRU drives the cache and the container/list
+// reference with one seeded random Get/GetBytes/Put sequence: every
+// lookup, the recency order (so every eviction), and the Stats must agree.
+func TestEvalCacheMatchesReferenceLRU(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		c, ref := NewEvalCache(capacity), newRefLRU(capacity)
+		for op := 0; op < 5000; op++ {
+			key := fmt.Sprintf("k%d", rng.Intn(3*capacity+2))
+			switch rng.Intn(3) {
+			case 0:
+				v := rng.Float64()
+				c.Put(key, costmodel.Cost{EDP: v})
+				ref.put(key, v)
+			case 1:
+				got, ok := c.Get(key)
+				want, wantOK := ref.get(key)
+				if ok != wantOK || got.EDP != want {
+					t.Fatalf("cap %d op %d Get(%s) = %v,%v, want %v,%v", capacity, op, key, got.EDP, ok, want, wantOK)
 				}
-				c.Put(k, costmodel.Cost{EDP: float64(i)})
+			case 2:
+				got, ok := c.GetBytes([]byte(key))
+				want, wantOK := ref.get(key)
+				if ok != wantOK || got.EDP != want {
+					t.Fatalf("cap %d op %d GetBytes(%s) = %v,%v, want %v,%v", capacity, op, key, got.EDP, ok, want, wantOK)
+				}
+			}
+			if got, want := c.order(t), ref.order(); !slices.Equal(got, want) {
+				t.Fatalf("cap %d op %d: recency order %v, want %v", capacity, op, got, want)
+			}
+		}
+		st := c.Stats()
+		want := CacheStats{Hits: ref.hits, Misses: ref.misses, Entries: ref.ll.Len(), Capacity: capacity,
+			Utilization: float64(ref.ll.Len()) / float64(capacity)}
+		if st != want {
+			t.Fatalf("cap %d: stats %+v, want %+v", capacity, st, want)
+		}
+	}
+}
+
+// cacheFixture is a conv1d evaluator with a pool of distinct mappings.
+func cacheFixture(tb testing.TB, n int) (costmodel.Evaluator, []mapspace.Mapping) {
+	tb.Helper()
+	p, err := loopnest.NewConv1DProblem("bench", 1024, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a := arch.Default(2)
+	ev, err := costmodel.New("timeloop", a, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	space, err := mapspace.New(a, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ms := make([]mapspace.Mapping, n)
+	for i := range ms {
+		ms[i] = space.Random(rng)
+	}
+	return ev, ms
+}
+
+// TestEvalCacheAllocs pins the allocation budget beside
+// TestEvalCacheHitZeroAllocs (a warm hit allocates nothing): a Put at
+// capacity allocates nothing inside the cache, and a middleware miss
+// allocates only the key and the clone.
+func TestEvalCacheAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	ctx := context.Background()
+	inner, ms := cacheFixture(t, 24)
+	var ws costmodel.Cost
+	if err := inner.EvaluateInto(ctx, &ms[0], &ws); err != nil {
+		t.Fatal(err)
+	}
+
+	// Keys and costs built up front, so only the cache's own work counts.
+	const capacity = 8
+	full := NewEvalCache(capacity)
+	keys := make([]string, 4*capacity)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	cost := ws.Clone()
+	for _, k := range keys[:capacity] {
+		full.Put(k, cost)
+	}
+	next := capacity
+	if got := testing.AllocsPerRun(200, func() {
+		full.Put(keys[next%len(keys)], cost)
+		next++
+	}); got != 0 {
+		t.Fatalf("Put of a new key at capacity: %v allocs, want 0", got)
+	}
+
+	// Cycling 24 mappings through 8 slots makes every lookup a miss that
+	// evicts.
+	missCache := NewEvalCache(capacity)
+	ev := costmodel.WithCache(inner, missCache)
+	i := 0
+	miss := func() {
+		if err := ev.EvaluateInto(ctx, &ms[i%len(ms)], &ws); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range ms {
+		miss()
+	}
+	if got := testing.AllocsPerRun(200, miss); got > 2 {
+		t.Fatalf("middleware miss: %v allocs, want <= 2 (key and clone)", got)
+	}
+	if st := missCache.Stats(); st.Hits != 0 || st.Entries != capacity {
+		t.Fatalf("miss cycle stats %+v: want no hits and a full cache", st)
+	}
+}
+
+// TestEvalCacheConcurrent hammers one small cache from several
+// goroutines with Gets, GetBytes and Puts that keep it evicting, and
+// checks every hit against its key: a slot reused by an eviction must
+// never serve another key's cost, nor one a writer is still filling.
+func TestEvalCacheConcurrent(t *testing.T) {
+	c := NewEvalCache(16)
+	costFor := func(k int) costmodel.Cost {
+		v := float64(k)
+		return costmodel.Cost{EDP: v, Accesses: [arch.NumLevels][]float64{{v}, {v}, {v}}}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 2000; i++ {
+				k := rng.Intn(64)
+				key := fmt.Sprintf("k%d", k)
+				var hit costmodel.Cost
+				var ok bool
+				if i%2 == 0 {
+					hit, ok = c.Get(key)
+				} else {
+					hit, ok = c.GetBytes([]byte(key))
+				}
+				if !ok {
+					c.Put(key, costFor(k))
+					continue
+				}
+				for l := range hit.Accesses {
+					if hit.EDP != float64(k) || hit.Accesses[l][0] != float64(k) {
+						t.Errorf("hit for %s holds cost %v", key, hit.EDP)
+						return
+					}
+				}
 			}
 		}(g)
 	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if st := c.Stats(); st.Entries > 128 {
-		t.Fatalf("capacity exceeded: %d", st.Entries)
+	wg.Wait()
+	if st := c.Stats(); st.Entries > 16 || st.Hits+st.Misses != 8*2000 {
+		t.Fatalf("stats %+v", st)
 	}
 }
