@@ -3,6 +3,9 @@ package mapspace
 import (
 	"math/rand"
 	"testing"
+
+	"mindmappings/internal/arch"
+	"mindmappings/internal/loopnest"
 )
 
 // raceEnabled is set by race_test.go: the race detector makes sync.Pool
@@ -29,9 +32,114 @@ func TestNearestChainAllocs(t *testing.T) {
 	desired := [4]float64{1.3, 2.7, 0.4, 3.9}
 	pinAllocs(t, "nearest", 0, func() {
 		for dim := 0; dim < s.NumDims(); dim++ {
-			s.tables[dim].nearest(&desired, 16)
+			s.tables[dim].nearest(&desired, 16, -1)
 		}
 	})
+}
+
+// The member-hint path and the filtered search shrinkOnce runs are
+// allocation-free too.
+func TestNearestHintAndFilteredAllocs(t *testing.T) {
+	s := testSpaceMTTKRP(t)
+	pinAllocs(t, "nearest with a member hint", 0, func() {
+		for dim := 0; dim < s.NumDims(); dim++ {
+			table := s.tables[dim]
+			h := len(table.chains) / 2
+			table.nearest(&table.logs[h], 16, h)
+			table.argmin(&table.logs[h], table.groupsUpTo(4), 64, true)
+		}
+	})
+}
+
+// invalidChildren returns n invalid children of each kind Repair sees
+// from the operators: Crossover recombinations (every chain a member, so
+// projection takes the member-hint path) and Perturb moves.
+func invalidChildren(tb testing.TB, s *Space, n int) (crossed, moved []Mapping) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	for tries := 0; tries < 1000*n && (len(crossed) < n || len(moved) < n); tries++ {
+		a, b := s.Random(rng), s.Random(rng)
+		child := a.Clone()
+		for dim := 0; dim < s.NumDims(); dim++ {
+			if rng.Intn(2) == 1 {
+				child.SetChain(dim, b.Chain(dim))
+			}
+		}
+		if len(crossed) < n && s.check(&child).rule != valid {
+			crossed = append(crossed, child)
+		}
+		child = a.Clone()
+		s.moveFactorBetweenBands(rng, &child)
+		if len(moved) < n && s.check(&child).rule != valid {
+			moved = append(moved, child)
+		}
+	}
+	if len(crossed) < n || len(moved) < n {
+		tb.Fatal("too few invalid children found")
+	}
+	return crossed, moved
+}
+
+// Repair projects an invalid child into the child's own storage, to the
+// mapping Project returns in fresh storage.
+func TestRepairInvalidChildAllocs(t *testing.T) {
+	for _, s := range []*Space{testSpaceCNN(t), testSpaceMTTKRP(t)} {
+		crossed, moved := invalidChildren(t, s, 1)
+		for _, bad := range []*Mapping{&crossed[0], &moved[0]} {
+			want := s.Project(*bad)
+			work := bad.Clone()
+			pinAllocs(t, "Repair of an invalid child", 0, func() {
+				bad.CloneInto(&work)
+				work = s.Repair(work)
+			})
+			if work.String() != want.String() {
+				t.Fatalf("in-place repair %s, projection %s", work.String(), want.String())
+			}
+		}
+	}
+}
+
+// BenchmarkRepair measures Repair of invalid Crossover and Perturb
+// children on the ResNet_Conv_4 problem of the root BenchmarkProjection:
+// the member-hint path, where BenchmarkProjection measures Decode's.
+func BenchmarkRepair(b *testing.B) {
+	p, err := loopnest.NewCNNProblem("ResNet_Conv_4", 16, 256, 256, 14, 14, 3, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(arch.Default(2), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	crossed, moved := invalidChildren(b, s, 64)
+	for _, bench := range []struct {
+		name     string
+		children []Mapping
+	}{{"crossover", crossed}, {"perturb", moved}} {
+		b.Run(bench.name, func(b *testing.B) {
+			work := bench.children[0].Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bench.children[i%len(bench.children)].CloneInto(&work)
+				work = s.Repair(work)
+			}
+		})
+	}
+}
+
+// The *Into operators reuse a shaped destination, so a searcher that keeps
+// its candidates' storage breeds without allocating.
+func TestIntoOperatorsAllocs(t *testing.T) {
+	for _, s := range []*Space{testSpaceCNN(t), testSpaceMTTKRP(t)} {
+		rng := rand.New(rand.NewSource(8))
+		a, b := s.Random(rng), s.Random(rng)
+		dst := a.Clone()
+		pinAllocs(t, "PerturbInto", 0, func() { s.PerturbInto(rng, &a, &dst) })
+		pinAllocs(t, "CrossoverInto", 0, func() { s.CrossoverInto(rng, &a, &b, &dst) })
+		pinAllocs(t, "MutateInto in place", 0, func() { s.MutateInto(rng, &dst, 0.3, &dst) })
+		pinAllocs(t, "CloneInto", 0, func() { b.CloneInto(&dst) })
+	}
 }
 
 func TestDrawAllocs(t *testing.T) {

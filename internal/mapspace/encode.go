@@ -80,8 +80,19 @@ func (s *Space) EncodeInto(dst []float64, m *Mapping) []float64 {
 // valid mapping. The problem-id prefix is ignored — the space already knows
 // its problem.
 func (s *Space) Decode(vec []float64) (Mapping, error) {
+	var m Mapping
+	if err := s.DecodeInto(vec, &m); err != nil {
+		return Mapping{}, err
+	}
+	return m, nil
+}
+
+// DecodeInto is Decode writing the projection into dst, whose storage it
+// reuses when dst has the space's shape: a descent chain decodes each step
+// over its previous mapping.
+func (s *Space) DecodeInto(vec []float64, dst *Mapping) error {
 	if len(vec) != s.VectorLen() {
-		return Mapping{}, fmt.Errorf("mapspace: decode vector length %d, want %d",
+		return fmt.Errorf("mapspace: decode vector length %d, want %d",
 			len(vec), s.VectorLen())
 	}
 	d := s.NumDims()
@@ -117,7 +128,11 @@ func (s *Space) Decode(vec []float64) (Mapping, error) {
 			i++
 		}
 	}
-	return s.projectDesired(ws), nil
+	if !s.shaped(dst) {
+		*dst = s.emptyMapping()
+	}
+	s.projectInto(ws, dst)
+	return nil
 }
 
 // sanitizeLog bounds a desired log2 tile factor so NaNs and infinities from

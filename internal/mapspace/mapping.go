@@ -66,6 +66,42 @@ func (m *Mapping) Clone() Mapping {
 	return out
 }
 
+// CloneInto copies m into dst, reusing dst's slices when each already has
+// the length of m's and allocating as Clone does otherwise. dst may be m
+// itself but must not share storage with it in any other way.
+func (m *Mapping) CloneInto(dst *Mapping) {
+	if !sameShape(m, dst) {
+		*dst = m.Clone()
+		return
+	}
+	for l := range m.Tile {
+		copy(dst.Tile[l], m.Tile[l])
+		copy(dst.Order[l], m.Order[l])
+	}
+	copy(dst.Spatial, m.Spatial)
+	for l := range m.Alloc {
+		copy(dst.Alloc[l], m.Alloc[l])
+	}
+}
+
+// sameShape reports whether every slice of a has the length of b's.
+func sameShape(a, b *Mapping) bool {
+	if len(a.Spatial) != len(b.Spatial) {
+		return false
+	}
+	for l := range a.Tile {
+		if len(a.Tile[l]) != len(b.Tile[l]) || len(a.Order[l]) != len(b.Order[l]) {
+			return false
+		}
+	}
+	for l := range a.Alloc {
+		if len(a.Alloc[l]) != len(b.Alloc[l]) {
+			return false
+		}
+	}
+	return true
+}
+
 // carve appends src to buf, whose capacity must hold it, and returns the
 // capacity-capped copy (nil for an empty src) and the extended buf.
 func carve[T any](buf, src []T) ([]T, []T) {

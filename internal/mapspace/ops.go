@@ -17,25 +17,33 @@ import (
 // level's order, shifting buffer allocation between tensors, or moving one
 // prime factor between bands of a dimension.
 func (s *Space) Perturb(rng *rand.Rand, m *Mapping) Mapping {
+	var out Mapping
+	s.PerturbInto(rng, m, &out)
+	return out
+}
+
+// PerturbInto is Perturb writing the neighbor into dst, whose storage it
+// reuses when dst has m's shape. dst must not share storage with m.
+func (s *Space) PerturbInto(rng *rand.Rand, m, dst *Mapping) {
 	const attempts = 8
 	for a := 0; a < attempts; a++ {
-		out := m.Clone()
+		m.CloneInto(dst)
 		switch rng.Intn(4) {
 		case 0:
-			s.moveResampleChain(rng, &out)
+			s.moveResampleChain(rng, dst)
 		case 1:
-			s.moveSwapOrder(rng, &out)
+			s.moveSwapOrder(rng, dst)
 		case 2:
-			s.moveShiftAlloc(rng, &out)
+			s.moveShiftAlloc(rng, dst)
 		case 3:
-			s.moveFactorBetweenBands(rng, &out)
+			s.moveFactorBetweenBands(rng, dst)
 		}
-		out = s.Repair(out)
-		if s.check(&out).rule == valid {
-			return out
+		s.repair(dst)
+		if s.check(dst).rule == valid {
+			return
 		}
 	}
-	return m.Clone()
+	m.CloneInto(dst)
 }
 
 // moveResampleChain re-draws one dimension's tile factorization under the
@@ -117,7 +125,16 @@ func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) {
 // loop order from either parent, and allocations are blended. The child is
 // repaired to validity.
 func (s *Space) Crossover(rng *rand.Rand, a, b *Mapping) Mapping {
-	child := a.Clone()
+	var child Mapping
+	s.CrossoverInto(rng, a, b, &child)
+	return child
+}
+
+// CrossoverInto is Crossover writing the child into child, whose storage
+// it reuses when child has a's shape. child must not share storage with a
+// or b.
+func (s *Space) CrossoverInto(rng *rand.Rand, a, b, child *Mapping) {
+	a.CloneInto(child)
 	for dim := 0; dim < s.NumDims(); dim++ {
 		if rng.Intn(2) == 1 {
 			child.SetChain(dim, b.Chain(dim))
@@ -134,7 +151,7 @@ func (s *Space) Crossover(rng *rand.Rand, a, b *Mapping) Mapping {
 			child.Alloc[level][t] = lambda*a.Alloc[level][t] + (1-lambda)*b.Alloc[level][t]
 		}
 	}
-	return s.Repair(child)
+	s.repair(child)
 }
 
 // Mutate randomizes each attribute group independently with probability
@@ -142,7 +159,19 @@ func (s *Space) Crossover(rng *rand.Rand, a, b *Mapping) Mapping {
 // of a random update for each of the mapping's attributes") and repairs the
 // result.
 func (s *Space) Mutate(rng *rand.Rand, m *Mapping, rate float64) Mapping {
-	out := m.Clone()
+	var out Mapping
+	s.MutateInto(rng, m, rate, &out)
+	return out
+}
+
+// MutateInto is Mutate writing the result into out, whose storage it
+// reuses when out has m's shape. out may be m itself, which then mutates
+// in place: the genetic algorithm mutates the child it just bred without
+// copying it again. Otherwise out must not share storage with m.
+func (s *Space) MutateInto(rng *rand.Rand, m *Mapping, rate float64, out *Mapping) {
+	if out != m {
+		m.CloneInto(out)
+	}
 	changed := false
 	for dim := 0; dim < s.NumDims(); dim++ {
 		if rng.Float64() < rate {
@@ -153,16 +182,15 @@ func (s *Space) Mutate(rng *rand.Rand, m *Mapping, rate float64) Mapping {
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if rng.Float64() < rate {
-			s.moveSwapOrder(rng, &out)
+			s.moveSwapOrder(rng, out)
 			changed = true
 		}
 	}
 	if rng.Float64() < rate {
-		s.moveShiftAlloc(rng, &out)
+		s.moveShiftAlloc(rng, out)
 		changed = true
 	}
-	if !changed {
-		return out
+	if changed {
+		s.repair(out)
 	}
-	return s.Repair(out)
 }

@@ -13,14 +13,20 @@ import (
 // from call to call.
 type desired struct {
 	logs  [][4]float64
+	hint  []int // per dimension: the chain-table index whose logs are logs[dim], or -1
 	ranks [arch.NumLevels][]float64
 	alloc [arch.OnChipLevels][]float64
 }
 
-// reset sizes des for d dimensions and nt tensors, all entries zero.
+// reset sizes des for d dimensions and nt tensors, all entries zero and
+// no chain hints.
 func (des *desired) reset(d, nt int) {
 	des.logs = grow(des.logs, d)
 	clear(des.logs)
+	des.hint = grow(des.hint, d)
+	for i := range des.hint {
+		des.hint[i] = -1
+	}
 	for l := range des.ranks {
 		des.ranks[l] = grow(des.ranks[l], d)
 		clear(des.ranks[l])
@@ -31,7 +37,9 @@ func (des *desired) reset(d, nt int) {
 	}
 }
 
-// desiredFrom sets ws.des to the point m asks for and returns it.
+// desiredFrom sets ws.des to the point m asks for and returns it. A
+// dimension whose chain is a member of its table gets that chain as its
+// hint: its desired logs are the table's logs for it, bit for bit.
 func (s *Space) desiredFrom(ws *scratch, m *Mapping) *desired {
 	d := s.NumDims()
 	des := &ws.des
@@ -44,6 +52,11 @@ func (s *Space) desiredFrom(ws *scratch, m *Mapping) *desired {
 	}
 	for dim := 0; dim < d && structurallyComplete; dim++ {
 		c := m.Chain(dim)
+		if h := s.tables[dim].indexOf(c); h >= 0 {
+			// The table's logs are math.Log2 of the same factors.
+			des.logs[dim], des.hint[dim] = s.tables[dim].logs[h], h
+			continue
+		}
 		for i, f := range c {
 			if f < 1 {
 				f = 1
@@ -101,6 +114,14 @@ func (s *Space) Project(m Mapping) Mapping {
 func (s *Space) Reproject(m *Mapping) Mapping {
 	ws := getScratch()
 	defer putScratch(ws)
+	s.retargeted(ws, m)
+	return s.projectDesired(ws)
+}
+
+// retargeted sets ws.des to the point m asks for with every dimension's
+// DRAM log re-targeted to this space's shape, and returns it. The DRAM
+// logs no longer match any chain's, so no dimension keeps a hint.
+func (s *Space) retargeted(ws *scratch, m *Mapping) *desired {
 	des := s.desiredFrom(ws, m)
 	for dim := 0; dim < s.NumDims(); dim++ {
 		onchip := des.logs[dim][ChainL1] + des.logs[dim][ChainSpatial] + des.logs[dim][ChainL2]
@@ -109,22 +130,66 @@ func (s *Space) Reproject(m *Mapping) Mapping {
 			dram = 0
 		}
 		des.logs[dim][ChainDRAM] = dram
+		des.hint[dim] = -1
 	}
-	return s.projectDesired(ws)
+	return des
 }
 
 // Repair returns m unchanged when it is already valid, otherwise its
-// projection. All mutation-style operators funnel through this.
+// projection. All mutation-style operators funnel through this. The
+// projection reuses m's storage when its slices have the space's shape, so
+// the result shares m's backing arrays either way: callers replace m with
+// the result (m = s.Repair(m)) or pass a clone.
 func (s *Space) Repair(m Mapping) Mapping {
-	if s.check(&m).rule == valid {
-		return m
+	s.repair(&m)
+	return m
+}
+
+// repair projects *m in place when it is invalid.
+func (s *Space) repair(m *Mapping) {
+	if s.check(m).rule == valid {
+		return
 	}
-	return s.Project(m)
+	ws := getScratch()
+	defer putScratch(ws)
+	s.desiredFrom(ws, m)
+	if !s.shaped(m) {
+		*m = s.emptyMapping()
+	}
+	s.projectInto(ws, m)
+}
+
+// shaped reports whether m's slices have the lengths of this space's
+// mappings, so projection can write into them.
+func (s *Space) shaped(m *Mapping) bool {
+	d, nt := s.NumDims(), s.NumTensors()
+	if len(m.Spatial) != d {
+		return false
+	}
+	for l := range m.Tile {
+		if len(m.Tile[l]) != d || len(m.Order[l]) != d {
+			return false
+		}
+	}
+	for l := range m.Alloc {
+		if len(m.Alloc[l]) != nt {
+			return false
+		}
+	}
+	return true
 }
 
 // projectDesired returns the valid mapping nearest ws.des.
 func (s *Space) projectDesired(ws *scratch) Mapping {
 	m := s.emptyMapping()
+	s.projectInto(ws, &m)
+	return m
+}
+
+// projectInto writes the valid mapping nearest ws.des into m, which must
+// be shaped. Every field is written before it is read, so m's previous
+// contents never matter.
+func (s *Space) projectInto(ws *scratch, m *Mapping) {
 	des := &ws.des
 
 	// 1. Per-dimension nearest factor chains under the PE budget. Greedy in
@@ -140,17 +205,17 @@ func (s *Space) projectDesired(ws *scratch) Mapping {
 	})
 	budget := s.Arch.NumPEs
 	for _, dim := range dims {
-		c, ok := s.tables[dim].nearest(&des.logs[dim], budget)
+		c, ok := s.tables[dim].nearest(&des.logs[dim], budget, des.hint[dim])
 		if !ok {
 			// Always possible: spatial factor 1 chains exist for every size.
-			c, _ = s.tables[dim].nearest(&des.logs[dim], 1)
+			c, _ = s.tables[dim].nearest(&des.logs[dim], 1, des.hint[dim])
 		}
 		m.SetChain(dim, c)
 		budget /= c[ChainSpatial]
 	}
 
 	// 2. Shrink tiles until footprints fit raw buffer capacity.
-	s.shrinkToFit(ws, &m, des.logs)
+	s.shrinkToFit(ws, m, des.logs)
 
 	// 3. Loop orders: argsort of the rank scores, ties broken by dimension
 	// index for determinism.
@@ -165,12 +230,11 @@ func (s *Space) projectDesired(ws *scratch) Mapping {
 			m.Alloc[level][t] = clamp01(des.alloc[level][t])
 		}
 	}
-	if !s.repairAlloc(ws, &m) {
+	if !s.repairAlloc(ws, m) {
 		// shrinkToFit guarantees feasibility; reaching here means a logic
 		// error, so fail safe with the always-valid minimal mapping.
-		m = s.minimalMapping()
+		*m = s.minimalMapping()
 	}
-	return m
 }
 
 func clamp01(v float64) float64 {
@@ -272,27 +336,10 @@ func (s *Space) shrinkOnce(ws *scratch, m *Mapping, level arch.Level, logs [][4]
 		if bestDim < 0 {
 			continue
 		}
-		curSpatial := m.Spatial[bestDim]
-		curProd := bandProduct(m, level, bestDim)
 		table := s.tables[bestDim]
-		best, bestDist := -1, math.Inf(1)
-		for i, c := range table.chains {
-			if c[ChainSpatial] > curSpatial {
-				continue
-			}
-			p := c[ChainL1]
-			if level >= arch.L2 {
-				p *= c[ChainSpatial] * c[ChainL2]
-			}
-			if p >= curProd {
-				continue
-			}
-			if dist := logDist(&table.logs[i], &logs[bestDim], bestDist); dist < bestDist {
-				best, bestDist = i, dist
-			}
-		}
-		if best >= 0 {
-			m.SetChain(bestDim, table.chains[best])
+		ng := table.groupsUpTo(m.Spatial[bestDim])
+		if i := table.argmin(&logs[bestDim], ng, bestProd, level >= arch.L2); i >= 0 {
+			m.SetChain(bestDim, table.chains[i])
 			return true
 		}
 	}

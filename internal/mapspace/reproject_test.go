@@ -96,3 +96,35 @@ func TestReprojectForeignDonor(t *testing.T) {
 		t.Fatalf("foreign-donor reprojection invalid: %v", err)
 	}
 }
+
+// desiredFrom hints every dimension of a valid mapping with its own chain;
+// Reproject re-targets every DRAM log, so none of those hints may survive
+// into its projection, and a pooled workspace reset for the next call
+// (Decode's path) starts without hints too.
+func TestReprojectClearsStaleHints(t *testing.T) {
+	for _, s := range []*Space{testSpaceCNN(t), testSpaceMTTKRP(t)} {
+		rng := rand.New(rand.NewSource(23))
+		ws := getScratch()
+		for i := 0; i < 20; i++ {
+			m := s.Random(rng)
+			for dim, h := range s.desiredFrom(ws, &m).hint {
+				if want := s.tables[dim].indexOf(m.Chain(dim)); h != want || h < 0 {
+					t.Fatalf("dim %d: desiredFrom hint %d, want the chain's index %d", dim, h, want)
+				}
+			}
+			for dim, h := range s.retargeted(ws, &m).hint {
+				if h != -1 {
+					t.Fatalf("dim %d: hint %d survived the DRAM re-target", dim, h)
+				}
+			}
+			s.desiredFrom(ws, &m)
+			ws.des.reset(s.NumDims(), s.NumTensors())
+			for dim, h := range ws.des.hint {
+				if h != -1 {
+					t.Fatalf("dim %d: hint %d survived a workspace reset", dim, h)
+				}
+			}
+		}
+		putScratch(ws)
+	}
+}

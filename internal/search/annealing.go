@@ -63,11 +63,11 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 	// (the Metropolis loop below has a true serial dependency and cannot).
 	var deltas stats.Running
 	if !t.exhausted() {
-		chain := make([]mapspace.Mapping, 0, pilot)
+		chain := make([]mapspace.Mapping, t.remainingEvals(pilot))
 		prev := &cur
-		for i := 0; i < t.remainingEvals(pilot); i++ {
-			chain = append(chain, ctx.Space.Perturb(rng, prev))
-			prev = &chain[len(chain)-1]
+		for i := range chain {
+			ctx.Space.PerturbInto(rng, prev, &chain[i])
+			prev = &chain[i]
 		}
 		vals, err := t.payEvalBatch(chain, nil)
 		if err != nil {
@@ -91,16 +91,19 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 		tMin = tMax / 1e4
 	}
 
+	// cur and next swap storage on acceptance, so each neighbor is written
+	// over the last rejected (or superseded) one.
+	var next mapspace.Mapping
 	for !t.exhausted() {
 		temp := tMax * math.Pow(tMin/tMax, t.progress())
-		next := ctx.Space.Perturb(rng, &cur)
+		ctx.Space.PerturbInto(rng, &cur, &next)
 		nextE, err := t.payEval(&next)
 		if err != nil {
 			return Result{}, err
 		}
 		delta := nextE - curE
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-			cur, curE = next, nextE
+			cur, next, curE = next, cur, nextE
 		}
 	}
 	return t.result(s.Name()), nil

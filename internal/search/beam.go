@@ -1,7 +1,7 @@
 package search
 
 import (
-	"sort"
+	"slices"
 
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/stats"
@@ -68,16 +68,25 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 		beam = append(beam, entry{cohort[i], v})
 	}
 
+	// Mappings that fell out of the beam, or were never recorded, are
+	// spare storage for the next round's children.
+	var spare []mapspace.Mapping
+	var children []entry
 	for !t.exhausted() && len(beam) > 0 {
-		children := append([]entry(nil), beam...)
+		children = append(children[:0], beam...)
 		// Expand the whole round — every parent's children, parent-major,
 		// exactly the scalar generation order — then evaluate it as one
 		// batch.
 		cohort = cohort[:0]
 		limit := t.remainingEvals(len(beam) * branch)
-		for _, parent := range beam {
+		for i := range beam {
 			for c := 0; c < branch && len(cohort) < limit; c++ {
-				cohort = append(cohort, ctx.Space.Perturb(rng, &parent.m))
+				var child mapspace.Mapping
+				if n := len(spare); n > 0 {
+					child, spare = spare[n-1], spare[:n-1]
+				}
+				ctx.Space.PerturbInto(rng, &beam[i].m, &child)
+				cohort = append(cohort, child)
 			}
 		}
 		if vals, err = t.payEvalBatch(cohort, vals); err != nil {
@@ -86,11 +95,15 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 		for i, v := range vals {
 			children = append(children, entry{cohort[i], v})
 		}
-		sort.SliceStable(children, func(a, b int) bool { return children[a].edp < children[b].edp })
+		spare = append(spare, cohort[len(vals):]...)
+		slices.SortStableFunc(children, func(a, b entry) int { return byEDP(a.edp, b.edp) })
 		if len(children) > width {
+			for _, e := range children[width:] {
+				spare = append(spare, e.m)
+			}
 			children = children[:width]
 		}
-		beam = children
+		beam, children = children, beam
 	}
 	return t.result(bs.Name()), nil
 }

@@ -20,7 +20,7 @@ import (
 // worker pool. BENCH_search.json records these as the repo's perf
 // trajectory; b.ReportMetric exposes evals/s directly.
 
-func benchSearchContext(b *testing.B, seed int64) *Context {
+func benchSearchContext(b testing.TB, seed int64) *Context {
 	b.Helper()
 	p, err := loopnest.NewCNNProblem("bench", 16, 256, 256, 14, 14, 3, 3)
 	if err != nil {
@@ -42,14 +42,14 @@ func benchSearchContext(b *testing.B, seed int64) *Context {
 	return &Context{Space: space, Model: model, Bound: bound, Seed: seed}
 }
 
-func runSearchBench(b *testing.B, mk func(seed int64) *Context) {
+func runSearchBench(b *testing.B, s Searcher, mk func(seed int64) *Context) {
 	const evals = 2000
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
 		ctx := mk(int64(i))
-		res, err := GeneticAlgorithm{}.Search(ctx, Budget{MaxEvals: evals})
+		res, err := s.Search(ctx, Budget{MaxEvals: evals})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,14 +60,14 @@ func runSearchBench(b *testing.B, mk func(seed int64) *Context) {
 
 func BenchmarkSearchGA(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
-		runSearchBench(b, func(seed int64) *Context {
+		runSearchBench(b, GeneticAlgorithm{}, func(seed int64) *Context {
 			ctx := benchSearchContext(b, seed)
 			ctx.Scalar = true
 			return ctx
 		})
 	})
 	b.Run("batch", func(b *testing.B) {
-		runSearchBench(b, func(seed int64) *Context {
+		runSearchBench(b, GeneticAlgorithm{}, func(seed int64) *Context {
 			return benchSearchContext(b, seed)
 		})
 	})
@@ -76,11 +76,20 @@ func BenchmarkSearchGA(b *testing.B) {
 		if workers > 8 {
 			workers = 8
 		}
-		runSearchBench(b, func(seed int64) *Context {
+		runSearchBench(b, GeneticAlgorithm{}, func(seed int64) *Context {
 			ctx := benchSearchContext(b, seed)
 			ctx.Parallelism = workers
 			return ctx
 		})
+	})
+}
+
+// BenchmarkSearchSA is BenchmarkSearchGA/batch for simulated annealing: a
+// batched pilot chain, then one perturbation and one paid query per
+// Metropolis move.
+func BenchmarkSearchSA(b *testing.B) {
+	runSearchBench(b, SimulatedAnnealing{}, func(seed int64) *Context {
+		return benchSearchContext(b, seed)
 	})
 }
 
@@ -95,7 +104,7 @@ func BenchmarkSearchGA(b *testing.B) {
 func BenchmarkSearchGAInstrumented(b *testing.B) {
 	hist := obs.NewHistogram(obs.ExpBuckets(100e-9, 4, 14))
 	stream := obs.NewStream[Progress](256)
-	runSearchBench(b, func(seed int64) *Context {
+	runSearchBench(b, GeneticAlgorithm{}, func(seed int64) *Context {
 		ctx := benchSearchContext(b, seed)
 		ctx.Model = costmodel.WithTiming(ctx.Model, 64, func(d time.Duration) {
 			hist.Observe(d.Seconds())

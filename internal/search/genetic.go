@@ -2,7 +2,7 @@ package search
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/stats"
@@ -29,11 +29,6 @@ type GeneticAlgorithm struct {
 
 // Name implements Searcher.
 func (GeneticAlgorithm) Name() string { return "GA" }
-
-type individual struct {
-	m   mapspace.Mapping
-	edp float64
-}
 
 // Search implements Searcher.
 func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
@@ -80,59 +75,82 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 	// rng in exactly the per-candidate order of the scalar loop (evals
 	// draw no randomness), and payEvalBatch records in candidate order,
 	// so trajectories match the scalar path bit for bit.
-	cohort := make([]mapspace.Mapping, 0, pop)
+	cur := make([]mapspace.Mapping, 0, pop)
 	for i := 0; i < t.remainingEvals(pop); i++ {
-		cohort = append(cohort, ctx.Space.Random(rng))
+		cur = append(cur, ctx.Space.Random(rng))
 	}
-	vals, err := t.payEvalBatch(cohort, nil)
+	curE, err := t.payEvalBatch(cur, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	var current []individual
-	for i, v := range vals {
-		current = append(current, individual{cohort[i], v})
-	}
+	cur = cur[:len(curE)]
 
-	for !t.exhausted() && len(current) >= 2 {
-		sort.SliceStable(current, func(a, b int) bool { return current[a].edp < current[b].edp })
-		next := make([]individual, 0, len(current))
+	// The population is double-buffered: each generation is bred into next
+	// from cur and the two swap, so a child is written over the storage of
+	// an individual from two generations back instead of a fresh Mapping.
+	next := make([]mapspace.Mapping, pop)
+	nextE := make([]float64, 0, pop)
+	rank := make([]int, 0, pop)
+	var vals []float64
+	for !t.exhausted() && len(cur) >= 2 {
+		// Rank by fitness. A stable sort of indices makes exactly the
+		// comparisons and moves a stable sort of the individuals would, so
+		// the ranking is identical without moving any Mapping.
+		rank = rank[:len(cur)]
+		for i := range rank {
+			rank[i] = i
+		}
+		slices.SortStableFunc(rank, func(a, b int) int { return byEDP(curE[a], curE[b]) })
 		// Elitism: best individuals survive with their known fitness (no
 		// re-evaluation cost).
-		for i := 0; i < elite && i < len(current); i++ {
-			next = append(next, current[i])
+		nextE = nextE[:0]
+		for i := 0; i < elite && i < len(cur); i++ {
+			cur[rank[i]].CloneInto(&next[i])
+			nextE = append(nextE, curE[rank[i]])
 		}
 		// Breed the generation's offspring cohort, then evaluate it as one
 		// batch.
-		cohort = cohort[:0]
-		for i := 0; i < t.remainingEvals(len(current)-len(next)); i++ {
-			parentA := tournament(rng, current, tk)
-			parentB := tournament(rng, current, tk)
-			var child mapspace.Mapping
+		n := len(nextE)
+		kids := t.remainingEvals(len(cur) - n)
+		for i := 0; i < kids; i++ {
+			parentA := &cur[tournament(rng, curE, rank, tk)]
+			parentB := &cur[tournament(rng, curE, rank, tk)]
+			child := &next[n+i]
 			if rng.Float64() < px {
-				child = ctx.Space.Crossover(rng, &parentA.m, &parentB.m)
+				ctx.Space.CrossoverInto(rng, parentA, parentB, child)
 			} else {
-				child = parentA.m.Clone()
+				parentA.CloneInto(child)
 			}
-			child = ctx.Space.Mutate(rng, &child, pm)
-			cohort = append(cohort, child)
+			ctx.Space.MutateInto(rng, child, pm, child)
 		}
-		if vals, err = t.payEvalBatch(cohort, vals); err != nil {
+		if vals, err = t.payEvalBatch(next[n:n+kids], vals); err != nil {
 			return Result{}, err
 		}
-		for i, v := range vals {
-			next = append(next, individual{cohort[i], v})
-		}
-		current = next
+		nextE = append(nextE, vals...)
+		cur, next = next[:len(nextE)], cur[:cap(cur)]
+		curE, nextE = nextE, curE
 	}
 	return t.result(g.Name()), nil
 }
 
-// tournament picks the fittest of k random individuals.
-func tournament(rng *rand.Rand, pop []individual, k int) *individual {
-	best := &pop[rng.Intn(len(pop))]
+// byEDP orders by ascending EDP exactly as a < comparison does, NaN
+// included, so stable sorts rank as sort.SliceStable with < did.
+func byEDP(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
+
+// tournament returns the fittest of k random picks from the ranked
+// population, in rank order, as an index into edp.
+func tournament(rng *rand.Rand, edp []float64, rank []int, k int) int {
+	best := rank[rng.Intn(len(rank))]
 	for i := 1; i < k; i++ {
-		cand := &pop[rng.Intn(len(pop))]
-		if cand.edp < best.edp {
+		if cand := rank[rng.Intn(len(rank))]; edp[cand] < edp[best] {
 			best = cand
 		}
 	}

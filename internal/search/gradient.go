@@ -187,7 +187,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 
 	// Reused per-iteration buffers (encoded vectors, gradients, descent
 	// step, injection candidates) so the steady-state loop allocates only
-	// inside Decode/projection.
+	// for injected random candidates.
 	vecs := make([][]float64, chains)
 	var vals, scoreVals, preds []float64
 	var grads [][]float64
@@ -257,12 +257,11 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 				}
 			}
 
-			// Step 5: project onto the valid map space.
-			next, err := ctx.Space.Decode(vec)
-			if err != nil {
+			// Step 5: project onto the valid map space, over the chain's
+			// previous mapping (no other chain or candidate shares it).
+			if err := ctx.Space.DecodeInto(vec, &curs[i]); err != nil {
 				return Result{}, err
 			}
-			curs[i] = next
 		}
 
 		// Budget accounting: one surrogate query per chain per iteration;

@@ -1136,11 +1136,12 @@ func (req *SearchRequest) budget() (search.Budget, error) {
 		b.TrajectoryStride = (b.MaxEvals + maxTrajectorySamples - 1) / maxTrajectorySamples
 	} else if b.MaxEvals == 0 && b.MaxTime > 0 {
 		// Time-only budget: no eval count to derive a stride from, but
-		// the analytical cost model sustains ~1e5 evals/s, so a long
-		// wall-clock job can record tens of millions of samples. Thin
-		// against that rate estimate; improvements are always recorded,
-		// so an overestimate only makes the trajectory sparser.
-		const evalsPerSecondEstimate = 100_000
+		// a ga or sa job on the analytical cost model sustains over 1e5
+		// evals/s on a 2-vCPU host, so a long wall-clock job can record
+		// tens of millions of samples. Thin against a rate estimate
+		// above that; improvements are always recorded, so an
+		// overestimate only makes the trajectory sparser.
+		const evalsPerSecondEstimate = 160_000
 		if est := int(b.MaxTime.Seconds() * evalsPerSecondEstimate); est > maxTrajectorySamples {
 			b.TrajectoryStride = (est + maxTrajectorySamples - 1) / maxTrajectorySamples
 		}
