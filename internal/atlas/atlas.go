@@ -15,17 +15,12 @@
 // ("Demystifying Map Space Exploration for NPUs" observes that good
 // mappings transfer across similar shapes).
 //
-// Durability reuses modelstore's commit protocol: the mapping blob
-// (<id>.mapping, JSON) is staged under a tmp- name and renamed into place
-// first, then the manifest (<id>.json) is staged and renamed — the
-// manifest rename is the commit point. Open ignores tmp- files and blobs
-// without manifests, and treats manifests without blobs as invisible, so
-// a crash mid-publish never yields a partially visible entry; GC sweeps
-// the debris.
+// Entries persist through internal/blobstore as a mapping blob
+// (<id>.mapping, JSON) plus a manifest (<id>.json).
 package atlas
 
 import (
-	"crypto/rand"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -34,22 +29,20 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"mindmappings/internal/blobstore"
 	"mindmappings/internal/mapspace"
 )
 
 const (
 	// BlobExt is the extension of mapping blob files.
 	BlobExt = ".mapping"
-	// ManifestExt is the extension of entry manifest files; the manifest
-	// rename is the commit point.
-	ManifestExt = ".json"
-	tmpPrefix   = "tmp-"
+	// ManifestExt is the extension of entry manifest files.
+	ManifestExt = blobstore.ManifestExt
 )
 
 // Entry is the manifest of one solved mapping. The ID is content-derived
@@ -127,99 +120,47 @@ type record struct {
 // Atlas is the on-disk store plus its in-memory index. Safe for
 // concurrent use.
 type Atlas struct {
-	dir string
+	blobs *blobstore.Store
 
 	mu       sync.RWMutex
 	byID     map[string]*record
 	byKey    map[string][]*record          // version-ascending per key
 	byFamily map[string]map[string]*record // family → key → best record
-	corrupt  int
-
-	// pending tracks staged tmp files owned by in-flight publishes so a
-	// concurrent GC does not sweep them.
-	pendingMu sync.Mutex
-	pending   map[string]struct{}
-
-	failMu    sync.Mutex
-	failpoint func(op string) error
 }
 
-// ErrUnknownEntry is returned by Delete for an ID the atlas has no
-// committed entry for.
+// ErrUnknownEntry is returned by Delete for an ID the atlas does not hold.
 var ErrUnknownEntry = errors.New("atlas: unknown entry")
 
 // SetFailpoint installs (or clears, with nil) the publish failpoint used
 // by fault injection; the hook fires as "atlas.publish" before any write.
-func (a *Atlas) SetFailpoint(fn func(op string) error) {
-	a.failMu.Lock()
-	a.failpoint = fn
-	a.failMu.Unlock()
-}
-
-func (a *Atlas) fail(op string) error {
-	a.failMu.Lock()
-	fn := a.failpoint
-	a.failMu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(op)
-}
+func (a *Atlas) SetFailpoint(fn func(op string) error) { a.blobs.Failpoint.Set(fn) }
 
 // Open scans dir (creating it if needed) and indexes every committed
-// entry. Tmp files and blobs without manifests — crash leftovers — are
-// ignored here and reaped by GC; manifests without blobs are invisible.
+// entry; crash debris stays invisible until GC sweeps it.
 func Open(dir string) (*Atlas, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("atlas: %w", err)
-	}
-	a := &Atlas{
-		dir:      dir,
-		byID:     make(map[string]*record),
-		byKey:    make(map[string][]*record),
-		byFamily: make(map[string]map[string]*record),
-		pending:  make(map[string]struct{}),
-	}
-	entries, err := os.ReadDir(dir)
+	blobs, entries, err := blobstore.Open(dir, BlobExt, func(raw []byte) (e Entry, id string) {
+		if json.Unmarshal(raw, &e) != nil || e.Key == "" || e.Family == "" {
+			return e, ""
+		}
+		return e, e.ID
+	})
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
 	}
-	for _, de := range entries {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ManifestExt) || strings.HasPrefix(de.Name(), tmpPrefix) {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, de.Name()))
-		if err != nil {
-			a.corrupt++
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(raw, &e); err != nil || e.ID == "" || e.Key == "" || e.Family == "" {
-			a.corrupt++
-			continue
-		}
-		if _, err := os.Stat(a.BlobPath(e.ID)); err != nil {
-			// Manifest without blob: a half-deleted entry. Invisible; GC
-			// removes the stray manifest.
-			a.corrupt++
-			continue
-		}
+	a := &Atlas{
+		blobs:    blobs,
+		byID:     make(map[string]*record),
+		byKey:    make(map[string][]*record),
+		byFamily: make(map[string]map[string]*record),
+	}
+	for _, e := range entries {
 		a.indexLocked(&record{e: e})
 	}
 	return a, nil
 }
 
-// Dir returns the atlas root directory.
-func (a *Atlas) Dir() string { return a.dir }
-
-// BlobPath returns the path of an entry's mapping blob.
-func (a *Atlas) BlobPath(id string) string { return filepath.Join(a.dir, id+BlobExt) }
-
-func (a *Atlas) manifestPath(id string) string { return filepath.Join(a.dir, id+ManifestExt) }
-
 // indexLocked inserts rec into all three indexes, keeping key groups
-// version-ascending and the family view pointed at each key's best entry.
-// Callers hold mu (or own the atlas exclusively).
+// version-ascending and the family view at each key's best. Callers hold mu.
 func (a *Atlas) indexLocked(rec *record) {
 	a.byID[rec.e.ID] = rec
 	group := append(a.byKey[rec.e.Key], rec)
@@ -231,22 +172,19 @@ func (a *Atlas) indexLocked(rec *record) {
 // reindexFamilyLocked repoints (or drops) the family view of one key at
 // the key group's current best record. Callers hold mu.
 func (a *Atlas) reindexFamilyLocked(key, family string) {
-	best := a.bestLocked(key)
 	fam := a.byFamily[family]
-	if best == nil {
-		if fam != nil {
-			delete(fam, key)
-			if len(fam) == 0 {
-				delete(a.byFamily, family)
-			}
+	if best := a.bestLocked(key); best != nil {
+		if fam == nil {
+			fam = make(map[string]*record)
+			a.byFamily[family] = fam
 		}
+		fam[key] = best
 		return
 	}
-	if fam == nil {
-		fam = make(map[string]*record)
-		a.byFamily[family] = fam
+	delete(fam, key)
+	if len(fam) == 0 {
+		delete(a.byFamily, family)
 	}
-	fam[key] = best
 }
 
 // bestLocked returns the key's best committed record: lowest BestEDP,
@@ -263,15 +201,12 @@ func (a *Atlas) bestLocked(key string) *record {
 }
 
 // Publish commits a solved mapping, unless the atlas already holds an
-// equal-or-better entry for the same key ("only-if-better": serving
-// write-back must never regress a stored answer; see DESIGN.md §11). The
-// blob is renamed into place before the manifest, so readers only ever
-// observe complete entries. On success any superseded entries for the key
-// are deleted best-effort — a crash in between leaves extra entries that
-// Lookup resolves by best-value and GC reaps. Returns the visible entry
-// for the key and whether this call committed a new one.
+// equal-or-better entry for the key ("only-if-better", DESIGN.md §11),
+// then deletes the superseded entries best-effort; extra entries a crash
+// leaves are resolved by best value and reaped by GC. Returns the visible
+// entry for the key and whether this call committed a new one.
 func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
-	if err := a.fail("atlas.publish"); err != nil {
+	if err := a.blobs.Failpoint.Fire("atlas.publish"); err != nil {
 		return Entry{}, false, err
 	}
 	if e.Key == "" || e.Family == "" {
@@ -303,48 +238,36 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 
 	// Stage the blob outside the lock — lookups on the serving path never
 	// stall behind a publication.
-	blobTmp, err := a.writeTemp(blob)
+	tmp, err := a.blobs.Stage(blob)
 	if err != nil {
-		return Entry{}, false, err
+		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
-	defer a.forgetTemp(blobTmp)
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if existing, ok := a.byID[e.ID]; ok {
-		os.Remove(blobTmp)
+		a.blobs.Discard(tmp)
 		return existing.e, false, nil
 	}
 	if cur := a.bestLocked(e.Key); cur != nil && cur.e.BestEDP <= e.BestEDP {
-		os.Remove(blobTmp)
+		a.blobs.Discard(tmp)
 		return cur.e, false, nil
 	}
-	e.Version = a.nextVersionLocked(e.Key)
+	e.Version = 1
+	if group := a.byKey[e.Key]; len(group) > 0 {
+		e.Version = group[len(group)-1].e.Version + 1
+	}
 	e.Created = time.Now().UTC()
 	raw, err := json.MarshalIndent(&e, "", "  ")
 	if err != nil {
-		os.Remove(blobTmp)
+		a.blobs.Discard(tmp)
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
-	manTmp, err := a.writeTemp(raw)
-	if err != nil {
-		os.Remove(blobTmp)
-		return Entry{}, false, err
-	}
-	defer a.forgetTemp(manTmp)
-	if err := os.Rename(blobTmp, a.BlobPath(e.ID)); err != nil {
-		os.Remove(blobTmp)
-		os.Remove(manTmp)
-		return Entry{}, false, fmt.Errorf("atlas: %w", err)
-	}
-	// Commit point: after this rename the entry is visible.
-	if err := os.Rename(manTmp, a.manifestPath(e.ID)); err != nil {
-		os.Remove(a.BlobPath(e.ID))
-		os.Remove(manTmp)
+	if err := a.blobs.Commit(tmp, e.ID, raw); err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
 	cached := m.Clone()
-	superseded := a.byKey[e.Key]
+	superseded := slices.Clone(a.byKey[e.Key])
 	a.indexLocked(&record{e: e, mapping: &cached})
 	for _, old := range superseded {
 		a.removeLocked(old) // best-effort tidy; GC handles crash leftovers
@@ -352,92 +275,45 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 	return e, true, nil
 }
 
-// removeLocked deletes one committed record, manifest first so a crash in
-// between leaves an invisible blob rather than a blobless manifest.
-// Callers hold mu.
-func (a *Atlas) removeLocked(rec *record) {
-	os.Remove(a.manifestPath(rec.e.ID))
-	os.Remove(a.BlobPath(rec.e.ID))
-	delete(a.byID, rec.e.ID)
-	group := a.byKey[rec.e.Key][:0]
-	for _, g := range a.byKey[rec.e.Key] {
-		if g != rec {
-			group = append(group, g)
-		}
+// removeLocked deletes a record from disk and the indexes. Callers hold mu.
+func (a *Atlas) removeLocked(rec *record) error {
+	if err := a.blobs.Remove(rec.e.ID); err != nil {
+		return fmt.Errorf("atlas: %w", err)
 	}
+	delete(a.byID, rec.e.ID)
+	group := slices.DeleteFunc(a.byKey[rec.e.Key], func(g *record) bool { return g == rec })
 	if len(group) == 0 {
 		delete(a.byKey, rec.e.Key)
 	} else {
 		a.byKey[rec.e.Key] = group
 	}
 	a.reindexFamilyLocked(rec.e.Key, rec.e.Family)
+	return nil
 }
 
-// writeTemp stages data in an uncommitted temp file inside the atlas
-// directory (same filesystem, so the commit renames are atomic) and
-// returns its path. Pair with forgetTemp once renamed or removed.
-func (a *Atlas) writeTemp(data []byte) (string, error) {
-	var nonce [8]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return "", fmt.Errorf("atlas: %w", err)
-	}
-	tmp := filepath.Join(a.dir, tmpPrefix+hex.EncodeToString(nonce[:]))
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("atlas: %w", err)
-	}
-	a.pendingMu.Lock()
-	a.pending[filepath.Base(tmp)] = struct{}{}
-	a.pendingMu.Unlock()
-	return tmp, nil
-}
-
-func (a *Atlas) forgetTemp(path string) {
-	a.pendingMu.Lock()
-	delete(a.pending, filepath.Base(path))
-	a.pendingMu.Unlock()
-}
-
-func (a *Atlas) isPending(name string) bool {
-	a.pendingMu.Lock()
-	defer a.pendingMu.Unlock()
-	_, ok := a.pending[name]
-	return ok
-}
-
-func (a *Atlas) nextVersionLocked(key string) int {
-	v := 0
-	for _, rec := range a.byKey[key] {
-		if rec.e.Version > v {
-			v = rec.e.Version
-		}
-	}
-	return v + 1
-}
-
-// mappingOf returns the record's decoded mapping, loading and caching it
-// on first use.
-func (a *Atlas) mappingOf(rec *record) (*mapspace.Mapping, error) {
+// mappingOf returns a private clone of the record's mapping, decoding and
+// caching it on first use.
+func (a *Atlas) mappingOf(rec *record) (mapspace.Mapping, error) {
 	a.mu.RLock()
 	m := rec.mapping
 	a.mu.RUnlock()
-	if m != nil {
-		return m, nil
+	if m == nil {
+		raw, err := os.ReadFile(a.blobs.BlobPath(rec.e.ID))
+		if err != nil {
+			return mapspace.Mapping{}, fmt.Errorf("atlas: %w", err)
+		}
+		var decoded mapspace.Mapping
+		if err := json.Unmarshal(raw, &decoded); err != nil {
+			return mapspace.Mapping{}, fmt.Errorf("atlas: entry %s: %w", rec.e.ID, err)
+		}
+		a.mu.Lock()
+		if rec.mapping == nil {
+			rec.mapping = &decoded
+		}
+		m = rec.mapping
+		a.mu.Unlock()
 	}
-	raw, err := os.ReadFile(a.BlobPath(rec.e.ID))
-	if err != nil {
-		return nil, fmt.Errorf("atlas: %w", err)
-	}
-	var decoded mapspace.Mapping
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		return nil, fmt.Errorf("atlas: entry %s: %w", rec.e.ID, err)
-	}
-	a.mu.Lock()
-	if rec.mapping == nil {
-		rec.mapping = &decoded
-	}
-	m = rec.mapping
-	a.mu.Unlock()
-	return m, nil
+	return m.Clone(), nil
 }
 
 // Lookup is the exact-hit read path: the best committed entry for the key
@@ -453,18 +329,17 @@ func (a *Atlas) Lookup(key string) (Entry, mapspace.Mapping, bool, error) {
 	if err != nil {
 		return Entry{}, mapspace.Mapping{}, false, err
 	}
-	return rec.e, m.Clone(), true, nil
+	return rec.e, m, true, nil
 }
 
 // Get returns the committed entry with the given ID.
 func (a *Atlas) Get(id string) (Entry, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	rec, ok := a.byID[id]
-	if !ok {
-		return Entry{}, false
+	if rec, ok := a.byID[id]; ok {
+		return rec.e, true
 	}
-	return rec.e, true
+	return Entry{}, false
 }
 
 // Nearest is the warm-start read path: among the family's entries whose
@@ -476,7 +351,7 @@ func (a *Atlas) Nearest(family string, shape []int) (Entry, mapspace.Mapping, fl
 	var best *record
 	bestDist := math.Inf(1)
 	for _, rec := range a.byFamily[family] {
-		if shapesEqual(rec.e.Shape, shape) {
+		if slices.Equal(rec.e.Shape, shape) {
 			continue
 		}
 		d := ShapeDistance(rec.e.Shape, shape)
@@ -493,19 +368,7 @@ func (a *Atlas) Nearest(family string, shape []int) (Entry, mapspace.Mapping, fl
 	if err != nil {
 		return Entry{}, mapspace.Mapping{}, 0, false, err
 	}
-	return best.e, m.Clone(), bestDist, true, nil
-}
-
-func shapesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return best.e, m, bestDist, true, nil
 }
 
 // List returns every committed entry, ordered by workload, then key, then
@@ -517,20 +380,13 @@ func (a *Atlas) List() []Entry {
 	for _, rec := range a.byID {
 		out = append(out, rec.e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Algo != out[j].Algo {
-			return out[i].Algo < out[j].Algo
-		}
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Version < out[j].Version
+	slices.SortFunc(out, func(x, y Entry) int {
+		return cmp.Or(cmp.Compare(x.Algo, y.Algo), cmp.Compare(x.Key, y.Key), x.Version-y.Version)
 	})
 	return out
 }
 
-// Delete removes one entry by ID, manifest first (the inverse of the
-// commit order, so a crash mid-delete leaves an invisible blob for GC).
+// Delete removes one entry by ID.
 func (a *Atlas) Delete(id string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -538,95 +394,38 @@ func (a *Atlas) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntry, id)
 	}
-	if err := os.Remove(a.manifestPath(id)); err != nil {
-		return fmt.Errorf("atlas: %w", err)
-	}
-	os.Remove(a.BlobPath(id)) // best effort; GC reaps stragglers
-	delete(a.byID, id)
-	group := a.byKey[rec.e.Key][:0]
-	for _, g := range a.byKey[rec.e.Key] {
-		if g != rec {
-			group = append(group, g)
-		}
-	}
-	if len(group) == 0 {
-		delete(a.byKey, rec.e.Key)
-	} else {
-		a.byKey[rec.e.Key] = group
-	}
-	a.reindexFamilyLocked(rec.e.Key, rec.e.Family)
-	return nil
+	return a.removeLocked(rec)
 }
 
-// GC removes superseded per-key versions (everything but each key's best
-// entry), entries the stale predicate condemns (drifted workload
-// fingerprints, say), and crash leftovers: tmp files not owned by an
-// in-flight publish, blobs without manifests, manifests without blobs. It
-// returns removed entry IDs (file names for orphans). A nil predicate
-// keeps everything current.
+// GC removes superseded per-key versions (all but each key's best), the
+// entries the stale predicate condemns (drifted workload fingerprints,
+// say; nil keeps all), then crash debris. It returns the removed entry IDs
+// in ID order, then the debris file names.
 func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var removed []string
 	var victims []*record
 	for key, group := range a.byKey {
 		best := a.bestLocked(key)
 		for _, rec := range group {
-			if rec != best {
+			if rec != best || (stale != nil && stale(rec.e)) {
 				victims = append(victims, rec)
 			}
 		}
 	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].e.ID < victims[j].e.ID })
+	var removed []string
 	for _, rec := range victims {
-		a.removeLocked(rec)
+		if err := a.removeLocked(rec); err != nil {
+			return removed, err
+		}
 		removed = append(removed, rec.e.ID)
 	}
-	if stale != nil {
-		victims = victims[:0]
-		for _, rec := range a.byID {
-			if stale(rec.e) {
-				victims = append(victims, rec)
-			}
-		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i].e.ID < victims[j].e.ID })
-		for _, rec := range victims {
-			a.removeLocked(rec)
-			removed = append(removed, rec.e.ID)
-		}
-	}
-	// Sweep uncommitted leftovers.
-	entries, err := os.ReadDir(a.dir)
+	debris, err := a.blobs.Sweep(func(id string) bool { _, ok := a.byID[id]; return ok })
 	if err != nil {
-		return removed, fmt.Errorf("atlas: gc: %w", err)
+		err = fmt.Errorf("atlas: gc: %w", err)
 	}
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(name, tmpPrefix):
-			if a.isPending(name) {
-				continue // an in-flight Publish owns this staging file
-			}
-		case strings.HasSuffix(name, BlobExt):
-			if _, ok := a.byID[strings.TrimSuffix(name, BlobExt)]; ok {
-				continue
-			}
-		case strings.HasSuffix(name, ManifestExt):
-			if _, ok := a.byID[strings.TrimSuffix(name, ManifestExt)]; ok {
-				continue
-			}
-		default:
-			continue // not an atlas file; leave it alone
-		}
-		if err := os.Remove(filepath.Join(a.dir, name)); err != nil && !os.IsNotExist(err) {
-			return removed, fmt.Errorf("atlas: gc: %w", err)
-		}
-		removed = append(removed, name)
-	}
-	a.corrupt = 0
-	return removed, nil
+	return append(removed, debris...), err
 }
 
 // Stats is a point-in-time atlas snapshot for /v1/metrics and listings.
@@ -636,8 +435,8 @@ type Stats struct {
 	Entries  int `json:"entries"`
 	Keys     int `json:"keys"`
 	Families int `json:"families"`
-	// Corrupt counts unreadable or uncommitted entries seen at Open and
-	// not yet swept by GC.
+	// Corrupt counts manifests Open skipped as unreadable, uncommitted,
+	// or misnamed and GC has not swept yet.
 	Corrupt int `json:"corrupt"`
 }
 
@@ -645,10 +444,5 @@ type Stats struct {
 func (a *Atlas) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return Stats{
-		Entries:  len(a.byID),
-		Keys:     len(a.byKey),
-		Families: len(a.byFamily),
-		Corrupt:  a.corrupt,
-	}
+	return Stats{Entries: len(a.byID), Keys: len(a.byKey), Families: len(a.byFamily), Corrupt: a.blobs.Corrupt()}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mindmappings/internal/arch"
+	"mindmappings/internal/blobstore"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 
@@ -314,7 +315,7 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash window 2: half-written staging file.
-	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"0123"), []byte(`{"trunc`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, blobstore.TmpPrefix+"0123"), []byte(`{"trunc`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Crash window 3 (mid-delete): manifest without a blob behind it.
@@ -355,7 +356,7 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), tmpPrefix) {
+		if strings.HasPrefix(de.Name(), blobstore.TmpPrefix) {
 			t.Fatalf("tmp file survived GC: %s", de.Name())
 		}
 	}

@@ -1,45 +1,41 @@
 // Package modelstore is the versioned, content-addressed artifact store
 // for trained Phase-1 surrogates — the persistence layer that closes the
-// train→search loop. Each published surrogate becomes an immutable pair of
-// files committed by atomic renames: a blob (`<id>.surrogate`, the
-// surrogate serialization, with id derived from the blob's SHA-256) and a
-// JSON manifest (`<id>.json`) carrying everything needed to pick a model
+// train→search loop. Each published surrogate persists through
+// internal/blobstore as an immutable blob (`<id>.surrogate`, the surrogate
+// serialization, with id derived from the blob's SHA-256) plus a JSON
+// manifest (`<id>.json`) carrying everything needed to pick a model
 // without loading it — the workload fingerprint, architecture and
 // cost-model fingerprints, the training configuration, final and per-epoch
 // losses, and the parent artifact for warm-started runs.
 //
-// The manifest rename is the commit point: a blob without a manifest is
-// invisible to every reader, so a crash mid-publish can never surface a
-// partial artifact (GC sweeps such orphans). An in-memory index keyed by
-// workload fingerprint resolves "the best model for this algorithm" — the
-// highest version, ties broken by recency — which is what the service's
-// `"model": "auto"` and the trainer's `"warm": "auto"` ride on.
+// An in-memory index keyed by workload fingerprint resolves "the best
+// model for this algorithm" — the highest version, ties broken by recency
+// — which is what the service's `"model": "auto"` and the trainer's
+// `"warm": "auto"` ride on.
 package modelstore
 
 import (
 	"bytes"
-	"crypto/rand"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
 	"mindmappings/internal/arch"
+	"mindmappings/internal/blobstore"
 	"mindmappings/internal/surrogate"
 )
 
 const (
 	// BlobExt is the artifact-blob suffix; ManifestExt commits it.
 	BlobExt     = ".surrogate"
-	ManifestExt = ".json"
-	tmpPrefix   = "tmp-"
+	ManifestExt = blobstore.ManifestExt
 )
 
 // ErrUnknownArtifact is wrapped by Load and Delete for IDs the store does
@@ -100,109 +96,56 @@ type Manifest struct {
 // the server's own endpoints (DELETE /v1/models/{id}, POST /v1/models/gc)
 // and use the CLI for offline stores.
 type Store struct {
-	dir string
+	blobs *blobstore.Store // the files, corrupt count and publish failpoint
 
 	mu   sync.RWMutex
 	byID map[string]*Manifest
 	// byFP groups manifests per workload fingerprint, sorted best-last
 	// (ascending version, then creation time).
 	byFP map[string][]*Manifest
-	// corrupt counts manifests Open skipped because they did not parse;
-	// they are never deleted automatically.
-	corrupt int
-
-	// pending tracks temp files staged by in-flight Publishes (guarded by
-	// pendingMu, not mu: the blob is staged without the store lock) so GC
-	// never sweeps a publication out from under its commit.
-	pendingMu sync.Mutex
-	pending   map[string]struct{}
-
-	// failpoint, when installed, is consulted at the start of every
-	// Publish (op "store.publish"); a non-nil return aborts the attempt
-	// before anything is staged. Fault-injection hook: wire it to
-	// resilience.Faults.Fail so publish-retry paths are testable.
-	failMu    sync.Mutex
-	failpoint func(op string) error
 }
 
-// SetFailpoint installs (or clears, with nil) the publish failpoint.
-func (s *Store) SetFailpoint(fn func(op string) error) {
-	s.failMu.Lock()
-	s.failpoint = fn
-	s.failMu.Unlock()
-}
-
-func (s *Store) fail(op string) error {
-	s.failMu.Lock()
-	fn := s.failpoint
-	s.failMu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(op)
-}
+// SetFailpoint installs (or clears, with nil) the "store.publish" hook: an
+// error aborts Publish before anything is staged.
+func (s *Store) SetFailpoint(fn func(op string) error) { s.blobs.Failpoint.Set(fn) }
 
 // Open scans dir (creating it if needed) and indexes every committed
-// manifest. Blobs without manifests — crash leftovers — are ignored here
-// and reaped by GC.
+// manifest; crash debris stays invisible until GC sweeps it.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("modelstore: %w", err)
-	}
-	s := &Store{
-		dir:     dir,
-		byID:    make(map[string]*Manifest),
-		byFP:    make(map[string][]*Manifest),
-		pending: make(map[string]struct{}),
-	}
-	entries, err := os.ReadDir(dir)
+	blobs, manifests, err := blobstore.Open(dir, BlobExt, func(raw []byte) (m *Manifest, id string) {
+		m = new(Manifest)
+		if json.Unmarshal(raw, m) != nil || m.AlgoFP == "" {
+			return m, ""
+		}
+		return m, m.ID
+	})
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: %w", err)
 	}
-	for _, de := range entries {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ManifestExt) || strings.HasPrefix(de.Name(), tmpPrefix) {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, de.Name()))
-		if err != nil {
-			s.corrupt++
-			continue
-		}
-		var m Manifest
-		if err := json.Unmarshal(raw, &m); err != nil || m.ID == "" || m.AlgoFP == "" {
-			s.corrupt++
-			continue
-		}
-		if _, err := os.Stat(s.BlobPath(m.ID)); err != nil {
-			// Manifest without blob: a half-deleted artifact. Treat as
-			// invisible; GC removes the stray manifest.
-			s.corrupt++
-			continue
-		}
-		s.indexLocked(&m)
+	s := &Store{
+		blobs: blobs,
+		byID:  make(map[string]*Manifest),
+		byFP:  make(map[string][]*Manifest),
+	}
+	for _, m := range manifests {
+		s.indexLocked(m)
 	}
 	return s, nil
 }
 
 // Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.blobs.Dir() }
 
 // BlobPath returns the path of an artifact's blob file.
-func (s *Store) BlobPath(id string) string { return filepath.Join(s.dir, id+BlobExt) }
-
-// manifestPath returns the path of an artifact's manifest file.
-func (s *Store) manifestPath(id string) string { return filepath.Join(s.dir, id+ManifestExt) }
+func (s *Store) BlobPath(id string) string { return s.blobs.BlobPath(id) }
 
 // indexLocked inserts m into both indexes and keeps the per-fingerprint
 // group sorted best-last. Callers hold mu (or own the store exclusively).
 func (s *Store) indexLocked(m *Manifest) {
 	s.byID[m.ID] = m
 	group := append(s.byFP[m.AlgoFP], m)
-	sort.SliceStable(group, func(i, j int) bool {
-		if group[i].Version != group[j].Version {
-			return group[i].Version < group[j].Version
-		}
-		return group[i].Created.Before(group[j].Created)
+	slices.SortStableFunc(group, func(x, y *Manifest) int {
+		return cmp.Or(x.Version-y.Version, x.Created.Compare(y.Created))
 	})
 	s.byFP[m.AlgoFP] = group
 }
@@ -224,14 +167,13 @@ type PublishMeta struct {
 }
 
 // Publish writes the surrogate as a new committed artifact and returns its
-// manifest. The blob is written to a temp file and renamed into place
-// before the manifest is, so readers only ever observe complete artifacts;
-// republishing bit-identical content returns the existing manifest without
-// creating a new version. The heavy file writes happen outside the store
-// lock — Resolve/Get on the search path never stall behind a publication —
-// with only the version assignment and the two commit renames inside it.
+// manifest; republishing bit-identical content returns the existing
+// manifest without creating a new version. The MB-scale blob is staged
+// outside the store lock — Resolve/Get on the search path never stall
+// behind a publication — with only the version assignment and the commit
+// inside it.
 func (s *Store) Publish(sur *surrogate.Surrogate, meta PublishMeta) (Manifest, error) {
-	if err := s.fail("store.publish"); err != nil {
+	if err := s.blobs.Failpoint.Fire("store.publish"); err != nil {
 		return Manifest{}, err
 	}
 	var buf bytes.Buffer
@@ -245,13 +187,12 @@ func (s *Store) Publish(sur *surrogate.Surrogate, meta PublishMeta) (Manifest, e
 		return existing, nil
 	}
 
-	algoFP := sur.AlgoFP
 	m := &Manifest{
 		ID:           id,
 		Name:         meta.Name,
 		Algo:         sur.AlgoName,
-		AlgoFP:       algoFP,
-		ArchFP:       archFingerprint(sur),
+		AlgoFP:       sur.AlgoFP,
+		ArchFP:       ArchFingerprint(sur.Arch),
 		CostModel:    meta.CostModel,
 		CostModelFP:  meta.CostModelFP,
 		Parent:       meta.Parent,
@@ -276,88 +217,31 @@ func (s *Store) Publish(sur *surrogate.Surrogate, meta PublishMeta) (Manifest, e
 		m.FinalTest = meta.TestLoss[n-1]
 	}
 
-	// Stage the MB-scale blob without the lock; the manifest (small, and
-	// dependent on the version assigned under the lock) is staged inside.
-	blobTmp, err := s.writeTemp(buf.Bytes())
+	tmp, err := s.blobs.Stage(buf.Bytes())
 	if err != nil {
-		return Manifest{}, err
+		return Manifest{}, fmt.Errorf("modelstore: %w", err)
 	}
-	defer s.forgetTemp(blobTmp)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.byID[id]; ok { // lost a publish race for identical content
-		os.Remove(blobTmp)
+		s.blobs.Discard(tmp)
 		return *existing, nil
 	}
-	m.Version = s.nextVersionLocked(algoFP)
+	m.Version = 1
+	if group := s.byFP[m.AlgoFP]; len(group) > 0 {
+		m.Version = group[len(group)-1].Version + 1
+	}
 	raw, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
-		os.Remove(blobTmp)
+		s.blobs.Discard(tmp)
 		return Manifest{}, fmt.Errorf("modelstore: %w", err)
 	}
-	manTmp, err := s.writeTemp(raw)
-	if err != nil {
-		os.Remove(blobTmp)
-		return Manifest{}, err
-	}
-	defer s.forgetTemp(manTmp)
-	if err := os.Rename(blobTmp, s.BlobPath(id)); err != nil {
-		os.Remove(blobTmp)
-		os.Remove(manTmp)
-		return Manifest{}, fmt.Errorf("modelstore: %w", err)
-	}
-	if err := os.Rename(manTmp, s.manifestPath(id)); err != nil {
-		os.Remove(manTmp)
-		os.Remove(s.BlobPath(id)) // roll the uncommitted blob back
+	if err := s.blobs.Commit(tmp, id, raw); err != nil {
 		return Manifest{}, fmt.Errorf("modelstore: %w", err)
 	}
 	s.indexLocked(m)
 	return *m, nil
-}
-
-// writeTemp stages data in an uncommitted temp file inside the store
-// directory (same filesystem, so the committing rename is atomic),
-// registers it as pending so a concurrent GC leaves it alone, and returns
-// its path. Pair with forgetTemp once the file is renamed or removed.
-func (s *Store) writeTemp(data []byte) (string, error) {
-	var nonce [8]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return "", fmt.Errorf("modelstore: %w", err)
-	}
-	tmp := filepath.Join(s.dir, tmpPrefix+hex.EncodeToString(nonce[:]))
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("modelstore: %w", err)
-	}
-	s.pendingMu.Lock()
-	s.pending[filepath.Base(tmp)] = struct{}{}
-	s.pendingMu.Unlock()
-	return tmp, nil
-}
-
-// forgetTemp unregisters a staged temp file (committed or rolled back).
-func (s *Store) forgetTemp(path string) {
-	s.pendingMu.Lock()
-	delete(s.pending, filepath.Base(path))
-	s.pendingMu.Unlock()
-}
-
-// isPending reports whether a directory entry is an in-flight staging file.
-func (s *Store) isPending(name string) bool {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	_, ok := s.pending[name]
-	return ok
-}
-
-// nextVersionLocked returns 1 + the highest version published for the
-// workload fingerprint. Callers hold mu.
-func (s *Store) nextVersionLocked(algoFP string) int {
-	group := s.byFP[algoFP]
-	if len(group) == 0 {
-		return 1
-	}
-	return group[len(group)-1].Version + 1
 }
 
 // Get returns the manifest for an artifact ID.
@@ -403,14 +287,8 @@ func (s *Store) List() []Manifest {
 	for _, m := range s.byID {
 		out = append(out, *m)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Algo != out[j].Algo {
-			return out[i].Algo < out[j].Algo
-		}
-		if out[i].AlgoFP != out[j].AlgoFP {
-			return out[i].AlgoFP < out[j].AlgoFP
-		}
-		return out[i].Version < out[j].Version
+	slices.SortFunc(out, func(x, y Manifest) int {
+		return cmp.Or(cmp.Compare(x.Algo, y.Algo), cmp.Compare(x.AlgoFP, y.AlgoFP), x.Version-y.Version)
 	})
 	return out
 }
@@ -435,9 +313,7 @@ func (s *Store) Load(id string) (*surrogate.Surrogate, error) {
 	return sur, nil
 }
 
-// Delete removes an artifact. The manifest goes first — the commit record —
-// so a crash mid-delete leaves an orphan blob (reaped by GC), never a
-// manifest pointing at nothing.
+// Delete removes an artifact.
 func (s *Store) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -445,17 +321,16 @@ func (s *Store) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownArtifact, id)
 	}
-	if err := os.Remove(s.manifestPath(id)); err != nil {
+	return s.removeLocked(m)
+}
+
+// removeLocked deletes an artifact from disk and the index. Callers hold mu.
+func (s *Store) removeLocked(m *Manifest) error {
+	if err := s.blobs.Remove(m.ID); err != nil {
 		return fmt.Errorf("modelstore: %w", err)
 	}
-	os.Remove(s.BlobPath(id)) // best effort; GC reaps stragglers
-	delete(s.byID, id)
-	group := s.byFP[m.AlgoFP][:0]
-	for _, g := range s.byFP[m.AlgoFP] {
-		if g.ID != id {
-			group = append(group, g)
-		}
-	}
+	delete(s.byID, m.ID)
+	group := slices.DeleteFunc(s.byFP[m.AlgoFP], func(g *Manifest) bool { return g == m })
 	if len(group) == 0 {
 		delete(s.byFP, m.AlgoFP)
 	} else {
@@ -465,9 +340,8 @@ func (s *Store) Delete(id string) error {
 }
 
 // GC removes superseded versions — keeping the newest keep versions per
-// workload fingerprint (minimum 1) — plus crash leftovers: tmp files,
-// blobs without manifests, manifests without blobs. It returns the removed
-// artifact IDs (leftover file names for orphans).
+// workload fingerprint (minimum 1) — then crash debris. It returns the
+// removed artifact IDs followed by the debris file names.
 func (s *Store) GC(keep int) ([]string, error) {
 	if keep < 1 {
 		keep = 1
@@ -475,60 +349,28 @@ func (s *Store) GC(keep int) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var removed []string
-	for fp, group := range s.byFP {
-		for len(group) > keep {
-			old := group[0]
-			if err := os.Remove(s.manifestPath(old.ID)); err != nil && !os.IsNotExist(err) {
-				return removed, fmt.Errorf("modelstore: gc: %w", err)
+	for fp := range s.byFP {
+		for len(s.byFP[fp]) > keep {
+			old := s.byFP[fp][0]
+			if err := s.removeLocked(old); err != nil {
+				return removed, err
 			}
-			os.Remove(s.BlobPath(old.ID))
-			delete(s.byID, old.ID)
 			removed = append(removed, old.ID)
-			group = group[1:]
 		}
-		s.byFP[fp] = group
 	}
-	// Sweep uncommitted leftovers.
-	entries, err := os.ReadDir(s.dir)
+	debris, err := s.blobs.Sweep(func(id string) bool { _, ok := s.byID[id]; return ok })
 	if err != nil {
-		return removed, fmt.Errorf("modelstore: gc: %w", err)
+		err = fmt.Errorf("modelstore: gc: %w", err)
 	}
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(name, tmpPrefix):
-			if s.isPending(name) {
-				continue // an in-flight Publish owns this staging file
-			}
-		case strings.HasSuffix(name, BlobExt):
-			if _, ok := s.byID[strings.TrimSuffix(name, BlobExt)]; ok {
-				continue
-			}
-		case strings.HasSuffix(name, ManifestExt):
-			if _, ok := s.byID[strings.TrimSuffix(name, ManifestExt)]; ok {
-				continue
-			}
-		default:
-			continue // not a store file; leave it alone
-		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-			return removed, fmt.Errorf("modelstore: gc: %w", err)
-		}
-		removed = append(removed, name)
-	}
-	s.corrupt = 0
-	return removed, nil
+	return append(removed, debris...), err
 }
 
 // Stats is a point-in-time store snapshot for /v1/metrics.
 type Stats struct {
 	Artifacts int `json:"artifacts"`
 	Workloads int `json:"workloads"`
-	// Corrupt counts unreadable or uncommitted entries seen at Open and
-	// not yet swept by GC.
+	// Corrupt counts manifests Open skipped as unreadable, uncommitted,
+	// or misnamed and GC has not swept yet.
 	Corrupt int `json:"corrupt"`
 }
 
@@ -536,7 +378,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Stats{Artifacts: len(s.byID), Workloads: len(s.byFP), Corrupt: s.corrupt}
+	return Stats{Artifacts: len(s.byID), Workloads: len(s.byFP), Corrupt: s.blobs.Corrupt()}
 }
 
 // ArchFingerprint hex-hashes an accelerator spec — the manifest's ArchFP
@@ -545,9 +387,4 @@ func (s *Store) Stats() Stats {
 func ArchFingerprint(a arch.Spec) string {
 	sum := sha256.Sum256(a.AppendFingerprint(nil))
 	return hex.EncodeToString(sum[:])
-}
-
-// archFingerprint hex-hashes the surrogate's accelerator spec.
-func archFingerprint(sur *surrogate.Surrogate) string {
-	return ArchFingerprint(sur.Arch)
 }

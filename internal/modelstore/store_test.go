@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mindmappings/internal/arch"
+	"mindmappings/internal/blobstore"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/surrogate"
 )
@@ -179,7 +180,7 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash window 2: half-written temp file.
-	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"0123"), blob.Bytes()[:100], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, blobstore.TmpPrefix+"0123"), blob.Bytes()[:100], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Torn manifest (no blob behind it).
@@ -212,7 +213,7 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), tmpPrefix) {
+		if strings.HasPrefix(de.Name(), blobstore.TmpPrefix) {
 			t.Fatalf("tmp file survived GC: %s", de.Name())
 		}
 	}

@@ -10,29 +10,24 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
+
+	"mindmappings/internal/blobstore"
 )
 
 // ErrNotJournaled is returned by Journal.Get for ids with no record.
 var ErrNotJournaled = errors.New("resilience: no journal record")
 
 // Journal is a crash-safe directory of JSON records, one file per id,
-// using the modelstore's atomic commit pattern: each Put marshals to a
-// temp file in the same directory and renames it over the record, so a
-// reader (including a recovering process) only ever sees the previous
-// complete record or the new complete record, never a torn write. Temp
-// debris from a crash mid-Put is ignored by List/Get and swept on Open.
-//
-// Writes run under an optional failpoint (site "journal.write") and a
-// bounded retry policy, so injected storage faults exercise the same
-// retry path real transient I/O errors would.
+// written through blobstore.WriteAtomic; temp debris from a crash mid-Put
+// is ignored by List/Get and swept on Open. Writes run under an optional
+// failpoint (site "journal.write") and a bounded retry policy, so injected
+// storage faults exercise the retry path real transient I/O errors would.
 type Journal struct {
 	dir string
 	// Retry governs Put; defaults to DefaultRetry. Set before first use.
 	Retry RetryPolicy
 
-	mu        sync.Mutex
-	failpoint func(op string) error
+	failpoint blobstore.Failpoint
 }
 
 const journalTmpPrefix = ".tmp-"
@@ -64,24 +59,10 @@ func (j *Journal) Dir() string { return j.dir }
 // SetFailpoint installs fn to be consulted before every write and rename
 // (op "journal.write"); a non-nil return aborts that attempt. Wire it to
 // Faults.Fail to inject journal failures deterministically.
-func (j *Journal) SetFailpoint(fn func(op string) error) {
-	j.mu.Lock()
-	j.failpoint = fn
-	j.mu.Unlock()
-}
-
-func (j *Journal) fail(op string) error {
-	j.mu.Lock()
-	fn := j.failpoint
-	j.mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(op)
-}
+func (j *Journal) SetFailpoint(fn func(op string) error) { j.failpoint.Set(fn) }
 
 func validJournalID(id string) error {
-	if id == "" || strings.ContainsAny(id, "/\\") || strings.HasPrefix(id, ".") {
+	if !blobstore.ValidID(id) {
 		return fmt.Errorf("resilience: bad journal id %q", id)
 	}
 	return nil
@@ -99,40 +80,24 @@ func (j *Journal) Put(id string, v any) error {
 	if err != nil {
 		return fmt.Errorf("resilience: marshaling journal record %s: %w", id, err)
 	}
-	return j.Retry.Do(context.Background(), func() error {
-		return j.putOnce(id, raw)
-	})
+	return j.Retry.Do(context.Background(), func() error { return j.putOnce(id, raw) })
 }
 
+// putOnce is one write attempt; the failpoint fires before the temp file
+// is written and again before the committing rename.
 func (j *Journal) putOnce(id string, raw []byte) error {
-	if err := j.fail("journal.write"); err != nil {
+	if err := j.failpoint.Fire("journal.write"); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(j.dir, journalTmpPrefix+id+"-*")
-	if err != nil {
-		return fmt.Errorf("resilience: staging journal record: %w", err)
+	var injected error
+	err := blobstore.WriteAtomic(j.path(id), journalTmpPrefix+id+"-", 0o600, raw, func() error {
+		injected = j.failpoint.Fire("journal.write")
+		return injected
+	})
+	if err != nil && injected == nil {
+		return fmt.Errorf("resilience: writing journal record %s: %w", id, err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("resilience: writing journal record: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("resilience: closing journal record: %w", err)
-	}
-	if err := j.fail("journal.write"); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	// The rename is the commit point: before it the old record (or no
-	// record) is intact, after it the new record is complete.
-	if err := os.Rename(tmpName, j.path(id)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("resilience: committing journal record: %w", err)
-	}
-	return nil
+	return err
 }
 
 // Get unmarshals id's record into v, or returns ErrNotJournaled.
@@ -174,11 +139,9 @@ func (j *Journal) List() ([]string, error) {
 	}
 	var ids []string
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, journalTmpPrefix) || !strings.HasSuffix(name, ".json") {
-			continue
+		if id, ok := strings.CutSuffix(e.Name(), ".json"); ok && !e.IsDir() && !strings.HasPrefix(id, journalTmpPrefix) {
+			ids = append(ids, id)
 		}
-		ids = append(ids, strings.TrimSuffix(name, ".json"))
 	}
 	sort.Strings(ids)
 	return ids, nil
