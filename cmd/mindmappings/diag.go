@@ -18,7 +18,7 @@ import (
 
 // cmdDiag snapshots a live `mindmappings serve` instance into one
 // self-contained tar.gz — the "attach this to the bug report" command. It
-// pulls the operational status, both metrics views, the flight-recorder
+// pulls the operational status, the /metrics scrape, the flight-recorder
 // event ring, the job list with per-job traces for the most recent jobs,
 // and (with -pprof, against a server started with -pprof) goroutine and
 // heap profiles. Endpoints that fail are recorded in MANIFEST.json instead
@@ -51,7 +51,6 @@ func cmdDiag(args []string) error {
 		return fmt.Errorf("diag: %s is not answering /v1/status: %w", base, err)
 	}
 	d.add("status.json", status)
-	d.collect("metrics.json", "/v1/metrics")
 	d.collect("metrics.prom", "/metrics")
 	d.collect("flightrecorder.json", "/debug/flightrecorder")
 	d.collect("models.json", "/v1/models")

@@ -20,7 +20,7 @@ import (
 // tenant-tagged traffic through it, requires the per-tenant RED series and
 // the SLO burn-rate gauges on /metrics and a healthy /v1/status, then runs
 // `mindmappings diag` against the live server and asserts the bundle is a
-// well-formed tar.gz holding the manifest, both metrics views, the flight
+// well-formed tar.gz holding the manifest, the /metrics scrape, the flight
 // recorder, and per-job traces.
 func TestServeDiagSmoke(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -179,7 +179,7 @@ func TestServeDiagSmoke(t *testing.T) {
 	}
 	members := readBundle(t, bundle)
 	for _, want := range []string{
-		"MANIFEST.json", "status.json", "metrics.json", "metrics.prom",
+		"MANIFEST.json", "status.json", "metrics.prom",
 		"flightrecorder.json", "jobs.json", "models.json",
 	} {
 		if _, ok := members[want]; !ok {

@@ -76,22 +76,38 @@ func TestServeBinaryMetricsScrape(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != obs.ExpositionContentType {
 		t.Fatalf("content type %q", ct)
 	}
-	samples, err := obs.ValidateExposition(resp.Body)
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ValidateExposition(bytes.NewReader(text))
 	if err != nil {
 		t.Fatalf("malformed exposition: %v", err)
 	}
 	if samples == 0 {
 		t.Fatal("empty exposition")
 	}
-
-	// The JSON twin must stay mounted alongside the Prometheus surface.
+	// /metrics is the one metrics surface: job, runtime and store-health
+	// series are all on it, and the retired JSON view is gone.
+	for _, want := range []string{
+		"search_job_workers 1",
+		"search_jobs_submitted_total 0",
+		"go_goroutines ",
+		"store_corrupt_manifests 0",
+		"atlas_corrupt_manifests 0",
+		"model_registry_evictions_total 0",
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
 	jresp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	jresp.Body.Close()
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/metrics: %d", jresp.StatusCode)
+	if jresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics: %d, want 404 (retired in favor of /metrics)", jresp.StatusCode)
 	}
 
 	// pprof is opt-in and was not requested.

@@ -37,7 +37,7 @@
 // default; an optimistic roofline/lower-bound model registers as
 // "roofline". Backends are selected end-to-end — `mindmappings search
 // -model=roofline`, the service's "cost_model" request field (with
-// per-backend eval counters in /v1/metrics), and `experiments -costmodel`
+// per-backend eval counters in /metrics), and `experiments -costmodel`
 // — and no searcher, trainer, or service code names a concrete backend.
 //
 // Beyond the one-shot CLI, internal/service turns the library into a

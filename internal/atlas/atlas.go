@@ -428,7 +428,8 @@ func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	return append(removed, debris...), err
 }
 
-// Stats is a point-in-time atlas snapshot for /v1/metrics and listings.
+// Stats is a point-in-time atlas snapshot for listings and the service's
+// atlas_entries and atlas_corrupt_manifests series.
 type Stats struct {
 	// Entries counts committed entries; Keys counts distinct exact
 	// identities; Families counts shape-independent groups.

@@ -24,7 +24,8 @@ import (
 
 // Counter is shared, concurrency-safe evaluation accounting. One Counter
 // may be attached to many evaluator stacks (the serve service keeps one
-// per backend and reports them in /v1/metrics).
+// per backend and exposes it as costmodel_evals_total{backend} on
+// /metrics).
 type Counter struct {
 	n atomic.Int64
 }

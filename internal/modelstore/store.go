@@ -365,7 +365,8 @@ func (s *Store) GC(keep int) ([]string, error) {
 	return append(removed, debris...), err
 }
 
-// Stats is a point-in-time store snapshot for /v1/metrics.
+// Stats is a point-in-time store snapshot, exposed by the service as the
+// store_artifacts, store_workloads and store_corrupt_manifests series.
 type Stats struct {
 	Artifacts int `json:"artifacts"`
 	Workloads int `json:"workloads"`

@@ -216,24 +216,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.bounds[len(h.bounds)-1]
 }
-
-// QuantileSummary is the conventional p50/p95/p99 snapshot surfaced by the
-// JSON metrics endpoint.
-type QuantileSummary struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Summary snapshots count, sum, and the standard quantiles.
-func (h *Histogram) Summary() QuantileSummary {
-	return QuantileSummary{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -61,12 +62,11 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 		}
 		prev = v
 	}
-	s := h.Summary()
-	if !(s.P50 <= s.P95 && s.P95 <= s.P99) {
-		t.Fatalf("summary quantiles not monotone: %+v", s)
+	if p50, p95, p99 := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99); !(p50 <= p95 && p95 <= p99) {
+		t.Fatalf("p50/p95/p99 not monotone: %v %v %v", p50, p95, p99)
 	}
-	if s.Count != 10000 {
-		t.Fatalf("summary count = %d", s.Count)
+	if h.Count() != 10000 {
+		t.Fatalf("count = %d", h.Count())
 	}
 }
 
@@ -207,15 +207,34 @@ func TestRegistryReusesAndValidates(t *testing.T) {
 	}()
 }
 
+// TestRuntimeStats checks the runtime series carry plausible live values.
 func TestRuntimeStats(t *testing.T) {
-	rs := ReadRuntime(time.Now().Add(-time.Second))
-	if rs.Goroutines < 1 || rs.GoVersion == "" || rs.NumCPU < 1 {
-		t.Fatalf("implausible runtime stats: %+v", rs)
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r, time.Now().Add(-time.Second))
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if rs.UptimeS < 0.9 {
-		t.Fatalf("uptime = %v, want ~1s", rs.UptimeS)
+	values := map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q", line)
+		}
+		name, _, _ := strings.Cut(line[:i], "{")
+		values[name] = v
 	}
-	if !strings.HasPrefix(rs.GoVersion, "go") {
-		t.Fatalf("go version = %q", rs.GoVersion)
+	if values["go_goroutines"] < 1 || values["go_heap_alloc_bytes"] <= 0 {
+		t.Fatalf("implausible runtime values: %v", values)
+	}
+	if values["process_uptime_seconds"] < 0.9 {
+		t.Fatalf("uptime = %v, want ~1s", values["process_uptime_seconds"])
+	}
+	if !strings.Contains(sb.String(), `build_info{go_version="go`) {
+		t.Fatalf("build_info missing the go version:\n%s", sb.String())
 	}
 }

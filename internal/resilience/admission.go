@@ -3,7 +3,6 @@ package resilience
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -64,7 +63,8 @@ type Decision struct {
 	RetryAfter time.Duration
 }
 
-// AdmissionStats is a counters snapshot for metrics exposition.
+// AdmissionStats is a counters snapshot, exposed by the service as the
+// admission_* series on /metrics.
 type AdmissionStats struct {
 	Admitted     int64 `json:"admitted"`
 	RejectedRate int64 `json:"rejected_rate"`
@@ -88,54 +88,12 @@ type Admission struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantState
 	stats   AdmissionStats
-	// rej accumulates per-tenant rejection counters. tenantState is evicted
-	// when a tenant goes idle, so rejection history lives in its own map,
-	// bounded at maxRejTenants (extras collapse into the overflow key) —
-	// an unauthenticated flood of distinct X-Tenant values cannot grow it.
-	rej map[string]*TenantRejections
 }
 
 type tenantState struct {
 	tokens   float64
 	refilled time.Time
 	inFlight int
-}
-
-// TenantRejections is one tenant's cumulative rejection counters, for the
-// admission sections of /metrics and /v1/metrics.
-type TenantRejections struct {
-	Tenant       string `json:"tenant"`
-	RejectedRate int64  `json:"rejected_rate"`        // 429: token bucket
-	RejectedConc int64  `json:"rejected_concurrency"` // 429: concurrency cap
-	Shed         int64  `json:"shed"`                 // 503: load shedding
-}
-
-// maxRejTenants bounds the per-tenant rejection map; the 65th and later
-// distinct tenants share the RejOverflowTenant bucket.
-const maxRejTenants = 64
-
-// RejOverflowTenant is the shared bucket key once maxRejTenants distinct
-// tenants have rejection history.
-const RejOverflowTenant = "_overflow"
-
-// rejFor returns (creating if needed) tenant's rejection counters; must be
-// called with a.mu held.
-func (a *Admission) rejForLocked(tenant string) *TenantRejections {
-	if a.rej == nil {
-		a.rej = make(map[string]*TenantRejections)
-	}
-	r, ok := a.rej[tenant]
-	if !ok {
-		if len(a.rej) >= maxRejTenants {
-			tenant = RejOverflowTenant
-			if r, ok = a.rej[tenant]; ok {
-				return r
-			}
-		}
-		r = &TenantRejections{Tenant: tenant}
-		a.rej[tenant] = r
-	}
-	return r
 }
 
 // NewAdmission builds a controller. loadFn supplies live overload signals
@@ -200,12 +158,10 @@ func (a *Admission) Admit(tenant string) Decision {
 
 	if reason, shed := a.shedLocked(ts, load); shed {
 		a.stats.Shed++
-		a.rejForLocked(tenant).Shed++
 		return Decision{Code: 503, Reason: reason, RetryAfter: retryHint}
 	}
 	if a.cfg.MaxConcurrent > 0 && ts.inFlight >= a.cfg.MaxConcurrent {
 		a.stats.RejectedConc++
-		a.rejForLocked(tenant).RejectedConc++
 		return Decision{
 			Code:       429,
 			Reason:     fmt.Sprintf("tenant concurrency cap (%d in flight)", ts.inFlight),
@@ -220,7 +176,6 @@ func (a *Admission) Admit(tenant string) Decision {
 		}
 		if ts.tokens < 1 {
 			a.stats.RejectedRate++
-			a.rejForLocked(tenant).RejectedRate++
 			wait := time.Duration((1 - ts.tokens) / a.cfg.Rate * float64(time.Second))
 			return Decision{Code: 429, Reason: "tenant rate quota exhausted", RetryAfter: clampRetry(wait)}
 		}
@@ -330,29 +285,4 @@ func (a *Admission) Stats() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.stats
-}
-
-// RejectionsByTenant snapshots the per-tenant rejection counters, sorted
-// by tenant for stable JSON output.
-func (a *Admission) RejectionsByTenant() []TenantRejections {
-	a.mu.Lock()
-	out := make([]TenantRejections, 0, len(a.rej))
-	for _, r := range a.rej {
-		out = append(out, *r)
-	}
-	a.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
-// RejectionsFor snapshots one tenant's rejection counters (zero value if
-// the tenant has none) — the read side of lazily registered per-tenant
-// metric callbacks.
-func (a *Admission) RejectionsFor(tenant string) TenantRejections {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if r, ok := a.rej[tenant]; ok {
-		return *r
-	}
-	return TenantRejections{Tenant: tenant}
 }

@@ -3,7 +3,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -455,44 +454,5 @@ func TestAdmissionHealthShedding(t *testing.T) {
 	load = Load{Health: 0.9}
 	if d := a.Admit("fresh"); !d.OK {
 		t.Fatalf("admit after recovery rejected: %+v", d)
-	}
-}
-
-// TestAdmissionPerTenantRejections pins that rejection counters are kept
-// per tenant, survive tenantState eviction, and stay bounded.
-func TestAdmissionPerTenantRejections(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1}, nil)
-	if !a.Admit("a").OK {
-		t.Fatal("first admit rejected")
-	}
-	a.Admit("a") // conc cap
-	a.Admit("a") // conc cap
-	a.Release("a")
-	// tenantState for "a" is now evicted, but rejection history survives.
-	got := a.RejectionsFor("a")
-	if got.RejectedConc != 2 {
-		t.Fatalf("RejectionsFor(a) = %+v, want 2 concurrency rejections", got)
-	}
-	all := a.RejectionsByTenant()
-	if len(all) != 1 || all[0].Tenant != "a" || all[0].RejectedConc != 2 {
-		t.Fatalf("RejectionsByTenant = %+v", all)
-	}
-}
-
-// TestAdmissionRejectionMapBounded floods distinct tenants with sheds and
-// checks the rejection map collapses extras into the overflow bucket.
-func TestAdmissionRejectionMapBounded(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Thresholds: Thresholds{HeapBytes: 1}},
-		func() Load { return Load{HeapBytes: 2} })
-	for i := 0; i < maxRejTenants+10; i++ {
-		a.Admit(fmt.Sprintf("t%03d", i))
-	}
-	all := a.RejectionsByTenant()
-	if len(all) > maxRejTenants+1 {
-		t.Fatalf("rejection map grew to %d entries, want <= %d", len(all), maxRejTenants+1)
-	}
-	ov := a.RejectionsFor(RejOverflowTenant)
-	if ov.Shed != 10 {
-		t.Fatalf("overflow bucket shed = %d, want 10", ov.Shed)
 	}
 }

@@ -159,7 +159,7 @@ type Context struct {
 	// Evals, when non-nil, receives paid-query accounting
 	// (costmodel.WithCounter): cache hits and free scoring queries are not
 	// charged. Counters may be shared across runs and backends-per-name
-	// (the service's /v1/metrics reporting).
+	// (the service's costmodel_evals_total series).
 	Evals *costmodel.Counter
 	// Cache, when non-nil, memoizes evaluations (costmodel.WithCache)
 	// under evaluator-ID-prefixed keys, so evaluations of the same mapping

@@ -30,6 +30,14 @@ func atlasManager(t *testing.T, readonly bool, modelNames ...string) (*JobManage
 	return jobs, a
 }
 
+// atlasCounts is a snapshot of the manager's atlas outcome counters.
+type atlasCounts struct{ Hits, Neighbors, Cold, Writebacks int64 }
+
+func atlasCountsOf(jm *JobManager) atlasCounts {
+	m := &jm.met
+	return atlasCounts{m.atlasHits.Value(), m.atlasNeighbors.Value(), m.atlasCold.Value(), m.atlasWritebacks.Value()}
+}
+
 func runToDone(t *testing.T, jobs *JobManager, req SearchRequest) Job {
 	t.Helper()
 	job, err := jobs.Submit(req)
@@ -60,12 +68,9 @@ func TestAtlasExactHitServing(t *testing.T) {
 	if cold.Result.Source != "" {
 		t.Fatalf("cold result source %q, want empty", cold.Result.Source)
 	}
-	st, ok := jobs.AtlasStats()
-	if !ok {
-		t.Fatal("atlas stats unavailable despite EnableAtlas")
-	}
-	if st.Writebacks != 1 || st.Entries != 1 {
-		t.Fatalf("after cold run: %+v", st)
+	st := atlasCountsOf(jobs)
+	if st.Writebacks != 1 || a.Stats().Entries != 1 {
+		t.Fatalf("after cold run: %+v, %+v", st, a.Stats())
 	}
 
 	// The identical request is served without entering the queue: the job
@@ -93,7 +98,7 @@ func TestAtlasExactHitServing(t *testing.T) {
 	if again, err := jobs.Wait(context.Background(), hit.ID); err != nil || again.Status != JobDone {
 		t.Fatalf("waiting on an atlas-served job: %+v err=%v", again, err)
 	}
-	st, _ = jobs.AtlasStats()
+	st = atlasCountsOf(jobs)
 	if st.Hits != 1 {
 		t.Fatalf("hits = %d, want 1: %+v", st.Hits, st)
 	}
@@ -113,14 +118,14 @@ func TestAtlasExactHitServing(t *testing.T) {
 // for an unseen shape in a solved family is seeded from the closest
 // entry's re-projected mapping and reports source "atlas-neighbor".
 func TestAtlasNeighborWarmStart(t *testing.T) {
-	jobs, _ := atlasManager(t, false, "conv1d.surrogate")
+	jobs, a := atlasManager(t, false, "conv1d.surrogate")
 
 	req := validRequest()
 	req.Searcher = "mm"
 	req.Model = "conv1d.surrogate"
 	req.Evals = 200
 	cold := runToDone(t, jobs, req)
-	st, _ := jobs.AtlasStats()
+	st := atlasCountsOf(jobs)
 	if st.Cold != 1 || st.Neighbors != 0 {
 		t.Fatalf("first run should be cold: %+v", st)
 	}
@@ -134,12 +139,12 @@ func TestAtlasNeighborWarmStart(t *testing.T) {
 	if done.Result.Source != "atlas-neighbor" {
 		t.Fatalf("warm-started result source %q, want \"atlas-neighbor\"", done.Result.Source)
 	}
-	st, _ = jobs.AtlasStats()
+	st = atlasCountsOf(jobs)
 	if st.Neighbors != 1 {
 		t.Fatalf("neighbors = %d: %+v", st.Neighbors, st)
 	}
 	// Both solved shapes are now stored.
-	if st.Entries != 2 || st.Writebacks != 2 {
+	if a.Stats().Entries != 2 || st.Writebacks != 2 {
 		t.Fatalf("after warm run: %+v", st)
 	}
 
@@ -151,7 +156,7 @@ func TestAtlasNeighborWarmStart(t *testing.T) {
 	if done := runToDone(t, jobs, ga); done.Result.Source != "" {
 		t.Fatalf("ga result source %q, want empty", done.Result.Source)
 	}
-	if st, _ := jobs.AtlasStats(); st.Cold != 2 {
+	if st := atlasCountsOf(jobs); st.Cold != 2 {
 		t.Fatalf("cold = %d, want 2: %+v", st.Cold, st)
 	}
 }
@@ -195,10 +200,7 @@ func TestAtlasReadonlyServesButNeverWrites(t *testing.T) {
 	req.Searcher = "ga"
 	req.Evals = 200
 	runToDone(t, jobs, req)
-	st, _ := jobs.AtlasStats()
-	if !st.ReadOnly {
-		t.Fatal("stats do not report read-only")
-	}
+	st := atlasCountsOf(jobs)
 	if st.Writebacks != 0 || a.Stats().Entries != 0 {
 		t.Fatalf("read-only atlas was written: %+v", st)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mindmappings/internal/infer"
-	"mindmappings/internal/obs"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
 )
@@ -100,8 +99,7 @@ func TestBatcherMetricsExposed(t *testing.T) {
 	dir := modelDir(t, "conv1d.surrogate")
 	jm := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1<<14), 4, 16)
 	defer jm.Shutdown(context.Background())
-	reg := obs.NewRegistry()
-	jm.Instrument(reg)
+	reg := jm.reg
 	jm.SetBatching(infer.Config{Window: 2 * time.Millisecond, MaxBatch: 32})
 
 	reqs := make([]SearchRequest, 4)

@@ -164,8 +164,8 @@ func (c *EvalCache) moveToFrontLocked(i int32) {
 	}
 }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness, surfaced
-// by GET /v1/metrics.
+// CacheStats is a point-in-time snapshot of cache effectiveness, exposed
+// as the eval_cache_* series on /metrics.
 type CacheStats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mindmappings/internal/arch"
@@ -82,8 +81,8 @@ type SearchRequest struct {
 	TrainOnMiss *trainer.Request `json:"train_on_miss,omitempty"`
 	// CostModel selects the registered cost-model backend that evaluates
 	// (and, for black-box searchers, drives) the search: "timeloop"
-	// (default) or "roofline". Per-backend eval totals are reported by
-	// GET /v1/metrics.
+	// (default) or "roofline". Per-backend eval totals are the
+	// costmodel_evals_total{backend} series on /metrics.
 	CostModel string `json:"cost_model,omitempty"`
 	// Evals caps cost-function evaluations; Time is a wall-clock budget as
 	// a Go duration string ("30s"). At least one must be set.
@@ -252,23 +251,18 @@ type JobManager struct {
 	workers   int
 	retention int // max terminal jobs kept for GET /v1/jobs before eviction
 
-	// lifecycle counters, guarded by mu
-	submitted uint64
-	completed uint64
-	failed    uint64
-	cancelled uint64
-	degraded  uint64
-	recovered uint64
+	// reg is the manager's metric registry, created with it and adopted by
+	// NewServer for /metrics; met holds the instruments registered in it.
+	// Both are fixed at construction, so every path reads them lock-free.
+	reg *obs.Registry
+	met jobMetrics
 
 	// resilience wiring: per-tenant admission control (EnableAdmission),
 	// the crash-safe job journal (EnableJournal), deterministic fault
 	// injection on the eval path (SetFaults), and the anytime-deadline
-	// ceiling (SetMaxJobTime). journalErrs counts journal writes that
-	// failed even after bounded retry — the job keeps running; only its
-	// crash-recovery point goes stale.
+	// ceiling (SetMaxJobTime).
 	admission       *resilience.Admission
 	journal         *resilience.Journal
-	journalErrs     uint64
 	faults          *resilience.Faults
 	maxJobTime      time.Duration
 	checkpointEvery int
@@ -283,41 +277,28 @@ type JobManager struct {
 	// leaf mutex, safe to call under mu.
 	flightRec *obs.FlightRecorder
 
-	// SLO counterparts of the mu-guarded lifecycle counters: SLI callbacks
-	// run under the tracker's own mutex and at metric-exposition time, so
-	// they must never take jm.mu — they read these instead.
-	sloDone   atomic.Uint64 // jobs finished JobDone (degraded included)
-	sloFailed atomic.Uint64 // jobs finished JobFailed
-
-	// Per-tenant instrument sets, lazily registered on first sight of a
-	// tenant. Guarded by tenantMu, a leaf below nothing: tenantFor must
-	// never run under jm.mu (registration takes the registry lock, and
+	// Per-tenant instrument sets, registered on first sight of a tenant
+	// and bounded at obs.DefaultMaxCardinality; later tenants share
+	// tenantOverflow. Guarded by tenantMu, a leaf below nothing: tenantFor
+	// must never run under jm.mu (registration takes the registry lock, and
 	// exposition callbacks take jm.mu under it).
-	tenantMu sync.Mutex
-	tenants  map[string]*tenantInstruments
+	tenantMu       sync.Mutex
+	tenants        map[string]*tenantInstruments
+	tenantOverflow *tenantInstruments
 
 	// Atlas wiring (EnableAtlas): exact-key hits are served from the
 	// store without running a search job, mm misses warm-start from the
 	// nearest solved neighbor, and completed jobs write back unless
-	// atlasRO. Counters guarded by mu.
-	atlasStore      *atlas.Atlas
-	atlasRO         bool
-	atlasSource     string
-	atlasHits       uint64
-	atlasNeighbors  uint64
-	atlasCold       uint64
-	atlasWritebacks uint64
+	// atlasRO.
+	atlasStore  *atlas.Atlas
+	atlasRO     bool
+	atlasSource string
 
 	// counters holds one shared paid-eval counter per cost-model backend
-	// (costmodel.WithCounter accounting, surfaced by GET /v1/metrics).
+	// (costmodel.WithCounter accounting, exposed as costmodel_evals_total).
 	// Guarded by countersMu, not mu: jobs read them on the hot path.
 	countersMu sync.Mutex
 	counters   map[string]*costmodel.Counter
-	evalHists  map[string]*obs.Histogram
-
-	// instr holds the obs metrics set by Instrument, read through
-	// instruments() so workers racing an Instrument call stay safe.
-	instr *jobInstruments
 
 	// Cross-request inference batching: one infer.Batcher per registry
 	// surrogate coalesces Predict/Gradient batches from every concurrent
@@ -338,9 +319,15 @@ type inferBatcherEntry struct {
 	b   *infer.Batcher
 }
 
-// jobInstruments bundles the manager's obs metrics.
-type jobInstruments struct {
-	reg         *obs.Registry
+// jobMetrics is the manager's instrument set. Every lifecycle and atlas
+// outcome is one counter, bumped where the event happens; /metrics, the
+// SLO tracker and /v1/status all read these same values.
+type jobMetrics struct {
+	submitted, done, failed, cancelled, degraded, recovered, journalErrs *obs.Counter
+	// Atlas read outcomes (exact hit, neighbor warm start, cold) and
+	// solutions published back.
+	atlasHits, atlasNeighbors, atlasCold, atlasWritebacks *obs.Counter
+
 	queueWait   *obs.Histogram
 	run         *obs.Histogram
 	atlasLookup *obs.Histogram
@@ -353,14 +340,31 @@ type jobInstruments struct {
 // up to emulated-latency milliseconds.
 var evalSecondsBuckets = obs.ExpBuckets(100e-9, 4, 14)
 
-// Instrument registers the manager's metrics in reg: queue-wait and run
-// histograms, lifecycle counters, and live queue gauges. Per-backend eval
-// counters and latency histograms register lazily as backends serve jobs.
-// Call once at setup, before or after jobs start — workers pick the
-// instruments up on their next job.
-func (jm *JobManager) Instrument(reg *obs.Registry) {
-	in := &jobInstruments{
-		reg: reg,
+var evalSecondsHelp = fmt.Sprintf("Sampled cost-model evaluation latency (1-in-%d sampling).", evalTimingSample)
+
+// registerMetrics builds the manager's registry: queue-wait and run
+// histograms, lifecycle and atlas counters, and live queue, admission and
+// atlas gauges. Per-backend, per-model and per-tenant series register
+// lazily as jobs first need them.
+func (jm *JobManager) registerMetrics() {
+	reg := obs.NewRegistry()
+	jm.reg = reg
+	jm.met = jobMetrics{
+		submitted:   reg.Counter("search_jobs_submitted_total", "Search jobs accepted by POST /v1/search."),
+		done:        reg.Counter("search_jobs_done_total", "Search jobs finished successfully."),
+		failed:      reg.Counter("search_jobs_failed_total", "Search jobs that ended in an error."),
+		cancelled:   reg.Counter("search_jobs_cancelled_total", "Search jobs cancelled by clients or shutdown."),
+		degraded:    reg.Counter("search_jobs_degraded_total", "Search jobs completed degraded at their anytime deadline."),
+		recovered:   reg.Counter("search_jobs_recovered_total", "Search jobs recovered from the journal at startup."),
+		journalErrs: reg.Counter("search_job_journal_errors_total", "Journal writes that failed even after bounded retry."),
+		atlasHits: reg.Counter("atlas_hits_total",
+			"Search requests answered from the atlas without running a search job."),
+		atlasNeighbors: reg.Counter("atlas_neighbor_total",
+			"Search jobs warm-started from a nearest-neighbor atlas mapping."),
+		atlasCold: reg.Counter("atlas_cold_total",
+			"Search jobs run with no atlas assist (no exact hit, no neighbor)."),
+		atlasWritebacks: reg.Counter("atlas_writebacks_total",
+			"Completed search jobs whose solutions were published into the atlas."),
 		queueWait: reg.Histogram("search_job_queue_seconds",
 			"Time search jobs wait in the queue before a worker starts them.", nil),
 		run: reg.Histogram("search_job_run_seconds",
@@ -372,18 +376,6 @@ func (jm *JobManager) Instrument(reg *obs.Registry) {
 			"Time from job start to its first progress sample (time-to-first-eval).",
 			nil),
 	}
-	reg.CounterFunc("search_jobs_submitted_total",
-		"Search jobs accepted by POST /v1/search.",
-		func() float64 { return float64(jm.Stats().Submitted) })
-	reg.CounterFunc("search_jobs_done_total",
-		"Search jobs finished successfully.",
-		func() float64 { return float64(jm.Stats().Done) })
-	reg.CounterFunc("search_jobs_failed_total",
-		"Search jobs that ended in an error.",
-		func() float64 { return float64(jm.Stats().Failed) })
-	reg.CounterFunc("search_jobs_cancelled_total",
-		"Search jobs cancelled by clients or shutdown.",
-		func() float64 { return float64(jm.Stats().Cancelled) })
 	reg.GaugeFunc("search_jobs_queued",
 		"Search jobs waiting for a worker.",
 		func() float64 { return float64(jm.Stats().Queued) })
@@ -393,18 +385,8 @@ func (jm *JobManager) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("search_job_workers",
 		"Size of the search worker pool.",
 		func() float64 { return float64(jm.Workers()) })
-	reg.CounterFunc("search_jobs_degraded_total",
-		"Search jobs completed degraded at their anytime deadline.",
-		func() float64 { return float64(jm.Stats().Degraded) })
-	reg.CounterFunc("search_jobs_recovered_total",
-		"Search jobs recovered from the journal at startup.",
-		func() float64 { return float64(jm.Stats().Recovered) })
-	reg.CounterFunc("search_job_journal_errors_total",
-		"Journal writes that failed even after bounded retry.",
-		func() float64 { return float64(jm.Stats().JournalErrors) })
-	// Admission series read through the getter so they work whenever
-	// EnableAdmission is called, before or after Instrument; they report 0
-	// while no controller is installed.
+	// Admission and atlas gauges read through the getters, so they report
+	// 0 until EnableAdmission or EnableAtlas installs the component.
 	admStats := func() resilience.AdmissionStats {
 		if a := jm.admissionCtrl(); a != nil {
 			return a.Stats()
@@ -423,42 +405,24 @@ func (jm *JobManager) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("admission_in_flight",
 		"Admission-controller concurrency slots currently held.",
 		func() float64 { return float64(admStats().InFlight) })
-	// Atlas series follow the same read-through-getter pattern: they work
-	// whenever EnableAtlas is called and report 0 while no atlas is
-	// attached.
-	atlasStats := func() AtlasServiceStats {
-		st, _ := jm.AtlasStats()
-		return st
+	atlasStats := func() atlas.Stats {
+		if at := jm.atlasRef(); at != nil {
+			return at.Stats()
+		}
+		return atlas.Stats{}
 	}
-	reg.CounterFunc("atlas_hits_total",
-		"Search requests answered from the atlas without running a search job.",
-		func() float64 { return float64(atlasStats().Hits) })
-	reg.CounterFunc("atlas_neighbor_total",
-		"Search jobs warm-started from a nearest-neighbor atlas mapping.",
-		func() float64 { return float64(atlasStats().Neighbors) })
-	reg.CounterFunc("atlas_cold_total",
-		"Search jobs run with no atlas assist (no exact hit, no neighbor).",
-		func() float64 { return float64(atlasStats().Cold) })
-	reg.CounterFunc("atlas_writebacks_total",
-		"Completed search jobs whose solutions were published into the atlas.",
-		func() float64 { return float64(atlasStats().Writebacks) })
 	reg.GaugeFunc("atlas_entries",
 		"Committed mapping entries in the attached atlas.",
 		func() float64 { return float64(atlasStats().Entries) })
-	jm.mu.Lock()
-	jm.instr = in
-	jm.mu.Unlock()
-}
-
-func (jm *JobManager) instruments() *jobInstruments {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.instr
+	reg.GaugeFunc("atlas_corrupt_manifests",
+		"Atlas manifests skipped at open as unreadable or misnamed (swept by GC).",
+		func() float64 { return float64(atlasStats().Corrupt) })
 }
 
 // NewJobManager starts workers goroutines (runtime.NumCPU() when workers
-// <= 0) draining a queue of at most queueCap pending jobs (64 when <= 0).
-// Call Shutdown to stop the pool.
+// <= 0) draining a queue of at most queueCap pending jobs (64 when <= 0),
+// with its metric registry already populated (NewServer exposes it). Call
+// Shutdown to stop the pool.
 func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap int) *JobManager {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -476,10 +440,12 @@ func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap 
 		jobs:      make(map[string]*Job),
 		workers:   workers,
 		retention: DefaultJobRetention,
+		tenants:   make(map[string]*tenantInstruments),
 		counters:  make(map[string]*costmodel.Counter),
 		batchCfg:  infer.Config{Window: infer.DefaultWindow, MaxBatch: infer.DefaultMaxBatch},
 		batchers:  make(map[string]*inferBatcherEntry),
 	}
+	jm.registerMetrics()
 	jm.cond = sync.NewCond(&jm.mu)
 	jm.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -535,43 +501,6 @@ func (jm *JobManager) atlasRef() *atlas.Atlas {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	return jm.atlasStore
-}
-
-// AtlasServiceStats reports atlas serving effectiveness for /v1/metrics:
-// store occupancy plus how traffic split across the three read outcomes
-// (exact hit, neighbor warm start, cold) and how many solutions flowed
-// back in.
-type AtlasServiceStats struct {
-	ReadOnly   bool   `json:"readonly,omitempty"`
-	Entries    int    `json:"entries"`
-	Keys       int    `json:"keys"`
-	Families   int    `json:"families"`
-	Corrupt    int    `json:"corrupt,omitempty"`
-	Hits       uint64 `json:"hits"`
-	Neighbors  uint64 `json:"neighbors"`
-	Cold       uint64 `json:"cold"`
-	Writebacks uint64 `json:"writebacks"`
-}
-
-// AtlasStats snapshots the atlas serving counters; ok is false when no
-// atlas is attached.
-func (jm *JobManager) AtlasStats() (AtlasServiceStats, bool) {
-	jm.mu.Lock()
-	at := jm.atlasStore
-	st := AtlasServiceStats{
-		ReadOnly:   jm.atlasRO,
-		Hits:       jm.atlasHits,
-		Neighbors:  jm.atlasNeighbors,
-		Cold:       jm.atlasCold,
-		Writebacks: jm.atlasWritebacks,
-	}
-	jm.mu.Unlock()
-	if at == nil {
-		return AtlasServiceStats{}, false
-	}
-	as := at.Stats()
-	st.Entries, st.Keys, st.Families, st.Corrupt = as.Entries, as.Keys, as.Families, as.Corrupt
-	return st, true
 }
 
 // atlasIdentity is a request's fully resolved atlas coordinates: the
@@ -649,32 +578,29 @@ func (jm *JobManager) batcherFor(name string, sur *surrogate.Surrogate) *infer.B
 	if e := jm.batchers[name]; e != nil && e.sur == sur {
 		return e.b
 	}
-	b := infer.New(sur, jm.batchCfg, jm.batcherInstruments(name))
+	b := infer.New(sur, jm.batchCfg, jm.batcherMetrics(name))
 	jm.batchers[name] = &inferBatcherEntry{sur: sur, b: b}
 	return b
 }
 
-// batcherInstruments builds the per-model infer metrics from the
-// manager's registry (nil when Instrument was never called). Registering
-// the same series twice returns the existing instruments, so a replaced
-// batcher keeps accumulating into the model's series.
-func (jm *JobManager) batcherInstruments(model string) *infer.Metrics {
-	in := jm.instruments()
-	if in == nil {
-		return nil
-	}
+// batcherMetrics builds the per-model infer metrics from the manager's
+// registry. Registering the same series twice returns the existing
+// instruments, so a replaced batcher keeps accumulating into the model's
+// series.
+func (jm *JobManager) batcherMetrics(model string) *infer.Metrics {
+	reg := jm.reg
 	names, vals := []string{"model"}, []string{model}
 	m := &infer.Metrics{
-		QueueDepth: in.reg.GaugeWith("infer_batch_queue_rows",
+		QueueDepth: reg.GaugeWith("infer_batch_queue_rows",
 			"Rows currently queued in the cross-request inference batcher.", names, vals),
-		BatchSize: in.reg.HistogramWith("infer_batch_rows",
+		BatchSize: reg.HistogramWith("infer_batch_rows",
 			"Rows per coalesced surrogate batch handed to the GEMM kernels.",
 			obs.ExpBuckets(1, 2, 9), names, vals),
-		WindowWait: in.reg.HistogramWith("infer_batch_wait_seconds",
+		WindowWait: reg.HistogramWith("infer_batch_wait_seconds",
 			"Time requests wait in the batcher before their flush starts.",
 			obs.ExpBuckets(1e-6, 4, 10), names, vals),
 		Flushes: map[infer.FlushReason]*obs.Counter{},
-		Dropped: in.reg.CounterWith("infer_batch_dropped_total",
+		Dropped: reg.CounterWith("infer_batch_dropped_total",
 			"Queued batcher requests dropped because their job was cancelled.", names, vals),
 		// Anomalies land in the flight recorder so the seconds before a
 		// degraded job include what the batcher saw. The callback may run
@@ -686,7 +612,7 @@ func (jm *JobManager) batcherInstruments(model string) *infer.Metrics {
 		},
 	}
 	for _, r := range []infer.FlushReason{infer.FlushFull, infer.FlushAntiStall, infer.FlushWindow} {
-		m.Flushes[r] = in.reg.CounterWith("infer_batch_flushes_total",
+		m.Flushes[r] = reg.CounterWith("infer_batch_flushes_total",
 			"Batcher flushes by trigger (full batch, anti-stall, window expiry).",
 			[]string{"model", "reason"}, []string{model, string(r)})
 	}
@@ -714,10 +640,8 @@ func (jm *JobManager) admissionCtrl() *resilience.Admission {
 func (jm *JobManager) Load() resilience.Load {
 	st := jm.Stats()
 	l := resilience.Load{QueueDepth: st.Queued, QueueCap: jm.QueueCap(), Health: 1}
-	if in := jm.instruments(); in != nil {
-		if q := in.queueWait.Quantile(0.95); q > 0 && !math.IsNaN(q) {
-			l.QueueWaitP95 = time.Duration(q * float64(time.Second))
-		}
+	if q := jm.met.queueWait.Quantile(0.95); q > 0 && !math.IsNaN(q) {
+		l.QueueWaitP95 = time.Duration(q * float64(time.Second))
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -773,10 +697,8 @@ func (jm *JobManager) RetryAfterHint() time.Duration {
 		return time.Second
 	}
 	p50 := 1.0
-	if in := jm.instruments(); in != nil {
-		if q := in.run.Quantile(0.5); q > 0 && !math.IsNaN(q) {
-			p50 = q
-		}
+	if q := jm.met.run.Quantile(0.5); q > 0 && !math.IsNaN(q) {
+		p50 = q
 	}
 	est := time.Duration(float64(inFlight) / float64(jm.Workers()) * p50 * float64(time.Second))
 	if est < time.Second {
@@ -846,9 +768,7 @@ func (jm *JobManager) journalPut(id string, status JobStatus, tenant string, req
 	}
 	rec := journalRecord{ID: id, Tenant: tenant, Status: status, Request: req, Created: created, Checkpoint: ck}
 	if err := j.Put(id, rec); err != nil {
-		jm.mu.Lock()
-		jm.journalErrs++
-		jm.mu.Unlock()
+		jm.met.journalErrs.Inc()
 		jm.flight().Record(obs.SevError, "journal.error", err.Error(),
 			map[string]string{"id": id, "op": "put"})
 	}
@@ -905,9 +825,10 @@ func (jm *JobManager) EnableJournal(j *resilience.Journal) (int, error) {
 			continue
 		}
 		jm.enqueueLocked(job)
-		jm.submitted++
-		jm.recovered++
+		jm.met.submitted.Inc()
+		jm.met.recovered.Inc()
 		jm.mu.Unlock()
+		job.tin.accepted()
 		recovered++
 	}
 	return recovered, nil
@@ -949,7 +870,7 @@ func (jm *JobManager) Resume(id string) (Job, error) {
 	job.resume = job.checkpoint
 	jm.pending = append(jm.pending, job)
 	jm.cond.Signal()
-	jm.submitted++
+	jm.met.submitted.Inc()
 	snap := copyJob(job)
 	ck := job.checkpoint
 	jm.mu.Unlock()
@@ -1220,7 +1141,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 		start := time.Now()
 		job, id, served := jm.tryAtlasServe(at, tenant, ti, &req)
 		aid = id
-		jm.observeAtlasLookup(time.Since(start))
+		jm.met.atlasLookup.Observe(time.Since(start).Seconds())
 		if served {
 			return job, nil
 		}
@@ -1230,6 +1151,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 	if adm != nil {
 		d := adm.Admit(tenant)
 		if !d.OK {
+			ti.rejected(d.Code)
 			kind, sev := "admission.reject", obs.SevWarn
 			if d.Code == 503 {
 				kind = "admission.shed"
@@ -1282,7 +1204,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 		return Job{}, ErrQueueFull
 	}
 	jm.enqueueLocked(job)
-	jm.submitted++
+	jm.met.submitted.Inc()
 	snap := copyJob(job)
 	jm.mu.Unlock()
 	ti.accepted()
@@ -1290,14 +1212,6 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 		map[string]string{"id": job.ID, "tenant": tenantLabel(tenant)})
 	jm.journalPut(job.ID, snap.Status, snap.Tenant, snap.Request, snap.Created, nil)
 	return snap, nil
-}
-
-// observeAtlasLookup records one atlas lookup's latency (no-op before
-// Instrument).
-func (jm *JobManager) observeAtlasLookup(d time.Duration) {
-	if in := jm.instruments(); in != nil && in.atlasLookup != nil {
-		in.atlasLookup.Observe(d.Seconds())
-	}
 }
 
 // stallFractionBuckets spans the trailing-stall fraction in [0, 1].
@@ -1310,8 +1224,7 @@ var stallFractionBuckets = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9}
 // takes the registry lock and returns the existing series after the first
 // registration.
 func (jm *JobManager) observeConvergence(job *Job, result *JobResult) {
-	in := jm.instruments()
-	if in == nil || result == nil || result.Convergence == nil {
+	if result == nil || result.Convergence == nil {
 		return
 	}
 	algo := job.Request.Algo
@@ -1325,15 +1238,15 @@ func (jm *JobManager) observeConvergence(job *Job, result *JobResult) {
 	names, vals := []string{"algo", "assist"}, []string{algo, assist}
 	conv := result.Convergence
 	if conv.EvalsToWithin10Pct > 0 {
-		in.reg.HistogramWith("search_convergence_evals_to_10pct",
+		jm.reg.HistogramWith("search_convergence_evals_to_10pct",
 			"Evaluations until the best-so-far came within 10% of the run's final best, by workload and atlas assist.",
 			obs.ExpBuckets(1, 2, 16), names, vals).Observe(float64(conv.EvalsToWithin10Pct))
 	}
-	in.reg.HistogramWith("search_convergence_stall_fraction",
+	jm.reg.HistogramWith("search_convergence_stall_fraction",
 		"Fraction of the budget spent after the last improvement, by workload and atlas assist.",
 		stallFractionBuckets, names, vals).Observe(conv.StallFraction)
 	if conv.Stalled {
-		in.reg.CounterWith("search_convergence_stalled_total",
+		jm.reg.CounterWith("search_convergence_stalled_total",
 			"Finished jobs that spent at least half their budget past the last improvement.",
 			names, vals).Inc()
 	}
@@ -1414,10 +1327,9 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 	}
 	jm.jobs[id] = job
 	jm.order = append(jm.order, id)
-	jm.submitted++
-	jm.completed++
-	jm.atlasHits++
-	jm.sloDone.Add(1)
+	jm.met.submitted.Inc()
+	jm.met.done.Inc()
+	jm.met.atlasHits.Inc()
 	jm.evictTerminalLocked()
 	snap := copyJob(job)
 	jm.mu.Unlock()
@@ -1598,9 +1510,7 @@ func (jm *JobManager) runJob(job *Job) {
 		timeout = jm.maxJobTime
 	}
 	jm.mu.Unlock()
-	if in := jm.instruments(); in != nil {
-		in.queueWait.Observe(wait.Seconds())
-	}
+	jm.met.queueWait.Observe(wait.Seconds())
 	job.stream.Publish(ProgressEvent{Status: JobRunning})
 
 	runCtx := ctx
@@ -1610,9 +1520,7 @@ func (jm *JobManager) runJob(job *Job) {
 		defer cancelTimeout()
 	}
 	res, space, err := jm.execute(runCtx, job)
-	if in := jm.instruments(); in != nil {
-		in.run.Observe(time.Since(job.Started).Seconds())
-	}
+	jm.met.run.Observe(time.Since(job.Started).Seconds())
 	// Deadline expiry with the job context intact is the anytime path;
 	// searchers observe it as cancellation and return best-so-far with a
 	// nil error, so err != nil here always means a genuine failure.
@@ -1646,7 +1554,7 @@ func (jm *JobManager) runJob(job *Job) {
 	case deadlined:
 		if result != nil {
 			result.Degraded = true
-			jm.degraded++
+			jm.met.degraded.Inc()
 			jm.finishLocked(job, JobDone, result, nil)
 		} else {
 			jm.finishLocked(job, JobFailed, nil,
@@ -1716,9 +1624,7 @@ func (jm *JobManager) atlasWriteback(job *Job, res *search.Result) {
 		Source:    source,
 	}
 	if _, published, err := at.Publish(e, &res.Best); err == nil && published {
-		jm.mu.Lock()
-		jm.atlasWritebacks++
-		jm.mu.Unlock()
+		jm.met.atlasWritebacks.Inc()
 	}
 }
 
@@ -1751,13 +1657,11 @@ func (jm *JobManager) finishLocked(job *Job, status JobStatus, result *JobResult
 	}
 	switch status {
 	case JobDone:
-		jm.completed++
-		jm.sloDone.Add(1)
+		jm.met.done.Inc()
 	case JobFailed:
-		jm.failed++
-		jm.sloFailed.Add(1)
+		jm.met.failed.Inc()
 	case JobCancelled:
-		jm.cancelled++
+		jm.met.cancelled.Inc()
 	}
 	job.tin.finished(job, status, result)
 	// Flight-recorder entry for the terminal transition. Record is a leaf
@@ -1801,7 +1705,7 @@ func (jm *JobManager) finishLocked(job *Job, status JobStatus, result *JobResult
 	// jm.mu keeps finish ordering deterministic for the recovery tests.
 	if jm.journal != nil && !jm.draining {
 		if err := jm.journal.Delete(job.ID); err != nil {
-			jm.journalErrs++
+			jm.met.journalErrs.Inc()
 			jm.flightRec.Record(obs.SevError, "journal.error", err.Error(),
 				map[string]string{"id": job.ID, "op": "delete"})
 		}
@@ -1923,14 +1827,14 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 				root.Set("atlas_seed_distance", dist)
 			}
 		}
-		jm.mu.Lock()
 		if seedMapping != nil {
-			jm.atlasNeighbors++
+			jm.mu.Lock()
 			job.atlasSeeded = true
+			jm.mu.Unlock()
+			jm.met.atlasNeighbors.Inc()
 		} else {
-			jm.atlasCold++
+			jm.met.atlasCold.Inc()
 		}
-		jm.mu.Unlock()
 	}
 	model, err := costmodel.New(req.CostModel, a, prob)
 	if err != nil {
@@ -1971,9 +1875,9 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 		// be; a spike that exhausts the retry budget still fails the job.
 		evaluator = costmodel.WithRetry(costmodel.WithFaults(evaluator, f), resilience.DefaultRetry)
 	}
-	if hist := jm.evalHistFor(model.Name()); hist != nil {
-		evaluator = costmodel.WithTiming(evaluator, evalTimingSample, hist.ObserveDuration)
-	}
+	hist := jm.reg.HistogramWith("costmodel_eval_seconds", evalSecondsHelp,
+		evalSecondsBuckets, []string{"backend"}, []string{model.Name()})
+	evaluator = costmodel.WithTiming(evaluator, evalTimingSample, hist.ObserveDuration)
 	searchSpan := root.StartChild("search")
 	searchSpan.Set("searcher", strings.ToLower(req.Searcher))
 	// One child span per recorded trajectory sample (improvements plus
@@ -2008,9 +1912,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 				// Progress runs on the job's worker goroutine, so the flag
 				// needs no lock; job.Started was set before execute began.
 				firstSample = false
-				if in := jm.instruments(); in != nil && in.firstEval != nil {
-					in.firstEval.Observe(time.Since(job.Started).Seconds())
-				}
+				jm.met.firstEval.Observe(time.Since(job.Started).Seconds())
 			}
 			strideSpan.End()
 			strideSpan = searchSpan.StartChild("stride")
@@ -2171,7 +2073,7 @@ func buildResult(res *search.Result, space *mapspace.Space) *JobResult {
 	return out
 }
 
-// JobStats summarizes job lifecycle counts for /v1/metrics. Degraded
+// JobStats summarizes job lifecycle counts for /v1/status. Degraded
 // counts jobs that completed at their anytime deadline with a best-so-far
 // result; Recovered counts jobs re-enqueued from the journal at startup;
 // JournalErrors counts journal writes that failed even after bounded
@@ -2188,19 +2090,20 @@ type JobStats struct {
 	JournalErrors uint64 `json:"journal_errors"`
 }
 
-// Stats snapshots lifecycle counters and live queue state.
+// Stats snapshots the lifecycle counters and live queue state.
 func (jm *JobManager) Stats() JobStats {
+	m := &jm.met
+	st := JobStats{
+		Submitted:     uint64(m.submitted.Value()),
+		Done:          uint64(m.done.Value()),
+		Failed:        uint64(m.failed.Value()),
+		Cancelled:     uint64(m.cancelled.Value()),
+		Degraded:      uint64(m.degraded.Value()),
+		Recovered:     uint64(m.recovered.Value()),
+		JournalErrors: uint64(m.journalErrs.Value()),
+	}
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	st := JobStats{
-		Submitted:     jm.submitted,
-		Done:          jm.completed,
-		Failed:        jm.failed,
-		Cancelled:     jm.cancelled,
-		Degraded:      jm.degraded,
-		Recovered:     jm.recovered,
-		JournalErrors: jm.journalErrs,
-	}
 	for _, job := range jm.jobs {
 		switch job.Status {
 		case JobQueued:
@@ -2214,59 +2117,20 @@ func (jm *JobManager) Stats() JobStats {
 
 // counterFor returns the shared paid-eval counter for a cost-model
 // backend, creating it on first use. Jobs selecting the same backend share
-// one counter, so /v1/metrics reports aggregate evals per backend.
+// one counter, exposed as costmodel_evals_total{backend}.
 func (jm *JobManager) counterFor(backend string) *costmodel.Counter {
-	in := jm.instruments()
 	jm.countersMu.Lock()
 	defer jm.countersMu.Unlock()
 	ctr, ok := jm.counters[backend]
 	if !ok {
 		ctr = &costmodel.Counter{}
 		jm.counters[backend] = ctr
-		if in != nil {
-			c := ctr
-			in.reg.CounterFuncWith("costmodel_evals_total",
-				"Paid cost-model evaluations per backend (cache hits excluded).",
-				[]string{"backend"}, []string{backend},
-				func() float64 { return float64(c.Count()) })
-		}
+		jm.reg.CounterFuncWith("costmodel_evals_total",
+			"Paid cost-model evaluations per backend (cache hits excluded).",
+			[]string{"backend"}, []string{backend},
+			func() float64 { return float64(ctr.Count()) })
 	}
 	return ctr
-}
-
-// evalHistFor returns the sampled eval-latency histogram for a backend,
-// registering it on first use; nil before Instrument.
-func (jm *JobManager) evalHistFor(backend string) *obs.Histogram {
-	in := jm.instruments()
-	if in == nil {
-		return nil
-	}
-	jm.countersMu.Lock()
-	defer jm.countersMu.Unlock()
-	if jm.evalHists == nil {
-		jm.evalHists = make(map[string]*obs.Histogram)
-	}
-	h, ok := jm.evalHists[backend]
-	if !ok {
-		h = in.reg.HistogramWith("costmodel_eval_seconds",
-			fmt.Sprintf("Sampled cost-model evaluation latency (1-in-%d sampling).", evalTimingSample),
-			evalSecondsBuckets, []string{"backend"}, []string{backend})
-		jm.evalHists[backend] = h
-	}
-	return h
-}
-
-// EvalCounts snapshots the paid reference-cost-model evaluations performed
-// per backend across all jobs (cache hits are not charged). Backends that
-// have not served a job yet are absent.
-func (jm *JobManager) EvalCounts() map[string]int64 {
-	jm.countersMu.Lock()
-	defer jm.countersMu.Unlock()
-	out := make(map[string]int64, len(jm.counters))
-	for name, ctr := range jm.counters {
-		out[name] = ctr.Count()
-	}
-	return out
 }
 
 // Workers returns the worker-pool size.

@@ -288,7 +288,8 @@ func (r *ModelRegistry) List() ([]ModelInfo, error) {
 	return out, nil
 }
 
-// RegistryStats is a point-in-time registry snapshot for /v1/metrics.
+// RegistryStats is a point-in-time registry snapshot, exposed as the
+// model_registry_* series on /metrics.
 type RegistryStats struct {
 	Loaded   int    `json:"loaded"`
 	Capacity int    `json:"capacity"`

@@ -208,9 +208,8 @@ func TestDeadlineReturnsDegradedValidResult(t *testing.T) {
 	if done.Result.Mapping == "" || done.Result.BestEDP <= 0 || done.Result.Evals <= 0 {
 		t.Fatalf("degraded result is not a valid mapping: %+v", done.Result)
 	}
-	m := getMetrics(t, ts)
-	if m.Jobs.Degraded != 1 {
-		t.Fatalf("degraded counter %d, want 1", m.Jobs.Degraded)
+	if n := promValue(t, ts, "search_jobs_degraded_total"); n != 1 {
+		t.Fatalf("degraded counter %v, want 1", n)
 	}
 }
 
@@ -444,8 +443,10 @@ func TestAdmissionQuotaOverHTTP(t *testing.T) {
 	}
 	jm.Cancel(b.ID)
 	jm.Cancel(c.ID)
-	m := getMetrics(t, ts)
-	if m.Admission == nil || m.Admission.RejectedConc == 0 {
-		t.Fatalf("admission stats missing from /v1/metrics: %+v", m.Admission)
+	if n := promValue(t, ts, "admission_rejected_total"); n != 1 {
+		t.Fatalf("admission_rejected_total = %v, want 1", n)
+	}
+	if n := promValue(t, ts, `tenant_rejected_total{tenant="acme",code="429"}`); n != 1 {
+		t.Fatalf("acme's 429 series = %v, want 1", n)
 	}
 }

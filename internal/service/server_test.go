@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,24 +101,23 @@ func waitJob(t *testing.T, ts *httptest.Server, id string, timeout time.Duration
 	}
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) Metrics {
+// promValue scrapes /metrics and returns one series' value; series is the
+// name plus label block exactly as exposed. A missing series fails the
+// test.
+func promValue(t *testing.T, ts *httptest.Server, series string) float64 {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
+	family, _, _ := strings.Cut(series, "{")
+	v, ok := seriesValues(t, scrapeProm(t, ts), family)[series]
+	if !ok {
+		t.Fatalf("/metrics has no series %s", series)
 	}
-	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return v
 }
 
 // TestConcurrentSearchService is the subsystem acceptance test: ≥8
 // concurrent jobs against one shared registry and eval cache (mixing the
 // surrogate-driven mm searcher with black-box baselines), all completing
-// with correct results; DELETE stopping an in-flight job; and /v1/metrics
+// with correct results; DELETE stopping an in-flight job; and /metrics
 // reporting eval-cache hits once jobs share a problem. Run with -race.
 func TestConcurrentSearchService(t *testing.T) {
 	ts, _, _ := testServer(t, 4, 32)
@@ -192,15 +192,14 @@ func TestConcurrentSearchService(t *testing.T) {
 		}
 	}
 
-	m := getMetrics(t, ts)
-	if m.Jobs.Done < n {
-		t.Fatalf("metrics report %d done jobs, want >= %d", m.Jobs.Done, n)
+	if done := promValue(t, ts, "search_jobs_done_total"); done < n {
+		t.Fatalf("metrics report %v done jobs, want >= %d", done, n)
 	}
-	if m.EvalCache.Hits == 0 {
-		t.Fatalf("jobs sharing problems produced zero eval-cache hits: %+v", m.EvalCache)
+	if promValue(t, ts, "eval_cache_hits_total") == 0 {
+		t.Fatal("jobs sharing problems produced zero eval-cache hits")
 	}
-	if m.Registry.Loads != 1 {
-		t.Fatalf("surrogate loaded %d times, want once", m.Registry.Loads)
+	if loads := promValue(t, ts, "model_registry_disk_loads_total"); loads != 1 {
+		t.Fatalf("surrogate loaded %v times, want once", loads)
 	}
 }
 

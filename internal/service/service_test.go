@@ -247,7 +247,7 @@ func TestLargeJobTrajectoryIsStrided(t *testing.T) {
 // TestCostModelSelectionPerJob pins the pluggable-backend path through the
 // whole service: jobs selecting different cost models run against distinct
 // evaluators (distinct results, distinct cache entries) and each backend's
-// paid evaluations are accounted separately for /v1/metrics.
+// paid evaluations are accounted separately (costmodel_evals_total).
 func TestCostModelSelectionPerJob(t *testing.T) {
 	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), NewEvalCache(4096), 2, 8)
 	defer jobs.Shutdown(context.Background())
@@ -272,9 +272,11 @@ func TestCostModelSelectionPerJob(t *testing.T) {
 	if tl.BestEDP == rf.BestEDP {
 		t.Fatalf("timeloop and roofline jobs agreed exactly (%v) — backend selection is not wired through", tl.BestEDP)
 	}
-	counts := jobs.EvalCounts()
-	if counts["timeloop"] != 50 || counts["roofline"] != 50 {
-		t.Fatalf("per-backend eval counts = %v, want 50 each", counts)
+	counts := func() [2]int64 {
+		return [2]int64{jobs.counterFor("timeloop").Count(), jobs.counterFor("roofline").Count()}
+	}
+	if c := counts(); c != [2]int64{50, 50} {
+		t.Fatalf("timeloop, roofline eval counts = %v, want 50 each", c)
 	}
 	// Identical reruns must be served from the shared cache without
 	// charging the backends again — and stay backend-separated.
@@ -283,8 +285,7 @@ func TestCostModelSelectionPerJob(t *testing.T) {
 	if tl2.BestEDP != tl.BestEDP || rf2.BestEDP != rf.BestEDP {
 		t.Fatal("cached rerun diverged")
 	}
-	counts = jobs.EvalCounts()
-	if counts["timeloop"] != 50 || counts["roofline"] != 50 {
-		t.Fatalf("cache hits charged a backend: %v", counts)
+	if c := counts(); c != [2]int64{50, 50} {
+		t.Fatalf("cache hits charged a backend: %v", c)
 	}
 }

@@ -61,26 +61,26 @@ func (s *Server) EnableSLO(cfg SLOConfig) *slo.Tracker {
 }
 
 // sloObjectives derives the SLI callbacks for the configured objectives.
-// Every callback reads only lock-free state (atomics and histogram bucket
-// counters): SLIs run under the tracker mutex and at metric-exposition
-// time, where taking jm.mu would invert the registry → jm lock order.
+// Every callback reads only lock-free state (the manager's counters and
+// histogram buckets): SLIs run under the tracker mutex and at
+// metric-exposition time, where taking jm.mu would invert the registry →
+// jm lock order.
 func (jm *JobManager) sloObjectives(cfg SLOConfig) []slo.Objective {
 	var objs []slo.Objective
 	if cfg.Availability > 0 {
+		done, failed := jm.met.done, jm.met.failed
 		objs = append(objs, slo.Objective{
 			Name:        "availability",
 			Description: "terminal search jobs that finished successfully (cancellations excluded)",
 			Target:      cfg.Availability,
 			SLI: func() (good, total float64) {
-				d := float64(jm.sloDone.Load())
-				f := float64(jm.sloFailed.Load())
+				d, f := float64(done.Value()), float64(failed.Value())
 				return d, d + f
 			},
 		})
 	}
-	in := jm.instruments()
-	if cfg.QueueWaitMax > 0 && cfg.QueueWaitTarget > 0 && in != nil {
-		h, maxWait := in.queueWait, cfg.QueueWaitMax.Seconds()
+	if cfg.QueueWaitMax > 0 && cfg.QueueWaitTarget > 0 {
+		h, maxWait := jm.met.queueWait, cfg.QueueWaitMax.Seconds()
 		objs = append(objs, slo.Objective{
 			Name:        "queue_wait",
 			Description: "search jobs that reached a worker within the queue-wait threshold",
@@ -90,8 +90,8 @@ func (jm *JobManager) sloObjectives(cfg SLOConfig) []slo.Objective {
 			},
 		})
 	}
-	if cfg.FirstEvalMax > 0 && cfg.FirstEvalTarget > 0 && in != nil {
-		h, maxWait := in.firstEval, cfg.FirstEvalMax.Seconds()
+	if cfg.FirstEvalMax > 0 && cfg.FirstEvalTarget > 0 {
+		h, maxWait := jm.met.firstEval, cfg.FirstEvalMax.Seconds()
 		objs = append(objs, slo.Objective{
 			Name:        "first_eval",
 			Description: "search jobs that produced a first evaluation within the threshold",

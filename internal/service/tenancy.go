@@ -1,19 +1,26 @@
 package service
 
 import (
+	"strconv"
+
 	"mindmappings/internal/costmodel"
 	"mindmappings/internal/obs"
 )
 
-// Per-tenant accounting. Every accepted submission resolves the tenant's
-// instrument set once (registry lookups are setup-cost, never hot-path) and
-// pins it on the Job, so the finish path under jm.mu touches only atomics.
-// Label cardinality is bounded by the registry's per-family cap: a flood of
-// distinct X-Tenant values collapses into the shared "_overflow" series and
-// shows up in obs_dropped_labels_total instead of growing the registry.
+// Per-tenant accounting. Every submission resolves the tenant's instrument
+// set once (registry lookups are setup-cost, never hot-path) and pins it on
+// the Job, so the finish path under jm.mu touches only atomics. The set of
+// tenants is bounded by the registry's per-family cap: past
+// obs.DefaultMaxCardinality distinct X-Tenant values, new tenants share one
+// "_overflow" set — the series the cap would collapse them into anyway —
+// and the manager stores nothing more for them.
 
 // anonTenant is the metric label for the "" (anonymous) tenant.
 const anonTenant = "anon"
+
+// overflowTenant labels the instrument set shared by tenants beyond the
+// cap.
+const overflowTenant = "_overflow"
 
 // tenantLabel maps the raw X-Tenant value to its metric label value.
 func tenantLabel(tenant string) string {
@@ -27,6 +34,9 @@ func tenantLabel(tenant string) string {
 // outcomes (errors), whole-request latency, plus the capacity signals the
 // per-tenant SLO conversation needs (evals consumed, cache and atlas hits).
 type tenantInstruments struct {
+	reg   *obs.Registry
+	label string
+
 	requests  *obs.Counter
 	done      *obs.Counter
 	failed    *obs.Counter
@@ -45,99 +55,77 @@ type tenantInstruments struct {
 	jobSeconds *obs.Histogram
 }
 
-// tenantFor returns (lazily registering) the tenant's instrument set, or
-// nil before Instrument. Never call while holding jm.mu — registration
-// takes the registry lock, and exposition callbacks take jm.mu under it.
+// tenantFor returns (registering on first sight) the tenant's instrument
+// set. Never call while holding jm.mu — registration takes the registry
+// lock, and exposition callbacks take jm.mu under it.
 func (jm *JobManager) tenantFor(tenant string) *tenantInstruments {
-	in := jm.instruments()
-	if in == nil {
-		return nil
-	}
 	jm.tenantMu.Lock()
 	defer jm.tenantMu.Unlock()
-	if jm.tenants == nil {
-		jm.tenants = make(map[string]*tenantInstruments)
-	}
 	if ti, ok := jm.tenants[tenant]; ok {
 		return ti
 	}
-	names, vals := []string{"tenant"}, []string{tenantLabel(tenant)}
-	ti := &tenantInstruments{
-		requests: in.reg.CounterWith("tenant_requests_total",
+	if len(jm.tenants) < obs.DefaultMaxCardinality {
+		ti := newTenantInstruments(jm.reg, tenantLabel(tenant))
+		jm.tenants[tenant] = ti
+		return ti
+	}
+	if jm.tenantOverflow == nil {
+		jm.tenantOverflow = newTenantInstruments(jm.reg, overflowTenant)
+	}
+	return jm.tenantOverflow
+}
+
+func newTenantInstruments(reg *obs.Registry, label string) *tenantInstruments {
+	names, vals := []string{"tenant"}, []string{label}
+	return &tenantInstruments{
+		reg:   reg,
+		label: label,
+		requests: reg.CounterWith("tenant_requests_total",
 			"Search submissions accepted per tenant (atlas hits included).", names, vals),
-		done: in.reg.CounterWith("tenant_jobs_done_total",
+		done: reg.CounterWith("tenant_jobs_done_total",
 			"Search jobs finished successfully per tenant.", names, vals),
-		failed: in.reg.CounterWith("tenant_jobs_failed_total",
+		failed: reg.CounterWith("tenant_jobs_failed_total",
 			"Search jobs that ended in an error per tenant.", names, vals),
-		cancelled: in.reg.CounterWith("tenant_jobs_cancelled_total",
+		cancelled: reg.CounterWith("tenant_jobs_cancelled_total",
 			"Search jobs cancelled per tenant.", names, vals),
-		degraded: in.reg.CounterWith("tenant_jobs_degraded_total",
+		degraded: reg.CounterWith("tenant_jobs_degraded_total",
 			"Search jobs completed degraded at their anytime deadline per tenant.", names, vals),
-		evals: in.reg.CounterWith("tenant_evals_total",
+		evals: reg.CounterWith("tenant_evals_total",
 			"Cost-model evaluations consumed by the tenant's finished jobs.", names, vals),
-		atlasHits: in.reg.CounterWith("tenant_atlas_hits_total",
+		atlasHits: reg.CounterWith("tenant_atlas_hits_total",
 			"Requests answered from the atlas without a search, per tenant.", names, vals),
-		cacheHits: in.reg.CounterWith("tenant_cache_hits_total",
+		cacheHits: reg.CounterWith("tenant_cache_hits_total",
 			"Shared eval-cache hits attributed to the tenant's jobs.", names, vals),
-		cacheMisses: in.reg.CounterWith("tenant_cache_misses_total",
+		cacheMisses: reg.CounterWith("tenant_cache_misses_total",
 			"Shared eval-cache misses attributed to the tenant's jobs.", names, vals),
-		jobSeconds: in.reg.HistogramWith("tenant_job_seconds",
+		jobSeconds: reg.HistogramWith("tenant_job_seconds",
 			"Whole-request latency per tenant, submission to terminal state.",
 			nil, names, vals),
 	}
-	// Rejection counters read through to the admission controller's
-	// per-tenant history, so they keep counting while the tenant is idle
-	// and work whichever of Instrument/EnableAdmission ran first.
-	raw := tenant
-	rejFor := func() (r TenantRejectionsSnapshot) {
-		if a := jm.admissionCtrl(); a != nil {
-			rej := a.RejectionsFor(raw)
-			r.RejectedQuota = rej.RejectedRate + rej.RejectedConc
-			r.Shed = rej.Shed
-		}
-		return r
-	}
-	in.reg.CounterFuncWith("tenant_rejected_total",
-		"Admission rejections per tenant by HTTP code (429 quota, 503 shed).",
-		[]string{"tenant", "code"}, []string{tenantLabel(tenant), "429"},
-		func() float64 { return float64(rejFor().RejectedQuota) })
-	in.reg.CounterFuncWith("tenant_rejected_total",
-		"Admission rejections per tenant by HTTP code (429 quota, 503 shed).",
-		[]string{"tenant", "code"}, []string{tenantLabel(tenant), "503"},
-		func() float64 { return float64(rejFor().Shed) })
-	jm.tenants[tenant] = ti
-	return ti
 }
 
-// TenantRejectionsSnapshot folds the admission controller's per-tenant
-// rejection counters into the two HTTP codes the transport emits.
-type TenantRejectionsSnapshot struct {
-	RejectedQuota int64 // 429: rate or concurrency quota
-	Shed          int64 // 503: load shedding
+// rejected records one admission rejection under its HTTP code (429 quota,
+// 503 shed). The series registers on the tenant's first rejection with that
+// code, so tenants that are never rejected add no rejection series.
+func (ti *tenantInstruments) rejected(code int) {
+	ti.reg.CounterWith("tenant_rejected_total",
+		"Admission rejections per tenant by HTTP code (429 quota, 503 shed).",
+		[]string{"tenant", "code"}, []string{ti.label, strconv.Itoa(code)}).Inc()
 }
 
 // accepted records one accepted submission.
-func (ti *tenantInstruments) accepted() {
-	if ti != nil {
-		ti.requests.Inc()
-	}
-}
+func (ti *tenantInstruments) accepted() { ti.requests.Inc() }
 
 // atlasServed records an exact-hit atlas answer (instant success).
 func (ti *tenantInstruments) atlasServed() {
-	if ti != nil {
-		ti.requests.Inc()
-		ti.atlasHits.Inc()
-		ti.done.Inc()
-	}
+	ti.requests.Inc()
+	ti.atlasHits.Inc()
+	ti.done.Inc()
 }
 
 // finished records a job's terminal state. Called under jm.mu: every
 // observation here is an atomic add on pre-resolved instruments.
 func (ti *tenantInstruments) finished(job *Job, status JobStatus, result *JobResult) {
-	if ti == nil {
-		return
-	}
 	switch status {
 	case JobDone:
 		ti.done.Inc()
@@ -187,11 +175,7 @@ func (tc *tenantCache) GetBytes(key []byte) (costmodel.Cost, bool) {
 
 func (tc *tenantCache) Put(key string, c costmodel.Cost) { tc.inner.Put(key, c) }
 
-// cacheFor wraps the shared eval cache with the job's tenant attribution
-// (the plain cache when instruments are off).
+// cacheFor wraps the shared eval cache with the job's tenant attribution.
 func (jm *JobManager) cacheFor(ti *tenantInstruments) costmodel.Cache {
-	if ti == nil || jm.cache == nil {
-		return jm.cache
-	}
 	return &tenantCache{inner: jm.cache, hits: ti.cacheHits, misses: ti.cacheMisses}
 }

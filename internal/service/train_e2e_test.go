@@ -413,8 +413,8 @@ func TestTrainingDisabledAnswers503(t *testing.T) {
 	}
 }
 
-// TestTrainerMetricsExposed checks /v1/metrics carries trainer and store
-// sections once training is enabled.
+// TestTrainerMetricsExposed checks /metrics carries the trainer and store
+// series once training is enabled.
 func TestTrainerMetricsExposed(t *testing.T) {
 	ts, _, _ := testTrainingServer(t)
 	tresp, body := postJSON(t, ts.URL+"/v1/train", tinyTrainRequest())
@@ -426,11 +426,13 @@ func TestTrainerMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTrainJob(t, ts, tjob.ID, 2*time.Minute)
-	m := getMetrics(t, ts)
-	if m.Trainer == nil || m.Trainer.Done != 1 {
-		t.Fatalf("trainer metrics: %+v", m.Trainer)
+	if n := promValue(t, ts, "trainer_jobs_done_total"); n != 1 {
+		t.Fatalf("trainer_jobs_done_total = %v, want 1", n)
 	}
-	if m.Store == nil || m.Store.Artifacts != 1 {
-		t.Fatalf("store metrics: %+v", m.Store)
+	if n := promValue(t, ts, "store_artifacts"); n != 1 {
+		t.Fatalf("store_artifacts = %v, want 1", n)
+	}
+	if n := promValue(t, ts, "store_corrupt_manifests"); n != 0 {
+		t.Fatalf("store_corrupt_manifests = %v, want 0", n)
 	}
 }

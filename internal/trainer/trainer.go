@@ -897,7 +897,8 @@ func costModelFingerprint(name string, a arch.Spec, algo *loopnest.Algorithm) st
 	return hex.EncodeToString(sum[:])
 }
 
-// Stats summarizes pipeline lifecycle counts for /v1/metrics.
+// Stats summarizes pipeline lifecycle counts, exposed on /metrics as the
+// trainer_jobs_* series.
 type Stats struct {
 	Submitted uint64 `json:"submitted"`
 	Queued    int    `json:"queued"`
