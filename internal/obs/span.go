@@ -66,12 +66,11 @@ func (t *Trace) End() { t.Root().End() }
 
 // StartChild starts a child span under s. Returns nil (safe for all Span
 // methods) when s is nil or the child cap is reached — the drop is counted
-// and surfaced in the snapshot.
+// and surfaced in the snapshot, and costs no allocation or clock read.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.children) >= MaxChildren {
@@ -79,6 +78,7 @@ func (s *Span) StartChild(name string) *Span {
 		droppedSpans.Add(1)
 		return nil
 	}
+	c := &Span{name: name, start: time.Now()}
 	s.children = append(s.children, c)
 	return c
 }

@@ -109,6 +109,32 @@ func TestSpanChildCapBoundsMemory(t *testing.T) {
 	}
 }
 
+// TestSpanDroppedChildAllocatesNothing pins that a start past the child
+// cap is only counted: a long job's recorded samples beyond MaxChildren
+// must not each allocate a Span that is then thrown away.
+func TestSpanDroppedChildAllocatesNothing(t *testing.T) {
+	tr := NewTrace("job-5", "job")
+	root := tr.Root()
+	for i := 0; i < MaxChildren; i++ {
+		root.StartChild("stride")
+	}
+	before := DroppedSpans()
+	allocs := testing.AllocsPerRun(100, func() {
+		if c := root.StartChild("stride"); c != nil {
+			t.Fatal("child past the cap was stored")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("dropped StartChild allocates %v times, want 0", allocs)
+	}
+	if got := DroppedSpans() - before; got != 101 { // AllocsPerRun adds one warm-up run
+		t.Fatalf("dropped counter moved by %d, want 101", got)
+	}
+	if snap := tr.Snapshot(); snap.Dropped != 101 || len(snap.Children) != MaxChildren {
+		t.Fatalf("snapshot: %d children, %d dropped", len(snap.Children), snap.Dropped)
+	}
+}
+
 func TestNilTraceAndSpanSafe(t *testing.T) {
 	var tr *Trace
 	tr.End()

@@ -162,11 +162,6 @@ type ProgressEvent struct {
 	Error       string    `json:"error,omitempty"`
 }
 
-// progressRing bounds the per-job event history late subscribers replay:
-// recent samples matter (the live tail), the full trajectory lives on the
-// job result.
-const progressRing = 256
-
 // Job is the service-side record of one search request. Snapshots returned
 // by the manager are copies; only the manager mutates the live record.
 type Job struct {
@@ -812,7 +807,7 @@ func (jm *JobManager) EnableJournal(j *resilience.Journal) (int, error) {
 			ctx:        jctx,
 			cancel:     cancel,
 			done:       make(chan struct{}),
-			stream:     obs.NewStream[ProgressEvent](progressRing),
+			stream:     obs.NewStream[ProgressEvent](maxTrajectorySamples),
 			trace:      obs.NewTrace(rec.ID, "search-job"),
 			checkpoint: rec.Checkpoint,
 			resume:     rec.Checkpoint,
@@ -861,7 +856,7 @@ func (jm *JobManager) Resume(id string) (Job, error) {
 	jctx, cancel := context.WithCancel(jm.baseCtx)
 	job.ctx, job.cancel = jctx, cancel
 	job.done = make(chan struct{})
-	job.stream = obs.NewStream[ProgressEvent](progressRing)
+	job.stream = obs.NewStream[ProgressEvent](maxTrajectorySamples)
 	job.trace = obs.NewTrace(id, "search-job")
 	job.Status = JobQueued
 	job.Error = ""
@@ -1030,14 +1025,23 @@ func (req *SearchRequest) trainRequest() trainer.Request {
 	return treq
 }
 
-// maxTrajectorySamples bounds how many non-improving trajectory points a
-// service job retains: beyond it the budget gets a TrajectoryStride so a
-// million-eval job holds thousands, not millions, of Samples (improvements
-// are always recorded regardless).
-const maxTrajectorySamples = 8192
+// maxTrajectorySamples is a service job's one telemetry bound: a job
+// records every improvement plus at most this many stride samples, and
+// its event stream retains this many for late subscribers. Each recorded
+// sample costs a span, a published event, an SSE frame and a trajectory
+// point in every GET of the job, so any budget above the bound gets a
+// TrajectoryStride (a 3000-eval job records every 12th eval) and the
+// telemetry grows with the improvements, not with the evaluations.
+const maxTrajectorySamples = 256
+
+// evalsPerSecondEstimate is the rate a time-only budget is thinned
+// against: a ga or sa job on the analytical cost model sustains over 1e5
+// evals/s on a 2-vCPU host. Improvements are always recorded, so an
+// overestimate only makes the trajectory sparser.
+const evalsPerSecondEstimate = 160_000
 
 // budget converts the request's limits into a search.Budget, deriving a
-// trajectory stride for large evaluation budgets.
+// trajectory stride for budgets above maxTrajectorySamples evaluations.
 func (req *SearchRequest) budget() (search.Budget, error) {
 	b := search.Budget{MaxEvals: req.Evals, Patience: req.Patience}
 	if req.Time != "" {
@@ -1053,19 +1057,13 @@ func (req *SearchRequest) budget() (search.Budget, error) {
 	if b.MaxEvals < 0 || b.MaxTime < 0 || b.Patience < 0 {
 		return b, fmt.Errorf("service: negative budget")
 	}
-	if b.MaxEvals > maxTrajectorySamples {
-		b.TrajectoryStride = (b.MaxEvals + maxTrajectorySamples - 1) / maxTrajectorySamples
-	} else if b.MaxEvals == 0 && b.MaxTime > 0 {
-		// Time-only budget: no eval count to derive a stride from, but
-		// a ga or sa job on the analytical cost model sustains over 1e5
-		// evals/s on a 2-vCPU host, so a long wall-clock job can record
-		// tens of millions of samples. Thin against a rate estimate
-		// above that; improvements are always recorded, so an
-		// overestimate only makes the trajectory sparser.
-		const evalsPerSecondEstimate = 160_000
-		if est := int(b.MaxTime.Seconds() * evalsPerSecondEstimate); est > maxTrajectorySamples {
-			b.TrajectoryStride = (est + maxTrajectorySamples - 1) / maxTrajectorySamples
-		}
+	evals := b.MaxEvals
+	if evals == 0 {
+		// Time-only budget: no eval count, so thin against the estimate.
+		evals = int(b.MaxTime.Seconds() * evalsPerSecondEstimate)
+	}
+	if evals > maxTrajectorySamples {
+		b.TrajectoryStride = (evals + maxTrajectorySamples - 1) / maxTrajectorySamples
 	}
 	return b, nil
 }
@@ -1173,7 +1171,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 		ctx:      jctx,
 		cancel:   cancel,
 		done:     make(chan struct{}),
-		stream:   obs.NewStream[ProgressEvent](progressRing),
+		stream:   obs.NewStream[ProgressEvent](maxTrajectorySamples),
 		trace:    obs.NewTrace(id, "search-job"),
 		admitted: admitted,
 		atlasID:  aid,
@@ -1307,7 +1305,7 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 		ctx:     jctx,
 		cancel:  cancel,
 		done:    make(chan struct{}),
-		stream:  obs.NewStream[ProgressEvent](progressRing),
+		stream:  obs.NewStream[ProgressEvent](maxTrajectorySamples),
 		trace:   obs.NewTrace(id, "search-job"),
 		atlasID: aid,
 		tin:     ti,

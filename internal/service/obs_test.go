@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,6 +207,167 @@ func TestSSEDisconnectDoesNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	dresp.Body.Close()
+}
+
+// flushCounter wraps a streaming ResponseWriter and counts its Flushes.
+type flushCounter struct {
+	http.ResponseWriter
+	flushes atomic.Int64
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes.Add(1)
+	f.ResponseWriter.(http.Flusher).Flush()
+}
+
+// sseServer serves one serveSSE stream of a subscription over a real
+// connection, counting the handler's Flush calls.
+func sseServer(t *testing.T, hist []ProgressEvent, ch <-chan ProgressEvent, cancel func(), final ProgressEvent) (*httptest.Server, *flushCounter) {
+	t.Helper()
+	fc := &flushCounter{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fc.ResponseWriter = w
+		serveSSE(fc, r, hist, ch, cancel, func() (ProgressEvent, bool) { return final, true })
+	}))
+	t.Cleanup(ts.Close)
+	return ts, fc
+}
+
+// sseFrame is the exact wire form of one event.
+func sseFrame(t *testing.T, ev ProgressEvent) string {
+	t.Helper()
+	raw, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return "data: " + string(raw) + "\n\n"
+}
+
+func runningEvent(i int) ProgressEvent {
+	return ProgressEvent{Status: JobRunning, Eval: i, BestEDP: 1 / float64(i), ElapsedMS: float64(i)}
+}
+
+// TestSSECoalescesBurst pins the coalesced stream: a burst published
+// before the handler drains it reaches the client byte for byte in
+// publish order, the terminal frame appears exactly once, and the handler
+// flushes once per wake-up rather than once per frame.
+func TestSSECoalescesBurst(t *testing.T) {
+	const n = 100
+	stream := obs.NewStream[ProgressEvent](maxTrajectorySamples)
+	hist, ch, cancel := stream.Subscribe(n + 1)
+	var want strings.Builder
+	for i := 1; i <= n; i++ {
+		ev := runningEvent(i)
+		stream.Publish(ev)
+		want.WriteString(sseFrame(t, ev))
+	}
+	terminal := ProgressEvent{Status: JobDone, Eval: n, BestEDP: 1.0 / n, ElapsedMS: n}
+	want.WriteString(sseFrame(t, terminal))
+
+	ts, fc := sseServer(t, hist, ch, cancel, terminal)
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// Read the whole burst while the stream is still open, then end it.
+	br := bufio.NewReader(resp.Body)
+	var got strings.Builder
+	for frames := 0; frames < n; {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %d frames: %v", frames, err)
+		}
+		got.WriteString(line)
+		if strings.HasPrefix(line, "data: ") {
+			frames++
+		}
+	}
+	stream.Publish(terminal)
+	stream.Close()
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Write(rest)
+	if got.String() != want.String() {
+		t.Fatalf("stream body differs from the published frames:\ngot  %q\nwant %q", got.String(), want.String())
+	}
+	if f := fc.flushes.Load(); f >= n+1 {
+		t.Fatalf("%d flushes for %d frames: the burst was not coalesced", f, n+1)
+	}
+}
+
+// TestSSEClosedMidBurstSendsOneTerminal pins the final-frame guarantee
+// under coalescing: whether the stream closes with its terminal event
+// dropped, delivered in the burst, or while a concurrent burst is still
+// being drained, the client sees exactly one terminal frame, and it is
+// the last.
+func TestSSEClosedMidBurstSendsOneTerminal(t *testing.T) {
+	const n = 500
+	terminal := ProgressEvent{Status: JobDone, Eval: n, BestEDP: 1.0 / n, ElapsedMS: n}
+	for _, tc := range []struct {
+		name string
+		// publish runs the producer; a live one runs concurrently with
+		// the handler, the others finish before it starts.
+		publish func(s *obs.Stream[ProgressEvent])
+		live    bool
+	}{
+		{name: "terminal dropped", publish: func(s *obs.Stream[ProgressEvent]) {
+			for i := 1; i <= n; i++ {
+				s.Publish(runningEvent(i)) // past the subscriber buffer: dropped
+			}
+			s.Publish(terminal)
+			s.Close()
+		}},
+		{name: "terminal delivered", publish: func(s *obs.Stream[ProgressEvent]) {
+			for i := 1; i <= 3; i++ {
+				s.Publish(runningEvent(i))
+			}
+			s.Publish(terminal)
+			s.Close()
+		}},
+		{name: "concurrent", live: true, publish: func(s *obs.Stream[ProgressEvent]) {
+			for i := 1; i <= n; i++ {
+				s.Publish(runningEvent(i))
+			}
+			s.Publish(terminal)
+			s.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream := obs.NewStream[ProgressEvent](maxTrajectorySamples)
+			hist, ch, cancel := stream.Subscribe(16) // Watch's buffer
+			if tc.live {
+				go tc.publish(stream)
+			} else {
+				tc.publish(stream)
+			}
+			ts, _ := sseServer(t, hist, ch, cancel, terminal)
+			resp, err := http.Get(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			events := sseEvents(t, bufio.NewScanner(resp.Body))
+			if len(events) == 0 {
+				t.Fatal("empty stream")
+			}
+			terminals, eval := 0, 0
+			for i, ev := range events {
+				if ev.Status.Terminal() {
+					terminals++
+				}
+				if ev.Eval < eval || (ev.Eval == eval && !ev.Status.Terminal()) {
+					t.Fatalf("frame %d: eval %d after %d", i, ev.Eval, eval)
+				}
+				eval = ev.Eval
+			}
+			if terminals != 1 || events[len(events)-1] != terminal {
+				t.Fatalf("%d terminal frames in %d, last %+v", terminals, len(events), events[len(events)-1])
+			}
+		})
+	}
 }
 
 // TestJobTraceEndpoint pins span nesting under concurrent jobs: every

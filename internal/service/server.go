@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -306,6 +307,11 @@ func (s *Server) handleTrainEvents(w http.ResponseWriter, r *http.Request) {
 // an SSE connection), so after the stream closes the final frame is
 // re-synthesized from the job's terminal state via final and sent unless
 // it just went out — the terminal status always reaches the client.
+//
+// Frames are encoded into one reused buffer, and each wake-up drains
+// every event already pending on ch before one Write and one Flush, so a
+// burst costs one syscall rather than one per frame; a client may read
+// several frames in one chunk.
 func serveSSE[T comparable](w http.ResponseWriter, r *http.Request, hist []T, ch <-chan T, cancel func(), final func() (T, bool)) {
 	defer cancel()
 	fl, ok := w.(http.Flusher)
@@ -317,38 +323,71 @@ func serveSSE[T comparable](w http.ResponseWriter, r *http.Request, hist []T, ch
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	var last T
-	send := func(v T) bool {
-		raw, err := json.Marshal(v)
-		if err != nil {
+	var (
+		buf  bytes.Buffer
+		enc  = json.NewEncoder(&buf)
+		last T
+	)
+	// frame appends v's frame: Encode writes the JSON plus one newline,
+	// the same bytes as json.Marshal, and only when encoding succeeds.
+	frame := func(v T) bool {
+		buf.WriteString("data: ")
+		if err := enc.Encode(v); err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", raw); err != nil {
-			return false
-		}
-		fl.Flush()
+		buf.WriteByte('\n')
 		last = v
 		return true
 	}
+	write := func() bool {
+		_, err := w.Write(buf.Bytes())
+		buf.Reset()
+		fl.Flush()
+		return err == nil
+	}
 	for _, v := range hist {
-		if !send(v) {
+		if !frame(v) {
 			return
 		}
 	}
+	if !write() {
+		return
+	}
 	for {
+		var (
+			v    T
+			open bool
+		)
 		select {
 		case <-r.Context().Done():
 			return
-		case v, open := <-ch:
-			if !open {
-				if fin, ok := final(); ok && fin != last {
-					send(fin)
-				}
+		case v, open = <-ch:
+		}
+		// Drain what is already pending. The size cap only matters if a
+		// publisher outpaces encoding: the rest waits for the next round.
+	drain:
+		for open {
+			if !frame(v) {
 				return
 			}
-			if !send(v) {
-				return
+			if buf.Len() >= 64<<10 {
+				break drain
 			}
+			select {
+			case v, open = <-ch:
+			default:
+				break drain
+			}
+		}
+		if !open {
+			if fin, ok := final(); ok && fin != last {
+				frame(fin)
+			}
+			write()
+			return
+		}
+		if !write() {
+			return
 		}
 	}
 }

@@ -3,13 +3,19 @@ package service
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"mindmappings/internal/arch"
+	"mindmappings/internal/costmodel"
 	"mindmappings/internal/loopnest"
+	"mindmappings/internal/mapspace"
+	"mindmappings/internal/oracle"
+	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
 )
 
@@ -209,13 +215,15 @@ func TestLargeJobTrajectoryIsStrided(t *testing.T) {
 		t.Fatalf("small budgets must not be strided (stride=%d err=%v)", b.TrajectoryStride, err)
 	}
 	// Time-only budgets get a rate-estimated stride so long jobs cannot
-	// accumulate unbounded trajectories either.
+	// accumulate unbounded trajectories either. boundTime is the budget
+	// the estimate fills with exactly maxTrajectorySamples evaluations.
+	boundTime := time.Duration(maxTrajectorySamples) * time.Second / evalsPerSecondEstimate
 	req.Evals = 0
-	req.Time = "10m"
-	if b, err = req.budget(); err != nil || b.TrajectoryStride < 1000 {
-		t.Fatalf("time-only budget stride = %d (err=%v), want a large stride", b.TrajectoryStride, err)
+	req.Time = (100 * boundTime).String()
+	if b, err = req.budget(); err != nil || b.TrajectoryStride != 100 {
+		t.Fatalf("time-only budget %s stride = %d (err=%v), want 100", req.Time, b.TrajectoryStride, err)
 	}
-	req.Time = "50ms"
+	req.Time = boundTime.String()
 	if b, err = req.budget(); err != nil || b.TrajectoryStride != 0 {
 		t.Fatalf("short time budgets must not be strided (stride=%d err=%v)", b.TrajectoryStride, err)
 	}
@@ -241,6 +249,100 @@ func TestLargeJobTrajectoryIsStrided(t *testing.T) {
 	}
 	if done.Result.Evals != req.Evals {
 		t.Fatalf("evals %d, want %d", done.Result.Evals, req.Evals)
+	}
+}
+
+// TestStridedJobMatchesDirectSearch pins the telemetry bound end to end: a
+// ga job above maxTrajectorySamples evaluations records every improvement
+// plus at most maxTrajectorySamples stride samples, publishes no more
+// events than that, and thinning changes nothing the job reports about
+// the search: BestEDP, Evals and Convergence equal an unthinned direct
+// run of the same seed.
+func TestStridedJobMatchesDirectSearch(t *testing.T) {
+	req := SearchRequest{Algo: "cnn-layer", Problem: "ResNet_Conv_4", Searcher: "ga", Evals: 3000, Seed: 5}
+	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), NewEvalCache(1<<14), 1, 4)
+	defer jobs.Shutdown(context.Background())
+	job, err := jobs.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := jobs.Wait(context.Background(), job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != JobDone || done.Result == nil {
+		t.Fatalf("job status %s (%s)", done.Status, done.Error)
+	}
+	res := done.Result
+
+	algo, err := req.algorithm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := req.resolveProblem(algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.Default(len(algo.Tensors) - 1)
+	space, err := mapspace.New(a, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := costmodel.New(req.CostModel, a, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := oracle.Compute(a, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := search.GeneticAlgorithm{}.Search(&search.Context{
+		Space: space, Model: model, Bound: bound, Seed: req.Seed,
+	}, search.Budget{MaxEvals: req.Evals})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if res.Evals != direct.Evals || res.BestEDP != direct.BestEDP {
+		t.Fatalf("job evals %d best %v, direct evals %d best %v", res.Evals, res.BestEDP, direct.Evals, direct.BestEDP)
+	}
+	if res.Convergence == nil || *res.Convergence != direct.Convergence() {
+		t.Fatalf("job convergence %+v, direct %+v", res.Convergence, direct.Convergence())
+	}
+	// Every job point is a direct point, and every improvement is kept.
+	directBest := make(map[int]float64, len(direct.Trajectory))
+	for _, s := range direct.Trajectory {
+		directBest[s.Eval] = s.BestEDP
+	}
+	kept := make(map[int]float64, len(res.Trajectory))
+	for _, p := range res.Trajectory {
+		if want, ok := directBest[p.Eval]; !ok || want != p.BestEDP {
+			t.Fatalf("job point %+v is not on the direct trajectory", p)
+		}
+		kept[p.Eval] = p.BestEDP
+	}
+	improvements := 0
+	best := math.Inf(1)
+	for _, s := range direct.Trajectory {
+		if s.BestEDP >= best {
+			continue
+		}
+		best = s.BestEDP
+		improvements++
+		if got, ok := kept[s.Eval]; !ok || got != s.BestEDP {
+			t.Fatalf("improvement at eval %d (best %v) missing from the job trajectory", s.Eval, s.BestEDP)
+		}
+	}
+	if n := len(res.Trajectory); n > maxTrajectorySamples+improvements || n >= len(direct.Trajectory) {
+		t.Fatalf("job trajectory has %d points: want at most %d (%d improvements), fewer than the direct %d",
+			n, maxTrajectorySamples+improvements, improvements, len(direct.Trajectory))
+	}
+	// One running event, one per recorded sample, one terminal event.
+	jobs.mu.Lock()
+	stream := jobs.jobs[job.ID].stream
+	jobs.mu.Unlock()
+	if got, want := stream.Total(), uint64(len(res.Trajectory)+2); got != want {
+		t.Fatalf("job published %d events, want %d", got, want)
 	}
 }
 
