@@ -44,7 +44,7 @@ func cmdServe(args []string) error {
 	trainWorkers := fs.Int("trainworkers", 2, "training pipeline worker count (separate pool from search workers)")
 	trainQueue := fs.Int("trainqueue", 16, "pending-training-job queue capacity")
 	evalCacheCap := fs.Int("evalcache-cap", 0,
-		fmt.Sprintf("shared eval-cache capacity in entries (default %d); occupancy is reported as eval_cache_utilization", service.DefaultEvalCacheCapacity))
+		"shared eval-cache capacity in entries (0: off); worth setting only for a cost-model backend slower than a cache lookup, since against an analytical backend a miss adds about one eval of key, clone and eviction work under a shared lock (BenchmarkEvalCacheMiss); occupancy is reported as eval_cache_utilization")
 	regCap := fs.Int("maxmodels", service.DefaultRegistryCapacity, "max surrogates resident in memory (LRU beyond this)")
 	shutdownGrace := fs.Duration("grace", 10*time.Second, "graceful-shutdown timeout")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -68,6 +68,9 @@ func cmdServe(args []string) error {
 		`deterministic fault injection for chaos testing, e.g. "seed=7,eval=0.01,eval.lat=0.05:25ms,journal.write=0.05,store.publish=0.1" (default $MINDMAPPINGS_FAULTS)`)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *evalCacheCap < 0 {
+		return fmt.Errorf("serve: -evalcache-cap %d is negative (0 turns the cache off)", *evalCacheCap)
 	}
 	if fi, err := os.Stat(*modelDir); err != nil || !fi.IsDir() {
 		return fmt.Errorf("serve: -models %q is not a directory", *modelDir)

@@ -133,6 +133,15 @@ func TestServeBinaryMetricsScrape(t *testing.T) {
 	}
 }
 
+// TestServeRejectsNegativeEvalCacheCap pins that a negative -evalcache-cap
+// is a flag error rather than a silent default: 0 is the only "off".
+func TestServeRejectsNegativeEvalCacheCap(t *testing.T) {
+	err := cmdServe([]string{"-addr", "127.0.0.1:0", "-models", t.TempDir(), "-evalcache-cap", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "-evalcache-cap") {
+		t.Fatalf("serve -evalcache-cap -1: err %v, want a flag error", err)
+	}
+}
+
 // TestServePprofFlag pins that -pprof mounts the profiler endpoints.
 func TestServePprofFlag(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -7,13 +7,22 @@ import (
 	"mindmappings/internal/costmodel"
 )
 
-// EvalCache is a bounded LRU memoization of reference-cost-model
+// EvalCache is an opt-in, bounded LRU memoization of reference-cost-model
 // evaluations, shared by every job the service runs. Keys are the costmodel
 // cache middleware's evaluator-ID-prefixed mapping encodings, so two jobs
-// searching the same problem with the same backend — a common pattern when
-// many clients tune the same layer — reuse each other's cost-model work
-// instead of recomputing it. It implements costmodel.Cache and is safe for
-// concurrent use.
+// searching the same problem with the same backend reuse each other's
+// cost-model work instead of recomputing it. It implements costmodel.Cache
+// and is safe for concurrent use.
+//
+// It pays only in front of a backend slower than a lookup. Every
+// registered backend is analytical (~0.6–0.9 µs per eval); through the
+// middleware a miss adds about one more eval's worth of work (key string,
+// clone, eviction, one mutex shared by every worker; see
+// BenchmarkEvalCacheMiss) and a hit saves about half an eval, so below a
+// hit ratio of roughly 60% the cache costs more than it saves. The
+// service therefore runs without one unless serve -evalcache-cap is
+// positive. A nil *EvalCache is that "no cache": Get and GetBytes miss,
+// Put does nothing and Stats reads zeros.
 //
 // Entries live in one slot slice linked into a recency list by int32
 // indices, so the cache holds no per-entry pointers of its own: a Put at
@@ -39,18 +48,14 @@ type evalSlot struct {
 	prev, next int32
 }
 
-// DefaultEvalCacheCapacity bounds the cache when the caller passes a
-// non-positive capacity. An entry costs ~0.55 KB of heap (a ~110 B key,
-// its slot, one clone array, and the index entry): filled with 65,536
-// timeloop evaluations, a default cache measured 35.5 MB for cnn-layer
-// and 37.6 MB for mttkrp.
-const DefaultEvalCacheCapacity = 1 << 16
-
-// NewEvalCache returns an empty cache holding at most capacity entries
-// (DefaultEvalCacheCapacity if capacity <= 0).
+// NewEvalCache returns an empty cache holding at most capacity entries,
+// or nil (no cache) if capacity <= 0. An entry costs ~0.55 KB of heap (a
+// ~110 B key, its slot, one clone array, and the index entry): 65,536
+// timeloop evaluations measured 35.5 MB for cnn-layer and 37.6 MB for
+// mttkrp.
 func NewEvalCache(capacity int) *EvalCache {
 	if capacity <= 0 {
-		capacity = DefaultEvalCacheCapacity
+		return nil
 	}
 	if capacity > math.MaxInt32 {
 		capacity = math.MaxInt32
@@ -66,6 +71,9 @@ func NewEvalCache(capacity int) *EvalCache {
 // Get returns the cached cost for key, marking the entry most recently
 // used. The returned Cost is shared: callers must not mutate it.
 func (c *EvalCache) Get(key string) (costmodel.Cost, bool) {
+	if c == nil {
+		return costmodel.Cost{}, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, ok := c.index[key]
@@ -77,6 +85,9 @@ func (c *EvalCache) Get(key string) (costmodel.Cost, bool) {
 // the shared-cache hit path costs zero allocations — the key string is
 // only ever built to store a miss. key is not retained.
 func (c *EvalCache) GetBytes(key []byte) (costmodel.Cost, bool) {
+	if c == nil {
+		return costmodel.Cost{}, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, ok := c.index[string(key)]
@@ -100,6 +111,9 @@ func (c *EvalCache) lookupLocked(i int32, ok bool) (costmodel.Cost, bool) {
 // Cost is dropped, not overwritten, so a hit returned before the eviction
 // stays intact.
 func (c *EvalCache) Put(key string, cost costmodel.Cost) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i, ok := c.index[key]; ok {
@@ -176,8 +190,12 @@ type CacheStats struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// Stats snapshots the hit/miss counters and occupancy.
+// Stats snapshots the hit/miss counters and occupancy; all zero for a nil
+// cache.
 func (c *EvalCache) Stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.index), Capacity: c.capacity}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -28,6 +29,123 @@ func TestEvalCacheHitMissCounters(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Capacity != 4 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestNilEvalCache pins the "no cache" value the service runs with by
+// default: a non-positive capacity yields nil, a nil cache misses and
+// stores nothing (also under concurrent use), and a manager holding it
+// hands its jobs no cache at all, so costmodel.WithCache adds no layer.
+func TestNilEvalCache(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		if c := NewEvalCache(capacity); c != nil {
+			t.Fatalf("NewEvalCache(%d) = %p, want nil", capacity, c)
+		}
+	}
+	var c *EvalCache
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("k%d", (g+i)%8)
+				c.Put(key, costmodel.Cost{EDP: float64(i)})
+				if _, ok := c.Get(key); ok {
+					t.Errorf("nil cache hit on Get(%s)", key)
+					return
+				}
+				if _, ok := c.GetBytes([]byte(key)); ok {
+					t.Errorf("nil cache hit on GetBytes(%s)", key)
+					return
+				}
+				if st := c.Stats(); st != (CacheStats{}) {
+					t.Errorf("nil cache stats %+v, want zeros", st)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	jm := NewJobManager(NewModelRegistry(t.TempDir(), 1), NewEvalCache(0), 1, 1)
+	defer jm.Shutdown(context.Background())
+	cache := jm.cacheFor(&tenantInstruments{})
+	if cache != nil {
+		t.Fatalf("cacheFor with no cache = %#v, want a nil interface", cache)
+	}
+	inner, _ := cacheFixture(t, 1)
+	if ev := costmodel.WithCache(inner, cache); ev != inner {
+		t.Fatalf("WithCache wrapped the evaluator in %T with no cache configured", ev)
+	}
+}
+
+// TestDefaultManagerPaysEveryEval runs one seeded ga job twice on a
+// manager without a cache: both runs pay every evaluation and no cache
+// series moves. Both results equal the same job on a caching manager
+// (whose second run is all hits), because memoization changes who pays
+// for an eval, never the answer.
+func TestDefaultManagerPaysEveryEval(t *testing.T) {
+	req := validRequest()
+	req.Searcher = "ga"
+	req.Evals = 300
+	req.Seed = 7
+	run := func(cache *EvalCache) (results []*JobResult, prom string) {
+		registry := NewModelRegistry(t.TempDir(), 1)
+		jm := NewJobManager(registry, cache, 1, 4)
+		defer jm.Shutdown(context.Background())
+		ts := httptest.NewServer(NewServer(jm, registry, cache).Handler())
+		defer ts.Close()
+		for i := 0; i < 2; i++ {
+			job, err := jm.SubmitAs("acme", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, err := jm.Wait(context.Background(), job.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done.Status != JobDone || done.Result == nil {
+				t.Fatalf("job status %s (%s)", done.Status, done.Error)
+			}
+			results = append(results, done.Result)
+		}
+		return results, scrapeProm(t, ts)
+	}
+
+	plain, prom := run(NewEvalCache(0))
+	if got := sumValues(seriesValues(t, prom, "costmodel_evals_total")); got != 2*float64(req.Evals) {
+		t.Fatalf("costmodel_evals_total = %v, want %d: every eval paid", got, 2*req.Evals)
+	}
+	for _, family := range []string{"eval_cache_hits_total", "eval_cache_misses_total",
+		"tenant_cache_hits_total", "tenant_cache_misses_total"} {
+		series := seriesValues(t, prom, family)
+		if len(series) == 0 {
+			t.Errorf("%s missing from /metrics", family)
+		}
+		if got := sumValues(series); got != 0 {
+			t.Errorf("%s = %v with no cache, want 0", family, got)
+		}
+	}
+
+	cached, prom := run(NewEvalCache(1 << 14))
+	if hits := sumValues(seriesValues(t, prom, "eval_cache_hits_total")); hits == 0 {
+		t.Fatal("caching manager served no hits: the comparison is vacuous")
+	}
+	for i, got := range plain {
+		for j, want := range cached {
+			if got.BestEDP != want.BestEDP || got.Evals != want.Evals ||
+				len(got.Trajectory) != len(want.Trajectory) {
+				t.Fatalf("run %d without cache = (%v, %d evals, %d points), cached run %d = (%v, %d, %d)",
+					i, got.BestEDP, got.Evals, len(got.Trajectory), j, want.BestEDP, want.Evals, len(want.Trajectory))
+			}
+			for k := range got.Trajectory {
+				g, w := got.Trajectory[k], want.Trajectory[k]
+				if g.Eval != w.Eval || g.BestEDP != w.BestEDP {
+					t.Fatalf("run %d vs cached run %d: trajectory point %d = %+v, want %+v", i, j, k, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -215,8 +215,9 @@ func (j *Job) resumable() bool {
 }
 
 // JobManager owns the bounded job queue and the worker pool that drains
-// it. All jobs share one ModelRegistry (surrogates loaded once) and one
-// EvalCache (memoized cost-model queries).
+// it. All jobs share one ModelRegistry (surrogates loaded once) and, when
+// one is configured, one EvalCache (memoized cost-model queries); a nil
+// cache, the default, means every eval is paid.
 type JobManager struct {
 	registry *ModelRegistry
 	cache    *EvalCache

@@ -19,8 +19,8 @@ import (
 )
 
 // Server assembles the HTTP JSON API over a JobManager, ModelRegistry, and
-// EvalCache. Build one with NewServer and mount Handler on an
-// http.Server.
+// the optional EvalCache (nil: no cache, the eval_cache_* series read 0).
+// Build one with NewServer and mount Handler on an http.Server.
 //
 // Endpoints:
 //

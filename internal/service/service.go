@@ -8,12 +8,16 @@
 //   - a ModelRegistry loads each trained surrogate from disk once and
 //     shares it (surrogate prediction is concurrency-safe) across every
 //     job, with LRU eviction bounding resident models;
-//   - an EvalCache memoizes reference-cost-model evaluations keyed by the
-//     mapping's canonical encoding, so concurrent or repeated jobs on the
-//     same problem reuse each other's cost-model work;
+//   - a mapping atlas answers repeat requests with an already-solved
+//     mapping and warm-starts near misses from the nearest solved shape;
 //   - a JobManager runs jobs from a bounded queue on a worker pool sized
 //     to runtime.NumCPU(), with per-job context cancellation threaded all
 //     the way into the search loops.
+//
+// Cost-model evaluations are not shared by default. An EvalCache can
+// memoize them across jobs (serve -evalcache-cap), but it pays only for a
+// backend slower than a cache lookup, and every registered backend is an
+// analytical model cheaper than one.
 //
 // With WithTraining the server also closes the Phase-1 loop online: a
 // trainer.Pipeline (its own worker pool, so training never starves

@@ -47,7 +47,8 @@ type tenantInstruments struct {
 	evals     *obs.Counter
 	atlasHits *obs.Counter
 	// cacheHits/cacheMisses attribute shared eval-cache traffic to the
-	// tenant via the per-job cache wrapper (one atomic add per cache op).
+	// tenant via the per-job cache wrapper (one atomic add per cache op);
+	// they stay 0 unless the service runs with a cache.
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	// jobSeconds is request latency submit→terminal (queue wait included:
@@ -176,6 +177,12 @@ func (tc *tenantCache) GetBytes(key []byte) (costmodel.Cost, bool) {
 func (tc *tenantCache) Put(key string, c costmodel.Cost) { tc.inner.Put(key, c) }
 
 // cacheFor wraps the shared eval cache with the job's tenant attribution.
+// With no cache it returns a nil interface, not a wrapper around a nil
+// pointer, so costmodel.WithCache leaves the evaluator unwrapped: an eval
+// then builds no key and takes no lock.
 func (jm *JobManager) cacheFor(ti *tenantInstruments) costmodel.Cache {
+	if jm.cache == nil {
+		return nil
+	}
 	return &tenantCache{inner: jm.cache, hits: ti.cacheHits, misses: ti.cacheMisses}
 }
