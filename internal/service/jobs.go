@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -16,6 +14,7 @@ import (
 	"mindmappings/internal/atlas"
 	"mindmappings/internal/costmodel"
 	"mindmappings/internal/infer"
+	"mindmappings/internal/jobqueue"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/modelstore"
@@ -30,21 +29,17 @@ import (
 	_ "mindmappings/internal/timeloop" // register the reference cost-model backend
 )
 
-// JobStatus is the lifecycle state of a search job.
-type JobStatus string
+// JobStatus is the lifecycle state of a search job, shared with training
+// jobs (jobqueue.Status).
+type JobStatus = jobqueue.Status
 
 const (
-	JobQueued    JobStatus = "queued"
-	JobRunning   JobStatus = "running"
-	JobDone      JobStatus = "done"
-	JobFailed    JobStatus = "failed"
-	JobCancelled JobStatus = "cancelled"
+	JobQueued    = jobqueue.Queued
+	JobRunning   = jobqueue.Running
+	JobDone      = jobqueue.Done
+	JobFailed    = jobqueue.Failed
+	JobCancelled = jobqueue.Cancelled
 )
-
-// Terminal reports whether the status is final.
-func (s JobStatus) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
 
 // SearchRequest is the body of POST /v1/search: which problem to map, with
 // which method, under what budget.
@@ -162,31 +157,21 @@ type ProgressEvent struct {
 	Error       string    `json:"error,omitempty"`
 }
 
-// Job is the service-side record of one search request. Snapshots returned
-// by the manager are copies; only the manager mutates the live record.
+// Job is the service-side record of one search request: the lifecycle
+// fields (id, status, error, timestamps) come from the embedded
+// jobqueue.Entry. Snapshots returned by the manager are copies; only the
+// manager mutates the live record.
 type Job struct {
-	ID       string        `json:"id"`
-	Status   JobStatus     `json:"status"`
-	Tenant   string        `json:"tenant,omitempty"`
-	Request  SearchRequest `json:"request"`
-	Error    string        `json:"error,omitempty"`
-	Created  time.Time     `json:"created"`
-	Started  time.Time     `json:"started,omitzero"`
-	Finished time.Time     `json:"finished,omitzero"`
-	Result   *JobResult    `json:"result,omitempty"`
+	jobqueue.Entry[ProgressEvent]
+	Tenant  string        `json:"tenant,omitempty"`
+	Request SearchRequest `json:"request"`
+	Result  *JobResult    `json:"result,omitempty"`
 	// CheckpointEval is the eval count of the job's latest checkpoint (0
 	// until the first snapshot); Resumable marks a terminal job that
 	// POST /v1/jobs/{id}/resume can continue.
 	CheckpointEval int  `json:"checkpoint_eval,omitempty"`
 	Resumable      bool `json:"resumable,omitempty"`
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-	// stream fans live ProgressEvents out to Watch subscribers; trace is
-	// the job's span tree (queue wait, model resolution, search strides).
-	stream *obs.Stream[ProgressEvent]
-	trace  *obs.Trace
 	// admitted marks a job holding an admission-controller slot, released
 	// exactly once at finish; checkpoint is the latest searcher snapshot
 	// (also journaled when the journal is enabled); resume, when set,
@@ -204,6 +189,22 @@ type Job struct {
 	tin *tenantInstruments
 }
 
+// event is the job's current-status ProgressEvent: the running event, the
+// final event published when the job ends, and the terminal frame an SSE
+// stream re-synthesizes all come from here.
+func (j *Job) event() ProgressEvent {
+	ev := ProgressEvent{Status: j.Status, Error: j.Error}
+	if r := j.Result; r != nil {
+		ev.Eval = r.Evals
+		ev.BestEDP = r.BestEDP
+		ev.ElapsedMS = r.ElapsedMS
+		if r.ElapsedMS > 0 {
+			ev.EvalsPerSec = float64(r.Evals) / (r.ElapsedMS / 1e3)
+		}
+	}
+	return ev
+}
+
 // resumable reports whether the job (under jm.mu) can be resumed: it is
 // terminal short of success with a checkpoint to continue from, or it was
 // cancelled before running at all (a from-scratch re-run).
@@ -214,64 +215,36 @@ func (j *Job) resumable() bool {
 	return j.checkpoint != nil || j.Status == JobCancelled
 }
 
-// JobManager owns the bounded job queue and the worker pool that drains
-// it. All jobs share one ModelRegistry (surrogates loaded once) and, when
-// one is configured, one EvalCache (memoized cost-model queries); a nil
-// cache, the default, means every eval is paid.
+// JobManager runs search jobs on a jobqueue.Queue (the FIFO, the worker
+// pool and the job table) and adds what is particular to search: request
+// validation, admission, the atlas, the journal and per-tenant accounting.
+// Get, List, Cancel, Wait, Watch, Events, Trace and Final come from the
+// embedded jobqueue.Jobs; cancelling a queued job frees its queue and
+// admission slots at once. All jobs share one ModelRegistry (surrogates
+// loaded once) and, when one is configured, one EvalCache (memoized
+// cost-model queries); a nil cache, the default, means every eval is paid.
 type JobManager struct {
+	jobqueue.Jobs[Job, ProgressEvent, *Job]
+
 	registry *ModelRegistry
 	cache    *EvalCache
-	// store and trainPipe, when set via EnableTraining, activate
-	// "model":"auto" fingerprint resolution and train-on-miss.
-	store     *modelstore.Store
-	trainPipe *trainer.Pipeline
 
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
-
+	// mu guards the queue's table and every field below that says so; the
+	// queue's finish hook runs under it.
 	mu sync.Mutex
-	// pending is the FIFO of queued jobs, bounded by queueCap for Submit
-	// (journal recovery may exceed it — recovered work is never dropped).
-	// A slice rather than a channel so cancelling a queued job frees its
-	// slot immediately; cond wakes workers on enqueue and shutdown.
-	pending  []*Job
-	queueCap int
-	cond     *sync.Cond
-	// draining, set by BeginDrain, rejects new submissions and tells
-	// finishLocked to leave journal records in place so a restart resumes
+	q  *jobqueue.Queue[Job, ProgressEvent, *Job]
+	// draining, set by BeginDrain, rejects new submissions and tells the
+	// finish hook to leave journal records in place so a restart resumes
 	// the drained jobs.
-	draining  bool
-	jobs      map[string]*Job
-	order     []string // submission order, for listing
-	workers   int
-	retention int // max terminal jobs kept for GET /v1/jobs before eviction
+	draining bool
+	// w is the setup-time wiring, guarded by mu and read through wired().
+	w wiring
 
 	// reg is the manager's metric registry, created with it and adopted by
 	// NewServer for /metrics; met holds the instruments registered in it.
 	// Both are fixed at construction, so every path reads them lock-free.
 	reg *obs.Registry
 	met jobMetrics
-
-	// resilience wiring: per-tenant admission control (EnableAdmission),
-	// the crash-safe job journal (EnableJournal), deterministic fault
-	// injection on the eval path (SetFaults), and the anytime-deadline
-	// ceiling (SetMaxJobTime).
-	admission       *resilience.Admission
-	journal         *resilience.Journal
-	faults          *resilience.Faults
-	maxJobTime      time.Duration
-	checkpointEvery int
-
-	// healthFn, when set (SetHealth), feeds the SLO tracker's overall
-	// score into Load so admission thresholds can shed on burn rate
-	// instead of raw heap/queue numbers. Guarded by mu; invoked outside it.
-	healthFn func() float64
-	// flightRec, when set (SetFlightRecorder), receives operational events:
-	// job lifecycle, admission rejections, shed decisions, journal errors,
-	// batcher anomalies. Guarded by mu for the pointer; Record itself is a
-	// leaf mutex, safe to call under mu.
-	flightRec *obs.FlightRecorder
 
 	// Per-tenant instrument sets, registered on first sight of a tenant
 	// and bounded at obs.DefaultMaxCardinality; later tenants share
@@ -281,14 +254,6 @@ type JobManager struct {
 	tenantMu       sync.Mutex
 	tenants        map[string]*tenantInstruments
 	tenantOverflow *tenantInstruments
-
-	// Atlas wiring (EnableAtlas): exact-key hits are served from the
-	// store without running a search job, mm misses warm-start from the
-	// nearest solved neighbor, and completed jobs write back unless
-	// atlasRO.
-	atlasStore  *atlas.Atlas
-	atlasRO     bool
-	atlasSource string
 
 	// counters holds one shared paid-eval counter per cost-model backend
 	// (costmodel.WithCounter accounting, exposed as costmodel_evals_total).
@@ -307,6 +272,45 @@ type JobManager struct {
 	batchers map[string]*inferBatcherEntry
 }
 
+// wiring is what the Enable*/Set* methods attach at setup, before traffic.
+type wiring struct {
+	// store and trainPipe (EnableTraining) activate "model":"auto"
+	// fingerprint resolution and train-on-miss.
+	store     *modelstore.Store
+	trainPipe *trainer.Pipeline
+	// Resilience: per-tenant admission control (EnableAdmission), the
+	// crash-safe job journal (EnableJournal), deterministic fault injection
+	// on the eval path (SetFaults), and the anytime-deadline ceiling
+	// (SetMaxJobTime).
+	admission       *resilience.Admission
+	journal         *resilience.Journal
+	faults          *resilience.Faults
+	maxJobTime      time.Duration
+	checkpointEvery int
+	// healthFn (SetHealth) feeds the SLO tracker's overall score into Load
+	// so admission thresholds can shed on burn rate instead of raw
+	// heap/queue numbers; it is invoked outside mu.
+	healthFn func() float64
+	// flightRec (SetFlightRecorder) receives operational events: job
+	// lifecycle, admission rejections, shed decisions, journal errors,
+	// batcher anomalies. Record is a leaf mutex, safe to call under mu.
+	flightRec *obs.FlightRecorder
+	// The atlas (EnableAtlas): exact-key hits are served from the store
+	// without running a search job, mm misses warm-start from the nearest
+	// solved neighbor, and completed jobs write back unless atlasRO.
+	atlasStore  *atlas.Atlas
+	atlasRO     bool
+	atlasSource string
+}
+
+// wired returns a copy of the setup-time wiring. Never call it while
+// holding jm.mu — read jm.w directly there.
+func (jm *JobManager) wired() wiring {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	return jm.w
+}
+
 // inferBatcherEntry pins the surrogate pointer a batcher was built for, so
 // a registry reload/republish under the same name gets a fresh batcher
 // instead of silently routing to the evicted model.
@@ -320,6 +324,8 @@ type inferBatcherEntry struct {
 // SLO tracker and /v1/status all read these same values.
 type jobMetrics struct {
 	submitted, done, failed, cancelled, degraded, recovered, journalErrs *obs.Counter
+	// queued and running are the live queue gauges, kept by the queue.
+	queued, running *obs.Gauge
 	// Atlas read outcomes (exact hit, neighbor warm start, cold) and
 	// solutions published back.
 	atlasHits, atlasNeighbors, atlasCold, atlasWritebacks *obs.Counter
@@ -372,19 +378,15 @@ func (jm *JobManager) registerMetrics() {
 			"Time from job start to its first progress sample (time-to-first-eval).",
 			nil),
 	}
-	reg.GaugeFunc("search_jobs_queued",
-		"Search jobs waiting for a worker.",
-		func() float64 { return float64(jm.Stats().Queued) })
-	reg.GaugeFunc("search_jobs_running",
-		"Search jobs currently executing.",
-		func() float64 { return float64(jm.Stats().Running) })
+	jm.met.queued = reg.Gauge("search_jobs_queued", "Search jobs waiting for a worker.")
+	jm.met.running = reg.Gauge("search_jobs_running", "Search jobs currently executing.")
 	reg.GaugeFunc("search_job_workers",
 		"Size of the search worker pool.",
 		func() float64 { return float64(jm.Workers()) })
-	// Admission and atlas gauges read through the getters, so they report
+	// Admission and atlas gauges read through wired(), so they report
 	// 0 until EnableAdmission or EnableAtlas installs the component.
 	admStats := func() resilience.AdmissionStats {
-		if a := jm.admissionCtrl(); a != nil {
+		if a := jm.wired().admission; a != nil {
 			return a.Stats()
 		}
 		return resilience.AdmissionStats{}
@@ -402,7 +404,7 @@ func (jm *JobManager) registerMetrics() {
 		"Admission-controller concurrency slots currently held.",
 		func() float64 { return float64(admStats().InFlight) })
 	atlasStats := func() atlas.Stats {
-		if at := jm.atlasRef(); at != nil {
+		if at := jm.wired().atlasStore; at != nil {
 			return at.Stats()
 		}
 		return atlas.Stats{}
@@ -426,27 +428,32 @@ func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap 
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	jm := &JobManager{
-		registry:  registry,
-		cache:     cache,
-		queueCap:  queueCap,
-		baseCtx:   ctx,
-		stop:      cancel,
-		jobs:      make(map[string]*Job),
-		workers:   workers,
-		retention: DefaultJobRetention,
-		tenants:   make(map[string]*tenantInstruments),
-		counters:  make(map[string]*costmodel.Counter),
-		batchCfg:  infer.Config{Window: infer.DefaultWindow, MaxBatch: infer.DefaultMaxBatch},
-		batchers:  make(map[string]*inferBatcherEntry),
+		registry: registry,
+		cache:    cache,
+		tenants:  make(map[string]*tenantInstruments),
+		counters: make(map[string]*costmodel.Counter),
+		batchCfg: infer.Config{Window: infer.DefaultWindow, MaxBatch: infer.DefaultMaxBatch},
+		batchers: make(map[string]*inferBatcherEntry),
 	}
 	jm.registerMetrics()
-	jm.cond = sync.NewCond(&jm.mu)
-	jm.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go jm.worker()
-	}
+	m := &jm.met
+	jm.q = jobqueue.New(&jm.mu, jobqueue.Kind[Job, ProgressEvent, *Job]{
+		Workers:   workers,
+		Cap:       queueCap,
+		Retention: DefaultJobRetention,
+		Span:      "search-job",
+		Events:    maxTrajectorySamples,
+		Full:      ErrQueueFull,
+		Closed:    errShuttingDown,
+		Run:       jm.run,
+		Event:     (*Job).event,
+		Finish:    jm.finish,
+		Copy:      copyJob,
+		Metrics: jobqueue.Metrics{Submitted: m.submitted, Done: m.done, Failed: m.failed,
+			Cancelled: m.cancelled, Queued: m.queued, Running: m.running},
+	})
+	jm.Jobs = jm.q.Jobs
 	return jm
 }
 
@@ -455,15 +462,9 @@ func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap 
 // for the request's workload fingerprint) and train_on_miss.
 func (jm *JobManager) EnableTraining(store *modelstore.Store, tp *trainer.Pipeline) {
 	jm.mu.Lock()
-	jm.store = store
-	jm.trainPipe = tp
+	jm.w.store = store
+	jm.w.trainPipe = tp
 	jm.mu.Unlock()
-}
-
-func (jm *JobManager) training() (*modelstore.Store, *trainer.Pipeline) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.store, jm.trainPipe
 }
 
 // EnableAtlas attaches the precomputed mapping atlas: requests whose
@@ -477,10 +478,10 @@ func (jm *JobManager) training() (*modelstore.Store, *trainer.Pipeline) {
 // setup, before traffic.
 func (jm *JobManager) EnableAtlas(a *atlas.Atlas, readonly bool) {
 	jm.mu.Lock()
-	jm.atlasStore = a
-	jm.atlasRO = readonly
-	if jm.atlasSource == "" {
-		jm.atlasSource = "serve"
+	jm.w.atlasStore = a
+	jm.w.atlasRO = readonly
+	if jm.w.atlasSource == "" {
+		jm.w.atlasSource = "serve"
 	}
 	jm.mu.Unlock()
 }
@@ -489,14 +490,8 @@ func (jm *JobManager) EnableAtlas(a *atlas.Atlas, readonly bool) {
 // entries ("serve" by default; the offline sweep command stamps "build").
 func (jm *JobManager) SetAtlasSource(source string) {
 	jm.mu.Lock()
-	jm.atlasSource = source
+	jm.w.atlasSource = source
 	jm.mu.Unlock()
-}
-
-func (jm *JobManager) atlasRef() *atlas.Atlas {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.atlasStore
 }
 
 // atlasIdentity is a request's fully resolved atlas coordinates: the
@@ -603,7 +598,7 @@ func (jm *JobManager) batcherMetrics(model string) *infer.Metrics {
 		// under the batcher lock; Record is one leaf mutex and never calls
 		// back into the batcher.
 		Anomaly: func(kind, detail string) {
-			jm.flight().Record(obs.SevWarn, "batcher."+kind, detail,
+			jm.wired().flightRec.Record(obs.SevWarn, "batcher."+kind, detail,
 				map[string]string{"model": model})
 		},
 	}
@@ -621,15 +616,9 @@ func (jm *JobManager) batcherMetrics(model string) *infer.Metrics {
 func (jm *JobManager) EnableAdmission(cfg resilience.AdmissionConfig) *resilience.Admission {
 	a := resilience.NewAdmission(cfg, jm.Load, resilience.WithRetryHint(jm.RetryAfterHint))
 	jm.mu.Lock()
-	jm.admission = a
+	jm.w.admission = a
 	jm.mu.Unlock()
 	return a
-}
-
-func (jm *JobManager) admissionCtrl() *resilience.Admission {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.admission
 }
 
 // Load snapshots the overload signals admission decisions shed on.
@@ -642,7 +631,7 @@ func (jm *JobManager) Load() resilience.Load {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	l.HeapBytes = ms.HeapAlloc
-	if fn := jm.health(); fn != nil {
+	if fn := jm.wired().healthFn; fn != nil {
 		l.Health = fn()
 	}
 	return l
@@ -655,30 +644,16 @@ func (jm *JobManager) Load() resilience.Load {
 // beyond lock-free reads. Call at setup.
 func (jm *JobManager) SetHealth(fn func() float64) {
 	jm.mu.Lock()
-	jm.healthFn = fn
+	jm.w.healthFn = fn
 	jm.mu.Unlock()
-}
-
-func (jm *JobManager) health() func() float64 {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.healthFn
 }
 
 // SetFlightRecorder attaches the operational-event ring. Call at setup,
 // before traffic; nil detaches (Record is nil-safe throughout).
 func (jm *JobManager) SetFlightRecorder(fr *obs.FlightRecorder) {
 	jm.mu.Lock()
-	jm.flightRec = fr
+	jm.w.flightRec = fr
 	jm.mu.Unlock()
-}
-
-// flight returns the recorder (possibly nil; Record on nil is a no-op).
-// Never call while holding jm.mu — read jm.flightRec directly there.
-func (jm *JobManager) flight() *obs.FlightRecorder {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.flightRec
 }
 
 // RetryAfterHint estimates how long until capacity frees up — in-flight
@@ -711,7 +686,7 @@ func (jm *JobManager) RetryAfterHint() time.Duration {
 // expiry. 0 disables the ceiling.
 func (jm *JobManager) SetMaxJobTime(d time.Duration) {
 	jm.mu.Lock()
-	jm.maxJobTime = d
+	jm.w.maxJobTime = d
 	jm.mu.Unlock()
 }
 
@@ -719,7 +694,7 @@ func (jm *JobManager) SetMaxJobTime(d time.Duration) {
 // searcher checkpoints (search.DefaultCheckpointEvery when 0).
 func (jm *JobManager) SetCheckpointInterval(evals int) {
 	jm.mu.Lock()
-	jm.checkpointEvery = evals
+	jm.w.checkpointEvery = evals
 	jm.mu.Unlock()
 }
 
@@ -729,14 +704,8 @@ func (jm *JobManager) SetCheckpointInterval(evals int) {
 // way real transient faults would. Nil disarms.
 func (jm *JobManager) SetFaults(f *resilience.Faults) {
 	jm.mu.Lock()
-	jm.faults = f
+	jm.w.faults = f
 	jm.mu.Unlock()
-}
-
-func (jm *JobManager) faultsInjector() *resilience.Faults {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	return jm.faults
 }
 
 // journalRecord is the on-disk form of a non-terminal job: enough to
@@ -755,18 +724,18 @@ type journalRecord struct {
 // journalPut writes a job's journal record, counting (but not failing on)
 // errors that survive the journal's bounded retry: the job keeps running,
 // only its crash-recovery point goes stale.
-func (jm *JobManager) journalPut(id string, status JobStatus, tenant string, req SearchRequest, created time.Time, ck *search.Checkpoint) {
-	jm.mu.Lock()
-	j := jm.journal
-	jm.mu.Unlock()
-	if j == nil {
+// The job's identity and request never change after submission, so they
+// are read without the lock.
+func (jm *JobManager) journalPut(job *Job, status JobStatus, ck *search.Checkpoint) {
+	w := jm.wired()
+	if w.journal == nil {
 		return
 	}
-	rec := journalRecord{ID: id, Tenant: tenant, Status: status, Request: req, Created: created, Checkpoint: ck}
-	if err := j.Put(id, rec); err != nil {
+	rec := journalRecord{ID: job.ID, Tenant: job.Tenant, Status: status, Request: job.Request, Created: job.Created, Checkpoint: ck}
+	if err := w.journal.Put(job.ID, rec); err != nil {
 		jm.met.journalErrs.Inc()
-		jm.flight().Record(obs.SevError, "journal.error", err.Error(),
-			map[string]string{"id": id, "op": "put"})
+		w.flightRec.Record(obs.SevError, "journal.error", err.Error(),
+			map[string]string{"id": job.ID, "op": "put"})
 	}
 }
 
@@ -779,7 +748,7 @@ func (jm *JobManager) journalPut(id string, status JobStatus, tenant string, req
 // were admitted by the previous process.
 func (jm *JobManager) EnableJournal(j *resilience.Journal) (int, error) {
 	jm.mu.Lock()
-	jm.journal = j
+	jm.w.journal = j
 	jm.mu.Unlock()
 	ids, err := j.List()
 	if err != nil {
@@ -798,32 +767,21 @@ func (jm *JobManager) EnableJournal(j *resilience.Journal) (int, error) {
 			_ = j.Delete(id) // stale terminal record: nothing to recover
 			continue
 		}
-		jctx, cancel := context.WithCancel(jm.baseCtx)
 		job := &Job{
-			ID:         rec.ID,
-			Status:     JobQueued,
 			Tenant:     rec.Tenant,
 			Request:    rec.Request,
-			Created:    rec.Created,
-			ctx:        jctx,
-			cancel:     cancel,
-			done:       make(chan struct{}),
-			stream:     obs.NewStream[ProgressEvent](maxTrajectorySamples),
-			trace:      obs.NewTrace(rec.ID, "search-job"),
 			checkpoint: rec.Checkpoint,
 			resume:     rec.Checkpoint,
 			tin:        jm.tenantFor(rec.Tenant),
 		}
+		job.ID, job.Created = rec.ID, rec.Created
 		jm.mu.Lock()
-		if _, exists := jm.jobs[job.ID]; exists || jm.baseCtx.Err() != nil {
-			jm.mu.Unlock()
-			cancel()
-			continue
-		}
-		jm.enqueueLocked(job)
-		jm.met.submitted.Inc()
-		jm.met.recovered.Inc()
+		err := jm.q.AddLocked(job, true)
 		jm.mu.Unlock()
+		if err != nil {
+			continue // already known, or shutting down
+		}
+		jm.met.recovered.Inc()
 		job.tin.accepted()
 		recovered++
 	}
@@ -836,44 +794,31 @@ func (jm *JobManager) EnableJournal(j *resilience.Journal) (int, error) {
 // jobs are complete and cannot be resumed.
 func (jm *JobManager) Resume(id string) (Job, error) {
 	jm.mu.Lock()
-	job, ok := jm.jobs[id]
-	if !ok {
-		jm.mu.Unlock()
-		return Job{}, fmt.Errorf("service: unknown job %q", id)
+	job, ok := jm.q.LookupLocked(id)
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("service: %w %q", jobqueue.ErrUnknown, id)
+	case jm.draining:
+		err = errShuttingDown
+	case !job.resumable():
+		err = fmt.Errorf("service: job %s is %s and cannot be resumed", id, job.Status)
+	default:
+		err = jm.q.RequeueLocked(job)
 	}
-	if jm.baseCtx.Err() != nil || jm.draining {
+	if err != nil {
 		jm.mu.Unlock()
-		return Job{}, errShuttingDown
+		return Job{}, err
 	}
-	if !job.resumable() {
-		status := job.Status
-		jm.mu.Unlock()
-		return Job{}, fmt.Errorf("service: job %s is %s and cannot be resumed", id, status)
-	}
-	if len(jm.pending) >= jm.queueCap {
-		jm.mu.Unlock()
-		return Job{}, ErrQueueFull
-	}
-	jctx, cancel := context.WithCancel(jm.baseCtx)
-	job.ctx, job.cancel = jctx, cancel
-	job.done = make(chan struct{})
-	job.stream = obs.NewStream[ProgressEvent](maxTrajectorySamples)
-	job.trace = obs.NewTrace(id, "search-job")
-	job.Status = JobQueued
-	job.Error = ""
 	job.Result = nil
-	job.Started, job.Finished = time.Time{}, time.Time{}
 	job.resume = job.checkpoint
-	jm.pending = append(jm.pending, job)
-	jm.cond.Signal()
-	jm.met.submitted.Inc()
-	snap := copyJob(job)
+	snap := jm.q.SnapshotLocked(job)
 	ck := job.checkpoint
 	jm.mu.Unlock()
 	job.tin.accepted()
-	jm.flight().Record(obs.SevInfo, "job.resume", "search job re-enqueued from its checkpoint",
+	jm.wired().flightRec.Record(obs.SevInfo, "job.resume", "search job re-enqueued from its checkpoint",
 		map[string]string{"id": snap.ID, "tenant": tenantLabel(snap.Tenant)})
-	jm.journalPut(snap.ID, snap.Status, snap.Tenant, snap.Request, snap.Created, ck)
+	jm.journalPut(job, JobQueued, ck)
 	return snap, nil
 }
 
@@ -895,39 +840,23 @@ func (jm *JobManager) Draining() bool {
 	return jm.draining
 }
 
-// Drain gracefully stops the manager for shutdown: it stops admissions,
-// cancels every non-terminal job — running searchers observe the cancel
-// within one iteration and emit a final boundary checkpoint — waits for
-// them to finalize, and then shuts the worker pool down. Because drain
+// Drain gracefully stops the manager for shutdown: it stops admissions
+// and shuts the queue down, which cancels every non-terminal job — running
+// searchers observe the cancel within one iteration and emit a final
+// boundary checkpoint — and waits for them to finalize. Because drain
 // mode leaves journal records in place, a subsequent EnableJournal in a
 // new process resumes the drained jobs from those checkpoints; SIGTERM
 // therefore suspends in-flight work instead of discarding it.
 func (jm *JobManager) Drain(ctx context.Context) error {
 	jm.BeginDrain()
-	jm.mu.Lock()
-	var waits []chan struct{}
-	for _, job := range jm.jobs {
-		if !job.Status.Terminal() {
-			job.cancel()
-			waits = append(waits, job.done)
-		}
-	}
-	jm.mu.Unlock()
-	for _, done := range waits {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 	return jm.Shutdown(ctx)
 }
 
 // ErrQueueFull is returned by Submit when the pending queue is at
 // capacity; HTTP maps it to 503 so clients can back off and retry.
-var ErrQueueFull = errors.New("service: job queue is full")
+var ErrQueueFull = fmt.Errorf("service: job %w", jobqueue.ErrFull)
 
-var errShuttingDown = errors.New("service: shutting down")
+var errShuttingDown = fmt.Errorf("service: %w", jobqueue.ErrClosed)
 
 // algorithm resolves the request's workload: a registered name, or an
 // inline einsum spec compiled on the fly.
@@ -1097,15 +1026,6 @@ func (req *SearchRequest) resolveProblem(algo *loopnest.Algorithm) (loopnest.Pro
 	}
 }
 
-// newJobID returns a random 128-bit hex job id.
-func newJobID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand failure is unrecoverable
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // AdmissionError is returned by Submit when the admission controller
 // rejects the request; it carries the HTTP status (429 quota / 503 shed)
 // and Retry-After hint the transport should relay.
@@ -1136,7 +1056,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 	// Atlas exact-hit check, before admission: a stored answer consumes no
 	// worker or queue slot, so atlas hits bypass quota and queue entirely.
 	var aid *atlasIdentity
-	if at := jm.atlasRef(); at != nil {
+	if at := jm.wired().atlasStore; at != nil {
 		start := time.Now()
 		job, id, served := jm.tryAtlasServe(at, tenant, ti, &req)
 		aid = id
@@ -1145,7 +1065,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 			return job, nil
 		}
 	}
-	adm := jm.admissionCtrl()
+	adm := jm.wired().admission
 	admitted := false
 	if adm != nil {
 		d := adm.Admit(tenant)
@@ -1155,61 +1075,39 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 			if d.Code == 503 {
 				kind = "admission.shed"
 			}
-			jm.flight().Record(sev, kind, d.Reason,
+			jm.wired().flightRec.Record(sev, kind, d.Reason,
 				map[string]string{"tenant": tenantLabel(tenant), "code": fmt.Sprint(d.Code)})
 			return Job{}, &AdmissionError{Decision: d}
 		}
 		admitted = true
 	}
-	jctx, cancel := context.WithCancel(jm.baseCtx)
-	id := newJobID()
-	job := &Job{
-		ID:       id,
-		Status:   JobQueued,
-		Tenant:   tenant,
-		Request:  req,
-		Created:  time.Now(),
-		ctx:      jctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		stream:   obs.NewStream[ProgressEvent](maxTrajectorySamples),
-		trace:    obs.NewTrace(id, "search-job"),
-		admitted: admitted,
-		atlasID:  aid,
-		tin:      ti,
-	}
-	// Enqueue and register atomically: a worker popping the job
-	// immediately still finds it registered because runJob takes the same
-	// lock first. The shutdown check lives in the same critical section as
-	// Shutdown's finalize loop, so a job can never be registered after
-	// that loop has run.
+	job := &Job{Tenant: tenant, Request: req, admitted: admitted, atlasID: aid, tin: ti}
+	job.Created = time.Now()
+	// Register and enqueue atomically with the drain check, so a job can
+	// never be accepted after BeginDrain.
 	jm.mu.Lock()
-	if jm.baseCtx.Err() != nil || jm.draining {
-		jm.mu.Unlock()
-		if admitted {
-			adm.Release(tenant)
+	err := errShuttingDown
+	var snap Job
+	if !jm.draining {
+		if err = jm.q.AddLocked(job, false); err == nil {
+			snap = jm.q.SnapshotLocked(job)
 		}
-		cancel()
-		return Job{}, errShuttingDown
 	}
-	if len(jm.pending) >= jm.queueCap {
-		jm.mu.Unlock()
-		if admitted {
-			adm.Release(tenant)
-		}
-		cancel()
-		jm.flight().Record(obs.SevWarn, "queue.full", "submission rejected: pending queue at capacity",
-			map[string]string{"tenant": tenantLabel(tenant)})
-		return Job{}, ErrQueueFull
-	}
-	jm.enqueueLocked(job)
-	jm.met.submitted.Inc()
-	snap := copyJob(job)
 	jm.mu.Unlock()
+	if err != nil {
+		if admitted {
+			adm.Release(tenant)
+		}
+		if errors.Is(err, ErrQueueFull) {
+			jm.wired().flightRec.Record(obs.SevWarn, "queue.full", "submission rejected: pending queue at capacity",
+				map[string]string{"tenant": tenantLabel(tenant)})
+		}
+		return Job{}, err
+	}
 	ti.accepted()
-	jm.flight().Record(obs.SevInfo, "job.submit", "search job queued",
+	jm.wired().flightRec.Record(obs.SevInfo, "job.submit", "search job queued",
 		map[string]string{"id": job.ID, "tenant": tenantLabel(tenant)})
-	jm.journalPut(job.ID, snap.Status, snap.Tenant, snap.Request, snap.Created, nil)
+	jm.journalPut(job, JobQueued, nil)
 	return snap, nil
 }
 
@@ -1285,17 +1183,9 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 	if err := space.IsMember(&m); err != nil {
 		return Job{}, aid, false
 	}
-	id := newJobID()
-	jctx, cancel := context.WithCancel(jm.baseCtx)
-	now := time.Now()
 	job := &Job{
-		ID:       id,
-		Status:   JobDone,
-		Tenant:   tenant,
-		Request:  *req,
-		Created:  now,
-		Started:  now,
-		Finished: now,
+		Tenant:  tenant,
+		Request: *req,
 		Result: &JobResult{
 			Method:   e.Method,
 			Source:   "atlas",
@@ -1303,151 +1193,28 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 			Mapping:  m.String(),
 			LoopNest: space.RenderLoopNest(&m),
 		},
-		ctx:     jctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		stream:  obs.NewStream[ProgressEvent](maxTrajectorySamples),
-		trace:   obs.NewTrace(id, "search-job"),
 		atlasID: aid,
 		tin:     ti,
 	}
-	job.trace.Root().Set("source", "atlas")
-	job.trace.Root().Set("atlas_entry", e.ID)
-	job.trace.Root().Set("status", string(JobDone))
-	job.trace.End()
-	job.stream.Publish(ProgressEvent{Status: JobDone, BestEDP: e.BestEDP})
-	job.stream.Close()
-	cancel()
-	close(job.done)
+	job.Created = time.Now()
 	jm.mu.Lock()
-	if jm.baseCtx.Err() != nil || jm.draining {
+	if jm.draining || jm.q.AddDoneLocked(job) != nil {
 		jm.mu.Unlock()
 		return Job{}, aid, false
 	}
-	jm.jobs[id] = job
-	jm.order = append(jm.order, id)
-	jm.met.submitted.Inc()
-	jm.met.done.Inc()
+	job.Root().Set("source", "atlas")
+	job.Root().Set("atlas_entry", e.ID)
 	jm.met.atlasHits.Inc()
-	jm.evictTerminalLocked()
-	snap := copyJob(job)
+	snap := jm.q.SnapshotLocked(job)
 	jm.mu.Unlock()
 	ti.atlasServed()
-	jm.flight().Record(obs.SevInfo, "job.atlas-hit", "request served from the atlas",
-		map[string]string{"id": id, "tenant": tenantLabel(tenant)})
+	jm.wired().flightRec.Record(obs.SevInfo, "job.atlas-hit", "request served from the atlas",
+		map[string]string{"id": snap.ID, "tenant": tenantLabel(tenant)})
 	return snap, aid, true
-}
-
-// enqueueLocked appends the job to the pending FIFO, registers it, and
-// wakes one worker. Callers hold jm.mu.
-func (jm *JobManager) enqueueLocked(job *Job) {
-	jm.pending = append(jm.pending, job)
-	jm.jobs[job.ID] = job
-	jm.order = append(jm.order, job.ID)
-	jm.cond.Signal()
-}
-
-// releaseAdmitted returns the job's admission slot, at most once. Callers
-// hold jm.mu (the admission controller's own lock is a leaf below it).
-func (jm *JobManager) releaseAdmitted(job *Job) {
-	if job.admitted && jm.admission != nil {
-		jm.admission.Release(job.Tenant)
-	}
-	job.admitted = false
-}
-
-// Get returns a snapshot of the job with the given id.
-func (jm *JobManager) Get(id string) (Job, bool) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	job, ok := jm.jobs[id]
-	if !ok {
-		return Job{}, false
-	}
-	return copyJob(job), true
-}
-
-// List returns snapshots of all jobs in submission order.
-func (jm *JobManager) List() []Job {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	out := make([]Job, 0, len(jm.order))
-	for _, id := range jm.order {
-		if job, ok := jm.jobs[id]; ok {
-			out = append(out, copyJob(job))
-		}
-	}
-	return out
-}
-
-// Cancel stops a queued or running job. Queued jobs are removed from the
-// pending FIFO and finalized immediately — their queue slot and admission
-// slot free at once, so capacity under a saturated queue recycles without
-// waiting for a worker. Running jobs have their context cancelled and
-// finalize when the searcher observes it (within one evaluation). It
-// returns the post-cancel snapshot, or ok=false for an unknown id.
-// Cancelling a terminal job is a no-op.
-func (jm *JobManager) Cancel(id string) (Job, bool) {
-	jm.mu.Lock()
-	job, ok := jm.jobs[id]
-	if !ok {
-		jm.mu.Unlock()
-		return Job{}, false
-	}
-	if job.Status == JobQueued {
-		jm.dequeueLocked(job)
-		jm.finishLocked(job, JobCancelled, nil, nil)
-		snap := copyJob(job)
-		jm.mu.Unlock()
-		return snap, true
-	}
-	cancel := job.cancel
-	jm.mu.Unlock()
-	cancel() // the worker observes this and finalizes the job
-	return jm.Get(id)
-}
-
-// dequeueLocked removes the job from the pending FIFO if it is still
-// there. Callers hold jm.mu.
-func (jm *JobManager) dequeueLocked(job *Job) {
-	for i, p := range jm.pending {
-		if p == job {
-			jm.pending = append(jm.pending[:i], jm.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// Wait blocks until the job reaches a terminal status or ctx expires.
-func (jm *JobManager) Wait(ctx context.Context, id string) (Job, error) {
-	jm.mu.Lock()
-	job, ok := jm.jobs[id]
-	jm.mu.Unlock()
-	if !ok {
-		return Job{}, fmt.Errorf("service: unknown job %q", id)
-	}
-	select {
-	case <-job.done:
-		return jm.snapshot(id), nil
-	case <-ctx.Done():
-		return jm.snapshot(id), ctx.Err()
-	}
-}
-
-// snapshot returns a copy of the job under the manager lock.
-func (jm *JobManager) snapshot(id string) Job {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	if job, ok := jm.jobs[id]; ok {
-		return copyJob(job)
-	}
-	return Job{}
 }
 
 func copyJob(j *Job) Job {
 	c := *j
-	c.cancel = nil
-	c.done = nil
 	c.checkpoint = nil
 	c.resume = nil
 	if j.checkpoint != nil {
@@ -1462,56 +1229,19 @@ func copyJob(j *Job) Job {
 	return c
 }
 
-// worker drains the pending FIFO until shutdown. Jobs still queued when
-// shutdown begins are left for Shutdown's finalize loop.
-func (jm *JobManager) worker() {
-	defer jm.wg.Done()
-	for {
-		jm.mu.Lock()
-		for len(jm.pending) == 0 && jm.baseCtx.Err() == nil {
-			jm.cond.Wait()
-		}
-		if jm.baseCtx.Err() != nil {
-			jm.mu.Unlock()
-			return
-		}
-		job := jm.pending[0]
-		jm.pending = jm.pending[1:]
-		jm.mu.Unlock()
-		jm.runJob(job)
-	}
-}
-
-// runJob executes one job end to end and finalizes its record.
-func (jm *JobManager) runJob(job *Job) {
-	jm.mu.Lock()
-	ctx := job.ctx
-	if job.Status.Terminal() { // cancelled while queued (shutdown race)
-		jm.mu.Unlock()
-		return
-	}
-	if ctx.Err() != nil { // shutdown began while queued
-		jm.finishLocked(job, JobCancelled, nil, nil)
-		jm.mu.Unlock()
-		return
-	}
-	job.Status = JobRunning
-	job.Started = time.Now()
-	wait := job.Started.Sub(job.Created)
-	job.trace.Root().Set("queue_wait_ms", float64(wait.Microseconds())/1e3)
+// run executes one search job on a queue worker, stores its result on the
+// record, and reports how it ended.
+func (jm *JobManager) run(ctx context.Context, job *Job) (JobStatus, error) {
+	jm.met.queueWait.Observe(job.Started.Sub(job.Created).Seconds())
 	// The anytime deadline: the client's timeout_ms clamped to the
 	// server's ceiling (which also applies on its own). It layers over
 	// the cancellable job context, so the finish path can tell deadline
 	// expiry (degraded completion) from cancellation by which context
 	// carries the error.
 	timeout := time.Duration(job.Request.TimeoutMS) * time.Millisecond
-	if jm.maxJobTime > 0 && (timeout <= 0 || timeout > jm.maxJobTime) {
-		timeout = jm.maxJobTime
+	if ceiling := jm.wired().maxJobTime; ceiling > 0 && (timeout <= 0 || timeout > ceiling) {
+		timeout = ceiling
 	}
-	jm.mu.Unlock()
-	jm.met.queueWait.Observe(wait.Seconds())
-	job.stream.Publish(ProgressEvent{Status: JobRunning})
-
 	runCtx := ctx
 	if timeout > 0 {
 		var cancelTimeout context.CancelFunc
@@ -1542,27 +1272,24 @@ func (jm *JobManager) runJob(job *Job) {
 		jm.atlasWriteback(job, res)
 	}
 	jm.mu.Lock()
+	defer jm.mu.Unlock()
 	switch {
 	case err != nil && ctx.Err() != nil:
 		// Treat errors after cancellation as cancellation.
-		jm.finishLocked(job, JobCancelled, nil, nil)
+		return JobCancelled, nil
 	case err != nil:
-		jm.finishLocked(job, JobFailed, nil, err)
+		return JobFailed, err
 	case ctx.Err() != nil:
-		jm.finishLocked(job, JobCancelled, result, nil)
+		job.Result = result
+		return JobCancelled, nil
+	case deadlined && result == nil:
+		return JobFailed, fmt.Errorf("service: deadline (%v) expired before any evaluation completed", timeout)
 	case deadlined:
-		if result != nil {
-			result.Degraded = true
-			jm.met.degraded.Inc()
-			jm.finishLocked(job, JobDone, result, nil)
-		} else {
-			jm.finishLocked(job, JobFailed, nil,
-				fmt.Errorf("service: deadline (%v) expired before any evaluation completed", timeout))
-		}
-	default:
-		jm.finishLocked(job, JobDone, result, nil)
+		result.Degraded = true
+		jm.met.degraded.Inc()
 	}
-	jm.mu.Unlock()
+	job.Result = result
+	return JobDone, nil
 }
 
 // jobAtlasID returns the job's cached atlas identity, computing it for
@@ -1595,10 +1322,8 @@ func (jm *JobManager) jobAtlasID(job *Job) *atlasIdentity {
 // and before the job is marked terminal, so write-backs are visible to
 // anyone who observes the job done.
 func (jm *JobManager) atlasWriteback(job *Job, res *search.Result) {
-	jm.mu.Lock()
-	at, readonly, source := jm.atlasStore, jm.atlasRO, jm.atlasSource
-	jm.mu.Unlock()
-	if at == nil || readonly {
+	w := jm.wired()
+	if w.atlasStore == nil || w.atlasRO {
 		return
 	}
 	if res == nil || res.Evals == 0 || len(res.Best.Spatial) == 0 || math.IsInf(res.BestEDP, 0) {
@@ -1620,9 +1345,9 @@ func (jm *JobManager) atlasWriteback(job *Job, res *search.Result) {
 		BestEDP:   res.BestEDP,
 		Evals:     res.Evals,
 		Method:    res.Method,
-		Source:    source,
+		Source:    w.atlasSource,
 	}
-	if _, published, err := at.Publish(e, &res.Best); err == nil && published {
+	if _, published, err := w.atlasStore.Publish(e, &res.Best); err == nil && published {
 		jm.met.atlasWritebacks.Inc()
 	}
 }
@@ -1633,150 +1358,45 @@ func (jm *JobManager) atlasWriteback(job *Job, res *search.Result) {
 const DefaultJobRetention = 1024
 
 // SetJobRetention overrides the terminal-job retention bound (minimum 1).
-func (jm *JobManager) SetJobRetention(n int) {
-	if n < 1 {
-		n = 1
-	}
-	jm.mu.Lock()
-	jm.retention = n
-	jm.evictTerminalLocked()
-	jm.mu.Unlock()
-}
+func (jm *JobManager) SetJobRetention(n int) { jm.q.SetRetention(n) }
 
-// finishLocked moves a job to a terminal state. Callers hold jm.mu.
-func (jm *JobManager) finishLocked(job *Job, status JobStatus, result *JobResult, err error) {
-	if job.Status.Terminal() {
-		return
-	}
-	job.Status = status
-	job.Finished = time.Now()
-	job.Result = result
-	if err != nil {
-		job.Error = err.Error()
-	}
-	switch status {
-	case JobDone:
-		jm.met.done.Inc()
-	case JobFailed:
-		jm.met.failed.Inc()
-	case JobCancelled:
-		jm.met.cancelled.Inc()
-	}
-	job.tin.finished(job, status, result)
-	// Flight-recorder entry for the terminal transition. Record is a leaf
-	// mutex, safe under jm.mu; instruments were resolved at submit.
-	if jm.flightRec != nil {
+// finish is the queue's terminal hook for search jobs, run under jm.mu in
+// the critical section that makes the job terminal: tenant accounting,
+// the flight-recorder entry, the admission slot, and the journal record.
+func (jm *JobManager) finish(job *Job) {
+	job.tin.finished(job)
+	// Record is a leaf mutex, safe under jm.mu; instruments were resolved
+	// at submit.
+	if jm.w.flightRec != nil {
 		sev, msg := obs.SevInfo, "search job finished"
 		switch {
-		case status == JobFailed:
+		case job.Status == JobFailed:
 			sev, msg = obs.SevError, job.Error
-		case status == JobCancelled:
+		case job.Status == JobCancelled:
 			msg = "search job cancelled"
-		case result != nil && result.Degraded:
+		case job.Result != nil && job.Result.Degraded:
 			sev, msg = obs.SevWarn, "search job completed degraded at its anytime deadline"
 		}
-		jm.flightRec.Record(sev, "job.finish", msg, map[string]string{
-			"id": job.ID, "tenant": tenantLabel(job.Tenant), "status": string(status)})
+		jm.w.flightRec.Record(sev, "job.finish", msg, map[string]string{
+			"id": job.ID, "tenant": tenantLabel(job.Tenant), "status": string(job.Status)})
 	}
-	// Final event carries the terminal status, then the stream closes so
-	// SSE watchers see end-of-stream rather than hanging. The stream's own
-	// mutex is a leaf, so publishing under jm.mu cannot deadlock.
-	job.trace.Root().Set("status", string(status))
-	job.trace.End()
-	ev := ProgressEvent{Status: status, Error: job.Error}
-	if result != nil {
-		ev.Eval = result.Evals
-		ev.BestEDP = result.BestEDP
-		ev.ElapsedMS = result.ElapsedMS
-		if result.ElapsedMS > 0 {
-			ev.EvalsPerSec = float64(result.Evals) / (result.ElapsedMS / 1e3)
-		}
+	// The admission controller's lock is a leaf below jm.mu.
+	if job.admitted && jm.w.admission != nil {
+		jm.w.admission.Release(job.Tenant)
 	}
-	job.stream.Publish(ev)
-	job.stream.Close()
-	job.cancel() // release the context
-	close(job.done)
-	jm.releaseAdmitted(job)
+	job.admitted = false
 	// Journal bookkeeping: a terminal job's record is deleted — unless the
 	// manager is draining, in which case records stay in place so the next
 	// process recovers and resumes the drained jobs from their last
 	// checkpoints. The write is tiny (and idempotent), so doing it under
 	// jm.mu keeps finish ordering deterministic for the recovery tests.
-	if jm.journal != nil && !jm.draining {
-		if err := jm.journal.Delete(job.ID); err != nil {
+	if jm.w.journal != nil && !jm.draining {
+		if err := jm.w.journal.Delete(job.ID); err != nil {
 			jm.met.journalErrs.Inc()
-			jm.flightRec.Record(obs.SevError, "journal.error", err.Error(),
+			jm.w.flightRec.Record(obs.SevError, "journal.error", err.Error(),
 				map[string]string{"id": job.ID, "op": "delete"})
 		}
 	}
-	jm.evictTerminalLocked()
-}
-
-// Watch subscribes to a job's live progress stream: the recent history
-// (oldest first), a channel of subsequent events, and a cancel function
-// the caller must invoke when done. The channel closes when the job
-// reaches a terminal status (or on cancel). Terminal jobs return their
-// retained history and an already-closed channel.
-func (jm *JobManager) Watch(id string) ([]ProgressEvent, <-chan ProgressEvent, func(), bool) {
-	jm.mu.Lock()
-	job, ok := jm.jobs[id]
-	jm.mu.Unlock()
-	if !ok {
-		return nil, nil, nil, false
-	}
-	hist, ch, cancel := job.stream.Subscribe(16)
-	return hist, ch, cancel, true
-}
-
-// TraceSnapshot renders a job's span tree (queue wait, model resolution,
-// search strides); running spans report duration so far.
-func (jm *JobManager) TraceSnapshot(id string) (obs.SpanSnapshot, bool) {
-	jm.mu.Lock()
-	job, ok := jm.jobs[id]
-	jm.mu.Unlock()
-	if !ok {
-		return obs.SpanSnapshot{}, false
-	}
-	return job.trace.Snapshot(), true
-}
-
-// Events returns a job's retained progress-event history (oldest first).
-func (jm *JobManager) Events(id string) ([]ProgressEvent, bool) {
-	jm.mu.Lock()
-	job, ok := jm.jobs[id]
-	jm.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return job.stream.History(), true
-}
-
-// evictTerminalLocked drops the oldest terminal jobs beyond the retention
-// bound. Queued and running jobs are never evicted. Callers hold jm.mu.
-func (jm *JobManager) evictTerminalLocked() {
-	terminal := 0
-	for _, job := range jm.jobs {
-		if job.Status.Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= jm.retention {
-		return
-	}
-	kept := jm.order[:0]
-	for _, id := range jm.order {
-		job, ok := jm.jobs[id]
-		if !ok {
-			continue
-		}
-		if terminal > jm.retention && job.Status.Terminal() {
-			delete(jm.jobs, id)
-			terminal--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	jm.order = kept
 }
 
 // evalTimingSample is the WithTiming sampling period for per-backend eval
@@ -1792,10 +1412,10 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	jm.mu.Lock()
 	resume := job.resume
 	job.resume = nil // consumed: a later Resume re-arms it from job.checkpoint
-	checkpointEvery := jm.checkpointEvery
+	checkpointEvery := jm.w.checkpointEvery
 	jm.mu.Unlock()
 	req := &job.Request
-	root := job.trace.Root()
+	root := job.Root()
 	algo, err := req.algorithm()
 	if err != nil {
 		return nil, nil, err
@@ -1815,7 +1435,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	// their checkpointed chains instead (SeedMapping is inert under
 	// Resume, so counting them cold would be wrong too).
 	var seedMapping *mapspace.Mapping
-	if at := jm.atlasRef(); at != nil && resume == nil {
+	if at := jm.wired().atlasStore; at != nil && resume == nil {
 		aid := jm.jobAtlasID(job)
 		name := strings.ToLower(req.Searcher)
 		if aid != nil && (name == "" || name == "mm") {
@@ -1868,7 +1488,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 		parallelism = MaxParallelism
 	}
 	evaluator := costmodel.Evaluator(model)
-	if f := jm.faultsInjector(); f != nil {
+	if f := jm.wired().faults; f != nil {
 		// Fault injection sits directly on the backend with retry outside
 		// it, so injected transients are absorbed the way real ones would
 		// be; a spike that exhausts the retry budget still fails the job.
@@ -1902,9 +1522,8 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 			ck := c.Clone()
 			jm.mu.Lock()
 			job.checkpoint = ck
-			tenant, creq, created := job.Tenant, job.Request, job.Created
 			jm.mu.Unlock()
-			jm.journalPut(job.ID, JobRunning, tenant, creq, created, ck)
+			jm.journalPut(job, JobRunning, ck)
 		},
 		Progress: func(p search.Progress) {
 			if firstSample {
@@ -1927,7 +1546,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 			if p.Elapsed > 0 {
 				ev.EvalsPerSec = float64(p.Eval) / p.Elapsed.Seconds()
 			}
-			job.stream.Publish(ev)
+			job.Stream().Publish(ev)
 		},
 	}
 	res, err := searcher.Search(sctx, budget)
@@ -2009,7 +1628,8 @@ func (jm *JobManager) searcher(ctx context.Context, req *SearchRequest, algo *lo
 // and cancelled along with the search job's context) that trains against
 // the request's own cost model.
 func (jm *JobManager) resolveAuto(ctx context.Context, req *SearchRequest, algo *loopnest.Algorithm) (string, error) {
-	store, pipe := jm.training()
+	w := jm.wired()
+	store, pipe := w.store, w.trainPipe
 	if store == nil {
 		return "", errors.New(`service: "model":"auto" needs a model store (serve with -store)`)
 	}
@@ -2072,46 +1692,27 @@ func buildResult(res *search.Result, space *mapspace.Space) *JobResult {
 	return out
 }
 
-// JobStats summarizes job lifecycle counts for /v1/status. Degraded
-// counts jobs that completed at their anytime deadline with a best-so-far
-// result; Recovered counts jobs re-enqueued from the journal at startup;
-// JournalErrors counts journal writes that failed even after bounded
-// retry.
+// JobStats summarizes job lifecycle counts for /v1/status: the queue's
+// counters and gauges, plus jobs completed degraded at their anytime
+// deadline, jobs recovered from the journal at startup, and journal writes
+// that failed even after bounded retry.
 type JobStats struct {
-	Submitted     uint64 `json:"submitted"`
-	Queued        int    `json:"queued"`
-	Running       int    `json:"running"`
-	Done          uint64 `json:"done"`
-	Failed        uint64 `json:"failed"`
-	Cancelled     uint64 `json:"cancelled"`
+	jobqueue.Stats
 	Degraded      uint64 `json:"degraded"`
 	Recovered     uint64 `json:"recovered"`
 	JournalErrors uint64 `json:"journal_errors"`
 }
 
-// Stats snapshots the lifecycle counters and live queue state.
+// Stats snapshots the lifecycle counters and live queue state; it reads
+// only instruments and takes no lock.
 func (jm *JobManager) Stats() JobStats {
 	m := &jm.met
-	st := JobStats{
-		Submitted:     uint64(m.submitted.Value()),
-		Done:          uint64(m.done.Value()),
-		Failed:        uint64(m.failed.Value()),
-		Cancelled:     uint64(m.cancelled.Value()),
+	return JobStats{
+		Stats:         jm.q.Stats(),
 		Degraded:      uint64(m.degraded.Value()),
 		Recovered:     uint64(m.recovered.Value()),
 		JournalErrors: uint64(m.journalErrs.Value()),
 	}
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	for _, job := range jm.jobs {
-		switch job.Status {
-		case JobQueued:
-			st.Queued++
-		case JobRunning:
-			st.Running++
-		}
-	}
-	return st
 }
 
 // counterFor returns the shared paid-eval counter for a cost-model
@@ -2133,36 +1734,12 @@ func (jm *JobManager) counterFor(backend string) *costmodel.Counter {
 }
 
 // Workers returns the worker-pool size.
-func (jm *JobManager) Workers() int { return jm.workers }
+func (jm *JobManager) Workers() int { return jm.q.Workers() }
 
 // QueueCap returns the pending-queue capacity.
-func (jm *JobManager) QueueCap() int { return jm.queueCap }
+func (jm *JobManager) QueueCap() int { return jm.q.Cap() }
 
 // Shutdown cancels every job (queued and running) and waits for the
 // worker pool to drain, or for ctx to expire. New submissions fail once
 // shutdown has begun.
-func (jm *JobManager) Shutdown(ctx context.Context) error {
-	jm.stop() // cancels baseCtx, and transitively every job context
-	jm.mu.Lock()
-	jm.cond.Broadcast() // wake idle workers so they observe the cancel
-	jm.mu.Unlock()
-	drained := make(chan struct{})
-	go func() {
-		jm.wg.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	// Finalize jobs the workers never picked up.
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	for _, job := range jm.jobs {
-		if !job.Status.Terminal() {
-			jm.finishLocked(job, JobCancelled, nil, nil)
-		}
-	}
-	return nil
-}
+func (jm *JobManager) Shutdown(ctx context.Context) error { return jm.q.Shutdown(ctx) }

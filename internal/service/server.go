@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"mindmappings/internal/jobqueue"
 	"mindmappings/internal/modelstore"
 	"mindmappings/internal/obs"
 	"mindmappings/internal/obs/slo"
@@ -57,8 +58,9 @@ import (
 //	GET    /readyz                readiness probe: 503 once draining begins (or SLO
 //	                              health hits 0), so load balancers stop routing
 //
-// The training endpoints answer 503 until WithTraining attaches a store
-// and pipeline. EnablePprof mounts net/http/pprof under /debug/pprof/.
+// The training endpoints answer 503 unless WithTraining attached a store
+// and pipeline before Handler was called. EnablePprof mounts
+// net/http/pprof under /debug/pprof/.
 type Server struct {
 	jobs     *JobManager
 	registry *ModelRegistry
@@ -196,21 +198,33 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("POST /v1/search", s.handleSearch)
 	mux.HandleFunc("POST /v1/jobs/{id}/resume", s.handleResumeJob)
-	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	mux.HandleFunc("POST /v1/train", s.handleTrain)
-	mux.HandleFunc("GET /v1/train", s.handleListTrain)
-	mux.HandleFunc("GET /v1/train/{id}", s.handleGetTrain)
-	mux.HandleFunc("GET /v1/train/{id}/trace", s.handleTrainTrace)
-	mux.HandleFunc("GET /v1/train/{id}/events", s.handleTrainEvents)
-	mux.HandleFunc("DELETE /v1/train/{id}", s.handleCancelTrain)
-	mux.HandleFunc("POST /v1/train/{id}/resume", s.handleResumeTrain)
+	jobs := jobRoutes[Job, ProgressEvent]{s.jobs, "job"}
+	mux.HandleFunc("GET /v1/jobs", jobs.list)
+	mux.HandleFunc("GET /v1/jobs/{id}", jobs.get)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", jobs.trace)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", jobs.events)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", jobs.cancel)
+	// Without a store and pipeline every training route answers 503, and
+	// train's nil kind is never called.
+	train := jobRoutes[trainer.Job, trainer.Event]{s.trainer, "training job"}
+	trainRoute := func(pattern string, h http.HandlerFunc) {
+		if s.trainer == nil {
+			h = func(w http.ResponseWriter, _ *http.Request) {
+				writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
+			}
+		}
+		mux.HandleFunc(pattern, h)
+	}
+	trainRoute("POST /v1/train", s.handleTrain)
+	trainRoute("GET /v1/train", train.list)
+	trainRoute("GET /v1/train/{id}", train.get)
+	trainRoute("GET /v1/train/{id}/trace", train.trace)
+	trainRoute("GET /v1/train/{id}/events", train.events)
+	trainRoute("DELETE /v1/train/{id}", train.cancel)
+	trainRoute("POST /v1/train/{id}/resume", s.handleResumeTrain)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
-	mux.HandleFunc("DELETE /v1/models/{id}", s.handleDeleteModel)
-	mux.HandleFunc("POST /v1/models/gc", s.handleGCModels)
+	trainRoute("DELETE /v1/models/{id}", s.handleDeleteModel)
+	trainRoute("POST /v1/models/gc", s.handleGCModels)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
@@ -224,79 +238,75 @@ func (s *Server) Handler() http.Handler {
 	return obs.Middleware(mux, s.httpMetrics, s.logger)
 }
 
-// handleJobTrace returns a search job's span tree plus its retained
-// progress events.
-func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
+// jobKind is what the shared job endpoints read from a job kind: the
+// JobManager behind /v1/jobs and the trainer.Pipeline behind /v1/train.
+type jobKind[T any, E comparable] interface {
+	Get(id string) (T, bool)
+	List() []T
+	Cancel(id string) (T, bool)
+	Watch(id string) ([]E, <-chan E, func(), bool)
+	Final(id string) (E, bool)
+	Trace(id string) (obs.SpanSnapshot, bool)
+	Events(id string) ([]E, bool)
+}
+
+// jobRoutes serves one job kind's list, get, cancel, trace and events
+// endpoints; noun names the kind in 404 bodies.
+type jobRoutes[T any, E comparable] struct {
+	kind jobKind[T, E]
+	noun string
+}
+
+func (rt jobRoutes[T, E]) unknown(w http.ResponseWriter, id string) {
+	writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", rt.noun, id))
+}
+
+func (rt jobRoutes[T, E]) list(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": rt.kind.List()})
+}
+
+func (rt jobRoutes[T, E]) get(w http.ResponseWriter, r *http.Request) {
+	rt.snapshot(w, r, rt.kind.Get)
+}
+
+func (rt jobRoutes[T, E]) cancel(w http.ResponseWriter, r *http.Request) {
+	rt.snapshot(w, r, rt.kind.Cancel)
+}
+
+// snapshot answers with the job snapshot fn returns for the path's id.
+func (rt jobRoutes[T, E]) snapshot(w http.ResponseWriter, r *http.Request, fn func(string) (T, bool)) {
 	id := r.PathValue("id")
-	snap, ok := s.jobs.TraceSnapshot(id)
+	job, ok := fn(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		rt.unknown(w, id)
 		return
 	}
-	events, _ := s.jobs.Events(id)
+	writeJSON(w, http.StatusOK, job)
+}
+
+// trace returns a job's span tree plus its retained events.
+func (rt jobRoutes[T, E]) trace(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	snap, ok := rt.kind.Trace(id)
+	if !ok {
+		rt.unknown(w, id)
+		return
+	}
+	events, _ := rt.kind.Events(id)
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "trace": snap, "events": events})
 }
 
-// handleJobEvents streams a search job's progress as Server-Sent Events:
-// the retained history first, then live samples until the job ends or the
-// client disconnects.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+// events streams a job's events as Server-Sent Events: the retained
+// history first, then live events until the job ends or the client
+// disconnects.
+func (rt jobRoutes[T, E]) events(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	hist, ch, cancel, ok := s.jobs.Watch(id)
+	hist, ch, cancel, ok := rt.kind.Watch(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		rt.unknown(w, id)
 		return
 	}
-	serveSSE(w, r, hist, ch, cancel, func() (ProgressEvent, bool) {
-		job, ok := s.jobs.Get(id)
-		if !ok || !job.Status.Terminal() {
-			return ProgressEvent{}, false
-		}
-		ev := ProgressEvent{Status: job.Status, Error: job.Error}
-		if res := job.Result; res != nil {
-			ev.Eval = res.Evals
-			ev.BestEDP = res.BestEDP
-			ev.ElapsedMS = res.ElapsedMS
-			if res.ElapsedMS > 0 {
-				ev.EvalsPerSec = float64(res.Evals) / (res.ElapsedMS / 1e3)
-			}
-		}
-		return ev, true
-	})
-}
-
-func (s *Server) handleTrainTrace(w http.ResponseWriter, r *http.Request) {
-	if s.trainer == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
-	id := r.PathValue("id")
-	snap, ok := s.trainer.Trace(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "trace": snap})
-}
-
-func (s *Server) handleTrainEvents(w http.ResponseWriter, r *http.Request) {
-	if s.trainer == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
-	id := r.PathValue("id")
-	hist, ch, cancel, ok := s.trainer.Watch(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", id))
-		return
-	}
-	serveSSE(w, r, hist, ch, cancel, func() (trainer.Event, bool) {
-		job, ok := s.trainer.Get(id)
-		if !ok || !job.Status.Terminal() {
-			return trainer.Event{}, false
-		}
-		return trainer.Event{Status: job.Status, Progress: job.Progress, Error: job.Error}, true
-	})
+	serveSSE(w, r, hist, ch, cancel, func() (E, bool) { return rt.kind.Final(id) })
 }
 
 // serveSSE streams history-then-live events as text/event-stream, one JSON
@@ -475,160 +485,80 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
+// writeSubmitted answers a submission or a resume: 202 with the job and
+// its Location, or the status err maps to. An admission rejection carries
+// its own code and Retry-After; a full or shutting-down queue is 503 with
+// Retry-After; an unknown job is 404; any other error is fallback (400 for
+// a bad request, 409 for a job that cannot be resumed).
+func writeSubmitted(w http.ResponseWriter, err error, fallback int, retry time.Duration, location string, job any) {
+	var admErr *AdmissionError
+	switch {
+	case err == nil:
+		w.Header().Set("Location", location)
+		writeJSON(w, http.StatusAccepted, job)
+		return
+	case errors.As(err, &admErr):
+		setRetryAfter(w, admErr.Decision.RetryAfter)
+		fallback = admErr.Decision.Code
+	case errors.Is(err, jobqueue.ErrFull), errors.Is(err, jobqueue.ErrClosed):
+		setRetryAfter(w, retry)
+		fallback = http.StatusServiceUnavailable
+	case errors.Is(err, jobqueue.ErrUnknown):
+		fallback = http.StatusNotFound
+	}
+	writeError(w, fallback, err)
+}
+
+// decodeBody decodes a JSON request body, rejecting unknown fields; a bad
+// body has already been answered 400 when it returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	var req SearchRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	job, err := s.jobs.SubmitAs(r.Header.Get("X-Tenant"), req)
-	var admErr *AdmissionError
-	switch {
-	case errors.As(err, &admErr):
-		setRetryAfter(w, admErr.Decision.RetryAfter)
-		writeError(w, admErr.Decision.Code, err)
-		return
-	case errors.Is(err, ErrQueueFull):
-		setRetryAfter(w, s.jobs.RetryAfterHint())
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, errShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job)
+	writeSubmitted(w, err, http.StatusBadRequest, s.jobs.RetryAfterHint(), "/v1/jobs/"+job.ID, job)
 }
 
 // handleResumeJob continues a cancelled or failed search job from its last
 // checkpoint (or from scratch when it was cancelled before running).
 func (s *Server) handleResumeJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, err := s.jobs.Resume(id)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrQueueFull):
-		setRetryAfter(w, s.jobs.RetryAfterHint())
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, errShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	default:
-		if _, ok := s.jobs.Get(id); !ok {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job)
-}
-
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.List()})
-}
-
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
+	job, err := s.jobs.Resume(r.PathValue("id"))
+	writeSubmitted(w, err, http.StatusConflict, s.jobs.RetryAfterHint(), "/v1/jobs/"+job.ID, job)
 }
 
 // errTrainingDisabled answers the training endpoints of a server started
 // without a store/pipeline.
 var errTrainingDisabled = errors.New("training is disabled on this server (serve with -store)")
 
+// trainRetryAfter is the back-off handed to clients of a full or
+// shutting-down training queue.
+const trainRetryAfter = 5 * time.Second
+
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	if s.trainer == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
 	var req trainer.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	job, err := s.trainer.Submit(req)
-	switch {
-	case errors.Is(err, trainer.ErrQueueFull):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	w.Header().Set("Location", "/v1/train/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job)
+	writeSubmitted(w, err, http.StatusBadRequest, trainRetryAfter, "/v1/train/"+job.ID, job)
 }
 
-func (s *Server) handleListTrain(w http.ResponseWriter, r *http.Request) {
-	if s.trainer == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.trainer.List()})
-}
-
-func (s *Server) handleGetTrain(w http.ResponseWriter, r *http.Request) {
-	if s.trainer == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
-	job, ok := s.trainer.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
-}
-
-func (s *Server) handleCancelTrain(w http.ResponseWriter, r *http.Request) {
-	if s.trainer == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
-	job, ok := s.trainer.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
-}
-
+// handleResumeTrain continues a cancelled or failed training job from its
+// checkpoint as a new job.
 func (s *Server) handleResumeTrain(w http.ResponseWriter, r *http.Request) {
-	if s.trainer == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
 	job, err := s.trainer.Resume(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	w.Header().Set("Location", "/v1/train/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job)
+	writeSubmitted(w, err, http.StatusConflict, trainRetryAfter, "/v1/train/"+job.ID, job)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -653,10 +583,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
 	id := r.PathValue("id")
 	switch err := s.store.Delete(id); {
 	case errors.Is(err, modelstore.ErrUnknownArtifact):
@@ -671,10 +597,6 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGCModels(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusServiceUnavailable, errTrainingDisabled)
-		return
-	}
 	keep := 2
 	if q := r.URL.Query().Get("keep"); q != "" {
 		v, err := strconv.Atoi(q)

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"mindmappings/internal/modelstore"
 	"mindmappings/internal/resilience"
+	"mindmappings/internal/trainer"
 )
 
 // testServer spins up the full stack — registry, cache, job manager, HTTP
@@ -336,6 +338,91 @@ func TestBadRequestsAndUnknownJobs(t *testing.T) {
 	if resp4.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp4.StatusCode)
 	}
+}
+
+// TestTrainStatusCodes pins the training endpoints' error statuses to the
+// search ones: an unknown job is 404, resuming a done or running job is
+// 409, a bad request is 400, and a full or shutting-down training queue is
+// 503 with Retry-After, for POST /v1/train/{id}/resume and POST /v1/train.
+func TestTrainStatusCodes(t *testing.T) {
+	store, err := modelstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	registry := NewModelRegistry(t.TempDir(), 4)
+	jobs := NewJobManager(registry, nil, 1, 4)
+	pipeline := trainer.New(store, 1, 1)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		jobs.Shutdown(ctx)
+		pipeline.Shutdown(ctx)
+	})
+	ts := httptest.NewServer(NewServer(jobs, registry, nil).WithTraining(store, pipeline).Handler())
+	t.Cleanup(ts.Close)
+
+	done, err := pipeline.Submit(tinyTrainRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipeline.Wait(context.Background(), done.ID); err != nil {
+		t.Fatal(err)
+	}
+	long := tinyTrainRequest()
+	long.Samples, long.Epochs = 4000, 500
+	submit := func() trainer.Job {
+		job, err := pipeline.Submit(long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	running := submit()
+	deadline := time.Now().Add(30 * time.Second)
+	for job, _ := pipeline.Get(running.ID); job.Status != JobRunning; job, _ = pipeline.Get(running.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("training job never started: %s", job.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelled := submit()
+	pipeline.Cancel(cancelled.ID)
+	submit() // takes the queue's one slot
+
+	type check struct {
+		name, path string
+		body       any
+		want       int
+	}
+	run := func(checks []check) {
+		t.Helper()
+		for _, c := range checks {
+			resp, body := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != c.want {
+				t.Errorf("%s: POST %s = %d %s, want %d", c.name, c.path, resp.StatusCode, body, c.want)
+			}
+			if retry := resp.Header.Get("Retry-After"); (c.want == http.StatusServiceUnavailable) != (retry != "") {
+				t.Errorf("%s: status %d with Retry-After %q", c.name, resp.StatusCode, retry)
+			}
+		}
+	}
+	run([]check{
+		{"unknown job", "/v1/train/nope/resume", nil, http.StatusNotFound},
+		{"done job", "/v1/train/" + done.ID + "/resume", nil, http.StatusConflict},
+		{"running job", "/v1/train/" + running.ID + "/resume", nil, http.StatusConflict},
+		{"resume into a full queue", "/v1/train/" + cancelled.ID + "/resume", nil, http.StatusServiceUnavailable},
+		{"submit to a full queue", "/v1/train", long, http.StatusServiceUnavailable},
+		{"bad request", "/v1/train", trainer.Request{}, http.StatusBadRequest},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := pipeline.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	run([]check{
+		{"resume while shutting down", "/v1/train/" + cancelled.ID + "/resume", nil, http.StatusServiceUnavailable},
+		{"submit while shutting down", "/v1/train", long, http.StatusServiceUnavailable},
+	})
 }
 
 func TestModelsEndpoint(t *testing.T) {

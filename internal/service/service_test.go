@@ -339,7 +339,8 @@ func TestStridedJobMatchesDirectSearch(t *testing.T) {
 	}
 	// One running event, one per recorded sample, one terminal event.
 	jobs.mu.Lock()
-	stream := jobs.jobs[job.ID].stream
+	live, _ := jobs.q.LookupLocked(job.ID)
+	stream := live.Stream()
 	jobs.mu.Unlock()
 	if got, want := stream.Total(), uint64(len(res.Trajectory)+2); got != want {
 		t.Fatalf("job published %d events, want %d", got, want)

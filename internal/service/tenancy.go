@@ -126,8 +126,9 @@ func (ti *tenantInstruments) atlasServed() {
 
 // finished records a job's terminal state. Called under jm.mu: every
 // observation here is an atomic add on pre-resolved instruments.
-func (ti *tenantInstruments) finished(job *Job, status JobStatus, result *JobResult) {
-	switch status {
+func (ti *tenantInstruments) finished(job *Job) {
+	result := job.Result
+	switch job.Status {
 	case JobDone:
 		ti.done.Inc()
 		if result != nil && result.Degraded {

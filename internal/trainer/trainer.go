@@ -12,7 +12,6 @@ package trainer
 
 import (
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,9 +23,9 @@ import (
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/costmodel"
+	"mindmappings/internal/jobqueue"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/modelstore"
-	"mindmappings/internal/obs"
 	"mindmappings/internal/resilience"
 	"mindmappings/internal/stats"
 	"mindmappings/internal/surrogate"
@@ -35,21 +34,17 @@ import (
 	_ "mindmappings/internal/timeloop" // register the reference cost-model backend
 )
 
-// Status is the lifecycle state of a training job.
-type Status string
+// Status is the lifecycle state of a training job, shared with search
+// jobs (jobqueue.Status).
+type Status = jobqueue.Status
 
 const (
-	StatusQueued    Status = "queued"
-	StatusRunning   Status = "running"
-	StatusDone      Status = "done"
-	StatusFailed    Status = "failed"
-	StatusCancelled Status = "cancelled"
+	StatusQueued    = jobqueue.Queued
+	StatusRunning   = jobqueue.Running
+	StatusDone      = jobqueue.Done
+	StatusFailed    = jobqueue.Failed
+	StatusCancelled = jobqueue.Cancelled
 )
-
-// Terminal reports whether the status is final.
-func (s Status) Terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCancelled
-}
 
 // Phase names the stage a running job is in.
 const (
@@ -211,18 +206,14 @@ type Event struct {
 // transitions, without pinning unbounded generation-progress spam.
 const eventRing = 512
 
-// Job is the pipeline-side record of one training request. Snapshots
-// returned by the pipeline are copies; only the pipeline mutates the live
-// record.
+// Job is the pipeline-side record of one training request: the lifecycle
+// fields (id, status, error, timestamps) come from the embedded
+// jobqueue.Entry. Snapshots returned by the pipeline are copies; only the
+// pipeline mutates the live record.
 type Job struct {
-	ID       string    `json:"id"`
-	Status   Status    `json:"status"`
-	Request  Request   `json:"request"`
-	Error    string    `json:"error,omitempty"`
-	Created  time.Time `json:"created"`
-	Started  time.Time `json:"started,omitzero"`
-	Finished time.Time `json:"finished,omitzero"`
-	Progress Progress  `json:"progress"`
+	jobqueue.Entry[Event]
+	Request  Request  `json:"request"`
+	Progress Progress `json:"progress"`
 	// Artifact is the published manifest once the job is done.
 	Artifact *modelstore.Manifest `json:"artifact,omitempty"`
 	// ResumedFrom is the job this one continued from, if any; Resumable
@@ -230,16 +221,16 @@ type Job struct {
 	ResumedFrom string `json:"resumed_from,omitempty"`
 	Resumable   bool   `json:"resumable,omitempty"`
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
 	// checkpoint holds the dataset and last completed-epoch training state
 	// of an interrupted run; Resume hands it to the successor job.
 	checkpoint *checkpoint
-	// stream fans live Events out to Watch subscribers; trace is the job's
-	// span tree (queued wait, generate/train/publish phases).
-	stream *obs.Stream[Event]
-	trace  *obs.Trace
+}
+
+// event is the job's current-status Event: every progress update, the
+// final event published when the job ends, and the terminal frame an SSE
+// stream re-synthesizes all come from here.
+func (j *Job) event() Event {
+	return Event{Status: j.Status, Progress: j.Progress, Error: j.Error}
 }
 
 type checkpoint struct {
@@ -248,9 +239,14 @@ type checkpoint struct {
 	parent string // warm-start parent artifact ID carried into the resume
 }
 
-// Pipeline owns the training queue and worker pool, publishing finished
-// surrogates into the store.
+// Pipeline runs training jobs on a jobqueue.Queue (the FIFO, the worker
+// pool and the job table), publishing finished surrogates into the store.
+// Get, List, Cancel, Wait, Watch, Events, Trace and Final come from the
+// embedded jobqueue.Jobs; a cancelled job keeps the checkpoint of its last
+// completed epoch for Resume.
 type Pipeline struct {
+	jobqueue.Jobs[Job, Event, *Job]
+
 	store *modelstore.Store
 
 	// publishRetry absorbs transient store.Publish failures (including
@@ -258,23 +254,13 @@ type Pipeline struct {
 	// does not discard it. Set before the first Submit to override.
 	publishRetry resilience.RetryPolicy
 
-	queue   chan *Job
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
-
+	// mu guards the queue's table, the records' progress and checkpoints,
+	// and the dedup map and checkpoint FIFO below; the queue's finish hook
+	// runs under it.
 	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string
+	q         *jobqueue.Queue[Job, Event, *Job]
 	active    map[string]string // dedup key -> queued/running job id
 	resumable []*Job            // FIFO of terminal jobs still holding checkpoints
-	workers   int
-	retention int
-
-	submitted uint64
-	completed uint64
-	failed    uint64
-	cancelled uint64
 }
 
 // DefaultRetention bounds how many terminal training jobs stay queryable.
@@ -295,22 +281,25 @@ func New(store *modelstore.Store, workers, queueCap int) *Pipeline {
 	if queueCap <= 0 {
 		queueCap = 16
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pipeline{
 		store:        store,
 		publishRetry: resilience.DefaultRetry,
-		queue:        make(chan *Job, queueCap),
-		baseCtx:      ctx,
-		stop:         cancel,
-		jobs:         make(map[string]*Job),
 		active:       make(map[string]string),
-		workers:      workers,
-		retention:    DefaultRetention,
 	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
+	p.q = jobqueue.New(&p.mu, jobqueue.Kind[Job, Event, *Job]{
+		Workers:   workers,
+		Cap:       queueCap,
+		Retention: DefaultRetention,
+		Span:      "train-job",
+		Events:    eventRing,
+		Full:      ErrQueueFull,
+		Closed:    errShuttingDown,
+		Run:       p.run,
+		Event:     (*Job).event,
+		Finish:    p.finish,
+		Copy:      copyJob,
+	})
+	p.Jobs = p.q.Jobs
 	return p
 }
 
@@ -318,25 +307,17 @@ func New(store *modelstore.Store, workers, queueCap int) *Pipeline {
 func (p *Pipeline) Store() *modelstore.Store { return p.store }
 
 // Workers returns the worker-pool size.
-func (p *Pipeline) Workers() int { return p.workers }
+func (p *Pipeline) Workers() int { return p.q.Workers() }
 
 // ErrQueueFull is returned by Submit when the pending queue is at
 // capacity; HTTP maps it to 503 so clients can back off and retry.
-var ErrQueueFull = errors.New("trainer: training queue is full")
+var ErrQueueFull = fmt.Errorf("trainer: training %w", jobqueue.ErrFull)
 
-var errShuttingDown = errors.New("trainer: shutting down")
-
-func newJobID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand failure is unrecoverable
-	}
-	return hex.EncodeToString(b[:])
-}
+var errShuttingDown = fmt.Errorf("trainer: %w", jobqueue.ErrClosed)
 
 // Submit validates and enqueues a training job, returning a snapshot.
 func (p *Pipeline) Submit(req Request) (Job, error) {
-	return p.submit(req, nil, "")
+	return p.submit(req, nil, "", false)
 }
 
 // Ensure is Submit with deduplication: when an equivalent job (same
@@ -346,7 +327,7 @@ func (p *Pipeline) Submit(req Request) (Job, error) {
 // The dedup check and the enqueue happen under one lock hold, so
 // concurrent Ensures of one request can never race past each other.
 func (p *Pipeline) Ensure(req Request) (Job, error) {
-	return p.submitWith(req, nil, "", true)
+	return p.submit(req, nil, "", true)
 }
 
 // Resume continues a cancelled or failed job from its last checkpoint as a
@@ -354,10 +335,10 @@ func (p *Pipeline) Ensure(req Request) (Job, error) {
 // epoch restart from the dataset when it was retained, or from scratch.
 func (p *Pipeline) Resume(id string) (Job, error) {
 	p.mu.Lock()
-	prev, ok := p.jobs[id]
+	prev, ok := p.q.LookupLocked(id)
 	if !ok {
 		p.mu.Unlock()
-		return Job{}, fmt.Errorf("trainer: unknown job %q", id)
+		return Job{}, fmt.Errorf("trainer: %w %q", jobqueue.ErrUnknown, id)
 	}
 	if !prev.Status.Terminal() || prev.Status == StatusDone {
 		status := prev.Status
@@ -374,130 +355,34 @@ func (p *Pipeline) Resume(id string) (Job, error) {
 	}
 	req := prev.Request
 	p.mu.Unlock()
-	return p.submit(req, ck, id)
+	return p.submit(req, ck, id, false)
 }
 
-func (p *Pipeline) submit(req Request, ck *checkpoint, resumedFrom string) (Job, error) {
-	return p.submitWith(req, ck, resumedFrom, false)
-}
-
-func (p *Pipeline) submitWith(req Request, ck *checkpoint, resumedFrom string, dedup bool) (Job, error) {
+func (p *Pipeline) submit(req Request, ck *checkpoint, resumedFrom string, dedup bool) (Job, error) {
 	if err := req.Validate(); err != nil {
 		return Job{}, err
 	}
-	jctx, cancel := context.WithCancel(p.baseCtx)
-	id := newJobID()
-	job := &Job{
-		ID:          id,
-		Status:      StatusQueued,
-		Request:     req,
-		Created:     time.Now(),
-		ResumedFrom: resumedFrom,
-		ctx:         jctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		checkpoint:  ck,
-		stream:      obs.NewStream[Event](eventRing),
-		trace:       obs.NewTrace(id, "train-job"),
-	}
-	p.mu.Lock()
-	if p.baseCtx.Err() != nil {
-		p.mu.Unlock()
-		cancel()
-		return Job{}, errShuttingDown
-	}
-	if dedup {
-		if id, ok := p.active[req.dedupKey()]; ok {
-			if existing, ok := p.jobs[id]; ok && !existing.Status.Terminal() {
-				snap := copyJob(existing)
-				p.mu.Unlock()
-				cancel()
-				return snap, nil
-			}
-		}
-	}
-	select {
-	case p.queue <- job:
-		p.jobs[job.ID] = job
-		p.order = append(p.order, job.ID)
-		p.active[req.dedupKey()] = job.ID
-		p.submitted++
-		snap := copyJob(job)
-		p.mu.Unlock()
-		return snap, nil
-	default:
-		p.mu.Unlock()
-		cancel()
-		return Job{}, ErrQueueFull
-	}
-}
-
-// Get returns a snapshot of the job with the given id.
-func (p *Pipeline) Get(id string) (Job, bool) {
+	key := req.dedupKey()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	job, ok := p.jobs[id]
-	if !ok {
-		return Job{}, false
-	}
-	return copyJob(job), true
-}
-
-// List returns snapshots of all jobs in submission order.
-func (p *Pipeline) List() []Job {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Job, 0, len(p.order))
-	for _, id := range p.order {
-		if job, ok := p.jobs[id]; ok {
-			out = append(out, copyJob(job))
+	if id, ok := p.active[key]; dedup && ok {
+		if existing, ok := p.q.LookupLocked(id); ok {
+			return p.q.SnapshotLocked(existing), nil
 		}
 	}
-	return out
+	job := &Job{Request: req, ResumedFrom: resumedFrom, checkpoint: ck}
+	if err := p.q.AddLocked(job, false); err != nil {
+		return Job{}, err
+	}
+	p.active[key] = job.ID
+	return p.q.SnapshotLocked(job), nil
 }
 
-// Cancel stops a queued or running job; the checkpoint from the last
-// completed epoch (if any) stays available for Resume.
-func (p *Pipeline) Cancel(id string) (Job, bool) {
-	p.mu.Lock()
-	job, ok := p.jobs[id]
-	if !ok {
-		p.mu.Unlock()
-		return Job{}, false
-	}
-	if job.Status == StatusQueued {
-		p.finishLocked(job, StatusCancelled, nil, nil)
-		snap := copyJob(job)
-		p.mu.Unlock()
-		return snap, true
-	}
-	cancel := job.cancel
-	p.mu.Unlock()
-	cancel()
-	return p.Get(id)
-}
-
-// Wait blocks until the job reaches a terminal status or ctx expires.
-func (p *Pipeline) Wait(ctx context.Context, id string) (Job, error) {
-	p.mu.Lock()
-	job, ok := p.jobs[id]
-	p.mu.Unlock()
-	if !ok {
-		return Job{}, fmt.Errorf("trainer: unknown job %q", id)
-	}
-	select {
-	case <-job.done:
-	case <-ctx.Done():
-		return Job{}, ctx.Err()
-	}
-	snap, _ := p.Get(id)
-	return snap, nil
-}
+// SetRetention overrides the terminal-job retention bound (minimum 1).
+func (p *Pipeline) SetRetention(n int) { p.q.SetRetention(n) }
 
 func copyJob(j *Job) Job {
 	c := *j
-	c.cancel = nil
-	c.done = nil
 	c.checkpoint = nil
 	c.Resumable = j.Status.Terminal() && j.Status != StatusDone && j.checkpoint != nil
 	if j.Artifact != nil {
@@ -507,62 +392,27 @@ func copyJob(j *Job) Job {
 	return c
 }
 
-func (p *Pipeline) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.baseCtx.Done():
-			return
-		case job := <-p.queue:
-			p.runJob(job)
-		}
-	}
-}
-
-func (p *Pipeline) runJob(job *Job) {
-	p.mu.Lock()
-	ctx := job.ctx
-	if job.Status.Terminal() {
-		p.mu.Unlock()
-		return
-	}
-	if ctx.Err() != nil {
-		p.finishLocked(job, StatusCancelled, nil, nil)
-		p.mu.Unlock()
-		return
-	}
-	job.Status = StatusRunning
-	job.Started = time.Now()
-	job.trace.Root().Set("queue_wait_ms", float64(job.Started.Sub(job.Created).Microseconds())/1e3)
-	ev := Event{Status: job.Status, Progress: job.Progress}
-	p.mu.Unlock()
-	job.stream.Publish(ev)
-
+// run executes one training job on a queue worker and reports how it
+// ended.
+func (p *Pipeline) run(ctx context.Context, job *Job) (Status, error) {
 	manifest, err := p.execute(ctx, job)
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	switch {
 	case err != nil && ctx.Err() != nil:
-		p.finishLocked(job, StatusCancelled, nil, nil)
+		return StatusCancelled, nil
 	case err != nil:
-		p.finishLocked(job, StatusFailed, nil, err)
-	default:
-		p.finishLocked(job, StatusDone, manifest, nil)
+		return StatusFailed, err
 	}
+	p.mu.Lock()
+	job.Artifact = manifest
+	p.mu.Unlock()
+	return StatusDone, nil
 }
 
-func (p *Pipeline) finishLocked(job *Job, status Status, manifest *modelstore.Manifest, err error) {
-	if job.Status.Terminal() {
-		return
-	}
-	job.Status = status
-	job.Finished = time.Now()
-	job.Artifact = manifest
-	if err != nil {
-		job.Error = err.Error()
-	}
-	if status == StatusDone {
+// finish is the queue's terminal hook for training jobs, run under p.mu:
+// it bounds the checkpoints kept for Resume and retires the job's dedup
+// entry.
+func (p *Pipeline) finish(job *Job) {
+	if job.Status == StatusDone {
 		job.checkpoint = nil // nothing left to resume
 	} else if job.checkpoint != nil {
 		// Bound resumable state: a checkpoint pins the job's whole dataset
@@ -575,103 +425,19 @@ func (p *Pipeline) finishLocked(job *Job, status Status, manifest *modelstore.Ma
 			p.resumable = p.resumable[1:]
 		}
 	}
-	switch status {
-	case StatusDone:
-		p.completed++
-	case StatusFailed:
-		p.failed++
-	case StatusCancelled:
-		p.cancelled++
+	if key := job.Request.dedupKey(); p.active[key] == job.ID {
+		delete(p.active, key)
 	}
-	if p.active[job.Request.dedupKey()] == job.ID {
-		delete(p.active, job.Request.dedupKey())
-	}
-	// Final event carries the terminal status, then the stream closes so
-	// SSE watchers see end-of-stream rather than hanging. The stream's own
-	// mutex is a leaf, so publishing under p.mu cannot deadlock.
-	job.trace.Root().Set("status", string(status))
-	job.trace.End()
-	job.stream.Publish(Event{Status: job.Status, Progress: job.Progress, Error: job.Error})
-	job.stream.Close()
-	job.cancel()
-	close(job.done)
-	p.evictTerminalLocked()
 }
 
-// SetRetention overrides the terminal-job retention bound (minimum 1).
-func (p *Pipeline) SetRetention(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	p.retention = n
-	p.evictTerminalLocked()
-	p.mu.Unlock()
-}
-
-func (p *Pipeline) evictTerminalLocked() {
-	terminal := 0
-	for _, job := range p.jobs {
-		if job.Status.Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= p.retention {
-		return
-	}
-	kept := p.order[:0]
-	for _, id := range p.order {
-		job, ok := p.jobs[id]
-		if !ok {
-			continue
-		}
-		if terminal > p.retention && job.Status.Terminal() {
-			job.checkpoint = nil // release dataset/state even if still in the resumable FIFO
-			delete(p.jobs, id)
-			terminal--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	p.order = kept
-}
-
-// setProgress mutates a job's progress under the pipeline lock and
-// publishes the updated view to Watch subscribers.
+// setProgress mutates a job's progress (fn runs under the pipeline lock)
+// and publishes the updated view to Watch subscribers.
 func (p *Pipeline) setProgress(job *Job, fn func(*Progress)) {
 	p.mu.Lock()
 	fn(&job.Progress)
-	ev := Event{Status: job.Status, Progress: job.Progress}
+	ev := job.event()
 	p.mu.Unlock()
-	job.stream.Publish(ev)
-}
-
-// Watch subscribes to a job's live event stream: the history so far
-// (oldest first), a channel of subsequent events, and a cancel function
-// the caller must invoke when done. The channel closes when the job
-// reaches a terminal status (or on cancel). Terminal jobs return their
-// retained history and an already-closed channel.
-func (p *Pipeline) Watch(id string) ([]Event, <-chan Event, func(), bool) {
-	p.mu.Lock()
-	job, ok := p.jobs[id]
-	p.mu.Unlock()
-	if !ok {
-		return nil, nil, nil, false
-	}
-	hist, ch, cancel := job.stream.Subscribe(16)
-	return hist, ch, cancel, true
-}
-
-// Trace snapshots a job's span tree (queued wait, generate/train/publish
-// phases); running spans report duration so far.
-func (p *Pipeline) Trace(id string) (obs.SpanSnapshot, bool) {
-	p.mu.Lock()
-	job, ok := p.jobs[id]
-	p.mu.Unlock()
-	if !ok {
-		return obs.SpanSnapshot{}, false
-	}
-	return job.trace.Snapshot(), true
+	job.Stream().Publish(ev)
 }
 
 // execute runs one training job end to end: generate (or reuse the
@@ -689,7 +455,7 @@ func (p *Pipeline) execute(ctx context.Context, job *Job) (*modelstore.Manifest,
 	}
 	a := arch.Default(len(algo.Tensors) - 1)
 	start := time.Now()
-	root := job.trace.Root()
+	root := job.Root()
 
 	// Phase 1a: the training set. A resumed job reuses the retained
 	// dataset — regeneration would be wasted cost-model work.
@@ -757,14 +523,10 @@ func (p *Pipeline) execute(ctx context.Context, job *Job) (*modelstore.Manifest,
 		Warm:   warm,
 		Resume: resume,
 		OnEpoch: func(ep surrogate.TrainEpoch) {
-			p.mu.Lock()
-			job.Progress.Epoch = ep.Epoch + 1
-			job.Progress.TrainLoss = ep.TrainLoss
-			job.Progress.TestLoss = ep.TestLoss
-			job.checkpoint.state = ep.State
-			ev := Event{Status: job.Status, Progress: job.Progress}
-			p.mu.Unlock()
-			job.stream.Publish(ev)
+			p.setProgress(job, func(pr *Progress) {
+				pr.Epoch, pr.TrainLoss, pr.TestLoss = ep.Epoch+1, ep.TrainLoss, ep.TestLoss
+				job.checkpoint.state = ep.State
+			})
 		},
 	})
 	trainSpan.End()
@@ -900,58 +662,15 @@ func costModelFingerprint(name string, a arch.Spec, algo *loopnest.Algorithm) st
 // Stats summarizes pipeline lifecycle counts, exposed on /metrics as the
 // trainer_jobs_* series.
 type Stats struct {
-	Submitted uint64 `json:"submitted"`
-	Queued    int    `json:"queued"`
-	Running   int    `json:"running"`
-	Done      uint64 `json:"done"`
-	Failed    uint64 `json:"failed"`
-	Cancelled uint64 `json:"cancelled"`
-	Workers   int    `json:"workers"`
+	jobqueue.Stats
+	Workers int `json:"workers"`
 }
 
-// Stats snapshots lifecycle counters and live queue state.
-func (p *Pipeline) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := Stats{
-		Submitted: p.submitted,
-		Done:      p.completed,
-		Failed:    p.failed,
-		Cancelled: p.cancelled,
-		Workers:   p.workers,
-	}
-	for _, job := range p.jobs {
-		switch job.Status {
-		case StatusQueued:
-			st.Queued++
-		case StatusRunning:
-			st.Running++
-		}
-	}
-	return st
-}
+// Stats snapshots lifecycle counters and live queue state; it takes no
+// lock.
+func (p *Pipeline) Stats() Stats { return Stats{Stats: p.q.Stats(), Workers: p.q.Workers()} }
 
 // Shutdown cancels every job (queued and running) and waits for the
 // worker pool to drain, or for ctx to expire. New submissions fail once
 // shutdown has begun.
-func (p *Pipeline) Shutdown(ctx context.Context) error {
-	p.stop()
-	drained := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, job := range p.jobs {
-		if !job.Status.Terminal() {
-			p.finishLocked(job, StatusCancelled, nil, nil)
-		}
-	}
-	return nil
-}
+func (p *Pipeline) Shutdown(ctx context.Context) error { return p.q.Shutdown(ctx) }

@@ -419,3 +419,41 @@ func TestShutdownCancelsTrainingJobs(t *testing.T) {
 		t.Fatal("submit accepted after shutdown")
 	}
 }
+
+// TestCancelQueuedTrainingJobFreesSlot pins that cancelling a queued job
+// frees its queue slot at once: with the one worker busy and a one-slot
+// queue, submit B, cancel B, and C must be accepted without waiting for a
+// worker to drain B.
+func TestCancelQueuedTrainingJobFreesSlot(t *testing.T) {
+	p := testPipeline(t, 1, 1)
+	long := tinyRequest()
+	long.Samples = 4000
+	long.Epochs = 500
+	a, err := p.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for snap, _ := p.Get(a.ID); snap.Status != StatusRunning; snap, _ = p.Get(a.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job A never started: %s", snap.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b, err := p.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok := p.Cancel(b.ID); !ok || snap.Status != StatusCancelled {
+		t.Fatalf("cancel queued B: %v %s", ok, snap.Status)
+	}
+	c, err := p.Submit(long)
+	if err != nil {
+		t.Fatalf("submit C after cancelling queued B: %v", err)
+	}
+	if st := p.Stats(); st.Submitted != 3 || st.Queued != 1 || st.Running != 1 || st.Cancelled != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	p.Cancel(c.ID)
+	p.Cancel(a.ID)
+}
