@@ -149,16 +149,11 @@ func newMapper(algoName, einsum string) (*core.Mapper, error) {
 // (e.g. "M=256,N=256,K=512").
 func resolveProblem(algo *loopnest.Algorithm, problemName, shape string) (loopnest.Problem, error) {
 	if problemName != "" {
-		all, err := loopnest.Table1Problems()
+		p, err := loopnest.Table1Problem(problemName, algo.Name)
 		if err != nil {
-			return loopnest.Problem{}, err
+			return loopnest.Problem{}, fmt.Errorf("%w (see Table 1 names)", err)
 		}
-		for _, p := range all {
-			if p.Name == problemName && p.Algo.Name == algo.Name {
-				return p, nil
-			}
-		}
-		return loopnest.Problem{}, fmt.Errorf("problem %q not found for %s (see Table 1 names)", problemName, algo.Name)
+		return p, nil
 	}
 	if shape == "" {
 		return loopnest.Problem{}, fmt.Errorf("need -problem or -shape")

@@ -64,6 +64,22 @@ func Table1Problems() ([]Problem, error) {
 	return append(cnn, mtt...), nil
 }
 
+// Table1Problem returns the Table-1 problem called name for the algorithm
+// called algo. Its not-found error carries no package prefix; callers add
+// their own context.
+func Table1Problem(name, algo string) (Problem, error) {
+	all, err := Table1Problems()
+	if err != nil {
+		return Problem{}, err
+	}
+	for _, p := range all {
+		if p.Name == name && p.Algo.Name == algo {
+			return p, nil
+		}
+	}
+	return Problem{}, fmt.Errorf("problem %q not found for %s", name, algo)
+}
+
 // RandomProblem samples a representative problem for the algorithm by
 // drawing each dimension from its typical-value list (paper §5.5: "we sample
 // from a range of typical values for each parameter making up the problem").

@@ -96,9 +96,9 @@ func BenchmarkSearchSA(b *testing.B) {
 // BenchmarkSearchGAInstrumented runs the same GA workload as
 // BenchmarkSearchGA/batch with the serving stack's full observability
 // load attached: a sampled eval-latency histogram (1-in-64, the service's
-// rate), a live Progress hook opening a stride span and publishing a
-// trajectory event into a bounded stream per recorded sample — exactly
-// what a search job pays when /metrics and /events are being watched.
+// rate) and a live Progress hook publishing a trajectory event into a
+// bounded stream per recorded sample — exactly what a search job pays
+// when /metrics and /events are being watched.
 // BENCH_search.json records this against the uninstrumented row; the gap
 // is the instrumentation overhead and must stay within noise.
 func BenchmarkSearchGAInstrumented(b *testing.B) {
@@ -109,14 +109,7 @@ func BenchmarkSearchGAInstrumented(b *testing.B) {
 		ctx.Model = costmodel.WithTiming(ctx.Model, 64, func(d time.Duration) {
 			hist.Observe(d.Seconds())
 		})
-		trace := obs.NewTrace("bench", "search-job")
-		var stride *obs.Span
-		ctx.Progress = func(p Progress) {
-			stride.End()
-			stride = trace.Root().StartChild("stride")
-			stride.Set("eval", float64(p.Eval))
-			stream.Publish(p)
-		}
+		ctx.Progress = func(p Progress) { stream.Publish(p) }
 		return ctx
 	})
 }

@@ -185,11 +185,11 @@ func TestBatchingDefaultsInSearcher(t *testing.T) {
 	defer jm.Shutdown(context.Background())
 
 	req := mmRequest(1)
-	algo, err := req.algorithm()
+	p, err := req.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, cleanup, err := jm.searcher(context.Background(), &req, algo)
+	s, cleanup, err := jm.searcher(context.Background(), &req, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,10 +179,11 @@ type Job struct {
 	admitted   bool
 	checkpoint *search.Checkpoint
 	resume     *search.Checkpoint
-	// atlasID caches the job's atlas identity (computed at submit when an
-	// atlas is attached); atlasSeeded marks a run warm-started from a
-	// nearest-neighbor atlas entry, stamped into Result.Source at finish.
-	atlasID     *atlasIdentity
+	// plan is the resolved request: pinned at submit, or set under jm.mu
+	// on the first run of a job recovered from the journal. atlasSeeded
+	// marks a run warm-started from a nearest-neighbor atlas entry, stamped
+	// into Result.Source at finish.
+	plan        *plan
 	atlasSeeded bool
 	// tin is the tenant's instrument set, resolved once at submission
 	// (outside jm.mu) so the finish path under jm.mu only does atomic adds.
@@ -240,11 +241,16 @@ type JobManager struct {
 	// w is the setup-time wiring, guarded by mu and read through wired().
 	w wiring
 
-	// reg is the manager's metric registry, created with it and adopted by
-	// NewServer for /metrics; met holds the instruments registered in it.
-	// Both are fixed at construction, so every path reads them lock-free.
-	reg *obs.Registry
-	met jobMetrics
+	// reg is the manager's metric registry and flight its operational-event
+	// ring (job lifecycle, admission rejections, shed decisions, journal
+	// errors, batcher anomalies), both created with it and adopted by
+	// NewServer for /metrics and /debug/flightrecorder; met holds the
+	// instruments registered in reg. All three are fixed at construction,
+	// so every path reads them lock-free; Record is a leaf mutex, safe to
+	// call under mu.
+	reg    *obs.Registry
+	met    jobMetrics
+	flight *obs.FlightRecorder
 
 	// Per-tenant instrument sets, registered on first sight of a tenant
 	// and bounded at obs.DefaultMaxCardinality; later tenants share
@@ -291,10 +297,6 @@ type wiring struct {
 	// so admission thresholds can shed on burn rate instead of raw
 	// heap/queue numbers; it is invoked outside mu.
 	healthFn func() float64
-	// flightRec (SetFlightRecorder) receives operational events: job
-	// lifecycle, admission rejections, shed decisions, journal errors,
-	// batcher anomalies. Record is a leaf mutex, safe to call under mu.
-	flightRec *obs.FlightRecorder
 	// The atlas (EnableAtlas): exact-key hits are served from the store
 	// without running a search job, mm misses warm-start from the nearest
 	// solved neighbor, and completed jobs write back unless atlasRO.
@@ -431,6 +433,7 @@ func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap 
 	jm := &JobManager{
 		registry: registry,
 		cache:    cache,
+		flight:   obs.NewFlightRecorder(0),
 		tenants:  make(map[string]*tenantInstruments),
 		counters: make(map[string]*costmodel.Counter),
 		batchCfg: infer.Config{Window: infer.DefaultWindow, MaxBatch: infer.DefaultMaxBatch},
@@ -494,53 +497,6 @@ func (jm *JobManager) SetAtlasSource(source string) {
 	jm.mu.Unlock()
 }
 
-// atlasIdentity is a request's fully resolved atlas coordinates: the
-// exact-entry key, its shape-independent family, and the readable pieces
-// both were derived from (stamped into write-back entries).
-type atlasIdentity struct {
-	key       string
-	family    string
-	algo      string
-	algoFP    string
-	archFP    string
-	costModel string
-	objective string
-	shape     []int
-}
-
-// atlasIdentity resolves the request's atlas coordinates. It re-runs the
-// cheap parts of request resolution (algorithm, problem, objective) —
-// microseconds, amortized by the seconds a search costs — and never
-// touches the surrogate registry or the store.
-func (req *SearchRequest) atlasIdentity() (*atlasIdentity, error) {
-	algo, err := req.algorithm()
-	if err != nil {
-		return nil, err
-	}
-	prob, err := req.resolveProblem(algo)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := search.ParseObjective(req.Objective)
-	if err != nil {
-		return nil, err
-	}
-	cm := req.CostModel
-	if cm == "" {
-		cm = costmodel.DefaultBackend
-	}
-	id := &atlasIdentity{
-		algo:      algo.Name,
-		algoFP:    algo.Fingerprint(),
-		archFP:    modelstore.ArchFingerprint(arch.Default(len(algo.Tensors) - 1)),
-		costModel: cm,
-		objective: obj.String(),
-		shape:     append([]int(nil), prob.Shape...),
-	}
-	id.key, id.family = atlas.Key(id.algoFP, id.archFP, id.costModel, id.objective, id.shape)
-	return id, nil
-}
-
 // SetBatching configures the cross-request inference batcher that
 // coalesces surrogate queries from concurrent jobs sharing a model
 // (window <= 0 disables batching; zero MaxBatch means infer's default).
@@ -598,7 +554,7 @@ func (jm *JobManager) batcherMetrics(model string) *infer.Metrics {
 		// under the batcher lock; Record is one leaf mutex and never calls
 		// back into the batcher.
 		Anomaly: func(kind, detail string) {
-			jm.wired().flightRec.Record(obs.SevWarn, "batcher."+kind, detail,
+			jm.flight.Record(obs.SevWarn, "batcher."+kind, detail,
 				map[string]string{"model": model})
 		},
 	}
@@ -645,14 +601,6 @@ func (jm *JobManager) Load() resilience.Load {
 func (jm *JobManager) SetHealth(fn func() float64) {
 	jm.mu.Lock()
 	jm.w.healthFn = fn
-	jm.mu.Unlock()
-}
-
-// SetFlightRecorder attaches the operational-event ring. Call at setup,
-// before traffic; nil detaches (Record is nil-safe throughout).
-func (jm *JobManager) SetFlightRecorder(fr *obs.FlightRecorder) {
-	jm.mu.Lock()
-	jm.w.flightRec = fr
 	jm.mu.Unlock()
 }
 
@@ -734,7 +682,7 @@ func (jm *JobManager) journalPut(job *Job, status JobStatus, ck *search.Checkpoi
 	rec := journalRecord{ID: job.ID, Tenant: job.Tenant, Status: status, Request: job.Request, Created: job.Created, Checkpoint: ck}
 	if err := w.journal.Put(job.ID, rec); err != nil {
 		jm.met.journalErrs.Inc()
-		w.flightRec.Record(obs.SevError, "journal.error", err.Error(),
+		jm.flight.Record(obs.SevError, "journal.error", err.Error(),
 			map[string]string{"id": job.ID, "op": "put"})
 	}
 }
@@ -816,7 +764,7 @@ func (jm *JobManager) Resume(id string) (Job, error) {
 	ck := job.checkpoint
 	jm.mu.Unlock()
 	job.tin.accepted()
-	jm.wired().flightRec.Record(obs.SevInfo, "job.resume", "search job re-enqueued from its checkpoint",
+	jm.flight.Record(obs.SevInfo, "job.resume", "search job re-enqueued from its checkpoint",
 		map[string]string{"id": snap.ID, "tenant": tenantLabel(snap.Tenant)})
 	jm.journalPut(job, JobQueued, ck)
 	return snap, nil
@@ -858,32 +806,42 @@ var ErrQueueFull = fmt.Errorf("service: job %w", jobqueue.ErrFull)
 
 var errShuttingDown = fmt.Errorf("service: %w", jobqueue.ErrClosed)
 
-// algorithm resolves the request's workload: a registered name, or an
-// inline einsum spec compiled on the fly.
-func (req *SearchRequest) algorithm() (*loopnest.Algorithm, error) {
-	if (req.Algo == "") == (req.Einsum == "") {
-		return nil, fmt.Errorf("service: exactly one of algo or einsum is required (registered workloads: %s)",
-			strings.Join(workload.Names(), ", "))
-	}
-	if req.Einsum != "" {
-		algo, err := workload.CompileInline(req.Einsum)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		return algo, nil
-	}
-	algo, err := loopnest.AlgorithmByName(req.Algo)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	return algo, nil
+// plan is a SearchRequest resolved once: the workload, the problem
+// instance, the accelerator, the objective and budget, the searcher, cost
+// model and parallelism with their defaults and caps applied, and the atlas
+// coordinates derived from them. Every step after submit — the atlas exact
+// hit, the neighbor warm start, the search and the write-back — reads
+// these from the plan instead of deriving them from the request again.
+type plan struct {
+	algo        *loopnest.Algorithm
+	prob        loopnest.Problem
+	arch        arch.Spec
+	obj         search.Objective
+	budget      search.Budget
+	searcher    string // lower-cased; "mm" when the request left it empty
+	costModel   string // the backend name; never empty
+	parallelism int    // capped at MaxParallelism
+	// algoFP and archFP stamp atlas entries and match "auto" models; key
+	// and family are the plan's atlas.Key.
+	algoFP, archFP string
+	key, family    string
 }
 
-// Validate checks a request without running it.
-func (req *SearchRequest) Validate() error {
-	algo, err := req.algorithm()
+// blackBox maps each black-box searcher name to its method. mm, the
+// default, is built per job around a registry surrogate (searcher).
+var blackBox = map[string]search.Searcher{
+	"sa": search.SimulatedAnnealing{}, "ga": search.GeneticAlgorithm{},
+	"rl": search.RL{Hidden: 64}, "random": search.RandomSearch{},
+}
+
+// resolve checks the request and builds its plan; it is the one place a
+// request is interpreted. A problem its algorithm cannot build (an unknown
+// Table-1 name, a wrong-length shape, a bad dims map) fails here, so
+// submit answers 400 before taking an admission slot or a queue slot.
+func (req *SearchRequest) resolve() (*plan, error) {
+	algo, err := workload.Resolve(req.Algo, req.Einsum)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	sources := 0
 	if req.Problem != "" {
@@ -896,48 +854,70 @@ func (req *SearchRequest) Validate() error {
 		sources++
 	}
 	if sources != 1 {
-		return fmt.Errorf("service: exactly one of problem, shape, or dims is required (algorithm %s has dims %s)",
+		return nil, fmt.Errorf("service: exactly one of problem, shape, or dims is required (algorithm %s has dims %s)",
 			algo.Name, strings.Join(algo.DimNames, ","))
 	}
-	if _, err := search.ParseObjective(req.Objective); err != nil {
-		return err
+	obj, err := search.ParseObjective(req.Objective)
+	if err != nil {
+		return nil, err
 	}
 	if req.Parallelism < 0 {
-		return fmt.Errorf("service: negative parallelism %d", req.Parallelism)
+		return nil, fmt.Errorf("service: negative parallelism %d", req.Parallelism)
 	}
 	if req.TimeoutMS < 0 {
-		return fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
+		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
 	}
 	if !costmodel.Registered(req.CostModel) {
-		return fmt.Errorf("service: unknown cost model %q (registered: %s)",
+		return nil, fmt.Errorf("service: unknown cost model %q (registered: %s)",
 			req.CostModel, strings.Join(costmodel.Names(), ", "))
 	}
-	if _, err := req.budget(); err != nil {
-		return err
+	budget, err := req.budget()
+	if err != nil {
+		return nil, err
 	}
 	name := strings.ToLower(req.Searcher)
-	switch name {
-	case "", "mm":
+	if name == "" {
+		name = "mm"
+	}
+	if _, ok := blackBox[name]; !ok {
+		if name != "mm" {
+			return nil, fmt.Errorf("service: unknown searcher %q (want mm, sa, ga, rl, random)", req.Searcher)
+		}
 		if req.Model == "" {
-			return errors.New("service: the mm searcher needs a model (an artifact ID, a file name, or \"auto\") or pick sa/ga/rl/random")
+			return nil, errors.New("service: the mm searcher needs a model (an artifact ID, a file name, or \"auto\") or pick sa/ga/rl/random")
 		}
 		if err := validName(req.Model); err != nil {
-			return err
+			return nil, err
 		}
-	case "sa", "ga", "rl", "random":
-	default:
-		return fmt.Errorf("service: unknown searcher %q (want mm, sa, ga, rl, random)", req.Searcher)
 	}
 	if req.TrainOnMiss != nil {
 		if req.Model != "auto" {
-			return errors.New("service: train_on_miss requires \"model\": \"auto\"")
+			return nil, errors.New("service: train_on_miss requires \"model\": \"auto\"")
 		}
 		treq := req.trainRequest()
 		if err := treq.Validate(); err != nil {
-			return fmt.Errorf("service: train_on_miss: %w", err)
+			return nil, fmt.Errorf("service: train_on_miss: %w", err)
 		}
 	}
-	return nil
+	prob, err := req.resolveProblem(algo)
+	if err != nil {
+		return nil, err
+	}
+	p := &plan{algo: algo, prob: prob, arch: arch.Default(len(algo.Tensors) - 1), obj: obj, budget: budget,
+		searcher: name, costModel: req.CostModel, parallelism: min(req.Parallelism, MaxParallelism),
+		algoFP: algo.Fingerprint()}
+	if p.costModel == "" {
+		p.costModel = costmodel.DefaultBackend
+	}
+	p.archFP = modelstore.ArchFingerprint(p.arch)
+	p.key, p.family = atlas.Key(p.algoFP, p.archFP, p.costModel, obj.String(), prob.Shape)
+	return p, nil
+}
+
+// Validate checks a request without running it.
+func (req *SearchRequest) Validate() error {
+	_, err := req.resolve()
+	return err
 }
 
 // trainRequest synthesizes the pipeline request for a train-on-miss: the
@@ -958,8 +938,8 @@ func (req *SearchRequest) trainRequest() trainer.Request {
 // maxTrajectorySamples is a service job's one telemetry bound: a job
 // records every improvement plus at most this many stride samples, and
 // its event stream retains this many for late subscribers. Each recorded
-// sample costs a span, a published event, an SSE frame and a trajectory
-// point in every GET of the job, so any budget above the bound gets a
+// sample costs a published event, an SSE frame and a trajectory point in
+// every GET of the job, so any budget above the bound gets a
 // TrajectoryStride (a 3000-eval job records every 12th eval) and the
 // telemetry grows with the improvements, not with the evaluations.
 const maxTrajectorySamples = 256
@@ -1005,16 +985,11 @@ func (req *SearchRequest) budget() (search.Budget, error) {
 func (req *SearchRequest) resolveProblem(algo *loopnest.Algorithm) (loopnest.Problem, error) {
 	switch {
 	case req.Problem != "":
-		all, err := loopnest.Table1Problems()
+		p, err := loopnest.Table1Problem(req.Problem, algo.Name)
 		if err != nil {
-			return loopnest.Problem{}, err
+			return loopnest.Problem{}, fmt.Errorf("service: %w", err)
 		}
-		for _, p := range all {
-			if p.Name == req.Problem && p.Algo.Name == algo.Name {
-				return p, nil
-			}
-		}
-		return loopnest.Problem{}, fmt.Errorf("service: problem %q not found for %s", req.Problem, algo.Name)
+		return p, nil
 	case len(req.Shape) > 0:
 		if len(req.Shape) != algo.NumDims() {
 			return loopnest.Problem{}, fmt.Errorf("service: %s shape needs %d sizes in order %s, got %d",
@@ -1049,17 +1024,16 @@ func (jm *JobManager) Submit(req SearchRequest) (Job, error) {
 // possible rejection point — and the concurrency slot is held until the
 // job reaches a terminal state.
 func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
-	if err := req.Validate(); err != nil {
+	p, err := req.resolve()
+	if err != nil {
 		return Job{}, err
 	}
 	ti := jm.tenantFor(tenant)
 	// Atlas exact-hit check, before admission: a stored answer consumes no
 	// worker or queue slot, so atlas hits bypass quota and queue entirely.
-	var aid *atlasIdentity
 	if at := jm.wired().atlasStore; at != nil {
 		start := time.Now()
-		job, id, served := jm.tryAtlasServe(at, tenant, ti, &req)
-		aid = id
+		job, served := jm.tryAtlasServe(at, tenant, ti, req, p)
 		jm.met.atlasLookup.Observe(time.Since(start).Seconds())
 		if served {
 			return job, nil
@@ -1075,18 +1049,18 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 			if d.Code == 503 {
 				kind = "admission.shed"
 			}
-			jm.wired().flightRec.Record(sev, kind, d.Reason,
+			jm.flight.Record(sev, kind, d.Reason,
 				map[string]string{"tenant": tenantLabel(tenant), "code": fmt.Sprint(d.Code)})
 			return Job{}, &AdmissionError{Decision: d}
 		}
 		admitted = true
 	}
-	job := &Job{Tenant: tenant, Request: req, admitted: admitted, atlasID: aid, tin: ti}
+	job := &Job{Tenant: tenant, Request: req, admitted: admitted, plan: p, tin: ti}
 	job.Created = time.Now()
 	// Register and enqueue atomically with the drain check, so a job can
 	// never be accepted after BeginDrain.
 	jm.mu.Lock()
-	err := errShuttingDown
+	err = errShuttingDown
 	var snap Job
 	if !jm.draining {
 		if err = jm.q.AddLocked(job, false); err == nil {
@@ -1099,13 +1073,13 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 			adm.Release(tenant)
 		}
 		if errors.Is(err, ErrQueueFull) {
-			jm.wired().flightRec.Record(obs.SevWarn, "queue.full", "submission rejected: pending queue at capacity",
+			jm.flight.Record(obs.SevWarn, "queue.full", "submission rejected: pending queue at capacity",
 				map[string]string{"tenant": tenantLabel(tenant)})
 		}
 		return Job{}, err
 	}
 	ti.accepted()
-	jm.wired().flightRec.Record(obs.SevInfo, "job.submit", "search job queued",
+	jm.flight.Record(obs.SevInfo, "job.submit", "search job queued",
 		map[string]string{"id": job.ID, "tenant": tenantLabel(tenant)})
 	jm.journalPut(job, JobQueued, nil)
 	return snap, nil
@@ -1149,43 +1123,26 @@ func (jm *JobManager) observeConvergence(job *Job, result *JobResult) {
 	}
 }
 
-// tryAtlasServe attempts the exact-hit read path for a validated request:
-// when the atlas holds a solved mapping for the request's exact identity,
-// a synthetic already-done job carrying that mapping (Result.Source
-// "atlas") is registered and returned — no search runs, no admission slot
-// or queue capacity is consumed. The resolved identity is returned either
-// way so the fallthrough search job can reuse it for warm start and
-// write-back.
-func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantInstruments, req *SearchRequest) (Job, *atlasIdentity, bool) {
-	aid, err := req.atlasIdentity()
-	if err != nil {
-		return Job{}, nil, false // Validate passed; let the real path re-report
-	}
-	e, m, ok, err := at.Lookup(aid.key)
+// tryAtlasServe attempts the exact-hit read path for a resolved request:
+// when the atlas holds a solved mapping for the plan's key, a synthetic
+// already-done job carrying that mapping (Result.Source "atlas") is
+// registered and returned — no search runs, no admission slot or queue
+// capacity is consumed.
+func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantInstruments, req SearchRequest, p *plan) (Job, bool) {
+	e, m, ok, err := at.Lookup(p.key)
 	if err != nil || !ok {
-		return Job{}, aid, false
+		return Job{}, false
 	}
 	// Rebuild the target space and verify membership: an entry published
 	// under drifted mapspace constants must fall through to a real search
 	// (atlas GC with a staleness predicate reaps such entries).
-	algo, err := req.algorithm()
-	if err != nil {
-		return Job{}, aid, false
-	}
-	prob, err := req.resolveProblem(algo)
-	if err != nil {
-		return Job{}, aid, false
-	}
-	space, err := mapspace.New(arch.Default(len(algo.Tensors)-1), prob)
-	if err != nil {
-		return Job{}, aid, false
-	}
-	if err := space.IsMember(&m); err != nil {
-		return Job{}, aid, false
+	space, err := mapspace.New(p.arch, p.prob)
+	if err != nil || space.IsMember(&m) != nil {
+		return Job{}, false
 	}
 	job := &Job{
 		Tenant:  tenant,
-		Request: *req,
+		Request: req,
 		Result: &JobResult{
 			Method:   e.Method,
 			Source:   "atlas",
@@ -1193,14 +1150,14 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 			Mapping:  m.String(),
 			LoopNest: space.RenderLoopNest(&m),
 		},
-		atlasID: aid,
-		tin:     ti,
+		plan: p,
+		tin:  ti,
 	}
 	job.Created = time.Now()
 	jm.mu.Lock()
 	if jm.draining || jm.q.AddDoneLocked(job) != nil {
 		jm.mu.Unlock()
-		return Job{}, aid, false
+		return Job{}, false
 	}
 	job.Root().Set("source", "atlas")
 	job.Root().Set("atlas_entry", e.ID)
@@ -1208,9 +1165,9 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 	snap := jm.q.SnapshotLocked(job)
 	jm.mu.Unlock()
 	ti.atlasServed()
-	jm.wired().flightRec.Record(obs.SevInfo, "job.atlas-hit", "request served from the atlas",
+	jm.flight.Record(obs.SevInfo, "job.atlas-hit", "request served from the atlas",
 		map[string]string{"id": snap.ID, "tenant": tenantLabel(tenant)})
-	return snap, aid, true
+	return snap, true
 }
 
 func copyJob(j *Job) Job {
@@ -1292,30 +1249,6 @@ func (jm *JobManager) run(ctx context.Context, job *Job) (JobStatus, error) {
 	return JobDone, nil
 }
 
-// jobAtlasID returns the job's cached atlas identity, computing it for
-// jobs that never passed through the submit-path lookup (journal-recovered
-// jobs in a process that enabled the atlas).
-func (jm *JobManager) jobAtlasID(job *Job) *atlasIdentity {
-	jm.mu.Lock()
-	aid := job.atlasID
-	req := job.Request
-	jm.mu.Unlock()
-	if aid != nil {
-		return aid
-	}
-	aid, err := req.atlasIdentity()
-	if err != nil {
-		return nil
-	}
-	jm.mu.Lock()
-	if job.atlasID == nil {
-		job.atlasID = aid
-	}
-	aid = job.atlasID
-	jm.mu.Unlock()
-	return aid
-}
-
 // atlasWriteback publishes a completed job's best mapping into the atlas
 // (only-if-better per key), so the atlas self-populates from live
 // traffic. Runs outside jm.mu — publishing stages and renames files —
@@ -1329,19 +1262,16 @@ func (jm *JobManager) atlasWriteback(job *Job, res *search.Result) {
 	if res == nil || res.Evals == 0 || len(res.Best.Spatial) == 0 || math.IsInf(res.BestEDP, 0) {
 		return
 	}
-	aid := jm.jobAtlasID(job)
-	if aid == nil {
-		return
-	}
+	p := job.plan // set by now, and only ever by this worker or before it
 	e := atlas.Entry{
-		Key:       aid.key,
-		Family:    aid.family,
-		Algo:      aid.algo,
-		AlgoFP:    aid.algoFP,
-		ArchFP:    aid.archFP,
-		CostModel: aid.costModel,
-		Objective: aid.objective,
-		Shape:     aid.shape,
+		Key:       p.key,
+		Family:    p.family,
+		Algo:      p.algo.Name,
+		AlgoFP:    p.algoFP,
+		ArchFP:    p.archFP,
+		CostModel: p.costModel,
+		Objective: p.obj.String(),
+		Shape:     p.prob.Shape,
 		BestEDP:   res.BestEDP,
 		Evals:     res.Evals,
 		Method:    res.Method,
@@ -1367,19 +1297,17 @@ func (jm *JobManager) finish(job *Job) {
 	job.tin.finished(job)
 	// Record is a leaf mutex, safe under jm.mu; instruments were resolved
 	// at submit.
-	if jm.w.flightRec != nil {
-		sev, msg := obs.SevInfo, "search job finished"
-		switch {
-		case job.Status == JobFailed:
-			sev, msg = obs.SevError, job.Error
-		case job.Status == JobCancelled:
-			msg = "search job cancelled"
-		case job.Result != nil && job.Result.Degraded:
-			sev, msg = obs.SevWarn, "search job completed degraded at its anytime deadline"
-		}
-		jm.w.flightRec.Record(sev, "job.finish", msg, map[string]string{
-			"id": job.ID, "tenant": tenantLabel(job.Tenant), "status": string(job.Status)})
+	sev, msg := obs.SevInfo, "search job finished"
+	switch {
+	case job.Status == JobFailed:
+		sev, msg = obs.SevError, job.Error
+	case job.Status == JobCancelled:
+		msg = "search job cancelled"
+	case job.Result != nil && job.Result.Degraded:
+		sev, msg = obs.SevWarn, "search job completed degraded at its anytime deadline"
 	}
+	jm.flight.Record(sev, "job.finish", msg, map[string]string{
+		"id": job.ID, "tenant": tenantLabel(job.Tenant), "status": string(job.Status)})
 	// The admission controller's lock is a leaf below jm.mu.
 	if job.admitted && jm.w.admission != nil {
 		jm.w.admission.Release(job.Tenant)
@@ -1393,7 +1321,7 @@ func (jm *JobManager) finish(job *Job) {
 	if jm.w.journal != nil && !jm.draining {
 		if err := jm.w.journal.Delete(job.ID); err != nil {
 			jm.met.journalErrs.Inc()
-			jm.w.flightRec.Record(obs.SevError, "journal.error", err.Error(),
+			jm.flight.Record(obs.SevError, "journal.error", err.Error(),
 				map[string]string{"id": job.ID, "op": "delete"})
 		}
 	}
@@ -1405,27 +1333,29 @@ func (jm *JobManager) finish(job *Job) {
 // within noise of the uninstrumented path.
 const evalTimingSample = 64
 
-// execute runs the search described by job.Request under ctx, recording
-// model-resolution and search spans on the job's trace and publishing
-// live progress to its event stream.
+// execute runs the search described by the job's plan under ctx,
+// recording model-resolution and search spans on the job's trace and
+// publishing live progress to its event stream.
 func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *mapspace.Space, error) {
 	jm.mu.Lock()
 	resume := job.resume
 	job.resume = nil // consumed: a later Resume re-arms it from job.checkpoint
 	checkpointEvery := jm.w.checkpointEvery
+	p := job.plan
 	jm.mu.Unlock()
-	req := &job.Request
+	if p == nil {
+		// A job recovered from the journal resolves on its first run; a
+		// request that no longer resolves fails the job here.
+		var err error
+		if p, err = job.Request.resolve(); err != nil {
+			return nil, nil, err
+		}
+		jm.mu.Lock()
+		job.plan = p
+		jm.mu.Unlock()
+	}
 	root := job.Root()
-	algo, err := req.algorithm()
-	if err != nil {
-		return nil, nil, err
-	}
-	prob, err := req.resolveProblem(algo)
-	if err != nil {
-		return nil, nil, err
-	}
-	a := arch.Default(len(algo.Tensors) - 1)
-	space, err := mapspace.New(a, prob)
+	space, err := mapspace.New(p.arch, p.prob)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1436,10 +1366,8 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	// Resume, so counting them cold would be wrong too).
 	var seedMapping *mapspace.Mapping
 	if at := jm.wired().atlasStore; at != nil && resume == nil {
-		aid := jm.jobAtlasID(job)
-		name := strings.ToLower(req.Searcher)
-		if aid != nil && (name == "" || name == "mm") {
-			if e, nm, dist, ok, nerr := at.Nearest(aid.family, prob.Shape); nerr == nil && ok {
+		if p.searcher == "mm" {
+			if e, nm, dist, ok, nerr := at.Nearest(p.family, p.prob.Shape); nerr == nil && ok {
 				seed := space.Reproject(&nm)
 				seedMapping = &seed
 				root.Set("atlas_seed", e.ID)
@@ -1455,26 +1383,18 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 			jm.met.atlasCold.Inc()
 		}
 	}
-	model, err := costmodel.New(req.CostModel, a, prob)
+	model, err := costmodel.New(p.costModel, p.arch, p.prob)
 	if err != nil {
 		return nil, nil, err
 	}
-	bound, err := oracle.Compute(a, prob)
-	if err != nil {
-		return nil, nil, err
-	}
-	obj, err := search.ParseObjective(req.Objective)
-	if err != nil {
-		return nil, nil, err
-	}
-	budget, err := req.budget()
+	bound, err := oracle.Compute(p.arch, p.prob)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Model resolution covers registry loads and, for "auto" with
 	// train_on_miss, the wait on a shared training run.
 	resolveSpan := root.StartChild("resolve-model")
-	searcher, closeQueries, err := jm.searcher(ctx, req, algo)
+	searcher, closeQueries, err := jm.searcher(ctx, &job.Request, p)
 	resolveSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -1483,10 +1403,6 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	// the batcher's anti-stall rule flushes when every registered client is
 	// waiting, so a finished job must not linger in that count.
 	defer closeQueries()
-	parallelism := req.Parallelism
-	if parallelism > MaxParallelism {
-		parallelism = MaxParallelism
-	}
 	evaluator := costmodel.Evaluator(model)
 	if f := jm.wired().faults; f != nil {
 		// Fault injection sits directly on the backend with retry outside
@@ -1498,21 +1414,18 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 		evalSecondsBuckets, []string{"backend"}, []string{model.Name()})
 	evaluator = costmodel.WithTiming(evaluator, evalTimingSample, hist.ObserveDuration)
 	searchSpan := root.StartChild("search")
-	searchSpan.Set("searcher", strings.ToLower(req.Searcher))
-	// One child span per recorded trajectory sample (improvements plus
-	// stride boundaries); Span's child cap bounds the tree for long jobs.
-	var strideSpan *obs.Span
+	searchSpan.Set("searcher", p.searcher)
 	firstSample := true
 	sctx := &search.Context{
 		Space:       space,
 		Model:       evaluator,
 		Bound:       bound,
-		Seed:        req.Seed,
-		Objective:   obj,
+		Seed:        job.Request.Seed,
+		Objective:   p.obj,
 		Ctx:         ctx,
 		Cache:       jm.cacheFor(job.tin),
 		Evals:       jm.counterFor(model.Name()),
-		Parallelism: parallelism,
+		Parallelism: p.parallelism,
 		Resume:      resume,
 		SeedMapping: seedMapping,
 		// Checkpoints always flow to the in-memory job record (enabling
@@ -1525,32 +1438,27 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 			jm.mu.Unlock()
 			jm.journalPut(job, JobRunning, ck)
 		},
-		Progress: func(p search.Progress) {
+		Progress: func(pr search.Progress) {
 			if firstSample {
 				// Progress runs on the job's worker goroutine, so the flag
 				// needs no lock; job.Started was set before execute began.
 				firstSample = false
 				jm.met.firstEval.Observe(time.Since(job.Started).Seconds())
 			}
-			strideSpan.End()
-			strideSpan = searchSpan.StartChild("stride")
-			strideSpan.Set("eval", p.Eval)
-			strideSpan.Set("best_edp", p.Best)
 			ev := ProgressEvent{
 				Status:    JobRunning,
-				Eval:      p.Eval,
-				BestEDP:   p.Best,
-				ElapsedMS: float64(p.Elapsed.Microseconds()) / 1e3,
-				Improved:  p.Improved,
+				Eval:      pr.Eval,
+				BestEDP:   pr.Best,
+				ElapsedMS: float64(pr.Elapsed.Microseconds()) / 1e3,
+				Improved:  pr.Improved,
 			}
-			if p.Elapsed > 0 {
-				ev.EvalsPerSec = float64(p.Eval) / p.Elapsed.Seconds()
+			if pr.Elapsed > 0 {
+				ev.EvalsPerSec = float64(pr.Eval) / pr.Elapsed.Seconds()
 			}
 			job.Stream().Publish(ev)
 		},
 	}
-	res, err := searcher.Search(sctx, budget)
-	strideSpan.End()
+	res, err := searcher.Search(sctx, p.budget)
 	searchSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -1572,51 +1480,38 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 // client when the job ends — it must be called exactly once, after
 // Search returns, so anti-stall accounting over the remaining jobs stays
 // exact. Cleanup is never nil.
-func (jm *JobManager) searcher(ctx context.Context, req *SearchRequest, algo *loopnest.Algorithm) (search.Searcher, func(), error) {
+func (jm *JobManager) searcher(ctx context.Context, req *SearchRequest, p *plan) (search.Searcher, func(), error) {
 	nop := func() {}
-	switch strings.ToLower(req.Searcher) {
-	case "", "mm":
-		name := req.Model
-		if name == "auto" {
-			id, err := jm.resolveAuto(ctx, req, algo)
-			if err != nil {
-				return nil, nop, err
-			}
-			name = id
-		}
-		sur, err := jm.registry.Get(name)
+	if s, ok := blackBox[p.searcher]; ok {
+		return s, nop, nil
+	}
+	name := req.Model
+	if name == "auto" {
+		id, err := jm.resolveAuto(ctx, req, p)
 		if err != nil {
 			return nil, nop, err
 		}
-		if sur.AlgoName != algo.Name {
-			return nil, nop, fmt.Errorf("service: model %q was trained for %s, request targets %s",
-				name, sur.AlgoName, algo.Name)
-		}
-		if sur.AlgoFP != "" && sur.AlgoFP != algo.Fingerprint() {
-			return nil, nop, fmt.Errorf("service: model %q was trained for workload %s with fingerprint %.12s…, the requested definition has %.12s…",
-				name, sur.AlgoName, sur.AlgoFP, algo.Fingerprint())
-		}
-		mm := search.MindMappings{Surrogate: sur}
-		if b := jm.batcherFor(name, sur); b.Enabled() {
-			weight := req.Parallelism
-			if weight > MaxParallelism {
-				weight = MaxParallelism
-			}
-			client := b.Register(ctx, weight)
-			mm.Queries = client
-			return mm, client.Close, nil
-		}
-		return mm, nop, nil
-	case "sa":
-		return search.SimulatedAnnealing{}, nop, nil
-	case "ga":
-		return search.GeneticAlgorithm{}, nop, nil
-	case "rl":
-		return search.RL{Hidden: 64}, nop, nil
-	case "random":
-		return search.RandomSearch{}, nop, nil
+		name = id
 	}
-	return nil, nop, fmt.Errorf("service: unknown searcher %q", req.Searcher)
+	sur, err := jm.registry.Get(name)
+	if err != nil {
+		return nil, nop, err
+	}
+	if sur.AlgoName != p.algo.Name {
+		return nil, nop, fmt.Errorf("service: model %q was trained for %s, request targets %s",
+			name, sur.AlgoName, p.algo.Name)
+	}
+	if sur.AlgoFP != "" && sur.AlgoFP != p.algoFP {
+		return nil, nop, fmt.Errorf("service: model %q was trained for workload %s with fingerprint %.12s…, the requested definition has %.12s…",
+			name, sur.AlgoName, sur.AlgoFP, p.algoFP)
+	}
+	mm := search.MindMappings{Surrogate: sur}
+	if b := jm.batcherFor(name, sur); b.Enabled() {
+		client := b.Register(ctx, p.parallelism)
+		mm.Queries = client
+		return mm, client.Close, nil
+	}
+	return mm, nop, nil
 }
 
 // resolveAuto maps "model":"auto" to a store artifact ID: the best stored
@@ -1627,26 +1522,21 @@ func (jm *JobManager) searcher(ctx context.Context, req *SearchRequest, algo *lo
 // training run (deduplicated with any equivalent run already in flight,
 // and cancelled along with the search job's context) that trains against
 // the request's own cost model.
-func (jm *JobManager) resolveAuto(ctx context.Context, req *SearchRequest, algo *loopnest.Algorithm) (string, error) {
+func (jm *JobManager) resolveAuto(ctx context.Context, req *SearchRequest, p *plan) (string, error) {
 	w := jm.wired()
 	store, pipe := w.store, w.trainPipe
 	if store == nil {
 		return "", errors.New(`service: "model":"auto" needs a model store (serve with -store)`)
 	}
-	wantCM := req.CostModel
-	if wantCM == "" {
-		wantCM = costmodel.DefaultBackend
-	}
-	wantArch := modelstore.ArchFingerprint(arch.Default(len(algo.Tensors) - 1))
 	match := func(m modelstore.Manifest) bool {
-		return m.CostModel == wantCM && m.ArchFP == wantArch
+		return m.CostModel == p.costModel && m.ArchFP == p.archFP
 	}
-	if m, ok := store.ResolveMatching(algo.Fingerprint(), match); ok {
+	if m, ok := store.ResolveMatching(p.algoFP, match); ok {
 		return m.ID, nil
 	}
 	if req.TrainOnMiss == nil || pipe == nil {
 		return "", fmt.Errorf("service: no stored model for workload %s (fingerprint %.12s…) trained against cost model %q; POST /v1/train, or set train_on_miss",
-			algo.Name, algo.Fingerprint(), wantCM)
+			p.algo.Name, p.algoFP, p.costModel)
 	}
 	job, err := pipe.Ensure(req.trainRequest())
 	if err != nil {

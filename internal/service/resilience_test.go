@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mindmappings/internal/atlas"
 	"mindmappings/internal/resilience"
 )
 
@@ -182,6 +184,84 @@ func TestKillAndRecoverResumesBitCompatible(t *testing.T) {
 	// The finished job's record is gone: nothing to recover on a third start.
 	if ids, _ := j2.List(); len(ids) != 0 {
 		t.Fatalf("terminal job left journal records: %v", ids)
+	}
+}
+
+// TestRecoveredUnresolvableJobFails guards journal recovery: a recovered
+// record whose request no longer resolves (its workload or Table-1 problem
+// is gone) ends failed with the resolver's error and its record is
+// deleted, while resolvable neighbors run to done and write back to the
+// atlas. Snapshots are taken throughout, so -race can catch a job record
+// written outside jm.mu on a recovered job's first run.
+func TestRecoveredUnresolvableJobFails(t *testing.T) {
+	j, err := resilience.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		req  SearchRequest
+		want string // error prefix; "" means the job must finish done
+	}
+	recs := map[string]rec{
+		"f1": {SearchRequest{Algo: "cnn-layer", Problem: "NoSuchLayer", Searcher: "ga", Evals: 10},
+			`service: problem "NoSuchLayer" not found for cnn-layer`},
+		"f2": {SearchRequest{Algo: "retired-workload", Shape: []int{8}, Searcher: "ga", Evals: 10},
+			`service: loopnest: unknown algorithm "retired-workload"`},
+	}
+	const resolvable = 6
+	for i := 0; i < resolvable; i++ {
+		req := validRequest()
+		req.Shape = []int{64 << i, 5}
+		recs[fmt.Sprintf("d%d", i)] = rec{req, ""}
+	}
+	for id, r := range recs {
+		if err := j.Put(id, journalRecord{ID: id, Status: JobQueued, Request: r.req, Created: time.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at, err := atlas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jm := newTestManager(t, 2, 4)
+	jm.EnableAtlas(at, false)
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				jm.List()
+			}
+		}
+	}()
+	if n, err := jm.EnableJournal(j); err != nil || n != len(recs) {
+		t.Fatalf("EnableJournal = %d, %v; want %d recovered", n, err, len(recs))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for id, r := range recs {
+		done, err := jm.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case r.want == "" && done.Status != JobDone:
+			t.Errorf("job %s: %s (%s), want done", id, done.Status, done.Error)
+		case r.want != "" && (done.Status != JobFailed || !strings.HasPrefix(done.Error, r.want)):
+			t.Errorf("job %s: %s %q, want failed %q", id, done.Status, done.Error, r.want)
+		}
+	}
+	close(stop)
+	<-polled
+	if ids, err := j.List(); err != nil || len(ids) != 0 {
+		t.Fatalf("journal holds %v (err %v) after every job ended", ids, err)
+	}
+	if n := jm.met.atlasWritebacks.Value(); n != resolvable {
+		t.Fatalf("atlas write-backs = %d, want %d", n, resolvable)
 	}
 }
 

@@ -74,23 +74,18 @@ type Server struct {
 	logger      *slog.Logger
 	pprofOn     bool
 
-	// slo is the declarative objective tracker (EnableSLO); flight is the
-	// operational-event ring behind GET /debug/flightrecorder, always on
-	// (a fixed-size ring costs nothing when nothing goes wrong).
-	slo    *slo.Tracker
-	flight *obs.FlightRecorder
+	// slo is the declarative objective tracker (EnableSLO).
+	slo *slo.Tracker
 }
 
 // NewServer wires the service components into an HTTP front end. It adopts
 // the job manager's obs registry — the one source every request and job
-// flows through — and adds runtime metrics, HTTP route histograms, and the
-// cache and model-registry series.
+// flows through — and its flight recorder, and adds runtime metrics, HTTP
+// route histograms, and the cache and model-registry series.
 func NewServer(jobs *JobManager, registry *ModelRegistry, cache *EvalCache) *Server {
 	s := &Server{jobs: jobs, registry: registry, cache: cache, started: time.Now(), reg: jobs.reg}
 	obs.RegisterRuntimeMetrics(s.reg, s.started)
 	s.httpMetrics = obs.NewHTTPMetrics(s.reg)
-	s.flight = obs.NewFlightRecorder(0)
-	jobs.SetFlightRecorder(s.flight)
 	// Observability-hygiene counters: how much telemetry the obs layer
 	// itself discarded (label sets collapsed by the cardinality cap, spans
 	// dropped by the per-parent child cap). Nonzero values mean the
@@ -459,7 +454,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		QueueCap:             s.jobs.QueueCap(),
 		Workers:              s.jobs.Workers(),
 		RetryAfterHint:       s.jobs.RetryAfterHint().String(),
-		FlightRecorderEvents: s.flight.Total(),
+		FlightRecorderEvents: s.jobs.flight.Total(),
 	}
 	if s.slo != nil {
 		rep := s.slo.Evaluate()
@@ -473,7 +468,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleFlightRecorder dumps the operational-event ring, oldest first —
 // the "what happened just before this?" endpoint the diag bundle snapshots.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.flight.Snapshot())
+	writeJSON(w, http.StatusOK, s.jobs.flight.Snapshot())
 }
 
 // setRetryAfter writes a Retry-After header of at least one whole second.

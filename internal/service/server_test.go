@@ -340,6 +340,57 @@ func TestBadRequestsAndUnknownJobs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnresolvableRequest pins that a request whose problem
+// its algorithm cannot build answers 400 at submit with the resolver's
+// error, before it is counted, admitted or journaled.
+func TestSubmitRejectsUnresolvableRequest(t *testing.T) {
+	ts, jm, _ := testServer(t, 1, 8)
+	jm.EnableAdmission(resilience.AdmissionConfig{MaxConcurrent: 8})
+	j, err := resilience.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jm.EnableJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		req  SearchRequest
+		want string
+	}{
+		{SearchRequest{Algo: "cnn-layer", Problem: "NoSuchLayer", Searcher: "ga", Evals: 10},
+			`service: problem "NoSuchLayer" not found for cnn-layer`},
+		{SearchRequest{Algo: "gemm", Shape: []int{16, 16}, Searcher: "ga", Evals: 10},
+			"service: gemm shape needs 3 sizes"},
+		{SearchRequest{Algo: "gemm", Dims: map[string]int{"zz": 4}, Searcher: "ga", Evals: 10},
+			"loopnest: algorithm gemm needs dims"},
+	} {
+		body, _ := json.Marshal(tc.req)
+		resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got apiError
+		json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", body, resp.StatusCode)
+			continue
+		}
+		verr := tc.req.Validate()
+		if !strings.HasPrefix(got.Error, tc.want) || verr == nil || got.Error != verr.Error() {
+			t.Errorf("%s: error %q, want the resolver's %v (starting %q)", body, got.Error, verr, tc.want)
+		}
+	}
+	for _, series := range []string{"search_jobs_submitted_total", "admission_admitted_total"} {
+		if n := promValue(t, ts, series); n != 0 {
+			t.Errorf("%s = %v, want 0", series, n)
+		}
+	}
+	if ids, err := j.List(); err != nil || len(ids) != 0 {
+		t.Fatalf("journal holds %v (err %v), want no records", ids, err)
+	}
+}
+
 // TestTrainStatusCodes pins the training endpoints' error statuses to the
 // search ones: an unknown job is 404, resuming a done or running job is
 // 409, a bad request is 400, and a full or shutting-down training queue is

@@ -17,6 +17,7 @@ import (
 	"mindmappings/internal/oracle"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
+	"mindmappings/internal/workload"
 )
 
 // Training is the expensive part of this package's tests, so one tiny
@@ -122,7 +123,7 @@ func TestRequestValidation(t *testing.T) {
 
 func TestResolveProblemTable1AndShapes(t *testing.T) {
 	resolve := func(req SearchRequest) (loopnest.Problem, error) {
-		algo, err := req.algorithm()
+		algo, err := workload.Resolve(req.Algo, req.Einsum)
 		if err != nil {
 			return loopnest.Problem{}, err
 		}
@@ -275,15 +276,11 @@ func TestStridedJobMatchesDirectSearch(t *testing.T) {
 	}
 	res := done.Result
 
-	algo, err := req.algorithm()
+	p, err := req.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob, err := req.resolveProblem(algo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arch.Default(len(algo.Tensors) - 1)
+	a, prob := p.arch, p.prob
 	space, err := mapspace.New(a, prob)
 	if err != nil {
 		t.Fatal(err)

@@ -96,18 +96,7 @@ func NamedConfig(name string) (surrogate.Config, error) {
 
 // algorithm resolves the request's workload.
 func (req *Request) algorithm() (*loopnest.Algorithm, error) {
-	if (req.Algo == "") == (req.Einsum == "") {
-		return nil, fmt.Errorf("trainer: exactly one of algo or einsum is required (registered workloads: %s)",
-			strings.Join(workload.Names(), ", "))
-	}
-	if req.Einsum != "" {
-		algo, err := workload.CompileInline(req.Einsum)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: %w", err)
-		}
-		return algo, nil
-	}
-	algo, err := loopnest.AlgorithmByName(req.Algo)
+	algo, err := workload.Resolve(req.Algo, req.Einsum)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: %w", err)
 	}

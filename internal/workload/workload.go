@@ -204,3 +204,18 @@ func List() []Info {
 func CompileInline(expr string) (*loopnest.Algorithm, error) {
 	return Compile(Spec{Expr: expr})
 }
+
+// Resolve is the one workload lookup behind a request's algo/einsum pair
+// (the service's search requests, the trainer's training requests):
+// exactly one of a registered name or an inline expression. Errors carry
+// no package prefix; each caller adds its own.
+func Resolve(name, einsum string) (*loopnest.Algorithm, error) {
+	switch {
+	case (name == "") == (einsum == ""):
+		return nil, fmt.Errorf("exactly one of algo or einsum is required (registered workloads: %s)",
+			strings.Join(Names(), ", "))
+	case einsum != "":
+		return CompileInline(einsum)
+	}
+	return loopnest.AlgorithmByName(name)
+}
