@@ -332,6 +332,18 @@ func (a *Atlas) Lookup(key string) (Entry, mapspace.Mapping, bool, error) {
 	return rec.e, m, true, nil
 }
 
+// Best returns the best committed entry for the key without reading its
+// mapping: a caller that kept what it derived from an entry ID (which
+// names one immutable mapping) checks here whether that is still current.
+func (a *Atlas) Best(key string) (Entry, bool) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if rec := a.bestLocked(key); rec != nil {
+		return rec.e, true
+	}
+	return Entry{}, false
+}
+
 // Get returns the committed entry with the given ID.
 func (a *Atlas) Get(id string) (Entry, bool) {
 	a.mu.RLock()

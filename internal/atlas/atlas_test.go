@@ -125,6 +125,12 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 	if _, _, hit, _ := a.Lookup("no-such-key"); hit {
 		t.Fatal("lookup hit a key never published")
 	}
+	if best, ok := a.Best(e.Key); !ok || best.ID != committed.ID {
+		t.Fatalf("best: %+v ok=%v", best, ok)
+	}
+	if _, ok := a.Best("no-such-key"); ok {
+		t.Fatal("best found a key never published")
+	}
 }
 
 func TestPublishOnlyIfBetter(t *testing.T) {
@@ -159,6 +165,9 @@ func TestPublishOnlyIfBetter(t *testing.T) {
 	}
 	if got2, _, _, _ := a.Lookup(e.Key); got2.BestEDP != 3.0 {
 		t.Fatalf("lookup after supersede: %+v", got2)
+	}
+	if best, _ := a.Best(e.Key); best.ID != got.ID {
+		t.Fatalf("best after supersede: %+v, want %s", best, got.ID)
 	}
 	if n := len(a.List()); n != 1 {
 		t.Fatalf("%d entries after supersede, want 1", n)

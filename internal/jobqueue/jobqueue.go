@@ -98,7 +98,8 @@ type Kind[T, E any, P Record[T, E]] struct {
 	// bounds the terminal jobs kept queryable (at least 1).
 	Workers, Cap, Retention int
 	// Span names every job's trace root; Events is how many events each
-	// job's stream retains for late subscribers.
+	// job's stream retains for late subscribers (a job added done
+	// publishes one event, so its stream retains one).
 	Span   string
 	Events int
 	// Full and Closed are the kind's errors for a full FIFO and a queue
@@ -136,13 +137,16 @@ type Queue[T, E any, P Record[T, E]] struct {
 	wg   sync.WaitGroup
 
 	// pending is the FIFO: a slice, so a cancelled entry frees its slot at
-	// once. jobs and order are the table in submission order; terminal
-	// counts the terminal jobs in it for retention.
-	pending   []P
-	jobs      map[string]P
-	order     []string
-	terminal  int
-	retention int
+	// once. jobs is the table and order[head:] lists it in submission
+	// order, with a nil hole (counted in holes) where a job was evicted
+	// from behind an older live one. terminal counts the terminal jobs in
+	// the table for retention.
+	pending     []P
+	jobs        map[string]P
+	order       []P
+	head, holes int
+	terminal    int
+	retention   int
 }
 
 // New starts kind.Workers workers draining a FIFO of at most kind.Cap
@@ -205,7 +209,7 @@ func (q *Queue[T, E, P]) AddDoneLocked(job P) error {
 		return err
 	}
 	e := job.entry()
-	q.resetLocked(e)
+	q.resetLocked(e, 1)
 	e.Status = Done
 	e.Started, e.Finished = e.Created, e.Created
 	q.endLocked(job)
@@ -243,17 +247,17 @@ func (q *Queue[T, E, P]) registerLocked(job P, pastCap bool) error {
 		e.Created = time.Now()
 	}
 	q.jobs[e.ID] = job
-	q.order = append(q.order, e.ID)
+	q.order = append(q.order, job)
 	q.kind.Metrics.Submitted.Inc()
 	return nil
 }
 
-// resetLocked gives the entry a fresh run: context, done channel, stream
-// and trace, and a cleared outcome.
-func (q *Queue[T, E, P]) resetLocked(e *Entry[E]) {
+// resetLocked gives the entry a fresh run: context, done channel, a
+// stream retaining events events, trace, and a cleared outcome.
+func (q *Queue[T, E, P]) resetLocked(e *Entry[E], events int) {
 	e.ctx, e.cancel = context.WithCancel(q.ctx)
 	e.done = make(chan struct{})
-	e.stream = obs.NewStream[E](q.kind.Events)
+	e.stream = obs.NewStream[E](events)
 	e.trace = obs.NewTrace(e.ID, q.kind.Span)
 	e.Error = ""
 	e.Started, e.Finished = time.Time{}, time.Time{}
@@ -261,7 +265,7 @@ func (q *Queue[T, E, P]) resetLocked(e *Entry[E]) {
 
 func (q *Queue[T, E, P]) enqueueLocked(job P) {
 	e := job.entry()
-	q.resetLocked(e)
+	q.resetLocked(e, q.kind.Events)
 	e.Status = Queued
 	q.pending = append(q.pending, job)
 	q.kind.Metrics.Queued.Add(1)
@@ -355,22 +359,35 @@ func (q *Queue[T, E, P]) endLocked(job P) {
 	q.evictLocked()
 }
 
-// evictLocked drops the oldest terminal jobs beyond the retention bound.
-// Queued and running jobs are never evicted.
+// evictLocked drops the oldest terminal jobs beyond the retention bound;
+// queued and running jobs are never evicted. Evicting the oldest job
+// advances head, evicting one from behind an older live job leaves a
+// hole, and order is compacted once half of it is dead, so a finish costs
+// amortized O(1) while the oldest job is terminal.
 func (q *Queue[T, E, P]) evictLocked() {
-	kept, i := 0, 0
-	for ; q.terminal > q.retention && i < len(q.order); i++ {
-		id := q.order[i]
-		if q.jobs[id].entry().Status.Terminal() {
-			delete(q.jobs, id)
-			q.terminal--
+	for i := q.head; q.terminal > q.retention && i < len(q.order); i++ {
+		job := q.order[i]
+		if job == nil || !job.entry().Status.Terminal() {
 			continue
 		}
-		q.order[kept] = id
-		kept++
+		delete(q.jobs, job.entry().ID)
+		q.order[i] = nil
+		q.holes++
+		q.terminal--
 	}
-	if i > kept {
-		q.order = append(q.order[:kept], q.order[i:]...)
+	for q.head < len(q.order) && q.order[q.head] == nil {
+		q.head++
+		q.holes--
+	}
+	if q.head+q.holes > len(q.order)/2 {
+		live := q.order[:0]
+		for _, job := range q.order[q.head:] {
+			if job != nil {
+				live = append(live, job)
+			}
+		}
+		clear(q.order[len(live):]) // drop the evicted records for the GC
+		q.order, q.head, q.holes = live, 0, 0
 	}
 }
 
@@ -418,9 +435,11 @@ func (j Jobs[T, E, P]) List() []T {
 	q := j.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]T, 0, len(q.order))
-	for _, id := range q.order {
-		out = append(out, q.SnapshotLocked(q.jobs[id]))
+	out := make([]T, 0, len(q.jobs))
+	for _, job := range q.order[q.head:] {
+		if job != nil {
+			out = append(out, q.SnapshotLocked(job))
+		}
 	}
 	return out
 }

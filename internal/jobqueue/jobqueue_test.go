@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,10 +18,15 @@ import (
 type fakeJob struct {
 	Entry[Status]
 	fail     bool
+	bornDone bool          // added with AddDoneLocked
 	released bool          // touched only by the test goroutine
 	release  chan struct{} // closed to let the run end
 	finishes int           // Finish hook calls, under the lock
+	ended    int64         // endSeq when the job became terminal
 }
+
+// endSeq orders the moments jobs become terminal, across all queues.
+var endSeq atomic.Int64
 
 var (
 	errFakeFull   = fmt.Errorf("fake %w", ErrFull)
@@ -46,9 +54,12 @@ func newFakeQueue(workers, capacity, retention int) (*Queue[fakeJob, Status, *fa
 			}
 			return Done, nil
 		},
-		Event:  func(j *fakeJob) Status { return j.Status },
-		Finish: func(j *fakeJob) { j.finishes++ },
-		Copy:   func(j *fakeJob) fakeJob { return *j },
+		Event: func(j *fakeJob) Status { return j.Status },
+		Finish: func(j *fakeJob) {
+			j.finishes++
+			j.ended = endSeq.Add(1)
+		},
+		Copy: func(j *fakeJob) fakeJob { return *j },
 	})
 	return q, mu
 }
@@ -66,9 +77,26 @@ func closed(ch chan struct{}) bool {
 	}
 }
 
-// checkInvariants verifies, in one critical section, the lifecycle
-// contract over every job the test ever submitted.
+// checkInvariants verifies the lifecycle contract over every job the test
+// ever submitted, in submission order: first in one critical section, then
+// through List.
 func checkInvariants(t *testing.T, q *Queue[fakeJob, Status, *fakeJob], mu *sync.Mutex, all []*fakeJob) {
+	t.Helper()
+	checkTable(t, q, mu, all)
+	// List is the table in submission order, whatever a worker finished
+	// (and retention evicted) since the check above.
+	next := 0
+	for _, snap := range q.List() {
+		for next < len(all) && all[next].ID != snap.ID {
+			next++
+		}
+		if next == len(all) {
+			t.Fatalf("List holds %s out of submission order or never submitted", snap.ID)
+		}
+	}
+}
+
+func checkTable(t *testing.T, q *Queue[fakeJob, Status, *fakeJob], mu *sync.Mutex, all []*fakeJob) {
 	t.Helper()
 	mu.Lock()
 	defer mu.Unlock()
@@ -77,7 +105,7 @@ func checkInvariants(t *testing.T, q *Queue[fakeJob, Status, *fakeJob], mu *sync
 		e := &j.Entry
 		counts[e.Status]++
 		terminal := e.Status.Terminal()
-		if want := map[bool]int{true: 1, false: 0}[terminal]; j.finishes != want {
+		if want := map[bool]int{true: 1, false: 0}[terminal && !j.bornDone]; j.finishes != want {
 			t.Fatalf("job %s is %s after %d finishes, want %d", e.ID, e.Status, j.finishes, want)
 		}
 		if closed(e.done) != terminal {
@@ -107,9 +135,43 @@ func checkInvariants(t *testing.T, q *Queue[fakeJob, Status, *fakeJob], mu *sync
 			terminal++
 		}
 	}
-	if terminal != q.terminal || terminal > q.retention || len(q.order) != len(q.jobs) {
-		t.Fatalf("table: %d terminal (tracked %d, retention %d), order %d, jobs %d",
-			terminal, q.terminal, q.retention, len(q.order), len(q.jobs))
+	if terminal != q.terminal || terminal > q.retention {
+		t.Fatalf("table: %d terminal (tracked %d, retention %d)", terminal, q.terminal, q.retention)
+	}
+	// order[head:] minus its holes is exactly the table, in submission
+	// order, and holes counts the holes.
+	var order []*fakeJob
+	for _, j := range q.order[q.head:] {
+		if j != nil {
+			order = append(order, j)
+		}
+	}
+	if q.head > 0 && q.order[q.head-1] != nil || len(q.order)-q.head-len(order) != q.holes {
+		t.Fatalf("order: head %d, %d holes tracked, %d live of %d", q.head, q.holes, len(order), len(q.order))
+	}
+	var table []*fakeJob
+	for _, j := range all {
+		if q.jobs[j.ID] == j {
+			table = append(table, j)
+		}
+	}
+	if len(table) != len(q.jobs) || !slices.Equal(order, table) {
+		t.Fatalf("order lists %d jobs, the table holds %d (%d submitted jobs in it), or their order differs",
+			len(order), len(q.jobs), len(table))
+	}
+	// Oldest terminal first: a job evicted while an older one was already
+	// terminal means retention skipped the older one, so every retained
+	// terminal job ended after every younger evicted job.
+	youngestEvictedEnd := int64(0)
+	for i := len(all) - 1; i >= 0; i-- {
+		j := all[i]
+		switch _, kept := q.jobs[j.ID]; {
+		case !kept:
+			youngestEvictedEnd = max(youngestEvictedEnd, j.ended)
+		case j.Status.Terminal() && j.ended < youngestEvictedEnd:
+			t.Fatalf("job %s (ended %d) is retained but a younger job ended %d was evicted",
+				j.ID, j.ended, youngestEvictedEnd)
+		}
 	}
 	st := q.Stats()
 	if st.Submitted != uint64(len(all)) {
@@ -124,8 +186,9 @@ func checkInvariants(t *testing.T, q *Queue[fakeJob, Status, *fakeJob], mu *sync
 	}
 }
 
-// runRandomOps drives one seeded sequence of submit, cancel-queued,
-// cancel-running, complete-running, retention change and shutdown against
+// runRandomOps drives one seeded sequence of submit, add-done,
+// cancel-queued, cancel-running, complete-running, retention change and
+// shutdown against
 // a queue of fake jobs, checking the invariants after every step.
 func runRandomOps(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
@@ -163,6 +226,21 @@ func runRandomOps(t *testing.T, seed int64, steps int) {
 				t.Fatalf("seed %d step %d: submit to a full queue: %v", seed, step, err)
 			case !shut && !full && err != nil:
 				t.Fatalf("seed %d step %d: submit: %v", seed, step, err)
+			case err == nil:
+				all = append(all, j)
+			}
+		case op < 48: // a job served done on arrival
+			j := newFakeJob(false)
+			j.bornDone = true
+			mu.Lock()
+			err := q.AddDoneLocked(j)
+			j.ended = endSeq.Add(1)
+			mu.Unlock()
+			switch {
+			case shut && !errors.Is(err, errFakeClosed):
+				t.Fatalf("seed %d step %d: add done after shutdown: %v", seed, step, err)
+			case !shut && err != nil:
+				t.Fatalf("seed %d step %d: add done: %v", seed, step, err)
 			case err == nil:
 				all = append(all, j)
 			}
@@ -272,6 +350,36 @@ func TestAddDoneCountsWithoutFinishHook(t *testing.T) {
 	}
 	if st := q.Stats(); st.Submitted != 1 || st.Done != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestAddDoneStreamHoldsOnlyFinalEvent pins the born-done stream: its
+// history and a late subscriber see exactly the final event, and adding
+// the job does not allocate a Kind.Events-sized ring.
+func TestAddDoneStreamHoldsOnlyFinalEvent(t *testing.T) {
+	q, mu := newFakeQueue(0, 1, 8)
+	defer q.Shutdown(context.Background())
+	q.kind.Events = 1 << 16 // a 1 MiB ring of Status strings if allocated
+	j := newFakeJob(false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mu.Lock()
+	err := q.AddDoneLocked(j)
+	mu.Unlock()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("adding a done job allocated %d bytes", got)
+	}
+	if hist, ok := q.Events(j.ID); !ok || !slices.Equal(hist, []Status{Done}) {
+		t.Fatalf("history %v", hist)
+	}
+	hist, ch, cancel, ok := q.Watch(j.ID)
+	defer cancel()
+	if _, open := <-ch; !ok || open || !slices.Equal(hist, []Status{Done}) {
+		t.Fatalf("watch: history %v, channel open %v", hist, open)
 	}
 }
 

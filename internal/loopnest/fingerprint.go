@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"sync"
 )
 
 // AppendFingerprint appends a canonical binary identity of the algorithm to
@@ -81,9 +82,24 @@ func fingerprintTiles(d int) [][]int {
 	return tiles
 }
 
+// registeredFPs caches the Fingerprint of each registered algorithm
+// (*Algorithm → string). A registered algorithm is immutable, so its
+// identity is hashed once; any other algorithm hashes itself per call.
+var registeredFPs sync.Map
+
 // Fingerprint returns the hex SHA-256 of AppendFingerprint — the stable,
 // printable workload identity stamped into dataset and surrogate files.
 func (a *Algorithm) Fingerprint() string {
+	if fp, ok := registeredFPs.Load(a); ok {
+		return fp.(string)
+	}
 	sum := sha256.Sum256(a.AppendFingerprint(nil))
-	return hex.EncodeToString(sum[:])
+	fp := hex.EncodeToString(sum[:])
+	regMu.RLock()
+	registered := registry[a.Name] == a
+	regMu.RUnlock()
+	if registered {
+		registeredFPs.Store(a, fp)
+	}
+	return fp
 }

@@ -382,10 +382,24 @@ func (s *Store) Stats() Stats {
 	return Stats{Artifacts: len(s.byID), Workloads: len(s.byFP), Corrupt: s.blobs.Corrupt()}
 }
 
+// defaultArchFPs caches ArchFingerprint(arch.Default(n)) by n (int →
+// string): the spec every registered workload's searches run on.
+var defaultArchFPs sync.Map
+
 // ArchFingerprint hex-hashes an accelerator spec — the manifest's ArchFP
 // encoding, exported so resolvers can match against the arch a search
-// will actually run on.
+// will actually run on. The default specs are hashed once.
 func ArchFingerprint(a arch.Spec) string {
+	isDefault := a == arch.Default(a.OperandsPerMAC)
+	if isDefault {
+		if fp, ok := defaultArchFPs.Load(a.OperandsPerMAC); ok {
+			return fp.(string)
+		}
+	}
 	sum := sha256.Sum256(a.AppendFingerprint(nil))
-	return hex.EncodeToString(sum[:])
+	fp := hex.EncodeToString(sum[:])
+	if isDefault {
+		defaultArchFPs.Store(a.OperandsPerMAC, fp)
+	}
+	return fp
 }

@@ -276,6 +276,12 @@ type JobManager struct {
 	batchMu  sync.Mutex
 	batchCfg infer.Config
 	batchers map[string]*inferBatcherEntry
+
+	// answers holds the prepared exact-hit answer per atlas key (string →
+	// *atlasAnswer, see atlasAnswerFor): at most one per key the atlas has
+	// answered, replaced when the key's best entry or the problem name
+	// changes.
+	answers sync.Map
 }
 
 // wiring is what the Enable*/Set* methods attach at setup, before traffic.
@@ -1129,26 +1135,19 @@ func (jm *JobManager) observeConvergence(job *Job, result *JobResult) {
 // registered and returned — no search runs, no admission slot or queue
 // capacity is consumed.
 func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantInstruments, req SearchRequest, p *plan) (Job, bool) {
-	e, m, ok, err := at.Lookup(p.key)
-	if err != nil || !ok {
-		return Job{}, false
-	}
-	// Rebuild the target space and verify membership: an entry published
-	// under drifted mapspace constants must fall through to a real search
-	// (atlas GC with a staleness predicate reaps such entries).
-	space, err := mapspace.New(p.arch, p.prob)
-	if err != nil || space.IsMember(&m) != nil {
+	a := jm.atlasAnswerFor(at, p)
+	if a == nil || !a.servable {
 		return Job{}, false
 	}
 	job := &Job{
 		Tenant:  tenant,
 		Request: req,
 		Result: &JobResult{
-			Method:   e.Method,
+			Method:   a.method,
 			Source:   "atlas",
-			BestEDP:  e.BestEDP,
-			Mapping:  m.String(),
-			LoopNest: space.RenderLoopNest(&m),
+			BestEDP:  a.bestEDP,
+			Mapping:  a.mapping,
+			LoopNest: a.loopNest,
 		},
 		plan: p,
 		tin:  ti,
@@ -1160,7 +1159,7 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 		return Job{}, false
 	}
 	job.Root().Set("source", "atlas")
-	job.Root().Set("atlas_entry", e.ID)
+	job.Root().Set("atlas_entry", a.entry)
 	jm.met.atlasHits.Inc()
 	snap := jm.q.SnapshotLocked(job)
 	jm.mu.Unlock()
@@ -1168,6 +1167,70 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 	jm.flight.Record(obs.SevInfo, "job.atlas-hit", "request served from the atlas",
 		map[string]string{"id": snap.ID, "tenant": tenantLabel(tenant)})
 	return snap, true
+}
+
+// atlasAnswer is what one atlas entry answers for one problem name: the
+// rendered mapping and loop nest, or servable false when the entry cannot
+// answer (its blob is unreadable, or its mapping is not a member of the
+// problem's map space). An entry ID names one immutable mapping, and the
+// atlas key fixes the algorithm, the accelerator and the shape, so within
+// a process the answer for (entry, problem) never changes.
+type atlasAnswer struct {
+	entry, problem    string
+	servable          bool
+	method            string
+	bestEDP           float64
+	mapping, loopNest string
+}
+
+// atlasAnswerFor returns the answer of the best entry for the plan's key,
+// or nil when the atlas holds none. The answer is prepared on the first
+// request after the key's best entry or the problem name changes, and
+// every later hit reuses it; jm.answers keeps one per atlas key.
+func (jm *JobManager) atlasAnswerFor(at *atlas.Atlas, p *plan) *atlasAnswer {
+	best, ok := at.Best(p.key)
+	if !ok {
+		return nil
+	}
+	if v, ok := jm.answers.Load(p.key); ok {
+		if a := v.(*atlasAnswer); a.entry == best.ID && a.problem == p.prob.Name {
+			return a
+		}
+	}
+	a := jm.prepareAnswer(at, p, best.ID)
+	if a != nil {
+		jm.answers.Store(p.key, a)
+	}
+	return a
+}
+
+// prepareAnswer reads the key's best entry, checks its mapping is a member
+// of the plan's map space (an entry published under drifted mapspace
+// constants is not; atlas GC with a staleness predicate reaps such
+// entries) and renders it. An entry that cannot answer is recorded on the
+// flight recorder once, and its requests run a search.
+func (jm *JobManager) prepareAnswer(at *atlas.Atlas, p *plan, id string) *atlasAnswer {
+	e, m, ok, err := at.Lookup(p.key)
+	if err != nil {
+		jm.flight.Record(obs.SevWarn, "atlas.lookup-error", "atlas entry unreadable; its requests run a search",
+			map[string]string{"key": p.key, "entry": id, "error": err.Error()})
+		return &atlasAnswer{entry: id, problem: p.prob.Name}
+	}
+	if !ok {
+		return nil // removed since Best
+	}
+	a := &atlasAnswer{entry: e.ID, problem: p.prob.Name, method: e.Method, bestEDP: e.BestEDP}
+	space, err := mapspace.New(p.arch, p.prob)
+	if err == nil {
+		err = space.IsMember(&m)
+	}
+	if err != nil {
+		jm.flight.Record(obs.SevWarn, "atlas.stale-entry", "atlas mapping is not in the problem's map space; its requests run a search",
+			map[string]string{"key": p.key, "entry": e.ID, "problem": p.prob.Name, "error": err.Error()})
+		return a
+	}
+	a.servable, a.mapping, a.loopNest = true, m.String(), space.RenderLoopNest(&m)
+	return a
 }
 
 func copyJob(j *Job) Job {

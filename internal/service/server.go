@@ -397,13 +397,12 @@ func serveSSE[T comparable](w http.ResponseWriter, r *http.Request, hist []T, ch
 	}
 }
 
-// writeJSON renders v with status code.
+// writeJSON renders v as compact JSON with status code (pipe it through
+// jq to read it).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing to recover
 }
 
 // apiError is the uniform error body.

@@ -8,6 +8,8 @@ package workload_test
 // random mappings under the reference cost model.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -16,7 +18,7 @@ import (
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	_ "mindmappings/internal/timeloop" // register the reference backend
-	_ "mindmappings/internal/workload" // register the built-in workloads
+	"mindmappings/internal/workload"   // also registers the built-in workloads
 )
 
 // CNN dimension indices (paper Equation 3).
@@ -281,5 +283,37 @@ func TestSpecCompiledCostIdentity(t *testing.T) {
 				t.Fatalf("%s trial %d: cross-evaluated EDP %v != %v", name, trial, xc.EDP, hc.EDP)
 			}
 		}
+	}
+}
+
+// TestFingerprintHashedOnceMatchesFreshHash pins the cached identity of
+// registered workloads: each is hashed once, and the cached value must
+// equal a fresh hash of AppendFingerprint. An inline einsum, compiled per
+// request and never registered, still hashes itself on every call.
+func TestFingerprintHashedOnceMatchesFreshHash(t *testing.T) {
+	fresh := func(a *loopnest.Algorithm) string {
+		sum := sha256.Sum256(a.AppendFingerprint(nil))
+		return hex.EncodeToString(sum[:])
+	}
+	for _, name := range workload.Names() {
+		a := loopnest.MustAlgorithm(name)
+		want := fresh(a)
+		for call := 1; call <= 2; call++ {
+			if got := a.Fingerprint(); got != want {
+				t.Fatalf("%s call %d: %s, fresh hash %s", name, call, got, want)
+			}
+		}
+	}
+	inline, err := workload.CompileInline("O[m,n] += A[m,k] * B[k,n]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := inline.Fingerprint()
+	if want := fresh(inline); before != want {
+		t.Fatalf("inline einsum: %s, fresh hash %s", before, want)
+	}
+	inline.OperandsPerMAC++
+	if got := inline.Fingerprint(); got != fresh(inline) || got == before {
+		t.Fatalf("changed inline einsum: %s (was %s), fresh hash %s", got, before, fresh(inline))
 	}
 }
