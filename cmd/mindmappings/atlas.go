@@ -39,6 +39,7 @@ func cmdAtlas(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer a.Close()
 	if *del != "" {
 		if err := a.Delete(*del); err != nil {
 			return err
@@ -150,6 +151,7 @@ func cmdAtlasBuild(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer a.Close()
 	registry := service.NewModelRegistry(*modelsDir, 0)
 	cache := service.NewEvalCache(0)
 	// Queue capacity covers the whole grid so submission never blocks.

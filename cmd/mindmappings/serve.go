@@ -104,6 +104,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
+		defer mappings.Close()
 		jobs.EnableAtlas(mappings, *atlasRO)
 		if faults != nil {
 			mappings.SetFailpoint(faults.Fail)
@@ -134,6 +135,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
+		defer journal.Close()
 		if faults != nil {
 			journal.SetFailpoint(faults.Fail)
 		}

@@ -15,8 +15,10 @@
 // ("Demystifying Map Space Exploration for NPUs" observes that good
 // mappings transfer across similar shapes).
 //
-// Entries persist through internal/blobstore as a mapping blob
-// (<id>.mapping, JSON) plus a manifest (<id>.json).
+// Entries persist through internal/blobstore as records of one append-only
+// segment (atlas.log), each holding an entry's manifest and its mapping
+// blob (both JSON). Open migrates the older per-file layout — a mapping
+// blob (<id>.mapping) plus a manifest (<id>.json) per entry — into it.
 package atlas
 
 import (
@@ -29,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -39,9 +42,12 @@ import (
 )
 
 const (
-	// BlobExt is the extension of mapping blob files.
+	// SegmentFile names the atlas segment inside the atlas directory.
+	SegmentFile = "atlas.log"
+	// BlobExt is the extension of mapping blob files in the per-file layout.
 	BlobExt = ".mapping"
-	// ManifestExt is the extension of entry manifest files.
+	// ManifestExt is the extension of entry manifest files in the per-file
+	// layout.
 	ManifestExt = blobstore.ManifestExt
 )
 
@@ -120,12 +126,19 @@ type record struct {
 // Atlas is the on-disk store plus its in-memory index. Safe for
 // concurrent use.
 type Atlas struct {
-	blobs *blobstore.Store
+	seg *blobstore.Segment
+	// legacy is the per-file layout Open migrated from: its corrupt
+	// manifests and debris stay for GC to count and sweep.
+	legacy    *blobstore.Store
+	failpoint blobstore.Failpoint
 
 	mu       sync.RWMutex
 	byID     map[string]*record
 	byKey    map[string][]*record          // version-ascending per key
 	byFamily map[string]map[string]*record // family → key → best record
+	// dropped counts what Open could not index from the segment or the
+	// per-file layout; GC resets it.
+	dropped int
 }
 
 // ErrUnknownEntry is returned by Delete for an ID the atlas does not hold.
@@ -133,12 +146,15 @@ var ErrUnknownEntry = errors.New("atlas: unknown entry")
 
 // SetFailpoint installs (or clears, with nil) the publish failpoint used
 // by fault injection; the hook fires as "atlas.publish" before any write.
-func (a *Atlas) SetFailpoint(fn func(op string) error) { a.blobs.Failpoint.Set(fn) }
+func (a *Atlas) SetFailpoint(fn func(op string) error) { a.failpoint.Set(fn) }
 
-// Open scans dir (creating it if needed) and indexes every committed
-// entry; crash debris stays invisible until GC sweeps it.
+// Open replays dir's segment (creating dir if needed) and indexes every
+// committed entry, dropping a torn tail. It then migrates each committed
+// entry of the per-file layout into the segment, appending first and
+// removing the files after, so a crash in between only repeats the
+// migration. Per-file crash debris stays invisible until GC sweeps it.
 func Open(dir string) (*Atlas, error) {
-	blobs, entries, err := blobstore.Open(dir, BlobExt, func(raw []byte) (e Entry, id string) {
+	legacy, old, err := blobstore.Open(dir, BlobExt, func(raw []byte) (e Entry, id string) {
 		if json.Unmarshal(raw, &e) != nil || e.Key == "" || e.Family == "" {
 			return e, ""
 		}
@@ -147,16 +163,86 @@ func Open(dir string) (*Atlas, error) {
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
 	}
+	seg, entries, err := blobstore.OpenSegment(filepath.Join(dir, SegmentFile), 0o644, decodeRecord)
+	if err != nil {
+		return nil, fmt.Errorf("atlas: %w", err)
+	}
 	a := &Atlas{
-		blobs:    blobs,
+		seg:      seg,
+		legacy:   legacy,
 		byID:     make(map[string]*record),
 		byKey:    make(map[string][]*record),
 		byFamily: make(map[string]map[string]*record),
+		dropped:  seg.Corrupt(),
 	}
 	for _, e := range entries {
 		a.indexLocked(&record{e: e})
 	}
+	if err := a.migrate(old); err != nil {
+		seg.Close()
+		return nil, fmt.Errorf("atlas: migrating %s: %w", dir, err)
+	}
 	return a, nil
+}
+
+// migrate moves entries of the per-file layout into the segment. An entry
+// whose blob cannot be read is dropped, its files left for GC.
+func (a *Atlas) migrate(old []Entry) error {
+	for _, e := range old {
+		if _, ok := a.byID[e.ID]; !ok {
+			blob, err := os.ReadFile(a.legacy.BlobPath(e.ID))
+			if err != nil {
+				a.dropped++
+				continue
+			}
+			payload, err := encodeRecord(&e, blob)
+			if err != nil {
+				return err
+			}
+			if err := a.seg.Put(e.ID, payload); err != nil {
+				return err
+			}
+			a.indexLocked(&record{e: e})
+		}
+		if err := a.legacy.Remove(e.ID); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close releases the atlas's segment file.
+func (a *Atlas) Close() error { return a.seg.Close() }
+
+// encodeRecord lays out a segment payload: the manifest's length as a
+// uvarint, the manifest, then the mapping blob.
+func encodeRecord(e *Entry, blob []byte) ([]byte, error) {
+	manifest, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(manifest)+len(blob))
+	buf = binary.AppendUvarint(buf, uint64(len(manifest)))
+	return append(append(buf, manifest...), blob...), nil
+}
+
+// splitRecord is the inverse of encodeRecord.
+func splitRecord(payload []byte) (manifest, blob []byte, ok bool) {
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return nil, nil, false
+	}
+	return payload[k : k+int(n)], payload[k+int(n):], true
+}
+
+// decodeRecord reads the manifest of a segment record, which must name
+// the record's id.
+func decodeRecord(id string, payload []byte) (e Entry, ok bool) {
+	manifest, _, ok := splitRecord(payload)
+	if !ok || json.Unmarshal(manifest, &e) != nil || e.ID != id || e.Key == "" || e.Family == "" {
+		return e, false
+	}
+	return e, true
 }
 
 // indexLocked inserts rec into all three indexes, keeping key groups
@@ -201,12 +287,13 @@ func (a *Atlas) bestLocked(key string) *record {
 }
 
 // Publish commits a solved mapping, unless the atlas already holds an
-// equal-or-better entry for the key ("only-if-better", DESIGN.md §11),
-// then deletes the superseded entries best-effort; extra entries a crash
-// leaves are resolved by best value and reaped by GC. Returns the visible
-// entry for the key and whether this call committed a new one.
+// equal-or-better entry for the key ("only-if-better", DESIGN.md §11).
+// One write appends the entry's record and tombstones for the entries it
+// supersedes; extra entries a torn write leaves are resolved by best value
+// and reaped by GC. Returns the visible entry for the key and whether this
+// call committed a new one.
 func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
-	if err := a.blobs.Failpoint.Fire("atlas.publish"); err != nil {
+	if err := a.failpoint.Fire("atlas.publish"); err != nil {
 		return Entry{}, false, err
 	}
 	if e.Key == "" || e.Family == "" {
@@ -236,50 +323,41 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 		return cur.e, false, nil
 	}
 
-	// Stage the blob outside the lock — lookups on the serving path never
-	// stall behind a publication.
-	tmp, err := a.blobs.Stage(blob)
-	if err != nil {
-		return Entry{}, false, fmt.Errorf("atlas: %w", err)
-	}
-
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if existing, ok := a.byID[e.ID]; ok {
-		a.blobs.Discard(tmp)
 		return existing.e, false, nil
 	}
 	if cur := a.bestLocked(e.Key); cur != nil && cur.e.BestEDP <= e.BestEDP {
-		a.blobs.Discard(tmp)
 		return cur.e, false, nil
 	}
 	e.Version = 1
-	if group := a.byKey[e.Key]; len(group) > 0 {
-		e.Version = group[len(group)-1].e.Version + 1
+	superseded := a.byKey[e.Key]
+	if len(superseded) > 0 {
+		e.Version = superseded[len(superseded)-1].e.Version + 1
 	}
 	e.Created = time.Now().UTC()
-	raw, err := json.MarshalIndent(&e, "", "  ")
+	payload, err := encodeRecord(&e, blob)
 	if err != nil {
-		a.blobs.Discard(tmp)
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
-	if err := a.blobs.Commit(tmp, e.ID, raw); err != nil {
+	drop := make([]string, len(superseded))
+	for i, old := range superseded {
+		drop[i] = old.e.ID
+	}
+	if err := a.seg.Put(e.ID, payload, drop...); err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
 	cached := m.Clone()
-	superseded := slices.Clone(a.byKey[e.Key])
 	a.indexLocked(&record{e: e, mapping: &cached})
-	for _, old := range superseded {
-		a.removeLocked(old) // best-effort tidy; GC handles crash leftovers
+	for _, id := range drop {
+		a.unindexLocked(a.byID[id])
 	}
 	return e, true, nil
 }
 
-// removeLocked deletes a record from disk and the indexes. Callers hold mu.
-func (a *Atlas) removeLocked(rec *record) error {
-	if err := a.blobs.Remove(rec.e.ID); err != nil {
-		return fmt.Errorf("atlas: %w", err)
-	}
+// unindexLocked drops a record from the indexes. Callers hold mu.
+func (a *Atlas) unindexLocked(rec *record) {
 	delete(a.byID, rec.e.ID)
 	group := slices.DeleteFunc(a.byKey[rec.e.Key], func(g *record) bool { return g == rec })
 	if len(group) == 0 {
@@ -288,7 +366,6 @@ func (a *Atlas) removeLocked(rec *record) error {
 		a.byKey[rec.e.Key] = group
 	}
 	a.reindexFamilyLocked(rec.e.Key, rec.e.Family)
-	return nil
 }
 
 // mappingOf returns a private clone of the record's mapping, decoding and
@@ -298,12 +375,16 @@ func (a *Atlas) mappingOf(rec *record) (mapspace.Mapping, error) {
 	m := rec.mapping
 	a.mu.RUnlock()
 	if m == nil {
-		raw, err := os.ReadFile(a.blobs.BlobPath(rec.e.ID))
+		payload, ok, err := a.seg.Get(rec.e.ID)
+		if err == nil && !ok {
+			err = fmt.Errorf("%w: %q", ErrUnknownEntry, rec.e.ID)
+		}
 		if err != nil {
 			return mapspace.Mapping{}, fmt.Errorf("atlas: %w", err)
 		}
+		_, blob, _ := splitRecord(payload) // Open checked the split
 		var decoded mapspace.Mapping
-		if err := json.Unmarshal(raw, &decoded); err != nil {
+		if err := json.Unmarshal(blob, &decoded); err != nil {
 			return mapspace.Mapping{}, fmt.Errorf("atlas: entry %s: %w", rec.e.ID, err)
 		}
 		a.mu.Lock()
@@ -406,13 +487,18 @@ func (a *Atlas) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntry, id)
 	}
-	return a.removeLocked(rec)
+	if err := a.seg.Delete(id); err != nil {
+		return fmt.Errorf("atlas: %w", err)
+	}
+	a.unindexLocked(rec)
+	return nil
 }
 
-// GC removes superseded per-key versions (all but each key's best), the
+// GC removes superseded per-key versions (all but each key's best) and the
 // entries the stale predicate condemns (drifted workload fingerprints,
-// say; nil keeps all), then crash debris. It returns the removed entry IDs
-// in ID order, then the debris file names.
+// say; nil keeps all) with one write of tombstones, then sweeps the
+// per-file layout's debris and resets the corrupt count. It returns the
+// removed entry IDs in ID order, then the debris file names.
 func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -428,15 +514,20 @@ func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	sort.Slice(victims, func(i, j int) bool { return victims[i].e.ID < victims[j].e.ID })
 	var removed []string
 	for _, rec := range victims {
-		if err := a.removeLocked(rec); err != nil {
-			return removed, err
-		}
 		removed = append(removed, rec.e.ID)
 	}
-	debris, err := a.blobs.Sweep(func(id string) bool { _, ok := a.byID[id]; return ok })
+	if err := a.seg.Delete(removed...); err != nil {
+		return nil, fmt.Errorf("atlas: gc: %w", err)
+	}
+	for _, rec := range victims {
+		a.unindexLocked(rec)
+	}
+	// Every live entry is in the segment, so each per-file entry is debris.
+	debris, err := a.legacy.Sweep(func(string) bool { return false })
 	if err != nil {
 		err = fmt.Errorf("atlas: gc: %w", err)
 	}
+	a.dropped = 0
 	return append(removed, debris...), err
 }
 
@@ -448,8 +539,9 @@ type Stats struct {
 	Entries  int `json:"entries"`
 	Keys     int `json:"keys"`
 	Families int `json:"families"`
-	// Corrupt counts manifests Open skipped as unreadable, uncommitted,
-	// or misnamed and GC has not swept yet.
+	// Corrupt counts what Open could not index and GC has not swept or
+	// reset yet: per-file manifests that are unreadable, uncommitted or
+	// misnamed, and a torn or CRC-bad segment tail.
 	Corrupt int `json:"corrupt"`
 }
 
@@ -457,5 +549,5 @@ type Stats struct {
 func (a *Atlas) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return Stats{Entries: len(a.byID), Keys: len(a.byKey), Families: len(a.byFamily), Corrupt: a.blobs.Corrupt()}
+	return Stats{Entries: len(a.byID), Keys: len(a.byKey), Families: len(a.byFamily), Corrupt: a.legacy.Corrupt() + a.dropped}
 }

@@ -1,13 +1,16 @@
-// Package blobstore is the persistence core under the mapping atlas and
-// the model store — directories of immutable blob+manifest pairs committed
-// by atomic rename — plus WriteAtomic, the one temp+rename writer every
-// persisted file goes through. The typed layers keep only their indexes
-// and policy. DESIGN.md §14 states the guarantee.
+// Package blobstore is the persistence core under the mapping atlas, the
+// job journal and the model store: Segment, an append-only log of keyed
+// records (the atlas and the journal); Store, directories of immutable
+// blob+manifest pairs committed by atomic rename (the model store, and the
+// layout the atlas migrates from); and WriteAtomic, the temp+rename writer
+// that replaces whole files. The typed layers keep only their indexes and
+// policy. DESIGN.md §14 states the guarantee.
 package blobstore
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math/rand/v2"
 	"os"
@@ -24,11 +27,37 @@ const (
 	ManifestExt = ".json"
 )
 
-// The filesystem calls the protocol makes, swapped by fault injection.
-var (
-	openFile = os.OpenFile
-	rename   = os.Rename
-)
+// fileLayer is every file mutation the package makes. The OS serves it;
+// tests swap in layers that inject faults or record a crash log.
+type fileLayer interface {
+	OpenFile(name string, flag int, perm fs.FileMode) (file, error)
+	Rename(from, to string) error
+	Remove(name string) error
+}
+
+// file is what the package does with an open file.
+type file interface {
+	io.Writer
+	io.ReaderAt
+	Stat() (fs.FileInfo, error)
+	Truncate(size int64) error
+	Close() error
+}
+
+type osLayer struct{}
+
+func (osLayer) OpenFile(name string, flag int, perm fs.FileMode) (file, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osLayer) Rename(from, to string) error { return os.Rename(from, to) }
+func (osLayer) Remove(name string) error     { return os.Remove(name) }
+
+var disk fileLayer = osLayer{}
 
 // ValidID reports whether id can name a file inside a store directory:
 // non-empty, no path separator, no leading dot (so no ".." either).
@@ -64,10 +93,10 @@ func WriteAtomic(path, tmpPrefix string, perm fs.FileMode, data []byte, beforeRe
 		return err
 	}
 	if err = beforeRename(); err == nil {
-		err = rename(tmp, path)
+		err = disk.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		disk.Remove(tmp)
 	}
 	return err
 }
@@ -79,7 +108,7 @@ func tempName(dir, prefix string) string {
 // writeNew creates name, which must not exist, holding data; a failed
 // write leaves no file.
 func writeNew(name string, perm fs.FileMode, data []byte) error {
-	f, err := openFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
+	f, err := disk.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
 	if err != nil {
 		return err
 	}
@@ -88,7 +117,7 @@ func writeNew(name string, perm fs.FileMode, data []byte) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(name)
+		disk.Remove(name)
 	}
 	return err
 }
@@ -177,7 +206,7 @@ func (s *Store) Stage(blob []byte) (string, error) {
 
 // Discard removes a staged blob that will not be committed.
 func (s *Store) Discard(tmp string) {
-	os.Remove(tmp)
+	disk.Remove(tmp)
 	s.forget(tmp)
 }
 
@@ -193,10 +222,10 @@ func (s *Store) forget(tmp string) {
 func (s *Store) Commit(tmp, id string, manifest []byte) error {
 	defer s.forget(tmp)
 	blob := s.BlobPath(id)
-	err := WriteAtomic(s.manifestPath(id), TmpPrefix, 0o644, manifest, func() error { return rename(tmp, blob) })
+	err := WriteAtomic(s.manifestPath(id), TmpPrefix, 0o644, manifest, func() error { return disk.Rename(tmp, blob) })
 	if err != nil {
-		os.Remove(tmp) // whichever of the two the failed step left
-		os.Remove(blob)
+		disk.Remove(tmp) // whichever of the two the failed step left
+		disk.Remove(blob)
 	}
 	return err
 }
@@ -204,10 +233,10 @@ func (s *Store) Commit(tmp, id string, manifest []byte) error {
 // Remove deletes a committed entry manifest first, so a crash in between
 // leaves an orphan blob for Sweep, never a manifest pointing at nothing.
 func (s *Store) Remove(id string) error {
-	if err := os.Remove(s.manifestPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := disk.Remove(s.manifestPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	os.Remove(s.BlobPath(id))
+	disk.Remove(s.BlobPath(id))
 	return nil
 }
 
@@ -225,7 +254,7 @@ func (s *Store) Sweep(live func(id string) bool) ([]string, error) {
 		if de.IsDir() || s.keep(name, live) {
 			continue
 		}
-		if err := os.Remove(filepath.Join(s.dir, name)); errors.Is(err, fs.ErrNotExist) {
+		if err := disk.Remove(filepath.Join(s.dir, name)); errors.Is(err, fs.ErrNotExist) {
 			continue // a concurrent Discard got there first
 		} else if err != nil {
 			return removed, err

@@ -102,13 +102,39 @@ func TestPublishReopenRemove(t *testing.T) {
 
 var errInjected = errors.New("injected")
 
-// failOpen makes the nth openFile call (1-based) fail: before creating the
+// faultLayer is the OS file layer with its OpenFile or Rename overridden.
+type faultLayer struct {
+	osLayer
+	openFile func(name string, flag int, perm fs.FileMode) (file, error)
+	rename   func(from, to string) error
+}
+
+func (l faultLayer) OpenFile(name string, flag int, perm fs.FileMode) (file, error) {
+	if l.openFile != nil {
+		return l.openFile(name, flag, perm)
+	}
+	return l.osLayer.OpenFile(name, flag, perm)
+}
+
+func (l faultLayer) Rename(from, to string) error {
+	if l.rename != nil {
+		return l.rename(from, to)
+	}
+	return l.osLayer.Rename(from, to)
+}
+
+func useLayer(t *testing.T, l fileLayer) {
+	disk = l
+	t.Cleanup(func() { disk = osLayer{} })
+}
+
+// failOpen makes the nth file open (1-based) fail: before creating the
 // file, or — torn — after creating it, so the write fails half-done.
 func failOpen(t *testing.T, nth int, torn bool) {
 	calls := 0
-	openFile = func(name string, flag int, perm fs.FileMode) (*os.File, error) {
+	useLayer(t, faultLayer{openFile: func(name string, flag int, perm fs.FileMode) (file, error) {
 		if calls++; calls != nth {
-			return os.OpenFile(name, flag, perm)
+			return osLayer{}.OpenFile(name, flag, perm)
 		}
 		if !torn {
 			return nil, errInjected
@@ -119,19 +145,17 @@ func failOpen(t *testing.T, nth int, torn bool) {
 		}
 		f.Close()
 		return os.Open(name) // read-only: the write fails on a file that exists
-	}
-	t.Cleanup(func() { openFile = os.OpenFile })
+	}})
 }
 
 // failRename makes the rename onto a path with the given suffix fail.
 func failRename(t *testing.T, suffix string) {
-	rename = func(from, to string) error {
+	useLayer(t, faultLayer{rename: func(from, to string) error {
 		if strings.HasSuffix(to, suffix) {
 			return errInjected
 		}
 		return os.Rename(from, to)
-	}
-	t.Cleanup(func() { rename = os.Rename })
+	}})
 }
 
 // TestFaultAtEachCommitStep injects an error at every write step of a

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"mindmappings/internal/blobstore"
@@ -17,23 +15,33 @@ import (
 // ErrNotJournaled is returned by Journal.Get for ids with no record.
 var ErrNotJournaled = errors.New("resilience: no journal record")
 
-// Journal is a crash-safe directory of JSON records, one file per id,
-// written through blobstore.WriteAtomic; temp debris from a crash mid-Put
-// is ignored by List/Get and swept on Open. Writes run under an optional
-// failpoint (site "journal.write") and a bounded retry policy, so injected
-// storage faults exercise the retry path real transient I/O errors would.
+// Journal is a crash-safe store of JSON records, one per id, kept as an
+// append-only segment (blobstore.Segment) in its directory: Put appends a
+// record and Delete a tombstone, and Get and List read through the
+// segment's id→offset index. Writes run under an optional failpoint (site
+// "journal.write") and a bounded retry policy, so injected storage faults
+// exercise the retry path real transient I/O errors would.
 type Journal struct {
 	dir string
 	// Retry governs Put; defaults to DefaultRetry. Set before first use.
 	Retry RetryPolicy
 
 	failpoint blobstore.Failpoint
+	seg       *blobstore.Segment
 }
 
-const journalTmpPrefix = ".tmp-"
+const (
+	// journalFile names the segment inside the journal directory.
+	journalFile = "journal.log"
+	// journalTmpPrefix starts the temp files of the per-record layout.
+	journalTmpPrefix = ".tmp-"
+)
 
-// OpenJournal creates dir if needed, sweeps temp debris left by a crash,
-// and returns the journal over it.
+// OpenJournal creates dir if needed and returns the journal over it. It
+// replays the segment, and migrates records of the older one-file-per-id
+// layout (<id>.json) into it: each is appended first and its file removed
+// after, so a crash in between only repeats the migration. Temp debris of
+// that layout is removed.
 func OpenJournal(dir string) (*Journal, error) {
 	if dir == "" {
 		return nil, errors.New("resilience: journal dir required")
@@ -41,23 +49,55 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resilience: creating journal dir: %w", err)
 	}
-	ents, err := os.ReadDir(dir)
+	seg, _, err := blobstore.OpenSegment[struct{}](filepath.Join(dir, journalFile), 0o600, nil)
 	if err != nil {
-		return nil, fmt.Errorf("resilience: reading journal dir: %w", err)
+		return nil, fmt.Errorf("resilience: opening journal: %w", err)
+	}
+	j := &Journal{dir: dir, Retry: DefaultRetry, seg: seg}
+	if err := j.migrate(); err != nil {
+		seg.Close()
+		return nil, err
+	}
+	return j, nil
+}
+
+func (j *Journal) migrate() error {
+	ents, err := os.ReadDir(j.dir)
+	if err != nil {
+		return fmt.Errorf("resilience: reading journal dir: %w", err)
 	}
 	for _, e := range ents {
+		name := filepath.Join(j.dir, e.Name())
 		if strings.HasPrefix(e.Name(), journalTmpPrefix) {
-			os.Remove(filepath.Join(dir, e.Name()))
+			os.Remove(name)
+			continue
+		}
+		id, ok := strings.CutSuffix(e.Name(), ".json")
+		if !ok || e.IsDir() || validJournalID(id) != nil {
+			continue
+		}
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			return fmt.Errorf("resilience: migrating journal record %s: %w", id, err)
+		}
+		if err := j.seg.Put(id, raw); err != nil {
+			return fmt.Errorf("resilience: migrating journal record %s: %w", id, err)
+		}
+		if err := os.Remove(name); err != nil {
+			return fmt.Errorf("resilience: migrating journal record %s: %w", id, err)
 		}
 	}
-	return &Journal{dir: dir, Retry: DefaultRetry}, nil
+	return nil
 }
 
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// SetFailpoint installs fn to be consulted before every write and rename
-// (op "journal.write"); a non-nil return aborts that attempt. Wire it to
+// Close releases the journal's segment file.
+func (j *Journal) Close() error { return j.seg.Close() }
+
+// SetFailpoint installs fn to be consulted twice before every write
+// attempt (op "journal.write"); a non-nil return aborts that attempt. Wire it to
 // Faults.Fail to inject journal failures deterministically.
 func (j *Journal) SetFailpoint(fn func(op string) error) { j.failpoint.Set(fn) }
 
@@ -67,8 +107,6 @@ func validJournalID(id string) error {
 	}
 	return nil
 }
-
-func (j *Journal) path(id string) string { return filepath.Join(j.dir, id+".json") }
 
 // Put atomically writes v as id's record, retrying transient failures
 // under the journal's retry policy. The final attempt's error surfaces.
@@ -83,21 +121,18 @@ func (j *Journal) Put(id string, v any) error {
 	return j.Retry.Do(context.Background(), func() error { return j.putOnce(id, raw) })
 }
 
-// putOnce is one write attempt; the failpoint fires before the temp file
-// is written and again before the committing rename.
+// putOnce is one write attempt. The failpoint fires twice, for the record
+// and for its commit, so a seeded fault schedule draws twice per attempt.
 func (j *Journal) putOnce(id string, raw []byte) error {
-	if err := j.failpoint.Fire("journal.write"); err != nil {
-		return err
+	for range 2 {
+		if err := j.failpoint.Fire("journal.write"); err != nil {
+			return err
+		}
 	}
-	var injected error
-	err := blobstore.WriteAtomic(j.path(id), journalTmpPrefix+id+"-", 0o600, raw, func() error {
-		injected = j.failpoint.Fire("journal.write")
-		return injected
-	})
-	if err != nil && injected == nil {
+	if err := j.seg.Put(id, raw); err != nil {
 		return fmt.Errorf("resilience: writing journal record %s: %w", id, err)
 	}
-	return err
+	return nil
 }
 
 // Get unmarshals id's record into v, or returns ErrNotJournaled.
@@ -105,12 +140,12 @@ func (j *Journal) Get(id string, v any) error {
 	if err := validJournalID(id); err != nil {
 		return err
 	}
-	raw, err := os.ReadFile(j.path(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("%w: %s", ErrNotJournaled, id)
-	}
+	raw, ok, err := j.seg.Get(id)
 	if err != nil {
 		return fmt.Errorf("resilience: reading journal record %s: %w", id, err)
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotJournaled, id)
 	}
 	if err := json.Unmarshal(raw, v); err != nil {
 		return fmt.Errorf("resilience: decoding journal record %s: %w", id, err)
@@ -118,31 +153,18 @@ func (j *Journal) Get(id string, v any) error {
 	return nil
 }
 
-// Delete removes id's record; a missing record is not an error (deletes
-// must be idempotent so a crash between delete and its caller's state
-// update is harmless on replay).
+// Delete appends a tombstone for id's record; a missing record is not an
+// error (deletes must be idempotent so a crash between delete and its
+// caller's state update is harmless on replay).
 func (j *Journal) Delete(id string) error {
 	if err := validJournalID(id); err != nil {
 		return err
 	}
-	if err := os.Remove(j.path(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := j.seg.Delete(id); err != nil {
 		return fmt.Errorf("resilience: deleting journal record %s: %w", id, err)
 	}
 	return nil
 }
 
-// List returns the journaled ids in sorted order, ignoring temp debris.
-func (j *Journal) List() ([]string, error) {
-	ents, err := os.ReadDir(j.dir)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: reading journal dir: %w", err)
-	}
-	var ids []string
-	for _, e := range ents {
-		if id, ok := strings.CutSuffix(e.Name(), ".json"); ok && !e.IsDir() && !strings.HasPrefix(id, journalTmpPrefix) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
+// List returns the journaled ids in sorted order.
+func (j *Journal) List() ([]string, error) { return j.seg.IDs(), nil }

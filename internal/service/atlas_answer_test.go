@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -195,52 +196,94 @@ func TestAtlasStaleEntryFallsThrough(t *testing.T) {
 	}
 }
 
-// TestAtlasUnreadableEntryFallsThrough pins the unreadable-blob path: an
-// atlas whose mapping blob was corrupted on disk answers no request — each
-// runs a search — and the flight recorder reports the lookup error once,
-// without re-reading the blob per request.
+// TestAtlasUnreadableEntryFallsThrough pins the unreadable-entry paths.
+// An entry whose mapping blob is garbage answers no request — each runs a
+// search — and the flight recorder reports the lookup error once, without
+// re-reading the blob per request; the garbage reaches the atlas through
+// the per-file layout that Open migrates. A segment record that fails its
+// CRC is dropped at Open and counted corrupt, so its key is simply cold.
 func TestAtlasUnreadableEntryFallsThrough(t *testing.T) {
-	dir := t.TempDir()
-	a, err := atlas.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := validRequest()
 	req.Searcher = "ga"
 	req.Evals = 100
 	m := spaceFor(t, req).Minimal()
-	e := publishFor(t, a, req, &m, 1)
-	blob := filepath.Join(dir, e.ID+atlas.BlobExt)
-	if err := os.WriteFile(blob, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh open has not decoded the blob yet, so the first hit reads it.
-	a, err = atlas.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 2, 8)
-	t.Cleanup(func() { jobs.Shutdown(context.Background()) })
-	jobs.EnableAtlas(a, true)
-
-	for i := 0; i < 3; i++ {
-		job, err := jobs.Submit(req)
+	// published returns the entry a publish of m for req commits.
+	published := func(t *testing.T, dir string) atlas.Entry {
+		a, err := atlas.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.Result != nil && job.Result.Source == "atlas" {
-			t.Fatalf("request %d was served from an unreadable entry", i)
-		}
-		done, err := jobs.Wait(context.Background(), job.ID)
-		if err != nil || done.Status != JobDone {
-			t.Fatalf("request %d: search job %s (%v)", i, done.Status, err)
-		}
+		defer a.Close()
+		return publishFor(t, a, req, &m, 1)
 	}
-	if n := flightKinds(jobs, "atlas.lookup-error"); n != 1 {
-		t.Fatalf("%d atlas.lookup-error events, want 1", n)
-	}
-	if st := atlasCountsOf(jobs); st.Hits != 0 {
-		t.Fatalf("counts %+v, want no hits", st)
+	for _, tc := range []struct {
+		name string
+		// damage leaves dir holding an entry for req that cannot answer.
+		damage       func(t *testing.T, dir string)
+		lookupErrors int
+		corrupt      int
+	}{
+		{"garbage blob", func(t *testing.T, dir string) {
+			e := published(t, t.TempDir())
+			manifest, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, body := range map[string][]byte{e.ID + atlas.ManifestExt: manifest, e.ID + atlas.BlobExt: []byte("{not json")} {
+				if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 1, 0},
+		{"crc-bad record", func(t *testing.T, dir string) {
+			published(t, dir)
+			seg := filepath.Join(dir, atlas.SegmentFile)
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-2] ^= 0xff
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.damage(t, dir)
+			// A fresh open has not decoded the blob yet, so the first hit reads it.
+			a, err := atlas.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { a.Close() })
+			if st := a.Stats(); st.Corrupt != tc.corrupt {
+				t.Fatalf("Stats = %+v, want %d corrupt", st, tc.corrupt)
+			}
+			jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 2, 8)
+			t.Cleanup(func() { jobs.Shutdown(context.Background()) })
+			jobs.EnableAtlas(a, true)
+
+			for i := 0; i < 3; i++ {
+				job, err := jobs.Submit(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if job.Result != nil && job.Result.Source == "atlas" {
+					t.Fatalf("request %d was served from an unreadable entry", i)
+				}
+				done, err := jobs.Wait(context.Background(), job.ID)
+				if err != nil || done.Status != JobDone {
+					t.Fatalf("request %d: search job %s (%v)", i, done.Status, err)
+				}
+			}
+			if n := flightKinds(jobs, "atlas.lookup-error"); n != tc.lookupErrors {
+				t.Fatalf("%d atlas.lookup-error events, want %d", n, tc.lookupErrors)
+			}
+			if st := atlasCountsOf(jobs); st.Hits != 0 {
+				t.Fatalf("counts %+v, want no hits", st)
+			}
+		})
 	}
 }
 
