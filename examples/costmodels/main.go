@@ -21,6 +21,7 @@ import (
 	"mindmappings/internal/search"
 
 	_ "mindmappings/internal/timeloop" // register the reference backend
+	_ "mindmappings/internal/workload" // register the built-in workloads
 )
 
 func main() {
@@ -35,35 +36,27 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	space, err := mapspace.New(accel, prob)
-	if err != nil {
-		return err
-	}
-	bound, err := oracle.Compute(accel, prob)
-	if err != nil {
-		return err
-	}
 
 	fmt.Printf("registered cost-model backends: %v\n\n", costmodel.Names())
 	type winner struct {
 		backend string
 		best    mapspace.Mapping
+		bound   oracle.Bound
 	}
 	var winners []winner
 	for _, name := range costmodel.Names() {
-		model, err := costmodel.New(name, accel, prob)
+		sctx, err := search.NewContext(name, accel, prob)
 		if err != nil {
 			return err
 		}
-		res, err := search.SimulatedAnnealing{}.Search(
-			&search.Context{Space: space, Model: model, Bound: bound, Seed: 1},
-			search.Budget{MaxEvals: 2000})
+		sctx.Seed = 1
+		res, err := search.SimulatedAnnealing{}.Search(sctx, search.Budget{MaxEvals: 2000})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("SA under %-9s %5d evals in %-8v best %.1fx minimum (by its own estimate)\n",
 			name+":", res.Evals, res.Elapsed.Round(1e6), res.BestEDP)
-		winners = append(winners, winner{backend: name, best: res.Best})
+		winners = append(winners, winner{backend: name, best: res.Best, bound: sctx.Bound})
 	}
 
 	fmt.Println("\ncross-scoring each winner under every backend (normalized EDP):")
@@ -78,7 +71,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  %s %.1fx", scorer, bound.NormalizeEDP(cost.EDP))
+			fmt.Printf("  %s %.1fx", scorer, w.bound.NormalizeEDP(cost.EDP))
 		}
 		fmt.Println()
 	}

@@ -7,24 +7,23 @@
 //
 // The API surfaces the three routines the paper requires of a target:
 // GetMapping (a random valid mapping), IsMember (validity check), and
-// GetProjection (nearest valid mapping) — plus surrogate persistence and
-// head-to-head method comparison used by the evaluation harness.
+// GetProjection (nearest valid mapping) — on a ProblemContext, which embeds
+// the search.Context that search.NewContext builds for the problem — plus
+// surrogate persistence and head-to-head method comparison used by the
+// evaluation harness.
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/costmodel"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/nn"
-	"mindmappings/internal/oracle"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
 )
@@ -108,40 +107,14 @@ func (mp *Mapper) SaveSurrogate(w io.Writer) error {
 	return mp.sur.Save(w)
 }
 
-// ProblemContext bundles the per-problem machinery (map space, cost model,
-// lower bound) that both the mapper and the evaluation harness need.
+// ProblemContext is the per-problem object of the paper's Appendix-B API:
+// the map space (with GetMapping, IsMember and GetProjection), the cost
+// model and its normalization bound, plus the search knobs (Objective,
+// Parallelism, QueryLatency, Ctx, Progress, SeedMapping, ...) applied to
+// every search run through it. It embeds search.Context; each search gets
+// a copy with only the seed set.
 type ProblemContext struct {
-	Problem loopnest.Problem
-	Space   *mapspace.Space
-	// Model is the pluggable cost function the context was built with —
-	// any registered costmodel backend.
-	Model costmodel.Evaluator
-	Bound oracle.Bound
-	// Objective selects the designer cost function for searches run
-	// through this context (paper §2.3). The zero value is EDP.
-	Objective search.Objective
-	// Parallelism fans batched cost-model evaluations across up to this
-	// many workers during searches run through this context. Search
-	// results are bit-identical for any value; only wall-clock changes.
-	Parallelism int
-	// QueryLatency emulates the reference cost model's per-query latency
-	// for paid queries during searches run through this context (the
-	// iso-time methodology; see DESIGN.md §4). Zero pays nothing.
-	QueryLatency time.Duration
-	// Ctx, when non-nil, bounds searches run through this context. Search
-	// is anytime: on cancellation or deadline expiry the searcher stops at
-	// the next evaluation boundary and returns its best-so-far mapping
-	// with a nil error rather than failing.
-	Ctx context.Context
-	// Progress, when non-nil, receives live best-so-far telemetry from
-	// searches run through this context. It inherits search.Context's
-	// contract: called from the searcher's goroutine at every recorded
-	// trajectory sample, must be fast, must not block, observation only.
-	Progress func(search.Progress)
-	// SeedMapping, when non-nil, warm-starts Mind Mappings searches run
-	// through this context from a known-good mapping (the atlas
-	// nearest-neighbor path); see search.Context.SeedMapping.
-	SeedMapping *mapspace.Mapping
+	search.Context
 }
 
 // NewProblemContext builds the per-problem machinery for any problem of
@@ -151,19 +124,11 @@ func (mp *Mapper) NewProblemContext(p loopnest.Problem) (*ProblemContext, error)
 	if p.Algo == nil || p.Algo.Name != mp.Algo.Name {
 		return nil, fmt.Errorf("core: problem %q does not belong to algorithm %q", p.Name, mp.Algo.Name)
 	}
-	space, err := mapspace.New(mp.Arch, p)
+	sctx, err := search.NewContext(mp.CostModel, mp.Arch, p)
 	if err != nil {
 		return nil, err
 	}
-	model, err := costmodel.New(mp.CostModel, mp.Arch, p)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	bound, err := oracle.Compute(mp.Arch, p)
-	if err != nil {
-		return nil, err
-	}
-	return &ProblemContext{Problem: p, Space: space, Model: model, Bound: bound}, nil
+	return &ProblemContext{Context: *sctx}, nil
 }
 
 // GetMapping returns a uniformly sampled valid mapping (the paper's
@@ -194,20 +159,12 @@ func (pc *ProblemContext) Evaluate(m *mapspace.Mapping) (costmodel.Cost, float64
 	return cost, pc.Bound.NormalizeEDP(cost.EDP), nil
 }
 
-// searchContext adapts the ProblemContext for the search package.
+// searchContext copies the ProblemContext's search context for one run
+// with the given seed.
 func (pc *ProblemContext) searchContext(seed int64) *search.Context {
-	return &search.Context{
-		Space:        pc.Space,
-		Model:        pc.Model,
-		Bound:        pc.Bound,
-		Seed:         seed,
-		Objective:    pc.Objective,
-		Parallelism:  pc.Parallelism,
-		QueryLatency: pc.QueryLatency,
-		Progress:     pc.Progress,
-		SeedMapping:  pc.SeedMapping,
-		Ctx:          pc.Ctx,
-	}
+	c := pc.Context
+	c.Seed = seed
+	return &c
 }
 
 // FindMapping runs Phase 2 — the gradient-based search on the trained

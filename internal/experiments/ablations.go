@@ -5,10 +5,7 @@ import (
 	"io"
 
 	"mindmappings/internal/arch"
-	"mindmappings/internal/costmodel"
 	"mindmappings/internal/loopnest"
-	"mindmappings/internal/mapspace"
-	"mindmappings/internal/oracle"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
 )
@@ -180,27 +177,18 @@ func (h *Harness) ArchGenerality(w io.Writer) (*GeneralityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	space, err := mapspace.New(a, prob)
+	sctx, err := search.NewContext(h.opts.CostModel, a, prob)
 	if err != nil {
 		return nil, err
 	}
-	model, err := costmodel.New(h.opts.CostModel, a, prob)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := oracle.Compute(a, prob)
-	if err != nil {
-		return nil, err
-	}
+	sctx.Seed = h.opts.Seed
 	budget := search.Budget{MaxEvals: h.opts.IsoIterations}
 
-	mmRes, err := search.MindMappings{Surrogate: sur}.Search(
-		&search.Context{Space: space, Model: model, Bound: bound, Seed: h.opts.Seed}, budget)
+	mmRes, err := search.MindMappings{Surrogate: sur}.Search(sctx, budget)
 	if err != nil {
 		return nil, err
 	}
-	saRes, err := search.SimulatedAnnealing{}.Search(
-		&search.Context{Space: space, Model: model, Bound: bound, Seed: h.opts.Seed}, budget)
+	saRes, err := search.SimulatedAnnealing{}.Search(sctx, budget)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,6 @@ import (
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/costmodel"
-	"mindmappings/internal/mapspace"
-	"mindmappings/internal/oracle"
 	"mindmappings/internal/search"
 )
 
@@ -44,14 +42,6 @@ func (h *Harness) CostModelHeadToHead(w io.Writer) ([]CostModelRun, error) {
 	}
 	prob := problems[0]
 	a := arch.Default(len(prob.Algo.Tensors) - 1)
-	space, err := mapspace.New(a, prob)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := oracle.Compute(a, prob)
-	if err != nil {
-		return nil, err
-	}
 	backends := costmodel.Names()
 	budget := search.Budget{MaxEvals: h.opts.IsoIterations}
 
@@ -59,13 +49,13 @@ func (h *Harness) CostModelHeadToHead(w io.Writer) ([]CostModelRun, error) {
 	fmt.Fprintf(w, "== cost-model head-to-head: SA on %s, %d evals per backend ==\n",
 		prob.Name, budget.MaxEvals)
 	for _, name := range backends {
-		model, err := costmodel.New(name, a, prob)
+		sctx, err := search.NewContext(name, a, prob)
 		if err != nil {
 			return nil, err
 		}
+		sctx.Seed = h.opts.Seed
 		h.logf("cost-model head-to-head: SA under %s\n", name)
-		res, err := search.SimulatedAnnealing{}.Search(
-			&search.Context{Space: space, Model: model, Bound: bound, Seed: h.opts.Seed}, budget)
+		res, err := search.SimulatedAnnealing{}.Search(sctx, budget)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: SA under %s: %w", name, err)
 		}
@@ -84,7 +74,7 @@ func (h *Harness) CostModelHeadToHead(w io.Writer) ([]CostModelRun, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: scoring %s's winner with %s: %w", name, scorer, err)
 			}
-			run.ScoredBy[scorer] = bound.NormalizeEDP(cost.EDP)
+			run.ScoredBy[scorer] = sctx.Bound.NormalizeEDP(cost.EDP)
 		}
 		out = append(out, run)
 	}

@@ -16,10 +16,7 @@ import (
 	"time"
 
 	"mindmappings/internal/arch"
-	"mindmappings/internal/costmodel"
 	"mindmappings/internal/loopnest"
-	"mindmappings/internal/mapspace"
-	"mindmappings/internal/oracle"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
 
@@ -215,20 +212,12 @@ func (h *Harness) Problems() ([]loopnest.Problem, error) {
 // problemContext builds the per-problem search machinery, optionally with
 // emulated reference-model latency.
 func (h *Harness) problemContext(p loopnest.Problem, latency time.Duration, seed int64) (*search.Context, error) {
-	a := arch.Default(len(p.Algo.Tensors) - 1)
-	space, err := mapspace.New(a, p)
+	sctx, err := search.NewContext(h.opts.CostModel, arch.Default(len(p.Algo.Tensors)-1), p)
 	if err != nil {
 		return nil, err
 	}
-	model, err := costmodel.New(h.opts.CostModel, a, p)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := oracle.Compute(a, p)
-	if err != nil {
-		return nil, err
-	}
-	return &search.Context{Space: space, Model: model, Bound: bound, Seed: seed, QueryLatency: latency}, nil
+	sctx.Seed, sctx.QueryLatency = seed, latency
+	return sctx, nil
 }
 
 // methods returns the five search methods in paper order (§5.2): the

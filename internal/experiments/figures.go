@@ -11,7 +11,6 @@ import (
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/nn"
-	"mindmappings/internal/oracle"
 	"mindmappings/internal/search"
 	"mindmappings/internal/stats"
 	"mindmappings/internal/surrogate"
@@ -53,22 +52,13 @@ func CostSurfaceFor(w io.Writer, prob loopnest.Problem, seed int64) (*SurfaceSta
 	if prob.Algo == nil || prob.Algo.Name != "cnn-layer" {
 		return nil, fmt.Errorf("experiments: cost surface needs a cnn-layer problem")
 	}
-	a := arch.Default(2)
-	space, err := mapspace.New(a, prob)
-	if err != nil {
-		return nil, err
-	}
-	model, err := costmodel.New("", a, prob)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := oracle.Compute(a, prob)
+	sctx, err := search.NewContext("", arch.Default(2), prob)
 	if err != nil {
 		return nil, err
 	}
 
 	rng := stats.NewRNG(seed + 33)
-	base := space.Random(rng)
+	base := sctx.Space.Random(rng)
 	kDivs := mapspace.Divisors(prob.Shape[loopnest.CNNDimK])
 	cDivs := mapspace.Divisors(prob.Shape[loopnest.CNNDimC])
 
@@ -81,12 +71,12 @@ func CostSurfaceFor(w io.Writer, prob loopnest.Problem, seed int64) (*SurfaceSta
 			m := base.Clone()
 			m.SetChain(loopnest.CNNDimK, mapspace.FactorChain{1, 1, fk, prob.Shape[loopnest.CNNDimK] / fk})
 			m.SetChain(loopnest.CNNDimC, mapspace.FactorChain{1, 1, fc, prob.Shape[loopnest.CNNDimC] / fc})
-			m = space.Repair(m)
-			cost, err := costmodel.Evaluate(nil, model, &m)
+			m = sctx.Space.Repair(m)
+			cost, err := costmodel.Evaluate(nil, sctx.Model, &m)
 			if err != nil {
 				return nil, err
 			}
-			edp := bound.NormalizeEDP(cost.EDP)
+			edp := sctx.Bound.NormalizeEDP(cost.EDP)
 			grid[i][j] = edp
 			st.Points++
 			if edp < st.MinEDP {
@@ -160,16 +150,7 @@ func (h *Harness) SpaceStats(w io.Writer) ([]SpaceCharacterization, error) {
 	sizes := map[string]map[string]float64{}
 	rng := stats.NewRNG(h.opts.Seed + 55)
 	for _, p := range problems {
-		a := arch.Default(len(p.Algo.Tensors) - 1)
-		space, err := mapspace.New(a, p)
-		if err != nil {
-			return nil, err
-		}
-		model, err := costmodel.New(h.opts.CostModel, a, p)
-		if err != nil {
-			return nil, err
-		}
-		bound, err := oracle.Compute(a, p)
+		sctx, err := search.NewContext(h.opts.CostModel, arch.Default(len(p.Algo.Tensors)-1), p)
 		if err != nil {
 			return nil, err
 		}
@@ -177,18 +158,18 @@ func (h *Harness) SpaceStats(w io.Writer) ([]SpaceCharacterization, error) {
 			perAlgo[p.Algo.Name] = &stats.Running{}
 			sizes[p.Algo.Name] = map[string]float64{}
 		}
-		sizes[p.Algo.Name][p.Name] = space.SizeLog10()
+		sizes[p.Algo.Name][p.Name] = sctx.Space.SizeLog10()
 		samples := h.opts.SpaceSamples / len(problems)
 		if samples < 100 {
 			samples = 100
 		}
 		var ws costmodel.Cost
 		for i := 0; i < samples; i++ {
-			m := space.Random(rng)
-			if err := model.EvaluateInto(nil, &m, &ws); err != nil {
+			m := sctx.Space.Random(rng)
+			if err := sctx.Model.EvaluateInto(nil, &m, &ws); err != nil {
 				return nil, err
 			}
-			perAlgo[p.Algo.Name].Add(bound.NormalizeEnergy(ws.TotalEnergyPJ))
+			perAlgo[p.Algo.Name].Add(sctx.Bound.NormalizeEnergy(ws.TotalEnergyPJ))
 		}
 	}
 	var out []SpaceCharacterization

@@ -8,14 +8,11 @@ import (
 )
 
 // Load is a snapshot of the live overload signals the admission controller
-// sheds on, fed from the service's obs instruments: queue depth and
-// capacity (the queued-jobs gauge), queue-wait p95 (the queue-wait
-// histogram), process heap (the runtime gauge), and the SLO health score.
+// sheds on: queue depth and capacity (the queued-jobs gauge) and the SLO
+// health score.
 type Load struct {
-	QueueDepth   int
-	QueueCap     int
-	QueueWaitP95 time.Duration
-	HeapBytes    uint64
+	QueueDepth int
+	QueueCap   int
 	// Health is the SLO tracker's overall score in [0, 1] (1 = pristine).
 	// Only meaningful when Thresholds.MinHealth is set; a load source that
 	// enables MinHealth must populate Health on every snapshot.
@@ -23,19 +20,15 @@ type Load struct {
 }
 
 // Thresholds separates healthy from overloaded. Zero fields disable that
-// signal. QueueWaitP95, QueueFraction, and MinHealth mark *soft* overload:
-// the system is backing up or burning error budget, so tenants over their
-// fair share are shed while light tenants still get through. HeapBytes
-// marks *hard* overload: memory pressure threatens the whole process, so
-// everything sheds — as does a health score of exactly 0 (every objective's
-// budget burning at critical rate).
+// signal. QueueFraction and MinHealth mark *soft* overload: the system is
+// backing up or burning error budget, so tenants over their fair share are
+// shed while light tenants still get through. A health score of exactly 0
+// (every objective's budget burning at critical rate) is *hard* overload:
+// everything sheds.
 type Thresholds struct {
-	QueueWaitP95  time.Duration
 	QueueFraction float64
-	HeapBytes     uint64
-	// MinHealth sheds when Load.Health drops below it. This is the SLO-
-	// driven replacement for tuning raw heap/queue numbers: the shed point
-	// is "the error budget is burning", whatever resource causes it.
+	// MinHealth sheds when Load.Health drops below it: the shed point is
+	// "the error budget is burning", whatever resource causes it.
 	MinHealth float64
 }
 
@@ -87,8 +80,14 @@ type Admission struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
+	// sweepAt is the tenant count at which the next new tenant first
+	// sweeps out idle, refilled tenants: twice what the last sweep left,
+	// and at least minSweep.
+	sweepAt int
 	stats   AdmissionStats
 }
+
+const minSweep = 16
 
 type tenantState struct {
 	tokens   float64
@@ -142,31 +141,37 @@ func (a *Admission) Admit(tenant string) Decision {
 		load = a.loadFn()
 	}
 	// The load and hint callbacks reach back into the caller's locks, so
-	// both run before a.mu is taken: a caller may hold its own lock while
-	// invoking Release, and taking the locks in both orders would
-	// deadlock.
-	retryHint := a.retryAfter(load)
+	// both run outside a.mu: a caller may hold its own lock while invoking
+	// Release, and taking the locks in both orders would deadlock.
+	d := a.decide(tenant, now, load)
+	if !d.OK && d.RetryAfter == 0 {
+		d.RetryAfter = a.retryAfter()
+	}
+	return d
+}
 
+// decide is Admit under a.mu. Shed and concurrency rejections leave
+// RetryAfter zero for Admit to fill in.
+func (a *Admission) decide(tenant string, now time.Time, load Load) Decision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
 	ts := a.tenants[tenant]
 	if ts == nil {
+		if len(a.tenants) >= a.sweepAt {
+			a.sweepLocked(now)
+		}
 		ts = &tenantState{tokens: a.cfg.Burst, refilled: now}
 		a.tenants[tenant] = ts
 	}
 
 	if reason, shed := a.shedLocked(ts, load); shed {
 		a.stats.Shed++
-		return Decision{Code: 503, Reason: reason, RetryAfter: retryHint}
+		return Decision{Code: 503, Reason: reason}
 	}
 	if a.cfg.MaxConcurrent > 0 && ts.inFlight >= a.cfg.MaxConcurrent {
 		a.stats.RejectedConc++
-		return Decision{
-			Code:       429,
-			Reason:     fmt.Sprintf("tenant concurrency cap (%d in flight)", ts.inFlight),
-			RetryAfter: retryHint,
-		}
+		return Decision{Code: 429, Reason: fmt.Sprintf("tenant concurrency cap (%d in flight)", ts.inFlight)}
 	}
 	if a.cfg.Rate > 0 {
 		elapsed := now.Sub(ts.refilled).Seconds()
@@ -187,25 +192,37 @@ func (a *Admission) Admit(tenant string) Decision {
 	return Decision{OK: true}
 }
 
-// shedLocked applies the overload thresholds. Hard overload (heap) sheds
-// every tenant; soft overload (queue wait / queue fraction) sheds only
-// tenants at or above their fair share of the concurrency cap, so a noisy
-// neighbor degrades before light traffic does.
+// idle reports whether ts carries no state a fresh entry would not: no
+// job in flight, and a bucket that has refilled to Burst by now.
+func (a *Admission) idle(ts *tenantState, now time.Time) bool {
+	return ts.inFlight == 0 &&
+		(a.cfg.Rate <= 0 || ts.tokens+now.Sub(ts.refilled).Seconds()*a.cfg.Rate >= a.cfg.Burst)
+}
+
+// sweepLocked drops every idle tenant, bounding the map by the tenants
+// active within one refill period rather than every tenant ever seen.
+func (a *Admission) sweepLocked(now time.Time) {
+	for name, ts := range a.tenants {
+		if a.idle(ts, now) {
+			delete(a.tenants, name)
+		}
+	}
+	a.sweepAt = max(2*len(a.tenants), minSweep)
+}
+
+// shedLocked applies the overload thresholds. A zero health score sheds
+// every tenant; soft overload (queue fraction, health under MinHealth)
+// sheds only tenants at or above their fair share of the concurrency cap,
+// so a noisy neighbor degrades before light traffic does.
 func (a *Admission) shedLocked(ts *tenantState, load Load) (string, bool) {
 	th := a.cfg.Thresholds
-	if th.HeapBytes > 0 && load.HeapBytes >= th.HeapBytes {
-		return "heap pressure", true
-	}
 	if th.MinHealth > 0 && load.Health <= 0 {
-		// Every objective is at critical burn: protect the process like
-		// memory pressure, regardless of who is asking.
+		// Every objective is at critical burn: protect the process
+		// regardless of who is asking.
 		return "slo health exhausted", true
 	}
 	soft := false
 	reason := ""
-	if th.QueueWaitP95 > 0 && load.QueueWaitP95 >= th.QueueWaitP95 {
-		soft, reason = true, "queue-wait p95 over threshold"
-	}
 	if th.QueueFraction > 0 && load.QueueCap > 0 &&
 		float64(load.QueueDepth) >= th.QueueFraction*float64(load.QueueCap) {
 		soft, reason = true, "queue depth over threshold"
@@ -226,18 +243,15 @@ func (a *Admission) shedLocked(ts *tenantState, load Load) (string, bool) {
 	return "", false
 }
 
-// retryAfter picks the Retry-After hint for an overload rejection: the
-// injected capacity estimate when present, otherwise scaled from the
-// observed queue wait, clamped to [1s, 30s]. Called before a.mu is taken
-// (the hint callback may acquire caller-side locks).
-func (a *Admission) retryAfter(load Load) time.Duration {
+// retryAfter picks the Retry-After hint for a shed or concurrency
+// rejection: the injected capacity estimate clamped to [1s, 30s], or 1s
+// without one. Called outside a.mu (the hint callback may acquire
+// caller-side locks).
+func (a *Admission) retryAfter() time.Duration {
 	if a.hint != nil {
 		if d := a.hint(); d > 0 {
 			return clampRetry(d)
 		}
-	}
-	if load.QueueWaitP95 > 0 {
-		return clampRetry(load.QueueWaitP95)
 	}
 	return time.Second
 }
@@ -263,9 +277,7 @@ func (a *Admission) Release(tenant string) {
 	}
 	ts.inFlight--
 	a.stats.InFlight--
-	// Idle tenants at full tokens carry no state worth keeping; dropping
-	// them bounds the map at the set of active tenants.
-	if ts.inFlight == 0 && (a.cfg.Rate <= 0 || ts.tokens >= a.cfg.Burst) {
+	if a.idle(ts, a.now()) {
 		delete(a.tenants, tenant)
 	}
 }

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -330,11 +331,7 @@ func TestAdmissionShedding(t *testing.T) {
 	load := Load{}
 	a := NewAdmission(AdmissionConfig{
 		MaxConcurrent: 4,
-		Thresholds: Thresholds{
-			QueueWaitP95:  time.Second,
-			QueueFraction: 0.8,
-			HeapBytes:     1 << 30,
-		},
+		Thresholds:    Thresholds{QueueFraction: 0.8},
 	}, func() Load { return load })
 
 	// Healthy: admits.
@@ -343,7 +340,7 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 
 	// Soft overload sheds tenants at fair share (cap/2 = 2) but not light ones.
-	load = Load{QueueDepth: 9, QueueCap: 10, QueueWaitP95: 2 * time.Second}
+	load = Load{QueueDepth: 9, QueueCap: 10}
 	if d := a.Admit("light"); !d.OK {
 		t.Fatalf("light tenant shed under soft overload: %+v", d)
 	}
@@ -351,23 +348,52 @@ func TestAdmissionShedding(t *testing.T) {
 	if d := a.Admit("t"); d.OK || d.Code != 503 || d.RetryAfter < time.Second {
 		t.Fatalf("heavy tenant not shed under soft overload: %+v", d)
 	}
-
-	// Hard overload (heap) sheds everyone, even idle tenants.
-	load = Load{HeapBytes: 2 << 30}
-	if d := a.Admit("fresh"); d.OK || d.Code != 503 {
-		t.Fatalf("hard overload did not shed: %+v", d)
-	}
-	if a.Stats().Shed != 2 {
+	if a.Stats().Shed != 1 {
 		t.Fatalf("stats = %+v", a.Stats())
 	}
 }
 
 func TestAdmissionRetryHint(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Thresholds: Thresholds{HeapBytes: 1}},
-		func() Load { return Load{HeapBytes: 2} },
+	a := NewAdmission(AdmissionConfig{Thresholds: Thresholds{MinHealth: 0.5}},
+		func() Load { return Load{Health: 0} },
 		WithRetryHint(func() time.Duration { return 90 * time.Second }))
 	if d := a.Admit("t"); d.RetryAfter != 30*time.Second {
 		t.Fatalf("RetryAfter = %v, want clamp to 30s", d.RetryAfter)
+	}
+}
+
+// TestAdmissionForgetsIdleTenants pins the tenant map's bound under a
+// rate quota: a tenant whose bucket has refilled and who has nothing in
+// flight is dropped, so a stream of distinct tenants does not grow the
+// map, and a dropped tenant comes back with a full bucket.
+func TestAdmissionForgetsIdleTenants(t *testing.T) {
+	now := time.Unix(0, 0)
+	const rate, burst = 1.0, 2.0
+	a := NewAdmission(AdmissionConfig{Rate: rate, Burst: burst}, nil,
+		WithClock(func() time.Time { return now }))
+	step := time.Duration(burst / rate * float64(time.Second))
+	for i := 0; i < 10000; i++ {
+		name := fmt.Sprintf("tenant-%d", i)
+		if d := a.Admit(name); !d.OK {
+			t.Fatalf("admit %s rejected: %+v", name, d)
+		}
+		a.Release(name)
+		now = now.Add(step)
+	}
+	a.mu.Lock()
+	n := len(a.tenants)
+	a.mu.Unlock()
+	if n >= 64 {
+		t.Fatalf("%d tenant entries remain after 10000 idle tenants, want < 64", n)
+	}
+	// tenant-0 was dropped long ago; its bucket must be full again.
+	for i := 0; i < int(burst); i++ {
+		if d := a.Admit("tenant-0"); !d.OK {
+			t.Fatalf("returning tenant admit %d rejected: %+v", i, d)
+		}
+	}
+	if d := a.Admit("tenant-0"); d.OK || d.Code != 429 {
+		t.Fatalf("admit past a full bucket = %+v, want 429", d)
 	}
 }
 

@@ -163,6 +163,18 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 		if len(st.Chains) != chains {
 			return Result{}, fmt.Errorf("search: checkpoint has %d chains, searcher configured for %d", len(st.Chains), chains)
 		}
+		// A checkpoint written before the workload or space changed can
+		// hold mappings of the wrong shape; encoding one would panic.
+		if b := ctx.Resume.Best; b != nil {
+			if err := ctx.Space.IsMember(b); err != nil {
+				return Result{}, fmt.Errorf("search: checkpoint best mapping: %w", err)
+			}
+		}
+		for i := range st.Chains {
+			if err := ctx.Space.IsMember(&st.Chains[i]); err != nil {
+				return Result{}, fmt.Errorf("search: checkpoint chain %d: %w", i, err)
+			}
+		}
 		t.restore(ctx.Resume)
 		for i := range curs {
 			curs[i] = st.Chains[i].Clone()

@@ -23,7 +23,9 @@ import (
 	"math"
 	"time"
 
+	"mindmappings/internal/arch"
 	"mindmappings/internal/costmodel"
+	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/oracle"
 )
@@ -223,6 +225,26 @@ type Context struct {
 	// benchmark baselines) can prove and measure that, not because
 	// results differ.
 	Scalar bool
+}
+
+// NewContext builds the per-problem triple every search needs — the map
+// space, the named costmodel backend (empty = costmodel.DefaultBackend)
+// and the normalization bound — the paper's Appendix-B per-problem object.
+// The caller fills in the seed and the run knobs.
+func NewContext(costModel string, a arch.Spec, p loopnest.Problem) (*Context, error) {
+	space, err := mapspace.New(a, p)
+	if err != nil {
+		return nil, err
+	}
+	model, err := costmodel.New(costModel, a, p)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := oracle.Compute(a, p)
+	if err != nil {
+		return nil, err
+	}
+	return &Context{Space: space, Model: model, Bound: bound}, nil
 }
 
 // canceled reports whether the caller has canceled the run.

@@ -19,7 +19,6 @@ import (
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/modelstore"
 	"mindmappings/internal/obs"
-	"mindmappings/internal/oracle"
 	"mindmappings/internal/resilience"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
@@ -406,7 +405,7 @@ func (jm *JobManager) registerMetrics() {
 		"Requests rejected by per-tenant quotas (rate or concurrency).",
 		func() float64 { s := admStats(); return float64(s.RejectedRate + s.RejectedConc) })
 	reg.CounterFunc("admission_shed_total",
-		"Requests shed under overload (queue wait, queue depth, or heap).",
+		"Requests shed under overload (queue depth or SLO health).",
 		func() float64 { return float64(admStats().Shed) })
 	reg.GaugeFunc("admission_in_flight",
 		"Admission-controller concurrency slots currently held.",
@@ -573,8 +572,8 @@ func (jm *JobManager) batcherMetrics(model string) *infer.Metrics {
 }
 
 // EnableAdmission installs a per-tenant admission controller wired to the
-// manager's live overload signals (queue depth, queue-wait p95, heap) and
-// its capacity-based Retry-After estimate. Call at setup, before traffic.
+// manager's live overload signals (queue depth, SLO health) and its
+// capacity-based Retry-After estimate. Call at setup, before traffic.
 func (jm *JobManager) EnableAdmission(cfg resilience.AdmissionConfig) *resilience.Admission {
 	a := resilience.NewAdmission(cfg, jm.Load, resilience.WithRetryHint(jm.RetryAfterHint))
 	jm.mu.Lock()
@@ -587,12 +586,6 @@ func (jm *JobManager) EnableAdmission(cfg resilience.AdmissionConfig) *resilienc
 func (jm *JobManager) Load() resilience.Load {
 	st := jm.Stats()
 	l := resilience.Load{QueueDepth: st.Queued, QueueCap: jm.QueueCap(), Health: 1}
-	if q := jm.met.queueWait.Quantile(0.95); q > 0 && !math.IsNaN(q) {
-		l.QueueWaitP95 = time.Duration(q * float64(time.Second))
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	l.HeapBytes = ms.HeapAlloc
 	if fn := jm.wired().healthFn; fn != nil {
 		l.Health = fn()
 	}
@@ -1418,7 +1411,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 		jm.mu.Unlock()
 	}
 	root := job.Root()
-	space, err := mapspace.New(p.arch, p.prob)
+	sctx, err := search.NewContext(p.costModel, p.arch, p.prob)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1431,7 +1424,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	if at := jm.wired().atlasStore; at != nil && resume == nil {
 		if p.searcher == "mm" {
 			if e, nm, dist, ok, nerr := at.Nearest(p.family, p.prob.Shape); nerr == nil && ok {
-				seed := space.Reproject(&nm)
+				seed := sctx.Space.Reproject(&nm)
 				seedMapping = &seed
 				root.Set("atlas_seed", e.ID)
 				root.Set("atlas_seed_distance", dist)
@@ -1446,14 +1439,6 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 			jm.met.atlasCold.Inc()
 		}
 	}
-	model, err := costmodel.New(p.costModel, p.arch, p.prob)
-	if err != nil {
-		return nil, nil, err
-	}
-	bound, err := oracle.Compute(p.arch, p.prob)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Model resolution covers registry loads and, for "auto" with
 	// train_on_miss, the wait on a shared training run.
 	resolveSpan := root.StartChild("resolve-model")
@@ -1466,7 +1451,8 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	// the batcher's anti-stall rule flushes when every registered client is
 	// waiting, so a finished job must not linger in that count.
 	defer closeQueries()
-	evaluator := costmodel.Evaluator(model)
+	backend := sctx.Model.Name()
+	evaluator := sctx.Model
 	if f := jm.wired().faults; f != nil {
 		// Fault injection sits directly on the backend with retry outside
 		// it, so injected transients are absorbed the way real ones would
@@ -1474,52 +1460,48 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 		evaluator = costmodel.WithRetry(costmodel.WithFaults(evaluator, f), resilience.DefaultRetry)
 	}
 	hist := jm.reg.HistogramWith("costmodel_eval_seconds", evalSecondsHelp,
-		evalSecondsBuckets, []string{"backend"}, []string{model.Name()})
+		evalSecondsBuckets, []string{"backend"}, []string{backend})
 	evaluator = costmodel.WithTiming(evaluator, evalTimingSample, hist.ObserveDuration)
 	searchSpan := root.StartChild("search")
 	searchSpan.Set("searcher", p.searcher)
 	firstSample := true
-	sctx := &search.Context{
-		Space:       space,
-		Model:       evaluator,
-		Bound:       bound,
-		Seed:        job.Request.Seed,
-		Objective:   p.obj,
-		Ctx:         ctx,
-		Cache:       jm.cacheFor(job.tin),
-		Evals:       jm.counterFor(model.Name()),
-		Parallelism: p.parallelism,
-		Resume:      resume,
-		SeedMapping: seedMapping,
-		// Checkpoints always flow to the in-memory job record (enabling
-		// resume without a journal) and, when journaling is on, to disk.
-		CheckpointEvery: checkpointEvery,
-		Checkpoint: func(c *search.Checkpoint) {
-			ck := c.Clone()
-			jm.mu.Lock()
-			job.checkpoint = ck
-			jm.mu.Unlock()
-			jm.journalPut(job, JobRunning, ck)
-		},
-		Progress: func(pr search.Progress) {
-			if firstSample {
-				// Progress runs on the job's worker goroutine, so the flag
-				// needs no lock; job.Started was set before execute began.
-				firstSample = false
-				jm.met.firstEval.Observe(time.Since(job.Started).Seconds())
-			}
-			ev := ProgressEvent{
-				Status:    JobRunning,
-				Eval:      pr.Eval,
-				BestEDP:   pr.Best,
-				ElapsedMS: float64(pr.Elapsed.Microseconds()) / 1e3,
-				Improved:  pr.Improved,
-			}
-			if pr.Elapsed > 0 {
-				ev.EvalsPerSec = float64(pr.Eval) / pr.Elapsed.Seconds()
-			}
-			job.Stream().Publish(ev)
-		},
+	sctx.Model = evaluator
+	sctx.Seed = job.Request.Seed
+	sctx.Objective = p.obj
+	sctx.Ctx = ctx
+	sctx.Cache = jm.cacheFor(job.tin)
+	sctx.Evals = jm.counterFor(backend)
+	sctx.Parallelism = p.parallelism
+	sctx.Resume = resume
+	sctx.SeedMapping = seedMapping
+	// Checkpoints always flow to the in-memory job record (enabling resume
+	// without a journal) and, when journaling is on, to disk.
+	sctx.CheckpointEvery = checkpointEvery
+	sctx.Checkpoint = func(c *search.Checkpoint) {
+		ck := c.Clone()
+		jm.mu.Lock()
+		job.checkpoint = ck
+		jm.mu.Unlock()
+		jm.journalPut(job, JobRunning, ck)
+	}
+	sctx.Progress = func(pr search.Progress) {
+		if firstSample {
+			// Progress runs on the job's worker goroutine, so the flag needs
+			// no lock; job.Started was set before execute began.
+			firstSample = false
+			jm.met.firstEval.Observe(time.Since(job.Started).Seconds())
+		}
+		ev := ProgressEvent{
+			Status:    JobRunning,
+			Eval:      pr.Eval,
+			BestEDP:   pr.Best,
+			ElapsedMS: float64(pr.Elapsed.Microseconds()) / 1e3,
+			Improved:  pr.Improved,
+		}
+		if pr.Elapsed > 0 {
+			ev.EvalsPerSec = float64(pr.Eval) / pr.Elapsed.Seconds()
+		}
+		job.Stream().Publish(ev)
 	}
 	res, err := searcher.Search(sctx, p.budget)
 	searchSpan.End()
@@ -1527,7 +1509,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 		return nil, nil, err
 	}
 	searchSpan.Set("evals", res.Evals)
-	return &res, space, nil
+	return &res, sctx.Space, nil
 }
 
 // searcher builds the requested search method, pulling the shared

@@ -15,7 +15,10 @@ import (
 	"time"
 
 	"mindmappings/internal/atlas"
+	"mindmappings/internal/mapspace"
 	"mindmappings/internal/resilience"
+	"mindmappings/internal/search"
+	"mindmappings/internal/stats"
 )
 
 // newTestManager builds a JobManager over the shared test surrogate dir
@@ -262,6 +265,59 @@ func TestRecoveredUnresolvableJobFails(t *testing.T) {
 	}
 	if n := jm.met.atlasWritebacks.Value(); n != resolvable {
 		t.Fatalf("atlas write-backs = %d, want %d", n, resolvable)
+	}
+}
+
+// TestRecoveredMalformedCheckpointFails guards journal recovery against a
+// checkpoint whose mappings no longer fit the problem's map space (written
+// before a registered workload changed): the recovered mm job fails with
+// the membership error instead of panicking the worker, and the manager
+// keeps serving.
+func TestRecoveredMalformedCheckpointFails(t *testing.T) {
+	req := mmRequest(3)
+	p, err := req.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := mapspace.New(p.arch, p.prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := space.Random(stats.NewRNG(1))
+	for l := range short.Tile {
+		short.Tile[l] = short.Tile[l][:len(short.Tile[l])-1]
+	}
+	state, err := json.Marshal(map[string]any{"iter": 2, "temp": 1.0, "injections": 0, "chains": []mapspace.Mapping{short}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := resilience.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &search.Checkpoint{Method: search.MindMappings{}.Name(), Eval: 10, RNGDraws: 4, State: state}
+	if err := j.Put("stale", journalRecord{ID: "stale", Status: JobRunning, Request: req, Created: time.Now(), Checkpoint: ck}); err != nil {
+		t.Fatal(err)
+	}
+	jm := newTestManager(t, 1, 4)
+	if n, err := jm.EnableJournal(j); err != nil || n != 1 {
+		t.Fatalf("EnableJournal = %d, %v; want 1 recovered", n, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done, err := jm.Wait(ctx, "stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != JobFailed || !strings.Contains(done.Error, "checkpoint chain 0: mapspace: level") {
+		t.Fatalf("recovered job %s %q, want failed with the membership error", done.Status, done.Error)
+	}
+	fresh, err := jm.Submit(mmRequest(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := jm.Wait(ctx, fresh.ID); err != nil || done.Status != JobDone {
+		t.Fatalf("fresh job after the failed recovery: %s %q, %v", done.Status, done.Error, err)
 	}
 }
 

@@ -138,6 +138,35 @@ func TestGenerateSpansMultipleProblems(t *testing.T) {
 	}
 }
 
+func TestGenerateTailBiasCoversLowCosts(t *testing.T) {
+	// Tail-enriched sampling must shift the EDP distribution of the
+	// dataset toward the low-cost region relative to pure uniform.
+	base := TinyConfig()
+	base.Samples = 1500
+	base.Problems = 4
+	uniform := base
+	uniform.TailBias = 0
+	biased := base
+	biased.TailBias = 0.7
+
+	meanEDP := func(cfg Config) float64 {
+		ds, err := Generate(fixtureAlgoConv1D(), fixtureArch2(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0.0
+		for _, y := range ds.Y {
+			total += trueEDPFromTarget(y, ds.Mode, len(fixtureAlgoConv1D().Tensors))
+		}
+		return total / float64(ds.Len())
+	}
+	u := meanEDP(uniform)
+	b := meanEDP(biased)
+	if b >= u {
+		t.Fatalf("tail-biased mean EDP %v not below uniform %v", b, u)
+	}
+}
+
 func TestSubset(t *testing.T) {
 	ds, _, _ := cnnFixture(t)
 	sub, err := ds.Subset(100)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,7 +139,7 @@ func TestRegisterSpecRuntime(t *testing.T) {
 	if _, err := Algorithm("test-runtime-ttm"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Lookup("test-runtime-ttm"); !ok {
+	if !slices.Contains(Names(), "test-runtime-ttm") {
 		t.Fatal("spec not recorded")
 	}
 	if _, err := RegisterSpec(Spec{Name: "test-runtime-ttm", Expr: "O[i] += A[i]"}); err == nil {

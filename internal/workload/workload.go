@@ -93,8 +93,8 @@ func Register(spec Spec) {
 }
 
 // RegisterSpec is the error-returning form of Register, for workloads
-// defined at runtime (a datagen -einsum run, a downstream tool loading
-// specs from configuration).
+// defined at runtime (an -einsum flag, a downstream tool loading specs
+// from configuration).
 func RegisterSpec(spec Spec) (*loopnest.Algorithm, error) {
 	algo, err := Compile(spec)
 	if err != nil {
@@ -117,14 +117,6 @@ func RegisterSpec(spec Spec) (*loopnest.Algorithm, error) {
 // Algorithm resolves a registered workload's compiled algorithm by name.
 func Algorithm(name string) (*loopnest.Algorithm, error) {
 	return loopnest.AlgorithmByName(name)
-}
-
-// Lookup returns the registered spec for a workload name.
-func Lookup(name string) (Spec, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	spec, ok := specs[name]
-	return spec, ok
 }
 
 // Names returns the registered workload names, sorted.
@@ -153,20 +145,22 @@ type Info struct {
 	// ExampleDims is a valid dims map for the workload (each dimension's
 	// middle representative size), ready to paste into a request.
 	ExampleDims map[string]int `json:"example_dims"`
-	// Fingerprint is the workload identity datasets and surrogates are
-	// stamped with.
+	// Fingerprint is the workload identity surrogates are stamped with.
 	Fingerprint string `json:"fingerprint"`
 }
 
 // List describes every registered workload, sorted by name.
 func List() []Info {
-	names := Names()
-	out := make([]Info, 0, len(names))
-	for _, name := range names {
-		spec, ok := Lookup(name)
-		if !ok {
-			continue
-		}
+	regMu.RLock()
+	all := make([]Spec, 0, len(specs))
+	for _, spec := range specs {
+		all = append(all, spec)
+	}
+	regMu.RUnlock()
+	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	out := make([]Info, 0, len(all))
+	for _, spec := range all {
+		name := spec.Name
 		algo, err := loopnest.AlgorithmByName(name)
 		if err != nil {
 			continue
