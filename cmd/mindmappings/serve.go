@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mindmappings/internal/atlas"
-	"mindmappings/internal/infer"
 	"mindmappings/internal/modelstore"
 	"mindmappings/internal/resilience"
 	"mindmappings/internal/service"
@@ -54,10 +53,8 @@ func cmdServe(args []string) error {
 	atlasRO := fs.Bool("atlas-readonly", false, "serve atlas hits and neighbor warm starts but never write solved mappings back")
 	checkpointEvals := fs.Int("checkpoint-evals", 0, "evaluations between searcher checkpoints (0: library default)")
 	maxJobTime := fs.Duration("maxjobtime", 0, "server-side anytime deadline applied to every search job; at expiry jobs complete with their best-so-far mapping marked degraded (0: no ceiling)")
-	batchWindow := fs.Duration("batch-window", infer.DefaultWindow, "latency window for cross-request surrogate inference batching; concurrent jobs sharing a model have their queries coalesced into larger GEMM batches within this window (0: disable batching)")
-	batchMax := fs.Int("batch-max", infer.DefaultMaxBatch, "max rows per coalesced surrogate batch; a full batch flushes immediately without waiting out -batch-window")
 	quotaRate := fs.Float64("quota-rate", 0, "per-tenant sustained admissions/second (0: no rate quota)")
-	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant token-bucket depth (default max(quota-rate, 1))")
+	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant token-bucket depth (default max(quota-rate, 1); a value below 1 is raised to 1, since each admission spends a whole token)")
 	quotaConc := fs.Int("quota-concurrent", 0, "per-tenant cap on jobs in flight (0: no cap)")
 	sloOn := fs.Bool("slo", false, "track service-level objectives as multi-window burn rates: /v1/status health score, slo_* series on /metrics, /readyz unready at health 0")
 	sloAvail := fs.Float64("slo-availability", 0.999, "target fraction of terminal jobs finishing successfully (needs -slo; 0 disables the objective)")
@@ -98,7 +95,6 @@ func cmdServe(args []string) error {
 	jobs := service.NewJobManager(registry, cache, *workers, *queueCap)
 	jobs.SetMaxJobTime(*maxJobTime)
 	jobs.SetCheckpointInterval(*checkpointEvals)
-	jobs.SetBatching(infer.Config{Window: *batchWindow, MaxBatch: *batchMax})
 	if *atlasDir != "none" {
 		mappings, err := atlas.Open(*atlasDir)
 		if err != nil {

@@ -193,12 +193,11 @@ func TestServePprofFlag(t *testing.T) {
 	}
 }
 
-// TestServeBatchWindowSearch is the CI smoke for cross-request inference
-// batching: it boots the real serve command with -batch-window armed,
-// submits concurrent mm search jobs that share one registry surrogate, and
-// asserts they all complete and that the batcher's flush telemetry shows
-// up on /metrics — proof the queries actually flowed through the
-// coalescing path, not just that the flag parsed.
+// TestServeBatchWindowSearch is the CI smoke for concurrent mm jobs on
+// one registry surrogate: it boots the real serve command, submits mm
+// search jobs at once, and asserts they all complete and that /metrics
+// carries no infer_batch_ series (surrogate queries go straight to the
+// model; there is no cross-request batcher).
 func TestServeBatchWindowSearch(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -254,7 +253,6 @@ func TestServeBatchWindowSearch(t *testing.T) {
 		done <- cmdServe([]string{
 			"-addr", addr, "-models", dir,
 			"-workers", "4", "-trainworkers", "1", "-quiet",
-			"-batch-window", "300us", "-batch-max", "32",
 			"-grace", "5s",
 		})
 	}()
@@ -338,8 +336,8 @@ func TestServeBatchWindowSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(text), `infer_batch_flushes_total{model="conv1d.surrogate"`) {
-		t.Fatal("batcher flush telemetry missing from /metrics — queries did not flow through the coalescing path")
+	if strings.Contains(string(text), "infer_batch_") {
+		t.Fatal("/metrics still exposes infer_batch_ series")
 	}
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {

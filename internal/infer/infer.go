@@ -1,645 +1,20 @@
-// Package infer implements the cross-request inference scheduler (PR 8,
-// DESIGN.md §10): a per-surrogate Batcher that coalesces Predict and
-// Gradient queries from concurrent search jobs into full GEMM batches.
-//
-// Every query a searcher issues is a few-row matrix product; with many
-// jobs sharing one surrogate, executing them one by one leaves the batch
-// kernels starved. The Batcher queues requests per (kind, eExp, dExp)
-// class — rows in one GEMM must share the objective exponents — and
-// flushes a class as one surrogate call when any of three triggers fires:
-//
-//   - full: a class has accumulated MaxBatch rows;
-//   - antistall: every registered client is blocked inside a query, so no
-//     more work can arrive before someone is answered — waiting out the
-//     window would be pure added latency (a lone job therefore never
-//     waits at all);
-//   - window: the latency window expired on the oldest queued request.
-//
-// There is no dispatcher goroutine: the submitting client (or the window
-// timer callback) executes the flush inline and distributes results.
-// Fairness is round-robin over clients when a full class must be cut to
-// MaxBatch rows, so one wide job cannot monopolize flush slots; requests
-// are atomic and never split across flushes.
-//
-// Coalescing preserves the repo's determinism contract: each output row
-// of the batch GEMM kernels accumulates independently of batch
-// composition, so a job's results are bit-identical whether its rows ran
-// alone or packed with another tenant's (search determinism tests pin
-// this end to end).
+// Package infer holds only the configuration of a removed cross-request
+// surrogate batcher: search jobs now query their surrogate directly.
+// Config and the two defaults remain because the benchmark harness still
+// passes them to the deprecated JobManager.SetBatching; they go away with
+// that call.
 package infer
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"time"
+import "time"
 
-	"mindmappings/internal/surrogate"
-)
-
-// Defaults for the serve command's -batch-window / -batch-max flags.
+// Defaults of the removed batcher.
 const (
 	DefaultWindow   = 200 * time.Microsecond
 	DefaultMaxBatch = 64
 )
 
-// Config tunes one Batcher.
-type Config struct {
-	// Window is the maximum time a queued request waits for companions
-	// before the batcher flushes it anyway. Zero or negative disables
-	// batching: clients call the surrogate directly.
-	Window time.Duration
-	// MaxBatch is the row count that triggers an immediate full flush and
-	// the fairness budget per flush. Defaults to DefaultMaxBatch.
+// Config is the parameter type of JobManager.SetBatching, which ignores it.
+type Config = struct {
+	Window   time.Duration
 	MaxBatch int
-}
-
-// FlushReason labels why a flush fired, for telemetry.
-type FlushReason string
-
-const (
-	FlushFull      FlushReason = "full"
-	FlushAntiStall FlushReason = "antistall"
-	FlushWindow    FlushReason = "window"
-)
-
-// classKey identifies a batchable request class: rows in one GEMM batch
-// must agree on query kind and objective exponents.
-type classKey struct {
-	gradient   bool
-	eExp, dExp float64
-}
-
-// request is one queued client query. Results are written into the out*
-// fields by the flush executor before done is closed.
-type request struct {
-	client   *Client
-	gradient bool
-	vecs     [][]float64
-	dst      []float64   // caller's value buffer (predict + gradient), may be nil
-	grads    [][]float64 // caller's gradient buffer, may be nil
-
-	outVals  []float64
-	outGrads [][]float64
-	err      error
-
-	enqueued  time.Time
-	collected bool // picked for a flush; results are coming, cancel must wait
-	finished  bool
-	done      chan struct{}
-}
-
-func (r *request) rows() int { return len(r.vecs) }
-
-// class is a FIFO of same-key requests.
-type class struct {
-	key  classKey
-	reqs []*request
-	rows int
-}
-
-// group is one collected flush unit: requests of one class, executed as a
-// single surrogate call.
-type group struct {
-	key  classKey
-	reqs []*request
-	rows int
-}
-
-// Batcher coalesces inference requests against one surrogate. Create one
-// per resident surrogate (the service layer keys them by model name) and
-// Register a Client per search job.
-type Batcher struct {
-	sur      *surrogate.Surrogate
-	window   time.Duration
-	maxBatch int
-	metrics  *Metrics
-
-	mu          sync.Mutex
-	classes     map[classKey]*class
-	order       []classKey // non-empty classes, oldest first
-	clients     int        // registered clients
-	active      int        // clients with an unanswered request in flight
-	pendingRows int
-	timerArmed  bool
-	rrCursor    int // rotates fairness start across flushes
-	nextID      int
-}
-
-// New builds a Batcher for sur. m carries optional telemetry instruments;
-// nil disables telemetry.
-func New(sur *surrogate.Surrogate, cfg Config, m *Metrics) *Batcher {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	return &Batcher{
-		sur:      sur,
-		window:   cfg.Window,
-		maxBatch: cfg.MaxBatch,
-		metrics:  m,
-		classes:  make(map[classKey]*class),
-	}
-}
-
-// Surrogate returns the surrogate this batcher executes against, for
-// identity checks when a model is republished.
-func (b *Batcher) Surrogate() *surrogate.Surrogate { return b.sur }
-
-// Enabled reports whether coalescing is active (Window > 0).
-func (b *Batcher) Enabled() bool { return b != nil && b.window > 0 }
-
-// Client is one search job's handle on the batcher. It implements the
-// search.SurrogateQuerier seam: PredictBatch and GradientBatch have the
-// same signatures and result contracts as the surrogate's own methods.
-// A Client is bound to its job's context at Register time; requests still
-// queued (not yet collected into a flush) when the context ends are
-// dropped with the context's error. Not safe for concurrent use by
-// multiple goroutines (register one client per submitting goroutine).
-type Client struct {
-	b      *Batcher
-	ctx    context.Context
-	id     int
-	weight int
-	closed bool
-}
-
-// Register adds a client. ctx bounds every query the client submits;
-// weight (a job's Parallelism; values < 1 are treated as 1) is the
-// client's fairness share — a weight-w client may contribute up to w
-// requests per fairness cycle when a flush is cut to MaxBatch rows.
-func (b *Batcher) Register(ctx context.Context, weight int) *Client {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if weight < 1 {
-		weight = 1
-	}
-	b.mu.Lock()
-	b.clients++
-	id := b.nextID
-	b.nextID++
-	b.mu.Unlock()
-	return &Client{b: b, ctx: ctx, id: id, weight: weight}
-}
-
-// Close unregisters the client. It must be called when the job ends: the
-// anti-stall trigger counts registered clients, so a leaked client makes
-// other jobs wait out the full window. Close re-evaluates the stall
-// condition and flushes on behalf of the remaining blocked clients if
-// they were waiting only on this one.
-func (c *Client) Close() {
-	if c == nil || c.closed {
-		return
-	}
-	c.closed = true
-	b := c.b
-	b.mu.Lock()
-	b.clients--
-	groups, reason := b.collectLocked()
-	b.mu.Unlock()
-	b.executeGroups(groups, reason)
-}
-
-// PredictBatch submits a predict query, blocking until a flush executes
-// it. Results are bit-identical to calling the surrogate directly (on the
-// default build; tolerance-level under the simd tag).
-func (c *Client) PredictBatch(vecs [][]float64, eExp, dExp float64, dst []float64) ([]float64, error) {
-	if !c.b.Enabled() || len(vecs) == 0 {
-		return c.b.sur.PredictBatch(vecs, eExp, dExp, dst)
-	}
-	req := &request{vecs: vecs, dst: dst}
-	if err := c.submit(req, classKey{gradient: false, eExp: eExp, dExp: dExp}); err != nil {
-		return nil, err
-	}
-	return req.outVals, req.err
-}
-
-// GradientBatch submits a gradient query, blocking until a flush executes
-// it. Result contracts match surrogate.GradientBatch.
-func (c *Client) GradientBatch(vecs [][]float64, eExp, dExp float64, vals []float64, grads [][]float64) ([]float64, [][]float64, error) {
-	if !c.b.Enabled() || len(vecs) == 0 {
-		return c.b.sur.GradientBatch(vecs, eExp, dExp, vals, grads)
-	}
-	req := &request{gradient: true, vecs: vecs, dst: vals, grads: grads}
-	if err := c.submit(req, classKey{gradient: true, eExp: eExp, dExp: dExp}); err != nil {
-		return nil, nil, err
-	}
-	return req.outVals, req.outGrads, req.err
-}
-
-// submit enqueues req and drives the flush loop until req finishes or the
-// client's context drops it. Returns a non-nil error only for a dropped
-// (never-executed) request; execution errors travel in req.err.
-func (c *Client) submit(req *request, key classKey) error {
-	b := c.b
-	if err := c.ctx.Err(); err != nil {
-		// Dead jobs never enter the queue, so a cancelled searcher can't
-		// poison or delay anyone else's batch.
-		return err
-	}
-	req.client = c
-	req.enqueued = time.Now()
-	req.done = make(chan struct{})
-
-	b.mu.Lock()
-	b.active++
-	b.enqueueLocked(req, key)
-	yielded := false
-	for !req.finished {
-		// Before an anti-stall flush, yield the scheduler once: peer jobs
-		// that are runnable but not yet inside a query (mid cost-model
-		// evaluation, or still registering) get a chance to enqueue their
-		// rows first. Without this, on a machine with few spare cores a
-		// job whose flushes always run inline never parks, starves its
-		// peers, and every "coalesced" batch degenerates to one row. A
-		// truly lone client loses only the no-op Gosched.
-		if !yielded && b.wouldAntiStallLocked() {
-			yielded = true
-			b.mu.Unlock()
-			runtime.Gosched()
-			b.mu.Lock()
-			continue
-		}
-		groups, reason := b.collectLocked()
-		if groups != nil {
-			b.mu.Unlock()
-			b.executeGroups(groups, reason)
-			b.mu.Lock()
-			continue
-		}
-		if req.finished {
-			break
-		}
-		b.armTimerLocked()
-		b.mu.Unlock()
-		select {
-		case <-req.done:
-		case <-c.ctx.Done():
-			b.mu.Lock()
-			if !req.collected {
-				b.dropLocked(req, key)
-				b.active--
-				b.mu.Unlock()
-				return c.ctx.Err()
-			}
-			// Already picked for a flush: the executor is writing into
-			// this request's buffers, so wait for it to finish rather
-			// than racing the results.
-			b.mu.Unlock()
-			<-req.done
-		}
-		b.mu.Lock()
-	}
-	b.mu.Unlock()
-	return nil
-}
-
-// enqueueLocked appends req to its class, creating the class if needed.
-func (b *Batcher) enqueueLocked(req *request, key classKey) {
-	cl := b.classes[key]
-	if cl == nil {
-		cl = &class{key: key}
-		b.classes[key] = cl
-	}
-	if len(cl.reqs) == 0 {
-		b.order = append(b.order, key)
-	}
-	cl.reqs = append(cl.reqs, req)
-	cl.rows += req.rows()
-	b.pendingRows += req.rows()
-	b.metrics.setQueueDepth(float64(b.pendingRows))
-}
-
-// dropLocked removes a still-queued request (context cancellation).
-func (b *Batcher) dropLocked(req *request, key classKey) {
-	cl := b.classes[key]
-	if cl == nil {
-		return
-	}
-	for i, r := range cl.reqs {
-		if r == req {
-			cl.reqs = append(cl.reqs[:i], cl.reqs[i+1:]...)
-			cl.rows -= req.rows()
-			b.pendingRows -= req.rows()
-			if len(cl.reqs) == 0 {
-				b.removeOrderLocked(key)
-			}
-			b.metrics.setQueueDepth(float64(b.pendingRows))
-			b.metrics.dropped()
-			b.metrics.anomaly("drop", "request cancelled before flush collected it")
-			return
-		}
-	}
-}
-
-func (b *Batcher) removeOrderLocked(key classKey) {
-	for i, k := range b.order {
-		if k == key {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// armTimerLocked starts the window timer if work is pending and no timer
-// is outstanding.
-func (b *Batcher) armTimerLocked() {
-	if b.timerArmed || b.pendingRows == 0 || b.window <= 0 {
-		return
-	}
-	b.timerArmed = true
-	time.AfterFunc(b.window, b.onWindow)
-}
-
-// onWindow is the timer callback: flush everything still queued.
-func (b *Batcher) onWindow() {
-	b.mu.Lock()
-	b.timerArmed = false
-	groups := b.collectAllLocked()
-	b.mu.Unlock()
-	b.executeGroups(groups, FlushWindow)
-}
-
-// wouldAntiStallLocked reports whether the next collectLocked would fire
-// the anti-stall trigger (rather than full, which needs no yield: the
-// batch is already as large as it is allowed to get).
-func (b *Batcher) wouldAntiStallLocked() bool {
-	if b.pendingRows == 0 || b.active < b.clients {
-		return false
-	}
-	for _, key := range b.order {
-		if b.classes[key].rows >= b.maxBatch {
-			return false
-		}
-	}
-	return true
-}
-
-// collectLocked evaluates the immediate flush triggers (full, antistall)
-// and collects the corresponding groups, or returns nil when the caller
-// should wait for the window.
-func (b *Batcher) collectLocked() ([]*group, FlushReason) {
-	if b.pendingRows == 0 {
-		return nil, ""
-	}
-	for _, key := range b.order {
-		if b.classes[key].rows >= b.maxBatch {
-			g := b.collectClassLocked(key, b.maxBatch)
-			return []*group{g}, FlushFull
-		}
-	}
-	if b.active >= b.clients {
-		// Every registered client is inside a query: nothing new can
-		// arrive before someone is answered, so waiting is pure latency.
-		return b.collectAllLocked(), FlushAntiStall
-	}
-	return nil, ""
-}
-
-// collectAllLocked drains every class completely.
-func (b *Batcher) collectAllLocked() []*group {
-	if b.pendingRows == 0 {
-		return nil
-	}
-	var groups []*group
-	for _, key := range b.order {
-		cl := b.classes[key]
-		g := &group{key: key, reqs: cl.reqs, rows: cl.rows}
-		b.markCollected(g.reqs)
-		cl.reqs = nil
-		cl.rows = 0
-		groups = append(groups, g)
-	}
-	b.order = b.order[:0]
-	b.pendingRows = 0
-	b.metrics.setQueueDepth(0)
-	return groups
-}
-
-// collectClassLocked cuts up to budget rows from one class, round-robin
-// across clients (weight requests per client per cycle) so a wide job
-// cannot claim every slot of every flush. Requests are atomic: one that
-// would overflow the budget stays queued unless the flush would otherwise
-// be empty.
-func (b *Batcher) collectClassLocked(key classKey, budget int) *group {
-	cl := b.classes[key]
-	g := &group{key: key}
-	if cl.rows <= budget {
-		g.reqs, g.rows = cl.reqs, cl.rows
-		b.markCollected(g.reqs)
-		cl.reqs, cl.rows = nil, 0
-		b.pendingRows -= g.rows
-		b.removeOrderLocked(key)
-		b.metrics.setQueueDepth(float64(b.pendingRows))
-		return g
-	}
-
-	// Per-client FIFO queues in first-seen order, rotated by rrCursor.
-	ids := make([]int, 0, 8)
-	byClient := make(map[int][]*request)
-	for _, r := range cl.reqs {
-		id := r.client.id
-		if _, seen := byClient[id]; !seen {
-			ids = append(ids, id)
-		}
-		byClient[id] = append(byClient[id], r)
-	}
-	if n := len(ids); n > 0 {
-		rot := b.rrCursor % n
-		ids = append(ids[rot:], ids[:rot]...)
-		b.rrCursor++
-	}
-	taken := make(map[*request]bool)
-	blockedClients := 0
-	for blockedClients < len(ids) && g.rows < budget {
-		blockedClients = 0
-		for _, id := range ids {
-			quota := byClient[id]
-			w := 0
-			for len(quota) > 0 && w < clientWeight(quota[0]) {
-				r := quota[0]
-				if g.rows+r.rows() > budget && g.rows > 0 {
-					break
-				}
-				quota = quota[1:]
-				g.reqs = append(g.reqs, r)
-				g.rows += r.rows()
-				taken[r] = true
-				w++
-			}
-			byClient[id] = quota
-			if len(quota) == 0 || (g.rows > 0 && g.rows+quota[0].rows() > budget) {
-				blockedClients++
-			}
-			if g.rows >= budget {
-				break
-			}
-		}
-	}
-
-	// Keep untaken requests queued, preserving FIFO order.
-	rest := cl.reqs[:0]
-	for _, r := range cl.reqs {
-		if !taken[r] {
-			rest = append(rest, r)
-		}
-	}
-	cl.reqs = rest
-	cl.rows -= g.rows
-	b.pendingRows -= g.rows
-	if len(cl.reqs) == 0 {
-		b.removeOrderLocked(key)
-	}
-	b.markCollected(g.reqs)
-	b.metrics.setQueueDepth(float64(b.pendingRows))
-	return g
-}
-
-func clientWeight(r *request) int { return r.client.weight }
-
-// markCollected flags requests as owned by a flush (cancellation must now
-// wait) and records their window wait.
-func (b *Batcher) markCollected(reqs []*request) {
-	now := time.Now()
-	for _, r := range reqs {
-		r.collected = true
-		b.metrics.windowWait(now.Sub(r.enqueued))
-	}
-}
-
-// executeGroups runs each group as one surrogate call and wakes the
-// waiting clients. Runs outside the batcher lock; concurrent executions
-// (submitter + timer) are safe because the surrogate's batched entry
-// points are.
-func (b *Batcher) executeGroups(groups []*group, reason FlushReason) {
-	if len(groups) == 0 {
-		return
-	}
-	b.metrics.flush(reason)
-	for _, g := range groups {
-		b.runGroup(g)
-	}
-	b.mu.Lock()
-	for _, g := range groups {
-		for _, r := range g.reqs {
-			r.finished = true
-			// The request is answered, so its client no longer counts as
-			// stalled — even though its goroutine may not have resumed yet.
-			// Decrementing on wakeup instead would let a fast client that
-			// resumes first see all its peers still "active" and trip
-			// anti-stall into degenerate single-row flushes.
-			b.active--
-		}
-	}
-	b.mu.Unlock()
-	for _, g := range groups {
-		for _, r := range g.reqs {
-			close(r.done)
-		}
-	}
-}
-
-// runGroup executes one class's collected requests as a single surrogate
-// call and scatters the results into each request's buffers.
-func (b *Batcher) runGroup(g *group) {
-	b.metrics.batchSize(float64(g.rows))
-	if len(g.reqs) == 1 {
-		// Single-request flush: pass the caller's buffers straight
-		// through — no merge copies.
-		r := g.reqs[0]
-		if g.key.gradient {
-			r.outVals, r.outGrads, r.err = b.sur.GradientBatch(r.vecs, g.key.eExp, g.key.dExp, r.dst, r.grads)
-		} else {
-			r.outVals, r.err = b.sur.PredictBatch(r.vecs, g.key.eExp, g.key.dExp, r.dst)
-		}
-		if r.err != nil {
-			b.metrics.anomaly("exec-error", r.err.Error())
-		}
-		return
-	}
-
-	merged := make([][]float64, 0, g.rows)
-	for _, r := range g.reqs {
-		merged = append(merged, r.vecs...)
-	}
-	vals := make([]float64, len(merged))
-	if !g.key.gradient {
-		vals, err := b.sur.PredictBatch(merged, g.key.eExp, g.key.dExp, vals)
-		if err != nil {
-			b.metrics.anomaly("exec-error", err.Error())
-		}
-		lo := 0
-		for _, r := range g.reqs {
-			r.err = err
-			if err != nil {
-				continue
-			}
-			r.outVals = scatterVals(r.dst, vals[lo:lo+r.rows()])
-			lo += r.rows()
-		}
-		return
-	}
-
-	// Gradient: point the merged gradient rows at the callers' buffers so
-	// the surrogate writes them in place (no copy-back); rows the callers
-	// did not provide are allocated by GradientBatch's own reuse check.
-	grads := make([][]float64, 0, len(merged))
-	for _, r := range g.reqs {
-		for i := 0; i < r.rows(); i++ {
-			if i < len(r.grads) {
-				grads = append(grads, r.grads[i])
-			} else {
-				grads = append(grads, nil)
-			}
-		}
-	}
-	vals, grads, err := b.sur.GradientBatch(merged, g.key.eExp, g.key.dExp, vals, grads)
-	if err != nil {
-		b.metrics.anomaly("exec-error", err.Error())
-	}
-	lo := 0
-	for _, r := range g.reqs {
-		r.err = err
-		if err != nil {
-			continue
-		}
-		n := r.rows()
-		r.outVals = scatterVals(r.dst, vals[lo:lo+n])
-		r.outGrads = scatterGrads(r.grads, grads[lo:lo+n])
-		lo += n
-	}
-}
-
-// scatterVals copies a merged-result segment into the caller's buffer
-// when it has capacity (matching the surrogate's dst-reuse contract), or
-// clones the segment otherwise.
-func scatterVals(dst, seg []float64) []float64 {
-	if cap(dst) >= len(seg) {
-		dst = dst[:len(seg)]
-		copy(dst, seg)
-		return dst
-	}
-	out := make([]float64, len(seg))
-	copy(out, seg)
-	return out
-}
-
-// scatterGrads returns the caller's grads slice when it was fully reused
-// in place, or the merged segment's rows otherwise.
-func scatterGrads(callerGrads [][]float64, seg [][]float64) [][]float64 {
-	if len(callerGrads) == len(seg) {
-		reused := true
-		for i := range seg {
-			if i >= len(callerGrads) || len(callerGrads[i]) == 0 || &callerGrads[i][0] != &seg[i][0] {
-				reused = false
-				break
-			}
-		}
-		if reused {
-			return callerGrads
-		}
-	}
-	out := make([][]float64, len(seg))
-	copy(out, seg)
-	return out
 }

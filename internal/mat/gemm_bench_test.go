@@ -9,8 +9,8 @@ import (
 // Serving shapes: the surrogate MLP is 62 -> 64 -> 128 -> 128 -> 64 -> 12
 // (input encoding through SmallConfig hidden layers to the meta-stats
 // head), so the forward GEMMs at batch B are B x {62x64, 64x128,
-// 128x128, 128x64, 64x12}. The batcher coalesces cross-job requests into
-// batches of up to 64 rows.
+// 128x128, 128x64, 64x12}. Multi-chain gradient search and pilot
+// chains query batches of a few to 64 rows.
 var servingLayers = []struct{ in, out int }{
 	{62, 64}, {64, 128}, {128, 128}, {128, 64}, {64, 12},
 }
@@ -55,8 +55,7 @@ func BenchmarkMulNNServing(b *testing.B) {
 }
 
 // BenchmarkMulNTFullForward runs all five layer GEMMs back to back — one
-// whole surrogate forward pass at each batch size, the unit the batcher
-// amortizes.
+// whole surrogate forward pass at each batch size.
 func BenchmarkMulNTFullForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	for _, batch := range servingBatches {

@@ -7,7 +7,7 @@ import (
 
 // FlightRecorder is a fixed-size in-memory ring of operational events: job
 // lifecycle transitions, admission rejections, shed decisions, journal and
-// retry errors, batcher flush anomalies. It answers the postmortem question
+// retry errors, atlas lookup faults. It answers the postmortem question
 // "what happened in the seconds before this job degraded" without log
 // shipping: the ring always holds the most recent window, costs one mutex
 // plus one slot write per event, and is snapshotted whole by

@@ -38,6 +38,8 @@ type Thresholds struct {
 type AdmissionConfig struct {
 	// Rate is the sustained admissions per second per tenant; Burst is
 	// the token-bucket depth (defaults to max(Rate, 1) when Rate > 0).
+	// Admission spends one whole token, so with Rate > 0 a positive Burst
+	// below 1 is raised to 1: a shallower bucket would never admit.
 	Rate  float64
 	Burst float64
 	// MaxConcurrent caps a tenant's jobs in flight (queued + running).
@@ -99,8 +101,11 @@ type tenantState struct {
 // and may be nil (shedding disabled). Option funcs inject the clock and
 // the retry hint.
 func NewAdmission(cfg AdmissionConfig, loadFn func() Load, opts ...AdmissionOption) *Admission {
-	if cfg.Rate > 0 && cfg.Burst <= 0 {
-		cfg.Burst = math.Max(cfg.Rate, 1)
+	if cfg.Rate > 0 {
+		if cfg.Burst <= 0 {
+			cfg.Burst = cfg.Rate
+		}
+		cfg.Burst = math.Max(cfg.Burst, 1)
 	}
 	a := &Admission{
 		cfg:     cfg,

@@ -313,6 +313,26 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	}
 }
 
+// TestAdmissionFractionalBurstRaisedToOne pins that a bucket deeper than
+// zero but shallower than one token still admits: a request spends a whole
+// token, so a 0.5-deep bucket would answer 429 forever, however long the
+// tenant waited.
+func TestAdmissionFractionalBurstRaisedToOne(t *testing.T) {
+	now := time.Unix(0, 0)
+	a := NewAdmission(AdmissionConfig{Rate: 10, Burst: 0.5}, nil,
+		WithClock(func() time.Time { return now }))
+	for i := 0; i < 3; i++ {
+		if d := a.Admit("t"); !d.OK {
+			t.Fatalf("admit %d after %v rejected: %+v", i, now.Sub(time.Unix(0, 0)), d)
+		}
+		a.Release("t")
+		if d := a.Admit("t"); d.OK || d.Code != 429 {
+			t.Fatalf("second admit within the same instant = %+v, want 429 (depth 1)", d)
+		}
+		now = now.Add(10 * time.Second)
+	}
+}
+
 func TestAdmissionConcurrencyCap(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2}, nil)
 	if !a.Admit("t").OK || !a.Admit("t").OK {

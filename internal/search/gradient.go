@@ -64,11 +64,10 @@ type MindMappings struct {
 	Chains int
 	// Queries, when non-nil, routes the batched surrogate queries (the
 	// per-iteration GradientBatch and the injection PredictBatch) through
-	// an alternative querier — in the service, an infer.Client that
-	// coalesces this job's rows with other jobs sharing the surrogate.
-	// Results are identical either way; only query latency and aggregate
-	// throughput change. Nil queries the Surrogate directly. The scalar
-	// ablation path (Context.Scalar) always queries the Surrogate.
+	// a wrapper around the surrogate, such as a timer that measures query
+	// cost. Results are identical either way. Nil queries the Surrogate
+	// directly. The scalar ablation path (Context.Scalar) always queries
+	// the Surrogate.
 	Queries SurrogateQuerier
 }
 

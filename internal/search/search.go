@@ -280,14 +280,13 @@ type Searcher interface {
 	Search(ctx *Context, budget Budget) (Result, error)
 }
 
-// SurrogateQuerier abstracts the surrogate's batched query entry points —
-// the seam the cross-request inference scheduler (internal/infer) plugs
-// into. *surrogate.Surrogate satisfies it directly (in-process queries);
-// an infer.Client satisfies it by routing the same calls through a shared
-// batcher that coalesces rows across concurrent jobs. Implementations
-// must preserve the surrogate's result contract: values and gradients for
-// vecs[i] bit-identical to the direct scalar calls (on the default build),
-// independent of what other rows execute alongside them.
+// SurrogateQuerier abstracts the surrogate's batched query entry points.
+// *surrogate.Surrogate satisfies it directly; the only other queriers are
+// wrappers around it, such as a benchmark's layer timer or a test double.
+// Implementations must preserve the surrogate's result contract: values
+// and gradients for vecs[i] bit-identical to the direct scalar calls (on
+// the default build), independent of what other rows execute alongside
+// them.
 type SurrogateQuerier interface {
 	PredictBatch(vecs [][]float64, eExp, dExp float64, dst []float64) ([]float64, error)
 	GradientBatch(vecs [][]float64, eExp, dExp float64, vals []float64, grads [][]float64) ([]float64, [][]float64, error)

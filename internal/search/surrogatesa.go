@@ -26,13 +26,6 @@ type SurrogateSA struct {
 	Surrogate *surrogate.Surrogate
 	// PilotMoves estimates the cost-delta scale (default 40).
 	PilotMoves int
-	// Queries, when non-nil, routes surrogate queries through an
-	// alternative querier (see MindMappings.Queries): the pilot chain as
-	// one batch and each Metropolis step as a batch of one row, so a
-	// service batcher can coalesce this job's steps with other tenants'.
-	// Results are identical either way. Nil queries the Surrogate
-	// directly via the scalar path.
-	Queries SurrogateQuerier
 }
 
 // Name implements Searcher.
@@ -61,21 +54,7 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 	t := newTracker(ctx, budget)
 
 	eExp, dExp := objectiveExponents(ctx.Objective)
-	// With an external querier, per-step predictions go through it as
-	// one-row batches (bit-identical to PredictScalar on the default
-	// build) so a shared batcher can coalesce them across jobs; the
-	// reused buffers keep the steady-state loop allocation-free.
-	stepVec := make([][]float64, 1)
-	stepVal := make([]float64, 1)
 	predict := func(m *mapspace.Mapping) (float64, error) {
-		if s.Queries != nil && !ctx.Scalar {
-			stepVec[0] = ctx.Space.EncodeInto(stepVec[0], m)
-			vals, err := s.Queries.PredictBatch(stepVec, eExp, dExp, stepVal)
-			if err != nil {
-				return 0, err
-			}
-			return vals[0], nil
-		}
 		return s.Surrogate.PredictScalar(ctx.Space.Encode(m), eExp, dExp)
 	}
 
@@ -114,12 +93,8 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 			for i := range chain {
 				vecs[i] = ctx.Space.Encode(&chain[i])
 			}
-			q := SurrogateQuerier(s.Surrogate)
-			if s.Queries != nil {
-				q = s.Queries
-			}
 			var err error
-			if preds, err = q.PredictBatch(vecs, eExp, dExp, nil); err != nil {
+			if preds, err = s.Surrogate.PredictBatch(vecs, eExp, dExp, nil); err != nil {
 				return Result{}, err
 			}
 		}

@@ -51,16 +51,21 @@ func sumValues(m map[string]float64) float64 {
 func TestTenantRejectionsSurviveCardinalityCap(t *testing.T) {
 	registry := NewModelRegistry(t.TempDir(), 1)
 	cache := NewEvalCache(1 << 10)
-	jm := NewJobManager(registry, cache, 1, 4)
+	const tenants = 70
+	jm := NewJobManager(registry, cache, 1, tenants)
 	t.Cleanup(func() { jm.Shutdown(context.Background()) })
-	// A bucket shallower than one token rejects every request with 429.
-	jm.EnableAdmission(resilience.AdmissionConfig{Rate: 0.001, Burst: 0.5})
+	// A one-token bucket that never refills within the test: each tenant's
+	// first submit is admitted and its second is rejected with 429.
+	jm.EnableAdmission(resilience.AdmissionConfig{Rate: 0.001, Burst: 1})
 	ts := httptest.NewServer(NewServer(jm, registry, cache).Handler())
 	t.Cleanup(ts.Close)
 
-	const tenants = 70
 	for i := 0; i < tenants; i++ {
-		_, err := jm.SubmitAs(fmt.Sprintf("tenant-%02d", i), validRequest())
+		tenant := fmt.Sprintf("tenant-%02d", i)
+		if _, err := jm.SubmitAs(tenant, validRequest()); err != nil {
+			t.Fatalf("tenant %d: first submit: %v", i, err)
+		}
+		_, err := jm.SubmitAs(tenant, validRequest())
 		var admErr *AdmissionError
 		if !errors.As(err, &admErr) || admErr.Decision.Code != 429 {
 			t.Fatalf("tenant %d: err %v, want a 429 admission rejection", i, err)

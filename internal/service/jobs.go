@@ -13,7 +13,6 @@ import (
 	"mindmappings/internal/arch"
 	"mindmappings/internal/atlas"
 	"mindmappings/internal/costmodel"
-	"mindmappings/internal/infer"
 	"mindmappings/internal/jobqueue"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
@@ -21,7 +20,6 @@ import (
 	"mindmappings/internal/obs"
 	"mindmappings/internal/resilience"
 	"mindmappings/internal/search"
-	"mindmappings/internal/surrogate"
 	"mindmappings/internal/trainer"
 	"mindmappings/internal/workload"
 
@@ -242,7 +240,7 @@ type JobManager struct {
 
 	// reg is the manager's metric registry and flight its operational-event
 	// ring (job lifecycle, admission rejections, shed decisions, journal
-	// errors, batcher anomalies), both created with it and adopted by
+	// errors, atlas lookup faults), both created with it and adopted by
 	// NewServer for /metrics and /debug/flightrecorder; met holds the
 	// instruments registered in reg. All three are fixed at construction,
 	// so every path reads them lock-free; Record is a leaf mutex, safe to
@@ -265,16 +263,6 @@ type JobManager struct {
 	// Guarded by countersMu, not mu: jobs read them on the hot path.
 	countersMu sync.Mutex
 	counters   map[string]*costmodel.Counter
-
-	// Cross-request inference batching: one infer.Batcher per registry
-	// surrogate coalesces Predict/Gradient batches from every concurrent
-	// job that shares the model (internal/infer). Guarded by batchMu, not
-	// mu: batcherFor runs on the job hot path and must not contend with
-	// queue operations. batchCfg is fixed per batcher at creation;
-	// SetBatching before serving traffic.
-	batchMu  sync.Mutex
-	batchCfg infer.Config
-	batchers map[string]*inferBatcherEntry
 
 	// answers holds the prepared exact-hit answer per atlas key (string →
 	// *atlasAnswer, see atlasAnswerFor): at most one per key the atlas has
@@ -316,14 +304,6 @@ func (jm *JobManager) wired() wiring {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	return jm.w
-}
-
-// inferBatcherEntry pins the surrogate pointer a batcher was built for, so
-// a registry reload/republish under the same name gets a fresh batcher
-// instead of silently routing to the evicted model.
-type inferBatcherEntry struct {
-	sur *surrogate.Surrogate
-	b   *infer.Batcher
 }
 
 // jobMetrics is the manager's instrument set. Every lifecycle and atlas
@@ -441,8 +421,6 @@ func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap 
 		flight:   obs.NewFlightRecorder(0),
 		tenants:  make(map[string]*tenantInstruments),
 		counters: make(map[string]*costmodel.Counter),
-		batchCfg: infer.Config{Window: infer.DefaultWindow, MaxBatch: infer.DefaultMaxBatch},
-		batchers: make(map[string]*inferBatcherEntry),
 	}
 	jm.registerMetrics()
 	m := &jm.met
@@ -502,73 +480,16 @@ func (jm *JobManager) SetAtlasSource(source string) {
 	jm.mu.Unlock()
 }
 
-// SetBatching configures the cross-request inference batcher that
-// coalesces surrogate queries from concurrent jobs sharing a model
-// (window <= 0 disables batching; zero MaxBatch means infer's default).
-// Batching is on by default with infer's defaults. Call at setup: the
-// config is captured per model when its first job arrives, so changes
-// only affect models not yet batched.
-func (jm *JobManager) SetBatching(cfg infer.Config) {
-	jm.batchMu.Lock()
-	jm.batchCfg = cfg
-	jm.batchers = make(map[string]*inferBatcherEntry)
-	jm.batchMu.Unlock()
-}
-
-// batcherFor returns the shared batcher for a registry surrogate,
-// creating it lazily. Entries are keyed by model name but pinned to the
-// surrogate pointer: if the registry reloaded the model (LRU eviction,
-// republish) the stale batcher is replaced so in-flight jobs on the old
-// surrogate keep their old batcher while new jobs get the new one.
-// Returns nil when batching is disabled.
-func (jm *JobManager) batcherFor(name string, sur *surrogate.Surrogate) *infer.Batcher {
-	jm.batchMu.Lock()
-	defer jm.batchMu.Unlock()
-	if jm.batchCfg.Window <= 0 {
-		return nil
-	}
-	if e := jm.batchers[name]; e != nil && e.sur == sur {
-		return e.b
-	}
-	b := infer.New(sur, jm.batchCfg, jm.batcherMetrics(name))
-	jm.batchers[name] = &inferBatcherEntry{sur: sur, b: b}
-	return b
-}
-
-// batcherMetrics builds the per-model infer metrics from the manager's
-// registry. Registering the same series twice returns the existing
-// instruments, so a replaced batcher keeps accumulating into the model's
-// series.
-func (jm *JobManager) batcherMetrics(model string) *infer.Metrics {
-	reg := jm.reg
-	names, vals := []string{"model"}, []string{model}
-	m := &infer.Metrics{
-		QueueDepth: reg.GaugeWith("infer_batch_queue_rows",
-			"Rows currently queued in the cross-request inference batcher.", names, vals),
-		BatchSize: reg.HistogramWith("infer_batch_rows",
-			"Rows per coalesced surrogate batch handed to the GEMM kernels.",
-			obs.ExpBuckets(1, 2, 9), names, vals),
-		WindowWait: reg.HistogramWith("infer_batch_wait_seconds",
-			"Time requests wait in the batcher before their flush starts.",
-			obs.ExpBuckets(1e-6, 4, 10), names, vals),
-		Flushes: map[infer.FlushReason]*obs.Counter{},
-		Dropped: reg.CounterWith("infer_batch_dropped_total",
-			"Queued batcher requests dropped because their job was cancelled.", names, vals),
-		// Anomalies land in the flight recorder so the seconds before a
-		// degraded job include what the batcher saw. The callback may run
-		// under the batcher lock; Record is one leaf mutex and never calls
-		// back into the batcher.
-		Anomaly: func(kind, detail string) {
-			jm.flight.Record(obs.SevWarn, "batcher."+kind, detail,
-				map[string]string{"model": model})
-		},
-	}
-	for _, r := range []infer.FlushReason{infer.FlushFull, infer.FlushAntiStall, infer.FlushWindow} {
-		m.Flushes[r] = reg.CounterWith("infer_batch_flushes_total",
-			"Batcher flushes by trigger (full batch, anti-stall, window expiry).",
-			[]string{"model", "reason"}, []string{model, string(r)})
-	}
-	return m
+// SetBatching does nothing: mm jobs query their registry surrogate
+// directly. It remains only for callers built against the removed
+// cross-request batcher; its parameter is the type infer.Config aliases,
+// so those callers compile without this package importing infer.
+//
+// Deprecated: there is no batcher to configure.
+func (jm *JobManager) SetBatching(struct {
+	Window   time.Duration
+	MaxBatch int
+}) {
 }
 
 // EnableAdmission installs a per-tenant admission controller wired to the
@@ -1442,15 +1363,11 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	// Model resolution covers registry loads and, for "auto" with
 	// train_on_miss, the wait on a shared training run.
 	resolveSpan := root.StartChild("resolve-model")
-	searcher, closeQueries, err := jm.searcher(ctx, &job.Request, p)
+	searcher, err := jm.searcher(ctx, &job.Request, p)
 	resolveSpan.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	// Deregister this job's batcher client as soon as the search returns:
-	// the batcher's anti-stall rule flushes when every registered client is
-	// waiting, so a finished job must not linger in that count.
-	defer closeQueries()
 	backend := sctx.Model.Name()
 	evaluator := sctx.Model
 	if f := jm.wired().faults; f != nil {
@@ -1517,46 +1434,31 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 // workload by name and (when stamped) by fingerprint. "auto" models
 // resolve through the store by workload fingerprint, training on a miss
 // when the request asks for it.
-//
-// For mm with batching enabled, the job's surrogate queries are routed
-// through the model's shared infer.Batcher via a per-job client weighted
-// by the request's parallelism (fairness unit: a P-way job may fill up to
-// P shares of a capped batch). The returned cleanup deregisters the
-// client when the job ends — it must be called exactly once, after
-// Search returns, so anti-stall accounting over the remaining jobs stays
-// exact. Cleanup is never nil.
-func (jm *JobManager) searcher(ctx context.Context, req *SearchRequest, p *plan) (search.Searcher, func(), error) {
-	nop := func() {}
+func (jm *JobManager) searcher(ctx context.Context, req *SearchRequest, p *plan) (search.Searcher, error) {
 	if s, ok := blackBox[p.searcher]; ok {
-		return s, nop, nil
+		return s, nil
 	}
 	name := req.Model
 	if name == "auto" {
 		id, err := jm.resolveAuto(ctx, req, p)
 		if err != nil {
-			return nil, nop, err
+			return nil, err
 		}
 		name = id
 	}
 	sur, err := jm.registry.Get(name)
 	if err != nil {
-		return nil, nop, err
+		return nil, err
 	}
 	if sur.AlgoName != p.algo.Name {
-		return nil, nop, fmt.Errorf("service: model %q was trained for %s, request targets %s",
+		return nil, fmt.Errorf("service: model %q was trained for %s, request targets %s",
 			name, sur.AlgoName, p.algo.Name)
 	}
 	if sur.AlgoFP != "" && sur.AlgoFP != p.algoFP {
-		return nil, nop, fmt.Errorf("service: model %q was trained for workload %s with fingerprint %.12s…, the requested definition has %.12s…",
+		return nil, fmt.Errorf("service: model %q was trained for workload %s with fingerprint %.12s…, the requested definition has %.12s…",
 			name, sur.AlgoName, sur.AlgoFP, p.algoFP)
 	}
-	mm := search.MindMappings{Surrogate: sur}
-	if b := jm.batcherFor(name, sur); b.Enabled() {
-		client := b.Register(ctx, p.parallelism)
-		mm.Queries = client
-		return mm, client.Close, nil
-	}
-	return mm, nop, nil
+	return search.MindMappings{Surrogate: sur}, nil
 }
 
 // resolveAuto maps "model":"auto" to a store artifact ID: the best stored

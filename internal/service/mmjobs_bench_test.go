@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mindmappings/internal/arch"
-	"mindmappings/internal/infer"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/nn"
@@ -79,73 +78,60 @@ func servingModelDir(b *testing.B) (string, string) {
 
 // BenchmarkServiceMMJobs measures aggregate serving throughput — total
 // cost-model evaluations per second across concurrent mm jobs sharing one
-// registry surrogate — with the cross-request batcher off (direct) and on
-// (batched). Each job runs single-chain gradient search over the CNN
-// layer, so its surrogate queries are one row each; the batcher's job is
-// to coalesce the concurrent streams into multi-row GEMMs. This is the
-// PR-8 end-to-end measurement: its "before" twin is the same direct run
-// on the pre-PR kernels.
+// registry surrogate. Each job runs single-chain gradient search over the
+// CNN layer, so its surrogate queries are one row each.
 func BenchmarkServiceMMJobs(b *testing.B) {
 	const evalsPerJob = 400
-	for _, mode := range []struct {
-		name string
-		cfg  infer.Config
-	}{
-		{"direct", infer.Config{Window: 0}},
-		{"batched", infer.Config{Window: infer.DefaultWindow, MaxBatch: infer.DefaultMaxBatch}},
-	} {
-		for _, concurrent := range []int{4, 8} {
-			b.Run(fmt.Sprintf("%s/jobs%d", mode.name, concurrent), func(b *testing.B) {
-				dir, model := servingModelDir(b)
-				jm := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1<<14), concurrent, 64)
-				defer jm.Shutdown(context.Background())
-				jm.SetBatching(mode.cfg)
-				request := func(seed int64) SearchRequest {
-					return SearchRequest{
-						Algo:     "cnn-layer",
-						Problem:  "ResNet_Conv_4",
-						Searcher: "mm",
-						Model:    model,
-						Evals:    evalsPerJob,
-						Seed:     seed,
-					}
+	for _, concurrent := range []int{4, 8} {
+		b.Run(fmt.Sprintf("direct/jobs%d", concurrent), func(b *testing.B) {
+			dir, model := servingModelDir(b)
+			jm := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1<<14), concurrent, 64)
+			defer jm.Shutdown(context.Background())
+			request := func(seed int64) SearchRequest {
+				return SearchRequest{
+					Algo:     "cnn-layer",
+					Problem:  "ResNet_Conv_4",
+					Searcher: "mm",
+					Model:    model,
+					Evals:    evalsPerJob,
+					Seed:     seed,
 				}
-				// Warm the registry and search path once, unmeasured.
-				warm := request(999)
-				warm.Evals = 10
-				job, err := jm.Submit(warm)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := jm.Wait(context.Background(), job.ID); err != nil {
-					b.Fatal(err)
-				}
+			}
+			// Warm the registry and search path once, unmeasured.
+			warm := request(999)
+			warm.Evals = 10
+			job, err := jm.Submit(warm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := jm.Wait(context.Background(), job.ID); err != nil {
+				b.Fatal(err)
+			}
 
-				b.ResetTimer()
-				start := time.Now()
-				var evals int
-				for i := 0; i < b.N; i++ {
-					ids := make([]string, concurrent)
-					for j := 0; j < concurrent; j++ {
-						job, err := jm.Submit(request(int64(i*concurrent + j)))
-						if err != nil {
-							b.Fatal(err)
-						}
-						ids[j] = job.ID
+			b.ResetTimer()
+			start := time.Now()
+			var evals int
+			for i := 0; i < b.N; i++ {
+				ids := make([]string, concurrent)
+				for j := 0; j < concurrent; j++ {
+					job, err := jm.Submit(request(int64(i*concurrent + j)))
+					if err != nil {
+						b.Fatal(err)
 					}
-					for _, id := range ids {
-						done, err := jm.Wait(context.Background(), id)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if done.Status != JobDone {
-							b.Fatalf("job %s: %s (%s)", id, done.Status, done.Error)
-						}
-						evals += done.Result.Evals
-					}
+					ids[j] = job.ID
 				}
-				b.ReportMetric(float64(evals)/time.Since(start).Seconds(), "evals/s")
-			})
-		}
+				for _, id := range ids {
+					done, err := jm.Wait(context.Background(), id)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if done.Status != JobDone {
+						b.Fatalf("job %s: %s (%s)", id, done.Status, done.Error)
+					}
+					evals += done.Result.Evals
+				}
+			}
+			b.ReportMetric(float64(evals)/time.Since(start).Seconds(), "evals/s")
+		})
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // Edge cases of the batched inference contract: empty batches, ragged
 // inputs, destination-reuse corner cases, chunk-boundary sizes, and
-// concurrent callers mixing batch sizes. These guard the service batcher
-// (internal/infer), which feeds coalesced, arbitrarily-sized batches from
-// many jobs into these two entry points.
+// concurrent callers mixing batch sizes. These guard the service, whose
+// concurrent jobs share one registry surrogate and query these two entry
+// points with batches of any size.
 
 // TestBatchEmptyInputs pins the empty-batch fast path: no error, length-0
 // results, and a caller's dst contents beyond the result are untouched.
