@@ -153,9 +153,8 @@ func cmdAtlasBuild(args []string) error {
 	}
 	defer a.Close()
 	registry := service.NewModelRegistry(*modelsDir, 0)
-	cache := service.NewEvalCache(0)
 	// Queue capacity covers the whole grid so submission never blocks.
-	jobs := service.NewJobManager(registry, cache, *workers, len(shapes)+1)
+	jobs := service.NewJobManager(registry, nil, *workers, len(shapes)+1)
 	defer jobs.Shutdown(context.Background())
 	jobs.SetAtlasSource("build")
 	jobs.EnableAtlas(a, false)

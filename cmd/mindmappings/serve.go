@@ -22,9 +22,8 @@ import (
 
 // cmdServe runs the long-lived mapping-search service: an HTTP JSON API
 // backed by a search worker pool, a separate training pipeline publishing
-// into a versioned artifact store, a shared surrogate registry, and a
-// shared cost-model evaluation cache. See internal/service for the API
-// surface.
+// into a versioned artifact store, and a shared surrogate registry. See
+// internal/service for the API surface.
 //
 // On SIGINT/SIGTERM the server drains gracefully: /readyz flips to 503,
 // the listener stops accepting, in-flight search jobs are cancelled — each
@@ -42,8 +41,6 @@ func cmdServe(args []string) error {
 	queueCap := fs.Int("queue", 64, "pending-job queue capacity")
 	trainWorkers := fs.Int("trainworkers", 2, "training pipeline worker count (separate pool from search workers)")
 	trainQueue := fs.Int("trainqueue", 16, "pending-training-job queue capacity")
-	evalCacheCap := fs.Int("evalcache-cap", 0,
-		"shared eval-cache capacity in entries (0: off); worth setting only for a cost-model backend slower than a cache lookup, since against an analytical backend a miss adds about one eval of key, clone and eviction work under a shared lock (BenchmarkEvalCacheMiss); occupancy is reported as eval_cache_utilization")
 	regCap := fs.Int("maxmodels", service.DefaultRegistryCapacity, "max surrogates resident in memory (LRU beyond this)")
 	shutdownGrace := fs.Duration("grace", 10*time.Second, "graceful-shutdown timeout")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -57,17 +54,27 @@ func cmdServe(args []string) error {
 	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant token-bucket depth (default max(quota-rate, 1); a value below 1 is raised to 1, since each admission spends a whole token)")
 	quotaConc := fs.Int("quota-concurrent", 0, "per-tenant cap on jobs in flight (0: no cap)")
 	sloOn := fs.Bool("slo", false, "track service-level objectives as multi-window burn rates: /v1/status health score, slo_* series on /metrics, /readyz unready at health 0")
-	sloAvail := fs.Float64("slo-availability", 0.999, "target fraction of terminal jobs finishing successfully (needs -slo; 0 disables the objective)")
+	sloAvail := fs.Float64("slo-availability", 0.999, "target fraction of terminal jobs finishing successfully, in [0, 1) (needs -slo; 0 disables the objective)")
 	sloQueueWait := fs.Duration("slo-queue-wait", 30*time.Second, "queue-wait threshold: 95% of jobs must start within it (needs -slo; 0 disables the objective)")
 	sloFirstEval := fs.Duration("slo-first-eval", 5*time.Second, "time-to-first-eval threshold: 95% of jobs must produce an evaluation within it (needs -slo; 0 disables the objective)")
-	minHealth := fs.Float64("min-health", 0, "shed load while the SLO health score is below this fraction (needs -slo; 0: never shed on health)")
+	minHealth := fs.Float64("min-health", 0, "shed load while the SLO health score is below this fraction, in [0, 1] (needs -slo; 0: never shed on health)")
 	faultsSpec := fs.String("faults", os.Getenv("MINDMAPPINGS_FAULTS"),
 		`deterministic fault injection for chaos testing, e.g. "seed=7,eval=0.01,eval.lat=0.05:25ms,journal.write=0.05,store.publish=0.1" (default $MINDMAPPINGS_FAULTS)`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *evalCacheCap < 0 {
-		return fmt.Errorf("serve: -evalcache-cap %d is negative (0 turns the cache off)", *evalCacheCap)
+	// A health score never exceeds 1 and an availability target of 1 or
+	// more leaves no error budget, so out-of-range values (NaN included)
+	// are flag errors rather than a silently dropped objective or a server
+	// that sheds forever.
+	if !(*sloAvail >= 0 && *sloAvail < 1) {
+		return fmt.Errorf("serve: -slo-availability %v is outside [0, 1) (0 disables the objective)", *sloAvail)
+	}
+	if !(*minHealth >= 0 && *minHealth <= 1) {
+		return fmt.Errorf("serve: -min-health %v is outside [0, 1] (0: never shed on health)", *minHealth)
+	}
+	if *minHealth > 0 && !*sloOn {
+		return fmt.Errorf("serve: -min-health needs -slo (the health score it sheds on)")
 	}
 	if fi, err := os.Stat(*modelDir); err != nil || !fi.IsDir() {
 		return fmt.Errorf("serve: -models %q is not a directory", *modelDir)
@@ -91,8 +98,7 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	registry := service.NewModelRegistry(*modelDir, *regCap)
-	cache := service.NewEvalCache(*evalCacheCap)
-	jobs := service.NewJobManager(registry, cache, *workers, *queueCap)
+	jobs := service.NewJobManager(registry, nil, *workers, *queueCap)
 	jobs.SetMaxJobTime(*maxJobTime)
 	jobs.SetCheckpointInterval(*checkpointEvals)
 	if *atlasDir != "none" {
@@ -110,9 +116,6 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "mindmappings serve: fault injection armed (%s)\n", *faultsSpec)
 		jobs.SetFaults(faults)
 		store.SetFailpoint(faults.Fail)
-	}
-	if *minHealth > 0 && !*sloOn {
-		return fmt.Errorf("serve: -min-health needs -slo (the health score it sheds on)")
 	}
 	if *quotaRate > 0 || *quotaConc > 0 || *minHealth > 0 {
 		jobs.EnableAdmission(resilience.AdmissionConfig{
@@ -144,7 +147,7 @@ func cmdServe(args []string) error {
 		}
 	}
 	pipeline := trainer.New(store, *trainWorkers, *trainQueue)
-	api := service.NewServer(jobs, registry, cache).WithTraining(store, pipeline)
+	api := service.NewServer(jobs, registry, nil).WithTraining(store, pipeline)
 	if *sloOn {
 		cfg := service.DefaultSLOConfig()
 		cfg.Availability = *sloAvail

@@ -133,12 +133,34 @@ func TestServeBinaryMetricsScrape(t *testing.T) {
 	}
 }
 
-// TestServeRejectsNegativeEvalCacheCap pins that a negative -evalcache-cap
-// is a flag error rather than a silent default: 0 is the only "off".
-func TestServeRejectsNegativeEvalCacheCap(t *testing.T) {
-	err := cmdServe([]string{"-addr", "127.0.0.1:0", "-models", t.TempDir(), "-evalcache-cap", "-1"})
-	if err == nil || !strings.Contains(err.Error(), "-evalcache-cap") {
-		t.Fatalf("serve -evalcache-cap -1: err %v, want a flag error", err)
+// TestServeRejectsOutOfRangeSLOFlags pins that an SLO target outside its
+// range is a flag error naming the flag, not a silently dropped objective
+// (-slo-availability at or above 1) or a server that sheds forever
+// (-min-health above 1, a score no health reaches).
+func TestServeRejectsOutOfRangeSLOFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+	}{
+		{"-slo-availability", "1"},
+		{"-slo-availability", "1.5"},
+		{"-slo-availability", "-0.1"},
+		{"-slo-availability", "NaN"},
+		{"-min-health", "1.5"},
+		{"-min-health", "-0.5"},
+		{"-min-health", "NaN"},
+	} {
+		args := []string{"-addr", "127.0.0.1:0", "-models", t.TempDir(),
+			"-workers", "1", "-trainworkers", "1", "-quiet", "-slo", tc.flag, tc.value}
+		done := make(chan error, 1)
+		go func() { done <- cmdServe(args) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("serve -slo %s %s: err %v, want a flag error naming %s", tc.flag, tc.value, err, tc.flag)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("serve -slo %s %s started instead of failing", tc.flag, tc.value)
+		}
 	}
 }
 

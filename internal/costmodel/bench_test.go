@@ -59,27 +59,6 @@ func BenchmarkCounterMiddleware(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheMiddlewareHit measures a warm memoization hit: key build +
-// lookup + CopyTo, one allocation (the key string).
-func BenchmarkCacheMiddlewareHit(b *testing.B) {
-	f := newFixture(b, 103)
-	ev := costmodel.WithCache(f.backend(b, "timeloop"), newMapCache())
-	ctx := context.Background()
-	var ws costmodel.Cost
-	for i := range f.ms {
-		if err := ev.EvaluateInto(ctx, &f.ms[i], &ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ev.EvaluateInto(ctx, &f.ms[i%len(f.ms)], &ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTimingMiddleware measures the sampled-latency wrapper at the
 // service's production sampling rate (1 in 64): 63 of 64 evals pay one
 // atomic add, the 64th pays two clock reads. Must stay within noise of

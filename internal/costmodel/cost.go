@@ -61,11 +61,11 @@ func (c *Cost) Reset(nt int) {
 }
 
 // Clone returns a deep copy of the exported cost fields, detached from any
-// evaluation workspace. Costs stored in shared caches must be clones: the
-// original may be an EvaluateInto workspace whose slices are overwritten by
-// the next evaluation. All per-level slices are carved from one backing
-// array, capacity-capped so an append to one never writes into another:
-// a clone costs a single allocation.
+// evaluation workspace. A Cost kept past the next evaluation must be a
+// clone: the original may be an EvaluateInto workspace whose slices are
+// overwritten by the next evaluation. All per-level slices are carved from
+// one backing array, capacity-capped so an append to one never writes into
+// another: a clone costs a single allocation.
 func (c *Cost) Clone() Cost {
 	out := *c
 	out.Scratch = nil
@@ -93,7 +93,7 @@ func carve(buf, src []float64) (dst, rest []float64) {
 
 // CopyTo copies the exported cost fields into dst, reusing dst's slices
 // (and keeping dst's Scratch workspace) so steady-state copies perform no
-// heap allocations — the cache middleware serves hits through it.
+// heap allocations.
 func (c *Cost) CopyTo(dst *Cost) {
 	dst.Reset(len(c.Accesses[arch.L1]))
 	for l := range c.Accesses {

@@ -1,8 +1,8 @@
 // Package costmodel is the pluggable cost-model layer: it defines the
 // Evaluator interface every cost function f implements, the Cost record
 // all backends produce, a by-name backend registry, and the composable
-// middleware (eval counting, query-latency emulation, memoization,
-// bounded-parallel batch fan-out) that any backend inherits.
+// middleware (eval counting, query-latency emulation, bounded-parallel
+// batch fan-out) that any backend inherits.
 //
 // The paper treats f as an exchangeable component (§2.3, §5.1.2 — Timeloop
 // is just the reference instantiation), so nothing above this package may
@@ -19,7 +19,6 @@ package costmodel
 import (
 	"context"
 	"encoding/binary"
-	"math"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
@@ -39,8 +38,8 @@ type Evaluator interface {
 	// AppendFingerprint appends a canonical binary identity of the
 	// evaluator — backend name, accelerator, and problem — to dst and
 	// returns the extended slice. Distinct (backend, arch, problem)
-	// triples yield distinct fingerprints; the cache middleware interns it
-	// into its key prefix so different backends never share entries.
+	// triples yield distinct fingerprints; the trainer hashes it to stamp
+	// which cost model labeled a surrogate's training data.
 	AppendFingerprint(dst []byte) []byte
 	// EvaluateInto computes the cost of one mapping into the caller-owned
 	// workspace c, overwriting its previous contents. Reusing c across
@@ -95,7 +94,7 @@ func orBackground(ctx context.Context) context.Context {
 // the name: two workloads sharing a name but differing in tensors or
 // footprints never alias, which matters for runtime-defined einsum
 // workloads whose derived names are hashes) plus the shape. Backends call
-// it from AppendFingerprint so cache keys are collision-free across
+// it from AppendFingerprint so fingerprints are collision-free across
 // backends, accelerators, and workloads by construction.
 func AppendBackendFingerprint(dst []byte, name string, a *arch.Spec, p *loopnest.Problem) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(name)))
@@ -105,37 +104,6 @@ func AppendBackendFingerprint(dst []byte, name string, a *arch.Spec, p *loopnest
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(p.Shape)))
 	for _, s := range p.Shape {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(s))
-	}
-	return dst
-}
-
-// AppendMappingKey appends a compact, canonical encoding of every
-// cost-relevant mapping attribute to dst and returns the extended slice:
-// tile factors, spatial factors, and loop orders as uvarints (one byte for
-// values below 128), then buffer allocations as raw little-endian float64
-// bits. Uvarints are a prefix code, so a fixed field count decodes
-// uniquely; combined with a prefix naming the evaluator — which pins the
-// problem arity, so no per-section length prefixes are needed — the
-// result is a collision-free memoization key. Appending into a reused
-// buffer allocates nothing.
-func AppendMappingKey(dst []byte, m *mapspace.Mapping) []byte {
-	for l := range m.Tile {
-		for _, v := range m.Tile[l] {
-			dst = binary.AppendUvarint(dst, uint64(v))
-		}
-	}
-	for _, v := range m.Spatial {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	for l := range m.Order {
-		for _, v := range m.Order[l] {
-			dst = binary.AppendUvarint(dst, uint64(v))
-		}
-	}
-	for l := range m.Alloc {
-		for _, f := range m.Alloc[l] {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-		}
 	}
 	return dst
 }

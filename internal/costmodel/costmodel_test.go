@@ -2,7 +2,6 @@ package costmodel_test
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -111,34 +110,9 @@ func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
 	mustPanic("x", nil)
 }
 
-// keyRecorder is a Cache that records every lookup key and answers each
-// with a hit, so a WithCache stack yields its key for any mapping without
-// evaluating it.
-type keyRecorder struct{ keys []string }
-
-func (r *keyRecorder) Get(key string) (costmodel.Cost, bool) {
-	r.keys = append(r.keys, key)
-	return costmodel.Cost{}, true
-}
-
-func (r *keyRecorder) Put(string, costmodel.Cost) {}
-
-// cacheKey returns the key a fresh WithCache stack over ev gives m.
-func cacheKey(t *testing.T, ev costmodel.Evaluator, m *mapspace.Mapping) string {
-	t.Helper()
-	rec := &keyRecorder{}
-	var c costmodel.Cost
-	if err := costmodel.WithCache(ev, rec).EvaluateInto(context.Background(), m, &c); err != nil {
-		t.Fatal(err)
-	}
-	return rec.keys[0]
-}
-
-// TestFingerprintsDistinguishEvaluators pins the cache-key contract: any
+// TestFingerprintsDistinguishEvaluators pins the fingerprint contract: any
 // change of backend, accelerator, algorithm, or shape changes the
-// fingerprint and the cache key of one mapping, and equal configurations
-// reproduce both byte for byte — so separate jobs over equal evaluators
-// share cache entries.
+// fingerprint, and equal configurations reproduce it byte for byte.
 func TestFingerprintsDistinguishEvaluators(t *testing.T) {
 	f := newFixture(t, 2)
 	otherShape, err := loopnest.NewCNNProblem("costmodel-test", 4, 16, 8, 14, 14, 3, 1)
@@ -150,7 +124,6 @@ func TestFingerprintsDistinguishEvaluators(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]string{}
-	seenKeys := map[string]string{}
 	add := func(label string, ev, twin costmodel.Evaluator) {
 		t.Helper()
 		fp := string(ev.AppendFingerprint(nil))
@@ -161,14 +134,6 @@ func TestFingerprintsDistinguishEvaluators(t *testing.T) {
 			t.Fatalf("fingerprint collision between %s and %s", prev, label)
 		}
 		seen[fp] = label
-		key := cacheKey(t, ev, &f.ms[0])
-		if again := cacheKey(t, twin, &f.ms[0]); again != key {
-			t.Fatalf("%s: equal evaluators give different cache keys", label)
-		}
-		if prev, dup := seenKeys[key]; dup {
-			t.Fatalf("cache-key collision between %s and %s", prev, label)
-		}
-		seenKeys[key] = label
 	}
 	for _, name := range []string{"timeloop", "roofline"} {
 		for _, a := range []arch.Spec{arch.Default(2), arch.Edge(2)} {
@@ -184,83 +149,6 @@ func TestFingerprintsDistinguishEvaluators(t *testing.T) {
 				add(name+"/"+a.Name+"/"+p.String(), ev, twin)
 			}
 		}
-	}
-}
-
-// TestEvaluatorIDsNeverReused fills the fingerprint intern table past its
-// bound: the table starts over, but every ID it hands out is fresh, so an
-// evaluator interned again after the reset gets a new ID and cache key,
-// never one that named another evaluator.
-func TestEvaluatorIDsNeverReused(t *testing.T) {
-	f := newFixture(t, 7)
-	ev := f.backend(t, "")
-	before := cacheKey(t, ev, &f.ms[0])
-	if again := cacheKey(t, ev, &f.ms[0]); again != before {
-		t.Fatal("interned ID changed without a reset")
-	}
-	ids := map[uint64]bool{costmodel.EvaluatorID(ev.AppendFingerprint(nil)): true}
-	fake := make([]byte, 4096)
-	for i := 0; i <= costmodel.MaxInternedBytes/len(fake); i++ {
-		binary.LittleEndian.PutUint64(fake, uint64(i))
-		id := costmodel.EvaluatorID(fake)
-		if ids[id] {
-			t.Fatalf("ID %d handed out twice", id)
-		}
-		ids[id] = true
-	}
-	after := cacheKey(t, ev, &f.ms[0])
-	if after == before {
-		t.Fatal("evaluator kept its ID across a table reset")
-	}
-	if id := costmodel.EvaluatorID(ev.AppendFingerprint(nil)); ids[id] {
-		t.Fatalf("ID %d handed out again after the reset", id)
-	}
-}
-
-// TestMappingKeyCollisionFreedom: distinct mappings yield distinct keys,
-// equal mappings identical keys, and key building into a warm buffer costs
-// zero allocations. Integers are uvarints, so factors on either side of a
-// byte-length boundary must stay apart too.
-func TestMappingKeyCollisionFreedom(t *testing.T) {
-	f := newFixture(t, 3)
-	keys := map[string]int{}
-	for i := range f.ms {
-		key := string(costmodel.AppendMappingKey(nil, &f.ms[i]))
-		if again := string(costmodel.AppendMappingKey(nil, &f.ms[i])); again != key {
-			t.Fatal("mapping key not stable for equal inputs")
-		}
-		if prev, dup := keys[key]; dup {
-			t.Fatalf("mapping key collision between mappings %d and %d", prev, i)
-		}
-		keys[key] = i
-	}
-	setters := []func(m *mapspace.Mapping, v int){
-		func(m *mapspace.Mapping, v int) { m.Tile[0][0] = v },
-		func(m *mapspace.Mapping, v int) { m.Tile[0][1] = v },
-		func(m *mapspace.Mapping, v int) { m.Spatial[0] = v },
-		func(m *mapspace.Mapping, v int) { m.Order[2][0] = v },
-	}
-	byKey := map[string]string{}
-	for _, v := range []int{0, 1, 2, 127, 128, 129, 255, 256, 16383, 16384, 1 << 40, -1} {
-		for _, set := range setters {
-			m := f.ms[0].Clone()
-			set(&m, v)
-			key := string(costmodel.AppendMappingKey(nil, &m))
-			fields := fmt.Sprint(m.Tile, m.Spatial, m.Order, m.Alloc)
-			if prev, dup := byKey[key]; dup && prev != fields {
-				t.Fatalf("mappings %s and %s share one key", prev, fields)
-			}
-			byKey[key] = fields
-		}
-	}
-	buf := costmodel.AppendMappingKey(nil, &f.ms[0])
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = costmodel.AppendMappingKey(buf[:0], &f.ms[i%len(f.ms)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("warm mapping-key build allocates %.1f per run, want 0", allocs)
 	}
 }
 
@@ -310,7 +198,7 @@ func TestCostCopyToReusesSlicesAndDropsNothing(t *testing.T) {
 	}
 }
 
-// TestCostCloneDetached pins the clone the cache stores: one allocation,
+// TestCostCloneDetached pins the detached copy Clone makes: one allocation,
 // every field equal, no workspace, and no storage shared with the source
 // or between its own slices.
 func TestCostCloneDetached(t *testing.T) {

@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"context"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,14 +12,14 @@ import (
 
 // This file holds the composable middleware any backend inherits: eval
 // accounting (WithCounter), reference-model query-latency emulation
-// (WithLatency), memoization (WithCache), and bounded-parallel batch
-// fan-out (WithParallel). Each wrapper is itself an Evaluator, so stacks
-// compose freely; the conventional order, outermost first, is
+// (WithLatency), and bounded-parallel batch fan-out (WithParallel). Each
+// wrapper is itself an Evaluator, so stacks compose freely; the
+// conventional order, outermost first, is
 //
-//	WithParallel(WithCache(WithLatency(WithCounter(backend))))
+//	WithParallel(WithLatency(WithCounter(backend)))
 //
-// so cache hits skip the latency and the counter (a memoized query is not
-// a paid one), and parallel workers drive the whole per-element stack.
+// so parallel workers drive the whole per-element stack and every
+// evaluation that reaches the backend is charged.
 
 // Counter is shared, concurrency-safe evaluation accounting. One Counter
 // may be attached to many evaluator stacks (the serve service keeps one
@@ -43,8 +42,7 @@ type counted struct {
 }
 
 // WithCounter wraps inner so every evaluation reaching it increments ctr.
-// Elements skipped by cancellation (or served by a cache wrapped outside)
-// are not charged.
+// Elements skipped by cancellation are not charged.
 func WithCounter(inner Evaluator, ctr *Counter) Evaluator {
 	if ctr == nil {
 		return inner
@@ -103,136 +101,6 @@ func (e *latency) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *Cost
 }
 
 func (e *latency) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []Cost, errs []error) {
-	SequentialBatch(ctx, e, ms, costs, errs)
-}
-
-// Cache memoizes evaluations across search runs sharing a problem.
-// Implementations must be safe for concurrent use; cached Cost values are
-// shared and must be treated as immutable (the middleware stores detached
-// clones and serves hits by copy).
-type Cache interface {
-	Get(key string) (Cost, bool)
-	Put(key string, c Cost)
-}
-
-// BytesCache is an optional Cache extension for zero-allocation hits: a
-// lookup keyed by the raw binary key bytes, so the middleware only
-// materializes the key string when it has to store a miss. A Go map
-// indexed with string(bytes) compiles to an allocation-free lookup, so
-// implementations get this for free; GetBytes must not retain key.
-type BytesCache interface {
-	Cache
-	GetBytes(key []byte) (Cost, bool)
-}
-
-// maxInternedBytes bounds the process-wide fingerprint intern table at
-// 4 MiB of fingerprints (~3,500 cnn-layer evaluators). A server fed
-// ever-new problems starts a fresh table when it would overflow; the IDs
-// already handed out stay valid, since IDs are never reused.
-const maxInternedBytes = 4 << 20
-
-// evaluatorIDs interns evaluator fingerprints to small IDs, so cache keys
-// carry a one- or two-byte uvarint instead of a ~1 KB fingerprint. next
-// only ever grows: after a reset an evaluator seen before gets a fresh ID
-// (its old entries age out of the LRU), and no ID ever names two
-// fingerprints, so keys stay collision-free by construction.
-var evaluatorIDs struct {
-	sync.Mutex
-	ids   map[string]uint64 // by fingerprint
-	bytes int               // fingerprint bytes held by ids
-	next  uint64
-}
-
-// evaluatorID returns the interned ID of fingerprint fp, assigning the
-// next one on first use.
-func evaluatorID(fp []byte) uint64 {
-	evaluatorIDs.Lock()
-	defer evaluatorIDs.Unlock()
-	if id, ok := evaluatorIDs.ids[string(fp)]; ok {
-		return id
-	}
-	if evaluatorIDs.ids == nil || evaluatorIDs.bytes+len(fp) > maxInternedBytes {
-		evaluatorIDs.ids = map[string]uint64{}
-		evaluatorIDs.bytes = 0
-	}
-	evaluatorIDs.next++
-	evaluatorIDs.ids[string(fp)] = evaluatorIDs.next
-	evaluatorIDs.bytes += len(fp)
-	return evaluatorIDs.next
-}
-
-// cached memoizes inner's evaluations under evaluator-ID-prefixed keys.
-type cached struct {
-	inner  Evaluator
-	cache  Cache
-	bytes  BytesCache // non-nil when cache supports binary-key lookups
-	prefix []byte     // uvarint evaluator ID, interned once
-	keys   sync.Pool
-}
-
-// WithCache wraps inner so evaluations are memoized in cache, keyed by an
-// interned evaluator ID plus the mapping's attributes (AppendMappingKey).
-// Equal evaluators — same backend, accelerator, and problem — share one ID,
-// so separate jobs reuse each other's entries; evaluators differing in any
-// of them never share entries. Hits skip inner entirely (and therefore any
-// latency or counting wrapped inside); misses store a detached clone. When
-// cache also implements BytesCache the hit path is allocation-free (the
-// pooled binary key buffer is looked up directly) and a miss allocates the
-// key string and the clone; otherwise every lookup also builds the key
-// string. A nil cache returns inner unchanged.
-func WithCache(inner Evaluator, cache Cache) Evaluator {
-	if cache == nil {
-		return inner
-	}
-	id := evaluatorID(inner.AppendFingerprint(nil))
-	c := &cached{inner: inner, cache: cache, prefix: binary.AppendUvarint(nil, id)}
-	if bc, ok := cache.(BytesCache); ok {
-		c.bytes = bc
-	}
-	return c
-}
-
-func (e *cached) Name() string                        { return e.inner.Name() }
-func (e *cached) Problem() loopnest.Problem           { return e.inner.Problem() }
-func (e *cached) AppendFingerprint(dst []byte) []byte { return e.inner.AppendFingerprint(dst) }
-
-func (e *cached) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *Cost) error {
-	buf, _ := e.keys.Get().(*[]byte)
-	if buf == nil {
-		// Sized for a typical key, so a fresh buffer is not regrown
-		// through every power of two while the key is appended.
-		b := make([]byte, 0, 256)
-		buf = &b
-	}
-	*buf = AppendMappingKey(append((*buf)[:0], e.prefix...), m)
-	if e.bytes != nil {
-		if hit, ok := e.bytes.GetBytes(*buf); ok {
-			e.keys.Put(buf)
-			hit.CopyTo(c)
-			return nil
-		}
-		key := string(*buf)
-		e.keys.Put(buf)
-		if err := e.inner.EvaluateInto(ctx, m, c); err != nil {
-			return err
-		}
-		e.cache.Put(key, c.Clone())
-		return nil
-	}
-	key := string(*buf)
-	e.keys.Put(buf)
-	if hit, ok := e.cache.Get(key); ok {
-		hit.CopyTo(c)
-		return nil
-	}
-	if err := e.inner.EvaluateInto(ctx, m, c); err != nil {
-		return err
-	}
-	e.cache.Put(key, c.Clone())
-	return nil
-}
-
-func (e *cached) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []Cost, errs []error) {
 	SequentialBatch(ctx, e, ms, costs, errs)
 }
 

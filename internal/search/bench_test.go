@@ -174,31 +174,3 @@ func BenchmarkPayEvalBatch(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEvalCacheHit measures the tracker pipeline with a shared eval
-// cache fully warm: key build + lookup + copy per candidate (the key
-// string is the only allocation; the middleware bench in
-// internal/costmodel isolates the raw hit cost).
-func BenchmarkEvalCacheHit(b *testing.B) {
-	ctx := benchSearchContext(b, 1)
-	ctx.Cache = newMapCache()
-	rng := stats.NewRNG(3)
-	cand := make([]mapspace.Mapping, 64)
-	for i := range cand {
-		cand[i] = ctx.Space.Random(rng)
-	}
-	t := newTracker(ctx, Budget{MaxEvals: 1 << 30})
-	var vals []float64
-	var err error
-	if vals, err = t.payEvalBatch(cand, vals); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(cand) {
-		if vals, err = t.payEvalBatch(cand, vals); err != nil {
-			b.Fatal(err)
-		}
-		t.traj = t.traj[:0] // keep the trajectory from growing unboundedly
-	}
-}

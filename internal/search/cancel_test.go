@@ -2,40 +2,9 @@ package search
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
-
-	"mindmappings/internal/costmodel"
 )
-
-// mapCache is a minimal costmodel.Cache for tests.
-type mapCache struct {
-	mu     sync.Mutex
-	m      map[string]costmodel.Cost
-	hits   int
-	misses int
-}
-
-func newMapCache() *mapCache { return &mapCache{m: map[string]costmodel.Cost{}} }
-
-func (c *mapCache) Get(key string) (costmodel.Cost, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cost, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return cost, ok
-}
-
-func (c *mapCache) Put(key string, cost costmodel.Cost) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = cost
-}
 
 func TestCancellationStopsInFlightSearch(t *testing.T) {
 	ctx := conv1dContext(t, 1)
@@ -82,31 +51,6 @@ func TestPreCanceledContextRunsNoEvals(t *testing.T) {
 	}
 }
 
-func TestEvalCacheMemoizesAcrossRuns(t *testing.T) {
-	cache := newMapCache()
-	run := func(seed int64) Result {
-		ctx := conv1dContext(t, seed)
-		ctx.Cache = cache
-		res, err := RandomSearch{}.Search(ctx, Budget{MaxEvals: 50})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	first := run(7)
-	if cache.hits != 0 && len(cache.m) == 50 {
-		t.Fatalf("unexpected hits on a cold cache: %d", cache.hits)
-	}
-	second := run(7)
-	if cache.hits < 50 {
-		t.Fatalf("identical rerun should hit the cache 50 times, got %d", cache.hits)
-	}
-	if first.BestEDP != second.BestEDP || first.Evals != second.Evals {
-		t.Fatalf("cached rerun diverged: %v vs %v evals, %v vs %v EDP",
-			first.Evals, second.Evals, first.BestEDP, second.BestEDP)
-	}
-}
-
 func TestSeedReproducibility(t *testing.T) {
 	run := func(seed int64) Result {
 		ctx := conv1dContext(t, seed)
@@ -134,11 +78,6 @@ func TestSeedReproducibility(t *testing.T) {
 		t.Fatalf("different seeds produced an identical run")
 	}
 }
-
-// Cache keys are built by the costmodel cache middleware from evaluator
-// fingerprints plus mapping bits; their collision-freedom (across
-// mappings, accelerators, problems, and backends) is pinned by the tests
-// in internal/costmodel.
 
 // TestCancellationStopsParallelBatch pins the parallel analog of the
 // cancellation contract: with a worker pool fanning a latency-heavy batch,

@@ -85,24 +85,6 @@ func TestParallelismIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelismWithSharedCache runs parallel searchers against one
-// shared eval cache (the service configuration) — a -race target for the
-// cache interaction, plus a determinism check: caching only memoizes, so
-// results must not change.
-func TestParallelismWithSharedCache(t *testing.T) {
-	budget := Budget{MaxEvals: 200}
-	cache := newMapCache()
-	for _, s := range []Searcher{GeneticAlgorithm{}, SimulatedAnnealing{}} {
-		plain := conv1dContext(t, 31)
-		cached := conv1dContext(t, 31)
-		cached.Parallelism = 4
-		cached.Cache = cache
-		want := mustSearch(t, s, plain, budget)
-		got := mustSearch(t, s, cached, budget)
-		sameTrajectory(t, s.Name()+" cached-parallel", got, want)
-	}
-}
-
 // TestMultiChainGradientSearch sanity-checks the Chains knob: budget
 // respected, trajectory monotone, and it must still beat average random
 // mappings.
@@ -174,8 +156,3 @@ func TestNegativeStrideRejected(t *testing.T) {
 		t.Fatal("negative TrajectoryStride must be rejected")
 	}
 }
-
-// Cache-key collision-freedom and the single-allocation hot-path contract
-// are pinned in internal/costmodel (the key builder lives in the cache
-// middleware now); TestParallelismWithSharedCache above still exercises
-// keyed memoization end to end through the tracker.

@@ -138,7 +138,7 @@ type Context struct {
 	// Model is the cost function f: any registered costmodel backend (or a
 	// pre-composed middleware stack). The bare evaluator doubles as the
 	// free offline-scoring path; the tracker layers the paid-query
-	// middleware (QueryLatency, Evals, Cache, Parallelism) on top of it.
+	// middleware (QueryLatency, Evals, Parallelism) on top of it.
 	Model costmodel.Evaluator
 	Bound oracle.Bound
 	Seed  int64
@@ -159,16 +159,15 @@ type Context struct {
 	// trajectory measurements — never pay it. See DESIGN.md §4.
 	QueryLatency time.Duration
 	// Evals, when non-nil, receives paid-query accounting
-	// (costmodel.WithCounter): cache hits and free scoring queries are not
-	// charged. Counters may be shared across runs and backends-per-name
-	// (the service's costmodel_evals_total series).
+	// (costmodel.WithCounter): free scoring queries are not charged.
+	// Counters may be shared across runs and backends-per-name (the
+	// service's costmodel_evals_total series).
 	Evals *costmodel.Counter
-	// Cache, when non-nil, memoizes evaluations (costmodel.WithCache)
-	// under evaluator-ID-prefixed keys, so evaluations of the same mapping
-	// by different backends or accelerators never mix. Hits skip the
-	// cost-model compute and its emulated QueryLatency but still count
-	// toward the evaluation budget, so budget accounting is unchanged.
-	Cache costmodel.Cache
+	// Cache is read by nothing: every paid query reaches the cost model.
+	//
+	// Deprecated: the shared eval cache is gone; the field remains only
+	// for callers that still set it.
+	Cache any
 	// Parallelism, when > 1, fans batched cost-model evaluations
 	// (payEvalBatch: GA populations, SA pilot chains, beam expansions,
 	// multi-chain gradient scoring) across a bounded pool of that many
@@ -295,8 +294,8 @@ type SurrogateQuerier interface {
 // tracker enforces the budget and records the best-so-far trajectory. It is
 // shared by all searchers so that budget accounting is identical across
 // methods. It composes the Context's middleware knobs into two evaluator
-// stacks: paid (counter + latency + cache) for reference-model queries and
-// free (cache only) for offline trajectory scoring.
+// stacks: paid (counter + latency) for reference-model queries and free
+// (the bare model) for offline trajectory scoring.
 type tracker struct {
 	ctx       *Context
 	ectx      context.Context
@@ -319,10 +318,8 @@ type tracker struct {
 	paid, free           costmodel.Evaluator
 	paidBatch, freeBatch costmodel.Evaluator
 
-	// own is the scalar evaluation workspace: with no cache configured,
-	// steady-state evaluation allocates nothing (the Cost doubles as the
-	// backend's workspace); with a cache, a miss allocates the key string
-	// and the stored clone.
+	// own is the scalar evaluation workspace: steady-state evaluation
+	// allocates nothing (the Cost doubles as the backend's workspace).
 	own costmodel.Cost
 
 	// Per-candidate batch state, reused across batches.
@@ -331,12 +328,7 @@ type tracker struct {
 }
 
 func newTracker(ctx *Context, budget Budget) *tracker {
-	paid := costmodel.WithCache(
-		costmodel.WithLatency(
-			costmodel.WithCounter(ctx.Model, ctx.Evals),
-			ctx.QueryLatency),
-		ctx.Cache)
-	free := costmodel.WithCache(ctx.Model, ctx.Cache)
+	paid := costmodel.WithLatency(costmodel.WithCounter(ctx.Model, ctx.Evals), ctx.QueryLatency)
 	t := &tracker{
 		ctx:    ctx,
 		ectx:   ctx.evalCtx(),
@@ -344,11 +336,11 @@ func newTracker(ctx *Context, budget Budget) *tracker {
 		start:  time.Now(),
 		best:   math.Inf(1),
 		paid:   paid,
-		free:   free,
+		free:   ctx.Model,
 	}
 	if ctx.Parallelism > 1 {
 		t.paidBatch = costmodel.WithParallel(paid, ctx.Parallelism)
-		t.freeBatch = costmodel.WithParallel(free, ctx.Parallelism)
+		t.freeBatch = costmodel.WithParallel(ctx.Model, ctx.Parallelism)
 	}
 	return t
 }
@@ -412,8 +404,7 @@ func (t *tracker) record(m *mapspace.Mapping, edp float64) {
 
 // evalValue runs one cost-model query through the paid or free evaluator
 // stack into the given workspace, returning the normalized objective
-// value. Paid queries pay QueryLatency and count toward Context.Evals;
-// cache hits (when a Cache is configured) skip both.
+// value. Paid queries pay QueryLatency and count toward Context.Evals.
 func (t *tracker) evalValue(m *mapspace.Mapping, paid bool, ws *costmodel.Cost) (float64, error) {
 	ev := t.free
 	if paid {

@@ -50,14 +50,13 @@ func sumValues(m map[string]float64) float64 {
 // backwards between scrapes.
 func TestTenantRejectionsSurviveCardinalityCap(t *testing.T) {
 	registry := NewModelRegistry(t.TempDir(), 1)
-	cache := NewEvalCache(1 << 10)
 	const tenants = 70
-	jm := NewJobManager(registry, cache, 1, tenants)
+	jm := NewJobManager(registry, nil, 1, tenants)
 	t.Cleanup(func() { jm.Shutdown(context.Background()) })
 	// A one-token bucket that never refills within the test: each tenant's
 	// first submit is admitted and its second is rejected with 429.
 	jm.EnableAdmission(resilience.AdmissionConfig{Rate: 0.001, Burst: 1})
-	ts := httptest.NewServer(NewServer(jm, registry, cache).Handler())
+	ts := httptest.NewServer(NewServer(jm, registry, nil).Handler())
 	t.Cleanup(ts.Close)
 
 	for i := 0; i < tenants; i++ {
@@ -109,13 +108,12 @@ func TestRecoveredJobAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	registry := NewModelRegistry(t.TempDir(), 1)
-	cache := NewEvalCache(1 << 10)
-	jm := NewJobManager(registry, cache, 1, 4)
+	jm := NewJobManager(registry, nil, 1, 4)
 	t.Cleanup(func() { jm.Shutdown(context.Background()) })
 	if n, err := jm.EnableJournal(j); err != nil || n != 1 {
 		t.Fatalf("EnableJournal = %d, %v; want 1 recovered", n, err)
 	}
-	ts := httptest.NewServer(NewServer(jm, registry, cache).Handler())
+	ts := httptest.NewServer(NewServer(jm, registry, nil).Handler())
 	t.Cleanup(ts.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -142,10 +140,9 @@ func TestRecoveredJobAccounted(t *testing.T) {
 // the manager's tenant map.
 func TestTenantMapBounded(t *testing.T) {
 	registry := NewModelRegistry(t.TempDir(), 1)
-	cache := NewEvalCache(1 << 10)
-	jm := NewJobManager(registry, cache, 1, 4)
+	jm := NewJobManager(registry, nil, 1, 4)
 	t.Cleanup(func() { jm.Shutdown(context.Background()) })
-	NewServer(jm, registry, cache)
+	NewServer(jm, registry, nil)
 	const workers, perWorker = 4, 2500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -340,6 +340,10 @@ func TestAtlasConcurrentHits(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go: allocation counts differ under the
+// race detector, so allocation pins skip there.
+var raceEnabled bool
+
 // TestAtlasExactHitAllocs pins the exact-hit budget: with the answer
 // prepared and the fingerprints cached, a hit allocates little beyond the
 // synthesized job, its stream and trace, and its snapshot.

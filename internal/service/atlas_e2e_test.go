@@ -5,11 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"mindmappings/internal/arch"
 	"mindmappings/internal/atlas"
-	"mindmappings/internal/costmodel"
-	"mindmappings/internal/loopnest"
-	"mindmappings/internal/mapspace"
 	"mindmappings/internal/resilience"
 )
 
@@ -24,7 +20,7 @@ func atlasManager(t *testing.T, readonly bool, modelNames ...string) (*JobManage
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := NewJobManager(NewModelRegistry(dir, 2), NewEvalCache(4096), 2, 8)
+	jobs := NewJobManager(NewModelRegistry(dir, 2), nil, 2, 8)
 	t.Cleanup(func() { jobs.Shutdown(context.Background()) })
 	jobs.EnableAtlas(a, readonly)
 	return jobs, a
@@ -203,40 +199,5 @@ func TestAtlasReadonlyServesButNeverWrites(t *testing.T) {
 	st := atlasCountsOf(jobs)
 	if st.Writebacks != 0 || a.Stats().Entries != 0 {
 		t.Fatalf("read-only atlas was written: %+v", st)
-	}
-}
-
-// TestEvalCacheHitZeroAllocs pins the shaved hit path: a warm shared-cache
-// hit through the costmodel middleware allocates nothing at all — the
-// binary key is built in a pooled buffer and looked up directly, without
-// materializing the key string.
-func TestEvalCacheHitZeroAllocs(t *testing.T) {
-	p, err := loopnest.NewConv1DProblem("alloc-test", 1024, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arch.Default(2)
-	inner, err := costmodel.New("timeloop", a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space, err := mapspace.New(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := costmodel.WithCache(inner, NewEvalCache(64))
-	m := space.Minimal()
-	ctx := context.Background()
-	var ws costmodel.Cost
-	if err := ev.EvaluateInto(ctx, &m, &ws); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := ev.EvaluateInto(ctx, &m, &ws); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm EvalCache hit costs %.1f allocs, want 0", allocs)
 	}
 }

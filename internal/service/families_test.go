@@ -85,8 +85,7 @@ func metricFamilies(text string) []string {
 func exerciseFullServer(t *testing.T) string {
 	t.Helper()
 	registry := NewModelRegistry(modelDir(t, "conv1d.surrogate"), 4)
-	cache := NewEvalCache(1 << 14)
-	jm := NewJobManager(registry, cache, 2, 16)
+	jm := NewJobManager(registry, nil, 2, 16)
 	store, err := modelstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func exerciseFullServer(t *testing.T) string {
 	}
 	jm.EnableAtlas(at, false)
 	jm.EnableAdmission(resilience.AdmissionConfig{Rate: 0.001, Burst: 1})
-	srv := NewServer(jm, registry, cache).WithTraining(store, pipeline)
+	srv := NewServer(jm, registry, nil).WithTraining(store, pipeline)
 	srv.EnableSLO(DefaultSLOConfig())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

@@ -219,13 +219,11 @@ func (j *Job) resumable() bool {
 // Get, List, Cancel, Wait, Watch, Events, Trace and Final come from the
 // embedded jobqueue.Jobs; cancelling a queued job frees its queue and
 // admission slots at once. All jobs share one ModelRegistry (surrogates
-// loaded once) and, when one is configured, one EvalCache (memoized
-// cost-model queries); a nil cache, the default, means every eval is paid.
+// loaded once); every job pays its own cost-model evaluations.
 type JobManager struct {
 	jobqueue.Jobs[Job, ProgressEvent, *Job]
 
 	registry *ModelRegistry
-	cache    *EvalCache
 
 	// mu guards the queue's table and every field below that says so; the
 	// queue's finish hook runs under it.
@@ -407,8 +405,8 @@ func (jm *JobManager) registerMetrics() {
 // NewJobManager starts workers goroutines (runtime.NumCPU() when workers
 // <= 0) draining a queue of at most queueCap pending jobs (64 when <= 0),
 // with its metric registry already populated (NewServer exposes it). Call
-// Shutdown to stop the pool.
-func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap int) *JobManager {
+// Shutdown to stop the pool. The *EvalCache argument is ignored.
+func NewJobManager(registry *ModelRegistry, _ *EvalCache, workers, queueCap int) *JobManager {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -417,7 +415,6 @@ func NewJobManager(registry *ModelRegistry, cache *EvalCache, workers, queueCap 
 	}
 	jm := &JobManager{
 		registry: registry,
-		cache:    cache,
 		flight:   obs.NewFlightRecorder(0),
 		tenants:  make(map[string]*tenantInstruments),
 		counters: make(map[string]*costmodel.Counter),
@@ -1386,7 +1383,6 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 	sctx.Seed = job.Request.Seed
 	sctx.Objective = p.obj
 	sctx.Ctx = ctx
-	sctx.Cache = jm.cacheFor(job.tin)
 	sctx.Evals = jm.counterFor(backend)
 	sctx.Parallelism = p.parallelism
 	sctx.Resume = resume
@@ -1563,7 +1559,7 @@ func (jm *JobManager) counterFor(backend string) *costmodel.Counter {
 		ctr = &costmodel.Counter{}
 		jm.counters[backend] = ctr
 		jm.reg.CounterFuncWith("costmodel_evals_total",
-			"Paid cost-model evaluations per backend (cache hits excluded).",
+			"Paid cost-model evaluations per backend.",
 			[]string{"backend"}, []string{backend},
 			func() float64 { return float64(ctr.Count()) })
 	}

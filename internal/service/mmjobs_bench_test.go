@@ -85,7 +85,7 @@ func BenchmarkServiceMMJobs(b *testing.B) {
 	for _, concurrent := range []int{4, 8} {
 		b.Run(fmt.Sprintf("direct/jobs%d", concurrent), func(b *testing.B) {
 			dir, model := servingModelDir(b)
-			jm := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1<<14), concurrent, 64)
+			jm := NewJobManager(NewModelRegistry(dir, 4), nil, concurrent, 64)
 			defer jm.Shutdown(context.Background())
 			request := func(seed int64) SearchRequest {
 				return SearchRequest{

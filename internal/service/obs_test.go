@@ -36,10 +36,10 @@ func sseEvents(t *testing.T, body *bufio.Scanner) []ProgressEvent {
 }
 
 // TestPrometheusExposition pins the scrape surface: after real traffic,
-// GET /metrics serves valid exposition text carrying the job, cache,
-// cost-model, HTTP, and runtime families.
+// GET /metrics serves valid exposition text carrying the job, cost-model,
+// HTTP, registry and runtime families.
 func TestPrometheusExposition(t *testing.T) {
-	ts, _, _ := testServer(t, 2, 8)
+	ts, _ := testServer(t, 2, 8)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Evals: 200, Seed: 1,
 	})
@@ -80,7 +80,6 @@ func TestPrometheusExposition(t *testing.T) {
 		`costmodel_eval_seconds_count{backend="timeloop"}`,
 		`http_requests_total{route="POST /v1/search",code="2xx"} 1`,
 		`http_request_seconds_count`,
-		"eval_cache_hits_total",
 		"model_registry_loaded",
 		"go_goroutines",
 		"process_uptime_seconds",
@@ -106,7 +105,7 @@ func TestPrometheusExposition(t *testing.T) {
 // replays history then live samples, best-so-far never rises, eval indices
 // never fall, and the final frame carries the terminal status.
 func TestJobEventsSSE(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "ga", Evals: 2000, Seed: 7,
 	})
@@ -167,7 +166,7 @@ func TestJobEventsSSE(t *testing.T) {
 // releases the handler goroutine and its stream subscription (run under
 // -race in CI).
 func TestSSEDisconnectDoesNotLeak(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "30s", Seed: 3,
 	})
@@ -373,7 +372,7 @@ func TestSSEClosedMidBurstSendsOneTerminal(t *testing.T) {
 // TestJobTraceEndpoint pins span nesting under concurrent jobs: every
 // job's trace has its own root with queue-wait, resolve-model and search.
 func TestJobTraceEndpoint(t *testing.T) {
-	ts, _, _ := testServer(t, 4, 16)
+	ts, _ := testServer(t, 4, 16)
 	const n = 4
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -434,7 +433,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 
 // TestUnknownJobObsEndpoints pins 404s for unknown ids.
 func TestUnknownJobObsEndpoints(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 4)
+	ts, _ := testServer(t, 1, 4)
 	for _, path := range []string{"/v1/jobs/nope/trace", "/v1/jobs/nope/events"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

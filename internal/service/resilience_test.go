@@ -25,7 +25,7 @@ import (
 // with cleanup registered; tests wire journal/admission/faults themselves.
 func newTestManager(t *testing.T, workers, queueCap int) *JobManager {
 	t.Helper()
-	jm := NewJobManager(NewModelRegistry(modelDir(t, "conv1d.surrogate"), 4), NewEvalCache(1<<14), workers, queueCap)
+	jm := NewJobManager(NewModelRegistry(modelDir(t, "conv1d.surrogate"), 4), nil, workers, queueCap)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -70,7 +70,7 @@ func TestKillAndRecoverResumesBitCompatible(t *testing.T) {
 
 	// The uninterrupted reference run.
 	ref := func() Job {
-		jm := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1<<14), 1, 4)
+		jm := NewJobManager(NewModelRegistry(dir, 4), nil, 1, 4)
 		defer jm.Shutdown(context.Background())
 		job, err := jm.Submit(req)
 		if err != nil {
@@ -92,7 +92,7 @@ func TestKillAndRecoverResumesBitCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jm1 := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1<<14), 1, 4)
+	jm1 := NewJobManager(NewModelRegistry(dir, 4), nil, 1, 4)
 	jm1.SetCheckpointInterval(500)
 	if n, err := jm1.EnableJournal(j1); err != nil || n != 0 {
 		t.Fatalf("fresh journal recovered %d jobs, err %v", n, err)
@@ -147,7 +147,7 @@ func TestKillAndRecoverResumesBitCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jm2 := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1<<14), 1, 4)
+	jm2 := NewJobManager(NewModelRegistry(dir, 4), nil, 1, 4)
 	defer jm2.Shutdown(context.Background())
 	n, err := jm2.EnableJournal(j2)
 	if err != nil {
@@ -326,7 +326,7 @@ func TestRecoveredMalformedCheckpointFails(t *testing.T) {
 // as done with a valid best-so-far mapping marked degraded — never a
 // failure, never an invalid mapping.
 func TestDeadlineReturnsDegradedValidResult(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 4)
+	ts, _ := testServer(t, 1, 4)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5},
 		Searcher: "random", Time: "1h", TimeoutMS: 300, Seed: 5,
@@ -353,7 +353,7 @@ func TestDeadlineReturnsDegradedValidResult(t *testing.T) {
 // while serving, 503 the moment a drain begins (while /healthz stays 200),
 // and new submissions are refused during the drain.
 func TestReadyzFlipsWhenDraining(t *testing.T) {
-	ts, jm, _ := testServer(t, 1, 4)
+	ts, jm := testServer(t, 1, 4)
 	status := func(path string) int {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -473,7 +473,7 @@ func TestQuotaAccountingUnderConcurrentSubmitCancel(t *testing.T) {
 // cancelled mid-flight job reports itself resumable, resumes under its
 // original ID, and runs to completion; a done job refuses with 409.
 func TestResumeCancelledJobOverHTTP(t *testing.T) {
-	ts, jm, _ := testServer(t, 1, 4)
+	ts, jm := testServer(t, 1, 4)
 	jm.SetCheckpointInterval(200)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5},
@@ -533,7 +533,7 @@ func TestResumeCancelledJobOverHTTP(t *testing.T) {
 // concurrency cap gets 429 with a Retry-After header; a different tenant
 // is unaffected; releasing capacity re-admits.
 func TestAdmissionQuotaOverHTTP(t *testing.T) {
-	ts, jm, _ := testServer(t, 1, 8)
+	ts, jm := testServer(t, 1, 8)
 	jm.EnableAdmission(resilience.AdmissionConfig{MaxConcurrent: 1})
 	long := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "1h"}
 	submitAs := func(tenant string) (Job, *http.Response) {

@@ -19,8 +19,7 @@ import (
 	"mindmappings/internal/workload"
 )
 
-// Server assembles the HTTP JSON API over a JobManager, ModelRegistry, and
-// the optional EvalCache (nil: no cache, the eval_cache_* series read 0).
+// Server assembles the HTTP JSON API over a JobManager and ModelRegistry.
 // Build one with NewServer and mount Handler on an http.Server.
 //
 // Endpoints:
@@ -50,7 +49,7 @@ import (
 //	GET    /v1/status             operational summary: SLO health score, per-objective
 //	                              burn rates, queue pressure, retry hint
 //	GET    /metrics               Prometheus text exposition: job, atlas, admission,
-//	                              trainer, cache, registry, store and runtime series,
+//	                              trainer, registry, store and runtime series,
 //	                              per-tenant RED series, SLO burn-rate gauges
 //	GET    /debug/flightrecorder  recent operational events (rejections, shed
 //	                              decisions, job failures, journal errors)
@@ -64,7 +63,6 @@ import (
 type Server struct {
 	jobs     *JobManager
 	registry *ModelRegistry
-	cache    *EvalCache
 	store    *modelstore.Store
 	trainer  *trainer.Pipeline
 	started  time.Time
@@ -81,9 +79,10 @@ type Server struct {
 // NewServer wires the service components into an HTTP front end. It adopts
 // the job manager's obs registry — the one source every request and job
 // flows through — and its flight recorder, and adds runtime metrics, HTTP
-// route histograms, and the cache and model-registry series.
-func NewServer(jobs *JobManager, registry *ModelRegistry, cache *EvalCache) *Server {
-	s := &Server{jobs: jobs, registry: registry, cache: cache, started: time.Now(), reg: jobs.reg}
+// route histograms, and the model-registry series. The *EvalCache argument
+// is ignored.
+func NewServer(jobs *JobManager, registry *ModelRegistry, _ *EvalCache) *Server {
+	s := &Server{jobs: jobs, registry: registry, started: time.Now(), reg: jobs.reg}
 	obs.RegisterRuntimeMetrics(s.reg, s.started)
 	s.httpMetrics = obs.NewHTTPMetrics(s.reg)
 	// Observability-hygiene counters: how much telemetry the obs layer
@@ -99,21 +98,6 @@ func NewServer(jobs *JobManager, registry *ModelRegistry, cache *EvalCache) *Ser
 	s.reg.GaugeFunc("admission_retry_after_hint_seconds",
 		"Live Retry-After estimate handed to rejected clients.",
 		func() float64 { return s.jobs.RetryAfterHint().Seconds() })
-	s.reg.CounterFunc("eval_cache_hits_total",
-		"Shared eval-cache hits across all search jobs.",
-		func() float64 { return float64(s.cache.Stats().Hits) })
-	s.reg.CounterFunc("eval_cache_misses_total",
-		"Shared eval-cache misses across all search jobs.",
-		func() float64 { return float64(s.cache.Stats().Misses) })
-	s.reg.GaugeFunc("eval_cache_entries",
-		"Entries resident in the shared eval cache.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-	s.reg.GaugeFunc("eval_cache_capacity",
-		"Configured capacity of the shared eval cache (serve -evalcache-cap).",
-		func() float64 { return float64(s.cache.Stats().Capacity) })
-	s.reg.GaugeFunc("eval_cache_utilization",
-		"Occupancy fraction of the shared eval cache (entries/capacity).",
-		func() float64 { return s.cache.Stats().Utilization })
 	s.reg.CounterFunc("model_registry_disk_loads_total",
 		"Surrogate loads from disk (registry misses).",
 		func() float64 { return float64(s.registry.Stats().Loads) })

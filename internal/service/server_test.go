@@ -19,19 +19,18 @@ import (
 	"mindmappings/internal/trainer"
 )
 
-// testServer spins up the full stack — registry, cache, job manager, HTTP
+// testServer spins up the full stack — registry, job manager, HTTP
 // handler — against a temp model dir holding the shared test surrogate as
 // "conv1d.surrogate". Setting MINDMAPPINGS_FAULTS (same spec as `serve
 // -faults`) arms deterministic fault injection on every manager built
 // here — the CI chaos-smoke step runs this package's -short suite that
 // way, pinning that the service behaves identically under injected eval
 // faults absorbed by the retry layer.
-func testServer(t *testing.T, workers, queueCap int) (*httptest.Server, *JobManager, *EvalCache) {
+func testServer(t *testing.T, workers, queueCap int) (*httptest.Server, *JobManager) {
 	t.Helper()
 	dir := modelDir(t, "conv1d.surrogate")
 	registry := NewModelRegistry(dir, 4)
-	cache := NewEvalCache(1 << 14)
-	jobs := NewJobManager(registry, cache, workers, queueCap)
+	jobs := NewJobManager(registry, nil, workers, queueCap)
 	if faults, err := resilience.ParseFaults(os.Getenv("MINDMAPPINGS_FAULTS")); err != nil {
 		t.Fatalf("bad MINDMAPPINGS_FAULTS: %v", err)
 	} else if faults != nil {
@@ -44,9 +43,9 @@ func testServer(t *testing.T, workers, queueCap int) (*httptest.Server, *JobMana
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	ts := httptest.NewServer(NewServer(jobs, registry, cache).Handler())
+	ts := httptest.NewServer(NewServer(jobs, registry, nil).Handler())
 	t.Cleanup(ts.Close)
-	return ts, jobs, cache
+	return ts, jobs
 }
 
 func postSearch(t *testing.T, ts *httptest.Server, req SearchRequest) (Job, *http.Response) {
@@ -117,12 +116,12 @@ func promValue(t *testing.T, ts *httptest.Server, series string) float64 {
 }
 
 // TestConcurrentSearchService is the subsystem acceptance test: ≥8
-// concurrent jobs against one shared registry and eval cache (mixing the
-// surrogate-driven mm searcher with black-box baselines), all completing
-// with correct results; DELETE stopping an in-flight job; and /metrics
-// reporting eval-cache hits once jobs share a problem. Run with -race.
+// concurrent jobs against one shared registry (mixing the surrogate-driven
+// mm searcher with black-box baselines), all completing with correct
+// results, identical requests agreeing, and the surrogate loaded once.
+// Run with -race.
 func TestConcurrentSearchService(t *testing.T) {
-	ts, _, _ := testServer(t, 4, 32)
+	ts, _ := testServer(t, 4, 32)
 
 	const n = 10
 	reqs := make([]SearchRequest, n)
@@ -131,7 +130,7 @@ func TestConcurrentSearchService(t *testing.T) {
 			Algo:  "conv1d",
 			Shape: []int{1024, 5},
 			Evals: 60,
-			Seed:  int64(i % 3), // several jobs share seeds => shared eval work
+			Seed:  int64(i % 3), // several jobs share seeds => identical requests
 		}
 		switch i % 3 {
 		case 0:
@@ -197,16 +196,13 @@ func TestConcurrentSearchService(t *testing.T) {
 	if done := promValue(t, ts, "search_jobs_done_total"); done < n {
 		t.Fatalf("metrics report %v done jobs, want >= %d", done, n)
 	}
-	if promValue(t, ts, "eval_cache_hits_total") == 0 {
-		t.Fatal("jobs sharing problems produced zero eval-cache hits")
-	}
 	if loads := promValue(t, ts, "model_registry_disk_loads_total"); loads != 1 {
 		t.Fatalf("surrogate loaded %v times, want once", loads)
 	}
 }
 
 func TestCancelInFlightJobViaDELETE(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo:     "conv1d",
 		Shape:    []int{1024, 5},
@@ -246,7 +242,7 @@ func TestCancelInFlightJobViaDELETE(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	// Occupy the single worker...
 	blocker, _ := postSearch(t, ts, SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "1h",
@@ -279,7 +275,7 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestQueueFullReturns503(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 1)
+	ts, _ := testServer(t, 1, 1)
 	// One job running, one queued; the third must bounce.
 	long := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "1h"}
 	first, _ := postSearch(t, ts, long)
@@ -309,7 +305,7 @@ func TestQueueFullReturns503(t *testing.T) {
 }
 
 func TestBadRequestsAndUnknownJobs(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +340,7 @@ func TestBadRequestsAndUnknownJobs(t *testing.T) {
 // its algorithm cannot build answers 400 at submit with the resolver's
 // error, before it is counted, admitted or journaled.
 func TestSubmitRejectsUnresolvableRequest(t *testing.T) {
-	ts, jm, _ := testServer(t, 1, 8)
+	ts, jm := testServer(t, 1, 8)
 	jm.EnableAdmission(resilience.AdmissionConfig{MaxConcurrent: 8})
 	j, err := resilience.OpenJournal(t.TempDir())
 	if err != nil {
@@ -477,7 +473,7 @@ func TestTrainStatusCodes(t *testing.T) {
 }
 
 func TestModelsEndpoint(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	resp, err := http.Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +493,7 @@ func TestModelsEndpoint(t *testing.T) {
 // TestFailedJobSurfacesError covers the failure path: an mm request naming
 // a model trained for a different algorithm fails cleanly with an error.
 func TestFailedJobSurfacesError(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo:     "cnn-layer",
 		Problem:  "ResNet_Conv_4",
@@ -519,7 +515,7 @@ func TestFailedJobSurfacesError(t *testing.T) {
 // best-so-far is +Inf, which JSON cannot carry), and both the job body and
 // the full listing must still decode.
 func TestZeroEvalJobSerializesCleanly(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	job, resp := postSearch(t, ts, SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "1ns",
 	})
@@ -553,7 +549,7 @@ func TestZeroEvalJobSerializesCleanly(t *testing.T) {
 // long-running server must not accumulate finished results forever.
 func TestJobRetentionEvictsOldTerminalJobs(t *testing.T) {
 	dir := modelDir(t, "conv1d.surrogate")
-	jobs := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1024), 1, 16)
+	jobs := NewJobManager(NewModelRegistry(dir, 4), nil, 1, 16)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -591,7 +587,7 @@ func TestJobRetentionEvictsOldTerminalJobs(t *testing.T) {
 // finish as cancelled, and new submissions are rejected.
 func TestShutdownCancelsInFlightJobs(t *testing.T) {
 	dir := modelDir(t, "conv1d.surrogate")
-	jobs := NewJobManager(NewModelRegistry(dir, 4), NewEvalCache(1024), 2, 8)
+	jobs := NewJobManager(NewModelRegistry(dir, 4), nil, 2, 8)
 	job, err := jobs.Submit(SearchRequest{
 		Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "1h",
 	})

@@ -14,10 +14,9 @@
 //     to runtime.NumCPU(), with per-job context cancellation threaded all
 //     the way into the search loops.
 //
-// Cost-model evaluations are not shared by default. An EvalCache can
-// memoize them across jobs (serve -evalcache-cap), but it pays only for a
-// backend slower than a cache lookup, and every registered backend is an
-// analytical model cheaper than one.
+// Cost-model evaluations are never shared: every job pays its own. Every
+// registered backend is an analytical model cheaper than a memoizing
+// lookup, so a shared eval cache cost more than it saved (DESIGN.md §5).
 //
 // With WithTraining the server also closes the Phase-1 loop online: a
 // trainer.Pipeline (its own worker pool, so training never starves

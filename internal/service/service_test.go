@@ -165,10 +165,9 @@ func TestResolveProblemTable1AndShapes(t *testing.T) {
 
 // TestParallelJobMatchesSerialJob pins the service-level contract of the
 // parallel evaluation fan-out: a job with Parallelism set produces the
-// exact same search result as the same request run serially, sharing the
-// service's eval cache along the way.
+// exact same search result as the same request run serially.
 func TestParallelJobMatchesSerialJob(t *testing.T) {
-	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), NewEvalCache(4096), 2, 8)
+	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 2, 8)
 	defer jobs.Shutdown(context.Background())
 	run := func(parallelism int) *JobResult {
 		req := validRequest()
@@ -230,7 +229,7 @@ func TestLargeJobTrajectoryIsStrided(t *testing.T) {
 	}
 
 	// End to end: a job above the threshold returns a bounded trajectory.
-	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), NewEvalCache(1024), 1, 4)
+	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 1, 4)
 	defer jobs.Shutdown(context.Background())
 	req = validRequest()
 	req.Evals = maxTrajectorySamples + 4096
@@ -261,7 +260,7 @@ func TestLargeJobTrajectoryIsStrided(t *testing.T) {
 // run of the same seed.
 func TestStridedJobMatchesDirectSearch(t *testing.T) {
 	req := SearchRequest{Algo: "cnn-layer", Problem: "ResNet_Conv_4", Searcher: "ga", Evals: 3000, Seed: 5}
-	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), NewEvalCache(1<<14), 1, 4)
+	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 1, 4)
 	defer jobs.Shutdown(context.Background())
 	job, err := jobs.Submit(req)
 	if err != nil {
@@ -346,10 +345,10 @@ func TestStridedJobMatchesDirectSearch(t *testing.T) {
 
 // TestCostModelSelectionPerJob pins the pluggable-backend path through the
 // whole service: jobs selecting different cost models run against distinct
-// evaluators (distinct results, distinct cache entries) and each backend's
-// paid evaluations are accounted separately (costmodel_evals_total).
+// evaluators (distinct results) and each backend's paid evaluations are
+// accounted separately (costmodel_evals_total).
 func TestCostModelSelectionPerJob(t *testing.T) {
-	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), NewEvalCache(4096), 2, 8)
+	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 2, 8)
 	defer jobs.Shutdown(context.Background())
 	run := func(backend string) *JobResult {
 		req := validRequest()
@@ -378,14 +377,14 @@ func TestCostModelSelectionPerJob(t *testing.T) {
 	if c := counts(); c != [2]int64{50, 50} {
 		t.Fatalf("timeloop, roofline eval counts = %v, want 50 each", c)
 	}
-	// Identical reruns must be served from the shared cache without
-	// charging the backends again — and stay backend-separated.
+	// Identical reruns reproduce their results and charge each backend
+	// again, only its own evaluations.
 	tl2 := run("timeloop")
 	rf2 := run("roofline")
 	if tl2.BestEDP != tl.BestEDP || rf2.BestEDP != rf.BestEDP {
-		t.Fatal("cached rerun diverged")
+		t.Fatal("rerun diverged")
 	}
-	if c := counts(); c != [2]int64{50, 50} {
-		t.Fatalf("cache hits charged a backend: %v", c)
+	if c := counts(); c != [2]int64{100, 100} {
+		t.Fatalf("timeloop, roofline eval counts after reruns = %v, want 100 each", c)
 	}
 }

@@ -85,8 +85,7 @@ func scrapeProm(t *testing.T, ts *httptest.Server) string {
 func TestSLOHealthDrivesLoadShedding(t *testing.T) {
 	dir := modelDir(t, "conv1d.surrogate")
 	registry := NewModelRegistry(dir, 4)
-	cache := NewEvalCache(1 << 10)
-	jm := NewJobManager(registry, cache, 1, 4)
+	jm := NewJobManager(registry, nil, 1, 4)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -97,7 +96,7 @@ func TestSLOHealthDrivesLoadShedding(t *testing.T) {
 	jm.EnableAdmission(resilience.AdmissionConfig{
 		Thresholds: resilience.Thresholds{MinHealth: 0.5},
 	})
-	srv := NewServer(jm, registry, cache)
+	srv := NewServer(jm, registry, nil)
 
 	var clockMu sync.Mutex
 	now := time.Now()
@@ -220,7 +219,7 @@ func hasEventKind(snap obs.FlightSnapshot, kind string) bool {
 // result, per-workload convergence histograms, and the submit/finish
 // lifecycle in the flight recorder.
 func TestTenantAccountingAndConvergence(t *testing.T) {
-	ts, _, _ := testServer(t, 2, 16)
+	ts, _ := testServer(t, 2, 16)
 
 	req := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Evals: 60}
 	var ids []string
@@ -264,7 +263,6 @@ func TestTenantAccountingAndConvergence(t *testing.T) {
 		`tenant_jobs_done_total{tenant="acme"} 2`,
 		`tenant_evals_total{tenant="acme"} `,
 		`tenant_job_seconds_count{tenant="acme"} 2`,
-		`tenant_cache_hits_total{tenant="acme"} `,
 		`search_convergence_stall_fraction_count{algo="conv1d",assist="cold"} 3`,
 		`search_job_first_eval_seconds_count 3`,
 		`obs_dropped_labels_total 0`,

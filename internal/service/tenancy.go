@@ -3,7 +3,6 @@ package service
 import (
 	"strconv"
 
-	"mindmappings/internal/costmodel"
 	"mindmappings/internal/obs"
 )
 
@@ -32,7 +31,7 @@ func tenantLabel(tenant string) string {
 
 // tenantInstruments is one tenant's RED series: request rate, terminal
 // outcomes (errors), whole-request latency, plus the capacity signals the
-// per-tenant SLO conversation needs (evals consumed, cache and atlas hits).
+// per-tenant SLO conversation needs (evals consumed, atlas hits).
 type tenantInstruments struct {
 	reg   *obs.Registry
 	label string
@@ -46,11 +45,6 @@ type tenantInstruments struct {
 	// finished jobs; atlasHits counts requests answered from the atlas.
 	evals     *obs.Counter
 	atlasHits *obs.Counter
-	// cacheHits/cacheMisses attribute shared eval-cache traffic to the
-	// tenant via the per-job cache wrapper (one atomic add per cache op);
-	// they stay 0 unless the service runs with a cache.
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
 	// jobSeconds is request latency submit→terminal (queue wait included:
 	// that is what the tenant experiences).
 	jobSeconds *obs.Histogram
@@ -95,10 +89,6 @@ func newTenantInstruments(reg *obs.Registry, label string) *tenantInstruments {
 			"Cost-model evaluations consumed by the tenant's finished jobs.", names, vals),
 		atlasHits: reg.CounterWith("tenant_atlas_hits_total",
 			"Requests answered from the atlas without a search, per tenant.", names, vals),
-		cacheHits: reg.CounterWith("tenant_cache_hits_total",
-			"Shared eval-cache hits attributed to the tenant's jobs.", names, vals),
-		cacheMisses: reg.CounterWith("tenant_cache_misses_total",
-			"Shared eval-cache misses attributed to the tenant's jobs.", names, vals),
 		jobSeconds: reg.HistogramWith("tenant_job_seconds",
 			"Whole-request latency per tenant, submission to terminal state.",
 			nil, names, vals),
@@ -145,45 +135,4 @@ func (ti *tenantInstruments) finished(job *Job) {
 	if !job.Created.IsZero() && !job.Finished.IsZero() {
 		ti.jobSeconds.Observe(job.Finished.Sub(job.Created).Seconds())
 	}
-}
-
-// tenantCache attributes shared eval-cache traffic to one tenant: the hit
-// path stays the inner cache's zero-allocation lookup plus one atomic add.
-type tenantCache struct {
-	inner  *EvalCache
-	hits   *obs.Counter
-	misses *obs.Counter
-}
-
-func (tc *tenantCache) count(hit bool) {
-	if hit {
-		tc.hits.Inc()
-	} else {
-		tc.misses.Inc()
-	}
-}
-
-func (tc *tenantCache) Get(key string) (costmodel.Cost, bool) {
-	c, ok := tc.inner.Get(key)
-	tc.count(ok)
-	return c, ok
-}
-
-func (tc *tenantCache) GetBytes(key []byte) (costmodel.Cost, bool) {
-	c, ok := tc.inner.GetBytes(key)
-	tc.count(ok)
-	return c, ok
-}
-
-func (tc *tenantCache) Put(key string, c costmodel.Cost) { tc.inner.Put(key, c) }
-
-// cacheFor wraps the shared eval cache with the job's tenant attribution.
-// With no cache it returns a nil interface, not a wrapper around a nil
-// pointer, so costmodel.WithCache leaves the evaluator unwrapped: an eval
-// then builds no key and takes no lock.
-func (jm *JobManager) cacheFor(ti *tenantInstruments) costmodel.Cache {
-	if jm.cache == nil {
-		return nil
-	}
-	return &tenantCache{inner: jm.cache, hits: ti.cacheHits, misses: ti.cacheMisses}
 }

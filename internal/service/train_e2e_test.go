@@ -24,8 +24,7 @@ func testTrainingServer(t *testing.T) (*httptest.Server, *trainer.Pipeline, *mod
 		t.Fatal(err)
 	}
 	registry := NewModelRegistry(t.TempDir(), 4)
-	cache := NewEvalCache(1 << 14)
-	jobs := NewJobManager(registry, cache, 2, 16)
+	jobs := NewJobManager(registry, nil, 2, 16)
 	pipeline := trainer.New(store, 1, 8)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -37,7 +36,7 @@ func testTrainingServer(t *testing.T) (*httptest.Server, *trainer.Pipeline, *mod
 			t.Errorf("pipeline shutdown: %v", err)
 		}
 	})
-	ts := httptest.NewServer(NewServer(jobs, registry, cache).WithTraining(store, pipeline).Handler())
+	ts := httptest.NewServer(NewServer(jobs, registry, nil).WithTraining(store, pipeline).Handler())
 	t.Cleanup(ts.Close)
 	return ts, pipeline, store
 }
@@ -392,7 +391,7 @@ func TestAutoResolutionPinsCostModel(t *testing.T) {
 // TestTrainingDisabledAnswers503 pins the no-store configuration: training
 // endpoints refuse politely, search still works.
 func TestTrainingDisabledAnswers503(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 8)
+	ts, _ := testServer(t, 1, 8)
 	resp, _ := postJSON(t, ts.URL+"/v1/train", tinyTrainRequest())
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("POST /v1/train without store: %d", resp.StatusCode)

@@ -89,8 +89,7 @@ func workloadServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	registry := NewModelRegistry(dir, 4)
-	cache := NewEvalCache(1 << 14)
-	jobs := NewJobManager(registry, cache, 2, 16)
+	jobs := NewJobManager(registry, nil, 2, 16)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -98,7 +97,7 @@ func workloadServer(t *testing.T) *httptest.Server {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	ts := httptest.NewServer(NewServer(jobs, registry, cache).Handler())
+	ts := httptest.NewServer(NewServer(jobs, registry, nil).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -86,7 +86,8 @@ func TestEvaluateIntoZeroAllocs(t *testing.T) {
 }
 
 // TestCostCloneDetaches checks that a Clone survives the workspace being
-// reused for another evaluation — the contract shared eval caches rely on.
+// reused for another evaluation — the contract any caller keeping a Cost
+// relies on.
 func TestCostCloneDetaches(t *testing.T) {
 	model, _, ms := allocFixture(t)
 	ctx := context.Background()

@@ -176,7 +176,7 @@ func (m *Model) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, co
 // steady-state search loops that keep one Cost per goroutine evaluate with
 // zero heap allocations (the search tracker and the costmodel parallel
 // middleware rely on this). The previous contents of c are overwritten;
-// Costs handed to shared caches must be Clone()s.
+// Costs kept past the next evaluation must be Clone()s.
 func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmodel.Cost) error {
 	nd := m.Prob.Algo.NumDims()
 	if len(mp.Spatial) != nd || len(mp.Tile[arch.L1]) != nd ||
