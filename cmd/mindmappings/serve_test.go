@@ -215,12 +215,12 @@ func TestServePprofFlag(t *testing.T) {
 	}
 }
 
-// TestServeBatchWindowSearch is the CI smoke for concurrent mm jobs on
+// TestServeConcurrentMMSearch is the CI smoke for concurrent mm jobs on
 // one registry surrogate: it boots the real serve command, submits mm
 // search jobs at once, and asserts they all complete and that /metrics
 // carries no infer_batch_ series (surrogate queries go straight to the
 // model; there is no cross-request batcher).
-func TestServeBatchWindowSearch(t *testing.T) {
+func TestServeConcurrentMMSearch(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mindmappings/internal/arch"
+	"mindmappings/internal/core"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
@@ -227,11 +228,5 @@ func (h *Harness) methods(algoName string) ([]search.Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []search.Searcher{
-		search.SimulatedAnnealing{},
-		search.GeneticAlgorithm{},
-		search.RL{Hidden: h.opts.RLHidden},
-		search.RandomSearch{},
-		search.MindMappings{Surrogate: sur},
-	}, nil
+	return append(core.Baselines(h.opts.RLHidden), search.MindMappings{Surrogate: sur}), nil
 }

@@ -31,8 +31,8 @@ func marginalAllocs(t *testing.T, s Searcher, short, long int) float64 {
 // growth allocate. A per-child allocation would cost at least 100 a
 // generation.
 func TestGAAllocsPerGeneration(t *testing.T) {
-	const pop, short, long = 100, 2000, 8000
-	perGen := marginalAllocs(t, GeneticAlgorithm{PopSize: pop}, short, long) / ((long - short) / pop)
+	const short, long = 2000, 8000
+	perGen := marginalAllocs(t, GeneticAlgorithm{}, short, long) / ((long - short) / gaPopSize)
 	if perGen > 10 {
 		t.Fatalf("GA allocates %.1f per generation, want at most 10", perGen)
 	}

@@ -11,16 +11,32 @@ import (
 // simanneal library the paper used: a pilot phase auto-tunes the
 // temperature schedule to the observed cost-delta scale, then Metropolis
 // accepts neighbors under an exponentially decaying temperature.
-type SimulatedAnnealing struct {
-	// PilotMoves is the number of budgeted exploratory moves used to
-	// estimate the cost-delta scale (simanneal's auto-tuning). Defaults
-	// to 40.
-	PilotMoves int
-	// AcceptHigh and AcceptLow set the target initial and final uphill
-	// acceptance probabilities for the auto-tuned schedule. Defaults 0.98
-	// and 1e-4 (simanneal's defaults).
-	AcceptHigh float64
-	AcceptLow  float64
+type SimulatedAnnealing struct{}
+
+// The simulated-annealing schedule, shared by SimulatedAnnealing and
+// SurrogateSA (paper Appendix A: simanneal's auto-tuned schedule).
+const (
+	// saPilotMoves is the number of budgeted exploratory moves that
+	// estimate the cost-delta scale (simanneal's auto-tuning).
+	saPilotMoves = 40
+	// saAcceptHigh and saAcceptLow are the initial and final uphill
+	// acceptance probabilities the schedule is tuned to (simanneal's
+	// defaults).
+	saAcceptHigh = 0.98
+	saAcceptLow  = 1e-4
+)
+
+// annealSchedule returns the start and end temperatures at which an uphill
+// move of the pilot's mean delta is accepted with probability saAcceptHigh
+// and saAcceptLow. A pilot that saw no delta falls back to a tenth of the
+// current energy's magnitude, and at least 1.
+func annealSchedule(deltas *stats.Running, curE float64) (tMax, tMin float64) {
+	meanDelta := deltas.Mean()
+	if meanDelta <= 0 {
+		meanDelta = math.Max(math.Abs(curE)*0.1, 1)
+	}
+	// exp(-d/T) = p  =>  T = d / -ln(p).
+	return meanDelta / -math.Log(saAcceptHigh), meanDelta / -math.Log(saAcceptLow)
 }
 
 // Name implements Searcher.
@@ -33,18 +49,6 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 	}
 	if err := budget.validate(); err != nil {
 		return Result{}, err
-	}
-	pilot := s.PilotMoves
-	if pilot <= 0 {
-		pilot = 40
-	}
-	acceptHigh := s.AcceptHigh
-	if acceptHigh <= 0 || acceptHigh >= 1 {
-		acceptHigh = 0.98
-	}
-	acceptLow := s.AcceptLow
-	if acceptLow <= 0 || acceptLow >= 1 {
-		acceptLow = 1e-4
 	}
 
 	rng := stats.NewRNG(ctx.Seed + 211)
@@ -63,7 +67,7 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 	// (the Metropolis loop below has a true serial dependency and cannot).
 	var deltas stats.Running
 	if !t.exhausted() {
-		chain := make([]mapspace.Mapping, t.remainingEvals(pilot))
+		chain := make([]mapspace.Mapping, t.remainingEvals(saPilotMoves))
 		prev := &cur
 		for i := range chain {
 			ctx.Space.PerturbInto(rng, prev, &chain[i])
@@ -80,16 +84,7 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 			cur, curE = chain[i], nextE
 		}
 	}
-	meanDelta := deltas.Mean()
-	if meanDelta <= 0 {
-		meanDelta = math.Max(curE*0.1, 1)
-	}
-	// exp(-d/T) = p  =>  T = d / -ln(p).
-	tMax := meanDelta / -math.Log(acceptHigh)
-	tMin := meanDelta / -math.Log(acceptLow)
-	if tMin >= tMax {
-		tMin = tMax / 1e4
-	}
+	tMax, tMin := annealSchedule(&deltas, curE)
 
 	// cur and next swap storage on acceptance, so each neighbor is written
 	// over the last rejected (or superseded) one.

@@ -8,17 +8,20 @@ import (
 )
 
 // BeamSearch is the beam-search mapper used by Tiramisu and Adams et al.
-// (paper Table 2): keep the Width best mappings found so far, expand each
-// with Branch perturbed children per round, evaluate every child with the
-// reference cost model, and keep the best Width of parents+children. It is
-// an extra comparison point beyond the paper's four baselines.
-type BeamSearch struct {
-	// Width is the beam width. Defaults to 8.
-	Width int
-	// Branch is the number of children expanded per beam entry per round.
-	// Defaults to 4.
-	Branch int
-}
+// (paper Table 2): keep the beamWidth best mappings found so far, expand
+// each with beamBranch perturbed children per round, evaluate every child
+// with the reference cost model, and keep the best beamWidth of
+// parents+children. It is an extra comparison point beyond the paper's
+// four baselines.
+type BeamSearch struct{}
+
+// The beam-search settings. The paper runs no beam search, so these are
+// this implementation's choices. A budget below two beams' worth of evals
+// narrows the beam to MaxEvals/2, and to no fewer than 1.
+const (
+	beamWidth  = 8
+	beamBranch = 4
+)
 
 // Name implements Searcher.
 func (BeamSearch) Name() string { return "Beam" }
@@ -31,19 +34,9 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 	if err := budget.validate(); err != nil {
 		return Result{}, err
 	}
-	width := bs.Width
-	if width <= 0 {
-		width = 8
-	}
-	branch := bs.Branch
-	if branch <= 0 {
-		branch = 4
-	}
+	width := beamWidth
 	if budget.MaxEvals > 0 && width > budget.MaxEvals/2 {
-		width = budget.MaxEvals / 2
-	}
-	if width < 1 {
-		width = 1
+		width = max(budget.MaxEvals/2, 1)
 	}
 
 	rng := stats.NewRNG(ctx.Seed + 601)
@@ -56,7 +49,7 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 	// Initial beam, evaluated as one batch (candidate generation consumes
 	// the rng in the scalar loop's order, so trajectories are identical).
 	var beam []entry
-	cohort := make([]mapspace.Mapping, 0, width*branch)
+	cohort := make([]mapspace.Mapping, 0, width*beamBranch)
 	for i := 0; i < t.remainingEvals(width); i++ {
 		cohort = append(cohort, ctx.Space.Random(rng))
 	}
@@ -78,9 +71,9 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 		// exactly the scalar generation order — then evaluate it as one
 		// batch.
 		cohort = cohort[:0]
-		limit := t.remainingEvals(len(beam) * branch)
+		limit := t.remainingEvals(len(beam) * beamBranch)
 		for i := range beam {
-			for c := 0; c < branch && len(cohort) < limit; c++ {
+			for c := 0; c < beamBranch && len(cohort) < limit; c++ {
 				var child mapspace.Mapping
 				if n := len(spare); n > 0 {
 					child, spare = spare[n-1], spare[:n-1]

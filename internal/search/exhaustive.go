@@ -16,12 +16,13 @@ import (
 // budget cuts it off, illustrating why the paper calls exhaustive
 // techniques ineffective (§1: "combinatorial explosion of possible
 // mappings").
-type PrunedExhaustive struct {
-	// MaxOrdersPerLevel bounds how many loop orders are tried per tiling
-	// when the full permutation count exceeds it (orders are then sampled).
-	// Defaults to 24.
-	MaxOrdersPerLevel int
-}
+type PrunedExhaustive struct{}
+
+// exhaustiveMaxOrders bounds how many loop orders are tried per tiling;
+// above it, orders are sampled. It is 4!, so every order of a problem of
+// up to four dimensions is swept. The paper runs no pruned search, so
+// this is this implementation's choice.
+const exhaustiveMaxOrders = 24
 
 // Name implements Searcher.
 func (PrunedExhaustive) Name() string { return "Exhaustive" }
@@ -34,10 +35,6 @@ func (e PrunedExhaustive) Search(ctx *Context, budget Budget) (Result, error) {
 	if err := budget.validate(); err != nil {
 		return Result{}, err
 	}
-	maxOrders := e.MaxOrdersPerLevel
-	if maxOrders <= 0 {
-		maxOrders = 24
-	}
 	rng := stats.NewRNG(ctx.Seed + 811)
 	t := newTracker(ctx, budget)
 	space := ctx.Space
@@ -46,7 +43,7 @@ func (e PrunedExhaustive) Search(ctx *Context, budget Budget) (Result, error) {
 	// Pre-compute the loop orders to sweep: all permutations when small,
 	// a deterministic sample otherwise. The same set is reused at every
 	// level (sweeping level orders jointly would cube the count).
-	orders := allPermutations(d, maxOrders, rng)
+	orders := allPermutations(d, exhaustiveMaxOrders, rng)
 
 	// Depth-first enumeration of per-dimension chains with incremental
 	// spatial-budget pruning; buffer-fit pruning happens per complete

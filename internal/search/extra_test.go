@@ -47,9 +47,10 @@ func TestBeamSearchImproves(t *testing.T) {
 	}
 }
 
+// A beamWidth beam is wider than a 10-eval budget's MaxEvals/2.
 func TestBeamSearchTinyBudget(t *testing.T) {
 	ctx := conv1dContext(t, 305)
-	res, err := BeamSearch{Width: 64, Branch: 16}.Search(ctx, Budget{MaxEvals: 10})
+	res, err := BeamSearch{}.Search(ctx, Budget{MaxEvals: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,20 +12,25 @@ import (
 // there): population 100, crossover probability 0.75, per-attribute
 // mutation probability 0.05, fitness = EDP, selection at the end of each
 // generation.
-type GeneticAlgorithm struct {
-	// PopSize defaults to the paper's 100, shrinking automatically when the
-	// evaluation budget could not sustain two generations.
-	PopSize int
-	// CrossoverProb defaults to 0.75.
-	CrossoverProb float64
-	// MutationRate defaults to 0.05.
-	MutationRate float64
-	// Elite is the number of best individuals carried over unchanged.
-	// Defaults to 2.
-	Elite int
-	// TournamentK is the tournament-selection size. Defaults to 3.
-	TournamentK int
-}
+type GeneticAlgorithm struct{}
+
+// The genetic-algorithm settings.
+const (
+	// gaPopSize is the paper's population (Appendix A). A budget that could
+	// not sustain two generations shrinks it, to no fewer than 8.
+	gaPopSize = 100
+	// gaCrossoverProb and gaMutationRate are the paper's crossover and
+	// per-attribute mutation probabilities (Appendix A).
+	gaCrossoverProb = 0.75
+	gaMutationRate  = 0.05
+	// gaElite individuals carry over unchanged each generation, at most
+	// half the population. Appendix A does not fix elitism; 2 is this
+	// implementation's choice.
+	gaElite = 2
+	// gaTournamentK is the tournament-selection size: DEAP's selTournament
+	// with the tournsize=3 of DEAP's GA examples.
+	gaTournamentK = 3
+)
 
 // Name implements Searcher.
 func (GeneticAlgorithm) Name() string { return "GA" }
@@ -38,35 +43,11 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 	if err := budget.validate(); err != nil {
 		return Result{}, err
 	}
-	pop := g.PopSize
-	if pop <= 0 {
-		pop = 100
-	}
+	pop := gaPopSize
 	if budget.MaxEvals > 0 && pop > budget.MaxEvals/2 {
-		pop = budget.MaxEvals / 2
+		pop = max(budget.MaxEvals/2, 8)
 	}
-	if pop < 8 {
-		pop = 8
-	}
-	px := g.CrossoverProb
-	if px <= 0 || px > 1 {
-		px = 0.75
-	}
-	pm := g.MutationRate
-	if pm <= 0 || pm > 1 {
-		pm = 0.05
-	}
-	elite := g.Elite
-	if elite <= 0 {
-		elite = 2
-	}
-	if elite > pop/2 {
-		elite = pop / 2
-	}
-	tk := g.TournamentK
-	if tk <= 1 {
-		tk = 3
-	}
+	elite := min(gaElite, pop/2)
 
 	rng := stats.NewRNG(ctx.Seed + 307)
 	t := newTracker(ctx, budget)
@@ -113,15 +94,15 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 		n := len(nextE)
 		kids := t.remainingEvals(len(cur) - n)
 		for i := 0; i < kids; i++ {
-			parentA := &cur[tournament(rng, curE, rank, tk)]
-			parentB := &cur[tournament(rng, curE, rank, tk)]
+			parentA := &cur[tournament(rng, curE, rank)]
+			parentB := &cur[tournament(rng, curE, rank)]
 			child := &next[n+i]
-			if rng.Float64() < px {
+			if rng.Float64() < gaCrossoverProb {
 				ctx.Space.CrossoverInto(rng, parentA, parentB, child)
 			} else {
 				parentA.CloneInto(child)
 			}
-			ctx.Space.MutateInto(rng, child, pm, child)
+			ctx.Space.MutateInto(rng, child, gaMutationRate, child)
 		}
 		if vals, err = t.payEvalBatch(next[n:n+kids], vals); err != nil {
 			return Result{}, err
@@ -145,11 +126,11 @@ func byEDP(a, b float64) int {
 	return 0
 }
 
-// tournament returns the fittest of k random picks from the ranked
-// population, in rank order, as an index into edp.
-func tournament(rng *rand.Rand, edp []float64, rank []int, k int) int {
+// tournament returns the fittest of gaTournamentK random picks from the
+// ranked population, in rank order, as an index into edp.
+func tournament(rng *rand.Rand, edp []float64, rank []int) int {
 	best := rank[rng.Intn(len(rank))]
-	for i := 1; i < k; i++ {
+	for i := 1; i < gaTournamentK; i++ {
 		if cand := rank[rng.Intn(len(rank))]; edp[cand] < edp[best] {
 			best = cand
 		}

@@ -2,7 +2,10 @@
 
 package search
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // goldenMMDigests pins Mind Mappings runs the way goldenSearchDigests pins
 // the black-box searchers: on the conv1d test problem and surrogate, whose
@@ -28,6 +31,29 @@ func TestGoldenMMResults(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("seed %d digest %s, pinned %s", seed, got, want)
+		}
+	}
+}
+
+// goldenNNDigests pins the other two searchers whose arithmetic runs
+// through the nn kernels, keyed "<searcher>/<seed>": RL (its actor and
+// critic, narrowed to keep the race-detector run short) and SurrogateSA
+// (the conv1d surrogate as its energy).
+var goldenNNDigests = map[string]string{
+	"RL/1":    "90a92ec16dba43dc",
+	"RL/2":    "7d6dc6273930e079",
+	"SA+f*/1": "873fcb0d540ed611",
+	"SA+f*/2": "ba95471e8ad3f647",
+}
+
+func TestGoldenNNSearcherResults(t *testing.T) {
+	for _, s := range []Searcher{RL{Hidden: 8}, SurrogateSA{Surrogate: conv1dSurrogate(t)}} {
+		for seed := int64(1); seed <= 2; seed++ {
+			res, err := s.Search(conv1dContext(t, seed), Budget{MaxEvals: 600})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, goldenNNDigests, fmt.Sprintf("%s/%d", s.Name(), seed), &res)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mindmappings/internal/arch"
@@ -22,8 +23,9 @@ import (
 // their own; this one pins how the searchers drive them.
 //
 // A changed digest means a searcher's observable behavior changed. Mind
-// Mappings is left out: its surrogate kernels are tolerance-based under
-// the simd build tag, so its digests would need a !simd-only file.
+// Mappings, RL and SA+f* are pinned in golden_mm_test.go instead: their
+// nn kernels are tolerance-based under the simd build tag, so their
+// digests hold on the default build only.
 
 // goldenSearchProblems are the Table-1 problems the digests cover: a
 // ResNet convolution, an Inception convolution, and an MTTKRP.
@@ -127,5 +129,46 @@ func TestGoldenSearchResults(t *testing.T) {
 		if !seen[key] {
 			t.Errorf("pinned run %s is no longer generated", key)
 		}
+	}
+}
+
+// goldenExhaustiveDigests pins PrunedExhaustive the same way, on the same
+// problems and seeds: its loop-order sample (seven-dimension convolutions
+// sample 24 of the 5040 orders) and its enumeration order.
+var goldenExhaustiveDigests = map[string]string{
+	"ResNet_Conv_4":    "8ef9956df6bad332",
+	"Inception_Conv_2": "9b626eee19a9ccc7",
+	"MTTKRP_0":         "627e402ceccf6d56",
+}
+
+func TestGoldenExhaustiveResults(t *testing.T) {
+	table1, err := loopnest.Table1Problems()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range goldenSearchProblems {
+		j := slices.IndexFunc(table1, func(p loopnest.Problem) bool { return p.Name == name })
+		if j < 0 {
+			t.Fatalf("Table-1 problem %s not found", name)
+		}
+		res, err := PrunedExhaustive{}.Search(goldenSearchContext(t, table1[j], int64(11+i)), Budget{MaxEvals: goldenSearchEvals})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkDigest(t, goldenExhaustiveDigests, name, &res)
+	}
+}
+
+// checkDigest compares a run's digest with the one pinned under key.
+func checkDigest(t *testing.T, pinned map[string]string, key string, res *Result) {
+	t.Helper()
+	got := resultDigest(res)
+	want, ok := pinned[key]
+	if !ok {
+		t.Errorf("%s has no pinned digest; add\n\t%q: %q,", key, key, got)
+		return
+	}
+	if got != want {
+		t.Errorf("%s digest %s, pinned %s", key, got, want)
 	}
 }

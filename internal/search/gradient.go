@@ -20,34 +20,12 @@ import (
 // Per iteration: derive ∇f* at the current encoded mapping by
 // back-propagating through the frozen surrogate, step against the
 // gradient, and project the result onto the nearest valid mapping
-// (rounding plus nearest-neighbor validity repair). Every InjectEvery
+// (rounding plus nearest-neighbor validity repair). Every mmInjectEvery
 // iterations a random valid mapping may replace the current one, with
-// acceptance probability annealed over time (Appendix A: interval 10,
-// initial temperature 50, decayed by 0.75 every 50 injections).
+// acceptance probability annealed over time.
 type MindMappings struct {
 	// Surrogate is the trained Phase-1 model. Required.
 	Surrogate *surrogate.Surrogate
-	// LR is the gradient-descent learning rate applied to the normalized
-	// log-EDP gradient. The paper uses 1 with no decay.
-	LR float64
-	// InjectEvery is the random-injection interval in iterations
-	// (paper: 10).
-	InjectEvery int
-	// InitTemp is the initial injection-acceptance temperature (paper: 50).
-	InitTemp float64
-	// TempDecay multiplies the temperature every DecayEvery injections
-	// (paper: 0.75 every 50).
-	TempDecay  float64
-	DecayEvery int
-	// StepNorm is the L2 length of each descent step measured in the
-	// surrogate's whitened input space. Steps are preconditioned by the
-	// per-coordinate input variance so heterogeneous encoding coordinates
-	// (log tile factors, order ranks, allocation fractions) move
-	// commensurately, then normalized to this length — the projected
-	// analog of the paper's fixed learning rate of 1. Defaults to 3
-	// (chosen by the same kind of grid search the paper used for its
-	// learning rate, Appendix A).
-	StepNorm float64
 	// NoInjection disables the §4.2 random-injection loop (ablation knob:
 	// pure projected gradient descent).
 	NoInjection bool
@@ -74,6 +52,28 @@ type MindMappings struct {
 // Name implements Searcher.
 func (MindMappings) Name() string { return "MM" }
 
+// The Mind Mappings search settings (paper Appendix A).
+const (
+	// mmStepLen is the L2 length of each descent step, measured in the
+	// surrogate's whitened input space: the paper's learning rate of 1,
+	// with no decay, times a step norm of 3 chosen by the same kind of
+	// grid search the paper used for its learning rate. Steps are
+	// preconditioned by the per-coordinate input variance, so
+	// heterogeneous encoding coordinates (log tile factors, order ranks,
+	// allocation fractions) move commensurately, then normalized to this
+	// length.
+	mmStepLen = 3
+	// mmInjectEvery is the random-injection interval in iterations
+	// (paper: 10).
+	mmInjectEvery = 10
+	// mmInitTemp is the initial injection-acceptance temperature
+	// (paper: 50), multiplied by mmTempDecay every mmDecayEvery
+	// injections (paper: 0.75 every 50).
+	mmInitTemp   = 50.0
+	mmTempDecay  = 0.75
+	mmDecayEvery = 50
+)
+
 // mmState is the searcher-private half of a Mind Mappings checkpoint: the
 // loop position, the annealing schedule, and each chain's current mapping.
 // Together with the tracker state and the RNG stream position it pins the
@@ -87,31 +87,6 @@ type mmState struct {
 	Chains     []mapspace.Mapping `json:"chains"`
 }
 
-func (m MindMappings) withDefaults() MindMappings {
-	if m.LR <= 0 {
-		m.LR = 1
-	}
-	if m.InjectEvery <= 0 {
-		m.InjectEvery = 10
-	}
-	if m.InitTemp <= 0 {
-		m.InitTemp = 50
-	}
-	if m.TempDecay <= 0 || m.TempDecay >= 1 {
-		m.TempDecay = 0.75
-	}
-	if m.DecayEvery <= 0 {
-		m.DecayEvery = 50
-	}
-	if m.StepNorm <= 0 {
-		m.StepNorm = 3
-	}
-	if m.Chains <= 0 {
-		m.Chains = 1
-	}
-	return m
-}
-
 // Search implements Searcher.
 func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 	if err := ctx.validate(); err != nil {
@@ -123,14 +98,13 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 	if m.Surrogate == nil {
 		return Result{}, errors.New("search: MindMappings requires a trained surrogate")
 	}
-	cfg := m.withDefaults()
-	sur := cfg.Surrogate
+	sur := m.Surrogate
 	if sur.Net.InDim() != ctx.Space.VectorLen() {
 		return Result{}, errors.New("search: surrogate input width does not match this map space (was it trained for a different algorithm?)")
 	}
 	queries := SurrogateQuerier(sur)
-	if cfg.Queries != nil {
-		queries = cfg.Queries
+	if m.Queries != nil {
+		queries = m.Queries
 	}
 
 	// The RNG is built over a counted source so every draw is position-
@@ -146,13 +120,13 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 	// Chains == 1 everything below reduces exactly to the paper's
 	// single-chain loop (the batched kernels are bit-identical to the
 	// scalar ones, so even the arithmetic matches).
-	chains := cfg.Chains
+	chains := max(m.Chains, 1)
 	curs := make([]mapspace.Mapping, chains)
-	temp := cfg.InitTemp
+	temp := mmInitTemp
 	injections := 0
 	startIter := 1
 	if ctx.Resume != nil {
-		if err := ctx.Resume.validateResume(cfg.Name()); err != nil {
+		if err := ctx.Resume.validateResume(m.Name()); err != nil {
 			return Result{}, err
 		}
 		var st mmState
@@ -210,7 +184,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 	// checkpoint snapshots the run as "about to start iteration iter":
 	// exactly the state the resume path above re-enters.
 	checkpoint := func(iter int) error {
-		return t.emitCheckpoint(cfg.Name(), src.Draws(),
+		return t.emitCheckpoint(m.Name(), src.Draws(),
 			&mmState{Iter: iter, Temp: temp, Injections: injections, Chains: curs})
 	}
 
@@ -254,7 +228,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 			norm := 0.0
 			for j, g := range grad {
 				step[j] = g
-				if !cfg.NoPrecondition {
+				if !m.NoPrecondition {
 					s := sur.InNorm.Std[j]
 					step[j] *= s * s
 				}
@@ -262,7 +236,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 			}
 			norm = math.Sqrt(norm)
 			if norm > 1e-12 {
-				scale := cfg.LR * cfg.StepNorm / norm
+				scale := mmStepLen / norm
 				for j := range vec {
 					vec[j] -= scale * step[j]
 				}
@@ -293,7 +267,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 		// chain. Candidate and acceptance draws happen chain-major so the
 		// rng stream matches the scalar path; predictions for all (cand,
 		// cur) pairs run as one surrogate batch.
-		if !cfg.NoInjection && iter%cfg.InjectEvery == 0 && !t.exhausted() {
+		if !m.NoInjection && iter%mmInjectEvery == 0 && !t.exhausted() {
 			for i := range curs {
 				injCands[i] = ctx.Space.Random(rng)
 				injUs[i] = rng.Float64()
@@ -321,8 +295,8 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 					curs[i] = injCands[i]
 				}
 				injections++
-				if injections%cfg.DecayEvery == 0 {
-					temp *= cfg.TempDecay
+				if injections%mmDecayEvery == 0 {
+					temp *= mmTempDecay
 				}
 			}
 		}
@@ -344,7 +318,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 			return Result{}, err
 		}
 	}
-	return t.result(cfg.Name()), nil
+	return t.result(m.Name()), nil
 }
 
 // objectiveExponents maps an Objective onto energy/delay exponents for the

@@ -19,32 +19,40 @@ import (
 type RL struct {
 	// Hidden is the width of the two hidden layers of actor and critic.
 	// The paper uses 300 ("approximated with two fully-connected DNNs with
-	// 300 neurons"); experiments on small budgets may shrink it.
+	// 300 neurons"), which 0 selects; experiments on small budgets may
+	// shrink it.
 	Hidden int
-	// EpisodeLen is the number of steps before the environment resets to a
-	// fresh random mapping. Defaults to 10.
-	EpisodeLen int
-	// BatchSize is the replay mini-batch. Defaults to 32.
-	BatchSize int
-	// Warmup is the number of transitions collected before training
-	// starts. Defaults to 2x BatchSize.
-	Warmup int
-	// Gamma is the discount factor. Defaults to 0.9.
-	Gamma float64
-	// Tau is the soft target-update rate. Defaults to 0.01.
-	Tau float64
-	// ActorLR and CriticLR are Adam learning rates (defaults 1e-4, 1e-3).
-	ActorLR  float64
-	CriticLR float64
-	// NoiseStd is the initial exploration noise, decayed linearly to 0.05
-	// over the budget. Defaults to 0.4.
-	NoiseStd float64
-	// ActionScale converts the tanh-bounded action into encoded-vector
-	// units. Defaults to 1.5 (about 1.5 octaves of tile-factor change).
-	ActionScale float64
-	// BufferCap bounds the replay buffer. Defaults to 4096.
-	BufferCap int
 }
+
+// The DDPG settings. The Adam learning rates are DDPG's (Lillicrap et
+// al.: 1e-4 actor, 1e-3 critic) and the soft target-update rate is the
+// HAQ setup's 0.01; the paper fixes no others, so the rest are this
+// implementation's choices.
+const (
+	// rlEpisodeLen is the number of steps before the environment resets
+	// to a fresh random mapping.
+	rlEpisodeLen = 10
+	// rlBatchSize is the replay mini-batch; training starts once
+	// rlWarmup transitions are buffered.
+	rlBatchSize = 32
+	rlWarmup    = 2 * rlBatchSize
+	// rlGamma is the discount factor and rlTau the soft target-update
+	// rate.
+	rlGamma = 0.9
+	rlTau   = 0.01
+	// rlActorLR and rlCriticLR are the Adam learning rates.
+	rlActorLR  = 1e-4
+	rlCriticLR = 1e-3
+	// rlNoiseStd is the initial exploration noise, decayed linearly to
+	// rlNoiseEnd over the budget.
+	rlNoiseStd = 0.4
+	rlNoiseEnd = 0.05
+	// rlActionScale converts the tanh-bounded action into encoded-vector
+	// units: about 1.5 octaves of tile-factor change.
+	rlActionScale = 1.5
+	// rlBufferCap bounds the replay buffer.
+	rlBufferCap = 4096
+)
 
 // Name implements Searcher.
 func (RL) Name() string { return "RL" }
@@ -58,7 +66,6 @@ type transition struct {
 
 // ddpg bundles the learner state.
 type ddpg struct {
-	cfg          RL
 	rng          *rand.Rand
 	stateNorm    *stats.Normalizer
 	actor        *nn.MLP
@@ -79,43 +86,6 @@ type ddpg struct {
 	actionDim    int
 }
 
-func (r RL) withDefaults() RL {
-	if r.Hidden <= 0 {
-		r.Hidden = 300
-	}
-	if r.EpisodeLen <= 0 {
-		r.EpisodeLen = 10
-	}
-	if r.BatchSize <= 0 {
-		r.BatchSize = 32
-	}
-	if r.Warmup <= 0 {
-		r.Warmup = 2 * r.BatchSize
-	}
-	if r.Gamma <= 0 || r.Gamma >= 1 {
-		r.Gamma = 0.9
-	}
-	if r.Tau <= 0 || r.Tau > 1 {
-		r.Tau = 0.01
-	}
-	if r.ActorLR <= 0 {
-		r.ActorLR = 1e-4
-	}
-	if r.CriticLR <= 0 {
-		r.CriticLR = 1e-3
-	}
-	if r.NoiseStd <= 0 {
-		r.NoiseStd = 0.4
-	}
-	if r.ActionScale <= 0 {
-		r.ActionScale = 1.5
-	}
-	if r.BufferCap <= 0 {
-		r.BufferCap = 4096
-	}
-	return r
-}
-
 // Search implements Searcher.
 func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
 	if err := ctx.validate(); err != nil {
@@ -124,11 +94,14 @@ func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
 	if err := budget.validate(); err != nil {
 		return Result{}, err
 	}
-	cfg := r.withDefaults()
+	hidden := r.Hidden
+	if hidden <= 0 {
+		hidden = 300
+	}
 	rng := stats.NewRNG(ctx.Seed + 401)
 
 	dim := ctx.Space.VectorLen()
-	agent, err := newDDPG(cfg, dim, rng, ctx.Space)
+	agent, err := newDDPG(hidden, dim, rng, ctx.Space)
 	if err != nil {
 		return Result{}, err
 	}
@@ -141,7 +114,7 @@ func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		for step := 0; step < cfg.EpisodeLen && !t.exhausted(); step++ {
+		for step := 0; step < rlEpisodeLen && !t.exhausted(); step++ {
 			state := agent.observe(ctx.Space.Encode(&cur))
 			action := agent.act(state, agent.noise(t.progress()))
 			next, err := agent.applyAction(ctx.Space, &cur, action)
@@ -159,7 +132,7 @@ func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
 			cur, curEDP = next, nextEDP
 		}
 	}
-	return t.result(cfg.Name()), nil
+	return t.result(r.Name()), nil
 }
 
 // rewardFor shapes the reward: improvement in log10 EDP plus a small
@@ -170,8 +143,8 @@ func rewardFor(nextEDP, curEDP float64) float64 {
 	return improve + quality
 }
 
-func newDDPG(cfg RL, dim int, rng *rand.Rand, space *mapspace.Space) (*ddpg, error) {
-	d := &ddpg{cfg: cfg, rng: rng, stateDim: dim, actionDim: dim}
+func newDDPG(hidden, dim int, rng *rand.Rand, space *mapspace.Space) (*ddpg, error) {
+	d := &ddpg{rng: rng, stateDim: dim, actionDim: dim}
 	// Fit the state whitener on free samples (encoding costs nothing).
 	sample := make([][]float64, 0, 256)
 	for i := 0; i < 256; i++ {
@@ -183,18 +156,18 @@ func newDDPG(cfg RL, dim int, rng *rand.Rand, space *mapspace.Space) (*ddpg, err
 	if err != nil {
 		return nil, fmt.Errorf("search: rl state normalizer: %w", err)
 	}
-	d.actor, err = nn.NewMLP([]int{dim, cfg.Hidden, cfg.Hidden, dim}, nn.ReLU{}, rng)
+	d.actor, err = nn.NewMLP([]int{dim, hidden, hidden, dim}, nn.ReLU{}, rng)
 	if err != nil {
 		return nil, err
 	}
-	d.critic, err = nn.NewMLP([]int{2 * dim, cfg.Hidden, cfg.Hidden, 1}, nn.ReLU{}, rng)
+	d.critic, err = nn.NewMLP([]int{2 * dim, hidden, hidden, 1}, nn.ReLU{}, rng)
 	if err != nil {
 		return nil, err
 	}
 	d.actorTarget = d.actor.Clone()
 	d.criticTarget = d.critic.Clone()
-	d.actorOpt = nn.NewAdam(cfg.ActorLR)
-	d.criticOpt = nn.NewAdam(cfg.CriticLR)
+	d.actorOpt = nn.NewAdam(rlActorLR)
+	d.criticOpt = nn.NewAdam(rlCriticLR)
 	d.actorWS = d.actor.NewWorkspace()
 	d.criticWS = d.critic.NewWorkspace()
 	d.targetAWS = d.actorTarget.NewWorkspace()
@@ -211,8 +184,7 @@ func (d *ddpg) observe(raw []float64) []float64 {
 
 // noise returns the exploration noise level for the given budget progress.
 func (d *ddpg) noise(progress float64) float64 {
-	lo := 0.05
-	return d.cfg.NoiseStd*(1-progress) + lo*progress
+	return rlNoiseStd*(1-progress) + rlNoiseEnd*progress
 }
 
 // act runs the deterministic policy plus exploration noise, returning a
@@ -231,27 +203,27 @@ func (d *ddpg) act(state []float64, noise float64) []float64 {
 func (d *ddpg) applyAction(space *mapspace.Space, cur *mapspace.Mapping, action []float64) (mapspace.Mapping, error) {
 	vec := space.Encode(cur)
 	for i := range vec {
-		vec[i] += d.cfg.ActionScale * action[i]
+		vec[i] += rlActionScale * action[i]
 	}
 	return space.Decode(vec)
 }
 
 func (d *ddpg) remember(tr transition) {
-	if len(d.buffer) < d.cfg.BufferCap {
+	if len(d.buffer) < rlBufferCap {
 		d.buffer = append(d.buffer, tr)
 		return
 	}
 	d.buffer[d.bufferNext] = tr
-	d.bufferNext = (d.bufferNext + 1) % d.cfg.BufferCap
+	d.bufferNext = (d.bufferNext + 1) % rlBufferCap
 }
 
 // train performs one DDPG update (critic TD step, actor policy-gradient
 // step, soft target updates) on a replay mini-batch.
 func (d *ddpg) train() {
-	if len(d.buffer) < d.cfg.Warmup {
+	if len(d.buffer) < rlWarmup {
 		return
 	}
-	batch := d.cfg.BatchSize
+	batch := rlBatchSize
 	criticIn := make([]float64, 2*d.stateDim)
 	lossGrad := []float64{0}
 
@@ -266,7 +238,7 @@ func (d *ddpg) train() {
 			criticIn[d.stateDim+j] = math.Tanh(v)
 		}
 		tq := d.criticTarget.Forward(d.targetCWS, criticIn)[0]
-		y := tr.reward + d.cfg.Gamma*tq
+		y := tr.reward + rlGamma*tq
 
 		copy(criticIn[:d.stateDim], tr.state)
 		copy(criticIn[d.stateDim:], tr.action)
@@ -304,8 +276,8 @@ func (d *ddpg) train() {
 	d.actorGrads.ClipTo(1)
 	d.actorOpt.Step(d.actor, d.actorGrads)
 
-	softUpdate(d.actorTarget, d.actor, d.cfg.Tau)
-	softUpdate(d.criticTarget, d.critic, d.cfg.Tau)
+	softUpdate(d.actorTarget, d.actor, rlTau)
+	softUpdate(d.criticTarget, d.critic, rlTau)
 }
 
 // softUpdate blends source parameters into the target network:

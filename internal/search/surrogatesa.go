@@ -24,8 +24,6 @@ import (
 type SurrogateSA struct {
 	// Surrogate is the trained Phase-1 model. Required.
 	Surrogate *surrogate.Surrogate
-	// PilotMoves estimates the cost-delta scale (default 40).
-	PilotMoves int
 }
 
 // Name implements Searcher.
@@ -45,11 +43,6 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 	if s.Surrogate.Net.InDim() != ctx.Space.VectorLen() {
 		return Result{}, errors.New("search: surrogate input width does not match this map space")
 	}
-	pilot := s.PilotMoves
-	if pilot <= 0 {
-		pilot = 40
-	}
-
 	rng := stats.NewRNG(ctx.Seed + 701)
 	t := newTracker(ctx, budget)
 
@@ -73,9 +66,9 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 	// amortized query cost.
 	var deltas stats.Running
 	if !t.exhausted() {
-		chain := make([]mapspace.Mapping, 0, pilot)
+		chain := make([]mapspace.Mapping, 0, saPilotMoves)
 		prev := &cur
-		for i := 0; i < t.remainingEvals(pilot); i++ {
+		for i := 0; i < t.remainingEvals(saPilotMoves); i++ {
 			chain = append(chain, ctx.Space.Perturb(rng, prev))
 			prev = &chain[len(chain)-1]
 		}
@@ -110,15 +103,7 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 			cur, curE = chain[i], nextE
 		}
 	}
-	meanDelta := deltas.Mean()
-	if meanDelta <= 0 {
-		meanDelta = math.Max(math.Abs(curE)*0.1, 1)
-	}
-	tMax := meanDelta / -math.Log(0.98)
-	tMin := meanDelta / -math.Log(1e-4)
-	if tMin >= tMax {
-		tMin = tMax / 1e4
-	}
+	tMax, tMin := annealSchedule(&deltas, curE)
 
 	for !t.exhausted() {
 		temp := tMax * math.Pow(tMin/tMax, t.progress())

@@ -9,9 +9,10 @@ import (
 // FuzzSearchRequest drives POST /v1/search bodies through the decoder the
 // server uses (decodeBody: unknown fields rejected) and then resolve. It
 // must never panic; a request that resolves has a problem with one
-// positive size per algorithm dimension, and resolving it again yields the
-// same atlas key and family. The seeds are request bodies the service's
-// tests post. Run it with
+// positive size per algorithm dimension, a non-negative trajectory stride
+// and deadline, and resolving it again yields the same atlas key and
+// family. The seeds are request bodies the service's tests post, plus an
+// evals and a timeout_ms whose conversions once overflowed. Run it with
 //
 //	go test -run '^$' -fuzz FuzzSearchRequest -fuzztime 10s ./internal/service/
 func FuzzSearchRequest(f *testing.F) {
@@ -36,6 +37,8 @@ func FuzzSearchRequest(f *testing.F) {
 		`{"einsum":"O[a,b] += P[a,c] * Q[c,b]","dims":{"a":16,"b":16,"c":16},"searcher":"mm","model":"gemm.surrogate","evals":20}`,
 		`{"einsum":"O[a,b] += A[a,c] * B[c,b]","dims":{"a":64,"b":64,"c":64},"model":"auto",` +
 			`"train_on_miss":{"samples":400,"problems":3,"epochs":3,"hidden_sizes":[16],"seed":5},"evals":50,"seed":3}`,
+		`{"algo":"conv1d","shape":[1024,5],"searcher":"random","evals":9223372036854775807}`,
+		`{"algo":"conv1d","shape":[1024,5],"searcher":"random","evals":20000,"timeout_ms":18446744073710}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -57,6 +60,9 @@ func FuzzSearchRequest(f *testing.F) {
 			if size <= 0 {
 				t.Fatalf("%s: non-positive size in %v", body, p.prob.Shape)
 			}
+		}
+		if p.budget.TrajectoryStride < 0 || p.timeout < 0 {
+			t.Fatalf("%s: stride %d, deadline %v", body, p.budget.TrajectoryStride, p.timeout)
 		}
 		q, err := req.resolve()
 		if err != nil || q.key != p.key || q.family != p.family {

@@ -12,6 +12,7 @@ import (
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/atlas"
+	"mindmappings/internal/core"
 	"mindmappings/internal/costmodel"
 	"mindmappings/internal/jobqueue"
 	"mindmappings/internal/loopnest"
@@ -98,7 +99,9 @@ type SearchRequest struct {
 	// before the budget does, the job completes with its best-so-far
 	// mapping and "degraded": true instead of failing (DESIGN.md §9). The
 	// server clamps it to its -maxjobtime, which also applies when no
-	// timeout is requested. 0 means no client deadline.
+	// timeout is requested. 0 means no client deadline; above
+	// 9223372036854 (about 292 years, the range of a time.Duration) the
+	// request is rejected.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
@@ -738,18 +741,24 @@ type plan struct {
 	searcher    string // lower-cased; "mm" when the request left it empty
 	costModel   string // the backend name; never empty
 	parallelism int    // capped at MaxParallelism
+	// timeout is the request's timeout_ms; 0 when it set none.
+	timeout time.Duration
 	// algoFP and archFP stamp atlas entries and match "auto" models; key
 	// and family are the plan's atlas.Key.
 	algoFP, archFP string
 	key, family    string
 }
 
-// blackBox maps each black-box searcher name to its method. mm, the
-// default, is built per job around a registry surrogate (searcher).
-var blackBox = map[string]search.Searcher{
-	"sa": search.SimulatedAnnealing{}, "ga": search.GeneticAlgorithm{},
-	"rl": search.RL{Hidden: 64}, "random": search.RandomSearch{},
-}
+// blackBox maps each black-box searcher's lower-cased name to its method:
+// the paper's baselines, RL at width 64. mm, the default, is built per
+// job around a registry surrogate (searcher).
+var blackBox = func() map[string]search.Searcher {
+	m := map[string]search.Searcher{}
+	for _, s := range core.Baselines(64) {
+		m[strings.ToLower(s.Name())] = s
+	}
+	return m
+}()
 
 // resolve checks the request and builds its plan; it is the one place a
 // request is interpreted. A problem its algorithm cannot build (an unknown
@@ -783,6 +792,9 @@ func (req *SearchRequest) resolve() (*plan, error) {
 	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
+	}
+	if int64(req.TimeoutMS) > maxTimeoutMS {
+		return nil, fmt.Errorf("service: timeout_ms %d exceeds the longest deadline, %d", req.TimeoutMS, maxTimeoutMS)
 	}
 	if !costmodel.Registered(req.CostModel) {
 		return nil, fmt.Errorf("service: unknown cost model %q (registered: %s)",
@@ -822,7 +834,7 @@ func (req *SearchRequest) resolve() (*plan, error) {
 	}
 	p := &plan{algo: algo, prob: prob, arch: arch.Default(len(algo.Tensors) - 1), obj: obj, budget: budget,
 		searcher: name, costModel: req.CostModel, parallelism: min(req.Parallelism, MaxParallelism),
-		algoFP: algo.Fingerprint()}
+		timeout: time.Duration(req.TimeoutMS) * time.Millisecond, algoFP: algo.Fingerprint()}
 	if p.costModel == "" {
 		p.costModel = costmodel.DefaultBackend
 	}
@@ -830,6 +842,9 @@ func (req *SearchRequest) resolve() (*plan, error) {
 	p.key, p.family = atlas.Key(p.algoFP, p.archFP, p.costModel, obj.String(), prob.Shape)
 	return p, nil
 }
+
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // Validate checks a request without running it.
 func (req *SearchRequest) Validate() error {
@@ -890,7 +905,9 @@ func (req *SearchRequest) budget() (search.Budget, error) {
 		evals = int(b.MaxTime.Seconds() * evalsPerSecondEstimate)
 	}
 	if evals > maxTrajectorySamples {
-		b.TrajectoryStride = (evals + maxTrajectorySamples - 1) / maxTrajectorySamples
+		// The ceiling of evals/maxTrajectorySamples, written so it cannot
+		// overflow near MaxInt.
+		b.TrajectoryStride = (evals-1)/maxTrajectorySamples + 1
 	}
 	return b, nil
 }
@@ -1164,12 +1181,26 @@ func copyJob(j *Job) Job {
 // record, and reports how it ended.
 func (jm *JobManager) run(ctx context.Context, job *Job) (JobStatus, error) {
 	jm.met.queueWait.Observe(job.Started.Sub(job.Created).Seconds())
+	jm.mu.Lock()
+	p := job.plan
+	jm.mu.Unlock()
+	if p == nil {
+		// A job recovered from the journal resolves on its first run; a
+		// request that no longer resolves fails the job here.
+		var err error
+		if p, err = job.Request.resolve(); err != nil {
+			return JobFailed, err
+		}
+		jm.mu.Lock()
+		job.plan = p
+		jm.mu.Unlock()
+	}
 	// The anytime deadline: the client's timeout_ms clamped to the
 	// server's ceiling (which also applies on its own). It layers over
 	// the cancellable job context, so the finish path can tell deadline
 	// expiry (degraded completion) from cancellation by which context
 	// carries the error.
-	timeout := time.Duration(job.Request.TimeoutMS) * time.Millisecond
+	timeout := p.timeout
 	if ceiling := jm.wired().maxJobTime; ceiling > 0 && (timeout <= 0 || timeout > ceiling) {
 		timeout = ceiling
 	}
@@ -1179,7 +1210,7 @@ func (jm *JobManager) run(ctx context.Context, job *Job) (JobStatus, error) {
 		runCtx, cancelTimeout = context.WithTimeout(ctx, timeout)
 		defer cancelTimeout()
 	}
-	res, space, err := jm.execute(runCtx, job)
+	res, space, err := jm.execute(runCtx, job, p)
 	jm.met.run.Observe(time.Since(job.Started).Seconds())
 	// Deadline expiry with the job context intact is the anytime path;
 	// searchers observe it as cancellation and return best-so-far with a
@@ -1307,27 +1338,15 @@ func (jm *JobManager) finish(job *Job) {
 // within noise of the uninstrumented path.
 const evalTimingSample = 64
 
-// execute runs the search described by the job's plan under ctx,
+// execute runs the search described by the job's plan p under ctx,
 // recording model-resolution and search spans on the job's trace and
 // publishing live progress to its event stream.
-func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *mapspace.Space, error) {
+func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.Result, *mapspace.Space, error) {
 	jm.mu.Lock()
 	resume := job.resume
 	job.resume = nil // consumed: a later Resume re-arms it from job.checkpoint
 	checkpointEvery := jm.w.checkpointEvery
-	p := job.plan
 	jm.mu.Unlock()
-	if p == nil {
-		// A job recovered from the journal resolves on its first run; a
-		// request that no longer resolves fails the job here.
-		var err error
-		if p, err = job.Request.resolve(); err != nil {
-			return nil, nil, err
-		}
-		jm.mu.Lock()
-		job.plan = p
-		jm.mu.Unlock()
-	}
 	root := job.Root()
 	sctx, err := search.NewContext(p.costModel, p.arch, p.prob)
 	if err != nil {

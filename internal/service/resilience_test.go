@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -346,6 +347,56 @@ func TestDeadlineReturnsDegradedValidResult(t *testing.T) {
 	}
 	if n := promValue(t, ts, "search_jobs_degraded_total"); n != 1 {
 		t.Fatalf("degraded counter %v, want 1", n)
+	}
+}
+
+// TestMaxIntEvalsRunsToItsDeadline pins the trajectory stride at the top
+// of the eval range: an evals of MaxInt64 gets a positive stride (the
+// ceiling of evals/maxTrajectorySamples once overflowed to a negative one,
+// so the accepted job failed "negative budget"), and the job runs until its
+// deadline and completes degraded.
+func TestMaxIntEvalsRunsToItsDeadline(t *testing.T) {
+	req := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5},
+		Searcher: "random", Evals: math.MaxInt64, TimeoutMS: 200, Seed: 5}
+	b, err := req.budget()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.MaxInt64/maxTrajectorySamples + 1; b.TrajectoryStride != want {
+		t.Fatalf("stride %d, want %d", b.TrajectoryStride, want)
+	}
+	ts, _ := testServer(t, 1, 4)
+	job, resp := postSearch(t, ts, req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	done := waitJob(t, ts, job.ID, 30*time.Second)
+	if done.Status != JobDone || done.Result == nil || !done.Result.Degraded {
+		t.Fatalf("MaxInt64-eval job finished %s (%q), result %+v; want done and degraded", done.Status, done.Error, done.Result)
+	}
+}
+
+// TestTimeoutBeyondDurationRangeRejected pins the timeout_ms bound: a
+// deadline past a time.Duration's range is a 400 (it once wrapped, and
+// 18446744073710 ms, about 584 years, ran under a deadline below 1 ms),
+// while the largest one that fits is accepted and never cuts the job.
+func TestTimeoutBeyondDurationRangeRejected(t *testing.T) {
+	ts, _ := testServer(t, 1, 4)
+	req := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Evals: 2000, Seed: 5}
+	for _, ms := range []int{18446744073710, int(maxTimeoutMS) + 1} {
+		req.TimeoutMS = ms
+		if _, resp := postSearch(t, ts, req); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("timeout_ms %d: %d, want 400", ms, resp.StatusCode)
+		}
+	}
+	req.TimeoutMS = int(maxTimeoutMS)
+	job, resp := postSearch(t, ts, req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("timeout_ms %d: %d, want 202", req.TimeoutMS, resp.StatusCode)
+	}
+	done := waitJob(t, ts, job.ID, 30*time.Second)
+	if done.Status != JobDone || done.Result == nil || done.Result.Degraded || done.Result.Evals != req.Evals {
+		t.Fatalf("timeout_ms %d job finished %s (%q), result %+v; want done with every eval", req.TimeoutMS, done.Status, done.Error, done.Result)
 	}
 }
 
