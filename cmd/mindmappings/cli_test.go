@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -162,6 +165,24 @@ func TestCmdSearchErrors(t *testing.T) {
 	// Wrong algorithm for the stored surrogate.
 	if err := cmdSearch([]string{"-algo", "cnn-layer", "-surrogate", sur, "-problem", "ResNet_Conv_4"}); err == nil {
 		t.Fatal("algorithm mismatch accepted")
+	}
+}
+
+// TestCmdSearchRejectsParallelFlag pins that the retired -parallel flag
+// is gone rather than silently accepted: the real binary's entry point
+// exits 2 with the flag package's error. The test binary re-runs itself
+// with the command line as positional arguments, and that child runs main.
+func TestCmdSearchRejectsParallelFlag(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"mindmappings"}, args...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCmdSearchRejectsParallelFlag$", "search", "-parallel", "2")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -parallel") {
+		t.Fatalf("search -parallel 2: %v, output:\n%s", err, out)
 	}
 }
 

@@ -358,7 +358,6 @@ func cmdSearch(args []string) error {
 	objective := fs.String("objective", "edp", "optimization objective: edp, ed2p, energy, delay")
 	seed := fs.Int64("seed", 1, "random seed")
 	chains := fs.Int("chains", 1, "lockstep gradient-descent chains sharing the budget (batched surrogate queries)")
-	parallel := fs.Int("parallel", 0, "workers for batched cost-model scoring (0 = sequential; results are identical either way)")
 	progress := fs.Bool("progress", false, "print live best-cost/throughput lines to stderr while searching")
 	timeout := fs.Duration("timeout", 0, "anytime deadline: stop when it expires and report the best mapping found so far, marked degraded (0 = none)")
 	if err := fs.Parse(args); err != nil {
@@ -382,7 +381,6 @@ func cmdSearch(args []string) error {
 		return err
 	}
 	pc.Objective = obj
-	pc.Parallelism = *parallel
 	if *progress {
 		pc.Progress = progressPrinter(os.Stderr)
 	}

@@ -31,8 +31,8 @@
 //
 // The cost function f is a pluggable layer: internal/costmodel defines the
 // Evaluator interface, a by-name backend registry, and composable
-// middleware (eval counting, query-latency emulation, memoization,
-// bounded-parallel batch fan-out) that any backend inherits. The reference
+// middleware (eval counting, query-latency emulation, sampled latency
+// timing) that any backend inherits. The reference
 // Timeloop-style model (internal/timeloop) registers as "timeloop", the
 // default; an optimistic roofline/lower-bound model registers as
 // "roofline". Backends are selected end-to-end — `mindmappings search
@@ -69,11 +69,10 @@
 // The evaluation hot path is batched and allocation-free: surrogate
 // queries run through batch GEMM kernels (surrogate.PredictBatch /
 // GradientBatch over mat.MulNT / mat.MulNN) that are bit-identical to the
-// scalar path, every cost-model backend evaluates into a reusable
+// scalar PredictScalar / GradientScalar kernels, every cost-model backend evaluates into a reusable
 // costmodel.Cost workspace with zero steady-state heap allocations,
-// searchers evaluate candidate populations and neighborhoods as batches,
-// and search.Context.Parallelism fans cost-model scoring across the
-// costmodel parallel middleware's bounded worker pool without changing
-// results. BENCH_search.json records the measured speedups; the README's
+// and searchers evaluate candidate populations and neighborhoods as
+// batches, one candidate after another on the search's own goroutine.
+// BENCH_search.json records the measured speedups; the README's
 // Performance section documents the knobs and the benchmark commands.
 package mindmappings

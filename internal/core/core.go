@@ -110,9 +110,9 @@ func (mp *Mapper) SaveSurrogate(w io.Writer) error {
 // ProblemContext is the per-problem object of the paper's Appendix-B API:
 // the map space (with GetMapping, IsMember and GetProjection), the cost
 // model and its normalization bound, plus the search knobs (Objective,
-// Parallelism, QueryLatency, Ctx, Progress, SeedMapping, ...) applied to
-// every search run through it. It embeds search.Context; each search gets
-// a copy with only the seed set.
+// QueryLatency, Ctx, Progress, SeedMapping, ...) applied to every search
+// run through it. It embeds search.Context; each search gets a copy with
+// only the seed set, so searches run at once share its cost model.
 type ProblemContext struct {
 	search.Context
 }

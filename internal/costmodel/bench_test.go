@@ -76,25 +76,3 @@ func BenchmarkTimingMiddleware(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkParallelBatch measures the parallel middleware driving
-// full batches over the reference backend.
-func BenchmarkParallelBatch(b *testing.B) {
-	f := newFixture(b, 104)
-	ev := costmodel.WithParallel(f.backend(b, "timeloop"), 4)
-	ctx := context.Background()
-	n := len(f.ms)
-	costs := make([]costmodel.Cost, n)
-	errs := make([]error, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.EvaluateBatchInto(ctx, f.ms, costs, errs)
-	}
-	b.StopTimer()
-	for _, err := range errs {
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,8 +1,8 @@
 // Package costmodel is the pluggable cost-model layer: it defines the
 // Evaluator interface every cost function f implements, the Cost record
 // all backends produce, a by-name backend registry, and the composable
-// middleware (eval counting, query-latency emulation, bounded-parallel
-// batch fan-out) that any backend inherits.
+// middleware (eval counting, query-latency emulation, sampled latency
+// observation) that any backend inherits.
 //
 // The paper treats f as an exchangeable component (§2.3, §5.1.2 — Timeloop
 // is just the reference instantiation), so nothing above this package may
@@ -26,8 +26,9 @@ import (
 )
 
 // Evaluator is a cost function f bound to one (accelerator, problem) pair.
-// Implementations must be safe for concurrent use: the parallel middleware
-// fans batch elements across goroutines, each with its own Cost workspace.
+// Implementations must be safe for concurrent use by callers that each
+// hold their own Cost workspace: core.ProblemContext hands every search a
+// copy of one search.Context, so searches run at once share its evaluator.
 type Evaluator interface {
 	// Name identifies the backend ("timeloop", "roofline"). Middleware
 	// wrappers return the wrapped backend's name.
@@ -50,9 +51,9 @@ type Evaluator interface {
 	// EvaluateBatchInto evaluates ms[i] into costs[i], reporting each
 	// element's outcome in errs[i]. All three slices have equal length.
 	// Elements remaining after ctx is canceled are marked with ctx.Err()
-	// and not evaluated. Plain backends evaluate sequentially (use
-	// SequentialBatch); the parallel middleware fans elements across a
-	// bounded worker pool.
+	// and not evaluated. Every implementation evaluates sequentially
+	// through SequentialBatch; the searchers evaluate one candidate at a
+	// time through EvaluateInto and never call it.
 	EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []Cost, errs []error)
 }
 

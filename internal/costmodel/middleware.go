@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,14 +11,13 @@ import (
 
 // This file holds the composable middleware any backend inherits: eval
 // accounting (WithCounter), reference-model query-latency emulation
-// (WithLatency), and bounded-parallel batch fan-out (WithParallel). Each
-// wrapper is itself an Evaluator, so stacks compose freely; the
-// conventional order, outermost first, is
+// (WithLatency) and sampled latency observation (WithTiming). Each
+// wrapper is itself an Evaluator, so stacks compose freely; the search
+// tracker's paid stack, outermost first, is
 //
-//	WithParallel(WithLatency(WithCounter(backend)))
+//	WithLatency(WithCounter(backend))
 //
-// so parallel workers drive the whole per-element stack and every
-// evaluation that reaches the backend is charged.
+// so every evaluation that reaches the backend is charged and stalled.
 
 // Counter is shared, concurrency-safe evaluation accounting. One Counter
 // may be attached to many evaluator stacks (the serve service keeps one
@@ -147,67 +145,4 @@ func (e *timed) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *Cost) 
 
 func (e *timed) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []Cost, errs []error) {
 	SequentialBatch(ctx, e, ms, costs, errs)
-}
-
-// parallel fans batch evaluations across a bounded worker pool. Scalar
-// evaluations pass straight through.
-type parallel struct {
-	inner   Evaluator
-	workers int
-}
-
-// WithParallel wraps inner so EvaluateBatchInto fans elements across up to
-// workers goroutines, each driving the full inner stack with its own
-// caller-provided Cost workspace. Results land at their element's index,
-// so batch contents are independent of scheduling; only wall-clock
-// changes. workers <= 1 returns inner unchanged.
-func WithParallel(inner Evaluator, workers int) Evaluator {
-	if workers <= 1 {
-		return inner
-	}
-	return &parallel{inner: inner, workers: workers}
-}
-
-func (e *parallel) Name() string                        { return e.inner.Name() }
-func (e *parallel) Problem() loopnest.Problem           { return e.inner.Problem() }
-func (e *parallel) AppendFingerprint(dst []byte) []byte { return e.inner.AppendFingerprint(dst) }
-
-func (e *parallel) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *Cost) error {
-	return e.inner.EvaluateInto(ctx, m, c)
-}
-
-func (e *parallel) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []Cost, errs []error) {
-	n := len(ms)
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		e.inner.EvaluateBatchInto(ctx, ms, costs, errs)
-		return
-	}
-	ctx = orBackground(ctx)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Honor cancellation between evaluations: remaining
-				// elements are marked, not evaluated, so a canceled batch
-				// stops within one in-flight evaluation per worker.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = e.inner.EvaluateInto(ctx, &ms[i], &costs[i])
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -180,77 +180,15 @@ func TestTimingSkipPathAllocFree(t *testing.T) {
 	}
 }
 
-// --- Parallel middleware ---
-
-func TestParallelBatchMatchesSequential(t *testing.T) {
-	f := newFixture(t, 17)
-	base := f.backend(t, "")
-	par := costmodel.WithParallel(base, 4)
-	ctx := context.Background()
-	n := len(f.ms)
-	seq := make([]costmodel.Cost, n)
-	seqErr := make([]error, n)
-	base.EvaluateBatchInto(ctx, f.ms, seq, seqErr)
-	got := make([]costmodel.Cost, n)
-	gotErr := make([]error, n)
-	par.EvaluateBatchInto(ctx, f.ms, got, gotErr)
-	for i := 0; i < n; i++ {
-		if seqErr[i] != nil || gotErr[i] != nil {
-			t.Fatalf("errs[%d] = %v / %v", i, seqErr[i], gotErr[i])
-		}
-		if got[i].EDP != seq[i].EDP || got[i].TotalEnergyPJ != seq[i].TotalEnergyPJ ||
-			got[i].Cycles != seq[i].Cycles {
-			t.Fatalf("element %d: parallel %v != sequential %v", i, got[i].EDP, seq[i].EDP)
-		}
-	}
-	if costmodel.WithParallel(base, 1) != base {
-		t.Fatal("workers<=1 should pass the backend through")
-	}
-}
-
-func TestParallelBatchHonorsCancellation(t *testing.T) {
-	f := newFixture(t, 18)
-	// Slow stack so cancellation lands mid-batch.
-	ev := costmodel.WithParallel(costmodel.WithLatency(f.backend(t, ""), 5*time.Millisecond), 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(8 * time.Millisecond)
-		cancel()
-	}()
-	n := len(f.ms)
-	costs := make([]costmodel.Cost, n)
-	errs := make([]error, n)
-	start := time.Now()
-	ev.EvaluateBatchInto(ctx, f.ms, costs, errs)
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("canceled batch still took %v", elapsed)
-	}
-	canceled := 0
-	for _, err := range errs {
-		if errors.Is(err, context.Canceled) {
-			canceled++
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if canceled == 0 {
-		t.Fatal("no element observed the cancellation")
-	}
-}
-
-// TestFullStackComposition drives the conventional full stack —
-// parallel(latency(counter(backend))) — and checks the pieces interact
-// correctly: every element of every pass is charged and stalled, and a
-// repeated pass reproduces the first one's costs.
+// TestFullStackComposition drives the search tracker's paid stack —
+// latency(counter(backend)) — through EvaluateBatchInto and checks the
+// pieces interact correctly: every element of every pass is charged and
+// stalled, and a repeated pass reproduces the first one's costs.
 func TestFullStackComposition(t *testing.T) {
 	f := newFixture(t, 19)
 	var ctr costmodel.Counter
 	const stall = 2 * time.Millisecond
-	ev := costmodel.WithParallel(
-		costmodel.WithLatency(
-			costmodel.WithCounter(f.backend(t, ""), &ctr),
-			stall),
-		4)
+	ev := costmodel.WithLatency(costmodel.WithCounter(f.backend(t, ""), &ctr), stall)
 	ctx := context.Background()
 	n := 8
 	costs := make([]costmodel.Cost, n)
@@ -268,9 +206,9 @@ func TestFullStackComposition(t *testing.T) {
 		if got := ctr.Count(); got != int64(pass*n) {
 			t.Fatalf("pass %d: counter reads %d evals, want %d", pass, got, pass*n)
 		}
-		// 8 stalled elements over 4 workers take at least two stalls.
-		if elapsed < 2*stall {
-			t.Fatalf("pass %d took %v, want >= %v: latency not paid", pass, elapsed, 2*stall)
+		// The batch is sequential: every element pays its own stall.
+		if elapsed < time.Duration(n)*stall {
+			t.Fatalf("pass %d took %v, want >= %v: latency not paid", pass, elapsed, time.Duration(n)*stall)
 		}
 		for i := range costs {
 			if pass == 1 {

@@ -3,25 +3,18 @@ package search
 import (
 	"math"
 
-	"mindmappings/internal/costmodel"
 	"mindmappings/internal/mapspace"
 )
 
 // Batched evaluation: searchers that can name a whole neighborhood or
 // population up front (GA offspring cohorts, SA pilot chains, beam
 // expansions, random chunks, multi-chain gradient scoring) hand it to the
-// tracker as one batch instead of one candidate at a time. Sequentially
-// that amortizes per-candidate overhead; with Context.Parallelism > 1 the
-// cost-model queries additionally fan out across the costmodel parallel
-// middleware's bounded worker pool.
+// tracker as one batch instead of one candidate at a time.
 //
-// The contract in both modes is exact equivalence with the scalar loop:
-// candidates are recorded in slice order, the budget is re-checked before
-// every record just as a scalar searcher re-checks it before every
-// payEval, and a batch stops recording (discarding the tail) the moment
-// the budget expires. Trajectories are therefore bit-identical across
-// scalar/batched/parallel execution for a fixed seed — the determinism
-// tests pin this.
+// A batch is exactly the per-candidate loop: candidates are evaluated and
+// recorded in slice order, the budget is re-checked before every record
+// just as a scalar searcher re-checks it before every payEval, and a
+// batch stops (discarding the tail) the moment the budget expires.
 
 // payEvalBatch evaluates candidates as paid reference-cost-model queries,
 // recording them in order, and returns their normalized objective values.
@@ -46,72 +39,27 @@ func (t *tracker) evalBatch(ms []mapspace.Mapping, vals []float64, paid bool) ([
 	} else {
 		vals = make([]float64, 0, len(ms))
 	}
-	if t.ctx.Scalar || t.paidBatch == nil || len(ms) <= 1 {
-		// Scalar path: literally the per-candidate loop every searcher ran
-		// before batching existed.
-		for i := range ms {
-			if i > 0 && t.exhausted() {
-				break
-			}
-			var (
-				val float64
-				err error
-			)
-			if paid {
-				val, err = t.payEval(&ms[i])
-			} else {
-				val, err = t.scoreSurrogateStep(&ms[i])
-			}
-			if err != nil {
-				return nil, err
-			}
-			if t.ctx.canceled() && math.IsInf(val, 1) {
-				// Interrupted mid-evaluation: the candidate was never
-				// recorded, so its sentinel value is not handed back either
-				// (mirroring the parallel path's mid-batch break).
-				break
-			}
-			vals = append(vals, val)
-		}
-		return vals, nil
-	}
-
-	// Parallel path: the costmodel parallel middleware computes every
-	// candidate's cost on its worker pool (results landing at the
-	// candidate's index), then the results are replayed through the
-	// tracker in candidate order so recording (and hence the trajectory)
-	// is independent of scheduling.
-	n := len(ms)
-	if cap(t.batchCosts) < n {
-		t.batchCosts = make([]costmodel.Cost, n)
-		t.batchErrs = make([]error, n)
-	}
-	costs := t.batchCosts[:n]
-	errs := t.batchErrs[:n]
-	for i := range errs {
-		errs[i] = nil
-	}
-	ev := t.freeBatch
-	if paid {
-		ev = t.paidBatch
-	}
-	ev.EvaluateBatchInto(t.ectx, ms, costs, errs)
 	for i := range ms {
 		if i > 0 && t.exhausted() {
 			break
 		}
-		if errs[i] != nil {
-			if t.ctx.canceled() {
-				// Interrupted mid-batch: stop recording and let the
-				// searcher return its best-so-far result, the same
-				// contract as scalar cancellation.
-				break
-			}
-			return nil, errs[i]
+		var (
+			val float64
+			err error
+		)
+		if paid {
+			val, err = t.payEval(&ms[i])
+		} else {
+			val, err = t.scoreSurrogateStep(&ms[i])
 		}
-		t.evals++
-		val := t.ctx.Objective.normalized(&costs[i], t.ctx.Bound)
-		t.record(&ms[i], val)
+		if err != nil {
+			return nil, err
+		}
+		if t.ctx.canceled() && math.IsInf(val, 1) {
+			// Interrupted mid-evaluation: the candidate was never
+			// recorded, so its sentinel value is not handed back either.
+			break
+		}
 		vals = append(vals, val)
 	}
 	return vals, nil

@@ -47,7 +47,8 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 		edp float64
 	}
 	// Initial beam, evaluated as one batch (candidate generation consumes
-	// the rng in the scalar loop's order, so trajectories are identical).
+	// the rng in a per-candidate loop's order, so trajectories are
+	// identical).
 	var beam []entry
 	cohort := make([]mapspace.Mapping, 0, width*beamBranch)
 	for i := 0; i < t.remainingEvals(width); i++ {

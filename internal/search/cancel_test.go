@@ -78,34 +78,3 @@ func TestSeedReproducibility(t *testing.T) {
 		t.Fatalf("different seeds produced an identical run")
 	}
 }
-
-// TestCancellationStopsParallelBatch pins the parallel analog of the
-// cancellation contract: with a worker pool fanning a latency-heavy batch,
-// cancel must stop the run within roughly one in-flight evaluation per
-// worker rather than letting the pool drain the whole batch.
-func TestCancellationStopsParallelBatch(t *testing.T) {
-	ctx := conv1dContext(t, 1)
-	ctx.QueryLatency = 10 * time.Millisecond
-	ctx.Parallelism = 4
-	cctx, cancel := context.WithCancel(context.Background())
-	ctx.Ctx = cctx
-
-	done := make(chan Result, 1)
-	go func() {
-		res, err := RandomSearch{}.Search(ctx, Budget{MaxEvals: 500_000})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- res
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case res := <-done:
-		if res.Evals <= 0 || res.Evals >= 500_000 {
-			t.Fatalf("expected a cut-short run with progress, got %d evals", res.Evals)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("parallel search did not stop after cancellation")
-	}
-}

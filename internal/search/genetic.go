@@ -53,9 +53,9 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 	t := newTracker(ctx, budget)
 
 	// Initial population, evaluated as one batch. Generation consumes the
-	// rng in exactly the per-candidate order of the scalar loop (evals
+	// rng in exactly the order of a per-candidate loop (evals
 	// draw no randomness), and payEvalBatch records in candidate order,
-	// so trajectories match the scalar path bit for bit.
+	// so trajectories match a per-candidate loop bit for bit.
 	cur := make([]mapspace.Mapping, 0, pop)
 	for i := 0; i < t.remainingEvals(pop); i++ {
 		cur = append(cur, ctx.Space.Random(rng))

@@ -44,8 +44,7 @@ type MindMappings struct {
 	// per-iteration GradientBatch and the injection PredictBatch) through
 	// a wrapper around the surrogate, such as a timer that measures query
 	// cost. Results are identical either way. Nil queries the Surrogate
-	// directly. The scalar ablation path (Context.Scalar) always queries
-	// the Surrogate.
+	// directly.
 	Queries SurrogateQuerier
 }
 
@@ -197,19 +196,9 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 
 		// Steps 2-3: forward + backward through the surrogate for the
 		// predicted cost and its gradient with respect to each chain's
-		// mapping — one batched GEMM pass across chains (or the scalar
-		// per-chain path under ctx.Scalar; both produce identical bits).
+		// mapping — one batched GEMM pass across chains.
 		var err error
-		if ctx.Scalar {
-			if len(grads) != chains {
-				grads = make([][]float64, chains)
-			}
-			for i := range vecs {
-				if _, grads[i], err = sur.GradientScalar(vecs[i], eExp, dExp); err != nil {
-					return Result{}, err
-				}
-			}
-		} else if vals, grads, err = queries.GradientBatch(vecs, eExp, dExp, vals, grads); err != nil {
+		if vals, grads, err = queries.GradientBatch(vecs, eExp, dExp, vals, grads); err != nil {
 			return Result{}, err
 		}
 
@@ -251,7 +240,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 
 		// Budget accounting: one surrogate query per chain per iteration;
 		// trajectories scored with the true cost model offline, as one
-		// batch (fanned across Context.Parallelism workers when set).
+		// batch.
 		if scoreVals, err = t.scoreSurrogateBatch(curs, scoreVals); err != nil {
 			return Result{}, err
 		}
@@ -264,34 +253,21 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 		}
 
 		// Step 6: periodic random injection with annealed acceptance, per
-		// chain. Candidate and acceptance draws happen chain-major so the
-		// rng stream matches the scalar path; predictions for all (cand,
-		// cur) pairs run as one surrogate batch.
+		// chain. Candidate and acceptance draws happen chain-major, so one
+		// chain draws exactly the paper's single-chain stream; predictions
+		// for all (cand, cur) pairs run as one surrogate batch.
 		if !m.NoInjection && iter%mmInjectEvery == 0 && !t.exhausted() {
 			for i := range curs {
 				injCands[i] = ctx.Space.Random(rng)
 				injUs[i] = rng.Float64()
+				injEnc[2*i] = ctx.Space.EncodeInto(injEnc[2*i], &injCands[i])
+				injEnc[2*i+1] = ctx.Space.EncodeInto(injEnc[2*i+1], &curs[i])
 			}
-			if !ctx.Scalar {
-				for i := range curs {
-					injEnc[2*i] = ctx.Space.EncodeInto(injEnc[2*i], &injCands[i])
-					injEnc[2*i+1] = ctx.Space.EncodeInto(injEnc[2*i+1], &curs[i])
-				}
-				if preds, err = queries.PredictBatch(injEnc, eExp, dExp, preds); err != nil {
-					return Result{}, err
-				}
+			if preds, err = queries.PredictBatch(injEnc, eExp, dExp, preds); err != nil {
+				return Result{}, err
 			}
 			for i := range curs {
-				var accepted bool
-				if ctx.Scalar {
-					if accepted, err = acceptInjection(sur, ctx, &injCands[i], &curs[i], temp, injUs[i]); err != nil {
-						return Result{}, err
-					}
-				} else {
-					delta := preds[2*i] - preds[2*i+1]
-					accepted = delta <= 0 || (temp > 0 && injUs[i] < math.Exp(-delta/temp))
-				}
-				if accepted {
+				if acceptInjection(preds[2*i]-preds[2*i+1], temp, injUs[i]) {
 					curs[i] = injCands[i]
 				}
 				injections++
@@ -322,7 +298,7 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 }
 
 // objectiveExponents maps an Objective onto energy/delay exponents for the
-// surrogate's scalar predictor.
+// surrogate's predictors.
 func objectiveExponents(o Objective) (eExp, dExp float64) {
 	switch o {
 	case ObjectiveED2P:
@@ -337,24 +313,10 @@ func objectiveExponents(o Objective) (eExp, dExp float64) {
 }
 
 // acceptInjection implements the accept(m_rand, m@t, T) probability
-// function of §4.2: always accept a better (surrogate-predicted) mapping,
-// otherwise accept with probability exp(-(cost_rand - cost_cur)/T).
-func acceptInjection(sur *surrogate.Surrogate, ctx *Context, cand, cur *mapspace.Mapping, temp, u float64) (bool, error) {
-	eExp, dExp := objectiveExponents(ctx.Objective)
-	candCost, err := sur.PredictScalar(ctx.Space.Encode(cand), eExp, dExp)
-	if err != nil {
-		return false, err
-	}
-	curCost, err := sur.PredictScalar(ctx.Space.Encode(cur), eExp, dExp)
-	if err != nil {
-		return false, err
-	}
-	delta := candCost - curCost
-	if delta <= 0 {
-		return true, nil
-	}
-	if temp <= 0 {
-		return false, nil
-	}
-	return u < math.Exp(-delta/temp), nil
+// function of §4.2 for a surrogate-predicted cost change delta =
+// cost_rand - cost_cur and a uniform draw u in [0, 1): always accept a
+// better mapping, otherwise accept with probability exp(-delta/T). At
+// T = 0 only improvements are accepted.
+func acceptInjection(delta, temp, u float64) bool {
+	return delta <= 0 || (temp > 0 && u < math.Exp(-delta/temp))
 }

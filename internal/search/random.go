@@ -11,7 +11,7 @@ type RandomSearch struct{}
 
 // randomChunk is how many candidates RandomSearch draws per evaluation
 // batch; samples are independent, so chunking changes nothing but the
-// amortization (and, with Context.Parallelism, the fan-out width).
+// amortization.
 const randomChunk = 64
 
 // Name implements Searcher.

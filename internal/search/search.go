@@ -10,10 +10,12 @@
 //
 // Searchers evaluate candidates through the pluggable costmodel layer:
 // Context.Model is any costmodel.Evaluator, and the cross-cutting concerns
-// of a paid reference-model query — eval accounting, emulated query
-// latency, memoization, parallel batch fan-out — are costmodel middleware
-// the tracker composes from the Context knobs. No searcher knows which
-// backend computes its costs.
+// of a paid reference-model query — eval accounting and emulated query
+// latency — are costmodel middleware the tracker composes from the
+// Context knobs. No searcher knows which backend computes its costs.
+// Every candidate is evaluated on the searcher's own goroutine, one query
+// after another, as the paper's fixed-time comparison charges a
+// baseline's queries.
 package search
 
 import (
@@ -138,7 +140,7 @@ type Context struct {
 	// Model is the cost function f: any registered costmodel backend (or a
 	// pre-composed middleware stack). The bare evaluator doubles as the
 	// free offline-scoring path; the tracker layers the paid-query
-	// middleware (QueryLatency, Evals, Parallelism) on top of it.
+	// middleware (QueryLatency, Evals) on top of it.
 	Model costmodel.Evaluator
 	Bound oracle.Bound
 	Seed  int64
@@ -168,17 +170,6 @@ type Context struct {
 	// Deprecated: the shared eval cache is gone; the field remains only
 	// for callers that still set it.
 	Cache any
-	// Parallelism, when > 1, fans batched cost-model evaluations
-	// (payEvalBatch: GA populations, SA pilot chains, beam expansions,
-	// multi-chain gradient scoring) across a bounded pool of that many
-	// workers (costmodel.WithParallel). Results are recorded in candidate
-	// order, so trajectories are bit-identical for any Parallelism value;
-	// only wall-clock changes. Note that a parallel batch runs to
-	// completion, so a budget that expires mid-batch (Patience, MaxTime)
-	// can overshoot the Evals counter by up to one batch — the search
-	// budget accounting itself is unaffected. 0 and 1 evaluate
-	// sequentially.
-	Parallelism int
 	// Progress, when non-nil, receives live best-so-far telemetry: it fires
 	// exactly when a trajectory sample is recorded (every improvement, plus
 	// every TrajectoryStride-th evaluation), from the searcher's own
@@ -216,14 +207,6 @@ type Context struct {
 	// trajectory bit-identically. Resume takes precedence — a restored
 	// run's chains come from its checkpoint, never from SeedMapping.
 	SeedMapping *mapspace.Mapping
-	// Scalar forces the scalar (pre-batching) evaluation path everywhere:
-	// per-candidate cost-model queries and per-vector surrogate
-	// forward/backward passes. The batched kernels accumulate in exactly
-	// the same order as the scalar ones, so both paths produce
-	// bit-identical trajectories — this knob exists so tests (and
-	// benchmark baselines) can prove and measure that, not because
-	// results differ.
-	Scalar bool
 }
 
 // NewContext builds the per-problem triple every search needs — the map
@@ -312,37 +295,24 @@ type tracker struct {
 	elapsed0       time.Duration
 	lastCheckpoint int
 
-	// paid and free are the scalar evaluator stacks; paidBatch and
-	// freeBatch additionally fan batches across the parallel middleware
-	// (nil when Parallelism <= 1, which selects the scalar batch loop).
-	paid, free           costmodel.Evaluator
-	paidBatch, freeBatch costmodel.Evaluator
+	// paid and free are the evaluator stacks every query goes through.
+	paid, free costmodel.Evaluator
 
-	// own is the scalar evaluation workspace: steady-state evaluation
+	// own is the evaluation workspace: steady-state evaluation
 	// allocates nothing (the Cost doubles as the backend's workspace).
 	own costmodel.Cost
-
-	// Per-candidate batch state, reused across batches.
-	batchCosts []costmodel.Cost
-	batchErrs  []error
 }
 
 func newTracker(ctx *Context, budget Budget) *tracker {
-	paid := costmodel.WithLatency(costmodel.WithCounter(ctx.Model, ctx.Evals), ctx.QueryLatency)
-	t := &tracker{
+	return &tracker{
 		ctx:    ctx,
 		ectx:   ctx.evalCtx(),
 		budget: budget,
 		start:  time.Now(),
 		best:   math.Inf(1),
-		paid:   paid,
+		paid:   costmodel.WithLatency(costmodel.WithCounter(ctx.Model, ctx.Evals), ctx.QueryLatency),
 		free:   ctx.Model,
 	}
-	if ctx.Parallelism > 1 {
-		t.paidBatch = costmodel.WithParallel(paid, ctx.Parallelism)
-		t.freeBatch = costmodel.WithParallel(ctx.Model, ctx.Parallelism)
-	}
-	return t
 }
 
 // exhausted reports whether the budget has run out, the run has converged

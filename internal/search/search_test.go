@@ -350,32 +350,33 @@ func TestSAPilotLargerThanBudget(t *testing.T) {
 	}
 }
 
+// TestAcceptInjection pins the §4.2 acceptance rule MM applies to every
+// random injection: improvements always pass, zero temperature passes
+// nothing else, and otherwise the draw u passes exactly when it falls
+// below exp(-delta/T).
 func TestAcceptInjection(t *testing.T) {
-	sur := conv1dSurrogate(t)
-	ctx := conv1dContext(t, 95)
-	rng := stats.NewRNG(95)
-	a := ctx.Space.Random(rng)
-	b := ctx.Space.Random(rng)
-	// Whatever the costs are, u=0 must accept (exp(-d/T) > 0) and a
-	// clearly better candidate must always be accepted.
-	ok, err := acceptInjection(sur, ctx, &a, &b, 50, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ delta, temp, u float64 }{
+		{0, 0, 0.999}, {0, 50, 0.999}, {-1e-12, 0, 0.999}, {-3, 50, 0.999}, {math.Inf(-1), 0, 0.5},
+	} {
+		if !acceptInjection(c.delta, c.temp, c.u) {
+			t.Errorf("acceptInjection(%v, %v, %v) rejected an improvement", c.delta, c.temp, c.u)
+		}
 	}
-	if !ok {
-		t.Fatal("u=0 must accept at positive temperature")
+	for _, delta := range []float64{math.SmallestNonzeroFloat64, 1e-9, 1, 1e300, math.Inf(1)} {
+		if acceptInjection(delta, 0, 0) {
+			t.Errorf("acceptInjection(%v, 0, 0) accepted a worse mapping at zero temperature", delta)
+		}
 	}
-	// Zero temperature: only strictly better candidates pass.
-	okA, err := acceptInjection(sur, ctx, &a, &b, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	okB, err := acceptInjection(sur, ctx, &b, &a, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okA == okB {
-		t.Log("both directions agreed (equal predicted costs) — acceptable but rare")
+	for _, c := range []struct{ delta, temp float64 }{{10, 50}, {33, 50}, {1, 0.5}, {65, 28.125}} {
+		p := math.Exp(-c.delta / c.temp)
+		if below := math.Nextafter(p, 0); !acceptInjection(c.delta, c.temp, below) {
+			t.Errorf("delta %v T %v: u %v just below %v rejected", c.delta, c.temp, below, p)
+		}
+		for _, u := range []float64{p, math.Nextafter(p, 1)} {
+			if acceptInjection(c.delta, c.temp, u) {
+				t.Errorf("delta %v T %v: u %v at or above %v accepted", c.delta, c.temp, u, p)
+			}
+		}
 	}
 }
 

@@ -46,9 +46,19 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 	rng := stats.NewRNG(ctx.Seed + 701)
 	t := newTracker(ctx, budget)
 
+	// Every surrogate query goes through PredictBatch: the Metropolis
+	// moves as one-row batches over reused buffers, the pilot chain below
+	// as one batch.
 	eExp, dExp := objectiveExponents(ctx.Objective)
+	row := make([][]float64, 1)
+	var pred []float64
 	predict := func(m *mapspace.Mapping) (float64, error) {
-		return s.Surrogate.PredictScalar(ctx.Space.Encode(m), eExp, dExp)
+		row[0] = ctx.Space.EncodeInto(row[0], m)
+		var err error
+		if pred, err = s.Surrogate.PredictBatch(row, eExp, dExp, pred); err != nil {
+			return 0, err
+		}
+		return pred[0], nil
 	}
 
 	cur := ctx.Space.Random(rng)
@@ -62,8 +72,7 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 
 	// Pilot chain: all moves are accepted, so the chain is rng-only and
 	// can be generated up front, predicted with one surrogate batch, and
-	// scored with one tracker batch — same results as the scalar loop,
-	// amortized query cost.
+	// scored with one tracker batch.
 	var deltas stats.Running
 	if !t.exhausted() {
 		chain := make([]mapspace.Mapping, 0, saPilotMoves)
@@ -72,24 +81,13 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 			chain = append(chain, ctx.Space.Perturb(rng, prev))
 			prev = &chain[len(chain)-1]
 		}
-		var preds []float64
-		if ctx.Scalar {
-			for i := range chain {
-				p, err := predict(&chain[i])
-				if err != nil {
-					return Result{}, err
-				}
-				preds = append(preds, p)
-			}
-		} else {
-			vecs := make([][]float64, len(chain))
-			for i := range chain {
-				vecs[i] = ctx.Space.Encode(&chain[i])
-			}
-			var err error
-			if preds, err = s.Surrogate.PredictBatch(vecs, eExp, dExp, nil); err != nil {
-				return Result{}, err
-			}
+		vecs := make([][]float64, len(chain))
+		for i := range chain {
+			vecs[i] = ctx.Space.Encode(&chain[i])
+		}
+		preds, err := s.Surrogate.PredictBatch(vecs, eExp, dExp, nil)
+		if err != nil {
+			return Result{}, err
 		}
 		vals, err := t.scoreSurrogateBatch(chain, nil)
 		if err != nil {

@@ -4,22 +4,6 @@ import (
 	"testing"
 )
 
-// batchedSearchers returns every searcher whose evaluation loop goes
-// through the batched tracker path, for batch/scalar/parallel equivalence
-// tests.
-func batchedSearchers(t testing.TB) []Searcher {
-	sur := conv1dSurrogate(t)
-	return []Searcher{
-		RandomSearch{},
-		SimulatedAnnealing{},
-		GeneticAlgorithm{},
-		BeamSearch{},
-		MindMappings{Surrogate: sur},
-		MindMappings{Surrogate: sur, Chains: 3},
-		SurrogateSA{Surrogate: sur},
-	}
-}
-
 func mustSearch(t *testing.T, s Searcher, ctx *Context, budget Budget) Result {
 	t.Helper()
 	res, err := s.Search(ctx, budget)
@@ -27,62 +11,6 @@ func mustSearch(t *testing.T, s Searcher, ctx *Context, budget Budget) Result {
 		t.Fatalf("%s: %v", s.Name(), err)
 	}
 	return res
-}
-
-// sameTrajectory asserts two results are bit-identical in everything
-// deterministic (Elapsed is wall-clock and excluded).
-func sameTrajectory(t *testing.T, label string, a, b Result) {
-	t.Helper()
-	if a.BestEDP != b.BestEDP {
-		t.Fatalf("%s: BestEDP %v vs %v", label, a.BestEDP, b.BestEDP)
-	}
-	if a.Evals != b.Evals {
-		t.Fatalf("%s: Evals %d vs %d", label, a.Evals, b.Evals)
-	}
-	if len(a.Trajectory) != len(b.Trajectory) {
-		t.Fatalf("%s: trajectory lengths %d vs %d", label, len(a.Trajectory), len(b.Trajectory))
-	}
-	for i := range a.Trajectory {
-		if a.Trajectory[i].Eval != b.Trajectory[i].Eval ||
-			a.Trajectory[i].BestEDP != b.Trajectory[i].BestEDP {
-			t.Fatalf("%s: trajectory[%d] = {%d %v} vs {%d %v}", label, i,
-				a.Trajectory[i].Eval, a.Trajectory[i].BestEDP,
-				b.Trajectory[i].Eval, b.Trajectory[i].BestEDP)
-		}
-	}
-}
-
-// TestBatchAndScalarPathsBitIdentical is the acceptance-criterion guard:
-// for a fixed seed at Parallelism <= 1, the batched evaluation pipeline
-// (batch GEMM surrogate queries, payEvalBatch) and the forced-scalar path
-// produce bit-identical trajectories for every batched searcher.
-func TestBatchAndScalarPathsBitIdentical(t *testing.T) {
-	budget := Budget{MaxEvals: 260}
-	for _, s := range batchedSearchers(t) {
-		batch := conv1dContext(t, 11)
-		scalar := conv1dContext(t, 11)
-		scalar.Scalar = true
-		got := mustSearch(t, s, batch, budget)
-		want := mustSearch(t, s, scalar, budget)
-		sameTrajectory(t, s.Name()+" batch-vs-scalar", got, want)
-	}
-}
-
-// TestParallelismIsDeterministic pins that fanning batched cost-model
-// scoring across workers changes wall-clock only: Parallelism 1 and 4
-// produce bit-identical trajectories. Run under -race this also exercises
-// the worker pool for data races across gradient, genetic, annealing,
-// beam, and random searchers.
-func TestParallelismIsDeterministic(t *testing.T) {
-	budget := Budget{MaxEvals: 260}
-	for _, s := range batchedSearchers(t) {
-		serial := conv1dContext(t, 23)
-		parallel := conv1dContext(t, 23)
-		parallel.Parallelism = 4
-		want := mustSearch(t, s, serial, budget)
-		got := mustSearch(t, s, parallel, budget)
-		sameTrajectory(t, s.Name()+" parallel-vs-serial", got, want)
-	}
 }
 
 // TestMultiChainGradientSearch sanity-checks the Chains knob: budget

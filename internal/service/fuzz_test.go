@@ -2,17 +2,17 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
 // FuzzSearchRequest drives POST /v1/search bodies through the decoder the
-// server uses (decodeBody: unknown fields rejected) and then resolve. It
-// must never panic; a request that resolves has a problem with one
-// positive size per algorithm dimension, a non-negative trajectory stride
-// and deadline, and resolving it again yields the same atlas key and
-// family. The seeds are request bodies the service's tests post, plus an
-// evals and a timeout_ms whose conversions once overflowed. Run it with
+// server uses (decodeJSON: unknown fields and trailing data rejected) and
+// then resolve. It must never panic; a request that resolves has a problem
+// with one positive size per algorithm dimension, a non-negative
+// trajectory stride and deadline, and resolving it again yields the same
+// atlas key and family. The seeds are request bodies the service's tests
+// post, plus an evals and a timeout_ms whose conversions once overflowed.
+// Run it with
 //
 //	go test -run '^$' -fuzz FuzzSearchRequest -fuzztime 10s ./internal/service/
 func FuzzSearchRequest(f *testing.F) {
@@ -22,7 +22,7 @@ func FuzzSearchRequest(f *testing.F) {
 		`{"algo":"conv1d","shape":[1024,5],"searcher":"ga","evals":80,"seed":1}`,
 		`{"algo":"conv1d","shape":[768,5],"searcher":"mm","model":"conv1d.surrogate","evals":60,"seed":2}`,
 		`{"algo":"conv1d","shape":[1024,5],"searcher":"random","time":"1h","timeout_ms":300,"seed":5}`,
-		`{"algo":"conv1d","shape":[1024,5],"searcher":"random","evals":50,"parallelism":8,"objective":"ed2p"}`,
+		`{"algo":"conv1d","shape":[1024,5],"searcher":"random","evals":50,"objective":"ed2p"}`,
 		`{"algo":"conv1d","shape":[1024,5],"searcher":"ga","evals":30,"cost_model":"roofline","patience":10}`,
 		`{"algo":"conv1d","shape":[1024,5],"model":"auto","evals":10}`,
 		`{"algo":"conv1d","shape":[1024,5]}`,
@@ -44,9 +44,7 @@ func FuzzSearchRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SearchRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&req) != nil {
+		if decodeJSON(bytes.NewReader(body), &req) != nil {
 			return
 		}
 		p, err := req.resolve()

@@ -89,12 +89,6 @@ type SearchRequest struct {
 	// Seed makes the run reproducible; jobs with equal requests and seeds
 	// produce identical results.
 	Seed int64 `json:"seed,omitempty"`
-	// Parallelism fans the job's batched cost-model evaluations across up
-	// to this many workers (capped at MaxParallelism). Search results are
-	// bit-identical for any value — only the job's wall-clock changes —
-	// so it composes safely with Seed reproducibility. 0 or 1 evaluates
-	// sequentially.
-	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutMS is an anytime deadline in milliseconds: when it expires
 	// before the budget does, the job completes with its best-so-far
 	// mapping and "degraded": true instead of failing (DESIGN.md §9). The
@@ -104,12 +98,6 @@ type SearchRequest struct {
 	// request is rejected.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
-
-// MaxParallelism caps a request's Parallelism: enough to overlap
-// query-latency-bound evaluation generously while keeping one job from
-// monopolizing the scheduler (jobs already fan out across the manager's
-// worker pool).
-const MaxParallelism = 32
 
 // TrajectoryPoint is one best-so-far sample of a job's search trajectory.
 type TrajectoryPoint struct {
@@ -727,20 +715,19 @@ var ErrQueueFull = fmt.Errorf("service: job %w", jobqueue.ErrFull)
 var errShuttingDown = fmt.Errorf("service: %w", jobqueue.ErrClosed)
 
 // plan is a SearchRequest resolved once: the workload, the problem
-// instance, the accelerator, the objective and budget, the searcher, cost
-// model and parallelism with their defaults and caps applied, and the atlas
-// coordinates derived from them. Every step after submit — the atlas exact
-// hit, the neighbor warm start, the search and the write-back — reads
-// these from the plan instead of deriving them from the request again.
+// instance, the accelerator, the objective and budget, the searcher and
+// cost model with their defaults applied, and the atlas coordinates
+// derived from them. Every step after submit — the atlas exact hit, the
+// neighbor warm start, the search and the write-back — reads these from
+// the plan instead of deriving them from the request again.
 type plan struct {
-	algo        *loopnest.Algorithm
-	prob        loopnest.Problem
-	arch        arch.Spec
-	obj         search.Objective
-	budget      search.Budget
-	searcher    string // lower-cased; "mm" when the request left it empty
-	costModel   string // the backend name; never empty
-	parallelism int    // capped at MaxParallelism
+	algo      *loopnest.Algorithm
+	prob      loopnest.Problem
+	arch      arch.Spec
+	obj       search.Objective
+	budget    search.Budget
+	searcher  string // lower-cased; "mm" when the request left it empty
+	costModel string // the backend name; never empty
 	// timeout is the request's timeout_ms; 0 when it set none.
 	timeout time.Duration
 	// algoFP and archFP stamp atlas entries and match "auto" models; key
@@ -787,9 +774,6 @@ func (req *SearchRequest) resolve() (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Parallelism < 0 {
-		return nil, fmt.Errorf("service: negative parallelism %d", req.Parallelism)
-	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
 	}
@@ -833,7 +817,7 @@ func (req *SearchRequest) resolve() (*plan, error) {
 		return nil, err
 	}
 	p := &plan{algo: algo, prob: prob, arch: arch.Default(len(algo.Tensors) - 1), obj: obj, budget: budget,
-		searcher: name, costModel: req.CostModel, parallelism: min(req.Parallelism, MaxParallelism),
+		searcher: name, costModel: req.CostModel,
 		timeout: time.Duration(req.TimeoutMS) * time.Millisecond, algoFP: algo.Fingerprint()}
 	if p.costModel == "" {
 		p.costModel = costmodel.DefaultBackend
@@ -1403,7 +1387,6 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 	sctx.Objective = p.obj
 	sctx.Ctx = ctx
 	sctx.Evals = jm.counterFor(backend)
-	sctx.Parallelism = p.parallelism
 	sctx.Resume = resume
 	sctx.SeedMapping = seedMapping
 	// Checkpoints always flow to the in-memory job record (enabling resume

@@ -269,6 +269,57 @@ func TestRecoveredUnresolvableJobFails(t *testing.T) {
 	}
 }
 
+// TestRecoveredRecordWithRetiredFieldRuns pins that journal recovery
+// stays lenient about request fields the service no longer defines: a
+// record written when requests still carried "parallelism" recovers, runs
+// to done, and finds the same result as the request submitted today. HTTP
+// bodies are decoded strictly; journal records must not be, or jobs
+// drained across an upgrade would be stranded.
+func TestRecoveredRecordWithRetiredFieldRuns(t *testing.T) {
+	j, err := resilience.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const request = `{"algo":"conv1d","shape":[1024,5],"searcher":"ga","evals":120,"seed":7`
+	rec := `{"id":"old","status":"queued","request":` + request + `,"parallelism":8},"created":"2026-01-02T03:04:05Z"}`
+	if err := j.Put("old", json.RawMessage(rec)); err != nil {
+		t.Fatal(err)
+	}
+	jm := newTestManager(t, 1, 4)
+	if n, err := jm.EnableJournal(j); err != nil || n != 1 {
+		t.Fatalf("EnableJournal = %d, %v; want 1 recovered", n, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	old, err := jm.Wait(ctx, "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Status != JobDone {
+		t.Fatalf("recovered job %s (%s), want done", old.Status, old.Error)
+	}
+	var req SearchRequest
+	if err := json.Unmarshal([]byte(request+"}"), &req); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := jm.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := jm.Wait(ctx, fresh.ID)
+	if err != nil || done.Status != JobDone {
+		t.Fatalf("fresh job: %v %v", done.Status, err)
+	}
+	if old.Result.BestEDP != done.Result.BestEDP || old.Result.Evals != done.Result.Evals {
+		t.Fatalf("recovered job best %v in %d evals, fresh job %v in %d",
+			old.Result.BestEDP, old.Result.Evals, done.Result.BestEDP, done.Result.Evals)
+	}
+	var gone journalRecord
+	if err := j.Get("old", &gone); !errors.Is(err, resilience.ErrNotJournaled) {
+		t.Fatalf("recovered job's record after it ended: %v, want ErrNotJournaled", err)
+	}
+}
+
 // TestRecoveredMalformedCheckpointFails guards journal recovery against a
 // checkpoint whose mappings no longer fit the problem's map space (written
 // before a registered workload changed): the recovered mm job fails with

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -487,16 +488,28 @@ func writeSubmitted(w http.ResponseWriter, err error, fallback int, retry time.D
 	writeError(w, fallback, err)
 }
 
-// decodeBody decodes a JSON request body, rejecting unknown fields; a bad
-// body has already been answered 400 when it returns false.
+// decodeBody decodes a JSON request body through decodeJSON; a bad body
+// has already been answered 400 when it returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeJSON decodes exactly one JSON value from r into v: an unknown
+// field, or anything but whitespace after the value, is an error.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {

@@ -336,6 +336,70 @@ func TestBadRequestsAndUnknownJobs(t *testing.T) {
 	}
 }
 
+// TestRequestBodyIsOneJSONValue pins that POST /v1/search and POST
+// /v1/train read exactly one JSON object: data after it, such as a second
+// object, is a 400 instead of being dropped unread, and so is a field the
+// request does not define, such as the retired "parallelism". Nothing is
+// submitted for a rejected body; trailing whitespace is fine.
+func TestRequestBodyIsOneJSONValue(t *testing.T) {
+	store, err := modelstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	registry := NewModelRegistry(modelDir(t, "conv1d.surrogate"), 4)
+	jobs := NewJobManager(registry, nil, 1, 8)
+	pipeline := trainer.New(store, 1, 1)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		jobs.Shutdown(ctx)
+		pipeline.Shutdown(ctx)
+	})
+	ts := httptest.NewServer(NewServer(jobs, registry, nil).WithTraining(store, pipeline).Handler())
+	t.Cleanup(ts.Close)
+
+	search := `{"algo":"conv1d","shape":[1024,5],"searcher":"random","evals":5}`
+	train, err := json.Marshal(tinyTrainRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, body, want string
+	}{
+		{"/v1/search", search + `{"parallelism":8} junk`, "trailing data"},
+		{"/v1/search", search + ` junk`, "trailing data"},
+		{"/v1/search", search + `{}`, "trailing data"},
+		{"/v1/search", `{"algo":"conv1d","shape":[1024,5],"searcher":"random","evals":5,"parallelism":4}`,
+			`unknown field "parallelism"`},
+		{"/v1/train", string(train) + `{"samples":1}`, "trailing data"},
+		{"/v1/train", string(train) + `]`, "trailing data"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got apiError
+		json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, tc.want) {
+			t.Errorf("POST %s %s: %d %q, want 400 naming %q", tc.path, tc.body, resp.StatusCode, got.Error, tc.want)
+		}
+	}
+	for _, series := range []string{"search_jobs_submitted_total", "trainer_jobs_submitted_total"} {
+		if n := promValue(t, ts, series); n != 0 {
+			t.Errorf("%s = %v after rejected bodies, want 0", series, n)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(search+" \n\t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("search body with trailing whitespace: %d, want 202", resp.StatusCode)
+	}
+}
+
 // TestSubmitRejectsUnresolvableRequest pins that a request whose problem
 // its algorithm cannot build answers 400 at submit with the resolver's
 // error, before it is counted, admitted or journaled.

@@ -101,9 +101,6 @@ func TestRequestValidation(t *testing.T) {
 		{"bad searcher", func(r *SearchRequest) { r.Searcher = "gradient-boost" }, false},
 		{"mm needs model", func(r *SearchRequest) { r.Searcher = "mm" }, false},
 		{"negative evals", func(r *SearchRequest) { r.Evals = -3 }, false},
-		{"negative parallelism", func(r *SearchRequest) { r.Parallelism = -1 }, false},
-		{"parallelism", func(r *SearchRequest) { r.Parallelism = 8 }, true},
-		{"huge parallelism capped not rejected", func(r *SearchRequest) { r.Parallelism = 10_000 }, true},
 		{"roofline cost model", func(r *SearchRequest) { r.CostModel = "roofline" }, true},
 		{"explicit timeloop cost model", func(r *SearchRequest) { r.CostModel = "timeloop" }, true},
 		{"unknown cost model", func(r *SearchRequest) { r.CostModel = "abacus" }, false},
@@ -160,41 +157,6 @@ func TestResolveProblemTable1AndShapes(t *testing.T) {
 	req = SearchRequest{Einsum: "O[a,b] += A[a,c] * B[c,b]", Dims: map[string]int{"a": 32, "b": 32, "c": 32}}
 	if p, err := resolve(req); err != nil || p.MACs() != 32*32*32 {
 		t.Fatalf("inline einsum: %v %v", p, err)
-	}
-}
-
-// TestParallelJobMatchesSerialJob pins the service-level contract of the
-// parallel evaluation fan-out: a job with Parallelism set produces the
-// exact same search result as the same request run serially.
-func TestParallelJobMatchesSerialJob(t *testing.T) {
-	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 2, 8)
-	defer jobs.Shutdown(context.Background())
-	run := func(parallelism int) *JobResult {
-		req := validRequest()
-		req.Searcher = "ga"
-		req.Evals = 300
-		req.Parallelism = parallelism
-		job, err := jobs.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done, err := jobs.Wait(context.Background(), job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done.Status != JobDone {
-			t.Fatalf("job status %s (%s)", done.Status, done.Error)
-		}
-		return done.Result
-	}
-	serial := run(0)
-	parallel := run(8)
-	if serial.BestEDP != parallel.BestEDP || serial.Evals != parallel.Evals {
-		t.Fatalf("parallel job diverged: best %v/%v evals %d/%d",
-			serial.BestEDP, parallel.BestEDP, serial.Evals, parallel.Evals)
-	}
-	if len(serial.Trajectory) != len(parallel.Trajectory) {
-		t.Fatalf("trajectory lengths %d vs %d", len(serial.Trajectory), len(parallel.Trajectory))
 	}
 }
 

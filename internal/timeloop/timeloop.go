@@ -15,8 +15,8 @@
 //
 // Model implements costmodel.Evaluator and registers itself as "timeloop",
 // the costmodel registry's default backend; cross-cutting concerns the
-// model used to own — eval accounting, query-latency emulation,
-// memoization, parallel batch fan-out — are costmodel middleware now.
+// model used to own — eval accounting and query-latency emulation — are
+// costmodel middleware now.
 // Nothing outside this package (and its tests) constructs a *Model
 // directly; consumers go through costmodel.New.
 package timeloop
@@ -174,9 +174,9 @@ func (m *Model) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, co
 // EvaluateInto implements costmodel.Evaluator. The Cost doubles as the
 // evaluation workspace: its slices and internal scratch are reused, so
 // steady-state search loops that keep one Cost per goroutine evaluate with
-// zero heap allocations (the search tracker and the costmodel parallel
-// middleware rely on this). The previous contents of c are overwritten;
-// Costs kept past the next evaluation must be Clone()s.
+// zero heap allocations (the search tracker relies on this). The
+// previous contents of c are overwritten; Costs kept past the next
+// evaluation must be Clone()s.
 func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmodel.Cost) error {
 	nd := m.Prob.Algo.NumDims()
 	if len(mp.Spatial) != nd || len(mp.Tile[arch.L1]) != nd ||
