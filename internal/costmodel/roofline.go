@@ -38,7 +38,8 @@ type Roofline struct {
 	Arch arch.Spec
 	Prob loopnest.Problem
 
-	macs float64
+	macs     float64
+	relevant [][]bool // relevant[t][d]: dimension d indexes tensor t
 }
 
 func init() {
@@ -60,7 +61,7 @@ func NewRoofline(a arch.Spec, p loopnest.Problem) (*Roofline, error) {
 		return nil, fmt.Errorf("roofline: architecture consumes %d operands/MAC but algorithm %s has %d input tensors",
 			a.OperandsPerMAC, p.Algo.Name, want)
 	}
-	return &Roofline{Arch: a, Prob: p, macs: p.MACs()}, nil
+	return &Roofline{Arch: a, Prob: p, macs: p.MACs(), relevant: p.Algo.Relevance()}, nil
 }
 
 // Name implements Evaluator.
@@ -109,7 +110,7 @@ func (r *Roofline) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *Cost
 	ws.tile2 = mp.CumulativeTileInto(ws.tile2, arch.L2)
 
 	for t := range r.Prob.Algo.Tensors {
-		tensor := &r.Prob.Algo.Tensors[t]
+		tensor, relevant := &r.Prob.Algo.Tensors[t], r.relevant[t]
 		fp1 := float64(tensor.Footprint(ws.tile1))
 		fp2 := float64(tensor.Footprint(ws.tile2))
 
@@ -121,7 +122,7 @@ func (r *Roofline) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *Cost
 		totalPEs, relPEs := 1.0, 1.0
 		for d := 0; d < nd; d++ {
 			totalPEs *= float64(mp.Spatial[d])
-			if tensor.Relevant(d) {
+			if relevant[d] {
 				q2 *= float64(mp.Tile[arch.DRAM][d])
 				q1 *= float64(mp.Tile[arch.DRAM][d] * mp.Tile[arch.L2][d])
 				relPEs *= float64(mp.Spatial[d])

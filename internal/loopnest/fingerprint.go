@@ -11,15 +11,17 @@ import (
 // dst and returns the extended slice. The identity covers everything that
 // determines an algorithm's behavior: its name, dimension names, datapath
 // width, representative sample space, and — per tensor — name, relevance
-// set, output flag, and the footprint function evaluated at a deterministic
-// set of probe tiles. Footprint closures cannot be compared structurally,
-// so the probes capture them behaviorally: the tiles include all-equal
-// tiles (which separate halo extents like X'+R'-1 from products like X'·R')
-// and per-dimension spikes (which recover each dimension's marginal
-// contribution). Two algorithms with equal fingerprints are
-// indistinguishable to the map space, the cost models, and the surrogate's
-// encoders at every probed tile — the contract the dataset and surrogate
-// files rely on to refuse cross-workload loads.
+// set, output flag, and the footprint evaluated at a deterministic set of
+// probe tiles. The footprint is encoded by its values at the probes, not
+// by its subscript terms, so the identity stays the one every stored
+// surrogate, atlas entry and model-store manifest was stamped with when
+// footprints were closures, and those files still load. The tiles include
+// all-equal tiles (which separate halo extents like X'+R'-1 from products
+// like X'·R') and per-dimension spikes (which recover each dimension's
+// marginal contribution). Two algorithms with equal
+// fingerprints are indistinguishable to the map space, the cost models,
+// and the surrogate's encoders at every probed tile — the contract the
+// dataset and surrogate files rely on to refuse cross-workload loads.
 func (a *Algorithm) AppendFingerprint(dst []byte) []byte {
 	appendInt := func(v int) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))

@@ -32,22 +32,29 @@ type Tensor struct {
 	// Dims lists the algorithm-dimension indices this tensor depends on.
 	// A loop over a dimension not listed here can reuse the tensor's tile.
 	Dims []int
-	// Footprint returns the number of distinct words the tensor occupies for
-	// the given per-dimension tile sizes (len == number of algorithm dims).
-	// Convolution inputs implement halo footprints here.
-	Footprint func(tile []int) int64
+	// Terms lists the tensor's subscript terms, each as the dimensions it
+	// sums: {X} for a bare index, {X, R} for the halo term X+R. Every
+	// dimension of Dims appears in exactly one term.
+	Terms [][]int
 	// Output marks the tensor produced by the computation.
 	Output bool
 }
 
-// Relevant reports whether dimension d indexes the tensor.
-func (t *Tensor) Relevant(d int) bool {
-	for _, td := range t.Dims {
-		if td == d {
-			return true
+// Footprint returns the number of distinct words the tensor occupies for
+// the given per-dimension tile sizes (len == number of algorithm dims):
+// the product over subscript terms of the term's extent, where a bare
+// term d spans tile[d] and a halo term d1+…+dk the sliding window
+// tile[d1]+…+tile[dk]-(k-1).
+func (t *Tensor) Footprint(tile []int) int64 {
+	words := int64(1)
+	for _, term := range t.Terms {
+		extent := int64(1 - len(term))
+		for _, d := range term {
+			extent += int64(tile[d])
 		}
+		words *= extent
 	}
-	return false
+	return words
 }
 
 // Algorithm is a family of problems over fixed dimensions and tensors.
@@ -76,6 +83,22 @@ func (a *Algorithm) OutputTensor() int {
 		}
 	}
 	return -1
+}
+
+// Relevance returns, per tensor, a table over the algorithm's dimensions:
+// Relevance()[t][d] reports whether d indexes tensor t. Cost models build
+// it once so their per-loop reuse tests are an index, not a scan of Dims.
+func (a *Algorithm) Relevance() [][]bool {
+	nd := a.NumDims()
+	rel := make([][]bool, len(a.Tensors))
+	flat := make([]bool, len(a.Tensors)*nd)
+	for t := range a.Tensors {
+		rel[t] = flat[t*nd : (t+1)*nd : (t+1)*nd]
+		for _, d := range a.Tensors[t].Dims {
+			rel[t][d] = true
+		}
+	}
+	return rel
 }
 
 // Problem is a specific shape of an algorithm, e.g. one CNN layer.

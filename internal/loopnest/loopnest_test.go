@@ -60,13 +60,25 @@ func TestConv1DStructure(t *testing.T) {
 
 func TestTensorRelevant(t *testing.T) {
 	a := algoByName(t, "cnn-layer")
-	w := &a.Tensors[0] // Weights: K,C,R,S
-	if !w.Relevant(CNNDimK) || w.Relevant(CNNDimN) {
+	rel := a.Relevance()
+	w := rel[0] // Weights: K,C,R,S
+	if !w[CNNDimK] || w[CNNDimN] || !w[CNNDimR] {
 		t.Fatal("Weights relevance wrong")
 	}
-	o := &a.Tensors[2] // Outputs: N,K,X,Y
-	if o.Relevant(CNNDimC) || !o.Relevant(CNNDimX) {
+	o := rel[2] // Outputs: N,K,X,Y
+	if o[CNNDimC] || !o[CNNDimX] || o[CNNDimS] {
 		t.Fatal("Outputs relevance wrong")
+	}
+	for i := range a.Tensors {
+		n := 0
+		for _, r := range rel[i] {
+			if r {
+				n++
+			}
+		}
+		if len(rel[i]) != a.NumDims() || n != len(a.Tensors[i].Dims) {
+			t.Fatalf("tensor %s: %d of %d dims relevant, Dims %v", a.Tensors[i].Name, n, len(rel[i]), a.Tensors[i].Dims)
+		}
 	}
 }
 

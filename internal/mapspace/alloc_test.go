@@ -6,6 +6,7 @@ import (
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
+	"mindmappings/internal/workload"
 )
 
 // raceEnabled is set by race_test.go: the race detector makes sync.Pool
@@ -140,6 +141,37 @@ func TestIntoOperatorsAllocs(t *testing.T) {
 		pinAllocs(t, "MutateInto in place", 0, func() { s.MutateInto(rng, &dst, 0.3, &dst) })
 		pinAllocs(t, "CloneInto", 0, func() { b.CloneInto(&dst) })
 	}
+}
+
+// check keeps its tile in a stack array up to 16 dimensions and borrows
+// the pooled workspace beyond that, so an inline einsum with more
+// dimensions than any builtin still checks and perturbs without
+// allocating.
+func TestWideEinsumCheckAllocs(t *testing.T) {
+	algo, err := workload.CompileInline(
+		"O[a,b,c,d,e,f,g,h,i] += A[a,b,c,d,e,f,g,h+j,k,l,m] * B[i,j,k,l,m,n,o,p,q]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := make([]int, algo.NumDims())
+	for d := range shape {
+		shape[d] = 2
+	}
+	s, err := New(arch.Default(len(algo.Tensors)-1), loopnest.Problem{Algo: algo, Name: "wide", Shape: shape})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumDims() != 17 {
+		t.Fatalf("%d dimensions, want 17", s.NumDims())
+	}
+	rng := rand.New(rand.NewSource(9))
+	m := s.Random(rng)
+	if err := s.IsMember(&m); err != nil {
+		t.Fatal(err)
+	}
+	dst := m.Clone()
+	pinAllocs(t, "check", 0, func() { s.check(&m) })
+	pinAllocs(t, "PerturbInto", 0, func() { s.PerturbInto(rng, &m, &dst) })
 }
 
 func TestDrawAllocs(t *testing.T) {

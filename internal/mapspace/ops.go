@@ -38,8 +38,9 @@ func (s *Space) PerturbInto(rng *rand.Rand, m, dst *Mapping) {
 		case 3:
 			s.moveFactorBetweenBands(rng, dst)
 		}
-		s.repair(dst)
-		if s.check(dst).rule == valid {
+		// A projected neighbour is checked again; a valid one was just
+		// checked by repair.
+		if s.repair(dst) || s.check(dst).rule == valid {
 			return
 		}
 	}

@@ -145,18 +145,39 @@ func (s *Space) Repair(m Mapping) Mapping {
 	return m
 }
 
-// repair projects *m in place when it is invalid.
-func (s *Space) repair(m *Mapping) {
-	if s.check(m).rule == valid {
-		return
+// repair projects *m in place when it is invalid, and reports whether m
+// was already valid.
+//
+// A shaped mapping whose first violation is an allocation rule, and whose
+// tiling fits raw buffer capacity, takes a short path with the same
+// result: projection's steps 1–3 give back its own chains and orders.
+// Every chain is a member of its table (the factor rules passed), so it is
+// its own hint, and the spatial product fits the PE budget, so nearest
+// returns it; shrinkToFit's loop condition is fitsBuffers' condition;
+// ranks read off a permutation sort back to it. Only step 4 remains.
+func (s *Space) repair(m *Mapping) bool {
+	v := s.check(m)
+	if v.rule == valid {
+		return true
 	}
 	ws := getScratch()
 	defer putScratch(ws)
+	if allocRule(v.rule) && s.shaped(m) && s.fitsBuffers(ws, m) {
+		s.projectAlloc(ws, m, m.Alloc)
+		return false
+	}
 	s.desiredFrom(ws, m)
 	if !s.shaped(m) {
 		*m = s.emptyMapping()
 	}
 	s.projectInto(ws, m)
+	return false
+}
+
+// allocRule reports whether r is one of the rules check applies to a
+// mapping's allocations, after every tiling and order rule has passed.
+func allocRule(r rule) bool {
+	return r == ruleAllocRange || r == ruleAllocSum || r == ruleFootprint
 }
 
 // shaped reports whether m's slices have the lengths of this space's
@@ -223,16 +244,23 @@ func (s *Space) projectInto(ws *scratch, m *Mapping) {
 		ranksToPerm(m.Order[l], des.ranks[l])
 	}
 
-	// 4. Allocations: clamp the request and project onto the feasible
-	// region (footprint floor per tensor, per-level sum at most 1).
+	// 4. Allocations.
+	s.projectAlloc(ws, m, des.alloc)
+}
+
+// projectAlloc is projection's last step: it sets m's allocations to the
+// clamped request want and projects them onto the feasible region
+// (footprint floor per tensor, per-level sum at most 1). want may be
+// m.Alloc itself. m's tiling must fit raw buffer capacity; should no
+// allocation fit it after all, m fails safe to the always-valid minimal
+// mapping.
+func (s *Space) projectAlloc(ws *scratch, m *Mapping, want [arch.OnChipLevels][]float64) {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		for t := range m.Alloc[level] {
-			m.Alloc[level][t] = clamp01(des.alloc[level][t])
+			m.Alloc[level][t] = clamp01(want[level][t])
 		}
 	}
 	if !s.repairAlloc(ws, m) {
-		// shrinkToFit guarantees feasibility; reaching here means a logic
-		// error, so fail safe with the always-valid minimal mapping.
 		*m = s.minimalMapping()
 	}
 }

@@ -62,10 +62,10 @@ func (s *Space) Chains(d int) []FactorChain {
 	return c[:len(c):len(c)]
 }
 
-// scratch is the per-call workspace of the map-space routines. Tensor
-// footprints are closures, so any tile buffer handed to them escapes to the
-// heap; pooling the workspace keeps sampling, projection and membership
-// tests free of allocations apart from the mappings they return.
+// scratch is the per-call workspace of the map-space routines: the tile,
+// share and ordering buffers one call fills and discards. Pooling it keeps
+// sampling, projection and membership tests free of allocations apart from
+// the mappings they return.
 type scratch struct {
 	tile   []int     // cumulative tile at one level
 	shares []float64 // per-tensor footprint shares of one level
@@ -108,13 +108,6 @@ func (s *Space) sharesAt(ws *scratch, m *Mapping, level arch.Level) ([]float64, 
 		sum += ws.shares[t]
 	}
 	return ws.shares, sum
-}
-
-// FootprintWords returns tensor t's resident footprint in words at an
-// on-chip level under mapping m.
-func (s *Space) FootprintWords(m *Mapping, level arch.Level, t int) float64 {
-	tile := m.CumulativeTile(level)
-	return float64(s.Prob.Algo.Tensors[t].Footprint(tile))
 }
 
 // totalFootprint returns the summed tensor footprints at a level.
@@ -213,15 +206,21 @@ func (s *Space) check(m *Mapping) violation {
 		}
 	}
 	nt := s.NumTensors()
-	ws := getScratch()
-	defer putScratch(ws)
+	var buf [16]int // the tile stays on the stack up to 16 dimensions
+	tile := buf[:0]
+	if d > len(buf) { // wider problems borrow the pooled workspace
+		ws := getScratch()
+		defer putScratch(ws)
+		ws.tile = grow(ws.tile, d)
+		tile = ws.tile
+	}
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		if len(m.Alloc[level]) != nt {
 			return violation{rule: ruleAllocCount, level: level}
 		}
 		sum := 0.0
 		for t, a := range m.Alloc[level] {
-			if a < 0 || a > 1 {
+			if !(a >= 0 && a <= 1) { // NaN included
 				return violation{rule: ruleAllocRange, level: level, index: t}
 			}
 			sum += a
@@ -230,7 +229,7 @@ func (s *Space) check(m *Mapping) violation {
 			return violation{rule: ruleAllocSum, level: level, value: sum}
 		}
 		capWords := float64(s.Arch.LevelWords(level))
-		tile := ws.tileAt(m, level)
+		tile = m.CumulativeTileInto(tile[:0], level)
 		for t := range s.Prob.Algo.Tensors {
 			fp := float64(s.Prob.Algo.Tensors[t].Footprint(tile))
 			if fp > m.Alloc[level][t]*capWords+allocTolerance {

@@ -1,6 +1,7 @@
 package mapspace
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,7 @@ func TestIsMemberCatchesViolations(t *testing.T) {
 		},
 		"bad order":      func(m *Mapping) { m.Order[arch.L2][0] = m.Order[arch.L2][1] },
 		"alloc range":    func(m *Mapping) { m.Alloc[arch.L1][0] = -0.1 },
+		"alloc NaN":      func(m *Mapping) { m.Alloc[arch.L2][1] = math.NaN() },
 		"alloc sum":      func(m *Mapping) { m.Alloc[arch.L2] = []float64{0.9, 0.9, 0.9} },
 		"missing alloc":  func(m *Mapping) { m.Alloc[arch.L1] = nil },
 		"short tiles":    func(m *Mapping) { m.Tile[arch.L1] = m.Tile[arch.L1][:3] },
@@ -210,7 +212,7 @@ func TestRandomMappingInvariantsProperty(t *testing.T) {
 		for level := arch.L1; level < arch.OnChipLevels; level++ {
 			capWords := float64(s.Arch.LevelWords(level))
 			for tIdx := range s.Prob.Algo.Tensors {
-				if s.FootprintWords(&m, level, tIdx) > m.Alloc[level][tIdx]*capWords+1e-6 {
+				if footprintWords(s, &m, level, tIdx) > m.Alloc[level][tIdx]*capWords+1e-6 {
 					return false
 				}
 			}
@@ -220,6 +222,12 @@ func TestRandomMappingInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// footprintWords returns tensor t's resident footprint in words at an
+// on-chip level under mapping m.
+func footprintWords(s *Space, m *Mapping, level arch.Level, t int) float64 {
+	return float64(s.Prob.Algo.Tensors[t].Footprint(m.CumulativeTile(level)))
 }
 
 func TestRepairAllocRaisesToFootprint(t *testing.T) {
@@ -248,7 +256,7 @@ func TestTightenAlloc(t *testing.T) {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
 		for tIdx := range s.Prob.Algo.Tensors {
-			want := s.FootprintWords(&m, level, tIdx) / capWords
+			want := footprintWords(s, &m, level, tIdx) / capWords
 			if got := m.Alloc[level][tIdx]; got != want {
 				t.Fatalf("level %s tensor %d alloc %v != footprint share %v", level, tIdx, got, want)
 			}

@@ -577,18 +577,21 @@ type journalRecord struct {
 	Checkpoint *search.Checkpoint `json:"checkpoint,omitempty"`
 }
 
-// journalPut writes a job's journal record, counting (but not failing on)
-// errors that survive the journal's bounded retry: the job keeps running,
-// only its crash-recovery point goes stale.
+// journalPut writes a job's journal record to j (nil: no journal),
+// counting (but not failing on) errors that survive the journal's bounded
+// retry: the job keeps running, only its crash-recovery point goes stale.
 // The job's identity and request never change after submission, so they
 // are read without the lock.
-func (jm *JobManager) journalPut(job *Job, status JobStatus, ck *search.Checkpoint) {
-	w := jm.wired()
-	if w.journal == nil {
+//
+// A queued record is written under jm.mu in the critical section that
+// enqueues the job. Workers dequeue under jm.mu, so the job cannot start,
+// let alone finish and delete its record, before the record exists.
+func (jm *JobManager) journalPut(j *resilience.Journal, job *Job, status JobStatus, ck *search.Checkpoint) {
+	if j == nil {
 		return
 	}
 	rec := journalRecord{ID: job.ID, Tenant: job.Tenant, Status: status, Request: job.Request, Created: job.Created, Checkpoint: ck}
-	if err := w.journal.Put(job.ID, rec); err != nil {
+	if err := j.Put(job.ID, rec); err != nil {
 		jm.met.journalErrs.Inc()
 		jm.flight.Record(obs.SevError, "journal.error", err.Error(),
 			map[string]string{"id": job.ID, "op": "put"})
@@ -669,12 +672,11 @@ func (jm *JobManager) Resume(id string) (Job, error) {
 	job.Result = nil
 	job.resume = job.checkpoint
 	snap := jm.q.SnapshotLocked(job)
-	ck := job.checkpoint
+	jm.journalPut(jm.w.journal, job, JobQueued, job.checkpoint)
 	jm.mu.Unlock()
 	job.tin.accepted()
 	jm.flight.Record(obs.SevInfo, "job.resume", "search job re-enqueued from its checkpoint",
 		map[string]string{"id": snap.ID, "tenant": tenantLabel(snap.Tenant)})
-	jm.journalPut(job, JobQueued, ck)
 	return snap, nil
 }
 
@@ -983,6 +985,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 	if !jm.draining {
 		if err = jm.q.AddLocked(job, false); err == nil {
 			snap = jm.q.SnapshotLocked(job)
+			jm.journalPut(jm.w.journal, job, JobQueued, nil)
 		}
 	}
 	jm.mu.Unlock()
@@ -999,7 +1002,6 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 	ti.accepted()
 	jm.flight.Record(obs.SevInfo, "job.submit", "search job queued",
 		map[string]string{"id": job.ID, "tenant": tenantLabel(tenant)})
-	jm.journalPut(job, JobQueued, nil)
 	return snap, nil
 }
 
@@ -1396,8 +1398,9 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 		ck := c.Clone()
 		jm.mu.Lock()
 		job.checkpoint = ck
+		j := jm.w.journal
 		jm.mu.Unlock()
-		jm.journalPut(job, JobRunning, ck)
+		jm.journalPut(j, job, JobRunning, ck)
 	}
 	sctx.Progress = func(pr search.Progress) {
 		if firstSample {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +53,45 @@ func waitStatus(t *testing.T, jm *JobManager, id string, want JobStatus) {
 			t.Fatalf("job %s is %s, want %s", id, snap.Status, want)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFastJobLeavesNoJournalRecord pins the order of a job's queued
+// journal record and its delete at finish. The failpoint holds the queued
+// write until the job is done, for at most 200 ms: were the record
+// written after the job is enqueued and the manager unlocked, the job would
+// finish first and the late write would leave a stale record, which the
+// next EnableJournal runs again.
+func TestFastJobLeavesNoJournalRecord(t *testing.T) {
+	jm := newTestManager(t, 1, 4)
+	j, err := resilience.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jm.EnableJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	var held atomic.Bool
+	j.SetFailpoint(func(string) error {
+		if held.CompareAndSwap(false, true) {
+			deadline := time.Now().Add(200 * time.Millisecond)
+			for jm.met.done.Value() == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return nil
+	})
+	job, err := jm.Submit(validRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if done, err := jm.Wait(ctx, job.ID); err != nil || done.Status != JobDone {
+		t.Fatalf("job: %v, status %s (%s)", err, done.Status, done.Error)
+	}
+	if ids, _ := j.List(); len(ids) != 0 {
+		t.Fatalf("journal holds %v after the job finished", ids)
 	}
 }
 

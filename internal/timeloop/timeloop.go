@@ -38,6 +38,7 @@ type Model struct {
 
 	macs     float64
 	fullSize []float64 // per-tensor full footprints
+	relevant [][]bool  // relevant[t][d]: dimension d indexes tensor t
 }
 
 func init() {
@@ -58,7 +59,7 @@ func New(a arch.Spec, p loopnest.Problem) (*Model, error) {
 		return nil, fmt.Errorf("timeloop: architecture consumes %d operands/MAC but algorithm %s has %d input tensors",
 			a.OperandsPerMAC, p.Algo.Name, want)
 	}
-	m := &Model{Arch: a, Prob: p, macs: p.MACs()}
+	m := &Model{Arch: a, Prob: p, macs: p.MACs(), relevant: p.Algo.Relevance()}
 	for t := range p.Algo.Tensors {
 		m.fullSize = append(m.fullSize, float64(p.Algo.Tensors[t].Footprint(p.Shape)))
 	}
@@ -76,10 +77,12 @@ func (m *Model) AppendFingerprint(dst []byte) []byte {
 	return costmodel.AppendBackendFingerprint(dst, m.Name(), &m.Arch, &m.Prob)
 }
 
-// loop is one temporal loop with its dimension and trip count.
+// loop is one temporal loop with its dimension and trip count, and the
+// product of the trip counts of this loop and every loop outside it.
 type loop struct {
-	dim   int
-	count int
+	dim     int
+	count   int
+	through float64
 }
 
 // evalScratch is the per-Cost evaluation workspace (cumulative tiles,
@@ -94,11 +97,16 @@ type evalScratch struct {
 // appendTemporalLoops appends the loop nest above the given on-chip level
 // to buf, outermost first: for the L1 boundary the DRAM-level loops
 // followed by the L2-level loops; for the L2 boundary the DRAM-level loops
-// only. Passing buf[:0] reuses its storage.
+// only. Passing buf[:0] reuses its storage. Each loop's through product
+// multiplies the trip counts outermost first, so it is bit for bit the
+// product reuseQ would take over the same prefix.
 func appendTemporalLoops(buf []loop, mp *mapspace.Mapping, level arch.Level) []loop {
+	through := 1.0
 	appendLevel := func(l arch.Level) {
 		for _, dim := range mp.Order[l] {
-			buf = append(buf, loop{dim: dim, count: mp.Tile[l][dim]})
+			count := mp.Tile[l][dim]
+			through *= float64(count)
+			buf = append(buf, loop{dim: dim, count: count, through: through})
 		}
 	}
 	appendLevel(arch.DRAM)
@@ -114,36 +122,29 @@ func appendTemporalLoops(buf []loop, mp *mapspace.Mapping, level arch.Level) []l
 // maximal trailing block over which the resident tile is stationary
 // (classic stationary-tile reuse; loop order therefore changes data
 // movement, as in Timeloop). Trip-count-1 loops are degenerate and ignored.
-func reuseQ(tensor *loopnest.Tensor, loops []loop) float64 {
-	cut := -1
+// relevant is the tensor's row of the relevance table; the product is the
+// innermost relevant loop's through product.
+func reuseQ(relevant []bool, loops []loop) float64 {
 	for i := len(loops) - 1; i >= 0; i-- {
-		if loops[i].count > 1 && tensor.Relevant(loops[i].dim) {
-			cut = i
-			break
+		if loops[i].count > 1 && relevant[loops[i].dim] {
+			return loops[i].through
 		}
 	}
-	if cut < 0 {
-		return 1
-	}
-	q := 1.0
-	for i := 0; i <= cut; i++ {
-		q *= float64(loops[i].count)
-	}
-	return q
+	return 1
 }
 
 // multicastSplit returns (total spatial PEs, PEs along tensor-relevant
 // dims). PEs along irrelevant dims share the tensor's data via NoC
 // multicast (inputs) or contribute to a NoC reduction (outputs).
-func multicastSplit(tensor *loopnest.Tensor, spatial []int) (total, relevant float64) {
-	total, relevant = 1, 1
+func multicastSplit(relevant []bool, spatial []int) (total, rel float64) {
+	total, rel = 1, 1
 	for d, s := range spatial {
 		total *= float64(s)
-		if tensor.Relevant(d) {
-			relevant *= float64(s)
+		if relevant[d] {
+			rel *= float64(s)
 		}
 	}
-	return total, relevant
+	return total, rel
 }
 
 // allocEnergyScale models SRAM access energy growing with the allocated
@@ -212,9 +213,9 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 		tensor := &m.Prob.Algo.Tensors[t]
 		fpL1 := float64(tensor.Footprint(tileL1))
 		fpL2 := float64(tensor.Footprint(tileL2))
-		q1 := reuseQ(tensor, loopsL1)
-		q2 := reuseQ(tensor, loopsL2)
-		totalPEs, relPEs := multicastSplit(tensor, mp.Spatial)
+		q1 := reuseQ(m.relevant[t], loopsL1)
+		q2 := reuseQ(m.relevant[t], loopsL2)
+		totalPEs, relPEs := multicastSplit(m.relevant[t], mp.Spatial)
 
 		if !tensor.Output {
 			perPEFills := fpL1 * q1

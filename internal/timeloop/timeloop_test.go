@@ -88,47 +88,58 @@ func TestNewRejectsInvalidInputs(t *testing.T) {
 	}
 }
 
+// nest fills in the through products of a loop nest, outermost first, as
+// appendTemporalLoops does.
+func nest(loops []loop) []loop {
+	through := 1.0
+	for i := range loops {
+		through *= float64(loops[i].count)
+		loops[i].through = through
+	}
+	return loops
+}
+
 func TestReuseQOrderSensitivity(t *testing.T) {
-	tensor := &loopnest.Tensor{Name: "t", Dims: []int{0}}
+	relevant := []bool{true, false} // the tensor depends on dim 0 only
 	// Outer relevant (dim0), inner irrelevant (dim1): trailing irrelevant
 	// block is reused, Q = 4.
-	loops := []loop{{dim: 0, count: 4}, {dim: 1, count: 3}}
-	if q := reuseQ(tensor, loops); q != 4 {
+	loops := nest([]loop{{dim: 0, count: 4}, {dim: 1, count: 3}})
+	if q := reuseQ(relevant, loops); q != 4 {
 		t.Fatalf("Q = %v, want 4", q)
 	}
 	// Outer irrelevant, inner relevant: irrelevant loop forces refetch,
 	// Q = 12.
-	loops = []loop{{dim: 1, count: 3}, {dim: 0, count: 4}}
-	if q := reuseQ(tensor, loops); q != 12 {
+	loops = nest([]loop{{dim: 1, count: 3}, {dim: 0, count: 4}})
+	if q := reuseQ(relevant, loops); q != 12 {
 		t.Fatalf("Q = %v, want 12", q)
 	}
 }
 
 func TestReuseQDegenerateLoops(t *testing.T) {
-	tensor := &loopnest.Tensor{Name: "t", Dims: []int{0}}
+	relevant := []bool{true, false} // the tensor depends on dim 0 only
 	// Trip-count-1 loops are ignored entirely.
-	loops := []loop{{dim: 1, count: 1}, {dim: 0, count: 1}, {dim: 1, count: 5}}
-	if q := reuseQ(tensor, loops); q != 1 {
+	loops := nest([]loop{{dim: 1, count: 1}, {dim: 0, count: 1}, {dim: 1, count: 5}})
+	if q := reuseQ(relevant, loops); q != 1 {
 		t.Fatalf("Q = %v, want 1 (no relevant loop iterates)", q)
 	}
 	// A count-1 relevant loop inside a counting irrelevant loop still
 	// yields full reuse.
-	loops = []loop{{dim: 1, count: 5}, {dim: 0, count: 1}}
-	if q := reuseQ(tensor, loops); q != 1 {
+	loops = nest([]loop{{dim: 1, count: 5}, {dim: 0, count: 1}})
+	if q := reuseQ(relevant, loops); q != 1 {
 		t.Fatalf("Q = %v, want 1", q)
 	}
 }
 
 func TestReuseQEmpty(t *testing.T) {
-	tensor := &loopnest.Tensor{Name: "t", Dims: []int{0}}
-	if q := reuseQ(tensor, nil); q != 1 {
+	relevant := []bool{true, false} // the tensor depends on dim 0 only
+	if q := reuseQ(relevant, nil); q != 1 {
 		t.Fatalf("Q on empty nest = %v, want 1", q)
 	}
 }
 
 func TestMulticastSplit(t *testing.T) {
-	tensor := &loopnest.Tensor{Name: "t", Dims: []int{0, 2}}
-	total, rel := multicastSplit(tensor, []int{2, 4, 8})
+	relevant := []bool{true, false, true} // the tensor depends on dims 0 and 2
+	total, rel := multicastSplit(relevant, []int{2, 4, 8})
 	if total != 64 || rel != 16 {
 		t.Fatalf("split = %v/%v, want 64/16", total, rel)
 	}

@@ -12,10 +12,11 @@ import (
 //     expression (output subscripts first, then each input left to right).
 //   - Tensors are the inputs in source order followed by the output, each
 //     with its relevance set (the dimensions its subscripts mention —
-//     primary indices first, halo offsets last; see buildTensor) and a
-//     derived footprint function: the product over
-//     subscript terms of the term extent, where a bare term d has extent
-//     tile[d] and a halo term d1+…+dk has the sliding-window extent
+//     primary indices first, halo offsets last; see buildTensor) and its
+//     subscript terms as dimension indices, from which
+//     loopnest.Tensor.Footprint derives the footprint: the product over
+//     terms of the term extent, where a bare term d has extent tile[d] and
+//     a halo term d1+…+dk has the sliding-window extent
 //     tile[d1]+…+tile[dk]-(k-1).
 //   - OperandsPerMAC is the number of input tensors (one operand each).
 //   - SampleSpace rows follow Spec.SampleSpace with DefaultSampleSizes for
@@ -148,40 +149,30 @@ func Compile(spec Spec) (*loopnest.Algorithm, error) {
 	return algo, nil
 }
 
-// buildTensor lowers one parsed tensor reference: its relevance set and
-// the derived footprint closure. The relevance set lists each subscript
-// term's primary index in term order, then the remaining halo offsets in
-// term order — "loop dimensions first, window offsets last". The order is
-// load-bearing: mapspace's projection breaks ties by Dims iteration order,
-// and this rule reproduces the hand-coded constructors' behavior exactly.
+// buildTensor lowers one parsed tensor reference: its subscript terms as
+// dimension indices and its relevance set. The relevance set lists each
+// subscript term's primary index in term order, then the remaining halo
+// offsets in term order — "loop dimensions first, window offsets last".
+// The order is load-bearing: mapspace's projection breaks ties by Dims
+// iteration order, and this rule reproduces the hand-coded constructors'
+// behavior exactly.
 func buildTensor(t parsedTensor, dimIdx map[string]int, output bool) loopnest.Tensor {
-	// terms as dimension indices: each axis is the list of dims it sums.
-	axes := make([][]int, 0, len(t.terms))
+	terms := make([][]int, 0, len(t.terms))
 	var relevant, halos []int
 	for _, term := range t.terms {
-		axis := make([]int, 0, len(term.indices))
+		dims := make([]int, 0, len(term.indices))
 		for _, idx := range term.indices {
-			axis = append(axis, dimIdx[idx])
+			dims = append(dims, dimIdx[idx])
 		}
-		axes = append(axes, axis)
-		relevant = append(relevant, axis[0])
-		halos = append(halos, axis[1:]...)
+		terms = append(terms, dims)
+		relevant = append(relevant, dims[0])
+		halos = append(halos, dims[1:]...)
 	}
 	relevant = append(relevant, halos...)
 	return loopnest.Tensor{
 		Name:   t.name,
 		Dims:   relevant,
+		Terms:  terms,
 		Output: output,
-		Footprint: func(tile []int) int64 {
-			words := int64(1)
-			for _, axis := range axes {
-				extent := int64(1 - len(axis))
-				for _, d := range axis {
-					extent += int64(tile[d])
-				}
-				words *= extent
-			}
-			return words
-		},
 	}
 }

@@ -2,10 +2,11 @@ package workload_test
 
 // Identity tests: the registry's spec-compiled cnn-layer / mttkrp / conv1d
 // must be behaviorally indistinguishable from the hand-coded constructors
-// they replaced (PR acceptance contract). The replicas below are verbatim
-// copies of the removed loopnest constructors; the tests prove equal
-// fingerprints, equal footprints on random tiles, and bit-equal costs on
-// random mappings under the reference cost model.
+// they replaced. The replicas below copy the removed loopnest constructors,
+// with each tensor's subscript terms written out; their footprint closures
+// are kept verbatim as reference functions (referenceFootprints). The tests
+// prove equal fingerprints, equal footprints on random tiles, and bit-equal
+// costs on random mappings under the reference cost model.
 
 import (
 	"crypto/sha256"
@@ -32,7 +33,7 @@ const (
 	cnnS
 )
 
-// handCodedCNNLayer is the removed loopnest.CNNLayer constructor, verbatim.
+// handCodedCNNLayer is the removed loopnest.CNNLayer constructor.
 func handCodedCNNLayer() *loopnest.Algorithm {
 	return &loopnest.Algorithm{
 		Name:           "cnn-layer",
@@ -40,28 +41,20 @@ func handCodedCNNLayer() *loopnest.Algorithm {
 		OperandsPerMAC: 2,
 		Tensors: []loopnest.Tensor{
 			{
-				Name: "Weights",
-				Dims: []int{cnnK, cnnC, cnnR, cnnS},
-				Footprint: func(t []int) int64 {
-					return int64(t[cnnK]) * int64(t[cnnC]) * int64(t[cnnR]) * int64(t[cnnS])
-				},
+				Name:  "Weights",
+				Dims:  []int{cnnK, cnnC, cnnR, cnnS},
+				Terms: [][]int{{cnnK}, {cnnC}, {cnnR}, {cnnS}},
 			},
 			{
-				Name: "Inputs",
-				Dims: []int{cnnN, cnnC, cnnX, cnnY, cnnR, cnnS},
-				Footprint: func(t []int) int64 {
-					h := int64(t[cnnX] + t[cnnR] - 1)
-					w := int64(t[cnnY] + t[cnnS] - 1)
-					return int64(t[cnnN]) * int64(t[cnnC]) * h * w
-				},
+				Name:  "Inputs",
+				Dims:  []int{cnnN, cnnC, cnnX, cnnY, cnnR, cnnS},
+				Terms: [][]int{{cnnN}, {cnnC}, {cnnX, cnnR}, {cnnY, cnnS}},
 			},
 			{
 				Name:   "Outputs",
 				Dims:   []int{cnnN, cnnK, cnnX, cnnY},
+				Terms:  [][]int{{cnnN}, {cnnK}, {cnnX}, {cnnY}},
 				Output: true,
-				Footprint: func(t []int) int64 {
-					return int64(t[cnnN]) * int64(t[cnnK]) * int64(t[cnnX]) * int64(t[cnnY])
-				},
 			},
 		},
 		SampleSpace: [][]int{
@@ -76,48 +69,25 @@ func handCodedCNNLayer() *loopnest.Algorithm {
 	}
 }
 
-// handCodedMTTKRP is the removed loopnest.MTTKRP constructor, verbatim.
+// MTTKRP dimension indices (paper Equation 4).
+const (
+	mttI = iota
+	mttJ
+	mttK
+	mttL
+)
+
+// handCodedMTTKRP is the removed loopnest.MTTKRP constructor.
 func handCodedMTTKRP() *loopnest.Algorithm {
-	const (
-		dimI = iota
-		dimJ
-		dimK
-		dimL
-	)
 	return &loopnest.Algorithm{
 		Name:           "mttkrp",
 		DimNames:       []string{"I", "J", "K", "L"},
 		OperandsPerMAC: 3,
 		Tensors: []loopnest.Tensor{
-			{
-				Name: "A",
-				Dims: []int{dimI, dimK, dimL},
-				Footprint: func(t []int) int64 {
-					return int64(t[dimI]) * int64(t[dimK]) * int64(t[dimL])
-				},
-			},
-			{
-				Name: "B",
-				Dims: []int{dimK, dimJ},
-				Footprint: func(t []int) int64 {
-					return int64(t[dimK]) * int64(t[dimJ])
-				},
-			},
-			{
-				Name: "C",
-				Dims: []int{dimL, dimJ},
-				Footprint: func(t []int) int64 {
-					return int64(t[dimL]) * int64(t[dimJ])
-				},
-			},
-			{
-				Name:   "O",
-				Dims:   []int{dimI, dimJ},
-				Output: true,
-				Footprint: func(t []int) int64 {
-					return int64(t[dimI]) * int64(t[dimJ])
-				},
-			},
+			{Name: "A", Dims: []int{mttI, mttK, mttL}, Terms: [][]int{{mttI}, {mttK}, {mttL}}},
+			{Name: "B", Dims: []int{mttK, mttJ}, Terms: [][]int{{mttK}, {mttJ}}},
+			{Name: "C", Dims: []int{mttL, mttJ}, Terms: [][]int{{mttL}, {mttJ}}},
+			{Name: "O", Dims: []int{mttI, mttJ}, Terms: [][]int{{mttI}, {mttJ}}, Output: true},
 		},
 		SampleSpace: [][]int{
 			{64, 128, 256, 512, 1024, 2048},
@@ -128,45 +98,57 @@ func handCodedMTTKRP() *loopnest.Algorithm {
 	}
 }
 
-// handCodedConv1D is the removed loopnest.Conv1D constructor, verbatim.
+// Conv1D dimension indices (paper Equation 2).
+const (
+	c1X = iota
+	c1R
+)
+
+// handCodedConv1D is the removed loopnest.Conv1D constructor.
 func handCodedConv1D() *loopnest.Algorithm {
-	const (
-		dimX = iota
-		dimR
-	)
 	return &loopnest.Algorithm{
 		Name:           "conv1d",
 		DimNames:       []string{"X", "R"},
 		OperandsPerMAC: 2,
 		Tensors: []loopnest.Tensor{
-			{
-				Name: "F",
-				Dims: []int{dimR},
-				Footprint: func(t []int) int64 {
-					return int64(t[dimR])
-				},
-			},
-			{
-				Name: "I",
-				Dims: []int{dimX, dimR},
-				Footprint: func(t []int) int64 {
-					return int64(t[dimX] + t[dimR] - 1)
-				},
-			},
-			{
-				Name:   "O",
-				Dims:   []int{dimX},
-				Output: true,
-				Footprint: func(t []int) int64 {
-					return int64(t[dimX])
-				},
-			},
+			{Name: "F", Dims: []int{c1R}, Terms: [][]int{{c1R}}},
+			{Name: "I", Dims: []int{c1X, c1R}, Terms: [][]int{{c1X, c1R}}},
+			{Name: "O", Dims: []int{c1X}, Terms: [][]int{{c1X}}, Output: true},
 		},
 		SampleSpace: [][]int{
 			{64, 128, 256, 512, 1024, 2048, 4096},
 			{2, 3, 4, 5, 7, 8, 9, 16},
 		},
 	}
+}
+
+// referenceFootprints holds the removed constructors' footprint closures,
+// verbatim, per algorithm and tensor (in Tensors order).
+var referenceFootprints = map[string][]func(t []int) int64{
+	"cnn-layer": {
+		func(t []int) int64 { // Weights
+			return int64(t[cnnK]) * int64(t[cnnC]) * int64(t[cnnR]) * int64(t[cnnS])
+		},
+		func(t []int) int64 { // Inputs
+			h := int64(t[cnnX] + t[cnnR] - 1)
+			w := int64(t[cnnY] + t[cnnS] - 1)
+			return int64(t[cnnN]) * int64(t[cnnC]) * h * w
+		},
+		func(t []int) int64 { // Outputs
+			return int64(t[cnnN]) * int64(t[cnnK]) * int64(t[cnnX]) * int64(t[cnnY])
+		},
+	},
+	"mttkrp": {
+		func(t []int) int64 { return int64(t[mttI]) * int64(t[mttK]) * int64(t[mttL]) }, // A
+		func(t []int) int64 { return int64(t[mttK]) * int64(t[mttJ]) },                  // B
+		func(t []int) int64 { return int64(t[mttL]) * int64(t[mttJ]) },                  // C
+		func(t []int) int64 { return int64(t[mttI]) * int64(t[mttJ]) },                  // O
+	},
+	"conv1d": {
+		func(t []int) int64 { return int64(t[c1R]) },              // F
+		func(t []int) int64 { return int64(t[c1X] + t[c1R] - 1) }, // I
+		func(t []int) int64 { return int64(t[c1X]) },              // O
+	},
 }
 
 func classics() map[string]*loopnest.Algorithm {
@@ -193,7 +175,8 @@ func TestSpecCompiledFingerprintIdentity(t *testing.T) {
 }
 
 // TestSpecCompiledFootprintIdentity: equal footprints on random tiles well
-// beyond the fingerprint's probe set.
+// beyond the fingerprint's probe set — the removed closures, the
+// hand-written terms and the spec-compiled terms all agree.
 func TestSpecCompiledFootprintIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for name, hand := range classics() {
@@ -201,17 +184,21 @@ func TestSpecCompiledFootprintIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(referenceFootprints[name]) != len(hand.Tensors) {
+			t.Fatalf("%s: %d reference footprints for %d tensors", name, len(referenceFootprints[name]), len(hand.Tensors))
+		}
 		for trial := 0; trial < 200; trial++ {
 			tile := make([]int, hand.NumDims())
 			for d := range tile {
 				tile[d] = 1 + rng.Intn(64)
 			}
-			for i := range hand.Tensors {
+			for i, ref := range referenceFootprints[name] {
+				rf := ref(tile)
 				hf := hand.Tensors[i].Footprint(tile)
 				cf := compiled.Tensors[i].Footprint(tile)
-				if hf != cf {
-					t.Fatalf("%s tensor %s tile %v: hand %d, compiled %d",
-						name, hand.Tensors[i].Name, tile, hf, cf)
+				if hf != rf || cf != rf {
+					t.Fatalf("%s tensor %s tile %v: reference %d, hand %d, compiled %d",
+						name, hand.Tensors[i].Name, tile, rf, hf, cf)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,7 +79,10 @@ func TestParseExprMalformed(t *testing.T) {
 }
 
 // FuzzParseExpr drives the parser with arbitrary input: it must never
-// panic, and every rejection must carry a positional diagnostic.
+// panic, and every rejection must carry a positional diagnostic. Every
+// expression Compile accepts yields tensors whose subscript terms cover
+// exactly their relevance sets and whose footprint at the all-ones tile is
+// one word.
 func FuzzParseExpr(f *testing.F) {
 	seeds := []string{
 		"O[m,n] += A[m,k] * B[k,n]",
@@ -125,6 +129,29 @@ func FuzzParseExpr(f *testing.F) {
 		}
 		if render([]parsedTensor{out2})+" += "+render(ins2) != canon {
 			t.Fatalf("%q: canonical form not a fixed point", expr)
+		}
+
+		algo, err := Compile(Spec{Expr: expr})
+		if err != nil {
+			return
+		}
+		ones := make([]int, algo.NumDims())
+		for d := range ones {
+			ones[d] = 1
+		}
+		for i := range algo.Tensors {
+			tensor := &algo.Tensors[i]
+			var covered []int
+			for _, term := range tensor.Terms {
+				covered = append(covered, term...)
+			}
+			slices.Sort(covered)
+			if want := slices.Sorted(slices.Values(tensor.Dims)); !slices.Equal(covered, want) {
+				t.Fatalf("%q: tensor %s terms %v cover %v, dims %v", expr, tensor.Name, tensor.Terms, covered, want)
+			}
+			if fp := tensor.Footprint(ones); fp != 1 {
+				t.Fatalf("%q: tensor %s footprint %d at the all-ones tile, want 1", expr, tensor.Name, fp)
+			}
 		}
 	})
 }
