@@ -73,6 +73,18 @@ func cmdServe(args []string) error {
 	if !(*minHealth >= 0 && *minHealth <= 1) {
 		return fmt.Errorf("serve: -min-health %v is outside [0, 1] (0: never shed on health)", *minHealth)
 	}
+	// A negative -maxjobtime or -checkpoint-evals would silently mean its
+	// zero default, and a negative -grace would drain on an expired
+	// context, exiting before running jobs journal their final checkpoints.
+	if *maxJobTime < 0 {
+		return fmt.Errorf("serve: -maxjobtime %v is negative (0: no ceiling)", *maxJobTime)
+	}
+	if *checkpointEvals < 0 {
+		return fmt.Errorf("serve: -checkpoint-evals %d is negative (0: library default)", *checkpointEvals)
+	}
+	if *shutdownGrace < 0 {
+		return fmt.Errorf("serve: -grace %v is negative", *shutdownGrace)
+	}
 	if *minHealth > 0 && !*sloOn {
 		return fmt.Errorf("serve: -min-health needs -slo (the health score it sheds on)")
 	}

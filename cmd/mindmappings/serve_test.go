@@ -136,7 +136,9 @@ func TestServeBinaryMetricsScrape(t *testing.T) {
 // TestServeRejectsOutOfRangeSLOFlags pins that an SLO target outside its
 // range is a flag error naming the flag, not a silently dropped objective
 // (-slo-availability at or above 1) or a server that sheds forever
-// (-min-health above 1, a score no health reaches).
+// (-min-health above 1, a score no health reaches). So is a negative
+// -maxjobtime, -checkpoint-evals or -grace, which would otherwise mean no
+// ceiling, the library default, or a drain that waits for nothing.
 func TestServeRejectsOutOfRangeSLOFlags(t *testing.T) {
 	for _, tc := range []struct {
 		flag, value string
@@ -148,6 +150,9 @@ func TestServeRejectsOutOfRangeSLOFlags(t *testing.T) {
 		{"-min-health", "1.5"},
 		{"-min-health", "-0.5"},
 		{"-min-health", "NaN"},
+		{"-maxjobtime", "-1s"},
+		{"-checkpoint-evals", "-1"},
+		{"-grace", "-1s"},
 	} {
 		args := []string{"-addr", "127.0.0.1:0", "-models", t.TempDir(),
 			"-workers", "1", "-trainworkers", "1", "-quiet", "-slo", tc.flag, tc.value}

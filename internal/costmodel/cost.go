@@ -33,8 +33,7 @@ type Cost struct {
 	// workspace: steady-state EvaluateInto calls on the same Cost perform
 	// zero heap allocations. Backends type-assert their own scratch type
 	// and install a fresh one when the assertion fails; nothing outside a
-	// backend may depend on its contents. Clone drops it, CopyTo keeps the
-	// destination's.
+	// backend may depend on its contents. Clone drops it.
 	Scratch any
 }
 
@@ -89,23 +88,6 @@ func carve(buf, src []float64) (dst, rest []float64) {
 	}
 	k := copy(buf, src)
 	return buf[:k:k], buf[k:]
-}
-
-// CopyTo copies the exported cost fields into dst, reusing dst's slices
-// (and keeping dst's Scratch workspace) so steady-state copies perform no
-// heap allocations.
-func (c *Cost) CopyTo(dst *Cost) {
-	dst.Reset(len(c.Accesses[arch.L1]))
-	for l := range c.Accesses {
-		copy(dst.Accesses[l], c.Accesses[l])
-		copy(dst.EnergyPJ[l], c.EnergyPJ[l])
-	}
-	dst.MACEnergyPJ = c.MACEnergyPJ
-	dst.TotalEnergyPJ = c.TotalEnergyPJ
-	dst.ComputeCycles = c.ComputeCycles
-	dst.Cycles = c.Cycles
-	dst.Utilization = c.Utilization
-	dst.EDP = c.EDP
 }
 
 // MetaStats flattens the cost into the surrogate's rich output

@@ -1,8 +1,10 @@
 // Package costmodel is the pluggable cost-model layer: it defines the
 // Evaluator interface every cost function f implements, the Cost record
-// all backends produce, a by-name backend registry, and the composable
-// middleware (eval counting, query-latency emulation, sampled latency
-// observation) that any backend inherits.
+// all backends produce, a by-name backend registry, and the Counter that
+// evaluation accounting shares across searches. Nothing here wraps a
+// backend: the search tracker charges and stalls its own paid queries,
+// and the serve service times and fault-injects each job's evaluations
+// in one evaluator of its own.
 //
 // The paper treats f as an exchangeable component (§2.3, §5.1.2 — Timeloop
 // is just the reference instantiation), so nothing above this package may
@@ -19,6 +21,7 @@ package costmodel
 import (
 	"context"
 	"encoding/binary"
+	"sync/atomic"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
@@ -30,8 +33,8 @@ import (
 // hold their own Cost workspace: core.ProblemContext hands every search a
 // copy of one search.Context, so searches run at once share its evaluator.
 type Evaluator interface {
-	// Name identifies the backend ("timeloop", "roofline"). Middleware
-	// wrappers return the wrapped backend's name.
+	// Name identifies the backend ("timeloop", "roofline"). Wrappers
+	// return the wrapped backend's name.
 	Name() string
 	// Problem returns the problem the evaluator is bound to, so callers
 	// can validate that a mapping space and a cost model agree.
@@ -45,8 +48,8 @@ type Evaluator interface {
 	// EvaluateInto computes the cost of one mapping into the caller-owned
 	// workspace c, overwriting its previous contents. Reusing c across
 	// calls makes steady-state evaluation allocation-free. ctx carries
-	// cancellation for middleware that waits (latency emulation); bare
-	// backends are fast enough to ignore it.
+	// cancellation for wrappers that wait (the service's injected latency
+	// spikes and retry backoff); bare backends are fast enough to ignore it.
 	EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *Cost) error
 	// EvaluateBatchInto evaluates ms[i] into costs[i], reporting each
 	// element's outcome in errs[i]. All three slices have equal length.
@@ -56,6 +59,22 @@ type Evaluator interface {
 	// time through EvaluateInto and never call it.
 	EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []Cost, errs []error)
 }
+
+// Counter is shared, concurrency-safe evaluation accounting. One Counter
+// may be charged by many searches at once: the serve service keeps one per
+// backend and exposes it as costmodel_evals_total{backend} on /metrics.
+type Counter struct {
+	n atomic.Int64
+}
+
+// Inc charges one evaluation.
+func (c *Counter) Inc() { c.n.Add(1) }
+
+// Count returns the number of evaluations charged so far.
+func (c *Counter) Count() int64 { return c.n.Load() }
+
+// Reset clears the counter.
+func (c *Counter) Reset() { c.n.Store(0) }
 
 // Evaluate is the convenience scalar form: it evaluates m into a fresh
 // Cost. Hot paths should hold a reusable Cost and call EvaluateInto.

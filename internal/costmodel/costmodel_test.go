@@ -164,40 +164,6 @@ func TestEvaluateConvenience(t *testing.T) {
 	}
 }
 
-func TestCostCopyToReusesSlicesAndDropsNothing(t *testing.T) {
-	f := newFixture(t, 5)
-	ev := f.backend(t, "")
-	ctx := context.Background()
-	var a, b costmodel.Cost
-	if err := ev.EvaluateInto(ctx, &f.ms[0], &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.EvaluateInto(ctx, &f.ms[1], &b); err != nil {
-		t.Fatal(err)
-	}
-	scratch := b.Scratch
-	a.CopyTo(&b)
-	if b.Scratch != scratch {
-		t.Fatal("CopyTo replaced the destination's backend workspace")
-	}
-	if b.EDP != a.EDP || b.TotalEnergyPJ != a.TotalEnergyPJ || b.Cycles != a.Cycles ||
-		b.Utilization != a.Utilization || b.MACEnergyPJ != a.MACEnergyPJ ||
-		b.ComputeCycles != a.ComputeCycles {
-		t.Fatal("CopyTo lost scalar fields")
-	}
-	for l := range a.Accesses {
-		for tt := range a.Accesses[l] {
-			if b.Accesses[l][tt] != a.Accesses[l][tt] || b.EnergyPJ[l][tt] != a.EnergyPJ[l][tt] {
-				t.Fatal("CopyTo lost per-level values")
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() { a.CopyTo(&b) })
-	if allocs != 0 {
-		t.Fatalf("steady-state CopyTo allocates %.1f per run, want 0", allocs)
-	}
-}
-
 // TestCostCloneDetached pins the detached copy Clone makes: one allocation,
 // every field equal, no workspace, and no storage shared with the source
 // or between its own slices.

@@ -137,9 +137,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -184,17 +184,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return c.gauge
 }
 
-// GaugeWith registers a gauge series with label values (nil for none).
-func (r *Registry) GaugeWith(name, help string, labelNames, labelValues []string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.familyFor(name, help, kindGauge, labelNames).childFor(r, labelValues)
-	if c.gauge == nil {
-		c.gauge = &Gauge{}
-	}
-	return c.gauge
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time — the bridge for components that already keep their own counters
 // (job stats, cache stats, store stats) without double accounting.

@@ -1,18 +1,17 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Spans are lightweight in-process trace nodes: a Trace is one tree per
-// request or job, spans nest through explicit StartChild calls or through
-// context.Context propagation (ContextWithSpan / StartSpan). All methods
-// are nil-receiver safe, so instrumented code paths need no "is tracing
-// on" branches, and safe for concurrent use, so parallel phases of one job
-// can attach children to a shared parent.
+// request or job, and spans nest through explicit StartChild calls (no
+// span rides in a context.Context). All methods are nil-receiver safe, so
+// instrumented code paths need no "is tracing on" branches, and safe for
+// concurrent use, so parallel phases of one job can attach children to a
+// shared parent.
 //
 // Memory is bounded: each span keeps at most MaxChildren children (extra
 // starts are counted, not stored), so per-trajectory-stride search spans
@@ -108,34 +107,6 @@ func (s *Span) Set(key string, value any) {
 	}
 	s.attrs[key] = value
 	s.mu.Unlock()
-}
-
-type spanCtxKey struct{}
-
-// ContextWithSpan returns a context carrying s as the current span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFrom returns the current span of ctx, or nil.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
-}
-
-// StartSpan starts a child of ctx's current span and returns a context
-// carrying the child. With no span in ctx it returns ctx and nil — both
-// safe to use unconditionally.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFrom(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	c := parent.StartChild(name)
-	if c == nil {
-		return ctx, nil
-	}
-	return ContextWithSpan(ctx, c), c
 }
 
 // SpanSnapshot is the JSON view of one span. Times are relative to the

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -37,33 +36,6 @@ func TestSpanTreeNesting(t *testing.T) {
 	if snap.Running {
 		t.Fatal("ended root should not be running")
 	}
-}
-
-func TestSpanContextPropagation(t *testing.T) {
-	tr := NewTrace("job-2", "job")
-	ctx := ContextWithSpan(context.Background(), tr.Root())
-	ctx2, child := StartSpan(ctx, "phase")
-	if child == nil {
-		t.Fatal("expected a child span")
-	}
-	_, grand := StartSpan(ctx2, "subphase")
-	grand.End()
-	child.End()
-	snap := tr.Snapshot()
-	if len(snap.Children) != 1 || len(snap.Children[0].Children) != 1 {
-		t.Fatalf("context nesting wrong: %+v", snap)
-	}
-	if snap.Children[0].Children[0].Name != "subphase" {
-		t.Fatalf("grandchild name: %+v", snap)
-	}
-
-	// No span in context: everything is a safe no-op.
-	ctx3, none := StartSpan(context.Background(), "orphan")
-	if none != nil || ctx3 != context.Background() {
-		t.Fatal("StartSpan without a parent should be inert")
-	}
-	none.End()
-	none.Set("k", "v")
 }
 
 func TestSpanConcurrentChildren(t *testing.T) {

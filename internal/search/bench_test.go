@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -88,12 +89,28 @@ func BenchmarkSearchGAInstrumented(b *testing.B) {
 	stream := obs.NewStream[Progress](256)
 	runSearchBench(b, GeneticAlgorithm{}, func(seed int64) *Context {
 		ctx := benchSearchContext(b, seed)
-		ctx.Model = costmodel.WithTiming(ctx.Model, 64, func(d time.Duration) {
-			hist.Observe(d.Seconds())
-		})
+		ctx.Model = &sampledTiming{Evaluator: ctx.Model, hist: hist}
 		ctx.Progress = func(p Progress) { stream.Publish(p) }
 		return ctx
 	})
+}
+
+// sampledTiming times every 64th evaluation into hist, as the service's
+// job evaluator does for costmodel_eval_seconds.
+type sampledTiming struct {
+	costmodel.Evaluator
+	hist *obs.Histogram
+	n    int64
+}
+
+func (e *sampledTiming) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *costmodel.Cost) error {
+	if e.n++; e.n%64 != 0 {
+		return e.Evaluator.EvaluateInto(ctx, m, c)
+	}
+	start := time.Now()
+	err := e.Evaluator.EvaluateInto(ctx, m, c)
+	e.hist.ObserveDuration(time.Since(start))
+	return err
 }
 
 // BenchmarkSearchGAQueryLatency replays the paper's setting, where each

@@ -9,10 +9,11 @@
 // behind the paper's Figures 5 and 6.
 //
 // Searchers evaluate candidates through the pluggable costmodel layer:
-// Context.Model is any costmodel.Evaluator, and the cross-cutting concerns
-// of a paid reference-model query — eval accounting and emulated query
-// latency — are costmodel middleware the tracker composes from the
-// Context knobs. No searcher knows which backend computes its costs.
+// Context.Model is any costmodel.Evaluator, and the tracker draws the
+// paper's line between a paid reference-model query and free offline
+// scoring: a paid query waits Context.QueryLatency, is charged to
+// Context.Evals and then calls Model, while scoring calls Model alone. No
+// searcher knows which backend computes its costs.
 // Every candidate is evaluated on the searcher's own goroutine, one query
 // after another, as the paper's fixed-time comparison charges a
 // baseline's queries.
@@ -137,10 +138,10 @@ func (r *Result) BestAtTime(d time.Duration) float64 {
 // and a seed for reproducibility.
 type Context struct {
 	Space *mapspace.Space
-	// Model is the cost function f: any registered costmodel backend (or a
-	// pre-composed middleware stack). The bare evaluator doubles as the
-	// free offline-scoring path; the tracker layers the paid-query
-	// middleware (QueryLatency, Evals) on top of it.
+	// Model is the cost function f: any registered costmodel backend (or
+	// a wrapper around one, such as the service's job evaluator). It is
+	// the free offline-scoring path as it stands; a paid query also pays
+	// QueryLatency and is charged to Evals, in the tracker.
 	Model costmodel.Evaluator
 	Bound oracle.Bound
 	Seed  int64
@@ -156,12 +157,13 @@ type Context struct {
 	// rely on this for prompt teardown; nil means run to the budget.
 	Ctx context.Context
 	// QueryLatency, when positive, stalls every paid query by the given
-	// duration (costmodel.WithLatency) to emulate the reference cost
-	// model's per-query cost. Free scoring queries — Mind Mappings
-	// trajectory measurements — never pay it. See DESIGN.md §4.
+	// duration, before it is charged, to emulate the reference cost
+	// model's per-query cost; cancellation cuts the stall short and the
+	// query is then neither charged nor run. Free scoring queries — Mind
+	// Mappings trajectory measurements — never pay it. See DESIGN.md §4.
 	QueryLatency time.Duration
-	// Evals, when non-nil, receives paid-query accounting
-	// (costmodel.WithCounter): free scoring queries are not charged.
+	// Evals, when non-nil, is charged one per paid query that reaches
+	// Model: free scoring queries are not charged.
 	// Counters may be shared across runs and backends-per-name (the
 	// service's costmodel_evals_total series).
 	Evals *costmodel.Counter
@@ -276,9 +278,9 @@ type SurrogateQuerier interface {
 
 // tracker enforces the budget and records the best-so-far trajectory. It is
 // shared by all searchers so that budget accounting is identical across
-// methods. It composes the Context's middleware knobs into two evaluator
-// stacks: paid (counter + latency) for reference-model queries and free
-// (the bare model) for offline trajectory scoring.
+// methods. A paid query (a reference-model query) stalls QueryLatency and
+// is charged to Evals before it reaches Model; a free one (offline
+// trajectory scoring) goes to Model directly.
 type tracker struct {
 	ctx       *Context
 	ectx      context.Context
@@ -295,9 +297,6 @@ type tracker struct {
 	elapsed0       time.Duration
 	lastCheckpoint int
 
-	// paid and free are the evaluator stacks every query goes through.
-	paid, free costmodel.Evaluator
-
 	// own is the evaluation workspace: steady-state evaluation
 	// allocates nothing (the Cost doubles as the backend's workspace).
 	own costmodel.Cost
@@ -310,8 +309,6 @@ func newTracker(ctx *Context, budget Budget) *tracker {
 		budget: budget,
 		start:  time.Now(),
 		best:   math.Inf(1),
-		paid:   costmodel.WithLatency(costmodel.WithCounter(ctx.Model, ctx.Evals), ctx.QueryLatency),
-		free:   ctx.Model,
 	}
 }
 
@@ -372,15 +369,26 @@ func (t *tracker) record(m *mapspace.Mapping, edp float64) {
 	}
 }
 
-// evalValue runs one cost-model query through the paid or free evaluator
-// stack into the given workspace, returning the normalized objective
-// value. Paid queries pay QueryLatency and count toward Context.Evals.
+// evalValue runs one cost-model query into the given workspace, returning
+// the normalized objective value. A paid query first waits QueryLatency
+// (returning ctx.Err() uncharged if the run is canceled mid-stall) and is
+// then charged to Context.Evals.
 func (t *tracker) evalValue(m *mapspace.Mapping, paid bool, ws *costmodel.Cost) (float64, error) {
-	ev := t.free
 	if paid {
-		ev = t.paid
+		if d := t.ctx.QueryLatency; d > 0 {
+			stall := time.NewTimer(d)
+			select {
+			case <-stall.C:
+			case <-t.ectx.Done():
+				stall.Stop()
+				return 0, t.ectx.Err()
+			}
+		}
+		if t.ctx.Evals != nil {
+			t.ctx.Evals.Inc()
+		}
 	}
-	if err := ev.EvaluateInto(t.ectx, m, ws); err != nil {
+	if err := t.ctx.Model.EvaluateInto(t.ectx, m, ws); err != nil {
 		return 0, err
 	}
 	return t.ctx.Objective.normalized(ws, t.ctx.Bound), nil

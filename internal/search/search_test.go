@@ -1,6 +1,8 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -282,6 +284,112 @@ func TestQueryLatencySlowsPaidMethodsOnly(t *testing.T) {
 	}
 	if mmRes.Evals < 4*saRes.Evals {
 		t.Fatalf("MM (%d evals) not clearly faster per step than SA (%d evals)", mmRes.Evals, saRes.Evals)
+	}
+}
+
+// TestPaidQueryStallsAndCharges pins the tracker's paid query: every
+// candidate waits QueryLatency in turn and is charged to Evals, while
+// offline scoring of the same candidates (MM's trajectory measurement) is
+// not charged and returns the same values.
+func TestPaidQueryStallsAndCharges(t *testing.T) {
+	ctx := conv1dContext(t, 61)
+	var ctr costmodel.Counter
+	ctx.Evals = &ctr
+	const stall = 2 * time.Millisecond
+	ctx.QueryLatency = stall
+	rng := stats.NewRNG(3)
+	cand := make([]mapspace.Mapping, 4)
+	for i := range cand {
+		cand[i] = ctx.Space.Random(rng)
+	}
+	tr := newTracker(ctx, Budget{MaxEvals: 100})
+	start := time.Now()
+	paid, err := tr.payEvalBatch(cand, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < time.Duration(len(cand))*stall {
+		t.Fatalf("%d paid queries took %v, want >= %v: latency not paid", len(cand), elapsed, time.Duration(len(cand))*stall)
+	}
+	if got := ctr.Count(); got != int64(len(cand)) {
+		t.Fatalf("counter reads %d after %d paid queries", got, len(cand))
+	}
+	free, err := tr.scoreSurrogateBatch(cand, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ctr.Count(); got != int64(len(cand)) {
+		t.Fatalf("offline scoring was charged: counter reads %d, want %d", got, len(cand))
+	}
+	for i := range cand {
+		if free[i] != paid[i] {
+			t.Fatalf("candidate %d: scored %v, paid %v", i, free[i], paid[i])
+		}
+	}
+	if tr.evals != 2*len(cand) {
+		t.Fatalf("budget charged %d evals, want %d", tr.evals, 2*len(cand))
+	}
+}
+
+// TestCanceledStallIsNotCharged pins that cancellation interrupts a paid
+// query's stall at once, and that the interrupted query is neither
+// charged, recorded nor run.
+func TestCanceledStallIsNotCharged(t *testing.T) {
+	ctx := conv1dContext(t, 62)
+	var ctr costmodel.Counter
+	ctx.Evals = &ctr
+	ctx.QueryLatency = 10 * time.Second
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx.Ctx = cctx
+	tr := newTracker(ctx, Budget{MaxEvals: 100})
+	m := ctx.Space.Random(stats.NewRNG(4))
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	val, err := tr.payEval(&m)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("cancellation took %v to interrupt a 10s stall", elapsed)
+	}
+	if err != nil || !math.IsInf(val, 1) {
+		t.Fatalf("interrupted query returned (%v, %v), want (+Inf, nil)", val, err)
+	}
+	if _, err := tr.evalValue(&m, true, &tr.own); !errors.Is(err, context.Canceled) {
+		t.Fatalf("paid query on a canceled run: err %v, want context.Canceled", err)
+	}
+	if ctr.Count() != 0 || tr.evals != 0 || len(tr.traj) != 0 {
+		t.Fatalf("interrupted queries charged %d, budget %d, trajectory %d; want none", ctr.Count(), tr.evals, len(tr.traj))
+	}
+}
+
+// TestCounterSharedAcrossSearches: one Counter charged by two concurrent
+// searches (the service's per-backend costmodel_evals_total) sums both,
+// and Reset clears it.
+func TestCounterSharedAcrossSearches(t *testing.T) {
+	var ctr costmodel.Counter
+	evals := make([]int, 2)
+	var wg sync.WaitGroup
+	for i := range evals {
+		ctx := conv1dContext(t, int64(70+i))
+		ctx.Evals = &ctr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := RandomSearch{}.Search(ctx, Budget{MaxEvals: 50 + 10*i})
+			if err != nil {
+				t.Error(err)
+			}
+			evals[i] = res.Evals
+		}()
+	}
+	wg.Wait()
+	if got, want := ctr.Count(), int64(evals[0]+evals[1]); got != want || want != 110 {
+		t.Fatalf("shared counter = %d, searches paid %v", got, evals)
+	}
+	if ctr.Reset(); ctr.Count() != 0 {
+		t.Fatal("Reset left the counter at", ctr.Count())
 	}
 }
 

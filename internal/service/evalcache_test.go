@@ -98,3 +98,39 @@ func TestManagerPaysEveryEval(t *testing.T) {
 		}
 	}
 }
+
+// TestMMScoringTimedNotCharged pins the paid/free split on the service
+// path: an mm job's offline scoring evaluations pass through the job
+// evaluator, so costmodel_eval_seconds_count rises, but they are never
+// charged to costmodel_evals_total; a ga job on the same manager charges
+// exactly its evals.
+func TestMMScoringTimedNotCharged(t *testing.T) {
+	ts, jm := testServer(t, 2, 8)
+	mm := mmRequest(5)
+	mm.Evals = 4 * evalTimingSample
+	res := runJobs(t, jm, []SearchRequest{mm})
+	if res[0].Evals != mm.Evals {
+		t.Fatalf("mm job ran %d evals, want %d", res[0].Evals, mm.Evals)
+	}
+	prom := scrapeProm(t, ts)
+	charged := seriesValues(t, prom, "costmodel_evals_total")
+	if len(charged) == 0 || sumValues(charged) != 0 {
+		t.Fatalf("costmodel_evals_total after an mm job = %v, want one series at 0", charged)
+	}
+	timed := sumValues(seriesValues(t, prom, "costmodel_eval_seconds_count"))
+	if timed < 1 {
+		t.Fatalf("costmodel_eval_seconds_count = %v after %d scoring evals: scoring is not timed", timed, mm.Evals)
+	}
+
+	ga := validRequest()
+	ga.Searcher = "ga"
+	ga.Evals = 200
+	runJobs(t, jm, []SearchRequest{ga})
+	prom = scrapeProm(t, ts)
+	if got := sumValues(seriesValues(t, prom, "costmodel_evals_total")); got != float64(ga.Evals) {
+		t.Fatalf("costmodel_evals_total = %v after mm + ga/%d, want %d", got, ga.Evals, ga.Evals)
+	}
+	if got := sumValues(seriesValues(t, prom, "costmodel_eval_seconds_count")); got <= timed {
+		t.Fatalf("costmodel_eval_seconds_count stayed at %v through a ga job", got)
+	}
+}

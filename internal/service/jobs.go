@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mindmappings/internal/arch"
@@ -248,7 +249,7 @@ type JobManager struct {
 	tenantOverflow *tenantInstruments
 
 	// counters holds one shared paid-eval counter per cost-model backend
-	// (costmodel.WithCounter accounting, exposed as costmodel_evals_total).
+	// (charged by the search tracker, exposed as costmodel_evals_total).
 	// Guarded by countersMu, not mu: jobs read them on the hot path.
 	countersMu sync.Mutex
 	counters   map[string]*costmodel.Counter
@@ -555,9 +556,10 @@ func (jm *JobManager) SetCheckpointInterval(evals int) {
 }
 
 // SetFaults arms deterministic fault injection on every job's evaluation
-// path: the cost-model stack becomes WithRetry(WithFaults(model)), so
-// injected errors and latency spikes exercise the retry machinery the
-// way real transient faults would. Nil disarms.
+// path: each evaluation draws site "eval" faults inside
+// resilience.DefaultRetry (see jobEvaluator), so injected errors and
+// latency spikes exercise the retry machinery the way real transient
+// faults would. Nil disarms.
 func (jm *JobManager) SetFaults(f *resilience.Faults) {
 	jm.mu.Lock()
 	jm.w.faults = f
@@ -1318,11 +1320,78 @@ func (jm *JobManager) finish(job *Job) {
 	}
 }
 
-// evalTimingSample is the WithTiming sampling period for per-backend eval
+// evalTimingSample is jobEvaluator's sampling period for per-backend eval
 // latency histograms: two clock reads (~50ns) every 64th ~300ns evaluation
 // amortizes to under a nanosecond per eval, keeping search throughput
 // within noise of the uninstrumented path.
 const evalTimingSample = 64
+
+// faultSiteEval is the injector site a job's evaluations draw from.
+const faultSiteEval = "eval"
+
+// jobEvaluator is the evaluator a search job runs on: its backend, with
+// every evalTimingSample-th evaluation timed into hist and, when faults
+// is armed, each attempt drawing site "eval" faults inside
+// resilience.DefaultRetry. The timing covers the retries and any injected
+// delay. The search tracker charges paid queries itself, so MM's offline
+// scoring evaluations pass through here timed and fault-injected but
+// never charged.
+type jobEvaluator struct {
+	costmodel.Evaluator
+	hist   *obs.Histogram
+	faults *resilience.Faults
+	n      atomic.Int64
+}
+
+func (e *jobEvaluator) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *costmodel.Cost) error {
+	if e.n.Add(1)%evalTimingSample != 0 {
+		return e.evaluate(ctx, m, c)
+	}
+	start := time.Now()
+	err := e.evaluate(ctx, m, c)
+	if err == nil {
+		e.hist.ObserveDuration(time.Since(start))
+	}
+	return err
+}
+
+func (e *jobEvaluator) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []costmodel.Cost, errs []error) {
+	costmodel.SequentialBatch(ctx, e, ms, costs, errs)
+}
+
+// evaluate runs the backend, or with faults armed retries attempt under
+// resilience.DefaultRetry; cancellation stops the retry at once.
+func (e *jobEvaluator) evaluate(ctx context.Context, m *mapspace.Mapping, c *costmodel.Cost) error {
+	if e.faults == nil {
+		return e.Evaluator.EvaluateInto(ctx, m, c)
+	}
+	return resilience.DefaultRetry.Do(ctx, func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return e.attempt(ctx, m, c)
+	})
+}
+
+// attempt is one fault-injected evaluation: a drawn latency spike stalls
+// it (honouring ctx) and a drawn error fails it without touching the
+// backend. The schedule is a pure function of the injector's seed.
+func (e *jobEvaluator) attempt(ctx context.Context, m *mapspace.Mapping, c *costmodel.Cost) error {
+	inj := e.faults.Inject(faultSiteEval)
+	if inj.Delay > 0 {
+		spike := time.NewTimer(inj.Delay)
+		select {
+		case <-spike.C:
+		case <-ctx.Done():
+			spike.Stop()
+			return ctx.Err()
+		}
+	}
+	if inj.Err != nil {
+		return inj.Err
+	}
+	return e.Evaluator.EvaluateInto(ctx, m, c)
+}
 
 // execute runs the search described by the job's plan p under ctx,
 // recording model-resolution and search spans on the job's trace and
@@ -1371,20 +1440,15 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 		return nil, nil, err
 	}
 	backend := sctx.Model.Name()
-	evaluator := sctx.Model
-	if f := jm.wired().faults; f != nil {
-		// Fault injection sits directly on the backend with retry outside
-		// it, so injected transients are absorbed the way real ones would
-		// be; a spike that exhausts the retry budget still fails the job.
-		evaluator = costmodel.WithRetry(costmodel.WithFaults(evaluator, f), resilience.DefaultRetry)
+	sctx.Model = &jobEvaluator{
+		Evaluator: sctx.Model,
+		hist: jm.reg.HistogramWith("costmodel_eval_seconds", evalSecondsHelp,
+			evalSecondsBuckets, []string{"backend"}, []string{backend}),
+		faults: jm.wired().faults,
 	}
-	hist := jm.reg.HistogramWith("costmodel_eval_seconds", evalSecondsHelp,
-		evalSecondsBuckets, []string{"backend"}, []string{backend})
-	evaluator = costmodel.WithTiming(evaluator, evalTimingSample, hist.ObserveDuration)
 	searchSpan := root.StartChild("search")
 	searchSpan.Set("searcher", p.searcher)
 	firstSample := true
-	sctx.Model = evaluator
 	sctx.Seed = job.Request.Seed
 	sctx.Objective = p.obj
 	sctx.Ctx = ctx
@@ -1394,13 +1458,14 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 	// Checkpoints always flow to the in-memory job record (enabling resume
 	// without a journal) and, when journaling is on, to disk.
 	sctx.CheckpointEvery = checkpointEvery
+	// The hook owns each checkpoint it is handed (search.emitCheckpoint
+	// builds a fresh one per call), so it is kept without a copy.
 	sctx.Checkpoint = func(c *search.Checkpoint) {
-		ck := c.Clone()
 		jm.mu.Lock()
-		job.checkpoint = ck
+		job.checkpoint = c
 		j := jm.w.journal
 		jm.mu.Unlock()
-		jm.journalPut(j, job, JobRunning, ck)
+		jm.journalPut(j, job, JobRunning, c)
 	}
 	sctx.Progress = func(pr search.Progress) {
 		if firstSample {

@@ -17,6 +17,11 @@
 // Cost-model evaluations are never shared: every job pays its own. Every
 // registered backend is an analytical model cheaper than a memoizing
 // lookup, so a shared eval cache cost more than it saved (DESIGN.md §5).
+// Each job evaluates through one jobEvaluator around its backend, which
+// times every 64th evaluation into costmodel_eval_seconds and, under
+// SetFaults, draws injected faults inside retry; the search tracker
+// charges the job's paid queries to costmodel_evals_total, so MM's
+// offline scoring is timed but never charged.
 //
 // With WithTraining the server also closes the Phase-1 loop online: a
 // trainer.Pipeline (its own worker pool, so training never starves

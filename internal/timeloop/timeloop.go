@@ -14,9 +14,8 @@
 // rules and their relation to Timeloop's.
 //
 // Model implements costmodel.Evaluator and registers itself as "timeloop",
-// the costmodel registry's default backend; cross-cutting concerns the
-// model used to own — eval accounting and query-latency emulation — are
-// costmodel middleware now.
+// the costmodel registry's default backend. Eval accounting and
+// query-latency emulation belong to the search tracker, not the model.
 // Nothing outside this package (and its tests) constructs a *Model
 // directly; consumers go through costmodel.New.
 package timeloop

@@ -352,8 +352,8 @@ func TestEvaluateArityErrors(t *testing.T) {
 
 // TestRegisteredAsDefaultBackend pins the registry wiring: the reference
 // model is reachable by name (and as the default) through costmodel.New.
-// Query-latency emulation and eval accounting are costmodel middleware
-// now; their tests live there.
+// Query-latency emulation and eval accounting are the search tracker's;
+// their tests live in package search.
 func TestRegisteredAsDefaultBackend(t *testing.T) {
 	p, err := loopnest.NewConv1DProblem("c", 5, 2)
 	if err != nil {
