@@ -287,6 +287,69 @@ func TestQueryLatencySlowsPaidMethodsOnly(t *testing.T) {
 	}
 }
 
+// TestPaidQueryCharges pins that every paid query, scalar or batched, is
+// charged once to Context.Evals and to the budget, and that a context
+// without a Counter still pays and records its queries.
+func TestPaidQueryCharges(t *testing.T) {
+	ctx := conv1dContext(t, 63)
+	var ctr costmodel.Counter
+	ctx.Evals = &ctr
+	rng := stats.NewRNG(5)
+	cand := make([]mapspace.Mapping, 7)
+	for i := range cand {
+		cand[i] = ctx.Space.Random(rng)
+	}
+	tr := newTracker(ctx, Budget{MaxEvals: 100})
+	for i := 0; i < 3; i++ {
+		if _, err := tr.payEval(&cand[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.payEvalBatch(cand[3:], nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctr.Count(); got != 7 || tr.evals != 7 {
+		t.Fatalf("counter = %d, budget = %d after 3 scalar + 4 batch paid queries, want 7 and 7", got, tr.evals)
+	}
+
+	ctx.Evals = nil
+	bare := newTracker(ctx, Budget{MaxEvals: 100})
+	vals, err := bare.payEvalBatch(cand, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != len(cand) || bare.evals != len(cand) || len(bare.traj) == 0 {
+		t.Fatalf("uncounted tracker paid %d values, budget %d, trajectory %d; want %d paid and recorded", len(vals), bare.evals, len(bare.traj), len(cand))
+	}
+	if ctr.Count() != 7 {
+		t.Fatalf("detached counter moved to %d", ctr.Count())
+	}
+}
+
+// TestPaidQueryStalls pins that a paid query waits QueryLatency before it
+// returns, and that the stall leaves the queried value unchanged.
+func TestPaidQueryStalls(t *testing.T) {
+	ctx := conv1dContext(t, 64)
+	m := ctx.Space.Random(stats.NewRNG(6))
+	want, err := newTracker(ctx, Budget{MaxEvals: 10}).payEval(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.QueryLatency = 5 * time.Millisecond
+	tr := newTracker(ctx, Budget{MaxEvals: 10})
+	start := time.Now()
+	got, err := tr.payEval(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < 4*time.Millisecond {
+		t.Fatalf("paid query at 5ms latency returned in %v", elapsed)
+	}
+	if got != want {
+		t.Fatalf("stalled query returned %v, unstalled %v", got, want)
+	}
+}
+
 // TestPaidQueryStallsAndCharges pins the tracker's paid query: every
 // candidate waits QueryLatency in turn and is charged to Evals, while
 // offline scoring of the same candidates (MM's trajectory measurement) is
