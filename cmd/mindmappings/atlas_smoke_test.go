@@ -58,7 +58,7 @@ func TestServeAtlasSmoke(t *testing.T) {
 	}
 	inDim := space.VectorLen()
 	outDim := int(arch.NumLevels)*len(algo.Tensors) + 3
-	net1, err := nn.NewMLP([]int{inDim, 16, 16, outDim}, nn.ReLU{}, stats.NewRNG(3))
+	net1, err := nn.NewMLP([]int{inDim, 16, 16, outDim}, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,7 +357,6 @@ func cmdSearch(args []string) error {
 	maxTime := fs.Duration("time", 0, "wall-clock budget (overrides -evals when set)")
 	objective := fs.String("objective", "edp", "optimization objective: edp, ed2p, energy, delay")
 	seed := fs.Int64("seed", 1, "random seed")
-	chains := fs.Int("chains", 1, "lockstep gradient-descent chains sharing the budget (batched surrogate queries)")
 	progress := fs.Bool("progress", false, "print live best-cost/throughput lines to stderr while searching")
 	timeout := fs.Duration("timeout", 0, "anytime deadline: stop when it expires and report the best mapping found so far, marked degraded (0 = none)")
 	if err := fs.Parse(args); err != nil {
@@ -393,7 +392,7 @@ func cmdSearch(args []string) error {
 	if *maxTime > 0 {
 		budget = search.Budget{MaxTime: *maxTime}
 	}
-	res, err := mp.FindMappingChains(pc, budget, *seed, *chains)
+	res, err := mp.FindMapping(pc, budget, *seed)
 	if err != nil {
 		return err
 	}

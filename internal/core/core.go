@@ -171,17 +171,10 @@ func (pc *ProblemContext) searchContext(seed int64) *search.Context {
 // surrogate — for the given problem and budget, returning the search
 // result (best mapping, normalized EDP, best-so-far trajectory).
 func (mp *Mapper) FindMapping(pc *ProblemContext, budget search.Budget, seed int64) (search.Result, error) {
-	return mp.FindMappingChains(pc, budget, seed, 1)
-}
-
-// FindMappingChains is FindMapping with chains lockstep gradient-descent
-// chains sharing the budget (see search.MindMappings.Chains); 1 is the
-// paper's single-chain search.
-func (mp *Mapper) FindMappingChains(pc *ProblemContext, budget search.Budget, seed int64, chains int) (search.Result, error) {
 	if mp.sur == nil {
 		return search.Result{}, errors.New("core: train or load a surrogate before searching (Phase 1 precedes Phase 2)")
 	}
-	mm := search.MindMappings{Surrogate: mp.sur, Chains: chains}
+	mm := search.MindMappings{Surrogate: mp.sur}
 	return mm.Search(pc.searchContext(seed), budget)
 }
 

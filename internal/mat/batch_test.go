@@ -15,24 +15,28 @@ func randDense(rng *rand.Rand, rows, cols int) *Dense {
 
 // TestMulNTMatchesMatVecBitwise is the bit-identity contract the batched
 // surrogate path relies on: every row of a MulNT product must equal the
-// corresponding MatVec result exactly, including rows handled by the
-// 4-row-blocked fast path and the tail loop.
+// corresponding MatVec result exactly. Shapes cover all four micro-kernel
+// quadrants (blocked/tail rows of a x blocked/tail rows of b) and the
+// serving layer widths.
 func TestMulNTMatchesMatVecBitwise(t *testing.T) {
-	if SIMDEnabled {
-		t.Skip("simd build: MulNT uses vector accumulators; see TestMulNTMatchesMatVecTolerance")
-	}
 	rng := rand.New(rand.NewSource(1))
-	for _, batch := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
-		a := randDense(rng, batch, 13)
-		b := randDense(rng, 9, 13)
-		dst := NewDense(batch, 9)
+	for _, tc := range []struct{ batch, k, n int }{
+		{1, 13, 9}, {2, 13, 9}, {3, 13, 9}, {4, 13, 9}, {5, 13, 9},
+		{7, 13, 9}, {8, 13, 9}, {16, 13, 9}, {17, 13, 9},
+		{1, 62, 64}, {4, 64, 128}, {5, 7, 5}, {8, 128, 128},
+		{16, 128, 64}, {17, 64, 12}, {64, 62, 64},
+	} {
+		a := randDense(rng, tc.batch, tc.k)
+		b := randDense(rng, tc.n, tc.k)
+		dst := NewDense(tc.batch, tc.n)
 		MulNT(dst, a, b)
-		want := make([]float64, 9)
-		for r := 0; r < batch; r++ {
+		want := make([]float64, tc.n)
+		for r := 0; r < tc.batch; r++ {
 			MatVec(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); got != w {
-					t.Fatalf("batch=%d: MulNT[%d][%d]=%v, MatVec=%v", batch, r, j, got, w)
+					t.Fatalf("%dx%d*%dT: MulNT[%d][%d]=%v, MatVec=%v",
+						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}
 		}
@@ -42,27 +46,29 @@ func TestMulNTMatchesMatVecBitwise(t *testing.T) {
 // TestMulNNMatchesMatTVecBitwise pins the backward-path analog: each MulNN
 // row must equal MatTVec on that row exactly, including the zero-skip.
 func TestMulNNMatchesMatTVecBitwise(t *testing.T) {
-	if SIMDEnabled {
-		t.Skip("simd build: MulNN uses FMA axpy; see TestMulNNMatchesMatTVecTolerance")
-	}
 	rng := rand.New(rand.NewSource(2))
-	for _, batch := range []int{1, 2, 4, 5, 8, 11} {
-		a := randDense(rng, batch, 9)
+	for _, tc := range []struct{ batch, k, n int }{
+		{1, 9, 13}, {2, 9, 13}, {4, 9, 13}, {5, 9, 13}, {8, 9, 13},
+		{11, 9, 13}, {1, 12, 64}, {3, 9, 13}, {4, 64, 128}, {5, 5, 7},
+		{8, 128, 128}, {16, 128, 62}, {64, 64, 62},
+	} {
+		a := randDense(rng, tc.batch, tc.k)
 		// Inject zeros to exercise the skip path.
 		for i := range a.Data {
 			if rng.Intn(3) == 0 {
 				a.Data[i] = 0
 			}
 		}
-		b := randDense(rng, 9, 13)
-		dst := NewDense(batch, 13)
+		b := randDense(rng, tc.k, tc.n)
+		dst := NewDense(tc.batch, tc.n)
 		MulNN(dst, a, b)
-		want := make([]float64, 13)
-		for r := 0; r < batch; r++ {
+		want := make([]float64, tc.n)
+		for r := 0; r < tc.batch; r++ {
 			MatTVec(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); got != w {
-					t.Fatalf("batch=%d: MulNN[%d][%d]=%v, MatTVec=%v", batch, r, j, got, w)
+					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, MatTVec=%v",
+						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package mat
 
-// Register-blocked GEMM kernels for the surrogate hot path (PR 8).
+// Register-blocked GEMM kernels for the surrogate hot path: the one
+// implementation behind MulNT and MulNN.
 //
 // Both kernels preserve the package's bit-identity contract: every output
 // row accumulates in exactly the order MatVec/MatTVec would, so batched
@@ -8,24 +9,22 @@ package mat
 // Blocking only changes *which* independent accumulations are interleaved
 // in time, never the order of additions within one accumulator.
 //
-// mulNTGeneric blocks 4 rows of a against 1 row of b in the main loop (4
+// mulNT blocks 4 rows of a against 1 row of b in the main loop (4
 // independent accumulator chains saturate the scalar FP units; measured
-// 4x2 and 4x4 blocks spill registers and run slower) and — new in PR 8 —
-// blocks the *tail* rows of a against 4 rows of b. The tail previously
-// ran one accumulator chain, bound by FP-add latency rather than
-// throughput; four independent chains make batch sizes below 4 (and the
-// remainder rows of any batch) ~2x faster. Each accumulator still sums a
-// single dot product in ascending column order — bit-identical to
-// MatVec.
+// 4x2 and 4x4 blocks spill registers and run slower) and blocks the
+// *tail* rows of a against 4 rows of b, so batch sizes below 4 (and the
+// remainder rows of any batch) also run four independent chains instead
+// of one FP-add-latency-bound chain. Each accumulator still sums a single
+// dot product in ascending column order — bit-identical to MatVec.
 //
-// mulNNGeneric keeps MatTVec's zero-skip semantics exactly (skipping a
-// zero coefficient is NOT equivalent to adding 0*w: -0 + +0 = +0 flips
-// signed zeros and 0*Inf = NaN). When all four rows in a block have
-// nonzero coefficients it fuses the four axpy passes into one sweep over
-// br, loading each weight once for four FMAs; any zero coefficient falls
-// back to the per-row loops, preserving the skip bit-exactly.
+// mulNN keeps MatTVec's zero-skip semantics exactly (skipping a zero
+// coefficient is NOT equivalent to adding 0*w: -0 + +0 = +0 flips signed
+// zeros and 0*Inf = NaN). When all four rows in a block have nonzero
+// coefficients it fuses the four axpy passes into one sweep over br,
+// loading each weight once for four FMAs; any zero coefficient falls back
+// to the per-row loops, preserving the skip bit-exactly.
 
-func mulNTGeneric(dst, a, b *Dense) {
+func mulNT(dst, a, b *Dense) {
 	k := a.Cols
 	n := b.Rows
 	i := 0
@@ -80,7 +79,7 @@ func mulNTGeneric(dst, a, b *Dense) {
 	}
 }
 
-func mulNNGeneric(dst, a, b *Dense) {
+func mulNN(dst, a, b *Dense) {
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}

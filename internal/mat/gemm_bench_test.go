@@ -9,8 +9,8 @@ import (
 // Serving shapes: the surrogate MLP is 62 -> 64 -> 128 -> 128 -> 64 -> 12
 // (input encoding through SmallConfig hidden layers to the meta-stats
 // head), so the forward GEMMs at batch B are B x {62x64, 64x128,
-// 128x128, 128x64, 64x12}. Multi-chain gradient search and pilot
-// chains query batches of a few to 64 rows.
+// 128x128, 128x64, 64x12}. MM queries 1 or 2 rows at a time, and the
+// SA+f* pilot chains query batches of a few to 64 rows.
 var servingLayers = []struct{ in, out int }{
 	{62, 64}, {64, 128}, {128, 128}, {128, 64}, {64, 12},
 }

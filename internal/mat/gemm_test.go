@@ -6,81 +6,8 @@ import (
 	"testing"
 )
 
-// relTol is the acceptance band for the simd-tag kernels, whose vector
-// accumulators sum in a different order than the scalar reference. It is
-// deliberately loose enough for any reordering of ~few-hundred-term
-// float64 dot products and tight enough to catch an indexing bug.
-const relTol = 1e-12
-
-func closeEnough(got, want float64) bool {
-	if got == want {
-		return true
-	}
-	diff := math.Abs(got - want)
-	scale := math.Max(math.Abs(got), math.Abs(want))
-	return diff <= relTol*math.Max(scale, 1)
-}
-
-// TestMulNTMatchesMatVecTolerance holds on every build: the default
-// kernel is bitwise-equal (a strict subset of tolerance), and the simd
-// kernel must land within relTol of the scalar reference. Shapes cover
-// all four micro-kernel quadrants (blocked/tail rows of a x blocked/tail
-// rows of b) and the serving layer widths.
-func TestMulNTMatchesMatVecTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []struct{ batch, k, n int }{
-		{1, 62, 64}, {3, 13, 9}, {4, 64, 128}, {5, 7, 5},
-		{8, 128, 128}, {16, 128, 64}, {17, 64, 12}, {64, 62, 64},
-	} {
-		a := randDense(rng, tc.batch, tc.k)
-		b := randDense(rng, tc.n, tc.k)
-		dst := NewDense(tc.batch, tc.n)
-		MulNT(dst, a, b)
-		want := make([]float64, tc.n)
-		for r := 0; r < tc.batch; r++ {
-			MatVec(want, b, a.Row(r))
-			for j, w := range want {
-				if got := dst.At(r, j); !closeEnough(got, w) {
-					t.Fatalf("%dx%d*%dT: MulNT[%d][%d]=%v, MatVec=%v",
-						tc.batch, tc.k, tc.n, r, j, got, w)
-				}
-			}
-		}
-	}
-}
-
-// TestMulNNMatchesMatTVecTolerance is the backward-path analog, with
-// injected zeros so both builds exercise their zero-skip handling.
-func TestMulNNMatchesMatTVecTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, tc := range []struct{ batch, k, n int }{
-		{1, 12, 64}, {3, 9, 13}, {4, 64, 128}, {5, 5, 7},
-		{8, 128, 128}, {16, 128, 62}, {64, 64, 62},
-	} {
-		a := randDense(rng, tc.batch, tc.k)
-		for i := range a.Data {
-			if rng.Intn(3) == 0 {
-				a.Data[i] = 0
-			}
-		}
-		b := randDense(rng, tc.k, tc.n)
-		dst := NewDense(tc.batch, tc.n)
-		MulNN(dst, a, b)
-		want := make([]float64, tc.n)
-		for r := 0; r < tc.batch; r++ {
-			MatTVec(want, b, a.Row(r))
-			for j, w := range want {
-				if got := dst.At(r, j); !closeEnough(got, w) {
-					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, MatTVec=%v",
-						tc.batch, tc.k, tc.n, r, j, got, w)
-				}
-			}
-		}
-	}
-}
-
-// TestZeroSkipSemantics pins the IEEE edge the zero-skip exists for, on
-// BOTH builds: a zero coefficient must skip its weight row entirely —
+// TestZeroSkipSemantics pins the IEEE edge the zero-skip exists for: a
+// zero coefficient must skip its weight row entirely —
 // multiplying instead would turn 0*Inf into NaN and poison the output.
 func TestZeroSkipSemantics(t *testing.T) {
 	// b row 0 holds pathological weights; every sample's coefficient for
@@ -110,9 +37,8 @@ func TestZeroSkipSemantics(t *testing.T) {
 	}
 }
 
-// TestMulNTGenericDirect exercises the register-blocked generic kernel
-// even under the simd tag (where MulNT routes to assembly), so the
-// fallback stays correct on every build.
+// TestMulNTGenericDirect calls the register-blocked kernel directly,
+// below MulNT's shape check, on shapes that hit every loop tail.
 func TestMulNTGenericDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, tc := range []struct{ batch, k, n int }{
@@ -121,13 +47,13 @@ func TestMulNTGenericDirect(t *testing.T) {
 		a := randDense(rng, tc.batch, tc.k)
 		b := randDense(rng, tc.n, tc.k)
 		dst := NewDense(tc.batch, tc.n)
-		mulNTGeneric(dst, a, b)
+		mulNT(dst, a, b)
 		want := make([]float64, tc.n)
 		for r := 0; r < tc.batch; r++ {
 			MatVec(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); got != w {
-					t.Fatalf("%dx%d*%dT: mulNTGeneric[%d][%d]=%v, MatVec=%v",
+					t.Fatalf("%dx%d*%dT: mulNT[%d][%d]=%v, MatVec=%v",
 						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}
@@ -135,9 +61,8 @@ func TestMulNTGenericDirect(t *testing.T) {
 	}
 }
 
-// TestMulNNGenericDirect pins the generic backward kernel bitwise on
-// every build, including the fused all-nonzero fast path and the mixed
-// zero/nonzero fallback.
+// TestMulNNGenericDirect pins the backward kernel bitwise, including the
+// fused all-nonzero fast path and the mixed zero/nonzero fallback.
 func TestMulNNGenericDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, zeroFrac := range []int{0, 3} { // 0: never zero (fused path); 3: ~1/3 zeros (fallback)
@@ -154,13 +79,13 @@ func TestMulNNGenericDirect(t *testing.T) {
 			}
 			b := randDense(rng, tc.k, tc.n)
 			dst := NewDense(tc.batch, tc.n)
-			mulNNGeneric(dst, a, b)
+			mulNN(dst, a, b)
 			want := make([]float64, tc.n)
 			for r := 0; r < tc.batch; r++ {
 				MatTVec(want, b, a.Row(r))
 				for j, w := range want {
 					if got := dst.At(r, j); got != w {
-						t.Fatalf("%dx%d*%d zeros=%d: mulNNGeneric[%d][%d]=%v, MatTVec=%v",
+						t.Fatalf("%dx%d*%d zeros=%d: mulNN[%d][%d]=%v, MatTVec=%v",
 							tc.batch, tc.k, tc.n, zeroFrac, r, j, got, w)
 					}
 				}

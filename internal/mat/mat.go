@@ -1,6 +1,11 @@
 // Package mat implements the small dense linear-algebra kernels needed by
 // the neural-network library: matrix-vector products (plain and transposed),
-// rank-1 updates, and element-wise vector helpers.
+// their batched matrix-matrix forms (MulNT, MulNN), rank-1 updates, and
+// element-wise vector helpers.
+//
+// Every kernel is plain Go with one build. Each row of a batched product is
+// bit-identical to the matrix-vector product on that row, which is what
+// lets the surrogate answer a batch exactly as it answers one query.
 //
 // Matrices are stored row-major in a flat slice. The package favors clarity
 // and zero allocations on hot paths (all kernels write into caller-provided
@@ -135,12 +140,9 @@ func MatTVec(dst []float64, m *Dense, y []float64) {
 //
 // This is the batched analog of MatVec: with a holding a batch of input
 // rows and b a weight matrix, row i of dst equals MatVec(b, a row i)
-// bit-for-bit on the default build — each dot product accumulates over
-// columns in ascending order, exactly like MatVec (see gemm.go for the
-// register-blocked kernel). Under the simd build tag the kernel uses
-// AVX2 vector accumulators whose summation order differs; results then
-// agree with MatVec only to floating-point tolerance (SIMDEnabled
-// reports which contract is active).
+// bit-for-bit — each dot product accumulates over columns in ascending
+// order, exactly like MatVec (see gemm.go for the register-blocked
+// kernel).
 func MulNT(dst, a, b *Dense) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulNT shapes dst=%dx%d a=%dx%d b=%dx%d",
@@ -154,13 +156,9 @@ func MulNT(dst, a, b *Dense) {
 //
 // This is the batched analog of MatTVec: with a holding a batch of
 // backpropagated error rows and b a weight matrix, row i of dst equals
-// MatTVec(b, a row i) bit-for-bit on the default build — each output row
-// is zeroed and then accumulated over b's rows in ascending order with
-// the same zero-skip, so batched backprop matches the scalar path
-// exactly (see gemm.go). Under the simd build tag the per-row axpy is
-// vectorized; the zero-skip is preserved but within-row addition order
-// differs, so results agree with MatTVec only to floating-point
-// tolerance.
+// MatTVec(b, a row i) bit-for-bit — each output row is zeroed and then
+// accumulated over b's rows in ascending order with the same zero-skip,
+// so batched backprop matches the scalar path exactly (see gemm.go).
 func MulNN(dst, a, b *Dense) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols || a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulNN shapes dst=%dx%d a=%dx%d b=%dx%d",

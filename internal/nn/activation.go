@@ -1,48 +1,10 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+// The hidden activation is ReLU, the paper's surrogate nonlinearity; it is
+// the only one, so layers call these two functions directly.
 
-// Activation is an element-wise nonlinearity with a derivative. Forward and
-// Deriv operate element-wise over slices so layers can apply them in place.
-type Activation interface {
-	// Name identifies the activation for serialization.
-	Name() string
-	// Forward writes f(x[i]) into dst[i]. dst may alias x.
-	Forward(dst, x []float64)
-	// Deriv writes f'(x[i]) into dst[i], where y[i] = f(x[i]) is also
-	// provided for activations whose derivative is cheaper in terms of the
-	// output (tanh, sigmoid). dst may alias x or y.
-	Deriv(dst, x, y []float64)
-}
-
-// ActivationByName returns the activation registered under name.
-func ActivationByName(name string) (Activation, error) {
-	switch name {
-	case "relu":
-		return ReLU{}, nil
-	case "leakyrelu":
-		return LeakyReLU{Slope: 0.01}, nil
-	case "tanh":
-		return Tanh{}, nil
-	case "sigmoid":
-		return Sigmoid{}, nil
-	case "identity":
-		return Identity{}, nil
-	}
-	return nil, fmt.Errorf("nn: unknown activation %q", name)
-}
-
-// ReLU is max(0, x), the default hidden activation for the surrogate MLP.
-type ReLU struct{}
-
-// Name implements Activation.
-func (ReLU) Name() string { return "relu" }
-
-// Forward implements Activation.
-func (ReLU) Forward(dst, x []float64) {
+// relu writes max(0, x[i]) into dst[i]. dst may alias x.
+func relu(dst, x []float64) {
 	for i, v := range x {
 		if v > 0 {
 			dst[i] = v
@@ -52,100 +14,15 @@ func (ReLU) Forward(dst, x []float64) {
 	}
 }
 
-// Deriv implements Activation.
-func (ReLU) Deriv(dst, x, _ []float64) {
+// reluDeriv writes ReLU's derivative at x[i] (1 where x[i] > 0, else 0)
+// into dst[i]. Backprop multiplies by it rather than masking, so signed
+// zeros and NaNs propagate as in any multiply. dst may alias x.
+func reluDeriv(dst, x []float64) {
 	for i, v := range x {
 		if v > 0 {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
 		}
-	}
-}
-
-// LeakyReLU is x for x>0 and Slope*x otherwise. A small negative slope keeps
-// gradients alive when projected-gradient-descent inputs drift into dead
-// zones.
-type LeakyReLU struct{ Slope float64 }
-
-// Name implements Activation.
-func (LeakyReLU) Name() string { return "leakyrelu" }
-
-// Forward implements Activation.
-func (a LeakyReLU) Forward(dst, x []float64) {
-	for i, v := range x {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = a.Slope * v
-		}
-	}
-}
-
-// Deriv implements Activation.
-func (a LeakyReLU) Deriv(dst, x, _ []float64) {
-	for i, v := range x {
-		if v > 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = a.Slope
-		}
-	}
-}
-
-// Tanh is the hyperbolic tangent, used by the DDPG actor to bound actions.
-type Tanh struct{}
-
-// Name implements Activation.
-func (Tanh) Name() string { return "tanh" }
-
-// Forward implements Activation.
-func (Tanh) Forward(dst, x []float64) {
-	for i, v := range x {
-		dst[i] = math.Tanh(v)
-	}
-}
-
-// Deriv implements Activation.
-func (Tanh) Deriv(dst, _, y []float64) {
-	for i, v := range y {
-		dst[i] = 1 - v*v
-	}
-}
-
-// Sigmoid is the logistic function.
-type Sigmoid struct{}
-
-// Name implements Activation.
-func (Sigmoid) Name() string { return "sigmoid" }
-
-// Forward implements Activation.
-func (Sigmoid) Forward(dst, x []float64) {
-	for i, v := range x {
-		dst[i] = 1 / (1 + math.Exp(-v))
-	}
-}
-
-// Deriv implements Activation.
-func (Sigmoid) Deriv(dst, _, y []float64) {
-	for i, v := range y {
-		dst[i] = v * (1 - v)
-	}
-}
-
-// Identity is the linear activation used on output layers of regression
-// networks such as the surrogate and the DDPG critic.
-type Identity struct{}
-
-// Name implements Activation.
-func (Identity) Name() string { return "identity" }
-
-// Forward implements Activation.
-func (Identity) Forward(dst, x []float64) { copy(dst, x) }
-
-// Deriv implements Activation.
-func (Identity) Deriv(dst, _, _ []float64) {
-	for i := range dst {
-		dst[i] = 1
 	}
 }

@@ -1,30 +1,54 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
+// TestActivationByName pins the saved format's activation name: Save
+// writes "relu", and Load accepts only that name. The names the format
+// once also carried (leakyrelu, tanh, sigmoid, identity) and unknown ones
+// are load errors, so a net is never run with the wrong nonlinearity.
 func TestActivationByName(t *testing.T) {
-	for _, name := range []string{"relu", "leakyrelu", "tanh", "sigmoid", "identity"} {
-		a, err := ActivationByName(name)
-		if err != nil {
-			t.Fatalf("ActivationByName(%q): %v", name, err)
-		}
-		if a.Name() != name {
-			t.Fatalf("round-trip name %q != %q", a.Name(), name)
-		}
+	net := newTestNet(t, []int{1, 1}, 1)
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ActivationByName("swish"); err == nil {
-		t.Fatal("expected error for unknown activation")
+	var saved savedMLP
+	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if saved.Hidden != "relu" {
+		t.Fatalf("Save wrote hidden activation %q, want relu", saved.Hidden)
+	}
+	for _, name := range []string{"relu", "leakyrelu", "tanh", "sigmoid", "identity", "swish", ""} {
+		saved.Hidden = name
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(&saved); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if name == "relu" {
+			if err != nil {
+				t.Fatalf("Load(relu): %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "hidden activation") {
+			t.Fatalf("Load(%q) = %v, want a hidden-activation error", name, err)
+		}
 	}
 }
 
 func TestReLUForward(t *testing.T) {
 	x := []float64{-2, 0, 3}
 	dst := make([]float64, 3)
-	ReLU{}.Forward(dst, x)
+	relu(dst, x)
 	want := []float64{0, 0, 3}
 	for i := range want {
 		if dst[i] != want[i] {
@@ -33,85 +57,48 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
-func TestLeakyReLUForward(t *testing.T) {
-	a := LeakyReLU{Slope: 0.1}
-	dst := make([]float64, 2)
-	a.Forward(dst, []float64{-10, 10})
-	if dst[0] != -1 || dst[1] != 10 {
-		t.Fatalf("LeakyReLU = %v", dst)
-	}
-}
-
-func TestTanhSigmoidKnownValues(t *testing.T) {
-	dst := make([]float64, 1)
-	Tanh{}.Forward(dst, []float64{0})
-	if dst[0] != 0 {
-		t.Fatalf("tanh(0) = %v", dst[0])
-	}
-	Sigmoid{}.Forward(dst, []float64{0})
-	if math.Abs(dst[0]-0.5) > 1e-12 {
-		t.Fatalf("sigmoid(0) = %v", dst[0])
-	}
-}
-
-func TestIdentity(t *testing.T) {
-	x := []float64{1, -2, 3}
-	dst := make([]float64, 3)
-	Identity{}.Forward(dst, x)
-	for i := range x {
-		if dst[i] != x[i] {
-			t.Fatal("identity must copy input")
-		}
-	}
-	d := make([]float64, 3)
-	Identity{}.Deriv(d, x, dst)
-	for _, v := range d {
-		if v != 1 {
-			t.Fatal("identity derivative must be 1")
-		}
-	}
-}
-
-// Every activation's Deriv must match a central finite difference of its
-// Forward, away from non-differentiable points.
+// ReLU's derivative must match a central finite difference of its
+// forward pass, away from the kink at 0.
 func TestActivationDerivMatchesFiniteDifference(t *testing.T) {
-	acts := []Activation{ReLU{}, LeakyReLU{Slope: 0.01}, Tanh{}, Sigmoid{}, Identity{}}
 	rng := rand.New(rand.NewSource(3))
 	const h = 1e-6
-	for _, a := range acts {
-		for trial := 0; trial < 50; trial++ {
-			x := rng.NormFloat64() * 2
-			if math.Abs(x) < 1e-3 {
-				x = 0.5 // avoid the ReLU kink
-			}
-			in := []float64{x}
-			out := []float64{0}
-			a.Forward(out, in)
-			d := []float64{0}
-			a.Deriv(d, in, out)
+	for trial := 0; trial < 50; trial++ {
+		x := rng.NormFloat64() * 2
+		if math.Abs(x) < 1e-3 {
+			x = 0.5 // avoid the kink
+		}
+		in := []float64{x}
+		d := []float64{0}
+		reluDeriv(d, in)
 
-			plus, minus := []float64{0}, []float64{0}
-			a.Forward(plus, []float64{x + h})
-			a.Forward(minus, []float64{x - h})
-			fd := (plus[0] - minus[0]) / (2 * h)
-			if math.Abs(fd-d[0]) > 1e-4 {
-				t.Fatalf("%s: deriv mismatch at x=%v: fd=%v analytic=%v", a.Name(), x, fd, d[0])
-			}
+		plus, minus := []float64{0}, []float64{0}
+		relu(plus, []float64{x + h})
+		relu(minus, []float64{x - h})
+		fd := (plus[0] - minus[0]) / (2 * h)
+		if math.Abs(fd-d[0]) > 1e-4 {
+			t.Fatalf("deriv mismatch at x=%v: fd=%v analytic=%v", x, fd, d[0])
 		}
 	}
 }
 
+// TestActivationForwardInPlace pins that ReLU's forward pass and its
+// derivative may write over their input, as the layers rely on.
 func TestActivationForwardInPlace(t *testing.T) {
-	// dst aliasing x must be supported.
-	for _, a := range []Activation{ReLU{}, LeakyReLU{Slope: 0.5}, Tanh{}, Sigmoid{}, Identity{}} {
-		x := []float64{-1, 0.5}
-		want := make([]float64, 2)
-		a.Forward(want, x)
-		a.Forward(x, x)
-		for i := range x {
-			if x[i] != want[i] {
-				t.Fatalf("%s: in-place forward differs: %v vs %v", a.Name(), x, want)
-			}
+	x := []float64{-1, 0.5, 0, math.Copysign(0, -1), 2}
+	want := make([]float64, len(x))
+	relu(want, x)
+	got := append([]float64(nil), x...)
+	relu(got, got)
+	wantD := make([]float64, len(x))
+	reluDeriv(wantD, x)
+	gotD := append([]float64(nil), x...)
+	reluDeriv(gotD, gotD)
+	for i := range x {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("in-place forward differs: %v vs %v", got, want)
+		}
+		if gotD[i] != wantD[i] {
+			t.Fatalf("in-place derivative differs: %v vs %v", gotD, wantD)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func (n *MLP) ForwardBatch(ws *Workspace, x *mat.Dense) mat.Dense {
 		if i == last {
 			copy(act.Data, pre.Data) // linear output head
 		} else {
-			n.Hidden.Forward(act.Data, pre.Data)
+			relu(act.Data, pre.Data)
 		}
 	}
 	return view(ws.actsB[len(ws.actsB)-1], b)
@@ -124,12 +124,12 @@ func (n *MLP) BackwardInputBatch(ws *Workspace, dOut *mat.Dense) mat.Dense {
 		}
 		mat.MulNN(&down, &delta, l.W)
 		if i > 0 {
-			// Multiply by the activation derivative of layer i-1,
+			// Multiply by the ReLU derivative of layer i-1,
 			// element-wise over the contiguous b-row window — the same
 			// per-element operations as the scalar Backward.
 			w := l.In()
 			derivBuf := ws.derivB.Data[:b*w]
-			n.Hidden.Deriv(derivBuf, ws.preB[i-1].Data[:b*w], ws.actsB[i].Data[:b*w])
+			reluDeriv(derivBuf, ws.preB[i-1].Data[:b*w])
 			for j := range down.Data {
 				down.Data[j] *= derivBuf[j]
 			}

@@ -1,30 +1,15 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"mindmappings/internal/mat"
 )
 
-// scalarEq holds batched results to the build's determinism contract:
-// bit-identity on the default build, tight relative tolerance under the
-// simd tag (whose kernels reassociate the reduction).
-func scalarEq(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	if !mat.SIMDEnabled {
-		return false
-	}
-	scale := math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
-	return math.Abs(a-b) <= 1e-9*scale
-}
-
-func batchTestNet(t *testing.T, hidden Activation) *MLP {
+func batchTestNet(t *testing.T, seed int64) *MLP {
 	t.Helper()
-	net, err := NewMLP([]int{7, 11, 9, 3}, hidden, rand.New(rand.NewSource(42)))
+	net, err := NewMLP([]int{7, 11, 9, 3}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +26,10 @@ func randBatch(rng *rand.Rand, rows, cols int) *mat.Dense {
 
 // TestForwardBatchBitIdentical pins the core contract: ForwardBatch row i
 // equals a scalar Forward on row i bit-for-bit, across batch sizes that
-// exercise both the blocked kernel and its tail, and across activations.
+// exercise both the blocked kernel and its tail, and across nets.
 func TestForwardBatchBitIdentical(t *testing.T) {
-	for _, act := range []Activation{ReLU{}, Tanh{}, LeakyReLU{Slope: 0.01}} {
-		net := batchTestNet(t, act)
+	for _, seed := range []int64{42, 43, 44} {
+		net := batchTestNet(t, seed)
 		rng := rand.New(rand.NewSource(7))
 		wsB := net.NewWorkspace()
 		wsS := net.NewWorkspace()
@@ -54,9 +39,9 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 			for r := 0; r < batch; r++ {
 				want := net.Forward(wsS, x.Row(r))
 				for j, w := range want {
-					if got := out.At(r, j); !scalarEq(got, w) {
-						t.Fatalf("%s batch=%d row=%d out[%d]: batch %v != scalar %v",
-							act.Name(), batch, r, j, got, w)
+					if got := out.At(r, j); got != w {
+						t.Fatalf("net %d batch=%d row=%d out[%d]: batch %v != scalar %v",
+							seed, batch, r, j, got, w)
 					}
 				}
 			}
@@ -66,8 +51,8 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 
 // TestInputGradientBatchBitIdentical does the same for the backward pass.
 func TestInputGradientBatchBitIdentical(t *testing.T) {
-	for _, act := range []Activation{ReLU{}, Tanh{}} {
-		net := batchTestNet(t, act)
+	for _, seed := range []int64{42, 43} {
+		net := batchTestNet(t, seed)
 		rng := rand.New(rand.NewSource(8))
 		wsB := net.NewWorkspace()
 		wsS := net.NewWorkspace()
@@ -78,9 +63,9 @@ func TestInputGradientBatchBitIdentical(t *testing.T) {
 			for r := 0; r < batch; r++ {
 				want := net.InputGradient(wsS, x.Row(r), dOut.Row(r))
 				for j, w := range want {
-					if got := grads.At(r, j); !scalarEq(got, w) {
-						t.Fatalf("%s batch=%d row=%d grad[%d]: batch %v != scalar %v",
-							act.Name(), batch, r, j, got, w)
+					if got := grads.At(r, j); got != w {
+						t.Fatalf("net %d batch=%d row=%d grad[%d]: batch %v != scalar %v",
+							seed, batch, r, j, got, w)
 					}
 				}
 			}
@@ -92,7 +77,7 @@ func TestInputGradientBatchBitIdentical(t *testing.T) {
 // smaller and equal batches without reallocating, and that scalar and
 // batched use of the same workspace do not corrupt each other.
 func TestBatchWorkspaceReuse(t *testing.T) {
-	net := batchTestNet(t, ReLU{})
+	net := batchTestNet(t, 42)
 	rng := rand.New(rand.NewSource(9))
 	ws := net.NewWorkspace()
 	big := randBatch(rng, 16, net.InDim())
@@ -113,7 +98,7 @@ func TestBatchWorkspaceReuse(t *testing.T) {
 	out = net.ForwardBatch(ws, small)
 	check := net.Forward(net.NewWorkspace(), small.Row(1))
 	for j, w := range check {
-		if !scalarEq(out.At(1, j), w) {
+		if out.At(1, j) != w {
 			t.Fatalf("post-interleave row 1 out[%d] = %v, want %v", j, out.At(1, j), w)
 		}
 	}
@@ -121,7 +106,7 @@ func TestBatchWorkspaceReuse(t *testing.T) {
 
 // TestForwardBatchShapePanics pins input validation.
 func TestForwardBatchShapePanics(t *testing.T) {
-	net := batchTestNet(t, ReLU{})
+	net := batchTestNet(t, 42)
 	ws := net.NewWorkspace()
 	cases := []func(){
 		func() { net.ForwardBatch(ws, mat.NewDense(2, net.InDim()+1)) },
@@ -144,7 +129,7 @@ func TestForwardBatchShapePanics(t *testing.T) {
 // batched forward+backward on a warm workspace performs zero heap
 // allocations.
 func TestForwardBatchSteadyStateAllocFree(t *testing.T) {
-	net := batchTestNet(t, ReLU{})
+	net := batchTestNet(t, 42)
 	rng := rand.New(rand.NewSource(10))
 	ws := net.NewWorkspace()
 	x := randBatch(rng, 8, net.InDim())

@@ -1,12 +1,13 @@
 // Package nn is a from-scratch neural-network library built for the Mind
-// Mappings reproduction. It provides multi-layer perceptrons with
-// backpropagation, the three regression losses the paper compares (MSE, MAE,
-// Huber), SGD with momentum plus step learning-rate decay (the paper's
-// training recipe, §5.5) and Adam (used by the DDPG baseline), mini-batch
-// training with train/test loss histories (Figure 7a), and — critically for
-// Phase 2 — gradients of a scalar function of the network output with
-// respect to the network *input*, which is what turns the trained surrogate
-// into a search direction generator.
+// Mappings reproduction. It provides multi-layer perceptrons with ReLU
+// hidden layers and backpropagation, the three regression losses the paper
+// compares (MSE, MAE, Huber), SGD with momentum plus step learning-rate
+// decay (the paper's training recipe, §5.5; Train always uses it) and Adam
+// (used by the DDPG baseline), mini-batch training with train/test loss
+// histories (Figure 7a), and — critically for Phase 2 — gradients of a
+// scalar function of the network output with respect to the network
+// *input*, which is what turns the trained surrogate into a search
+// direction generator.
 package nn
 
 import (
@@ -17,7 +18,8 @@ import (
 	"mindmappings/internal/mat"
 )
 
-// DenseLayer is a fully connected layer computing act(W·x + b).
+// DenseLayer is a fully connected layer computing W·x + b; hidden layers
+// apply ReLU to the result.
 type DenseLayer struct {
 	W *mat.Dense // out x in
 	B []float64  // out
@@ -29,18 +31,17 @@ func (l *DenseLayer) In() int { return l.W.Cols }
 // Out returns the layer's output width.
 func (l *DenseLayer) Out() int { return l.W.Rows }
 
-// MLP is a multi-layer perceptron with a shared hidden activation and a
-// linear output layer (regression head).
+// MLP is a multi-layer perceptron with ReLU hidden layers and a linear
+// output layer (regression head).
 type MLP struct {
 	Sizes  []int // layer widths including input and output
 	Layers []*DenseLayer
-	Hidden Activation
 }
 
 // NewMLP constructs an MLP with the given layer widths (at least input and
-// output) and hidden activation, initializing weights with He-scaled
-// Gaussians from rng. Biases start at zero.
-func NewMLP(sizes []int, hidden Activation, rng *rand.Rand) (*MLP, error) {
+// output), initializing weights with He-scaled Gaussians from rng. Biases
+// start at zero.
+func NewMLP(sizes []int, rng *rand.Rand) (*MLP, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("nn: MLP needs >= 2 layer sizes, got %v", sizes)
 	}
@@ -49,10 +50,7 @@ func NewMLP(sizes []int, hidden Activation, rng *rand.Rand) (*MLP, error) {
 			return nil, fmt.Errorf("nn: layer %d has non-positive width %d", i, s)
 		}
 	}
-	if hidden == nil {
-		hidden = ReLU{}
-	}
-	net := &MLP{Sizes: append([]int(nil), sizes...), Hidden: hidden}
+	net := &MLP{Sizes: append([]int(nil), sizes...)}
 	for i := 0; i+1 < len(sizes); i++ {
 		layer := &DenseLayer{
 			W: mat.NewDense(sizes[i+1], sizes[i]),
@@ -84,7 +82,7 @@ func (n *MLP) NumParams() int {
 
 // Clone returns a deep copy of the network.
 func (n *MLP) Clone() *MLP {
-	out := &MLP{Sizes: append([]int(nil), n.Sizes...), Hidden: n.Hidden}
+	out := &MLP{Sizes: append([]int(nil), n.Sizes...)}
 	for _, l := range n.Layers {
 		out.Layers = append(out.Layers, &DenseLayer{
 			W: l.W.Clone(),
@@ -101,7 +99,7 @@ type Workspace struct {
 	pre   [][]float64 // pre[i]: pre-activation of layer i
 	acts  [][]float64 // acts[0] = input copy; acts[i+1] = output of layer i
 	delta [][]float64 // backprop error per layer output
-	deriv []float64   // activation derivative scratch
+	deriv []float64   // ReLU derivative scratch
 
 	// Batched counterparts (see batch.go), grown lazily by ensureBatch to
 	// the largest batch seen on this workspace.
@@ -148,7 +146,7 @@ func (n *MLP) Forward(ws *Workspace, x []float64) []float64 {
 		if i == last {
 			copy(ws.acts[i+1], ws.pre[i]) // linear output head
 		} else {
-			n.Hidden.Forward(ws.acts[i+1], ws.pre[i])
+			relu(ws.acts[i+1], ws.pre[i])
 		}
 	}
 	return ws.acts[len(ws.acts)-1]
@@ -247,11 +245,11 @@ func (n *MLP) Backward(ws *Workspace, dOut []float64, g *Grads) []float64 {
 		}
 		mat.MatTVec(down, l.W, ws.delta[i])
 		if i > 0 {
-			// Multiply by the activation derivative of layer i-1. ws.deriv
+			// Multiply by the ReLU derivative of layer i-1. ws.deriv
 			// is free here: it only becomes the input gradient at i == 0,
 			// and no derivative multiplication happens on that iteration.
 			derivBuf := ws.deriv[:len(down)]
-			n.Hidden.Deriv(derivBuf, ws.pre[i-1], ws.acts[i])
+			reluDeriv(derivBuf, ws.pre[i-1])
 			for j := range down {
 				down[j] *= derivBuf[j]
 			}

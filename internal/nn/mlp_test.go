@@ -7,29 +7,57 @@ import (
 	"testing/quick"
 )
 
-func newTestNet(t *testing.T, sizes []int, act Activation, seed int64) *MLP {
+func newTestNet(t *testing.T, sizes []int, seed int64) *MLP {
 	t.Helper()
-	net, err := NewMLP(sizes, act, rand.New(rand.NewSource(seed)))
+	net, err := NewMLP(sizes, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return net
 }
 
+// kinkMargin returns the smallest |pre-activation| over net's hidden
+// layers for the forward pass last run on ws. A finite difference of a
+// ReLU net matches its analytic gradient only when no hidden unit crosses
+// 0 within the step.
+func kinkMargin(net *MLP, ws *Workspace) float64 {
+	m := math.Inf(1)
+	for _, pre := range ws.pre[:len(net.Layers)-1] {
+		for _, v := range pre {
+			m = min(m, math.Abs(v))
+		}
+	}
+	return m
+}
+
+// drawAwayFromKinks fills x with standard normals from r, redrawing until
+// every hidden pre-activation is at least 1e-3 from ReLU's kink (a
+// thousand times the finite-difference step). It reports false when 100
+// draws all land near a kink.
+func drawAwayFromKinks(net *MLP, ws *Workspace, r *rand.Rand, x []float64) bool {
+	for try := 0; try < 100; try++ {
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		net.Forward(ws, x)
+		if kinkMargin(net, ws) >= 1e-3 {
+			return true
+		}
+	}
+	return false
+}
+
 func TestNewMLPValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := NewMLP([]int{3}, ReLU{}, rng); err == nil {
+	if _, err := NewMLP([]int{3}, rng); err == nil {
 		t.Fatal("accepted single-layer size list")
 	}
-	if _, err := NewMLP([]int{3, 0, 2}, ReLU{}, rng); err == nil {
+	if _, err := NewMLP([]int{3, 0, 2}, rng); err == nil {
 		t.Fatal("accepted zero-width layer")
 	}
-	net, err := NewMLP([]int{3, 4, 2}, nil, rng)
+	net, err := NewMLP([]int{3, 4, 2}, rng)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if net.Hidden.Name() != "relu" {
-		t.Fatal("nil activation must default to relu")
 	}
 	if net.InDim() != 3 || net.OutDim() != 2 {
 		t.Fatalf("dims %d/%d", net.InDim(), net.OutDim())
@@ -42,7 +70,7 @@ func TestNewMLPValidation(t *testing.T) {
 func TestForwardHandComputed(t *testing.T) {
 	// Single hidden layer, weights set by hand:
 	// h = relu(W1 x + b1), y = W2 h + b2.
-	net := newTestNet(t, []int{2, 2, 1}, ReLU{}, 1)
+	net := newTestNet(t, []int{2, 2, 1}, 1)
 	copy(net.Layers[0].W.Data, []float64{1, -1, 2, 0})
 	copy(net.Layers[0].B, []float64{0, -1})
 	copy(net.Layers[1].W.Data, []float64{3, 0.5})
@@ -58,7 +86,7 @@ func TestForwardHandComputed(t *testing.T) {
 }
 
 func TestForwardShapePanics(t *testing.T) {
-	net := newTestNet(t, []int{2, 2, 1}, ReLU{}, 1)
+	net := newTestNet(t, []int{2, 2, 1}, 1)
 	ws := net.NewWorkspace()
 	defer func() {
 		if recover() == nil {
@@ -69,7 +97,7 @@ func TestForwardShapePanics(t *testing.T) {
 }
 
 func TestBackwardShapePanics(t *testing.T) {
-	net := newTestNet(t, []int{2, 2, 1}, ReLU{}, 1)
+	net := newTestNet(t, []int{2, 2, 1}, 1)
 	ws := net.NewWorkspace()
 	net.Forward(ws, []float64{1, 2})
 	defer func() {
@@ -81,7 +109,7 @@ func TestBackwardShapePanics(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	net := newTestNet(t, []int{2, 3, 1}, Tanh{}, 5)
+	net := newTestNet(t, []int{2, 3, 1}, 5)
 	clone := net.Clone()
 	clone.Layers[0].W.Data[0] += 100
 	clone.Layers[0].B[0] += 100
@@ -94,7 +122,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestForwardDeterministic(t *testing.T) {
-	net := newTestNet(t, []int{4, 8, 3}, Tanh{}, 2)
+	net := newTestNet(t, []int{4, 8, 3}, 2)
 	ws1, ws2 := net.NewWorkspace(), net.NewWorkspace()
 	x := []float64{0.1, -0.2, 0.3, 0.4}
 	a := append([]float64(nil), net.Forward(ws1, x)...)
@@ -107,27 +135,33 @@ func TestForwardDeterministic(t *testing.T) {
 }
 
 // The central property of the whole library: parameter gradients from
-// Backward match finite differences of the loss for random nets, inputs and
-// smooth activations.
+// Backward match finite differences of the loss for random nets and
+// inputs. Biases are drawn nonzero so no layer sits at the kink by
+// construction, and inputs are drawn away from every kink.
 func TestBackwardParameterGradientsMatchFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		sizes := []int{1 + r.Intn(4), 1 + r.Intn(5), 1 + r.Intn(4), 1 + r.Intn(3)}
-		net, err := NewMLP(sizes, Tanh{}, r)
+		net, err := NewMLP(sizes, r)
 		if err != nil {
 			return false
 		}
+		for _, l := range net.Layers {
+			for i := range l.B {
+				l.B[i] = r.NormFloat64()
+			}
+		}
+		ws := net.NewWorkspace()
 		x := make([]float64, net.InDim())
 		target := make([]float64, net.OutDim())
-		for i := range x {
-			x[i] = r.NormFloat64()
+		if !drawAwayFromKinks(net, ws, r, x) {
+			return false
 		}
 		for i := range target {
 			target[i] = r.NormFloat64()
 		}
 		loss := MSE{}
-		ws := net.NewWorkspace()
 		grads := net.NewGrads()
 		lossGrad := make([]float64, net.OutDim())
 		out := net.Forward(ws, x)
@@ -180,12 +214,15 @@ func TestInputGradientMatchesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 20; trial++ {
 		sizes := []int{3, 6, 5, 2}
-		net, err := NewMLP(sizes, Tanh{}, rng)
+		net, err := NewMLP(sizes, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ws := net.NewWorkspace()
-		x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		x := make([]float64, 3)
+		if !drawAwayFromKinks(net, ws, rng, x) {
+			t.Fatalf("trial %d: no input away from the ReLU kinks", trial)
+		}
 		// Scalar g(y) = 2*y0 - 3*y1 => dOut = [2, -3].
 		dOut := []float64{2, -3}
 		grad := append([]float64(nil), net.InputGradient(ws, x, dOut)...)
@@ -211,7 +248,7 @@ func TestInputGradientMatchesFiniteDifference(t *testing.T) {
 }
 
 func TestBackwardAccumulates(t *testing.T) {
-	net := newTestNet(t, []int{2, 3, 1}, Tanh{}, 7)
+	net := newTestNet(t, []int{2, 3, 1}, 7)
 	ws := net.NewWorkspace()
 	g1 := net.NewGrads()
 	x := []float64{0.5, -0.5}
@@ -227,7 +264,7 @@ func TestBackwardAccumulates(t *testing.T) {
 }
 
 func TestGradsZeroScaleClip(t *testing.T) {
-	net := newTestNet(t, []int{2, 2, 1}, ReLU{}, 9)
+	net := newTestNet(t, []int{2, 2, 1}, 9)
 	g := net.NewGrads()
 	g.W[0].Data[0] = 10
 	g.B[1][0] = -20
@@ -252,7 +289,7 @@ func TestGradsZeroScaleClip(t *testing.T) {
 func TestWorkspaceReuseNoAlias(t *testing.T) {
 	// The output slice is owned by the workspace; verify documented
 	// overwrite behavior so callers copy when needed.
-	net := newTestNet(t, []int{1, 2, 1}, ReLU{}, 11)
+	net := newTestNet(t, []int{1, 2, 1}, 11)
 	ws := net.NewWorkspace()
 	out1 := net.Forward(ws, []float64{1})
 	v1 := out1[0]

@@ -6,19 +6,6 @@ import (
 	"mindmappings/internal/mat"
 )
 
-// Optimizer applies accumulated gradients to a network's parameters.
-type Optimizer interface {
-	// Step updates net in place using gradients g. Implementations may keep
-	// per-parameter state (momentum, Adam moments) keyed to the network they
-	// were first stepped with; reusing an Optimizer across differently-shaped
-	// networks is a programming error.
-	Step(net *MLP, g *Grads)
-	// SetLR changes the learning rate (used by step-decay schedules).
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
-
 // SGD is stochastic gradient descent with classical momentum, the paper's
 // surrogate-training optimizer ("SGD optimizer with a momentum value of
 // 0.9", §5.5).
@@ -33,13 +20,15 @@ func NewSGD(lr, momentum float64) *SGD {
 	return &SGD{lr: lr, momentum: momentum}
 }
 
-// SetLR implements Optimizer.
+// SetLR changes the learning rate (used by the step-decay schedule).
 func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
-// LR implements Optimizer.
+// LR reports the current learning rate.
 func (s *SGD) LR() float64 { return s.lr }
 
-// Step implements Optimizer.
+// Step updates net in place using gradients g. The momentum state is keyed
+// to the network first stepped; reusing an SGD across differently-shaped
+// networks is a programming error.
 func (s *SGD) Step(net *MLP, g *Grads) {
 	if s.vel == nil {
 		s.vel = net.NewGrads()
@@ -75,13 +64,8 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }
-
-// Step implements Optimizer.
+// Step updates net in place using gradients g, keeping per-parameter
+// moments keyed to the network first stepped (as SGD.Step does).
 func (a *Adam) Step(net *MLP, g *Grads) {
 	if a.moment1 == nil {
 		a.moment1 = net.NewGrads()

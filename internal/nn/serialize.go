@@ -8,9 +8,9 @@ import (
 	"mindmappings/internal/mat"
 )
 
-// savedMLP is the on-disk representation of a trained network. The hidden
-// activation is stored by name so the format stays stable as new
-// activations are added.
+// savedMLP is the on-disk representation of a trained network. Hidden names
+// the hidden activation; ReLU ("relu") is the only one, and Load rejects
+// any other name rather than run a net with the wrong nonlinearity.
 type savedMLP struct {
 	Magic   string
 	Version int
@@ -23,6 +23,7 @@ type savedMLP struct {
 const (
 	mlpMagic   = "mindmappings-mlp"
 	mlpVersion = 1
+	mlpHidden  = "relu"
 )
 
 // Save serializes the network to w in a gob-based format readable by Load.
@@ -31,7 +32,7 @@ func (n *MLP) Save(w io.Writer) error {
 		Magic:   mlpMagic,
 		Version: mlpVersion,
 		Sizes:   n.Sizes,
-		Hidden:  n.Hidden.Name(),
+		Hidden:  mlpHidden,
 	}
 	for _, l := range n.Layers {
 		s.Weights = append(s.Weights, l.W.Data)
@@ -60,16 +61,15 @@ func Load(r io.Reader) (*MLP, error) {
 	if len(s.Sizes) < 2 {
 		return nil, fmt.Errorf("nn: load: invalid sizes %v", s.Sizes)
 	}
-	hidden, err := ActivationByName(s.Hidden)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
+	if s.Hidden != mlpHidden {
+		return nil, fmt.Errorf("nn: load: unsupported hidden activation %q (only %q)", s.Hidden, mlpHidden)
 	}
 	nLayers := len(s.Sizes) - 1
 	if len(s.Weights) != nLayers || len(s.Biases) != nLayers {
 		return nil, fmt.Errorf("nn: load: %d weight / %d bias blocks for %d layers",
 			len(s.Weights), len(s.Biases), nLayers)
 	}
-	net := &MLP{Sizes: s.Sizes, Hidden: hidden}
+	net := &MLP{Sizes: s.Sizes}
 	for i := 0; i < nLayers; i++ {
 		out, in := s.Sizes[i+1], s.Sizes[i]
 		if len(s.Weights[i]) != out*in {

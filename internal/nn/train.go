@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -82,10 +81,7 @@ type TrainConfig struct {
 	LRDecayEvery  int     // epochs between decays; 0 disables decay
 	LRDecayFactor float64 // multiplier applied at each decay
 	Loss          Loss
-	Optimizer     Optimizer // optional; overrides LR/Momentum if set
 	Seed          int64
-	GradClip      float64   // 0 disables clipping
-	Log           io.Writer // optional per-epoch progress log
 	// Ctx, when non-nil, is checked between mini-batches: once it is done,
 	// Train stops and returns ctx.Err() along with the history recorded so
 	// far, so a cancelled run still reports its completed epochs.
@@ -195,10 +191,7 @@ func Train(net *MLP, train, test *Dataset, cfg TrainConfig) (*History, error) {
 		ctx = context.Background()
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := cfg.Optimizer
-	if opt == nil {
-		opt = NewSGD(cfg.LR, cfg.Momentum)
-	}
+	opt := NewSGD(cfg.LR, cfg.Momentum)
 	ws := net.NewWorkspace()
 	grads := net.NewGrads()
 	lossGrad := make([]float64, net.OutDim())
@@ -244,9 +237,6 @@ func Train(net *MLP, train, test *Dataset, cfg TrainConfig) (*History, error) {
 			}
 			bs := float64(end - start)
 			grads.Scale(1 / bs)
-			if cfg.GradClip > 0 {
-				grads.ClipTo(cfg.GradClip)
-			}
 			opt.Step(net, grads)
 			epochLoss += batchLoss
 		}
@@ -255,15 +245,6 @@ func Train(net *MLP, train, test *Dataset, cfg TrainConfig) (*History, error) {
 		if test != nil {
 			testLoss = Evaluate(net, test, cfg.Loss)
 			hist.TestLoss = append(hist.TestLoss, testLoss)
-		}
-		if cfg.Log != nil {
-			if test != nil {
-				fmt.Fprintf(cfg.Log, "epoch %3d  lr %.2e  train %.6f  test %.6f\n",
-					epoch, opt.LR(), hist.FinalTrain(), hist.FinalTest())
-			} else {
-				fmt.Fprintf(cfg.Log, "epoch %3d  lr %.2e  train %.6f\n",
-					epoch, opt.LR(), hist.FinalTrain())
-			}
 		}
 		if cfg.OnEpoch != nil {
 			stats := EpochStats{

@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -90,7 +88,7 @@ func TestTrainLearnsLinearFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := newTestNet(t, []int{2, 16, 2}, ReLU{}, 5)
+	net := newTestNet(t, []int{2, 16, 2}, 5)
 	cfg := TrainConfig{
 		Epochs:    40,
 		BatchSize: 32,
@@ -115,7 +113,7 @@ func TestTrainLearnsLinearFunction(t *testing.T) {
 }
 
 func TestTrainValidatesDatasets(t *testing.T) {
-	net := newTestNet(t, []int{2, 4, 2}, ReLU{}, 5)
+	net := newTestNet(t, []int{2, 4, 2}, 5)
 	bad := &Dataset{X: [][]float64{{1}}, Y: [][]float64{{1, 2}}}
 	if _, err := Train(net, bad, nil, TrainConfig{Epochs: 1}); err == nil {
 		t.Fatal("train accepted mis-shaped training set")
@@ -128,7 +126,7 @@ func TestTrainValidatesDatasets(t *testing.T) {
 }
 
 func TestTrainNilTestSet(t *testing.T) {
-	net := newTestNet(t, []int{2, 4, 2}, ReLU{}, 5)
+	net := newTestNet(t, []int{2, 4, 2}, 5)
 	hist, err := Train(net, makeRegressionData(16, 1), nil, TrainConfig{Epochs: 2, BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -141,42 +139,40 @@ func TestTrainNilTestSet(t *testing.T) {
 	}
 }
 
-func TestTrainLogOutput(t *testing.T) {
-	net := newTestNet(t, []int{2, 4, 2}, ReLU{}, 5)
-	var buf bytes.Buffer
-	_, err := Train(net, makeRegressionData(16, 1), nil,
-		TrainConfig{Epochs: 2, BatchSize: 8, Log: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "epoch"); got != 2 {
-		t.Fatalf("expected 2 log lines, got %d: %q", got, buf.String())
-	}
-}
-
 func TestTrainLRDecay(t *testing.T) {
-	net := newTestNet(t, []int{2, 4, 2}, ReLU{}, 5)
-	opt := NewSGD(1.0, 0)
+	net := newTestNet(t, []int{2, 4, 2}, 5)
+	var lrs []float64
 	cfg := TrainConfig{
 		Epochs:        5,
 		BatchSize:     8,
+		LR:            1.0,
+		Momentum:      0,
 		LRDecayEvery:  2,
 		LRDecayFactor: 0.1,
-		Optimizer:     opt,
 		Loss:          MSE{},
+		OnEpoch: func(s EpochStats) error {
+			lrs = append(lrs, s.LR)
+			return nil
+		},
 	}
 	if _, err := Train(net, makeRegressionData(16, 1), nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Decays at epochs 2 and 4: 1.0 -> 0.1 -> 0.01.
-	if math.Abs(opt.LR()-0.01) > 1e-12 {
-		t.Fatalf("LR after decay = %v, want 0.01", opt.LR())
+	want := []float64{1, 1, 0.1, 0.1, 0.01}
+	if len(lrs) != len(want) {
+		t.Fatalf("OnEpoch saw %d epochs, want %d", len(lrs), len(want))
+	}
+	for i, w := range want {
+		if math.Abs(lrs[i]-w) > 1e-12 {
+			t.Fatalf("epoch %d LR = %v, want %v (all: %v)", i, lrs[i], w, lrs)
+		}
 	}
 }
 
 func TestTrainDeterministicWithSeed(t *testing.T) {
 	run := func() float64 {
-		net, err := NewMLP([]int{2, 8, 2}, ReLU{}, rand.New(rand.NewSource(42)))
+		net, err := NewMLP([]int{2, 8, 2}, rand.New(rand.NewSource(42)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +200,7 @@ func TestPaperTrainConfigMatchesPaper(t *testing.T) {
 }
 
 func TestEvaluate(t *testing.T) {
-	net := newTestNet(t, []int{2, 4, 2}, ReLU{}, 5)
+	net := newTestNet(t, []int{2, 4, 2}, 5)
 	ds := makeRegressionData(10, 1)
 	v := Evaluate(net, ds, MSE{})
 	if v <= 0 {
@@ -216,7 +212,7 @@ func TestEvaluate(t *testing.T) {
 }
 
 func TestSGDStepKnown(t *testing.T) {
-	net := newTestNet(t, []int{1, 1}, Identity{}, 1)
+	net := newTestNet(t, []int{1, 1}, 1)
 	net.Layers[0].W.Data[0] = 2
 	net.Layers[0].B[0] = 1
 	g := net.NewGrads()
@@ -233,7 +229,7 @@ func TestSGDStepKnown(t *testing.T) {
 }
 
 func TestSGDMomentumAccumulates(t *testing.T) {
-	net := newTestNet(t, []int{1, 1}, Identity{}, 1)
+	net := newTestNet(t, []int{1, 1}, 1)
 	net.Layers[0].W.Data[0] = 0
 	g := net.NewGrads()
 	g.W[0].Data[0] = 1
@@ -247,7 +243,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 via gradient 2(w-3) fed through Adam.
-	net := newTestNet(t, []int{1, 1}, Identity{}, 1)
+	net := newTestNet(t, []int{1, 1}, 1)
 	net.Layers[0].W.Data[0] = 0
 	net.Layers[0].B[0] = 0
 	g := net.NewGrads()
@@ -271,13 +267,5 @@ func TestOptimizerLRAccessors(t *testing.T) {
 	s.SetLR(0.25)
 	if s.LR() != 0.25 {
 		t.Fatal("SGD SetLR")
-	}
-	a := NewAdam(1e-3)
-	if a.LR() != 1e-3 {
-		t.Fatal("Adam LR accessor")
-	}
-	a.SetLR(1e-4)
-	if a.LR() != 1e-4 {
-		t.Fatal("Adam SetLR")
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // Batched evaluation: searchers that can name a whole neighborhood or
 // population up front (GA offspring cohorts, SA pilot chains, beam
-// expansions, random chunks, multi-chain gradient scoring) hand it to the
-// tracker as one batch instead of one candidate at a time.
+// expansions, random chunks) hand it to the tracker as one batch instead
+// of one candidate at a time.
 //
 // A batch is exactly the per-candidate loop: candidates are evaluated and
 // recorded in slice order, the budget is re-checked before every record

@@ -4,8 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"mindmappings/internal/mapspace"
 )
 
 // TestCheckpointResumeBitCompatible pins the resume contract end to end: a
@@ -71,6 +76,70 @@ func TestCheckpointResumeBitCompatible(t *testing.T) {
 	}
 }
 
+// TestResumeParentFormatCheckpoint resumes a checkpoint journaled by an
+// earlier build (testdata/mm_checkpoint_v1.json: seed 9, 600 evals,
+// snapshot at eval 100, its state's "chains" a one-element array) and
+// requires the run to be bit-identical to an uninterrupted one. A state
+// with any other number of chains is rejected.
+func TestResumeParentFormatCheckpoint(t *testing.T) {
+	const seed, evals = 9, 600
+	mm := MindMappings{Surrogate: conv1dSurrogate(t)}
+	want, err := mm.Search(conv1dContext(t, seed), Budget{MaxEvals: evals})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(filepath.Join("testdata", "mm_checkpoint_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck Checkpoint
+	if err := json.Unmarshal(raw, &ck); err != nil {
+		t.Fatal(err)
+	}
+	ctx := conv1dContext(t, seed)
+	ctx.Resume = &ck
+	got, err := mm.Search(ctx, Budget{MaxEvals: evals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Evals != want.Evals || math.Float64bits(got.BestEDP) != math.Float64bits(want.BestEDP) ||
+		got.Best.String() != want.Best.String() {
+		t.Fatalf("resumed (%d evals, %v, %s) != uninterrupted (%d evals, %v, %s)",
+			got.Evals, got.BestEDP, got.Best.String(), want.Evals, want.BestEDP, want.Best.String())
+	}
+	if len(got.Trajectory) != len(want.Trajectory) {
+		t.Fatalf("trajectory lengths diverged: %d vs %d", len(got.Trajectory), len(want.Trajectory))
+	}
+	for i := range want.Trajectory {
+		if got.Trajectory[i].Eval != want.Trajectory[i].Eval ||
+			got.Trajectory[i].BestEDP != want.Trajectory[i].BestEDP {
+			t.Fatalf("trajectory diverged at sample %d", i)
+		}
+	}
+
+	var st mmState
+	if err := json.Unmarshal(ck.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	for _, chains := range [][]mapspace.Mapping{nil, {st.Chains[0], st.Chains[0]}} {
+		bad := st
+		bad.Chains = chains
+		state, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		badCk := ck
+		badCk.State = state
+		ctx := conv1dContext(t, seed)
+		ctx.Resume = &badCk
+		if _, err := mm.Search(ctx, Budget{MaxEvals: evals}); err == nil ||
+			!strings.Contains(err.Error(), "chains") {
+			t.Fatalf("%d-chain checkpoint: err %v, want a chain-count error", len(chains), err)
+		}
+	}
+}
+
 // TestResumeRejectsWrongMethod pins that a checkpoint only resumes the
 // searcher that emitted it.
 func TestResumeRejectsWrongMethod(t *testing.T) {
@@ -93,10 +162,13 @@ func TestCancelEmitsBoundaryCheckpoint(t *testing.T) {
 	ctx.Checkpoint = func(c *Checkpoint) { last = c.Clone() }
 	cctx, cancel := context.WithCancel(context.Background())
 	ctx.Ctx = cctx
+	// Train (or fetch) the shared surrogate before the clock starts, so
+	// the 50 ms before cancel go to the search whatever ran first.
+	mm := MindMappings{Surrogate: conv1dSurrogate(t)}
 
 	done := make(chan Result, 1)
 	go func() {
-		res, err := (MindMappings{Surrogate: conv1dSurrogate(t)}).Search(ctx, Budget{MaxEvals: 500_000})
+		res, err := mm.Search(ctx, Budget{MaxEvals: 500_000})
 		if err != nil {
 			t.Error(err)
 		}

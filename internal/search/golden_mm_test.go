@@ -1,5 +1,3 @@
-//go:build !simd
-
 package search
 
 import (
@@ -8,9 +6,9 @@ import (
 )
 
 // goldenMMDigests pins Mind Mappings runs the way goldenSearchDigests pins
-// the black-box searchers: on the conv1d test problem and surrogate, whose
-// GEMM kernels are bit-exact on the default build only (the simd build's
-// are tolerance-based, hence the build tag).
+// the black-box searchers, on the conv1d test problem and the surrogate
+// trained in-test, so they also pin the training arithmetic and the nn
+// kernels bit for bit.
 var goldenMMDigests = map[int64]string{
 	1: "a539c855e062d1f2",
 	2: "c9651191f5536c38",

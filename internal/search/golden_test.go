@@ -23,9 +23,8 @@ import (
 // their own; this one pins how the searchers drive them.
 //
 // A changed digest means a searcher's observable behavior changed. Mind
-// Mappings, RL and SA+f* are pinned in golden_mm_test.go instead: their
-// nn kernels are tolerance-based under the simd build tag, so their
-// digests hold on the default build only.
+// Mappings, RL and SA+f* are pinned in golden_mm_test.go instead, beside
+// the surrogate they share.
 
 // goldenSearchProblems are the Table-1 problems the digests cover: a
 // ResNet convolution, an Inception convolution, and an MTTKRP.

@@ -32,19 +32,11 @@ type MindMappings struct {
 	// NoPrecondition disables the variance preconditioning of descent
 	// steps (ablation knob: raw-gradient direction).
 	NoPrecondition bool
-	// Chains is the number of independent gradient-descent chains run in
-	// lockstep. Each lockstep iteration batches the surrogate
-	// gradient queries of all chains into one GEMM pass (GradientBatch)
-	// and scores all chains' candidates as one tracker batch, charging
-	// Chains evaluations — so a fixed budget buys Chains× fewer
-	// iterations of Chains× more exploration, at a much lower per-query
-	// cost. 0 or 1 reproduces the paper's single-chain search exactly.
-	Chains int
-	// Queries, when non-nil, routes the batched surrogate queries (the
-	// per-iteration GradientBatch and the injection PredictBatch) through
-	// a wrapper around the surrogate, such as a timer that measures query
-	// cost. Results are identical either way. Nil queries the Surrogate
-	// directly.
+	// Queries, when non-nil, routes the surrogate queries (the
+	// per-iteration one-row GradientBatch and the injection's two-row
+	// PredictBatch) through a wrapper around the surrogate, such as a timer
+	// that measures query cost. Results are identical either way. Nil
+	// queries the Surrogate directly.
 	Queries SurrogateQuerier
 }
 
@@ -74,16 +66,18 @@ const (
 )
 
 // mmState is the searcher-private half of a Mind Mappings checkpoint: the
-// loop position, the annealing schedule, and each chain's current mapping.
+// loop position, the annealing schedule, and the chain's current mapping.
 // Together with the tracker state and the RNG stream position it pins the
 // run exactly — a resume replays the identical iteration sequence.
 type mmState struct {
 	// Iter is the loop iteration the resumed run re-enters (the snapshot is
 	// taken at the end of iteration Iter-1).
-	Iter       int                `json:"iter"`
-	Temp       float64            `json:"temp"`
-	Injections int                `json:"injections"`
-	Chains     []mapspace.Mapping `json:"chains"`
+	Iter       int     `json:"iter"`
+	Temp       float64 `json:"temp"`
+	Injections int     `json:"injections"`
+	// Chains holds the current mapping as a one-element array, the layout
+	// journaled checkpoints already use; any other length is rejected.
+	Chains []mapspace.Mapping `json:"chains"`
 }
 
 // Search implements Searcher.
@@ -115,12 +109,8 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 	t := newTracker(ctx, budget)
 	eExp, dExp := objectiveExponents(ctx.Objective)
 
-	// Step 1 (§4.2): random valid initial mapping per chain. With
-	// Chains == 1 everything below reduces exactly to the paper's
-	// single-chain loop (the batched kernels are bit-identical to the
-	// scalar ones, so even the arithmetic matches).
-	chains := max(m.Chains, 1)
-	curs := make([]mapspace.Mapping, chains)
+	// Step 1 (§4.2): random valid initial mapping.
+	var cur mapspace.Mapping
 	temp := mmInitTemp
 	injections := 0
 	startIter := 1
@@ -132,8 +122,8 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 		if err := json.Unmarshal(ctx.Resume.State, &st); err != nil {
 			return Result{}, fmt.Errorf("search: decoding MM checkpoint state: %w", err)
 		}
-		if len(st.Chains) != chains {
-			return Result{}, fmt.Errorf("search: checkpoint has %d chains, searcher configured for %d", len(st.Chains), chains)
+		if len(st.Chains) != 1 {
+			return Result{}, fmt.Errorf("search: checkpoint has %d chains, want 1", len(st.Chains))
 		}
 		// A checkpoint written before the workload or space changed can
 		// hold mappings of the wrong shape; encoding one would panic.
@@ -142,138 +132,117 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 				return Result{}, fmt.Errorf("search: checkpoint best mapping: %w", err)
 			}
 		}
-		for i := range st.Chains {
-			if err := ctx.Space.IsMember(&st.Chains[i]); err != nil {
-				return Result{}, fmt.Errorf("search: checkpoint chain %d: %w", i, err)
-			}
+		if err := ctx.Space.IsMember(&st.Chains[0]); err != nil {
+			return Result{}, fmt.Errorf("search: checkpoint chain 0: %w", err)
 		}
 		t.restore(ctx.Resume)
-		for i := range curs {
-			curs[i] = st.Chains[i].Clone()
-		}
+		cur = st.Chains[0].Clone()
 		temp = st.Temp
 		injections = st.Injections
 		startIter = st.Iter
 		src.Skip(ctx.Resume.RNGDraws)
 	} else {
-		for i := range curs {
-			curs[i] = ctx.Space.Random(rng)
-		}
+		cur = ctx.Space.Random(rng)
 		if ctx.SeedMapping != nil {
-			// Warm start: chain 0 begins at the supplied mapping (repaired
-			// into this space) while the other chains keep their random
-			// starts. The random draws above happen regardless, so the RNG
+			// Warm start: begin at the supplied mapping (repaired into this
+			// space). The random draw above happens regardless, so the RNG
 			// stream position — and therefore checkpoint/resume
 			// reproducibility — is independent of seeding.
-			curs[0] = ctx.Space.Repair(ctx.SeedMapping.Clone())
+			cur = ctx.Space.Repair(ctx.SeedMapping.Clone())
 		}
 	}
 
-	// Reused per-iteration buffers (encoded vectors, gradients, descent
-	// step, injection candidates) so the steady-state loop allocates only
-	// for injected random candidates.
-	vecs := make([][]float64, chains)
-	var vals, scoreVals, preds []float64
+	// Reused per-iteration buffers (the encoded vector, gradient, descent
+	// step and the injection's two encoded rows) so the steady-state loop
+	// allocates only for injected random candidates.
+	vecs := make([][]float64, 1)
+	var vals, preds []float64
 	var grads [][]float64
 	var step []float64
-	injEnc := make([][]float64, 2*chains)
-	injCands := make([]mapspace.Mapping, chains)
-	injUs := make([]float64, chains)
+	injEnc := make([][]float64, 2)
 
 	// checkpoint snapshots the run as "about to start iteration iter":
 	// exactly the state the resume path above re-enters.
 	checkpoint := func(iter int) error {
 		return t.emitCheckpoint(m.Name(), src.Draws(),
-			&mmState{Iter: iter, Temp: temp, Injections: injections, Chains: curs})
+			&mmState{Iter: iter, Temp: temp, Injections: injections, Chains: []mapspace.Mapping{cur}})
 	}
 
 	iter := startIter
 	complete := true
 	for ; !t.exhausted(); iter++ {
-		for i := range curs {
-			vecs[i] = ctx.Space.EncodeInto(vecs[i], &curs[i])
-		}
+		vecs[0] = ctx.Space.EncodeInto(vecs[0], &cur)
 
 		// Steps 2-3: forward + backward through the surrogate for the
-		// predicted cost and its gradient with respect to each chain's
-		// mapping — one batched GEMM pass across chains.
+		// predicted cost and its gradient with respect to the mapping.
 		var err error
 		if vals, grads, err = queries.GradientBatch(vecs, eExp, dExp, vals, grads); err != nil {
 			return Result{}, err
 		}
+		vec, grad := vecs[0], grads[0]
 
-		for i := range curs {
-			vec, grad := vecs[i], grads[i]
-			// Step 4: descend. The step is preconditioned by the squared
-			// per-coordinate input deviation (equivalent to taking the step
-			// in the surrogate's whitened input space) and normalized to a
-			// fixed length: the raw EDP gradient magnitude spans orders of
-			// magnitude across the space, but only its direction matters
-			// for descent.
-			if cap(step) < len(grad) {
-				step = make([]float64, len(grad))
+		// Step 4: descend. The step is preconditioned by the squared
+		// per-coordinate input deviation (equivalent to taking the step in
+		// the surrogate's whitened input space) and normalized to a fixed
+		// length: the raw EDP gradient magnitude spans orders of magnitude
+		// across the space, but only its direction matters for descent.
+		if cap(step) < len(grad) {
+			step = make([]float64, len(grad))
+		}
+		step = step[:len(grad)]
+		norm := 0.0
+		for j, g := range grad {
+			step[j] = g
+			if !m.NoPrecondition {
+				s := sur.InNorm.Std[j]
+				step[j] *= s * s
 			}
-			step = step[:len(grad)]
-			norm := 0.0
-			for j, g := range grad {
-				step[j] = g
-				if !m.NoPrecondition {
-					s := sur.InNorm.Std[j]
-					step[j] *= s * s
-				}
-				norm += step[j] * step[j]
-			}
-			norm = math.Sqrt(norm)
-			if norm > 1e-12 {
-				scale := mmStepLen / norm
-				for j := range vec {
-					vec[j] -= scale * step[j]
-				}
-			}
-
-			// Step 5: project onto the valid map space, over the chain's
-			// previous mapping (no other chain or candidate shares it).
-			if err := ctx.Space.DecodeInto(vec, &curs[i]); err != nil {
-				return Result{}, err
+			norm += step[j] * step[j]
+		}
+		norm = math.Sqrt(norm)
+		if norm > 1e-12 {
+			scale := mmStepLen / norm
+			for j := range vec {
+				vec[j] -= scale * step[j]
 			}
 		}
 
-		// Budget accounting: one surrogate query per chain per iteration;
-		// trajectories scored with the true cost model offline, as one
-		// batch.
-		if scoreVals, err = t.scoreSurrogateBatch(curs, scoreVals); err != nil {
+		// Step 5: project onto the valid map space, over the previous
+		// mapping.
+		if err := ctx.Space.DecodeInto(vec, &cur); err != nil {
+			return Result{}, err
+		}
+
+		// Budget accounting: one surrogate query per iteration; the
+		// trajectory is scored with the true cost model offline.
+		if _, err := t.scoreSurrogateStep(&cur); err != nil {
 			return Result{}, err
 		}
 		if ctx.canceled() {
-			// Cancelled mid-iteration: the scoring batch may be partial, so
-			// this is not a re-enterable boundary — the last periodic
-			// checkpoint stands as the resume point.
+			// Cancelled mid-iteration: the scoring may be partial, so this
+			// is not a re-enterable boundary — the last periodic checkpoint
+			// stands as the resume point.
 			complete = false
 			break
 		}
 
-		// Step 6: periodic random injection with annealed acceptance, per
-		// chain. Candidate and acceptance draws happen chain-major, so one
-		// chain draws exactly the paper's single-chain stream; predictions
-		// for all (cand, cur) pairs run as one surrogate batch.
+		// Step 6: periodic random injection with annealed acceptance. The
+		// candidate and the current mapping are predicted as one two-row
+		// surrogate batch.
 		if !m.NoInjection && iter%mmInjectEvery == 0 && !t.exhausted() {
-			for i := range curs {
-				injCands[i] = ctx.Space.Random(rng)
-				injUs[i] = rng.Float64()
-				injEnc[2*i] = ctx.Space.EncodeInto(injEnc[2*i], &injCands[i])
-				injEnc[2*i+1] = ctx.Space.EncodeInto(injEnc[2*i+1], &curs[i])
-			}
+			cand := ctx.Space.Random(rng)
+			u := rng.Float64()
+			injEnc[0] = ctx.Space.EncodeInto(injEnc[0], &cand)
+			injEnc[1] = ctx.Space.EncodeInto(injEnc[1], &cur)
 			if preds, err = queries.PredictBatch(injEnc, eExp, dExp, preds); err != nil {
 				return Result{}, err
 			}
-			for i := range curs {
-				if acceptInjection(preds[2*i]-preds[2*i+1], temp, injUs[i]) {
-					curs[i] = injCands[i]
-				}
-				injections++
-				if injections%mmDecayEvery == 0 {
-					temp *= mmTempDecay
-				}
+			if acceptInjection(preds[0]-preds[1], temp, u) {
+				cur = cand
+			}
+			injections++
+			if injections%mmDecayEvery == 0 {
+				temp *= mmTempDecay
 			}
 		}
 

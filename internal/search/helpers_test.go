@@ -8,5 +8,5 @@ import (
 
 // newTestMLP builds a small network for unit tests of RL internals.
 func newTestMLP(rng *rand.Rand) (*nn.MLP, error) {
-	return nn.NewMLP([]int{2, 4, 2}, nn.ReLU{}, rng)
+	return nn.NewMLP([]int{2, 4, 2}, rng)
 }

@@ -72,8 +72,8 @@ type ddpg struct {
 	critic       *nn.MLP
 	actorTarget  *nn.MLP
 	criticTarget *nn.MLP
-	actorOpt     nn.Optimizer
-	criticOpt    nn.Optimizer
+	actorOpt     *nn.Adam
+	criticOpt    *nn.Adam
 	actorWS      *nn.Workspace
 	criticWS     *nn.Workspace
 	targetAWS    *nn.Workspace
@@ -156,11 +156,11 @@ func newDDPG(hidden, dim int, rng *rand.Rand, space *mapspace.Space) (*ddpg, err
 	if err != nil {
 		return nil, fmt.Errorf("search: rl state normalizer: %w", err)
 	}
-	d.actor, err = nn.NewMLP([]int{dim, hidden, hidden, dim}, nn.ReLU{}, rng)
+	d.actor, err = nn.NewMLP([]int{dim, hidden, hidden, dim}, rng)
 	if err != nil {
 		return nil, err
 	}
-	d.critic, err = nn.NewMLP([]int{2 * dim, hidden, hidden, 1}, nn.ReLU{}, rng)
+	d.critic, err = nn.NewMLP([]int{2 * dim, hidden, hidden, 1}, rng)
 	if err != nil {
 		return nil, err
 	}

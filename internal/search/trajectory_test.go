@@ -13,30 +13,6 @@ func mustSearch(t *testing.T, s Searcher, ctx *Context, budget Budget) Result {
 	return res
 }
 
-// TestMultiChainGradientSearch sanity-checks the Chains knob: budget
-// respected, trajectory monotone, and it must still beat average random
-// mappings.
-func TestMultiChainGradientSearch(t *testing.T) {
-	ctx := conv1dContext(t, 5)
-	mm := MindMappings{Surrogate: conv1dSurrogate(t), Chains: 4}
-	res := mustSearch(t, mm, ctx, Budget{MaxEvals: 400})
-	if res.Evals > 400 {
-		t.Fatalf("Chains=4 overran the budget: %d evals", res.Evals)
-	}
-	if err := ctx.Space.IsMember(&res.Best); err != nil {
-		t.Fatalf("best mapping invalid: %v", err)
-	}
-	mean := randomMeanEDP(t, ctx, 200)
-	if res.BestEDP >= mean {
-		t.Fatalf("multi-chain MM EDP %v not better than random mean %v", res.BestEDP, mean)
-	}
-	for i := 1; i < len(res.Trajectory); i++ {
-		if res.Trajectory[i].BestEDP > res.Trajectory[i-1].BestEDP {
-			t.Fatal("trajectory not monotone")
-		}
-	}
-}
-
 // TestTrajectoryStride checks the thinning contract: improvements always
 // recorded, non-improving samples kept only every stride evals, search
 // outcome unchanged.

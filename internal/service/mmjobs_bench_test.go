@@ -45,7 +45,7 @@ func servingModelDir(b *testing.B) (string, string) {
 	numTensors := len(algo.Tensors)
 	outDim := int(arch.NumLevels)*numTensors + 3
 	sizes := append([]int{inDim}, 64, 128, 128, 64, outDim)
-	net, err := nn.NewMLP(sizes, nn.ReLU{}, stats.NewRNG(5))
+	net, err := nn.NewMLP(sizes, stats.NewRNG(5))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -127,10 +127,6 @@ func (s *Server) EnablePprof() *Server {
 	return s
 }
 
-// Registry exposes the server's metric registry so embedders can attach
-// their own series.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // WithTraining attaches the artifact store and training pipeline, enabling
 // the /v1/train endpoints, store-backed /v1/models, and — through the job
 // manager — "model":"auto" and train_on_miss. Returns the server for

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"mindmappings/internal/modelstore"
+	"mindmappings/internal/surrogate"
 	"mindmappings/internal/trainer"
 )
 
@@ -433,5 +435,80 @@ func TestTrainerMetricsExposed(t *testing.T) {
 	}
 	if n := promValue(t, ts, "store_corrupt_manifests"); n != 0 {
 		t.Fatalf("store_corrupt_manifests = %v, want 0", n)
+	}
+}
+
+// TestGCModelsOverHTTP drives POST /v1/models/gc: with three versions of
+// one workload stored, ?keep=1 removes the two oldest, /v1/models then
+// lists one artifact, a bad keep is a 400, and an artifact the registry
+// had loaded before the GC is no longer served.
+func TestGCModelsOverHTTP(t *testing.T) {
+	ts, _, store := testTrainingServer(t)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		sur, err := surrogate.Load(bytes.NewReader(surrogateBytes(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sur.Net.Layers[0].B[0] += float64(i) // distinct content, same workload
+		m, err := store.Publish(sur, modelstore.PublishMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, m.ID)
+	}
+
+	search := func(model string) (Job, int) {
+		job, resp := postSearch(t, ts, SearchRequest{
+			Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "mm", Model: model, Evals: 20, Seed: 1,
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			return job, resp.StatusCode
+		}
+		return waitJob(t, ts, job.ID, 30*time.Second), resp.StatusCode
+	}
+	// Load the oldest version into the registry.
+	if job, code := search(ids[0]); code != http.StatusAccepted || job.Status != JobDone {
+		t.Fatalf("search on %s before GC: %d %s %s", ids[0], code, job.Status, job.Error)
+	}
+
+	for _, q := range []string{"0", "x"} {
+		if resp, _ := postJSON(t, ts.URL+"/v1/models/gc?keep="+q, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("keep=%s: %d, want 400", q, resp.StatusCode)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/models/gc?keep=1", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("keep=1: %d %s", resp.StatusCode, body)
+	}
+	var gc struct {
+		Removed []string `json:"removed"`
+	}
+	if err := json.Unmarshal(body, &gc); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(gc.Removed)
+	want := []string{ids[0], ids[1]}
+	slices.Sort(want)
+	if !slices.Equal(gc.Removed, want) {
+		t.Fatalf("removed %v, want %v", gc.Removed, want)
+	}
+
+	_, body = getBody(t, ts.URL+"/v1/models")
+	var listing struct {
+		Store []modelstore.Manifest `json:"store"`
+	}
+	if err := json.Unmarshal(body, &listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Store) != 1 || listing.Store[0].ID != ids[2] {
+		t.Fatalf("store after GC lists %+v, want only %s", listing.Store, ids[2])
+	}
+
+	if job, code := search(ids[0]); code == http.StatusAccepted && job.Status == JobDone {
+		t.Fatalf("GC'd artifact %s still served", ids[0])
+	}
+	if job, code := search(ids[2]); code != http.StatusAccepted || job.Status != JobDone {
+		t.Fatalf("kept artifact %s: %d %s %s", ids[2], code, job.Status, job.Error)
 	}
 }

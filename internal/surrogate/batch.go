@@ -130,8 +130,8 @@ func (s *Surrogate) PredictBatch(vecs [][]float64, eExp, dExp float64, dst []flo
 
 // GradientBatch computes, for each raw encoded mapping vector, the
 // predicted objective energy^eExp x delay^dExp and its gradient with
-// respect to the raw vector — the batched ∇f* that drives multi-chain
-// gradient search. Results are bit-identical to GradientScalar per row.
+// respect to the raw vector — the ∇f* that drives Mind Mappings'
+// gradient search, one row per descent step. Results are bit-identical to GradientScalar per row.
 // vals and grads are reused when correctly sized (grads[i] must have
 // length InDim or be nil); pass nil to allocate. Safe for concurrent use.
 func (s *Surrogate) GradientBatch(vecs [][]float64, eExp, dExp float64, vals []float64, grads [][]float64) ([]float64, [][]float64, error) {

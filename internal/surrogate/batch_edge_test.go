@@ -118,8 +118,8 @@ func TestGradientBatchGradsReuseMixed(t *testing.T) {
 
 // TestBatchChunkBoundarySizes runs batch sizes straddling the internal
 // maxBatchRows chunking (31, 32, 33, 64, 69) and checks agreement with
-// the scalar path on every row (bit-identity on the default build,
-// tolerance under -tags simd) — the chunk seams must be invisible.
+// the scalar path on every row, bit for bit — the chunk seams must be
+// invisible.
 func TestBatchChunkBoundarySizes(t *testing.T) {
 	sur, base := batchFixture(t)
 	// Extend the fixture set by cycling so sizes beyond len(base) work.
@@ -141,18 +141,18 @@ func TestBatchChunkBoundarySizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !batchEq(vals[i], want) || !batchEq(gvals[i], want) {
+			if vals[i] != want || gvals[i] != want {
 				t.Fatalf("n=%d row %d: batch=%v gradbatch=%v scalar=%v", n, i, vals[i], gvals[i], want)
 			}
 			wantV, wantG, err := sur.GradientScalar(vecs[i], 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !batchEq(gvals[i], wantV) {
+			if gvals[i] != wantV {
 				t.Fatalf("n=%d row %d: gradient value %v, scalar %v", n, i, gvals[i], wantV)
 			}
 			for j := range wantG {
-				if !batchEq(grads[i][j], wantG[j]) {
+				if grads[i][j] != wantG[j] {
 					t.Fatalf("n=%d row %d grad[%d]: %v vs %v", n, i, j, grads[i][j], wantG[j])
 				}
 			}

@@ -1,32 +1,15 @@
 package surrogate
 
 import (
-	"math"
 	"sync"
 	"testing"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
-	"mindmappings/internal/mat"
 	"mindmappings/internal/nn"
 	"mindmappings/internal/stats"
 )
-
-// batchEq compares a batched result against its scalar twin under the
-// build's determinism contract: the default build must match bit for bit;
-// the opt-in simd build reassociates GEMM reductions and is held to a
-// tight relative tolerance instead.
-func batchEq(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	if !mat.SIMDEnabled {
-		return false
-	}
-	scale := math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
-	return math.Abs(a-b) <= 1e-9*scale
-}
 
 var (
 	batchOnce sync.Once
@@ -93,7 +76,7 @@ func TestPredictBatchBitIdenticalToScalar(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !batchEq(vals[i], want) {
+				if vals[i] != want {
 					t.Fatalf("exp=%v n=%d: PredictBatch[%d]=%v, PredictScalar=%v",
 						exp, n, i, vals[i], want)
 				}
@@ -116,11 +99,11 @@ func TestGradientBatchBitIdenticalToScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !batchEq(vals[i], wantV) {
+			if vals[i] != wantV {
 				t.Fatalf("exp=%v: value[%d] batch=%v scalar=%v", exp, i, vals[i], wantV)
 			}
 			for j := range wantG {
-				if !batchEq(grads[i][j], wantG[j]) {
+				if grads[i][j] != wantG[j] {
 					t.Fatalf("exp=%v: grad[%d][%d] batch=%v scalar=%v",
 						exp, i, j, grads[i][j], wantG[j])
 				}
@@ -232,7 +215,7 @@ func newSyntheticSurrogate(tb testing.TB, inDim int, hidden []int, numTensors in
 	tb.Helper()
 	outDim := int(arch.NumLevels)*numTensors + 3
 	sizes := append(append([]int{inDim}, hidden...), outDim)
-	net, err := nn.NewMLP(sizes, nn.ReLU{}, stats.NewRNG(5))
+	net, err := nn.NewMLP(sizes, stats.NewRNG(5))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -191,7 +191,7 @@ func TrainWith(ds *RawDataset, cfg Config, opts TrainOptions) (*Surrogate, *nn.H
 	case opts.Warm != nil:
 		net = opts.Warm.Net.Clone()
 	default:
-		net, err = nn.NewMLP(sizes, nn.ReLU{}, stats.NewRNG(cfg.Seed+2))
+		net, err = nn.NewMLP(sizes, stats.NewRNG(cfg.Seed+2))
 		if err != nil {
 			return nil, nil, fmt.Errorf("surrogate: building MLP: %w", err)
 		}

@@ -367,9 +367,6 @@ func (p *Pipeline) submit(req Request, ck *checkpoint, resumedFrom string, dedup
 	return p.q.SnapshotLocked(job), nil
 }
 
-// SetRetention overrides the terminal-job retention bound (minimum 1).
-func (p *Pipeline) SetRetention(n int) { p.q.SetRetention(n) }
-
 func copyJob(j *Job) Job {
 	c := *j
 	c.checkpoint = nil
