@@ -6,6 +6,79 @@ import (
 	"testing"
 )
 
+// relTol is the acceptance band against the row-by-row reference. It is
+// loose enough for any reordering of ~few-hundred-term float64 dot
+// products and tight enough to catch an indexing bug.
+const relTol = 1e-12
+
+func closeEnough(got, want float64) bool {
+	if got == want {
+		return true
+	}
+	diff := math.Abs(got - want)
+	scale := math.Max(math.Abs(got), math.Abs(want))
+	return diff <= relTol*math.Max(scale, 1)
+}
+
+// TestMulNTMatchesMatVecTolerance is the accuracy band on a second random
+// draw: MulNT must land within relTol of MatVec on every row. The bitwise
+// test is the strict contract the batched surrogate relies on; this one
+// names the looser bound a kernel that reorders its sums would still have
+// to hold. Shapes cover all four micro-kernel quadrants (blocked/tail rows
+// of a x blocked/tail rows of b) and the serving layer widths.
+func TestMulNTMatchesMatVecTolerance(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct{ batch, k, n int }{
+		{1, 62, 64}, {3, 13, 9}, {4, 64, 128}, {5, 7, 5},
+		{8, 128, 128}, {16, 128, 64}, {17, 64, 12}, {64, 62, 64},
+	} {
+		a := randDense(rng, tc.batch, tc.k)
+		b := randDense(rng, tc.n, tc.k)
+		dst := NewDense(tc.batch, tc.n)
+		MulNT(dst, a, b)
+		want := make([]float64, tc.n)
+		for r := 0; r < tc.batch; r++ {
+			MatVec(want, b, a.Row(r))
+			for j, w := range want {
+				if got := dst.At(r, j); !closeEnough(got, w) {
+					t.Fatalf("%dx%d*%dT: MulNT[%d][%d]=%v, MatVec=%v",
+						tc.batch, tc.k, tc.n, r, j, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMulNNMatchesMatTVecTolerance is the backward-path analog, with
+// injected zeros so the zero-skip handling is exercised.
+func TestMulNNMatchesMatTVecTolerance(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct{ batch, k, n int }{
+		{1, 12, 64}, {3, 9, 13}, {4, 64, 128}, {5, 5, 7},
+		{8, 128, 128}, {16, 128, 62}, {64, 64, 62},
+	} {
+		a := randDense(rng, tc.batch, tc.k)
+		for i := range a.Data {
+			if rng.Intn(3) == 0 {
+				a.Data[i] = 0
+			}
+		}
+		b := randDense(rng, tc.k, tc.n)
+		dst := NewDense(tc.batch, tc.n)
+		MulNN(dst, a, b)
+		want := make([]float64, tc.n)
+		for r := 0; r < tc.batch; r++ {
+			MatTVec(want, b, a.Row(r))
+			for j, w := range want {
+				if got := dst.At(r, j); !closeEnough(got, w) {
+					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, MatTVec=%v",
+						tc.batch, tc.k, tc.n, r, j, got, w)
+				}
+			}
+		}
+	}
+}
+
 // TestZeroSkipSemantics pins the IEEE edge the zero-skip exists for: a
 // zero coefficient must skip its weight row entirely —
 // multiplying instead would turn 0*Inf into NaN and poison the output.
