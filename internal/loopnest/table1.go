@@ -2,6 +2,7 @@ package loopnest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -96,6 +97,33 @@ func (a *Algorithm) RandomProblem(rng *rand.Rand) Problem {
 		Name:  fmt.Sprintf("%s-random", a.Name),
 		Shape: shape,
 	}
+}
+
+// NumSampleProblems returns how many distinct problems RandomProblem can
+// draw: the product over dimensions of the distinct sizes in SampleSpace,
+// saturating at math.MaxInt.
+func (a *Algorithm) NumSampleProblems() int {
+	n := 1
+	for d := 0; d < a.NumDims(); d++ {
+		var vals []int
+		if d < len(a.SampleSpace) {
+			vals = a.SampleSpace[d]
+		}
+		distinct := map[int]bool{}
+		for _, v := range vals {
+			distinct[v] = true
+		}
+		k := len(distinct)
+		if k == 0 {
+			return 0
+		}
+		if n > math.MaxInt/k {
+			n = math.MaxInt
+			continue
+		}
+		n *= k
+	}
+	return n
 }
 
 // SampleValues returns a copy of the representative per-dimension sizes

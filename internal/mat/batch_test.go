@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -69,6 +70,51 @@ func TestMulNNMatchesMatTVecBitwise(t *testing.T) {
 				if got := dst.At(r, j); got != w {
 					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, MatTVec=%v",
 						tc.batch, tc.k, tc.n, r, j, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMulTNAccMatchesRankOneLoopBitwise pins the training contract: each
+// element of a MulTNAcc accumulation equals the per-sample rank-1 loop
+// (dst[r][c] += a[s][r]*b[s][c] for s in order, zero coefficients
+// skipped) bit for bit, starting from a nonzero accumulator. Zeros are
+// injected so output rows see every count of nonzero rows modulo the
+// kernel's 4-row block, and signed zeros reach the skip.
+func TestMulTNAccMatchesRankOneLoopBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct{ batch, m, n int }{
+		{1, 3, 5}, {2, 3, 5}, {3, 7, 4}, {4, 5, 9}, {5, 5, 9}, {7, 9, 13},
+		{8, 12, 62}, {13, 32, 62}, {32, 12, 32}, {128, 32, 62},
+	} {
+		for _, zeroFrac := range []int{0, 2, 3, 5} {
+			a := randDense(rng, tc.batch, tc.m)
+			for i := range a.Data {
+				if zeroFrac > 0 && rng.Intn(zeroFrac) == 0 {
+					a.Data[i] = math.Copysign(0, rng.NormFloat64())
+				}
+			}
+			b := randDense(rng, tc.batch, tc.n)
+			b.Data[0] = 0
+			dst := randDense(rng, tc.m, tc.n)
+			want := dst.Clone()
+			for s := 0; s < tc.batch; s++ {
+				for r := 0; r < tc.m; r++ {
+					y := a.At(s, r)
+					if y == 0 {
+						continue
+					}
+					row := want.Row(r)
+					for c, x := range b.Row(s) {
+						row[c] += y * x
+					}
+				}
+			}
+			MulTNAcc(dst, a, b)
+			for i, w := range want.Data {
+				if got := dst.Data[i]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("%+v zeros 1/%d: dst[%d]=%v, rank-1 loop=%v", tc, zeroFrac, i, got, w)
 				}
 			}
 		}

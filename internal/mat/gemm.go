@@ -1,13 +1,15 @@
 package mat
 
-// Register-blocked GEMM kernels for the surrogate hot path: the one
-// implementation behind MulNT and MulNN.
+// Register-blocked GEMM kernels for the surrogate hot path and training:
+// the one implementation behind MulNT, MulNN and MulTNAcc.
 //
-// Both kernels preserve the package's bit-identity contract: every output
-// row accumulates in exactly the order MatVec/MatTVec would, so batched
-// and scalar surrogate queries produce bitwise-identical trajectories.
-// Blocking only changes *which* independent accumulations are interleaved
-// in time, never the order of additions within one accumulator.
+// Every kernel preserves the package's bit-identity contract: each output
+// element accumulates in exactly the order MatVec/MatTVec (or, for
+// MulTNAcc, the per-row rank-1 update) would, so batched and scalar
+// surrogate queries produce bitwise-identical trajectories and a
+// minibatch trains as its rows would one at a time. Blocking only changes
+// *which* independent accumulations are interleaved in time, never the
+// order of additions within one accumulator.
 //
 // mulNT blocks 4 rows of a against 1 row of b in the main loop (4
 // independent accumulator chains saturate the scalar FP units; measured
@@ -17,12 +19,18 @@ package mat
 // of one FP-add-latency-bound chain. Each accumulator still sums a single
 // dot product in ascending column order — bit-identical to MatVec.
 //
-// mulNN keeps MatTVec's zero-skip semantics exactly (skipping a zero
-// coefficient is NOT equivalent to adding 0*w: -0 + +0 = +0 flips signed
-// zeros and 0*Inf = NaN). When all four rows in a block have nonzero
-// coefficients it fuses the four axpy passes into one sweep over br,
-// loading each weight once for four FMAs; any zero coefficient falls back
-// to the per-row loops, preserving the skip bit-exactly.
+// mulNN and mulTNAcc both build each dst row as a sum of b's rows weighted
+// by coefficients from a — a row of a for mulNN, a column for mulTNAcc —
+// and keep MatTVec's zero-skip exactly (skipping a zero coefficient is NOT
+// equivalent to adding 0*w: -0 + +0 = +0 flips signed zeros and 0*Inf =
+// NaN). Each first lists the nonzero coefficients in ascending order
+// (nonzero), then adds their rows four at a time (addRows): one sweep over
+// the dst row per four rows, holding each element in a register across
+// its four adds. Every element still receives its terms one at a time in
+// ascending order. Listing first matters twice over: ReLU zeros make four
+// consecutive nonzero coefficients rare, and they make a branch on each
+// coefficient mispredict about half the time, which the branch-free list
+// avoids.
 
 func mulNT(dst, a, b *Dense) {
 	k := a.Cols
@@ -80,72 +88,73 @@ func mulNT(dst, a, b *Dense) {
 }
 
 func mulNN(dst, a, b *Dense) {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	n := dst.Cols
-	i := 0
-	for ; i+4 <= a.Rows; i += 4 {
-		a0 := a.Data[(i+0)*a.Cols : (i+1)*a.Cols]
-		a1 := a.Data[(i+1)*a.Cols : (i+2)*a.Cols]
-		a2 := a.Data[(i+2)*a.Cols : (i+3)*a.Cols]
-		a3 := a.Data[(i+3)*a.Cols : (i+4)*a.Cols]
-		d0 := dst.Data[(i+0)*n : (i+1)*n]
-		d1 := dst.Data[(i+1)*n : (i+2)*n]
-		d2 := dst.Data[(i+2)*n : (i+3)*n]
-		d3 := dst.Data[(i+3)*n : (i+4)*n]
-		for r := 0; r < b.Rows; r++ {
-			y0, y1, y2, y3 := a0[r], a1[r], a2[r], a3[r]
-			if y0 == 0 && y1 == 0 && y2 == 0 && y3 == 0 {
-				continue
-			}
-			br := b.Data[r*n : (r+1)*n]
-			if y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
-				// Fused fast path: one sweep over br, four FMAs per
-				// weight. Each dst row still receives w*y in ascending c
-				// — identical addition order to the per-row loops below.
-				for c, w := range br {
-					d0[c] += w * y0
-					d1[c] += w * y1
-					d2[c] += w * y2
-					d3[c] += w * y3
-				}
-				continue
-			}
-			if y0 != 0 {
-				for c, w := range br {
-					d0[c] += w * y0
-				}
-			}
-			if y1 != 0 {
-				for c, w := range br {
-					d1[c] += w * y1
-				}
-			}
-			if y2 != 0 {
-				for c, w := range br {
-					d2[c] += w * y2
-				}
-			}
-			if y3 != 0 {
-				for c, w := range br {
-					d3[c] += w * y3
-				}
-			}
+	var nz [chunk]int
+	for i := 0; i < a.Rows; i++ {
+		di := dst.Row(i)
+		for c := range di {
+			di[c] = 0
+		}
+		ai := a.Row(i)
+		for lo := 0; lo < len(ai); lo += chunk {
+			addRows(di, ai, 1, nonzero(&nz, ai, 1, lo, min(lo+chunk, len(ai))), b)
 		}
 	}
-	for ; i < a.Rows; i++ {
-		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-		di := dst.Data[i*n : (i+1)*n]
-		for r := 0; r < b.Rows; r++ {
-			yr := ai[r]
-			if yr == 0 {
-				continue
-			}
-			br := b.Data[r*n : (r+1)*n]
-			for c, w := range br {
-				di[c] += w * yr
-			}
+}
+
+func mulTNAcc(dst, a, b *Dense) {
+	var nz [chunk]int
+	for r := 0; r < a.Cols; r++ {
+		// Column r of a, as a strided view.
+		col := a.Data[r:]
+		for lo := 0; lo < a.Rows; lo += chunk {
+			addRows(dst.Row(r), col, a.Cols, nonzero(&nz, col, a.Cols, lo, min(lo+chunk, a.Rows)), b)
+		}
+	}
+}
+
+// chunk is how many coefficients nonzero lists at a time; the list lives
+// on the stack.
+const chunk = 128
+
+// nonzero lists, in ascending order, the indices s in [lo, hi) whose
+// coefficient coef[s*stride] is nonzero. The index is always written and
+// only the count is conditional, which compiles to a conditional move
+// rather than a branch.
+func nonzero(nz *[chunk]int, coef []float64, stride, lo, hi int) []int {
+	k := 0
+	for s := lo; s < hi; s++ {
+		nz[k] = s
+		if coef[s*stride] != 0 {
+			k++
+		}
+	}
+	return nz[:k]
+}
+
+// addRows adds coef[s*stride] * (row s of b) to d for each listed s, in
+// list order: four rows per sweep over d, then the rest one at a time.
+func addRows(d, coef []float64, stride int, rows []int, b *Dense) {
+	n := len(d)
+	j := 0
+	for ; j+4 <= len(rows); j += 4 {
+		s0, s1, s2, s3 := rows[j], rows[j+1], rows[j+2], rows[j+3]
+		y0, y1, y2, y3 := coef[s0*stride], coef[s1*stride], coef[s2*stride], coef[s3*stride]
+		b0 := b.Data[s0*n : (s0+1)*n][:n]
+		b1 := b.Data[s1*n : (s1+1)*n][:n]
+		b2 := b.Data[s2*n : (s2+1)*n][:n]
+		b3 := b.Data[s3*n : (s3+1)*n][:n]
+		for c, v := range d {
+			v += b0[c] * y0
+			v += b1[c] * y1
+			v += b2[c] * y2
+			v += b3[c] * y3
+			d[c] = v
+		}
+	}
+	for _, s := range rows[j:] {
+		y := coef[s*stride]
+		for c, w := range b.Data[s*n : (s+1)*n] {
+			d[c] += w * y
 		}
 	}
 }

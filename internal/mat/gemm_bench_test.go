@@ -77,3 +77,28 @@ func BenchmarkMulNTFullForward(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMulTNAccTraining is the weight-gradient GEMM of one training
+// minibatch (128 rows) for each layer of the tiny recipe's 62 -> 64 -> 64
+// -> 12 net, with half the error coefficients zero as ReLU leaves them.
+func BenchmarkMulTNAccTraining(b *testing.B) {
+	rng := rand.New(rand.NewSource(24))
+	const batch = 128
+	for _, l := range []struct{ in, out int }{{62, 64}, {64, 64}, {64, 12}} {
+		delta := randDense(rng, batch, l.out)
+		for i := range delta.Data {
+			if rng.Intn(2) == 0 {
+				delta.Data[i] = 0
+			}
+		}
+		in := randDense(rng, batch, l.in)
+		dst := NewDense(l.out, l.in)
+		b.Run(fmt.Sprintf("b%d/%dx%d", batch, l.in, l.out), func(b *testing.B) {
+			b.SetBytes(int64(8 * batch * l.in * l.out))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MulTNAcc(dst, delta, in)
+			}
+		})
+	}
+}

@@ -108,6 +108,25 @@ func TestZeroSkipSemantics(t *testing.T) {
 			}
 		}
 	}
+	// The weight-gradient kernel skips the same way: column 0 of a is a
+	// zero coefficient for every sample, so b's pathological values in
+	// columns 0 and 2 of sample rows never reach dst row 0.
+	g := NewDense(2, 3)
+	bs := NewDense(5, 3)
+	for s := 0; s < 5; s++ {
+		bs.Set(s, 0, math.Inf(1))
+		bs.Set(s, 1, 1)
+		bs.Set(s, 2, math.NaN())
+	}
+	MulTNAcc(g, a, bs)
+	for j, v := range g.Row(0) {
+		if v != 0 {
+			t.Fatalf("MulTNAcc row 0 col %d: %v leaked through the zero-skip", j, v)
+		}
+	}
+	if got := g.At(1, 1); got != 0+1+2+3+4 {
+		t.Fatalf("MulTNAcc row 1 col 1 = %v, want 10", got)
+	}
 }
 
 // TestMulNTGenericDirect calls the register-blocked kernel directly,

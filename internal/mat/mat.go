@@ -1,11 +1,13 @@
 // Package mat implements the small dense linear-algebra kernels needed by
 // the neural-network library: matrix-vector products (plain and transposed),
-// their batched matrix-matrix forms (MulNT, MulNN), rank-1 updates, and
-// element-wise vector helpers.
+// their batched matrix-matrix forms (MulNT, MulNN), the batched weight
+// gradient (MulTNAcc), and element-wise vector helpers.
 //
 // Every kernel is plain Go with one build. Each row of a batched product is
 // bit-identical to the matrix-vector product on that row, which is what
-// lets the surrogate answer a batch exactly as it answers one query.
+// lets the surrogate answer a batch exactly as it answers one query, and
+// MulTNAcc adds its per-row terms in row order, which is what lets a
+// minibatch train exactly as its rows would one at a time.
 //
 // Matrices are stored row-major in a flat slice. The package favors clarity
 // and zero allocations on hot paths (all kernels write into caller-provided
@@ -181,23 +183,22 @@ func AddToRows(m *Dense, v []float64) {
 	}
 }
 
-// OuterAcc accumulates the rank-1 update m += y * transpose(x), i.e.
-// m[r][c] += y[r]*x[c]. y must have length m.Rows and x length m.Cols.
-func OuterAcc(m *Dense, y, x []float64) {
-	if len(y) != m.Rows || len(x) != m.Cols {
-		panic(fmt.Sprintf("mat: OuterAcc shapes m=%dx%d y=%d x=%d",
-			m.Rows, m.Cols, len(y), len(x)))
+// MulTNAcc accumulates dst += transpose(a) * b, i.e. dst[r][c] +=
+// sum over rows s of a[s][r]*b[s][c]. dst must be a.Cols x b.Cols and
+// a.Rows must equal b.Rows; dst must not alias a or b.
+//
+// This is the batched weight gradient: with a holding a batch of
+// backpropagated error rows and b the layer inputs, it adds each row's
+// rank-1 term to dst in ascending row order and skips a zero coefficient
+// a[s][r], so every element of dst receives exactly the additions of the
+// per-sample loop dst[r][c] += a[s][r]*b[s][c], s = 0, 1, ..., in the
+// same order (see gemm.go).
+func MulTNAcc(dst, a, b *Dense) {
+	if dst.Rows != a.Cols || dst.Cols != b.Cols || a.Rows != b.Rows {
+		panic(fmt.Sprintf("mat: MulTNAcc shapes dst=%dx%d a=%dx%d b=%dx%d",
+			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	for r := 0; r < m.Rows; r++ {
-		yr := y[r]
-		if yr == 0 {
-			continue
-		}
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, xv := range x {
-			row[c] += yr * xv
-		}
-	}
+	mulTNAcc(dst, a, b)
 }
 
 // AddVec computes dst[i] += src[i]. Panics on length mismatch.

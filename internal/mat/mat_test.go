@@ -126,29 +126,40 @@ func TestMatTVecShapePanics(t *testing.T) {
 	MatTVec(make([]float64, 3), m, make([]float64, 2))
 }
 
-func TestOuterAccKnown(t *testing.T) {
-	m := NewDense(2, 2)
-	OuterAcc(m, []float64{1, 2}, []float64{3, 4})
-	want := []float64{3, 4, 6, 8}
+func TestMulTNAccKnown(t *testing.T) {
+	// Two rows: dst += [1 2]ᵀ[3 4] + [0 1]ᵀ[5 6].
+	dst := NewDense(2, 2)
+	a := &Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 0, 1}}
+	b := &Dense{Rows: 2, Cols: 2, Data: []float64{3, 4, 5, 6}}
+	MulTNAcc(dst, a, b)
+	want := []float64{3, 4, 11, 14}
 	for i := range want {
-		if m.Data[i] != want[i] {
-			t.Fatalf("OuterAcc = %v, want %v", m.Data, want)
+		if dst.Data[i] != want[i] {
+			t.Fatalf("MulTNAcc = %v, want %v", dst.Data, want)
 		}
 	}
 	// Accumulation, not overwrite:
-	OuterAcc(m, []float64{1, 0}, []float64{1, 1})
-	if m.Data[0] != 4 || m.Data[1] != 5 {
-		t.Fatalf("OuterAcc should accumulate: %v", m.Data)
+	MulTNAcc(dst, &Dense{Rows: 1, Cols: 2, Data: []float64{1, 0}}, &Dense{Rows: 1, Cols: 2, Data: []float64{1, 1}})
+	if dst.Data[0] != 4 || dst.Data[1] != 5 || dst.Data[2] != 11 {
+		t.Fatalf("MulTNAcc should accumulate: %v", dst.Data)
 	}
 }
 
-func TestOuterAccShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	OuterAcc(NewDense(2, 2), []float64{1}, []float64{1, 2})
+func TestMulTNAccShapePanics(t *testing.T) {
+	for i, f := range []func(){
+		func() { MulTNAcc(NewDense(2, 2), NewDense(3, 2), NewDense(2, 2)) },
+		func() { MulTNAcc(NewDense(3, 2), NewDense(2, 2), NewDense(2, 2)) },
+		func() { MulTNAcc(NewDense(2, 3), NewDense(2, 2), NewDense(2, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: expected shape panic", i)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestVecHelpers(t *testing.T) {
@@ -225,34 +236,29 @@ func TestAdjointProperty(t *testing.T) {
 	}
 }
 
-// Property: OuterAcc is the gradient of y = Wx wrt W contracted against an
-// upstream gradient g: d(<g, Wx>)/dW == g xᵀ. Verify against finite
-// differences on a random entry.
-func TestOuterAccIsGradient(t *testing.T) {
+// Property: MulTNAcc is the weight gradient of a batch of y_s = W x_s
+// contracted against upstream gradients g_s: d(sum_s <g_s, W x_s>)/dW ==
+// Gᵀ X. Verify against finite differences on a random entry.
+func TestMulTNAccIsGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+rng.Intn(5), 1+rng.Intn(5)
-		w := NewDense(rows, cols)
-		for i := range w.Data {
-			w.Data[i] = rng.NormFloat64()
-		}
-		x := make([]float64, cols)
-		g := make([]float64, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for i := range g {
-			g[i] = rng.NormFloat64()
-		}
+		rows, cols, batch := 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(6)
+		w := randDense(rng, rows, cols)
+		x := randDense(rng, batch, cols)
+		g := randDense(rng, batch, rows)
 		grad := NewDense(rows, cols)
-		OuterAcc(grad, g, x)
+		MulTNAcc(grad, g, x)
 
 		r, c := rng.Intn(rows), rng.Intn(cols)
 		const h = 1e-6
 		eval := func() float64 {
 			out := make([]float64, rows)
-			MatVec(out, w, x)
-			return Dot(g, out)
+			sum := 0.0
+			for s := 0; s < batch; s++ {
+				MatVec(out, w, x.Row(s))
+				sum += Dot(g.Row(s), out)
+			}
+			return sum
 		}
 		orig := w.At(r, c)
 		w.Set(r, c, orig+h)
@@ -262,7 +268,7 @@ func TestOuterAccIsGradient(t *testing.T) {
 		w.Set(r, c, orig)
 		fd := (fPlus - fMinus) / (2 * h)
 		if math.Abs(fd-grad.At(r, c)) > 1e-4*(1+math.Abs(fd)) {
-			t.Fatalf("gradient mismatch at (%d,%d): fd=%v outer=%v", r, c, fd, grad.At(r, c))
+			t.Fatalf("gradient mismatch at (%d,%d): fd=%v MulTNAcc=%v", r, c, fd, grad.At(r, c))
 		}
 	}
 }

@@ -57,6 +57,28 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
+// TestReLUEdgeValues pins the bit-level test relu and reluDeriv use
+// against x > 0 on the values where a bit trick could go wrong: both
+// zeros, the smallest subnormals, the largest finite values, both
+// infinities and NaNs of either sign.
+func TestReLUEdgeValues(t *testing.T) {
+	x := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1, -1,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Copysign(math.NaN(), -1), math.Float64frombits(0x7FF0000000000001)}
+	got, gotD := make([]float64, len(x)), make([]float64, len(x))
+	relu(got, x)
+	reluDeriv(gotD, x)
+	for i, v := range x {
+		want, wantD := 0.0, 0.0
+		if v > 0 {
+			want, wantD = v, 1
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want) || math.Float64bits(gotD[i]) != math.Float64bits(wantD) {
+			t.Errorf("x=%v (%#x): relu %v deriv %v, want %v and %v", v, math.Float64bits(v), got[i], gotD[i], want, wantD)
+		}
+	}
+}
+
 // ReLU's derivative must match a central finite difference of its
 // forward pass, away from the kink at 0.
 func TestActivationDerivMatchesFiniteDifference(t *testing.T) {

@@ -8,14 +8,16 @@ import (
 
 // Batch buffers live on the same Workspace as the scalar scratch so one
 // pooled Workspace serves both paths. They are grown lazily to the largest
-// batch seen and reused thereafter, so steady-state batched inference
-// allocates nothing.
+// batch seen and reused thereafter, so steady-state batched inference and
+// training allocate nothing.
 //
 // The batched kernels (mat.MulNT / mat.MulNN) accumulate in exactly the
 // same order as the scalar MatVec / MatTVec they replace, so ForwardBatch
 // and InputGradientBatch are bit-identical to running Forward /
 // InputGradient row by row — the property the search layer's
-// batch-vs-scalar determinism tests pin.
+// batch-vs-scalar determinism tests pin. BackwardBatch's weight gradients
+// (mat.MulTNAcc) add the rows' terms in row order, so a minibatch trains
+// exactly as its rows would one at a time (TestGoldenTrainDigests).
 
 // ensureBatch grows ws's batch buffers to hold at least b rows for net n.
 func (ws *Workspace) ensureBatch(n *MLP, b int) {
@@ -103,11 +105,30 @@ func (n *MLP) InputGradientBatch(ws *Workspace, x, dOut *mat.Dense) mat.Dense {
 // the outputs use this to avoid a redundant forward pass; dOut.Rows must
 // match that forward batch.
 func (n *MLP) BackwardInputBatch(ws *Workspace, dOut *mat.Dense) mat.Dense {
+	n.backwardBatch(ws, dOut, nil)
+	return view(ws.inGradB, dOut.Rows)
+}
+
+// BackwardBatch backpropagates dOut (batch x OutDim, row i the loss
+// gradient for output row i) through the forward pass most recently run
+// by ForwardBatch on ws and accumulates the parameter gradients of the
+// whole batch into g. It computes no input gradient. Every gradient
+// element receives its rows' terms in ascending row order, the additions
+// a per-row backward pass would make, so training on a batch is
+// bit-identical to training on its rows one at a time.
+func (n *MLP) BackwardBatch(ws *Workspace, dOut *mat.Dense, g *Grads) {
+	n.backwardBatch(ws, dOut, g)
+}
+
+// backwardBatch is the one batched backward pass. With g nil it carries
+// the error down to the input (BackwardInputBatch); otherwise it
+// accumulates parameter gradients into g and stops at the first layer.
+func (n *MLP) backwardBatch(ws *Workspace, dOut *mat.Dense, g *Grads) {
 	if dOut.Cols != n.OutDim() {
-		panic(fmt.Sprintf("nn: BackwardInputBatch dOut width %d, want %d", dOut.Cols, n.OutDim()))
+		panic(fmt.Sprintf("nn: backward dOut width %d, want %d", dOut.Cols, n.OutDim()))
 	}
 	if dOut.Rows != ws.lastBatch {
-		panic(fmt.Sprintf("nn: BackwardInputBatch %d dOut rows, forward batch was %d", dOut.Rows, ws.lastBatch))
+		panic(fmt.Sprintf("nn: backward %d dOut rows, forward batch was %d", dOut.Rows, ws.lastBatch))
 	}
 	b := dOut.Rows
 	last := len(n.Layers) - 1
@@ -116,24 +137,30 @@ func (n *MLP) BackwardInputBatch(ws *Workspace, dOut *mat.Dense) mat.Dense {
 	for i := last; i >= 0; i-- {
 		l := n.Layers[i]
 		delta := view(ws.deltaB[i], b)
-		var down mat.Dense
-		if i > 0 {
-			down = view(ws.deltaB[i-1], b)
-		} else {
-			down = view(ws.inGradB, b)
-		}
-		mat.MulNN(&down, &delta, l.W)
-		if i > 0 {
-			// Multiply by the ReLU derivative of layer i-1,
-			// element-wise over the contiguous b-row window — the same
-			// per-element operations as the scalar Backward.
-			w := l.In()
-			derivBuf := ws.derivB.Data[:b*w]
-			reluDeriv(derivBuf, ws.preB[i-1].Data[:b*w])
-			for j := range down.Data {
-				down.Data[j] *= derivBuf[j]
+		if g != nil {
+			in := view(ws.actsB[i], b)
+			mat.MulTNAcc(g.W[i], &delta, &in)
+			for r := 0; r < b; r++ {
+				mat.AddVec(g.B[i], delta.Row(r))
 			}
 		}
+		if i == 0 {
+			if g == nil {
+				inGrad := view(ws.inGradB, b)
+				mat.MulNN(&inGrad, &delta, l.W)
+			}
+			return
+		}
+		// Propagate into layer i-1's output, then multiply by its ReLU
+		// derivative element-wise over the contiguous b-row window — the
+		// same per-element operations as the one-row InputGradient.
+		down := view(ws.deltaB[i-1], b)
+		mat.MulNN(&down, &delta, l.W)
+		w := l.In()
+		derivBuf := ws.derivB.Data[:b*w]
+		reluDeriv(derivBuf, ws.preB[i-1].Data[:b*w])
+		for j := range down.Data {
+			down.Data[j] *= derivBuf[j]
+		}
 	}
-	return view(ws.inGradB, b)
 }

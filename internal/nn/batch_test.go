@@ -142,3 +142,39 @@ func TestForwardBatchSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state InputGradientBatch allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// TestBackwardBatchEqualsRowByRow: the parameter gradients of a batch are
+// bit-identical to accumulating its rows one 1-row batch at a time, in
+// order, across batch sizes that hit the weight-gradient kernel's 4-row
+// block and tail, with a dead hidden unit so zero deltas reach the skip.
+func TestBackwardBatchEqualsRowByRow(t *testing.T) {
+	net := batchTestNet(t, 45)
+	net.Layers[0].B[2] = -1e3
+	rng := rand.New(rand.NewSource(12))
+	wsB, wsR := net.NewWorkspace(), net.NewWorkspace()
+	for _, batch := range []int{1, 3, 4, 7, 9, 16} {
+		x := randBatch(rng, batch, net.InDim())
+		dOut := randBatch(rng, batch, net.OutDim())
+		got, want := net.NewGrads(), net.NewGrads()
+		net.ForwardBatch(wsB, x)
+		net.BackwardBatch(wsB, dOut, got)
+		for r := 0; r < batch; r++ {
+			xr := mat.Dense{Rows: 1, Cols: x.Cols, Data: x.Row(r)}
+			dr := mat.Dense{Rows: 1, Cols: dOut.Cols, Data: dOut.Row(r)}
+			net.ForwardBatch(wsR, &xr)
+			net.BackwardBatch(wsR, &dr, want)
+		}
+		for i := range got.W {
+			for j, w := range want.W[i].Data {
+				if got.W[i].Data[j] != w {
+					t.Fatalf("batch=%d layer %d W[%d]: %v, row by row %v", batch, i, j, got.W[i].Data[j], w)
+				}
+			}
+			for j, w := range want.B[i] {
+				if got.B[i][j] != w {
+					t.Fatalf("batch=%d layer %d B[%d]: %v, row by row %v", batch, i, j, got.B[i][j], w)
+				}
+			}
+		}
+	}
+}

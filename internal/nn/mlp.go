@@ -8,6 +8,13 @@
 // scalar function of the network output with respect to the network
 // *input*, which is what turns the trained surrogate into a search
 // direction generator.
+//
+// Training runs on the batch kernels: Train and the DDPG baseline push
+// each minibatch through ForwardBatch and BackwardBatch as one matrix, and
+// BackwardBatch adds each row's weight-gradient term in row order
+// (mat.MulTNAcc), so a minibatch trains bit-identically to its rows taken
+// one at a time. Forward and InputGradient are the one-row forms the
+// surrogate's scalar queries and the bit-identity tests use.
 package nn
 
 import (
@@ -216,54 +223,31 @@ func (g *Grads) ClipTo(limit float64) {
 	}
 }
 
-// Backward backpropagates the output gradient dOut (dLoss/dOutput for the
-// forward pass most recently run on ws) into g, accumulating parameter
-// gradients. It returns the gradient with respect to the network input; the
-// returned slice is owned by ws.
-//
-// Backward must be called after Forward on the same Workspace with the same
-// input.
-func (n *MLP) Backward(ws *Workspace, dOut []float64, g *Grads) []float64 {
-	last := len(n.Layers) - 1
-	if len(dOut) != n.OutDim() {
-		panic(fmt.Sprintf("nn: Backward dOut %d, want %d", len(dOut), n.OutDim()))
-	}
-	copy(ws.delta[last], dOut) // output layer is linear
-	for i := last; i >= 0; i-- {
-		l := n.Layers[i]
-		if g != nil {
-			mat.OuterAcc(g.W[i], ws.delta[i], ws.acts[i])
-			mat.AddVec(g.B[i], ws.delta[i])
-		}
-		// Propagate into the previous layer's activation output.
-		var down []float64
-		if i > 0 {
-			down = ws.delta[i-1]
-		} else {
-			// Reuse deriv buffer for the input gradient.
-			down = ws.deriv[:n.InDim()]
-		}
-		mat.MatTVec(down, l.W, ws.delta[i])
-		if i > 0 {
-			// Multiply by the ReLU derivative of layer i-1. ws.deriv
-			// is free here: it only becomes the input gradient at i == 0,
-			// and no derivative multiplication happens on that iteration.
-			derivBuf := ws.deriv[:len(down)]
-			reluDeriv(derivBuf, ws.pre[i-1])
-			for j := range down {
-				down[j] *= derivBuf[j]
-			}
-		}
-	}
-	return ws.deriv[:n.InDim()]
-}
-
 // InputGradient computes d(scalar)/d(input) where the scalar's gradient with
 // respect to the network output is dOut. It runs a forward pass on x and a
-// backward pass that skips parameter-gradient accumulation. This is the
-// Phase-2 primitive: with the surrogate frozen, it yields the search
-// direction ∂f*/∂m (paper §4.2).
+// backward pass that carries only the error, accumulating no parameter
+// gradients. This is the Phase-2 primitive: with the surrogate frozen, it
+// yields the search direction ∂f*/∂m (paper §4.2). The returned slice is
+// owned by ws.
 func (n *MLP) InputGradient(ws *Workspace, x, dOut []float64) []float64 {
+	if len(dOut) != n.OutDim() {
+		panic(fmt.Sprintf("nn: InputGradient dOut %d, want %d", len(dOut), n.OutDim()))
+	}
 	n.Forward(ws, x)
-	return n.Backward(ws, dOut, nil)
+	last := len(n.Layers) - 1
+	copy(ws.delta[last], dOut) // output layer is linear
+	for i := last; i > 0; i-- {
+		// Propagate into layer i-1's output, then through its ReLU.
+		down := ws.delta[i-1]
+		mat.MatTVec(down, n.Layers[i].W, ws.delta[i])
+		derivBuf := ws.deriv[:len(down)]
+		reluDeriv(derivBuf, ws.pre[i-1])
+		for j := range down {
+			down[j] *= derivBuf[j]
+		}
+	}
+	// ws.deriv is free again: it becomes the input gradient.
+	in := ws.deriv[:n.InDim()]
+	mat.MatTVec(in, n.Layers[0].W, ws.delta[0])
+	return in
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mindmappings/internal/mat"
 )
 
 func newTestNet(t *testing.T, sizes []int, seed int64) *MLP {
@@ -99,13 +101,17 @@ func TestForwardShapePanics(t *testing.T) {
 func TestBackwardShapePanics(t *testing.T) {
 	net := newTestNet(t, []int{2, 2, 1}, 1)
 	ws := net.NewWorkspace()
-	net.Forward(ws, []float64{1, 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on wrong dOut width")
-		}
-	}()
-	net.Backward(ws, []float64{1, 2}, net.NewGrads())
+	net.ForwardBatch(ws, mat.NewDense(3, 2))
+	for i, dOut := range []*mat.Dense{mat.NewDense(3, 2), mat.NewDense(2, 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: expected panic on a %dx%d dOut", i, dOut.Rows, dOut.Cols)
+				}
+			}()
+			net.BackwardBatch(ws, dOut, net.NewGrads())
+		}()
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -135,9 +141,10 @@ func TestForwardDeterministic(t *testing.T) {
 }
 
 // The central property of the whole library: parameter gradients from
-// Backward match finite differences of the loss for random nets and
-// inputs. Biases are drawn nonzero so no layer sits at the kink by
-// construction, and inputs are drawn away from every kink.
+// BackwardBatch match finite differences of the summed loss for random
+// nets and batches of 1 and several rows. Biases are drawn nonzero so no
+// layer sits at the kink by construction, and inputs are drawn away from
+// every kink.
 func TestBackwardParameterGradientsMatchFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	f := func(seed int64) bool {
@@ -153,25 +160,33 @@ func TestBackwardParameterGradientsMatchFiniteDifference(t *testing.T) {
 			}
 		}
 		ws := net.NewWorkspace()
-		x := make([]float64, net.InDim())
-		target := make([]float64, net.OutDim())
-		if !drawAwayFromKinks(net, ws, r, x) {
-			return false
+		rows := []int{1, 2 + r.Intn(6)}[r.Intn(2)]
+		x := mat.NewDense(rows, net.InDim())
+		target := mat.NewDense(rows, net.OutDim())
+		for k := 0; k < rows; k++ {
+			if !drawAwayFromKinks(net, ws, r, x.Row(k)) {
+				return false
+			}
 		}
-		for i := range target {
-			target[i] = r.NormFloat64()
+		for i := range target.Data {
+			target.Data[i] = r.NormFloat64()
 		}
 		loss := MSE{}
 		grads := net.NewGrads()
-		lossGrad := make([]float64, net.OutDim())
-		out := net.Forward(ws, x)
-		loss.Eval(out, target, lossGrad)
-		net.Backward(ws, lossGrad, grads)
+		lossGrad := mat.NewDense(rows, net.OutDim())
+		out := net.ForwardBatch(ws, x)
+		for k := 0; k < rows; k++ {
+			loss.Eval(out.Row(k), target.Row(k), lossGrad.Row(k))
+		}
+		net.BackwardBatch(ws, lossGrad, grads)
 
 		eval := func() float64 {
-			o := net.Forward(ws, x)
-			tmp := make([]float64, len(o))
-			return loss.Eval(o, target, tmp)
+			sum := 0.0
+			for k := 0; k < rows; k++ {
+				o := net.Forward(ws, x.Row(k))
+				sum += loss.Eval(o, target.Row(k), make([]float64, len(o)))
+			}
+			return sum
 		}
 		const h = 1e-6
 		// Spot-check a handful of random parameters in each layer.
@@ -251,15 +266,15 @@ func TestBackwardAccumulates(t *testing.T) {
 	net := newTestNet(t, []int{2, 3, 1}, 7)
 	ws := net.NewWorkspace()
 	g1 := net.NewGrads()
-	x := []float64{0.5, -0.5}
-	dOut := []float64{1}
-	net.Forward(ws, x)
-	net.Backward(ws, dOut, g1)
+	x := &mat.Dense{Rows: 1, Cols: 2, Data: []float64{0.5, -0.5}}
+	dOut := &mat.Dense{Rows: 1, Cols: 1, Data: []float64{1}}
+	net.ForwardBatch(ws, x)
+	net.BackwardBatch(ws, dOut, g1)
 	first := g1.W[0].At(0, 0)
-	net.Forward(ws, x)
-	net.Backward(ws, dOut, g1)
+	net.ForwardBatch(ws, x)
+	net.BackwardBatch(ws, dOut, g1)
 	if math.Abs(g1.W[0].At(0, 0)-2*first) > 1e-12 {
-		t.Fatalf("Backward must accumulate: %v vs 2*%v", g1.W[0].At(0, 0), first)
+		t.Fatalf("BackwardBatch must accumulate: %v vs 2*%v", g1.W[0].At(0, 0), first)
 	}
 }
 

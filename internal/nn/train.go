@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"mindmappings/internal/mat"
 )
 
 // Dataset is a supervised regression dataset: row i maps X[i] to Y[i].
@@ -192,12 +194,10 @@ func Train(net *MLP, train, test *Dataset, cfg TrainConfig) (*History, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := NewSGD(cfg.LR, cfg.Momentum)
-	ws := net.NewWorkspace()
-	grads := net.NewGrads()
-	lossGrad := make([]float64, net.OutDim())
+	n := train.Len()
+	mb := newMinibatch(net, min(cfg.BatchSize, n))
 	hist := &History{}
 
-	n := train.Len()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -224,21 +224,8 @@ func Train(net *MLP, train, test *Dataset, cfg TrainConfig) (*History, error) {
 			if err := ctx.Err(); err != nil {
 				return hist, err
 			}
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			grads.Zero()
-			batchLoss := 0.0
-			for _, s := range idx[start:end] {
-				out := net.Forward(ws, train.X[s])
-				batchLoss += cfg.Loss.Eval(out, train.Y[s], lossGrad)
-				net.Backward(ws, lossGrad, grads)
-			}
-			bs := float64(end - start)
-			grads.Scale(1 / bs)
-			opt.Step(net, grads)
-			epochLoss += batchLoss
+			end := min(start+cfg.BatchSize, n)
+			epochLoss += mb.step(train, idx[start:end], cfg.Loss, opt)
 		}
 		hist.TrainLoss = append(hist.TrainLoss, epochLoss/float64(n))
 		testLoss := math.NaN()
@@ -262,17 +249,69 @@ func Train(net *MLP, train, test *Dataset, cfg TrainConfig) (*History, error) {
 	return hist, nil
 }
 
+// minibatch holds the buffers one SGD step reuses across a run: the
+// gathered input rows, the loss gradients, the parameter gradients and the
+// network's batch workspace.
+type minibatch struct {
+	net     *MLP
+	ws      *Workspace
+	grads   *Grads
+	x, dOut *mat.Dense // rows x InDim, rows x OutDim
+}
+
+func newMinibatch(net *MLP, rows int) *minibatch {
+	return &minibatch{
+		net:   net,
+		ws:    net.NewWorkspace(),
+		grads: net.NewGrads(),
+		x:     mat.NewDense(rows, net.InDim()),
+		dOut:  mat.NewDense(rows, net.OutDim()),
+	}
+}
+
+// step takes one SGD step on the samples ds[rows...] as one batch and
+// returns their summed loss, added in row order. The gradient is the mean
+// over the rows.
+func (mb *minibatch) step(ds *Dataset, rows []int, loss Loss, opt *SGD) float64 {
+	x := view(mb.x, len(rows))
+	for k, s := range rows {
+		copy(x.Row(k), ds.X[s])
+	}
+	out := mb.net.ForwardBatch(mb.ws, &x)
+	dOut := view(mb.dOut, len(rows))
+	sum := 0.0
+	for k, s := range rows {
+		sum += loss.Eval(out.Row(k), ds.Y[s], dOut.Row(k))
+	}
+	mb.grads.Zero()
+	mb.net.BackwardBatch(mb.ws, &dOut, mb.grads)
+	mb.grads.Scale(1 / float64(len(rows)))
+	opt.Step(mb.net, mb.grads)
+	return sum
+}
+
+// evalChunk is how many rows Evaluate runs through the net at once.
+const evalChunk = 128
+
 // Evaluate returns the mean loss of net over ds under criterion loss.
 func Evaluate(net *MLP, ds *Dataset, loss Loss) float64 {
-	ws := net.NewWorkspace()
-	grad := make([]float64, net.OutDim())
-	total := 0.0
-	for i := range ds.X {
-		out := net.Forward(ws, ds.X[i])
-		total += loss.Eval(out, ds.Y[i], grad)
-	}
-	if ds.Len() == 0 {
+	n := ds.Len()
+	if n == 0 {
 		return 0
 	}
-	return total / float64(ds.Len())
+	ws := net.NewWorkspace()
+	x := mat.NewDense(min(evalChunk, n), net.InDim())
+	grad := make([]float64, net.OutDim())
+	total := 0.0
+	for start := 0; start < n; start += evalChunk {
+		xs := view(x, min(evalChunk, n-start))
+		for k := range xs.Rows {
+			copy(xs.Row(k), ds.X[start+k])
+		}
+		out := net.ForwardBatch(ws, &xs)
+		for k := range xs.Rows {
+			total += loss.Eval(out.Row(k), ds.Y[start+k], grad)
+		}
+	}
+	return total / float64(n)
 }

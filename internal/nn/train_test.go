@@ -188,6 +188,27 @@ func TestTrainDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestMinibatchStepAllocFree: once its buffers exist, a minibatch step
+// (gather, ForwardBatch, loss, BackwardBatch, SGD step) allocates nothing,
+// on full batches and on a ragged last batch.
+func TestMinibatchStepAllocFree(t *testing.T) {
+	net := newTestNet(t, []int{2, 16, 8, 2}, 5)
+	ds := makeRegressionData(40, 1)
+	mb := newMinibatch(net, 16)
+	opt := NewSGD(0.01, 0.9)
+	var loss Loss = Huber{Delta: 1}
+	rows := rand.New(rand.NewSource(3)).Perm(ds.Len())
+	mb.step(ds, rows[:16], loss, opt) // first SGD step allocates its velocity
+	for _, n := range []int{16, 5} {
+		allocs := testing.AllocsPerRun(20, func() {
+			mb.step(ds, rows[:n], loss, opt)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d-row minibatch step allocates %.1f per run, want 0", n, allocs)
+		}
+	}
+}
+
 func TestPaperTrainConfigMatchesPaper(t *testing.T) {
 	cfg := PaperTrainConfig()
 	if cfg.Epochs != 100 || cfg.BatchSize != 128 || cfg.LR != 1e-2 ||

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"mindmappings/internal/mapspace"
+	"mindmappings/internal/mat"
 	"mindmappings/internal/nn"
 	"mindmappings/internal/stats"
 )
@@ -80,10 +81,20 @@ type ddpg struct {
 	targetCWS    *nn.Workspace
 	actorGrads   *nn.Grads
 	criticGrads  *nn.Grads
-	buffer       []transition
-	bufferNext   int
-	stateDim     int
-	actionDim    int
+	// Replay mini-batch buffers, rlBatchSize rows each: the drawn buffer
+	// indices, states (next states for the critic step), critic inputs
+	// (state, action), the critic's loss gradient, the critic's unit
+	// output gradient for the actor step and the actor's output gradient.
+	picks      [rlBatchSize]int
+	states     *mat.Dense
+	cin        *mat.Dense
+	dq         *mat.Dense
+	ones       *mat.Dense
+	dActor     *mat.Dense
+	buffer     []transition
+	bufferNext int
+	stateDim   int
+	actionDim  int
 }
 
 // Search implements Searcher.
@@ -174,6 +185,14 @@ func newDDPG(hidden, dim int, rng *rand.Rand, space *mapspace.Space) (*ddpg, err
 	d.targetCWS = d.criticTarget.NewWorkspace()
 	d.actorGrads = d.actor.NewGrads()
 	d.criticGrads = d.critic.NewGrads()
+	d.states = mat.NewDense(rlBatchSize, dim)
+	d.cin = mat.NewDense(rlBatchSize, 2*dim)
+	d.dq = mat.NewDense(rlBatchSize, 1)
+	d.ones = mat.NewDense(rlBatchSize, 1)
+	for i := range d.ones.Data {
+		d.ones.Data[i] = 1
+	}
+	d.dActor = mat.NewDense(rlBatchSize, dim)
 	return d, nil
 }
 
@@ -190,9 +209,10 @@ func (d *ddpg) noise(progress float64) float64 {
 // act runs the deterministic policy plus exploration noise, returning a
 // tanh-bounded action.
 func (d *ddpg) act(state []float64, noise float64) []float64 {
-	out := d.actor.Forward(d.actorWS, state)
-	action := make([]float64, len(out))
-	for i, v := range out {
+	x := mat.Dense{Rows: 1, Cols: len(state), Data: state}
+	out := d.actor.ForwardBatch(d.actorWS, &x)
+	action := make([]float64, out.Cols)
+	for i, v := range out.Data {
 		action[i] = math.Tanh(v + d.rng.NormFloat64()*noise)
 	}
 	return action
@@ -218,66 +238,87 @@ func (d *ddpg) remember(tr transition) {
 }
 
 // train performs one DDPG update (critic TD step, actor policy-gradient
-// step, soft target updates) on a replay mini-batch.
+// step, soft target updates) on replay mini-batches, each run through the
+// networks as one rlBatchSize-row batch.
 func (d *ddpg) train() {
 	if len(d.buffer) < rlWarmup {
 		return
 	}
-	batch := rlBatchSize
-	criticIn := make([]float64, 2*d.stateDim)
-	lossGrad := []float64{0}
+	sd := d.stateDim
 
-	// Critic update.
-	d.criticGrads.Zero()
-	for i := 0; i < batch; i++ {
-		tr := &d.buffer[d.rng.Intn(len(d.buffer))]
-		// Target action and value.
-		ta := d.actorTarget.Forward(d.targetAWS, tr.next)
-		copy(criticIn[:d.stateDim], tr.next)
-		for j, v := range ta {
-			criticIn[d.stateDim+j] = math.Tanh(v)
-		}
-		tq := d.criticTarget.Forward(d.targetCWS, criticIn)[0]
-		y := tr.reward + rlGamma*tq
-
-		copy(criticIn[:d.stateDim], tr.state)
-		copy(criticIn[d.stateDim:], tr.action)
-		q := d.critic.Forward(d.criticWS, criticIn)[0]
-		// d(0.5*(q-y)^2)/dq = q - y.
-		lossGrad[0] = q - y
-		d.critic.Backward(d.criticWS, lossGrad, d.criticGrads)
+	// Critic update: TD targets from the target networks, then one step
+	// on 0.5*(Q(s,a)-y)^2.
+	d.draw()
+	for i, p := range d.picks {
+		copy(d.states.Row(i), d.buffer[p].next)
 	}
-	d.criticGrads.Scale(1 / float64(batch))
+	ta := d.actorTarget.ForwardBatch(d.targetAWS, d.states)
+	for i := range d.picks {
+		row := d.cin.Row(i)
+		copy(row[:sd], d.states.Row(i))
+		for j, v := range ta.Row(i) {
+			row[sd+j] = math.Tanh(v)
+		}
+	}
+	tq := d.criticTarget.ForwardBatch(d.targetCWS, d.cin)
+	for i, p := range d.picks {
+		tr := &d.buffer[p]
+		d.dq.Data[i] = tr.reward + rlGamma*tq.Data[i] // the TD target y
+		row := d.cin.Row(i)
+		copy(row[:sd], tr.state)
+		copy(row[sd:], tr.action)
+	}
+	q := d.critic.ForwardBatch(d.criticWS, d.cin)
+	for i, v := range q.Data {
+		// d(0.5*(q-y)^2)/dq = q - y.
+		d.dq.Data[i] = v - d.dq.Data[i]
+	}
+	d.criticGrads.Zero()
+	d.critic.BackwardBatch(d.criticWS, d.dq, d.criticGrads)
+	d.criticGrads.Scale(1 / float64(rlBatchSize))
 	d.criticGrads.ClipTo(1)
 	d.criticOpt.Step(d.critic, d.criticGrads)
 
 	// Actor update: ascend Q(s, tanh(actor(s))).
-	d.actorGrads.Zero()
-	dOutActor := make([]float64, d.actionDim)
-	for i := 0; i < batch; i++ {
-		tr := &d.buffer[d.rng.Intn(len(d.buffer))]
-		pre := d.actor.Forward(d.actorWS, tr.state)
-		act := make([]float64, d.actionDim)
-		copy(criticIn[:d.stateDim], tr.state)
-		for j, v := range pre {
-			act[j] = math.Tanh(v)
-			criticIn[d.stateDim+j] = act[j]
-		}
-		// The critic runs on its own workspace, so the actor's forward
-		// state is still intact for the backward pass below.
-		dQdIn := d.critic.InputGradient(d.criticWS, criticIn, []float64{1})
-		for j := 0; j < d.actionDim; j++ {
-			// Chain through tanh; negate to turn ascent into descent.
-			dOutActor[j] = -dQdIn[d.stateDim+j] * (1 - act[j]*act[j])
-		}
-		d.actor.Backward(d.actorWS, dOutActor, d.actorGrads)
+	d.draw()
+	for i, p := range d.picks {
+		copy(d.states.Row(i), d.buffer[p].state)
 	}
-	d.actorGrads.Scale(1 / float64(batch))
+	pre := d.actor.ForwardBatch(d.actorWS, d.states)
+	for i := range d.picks {
+		row := d.cin.Row(i)
+		copy(row[:sd], d.states.Row(i))
+		for j, v := range pre.Row(i) {
+			row[sd+j] = math.Tanh(v)
+		}
+	}
+	// The critic runs on its own workspace, so the actor's forward state
+	// is still intact for the backward pass below.
+	dQdIn := d.critic.InputGradientBatch(d.criticWS, d.cin, d.ones)
+	for i := range d.picks {
+		act := d.cin.Row(i)[sd:]
+		dq := dQdIn.Row(i)[sd:]
+		for j, a := range act {
+			// Chain through tanh; negate to turn ascent into descent.
+			d.dActor.Row(i)[j] = -dq[j] * (1 - a*a)
+		}
+	}
+	d.actorGrads.Zero()
+	d.actor.BackwardBatch(d.actorWS, d.dActor, d.actorGrads)
+	d.actorGrads.Scale(1 / float64(rlBatchSize))
 	d.actorGrads.ClipTo(1)
 	d.actorOpt.Step(d.actor, d.actorGrads)
 
 	softUpdate(d.actorTarget, d.actor, rlTau)
 	softUpdate(d.criticTarget, d.critic, rlTau)
+}
+
+// draw picks a replay mini-batch: rlBatchSize buffer indices, uniformly
+// with replacement.
+func (d *ddpg) draw() {
+	for i := range d.picks {
+		d.picks[i] = d.rng.Intn(len(d.buffer))
+	}
 }
 
 // softUpdate blends source parameters into the target network:

@@ -512,3 +512,14 @@ func TestGCModelsOverHTTP(t *testing.T) {
 		t.Fatalf("kept artifact %s: %d %s %s", ids[2], code, job.Status, job.Error)
 	}
 }
+
+// TestTrainRejectsMoreProblemsThanTheSampleSpace: a training request for
+// more distinct problems than its workload's sample space holds is a 400
+// naming the count, not a job that spins forever drawing duplicates.
+func TestTrainRejectsMoreProblemsThanTheSampleSpace(t *testing.T) {
+	ts, _, _ := testTrainingServer(t)
+	resp, body := postJSON(t, ts.URL+"/v1/train", trainer.Request{Algo: "conv1d", Problems: 57})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("only 56")) {
+		t.Fatalf("POST /v1/train with 57 conv1d problems = %d %s, want 400 naming 56", resp.StatusCode, body)
+	}
+}

@@ -37,6 +37,14 @@ const (
 	OutputDirectEDP
 )
 
+// The shape of a tail draw (Config.TailBias): the best of tailCandidates
+// uniform mappings is labeled, then tailNeighbors of its perturbation
+// neighbors.
+const (
+	tailCandidates = 8
+	tailNeighbors  = 3
+)
+
 // Config bundles Phase-1 hyper-parameters.
 type Config struct {
 	// HiddenSizes are the MLP hidden-layer widths.
@@ -60,16 +68,14 @@ type Config struct {
 	LogOutputs bool
 	// TailBias is the fraction of training samples drawn from the
 	// low-cost tail of the map space instead of uniformly: a tail sample
-	// is the best of TailK uniform draws plus TailNeighbors of its
-	// perturbation neighbors. With the paper's 10M uniform samples the
+	// is the best of tailCandidates uniform draws plus tailNeighbors of
+	// its perturbation neighbors. With the paper's 10M uniform samples the
 	// tail is covered for free; at laptop-scale dataset sizes this
 	// enrichment restores the surrogate's resolution near good mappings.
 	// The paper explicitly leaves "improved sampling methods" as
 	// anticipated future work (§4.1.1); 0 reproduces pure uniform
 	// sampling. See DESIGN.md §4.
-	TailBias      float64
-	TailK         int // candidates per tail draw (default 8)
-	TailNeighbors int // neighbor samples per tail draw (default 3)
+	TailBias float64
 	// CostModel names the costmodel backend that labels the training set
 	// (empty = costmodel.DefaultBackend, the reference Timeloop-style
 	// model). A surrogate is an approximation of one specific f; training
@@ -212,6 +218,10 @@ func GenerateWith(algo *loopnest.Algorithm, a arch.Spec, cfg Config, opts Genera
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if n := algo.NumSampleProblems(); cfg.Problems > n {
+		return nil, fmt.Errorf("surrogate: %d problems requested, but %s has only %d distinct sample problems",
+			cfg.Problems, algo.Name, n)
+	}
 	rng := stats.NewRNG(cfg.Seed)
 	type problemCtx struct {
 		space *mapspace.Space
@@ -242,26 +252,17 @@ func GenerateWith(algo *loopnest.Algorithm, a arch.Spec, cfg Config, opts Genera
 		ctxs = append(ctxs, problemCtx{space, model, bound})
 	}
 
-	tailK := cfg.TailK
-	if tailK <= 0 {
-		tailK = 8
-	}
-	tailNeighbors := cfg.TailNeighbors
-	if tailNeighbors < 0 {
-		tailNeighbors = 3
-	} else if tailNeighbors == 0 {
-		tailNeighbors = 3
-	}
-
+	// One Cost labels every sample and tail candidate: EvaluateInto
+	// overwrites it, and each label copies what it keeps out of it.
+	var cost costmodel.Cost
 	ds := &RawDataset{Algo: algo, Arch: a, Mode: cfg.Mode}
-	add := func(pctx problemCtx, m *mapspace.Mapping) (costmodel.Cost, error) {
-		cost, err := costmodel.Evaluate(nil, pctx.model, m)
-		if err != nil {
-			return costmodel.Cost{}, fmt.Errorf("surrogate: evaluating sample %d: %w", ds.Len(), err)
+	add := func(pctx problemCtx, m *mapspace.Mapping) error {
+		if err := pctx.model.EvaluateInto(ctx, m, &cost); err != nil {
+			return fmt.Errorf("surrogate: evaluating sample %d: %w", ds.Len(), err)
 		}
 		ds.X = append(ds.X, pctx.space.Encode(m))
 		ds.Y = append(ds.Y, normalizeTarget(&cost, pctx.bound, cfg.Mode))
-		return cost, nil
+		return nil
 	}
 	defer func() {
 		if opts.OnProgress != nil && ds.Len() == cfg.Samples {
@@ -283,32 +284,31 @@ func GenerateWith(algo *loopnest.Algorithm, a arch.Spec, cfg Config, opts Genera
 		if cfg.TailBias <= 0 || rng.Float64() >= cfg.TailBias {
 			// Uniform draw (§4.1.1).
 			m := pctx.space.Random(rng)
-			if _, err := add(pctx, &m); err != nil {
+			if err := add(pctx, &m); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		// Tail draw: best of tailK uniform candidates, plus a few of its
-		// neighbors so the net learns the local structure around good
-		// mappings.
+		// Tail draw: best of tailCandidates uniform candidates, plus a
+		// few of its neighbors so the net learns the local structure
+		// around good mappings.
 		var best mapspace.Mapping
 		bestEDP := -1.0
-		for k := 0; k < tailK; k++ {
+		for k := 0; k < tailCandidates; k++ {
 			m := pctx.space.Random(rng)
-			cost, err := costmodel.Evaluate(nil, pctx.model, &m)
-			if err != nil {
+			if err := pctx.model.EvaluateInto(ctx, &m, &cost); err != nil {
 				return nil, fmt.Errorf("surrogate: tail candidate: %w", err)
 			}
 			if bestEDP < 0 || cost.EDP < bestEDP {
 				best, bestEDP = m, cost.EDP
 			}
 		}
-		if _, err := add(pctx, &best); err != nil {
+		if err := add(pctx, &best); err != nil {
 			return nil, err
 		}
 		for n := 0; n < tailNeighbors && ds.Len() < cfg.Samples; n++ {
 			nb := pctx.space.Perturb(rng, &best)
-			if _, err := add(pctx, &nb); err != nil {
+			if err := add(pctx, &nb); err != nil {
 				return nil, err
 			}
 		}

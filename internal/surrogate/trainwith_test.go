@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
@@ -179,6 +181,43 @@ func TestGenerateWithCancellationAndProgress(t *testing.T) {
 	}
 	if ds.Len() != 2000 {
 		t.Fatalf("%d samples", ds.Len())
+	}
+}
+
+// TestGenerateRejectsMoreProblemsThanTheSampleSpace: conv1d's sample
+// space holds 7x8 = 56 distinct problems. Asking for 57 is an error
+// naming both counts, returned at once; 56 is served. Generation runs
+// under a deadline so a draw loop that cannot finish fails the test
+// instead of hanging it.
+func TestGenerateRejectsMoreProblemsThanTheSampleSpace(t *testing.T) {
+	algo := loopnest.MustAlgorithm("conv1d")
+	if n := algo.NumSampleProblems(); n != 56 {
+		t.Fatalf("conv1d has %d distinct sample problems, want 56", n)
+	}
+	generate := func(problems int) error {
+		cfg := TinyConfig()
+		cfg.Samples, cfg.Problems = 60, problems
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() {
+			_, err := GenerateWith(algo, arch.Default(2), cfg, GenerateOptions{Ctx: ctx})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-ctx.Done():
+			t.Fatalf("generation of %d problems still running after its deadline", problems)
+			return nil
+		}
+	}
+	err := generate(57)
+	if err == nil || !strings.Contains(err.Error(), "57 problems") || !strings.Contains(err.Error(), "only 56") {
+		t.Fatalf("57 problems: err = %v, want a rejection naming 57 and 56", err)
+	}
+	if err := generate(56); err != nil {
+		t.Fatalf("56 problems: %v", err)
 	}
 }
 

@@ -130,11 +130,17 @@ func (req *Request) config() (surrogate.Config, error) {
 
 // Validate checks a request without running it.
 func (req *Request) Validate() error {
-	if _, err := req.algorithm(); err != nil {
+	algo, err := req.algorithm()
+	if err != nil {
 		return err
 	}
-	if _, err := req.config(); err != nil {
+	cfg, err := req.config()
+	if err != nil {
 		return err
+	}
+	if n := algo.NumSampleProblems(); cfg.Problems > n {
+		return fmt.Errorf("trainer: %d problems requested, but %s has only %d distinct sample problems",
+			cfg.Problems, algo.Name, n)
 	}
 	if !costmodel.Registered(req.CostModel) {
 		return fmt.Errorf("trainer: unknown cost model %q (registered: %s)",

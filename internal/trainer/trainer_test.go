@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,6 +190,10 @@ func TestInlineEinsumAndValidation(t *testing.T) {
 		if _, err := p.Submit(r); err == nil {
 			t.Errorf("bad request %d accepted", i)
 		}
+	}
+	tooMany := Request{Algo: "conv1d", Problems: 57} // conv1d draws 56 distinct problems
+	if err := tooMany.Validate(); err == nil || !strings.Contains(err.Error(), "only 56") {
+		t.Errorf("57 conv1d problems: Validate = %v, want a rejection naming 56", err)
 	}
 	if _, err := p.Submit(Request{Algo: "conv1d", Warm: "nope", Samples: 60, Problems: 2, Epochs: 1, HiddenSizes: []int{8}}); err != nil {
 		t.Fatal(err) // unknown warm parents fail at run time, not submit
