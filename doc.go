@@ -69,10 +69,14 @@
 // The evaluation hot path is batched and allocation-free: surrogate
 // queries run through batch GEMM kernels (surrogate.PredictBatch /
 // GradientBatch over mat.MulNT / mat.MulNN) that are bit-identical to the
-// scalar PredictScalar / GradientScalar kernels. The surrogate's arithmetic
-// has one configuration: pure-Go kernels with one build, ReLU hidden
-// layers, SGD-with-momentum training, and a single Mind Mappings descent
-// chain. Every cost-model backend evaluates into a reusable
+// scalar PredictScalar / GradientScalar kernels. Phase-1 training runs on
+// the same batch kernels: nn.Train pushes each minibatch through
+// ForwardBatch and MLP.BackwardBatch, whose weight gradients
+// (mat.MulTNAcc) add the rows' terms in row order, so training is
+// bit-identical to the per-sample loop it replaced. The surrogate's
+// arithmetic has one configuration: pure-Go kernels with one build, ReLU
+// hidden layers, SGD-with-momentum training, and a single Mind Mappings
+// descent chain. Every cost-model backend evaluates into a reusable
 // costmodel.Cost workspace with zero steady-state heap allocations,
 // and searchers evaluate candidate populations and neighborhoods as
 // batches, one candidate after another on the search's own goroutine.

@@ -291,6 +291,28 @@ func TestRandomProblemValidAndVaried(t *testing.T) {
 	}
 }
 
+// TestNumSampleProblems counts distinct shapes: a repeated sample value
+// adds no problem, an empty dimension leaves none, and a product past
+// math.MaxInt saturates.
+func TestNumSampleProblems(t *testing.T) {
+	wide := make([]int, 1000)
+	for i := range wide {
+		wide[i] = i + 1
+	}
+	for _, c := range []struct {
+		space [][]int
+		want  int
+	}{
+		{[][]int{{1, 2, 2, 4}, {3, 3}}, 3},
+		{[][]int{{1, 2}, {}}, 0},
+		{[][]int{wide, wide, wide, wide, wide, wide, wide}, math.MaxInt},
+	} {
+		if got := (&Algorithm{SampleSpace: c.space}).NumSampleProblems(); got != c.want {
+			t.Errorf("NumSampleProblems(%d dims) = %d, want %d", len(c.space), got, c.want)
+		}
+	}
+}
+
 func TestSampleValuesIsCopy(t *testing.T) {
 	a := algoByName(t, "cnn-layer")
 	vals := a.SampleValues()

@@ -104,11 +104,7 @@ func (a *Algorithm) RandomProblem(rng *rand.Rand) Problem {
 // saturating at math.MaxInt.
 func (a *Algorithm) NumSampleProblems() int {
 	n := 1
-	for d := 0; d < a.NumDims(); d++ {
-		var vals []int
-		if d < len(a.SampleSpace) {
-			vals = a.SampleSpace[d]
-		}
+	for _, vals := range a.SampleSpace {
 		distinct := map[int]bool{}
 		for _, v := range vals {
 			distinct[v] = true

@@ -15,6 +15,7 @@
 # fresh temporary directory). For every metric the summary prints each
 # side's median and quartiles and, for the metrics BENCHMARK.json names,
 # how many pairs the change won, with the direction BENCHMARK.json gives.
+# The exit status is 1 when any run failed or failed a check.
 set -euo pipefail
 
 if [[ $# -lt 2 || ! "$2" =~ ^[1-9][0-9]*$ ]]; then
@@ -37,10 +38,12 @@ trap cleanup EXIT
 git worktree add --detach --quiet "$tree" "$base_sha"
 
 # run SIDE DIR PAIR: one benchmark run; its last output line is the JSON.
+status=0
 run() {
 	local log="$out/$1-$3.log"
 	if ! (cd "$2" && bash cmd/bench/run.sh --seed $((seed0 + $3 - 1)) "${@:4}") >"$log" 2>&1; then
 		echo "benchpairs: $1 run of pair $3 failed; see $log" >&2
+		status=1
 	fi
 	tail -n 1 "$log" >"$out/$1-$3.json"
 }
@@ -117,3 +120,4 @@ for name in names:
     print(f"{name:34} {fmt(cols[0]):>34} {fmt(cols[1]):>34} {ratio:>11} {wins:>6}")
 print(f"runs: {out}")
 PY
+exit $status
