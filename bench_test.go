@@ -260,7 +260,8 @@ func BenchmarkCostModelQuery(b *testing.B) {
 }
 
 // BenchmarkSurrogateGradientStep measures one Mind Mappings iteration's
-// surrogate work: forward pass plus input-gradient backprop.
+// surrogate work: forward pass plus input-gradient backprop, as a 1-row
+// GradientBatch.
 func BenchmarkSurrogateGradientStep(b *testing.B) {
 	h := benchHarness(b)
 	sur, err := h.Surrogate("cnn-layer")
@@ -270,10 +271,12 @@ func BenchmarkSurrogateGradientStep(b *testing.B) {
 	_, space, _ := benchCNNSetup(b)
 	rng := stats.NewRNG(1)
 	m := space.Random(rng)
-	vec := space.Encode(&m)
+	vecs := [][]float64{space.Encode(&m)}
+	var vals []float64
+	var grads [][]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sur.GradientEDP(vec); err != nil {
+		if vals, grads, err = sur.GradientBatch(vecs, 1, 1, vals, grads); err != nil {
 			b.Fatal(err)
 		}
 	}

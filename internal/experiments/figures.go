@@ -377,12 +377,12 @@ func (h *Harness) OutputReprAblation(w io.Writer, algoName string) (*AblationRes
 	}
 
 	mseOf := func(s *surrogate.Surrogate, x [][]float64, trueEDP []float64) (float64, error) {
+		pred, err := s.PredictBatch(x, 1, 1, nil)
+		if err != nil {
+			return 0, err
+		}
 		var sum float64
-		for i := range x {
-			p, err := s.PredictEDP(x[i])
-			if err != nil {
-				return 0, err
-			}
+		for i, p := range pred {
 			d := math.Log1p(math.Max(0, p)) - math.Log1p(trueEDP[i])
 			sum += d * d
 		}

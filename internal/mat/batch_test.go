@@ -14,12 +14,42 @@ func randDense(rng *rand.Rand, rows, cols int) *Dense {
 	return m
 }
 
-// TestMulNTMatchesMatVecBitwise is the bit-identity contract the batched
+// mulNTRowRef is the plain-loop reference for one row of MulNT: dst[j] is
+// the dot product of x with row j of m, accumulated from zero in
+// ascending column order.
+func mulNTRowRef(dst []float64, m *Dense, x []float64) {
+	for j := range dst {
+		sum := 0.0
+		for c, w := range m.Row(j) {
+			sum += w * x[c]
+		}
+		dst[j] = sum
+	}
+}
+
+// mulNNRowRef is the plain-loop reference for one row of MulNN: dst is
+// zeroed, then y[s] * (row s of m) is added for s in ascending order,
+// skipping every zero coefficient.
+func mulNNRowRef(dst []float64, m *Dense, y []float64) {
+	for c := range dst {
+		dst[c] = 0
+	}
+	for s, ys := range y {
+		if ys == 0 {
+			continue
+		}
+		for c, w := range m.Row(s) {
+			dst[c] += w * ys
+		}
+	}
+}
+
+// TestMulNTMatchesRowLoopBitwise is the bit-identity contract the batched
 // surrogate path relies on: every row of a MulNT product must equal the
-// corresponding MatVec result exactly. Shapes cover all four micro-kernel
+// plain per-row loop exactly. Shapes cover all four micro-kernel
 // quadrants (blocked/tail rows of a x blocked/tail rows of b) and the
 // serving layer widths.
-func TestMulNTMatchesMatVecBitwise(t *testing.T) {
+func TestMulNTMatchesRowLoopBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 13, 9}, {2, 13, 9}, {3, 13, 9}, {4, 13, 9}, {5, 13, 9},
@@ -33,10 +63,10 @@ func TestMulNTMatchesMatVecBitwise(t *testing.T) {
 		MulNT(dst, a, b)
 		want := make([]float64, tc.n)
 		for r := 0; r < tc.batch; r++ {
-			MatVec(want, b, a.Row(r))
+			mulNTRowRef(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); got != w {
-					t.Fatalf("%dx%d*%dT: MulNT[%d][%d]=%v, MatVec=%v",
+					t.Fatalf("%dx%d*%dT: MulNT[%d][%d]=%v, row loop=%v",
 						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}
@@ -44,9 +74,9 @@ func TestMulNTMatchesMatVecBitwise(t *testing.T) {
 	}
 }
 
-// TestMulNNMatchesMatTVecBitwise pins the backward-path analog: each MulNN
-// row must equal MatTVec on that row exactly, including the zero-skip.
-func TestMulNNMatchesMatTVecBitwise(t *testing.T) {
+// TestMulNNMatchesRowLoopBitwise pins the backward-path analog: each MulNN
+// row must equal the per-row loop exactly, including the zero-skip.
+func TestMulNNMatchesRowLoopBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 9, 13}, {2, 9, 13}, {4, 9, 13}, {5, 9, 13}, {8, 9, 13},
@@ -65,10 +95,10 @@ func TestMulNNMatchesMatTVecBitwise(t *testing.T) {
 		MulNN(dst, a, b)
 		want := make([]float64, tc.n)
 		for r := 0; r < tc.batch; r++ {
-			MatTVec(want, b, a.Row(r))
+			mulNNRowRef(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); got != w {
-					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, MatTVec=%v",
+					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, row loop=%v",
 						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}

@@ -4,9 +4,10 @@ package mat
 // the one implementation behind MulNT, MulNN and MulTNAcc.
 //
 // Every kernel preserves the package's bit-identity contract: each output
-// element accumulates in exactly the order MatVec/MatTVec (or, for
-// MulTNAcc, the per-row rank-1 update) would, so batched and scalar
-// surrogate queries produce bitwise-identical trajectories and a
+// element accumulates in exactly the order of the plain per-row loop — an
+// ascending-column dot product for mulNT, an ascending zero-skipping sum
+// of weighted rows for mulNN, the per-row rank-1 update for mulTNAcc —
+// so a surrogate query returns the same bits in a batch of any size and a
 // minibatch trains as its rows would one at a time. Blocking only changes
 // *which* independent accumulations are interleaved in time, never the
 // order of additions within one accumulator.
@@ -17,11 +18,11 @@ package mat
 // *tail* rows of a against 4 rows of b, so batch sizes below 4 (and the
 // remainder rows of any batch) also run four independent chains instead
 // of one FP-add-latency-bound chain. Each accumulator still sums a single
-// dot product in ascending column order — bit-identical to MatVec.
+// dot product in ascending column order.
 //
 // mulNN and mulTNAcc both build each dst row as a sum of b's rows weighted
 // by coefficients from a — a row of a for mulNN, a column for mulTNAcc —
-// and keep MatTVec's zero-skip exactly (skipping a zero coefficient is NOT
+// and skip every zero coefficient (skipping a zero coefficient is NOT
 // equivalent to adding 0*w: -0 + +0 = +0 flips signed zeros and 0*Inf =
 // NaN). Each first lists the nonzero coefficients in ascending order
 // (nonzero), then adds their rows four at a time (addRows): one sweep over

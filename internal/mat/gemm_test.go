@@ -20,13 +20,13 @@ func closeEnough(got, want float64) bool {
 	return diff <= relTol*math.Max(scale, 1)
 }
 
-// TestMulNTMatchesMatVecTolerance is the accuracy band on a second random
-// draw: MulNT must land within relTol of MatVec on every row. The bitwise
+// TestMulNTMatchesRowLoopTolerance is the accuracy band on a second random
+// draw: MulNT must land within relTol of the per-row loop on every row. The bitwise
 // test is the strict contract the batched surrogate relies on; this one
 // names the looser bound a kernel that reorders its sums would still have
 // to hold. Shapes cover all four micro-kernel quadrants (blocked/tail rows
 // of a x blocked/tail rows of b) and the serving layer widths.
-func TestMulNTMatchesMatVecTolerance(t *testing.T) {
+func TestMulNTMatchesRowLoopTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 62, 64}, {3, 13, 9}, {4, 64, 128}, {5, 7, 5},
@@ -38,10 +38,10 @@ func TestMulNTMatchesMatVecTolerance(t *testing.T) {
 		MulNT(dst, a, b)
 		want := make([]float64, tc.n)
 		for r := 0; r < tc.batch; r++ {
-			MatVec(want, b, a.Row(r))
+			mulNTRowRef(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); !closeEnough(got, w) {
-					t.Fatalf("%dx%d*%dT: MulNT[%d][%d]=%v, MatVec=%v",
+					t.Fatalf("%dx%d*%dT: MulNT[%d][%d]=%v, row loop=%v",
 						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}
@@ -49,9 +49,9 @@ func TestMulNTMatchesMatVecTolerance(t *testing.T) {
 	}
 }
 
-// TestMulNNMatchesMatTVecTolerance is the backward-path analog, with
+// TestMulNNMatchesRowLoopTolerance is the backward-path analog, with
 // injected zeros so the zero-skip handling is exercised.
-func TestMulNNMatchesMatTVecTolerance(t *testing.T) {
+func TestMulNNMatchesRowLoopTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 12, 64}, {3, 9, 13}, {4, 64, 128}, {5, 5, 7},
@@ -68,10 +68,10 @@ func TestMulNNMatchesMatTVecTolerance(t *testing.T) {
 		MulNN(dst, a, b)
 		want := make([]float64, tc.n)
 		for r := 0; r < tc.batch; r++ {
-			MatTVec(want, b, a.Row(r))
+			mulNNRowRef(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); !closeEnough(got, w) {
-					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, MatTVec=%v",
+					t.Fatalf("%dx%d*%d: MulNN[%d][%d]=%v, row loop=%v",
 						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}
@@ -142,10 +142,10 @@ func TestMulNTGenericDirect(t *testing.T) {
 		mulNT(dst, a, b)
 		want := make([]float64, tc.n)
 		for r := 0; r < tc.batch; r++ {
-			MatVec(want, b, a.Row(r))
+			mulNTRowRef(want, b, a.Row(r))
 			for j, w := range want {
 				if got := dst.At(r, j); got != w {
-					t.Fatalf("%dx%d*%dT: mulNT[%d][%d]=%v, MatVec=%v",
+					t.Fatalf("%dx%d*%dT: mulNT[%d][%d]=%v, row loop=%v",
 						tc.batch, tc.k, tc.n, r, j, got, w)
 				}
 			}
@@ -174,10 +174,10 @@ func TestMulNNGenericDirect(t *testing.T) {
 			mulNN(dst, a, b)
 			want := make([]float64, tc.n)
 			for r := 0; r < tc.batch; r++ {
-				MatTVec(want, b, a.Row(r))
+				mulNNRowRef(want, b, a.Row(r))
 				for j, w := range want {
 					if got := dst.At(r, j); got != w {
-						t.Fatalf("%dx%d*%d zeros=%d: mulNN[%d][%d]=%v, MatTVec=%v",
+						t.Fatalf("%dx%d*%d zeros=%d: mulNN[%d][%d]=%v, row loop=%v",
 							tc.batch, tc.k, tc.n, zeroFrac, r, j, got, w)
 					}
 				}

@@ -1,13 +1,15 @@
 // Package mat implements the small dense linear-algebra kernels needed by
-// the neural-network library: matrix-vector products (plain and transposed),
-// their batched matrix-matrix forms (MulNT, MulNN), the batched weight
-// gradient (MulTNAcc), and element-wise vector helpers.
+// the neural-network library: the forward and backward matrix products of
+// a batch of rows (MulNT, MulNN), the batched weight gradient (MulTNAcc),
+// and element-wise helpers.
 //
-// Every kernel is plain Go with one build. Each row of a batched product is
-// bit-identical to the matrix-vector product on that row, which is what
-// lets the surrogate answer a batch exactly as it answers one query, and
-// MulTNAcc adds its per-row terms in row order, which is what lets a
-// minibatch train exactly as its rows would one at a time.
+// Every kernel is plain Go with one build. Each output element of MulNT
+// and MulNN accumulates in one fixed order that does not depend on the
+// batch: row i of a product is the same bits whether row i arrives alone
+// or among many, which is what lets the surrogate answer a batch exactly
+// as it answers each of its rows. MulTNAcc adds its per-row terms in row
+// order, which is what lets a minibatch train exactly as its rows would
+// one at a time.
 //
 // Matrices are stored row-major in a flat slice. The package favors clarity
 // and zero allocations on hot paths (all kernels write into caller-provided
@@ -16,10 +18,7 @@
 // surrogate and the DDPG reinforcement-learning baseline.
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense is a row-major rows x cols matrix.
 type Dense struct {
@@ -76,75 +75,15 @@ func (m *Dense) AddScaled(s float64, other *Dense) {
 	}
 }
 
-// MatVec computes dst = m * x. dst must have length m.Rows and x length
-// m.Cols. dst and x must not alias.
-//
-// Output rows are computed four at a time so four independent accumulator
-// chains hide FP-add latency (PR 8); each output still sums its row in
-// ascending column order, so results are bit-identical to the plain
-// one-row-at-a-time loop on every build.
-func MatVec(dst []float64, m *Dense, x []float64) {
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		panic(fmt.Sprintf("mat: MatVec shapes dst=%d m=%dx%d x=%d",
-			len(dst), m.Rows, m.Cols, len(x)))
-	}
-	k := m.Cols
-	r := 0
-	for ; r+4 <= m.Rows; r += 4 {
-		m0 := m.Data[(r+0)*k : (r+1)*k]
-		m1 := m.Data[(r+1)*k : (r+2)*k]
-		m2 := m.Data[(r+2)*k : (r+3)*k]
-		m3 := m.Data[(r+3)*k : (r+4)*k]
-		var s0, s1, s2, s3 float64
-		for c, v := range x {
-			s0 += m0[c] * v
-			s1 += m1[c] * v
-			s2 += m2[c] * v
-			s3 += m3[c] * v
-		}
-		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
-	}
-	for ; r < m.Rows; r++ {
-		row := m.Data[r*k : (r+1)*k]
-		sum := 0.0
-		for c, w := range row {
-			sum += w * x[c]
-		}
-		dst[r] = sum
-	}
-}
-
-// MatTVec computes dst = transpose(m) * y. dst must have length m.Cols and y
-// length m.Rows. dst and y must not alias.
-func MatTVec(dst []float64, m *Dense, y []float64) {
-	if len(dst) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("mat: MatTVec shapes dst=%d m=%dx%d y=%d",
-			len(dst), m.Rows, m.Cols, len(y)))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for r := 0; r < m.Rows; r++ {
-		yr := y[r]
-		if yr == 0 {
-			continue
-		}
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, w := range row {
-			dst[c] += w * yr
-		}
-	}
-}
-
 // MulNT computes dst = a * transpose(b), i.e. dst[i][j] = dot(a row i,
 // b row j). dst must be a.Rows x b.Rows and a.Cols must equal b.Cols; dst
 // must not alias a or b.
 //
-// This is the batched analog of MatVec: with a holding a batch of input
-// rows and b a weight matrix, row i of dst equals MatVec(b, a row i)
-// bit-for-bit — each dot product accumulates over columns in ascending
-// order, exactly like MatVec (see gemm.go for the register-blocked
-// kernel).
+// This is the forward pass of a layer: with a holding a batch of input
+// rows and b a weight matrix, each dst element is one dot product
+// accumulated over the columns in ascending order from zero, so row i of
+// dst does not depend on the other rows of a (see gemm.go for the
+// register-blocked kernel).
 func MulNT(dst, a, b *Dense) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulNT shapes dst=%dx%d a=%dx%d b=%dx%d",
@@ -156,11 +95,11 @@ func MulNT(dst, a, b *Dense) {
 // MulNN computes dst = a * b. dst must be a.Rows x b.Cols and a.Cols must
 // equal b.Rows; dst must not alias a or b.
 //
-// This is the batched analog of MatTVec: with a holding a batch of
-// backpropagated error rows and b a weight matrix, row i of dst equals
-// MatTVec(b, a row i) bit-for-bit — each output row is zeroed and then
-// accumulated over b's rows in ascending order with the same zero-skip,
-// so batched backprop matches the scalar path exactly (see gemm.go).
+// This is the backward pass of a layer: with a holding a batch of
+// backpropagated error rows and b a weight matrix, each output row is
+// zeroed and then accumulates a[i][s] * (row s of b) over s in ascending
+// order, skipping a zero coefficient, so row i of dst does not depend on
+// the other rows of a (see gemm.go).
 func MulNN(dst, a, b *Dense) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols || a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulNN shapes dst=%dx%d a=%dx%d b=%dx%d",
@@ -226,25 +165,4 @@ func ScaleVec(v []float64, s float64) {
 	for i := range v {
 		v[i] *= s
 	}
-}
-
-// Dot returns the inner product of a and b. Panics on length mismatch.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot lengths %d vs %d", len(a), len(b)))
-	}
-	sum := 0.0
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	sum := 0.0
-	for _, x := range v {
-		sum += x * x
-	}
-	return math.Sqrt(sum)
 }

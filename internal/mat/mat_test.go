@@ -81,49 +81,27 @@ func TestAddScaledShapeMismatchPanics(t *testing.T) {
 	NewDense(1, 2).AddScaled(1, NewDense(2, 1))
 }
 
-func TestMatVecKnown(t *testing.T) {
-	m := NewDense(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	x := []float64{1, 0, -1}
-	dst := make([]float64, 2)
-	MatVec(dst, m, x)
-	if dst[0] != -2 || dst[1] != -2 {
-		t.Fatalf("MatVec = %v, want [-2 -2]", dst)
+func TestMulNTKnown(t *testing.T) {
+	w := &Dense{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
+	x := &Dense{Rows: 1, Cols: 3, Data: []float64{1, 0, -1}}
+	dst := NewDense(1, 2)
+	MulNT(dst, x, w)
+	if dst.Data[0] != -2 || dst.Data[1] != -2 {
+		t.Fatalf("MulNT = %v, want [-2 -2]", dst.Data)
 	}
 }
 
-func TestMatTVecKnown(t *testing.T) {
-	m := NewDense(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	y := []float64{1, -1}
-	dst := make([]float64, 3)
-	MatTVec(dst, m, y)
+func TestMulNNKnown(t *testing.T) {
+	w := &Dense{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
+	y := &Dense{Rows: 1, Cols: 2, Data: []float64{1, -1}}
+	dst := NewDense(1, 3)
+	MulNN(dst, y, w)
 	want := []float64{-3, -3, -3}
 	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("MatTVec = %v, want %v", dst, want)
+		if dst.Data[i] != want[i] {
+			t.Fatalf("MulNN = %v, want %v", dst.Data, want)
 		}
 	}
-}
-
-func TestMatVecShapePanics(t *testing.T) {
-	m := NewDense(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatVec(make([]float64, 3), m, make([]float64, 2))
-}
-
-func TestMatTVecShapePanics(t *testing.T) {
-	m := NewDense(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatTVec(make([]float64, 3), m, make([]float64, 2))
 }
 
 func TestMulTNAccKnown(t *testing.T) {
@@ -177,19 +155,12 @@ func TestVecHelpers(t *testing.T) {
 	if b[1] != -1 {
 		t.Fatalf("ScaleVec: %v", b)
 	}
-	if d := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); d != 32 {
-		t.Fatalf("Dot = %v", d)
-	}
-	if n := Norm2([]float64{3, 4}); n != 5 {
-		t.Fatalf("Norm2 = %v", n)
-	}
 }
 
 func TestVecHelperPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"AddVec":       func() { AddVec([]float64{1}, []float64{1, 2}) },
 		"AddScaledVec": func() { AddScaledVec([]float64{1}, 1, []float64{1, 2}) },
-		"Dot":          func() { Dot([]float64{1}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -202,32 +173,33 @@ func TestVecHelperPanics(t *testing.T) {
 	}
 }
 
+// dot is the test files' inner product.
+func dot(a, b []float64) float64 {
+	sum := 0.0
+	for i, v := range a {
+		sum += v * b[i]
+	}
+	return sum
+}
+
 // Property: for random m, x, y it holds that <y, m x> == <mᵀ y, x>
-// (adjoint identity), which jointly validates MatVec and MatTVec.
+// (adjoint identity), which jointly validates the one-row forms of MulNT
+// and MulNN.
 func TestAdjointProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rows := 1 + r.Intn(8)
 		cols := 1 + r.Intn(8)
-		m := NewDense(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = r.NormFloat64()
-		}
-		x := make([]float64, cols)
-		y := make([]float64, rows)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		for i := range y {
-			y[i] = r.NormFloat64()
-		}
-		mx := make([]float64, rows)
-		mty := make([]float64, cols)
-		MatVec(mx, m, x)
-		MatTVec(mty, m, y)
-		lhs := Dot(y, mx)
-		rhs := Dot(mty, x)
+		m := randDense(r, rows, cols)
+		x := randDense(r, 1, cols)
+		y := randDense(r, 1, rows)
+		mx := NewDense(1, rows)
+		mty := NewDense(1, cols)
+		MulNT(mx, x, m)
+		MulNN(mty, y, m)
+		lhs := dot(y.Data, mx.Data)
+		rhs := dot(mty.Data, x.Data)
 		return math.Abs(lhs-rhs) <= 1e-9*(1+math.Abs(lhs))
 	}
 	cfg := &quick.Config{MaxCount: 100, Rand: rng}
@@ -255,8 +227,8 @@ func TestMulTNAccIsGradient(t *testing.T) {
 			out := make([]float64, rows)
 			sum := 0.0
 			for s := 0; s < batch; s++ {
-				MatVec(out, w, x.Row(s))
-				sum += Dot(g.Row(s), out)
+				mulNTRowRef(out, w, x.Row(s))
+				sum += dot(g.Row(s), out)
 			}
 			return sum
 		}
@@ -270,21 +242,5 @@ func TestMulTNAccIsGradient(t *testing.T) {
 		if math.Abs(fd-grad.At(r, c)) > 1e-4*(1+math.Abs(fd)) {
 			t.Fatalf("gradient mismatch at (%d,%d): fd=%v MulTNAcc=%v", r, c, fd, grad.At(r, c))
 		}
-	}
-}
-
-func BenchmarkMatVec256(b *testing.B) {
-	m := NewDense(256, 256)
-	x := make([]float64, 256)
-	dst := make([]float64, 256)
-	for i := range m.Data {
-		m.Data[i] = float64(i%13) * 0.1
-	}
-	for i := range x {
-		x[i] = float64(i%7) * 0.2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVec(dst, m, x)
 	}
 }

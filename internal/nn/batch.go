@@ -6,18 +6,18 @@ import (
 	"mindmappings/internal/mat"
 )
 
-// Batch buffers live on the same Workspace as the scalar scratch so one
-// pooled Workspace serves both paths. They are grown lazily to the largest
+// Every forward and backward pass runs on a batch of rows; a single query
+// is a 1-row batch. The Workspace's buffers are grown lazily to the largest
 // batch seen and reused thereafter, so steady-state batched inference and
 // training allocate nothing.
 //
-// The batched kernels (mat.MulNT / mat.MulNN) accumulate in exactly the
-// same order as the scalar MatVec / MatTVec they replace, so ForwardBatch
-// and InputGradientBatch are bit-identical to running Forward /
-// InputGradient row by row — the property the search layer's
-// batch-vs-scalar determinism tests pin. BackwardBatch's weight gradients
-// (mat.MulTNAcc) add the rows' terms in row order, so a minibatch trains
-// exactly as its rows would one at a time (TestGoldenTrainDigests).
+// The kernels (mat.MulNT / mat.MulNN) accumulate each output element in an
+// order that does not depend on the batch, so ForwardBatch and
+// BackwardInputBatch give every row the same bits it gets in a 1-row batch
+// — the property the search layer's determinism tests pin.
+// BackwardBatch's weight gradients (mat.MulTNAcc) add the rows' terms in
+// row order, so a minibatch trains exactly as its rows would one at a time
+// (TestGoldenTrainDigests).
 
 // ensureBatch grows ws's batch buffers to hold at least b rows for net n.
 func (ws *Workspace) ensureBatch(n *MLP, b int) {
@@ -54,7 +54,7 @@ func view(m *mat.Dense, b int) mat.Dense {
 // InDim) and returns the batch x OutDim output matrix. The returned matrix
 // shares storage with ws and is overwritten by the next batched call on
 // the same workspace; copy rows that must persist. Row i of the result is
-// bit-identical to Forward on row i.
+// bit-identical to ForwardBatch on row i alone.
 func (n *MLP) ForwardBatch(ws *Workspace, x *mat.Dense) mat.Dense {
 	if x.Cols != n.InDim() {
 		panic(fmt.Sprintf("nn: ForwardBatch input width %d, want %d", x.Cols, n.InDim()))
@@ -80,30 +80,14 @@ func (n *MLP) ForwardBatch(ws *Workspace, x *mat.Dense) mat.Dense {
 	return view(ws.actsB[len(ws.actsB)-1], b)
 }
 
-// InputGradientBatch computes d(scalar_i)/d(input row i) for a batch of
-// inputs, where dOut row i is the gradient of scalar_i with respect to the
-// network output for input row i (batch x OutDim). It runs ForwardBatch
-// followed by a batched backward pass that skips parameter-gradient
-// accumulation, returning the batch x InDim gradient matrix (owned by ws,
-// overwritten by the next batched call). Row i is bit-identical to
-// InputGradient on row i.
-func (n *MLP) InputGradientBatch(ws *Workspace, x, dOut *mat.Dense) mat.Dense {
-	if dOut.Cols != n.OutDim() {
-		panic(fmt.Sprintf("nn: InputGradientBatch dOut width %d, want %d", dOut.Cols, n.OutDim()))
-	}
-	if dOut.Rows != x.Rows {
-		panic(fmt.Sprintf("nn: InputGradientBatch %d inputs vs %d dOut rows", x.Rows, dOut.Rows))
-	}
-	n.ForwardBatch(ws, x)
-	return n.BackwardInputBatch(ws, dOut)
-}
-
-// BackwardInputBatch backpropagates dOut (batch x OutDim) through the
-// forward pass most recently run by ForwardBatch on ws, skipping
-// parameter-gradient accumulation, and returns the batch x InDim input
-// gradients (owned by ws). Callers that already ran ForwardBatch to read
-// the outputs use this to avoid a redundant forward pass; dOut.Rows must
-// match that forward batch.
+// BackwardInputBatch backpropagates dOut (batch x OutDim, row i the
+// gradient of a scalar_i with respect to output row i) through the forward
+// pass most recently run by ForwardBatch on ws, skipping
+// parameter-gradient accumulation, and returns the batch x InDim gradients
+// d(scalar_i)/d(input row i), owned by ws and overwritten by the next
+// batched call. This is the Phase-2 primitive: with the surrogate frozen,
+// it yields the search direction ∂f*/∂m (paper §4.2). dOut.Rows must match
+// that forward batch.
 func (n *MLP) BackwardInputBatch(ws *Workspace, dOut *mat.Dense) mat.Dense {
 	n.backwardBatch(ws, dOut, nil)
 	return view(ws.inGradB, dOut.Rows)
@@ -152,8 +136,7 @@ func (n *MLP) backwardBatch(ws *Workspace, dOut *mat.Dense, g *Grads) {
 			return
 		}
 		// Propagate into layer i-1's output, then multiply by its ReLU
-		// derivative element-wise over the contiguous b-row window — the
-		// same per-element operations as the one-row InputGradient.
+		// derivative element-wise over the contiguous b-row window.
 		down := view(ws.deltaB[i-1], b)
 		mat.MulNN(&down, &delta, l.W)
 		w := l.In()

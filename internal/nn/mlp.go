@@ -9,12 +9,15 @@
 // *input*, which is what turns the trained surrogate into a search
 // direction generator.
 //
-// Training runs on the batch kernels: Train and the DDPG baseline push
-// each minibatch through ForwardBatch and BackwardBatch as one matrix, and
+// The network has one forward entry point, ForwardBatch, and one backward
+// pass behind two entry points: BackwardBatch accumulates parameter
+// gradients (Train and the DDPG baseline push each minibatch through it as
+// one matrix) and BackwardInputBatch returns the input gradient (the
+// surrogate's ∂f*/∂m and DDPG's actor update). A single query is a 1-row
+// batch. Every row of a batch gets the same bits it would get alone, and
 // BackwardBatch adds each row's weight-gradient term in row order
 // (mat.MulTNAcc), so a minibatch trains bit-identically to its rows taken
-// one at a time. Forward and InputGradient are the one-row forms the
-// surrogate's scalar queries and the bit-identity tests use.
+// one at a time.
 package nn
 
 import (
@@ -78,15 +81,6 @@ func (n *MLP) InDim() int { return n.Sizes[0] }
 // OutDim returns the output width.
 func (n *MLP) OutDim() int { return n.Sizes[len(n.Sizes)-1] }
 
-// NumParams returns the total number of trainable scalars.
-func (n *MLP) NumParams() int {
-	total := 0
-	for _, l := range n.Layers {
-		total += len(l.W.Data) + len(l.B)
-	}
-	return total
-}
-
 // Clone returns a deep copy of the network.
 func (n *MLP) Clone() *MLP {
 	out := &MLP{Sizes: append([]int(nil), n.Sizes...)}
@@ -99,17 +93,12 @@ func (n *MLP) Clone() *MLP {
 	return out
 }
 
-// Workspace holds per-forward-pass scratch buffers so repeated
-// forward/backward calls allocate nothing. A Workspace is tied to one MLP
-// topology and must not be shared between goroutines.
+// Workspace holds the scratch buffers of the batched forward and backward
+// passes (see batch.go) so repeated calls allocate nothing. The buffers
+// grow lazily, by ensureBatch, to the largest batch seen on the workspace.
+// A Workspace is tied to one MLP topology and must not be shared between
+// goroutines.
 type Workspace struct {
-	pre   [][]float64 // pre[i]: pre-activation of layer i
-	acts  [][]float64 // acts[0] = input copy; acts[i+1] = output of layer i
-	delta [][]float64 // backprop error per layer output
-	deriv []float64   // ReLU derivative scratch
-
-	// Batched counterparts (see batch.go), grown lazily by ensureBatch to
-	// the largest batch seen on this workspace.
 	batchCap  int
 	lastBatch int // rows of the most recent ForwardBatch
 	preB      []*mat.Dense
@@ -119,45 +108,9 @@ type Workspace struct {
 	inGradB   *mat.Dense
 }
 
-// NewWorkspace allocates scratch buffers for net.
-func (n *MLP) NewWorkspace() *Workspace {
-	ws := &Workspace{}
-	maxW := 0
-	for _, s := range n.Sizes {
-		if s > maxW {
-			maxW = s
-		}
-	}
-	ws.acts = append(ws.acts, make([]float64, n.Sizes[0]))
-	for _, l := range n.Layers {
-		ws.pre = append(ws.pre, make([]float64, l.Out()))
-		ws.acts = append(ws.acts, make([]float64, l.Out()))
-		ws.delta = append(ws.delta, make([]float64, l.Out()))
-	}
-	ws.deriv = make([]float64, maxW)
-	return ws
-}
-
-// Forward runs the network on x using ws for scratch space and returns the
-// output vector. The returned slice is owned by ws and is overwritten by the
-// next Forward call; copy it if it must persist.
-func (n *MLP) Forward(ws *Workspace, x []float64) []float64 {
-	if len(x) != n.InDim() {
-		panic(fmt.Sprintf("nn: Forward input %d, want %d", len(x), n.InDim()))
-	}
-	copy(ws.acts[0], x)
-	last := len(n.Layers) - 1
-	for i, l := range n.Layers {
-		mat.MatVec(ws.pre[i], l.W, ws.acts[i])
-		mat.AddVec(ws.pre[i], l.B)
-		if i == last {
-			copy(ws.acts[i+1], ws.pre[i]) // linear output head
-		} else {
-			relu(ws.acts[i+1], ws.pre[i])
-		}
-	}
-	return ws.acts[len(ws.acts)-1]
-}
+// NewWorkspace returns an empty workspace for net; its buffers are
+// allocated by the first batched call.
+func (n *MLP) NewWorkspace() *Workspace { return &Workspace{} }
 
 // Grads accumulates parameter gradients with the same shapes as an MLP's
 // layers.
@@ -221,33 +174,4 @@ func (g *Grads) ClipTo(limit float64) {
 	if m > limit {
 		g.Scale(limit / m)
 	}
-}
-
-// InputGradient computes d(scalar)/d(input) where the scalar's gradient with
-// respect to the network output is dOut. It runs a forward pass on x and a
-// backward pass that carries only the error, accumulating no parameter
-// gradients. This is the Phase-2 primitive: with the surrogate frozen, it
-// yields the search direction ∂f*/∂m (paper §4.2). The returned slice is
-// owned by ws.
-func (n *MLP) InputGradient(ws *Workspace, x, dOut []float64) []float64 {
-	if len(dOut) != n.OutDim() {
-		panic(fmt.Sprintf("nn: InputGradient dOut %d, want %d", len(dOut), n.OutDim()))
-	}
-	n.Forward(ws, x)
-	last := len(n.Layers) - 1
-	copy(ws.delta[last], dOut) // output layer is linear
-	for i := last; i > 0; i-- {
-		// Propagate into layer i-1's output, then through its ReLU.
-		down := ws.delta[i-1]
-		mat.MatTVec(down, n.Layers[i].W, ws.delta[i])
-		derivBuf := ws.deriv[:len(down)]
-		reluDeriv(derivBuf, ws.pre[i-1])
-		for j := range down {
-			down[j] *= derivBuf[j]
-		}
-	}
-	// ws.deriv is free again: it becomes the input gradient.
-	in := ws.deriv[:n.InDim()]
-	mat.MatTVec(in, n.Layers[0].W, ws.delta[0])
-	return in
 }

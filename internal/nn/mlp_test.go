@@ -18,14 +18,19 @@ func newTestNet(t *testing.T, sizes []int, seed int64) *MLP {
 	return net
 }
 
+// rowOf wraps one input row as a 1-row batch (sharing its storage).
+func rowOf(x []float64) *mat.Dense {
+	return &mat.Dense{Rows: 1, Cols: len(x), Data: x}
+}
+
 // kinkMargin returns the smallest |pre-activation| over net's hidden
 // layers for the forward pass last run on ws. A finite difference of a
 // ReLU net matches its analytic gradient only when no hidden unit crosses
 // 0 within the step.
 func kinkMargin(net *MLP, ws *Workspace) float64 {
 	m := math.Inf(1)
-	for _, pre := range ws.pre[:len(net.Layers)-1] {
-		for _, v := range pre {
+	for _, pre := range ws.preB[:len(net.Layers)-1] {
+		for _, v := range pre.Data[:ws.lastBatch*pre.Cols] {
 			m = min(m, math.Abs(v))
 		}
 	}
@@ -41,7 +46,7 @@ func drawAwayFromKinks(net *MLP, ws *Workspace, r *rand.Rand, x []float64) bool 
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		net.Forward(ws, x)
+		net.ForwardBatch(ws, rowOf(x))
 		if kinkMargin(net, ws) >= 1e-3 {
 			return true
 		}
@@ -64,8 +69,11 @@ func TestNewMLPValidation(t *testing.T) {
 	if net.InDim() != 3 || net.OutDim() != 2 {
 		t.Fatalf("dims %d/%d", net.InDim(), net.OutDim())
 	}
-	if got, want := net.NumParams(), 3*4+4+4*2+2; got != want {
-		t.Fatalf("NumParams = %d, want %d", got, want)
+	for i, want := range [][2]int{{4, 3}, {2, 4}} {
+		l := net.Layers[i]
+		if l.W.Rows != want[0] || l.W.Cols != want[1] || len(l.B) != want[0] {
+			t.Fatalf("layer %d is %dx%d with %d biases, want %dx%d", i, l.W.Rows, l.W.Cols, len(l.B), want[0], want[1])
+		}
 	}
 }
 
@@ -79,23 +87,12 @@ func TestForwardHandComputed(t *testing.T) {
 	copy(net.Layers[1].B, []float64{0.25})
 
 	ws := net.NewWorkspace()
-	out := net.Forward(ws, []float64{1, 2})
+	out := net.ForwardBatch(ws, rowOf([]float64{1, 2}))
 	// pre1 = [1*1-1*2, 2*1+0*2] + [0,-1] = [-1, 1]; relu -> [0, 1]
 	// y = 3*0 + 0.5*1 + 0.25 = 0.75
-	if math.Abs(out[0]-0.75) > 1e-12 {
-		t.Fatalf("Forward = %v, want 0.75", out[0])
+	if math.Abs(out.Data[0]-0.75) > 1e-12 {
+		t.Fatalf("ForwardBatch = %v, want 0.75", out.Data[0])
 	}
-}
-
-func TestForwardShapePanics(t *testing.T) {
-	net := newTestNet(t, []int{2, 2, 1}, 1)
-	ws := net.NewWorkspace()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on wrong input width")
-		}
-	}()
-	net.Forward(ws, []float64{1, 2, 3})
 }
 
 func TestBackwardShapePanics(t *testing.T) {
@@ -130,12 +127,19 @@ func TestCloneIsDeep(t *testing.T) {
 func TestForwardDeterministic(t *testing.T) {
 	net := newTestNet(t, []int{4, 8, 3}, 2)
 	ws1, ws2 := net.NewWorkspace(), net.NewWorkspace()
-	x := []float64{0.1, -0.2, 0.3, 0.4}
-	a := append([]float64(nil), net.Forward(ws1, x)...)
-	b := net.Forward(ws2, x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("forward must be deterministic across workspaces")
+	x := &mat.Dense{Rows: 3, Cols: 4, Data: []float64{
+		0.1, -0.2, 0.3, 0.4,
+		-1, 0, 2, 0.5,
+		0.3, 0.3, -0.7, 1,
+	}}
+	for _, rows := range []int{1, 3} {
+		xr := &mat.Dense{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
+		a := append([]float64(nil), net.ForwardBatch(ws1, xr).Data...)
+		b := net.ForwardBatch(ws2, xr).Data
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%d rows: forward must be deterministic across workspaces", rows)
+			}
 		}
 	}
 }
@@ -181,10 +185,10 @@ func TestBackwardParameterGradientsMatchFiniteDifference(t *testing.T) {
 		net.BackwardBatch(ws, lossGrad, grads)
 
 		eval := func() float64 {
+			out := net.ForwardBatch(ws, x)
 			sum := 0.0
 			for k := 0; k < rows; k++ {
-				o := net.Forward(ws, x.Row(k))
-				sum += loss.Eval(o, target.Row(k), make([]float64, len(o)))
+				sum += loss.Eval(out.Row(k), target.Row(k), make([]float64, out.Cols))
 			}
 			return sum
 		}
@@ -223,9 +227,10 @@ func TestBackwardParameterGradientsMatchFiniteDifference(t *testing.T) {
 	}
 }
 
-// Phase-2 primitive: InputGradient must match finite differences of a scalar
-// function of the output with respect to the input.
-func TestInputGradientMatchesFiniteDifference(t *testing.T) {
+// Phase-2 primitive: BackwardInputBatch must match finite differences of
+// a scalar function of each output row with respect to its input row, on
+// batches of 1, 2 and 3 rows.
+func TestBackwardInputBatchMatchesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 20; trial++ {
 		sizes := []int{3, 6, 5, 2}
@@ -234,29 +239,41 @@ func TestInputGradientMatchesFiniteDifference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws := net.NewWorkspace()
-		x := make([]float64, 3)
-		if !drawAwayFromKinks(net, ws, rng, x) {
-			t.Fatalf("trial %d: no input away from the ReLU kinks", trial)
+		rows := 1 + trial%3
+		x := mat.NewDense(rows, 3)
+		for k := 0; k < rows; k++ {
+			if !drawAwayFromKinks(net, ws, rng, x.Row(k)) {
+				t.Fatalf("trial %d: no input away from the ReLU kinks", trial)
+			}
 		}
-		// Scalar g(y) = 2*y0 - 3*y1 => dOut = [2, -3].
-		dOut := []float64{2, -3}
-		grad := append([]float64(nil), net.InputGradient(ws, x, dOut)...)
+		// Scalar g(y) = 2*y0 - 3*y1 per row => dOut row = [2, -3].
+		dOut := mat.NewDense(rows, 2)
+		for k := 0; k < rows; k++ {
+			copy(dOut.Row(k), []float64{2, -3})
+		}
+		net.ForwardBatch(ws, x)
+		g := net.BackwardInputBatch(ws, dOut)
+		grad := append([]float64(nil), g.Data...)
 
-		scalar := func(in []float64) float64 {
-			y := net.Forward(ws, in)
+		scalar := func(k int) float64 {
+			out := net.ForwardBatch(ws, x)
+			y := out.Row(k)
 			return 2*y[0] - 3*y[1]
 		}
 		const h = 1e-6
-		for i := range x {
-			orig := x[i]
-			x[i] = orig + h
-			fp := scalar(x)
-			x[i] = orig - h
-			fm := scalar(x)
-			x[i] = orig
-			fd := (fp - fm) / (2 * h)
-			if math.Abs(fd-grad[i]) > 1e-4*(1+math.Abs(fd)) {
-				t.Fatalf("trial %d input grad[%d]: fd=%v analytic=%v", trial, i, fd, grad[i])
+		for k := 0; k < rows; k++ {
+			row := x.Row(k)
+			for i := range row {
+				orig := row[i]
+				row[i] = orig + h
+				fp := scalar(k)
+				row[i] = orig - h
+				fm := scalar(k)
+				row[i] = orig
+				fd := (fp - fm) / (2 * h)
+				if g := grad[k*len(row)+i]; math.Abs(fd-g) > 1e-4*(1+math.Abs(fd)) {
+					t.Fatalf("trial %d row %d input grad[%d]: fd=%v analytic=%v", trial, k, i, fd, g)
+				}
 			}
 		}
 	}
@@ -306,9 +323,9 @@ func TestWorkspaceReuseNoAlias(t *testing.T) {
 	// overwrite behavior so callers copy when needed.
 	net := newTestNet(t, []int{1, 2, 1}, 11)
 	ws := net.NewWorkspace()
-	out1 := net.Forward(ws, []float64{1})
+	out1 := net.ForwardBatch(ws, rowOf([]float64{1})).Data
 	v1 := out1[0]
-	out2 := net.Forward(ws, []float64{-1000})
+	out2 := net.ForwardBatch(ws, rowOf([]float64{-1000})).Data
 	if &out1[0] != &out2[0] {
 		t.Fatal("expected workspace-owned output buffer")
 	}

@@ -22,8 +22,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		a := net.Forward(ws1, x)
-		b := loaded.Forward(ws2, x)
+		a := net.ForwardBatch(ws1, rowOf(x)).Data
+		b := loaded.ForwardBatch(ws2, rowOf(x)).Data
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("prediction mismatch after round trip: %v vs %v", a, b)
@@ -95,6 +95,7 @@ func TestLoadRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// BenchmarkForward62x128 is one surrogate-sized inference, a 1-row batch.
 func BenchmarkForward62x128(b *testing.B) {
 	// Approximate surrogate inference cost for the CNN input width.
 	rng := rand.New(rand.NewSource(1))
@@ -103,31 +104,34 @@ func BenchmarkForward62x128(b *testing.B) {
 		b.Fatal(err)
 	}
 	ws := net.NewWorkspace()
-	x := make([]float64, 62)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	x := rowOf(make([]float64, 62))
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(ws, x)
+		net.ForwardBatch(ws, x)
 	}
 }
 
-func BenchmarkInputGradient62x128(b *testing.B) {
+// BenchmarkBackwardInput62x128 is one surrogate-sized input gradient, a
+// 1-row forward and backward pass.
+func BenchmarkBackwardInput62x128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net, err := NewMLP([]int{62, 128, 128, 64, 12}, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ws := net.NewWorkspace()
-	x := make([]float64, 62)
-	dOut := make([]float64, 12)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	x := rowOf(make([]float64, 62))
+	dOut := rowOf(make([]float64, 12))
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
-	dOut[9] = 1
+	dOut.Data[9] = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.InputGradient(ws, x, dOut)
+		net.ForwardBatch(ws, x)
+		net.BackwardInputBatch(ws, dOut)
 	}
 }

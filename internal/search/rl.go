@@ -294,7 +294,8 @@ func (d *ddpg) train() {
 	}
 	// The critic runs on its own workspace, so the actor's forward state
 	// is still intact for the backward pass below.
-	dQdIn := d.critic.InputGradientBatch(d.criticWS, d.cin, d.ones)
+	d.critic.ForwardBatch(d.criticWS, d.cin)
+	dQdIn := d.critic.BackwardInputBatch(d.criticWS, d.ones)
 	for i := range d.picks {
 		act := d.cin.Row(i)[sd:]
 		dq := dQdIn.Row(i)[sd:]

@@ -8,14 +8,13 @@ import (
 	"mindmappings/internal/nn"
 )
 
-// Batched inference: PredictBatch and GradientBatch amortize the
-// per-query overhead of the scalar path (workspace pooling, input
-// whitening copies, output copies) and evaluate the MLP with batch GEMM
-// kernels that stream each weight matrix through the cache once per row
-// block instead of once per query. Results are bit-identical to the
-// scalar PredictScalar / GradientScalar calls — the batched kernels
-// accumulate in the same order — so searchers can switch freely between
-// the two paths (and the search layer's determinism tests prove it).
+// Every surrogate query is a batch: PredictBatch and GradientBatch
+// evaluate the MLP with batch GEMM kernels that stream each weight matrix
+// through the cache once per row block, and a single query is a 1-row
+// batch. Each row's result is bit-identical to the same row queried alone
+// (the kernels accumulate every output element in an order that does not
+// depend on the batch), so searchers may group queries however they like
+// (and the search layer's determinism tests prove it).
 
 // maxBatchRows bounds the internal chunk size so arbitrarily large
 // candidate sets don't balloon the batch scratch buffers; chunking does
@@ -72,7 +71,7 @@ func (s *Surrogate) checkBatchArgs(vecs [][]float64, eExp, dExp float64, dst []f
 }
 
 // whitenChunk stages vecs[lo:hi] into bs.x, z-scoring each coordinate
-// exactly as the scalar path's InNorm.Applied does.
+// exactly as InNorm.Apply does.
 func (s *Surrogate) whitenChunk(bs *batchScratch, vecs [][]float64, lo, hi int) mat.Dense {
 	in := s.Net.InDim()
 	x := mat.Dense{Rows: hi - lo, Cols: in, Data: bs.x.Data[:(hi-lo)*in]}
@@ -89,8 +88,8 @@ func (s *Surrogate) whitenChunk(bs *batchScratch, vecs [][]float64, lo, hi int) 
 // PredictBatch predicts the designer objective energy^eExp x delay^dExp
 // for a batch of raw encoded mapping vectors in one set of GEMM passes.
 // (1,1) is EDP and works in both output modes; other exponent pairs need
-// the meta-statistics representation. The result for vecs[i] is
-// bit-identical to PredictScalar(vecs[i], eExp, dExp). dst is reused for
+// the meta-statistics representation (see valueFromZ). The result for
+// vecs[i] is bit-identical to a 1-row call on vecs[i]. dst is reused for
 // the return value when it has sufficient capacity; pass nil to allocate.
 // Safe for concurrent use.
 func (s *Surrogate) PredictBatch(vecs [][]float64, eExp, dExp float64, dst []float64) ([]float64, error) {
@@ -131,7 +130,8 @@ func (s *Surrogate) PredictBatch(vecs [][]float64, eExp, dExp float64, dst []flo
 // GradientBatch computes, for each raw encoded mapping vector, the
 // predicted objective energy^eExp x delay^dExp and its gradient with
 // respect to the raw vector — the ∇f* that drives Mind Mappings'
-// gradient search, one row per descent step. Results are bit-identical to GradientScalar per row.
+// gradient search, one row per descent step. Each row's results are
+// bit-identical to a 1-row call on that row.
 // vals and grads are reused when correctly sized (grads[i] must have
 // length InDim or be nil); pass nil to allocate. Safe for concurrent use.
 func (s *Surrogate) GradientBatch(vecs [][]float64, eExp, dExp float64, vals []float64, grads [][]float64) ([]float64, [][]float64, error) {
@@ -192,8 +192,7 @@ func (s *Surrogate) gradientChunk(bs *batchScratch, vecs [][]float64, lo, hi int
 		}
 	}
 
-	// Build dOut row by row through the shared per-row formulas
-	// (rowValueAndDOut — the same code GradientScalar runs).
+	// Build dOut row by row through the per-row formulas (rowValueAndDOut).
 	outDim := s.Net.OutDim()
 	dOut := mat.Dense{Rows: b, Cols: outDim, Data: bs.dOut.Data[:b*outDim]}
 	for i := range dOut.Data {
@@ -204,9 +203,7 @@ func (s *Surrogate) gradientChunk(bs *batchScratch, vecs [][]float64, lo, hi int
 	}
 
 	// The forward pass above is still resident in the workspace, so
-	// backpropagate directly instead of re-running it (the scalar path
-	// pays that second forward; here it is free to skip and does not
-	// change the result).
+	// backpropagate through it directly.
 	gradWhite := s.Net.BackwardInputBatch(bs.ws, &dOut)
 	inDim := s.Net.InDim()
 	for r := 0; r < b; r++ {

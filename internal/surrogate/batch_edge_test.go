@@ -118,7 +118,7 @@ func TestGradientBatchGradsReuseMixed(t *testing.T) {
 
 // TestBatchChunkBoundarySizes runs batch sizes straddling the internal
 // maxBatchRows chunking (31, 32, 33, 64, 69) and checks agreement with
-// the scalar path on every row, bit for bit — the chunk seams must be
+// 1-row batches on every row, bit for bit — the chunk seams must be
 // invisible.
 func TestBatchChunkBoundarySizes(t *testing.T) {
 	sur, base := batchFixture(t)
@@ -137,19 +137,19 @@ func TestBatchChunkBoundarySizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			want, err := sur.PredictScalar(vecs[i], 1, 1)
+			want, err := predictOne(sur, vecs[i], 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if vals[i] != want || gvals[i] != want {
-				t.Fatalf("n=%d row %d: batch=%v gradbatch=%v scalar=%v", n, i, vals[i], gvals[i], want)
+				t.Fatalf("n=%d row %d: batch=%v gradbatch=%v 1-row=%v", n, i, vals[i], gvals[i], want)
 			}
-			wantV, wantG, err := sur.GradientScalar(vecs[i], 1, 1)
+			wantV, wantG, err := gradientOne(sur, vecs[i], 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gvals[i] != wantV {
-				t.Fatalf("n=%d row %d: gradient value %v, scalar %v", n, i, gvals[i], wantV)
+				t.Fatalf("n=%d row %d: gradient value %v, 1-row %v", n, i, gvals[i], wantV)
 			}
 			for j := range wantG {
 				if grads[i][j] != wantG[j] {

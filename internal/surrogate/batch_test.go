@@ -59,10 +59,29 @@ func batchFixture(t testing.TB) (*Surrogate, [][]float64) {
 	return batchSur, batchVecs
 }
 
-// TestPredictBatchBitIdenticalToScalar is the acceptance-criterion guard:
-// the batched prediction path must agree with the scalar path bit for
-// bit, across objectives and batch sizes spanning chunk boundaries.
-func TestPredictBatchBitIdenticalToScalar(t *testing.T) {
+// predictOne is PredictBatch on the 1-row batch {vec}.
+func predictOne(s *Surrogate, vec []float64, eExp, dExp float64) (float64, error) {
+	vals, err := s.PredictBatch([][]float64{vec}, eExp, dExp, nil)
+	if err != nil {
+		return 0, err
+	}
+	return vals[0], nil
+}
+
+// gradientOne is GradientBatch on the 1-row batch {vec}.
+func gradientOne(s *Surrogate, vec []float64, eExp, dExp float64) (float64, []float64, error) {
+	vals, grads, err := s.GradientBatch([][]float64{vec}, eExp, dExp, nil, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	return vals[0], grads[0], nil
+}
+
+// TestPredictBatchBitIdenticalToOneRow is the acceptance-criterion guard:
+// every row of a batched prediction must equal the 1-row prediction of the
+// same vector bit for bit, across objectives and batch sizes spanning
+// chunk boundaries.
+func TestPredictBatchBitIdenticalToOneRow(t *testing.T) {
 	sur, vecs := batchFixture(t)
 	objectives := [][2]float64{{1, 1}, {1, 2}, {1, 0}, {0, 1}}
 	for _, exp := range objectives {
@@ -72,12 +91,12 @@ func TestPredictBatchBitIdenticalToScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
-				want, err := sur.PredictScalar(vecs[i], exp[0], exp[1])
+				want, err := predictOne(sur, vecs[i], exp[0], exp[1])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if vals[i] != want {
-					t.Fatalf("exp=%v n=%d: PredictBatch[%d]=%v, PredictScalar=%v",
+					t.Fatalf("exp=%v n=%d: PredictBatch[%d]=%v, 1-row=%v",
 						exp, n, i, vals[i], want)
 				}
 			}
@@ -85,9 +104,9 @@ func TestPredictBatchBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// TestGradientBatchBitIdenticalToScalar pins the batched gradient path
-// against GradientScalar, values and every gradient coordinate.
-func TestGradientBatchBitIdenticalToScalar(t *testing.T) {
+// TestGradientBatchBitIdenticalToOneRow pins the batched gradient path
+// against 1-row calls, values and every gradient coordinate.
+func TestGradientBatchBitIdenticalToOneRow(t *testing.T) {
 	sur, vecs := batchFixture(t)
 	for _, exp := range [][2]float64{{1, 1}, {1, 2}} {
 		vals, grads, err := sur.GradientBatch(vecs, exp[0], exp[1], nil, nil)
@@ -95,16 +114,16 @@ func TestGradientBatchBitIdenticalToScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, vec := range vecs {
-			wantV, wantG, err := sur.GradientScalar(vec, exp[0], exp[1])
+			wantV, wantG, err := gradientOne(sur, vec, exp[0], exp[1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if vals[i] != wantV {
-				t.Fatalf("exp=%v: value[%d] batch=%v scalar=%v", exp, i, vals[i], wantV)
+				t.Fatalf("exp=%v: value[%d] batch=%v 1-row=%v", exp, i, vals[i], wantV)
 			}
 			for j := range wantG {
 				if grads[i][j] != wantG[j] {
-					t.Fatalf("exp=%v: grad[%d][%d] batch=%v scalar=%v",
+					t.Fatalf("exp=%v: grad[%d][%d] batch=%v 1-row=%v",
 						exp, i, j, grads[i][j], wantG[j])
 				}
 			}
@@ -165,8 +184,8 @@ func TestBatchValidation(t *testing.T) {
 }
 
 // TestBatchConcurrentUse exercises the batch scratch pool under -race:
-// many goroutines issuing batched and scalar queries concurrently must
-// agree with a serial reference.
+// many goroutines issuing prediction and gradient batches concurrently
+// must agree with a serial reference.
 func TestBatchConcurrentUse(t *testing.T) {
 	sur, vecs := batchFixture(t)
 	ref, err := sur.PredictBatch(vecs, 1, 1, nil)

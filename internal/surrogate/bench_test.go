@@ -7,12 +7,10 @@ import (
 	"mindmappings/internal/stats"
 )
 
-// Surrogate-query throughput benchmarks: the scalar path (one MatVec
-// chain per query, the pre-batching baseline) against PredictBatch /
-// GradientBatch at several batch widths. Every benchmark normalizes to
-// one *query* per op, so ns/op values are directly comparable across
-// scalar and batched variants; BENCH_search.json records the resulting
-// speedups. The network topology mirrors SmallConfig on CNN-Layer
+// Surrogate-query throughput benchmarks: PredictBatch / GradientBatch at
+// several batch widths, from the 1-row serving shape up. Every benchmark
+// normalizes to one *query* per op, so ns/op values are directly
+// comparable across widths. The network topology mirrors SmallConfig on CNN-Layer
 // (62-wide input, [64 128 128 64] hidden, 12 meta-stats outputs).
 
 const (
@@ -35,20 +33,8 @@ func benchVectors(n int) [][]float64 {
 	return vecs
 }
 
-func BenchmarkPredictScalar(b *testing.B) {
-	sur := newSyntheticSurrogate(b, benchInDim, benchHidden(), benchTensors)
-	vecs := benchVectors(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sur.PredictScalar(vecs[i%len(vecs)], 1, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPredictBatch(b *testing.B) {
-	for _, batch := range []int{16, 64, 256} {
+	for _, batch := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			sur := newSyntheticSurrogate(b, benchInDim, benchHidden(), benchTensors)
 			vecs := benchVectors(batch)
@@ -62,18 +48,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkGradientScalar(b *testing.B) {
-	sur := newSyntheticSurrogate(b, benchInDim, benchHidden(), benchTensors)
-	vecs := benchVectors(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sur.GradientScalar(vecs[i%len(vecs)], 1, 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

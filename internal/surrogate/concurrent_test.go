@@ -12,8 +12,9 @@ import (
 )
 
 // TestConcurrentPrediction exercises every prediction and gradient entry
-// point from many goroutines against one shared surrogate, checking that
-// concurrent results match a single-threaded baseline (run with -race to
+// point, as 1-row queries, from many goroutines against one shared
+// surrogate, checking that concurrent results match a single-threaded
+// baseline (run with -race to
 // catch scratch-buffer sharing regressions — the serve job manager depends
 // on this property).
 func TestConcurrentPrediction(t *testing.T) {
@@ -34,7 +35,7 @@ func TestConcurrentPrediction(t *testing.T) {
 	for i := range vecs {
 		m := space.Random(rng)
 		vecs[i] = space.Encode(&m)
-		edp, grad, err := sur.GradientEDP(vecs[i])
+		edp, grad, err := gradientOne(sur, vecs[i], 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,13 +51,13 @@ func TestConcurrentPrediction(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
 				i := (g + iter) % nVecs
-				edp, grad, err := sur.GradientEDP(vecs[i])
+				edp, grad, err := gradientOne(sur, vecs[i], 1, 1)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if edp != wantEDP[i] {
-					t.Errorf("concurrent GradientEDP drifted: %v != %v", edp, wantEDP[i])
+					t.Errorf("concurrent GradientBatch drifted: %v != %v", edp, wantEDP[i])
 					return
 				}
 				for j := range grad {
@@ -65,19 +66,19 @@ func TestConcurrentPrediction(t *testing.T) {
 						return
 					}
 				}
-				if p, err := sur.PredictEDP(vecs[i]); err != nil || p != wantEDP[i] {
-					t.Errorf("concurrent PredictEDP drifted: %v (err %v)", p, err)
+				if p, err := predictOne(sur, vecs[i], 1, 1); err != nil || p != wantEDP[i] {
+					t.Errorf("concurrent PredictBatch drifted: %v (err %v)", p, err)
 					return
 				}
 				if _, err := sur.PredictMetaStats(vecs[i]); err != nil {
 					errs <- err
 					return
 				}
-				if v, err := sur.PredictScalar(vecs[i], 1, 2); err != nil || math.IsNaN(v) {
+				if v, err := predictOne(sur, vecs[i], 1, 2); err != nil || math.IsNaN(v) {
 					errs <- err
 					return
 				}
-				if _, _, err := sur.GradientScalar(vecs[i], 0, 1); err != nil {
+				if _, _, err := gradientOne(sur, vecs[i], 0, 1); err != nil {
 					errs <- err
 					return
 				}

@@ -87,12 +87,16 @@ func Load(r io.Reader) (*Surrogate, error) {
 		return nil, fmt.Errorf("surrogate: load: output normalizer dim %d/%d vs net %d",
 			len(blob.OutMean), len(blob.OutStd), net.OutDim())
 	}
-	if blob.Mode == OutputMetaStats {
+	switch blob.Mode {
+	case OutputMetaStats:
 		totalIdx, _, cyclesIdx := metaIndices(blob.NumTensors)
 		if cyclesIdx >= net.OutDim() || totalIdx < 0 {
 			return nil, fmt.Errorf("surrogate: load: %d tensors inconsistent with %d outputs",
 				blob.NumTensors, net.OutDim())
 		}
+	case OutputDirectEDP:
+	default:
+		return nil, fmt.Errorf("surrogate: load: unknown output mode %d", blob.Mode)
 	}
 	return &Surrogate{
 		AlgoName:   blob.AlgoName,

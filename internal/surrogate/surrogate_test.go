@@ -212,14 +212,13 @@ func TestSurrogatePredictsUsefully(t *testing.T) {
 	}
 }
 
-func TestPredictEDPInputValidation(t *testing.T) {
+func TestQueryInputValidation(t *testing.T) {
 	_, sur, _ := cnnFixture(t)
-	if _, err := sur.PredictEDP(make([]float64, 3)); err != nil {
-	} else {
-		t.Fatal("accepted wrong-length input")
+	if _, err := predictOne(sur, make([]float64, 3), 1, 1); err == nil {
+		t.Fatal("PredictBatch accepted wrong-length input")
 	}
-	if _, _, err := sur.GradientEDP(make([]float64, 3)); err == nil {
-		t.Fatal("GradientEDP accepted wrong-length input")
+	if _, _, err := gradientOne(sur, make([]float64, 3), 1, 1); err == nil {
+		t.Fatal("GradientBatch accepted wrong-length input")
 	}
 	if _, err := sur.PredictMetaStats(make([]float64, 3)); err == nil {
 		t.Fatal("PredictMetaStats accepted wrong-length input")
@@ -237,14 +236,14 @@ func TestPredictMetaStats(t *testing.T) {
 	}
 }
 
-// The surrogate gradient must match finite differences of PredictEDP — the
-// correctness condition for the entire Phase-2 machinery.
-func TestGradientEDPMatchesFiniteDifference(t *testing.T) {
+// The surrogate gradient must match finite differences of the predicted
+// EDP — the correctness condition for the entire Phase-2 machinery.
+func TestGradientBatchMatchesFiniteDifference(t *testing.T) {
 	ds, sur, _ := cnnFixture(t)
 	const h = 1e-5
 	for trial := 0; trial < 5; trial++ {
 		x := append([]float64(nil), ds.X[trial*7]...)
-		edp, grad, err := sur.GradientEDP(x)
+		edp, grad, err := gradientOne(sur, x, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,12 +254,12 @@ func TestGradientEDPMatchesFiniteDifference(t *testing.T) {
 		for _, i := range []int{0, 7, 15, 30, len(x) - 1} {
 			orig := x[i]
 			x[i] = orig + h
-			fp, err := sur.PredictEDP(x)
+			fp, err := predictOne(sur, x, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			x[i] = orig - h
-			fm, err := sur.PredictEDP(x)
+			fm, err := predictOne(sur, x, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,17 +285,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.AlgoName != sur.AlgoName || loaded.NumTensors != sur.NumTensors {
 		t.Fatal("metadata lost in round trip")
 	}
-	for i := 0; i < 10; i++ {
-		a, err := sur.PredictEDP(ds.X[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.PredictEDP(ds.X[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("prediction changed after round trip: %v vs %v", a, b)
+	a, err := sur.PredictBatch(ds.X[:10], 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := loaded.PredictBatch(ds.X[:10], 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("prediction %d changed after round trip: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
@@ -319,6 +318,29 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownOutputMode: a file whose output mode is neither
+// meta-statistics nor direct EDP must fail to load, since every query
+// reads its outputs by mode.
+func TestLoadRejectsUnknownOutputMode(t *testing.T) {
+	_, sur, _ := cnnFixture(t)
+	bad := &Surrogate{
+		AlgoName:   sur.AlgoName,
+		Arch:       sur.Arch,
+		Net:        sur.Net,
+		InNorm:     sur.InNorm,
+		OutNorm:    sur.OutNorm,
+		Mode:       7,
+		NumTensors: 50,
+	}
+	var buf bytes.Buffer
+	if err := bad.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "output mode 7") {
+		t.Fatalf("Load of an output-mode-7 file: err %v, want an unknown-mode error", err)
+	}
+}
+
 func TestDirectEDPMode(t *testing.T) {
 	// Small end-to-end run of the §4.1.3 ablation's strawman: 1-output
 	// surrogate on the cheap Conv1D algorithm.
@@ -337,13 +359,13 @@ func TestDirectEDPMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sur.PredictEDP(ds.X[0]); err != nil {
+	if _, err := predictOne(sur, ds.X[0], 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sur.PredictMetaStats(ds.X[0]); err == nil {
 		t.Fatal("meta stats must be unavailable in direct mode")
 	}
-	if _, _, err := sur.GradientEDP(ds.X[0]); err != nil {
+	if _, _, err := gradientOne(sur, ds.X[0], 1, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -37,21 +37,8 @@ type Surrogate struct {
 	LogOutputs bool
 	NumTensors int
 
-	wsPool    sync.Pool // of *nn.Workspace for s.Net
-	batchPool sync.Pool // of *batchScratch for the batched entry points
+	batchPool sync.Pool // of *batchScratch for every query
 }
-
-// getWS takes a scratch workspace from the pool, allocating on first use.
-func (s *Surrogate) getWS() *nn.Workspace {
-	if ws, ok := s.wsPool.Get().(*nn.Workspace); ok {
-		return ws
-	}
-	return s.Net.NewWorkspace()
-}
-
-// putWS returns a workspace to the pool. Callers must copy out any
-// workspace-owned slices (Forward/InputGradient results) first.
-func (s *Surrogate) putWS(ws *nn.Workspace) { s.wsPool.Put(ws) }
 
 // Train fits a surrogate on the raw dataset per the configured recipe and
 // returns it with the per-epoch loss history (the Figure-7a data).
@@ -309,29 +296,6 @@ func log1pSafe(v float64) float64 {
 // expm1Safe inverts log1pSafe.
 func expm1Safe(v float64) float64 { return math.Expm1(v) }
 
-// PredictEDP returns the predicted normalized EDP (EDP relative to the
-// algorithmic minimum) for a raw encoded mapping vector. For the meta-stats
-// representation it is the product of the predicted normalized total energy
-// and normalized cycles.
-func (s *Surrogate) PredictEDP(rawVec []float64) (float64, error) {
-	return s.PredictScalar(rawVec, 1, 1)
-}
-
-// PredictScalar predicts the designer objective energy^eExp x delay^dExp in
-// lower-bound-normalized units (paper §2.3: the cost function is up to the
-// designer). (1,1) is EDP, (1,2) ED²P, (1,0) energy, (0,1) delay. Only the
-// meta-statistics output representation supports objectives other than EDP.
-func (s *Surrogate) PredictScalar(rawVec []float64, eExp, dExp float64) (float64, error) {
-	if !(eExp == 1 && dExp == 1) && s.Mode != OutputMetaStats {
-		return 0, errors.New("surrogate: non-EDP objectives need the meta-statistics representation")
-	}
-	eZ, cZ, err := s.forwardZ(rawVec)
-	if err != nil {
-		return 0, err
-	}
-	return s.valueFromZ(eZ, cZ, eExp, dExp), nil
-}
-
 // clampPos floors a predicted normalized quantity at a small positive
 // value so fractional powers and divisions stay finite; predictions below
 // the lower bound are surrogate noise anyway.
@@ -342,36 +306,14 @@ func clampPos(v float64) float64 {
 	return v
 }
 
-// forwardZ runs the forward pass and extracts the z-space outputs the
-// scalar objective depends on: the single output in direct-EDP mode, or
-// the total-energy and cycles entries of the meta-statistics vector.
-// valueFromZ / rowValueAndDOut turn these into values and gradients; the
-// batched path (batch.go) extracts the same components from ForwardBatch
-// rows, so value arithmetic exists in exactly one place.
-func (s *Surrogate) forwardZ(rawVec []float64) (eZ, cZ float64, err error) {
-	if len(rawVec) != s.Net.InDim() {
-		return 0, 0, fmt.Errorf("surrogate: input length %d, want %d", len(rawVec), s.Net.InDim())
-	}
-	if s.Mode != OutputDirectEDP && s.Mode != OutputMetaStats {
-		return 0, 0, fmt.Errorf("surrogate: unknown output mode %d", s.Mode)
-	}
-	x := s.InNorm.Applied(rawVec)
-	ws := s.getWS()
-	out := s.Net.Forward(ws, x)
-	if s.Mode == OutputDirectEDP {
-		eZ = out[0]
-	} else {
-		totalIdx, _, cyclesIdx := metaIndices(s.NumTensors)
-		eZ, cZ = out[totalIdx], out[cyclesIdx]
-	}
-	s.putWS(ws)
-	return eZ, cZ, nil
-}
-
-// valueFromZ derives the predicted objective from forwardZ's z-space
-// outputs: denormalize, undo the log compression, and combine per the
-// exponents (EDP skips the clamp, matching the paper path's arithmetic
-// exactly).
+// valueFromZ derives the predicted objective energy^eExp x delay^dExp in
+// lower-bound-normalized units from the z-space outputs it depends on
+// (the single output in direct-EDP mode, or the total-energy and cycles
+// entries of the meta-statistics vector): denormalize, undo the log
+// compression, and combine per the exponents (EDP skips the clamp,
+// matching the paper path's arithmetic exactly). (1,1) is EDP, (1,2) ED²P,
+// (1,0) energy, (0,1) delay (paper §2.3: the cost function is up to the
+// designer).
 func (s *Surrogate) valueFromZ(eZ, cZ, eExp, dExp float64) float64 {
 	if s.Mode == OutputDirectEDP {
 		edp := s.OutNorm.InvertOne(0, eZ)
@@ -397,7 +339,7 @@ func (s *Surrogate) valueFromZ(eZ, cZ, eExp, dExp float64) float64 {
 // z-space outputs and writes the chain-rule gradient of that objective
 // with respect to the network outputs into dOut (length OutDim,
 // pre-zeroed). It is the single definition of the value/gradient
-// formulas, shared by GradientScalar and the batched gradientChunk.
+// formulas, used by gradientChunk.
 func (s *Surrogate) rowValueAndDOut(eZ, cZ, eExp, dExp float64, dOut []float64) float64 {
 	if s.Mode == OutputDirectEDP {
 		edp := s.OutNorm.InvertOne(0, eZ)
@@ -457,12 +399,12 @@ func (s *Surrogate) PredictMetaStats(rawVec []float64) ([]float64, error) {
 	if len(rawVec) != s.Net.InDim() {
 		return nil, fmt.Errorf("surrogate: input length %d, want %d", len(rawVec), s.Net.InDim())
 	}
-	x := s.InNorm.Applied(rawVec)
-	ws := s.getWS()
-	out := s.Net.Forward(ws, x)
-	defer s.putWS(ws)
-	meta := make([]float64, len(out))
-	for i, z := range out {
+	bs := s.getBatchScratch(1)
+	defer s.putBatchScratch(bs)
+	x := s.whitenChunk(bs, [][]float64{rawVec}, 0, 1)
+	out := s.Net.ForwardBatch(bs.ws, &x)
+	meta := make([]float64, out.Cols)
+	for i, z := range out.Data {
 		v := s.OutNorm.InvertOne(i, z)
 		if s.LogOutputs {
 			v = expm1Safe(v)
@@ -470,40 +412,6 @@ func (s *Surrogate) PredictMetaStats(rawVec []float64) ([]float64, error) {
 		meta[i] = v
 	}
 	return meta, nil
-}
-
-// GradientScalar returns the predicted objective energy^eExp x delay^dExp
-// and its gradient with respect to the raw encoded mapping vector. Only
-// meta-statistics surrogates support objectives other than (1,1).
-func (s *Surrogate) GradientScalar(rawVec []float64, eExp, dExp float64) (float64, []float64, error) {
-	if !(eExp == 1 && dExp == 1) && s.Mode != OutputMetaStats {
-		return 0, nil, errors.New("surrogate: non-EDP objectives need the meta-statistics representation")
-	}
-	eZ, cZ, err := s.forwardZ(rawVec)
-	if err != nil {
-		return 0, nil, err
-	}
-	dOut := make([]float64, s.Net.OutDim())
-	val := s.rowValueAndDOut(eZ, cZ, eExp, dExp, dOut)
-	// Backprop to the whitened input, then chain through the whitening.
-	x := s.InNorm.Applied(rawVec)
-	ws := s.getWS()
-	gradWhite := s.Net.InputGradient(ws, x, dOut)
-	grad := make([]float64, len(gradWhite))
-	for i, g := range gradWhite {
-		grad[i] = g / s.InNorm.Std[i]
-	}
-	s.putWS(ws)
-	return val, grad, nil
-}
-
-// GradientEDP returns the predicted normalized EDP and its gradient with
-// respect to the raw encoded mapping vector — the ∇f* of §4.2 that drives
-// the gradient search. The problem-id prefix entries of the gradient are
-// meaningful but the searcher holds them fixed (the paper freezes p_target
-// during Phase 2).
-func (s *Surrogate) GradientEDP(rawVec []float64) (float64, []float64, error) {
-	return s.GradientScalar(rawVec, 1, 1)
 }
 
 // EvaluateQuality computes the mean absolute error of predicted vs. true
@@ -518,15 +426,15 @@ func (s *Surrogate) EvaluateQuality(ds *RawDataset, maxSamples int) (mae, corr f
 	if n == 0 {
 		return 0, 0, errors.New("surrogate: empty dataset")
 	}
-	var pred, truth []float64
-	for i := 0; i < n; i++ {
-		p, err := s.PredictEDP(ds.X[i])
-		if err != nil {
-			return 0, 0, err
-		}
+	pred, err := s.PredictBatch(ds.X[:n], 1, 1, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	truth := make([]float64, n)
+	for i, p := range pred {
 		t := trueEDPFromTarget(ds.Y[i], ds.Mode, s.NumTensors)
-		pred = append(pred, math.Log1p(math.Max(0, p)))
-		truth = append(truth, math.Log1p(math.Max(0, t)))
+		pred[i] = math.Log1p(math.Max(0, p))
+		truth[i] = math.Log1p(math.Max(0, t))
 		mae += math.Abs(p - t)
 	}
 	mae /= float64(n)

@@ -74,7 +74,7 @@ func TestTrainWithCancelAndResume(t *testing.T) {
 	if sur.AlgoName != "conv1d" || sur.InNorm != last.InNorm {
 		t.Fatal("resumed surrogate lost its identity or whitening")
 	}
-	if _, err := sur.PredictEDP(ds.X[0]); err != nil {
+	if _, err := predictOne(sur, ds.X[0], 1, 1); err != nil {
 		t.Fatal(err)
 	}
 }
