@@ -66,11 +66,11 @@
 // the store layout, the manifest schema, and the auto-resolution and
 // warm-start rules.
 //
-// The evaluation hot path is batched and allocation-free: surrogate
-// queries run through batch GEMM kernels (surrogate.PredictBatch /
-// GradientBatch over mat.MulNT / mat.MulNN) that are bit-identical to the
-// scalar PredictScalar / GradientScalar kernels. Phase-1 training runs on
-// the same batch kernels: nn.Train pushes each minibatch through
+// The evaluation hot path is batched and allocation-free: every surrogate
+// query is a batch (surrogate.PredictBatch / GradientBatch over
+// nn.ForwardBatch / BackwardInputBatch and mat.MulNT / mat.MulNN), a single
+// query is a 1-row batch, and each row gets the same bits in a batch of
+// any size. Phase-1 training runs on the same batch kernels: nn.Train pushes each minibatch through
 // ForwardBatch and MLP.BackwardBatch, whose weight gradients
 // (mat.MulTNAcc) add the rows' terms in row order, so training is
 // bit-identical to the per-sample loop it replaced. The surrogate's
