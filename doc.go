@@ -68,15 +68,15 @@
 //
 // The evaluation hot path is batched and allocation-free: every surrogate
 // query is a batch (surrogate.PredictBatch / GradientBatch over
-// nn.ForwardBatch / BackwardInputBatch and mat.MulNT / mat.MulNN), a single
-// query is a 1-row batch, and each row gets the same bits in a batch of
-// any size. Phase-1 training runs on the same batch kernels: nn.Train pushes each minibatch through
-// ForwardBatch and MLP.BackwardBatch, whose weight gradients
-// (mat.MulTNAcc) add the rows' terms in row order, so training is
-// bit-identical to the per-sample loop it replaced. The surrogate's
-// arithmetic has one configuration: pure-Go kernels with one build, ReLU
-// hidden layers, SGD-with-momentum training, and a single Mind Mappings
-// descent chain. Every cost-model backend evaluates into a reusable
+// nn.ForwardBatch / BackwardInputBatch and mat.MulNT / mat.MulNN), a
+// single query is a 1-row batch, and each row gets the same bits in a
+// batch of any size. Phase-1 training runs on the same batch kernels:
+// nn.Train pushes each minibatch through ForwardBatch and
+// MLP.BackwardBatch, whose weight gradients (mat.MulTNAcc) add the rows'
+// terms in row order, so training is bit-identical to the per-sample loop
+// it replaced. The surrogate's arithmetic has one configuration: pure-Go
+// kernels with one build, ReLU hidden layers, SGD-with-momentum training,
+// and a single Mind Mappings descent chain. Every cost-model backend evaluates into a reusable
 // costmodel.Cost workspace with zero steady-state heap allocations,
 // and searchers evaluate candidate populations and neighborhoods as
 // batches, one candidate after another on the search's own goroutine.
