@@ -72,7 +72,8 @@ func TestNewMLPValidation(t *testing.T) {
 	for i, want := range [][2]int{{4, 3}, {2, 4}} {
 		l := net.Layers[i]
 		if l.W.Rows != want[0] || l.W.Cols != want[1] || len(l.B) != want[0] {
-			t.Fatalf("layer %d is %dx%d with %d biases, want %dx%d", i, l.W.Rows, l.W.Cols, len(l.B), want[0], want[1])
+			t.Fatalf("layer %d is %dx%d with %d biases, want %dx%d",
+				i, l.W.Rows, l.W.Cols, len(l.B), want[0], want[1])
 		}
 	}
 }
