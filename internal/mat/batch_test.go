@@ -16,7 +16,9 @@ func randDense(rng *rand.Rand, rows, cols int) *Dense {
 
 // mulNTRowRef is the plain-loop reference for one row of MulNT: dst[j] is
 // the dot product of x with row j of m, accumulated from zero in
-// ascending column order.
+// ascending column order. It and mulNNRowRef compute what the deleted
+// MatVec and MatTVec did; the tests that compare against them keep those
+// names.
 func mulNTRowRef(dst []float64, m *Dense, x []float64) {
 	for j := range dst {
 		sum := 0.0
@@ -44,12 +46,12 @@ func mulNNRowRef(dst []float64, m *Dense, y []float64) {
 	}
 }
 
-// TestMulNTMatchesRowLoopBitwise is the bit-identity contract the batched
+// TestMulNTMatchesMatVecBitwise is the bit-identity contract the batched
 // surrogate path relies on: every row of a MulNT product must equal the
 // plain per-row loop exactly. Shapes cover all four micro-kernel
 // quadrants (blocked/tail rows of a x blocked/tail rows of b) and the
 // serving layer widths.
-func TestMulNTMatchesRowLoopBitwise(t *testing.T) {
+func TestMulNTMatchesMatVecBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 13, 9}, {2, 13, 9}, {3, 13, 9}, {4, 13, 9}, {5, 13, 9},
@@ -74,9 +76,9 @@ func TestMulNTMatchesRowLoopBitwise(t *testing.T) {
 	}
 }
 
-// TestMulNNMatchesRowLoopBitwise pins the backward-path analog: each MulNN
+// TestMulNNMatchesMatTVecBitwise pins the backward-path analog: each MulNN
 // row must equal the per-row loop exactly, including the zero-skip.
-func TestMulNNMatchesRowLoopBitwise(t *testing.T) {
+func TestMulNNMatchesMatTVecBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 9, 13}, {2, 9, 13}, {4, 9, 13}, {5, 9, 13}, {8, 9, 13},

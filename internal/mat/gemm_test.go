@@ -20,13 +20,13 @@ func closeEnough(got, want float64) bool {
 	return diff <= relTol*math.Max(scale, 1)
 }
 
-// TestMulNTMatchesRowLoopTolerance is the accuracy band on a second random
+// TestMulNTMatchesMatVecTolerance is the accuracy band on a second random
 // draw: MulNT must land within relTol of the per-row loop on every row. The bitwise
 // test is the strict contract the batched surrogate relies on; this one
 // names the looser bound a kernel that reorders its sums would still have
 // to hold. Shapes cover all four micro-kernel quadrants (blocked/tail rows
 // of a x blocked/tail rows of b) and the serving layer widths.
-func TestMulNTMatchesRowLoopTolerance(t *testing.T) {
+func TestMulNTMatchesMatVecTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 62, 64}, {3, 13, 9}, {4, 64, 128}, {5, 7, 5},
@@ -49,9 +49,9 @@ func TestMulNTMatchesRowLoopTolerance(t *testing.T) {
 	}
 }
 
-// TestMulNNMatchesRowLoopTolerance is the backward-path analog, with
+// TestMulNNMatchesMatTVecTolerance is the backward-path analog, with
 // injected zeros so the zero-skip handling is exercised.
-func TestMulNNMatchesRowLoopTolerance(t *testing.T) {
+func TestMulNNMatchesMatTVecTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, tc := range []struct{ batch, k, n int }{
 		{1, 12, 64}, {3, 9, 13}, {4, 64, 128}, {5, 5, 7},

@@ -81,7 +81,9 @@ func TestAddScaledShapeMismatchPanics(t *testing.T) {
 	NewDense(1, 2).AddScaled(1, NewDense(2, 1))
 }
 
-func TestMulNTKnown(t *testing.T) {
+// TestMatVecKnown and TestMatTVecKnown check the matrix-vector products
+// w·x and wᵀ·y, which are 1-row MulNT and MulNN, on hand-computed numbers.
+func TestMatVecKnown(t *testing.T) {
 	w := &Dense{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	x := &Dense{Rows: 1, Cols: 3, Data: []float64{1, 0, -1}}
 	dst := NewDense(1, 2)
@@ -91,7 +93,7 @@ func TestMulNTKnown(t *testing.T) {
 	}
 }
 
-func TestMulNNKnown(t *testing.T) {
+func TestMatTVecKnown(t *testing.T) {
 	w := &Dense{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	y := &Dense{Rows: 1, Cols: 2, Data: []float64{1, -1}}
 	dst := NewDense(1, 3)
@@ -102,6 +104,30 @@ func TestMulNNKnown(t *testing.T) {
 			t.Fatalf("MulNN = %v, want %v", dst.Data, want)
 		}
 	}
+}
+
+// TestMatVecShapePanics: a 1-row MulNT whose dst width does not match the
+// matrix's rows panics.
+func TestMatVecShapePanics(t *testing.T) {
+	m := NewDense(2, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	MulNT(NewDense(1, 3), NewDense(1, 2), m)
+}
+
+// TestMatTVecShapePanics: a 1-row MulNN whose dst width does not match the
+// matrix's columns panics.
+func TestMatTVecShapePanics(t *testing.T) {
+	m := NewDense(2, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	MulNN(NewDense(1, 3), NewDense(1, 2), m)
 }
 
 func TestMulTNAccKnown(t *testing.T) {

@@ -113,9 +113,9 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBackwardInputBatchBitIdentical does the same for the input gradient
+// TestInputGradientBatchBitIdentical does the same for the input gradient
 // (ForwardBatch then BackwardInputBatch).
-func TestBackwardInputBatchBitIdentical(t *testing.T) {
+func TestInputGradientBatchBitIdentical(t *testing.T) {
 	for _, seed := range []int64{42, 43} {
 		net := batchTestNet(t, seed)
 		rng := rand.New(rand.NewSource(8))

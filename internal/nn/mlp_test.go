@@ -96,6 +96,19 @@ func TestForwardHandComputed(t *testing.T) {
 	}
 }
 
+// TestForwardShapePanics: a 1-row ForwardBatch of the wrong input width
+// panics.
+func TestForwardShapePanics(t *testing.T) {
+	net := newTestNet(t, []int{2, 2, 1}, 1)
+	ws := net.NewWorkspace()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on wrong input width")
+		}
+	}()
+	net.ForwardBatch(ws, mat.NewDense(1, 3))
+}
+
 func TestBackwardShapePanics(t *testing.T) {
 	net := newTestNet(t, []int{2, 2, 1}, 1)
 	ws := net.NewWorkspace()
@@ -231,7 +244,7 @@ func TestBackwardParameterGradientsMatchFiniteDifference(t *testing.T) {
 // Phase-2 primitive: BackwardInputBatch must match finite differences of
 // a scalar function of each output row with respect to its input row, on
 // batches of 1, 2 and 3 rows.
-func TestBackwardInputBatchMatchesFiniteDifference(t *testing.T) {
+func TestInputGradientMatchesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 20; trial++ {
 		sizes := []int{3, 6, 5, 2}

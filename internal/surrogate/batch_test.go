@@ -77,11 +77,11 @@ func gradientOne(s *Surrogate, vec []float64, eExp, dExp float64) (float64, []fl
 	return vals[0], grads[0], nil
 }
 
-// TestPredictBatchBitIdenticalToOneRow is the acceptance-criterion guard:
-// every row of a batched prediction must equal the 1-row prediction of the
+// TestPredictBatchBitIdenticalToScalar is the acceptance-criterion guard:
+// every row of a batched prediction must equal the 1-row (scalar) query of the
 // same vector bit for bit, across objectives and batch sizes spanning
 // chunk boundaries.
-func TestPredictBatchBitIdenticalToOneRow(t *testing.T) {
+func TestPredictBatchBitIdenticalToScalar(t *testing.T) {
 	sur, vecs := batchFixture(t)
 	objectives := [][2]float64{{1, 1}, {1, 2}, {1, 0}, {0, 1}}
 	for _, exp := range objectives {
@@ -104,9 +104,9 @@ func TestPredictBatchBitIdenticalToOneRow(t *testing.T) {
 	}
 }
 
-// TestGradientBatchBitIdenticalToOneRow pins the batched gradient path
+// TestGradientBatchBitIdenticalToScalar pins the batched gradient path
 // against 1-row calls, values and every gradient coordinate.
-func TestGradientBatchBitIdenticalToOneRow(t *testing.T) {
+func TestGradientBatchBitIdenticalToScalar(t *testing.T) {
 	sur, vecs := batchFixture(t)
 	for _, exp := range [][2]float64{{1, 1}, {1, 2}} {
 		vals, grads, err := sur.GradientBatch(vecs, exp[0], exp[1], nil, nil)

@@ -212,7 +212,7 @@ func TestSurrogatePredictsUsefully(t *testing.T) {
 	}
 }
 
-func TestQueryInputValidation(t *testing.T) {
+func TestPredictEDPInputValidation(t *testing.T) {
 	_, sur, _ := cnnFixture(t)
 	if _, err := predictOne(sur, make([]float64, 3), 1, 1); err == nil {
 		t.Fatal("PredictBatch accepted wrong-length input")
@@ -238,7 +238,7 @@ func TestPredictMetaStats(t *testing.T) {
 
 // The surrogate gradient must match finite differences of the predicted
 // EDP — the correctness condition for the entire Phase-2 machinery.
-func TestGradientBatchMatchesFiniteDifference(t *testing.T) {
+func TestGradientEDPMatchesFiniteDifference(t *testing.T) {
 	ds, sur, _ := cnnFixture(t)
 	const h = 1e-5
 	for trial := 0; trial < 5; trial++ {
