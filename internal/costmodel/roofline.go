@@ -40,6 +40,7 @@ type Roofline struct {
 
 	macs     float64
 	relevant [][]bool // relevant[t][d]: dimension d indexes tensor t
+	fp       mapspace.Footprinter
 }
 
 func init() {
@@ -61,7 +62,7 @@ func NewRoofline(a arch.Spec, p loopnest.Problem) (*Roofline, error) {
 		return nil, fmt.Errorf("roofline: architecture consumes %d operands/MAC but algorithm %s has %d input tensors",
 			a.OperandsPerMAC, p.Algo.Name, want)
 	}
-	return &Roofline{Arch: a, Prob: p, macs: p.MACs(), relevant: p.Algo.Relevance()}, nil
+	return &Roofline{Arch: a, Prob: p, macs: p.MACs(), relevant: p.Algo.Relevance(), fp: mapspace.NewFootprinter(p)}, nil
 }
 
 // Name implements Evaluator.
@@ -75,9 +76,10 @@ func (r *Roofline) AppendFingerprint(dst []byte) []byte {
 	return AppendBackendFingerprint(dst, r.Name(), &r.Arch, &r.Prob)
 }
 
-// rooflineScratch is the per-Cost evaluation workspace.
+// rooflineScratch is the per-Cost evaluation workspace: footprints of a
+// mapping without a fresh footprint block.
 type rooflineScratch struct {
-	tile1, tile2 []int
+	fp mapspace.FootprintBuf
 }
 
 // EvaluateBatchInto implements Evaluator sequentially.
@@ -106,13 +108,11 @@ func (r *Roofline) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *Cost
 		ws = &rooflineScratch{}
 		c.Scratch = ws
 	}
-	ws.tile1 = mp.CumulativeTileInto(ws.tile1, arch.L1)
-	ws.tile2 = mp.CumulativeTileInto(ws.tile2, arch.L2)
+	fps := r.fp.Footprints(mp, &ws.fp)
 
 	for t := range r.Prob.Algo.Tensors {
 		tensor, relevant := &r.Prob.Algo.Tensors[t], r.relevant[t]
-		fp1 := float64(tensor.Footprint(ws.tile1))
-		fp2 := float64(tensor.Footprint(ws.tile2))
+		fp1, fp2 := fps[t], fps[nt+t]
 
 		// Best-order refetch factors: only tensor-relevant outer loops can
 		// force a tile refetch, so the optimum puts every irrelevant loop

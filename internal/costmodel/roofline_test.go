@@ -255,3 +255,34 @@ func TestRooflineZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state roofline evaluation allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// Both backends read an operator result's footprints off its block; the
+// cost is bit for bit the one computed for the same mapping without a
+// block, which the backend's own footprint path costs.
+func TestBackendsReadFootprintBlock(t *testing.T) {
+	f := newFixture(t, 26)
+	ctx := context.Background()
+	rng := stats.NewRNG(26)
+	for _, name := range []string{"roofline", "timeloop"} {
+		ev := f.backend(t, name)
+		var got, want costmodel.Cost
+		m := f.ms[0].Clone()
+		for i := 0; i < 100; i++ {
+			f.space.PerturbInto(rng, &f.ms[i%len(f.ms)], &m)
+			bare := m
+			for l := range bare.Alloc {
+				bare.Alloc[l] = append([]float64(nil), m.Alloc[l]...)
+			}
+			if err := ev.EvaluateInto(ctx, &m, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.EvaluateInto(ctx, &bare, &want); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.EDP) != math.Float64bits(want.EDP) ||
+				math.Float64bits(got.TotalEnergyPJ) != math.Float64bits(want.TotalEnergyPJ) {
+				t.Fatalf("%s mapping %d: EDP %v read off the block, %v computed", name, i, got.EDP, want.EDP)
+			}
+		}
+	}
+}

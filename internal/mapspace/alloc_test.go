@@ -66,12 +66,12 @@ func invalidChildren(tb testing.TB, s *Space, n int) (crossed, moved []Mapping) 
 				child.SetChain(dim, b.Chain(dim))
 			}
 		}
-		if len(crossed) < n && s.check(&child).rule != valid {
+		if len(crossed) < n && s.verdict(&child).rule != valid {
 			crossed = append(crossed, child)
 		}
 		child = a.Clone()
 		s.moveFactorBetweenBands(rng, &child)
-		if len(moved) < n && s.check(&child).rule != valid {
+		if len(moved) < n && s.verdict(&child).rule != valid {
 			moved = append(moved, child)
 		}
 	}
@@ -140,6 +140,30 @@ func TestIntoOperatorsAllocs(t *testing.T) {
 		pinAllocs(t, "CrossoverInto", 0, func() { s.CrossoverInto(rng, &a, &b, &dst) })
 		pinAllocs(t, "MutateInto in place", 0, func() { s.MutateInto(rng, &dst, 0.3, &dst) })
 		pinAllocs(t, "CloneInto", 0, func() { b.CloneInto(&dst) })
+		// What a cost model does next: read the footprints the operator's
+		// check or projection left in the block, without computing them.
+		var buf FootprintBuf
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"PerturbInto", func() { s.PerturbInto(rng, &a, &dst) }},
+			{"CrossoverInto", func() { s.CrossoverInto(rng, &a, &b, &dst) }},
+			{"MutateInto in place", func() { s.MutateInto(rng, &dst, 0.3, &dst) }},
+		} {
+			pinAllocs(t, op.name+" then Footprints", 0, func() {
+				op.run()
+				readsBlock(t, s, &dst, &buf)
+			})
+		}
+	}
+}
+
+// readsBlock fails t unless Footprints returns m's block itself.
+func readsBlock(t *testing.T, s *Space, m *Mapping, buf *FootprintBuf) {
+	t.Helper()
+	if fps, blk := s.fp.Footprints(m, buf), m.block(); blk == nil || &fps[0] != &blk[1] {
+		t.Fatal("Footprints computed an operator's result again instead of reading its block")
 	}
 }
 
@@ -170,8 +194,46 @@ func TestWideEinsumCheckAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := m.Clone()
-	pinAllocs(t, "check", 0, func() { s.check(&m) })
+	var buf FootprintBuf
+	pinAllocs(t, "verdict", 0, func() { s.verdict(&m) })
 	pinAllocs(t, "PerturbInto", 0, func() { s.PerturbInto(rng, &m, &dst) })
+	pinAllocs(t, "PerturbInto then Footprints", 0, func() {
+		s.PerturbInto(rng, &m, &dst)
+		readsBlock(t, s, &dst, &buf)
+	})
+}
+
+// IsMember checks into a stack block up to 8 tensors and borrows the
+// pooled workspace's beyond that: a 10-tensor einsum checks, perturbs and
+// reads its block without allocating too.
+func TestManyTensorCheckAllocs(t *testing.T) {
+	algo, err := workload.CompileInline("O[a,b] += A[a,c] * B[c,b] * C[a] * D[b] * E[c] * F[a,b] * G[b,c] * H[a,c] * I[c]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(algo.Tensors) != 10 {
+		t.Fatalf("%d tensors, want 10", len(algo.Tensors))
+	}
+	s, err := New(arch.Default(len(algo.Tensors)-1), loopnest.Problem{Algo: algo, Name: "many", Shape: []int{8, 6, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	m := s.Random(rng)
+	if err := s.IsMember(&m); err != nil {
+		t.Fatal(err)
+	}
+	dst := m.Clone()
+	var buf FootprintBuf
+	pinAllocs(t, "IsMember", 0, func() {
+		if err := s.IsMember(&m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pinAllocs(t, "PerturbInto then Footprints", 0, func() {
+		s.PerturbInto(rng, &m, &dst)
+		readsBlock(t, s, &dst, &buf)
+	})
 }
 
 func TestDrawAllocs(t *testing.T) {
@@ -228,10 +290,10 @@ func TestCheckInvalidAllocs(t *testing.T) {
 		over := m.Clone()
 		over.Alloc[0][0] = 2 // out of [0,1]
 		for _, c := range []*Mapping{&bad, &over} {
-			if s.check(c).rule == valid || s.IsMember(c) == nil {
+			if s.verdict(c).rule == valid || s.IsMember(c) == nil {
 				t.Fatal("corrupted mapping passed the validity check")
 			}
-			pinAllocs(t, "check of an invalid mapping", 0, func() { s.check(c) })
+			pinAllocs(t, "check of an invalid mapping", 0, func() { s.verdict(c) })
 		}
 	}
 }

@@ -131,7 +131,7 @@ func (s *Space) DecodeInto(vec []float64, dst *Mapping) error {
 	if !s.shaped(dst) {
 		*dst = s.emptyMapping()
 	}
-	s.projectInto(ws, dst)
+	s.projectInto(ws, dst, false)
 	return nil
 }
 

@@ -357,7 +357,8 @@ func TestShrinkOnceMatchesLinearScan(t *testing.T) {
 			for level := arch.L1; level < arch.OnChipLevels; level++ {
 				for step := 0; step < 64; step++ {
 					ref := m.Clone()
-					gotOK := s.shrinkOnce(ws, &m, level, logs)
+					fps, _ := s.levelFootprints(ws, &m, level)
+					gotOK := s.shrinkOnce(ws, &m, level, logs, fps)
 					wantOK := shrinkOnceLinear(s, &ref, level, logs)
 					if gotOK != wantOK || m.String() != ref.String() {
 						t.Fatalf("space %d level %v step %d: indexed %v %s, linear %v %s",

@@ -61,7 +61,7 @@ var goldenDigests = map[string][5]string{
 // goldenSpaces returns every registered workload at its smallest and its
 // middle sample shape, plus the eight Table-1 problems, each on the default
 // accelerator for its operand count.
-func goldenSpaces(t *testing.T) (names []string, spaces []*Space) {
+func goldenSpaces(t testing.TB) (names []string, spaces []*Space) {
 	t.Helper()
 	add := func(name string, p loopnest.Problem) {
 		s, err := New(arch.Default(len(p.Algo.Tensors)-1), p)

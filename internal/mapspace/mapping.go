@@ -33,14 +33,16 @@ type Mapping struct {
 	Order [arch.NumLevels][]int
 	// Alloc is the fraction of buffer capacity allocated to each tensor at
 	// each on-chip level, indexed [level][tensor]; per-level sums must not
-	// exceed 1.
+	// exceed 1. In a mapping the map space built, Alloc[L2]'s capacity
+	// beyond its length holds the footprint block (see footprint.go).
 	Alloc [arch.OnChipLevels][]float64
 }
 
 // Clone returns a deep copy of the mapping. The copy's integer slices share
 // one new backing array and its allocation slices another, each
 // capacity-capped so an append to one never spills into the next; empty
-// slices stay nil.
+// slices stay nil. A footprint block (see footprint.go) is copied with
+// them, stamp included.
 func (m *Mapping) Clone() Mapping {
 	var out Mapping
 	n := len(m.Spatial)
@@ -59,15 +61,24 @@ func (m *Mapping) Clone() Mapping {
 	for l := range m.Alloc {
 		nf += len(m.Alloc[l])
 	}
-	fracs := make([]float64, 0, nf)
+	blk := m.block()
+	fracs := make([]float64, 0, nf+len(blk))
 	for l := range m.Alloc {
 		out.Alloc[l], fracs = carve(fracs, m.Alloc[l])
+	}
+	if blk != nil {
+		// The last allocation slice ends the carved part; its capacity
+		// reaches over the block appended after it.
+		fracs = append(fracs, blk...)
+		last := arch.OnChipLevels - 1
+		out.Alloc[last] = fracs[nf-len(m.Alloc[last]) : nf]
 	}
 	return out
 }
 
 // CloneInto copies m into dst, reusing dst's slices when each already has
-// the length of m's and allocating as Clone does otherwise. dst may be m
+// the length of m's and allocating as Clone does otherwise. dst's
+// footprint block takes m's, or turns stale when m has none. dst may be m
 // itself but must not share storage with it in any other way.
 func (m *Mapping) CloneInto(dst *Mapping) {
 	if !sameShape(m, dst) {
@@ -81,6 +92,13 @@ func (m *Mapping) CloneInto(dst *Mapping) {
 	copy(dst.Spatial, m.Spatial)
 	for l := range m.Alloc {
 		copy(dst.Alloc[l], m.Alloc[l])
+	}
+	if db := dst.block(); db != nil {
+		if sb := m.block(); len(sb) == len(db) {
+			copy(db, sb)
+		} else {
+			db[0] = 0
+		}
 	}
 }
 
@@ -123,12 +141,14 @@ func (m *Mapping) Chain(d int) FactorChain {
 	}
 }
 
-// SetChain installs a four-band factorization for dimension d.
+// SetChain installs a four-band factorization for dimension d and marks
+// the footprint block stale.
 func (m *Mapping) SetChain(d int, c FactorChain) {
 	m.Tile[arch.L1][d] = c[ChainL1]
 	m.Spatial[d] = c[ChainSpatial]
 	m.Tile[arch.L2][d] = c[ChainL2]
 	m.Tile[arch.DRAM][d] = c[ChainDRAM]
+	m.staleBlock()
 }
 
 // SpatialPEs returns the number of PEs the mapping uses: the product of all

@@ -11,6 +11,12 @@ import (
 // annealing's neighbor moves and the gradient search's random injections,
 // Crossover and Mutate for the genetic algorithm. All operators return
 // valid mappings (invalid intermediates are repaired by projection).
+//
+// Each operator records what it changed (a change) and checks its result
+// against that: when the parent's footprint block is stamped, only the
+// spatial-budget, allocation and footprint rules run, and only the
+// footprints of tensors that depend on a dimension whose chain changed are
+// computed again.
 
 // Perturb returns a valid neighbor of m produced by one random structural
 // move: re-sampling one dimension's factor chain, swapping two loops in one
@@ -24,32 +30,32 @@ func (s *Space) Perturb(rng *rand.Rand, m *Mapping) Mapping {
 
 // PerturbInto is Perturb writing the neighbor into dst, whose storage it
 // reuses when dst has m's shape. dst must not share storage with m.
+// Projection always returns a member, so one move and its repair suffice.
 func (s *Space) PerturbInto(rng *rand.Rand, m, dst *Mapping) {
-	const attempts = 8
-	for a := 0; a < attempts; a++ {
-		m.CloneInto(dst)
-		switch rng.Intn(4) {
-		case 0:
-			s.moveResampleChain(rng, dst)
-		case 1:
-			s.moveSwapOrder(rng, dst)
-		case 2:
-			s.moveShiftAlloc(rng, dst)
-		case 3:
-			s.moveFactorBetweenBands(rng, dst)
-		}
-		// A projected neighbour is checked again; a valid one was just
-		// checked by repair.
-		if s.repair(dst) || s.check(dst).rule == valid {
-			return
-		}
-	}
 	m.CloneInto(dst)
+	s.repair(dst, s.perturbMove(rng, dst))
+}
+
+// perturbMove applies one random Perturb move to m and returns the change.
+func (s *Space) perturbMove(rng *rand.Rand, m *Mapping) change {
+	ch := s.trust(m)
+	switch rng.Intn(4) {
+	case 0:
+		ch.set(s.moveResampleChain(rng, m))
+	case 1:
+		s.moveSwapOrder(rng, m)
+	case 2:
+		s.moveShiftAlloc(rng, m)
+	case 3:
+		ch.set(s.moveFactorBetweenBands(rng, m))
+	}
+	return ch
 }
 
 // moveResampleChain re-draws one dimension's tile factorization under the
-// spatial budget left by the other dimensions.
-func (s *Space) moveResampleChain(rng *rand.Rand, m *Mapping) {
+// spatial budget left by the other dimensions, and returns the dimension
+// it set (-1 for none).
+func (s *Space) moveResampleChain(rng *rand.Rand, m *Mapping) int {
 	dim := rng.Intn(s.NumDims())
 	budget := s.Arch.NumPEs
 	for d2, sp := range m.Spatial {
@@ -57,9 +63,12 @@ func (s *Space) moveResampleChain(rng *rand.Rand, m *Mapping) {
 			budget /= sp
 		}
 	}
-	if c, ok := s.tables[dim].draw(rng, budget); ok {
-		m.SetChain(dim, c)
+	c, ok := s.tables[dim].draw(rng, budget)
+	if !ok {
+		return -1
 	}
+	m.SetChain(dim, c)
+	return dim
 }
 
 func (s *Space) moveSwapOrder(rng *rand.Rand, m *Mapping) {
@@ -95,8 +104,8 @@ func (s *Space) moveShiftAlloc(rng *rand.Rand, m *Mapping) {
 
 // moveFactorBetweenBands moves one prime factor of a dimension between two
 // bands (e.g. from the DRAM loop into the L1 tile), the smallest structural
-// step in tiling space.
-func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) {
+// step in tiling space, and returns the dimension it set (-1 for none).
+func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) int {
 	dim := rng.Intn(s.NumDims())
 	c := m.Chain(dim)
 	var bands [4]int
@@ -107,7 +116,7 @@ func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) {
 		}
 	}
 	if len(srcs) == 0 {
-		return
+		return -1
 	}
 	src := srcs[rng.Intn(len(srcs))]
 	dst := rng.Intn(4)
@@ -118,6 +127,7 @@ func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) {
 	c[src] /= p
 	c[dst] *= p
 	m.SetChain(dim, c)
+	return dim
 }
 
 // Crossover recombines two parents attribute-wise (paper Appendix A: "A
@@ -136,9 +146,18 @@ func (s *Space) Crossover(rng *rand.Rand, a, b *Mapping) Mapping {
 // or b.
 func (s *Space) CrossoverInto(rng *rand.Rand, a, b, child *Mapping) {
 	a.CloneInto(child)
+	s.repair(child, s.crossMove(rng, b, child))
+}
+
+// crossMove recombines child, a copy of one parent, with the other parent
+// b, and returns the change.
+func (s *Space) crossMove(rng *rand.Rand, b, child *Mapping) change {
+	ch := s.trust(child)
+	ch.trusted = ch.trusted && s.stamped(b)
 	for dim := 0; dim < s.NumDims(); dim++ {
 		if rng.Intn(2) == 1 {
 			child.SetChain(dim, b.Chain(dim))
+			ch.set(dim)
 		}
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
@@ -148,11 +167,11 @@ func (s *Space) CrossoverInto(rng *rand.Rand, a, b, child *Mapping) {
 	}
 	lambda := rng.Float64()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		for t := range child.Alloc[level] {
-			child.Alloc[level][t] = lambda*a.Alloc[level][t] + (1-lambda)*b.Alloc[level][t]
+		for t, fa := range child.Alloc[level] {
+			child.Alloc[level][t] = lambda*fa + (1-lambda)*b.Alloc[level][t]
 		}
 	}
-	s.repair(child)
+	return ch
 }
 
 // Mutate randomizes each attribute group independently with probability
@@ -173,25 +192,33 @@ func (s *Space) MutateInto(rng *rand.Rand, m *Mapping, rate float64, out *Mappin
 	if out != m {
 		m.CloneInto(out)
 	}
+	if ch, changed := s.mutateMove(rng, rate, out); changed {
+		s.repair(out, ch)
+	}
+}
+
+// mutateMove randomizes m's attribute groups at the given rate and
+// returns the change and whether anything was randomized.
+func (s *Space) mutateMove(rng *rand.Rand, rate float64, m *Mapping) (change, bool) {
+	ch := s.trust(m)
 	changed := false
 	for dim := 0; dim < s.NumDims(); dim++ {
 		if rng.Float64() < rate {
 			chains := s.tables[dim].chains
-			out.SetChain(dim, chains[rng.Intn(len(chains))])
+			m.SetChain(dim, chains[rng.Intn(len(chains))])
+			ch.set(dim)
 			changed = true
 		}
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if rng.Float64() < rate {
-			s.moveSwapOrder(rng, out)
+			s.moveSwapOrder(rng, m)
 			changed = true
 		}
 	}
 	if rng.Float64() < rate {
-		s.moveShiftAlloc(rng, out)
+		s.moveShiftAlloc(rng, m)
 		changed = true
 	}
-	if changed {
-		s.repair(out)
-	}
+	return ch, changed
 }

@@ -12,10 +12,11 @@ import (
 // valid Mapping. It lives in the pooled workspace, so its slices are reused
 // from call to call.
 type desired struct {
-	logs  [][4]float64
-	hint  []int // per dimension: the chain-table index whose logs are logs[dim], or -1
-	ranks [arch.NumLevels][]float64
-	alloc [arch.OnChipLevels][]float64
+	logs     [][4]float64
+	hint     []int // per dimension: the chain-table index whose logs are logs[dim], or -1
+	ranks    [arch.NumLevels][]float64
+	alloc    [arch.OnChipLevels][]float64
+	permuted bool // desiredFrom's mapping had a permutation at every level
 }
 
 // reset sizes des for d dimensions and nt tensors, all entries zero and
@@ -71,12 +72,15 @@ func (s *Space) desiredFrom(ws *scratch, m *Mapping) *desired {
 			des.logs[dim][ChainDRAM] = math.Log2(float64(s.Prob.Shape[dim]))
 		}
 	}
+	des.permuted = true
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if isPermutation(m.Order[l], d) {
 			for pos, dim := range m.Order[l] {
 				des.ranks[l][dim] = float64(pos)
 			}
-		} // else: all-zero ranks decode to the identity order
+		} else { // all-zero ranks decode to the identity order
+			des.permuted = false
+		}
 	}
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		for t := range des.alloc[level] {
@@ -139,14 +143,17 @@ func (s *Space) retargeted(ws *scratch, m *Mapping) *desired {
 // projection. All mutation-style operators funnel through this. The
 // projection reuses m's storage when its slices have the space's shape, so
 // the result shares m's backing arrays either way: callers replace m with
-// the result (m = s.Repair(m)) or pass a clone.
+// the result (m = s.Repair(m)) or pass a clone. Even a valid m gets its
+// footprint block filled and stamped.
 func (s *Space) Repair(m Mapping) Mapping {
-	s.repair(&m)
+	s.repair(&m, change{})
 	return m
 }
 
 // repair projects *m in place when it is invalid, and reports whether m
-// was already valid.
+// was already valid. ch is what an operator changed since m's block was
+// last stamped (the zero change for a mapping of unknown history); the
+// check fills and stamps m's block, or a workspace one when m has none.
 //
 // A shaped mapping whose first violation is an allocation rule, and whose
 // tiling fits raw buffer capacity, takes a short path with the same
@@ -154,23 +161,36 @@ func (s *Space) Repair(m Mapping) Mapping {
 // Every chain is a member of its table (the factor rules passed), so it is
 // its own hint, and the spatial product fits the PE budget, so nearest
 // returns it; shrinkToFit's loop condition is fitsBuffers' condition;
-// ranks read off a permutation sort back to it. Only step 4 remains.
-func (s *Space) repair(m *Mapping) bool {
-	v := s.check(m)
+// ranks read off a permutation sort back to it. Only step 4 remains, on
+// the footprints the check computed. Any other shaped mapping whose orders
+// are permutations keeps them for the same reason, and skips step 3.
+func (s *Space) repair(m *Mapping, ch change) bool {
+	var ws *scratch
+	blk := s.blockOf(m)
+	if blk == nil {
+		ch = change{}
+		ws = getScratch()
+		defer putScratch(ws)
+		blk = s.blockIn(ws, m)
+	}
+	v := s.check(m, ch, blk)
 	if v.rule == valid {
 		return true
 	}
-	ws := getScratch()
-	defer putScratch(ws)
-	if allocRule(v.rule) && s.shaped(m) && s.fitsBuffers(ws, m) {
-		s.projectAlloc(ws, m, m.Alloc)
+	if ws == nil {
+		ws = getScratch()
+		defer putScratch(ws)
+	}
+	if allocRule(v.rule) && s.shaped(m) && s.fitsBuffers(blk[1:]) {
+		s.projectAlloc(ws, m, blk[1:], m.Alloc)
 		return false
 	}
-	s.desiredFrom(ws, m)
+	des := s.desiredFrom(ws, m)
+	keepOrders := des.permuted && s.shaped(m)
 	if !s.shaped(m) {
 		*m = s.emptyMapping()
 	}
-	s.projectInto(ws, m)
+	s.projectInto(ws, m, keepOrders)
 	return false
 }
 
@@ -203,14 +223,16 @@ func (s *Space) shaped(m *Mapping) bool {
 // projectDesired returns the valid mapping nearest ws.des.
 func (s *Space) projectDesired(ws *scratch) Mapping {
 	m := s.emptyMapping()
-	s.projectInto(ws, &m)
+	s.projectInto(ws, &m, false)
 	return m
 }
 
 // projectInto writes the valid mapping nearest ws.des into m, which must
 // be shaped. Every field is written before it is read, so m's previous
-// contents never matter.
-func (s *Space) projectInto(ws *scratch, m *Mapping) {
+// contents never matter, except that keepOrders keeps m's loop orders: the
+// caller asserts they are the permutations ws.des's ranks were read off,
+// which step 3 would sort back to unchanged.
+func (s *Space) projectInto(ws *scratch, m *Mapping, keepOrders bool) {
 	des := &ws.des
 
 	// 1. Per-dimension nearest factor chains under the PE budget. Greedy in
@@ -240,27 +262,30 @@ func (s *Space) projectInto(ws *scratch, m *Mapping) {
 
 	// 3. Loop orders: argsort of the rank scores, ties broken by dimension
 	// index for determinism.
-	for l := arch.L1; l < arch.NumLevels; l++ {
-		ranksToPerm(m.Order[l], des.ranks[l])
+	if !keepOrders {
+		for l := arch.L1; l < arch.NumLevels; l++ {
+			ranksToPerm(m.Order[l], des.ranks[l])
+		}
 	}
 
-	// 4. Allocations.
-	s.projectAlloc(ws, m, des.alloc)
+	// 4. Allocations, on the final tiling's footprints, which fill and
+	// stamp m's block.
+	s.projectAlloc(ws, m, s.fillStamped(ws, m)[1:], des.alloc)
 }
 
 // projectAlloc is projection's last step: it sets m's allocations to the
 // clamped request want and projects them onto the feasible region
-// (footprint floor per tensor, per-level sum at most 1). want may be
-// m.Alloc itself. m's tiling must fit raw buffer capacity; should no
-// allocation fit it after all, m fails safe to the always-valid minimal
-// mapping.
-func (s *Space) projectAlloc(ws *scratch, m *Mapping, want [arch.OnChipLevels][]float64) {
+// (footprint floor per tensor, per-level sum at most 1), given the
+// footprints fps of m's tiling. want may be m.Alloc itself. m's tiling
+// must fit raw buffer capacity; should no allocation fit it after all, m
+// fails safe to the always-valid minimal mapping.
+func (s *Space) projectAlloc(ws *scratch, m *Mapping, fps []float64, want [arch.OnChipLevels][]float64) {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		for t := range m.Alloc[level] {
 			m.Alloc[level][t] = clamp01(want[level][t])
 		}
 	}
-	if !s.repairAlloc(ws, m) {
+	if !s.repairAlloc(ws, m, fps) {
 		*m = s.minimalMapping()
 	}
 }
@@ -323,8 +348,12 @@ func bandProduct(m *Mapping, level arch.Level, dim int) int {
 func (s *Space) shrinkToFit(ws *scratch, m *Mapping, logs [][4]float64) {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
-		for s.totalFootprint(ws, m, level) > capWords+allocTolerance {
-			if !s.shrinkOnce(ws, m, level, logs) {
+		for {
+			fps, total := s.levelFootprints(ws, m, level)
+			if !(total > capWords+allocTolerance) {
+				break
+			}
+			if !s.shrinkOnce(ws, m, level, logs, fps) {
 				// Nothing left to shrink at this level; force minimal
 				// on-chip tiles for every dimension as a final safety net.
 				s.setMinimalTiling(m)
@@ -334,20 +363,31 @@ func (s *Space) shrinkToFit(ws *scratch, m *Mapping, logs [][4]float64) {
 	}
 }
 
+// levelFootprints computes every tensor's footprint at level under m into
+// the workspace and returns them with their sum.
+func (s *Space) levelFootprints(ws *scratch, m *Mapping, level arch.Level) ([]float64, float64) {
+	tile := ws.tileAt(m, level)
+	ws.fps = grow(ws.fps, s.NumTensors())
+	total := 0.0
+	for t := range ws.fps {
+		ws.fps[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile))
+		total += ws.fps[t]
+	}
+	return ws.fps, total
+}
+
 // shrinkOnce picks the dimension that contributes the largest cumulative
 // tile factor at the level among dimensions relevant to the largest-
 // footprint tensor, and replaces its chain with the nearest one having a
 // strictly smaller cumulative factor (and no larger spatial factor, to keep
-// the PE budget satisfied). Returns false when no dimension can shrink.
-func (s *Space) shrinkOnce(ws *scratch, m *Mapping, level arch.Level, logs [][4]float64) bool {
-	tile := ws.tileAt(m, level)
+// the PE budget satisfied). fps are the tensors' footprints at the level
+// (levelFootprints). Returns false when no dimension can shrink.
+func (s *Space) shrinkOnce(ws *scratch, m *Mapping, level arch.Level, logs [][4]float64, fps []float64) bool {
 	// Tensors by descending footprint.
-	nt := s.NumTensors()
-	ws.fps, ws.order = grow(ws.fps, nt), grow(ws.order, nt)
-	fps, order := ws.fps, ws.order
+	ws.order = grow(ws.order, s.NumTensors())
+	order := ws.order
 	for t := range order {
 		order[t] = t
-		fps[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile))
 	}
 	sortStable(order, func(a, b int) bool { return fps[a] > fps[b] })
 

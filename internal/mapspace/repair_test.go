@@ -104,17 +104,19 @@ func TestAllocOnlyRepairMatchesProjection(t *testing.T) {
 			}
 
 			ws := getScratch()
-			if allocRule(s.check(&m).rule) && s.fitsBuffers(ws, &m) {
+			ws.blk = grow(ws.blk, blockLen(s.NumTensors()))
+			s.fill(&m, ws.blk, allDims)
+			if allocRule(s.verdict(&m).rule) && s.fitsBuffers(ws.blk[1:]) {
 				allocOnly++
 			}
 			want := m.Clone()
 			s.desiredFrom(ws, &want)
-			s.projectInto(ws, &want)
+			s.projectInto(ws, &want, false)
 			putScratch(ws)
 
 			member := s.IsMember(&m) == nil
 			got := m.Clone()
-			if wasValid := s.repair(&got); wasValid != member {
+			if wasValid := s.repair(&got, change{}); wasValid != member {
 				t.Fatalf("%s mapping %d: repair reported valid=%v, IsMember nil=%v", name, i, wasValid, member)
 			}
 			if member {
@@ -142,10 +144,10 @@ func TestRepairRejectsNaNAllocation(t *testing.T) {
 		m := s.Random(rng)
 		level := arch.Level(rng.Intn(arch.OnChipLevels))
 		m.Alloc[level][rng.Intn(s.NumTensors())] = math.NaN()
-		if v := s.check(&m); v.rule != ruleAllocRange {
+		if v := s.verdict(&m); v.rule != ruleAllocRange {
 			t.Fatalf("mapping %d: NaN allocation fails rule %v, want ruleAllocRange", i, v.rule)
 		}
-		if s.repair(&m) {
+		if s.repair(&m, change{}) {
 			t.Fatalf("mapping %d: repair reported a NaN allocation valid", i)
 		}
 		if err := s.IsMember(&m); err != nil {

@@ -23,7 +23,9 @@ type Space struct {
 	Arch arch.Spec
 	Prob loopnest.Problem
 
-	tables []*chainTable // per-dimension shared chain tables
+	tables  []*chainTable // per-dimension shared chain tables
+	fp      Footprinter   // footprints and the stamp of this problem's blocks
+	touches []uint64      // per tensor, bit d set when it depends on dimension d; nil beyond 64 dimensions
 }
 
 // New constructs the map space for the given accelerator and problem,
@@ -40,6 +42,15 @@ func New(a arch.Spec, p loopnest.Problem) (*Space, error) {
 	s := &Space{Arch: a, Prob: p, tables: make([]*chainTable, len(p.Shape))}
 	for dim, size := range p.Shape {
 		s.tables[dim] = chainsFor(size)
+	}
+	s.fp = NewFootprinter(p)
+	if len(p.Shape) <= 64 {
+		s.touches = make([]uint64, len(p.Algo.Tensors))
+		for t := range p.Algo.Tensors {
+			for _, d := range p.Algo.Tensors[t].Dims {
+				s.touches[t] |= 1 << d
+			}
+		}
 	}
 	min := s.minimalMapping()
 	if err := s.IsMember(&min); err != nil {
@@ -72,7 +83,8 @@ type scratch struct {
 	extra  []float64 // per-tensor weights or surpluses
 	dims   []int     // dimension visiting order
 	order  []int     // tensors by descending footprint
-	fps    []float64 // per-tensor footprints
+	fps    []float64 // per-tensor footprints of one level
+	blk    []float64 // footprint block of a mapping that has none of its own
 	des    desired   // projection target
 }
 
@@ -96,50 +108,125 @@ func (ws *scratch) tileAt(m *Mapping, level arch.Level) []int {
 	return ws.tile
 }
 
-// sharesAt returns each tensor's footprint at level under m as a fraction
-// of the level's capacity, and the fractions' sum.
-func (s *Space) sharesAt(ws *scratch, m *Mapping, level arch.Level) ([]float64, float64) {
+// blockOf returns m's footprint block when it is laid out for this
+// space's tensors, and nil otherwise.
+func (s *Space) blockOf(m *Mapping) []float64 {
+	if b := m.block(); len(b) == blockLen(s.NumTensors()) {
+		return b
+	}
+	return nil
+}
+
+// blockIn returns m's footprint block, or the workspace's when m has none.
+func (s *Space) blockIn(ws *scratch, m *Mapping) []float64 {
+	if b := s.blockOf(m); b != nil {
+		return b
+	}
+	ws.blk = grow(ws.blk, blockLen(s.NumTensors()))
+	return ws.blk
+}
+
+// stamped reports whether m's block holds this space's footprints for m's
+// current tiling, and that tiling passed the factor and permutation rules.
+func (s *Space) stamped(m *Mapping) bool {
+	b := s.blockOf(m)
+	return b != nil && b[0] == s.fp.stamp
+}
+
+// fill writes into blk the footprints of m's tensors that depend on a
+// dimension in dims (allDims for all of them), at both on-chip levels. The
+// tile stays on the stack up to 16 dimensions; wider problems borrow the
+// pooled workspace. It leaves the stamp alone.
+func (s *Space) fill(m *Mapping, blk []float64, dims uint64) {
+	if dims == 0 {
+		return
+	}
+	touches := s.touches
+	if dims == allDims {
+		touches = nil
+	}
+	d := s.NumDims()
+	var buf [16]int
+	tile := buf[:]
+	if d > len(buf) {
+		ws := getScratch()
+		defer putScratch(ws)
+		ws.tile = grow(ws.tile, d)
+		tile = ws.tile
+	}
+	for level := arch.L1; level < arch.OnChipLevels; level++ {
+		s.fp.fillLevel(m, blk[1:], level, dims, touches, tile[:d])
+	}
+}
+
+// fillStamped fills m's block (the workspace's when m has none) for a
+// tiling that passed the factor and permutation rules, stamps it and
+// returns it.
+func (s *Space) fillStamped(ws *scratch, m *Mapping) []float64 {
+	blk := s.blockIn(ws, m)
+	s.fill(m, blk, allDims)
+	blk[0] = s.fp.stamp
+	return blk
+}
+
+// sharesAt returns each tensor's footprint at level, read from the
+// footprints fps of a block, as a fraction of the level's capacity, and
+// the fractions' sum.
+func (s *Space) sharesAt(ws *scratch, fps []float64, level arch.Level) ([]float64, float64) {
 	capWords := float64(s.Arch.LevelWords(level))
-	tile := ws.tileAt(m, level)
-	ws.shares = grow(ws.shares, s.NumTensors())
+	nt := s.NumTensors()
+	ws.shares = grow(ws.shares, nt)
 	sum := 0.0
 	for t := range ws.shares {
-		ws.shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
+		ws.shares[t] = fps[int(level)*nt+t] / capWords
 		sum += ws.shares[t]
 	}
 	return ws.shares, sum
 }
 
-// totalFootprint returns the summed tensor footprints at a level.
-func (s *Space) totalFootprint(ws *scratch, m *Mapping, level arch.Level) float64 {
-	tile := ws.tileAt(m, level)
+// fitsLevel reports whether the footprints fps of a block sum to at most
+// the raw capacity of level.
+func (s *Space) fitsLevel(fps []float64, level arch.Level) bool {
+	nt := s.NumTensors()
 	total := 0.0
-	for t := range s.Prob.Algo.Tensors {
-		total += float64(s.Prob.Algo.Tensors[t].Footprint(tile))
+	for _, fp := range fps[int(level)*nt : int(level+1)*nt] {
+		total += fp
 	}
-	return total
+	return total <= float64(s.Arch.LevelWords(level))+allocTolerance
 }
 
-// fitsBuffers reports whether the summed footprints fit the raw capacity of
-// both on-chip levels (a necessary condition for any allocation to exist).
-func (s *Space) fitsBuffers(ws *scratch, m *Mapping) bool {
-	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		if s.totalFootprint(ws, m, level) > float64(s.Arch.LevelWords(level))+allocTolerance {
-			return false
-		}
-	}
-	return true
+// fitsBuffers reports whether the footprints fps of a block fit the raw
+// capacity of both on-chip levels (a necessary condition for any
+// allocation to exist).
+func (s *Space) fitsBuffers(fps []float64) bool {
+	return s.fitsLevel(fps, arch.L1) && s.fitsLevel(fps, arch.L2)
 }
 
 // IsMember checks mapping validity (paper §4.1.1's isMember): structural
 // shape, exact factorization of every dimension, spatial budget,
 // permutation validity, allocation bounds, and per-tensor footprint fit
-// within the allocated buffer share. A nil error means m ∈ M(a,p).
+// within the allocated buffer share. A nil error means m ∈ M(a,p). It
+// never writes m.
 func (s *Space) IsMember(m *Mapping) error {
-	if v := s.check(m); v.rule != valid {
+	if v := s.verdict(m); v.rule != valid {
 		return s.describe(m, v)
 	}
 	return nil
+}
+
+// verdict applies every rule of IsMember to m, computing the footprints
+// into a block of its own: on the stack up to 8 tensors, in the pooled
+// workspace beyond.
+func (s *Space) verdict(m *Mapping) violation {
+	var buf [17]float64
+	n := blockLen(s.NumTensors())
+	if n > len(buf) {
+		ws := getScratch()
+		defer putScratch(ws)
+		ws.blk = grow(ws.blk, n)
+		return s.check(m, change{}, ws.blk)
+	}
+	return s.check(m, change{}, buf[:n])
 }
 
 // rule names one validity rule of check.
@@ -171,49 +258,85 @@ type violation struct {
 	value float64 // allocation sum or footprint in words, per rule
 }
 
+// change is what an operator did to a mapping since it last held a
+// stamped block: the dimensions whose chains it set. Its zero value knows
+// nothing, so check applies every rule.
+//
+// The operators only set chains drawn from the chain tables, move a prime
+// factor between two bands of one chain, or copy chains and loop orders
+// from another stamped mapping; they swap loops within an order and
+// change allocations. None of that breaks a shape, factor or permutation
+// rule of a mapping that passed them, and the footprints of a tensor that
+// depends on no set dimension stay what the block holds.
+type change struct {
+	trusted bool   // the mapping's block was stamped by this space before the operator ran
+	dims    uint64 // bit d: the operator set dimension d's chain
+}
+
+// trust returns the change of an operator about to work on m: trusted
+// when m's block is stamped and the space has at most 64 dimensions.
+func (s *Space) trust(m *Mapping) change {
+	return change{trusted: s.touches != nil && s.stamped(m)}
+}
+
+// set records that dimension dim's chain was set; a negative dim is none.
+func (c *change) set(dim int) {
+	if dim >= 0 {
+		c.dims |= 1 << dim
+	}
+}
+
 // check applies the IsMember rules in order and returns the first
-// violation.
-func (s *Space) check(m *Mapping) violation {
+// violation. blk is the footprint block it fills: m's own (Repair and the
+// operators) or a scratch one (IsMember). Once the shape, factor and
+// permutation rules pass it fills blk for m's tiling and stamps it, so
+// the allocation rules, the repair and the cost models read those
+// footprints. A trusted change skips the shape, factor and permutation
+// rules and recomputes only the footprints of tensors that depend on a
+// dimension it set; blk must then be m's own block.
+func (s *Space) check(m *Mapping, ch change, blk []float64) violation {
 	d := s.NumDims()
-	for l := arch.L1; l < arch.NumLevels; l++ {
-		if len(m.Tile[l]) != d {
-			return violation{rule: ruleTileCount, level: l}
-		}
-		if len(m.Order[l]) != d {
-			return violation{rule: ruleOrderCount, level: l}
-		}
-	}
-	if len(m.Spatial) != d {
-		return violation{rule: ruleSpatialCount}
-	}
-	for dim := 0; dim < d; dim++ {
-		c := m.Chain(dim)
-		for _, f := range c {
-			if f < 1 {
-				return violation{rule: ruleFactorPositive, index: dim}
+	if !ch.trusted {
+		for l := arch.L1; l < arch.NumLevels; l++ {
+			if len(m.Tile[l]) != d {
+				return violation{rule: ruleTileCount, level: l}
+			}
+			if len(m.Order[l]) != d {
+				return violation{rule: ruleOrderCount, level: l}
 			}
 		}
-		if c.Product() != s.Prob.Shape[dim] {
-			return violation{rule: ruleFactorProduct, index: dim}
+		if len(m.Spatial) != d {
+			return violation{rule: ruleSpatialCount}
+		}
+		for dim := 0; dim < d; dim++ {
+			c := m.Chain(dim)
+			for _, f := range c {
+				if f < 1 {
+					return violation{rule: ruleFactorPositive, index: dim}
+				}
+			}
+			if c.Product() != s.Prob.Shape[dim] {
+				return violation{rule: ruleFactorProduct, index: dim}
+			}
 		}
 	}
 	if m.SpatialPEs() > s.Arch.NumPEs {
 		return violation{rule: ruleSpatialPEs}
 	}
-	for l := arch.L1; l < arch.NumLevels; l++ {
-		if !isPermutation(m.Order[l], d) {
-			return violation{rule: ruleOrderPermutation, level: l}
+	dims := allDims
+	if ch.trusted {
+		dims = ch.dims
+	} else {
+		for l := arch.L1; l < arch.NumLevels; l++ {
+			if !isPermutation(m.Order[l], d) {
+				return violation{rule: ruleOrderPermutation, level: l}
+			}
 		}
 	}
+	s.fill(m, blk, dims)
+	blk[0] = s.fp.stamp
+	fps := blk[1:]
 	nt := s.NumTensors()
-	var buf [16]int // the tile stays on the stack up to 16 dimensions
-	tile := buf[:0]
-	if d > len(buf) { // wider problems borrow the pooled workspace
-		ws := getScratch()
-		defer putScratch(ws)
-		ws.tile = grow(ws.tile, d)
-		tile = ws.tile
-	}
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		if len(m.Alloc[level]) != nt {
 			return violation{rule: ruleAllocCount, level: level}
@@ -229,9 +352,7 @@ func (s *Space) check(m *Mapping) violation {
 			return violation{rule: ruleAllocSum, level: level, value: sum}
 		}
 		capWords := float64(s.Arch.LevelWords(level))
-		tile = m.CumulativeTileInto(tile[:0], level)
-		for t := range s.Prob.Algo.Tensors {
-			fp := float64(s.Prob.Algo.Tensors[t].Footprint(tile))
+		for t, fp := range fps[int(level)*nt : int(level+1)*nt] {
 			if fp > m.Alloc[level][t]*capWords+allocTolerance {
 				return violation{rule: ruleFootprint, level: level, index: t, value: fp}
 			}
@@ -309,18 +430,34 @@ func (s *Space) Random(rng *rand.Rand) Mapping {
 	ws := getScratch()
 	defer putScratch(ws)
 	m := s.emptyMapping()
+	blk := m.block()
 	for try := 0; try < maxTries; try++ {
 		s.randomTiling(ws, rng, &m)
-		if s.fitsBuffers(ws, &m) {
+		if s.fillFits(ws, &m, blk[1:]) {
+			blk[0] = s.fp.stamp
 			s.randomOrders(rng, &m)
-			s.randomAlloc(ws, rng, &m)
+			s.randomAlloc(ws, rng, &m, blk[1:])
 			return m
 		}
 	}
 	s.setMinimalTiling(&m)
-	s.coverAlloc(ws, &m)
+	s.coverAlloc(ws, &m, s.fillStamped(ws, &m)[1:])
 	s.randomOrders(rng, &m)
 	return m
+}
+
+// fillFits fills the footprints fps of a sampled tiling level by level and
+// reports whether each level's fit its raw capacity, stopping at the first
+// that does not.
+func (s *Space) fillFits(ws *scratch, m *Mapping, fps []float64) bool {
+	ws.tile = grow(ws.tile, s.NumDims())
+	for level := arch.L1; level < arch.OnChipLevels; level++ {
+		s.fp.fillLevel(m, fps, level, allDims, nil, ws.tile)
+		if !s.fitsLevel(fps, level) {
+			return false
+		}
+	}
+	return true
 }
 
 // randomTiling samples every dimension's factor chain under the PE budget,
@@ -358,10 +495,10 @@ func (s *Space) randomOrders(rng *rand.Rand, m *Mapping) {
 // randomAlloc assigns each tensor its required footprint share plus a
 // random split of (part of) the remaining capacity, so allocation stays a
 // genuinely free programmable attribute while remaining valid.
-func (s *Space) randomAlloc(ws *scratch, rng *rand.Rand, m *Mapping) {
+func (s *Space) randomAlloc(ws *scratch, rng *rand.Rand, m *Mapping, fps []float64) {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		shares, sum := s.sharesAt(ws, m, level)
+		shares, sum := s.sharesAt(ws, fps, level)
 		slack := (1 - sum) * rng.Float64()
 		ws.extra = grow(ws.extra, nt)
 		weights := ws.extra
@@ -376,10 +513,12 @@ func (s *Space) randomAlloc(ws *scratch, rng *rand.Rand, m *Mapping) {
 	}
 }
 
-// emptyMapping returns a mapping with all-ones tiles, identity loop orders
-// and zero allocations. Its integer slices share one backing array and its
-// allocation slices another; each is capacity-capped, so an append to one
-// never spills into the next.
+// emptyMapping returns a mapping with all-ones tiles, identity loop orders,
+// zero allocations and an unstamped footprint block. Its integer slices
+// share one backing array and its allocation slices and block another.
+// Each slice is capacity-capped, so an append to one never spills into the
+// next, except Alloc[L2], whose capacity reaches over the block: an append
+// to it overwrites the stamp, and its new length no longer locates a block.
 func (s *Space) emptyMapping() Mapping {
 	d, nt := s.NumDims(), s.NumTensors()
 	var m Mapping
@@ -397,10 +536,11 @@ func (s *Space) emptyMapping() Mapping {
 			m.Order[l][i] = i
 		}
 	}
-	fracs := make([]float64, arch.OnChipLevels*nt)
+	fracs := make([]float64, arch.OnChipLevels*nt+blockLen(nt))
 	for l := range m.Alloc {
 		m.Alloc[l] = fracs[l*nt : (l+1)*nt : (l+1)*nt]
 	}
+	m.Alloc[arch.OnChipLevels-1] = fracs[(arch.OnChipLevels-1)*nt : arch.OnChipLevels*nt]
 	return m
 }
 
@@ -419,7 +559,7 @@ func (s *Space) minimalMapping() Mapping {
 	defer putScratch(ws)
 	m := s.emptyMapping()
 	s.setMinimalTiling(&m)
-	s.coverAlloc(ws, &m)
+	s.coverAlloc(ws, &m, s.fillStamped(ws, &m)[1:])
 	return m
 }
 
@@ -438,8 +578,10 @@ func (s *Space) TightenAlloc(m *Mapping) bool {
 	ws := getScratch()
 	defer putScratch(ws)
 	nt := s.NumTensors()
+	ws.blk = grow(ws.blk, blockLen(nt))
+	s.fill(m, ws.blk, allDims)
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		shares, sum := s.sharesAt(ws, m, level)
+		shares, sum := s.sharesAt(ws, ws.blk[1:], level)
 		if len(m.Alloc[level]) != nt {
 			m.Alloc[level] = make([]float64, nt)
 		}
@@ -451,13 +593,13 @@ func (s *Space) TightenAlloc(m *Mapping) bool {
 	return true
 }
 
-// coverAlloc sets allocations to exactly cover footprints plus an even
-// share of the slack. It assumes footprints fit raw capacity and that m's
-// allocation slices have one entry per tensor.
-func (s *Space) coverAlloc(ws *scratch, m *Mapping) {
+// coverAlloc sets allocations to exactly cover the footprints fps plus an
+// even share of the slack. It assumes footprints fit raw capacity and that
+// m's allocation slices have one entry per tensor.
+func (s *Space) coverAlloc(ws *scratch, m *Mapping, fps []float64) {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		shares, sum := s.sharesAt(ws, m, level)
+		shares, sum := s.sharesAt(ws, fps, level)
 		slack := math.Max(0, 1-sum)
 		for t := range shares {
 			m.Alloc[level][t] = shares[t] + slack/float64(nt)
@@ -466,14 +608,14 @@ func (s *Space) coverAlloc(ws *scratch, m *Mapping) {
 }
 
 // repairAlloc projects the mapping's allocations onto the valid region:
-// every tensor gets at least its footprint share, surpluses are scaled to
-// fit the remaining capacity, and proportions are otherwise preserved. It
-// returns false when the tiling's footprints exceed raw capacity (no
-// allocation can fix that).
-func (s *Space) repairAlloc(ws *scratch, m *Mapping) bool {
+// every tensor gets at least its footprint share (from the footprints
+// fps of m's tiling), surpluses are scaled to fit the remaining capacity,
+// and proportions are otherwise preserved. It returns false when the
+// tiling's footprints exceed raw capacity (no allocation can fix that).
+func (s *Space) repairAlloc(ws *scratch, m *Mapping, fps []float64) bool {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		shares, sumShares := s.sharesAt(ws, m, level)
+		shares, sumShares := s.sharesAt(ws, fps, level)
 		if sumShares > 1+allocTolerance {
 			return false
 		}

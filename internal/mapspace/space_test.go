@@ -234,7 +234,8 @@ func TestRepairAllocRaisesToFootprint(t *testing.T) {
 	s := testSpaceCNN(t)
 	m := s.minimalMapping()
 	m.Alloc[arch.L1] = []float64{0, 0, 0}
-	if !s.repairAlloc(getScratch(), &m) {
+	ws := getScratch()
+	if !s.repairAlloc(ws, &m, s.fillStamped(ws, &m)[1:]) {
 		t.Fatal("repairAlloc failed on feasible tiling")
 	}
 	if err := s.IsMember(&m); err != nil {

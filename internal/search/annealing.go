@@ -87,10 +87,15 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 	tMax, tMin := annealSchedule(&deltas, curE)
 
 	// cur and next swap storage on acceptance, so each neighbor is written
-	// over the last rejected (or superseded) one.
+	// over the last rejected (or superseded) one. One clock read per move
+	// serves both the budget test and the schedule.
 	var next mapspace.Mapping
-	for !t.exhausted() {
-		temp := tMax * math.Pow(tMin/tMax, t.progress())
+	for {
+		now := t.clock()
+		if t.exhaustedAt(now) {
+			break
+		}
+		temp := tMax * math.Pow(tMin/tMax, t.progress(now))
 		ctx.Space.PerturbInto(rng, &cur, &next)
 		nextE, err := t.payEval(&next)
 		if err != nil {

@@ -127,7 +127,7 @@ func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
 		}
 		for step := 0; step < rlEpisodeLen && !t.exhausted(); step++ {
 			state := agent.observe(ctx.Space.Encode(&cur))
-			action := agent.act(state, agent.noise(t.progress()))
+			action := agent.act(state, agent.noise(t.progress(t.clock())))
 			next, err := agent.applyAction(ctx.Space, &cur, action)
 			if err != nil {
 				return Result{}, err

@@ -317,13 +317,18 @@ func newTracker(ctx *Context, budget Budget) *tracker {
 // run. Every searcher checks it around each paid evaluation, so
 // cancellation stops an in-flight search within one evaluation.
 func (t *tracker) exhausted() bool {
+	return t.exhaustedAt(t.clock())
+}
+
+// exhaustedAt is exhausted at the elapsed time clock returned.
+func (t *tracker) exhaustedAt(elapsed time.Duration) bool {
 	if t.ctx.canceled() {
 		return true
 	}
 	if t.budget.MaxEvals > 0 && t.evals >= t.budget.MaxEvals {
 		return true
 	}
-	if t.budget.MaxTime > 0 && t.elapsed() >= t.budget.MaxTime {
+	if t.budget.MaxTime > 0 && elapsed >= t.budget.MaxTime {
 		return true
 	}
 	if t.budget.Patience > 0 && t.sinceBest >= t.budget.Patience {
@@ -332,15 +337,24 @@ func (t *tracker) exhausted() bool {
 	return false
 }
 
-// progress returns the fraction of the budget consumed, for annealing
-// schedules.
-func (t *tracker) progress() float64 {
+// clock returns the elapsed time the time budget is measured by, reading
+// the clock only when the budget has a time limit (0 otherwise).
+func (t *tracker) clock() time.Duration {
+	if t.budget.MaxTime > 0 {
+		return t.elapsed()
+	}
+	return 0
+}
+
+// progress returns the fraction of the budget consumed at the elapsed
+// time clock returned, for annealing schedules.
+func (t *tracker) progress(elapsed time.Duration) float64 {
 	p := 0.0
 	if t.budget.MaxEvals > 0 {
 		p = float64(t.evals) / float64(t.budget.MaxEvals)
 	}
 	if t.budget.MaxTime > 0 {
-		if tp := float64(t.elapsed()) / float64(t.budget.MaxTime); tp > p {
+		if tp := float64(elapsed) / float64(t.budget.MaxTime); tp > p {
 			p = tp
 		}
 	}

@@ -103,8 +103,12 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 	}
 	tMax, tMin := annealSchedule(&deltas, curE)
 
-	for !t.exhausted() {
-		temp := tMax * math.Pow(tMin/tMax, t.progress())
+	for {
+		now := t.clock()
+		if t.exhaustedAt(now) {
+			break
+		}
+		temp := tMax * math.Pow(tMin/tMax, t.progress(now))
 		next := ctx.Space.Perturb(rng, &cur)
 		nextE, err := predict(&next)
 		if err != nil {

@@ -1582,15 +1582,49 @@ func buildResult(res *search.Result, space *mapspace.Space) *JobResult {
 		out.Mapping = res.Best.String()
 		out.LoopNest = space.RenderLoopNest(&res.Best)
 	}
-	for _, s := range res.Trajectory {
-		out.Trajectory = append(out.Trajectory, TrajectoryPoint{
+	out.Trajectory = retainedTrajectory(res.Trajectory)
+	if conv := res.Convergence(); len(res.Trajectory) > 0 {
+		out.Convergence = &conv
+	}
+	return out
+}
+
+// retainedTrajectory converts a search trajectory into the one a job
+// keeps: every improvement, and at most maxTrajectorySamples of the other
+// samples, evenly thinned. A time-only budget's stride comes from
+// evalsPerSecondEstimate, so a search faster than the estimate records
+// more stride samples than the bound; the thinning keeps what a finished
+// job holds bounded however fast it searched. Eval budgets never record
+// more than the bound, and keep every sample.
+func retainedTrajectory(traj []search.Sample) []TrajectoryPoint {
+	if len(traj) == 0 {
+		return nil
+	}
+	improvements, best := 0, math.Inf(1)
+	for _, s := range traj {
+		if s.BestEDP < best {
+			best = s.BestEDP
+			improvements++
+		}
+	}
+	others := len(traj) - improvements
+	every := 1
+	if others > maxTrajectorySamples {
+		every = (others-1)/maxTrajectorySamples + 1
+	}
+	out := make([]TrajectoryPoint, 0, improvements+others/every)
+	best, skipped := math.Inf(1), 0
+	for _, s := range traj {
+		if s.BestEDP < best {
+			best = s.BestEDP
+		} else if skipped++; skipped%every != 0 {
+			continue
+		}
+		out = append(out, TrajectoryPoint{
 			Eval:      s.Eval,
 			ElapsedMS: float64(s.Elapsed.Microseconds()) / 1e3,
 			BestEDP:   s.BestEDP,
 		})
-	}
-	if conv := res.Convergence(); len(res.Trajectory) > 0 {
-		out.Convergence = &conv
 	}
 	return out
 }

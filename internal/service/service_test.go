@@ -214,6 +214,47 @@ func TestLargeJobTrajectoryIsStrided(t *testing.T) {
 	}
 }
 
+// A search that outruns its rate-estimated stride records more stride
+// samples than the bound; the job keeps every improvement and at most
+// maxTrajectorySamples of the rest, in order. A trajectory within the
+// bound is kept whole.
+func TestRetainedTrajectoryBounded(t *testing.T) {
+	var traj []search.Sample
+	best := 1000.0
+	for eval := 1; eval <= 5000; eval++ {
+		if eval%50 == 1 {
+			best *= 0.99
+		}
+		traj = append(traj, search.Sample{Eval: eval, Elapsed: time.Duration(eval) * time.Microsecond, BestEDP: best})
+	}
+	kept := retainedTrajectory(traj)
+	improvements, others := 0, 0
+	prev, last := math.Inf(1), 0
+	for _, p := range kept {
+		if p.Eval <= last {
+			t.Fatalf("point at eval %d after eval %d", p.Eval, last)
+		}
+		last = p.Eval
+		if p.BestEDP < prev {
+			prev = p.BestEDP
+			improvements++
+		} else {
+			others++
+		}
+	}
+	if improvements != 100 || others > maxTrajectorySamples || others < maxTrajectorySamples/2 {
+		t.Fatalf("kept %d improvements (want 100) and %d other samples (want at most %d)",
+			improvements, others, maxTrajectorySamples)
+	}
+	if cap(kept) != len(kept) {
+		t.Fatalf("retained trajectory has capacity %d for %d points", cap(kept), len(kept))
+	}
+	short := traj[:maxTrajectorySamples+3] // 6 improvements, 253 others
+	if kept := retainedTrajectory(short); len(kept) != len(short) {
+		t.Fatalf("a trajectory within the bound kept %d of %d points", len(kept), len(short))
+	}
+}
+
 // TestStridedJobMatchesDirectSearch pins the telemetry bound end to end: a
 // ga job above maxTrajectorySamples evaluations records every improvement
 // plus at most maxTrajectorySamples stride samples, publishes no more

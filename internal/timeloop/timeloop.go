@@ -38,6 +38,8 @@ type Model struct {
 	macs     float64
 	fullSize []float64 // per-tensor full footprints
 	relevant [][]bool  // relevant[t][d]: dimension d indexes tensor t
+	relDims  [][]int   // relDims[t]: the dimensions indexing tensor t, ascending
+	fp       mapspace.Footprinter
 }
 
 func init() {
@@ -58,9 +60,16 @@ func New(a arch.Spec, p loopnest.Problem) (*Model, error) {
 		return nil, fmt.Errorf("timeloop: architecture consumes %d operands/MAC but algorithm %s has %d input tensors",
 			a.OperandsPerMAC, p.Algo.Name, want)
 	}
-	m := &Model{Arch: a, Prob: p, macs: p.MACs(), relevant: p.Algo.Relevance()}
+	m := &Model{Arch: a, Prob: p, macs: p.MACs(), relevant: p.Algo.Relevance(), fp: mapspace.NewFootprinter(p)}
 	for t := range p.Algo.Tensors {
 		m.fullSize = append(m.fullSize, float64(p.Algo.Tensors[t].Footprint(p.Shape)))
+		dims := make([]int, 0, len(m.relevant[t])) // never nil: nil means every dim
+		for d, rel := range m.relevant[t] {
+			if rel {
+				dims = append(dims, d)
+			}
+		}
+		m.relDims = append(m.relDims, dims)
 	}
 	return m, nil
 }
@@ -84,33 +93,30 @@ type loop struct {
 	through float64
 }
 
-// evalScratch is the per-Cost evaluation workspace (cumulative tiles,
-// temporal loop nests), kept on the Cost so a reused Cost value is a
-// complete, allocation-free workspace: steady-state EvaluateInto calls on
-// the same Cost perform zero heap allocations.
+// evalScratch is the per-Cost evaluation workspace (footprints of a
+// mapping without a fresh footprint block, the temporal loop nest), kept
+// on the Cost so a reused Cost value is a complete, allocation-free
+// workspace: steady-state EvaluateInto calls on the same Cost perform zero
+// heap allocations.
 type evalScratch struct {
-	tile1, tile2   []int
-	loops1, loops2 []loop
+	fp    mapspace.FootprintBuf
+	loops []loop
 }
 
-// appendTemporalLoops appends the loop nest above the given on-chip level
-// to buf, outermost first: for the L1 boundary the DRAM-level loops
-// followed by the L2-level loops; for the L2 boundary the DRAM-level loops
-// only. Passing buf[:0] reuses its storage. Each loop's through product
-// multiplies the trip counts outermost first, so it is bit for bit the
-// product reuseQ would take over the same prefix.
-func appendTemporalLoops(buf []loop, mp *mapspace.Mapping, level arch.Level) []loop {
+// appendTemporalLoops appends the loop nest above the L1 boundary to buf,
+// outermost first: the DRAM-level loops followed by the L2-level loops.
+// Its DRAM-level prefix is the nest above the L2 boundary. Passing buf[:0]
+// reuses its storage. Each loop's through product multiplies the trip
+// counts outermost first, so it is bit for bit the product reuseQ would
+// take over the same prefix.
+func appendTemporalLoops(buf []loop, mp *mapspace.Mapping) []loop {
 	through := 1.0
-	appendLevel := func(l arch.Level) {
+	for _, l := range [...]arch.Level{arch.DRAM, arch.L2} {
 		for _, dim := range mp.Order[l] {
 			count := mp.Tile[l][dim]
 			through *= float64(count)
 			buf = append(buf, loop{dim: dim, count: count, through: through})
 		}
-	}
-	appendLevel(arch.DRAM)
-	if level == arch.L1 {
-		appendLevel(arch.L2)
 	}
 	return buf
 }
@@ -132,18 +138,23 @@ func reuseQ(relevant []bool, loops []loop) float64 {
 	return 1
 }
 
-// multicastSplit returns (total spatial PEs, PEs along tensor-relevant
-// dims). PEs along irrelevant dims share the tensor's data via NoC
-// multicast (inputs) or contribute to a NoC reduction (outputs).
-func multicastSplit(relevant []bool, spatial []int) (total, rel float64) {
-	total, rel = 1, 1
-	for d, s := range spatial {
-		total *= float64(s)
-		if relevant[d] {
-			rel *= float64(s)
+// pesAlong returns the product of the spatial factors of dims (every
+// dimension when dims is nil), multiplied in the order given: all active
+// PEs, or the PEs along a tensor's relevant dims. PEs along irrelevant
+// dims share the tensor's data via NoC multicast (inputs) or contribute to
+// a NoC reduction (outputs).
+func pesAlong(dims, spatial []int) float64 {
+	pes := 1.0
+	if dims == nil {
+		for _, s := range spatial {
+			pes *= float64(s)
 		}
+		return pes
 	}
-	return total, rel
+	for _, d := range dims {
+		pes *= float64(spatial[d])
+	}
+	return pes
 }
 
 // allocEnergyScale models SRAM access energy growing with the allocated
@@ -201,20 +212,17 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 		ws = &evalScratch{}
 		c.Scratch = ws
 	}
-	ws.tile1 = mp.CumulativeTileInto(ws.tile1, arch.L1)
-	ws.tile2 = mp.CumulativeTileInto(ws.tile2, arch.L2)
-	ws.loops1 = appendTemporalLoops(ws.loops1[:0], mp, arch.L1)
-	ws.loops2 = appendTemporalLoops(ws.loops2[:0], mp, arch.L2)
-	tileL1, tileL2 := ws.tile1, ws.tile2
-	loopsL1, loopsL2 := ws.loops1, ws.loops2
+	fps := m.fp.Footprints(mp, &ws.fp)
+	ws.loops = appendTemporalLoops(ws.loops[:0], mp)
+	loopsL1, loopsL2 := ws.loops, ws.loops[:nd]
+	totalPEs := pesAlong(nil, mp.Spatial)
 
 	for t := range m.Prob.Algo.Tensors {
 		tensor := &m.Prob.Algo.Tensors[t]
-		fpL1 := float64(tensor.Footprint(tileL1))
-		fpL2 := float64(tensor.Footprint(tileL2))
+		fpL1, fpL2 := fps[t], fps[nt+t]
 		q1 := reuseQ(m.relevant[t], loopsL1)
 		q2 := reuseQ(m.relevant[t], loopsL2)
-		totalPEs, relPEs := multicastSplit(m.relevant[t], mp.Spatial)
+		relPEs := pesAlong(m.relDims[t], mp.Spatial)
 
 		if !tensor.Output {
 			perPEFills := fpL1 * q1

@@ -138,8 +138,8 @@ func TestReuseQEmpty(t *testing.T) {
 }
 
 func TestMulticastSplit(t *testing.T) {
-	relevant := []bool{true, false, true} // the tensor depends on dims 0 and 2
-	total, rel := multicastSplit(relevant, []int{2, 4, 8})
+	relevant := []int{0, 2} // the tensor depends on dims 0 and 2
+	total, rel := pesAlong(nil, []int{2, 4, 8}), pesAlong(relevant, []int{2, 4, 8})
 	if total != 64 || rel != 16 {
 		t.Fatalf("split = %v/%v, want 64/16", total, rel)
 	}
