@@ -420,11 +420,12 @@ func cmdSearch(args []string) error {
 }
 
 // progressPrinter returns a search.Progress hook that mirrors the live
-// trajectory to w: every improvement and at most one heartbeat line per
-// 500ms otherwise. It is the CLI twin of the service's SSE stream — both
-// observe the same trajectory samples, so a -progress run shows exactly
-// the strides a job's /events endpoint would. The hook is invoked from
-// the searcher goroutine only, so the closure state needs no locking.
+// trajectory to w: every improvement, and of the power-of-two heartbeat
+// samples at most one line per 500ms. It is the CLI twin of the service's
+// SSE stream — both observe the same trajectory samples, which a
+// -progress run and a job's /events endpoint record alike. The hook is
+// invoked from the searcher goroutine only, so the closure state needs no
+// locking.
 func progressPrinter(w io.Writer) func(search.Progress) {
 	var lastLine time.Time
 	return func(p search.Progress) {

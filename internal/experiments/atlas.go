@@ -145,17 +145,13 @@ func (h *Harness) AtlasSweepFor(w io.Writer, names []string) ([]AtlasRow, error)
 }
 
 // evalsToReach returns the 1-based evaluation index at which the run first
-// attained cost <= target, or 0 if it never did.
+// attained cost <= target, or 0 if it never did. The crossing is an
+// improvement, and every improvement is a trajectory sample.
 func evalsToReach(r *search.Result, target float64) int {
 	for _, s := range r.Trajectory {
 		if s.BestEDP <= target {
 			return s.Eval
 		}
-	}
-	// Strided trajectories can skip the crossing sample; the final best is
-	// still authoritative.
-	if r.BestEDP <= target && r.Evals > 0 {
-		return r.Evals
 	}
 	return 0
 }

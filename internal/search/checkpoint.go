@@ -86,22 +86,6 @@ func (f *jsonFloat) UnmarshalJSON(raw []byte) error {
 	return nil
 }
 
-// Clone deep-copies the checkpoint so snapshots handed to asynchronous
-// consumers (journal writers) never alias searcher-owned buffers.
-func (c *Checkpoint) Clone() *Checkpoint {
-	if c == nil {
-		return nil
-	}
-	out := *c
-	if c.Best != nil {
-		b := c.Best.Clone()
-		out.Best = &b
-	}
-	out.Trajectory = append([]Sample(nil), c.Trajectory...)
-	out.State = append(json.RawMessage(nil), c.State...)
-	return &out
-}
-
 // validateResume checks a checkpoint against the resuming searcher.
 func (c *Checkpoint) validateResume(method string) error {
 	if c.Method != method {
@@ -165,7 +149,10 @@ func (t *tracker) emitCheckpoint(method string, rngDraws int64, state any) error
 }
 
 // restore rewinds the tracker to a checkpoint: budget position, best-so-far
-// state, and trajectory prefix. The searcher separately restores its own
+// state, and trajectory prefix. The prefix keeps only the samples record
+// would have kept (improvements and power-of-two evals), so a checkpoint
+// written by a tracker that recorded more resumes into the trajectory an
+// uninterrupted run records. The searcher separately restores its own
 // State and RNG position.
 func (t *tracker) restore(c *Checkpoint) {
 	t.evals = c.Eval
@@ -175,6 +162,15 @@ func (t *tracker) restore(c *Checkpoint) {
 		t.bestM = c.Best.Clone()
 	}
 	t.sinceBest = c.SinceBest
-	t.traj = append([]Sample(nil), c.Trajectory...)
+	t.traj = nil
+	best := math.Inf(1)
+	for _, s := range c.Trajectory {
+		if s.BestEDP < best {
+			best = s.BestEDP
+		} else if !powerOfTwo(s.Eval) {
+			continue
+		}
+		t.traj = append(t.traj, s)
+	}
 	t.lastCheckpoint = c.Eval
 }

@@ -25,7 +25,7 @@ func TestCheckpointResumeBitCompatible(t *testing.T) {
 	var cks []*Checkpoint
 	full := conv1dContext(t, seed)
 	full.CheckpointEvery = every
-	full.Checkpoint = func(c *Checkpoint) { cks = append(cks, c.Clone()) }
+	full.Checkpoint = func(c *Checkpoint) { cks = append(cks, c) }
 	want, err := mm.Search(full, Budget{MaxEvals: evals})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestCancelEmitsBoundaryCheckpoint(t *testing.T) {
 	ctx.QueryLatency = 2 * time.Millisecond
 	ctx.CheckpointEvery = 10
 	var last *Checkpoint
-	ctx.Checkpoint = func(c *Checkpoint) { last = c.Clone() }
+	ctx.Checkpoint = func(c *Checkpoint) { last = c }
 	cctx, cancel := context.WithCancel(context.Background())
 	ctx.Ctx = cctx
 	// Train (or fetch) the shared surrogate before the clock starts, so

@@ -160,9 +160,8 @@ func TestPatienceConvergence(t *testing.T) {
 		t.Fatal("patience did not trigger")
 	}
 	// The last 50 evaluations must show no improvement.
-	n := len(res.Trajectory)
-	if res.Trajectory[n-1].BestEDP != res.Trajectory[n-51].BestEDP {
-		t.Fatal("run stopped while still improving")
+	if c := res.Convergence(); c.StallEvals < 50 {
+		t.Fatalf("run stopped while still improving: %d evals since the last improvement", c.StallEvals)
 	}
 }
 

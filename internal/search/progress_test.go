@@ -1,69 +1,93 @@
 package search
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"mindmappings/internal/costmodel"
+	"mindmappings/internal/mapspace"
 )
 
-// TestProgressHookMirrorsTrajectory pins the Context.Progress contract:
-// the hook fires exactly once per recorded trajectory sample, with the
-// same eval index and best-so-far value, and the best values it reports
-// never increase.
+// valueLog wraps a cost model and logs the normalized objective value of
+// every query it answers, in order. Every query a searcher makes is one
+// evaluation, so the log is the per-evaluation truth a recorded trajectory
+// is checked against.
+type valueLog struct {
+	costmodel.Evaluator
+	ctx    *Context
+	values []float64
+}
+
+func (v *valueLog) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c *costmodel.Cost) error {
+	if err := v.Evaluator.EvaluateInto(ctx, m, c); err != nil {
+		return err
+	}
+	v.values = append(v.values, v.ctx.Objective.normalized(c, v.ctx.Bound))
+	return nil
+}
+
+// TestProgressHookMirrorsTrajectory pins the trajectory rule for every
+// searcher: the recorded samples are exactly the evaluations that lower
+// the best-so-far value plus those whose index is a power of two, each
+// carrying the best-so-far value after it; Context.Progress fires once per
+// sample with the same eval, best and elapsed time; and its Improved flag
+// is set exactly on the improving samples.
 func TestProgressHookMirrorsTrajectory(t *testing.T) {
-	for _, s := range allSearchers(t) {
-		s := s
+	sur := conv1dSurrogate(t)
+	searchers := []Searcher{GeneticAlgorithm{}, SimulatedAnnealing{}, SurrogateSA{Surrogate: sur},
+		BeamSearch{}, RandomSearch{}, RL{Hidden: 24}, MindMappings{Surrogate: sur}}
+	for _, s := range searchers {
 		t.Run(s.Name(), func(t *testing.T) {
 			ctx := conv1dContext(t, 7)
+			log := &valueLog{Evaluator: ctx.Model, ctx: ctx}
+			ctx.Model = log
 			var got []Progress
 			ctx.Progress = func(p Progress) { got = append(got, p) }
 			res, err := s.Search(ctx, Budget{MaxEvals: 120})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(res.Trajectory) {
-				t.Fatalf("progress fired %d times, trajectory has %d samples", len(got), len(res.Trajectory))
+			if len(log.values) != res.Evals {
+				t.Fatalf("%d cost-model queries for %d evals", len(log.values), res.Evals)
 			}
+			heartbeat := map[int]bool{}
+			for e := 1; e <= res.Evals; e *= 2 {
+				heartbeat[e] = true
+			}
+			type point struct {
+				eval     int
+				best     float64
+				improved bool
+			}
+			var want []point
 			best := math.Inf(1)
-			for i, p := range got {
-				s := res.Trajectory[i]
-				if p.Eval != s.Eval || p.Best != s.BestEDP {
-					t.Fatalf("sample %d: progress (%d, %v) != trajectory (%d, %v)",
-						i, p.Eval, p.Best, s.Eval, s.BestEDP)
+			for i, v := range log.values {
+				improved := v < best
+				if improved {
+					best = v
 				}
-				if p.Best > best {
-					t.Fatalf("sample %d: best rose from %v to %v", i, best, p.Best)
+				if improved || heartbeat[i+1] {
+					want = append(want, point{i + 1, best, improved})
 				}
-				if p.Improved && p.Best >= best {
-					t.Fatalf("sample %d: marked improved without improving (%v >= %v)", i, p.Best, best)
+			}
+			if len(res.Trajectory) != len(want) || len(got) != len(want) {
+				t.Fatalf("%d samples and %d progress calls, want %d (improvements plus powers of two up to %d)",
+					len(res.Trajectory), len(got), len(want), res.Evals)
+			}
+			for i, w := range want {
+				s, p := res.Trajectory[i], got[i]
+				if s.Eval != w.eval || s.BestEDP != w.best {
+					t.Fatalf("sample %d is (%d, %v), want (%d, %v)", i, s.Eval, s.BestEDP, w.eval, w.best)
 				}
-				best = p.Best
+				if p.Eval != s.Eval || p.Best != s.BestEDP || p.Elapsed != s.Elapsed {
+					t.Fatalf("progress %d %+v != sample %+v", i, p, s)
+				}
+				if p.Improved != w.improved {
+					t.Fatalf("progress %d at eval %d: Improved %v, want %v", i, p.Eval, p.Improved, w.improved)
+				}
 			}
 		})
-	}
-}
-
-// TestProgressHookRespectsStride pins that a thinned trajectory thins the
-// hook identically: improvements always fire, non-improvements only on
-// stride boundaries.
-func TestProgressHookRespectsStride(t *testing.T) {
-	ctx := conv1dContext(t, 3)
-	var got []Progress
-	ctx.Progress = func(p Progress) { got = append(got, p) }
-	budget := Budget{MaxEvals: 200, TrajectoryStride: 50}
-	res, err := (RandomSearch{}).Search(ctx, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(res.Trajectory) {
-		t.Fatalf("progress fired %d times, trajectory has %d samples", len(got), len(res.Trajectory))
-	}
-	for _, p := range got {
-		if !p.Improved && p.Eval%budget.TrajectoryStride != 0 {
-			t.Fatalf("non-improving sample at eval %d off the stride", p.Eval)
-		}
-	}
-	if len(got) >= res.Evals {
-		t.Fatalf("stride did not thin the hook: %d calls for %d evals", len(got), res.Evals)
 	}
 }
 

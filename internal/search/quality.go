@@ -3,9 +3,9 @@ package search
 import "math"
 
 // Convergence summarizes how a run converged, derived entirely from the
-// recorded trajectory. Because tracker.record always keeps improving
-// samples regardless of Budget.TrajectoryStride, the best-so-far frontier
-// in Result.Trajectory is exact, and these metrics are too.
+// recorded trajectory and the eval count. Every improvement is a recorded
+// sample (see Sample), so the best-so-far frontier in Result.Trajectory is
+// exact, and these metrics read nothing else.
 //
 // The paper's search methods are judged by sample efficiency — how fast a
 // run approaches its final best — not just the final cost, so this is the

@@ -58,7 +58,7 @@ func TestComputeConvergenceNoStallWhenImprovingLate(t *testing.T) {
 }
 
 func TestComputeConvergenceFlatRun(t *testing.T) {
-	// Non-improving stride samples only: one value throughout.
+	// Non-improving samples only: one value throughout.
 	traj := trajFrom([2]float64{1, 42}, [2]float64{50, 42}, [2]float64{100, 42})
 	c := ComputeConvergence(traj, 100)
 	if c.Improvement != 0 || c.Improvements != 0 || c.ImprovementRate != 0 {

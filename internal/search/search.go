@@ -49,26 +49,23 @@ type Budget struct {
 	// convergence", §5.4.2). It composes with the hard limits above; at
 	// least one hard limit must still be set.
 	Patience int
-	// TrajectoryStride thins the recorded trajectory: every improvement is
-	// always recorded, plus every stride-th evaluation. 0 or 1 records
-	// every evaluation (the historical behavior); larger strides keep
-	// million-eval runs from holding million-entry Sample slices. Budget
-	// accounting, convergence, and the search itself are unaffected — only
-	// Result.Trajectory is thinned.
-	TrajectoryStride int
 }
 
 func (b Budget) validate() error {
 	if b.MaxEvals <= 0 && b.MaxTime <= 0 {
 		return errors.New("search: budget needs MaxEvals or MaxTime")
 	}
-	if b.MaxEvals < 0 || b.MaxTime < 0 || b.Patience < 0 || b.TrajectoryStride < 0 {
+	if b.MaxEvals < 0 || b.MaxTime < 0 || b.Patience < 0 {
 		return fmt.Errorf("search: negative budget %+v", b)
 	}
 	return nil
 }
 
-// Sample is one best-so-far trajectory point.
+// Sample is one best-so-far trajectory point. A run records a sample at
+// every evaluation that lowers the best-so-far value and at every
+// evaluation whose 1-based index is a power of two, so its trajectory
+// holds the exact best-so-far frontier plus at most ⌊log2 Evals⌋+1
+// heartbeats, however long it runs.
 type Sample struct {
 	// Eval is the 1-based evaluation index at which this point was taken.
 	Eval int
@@ -174,11 +171,11 @@ type Context struct {
 	Cache any
 	// Progress, when non-nil, receives live best-so-far telemetry: it fires
 	// exactly when a trajectory sample is recorded (every improvement, plus
-	// every TrajectoryStride-th evaluation), from the searcher's own
-	// goroutine. The serving stack's SSE endpoints and the CLI's -progress
-	// line hang off this hook; implementations must be fast and must not
-	// block (the search stalls while the hook runs). The eval hot path pays
-	// nothing for it beyond one nil check per recorded sample.
+	// every evaluation whose index is a power of two), from the searcher's
+	// own goroutine. The serving stack's SSE endpoints and the CLI's
+	// -progress line hang off this hook; implementations must be fast and
+	// must not block (the search stalls while the hook runs). The eval hot
+	// path pays nothing for it beyond one nil check per recorded sample.
 	Progress func(Progress)
 	// Checkpoint, when non-nil, receives resumable snapshots of the search
 	// every CheckpointEvery evaluations (and once more at cancellation, so
@@ -361,9 +358,10 @@ func (t *tracker) progress(elapsed time.Duration) float64 {
 	return math.Min(p, 1)
 }
 
-// record notes a candidate with a known true normalized EDP. Improvements
-// are always recorded; non-improving samples are thinned by
-// Budget.TrajectoryStride.
+// record notes a candidate with a known true normalized EDP, as
+// evaluation t.evals. It records a sample, and fires Context.Progress, only
+// when the candidate improves the best-so-far value or the eval index is a
+// power of two (see Sample).
 func (t *tracker) record(m *mapspace.Mapping, edp float64) {
 	improved := edp < t.best
 	if improved {
@@ -372,9 +370,9 @@ func (t *tracker) record(m *mapspace.Mapping, edp float64) {
 		t.sinceBest = 0
 	} else {
 		t.sinceBest++
-	}
-	if stride := t.budget.TrajectoryStride; stride > 1 && !improved && t.evals%stride != 0 {
-		return
+		if !powerOfTwo(t.evals) {
+			return
+		}
 	}
 	elapsed := t.elapsed()
 	t.traj = append(t.traj, Sample{Eval: t.evals, Elapsed: elapsed, BestEDP: t.best})
@@ -382,6 +380,10 @@ func (t *tracker) record(m *mapspace.Mapping, edp float64) {
 		t.ctx.Progress(Progress{Eval: t.evals, Best: t.best, Elapsed: elapsed, Improved: improved})
 	}
 }
+
+// powerOfTwo reports whether the 1-based eval index n is a heartbeat: a
+// power of two.
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // evalValue runs one cost-model query into the given workspace, returning
 // the normalized objective value. A paid query first waits QueryLatency

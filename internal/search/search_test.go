@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -171,13 +172,40 @@ func TestAllSearchersRespectEvalBudget(t *testing.T) {
 		if res.Evals != budget {
 			t.Errorf("%s: used %d evals, budget %d", s.Name(), res.Evals, budget)
 		}
-		if len(res.Trajectory) != budget {
-			t.Errorf("%s: trajectory has %d samples, want %d", s.Name(), len(res.Trajectory), budget)
+		if err := trajectoryRule(&res); err != nil {
+			t.Errorf("%s: %v", s.Name(), err)
 		}
 		if res.Method != s.Name() {
 			t.Errorf("%s: result method %q", s.Name(), res.Method)
 		}
 	}
+}
+
+// trajectoryRule checks a result's trajectory against the recording rule
+// as far as the result alone shows it: samples in eval order, every
+// non-improving sample at a power-of-two eval, and every power of two up
+// to Evals present.
+func trajectoryRule(res *Result) error {
+	best, last, next := math.Inf(1), 0, 1
+	for _, s := range res.Trajectory {
+		if s.Eval <= last {
+			return fmt.Errorf("sample at eval %d after eval %d", s.Eval, last)
+		}
+		last = s.Eval
+		if s.Eval > next {
+			return fmt.Errorf("power-of-two eval %d not recorded", next)
+		}
+		if s.Eval == next {
+			next *= 2
+		} else if s.BestEDP >= best {
+			return fmt.Errorf("non-improving sample at eval %d, not a power of two", s.Eval)
+		}
+		best = min(best, s.BestEDP)
+	}
+	if next <= res.Evals {
+		return fmt.Errorf("power-of-two eval %d not recorded", next)
+	}
+	return nil
 }
 
 func TestTrajectoriesMonotoneAndValid(t *testing.T) {
@@ -239,7 +267,7 @@ func TestSearchDeterministicWithSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.BestEDP == c.BestEDP && a.Trajectory[10].BestEDP == c.Trajectory[10].BestEDP {
+		if a.BestEDP == c.BestEDP && a.BestAt(10) == c.BestAt(10) {
 			t.Logf("%s: different seeds coincided (possible but unlikely)", s.Name())
 		}
 	}

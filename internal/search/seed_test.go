@@ -74,7 +74,7 @@ func TestSeededCheckpointResumeBitCompatible(t *testing.T) {
 	var cks []*Checkpoint
 	full := seededCtx()
 	full.CheckpointEvery = every
-	full.Checkpoint = func(c *Checkpoint) { cks = append(cks, c.Clone()) }
+	full.Checkpoint = func(c *Checkpoint) { cks = append(cks, c) }
 	want, err := mm.Search(full, Budget{MaxEvals: evals})
 	if err != nil {
 		t.Fatal(err)

@@ -59,8 +59,8 @@ func FuzzSearchRequest(f *testing.F) {
 				t.Fatalf("%s: non-positive size in %v", body, p.prob.Shape)
 			}
 		}
-		if p.budget.TrajectoryStride < 0 || p.timeout < 0 {
-			t.Fatalf("%s: stride %d, deadline %v", body, p.budget.TrajectoryStride, p.timeout)
+		if p.budget.MaxEvals < 0 || p.budget.MaxTime < 0 || p.timeout < 0 {
+			t.Fatalf("%s: budget %+v, deadline %v", body, p.budget, p.timeout)
 		}
 		q, err := req.resolve()
 		if err != nil || q.key != p.key || q.family != p.family {

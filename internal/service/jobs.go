@@ -855,23 +855,13 @@ func (req *SearchRequest) trainRequest() trainer.Request {
 	return treq
 }
 
-// maxTrajectorySamples is a service job's one telemetry bound: a job
-// records every improvement plus at most this many stride samples, and
-// its event stream retains this many for late subscribers. Each recorded
-// sample costs a published event, an SSE frame and a trajectory point in
-// every GET of the job, so any budget above the bound gets a
-// TrajectoryStride (a 3000-eval job records every 12th eval) and the
-// telemetry grows with the improvements, not with the evaluations.
+// maxTrajectorySamples is how many events a job's stream retains for late
+// subscribers. What a job publishes is bounded by the search itself: one
+// event per trajectory sample, and a search records only its improvements
+// plus ⌊log2 evals⌋+1 power-of-two heartbeats (search.Sample).
 const maxTrajectorySamples = 256
 
-// evalsPerSecondEstimate is the rate a time-only budget is thinned
-// against: a ga or sa job on the analytical cost model sustains over 1e5
-// evals/s on a 2-vCPU host. Improvements are always recorded, so an
-// overestimate only makes the trajectory sparser.
-const evalsPerSecondEstimate = 160_000
-
-// budget converts the request's limits into a search.Budget, deriving a
-// trajectory stride for budgets above maxTrajectorySamples evaluations.
+// budget converts the request's limits into a search.Budget.
 func (req *SearchRequest) budget() (search.Budget, error) {
 	b := search.Budget{MaxEvals: req.Evals, Patience: req.Patience}
 	if req.Time != "" {
@@ -886,16 +876,6 @@ func (req *SearchRequest) budget() (search.Budget, error) {
 	}
 	if b.MaxEvals < 0 || b.MaxTime < 0 || b.Patience < 0 {
 		return b, fmt.Errorf("service: negative budget")
-	}
-	evals := b.MaxEvals
-	if evals == 0 {
-		// Time-only budget: no eval count, so thin against the estimate.
-		evals = int(b.MaxTime.Seconds() * evalsPerSecondEstimate)
-	}
-	if evals > maxTrajectorySamples {
-		// The ceiling of evals/maxTrajectorySamples, written so it cannot
-		// overflow near MaxInt.
-		b.TrajectoryStride = (evals-1)/maxTrajectorySamples + 1
 	}
 	return b, nil
 }
@@ -1582,49 +1562,16 @@ func buildResult(res *search.Result, space *mapspace.Space) *JobResult {
 		out.Mapping = res.Best.String()
 		out.LoopNest = space.RenderLoopNest(&res.Best)
 	}
-	out.Trajectory = retainedTrajectory(res.Trajectory)
-	if conv := res.Convergence(); len(res.Trajectory) > 0 {
-		out.Convergence = &conv
-	}
-	return out
-}
-
-// retainedTrajectory converts a search trajectory into the one a job
-// keeps: every improvement, and at most maxTrajectorySamples of the other
-// samples, evenly thinned. A time-only budget's stride comes from
-// evalsPerSecondEstimate, so a search faster than the estimate records
-// more stride samples than the bound; the thinning keeps what a finished
-// job holds bounded however fast it searched. Eval budgets never record
-// more than the bound, and keep every sample.
-func retainedTrajectory(traj []search.Sample) []TrajectoryPoint {
-	if len(traj) == 0 {
-		return nil
-	}
-	improvements, best := 0, math.Inf(1)
-	for _, s := range traj {
-		if s.BestEDP < best {
-			best = s.BestEDP
-			improvements++
-		}
-	}
-	others := len(traj) - improvements
-	every := 1
-	if others > maxTrajectorySamples {
-		every = (others-1)/maxTrajectorySamples + 1
-	}
-	out := make([]TrajectoryPoint, 0, improvements+others/every)
-	best, skipped := math.Inf(1), 0
-	for _, s := range traj {
-		if s.BestEDP < best {
-			best = s.BestEDP
-		} else if skipped++; skipped%every != 0 {
-			continue
-		}
-		out = append(out, TrajectoryPoint{
+	out.Trajectory = make([]TrajectoryPoint, len(res.Trajectory))
+	for i, s := range res.Trajectory {
+		out.Trajectory[i] = TrajectoryPoint{
 			Eval:      s.Eval,
 			ElapsedMS: float64(s.Elapsed.Microseconds()) / 1e3,
 			BestEDP:   s.BestEDP,
-		})
+		}
+	}
+	if conv := res.Convergence(); len(res.Trajectory) > 0 {
+		out.Convergence = &conv
 	}
 	return out
 }

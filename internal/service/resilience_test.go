@@ -441,20 +441,15 @@ func TestDeadlineReturnsDegradedValidResult(t *testing.T) {
 	}
 }
 
-// TestMaxIntEvalsRunsToItsDeadline pins the trajectory stride at the top
-// of the eval range: an evals of MaxInt64 gets a positive stride (the
-// ceiling of evals/maxTrajectorySamples once overflowed to a negative one,
-// so the accepted job failed "negative budget"), and the job runs until its
-// deadline and completes degraded.
+// TestMaxIntEvalsRunsToItsDeadline pins the top of the eval range: an
+// evals of MaxInt64 resolves to a budget (an overflowing budget derivation
+// once made the accepted job fail "negative budget"), and the job runs
+// until its deadline and completes degraded.
 func TestMaxIntEvalsRunsToItsDeadline(t *testing.T) {
 	req := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5},
 		Searcher: "random", Evals: math.MaxInt64, TimeoutMS: 200, Seed: 5}
-	b, err := req.budget()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := math.MaxInt64/maxTrajectorySamples + 1; b.TrajectoryStride != want {
-		t.Fatalf("stride %d, want %d", b.TrajectoryStride, want)
+	if b, err := req.budget(); err != nil || b.MaxEvals != math.MaxInt64 {
+		t.Fatalf("budget %+v, %v; want MaxEvals %d", b, err, math.MaxInt64)
 	}
 	ts, _ := testServer(t, 1, 4)
 	job, resp := postSearch(t, ts, req)

@@ -3,12 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/costmodel"
@@ -160,107 +158,11 @@ func TestResolveProblemTable1AndShapes(t *testing.T) {
 	}
 }
 
-// TestLargeJobTrajectoryIsStrided checks that big evaluation budgets get
-// an automatic stride bounding the retained trajectory.
-func TestLargeJobTrajectoryIsStrided(t *testing.T) {
-	req := validRequest()
-	req.Evals = 100 * maxTrajectorySamples
-	b, err := req.budget()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.TrajectoryStride != 100 {
-		t.Fatalf("stride = %d, want 100", b.TrajectoryStride)
-	}
-	req.Evals = maxTrajectorySamples
-	if b, err = req.budget(); err != nil || b.TrajectoryStride != 0 {
-		t.Fatalf("small budgets must not be strided (stride=%d err=%v)", b.TrajectoryStride, err)
-	}
-	// Time-only budgets get a rate-estimated stride so long jobs cannot
-	// accumulate unbounded trajectories either. boundTime is the budget
-	// the estimate fills with exactly maxTrajectorySamples evaluations.
-	boundTime := time.Duration(maxTrajectorySamples) * time.Second / evalsPerSecondEstimate
-	req.Evals = 0
-	req.Time = (100 * boundTime).String()
-	if b, err = req.budget(); err != nil || b.TrajectoryStride != 100 {
-		t.Fatalf("time-only budget %s stride = %d (err=%v), want 100", req.Time, b.TrajectoryStride, err)
-	}
-	req.Time = boundTime.String()
-	if b, err = req.budget(); err != nil || b.TrajectoryStride != 0 {
-		t.Fatalf("short time budgets must not be strided (stride=%d err=%v)", b.TrajectoryStride, err)
-	}
-
-	// End to end: a job above the threshold returns a bounded trajectory.
-	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 1, 4)
-	defer jobs.Shutdown(context.Background())
-	req = validRequest()
-	req.Evals = maxTrajectorySamples + 4096
-	job, err := jobs.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := jobs.Wait(context.Background(), job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.Status != JobDone {
-		t.Fatalf("job status %s (%s)", done.Status, done.Error)
-	}
-	if n := len(done.Result.Trajectory); n > maxTrajectorySamples+1024 {
-		t.Fatalf("trajectory has %d samples despite stride", n)
-	}
-	if done.Result.Evals != req.Evals {
-		t.Fatalf("evals %d, want %d", done.Result.Evals, req.Evals)
-	}
-}
-
-// A search that outruns its rate-estimated stride records more stride
-// samples than the bound; the job keeps every improvement and at most
-// maxTrajectorySamples of the rest, in order. A trajectory within the
-// bound is kept whole.
-func TestRetainedTrajectoryBounded(t *testing.T) {
-	var traj []search.Sample
-	best := 1000.0
-	for eval := 1; eval <= 5000; eval++ {
-		if eval%50 == 1 {
-			best *= 0.99
-		}
-		traj = append(traj, search.Sample{Eval: eval, Elapsed: time.Duration(eval) * time.Microsecond, BestEDP: best})
-	}
-	kept := retainedTrajectory(traj)
-	improvements, others := 0, 0
-	prev, last := math.Inf(1), 0
-	for _, p := range kept {
-		if p.Eval <= last {
-			t.Fatalf("point at eval %d after eval %d", p.Eval, last)
-		}
-		last = p.Eval
-		if p.BestEDP < prev {
-			prev = p.BestEDP
-			improvements++
-		} else {
-			others++
-		}
-	}
-	if improvements != 100 || others > maxTrajectorySamples || others < maxTrajectorySamples/2 {
-		t.Fatalf("kept %d improvements (want 100) and %d other samples (want at most %d)",
-			improvements, others, maxTrajectorySamples)
-	}
-	if cap(kept) != len(kept) {
-		t.Fatalf("retained trajectory has capacity %d for %d points", cap(kept), len(kept))
-	}
-	short := traj[:maxTrajectorySamples+3] // 6 improvements, 253 others
-	if kept := retainedTrajectory(short); len(kept) != len(short) {
-		t.Fatalf("a trajectory within the bound kept %d of %d points", len(kept), len(short))
-	}
-}
-
-// TestStridedJobMatchesDirectSearch pins the telemetry bound end to end: a
-// ga job above maxTrajectorySamples evaluations records every improvement
-// plus at most maxTrajectorySamples stride samples, publishes no more
-// events than that, and thinning changes nothing the job reports about
-// the search: BestEDP, Evals and Convergence equal an unthinned direct
-// run of the same seed.
+// TestStridedJobMatchesDirectSearch pins the job's telemetry end to end: a
+// 3000-eval ga job reports the trajectory a direct search of the same seed
+// records, sample for sample, with the same BestEDP, Evals and
+// Convergence, and publishes one event per sample plus its running and
+// terminal events.
 func TestStridedJobMatchesDirectSearch(t *testing.T) {
 	req := SearchRequest{Algo: "cnn-layer", Problem: "ResNet_Conv_4", Searcher: "ga", Evals: 3000, Seed: 5}
 	jobs := NewJobManager(NewModelRegistry(t.TempDir(), 2), nil, 1, 4)
@@ -308,33 +210,13 @@ func TestStridedJobMatchesDirectSearch(t *testing.T) {
 	if res.Convergence == nil || *res.Convergence != direct.Convergence() {
 		t.Fatalf("job convergence %+v, direct %+v", res.Convergence, direct.Convergence())
 	}
-	// Every job point is a direct point, and every improvement is kept.
-	directBest := make(map[int]float64, len(direct.Trajectory))
-	for _, s := range direct.Trajectory {
-		directBest[s.Eval] = s.BestEDP
+	if len(res.Trajectory) != len(direct.Trajectory) {
+		t.Fatalf("job trajectory has %d points, direct %d", len(res.Trajectory), len(direct.Trajectory))
 	}
-	kept := make(map[int]float64, len(res.Trajectory))
-	for _, p := range res.Trajectory {
-		if want, ok := directBest[p.Eval]; !ok || want != p.BestEDP {
-			t.Fatalf("job point %+v is not on the direct trajectory", p)
+	for i, s := range direct.Trajectory {
+		if p := res.Trajectory[i]; p.Eval != s.Eval || p.BestEDP != s.BestEDP {
+			t.Fatalf("job point %d is (%d, %v), direct (%d, %v)", i, p.Eval, p.BestEDP, s.Eval, s.BestEDP)
 		}
-		kept[p.Eval] = p.BestEDP
-	}
-	improvements := 0
-	best := math.Inf(1)
-	for _, s := range direct.Trajectory {
-		if s.BestEDP >= best {
-			continue
-		}
-		best = s.BestEDP
-		improvements++
-		if got, ok := kept[s.Eval]; !ok || got != s.BestEDP {
-			t.Fatalf("improvement at eval %d (best %v) missing from the job trajectory", s.Eval, s.BestEDP)
-		}
-	}
-	if n := len(res.Trajectory); n > maxTrajectorySamples+improvements || n >= len(direct.Trajectory) {
-		t.Fatalf("job trajectory has %d points: want at most %d (%d improvements), fewer than the direct %d",
-			n, maxTrajectorySamples+improvements, improvements, len(direct.Trajectory))
 	}
 	// One running event, one per recorded sample, one terminal event.
 	jobs.mu.Lock()
