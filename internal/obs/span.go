@@ -14,7 +14,7 @@ import (
 // shared parent.
 //
 // Memory is bounded: each span keeps at most MaxChildren children (extra
-// starts are counted, not stored), so per-trajectory-stride search spans
+// starts are counted, not stored), so a span started per loop iteration
 // cannot grow a long job's trace without limit.
 
 // MaxChildren caps the stored children per span.
