@@ -97,9 +97,9 @@ type Kind[T, E any, P Record[T, E]] struct {
 	// Workers sizes the worker pool, Cap bounds the FIFO, and Retention
 	// bounds the terminal jobs kept queryable (at least 1).
 	Workers, Cap, Retention int
-	// Span names every job's trace root; Events is how many events each
-	// job's stream retains for late subscribers (a job added done
-	// publishes one event, so its stream retains one).
+	// Span names every job's trace root; Events caps how many events
+	// each job's stream retains for late subscribers. A stream grows with
+	// what its job published, so a job added done retains its one event.
 	Span   string
 	Events int
 	// Full and Closed are the kind's errors for a full FIFO and a queue
@@ -209,7 +209,7 @@ func (q *Queue[T, E, P]) AddDoneLocked(job P) error {
 		return err
 	}
 	e := job.entry()
-	q.resetLocked(e, 1)
+	q.resetLocked(e)
 	e.Status = Done
 	e.Started, e.Finished = e.Created, e.Created
 	q.endLocked(job)
@@ -253,11 +253,11 @@ func (q *Queue[T, E, P]) registerLocked(job P, pastCap bool) error {
 }
 
 // resetLocked gives the entry a fresh run: context, done channel, a
-// stream retaining events events, trace, and a cleared outcome.
-func (q *Queue[T, E, P]) resetLocked(e *Entry[E], events int) {
+// stream retaining up to Kind.Events events, trace, and a cleared outcome.
+func (q *Queue[T, E, P]) resetLocked(e *Entry[E]) {
 	e.ctx, e.cancel = context.WithCancel(q.ctx)
 	e.done = make(chan struct{})
-	e.stream = obs.NewStream[E](events)
+	e.stream = obs.NewStream[E](q.kind.Events)
 	e.trace = obs.NewTrace(e.ID, q.kind.Span)
 	e.Error = ""
 	e.Started, e.Finished = time.Time{}, time.Time{}
@@ -265,7 +265,7 @@ func (q *Queue[T, E, P]) resetLocked(e *Entry[E], events int) {
 
 func (q *Queue[T, E, P]) enqueueLocked(job P) {
 	e := job.entry()
-	q.resetLocked(e, q.kind.Events)
+	q.resetLocked(e)
 	e.Status = Queued
 	q.pending = append(q.pending, job)
 	q.kind.Metrics.Queued.Add(1)

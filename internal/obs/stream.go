@@ -7,7 +7,8 @@ import "sync"
 // callback) publishes samples; the ring retains the most recent capacity
 // of them so late subscribers (the trace endpoint, a reconnecting SSE
 // client) see history; subscribers receive new samples on a buffered
-// channel.
+// channel. capacity is a cap, not a preallocation: the ring grows with
+// what was published and wraps only once it holds capacity samples.
 //
 // Publish never blocks: a subscriber that cannot keep up has samples
 // dropped (progress telemetry is resumable from any point — the next
@@ -15,9 +16,9 @@ import "sync"
 // closes every subscriber channel; publishing after Close is a no-op.
 type Stream[T any] struct {
 	mu     sync.Mutex
-	ring   []T
-	start  int // index of the oldest retained element
-	count  int // elements retained (<= cap(ring))
+	ring   []T // retained elements; grows by append up to limit
+	limit  int
+	start  int // index of the oldest retained element (0 until full)
 	total  uint64
 	subs   map[uint64]chan T
 	nextID uint64
@@ -25,14 +26,12 @@ type Stream[T any] struct {
 }
 
 // NewStream returns a stream retaining the most recent capacity samples
-// (minimum 1).
+// (minimum 1). It allocates no slots up front: a stream that ends after n
+// samples holds about n, however large capacity is.
 func NewStream[T any](capacity int) *Stream[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Stream[T]{
-		ring: make([]T, capacity),
-		subs: make(map[uint64]chan T),
+		limit: max(capacity, 1),
+		subs:  make(map[uint64]chan T),
 	}
 }
 
@@ -44,9 +43,8 @@ func (s *Stream[T]) Publish(v T) {
 		s.mu.Unlock()
 		return
 	}
-	if s.count < len(s.ring) {
-		s.ring[(s.start+s.count)%len(s.ring)] = v
-		s.count++
+	if len(s.ring) < s.limit {
+		s.ring = append(s.ring, v)
 	} else {
 		s.ring[s.start] = v
 		s.start = (s.start + 1) % len(s.ring)
@@ -65,11 +63,14 @@ func (s *Stream[T]) Publish(v T) {
 func (s *Stream[T]) History() []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]T, s.count)
-	for i := 0; i < s.count; i++ {
-		out[i] = s.ring[(s.start+i)%len(s.ring)]
-	}
-	return out
+	return s.historyLocked()
+}
+
+// historyLocked copies the retained samples, oldest first.
+func (s *Stream[T]) historyLocked() []T {
+	out := make([]T, 0, len(s.ring))
+	out = append(out, s.ring[s.start:]...)
+	return append(out, s.ring[:s.start]...)
 }
 
 // Total returns how many samples have ever been published.
@@ -100,10 +101,7 @@ func (s *Stream[T]) Subscribe(buf int) (history []T, ch <-chan T, cancel func())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	history = make([]T, s.count)
-	for i := 0; i < s.count; i++ {
-		history[i] = s.ring[(s.start+i)%len(s.ring)]
-	}
+	history = s.historyLocked()
 	c := make(chan T, buf)
 	if s.closed {
 		close(c)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +24,34 @@ func TestStreamHistoryAndRing(t *testing.T) {
 	}
 	if s.Total() != 6 {
 		t.Fatalf("total = %d, want 6", s.Total())
+	}
+	// Subscribe replays the wrapped ring oldest first too.
+	hist, _, cancel := s.Subscribe(1)
+	defer cancel()
+	if !slices.Equal(hist, want) {
+		t.Fatalf("subscribe history = %v, want %v", hist, want)
+	}
+}
+
+// TestStreamGrowsToWhatItPublished pins that the bound is a cap, not a
+// preallocation: a stream that published 10 samples holds those 10.
+func TestStreamGrowsToWhatItPublished(t *testing.T) {
+	s := NewStream[int](256)
+	want := make([]int, 10)
+	for i := range want {
+		want[i] = i + 1
+		s.Publish(want[i])
+	}
+	if got := s.History(); !slices.Equal(got, want) {
+		t.Fatalf("history = %v, want %v", got, want)
+	}
+	hist, _, cancel := s.Subscribe(1)
+	defer cancel()
+	if !slices.Equal(hist, want) {
+		t.Fatalf("subscribe history = %v, want %v", hist, want)
+	}
+	if len(s.ring) != 10 || cap(s.ring) > 32 {
+		t.Fatalf("ring len %d cap %d, want 10 elements in at most 32 slots", len(s.ring), cap(s.ring))
 	}
 }
 

@@ -855,10 +855,13 @@ func (req *SearchRequest) trainRequest() trainer.Request {
 	return treq
 }
 
-// maxTrajectorySamples is how many events a job's stream retains for late
-// subscribers. What a job publishes is bounded by the search itself: one
-// event per trajectory sample, and a search records only its improvements
-// plus ⌊log2 evals⌋+1 power-of-two heartbeats (search.Sample).
+// maxTrajectorySamples caps how many events a job's stream retains for
+// late subscribers; the stream grows with what the job published and
+// allocates no slot beyond it. What a job publishes is bounded by the
+// search itself: one event per trajectory sample, and a search records
+// only its improvements plus ⌊log2 evals⌋+1 power-of-two heartbeats
+// (search.Sample), so a 300-eval job retains ~17 events (about 1.8 KB)
+// rather than 256 × 72 B.
 const maxTrajectorySamples = 256
 
 // budget converts the request's limits into a search.Budget.

@@ -196,9 +196,11 @@ type Event struct {
 	Error    string   `json:"error,omitempty"`
 }
 
-// eventRing bounds the per-job event history late Watch subscribers can
+// eventRing caps the per-job event history late Watch subscribers can
 // replay: enough for every epoch of the paper config plus phase
-// transitions, without pinning unbounded generation-progress spam.
+// transitions, without pinning unbounded generation-progress spam. It is
+// a cap, not a preallocation: a job retains the events it published, up
+// to eventRing of them (112 B each).
 const eventRing = 512
 
 // Job is the pipeline-side record of one training request: the lifecycle
