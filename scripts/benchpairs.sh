@@ -6,8 +6,9 @@
 #   scripts/benchpairs.sh BASE PAIRS [run.sh args...]
 #   scripts/benchpairs.sh HEAD~1 10 --workload cold-mix --seconds 12
 #
-# BASE is any git revision; it is checked out into a temporary
-# `git worktree`, which is removed on exit. Pair i runs
+# BASE is any git revision; its committed files are extracted with
+# `git archive` into a temporary directory (under TMPDIR), which is
+# removed on exit. Pair i runs
 # `bash cmd/bench/run.sh --seed <SEED0+i-1> [run.sh args...]` in both trees
 # (SEED0 defaults to 1; a --seed among the arguments pins every pair to
 # that seed). Each tree builds its own benchmark under its .bench_build/
@@ -33,9 +34,9 @@ mkdir -p "$out"
 export GOPROXY=off
 
 tree=$(mktemp -d)/base
-cleanup() { git -C "$root" worktree remove --force "$tree" >/dev/null 2>&1 || true; rm -rf "$(dirname "$tree")"; }
-trap cleanup EXIT
-git worktree add --detach --quiet "$tree" "$base_sha"
+trap 'rm -rf "$(dirname "$tree")"' EXIT
+mkdir "$tree"
+git archive "$base_sha" | tar -x -C "$tree"
 
 # run SIDE DIR PAIR: one benchmark run; its last output line is the JSON.
 status=0
