@@ -28,6 +28,11 @@ func TestSearchComponents(t *testing.T) {
 	if _, ok := byName["SA+f* (no gradients)"]; !ok {
 		t.Fatalf("missing gradient-free control: %v", byName)
 	}
+	var parts []any
+	for _, r := range rows {
+		parts = append(parts, r.Variant, r.EDP)
+	}
+	checkPin(t, pinDigest(parts...), "0b7e06d191becece")
 }
 
 func TestSearchComponentsUnknownAlgo(t *testing.T) {
@@ -50,11 +55,14 @@ func TestTailBiasAblation(t *testing.T) {
 	if rows[0].TailBias != 0 {
 		t.Fatal("first row must be pure uniform sampling")
 	}
+	var parts []any
 	for _, r := range rows {
 		if r.SearchEDP < 1 {
 			t.Fatalf("search EDP %v below bound", r.SearchEDP)
 		}
+		parts = append(parts, r.TailBias, r.SearchEDP)
 	}
+	checkPin(t, pinDigest(parts...), "00e8c92d44016ee9")
 }
 
 func TestArchGenerality(t *testing.T) {
@@ -74,4 +82,5 @@ func TestArchGenerality(t *testing.T) {
 	if res.MMEDP > 2*res.SAEDP {
 		t.Fatalf("MM (%v) collapsed vs SA (%v) on the edge accelerator", res.MMEDP, res.SAEDP)
 	}
+	checkPin(t, pinDigest(res.MMEDP, res.SAEDP), "67b7daacdf2f899f")
 }

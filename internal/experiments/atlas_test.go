@@ -40,6 +40,8 @@ func TestAtlasSweepSubset(t *testing.T) {
 	if row.Matched != (row.WarmEvals > 0) {
 		t.Fatalf("matched flag inconsistent: %+v", row)
 	}
+	checkPin(t, pinDigest(row.Donor, row.Target, row.Distance, row.ColdBest, row.ColdEvals,
+		row.WarmEvals, row.WarmBest, row.Matched, row.Ratio), "347b699bd0316571")
 	out := buf.String()
 	for _, want := range []string{"atlas warm start", "conv1d", "cold best", "warm@"} {
 		if !strings.Contains(out, want) {

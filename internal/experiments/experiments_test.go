@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +31,44 @@ func fastHarness(t testing.TB) *Harness {
 		harnessFix = New(opts)
 	})
 	return harnessFix
+}
+
+// pinDigest hashes the exact bit patterns of a driver's deterministic
+// outputs, like resultDigest in internal/search: a pin moves when any
+// search result behind a figure moves, whether or not the rendered text
+// shows it. Callers pass no wall-clock field (StepTime, PerStep, iso-time
+// curves), since those differ from run to run.
+func pinDigest(parts ...any) string {
+	h := sha256.New()
+	for _, p := range parts {
+		switch v := p.(type) {
+		case float64:
+			fmt.Fprintf(h, "%016x\n", math.Float64bits(v))
+		case []float64:
+			for _, x := range v {
+				fmt.Fprintf(h, "%016x ", math.Float64bits(x))
+			}
+			fmt.Fprintln(h)
+		case map[string]float64:
+			for _, k := range slices.Sorted(maps.Keys(v)) {
+				fmt.Fprintf(h, "%s=%016x ", k, math.Float64bits(v[k]))
+			}
+			fmt.Fprintln(h)
+		case string, int, bool:
+			fmt.Fprintf(h, "%v\n", v)
+		default:
+			panic(fmt.Sprintf("pinDigest: unsupported %T", p))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// checkPin fails the test when got differs from the pinned digest.
+func checkPin(t *testing.T, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Errorf("search outputs digest %s, pinned %s", got, want)
+	}
 }
 
 func TestDefaults(t *testing.T) {
@@ -167,6 +210,16 @@ func TestIsoIterationFast(t *testing.T) {
 		t.Fatal("render missing summary")
 	}
 	t.Logf("iso-iteration fast results:\n%s", buf.String())
+
+	var parts []any
+	for _, pc := range cmp.Problems {
+		parts = append(parts, pc.Problem)
+		for _, s := range pc.Series {
+			parts = append(parts, s.Method, s.Checkpoints, s.Values, s.FinalMean, s.EvalsMean)
+		}
+	}
+	parts = append(parts, cmp.RatiosVsMM, cmp.MMvsOracle)
+	checkPin(t, pinDigest(parts...), "edba6d0cfc62d657")
 }
 
 func TestIsoTimeFast(t *testing.T) {
@@ -254,6 +307,11 @@ func TestCostModelHeadToHead(t *testing.T) {
 			}
 		}
 	}
+	var parts []any
+	for _, run := range runs {
+		parts = append(parts, run.SearchedWith, run.Evals, run.NativeEDP, run.ScoredBy)
+	}
+	checkPin(t, pinDigest(parts...), "a2380160671af097")
 	if !seen["timeloop"] || !seen["roofline"] {
 		t.Fatalf("missing a built-in backend: %v", seen)
 	}
@@ -261,5 +319,31 @@ func TestCostModelHeadToHead(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("rendering missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+func TestDatasetSize(t *testing.T) {
+	h := fastHarness(t)
+	var buf bytes.Buffer
+	rows, err := h.DatasetSize(&buf, "cnn-layer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(rows))
+	}
+	var parts []any
+	for i, r := range rows {
+		if i > 0 && r.Samples <= rows[i-1].Samples {
+			t.Fatalf("sample counts not increasing: %+v", rows)
+		}
+		if r.SearchEDP < 1 {
+			t.Fatalf("%d samples: search EDP %v below bound", r.Samples, r.SearchEDP)
+		}
+		parts = append(parts, r.Samples, r.Corr, r.SearchEDP)
+	}
+	checkPin(t, pinDigest(parts...), "b85976edc883dfc5")
+	if !strings.Contains(buf.String(), "Figure 7c") {
+		t.Fatalf("render missing the figure title:\n%s", buf.String())
 	}
 }

@@ -20,7 +20,9 @@ func TestWorkloadSweepSubset(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}
+	var parts []any
 	for _, row := range rows {
+		parts = append(parts, row.Workload, row.Problem, row.GAEDP, row.MMEDP, row.Ratio)
 		if row.GAEDP < 1 || row.MMEDP < 1 {
 			t.Fatalf("%s: EDPs below the algorithmic minimum: %+v", row.Workload, row)
 		}
@@ -31,6 +33,7 @@ func TestWorkloadSweepSubset(t *testing.T) {
 			t.Fatalf("%s: shape summary %+v", row.Workload, row)
 		}
 	}
+	checkPin(t, pinDigest(parts...), "a22fd2733279b6fd")
 	out := buf.String()
 	for _, want := range []string{"workload sweep", "gemm", "conv1d", "GA/MM"} {
 		if !strings.Contains(out, want) {
