@@ -1,24 +1,10 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md §2 for the index):
 //
-//	experiments -fig t1       Table 1 (target problems)
-//	experiments -fig 3        Figure 3 (cost surface)
-//	experiments -fig space    §5.1.3 map-space characterization
-//	experiments -fig 5        Figure 5 (iso-iteration comparison)
-//	experiments -fig 6        Figure 6 (iso-time comparison)
-//	experiments -fig 7a       Figure 7a (surrogate loss curves)
-//	experiments -fig 7b       Figure 7b (loss-function comparison)
-//	experiments -fig 7c       Figure 7c (training-set-size sweep)
-//	experiments -fig ablate   §4.1.3 output-representation ablation
-//	experiments -fig step     §5.4.2 per-step cost
-//	experiments -fig components  search-component ablation (extension)
-//	experiments -fig tail     sampling ablation (extension)
-//	experiments -fig generality  edge-accelerator generality check (extension)
-//	experiments -fig costmodels  cost-model backend head-to-head (extension)
-//	experiments -fig workloads   GA vs MM across every registered workload (extension)
-//	experiments -fig atlas    atlas nearest-neighbor warm-start study (extension)
-//	experiments -fig summary  Figures 5+6 headline ratios
-//	experiments -fig all      everything above
+//	experiments -fig NAME
+//
+// runs one figure of the figures table below (experiments -h lists them),
+// and -fig all, the default, runs every one in the table's order.
 //
 // -fast shrinks budgets for a quick sanity pass; -repeats, -evals, -time,
 // and -latency scale toward the paper's methodology. -costmodel evaluates
@@ -31,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"mindmappings/internal/experiments"
@@ -57,7 +44,7 @@ func main() {
 func parseFlags(args []string, log io.Writer) (experiments.Options, string, error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(log)
-	fig := fs.String("fig", "all", "which experiment to run (t1, 3, space, 5, 6, 7a, 7b, 7c, ablate, step, components, tail, generality, costmodels, workloads, atlas, summary, all)")
+	fig := fs.String("fig", "all", figHelp())
 	fast := fs.Bool("fast", false, "reduced problem set and budgets")
 	repeats := fs.Int("repeats", 0, "override runs averaged per method/problem (paper: 100)")
 	evals := fs.Int("evals", 0, "override iso-iteration budget (paper: ~1000)")
@@ -98,81 +85,114 @@ func parseFlags(args []string, log io.Writer) (experiments.Options, string, erro
 	return opts, *fig, nil
 }
 
-func run(h *experiments.Harness, fig string, w io.Writer) error {
-	runOne := func(name string) error {
-		start := time.Now()
-		var err error
-		switch name {
-		case "t1":
-			err = h.Table1(w)
-		case "3":
-			_, err = h.CostSurface(w)
-		case "space":
-			_, err = h.SpaceStats(w)
-		case "5":
-			var cmp *experiments.Comparison
-			if cmp, err = h.RunIsoIteration(); err == nil {
-				cmp.Render(w)
-			}
-		case "6":
-			var cmp *experiments.Comparison
-			if cmp, err = h.RunIsoTime(); err == nil {
-				cmp.Render(w)
-			}
-		case "7a":
-			_, err = h.LossCurve(w, "cnn-layer")
-		case "7b":
-			_, err = h.LossFunctions(w, "cnn-layer")
-		case "7c":
-			_, err = h.DatasetSize(w, "cnn-layer")
-		case "ablate":
-			_, err = h.OutputReprAblation(w, "cnn-layer")
-		case "step":
-			_, err = h.PerStepCost(w)
-		case "components":
-			_, err = h.SearchComponents(w, "cnn-layer")
-		case "tail":
-			_, err = h.TailBiasAblation(w, "cnn-layer")
-		case "generality":
-			_, err = h.ArchGenerality(w)
-		case "costmodels":
-			_, err = h.CostModelHeadToHead(w)
-		case "workloads":
-			_, err = h.WorkloadSweep(w)
-		case "atlas":
-			_, err = h.AtlasSweep(w)
-		case "summary":
-			var iso, it *experiments.Comparison
-			if iso, err = h.RunIsoIteration(); err != nil {
-				return err
-			}
-			if it, err = h.RunIsoTime(); err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "== headline summary ==")
-			fmt.Fprintf(w, "iso-iteration ratios vs MM: SA %.2fx GA %.2fx RL %.2fx (paper 1.40/1.76/1.29)\n",
-				iso.RatiosVsMM["SA"], iso.RatiosVsMM["GA"], iso.RatiosVsMM["RL"])
-			fmt.Fprintf(w, "iso-time     ratios vs MM: SA %.2fx GA %.2fx RL %.2fx (paper 3.16/4.19/2.90)\n",
-				it.RatiosVsMM["SA"], it.RatiosVsMM["GA"], it.RatiosVsMM["RL"])
-			fmt.Fprintf(w, "MM vs algorithmic minimum: %.2fx iso-iteration, %.2fx iso-time (paper 5.3x)\n",
-				iso.MMvsOracle, it.MMvsOracle)
-		default:
-			return fmt.Errorf("unknown figure %q", name)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Fprintf(w, "\n[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
+// figures lists every experiment in the order -fig all runs them.
+var figures = []struct {
+	name, desc string
+	run        func(*session) error
+}{
+	{"t1", "Table 1 (target problems)", func(s *session) error { return s.h.Table1(s.w) }},
+	{"3", "Figure 3 (cost surface)", func(s *session) error { return errOf(s.h.CostSurface(s.w)) }},
+	{"space", "§5.1.3 map-space characterization", func(s *session) error { return errOf(s.h.SpaceStats(s.w)) }},
+	{"7a", "Figure 7a (surrogate loss curves)", func(s *session) error { return errOf(s.h.LossCurve(s.w, "cnn-layer")) }},
+	{"7b", "Figure 7b (loss-function comparison)", func(s *session) error { return errOf(s.h.LossFunctions(s.w, "cnn-layer")) }},
+	{"7c", "Figure 7c (training-set-size sweep)", func(s *session) error { return errOf(s.h.DatasetSize(s.w, "cnn-layer")) }},
+	{"ablate", "§4.1.3 output-representation ablation", func(s *session) error { return errOf(s.h.OutputReprAblation(s.w, "cnn-layer")) }},
+	{"step", "§5.4.2 per-step cost", func(s *session) error { return errOf(s.h.PerStepCost(s.w)) }},
+	{"components", "search-component ablation (extension)", func(s *session) error { return errOf(s.h.SearchComponents(s.w, "cnn-layer")) }},
+	{"tail", "sampling ablation (extension)", func(s *session) error { return errOf(s.h.TailBiasAblation(s.w, "cnn-layer")) }},
+	{"generality", "edge-accelerator generality check (extension)", func(s *session) error { return errOf(s.h.ArchGenerality(s.w)) }},
+	{"costmodels", "cost-model backend head-to-head (extension)", func(s *session) error { return errOf(s.h.CostModelHeadToHead(s.w)) }},
+	{"workloads", "GA vs MM across every registered workload (extension)", func(s *session) error { return errOf(s.h.WorkloadSweep(s.w)) }},
+	{"atlas", "atlas nearest-neighbor warm-start study (extension)", func(s *session) error { return errOf(s.h.AtlasSweep(s.w)) }},
+	{"5", "Figure 5 (iso-iteration comparison)", func(s *session) error { return s.render(false) }},
+	{"6", "Figure 6 (iso-time comparison)", func(s *session) error { return s.render(true) }},
+	{"summary", "Figures 5+6 headline ratios", (*session).summary},
+}
 
-	if fig != "all" {
-		return runOne(fig)
+// figHelp is the -fig usage text, one line per figure.
+func figHelp() string {
+	var b strings.Builder
+	b.WriteString("which experiment to run:")
+	for _, f := range figures {
+		fmt.Fprintf(&b, "\n  %-11s %s", f.name, f.desc)
 	}
-	for _, name := range []string{"t1", "3", "space", "7a", "7b", "7c", "ablate", "step", "components", "tail", "generality", "costmodels", "workloads", "atlas", "5", "6", "summary"} {
-		if err := runOne(name); err != nil {
-			return err
+	b.WriteString("\n  all         every experiment above, in this order")
+	return b.String()
+}
+
+// errOf drops a driver's result, keeping its error.
+func errOf[T any](_ T, err error) error { return err }
+
+// session runs figures on one harness, writing to w. It runs each of
+// Figures 5 and 6 at most once, so summary reports the comparisons the
+// figures printed.
+type session struct {
+	h          *experiments.Harness
+	w          io.Writer
+	iso, timed *experiments.Comparison
+}
+
+// comparison returns Figure 6's comparison if timed, else Figure 5's,
+// running it on first use.
+func (s *session) comparison(timed bool) (*experiments.Comparison, error) {
+	c, compute := &s.iso, s.h.RunIsoIteration
+	if timed {
+		c, compute = &s.timed, s.h.RunIsoTime
+	}
+	if *c == nil {
+		cmp, err := compute()
+		if err != nil {
+			return nil, err
 		}
+		*c = cmp
+	}
+	return *c, nil
+}
+
+func (s *session) render(timed bool) error {
+	cmp, err := s.comparison(timed)
+	if err == nil {
+		cmp.Render(s.w)
+	}
+	return err
+}
+
+func (s *session) summary() error {
+	iso, err := s.comparison(false)
+	if err != nil {
+		return err
+	}
+	it, err := s.comparison(true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(s.w, "== headline summary ==")
+	fmt.Fprintf(s.w, "iso-iteration ratios vs MM: SA %.2fx GA %.2fx RL %.2fx (paper 1.40/1.76/1.29)\n",
+		iso.RatiosVsMM["SA"], iso.RatiosVsMM["GA"], iso.RatiosVsMM["RL"])
+	fmt.Fprintf(s.w, "iso-time     ratios vs MM: SA %.2fx GA %.2fx RL %.2fx (paper 3.16/4.19/2.90)\n",
+		it.RatiosVsMM["SA"], it.RatiosVsMM["GA"], it.RatiosVsMM["RL"])
+	fmt.Fprintf(s.w, "MM vs algorithmic minimum: %.2fx iso-iteration, %.2fx iso-time (paper 5.3x)\n",
+		iso.MMvsOracle, it.MMvsOracle)
+	return nil
+}
+
+// run runs the named figure, or every figure for "all".
+func run(h *experiments.Harness, fig string, w io.Writer) error {
+	s := &session{h: h, w: w}
+	ran := false
+	for _, f := range figures {
+		if fig != "all" && fig != f.name {
+			continue
+		}
+		start := time.Now()
+		if err := f.run(s); err != nil {
+			return fmt.Errorf("%s: %w", f.name, err)
+		}
+		fmt.Fprintf(w, "\n[%s done in %v]\n\n", f.name, time.Since(start).Round(time.Millisecond))
+		ran = true
+	}
+	if !ran {
+		return fmt.Errorf("unknown figure %q", fig)
 	}
 	return nil
 }

@@ -30,50 +30,32 @@ func (h *Harness) SearchComponents(w io.Writer, algoName string) ([]ComponentAbl
 	if err != nil {
 		return nil, err
 	}
-	problems, err := h.Problems()
+	target, err := h.problemFor(algoName)
 	if err != nil {
 		return nil, err
 	}
-	var target loopnest.Problem
-	found := false
-	for _, p := range problems {
-		if p.Algo.Name == algoName {
-			target, found = p, true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("experiments: no %s problem for the component ablation", algoName)
-	}
 
-	variants := []struct {
-		name string
-		s    search.Searcher
-	}{
-		{"MM (full)", search.MindMappings{Surrogate: sur}},
-		{"MM no-injection", search.MindMappings{Surrogate: sur, NoInjection: true}},
-		{"MM no-precondition", search.MindMappings{Surrogate: sur, NoPrecondition: true}},
-		{"SA+f* (no gradients)", search.SurrogateSA{Surrogate: sur}},
-		{"Beam", search.BeamSearch{}},
-	}
 	budget := search.Budget{MaxEvals: h.opts.IsoIterations}
+	var cells []cell
+	for _, c := range []cell{
+		{label: "MM (full)", searcher: search.MindMappings{Surrogate: sur}},
+		{label: "MM no-injection", searcher: search.MindMappings{Surrogate: sur, NoInjection: true}},
+		{label: "MM no-precondition", searcher: search.MindMappings{Surrogate: sur, NoPrecondition: true}},
+		{label: "SA+f* (no gradients)", searcher: search.SurrogateSA{Surrogate: sur}},
+		{label: "Beam", searcher: search.BeamSearch{}},
+	} {
+		c.prob, c.budget = target, budget
+		cells = append(cells, h.repeats(c)...)
+	}
+	rows, err := h.run(cells, nil)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(w, "== search-component ablation on %s (%d evals, %d repeats) ==\n",
 		target.Name, budget.MaxEvals, h.opts.Repeats)
 	var out []ComponentAblation
-	for _, v := range variants {
-		sum := 0.0
-		for rep := 0; rep < h.opts.Repeats; rep++ {
-			ctx, err := h.problemContext(target, 0, h.opts.Seed+int64(rep)*1000)
-			if err != nil {
-				return nil, err
-			}
-			res, err := v.s.Search(ctx, budget)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", v.name, err)
-			}
-			sum += res.BestEDP
-		}
-		row := ComponentAblation{Variant: v.name, EDP: sum / float64(h.opts.Repeats)}
+	for i := 0; i < len(rows); i += h.opts.Repeats {
+		row := ComponentAblation{Variant: cells[i].label, EDP: meanEDP(rows[i : i+h.opts.Repeats])}
 		out = append(out, row)
 		fmt.Fprintf(w, "%-22s %8.1fx minimum\n", row.Variant, row.EDP)
 	}
@@ -97,20 +79,9 @@ func (h *Harness) TailBiasAblation(w io.Writer, algoName string) ([]TailBiasStud
 	if err != nil {
 		return nil, err
 	}
-	problems, err := h.Problems()
+	target, err := h.problemFor(algoName)
 	if err != nil {
 		return nil, err
-	}
-	var target loopnest.Problem
-	found := false
-	for _, p := range problems {
-		if p.Algo.Name == algoName {
-			target, found = p, true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("experiments: no %s problem for the tail-bias ablation", algoName)
 	}
 
 	fmt.Fprintf(w, "== sampling ablation (%s): uniform vs tail-enriched training sets ==\n", algoName)
@@ -130,15 +101,13 @@ func (h *Harness) TailBiasAblation(w io.Writer, algoName string) ([]TailBiasStud
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := h.problemContext(target, 0, h.opts.Seed+13)
+		rows, err := h.run([]cell{{prob: target, searcher: search.MindMappings{Surrogate: sur},
+			label: fmt.Sprintf("MM (tailBias=%.1f)", bias), seed: h.opts.Seed + 13,
+			budget: search.Budget{MaxEvals: h.opts.IsoIterations}}}, nil)
 		if err != nil {
 			return nil, err
 		}
-		res, err := search.MindMappings{Surrogate: sur}.Search(ctx, search.Budget{MaxEvals: h.opts.IsoIterations})
-		if err != nil {
-			return nil, err
-		}
-		row := TailBiasStudy{TailBias: bias, Corr: corr, SearchEDP: res.BestEDP}
+		row := TailBiasStudy{TailBias: bias, Corr: corr, SearchEDP: rows[0].BestEDP}
 		out = append(out, row)
 		fmt.Fprintf(w, "tailBias=%.1f  corr=%.3f  searchEDP=%.1f\n", row.TailBias, row.Corr, row.SearchEDP)
 	}
@@ -177,22 +146,15 @@ func (h *Harness) ArchGenerality(w io.Writer) (*GeneralityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sctx, err := search.NewContext(h.opts.CostModel, a, prob)
-	if err != nil {
-		return nil, err
-	}
-	sctx.Seed = h.opts.Seed
 	budget := search.Budget{MaxEvals: h.opts.IsoIterations}
-
-	mmRes, err := search.MindMappings{Surrogate: sur}.Search(sctx, budget)
+	rows, err := h.run([]cell{
+		{prob: prob, searcher: search.MindMappings{Surrogate: sur}, seed: h.opts.Seed, budget: budget, arch: a},
+		{prob: prob, searcher: search.SimulatedAnnealing{}, seed: h.opts.Seed, budget: budget, arch: a},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	saRes, err := search.SimulatedAnnealing{}.Search(sctx, budget)
-	if err != nil {
-		return nil, err
-	}
-	res := &GeneralityResult{ArchName: a.Name, MMEDP: mmRes.BestEDP, SAEDP: saRes.BestEDP}
+	res := &GeneralityResult{ArchName: a.Name, MMEDP: rows[0].BestEDP, SAEDP: rows[1].BestEDP}
 	fmt.Fprintf(w, "== architecture generality: %s (%d PEs, %d KB shared) ==\n",
 		a.Name, a.NumPEs, a.L2Bytes/1024)
 	fmt.Fprintf(w, "MM %.1fx minimum, SA %.1fx minimum on %s\n", res.MMEDP, res.SAEDP, prob.Name)

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
 	"mindmappings/internal/atlas"
 	"mindmappings/internal/loopnest"
@@ -63,70 +63,45 @@ func (h *Harness) AtlasSweepFor(w io.Writer, names []string) ([]AtlasRow, error)
 		"workload", "target", "dist", "cold best", "cold@", "warm@", "ratio")
 	var out []AtlasRow
 	for _, name := range names {
-		algo, err := loopnest.AlgorithmByName(name)
+		donor, err := representativeProblem(name)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
+			return nil, err
 		}
-		donor, err := representativeProblem(algo)
+		target, err := neighborProblem(donor)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		target, err := neighborProblem(algo)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, err
 		}
 		sur, err := h.Surrogate(name)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: training %s surrogate: %w", name, err)
 		}
+		// Cold: MM on the target from a random start. Donor: MM on the
+		// neighboring problem, the atlas entry's content.
 		mm := search.MindMappings{Surrogate: sur}
-		seed := h.opts.Seed + 31
-
-		// Cold: MM on the target from a random start.
-		coldCtx, err := h.problemContext(target, 0, seed)
+		cold := cell{prob: target, searcher: mm, label: "cold MM", seed: h.opts.Seed + 31, budget: budget}
+		donorCell := cell{prob: donor, searcher: mm, label: "donor MM", seed: cold.seed + 1, budget: budget}
+		rows, err := h.run([]cell{cold, donorCell}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, err
 		}
-		h.logf("atlas sweep: cold MM on %s\n", target.Name)
-		cold, err := mm.Search(coldCtx, budget)
+		// Warm: the cold cell, seeded with the donor's best mapping.
+		warm := cold
+		warm.label, warm.start = "warm MM", &rows[1].Best
+		warmRows, err := h.run([]cell{warm}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: cold MM on %s: %w", name, err)
-		}
-
-		// Donor: MM on the neighboring problem — the atlas entry's content.
-		donorCtx, err := h.problemContext(donor, 0, seed+1)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		h.logf("atlas sweep: donor MM on %s\n", donor.Name)
-		donorRes, err := mm.Search(donorCtx, budget)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: donor MM on %s: %w", name, err)
+			return nil, err
 		}
 
-		// Warm: same search as cold, seeded with the donor's best mapping
-		// re-projected into the target's map space.
-		warmCtx, err := h.problemContext(target, 0, seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		reprojected := warmCtx.Space.Reproject(&donorRes.Best)
-		warmCtx.SeedMapping = &reprojected
-		h.logf("atlas sweep: warm MM on %s\n", target.Name)
-		warm, err := mm.Search(warmCtx, budget)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: warm MM on %s: %w", name, err)
-		}
-
+		coldBest := rows[0].BestEDP
 		row := AtlasRow{
 			Workload:  name,
 			Donor:     donor.String(),
 			Target:    target.String(),
 			Distance:  atlas.ShapeDistance(donor.Shape, target.Shape),
-			ColdBest:  cold.BestEDP,
-			ColdEvals: evalsToReach(&cold, cold.BestEDP),
-			WarmBest:  warm.BestEDP,
-			WarmEvals: evalsToReach(&warm, cold.BestEDP),
+			ColdBest:  coldBest,
+			ColdEvals: evalsToReach(&rows[0].Result, coldBest),
+			WarmBest:  warmRows[0].BestEDP,
+			WarmEvals: evalsToReach(&warmRows[0].Result, coldBest),
 		}
 		row.Matched = row.WarmEvals > 0
 		if row.Matched && row.ColdEvals > 0 {
@@ -156,40 +131,22 @@ func evalsToReach(r *search.Result, target float64) int {
 	return 0
 }
 
-// neighborProblem builds the near-miss instance: the representative
-// mid-size problem with the first growable dimension bumped to its next
-// sample value, the smallest shape perturbation the training distribution
-// defines.
-func neighborProblem(algo *loopnest.Algorithm) (loopnest.Problem, error) {
-	shape := make([]int, algo.NumDims())
-	bumped := false
-	for d := range shape {
-		vals := algo.SampleSpace[d]
-		if len(vals) == 0 {
-			return loopnest.Problem{}, fmt.Errorf("dimension %s has no sample space", algo.DimNames[d])
+// neighborProblem builds the near-miss instance of a representative
+// problem: its first growable dimension bumped to the next sample value
+// (the previous one when the middle is the last), the smallest shape
+// perturbation the training distribution defines.
+func neighborProblem(mid loopnest.Problem) (loopnest.Problem, error) {
+	algo, shape := mid.Algo, slices.Clone(mid.Shape)
+	for d, vals := range algo.SampleSpace {
+		if len(vals) < 2 {
+			continue
 		}
-		mid := len(vals) / 2
-		idx := mid
-		if !bumped && len(vals) > 1 {
-			if mid+1 < len(vals) {
-				idx = mid + 1
-			} else {
-				idx = mid - 1
-			}
-			bumped = true
+		i := len(vals)/2 + 1
+		if i == len(vals) {
+			i -= 2
 		}
-		shape[d] = vals[idx]
+		shape[d] = vals[i]
+		return algo.NewProblem(algo.Name+"-near", shape)
 	}
-	if !bumped {
-		return loopnest.Problem{}, fmt.Errorf("experiments: %s has no dimension to perturb", algo.Name)
-	}
-	p, err := algo.NewProblem(algo.Name+"-near", shape)
-	if err != nil {
-		return loopnest.Problem{}, err
-	}
-	if math.IsInf(atlas.ShapeDistance(p.Shape, shape), 0) {
-		// Unreachable with a well-formed algorithm; guard anyway.
-		return loopnest.Problem{}, fmt.Errorf("experiments: %s neighbor has mismatched rank", algo.Name)
-	}
-	return p, nil
+	return loopnest.Problem{}, fmt.Errorf("experiments: %s has no dimension to perturb", algo.Name)
 }

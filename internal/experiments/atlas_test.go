@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"mindmappings/internal/loopnest"
 )
 
 // TestAtlasSweepSubset drives the warm-start study over one workload and
@@ -52,12 +50,11 @@ func TestAtlasSweepSubset(t *testing.T) {
 
 func TestNeighborProblemPerturbsOneDim(t *testing.T) {
 	for _, name := range []string{"conv1d", "cnn-layer", "mttkrp"} {
-		algo := loopnest.MustAlgorithm(name)
-		mid, err := representativeProblem(algo)
+		mid, err := representativeProblem(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		near, err := neighborProblem(algo)
+		near, err := neighborProblem(mid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,41 +44,40 @@ func (h *Harness) CostModelHeadToHead(w io.Writer) ([]CostModelRun, error) {
 	a := arch.Default(len(prob.Algo.Tensors) - 1)
 	backends := costmodel.Names()
 	budget := search.Budget{MaxEvals: h.opts.IsoIterations}
+	cells := make([]cell, len(backends))
+	for i, name := range backends {
+		cells[i] = cell{prob: prob, searcher: search.SimulatedAnnealing{}, label: "SA under " + name,
+			seed: h.opts.Seed, budget: budget, backend: name}
+	}
+	rows, err := h.run(cells, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	var out []CostModelRun
-	fmt.Fprintf(w, "== cost-model head-to-head: SA on %s, %d evals per backend ==\n",
-		prob.Name, budget.MaxEvals)
-	for _, name := range backends {
-		sctx, err := search.NewContext(name, a, prob)
-		if err != nil {
-			return nil, err
-		}
-		sctx.Seed = h.opts.Seed
-		h.logf("cost-model head-to-head: SA under %s\n", name)
-		res, err := search.SimulatedAnnealing{}.Search(sctx, budget)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: SA under %s: %w", name, err)
-		}
+	for i, name := range backends {
 		run := CostModelRun{
 			SearchedWith: name,
-			Evals:        res.Evals,
-			NativeEDP:    res.BestEDP,
+			Evals:        rows[i].Evals,
+			NativeEDP:    rows[i].BestEDP,
 			ScoredBy:     map[string]float64{},
 		}
 		for _, scorer := range backends {
-			ev, err := costmodel.New(scorer, a, prob)
+			sc, err := search.NewContext(scorer, a, prob)
 			if err != nil {
 				return nil, err
 			}
-			cost, err := costmodel.Evaluate(nil, ev, &res.Best)
+			cost, err := costmodel.Evaluate(nil, sc.Model, &rows[i].Best)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: scoring %s's winner with %s: %w", name, scorer, err)
 			}
-			run.ScoredBy[scorer] = sctx.Bound.NormalizeEDP(cost.EDP)
+			run.ScoredBy[scorer] = sc.Bound.NormalizeEDP(cost.EDP)
 		}
 		out = append(out, run)
 	}
 
+	fmt.Fprintf(w, "== cost-model head-to-head: SA on %s, %d evals per backend ==\n",
+		prob.Name, budget.MaxEvals)
 	fmt.Fprintf(w, "%-14s %10s", "searched with", "evals")
 	for _, scorer := range backends {
 		fmt.Fprintf(w, " %14s", "EDP/"+scorer)

@@ -104,15 +104,13 @@ func (h *Harness) runComparison(mode string, budget search.Budget, latency time.
 	if err != nil {
 		return nil, err
 	}
-	cmp := &Comparison{Mode: mode, RatiosVsMM: map[string]float64{}}
-
-	var checkpoints []float64
+	checkpoints := checkpointsTime(budget.MaxTime)
 	if mode == "iso-iteration" {
 		checkpoints = checkpointsIter(budget.MaxEvals)
-	} else {
-		checkpoints = checkpointsTime(budget.MaxTime)
 	}
 
+	cmp := &Comparison{Mode: mode, RatiosVsMM: map[string]float64{}}
+	var cells []cell
 	for _, prob := range problems {
 		methods, err := h.methods(prob.Algo.Name)
 		if err != nil {
@@ -120,46 +118,47 @@ func (h *Harness) runComparison(mode string, budget search.Budget, latency time.
 		}
 		pc := ProblemComparison{Problem: prob.Name}
 		for _, method := range methods {
-			series := MethodSeries{Method: method.Name(), Checkpoints: checkpoints}
-			sums := make([]float64, len(checkpoints))
-			var finalSum, evalSum float64
-			var elapsedSum time.Duration
-			for rep := 0; rep < h.opts.Repeats; rep++ {
-				ctx, err := h.problemContext(prob, latency, h.opts.Seed+int64(rep)*1000)
-				if err != nil {
-					return nil, err
-				}
-				h.logf("%s: %s on %s (repeat %d/%d)\n", mode, method.Name(), prob.Name, rep+1, h.opts.Repeats)
-				res, err := method.Search(ctx, budget)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s on %s: %w", method.Name(), prob.Name, err)
-				}
-				for i, cp := range checkpoints {
-					if mode == "iso-iteration" {
-						sums[i] += res.BestAt(int(cp))
-					} else {
-						sums[i] += res.BestAtTime(time.Duration(cp))
-					}
-				}
-				finalSum += res.BestEDP
-				evalSum += float64(res.Evals)
-				elapsedSum += res.Elapsed
-			}
-			reps := float64(h.opts.Repeats)
-			for i := range sums {
-				series.Values = append(series.Values, sums[i]/reps)
-			}
-			series.FinalMean = finalSum / reps
-			series.EvalsMean = evalSum / reps
-			if evalSum > 0 {
-				series.StepTime = time.Duration(float64(elapsedSum) / evalSum)
-			}
-			pc.Series = append(pc.Series, series)
+			pc.Series = append(pc.Series, MethodSeries{Method: method.Name(), Checkpoints: checkpoints})
+			cells = append(cells, h.repeats(cell{prob: prob, searcher: method, budget: budget, latency: latency})...)
 		}
 		cmp.Problems = append(cmp.Problems, pc)
 	}
+	rows, err := h.run(cells, checkpoints)
+	if err != nil {
+		return nil, err
+	}
+	for _, pc := range cmp.Problems {
+		for i := range pc.Series {
+			pc.Series[i].average(rows[:h.opts.Repeats])
+			rows = rows[h.opts.Repeats:]
+		}
+	}
 	h.fillRatios(cmp)
 	return cmp, nil
+}
+
+// average fills the series' means from its repeats' rows, summed in row
+// order.
+func (s *MethodSeries) average(rows []row) {
+	n := float64(len(rows))
+	sums := make([]float64, len(s.Checkpoints))
+	var evalSum float64
+	var elapsedSum time.Duration
+	for _, r := range rows {
+		for i, v := range r.at {
+			sums[i] += v
+		}
+		evalSum += float64(r.Evals)
+		elapsedSum += r.Elapsed
+	}
+	for _, sum := range sums {
+		s.Values = append(s.Values, sum/n)
+	}
+	s.FinalMean = meanEDP(rows)
+	s.EvalsMean = evalSum / n
+	if evalSum > 0 {
+		s.StepTime = time.Duration(float64(elapsedSum) / evalSum)
+	}
 }
 
 // fillRatios computes the headline geomean ratios against Mind Mappings.

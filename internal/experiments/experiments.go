@@ -6,7 +6,7 @@
 // output-representation ablation, and the per-step cost measurements.
 //
 // The same drivers back cmd/experiments and the root-level benchmarks; see
-// DESIGN.md §2 for the experiment index and EXPERIMENTS.md for recorded
+// DESIGN.md §2 for the experiment index and BENCH_search.json for recorded
 // results.
 package experiments
 
@@ -210,15 +210,19 @@ func (h *Harness) Problems() ([]loopnest.Problem, error) {
 	return out, nil
 }
 
-// problemContext builds the per-problem search machinery, optionally with
-// emulated reference-model latency.
-func (h *Harness) problemContext(p loopnest.Problem, latency time.Duration, seed int64) (*search.Context, error) {
-	sctx, err := search.NewContext(h.opts.CostModel, arch.Default(len(p.Algo.Tensors)-1), p)
+// problemFor returns the target problem of the named algorithm: the first
+// of Problems that runs it.
+func (h *Harness) problemFor(algoName string) (loopnest.Problem, error) {
+	problems, err := h.Problems()
 	if err != nil {
-		return nil, err
+		return loopnest.Problem{}, err
 	}
-	sctx.Seed, sctx.QueryLatency = seed, latency
-	return sctx, nil
+	for _, p := range problems {
+		if p.Algo.Name == algoName {
+			return p, nil
+		}
+	}
+	return loopnest.Problem{}, fmt.Errorf("experiments: no %s problem among the targets", algoName)
 }
 
 // methods returns the five search methods in paper order (§5.2): the

@@ -34,16 +34,11 @@ type SurfaceStats struct {
 // spikiness statistics. The paper uses this surface to show the space is
 // non-convex and non-smooth.
 func (h *Harness) CostSurface(w io.Writer) (*SurfaceStats, error) {
-	problems, err := h.Problems()
+	p, err := h.problemFor("cnn-layer")
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range problems {
-		if p.Algo.Name == "cnn-layer" {
-			return CostSurfaceFor(w, p, h.opts.Seed)
-		}
-	}
-	return nil, fmt.Errorf("experiments: no CNN problem available for the cost surface")
+	return CostSurfaceFor(w, p, h.opts.Seed)
 }
 
 // CostSurfaceFor writes the Figure-3 surface for an explicit CNN problem;
@@ -288,21 +283,9 @@ func (h *Harness) DatasetSize(w io.Writer, algoName string) ([]DatasetSizeStudy,
 	if err != nil {
 		return nil, err
 	}
-	problems, err := h.Problems()
+	target, err := h.problemFor(algoName)
 	if err != nil {
 		return nil, err
-	}
-	var target loopnest.Problem
-	found := false
-	for _, p := range problems {
-		if p.Algo.Name == algoName {
-			target = p
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("experiments: no %s problem for dataset-size study", algoName)
 	}
 
 	fmt.Fprintf(w, "== Figure 7c: training-set size sweep (%s; paper sweeps 1M/2M/5M/10M) ==\n", algoName)
@@ -321,16 +304,14 @@ func (h *Harness) DatasetSize(w io.Writer, algoName string) ([]DatasetSizeStudy,
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := h.problemContext(target, 0, h.opts.Seed+7)
+		rows, err := h.run([]cell{{prob: target, searcher: search.MindMappings{Surrogate: sur},
+			label: fmt.Sprintf("MM (%d samples)", n), seed: h.opts.Seed + 7,
+			budget: search.Budget{MaxEvals: h.opts.IsoIterations}}}, nil)
 		if err != nil {
 			return nil, err
 		}
-		res, err := search.MindMappings{Surrogate: sur}.Search(ctx, search.Budget{MaxEvals: h.opts.IsoIterations})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DatasetSizeStudy{Samples: n, Corr: corr, SearchEDP: res.BestEDP})
-		fmt.Fprintf(w, "%8d samples: corr=%.3f searchEDP=%.1f\n", n, corr, res.BestEDP)
+		out = append(out, DatasetSizeStudy{Samples: n, Corr: corr, SearchEDP: rows[0].BestEDP})
+		fmt.Fprintf(w, "%8d samples: corr=%.3f searchEDP=%.1f\n", n, corr, rows[0].BestEDP)
 	}
 	return out, nil
 }
@@ -436,29 +417,28 @@ func (h *Harness) PerStepCost(w io.Writer) ([]StepCost, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := search.Budget{MaxEvals: 100}
-	var out []StepCost
-	var mmStep time.Duration
-	for _, method := range methods {
-		latency := h.opts.QueryLatency
+	cells := make([]cell, len(methods))
+	for i, method := range methods {
+		cells[i] = cell{prob: prob, searcher: method, seed: h.opts.Seed,
+			budget: search.Budget{MaxEvals: 100}, latency: h.opts.QueryLatency}
 		if method.Name() == "MM" {
 			// Mind Mappings never pays the reference-model latency.
-			latency = 0
+			cells[i].latency = 0
 		}
-		ctx, err := h.problemContext(prob, latency, h.opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := method.Search(ctx, budget)
-		if err != nil {
-			return nil, err
-		}
+	}
+	rows, err := h.run(cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []StepCost
+	var mmStep time.Duration
+	for i, r := range rows {
 		per := time.Duration(0)
-		if res.Evals > 0 {
-			per = res.Elapsed / time.Duration(res.Evals)
+		if r.Evals > 0 {
+			per = r.Elapsed / time.Duration(r.Evals)
 		}
-		out = append(out, StepCost{Method: method.Name(), PerStep: per})
-		if method.Name() == "MM" {
+		out = append(out, StepCost{Method: methods[i].Name(), PerStep: per})
+		if methods[i].Name() == "MM" {
 			mmStep = per
 		}
 	}

@@ -47,43 +47,28 @@ func (h *Harness) WorkloadSweepFor(w io.Writer, names []string) ([]WorkloadRow, 
 		"workload", "dims", "tensors", "problem", "GA", "MM", "GA/MM")
 	var out []WorkloadRow
 	for _, name := range names {
-		algo, err := loopnest.AlgorithmByName(name)
+		prob, err := representativeProblem(name)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		prob, err := representativeProblem(algo)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, err
 		}
 		sur, err := h.Surrogate(name)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: training %s surrogate: %w", name, err)
 		}
+		rows, err := h.run([]cell{
+			{prob: prob, searcher: search.GeneticAlgorithm{}, seed: h.opts.Seed + 11, budget: budget},
+			{prob: prob, searcher: search.MindMappings{Surrogate: sur}, seed: h.opts.Seed + 11, budget: budget},
+		}, nil)
+		if err != nil {
+			return nil, err
+		}
 		row := WorkloadRow{
 			Workload:   name,
-			NumDims:    algo.NumDims(),
-			NumTensors: len(algo.Tensors),
+			NumDims:    prob.Algo.NumDims(),
+			NumTensors: len(prob.Algo.Tensors),
 			Problem:    prob.String(),
-		}
-		for _, method := range []search.Searcher{
-			search.GeneticAlgorithm{},
-			search.MindMappings{Surrogate: sur},
-		} {
-			ctx, err := h.problemContext(prob, 0, h.opts.Seed+11)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", name, err)
-			}
-			h.logf("workload sweep: %s on %s\n", method.Name(), name)
-			res, err := method.Search(ctx, budget)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s on %s: %w", method.Name(), name, err)
-			}
-			switch method.Name() {
-			case "GA":
-				row.GAEDP = res.BestEDP
-			case "MM":
-				row.MMEDP = res.BestEDP
-			}
+			GAEDP:      rows[0].BestEDP,
+			MMEDP:      rows[1].BestEDP,
 		}
 		if row.MMEDP > 0 {
 			row.Ratio = row.GAEDP / row.MMEDP
@@ -96,14 +81,19 @@ func (h *Harness) WorkloadSweepFor(w io.Writer, names []string) ([]WorkloadRow, 
 	return out, nil
 }
 
-// representativeProblem builds the deterministic mid-size instance of an
-// algorithm: every dimension at its middle representative sample value.
-func representativeProblem(algo *loopnest.Algorithm) (loopnest.Problem, error) {
+// representativeProblem builds the deterministic mid-size instance of the
+// named algorithm: every dimension at its middle representative sample
+// value.
+func representativeProblem(name string) (loopnest.Problem, error) {
+	algo, err := loopnest.AlgorithmByName(name)
+	if err != nil {
+		return loopnest.Problem{}, fmt.Errorf("experiments: %w", err)
+	}
 	shape := make([]int, algo.NumDims())
 	for d := range shape {
 		vals := algo.SampleSpace[d]
 		if len(vals) == 0 {
-			return loopnest.Problem{}, fmt.Errorf("dimension %s has no sample space", algo.DimNames[d])
+			return loopnest.Problem{}, fmt.Errorf("experiments: %s: dimension %s has no sample space", name, algo.DimNames[d])
 		}
 		shape[d] = vals[len(vals)/2]
 	}

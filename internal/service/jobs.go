@@ -87,8 +87,15 @@ type SearchRequest struct {
 	Patience int `json:"patience,omitempty"`
 	// Objective is edp (default), ed2p, energy, or delay.
 	Objective string `json:"objective,omitempty"`
-	// Seed makes the run reproducible; jobs with equal requests and seeds
-	// produce identical results.
+	// Seed makes the search reproducible: jobs with equal requests and
+	// seeds produce identical results when they start from the same point
+	// (both cold, or both from the same atlas entry) and stop at their
+	// evaluation budget. The atlas can change the start: a stored shape is
+	// answered without a search, and an mm job for an unseen shape
+	// warm-starts from the nearest solved neighbour, which depends on the
+	// entries that exist when the job is planned (Result.Source reports
+	// which). A wall-clock budget or deadline stops at a timing-dependent
+	// point.
 	Seed int64 `json:"seed,omitempty"`
 	// TimeoutMS is an anytime deadline in milliseconds: when it expires
 	// before the budget does, the job completes with its best-so-far
