@@ -63,6 +63,7 @@ type Entry[E any] struct {
 	Started  time.Time `json:"started,omitzero"`
 	Finished time.Time `json:"finished,omitzero"`
 
+	// ctx and cancel are nil while the job is terminal.
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -336,7 +337,8 @@ func (q *Queue[T, E, P]) finishLocked(job P, status Status, err error) {
 
 // endLocked closes a job that just became terminal: count it, end its
 // trace, publish its final event and close the stream so watchers see
-// end-of-stream, release its context, wake its waiters, and apply
+// end-of-stream, cancel and drop its context (a terminal job holds none
+// until a requeue gives it a fresh one), wake its waiters, and apply
 // retention. The stream's mutex is a leaf, so publishing under the lock
 // cannot deadlock.
 func (q *Queue[T, E, P]) endLocked(job P) {
@@ -354,6 +356,7 @@ func (q *Queue[T, E, P]) endLocked(job P) {
 	e.stream.Publish(q.kind.Event(job))
 	e.stream.Close()
 	e.cancel()
+	e.ctx, e.cancel = nil, nil
 	close(e.done)
 	q.terminal++
 	q.evictLocked()
@@ -457,10 +460,11 @@ func (j Jobs[T, E, P]) Cancel(id string) (snap T, ok bool) {
 	if !ok {
 		return snap, false
 	}
-	if e := job.entry(); e.Status == Queued {
+	switch e := job.entry(); e.Status {
+	case Queued:
 		q.dequeueLocked(job)
 		q.finishLocked(job, Cancelled, nil)
-	} else {
+	case Running:
 		e.cancel()
 	}
 	return q.SnapshotLocked(job), true

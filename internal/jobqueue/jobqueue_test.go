@@ -111,6 +111,9 @@ func checkTable(t *testing.T, q *Queue[fakeJob, Status, *fakeJob], mu *sync.Mute
 		if closed(e.done) != terminal {
 			t.Fatalf("job %s is %s but done closed=%v", e.ID, e.Status, closed(e.done))
 		}
+		if (e.ctx == nil || e.cancel == nil) != terminal {
+			t.Fatalf("job %s is %s but holds context %v, cancel func %v", e.ID, e.Status, e.ctx != nil, e.cancel != nil)
+		}
 		if _, ok := q.jobs[e.ID]; !ok && !terminal {
 			t.Fatalf("live job %s (%s) is missing from the table", e.ID, e.Status)
 		}
@@ -422,5 +425,92 @@ func TestWaitReturnsEvictedJob(t *testing.T) {
 			t.Fatalf("Wait returned %q %s (%v), want %q cancelled", r.snap.ID, r.snap.Status, r.err, a.ID)
 		}
 		return
+	}
+}
+
+// TestTerminalEntryKeepsWhatReadersRead pins what a terminal entry keeps:
+// no context or cancel func, a stream holding exactly its history, and
+// readers that answer as they did while the job still held them. Cancel is
+// a no-op, Wait returns at once, Watch replays the history on a closed
+// channel, Trace reports the status, and a requeue runs the job again
+// under a fresh context.
+func TestTerminalEntryKeepsWhatReadersRead(t *testing.T) {
+	q, mu := newFakeQueue(1, 4, 8)
+	defer q.Shutdown(context.Background())
+	done, failed, running, queued := newFakeJob(false), newFakeJob(true), newFakeJob(false), newFakeJob(false)
+	born := newFakeJob(false)
+	mu.Lock()
+	for _, j := range []*fakeJob{done, failed, running, queued} {
+		if err := q.AddLocked(j, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.AddDoneLocked(born); err != nil {
+		t.Fatal(err)
+	}
+	mu.Unlock()
+	ctx := context.Background()
+	// One worker takes the jobs in order: done, failed, then running,
+	// which is cancelled mid-run; queued is cancelled from the FIFO.
+	close(done.release)
+	close(failed.release)
+	waitFor := func(j *fakeJob, want Status) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if snap, _ := q.Get(j.ID); snap.Status == want {
+				return
+			} else if time.Now().After(deadline) {
+				t.Fatalf("job %s is %s, want %s", j.ID, snap.Status, want)
+			}
+		}
+	}
+	waitFor(running, Running)
+	q.Cancel(queued.ID)
+	q.Cancel(running.ID)
+	want := map[*fakeJob]Status{done: Done, failed: Failed, running: Cancelled, queued: Cancelled, born: Done}
+	for j, status := range want {
+		if _, err := q.Wait(ctx, j.ID); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		e := &j.Entry
+		ctxHeld, cancelHeld := e.ctx != nil, e.cancel != nil
+		mu.Unlock()
+		if ctxHeld || cancelHeld {
+			t.Fatalf("%s job holds context %v, cancel func %v", status, ctxHeld, cancelHeld)
+		}
+		before := q.Stats()
+		if snap, ok := q.Cancel(j.ID); !ok || snap.Status != status || q.Stats() != before {
+			t.Fatalf("cancel of a %s job: %v, %s, stats %+v -> %+v", status, ok, snap.Status, before, q.Stats())
+		}
+		if snap, err := q.Wait(ctx, j.ID); err != nil || snap.Status != status {
+			t.Fatalf("wait on a %s job: %s, %v", status, snap.Status, err)
+		}
+		events, ok := q.Events(j.ID)
+		if !ok || len(events) == 0 || events[len(events)-1] != status {
+			t.Fatalf("events of a %s job: %v", status, events)
+		}
+		hist, ch, cancel, ok := q.Watch(j.ID)
+		_, open := <-ch
+		cancel()
+		if !ok || open || !slices.Equal(hist, events) {
+			t.Fatalf("watch of a %s job: history %v (events %v), channel open %v", status, hist, events, open)
+		}
+		if tr, ok := q.Trace(j.ID); !ok || tr.Running || tr.Attrs["status"] != string(status) {
+			t.Fatalf("trace of a %s job: %+v", status, tr)
+		}
+	}
+	// A requeued job runs again under a fresh context and can be
+	// cancelled while it runs.
+	mu.Lock()
+	err := q.RequeueLocked(running)
+	mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(running, Running)
+	q.Cancel(running.ID)
+	if snap, err := q.Wait(ctx, running.ID); err != nil || snap.Status != Cancelled {
+		t.Fatalf("requeued job ended %s, %v", snap.Status, err)
 	}
 }

@@ -13,7 +13,9 @@ import (
 // factors, and the per-PE L1 loops innermost. Trip-count-1 loops are
 // omitted (they are degenerate), and each band is annotated with the
 // storage level whose tiles it iterates over plus the per-tensor buffer
-// allocations.
+// allocations. The result is copied out of the builder, so it holds
+// exactly its bytes and none of the builder's growth slack: callers such
+// as the service retain it with every finished job.
 //
 // Example output for a tiled 1D convolution:
 //
@@ -89,5 +91,5 @@ func (s *Space) RenderLoopNest(m *Mapping) string {
 		}
 	}
 	write(fmt.Sprintf("%s[...] += %s", out, strings.Join(ins, " * ")))
-	return b.String()
+	return strings.Clone(b.String())
 }

@@ -38,7 +38,14 @@ type Span struct {
 	end      time.Time // zero while running
 	children []*Span
 	dropped  int
-	attrs    map[string]any
+	attrs    []attr // in first-Set order, one entry per key
+}
+
+// attr is one span attribute. A span carries a handful, so a slice
+// searched linearly is smaller than a map and as fast.
+type attr struct {
+	key   string
+	value any
 }
 
 // Trace is a per-job/per-request span tree.
@@ -96,17 +103,25 @@ func (s *Span) End() {
 
 // Set attaches (or overwrites) an attribute. Values should be JSON-encodable
 // scalars; attributes are for small annotations (eval counts, model IDs),
-// not payloads.
+// not payloads. They are kept as a key/value slice sized for four, which a
+// finished trace holds until its job is evicted; the snapshot returns them
+// as a map, so the JSON is the same whatever order they were set in.
 func (s *Span) Set(key string, value any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
 	}
-	s.attrs[key] = value
-	s.mu.Unlock()
+	if s.attrs == nil {
+		s.attrs = make([]attr, 0, 4)
+	}
+	s.attrs = append(s.attrs, attr{key, value})
 }
 
 // SpanSnapshot is the JSON view of one span. Times are relative to the
@@ -141,8 +156,8 @@ func (s *Span) snapshot(origin, now time.Time) SpanSnapshot {
 	var attrs map[string]any
 	if len(s.attrs) > 0 {
 		attrs = make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			attrs[k] = v
+		for _, a := range s.attrs {
+			attrs[a.key] = a.value
 		}
 	}
 	children := append([]*Span(nil), s.children...)

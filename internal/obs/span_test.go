@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -116,5 +117,35 @@ func TestNilTraceAndSpanSafe(t *testing.T) {
 	s.Set("a", 1)
 	if c := s.StartChild("x"); c != nil {
 		t.Fatal("nil span should produce nil children")
+	}
+}
+
+// TestSpanAttrOverwriteSnapshot pins the attribute contract: an overwrite
+// replaces the value in place, the snapshot (and so the /trace JSON) reads
+// the same bytes whatever order the keys were set in, and up to four
+// attributes cost the span one allocation.
+func TestSpanAttrOverwriteSnapshot(t *testing.T) {
+	tr := NewTrace("job-6", "job")
+	root := tr.Root()
+	root.Set("status", "running")
+	root.Set("queue_wait_ms", 1.5)
+	root.Set("atlas_seed", "e-1")
+	root.Set("status", "done")
+	tr.End()
+	got, err := json.Marshal(tr.Snapshot().Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"atlas_seed":"e-1","queue_wait_ms":1.5,"status":"done"}`; string(got) != want {
+		t.Fatalf("attrs = %s, want %s", got, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s := &Span{}
+		for _, k := range []string{"a", "b", "c", "a", "d", "b"} {
+			s.Set(k, true)
+		}
+	})
+	if allocs != 2 { // the span and its attribute slice
+		t.Fatalf("a span with four attributes allocates %v times, want 2", allocs)
 	}
 }

@@ -13,14 +13,16 @@ import "sync"
 // Publish never blocks: a subscriber that cannot keep up has samples
 // dropped (progress telemetry is resumable from any point — the next
 // sample supersedes the missed ones). Close marks the stream terminal and
-// closes every subscriber channel; publishing after Close is a no-op.
+// closes every subscriber channel; publishing after Close is a no-op. A
+// closed stream keeps only its history, oldest first and at exact size:
+// no append slack, no subscriber table.
 type Stream[T any] struct {
 	mu     sync.Mutex
 	ring   []T // retained elements; grows by append up to limit
 	limit  int
 	start  int // index of the oldest retained element (0 until full)
 	total  uint64
-	subs   map[uint64]chan T
+	subs   map[uint64]chan T // nil once closed
 	nextID uint64
 	closed bool
 }
@@ -125,17 +127,20 @@ func (s *Stream[T]) Subscribe(buf int) (history []T, ch <-chan T, cancel func())
 }
 
 // Close marks the stream terminal and closes all subscriber channels
-// (after any samples already buffered on them). Idempotent.
+// (after any samples already buffered on them). The retained history is
+// re-sliced to exactly its samples, oldest first, and the subscriber table
+// is dropped: nothing is published or subscribed to a closed stream again.
+// Idempotent.
 func (s *Stream[T]) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	for id, ch := range s.subs {
-		delete(s.subs, id)
+	for _, ch := range s.subs {
 		close(ch)
 	}
-	s.mu.Unlock()
+	s.subs = nil
+	s.ring, s.start = s.historyLocked(), 0
 }

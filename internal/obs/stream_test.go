@@ -31,6 +31,27 @@ func TestStreamHistoryAndRing(t *testing.T) {
 	if !slices.Equal(hist, want) {
 		t.Fatalf("subscribe history = %v, want %v", hist, want)
 	}
+	checkClosedHistory(t, s, want)
+}
+
+// checkClosedHistory closes s and checks that it keeps exactly want,
+// oldest first with no slack and no subscriber table, and that History and
+// Subscribe still return it.
+func checkClosedHistory(t *testing.T, s *Stream[int], want []int) {
+	t.Helper()
+	s.Close()
+	if !slices.Equal(s.ring, want) || cap(s.ring) != len(s.ring) || s.start != 0 || s.subs != nil {
+		t.Fatalf("closed stream: ring %v (cap %d, start %d), %d subscriber slots; want %v at exact size",
+			s.ring, cap(s.ring), s.start, len(s.subs), want)
+	}
+	if got := s.History(); !slices.Equal(got, want) {
+		t.Fatalf("history after close = %v, want %v", got, want)
+	}
+	hist, ch, cancel := s.Subscribe(1)
+	defer cancel()
+	if _, open := <-ch; open || !slices.Equal(hist, want) {
+		t.Fatalf("subscribe after close: history %v, channel open %v; want %v, closed", hist, open, want)
+	}
 }
 
 // TestStreamGrowsToWhatItPublished pins that the bound is a cap, not a
@@ -53,6 +74,7 @@ func TestStreamGrowsToWhatItPublished(t *testing.T) {
 	if len(s.ring) != 10 || cap(s.ring) > 32 {
 		t.Fatalf("ring len %d cap %d, want 10 elements in at most 32 slots", len(s.ring), cap(s.ring))
 	}
+	checkClosedHistory(t, s, want)
 }
 
 func TestStreamSubscribeDeliversAndCancels(t *testing.T) {

@@ -170,13 +170,16 @@ type Job struct {
 
 	// admitted marks a job holding an admission-controller slot, released
 	// exactly once at finish; checkpoint is the latest searcher snapshot
-	// (also journaled when the journal is enabled); resume, when set,
-	// continues the search from that snapshot instead of starting fresh.
+	// (also journaled when the journal is enabled), dropped when the job
+	// finishes done; resume, when set, continues the search from that
+	// snapshot instead of starting fresh.
 	admitted   bool
 	checkpoint *search.Checkpoint
 	resume     *search.Checkpoint
 	// plan is the resolved request: pinned at submit, or set under jm.mu
-	// on the first run of a job recovered from the journal. atlasSeeded
+	// on the first run of a job recovered from the journal, and dropped
+	// when the job finishes done (an atlas-served job never holds one),
+	// since only a run reads it. atlasSeeded
 	// marks a run warm-started from a nearest-neighbor atlas entry, stamped
 	// into Result.Source at finish.
 	plan        *plan
@@ -1055,8 +1058,7 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 			Mapping:  a.mapping,
 			LoopNest: a.loopNest,
 		},
-		plan: p,
-		tin:  ti,
+		tin: ti,
 	}
 	job.Created = time.Now()
 	jm.mu.Lock()
@@ -1267,7 +1269,10 @@ func (jm *JobManager) atlasWriteback(job *Job, res *search.Result) {
 
 // DefaultJobRetention is how many finished jobs the manager keeps
 // queryable before evicting the oldest; without a bound a long-running
-// server would accumulate every result (and its trajectory) forever.
+// server would accumulate every finished job forever. A retained job keeps
+// what its readers read (GET /v1/jobs/{id}, /events, /trace): its request,
+// result, closed event history and span tree; a done job also drops its
+// plan and checkpoint (finish).
 const DefaultJobRetention = 1024
 
 // SetJobRetention overrides the terminal-job retention bound (minimum 1).
@@ -1275,8 +1280,17 @@ func (jm *JobManager) SetJobRetention(n int) { jm.q.SetRetention(n) }
 
 // finish is the queue's terminal hook for search jobs, run under jm.mu in
 // the critical section that makes the job terminal: tenant accounting,
-// the flight-recorder entry, the admission slot, and the journal record.
+// the flight-recorder entry, the admission slot, the journal record, and
+// what a done job no longer needs. A done job is never resumed, so it
+// drops its plan and its checkpoint and keeps the checkpoint's eval count
+// for its readers; a failed or cancelled job keeps both for Resume.
 func (jm *JobManager) finish(job *Job) {
+	if job.Status == JobDone {
+		if job.checkpoint != nil {
+			job.CheckpointEval = job.checkpoint.Eval
+		}
+		job.checkpoint, job.plan = nil, nil
+	}
 	job.tin.finished(job)
 	// Record is a leaf mutex, safe under jm.mu; instruments were resolved
 	// at submit.

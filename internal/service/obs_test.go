@@ -2,11 +2,15 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -443,5 +447,69 @@ func TestUnknownJobObsEndpoints(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s: %d", path, resp.StatusCode)
 		}
+	}
+}
+
+// volatileJSON matches the fields of a job's bodies that depend on the
+// clock or on the random job id; normalizeBody blanks their values and
+// leaves every other byte as served.
+var volatileJSON = regexp.MustCompile(`"(id|created|started|finished)":"[^"]*"|"(elapsed_ms|evals_per_sec|start_ms|duration_ms|queue_wait_ms)":[-+0-9.eE]+`)
+
+func normalizeBody(b []byte) []byte {
+	return volatileJSON.ReplaceAllFunc(b, func(m []byte) []byte {
+		key, _, _ := bytes.Cut(m, []byte(":"))
+		if bytes.HasSuffix(m, []byte(`"`)) {
+			return append(key, `:"-"`...)
+		}
+		return append(key, ":0"...)
+	})
+}
+
+// TestDoneJobKeepsOnlyWhatReadersRead pins what a done search job keeps:
+// no plan and no checkpoint (its checkpoint_eval stays), while the bodies
+// its readers get — GET /v1/jobs/{id}, /events and /trace — match, clock
+// fields and ids aside, the bodies recorded in
+// testdata/done_job_bodies.golden before the job dropped anything.
+func TestDoneJobKeepsOnlyWhatReadersRead(t *testing.T) {
+	ts, jm := testServer(t, 1, 8)
+	jm.SetCheckpointInterval(64)
+	var got bytes.Buffer
+	for _, searcher := range []string{"sa", "mm"} {
+		job, resp := postSearch(t, ts, SearchRequest{
+			Algo: "conv1d", Shape: []int{1024, 5}, Searcher: searcher, Model: "conv1d.surrogate", Evals: 300, Seed: 7,
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s submit: %d", searcher, resp.StatusCode)
+		}
+		// Only mm checkpoints; its record must keep the eval count.
+		if final := waitJob(t, ts, job.ID, time.Minute); final.Status != JobDone || (searcher == "mm") != (final.CheckpointEval > 0) {
+			t.Fatalf("%s job ended %s at checkpoint eval %d", searcher, final.Status, final.CheckpointEval)
+		}
+		jm.mu.Lock()
+		rec, _ := jm.q.LookupLocked(job.ID)
+		planHeld, checkpointHeld := rec.plan != nil, rec.checkpoint != nil
+		jm.mu.Unlock()
+		if planHeld || checkpointHeld {
+			t.Errorf("done %s job holds plan %v, checkpoint %v", searcher, planHeld, checkpointHeld)
+		}
+		for _, path := range []string{"", "/events", "/trace"} {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s job%s: %d, %v", searcher, path, resp.StatusCode, err)
+			}
+			fmt.Fprintf(&got, "== %s GET /v1/jobs/{id}%s\n%s\n", searcher, path, normalizeBody(body))
+		}
+	}
+	want, err := os.ReadFile("testdata/done_job_bodies.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("done job bodies differ from testdata/done_job_bodies.golden:\n%s", got.Bytes())
 	}
 }
