@@ -87,13 +87,19 @@ func (h *Harness) TailBiasAblation(w io.Writer, algoName string) ([]TailBiasStud
 	fmt.Fprintf(w, "== sampling ablation (%s): uniform vs tail-enriched training sets ==\n", algoName)
 	var out []TailBiasStudy
 	for _, bias := range []float64{0, cfg.TailBias} {
-		c := cfg
-		c.TailBias = bias
-		ds, err := surrogate.Generate(algo, a, c)
-		if err != nil {
-			return nil, err
+		var ds *surrogate.RawDataset
+		var sur *surrogate.Surrogate
+		if bias == cfg.TailBias { // the harness's own dataset and model
+			if ds, err = h.Dataset(algoName); err == nil {
+				sur, err = h.Surrogate(algoName)
+			}
+		} else {
+			c := cfg
+			c.TailBias = bias
+			if ds, err = surrogate.Generate(algo, a, c); err == nil {
+				sur, _, err = surrogate.Train(ds, c)
+			}
 		}
-		sur, _, err := surrogate.Train(ds, c)
 		if err != nil {
 			return nil, err
 		}

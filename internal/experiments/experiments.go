@@ -18,6 +18,7 @@ import (
 	"mindmappings/internal/arch"
 	"mindmappings/internal/core"
 	"mindmappings/internal/loopnest"
+	"mindmappings/internal/nn"
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
 
@@ -98,11 +99,18 @@ func Defaults(fast bool) Options {
 	}
 }
 
-// Harness runs the experiments, caching trained surrogates per algorithm.
+// Harness runs the experiments, caching each algorithm's dataset and its
+// trained surrogate with the training history.
 type Harness struct {
 	opts Options
-	surs map[string]*surrogate.Surrogate
+	surs map[string]trained
 	data map[string]*surrogate.RawDataset
+}
+
+// trained is a surrogate and the loss history of the training that made it.
+type trained struct {
+	sur  *surrogate.Surrogate
+	hist *nn.History
 }
 
 // New returns a harness for the given options.
@@ -112,7 +120,7 @@ func New(opts Options) *Harness {
 	}
 	return &Harness{
 		opts: opts,
-		surs: map[string]*surrogate.Surrogate{},
+		surs: map[string]trained{},
 		data: map[string]*surrogate.RawDataset{},
 	}
 }
@@ -171,24 +179,33 @@ func (h *Harness) Dataset(algoName string) (*surrogate.RawDataset, error) {
 // Surrogate returns (training and caching) the Phase-1 surrogate for an
 // algorithm.
 func (h *Harness) Surrogate(algoName string) (*surrogate.Surrogate, error) {
-	if s, ok := h.surs[algoName]; ok {
-		return s, nil
+	t, err := h.trained(algoName)
+	return t.sur, err
+}
+
+// trained returns (training and caching) the algorithm's Phase-1 surrogate
+// and its training history: the one model every driver that trains on the
+// algorithm's default dataset and config shares.
+func (h *Harness) trained(algoName string) (trained, error) {
+	if t, ok := h.surs[algoName]; ok {
+		return t, nil
 	}
 	ds, err := h.Dataset(algoName)
 	if err != nil {
-		return nil, err
+		return trained{}, err
 	}
 	_, _, cfg, err := h.algoFor(algoName)
 	if err != nil {
-		return nil, err
+		return trained{}, err
 	}
 	h.logf("training %s surrogate (%d epochs)...\n", algoName, cfg.Train.Epochs)
-	s, _, err := surrogate.Train(ds, cfg)
+	s, hist, err := surrogate.Train(ds, cfg)
 	if err != nil {
-		return nil, err
+		return trained{}, err
 	}
-	h.surs[algoName] = s
-	return s, nil
+	t := trained{s, hist}
+	h.surs[algoName] = t
+	return t, nil
 }
 
 // Problems returns the Table-1 target problems: all eight at full scale, a

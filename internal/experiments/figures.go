@@ -193,18 +193,11 @@ func (h *Harness) SpaceStats(w io.Writer) ([]SpaceCharacterization, error) {
 // LossCurve reproduces Figure 7a: per-epoch train and test loss of the
 // surrogate under the paper's recipe.
 func (h *Harness) LossCurve(w io.Writer, algoName string) (*nn.History, error) {
-	ds, err := h.Dataset(algoName)
+	t, err := h.trained(algoName)
 	if err != nil {
 		return nil, err
 	}
-	_, _, cfg, err := h.algoFor(algoName)
-	if err != nil {
-		return nil, err
-	}
-	_, hist, err := surrogate.Train(ds, cfg)
-	if err != nil {
-		return nil, err
-	}
+	hist := t.hist
 	fmt.Fprintf(w, "== Figure 7a: %s surrogate loss (Huber) ==\n", algoName)
 	fmt.Fprintf(w, "%-6s %12s %12s\n", "epoch", "train", "test")
 	for i := range hist.TrainLoss {
@@ -292,11 +285,13 @@ func (h *Harness) DatasetSize(w io.Writer, algoName string) ([]DatasetSizeStudy,
 	var out []DatasetSizeStudy
 	for _, frac := range []float64{0.1, 0.2, 0.5, 1.0} {
 		n := int(float64(ds.Len()) * frac)
-		sub, err := ds.Subset(n)
-		if err != nil {
-			return nil, err
+		sur, err := h.Surrogate(algoName) // the whole set: the harness's model
+		if n < ds.Len() {
+			var sub *surrogate.RawDataset
+			if sub, err = ds.Subset(n); err == nil {
+				sur, _, err = surrogate.Train(sub, cfg)
+			}
 		}
-		sur, _, err := surrogate.Train(sub, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -333,11 +328,7 @@ func (h *Harness) OutputReprAblation(w io.Writer, algoName string) (*AblationRes
 	if err != nil {
 		return nil, err
 	}
-	metaDS, err := h.Dataset(algoName)
-	if err != nil {
-		return nil, err
-	}
-	metaSur, _, err := surrogate.Train(metaDS, cfg)
+	metaSur, err := h.Surrogate(algoName)
 	if err != nil {
 		return nil, err
 	}
