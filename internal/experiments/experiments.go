@@ -102,15 +102,10 @@ func Defaults(fast bool) Options {
 // Harness runs the experiments, caching each algorithm's dataset and its
 // trained surrogate with the training history.
 type Harness struct {
-	opts Options
-	surs map[string]trained
-	data map[string]*surrogate.RawDataset
-}
-
-// trained is a surrogate and the loss history of the training that made it.
-type trained struct {
-	sur  *surrogate.Surrogate
-	hist *nn.History
+	opts  Options
+	surs  map[string]*surrogate.Surrogate
+	hists map[string]*nn.History // the training history of each cached surrogate
+	data  map[string]*surrogate.RawDataset
 }
 
 // New returns a harness for the given options.
@@ -119,9 +114,10 @@ func New(opts Options) *Harness {
 		opts.Repeats = 1
 	}
 	return &Harness{
-		opts: opts,
-		surs: map[string]trained{},
-		data: map[string]*surrogate.RawDataset{},
+		opts:  opts,
+		surs:  map[string]*surrogate.Surrogate{},
+		hists: map[string]*nn.History{},
+		data:  map[string]*surrogate.RawDataset{},
 	}
 }
 
@@ -177,35 +173,27 @@ func (h *Harness) Dataset(algoName string) (*surrogate.RawDataset, error) {
 }
 
 // Surrogate returns (training and caching) the Phase-1 surrogate for an
-// algorithm.
+// algorithm: the one model every driver that trains on the algorithm's
+// default dataset and config shares.
 func (h *Harness) Surrogate(algoName string) (*surrogate.Surrogate, error) {
-	t, err := h.trained(algoName)
-	return t.sur, err
-}
-
-// trained returns (training and caching) the algorithm's Phase-1 surrogate
-// and its training history: the one model every driver that trains on the
-// algorithm's default dataset and config shares.
-func (h *Harness) trained(algoName string) (trained, error) {
-	if t, ok := h.surs[algoName]; ok {
-		return t, nil
+	if s, ok := h.surs[algoName]; ok {
+		return s, nil
 	}
 	ds, err := h.Dataset(algoName)
 	if err != nil {
-		return trained{}, err
+		return nil, err
 	}
 	_, _, cfg, err := h.algoFor(algoName)
 	if err != nil {
-		return trained{}, err
+		return nil, err
 	}
 	h.logf("training %s surrogate (%d epochs)...\n", algoName, cfg.Train.Epochs)
 	s, hist, err := surrogate.Train(ds, cfg)
 	if err != nil {
-		return trained{}, err
+		return nil, err
 	}
-	t := trained{s, hist}
-	h.surs[algoName] = t
-	return t, nil
+	h.surs[algoName], h.hists[algoName] = s, hist
+	return s, nil
 }
 
 // Problems returns the Table-1 target problems: all eight at full scale, a

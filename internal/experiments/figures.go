@@ -193,11 +193,10 @@ func (h *Harness) SpaceStats(w io.Writer) ([]SpaceCharacterization, error) {
 // LossCurve reproduces Figure 7a: per-epoch train and test loss of the
 // surrogate under the paper's recipe.
 func (h *Harness) LossCurve(w io.Writer, algoName string) (*nn.History, error) {
-	t, err := h.trained(algoName)
-	if err != nil {
+	if _, err := h.Surrogate(algoName); err != nil {
 		return nil, err
 	}
-	hist := t.hist
+	hist := h.hists[algoName]
 	fmt.Fprintf(w, "== Figure 7a: %s surrogate loss (Huber) ==\n", algoName)
 	fmt.Fprintf(w, "%-6s %12s %12s\n", "epoch", "train", "test")
 	for i := range hist.TrainLoss {
@@ -285,8 +284,10 @@ func (h *Harness) DatasetSize(w io.Writer, algoName string) ([]DatasetSizeStudy,
 	var out []DatasetSizeStudy
 	for _, frac := range []float64{0.1, 0.2, 0.5, 1.0} {
 		n := int(float64(ds.Len()) * frac)
-		sur, err := h.Surrogate(algoName) // the whole set: the harness's model
-		if n < ds.Len() {
+		var sur *surrogate.Surrogate
+		if n == ds.Len() { // the whole set: the harness's own model
+			sur, err = h.Surrogate(algoName)
+		} else {
 			var sub *surrogate.RawDataset
 			if sub, err = ds.Subset(n); err == nil {
 				sur, _, err = surrogate.Train(sub, cfg)

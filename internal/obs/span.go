@@ -42,7 +42,7 @@ type Span struct {
 }
 
 // attr is one span attribute. A span carries a handful, so a slice
-// searched linearly is smaller than a map and as fast.
+// searched linearly is smaller than a map.
 type attr struct {
 	key   string
 	value any
@@ -103,9 +103,9 @@ func (s *Span) End() {
 
 // Set attaches (or overwrites) an attribute. Values should be JSON-encodable
 // scalars; attributes are for small annotations (eval counts, model IDs),
-// not payloads. They are kept as a key/value slice sized for four, which a
-// finished trace holds until its job is evicted; the snapshot returns them
-// as a map, so the JSON is the same whatever order they were set in.
+// not payloads. They are kept as a key/value slice sized for four; the
+// snapshot returns them as a map, so its JSON does not depend on the order
+// they were set in.
 func (s *Span) Set(key string, value any) {
 	if s == nil {
 		return

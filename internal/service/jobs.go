@@ -177,11 +177,10 @@ type Job struct {
 	checkpoint *search.Checkpoint
 	resume     *search.Checkpoint
 	// plan is the resolved request: pinned at submit, or set under jm.mu
-	// on the first run of a job recovered from the journal, and dropped
-	// when the job finishes done (an atlas-served job never holds one),
-	// since only a run reads it. atlasSeeded
-	// marks a run warm-started from a nearest-neighbor atlas entry, stamped
-	// into Result.Source at finish.
+	// on the first run of a job recovered from the journal. Only a run
+	// reads it, so a job that finishes done drops it and an atlas-served
+	// job never holds one. atlasSeeded marks a run warm-started from a
+	// nearest-neighbor atlas entry, stamped into Result.Source at finish.
 	plan        *plan
 	atlasSeeded bool
 	// tin is the tenant's instrument set, resolved once at submission

@@ -15,7 +15,17 @@
 # with GOPROXY=off. The per-run JSON lines are kept in OUT (default: a
 # fresh temporary directory). For every metric the summary prints each
 # side's median and quartiles and, for the metrics BENCHMARK.json names,
-# how many pairs the change won, with the direction BENCHMARK.json gives.
+# how many pairs the change won, with the direction BENCHMARK.json gives
+# (ties count for neither side). For its end-to-end metrics it also prints
+# the verdict the benchmark's rules give:
+#   claim  met when at least ten pairs ran, the change won at least 9/10
+#          of them and the medians differ, in the change's favour, by more
+#          than the base's interquartile range; "no" otherwise.
+#   bound  "worse" when the change's median is worse than the base's by
+#          more than the metric's bound (a fraction of the base median);
+#          "unresolved" when the base's own interquartile range is wider
+#          than that bound, unless every change run beat every base run;
+#          "ok" otherwise.
 # The exit status is 1 when any run failed or failed a check.
 set -euo pipefail
 
@@ -64,12 +74,14 @@ python3 - "$out" "$pairs" "$root/BENCHMARK.json" <<'PY'
 import json, statistics, sys
 
 out, pairs, spec = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-better = {}
+better, bound = {}, {}
 try:
     with open(spec) as f:
         bench = json.load(f)
     for m in bench.get("end_to_end", []) + bench.get("per_layer", []):
         better[m["name"]] = m["better"]
+    for m in bench.get("end_to_end", []):
+        bound[m["name"]] = m["bound"]
 except (OSError, ValueError):
     pass
 
@@ -97,28 +109,38 @@ for side in ("base", "change"):
           f"{failed}/{attempted} operations failed")
 
 names = sorted({n for r in runs["base"] + runs["change"] if r for n in r.get("metrics", {})})
-print(f"{'metric':34} {'base median [Q1, Q3]':>34} {'change median [Q1, Q3]':>34} {'change/base':>11} {'wins':>6}")
+print(f"{'metric':34} {'base median [Q1, Q3]':>34} {'change median [Q1, Q3]':>34} "
+      f"{'change/base':>11} {'wins':>6} {'claim':>5} {'bound':>10}")
 for name in names:
     vals = {s: [r["metrics"][name]["value"] if r and name in r.get("metrics", {}) else None
                 for r in runs[s]] for s in runs}
-    cols = []
-    for s in ("base", "change"):
-        xs = [v for v in vals[s] if v is not None]
-        if not xs:
-            cols.append(None)
-            continue
-        cols.append(quartiles(xs))
+    xs = {s: [v for v in vals[s] if v is not None] for s in runs}
+    q = {s: quartiles(xs[s]) if xs[s] else None for s in runs}
     def fmt(q):
         return "-" if q is None else f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
     ratio = "-"
-    if cols[0] and cols[1] and cols[0][1]:
-        ratio = f"{cols[1][1] / cols[0][1]:.3f}"
-    wins = "-"
-    if name in better:
+    if q["base"] and q["change"] and q["base"][1]:
+        ratio = f"{q['change'][1] / q['base'][1]:.3f}"
+    # A metric of "all" workloads is named workload/metric.
+    metric = name.rsplit("/", 1)[-1]
+    wins = claim = verdict = "-"
+    if metric in better and q["base"] and q["change"]:
+        sign = -1 if better[metric] == "lower" else 1  # sign * value: higher is better
         both = [(b, c) for b, c in zip(vals["base"], vals["change"]) if b is not None and c is not None]
-        lower = better[name] == "lower"
-        wins = f"{sum(1 for b, c in both if (c < b if lower else c > b))}/{len(both)}"
-    print(f"{name:34} {fmt(cols[0]):>34} {fmt(cols[1]):>34} {ratio:>11} {wins:>6}")
+        won = sum(1 for b, c in both if sign * c > sign * b)
+        wins = f"{won}/{len(both)}"
+        (bq1, bmed, bq3), cmed = q["base"], q["change"][1]
+        if metric in bound:
+            gain = sign * (cmed - bmed)
+            claim = "met" if len(both) >= 10 and won >= 0.9 * len(both) and gain > bq3 - bq1 else "no"
+            limit = bound[metric] * abs(bmed)
+            if -gain > limit:
+                verdict = "worse"
+            elif bq3 - bq1 > limit and min(sign * c for c in xs["change"]) <= max(sign * b for b in xs["base"]):
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
+    print(f"{name:34} {fmt(q['base']):>34} {fmt(q['change']):>34} {ratio:>11} {wins:>6} {claim:>5} {verdict:>10}")
 print(f"runs: {out}")
 PY
 exit $status
