@@ -450,19 +450,24 @@ func TestUnknownJobObsEndpoints(t *testing.T) {
 	}
 }
 
-// volatileJSON matches the fields of a job's bodies that depend on the
-// clock or on the random job id; normalizeBody blanks their values and
-// leaves every other byte as served.
-var volatileJSON = regexp.MustCompile(`"(id|created|started|finished)":"[^"]*"|"(elapsed_ms|evals_per_sec|start_ms|duration_ms|queue_wait_ms)":[-+0-9.eE]+`)
+// Fields of a job's bodies that depend on the clock or on the random job
+// id: normalizeBody blanks the values of volatileJSON's matches and drops
+// timingJSON's, which omitempty also drops when they read 0, and leaves
+// every other byte as served.
+var (
+	volatileJSON = regexp.MustCompile(`"(id|created|started|finished)":"[^"]*"|"(start_ms|duration_ms|queue_wait_ms)":[-+0-9.eE]+`)
+	timingJSON   = regexp.MustCompile(`,"(elapsed_ms|evals_per_sec)":[-+0-9.eE]+`)
+)
 
 func normalizeBody(b []byte) []byte {
-	return volatileJSON.ReplaceAllFunc(b, func(m []byte) []byte {
+	b = volatileJSON.ReplaceAllFunc(b, func(m []byte) []byte {
 		key, _, _ := bytes.Cut(m, []byte(":"))
 		if bytes.HasSuffix(m, []byte(`"`)) {
 			return append(key, `:"-"`...)
 		}
 		return append(key, ":0"...)
 	})
+	return timingJSON.ReplaceAll(b, nil)
 }
 
 // TestDoneJobKeepsOnlyWhatReadersRead pins what a done search job keeps:
