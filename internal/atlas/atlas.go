@@ -46,9 +46,6 @@ const (
 	SegmentFile = "atlas.log"
 	// BlobExt is the extension of mapping blob files in the per-file layout.
 	BlobExt = ".mapping"
-	// ManifestExt is the extension of entry manifest files in the per-file
-	// layout.
-	ManifestExt = blobstore.ManifestExt
 )
 
 // Entry is the manifest of one solved mapping. The ID is content-derived
@@ -117,12 +114,6 @@ func ShapeDistance(a, b []int) float64 {
 	return math.Sqrt(sum)
 }
 
-// record is an indexed entry plus its lazily loaded, cached mapping.
-type record struct {
-	e       Entry
-	mapping *mapspace.Mapping // decoded on first Lookup/Nearest, then cached
-}
-
 // Atlas is the on-disk store plus its in-memory index. Safe for
 // concurrent use.
 type Atlas struct {
@@ -133,9 +124,9 @@ type Atlas struct {
 	failpoint blobstore.Failpoint
 
 	mu       sync.RWMutex
-	byID     map[string]*record
-	byKey    map[string][]*record          // version-ascending per key
-	byFamily map[string]map[string]*record // family → key → best record
+	byID     map[string]*Entry
+	byKey    map[string][]*Entry          // version-ascending per key
+	byFamily map[string]map[string]*Entry // family → key → best entry
 	// dropped counts what Open could not index from the segment or the
 	// per-file layout; GC resets it.
 	dropped int
@@ -170,13 +161,13 @@ func Open(dir string) (*Atlas, error) {
 	a := &Atlas{
 		seg:      seg,
 		legacy:   legacy,
-		byID:     make(map[string]*record),
-		byKey:    make(map[string][]*record),
-		byFamily: make(map[string]map[string]*record),
+		byID:     make(map[string]*Entry),
+		byKey:    make(map[string][]*Entry),
+		byFamily: make(map[string]map[string]*Entry),
 		dropped:  seg.Corrupt(),
 	}
 	for _, e := range entries {
-		a.indexLocked(&record{e: e})
+		a.indexLocked(&e)
 	}
 	if err := a.migrate(old); err != nil {
 		seg.Close()
@@ -202,7 +193,7 @@ func (a *Atlas) migrate(old []Entry) error {
 			if err := a.seg.Put(e.ID, payload); err != nil {
 				return err
 			}
-			a.indexLocked(&record{e: e})
+			a.indexLocked(&e)
 		}
 		if err := a.legacy.Remove(e.ID); err != nil {
 			return err
@@ -247,12 +238,12 @@ func decodeRecord(id string, payload []byte) (e Entry, ok bool) {
 
 // indexLocked inserts rec into all three indexes, keeping key groups
 // version-ascending and the family view at each key's best. Callers hold mu.
-func (a *Atlas) indexLocked(rec *record) {
-	a.byID[rec.e.ID] = rec
-	group := append(a.byKey[rec.e.Key], rec)
-	sort.SliceStable(group, func(i, j int) bool { return group[i].e.Version < group[j].e.Version })
-	a.byKey[rec.e.Key] = group
-	a.reindexFamilyLocked(rec.e.Key, rec.e.Family)
+func (a *Atlas) indexLocked(rec *Entry) {
+	a.byID[rec.ID] = rec
+	group := append(a.byKey[rec.Key], rec)
+	sort.SliceStable(group, func(i, j int) bool { return group[i].Version < group[j].Version })
+	a.byKey[rec.Key] = group
+	a.reindexFamilyLocked(rec.Key, rec.Family)
 }
 
 // reindexFamilyLocked repoints (or drops) the family view of one key at
@@ -261,7 +252,7 @@ func (a *Atlas) reindexFamilyLocked(key, family string) {
 	fam := a.byFamily[family]
 	if best := a.bestLocked(key); best != nil {
 		if fam == nil {
-			fam = make(map[string]*record)
+			fam = make(map[string]*Entry)
 			a.byFamily[family] = fam
 		}
 		fam[key] = best
@@ -273,13 +264,13 @@ func (a *Atlas) reindexFamilyLocked(key, family string) {
 	}
 }
 
-// bestLocked returns the key's best committed record: lowest BestEDP,
+// bestLocked returns the key's best committed entry: lowest BestEDP,
 // ties broken by the newest version. Callers hold mu.
-func (a *Atlas) bestLocked(key string) *record {
-	var best *record
+func (a *Atlas) bestLocked(key string) *Entry {
+	var best *Entry
 	for _, rec := range a.byKey[key] {
-		if best == nil || rec.e.BestEDP < best.e.BestEDP ||
-			(rec.e.BestEDP == best.e.BestEDP && rec.e.Version > best.e.Version) {
+		if best == nil || rec.BestEDP < best.BestEDP ||
+			(rec.BestEDP == best.BestEDP && rec.Version > best.Version) {
 			best = rec
 		}
 	}
@@ -319,22 +310,22 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 	a.mu.RLock()
 	cur := a.bestLocked(e.Key)
 	a.mu.RUnlock()
-	if cur != nil && cur.e.BestEDP <= e.BestEDP {
-		return cur.e, false, nil
+	if cur != nil && cur.BestEDP <= e.BestEDP {
+		return *cur, false, nil
 	}
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if existing, ok := a.byID[e.ID]; ok {
-		return existing.e, false, nil
+		return *existing, false, nil
 	}
-	if cur := a.bestLocked(e.Key); cur != nil && cur.e.BestEDP <= e.BestEDP {
-		return cur.e, false, nil
+	if cur := a.bestLocked(e.Key); cur != nil && cur.BestEDP <= e.BestEDP {
+		return *cur, false, nil
 	}
 	e.Version = 1
 	superseded := a.byKey[e.Key]
 	if len(superseded) > 0 {
-		e.Version = superseded[len(superseded)-1].e.Version + 1
+		e.Version = superseded[len(superseded)-1].Version + 1
 	}
 	e.Created = time.Now().UTC()
 	payload, err := encodeRecord(&e, blob)
@@ -343,74 +334,74 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 	}
 	drop := make([]string, len(superseded))
 	for i, old := range superseded {
-		drop[i] = old.e.ID
+		drop[i] = old.ID
 	}
 	if err := a.seg.Put(e.ID, payload, drop...); err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
-	cached := m.Clone()
-	a.indexLocked(&record{e: e, mapping: &cached})
+	a.indexLocked(&e)
 	for _, id := range drop {
 		a.unindexLocked(a.byID[id])
 	}
 	return e, true, nil
 }
 
-// unindexLocked drops a record from the indexes. Callers hold mu.
-func (a *Atlas) unindexLocked(rec *record) {
-	delete(a.byID, rec.e.ID)
-	group := slices.DeleteFunc(a.byKey[rec.e.Key], func(g *record) bool { return g == rec })
+// unindexLocked drops an entry from the indexes. Callers hold mu.
+func (a *Atlas) unindexLocked(rec *Entry) {
+	delete(a.byID, rec.ID)
+	group := slices.DeleteFunc(a.byKey[rec.Key], func(g *Entry) bool { return g == rec })
 	if len(group) == 0 {
-		delete(a.byKey, rec.e.Key)
+		delete(a.byKey, rec.Key)
 	} else {
-		a.byKey[rec.e.Key] = group
+		a.byKey[rec.Key] = group
 	}
-	a.reindexFamilyLocked(rec.e.Key, rec.e.Family)
+	a.reindexFamilyLocked(rec.Key, rec.Family)
 }
 
-// mappingOf returns a private clone of the record's mapping, decoding and
-// caching it on first use.
-func (a *Atlas) mappingOf(rec *record) (mapspace.Mapping, error) {
-	a.mu.RLock()
-	m := rec.mapping
-	a.mu.RUnlock()
-	if m == nil {
-		payload, ok, err := a.seg.Get(rec.e.ID)
-		if err == nil && !ok {
-			err = fmt.Errorf("%w: %q", ErrUnknownEntry, rec.e.ID)
-		}
-		if err != nil {
-			return mapspace.Mapping{}, fmt.Errorf("atlas: %w", err)
-		}
-		_, blob, _ := splitRecord(payload) // Open checked the split
-		var decoded mapspace.Mapping
-		if err := json.Unmarshal(blob, &decoded); err != nil {
-			return mapspace.Mapping{}, fmt.Errorf("atlas: entry %s: %w", rec.e.ID, err)
-		}
-		a.mu.Lock()
-		if rec.mapping == nil {
-			rec.mapping = &decoded
-		}
-		m = rec.mapping
-		a.mu.Unlock()
+// blobLocked reads the mapping blob of a committed entry from the
+// segment. Callers hold mu, at least for reading, from picking the entry
+// to this read: Publish tombstones what it supersedes under the write lock,
+// so the entry cannot vanish in between.
+func (a *Atlas) blobLocked(e *Entry) ([]byte, error) {
+	payload, ok, err := a.seg.Get(e.ID)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %q", ErrUnknownEntry, e.ID)
 	}
-	return m.Clone(), nil
+	if err != nil {
+		return nil, fmt.Errorf("atlas: %w", err)
+	}
+	_, blob, _ := splitRecord(payload) // Open and Publish checked the split
+	return blob, nil
+}
+
+// decodeMapping decodes the blob of entry id into a fresh mapping.
+func decodeMapping(id string, blob []byte) (mapspace.Mapping, error) {
+	var m mapspace.Mapping
+	if err := json.Unmarshal(blob, &m); err != nil {
+		return mapspace.Mapping{}, fmt.Errorf("atlas: entry %s: %w", id, err)
+	}
+	return m, nil
 }
 
 // Lookup is the exact-hit read path: the best committed entry for the key
-// plus a private clone of its mapping.
+// plus its mapping, decoded from the segment.
 func (a *Atlas) Lookup(key string) (Entry, mapspace.Mapping, bool, error) {
 	a.mu.RLock()
 	rec := a.bestLocked(key)
-	a.mu.RUnlock()
-	if rec == nil {
-		return Entry{}, mapspace.Mapping{}, false, nil
+	var blob []byte
+	var err error
+	if rec != nil {
+		blob, err = a.blobLocked(rec)
 	}
-	m, err := a.mappingOf(rec)
+	a.mu.RUnlock()
+	if rec == nil || err != nil {
+		return Entry{}, mapspace.Mapping{}, false, err
+	}
+	m, err := decodeMapping(rec.ID, blob)
 	if err != nil {
 		return Entry{}, mapspace.Mapping{}, false, err
 	}
-	return rec.e, m, true, nil
+	return *rec, m, true, nil
 }
 
 // Best returns the best committed entry for the key without reading its
@@ -420,48 +411,43 @@ func (a *Atlas) Best(key string) (Entry, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if rec := a.bestLocked(key); rec != nil {
-		return rec.e, true
-	}
-	return Entry{}, false
-}
-
-// Get returns the committed entry with the given ID.
-func (a *Atlas) Get(id string) (Entry, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if rec, ok := a.byID[id]; ok {
-		return rec.e, true
+		return *rec, true
 	}
 	return Entry{}, false
 }
 
 // Nearest is the warm-start read path: among the family's entries whose
 // shape differs from the target, the one at minimum ShapeDistance (ties
-// broken by key for determinism), with a private clone of its mapping.
+// broken by key for determinism), with its mapping decoded from the segment.
 // Callers re-project the mapping into the target shape's map space.
 func (a *Atlas) Nearest(family string, shape []int) (Entry, mapspace.Mapping, float64, bool, error) {
 	a.mu.RLock()
-	var best *record
+	var best *Entry
 	bestDist := math.Inf(1)
 	for _, rec := range a.byFamily[family] {
-		if slices.Equal(rec.e.Shape, shape) {
+		if slices.Equal(rec.Shape, shape) {
 			continue
 		}
-		d := ShapeDistance(rec.e.Shape, shape)
-		if d < bestDist || (d == bestDist && best != nil && rec.e.Key < best.e.Key) {
+		d := ShapeDistance(rec.Shape, shape)
+		if d < bestDist || (d == bestDist && best != nil && rec.Key < best.Key) {
 			bestDist = d
 			best = rec
 		}
 	}
-	a.mu.RUnlock()
 	if best == nil || math.IsInf(bestDist, 0) {
+		a.mu.RUnlock()
 		return Entry{}, mapspace.Mapping{}, 0, false, nil
 	}
-	m, err := a.mappingOf(best)
+	blob, err := a.blobLocked(best)
+	a.mu.RUnlock()
 	if err != nil {
 		return Entry{}, mapspace.Mapping{}, 0, false, err
 	}
-	return best.e, m, bestDist, true, nil
+	m, err := decodeMapping(best.ID, blob)
+	if err != nil {
+		return Entry{}, mapspace.Mapping{}, 0, false, err
+	}
+	return *best, m, bestDist, true, nil
 }
 
 // List returns every committed entry, ordered by workload, then key, then
@@ -471,7 +457,7 @@ func (a *Atlas) List() []Entry {
 	defer a.mu.RUnlock()
 	out := make([]Entry, 0, len(a.byID))
 	for _, rec := range a.byID {
-		out = append(out, rec.e)
+		out = append(out, *rec)
 	}
 	slices.SortFunc(out, func(x, y Entry) int {
 		return cmp.Or(cmp.Compare(x.Algo, y.Algo), cmp.Compare(x.Key, y.Key), x.Version-y.Version)
@@ -502,19 +488,19 @@ func (a *Atlas) Delete(id string) error {
 func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var victims []*record
+	var victims []*Entry
 	for key, group := range a.byKey {
 		best := a.bestLocked(key)
 		for _, rec := range group {
-			if rec != best || (stale != nil && stale(rec.e)) {
+			if rec != best || (stale != nil && stale(*rec)) {
 				victims = append(victims, rec)
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].e.ID < victims[j].e.ID })
+	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 	var removed []string
 	for _, rec := range victims {
-		removed = append(removed, rec.e.ID)
+		removed = append(removed, rec.ID)
 	}
 	if err := a.seg.Delete(removed...); err != nil {
 		return nil, fmt.Errorf("atlas: gc: %w", err)

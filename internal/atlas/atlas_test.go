@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,7 +91,8 @@ func TestShapeDistance(t *testing.T) {
 }
 
 func TestPublishLookupRoundTrip(t *testing.T) {
-	a, err := Open(t.TempDir())
+	dir := t.TempDir()
+	a, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +132,54 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 	}
 	if _, ok := a.Best("no-such-key"); ok {
 		t.Fatal("best found a key never published")
+	}
+
+	// Both read paths decode from the segment, so what they return right
+	// after Publish is what they return after a reopen, field for field,
+	// and it re-projects to the same warm start.
+	e2, m2 := testSolution(t, 2048, 4.0, 2)
+	if _, _, err := a.Publish(e2, &m2); err != nil {
+		t.Fatal(err)
+	}
+	target := conv1dShape(t, 4096)
+	read := func(a *Atlas) (lookup, nearest mapspace.Mapping) {
+		t.Helper()
+		_, lookup, hit, err := a.Lookup(e.Key)
+		if err != nil || !hit {
+			t.Fatalf("lookup: hit=%v err=%v", hit, err)
+		}
+		ne, nearest, _, ok, err := a.Nearest(e.Family, target)
+		if err != nil || !ok || ne.Key != e2.Key {
+			t.Fatalf("nearest: %+v ok=%v err=%v", ne, ok, err)
+		}
+		return lookup, nearest
+	}
+	fresh, freshNear := read(a)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	reopened, reopenedNear := read(b)
+	if !reflect.DeepEqual(fresh, reopened) || !reflect.DeepEqual(freshNear, reopenedNear) {
+		t.Fatalf("reopen changed a mapping:\n%+v\n%+v\nvs\n%+v\n%+v", fresh, freshNear, reopened, reopenedNear)
+	}
+	p, err := loopnest.NewConv1DProblem("atlas-test", 4096, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := mapspace.New(arch.Default(2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]mapspace.Mapping{{fresh, reopened}, {freshNear, reopenedNear}} {
+		x, y := space.Reproject(&pair[0]), space.Reproject(&pair[1])
+		if !reflect.DeepEqual(x, y) {
+			t.Fatalf("re-projection differs after reopen:\n%s\nvs\n%s", x.String(), y.String())
+		}
 	}
 }
 
@@ -328,12 +378,12 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash window 3 (mid-delete): manifest without a blob behind it.
-	if err := os.WriteFile(filepath.Join(dir, "cafecafecafecafe"+ManifestExt),
+	if err := os.WriteFile(filepath.Join(dir, "cafecafecafecafe"+blobstore.ManifestExt),
 		[]byte(`{"id":"cafecafecafecafe","key":"k","family":"f"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// And one plainly torn manifest.
-	if err := os.WriteFile(filepath.Join(dir, "feedfeedfeedfeed"+ManifestExt), []byte(`{"id":"fe`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "feedfeedfeedfeed"+blobstore.ManifestExt), []byte(`{"id":"fe`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,14 +391,10 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(b.List()); n != 1 {
-		t.Fatalf("debris leaked into the listing: %d entries", n)
-	}
-	if _, ok := b.Get("deadbeefdeadbeef"); ok {
-		t.Fatal("blob without manifest is visible")
-	}
-	if _, ok := b.Get("cafecafecafecafe"); ok {
-		t.Fatal("manifest without blob is visible")
+	// Neither the blob without a manifest nor the manifest without a blob
+	// is visible.
+	if l := b.List(); len(l) != 1 || l[0].ID != committed.ID {
+		t.Fatalf("debris leaked into the listing: %+v", l)
 	}
 	if b.Stats().Corrupt == 0 {
 		t.Fatal("corrupt debris not counted")
@@ -369,7 +415,7 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 			t.Fatalf("tmp file survived GC: %s", de.Name())
 		}
 	}
-	if _, ok := b.Get(committed.ID); !ok {
+	if best, ok := b.Best(committed.Key); !ok || best.ID != committed.ID {
 		t.Fatal("GC removed the committed entry")
 	}
 	if b.Stats().Corrupt != 0 {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"mindmappings/internal/blobstore"
 )
 
 // TestMisnamedManifestIsCorrupt pins that a manifest whose id is not its
@@ -19,13 +21,13 @@ func TestMisnamedManifestIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	const moved = "b0f5c85c454d9c79" // the fixture's only entry for key 0fe06530…
-	if err := os.Rename(filepath.Join(dir, moved+ManifestExt), filepath.Join(dir, "aaaaaaaaaaaaaaaa"+ManifestExt)); err != nil {
+	if err := os.Rename(filepath.Join(dir, moved+blobstore.ManifestExt), filepath.Join(dir, "aaaaaaaaaaaaaaaa"+blobstore.ManifestExt)); err != nil {
 		t.Fatal(err)
 	}
 	for name, body := range map[string]string{
-		filepath.Join(root, "victim"+BlobExt):     `{"Spatial":[1]}`,
-		filepath.Join(root, "victim"+ManifestExt): `{}`,
-		filepath.Join(dir, "escape"+ManifestExt):  `{"id":"../victim","key":"k","family":"f"}`,
+		filepath.Join(root, "victim"+BlobExt):               `{"Spatial":[1]}`,
+		filepath.Join(root, "victim"+blobstore.ManifestExt): `{}`,
+		filepath.Join(dir, "escape"+blobstore.ManifestExt):  `{"id":"../victim","key":"k","family":"f"}`,
 	} {
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -36,9 +38,9 @@ func TestMisnamedManifestIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{moved, "../victim"} {
-		if _, ok := a.Get(id); ok {
-			t.Fatalf("misnamed manifest indexed as %q", id)
+	for _, e := range a.List() {
+		if e.ID == moved || e.ID == "../victim" {
+			t.Fatalf("misnamed manifest indexed as %q", e.ID)
 		}
 	}
 	if st := a.Stats(); st != (Stats{Entries: 2, Keys: 1, Families: 1, Corrupt: 4}) {
@@ -53,7 +55,7 @@ func TestMisnamedManifestIsCorrupt(t *testing.T) {
 	if !reflect.DeepEqual(removed, want) {
 		t.Fatalf("GC removed %v, want %v", removed, want)
 	}
-	for _, name := range []string{"victim" + BlobExt, "victim" + ManifestExt} {
+	for _, name := range []string{"victim" + BlobExt, "victim" + blobstore.ManifestExt} {
 		if _, err := os.Stat(filepath.Join(root, name)); err != nil {
 			t.Fatalf("file outside the atlas was touched: %v", err)
 		}

@@ -178,9 +178,6 @@ func exists(path string) bool {
 	return err == nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // BlobPath returns the path of an entry's blob.
 func (s *Store) BlobPath(id string) string { return filepath.Join(s.dir, id+s.blobExt) }
 

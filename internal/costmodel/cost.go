@@ -33,7 +33,7 @@ type Cost struct {
 	// workspace: steady-state EvaluateInto calls on the same Cost perform
 	// zero heap allocations. Backends type-assert their own scratch type
 	// and install a fresh one when the assertion fails; nothing outside a
-	// backend may depend on its contents. Clone drops it.
+	// backend may depend on its contents.
 	Scratch any
 }
 
@@ -59,37 +59,6 @@ func (c *Cost) Reset(nt int) {
 	c.EDP = 0
 }
 
-// Clone returns a deep copy of the exported cost fields, detached from any
-// evaluation workspace. A Cost kept past the next evaluation must be a
-// clone: the original may be an EvaluateInto workspace whose slices are
-// overwritten by the next evaluation. All per-level slices are carved from
-// one backing array, capacity-capped so an append to one never writes into
-// another: a clone costs a single allocation.
-func (c *Cost) Clone() Cost {
-	out := *c
-	out.Scratch = nil
-	n := 0
-	for l := range c.Accesses {
-		n += len(c.Accesses[l]) + len(c.EnergyPJ[l])
-	}
-	buf := make([]float64, n)
-	for l := range c.Accesses {
-		out.Accesses[l], buf = carve(buf, c.Accesses[l])
-		out.EnergyPJ[l], buf = carve(buf, c.EnergyPJ[l])
-	}
-	return out
-}
-
-// carve copies src into the front of buf and returns the copy, capped at
-// its length, and the rest of buf. A nil src stays nil.
-func carve(buf, src []float64) (dst, rest []float64) {
-	if src == nil {
-		return nil, buf
-	}
-	k := copy(buf, src)
-	return buf[:k:k], buf[k:]
-}
-
 // MetaStats flattens the cost into the surrogate's rich output
 // representation (§4.1.3): per-level per-tensor access energies, followed
 // by total energy, utilization, and cycles. For CNN-Layer that is
@@ -101,10 +70,4 @@ func (c *Cost) MetaStats() []float64 {
 	}
 	out = append(out, c.TotalEnergyPJ, c.Utilization, c.Cycles)
 	return out
-}
-
-// MetaStatsLen returns the meta-statistics vector length for an algorithm
-// with nt tensors.
-func MetaStatsLen(nt int) int {
-	return int(arch.NumLevels)*nt + 3
 }

@@ -73,9 +73,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Count returns the number of evaluations charged so far.
 func (c *Counter) Count() int64 { return c.n.Load() }
 
-// Reset clears the counter.
-func (c *Counter) Reset() { c.n.Store(0) }
-
 // Evaluate is the convenience scalar form: it evaluates m into a fresh
 // Cost. Hot paths should hold a reusable Cost and call EvaluateInto.
 func Evaluate(ctx context.Context, ev Evaluator, m *mapspace.Mapping) (Cost, error) {

@@ -2,7 +2,6 @@ package costmodel_test
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -161,39 +160,6 @@ func TestEvaluateConvenience(t *testing.T) {
 	}
 	if !(c.EDP > 0) {
 		t.Fatalf("EDP = %v", c.EDP)
-	}
-}
-
-// TestCostCloneDetached pins the detached copy Clone makes: one allocation,
-// every field equal, no workspace, and no storage shared with the source
-// or between its own slices.
-func TestCostCloneDetached(t *testing.T) {
-	f := newFixture(t, 8)
-	var src costmodel.Cost
-	if err := f.backend(t, "").EvaluateInto(context.Background(), &f.ms[0], &src); err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprint(src.Accesses, src.EnergyPJ, src.EDP)
-	c := src.Clone()
-	if c.Scratch != nil {
-		t.Fatal("clone kept the evaluation workspace")
-	}
-	if got := fmt.Sprint(c.Accesses, c.EnergyPJ, c.EDP); got != want {
-		t.Fatalf("clone %s, want %s", got, want)
-	}
-	energy := fmt.Sprint(c.EnergyPJ)
-	for l := range c.Accesses {
-		c.Accesses[l][0] = -1
-		c.Accesses[l] = append(c.Accesses[l], -1) // must not spill into a neighbor
-	}
-	if got := fmt.Sprint(src.Accesses, src.EnergyPJ, src.EDP); got != want {
-		t.Fatal("mutating the clone changed its source")
-	}
-	if got := fmt.Sprint(c.EnergyPJ); got != energy {
-		t.Fatal("appending to one of the clone's slices overwrote another")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { src.Clone() }); allocs != 1 {
-		t.Fatalf("Clone allocates %.1f per call, want 1", allocs)
 	}
 }
 

@@ -121,9 +121,6 @@ func New(opts Options) *Harness {
 	}
 }
 
-// Options returns the harness configuration.
-func (h *Harness) Options() Options { return h.opts }
-
 func (h *Harness) logf(format string, args ...any) {
 	if h.opts.Log != nil {
 		fmt.Fprintf(h.opts.Log, format, args...)

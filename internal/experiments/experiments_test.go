@@ -290,7 +290,7 @@ func TestCostModelHeadToHead(t *testing.T) {
 	seen := map[string]bool{}
 	for _, run := range runs {
 		seen[run.SearchedWith] = true
-		if run.Evals != h.Options().IsoIterations {
+		if run.Evals != h.opts.IsoIterations {
 			t.Fatalf("%s run used %d evals", run.SearchedWith, run.Evals)
 		}
 		if len(run.ScoredBy) != len(runs) {

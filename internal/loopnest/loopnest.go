@@ -164,17 +164,11 @@ func (p *Problem) String() string {
 	return s + ")"
 }
 
-// PID returns the problem-identifier vector fed to the surrogate: log2 of
-// each dimension size (paper §4.1.1: "we encode each pid as the specific
-// parameterization of the problem"). Log-space keeps the magnitudes of very
-// different dimensions comparable before whitening.
-func (p *Problem) PID() []float64 {
-	return p.AppendPID(make([]float64, 0, len(p.Shape)))
-}
-
-// AppendPID appends the problem-identifier vector to dst and returns the
-// extended slice — the allocation-free form encode hot paths use, and the
-// single definition of the pid encoding.
+// AppendPID appends the problem-identifier vector fed to the surrogate to
+// dst and returns the extended slice: log2 of each dimension size (paper
+// §4.1.1: "we encode each pid as the specific parameterization of the
+// problem"). Log-space keeps the magnitudes of very different dimensions
+// comparable before whitening.
 func (p *Problem) AppendPID(dst []float64) []float64 {
 	for _, s := range p.Shape {
 		dst = append(dst, math.Log2(float64(s)))

@@ -182,7 +182,7 @@ func TestPID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pid := p.PID()
+	pid := p.AppendPID(nil)
 	for i, want := range []float64{1, 2, 3, 4} {
 		if math.Abs(pid[i]-want) > 1e-12 {
 			t.Fatalf("PID = %v", pid)

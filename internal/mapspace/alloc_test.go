@@ -258,7 +258,7 @@ func TestDecodeAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
 		m := s.Random(rng)
 		vec := s.Encode(&m)
-		for i := s.PIDLen(); i < len(vec); i++ {
+		for i := s.NumDims(); i < len(vec); i++ {
 			vec[i] += 3 * rng.NormFloat64() // large enough to need shrinking
 		}
 		pinAllocs(t, "Decode", mappingAllocs, func() {

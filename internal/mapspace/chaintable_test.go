@@ -121,7 +121,7 @@ func TestConcurrentSpacesProject(t *testing.T) {
 		for k := 0; k < 20; k++ {
 			m := s.Random(rng)
 			vec := s.Encode(&m)
-			for j := s.PIDLen(); j < len(vec); j++ {
+			for j := s.NumDims(); j < len(vec); j++ {
 				vec[j] += rng.NormFloat64()
 			}
 			got, err := s.Decode(vec)

@@ -26,9 +26,6 @@ func (s *Space) VectorLen() int {
 		arch.OnChipLevels*s.NumTensors() // buffer allocations
 }
 
-// PIDLen returns the length of the problem-id prefix.
-func (s *Space) PIDLen() int { return s.NumDims() }
-
 // Encode flattens a mapping into the surrogate's input vector (paper
 // §4.1.2: each programmable attribute converted to floats and flattened).
 // Tile and spatial factors are encoded in log2, loop orders as normalized

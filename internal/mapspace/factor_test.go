@@ -301,7 +301,7 @@ func TestArgminFilteredMatchesLinearScan(t *testing.T) {
 // their search index: the same tensor and dimension choice, then a linear
 // scan over every chain.
 func shrinkOnceLinear(s *Space, m *Mapping, level arch.Level, logs [][4]float64) bool {
-	tile := m.CumulativeTile(level)
+	tile := m.CumulativeTileInto(nil, level)
 	nt := s.NumTensors()
 	fps, order := make([]float64, nt), make([]int, nt)
 	for t := range order {

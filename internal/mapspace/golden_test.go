@@ -149,7 +149,8 @@ func goldenStreams(name string, s *Space) [5]string {
 	h, rng = sha256.New(), rand.New(rand.NewSource(seed+2))
 	a, b := s.Random(rng), s.Random(rng)
 	for i := 0; i < n; i++ {
-		child := s.Crossover(rng, &a, &b)
+		var child Mapping
+		s.CrossoverInto(rng, &a, &b, &child)
 		writeMapping(h, &child)
 		a, b = b, child
 	}
@@ -159,7 +160,9 @@ func goldenStreams(name string, s *Space) [5]string {
 	h, rng = sha256.New(), rand.New(rand.NewSource(seed+3))
 	m = s.Random(rng)
 	for i := 0; i < n; i++ {
-		m = s.Mutate(rng, &m, 0.3)
+		var next Mapping
+		s.MutateInto(rng, &m, 0.3, &next)
+		m = next
 		writeMapping(h, &m)
 	}
 	out[3] = digest(h)
@@ -168,7 +171,7 @@ func goldenStreams(name string, s *Space) [5]string {
 	// far out-of-range coordinates, some asking for oversized tiles so the
 	// shrink-to-fit path runs.
 	h, rng = sha256.New(), rand.New(rand.NewSource(seed+4))
-	pid := s.PIDLen()
+	pid := s.NumDims()
 	tileEnd := pid + (int(arch.NumLevels)+1)*s.NumDims()
 	for i := 0; i < n; i++ {
 		m := s.Random(rng)

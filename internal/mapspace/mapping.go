@@ -161,17 +161,11 @@ func (m *Mapping) SpatialPEs() int {
 	return pes
 }
 
-// CumulativeTile returns the per-dimension data-tile sizes resident at the
-// given level: at L1 the L1 temporal factors; at L2 additionally the
-// spatial and L2 factors (the shared buffer holds the tiles of all PEs);
-// at DRAM the full problem shape.
-func (m *Mapping) CumulativeTile(level arch.Level) []int {
-	return m.CumulativeTileInto(nil, level)
-}
-
-// CumulativeTileInto is CumulativeTile writing into dst (grown when too
-// short, reused otherwise), so evaluation hot paths can stay
-// allocation-free.
+// CumulativeTileInto writes into dst (grown when too short, reused
+// otherwise) the per-dimension data-tile sizes resident at the given level:
+// at L1 the L1 temporal factors; at L2 additionally the spatial and L2
+// factors (the shared buffer holds the tiles of all PEs); at DRAM the full
+// problem shape.
 func (m *Mapping) CumulativeTileInto(dst []int, level arch.Level) []int {
 	d := len(m.Spatial)
 	if cap(dst) < d {

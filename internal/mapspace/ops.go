@@ -9,8 +9,8 @@ import (
 // This file implements the neighborhood and recombination operators used by
 // the black-box baselines (paper Appendix A): Perturb for simulated
 // annealing's neighbor moves and the gradient search's random injections,
-// Crossover and Mutate for the genetic algorithm. All operators return
-// valid mappings (invalid intermediates are repaired by projection).
+// CrossoverInto and MutateInto for the genetic algorithm. All operators
+// return valid mappings (invalid intermediates are repaired by projection).
 //
 // Each operator records what it changed (a change) and checks its result
 // against that: when the parent's footprint block is stamped, only the
@@ -130,20 +130,12 @@ func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) int {
 	return dim
 }
 
-// Crossover recombines two parents attribute-wise (paper Appendix A: "A
-// cross-over results in swapping attributes of one individual with the
+// CrossoverInto recombines two parents attribute-wise (paper Appendix A:
+// "A cross-over results in swapping attributes of one individual with the
 // other"): each dimension's chain comes from either parent, each level's
 // loop order from either parent, and allocations are blended. The child is
-// repaired to validity.
-func (s *Space) Crossover(rng *rand.Rand, a, b *Mapping) Mapping {
-	var child Mapping
-	s.CrossoverInto(rng, a, b, &child)
-	return child
-}
-
-// CrossoverInto is Crossover writing the child into child, whose storage
-// it reuses when child has a's shape. child must not share storage with a
-// or b.
+// repaired to validity and written into child, whose storage it reuses when
+// child has a's shape. child must not share storage with a or b.
 func (s *Space) CrossoverInto(rng *rand.Rand, a, b, child *Mapping) {
 	a.CloneInto(child)
 	s.repair(child, s.crossMove(rng, b, child))
@@ -174,20 +166,13 @@ func (s *Space) crossMove(rng *rand.Rand, b, child *Mapping) change {
 	return ch
 }
 
-// Mutate randomizes each attribute group independently with probability
-// rate (paper Appendix A: "a mutation is implemented as a .05 probability
-// of a random update for each of the mapping's attributes") and repairs the
-// result.
-func (s *Space) Mutate(rng *rand.Rand, m *Mapping, rate float64) Mapping {
-	var out Mapping
-	s.MutateInto(rng, m, rate, &out)
-	return out
-}
-
-// MutateInto is Mutate writing the result into out, whose storage it
-// reuses when out has m's shape. out may be m itself, which then mutates
-// in place: the genetic algorithm mutates the child it just bred without
-// copying it again. Otherwise out must not share storage with m.
+// MutateInto randomizes each attribute group of m independently with
+// probability rate (paper Appendix A: "a mutation is implemented as a .05
+// probability of a random update for each of the mapping's attributes"),
+// repairs the result and writes it into out, whose storage it reuses when
+// out has m's shape. out may be m itself, which then mutates in place: the
+// genetic algorithm mutates the child it just bred without copying it
+// again. Otherwise out must not share storage with m.
 func (s *Space) MutateInto(rng *rand.Rand, m *Mapping, rate float64, out *Mapping) {
 	if out != m {
 		m.CloneInto(out)

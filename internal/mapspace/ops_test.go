@@ -46,7 +46,8 @@ func TestCrossoverProducesValidChildren(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			a := s.Random(rng)
 			b := s.Random(rng)
-			child := s.Crossover(rng, &a, &b)
+			var child Mapping
+			s.CrossoverInto(rng, &a, &b, &child)
 			if err := s.IsMember(&child); err != nil {
 				t.Fatalf("%s: crossover child invalid: %v", s.Prob.Name, err)
 			}
@@ -61,7 +62,8 @@ func TestCrossoverMixesParents(t *testing.T) {
 	b := s.Random(rng)
 	fromA, fromB := 0, 0
 	for i := 0; i < 30; i++ {
-		child := s.Crossover(rng, &a, &b)
+		var child Mapping
+		s.CrossoverInto(rng, &a, &b, &child)
 		for dim := range s.Prob.Shape {
 			switch child.Chain(dim) {
 			case a.Chain(dim):
@@ -80,7 +82,8 @@ func TestMutateRateZeroIsIdentity(t *testing.T) {
 	s := testSpaceCNN(t)
 	rng := rand.New(rand.NewSource(35))
 	m := s.Random(rng)
-	out := s.Mutate(rng, &m, 0)
+	var out Mapping
+	s.MutateInto(rng, &m, 0, &out)
 	if out.String() != m.String() {
 		t.Fatal("rate-0 mutation changed the mapping")
 	}
@@ -92,7 +95,8 @@ func TestMutateRateOneChanges(t *testing.T) {
 	m := s.Random(rng)
 	same := 0
 	for i := 0; i < 20; i++ {
-		out := s.Mutate(rng, &m, 1)
+		var out Mapping
+		s.MutateInto(rng, &m, 1, &out)
 		if err := s.IsMember(&out); err != nil {
 			t.Fatalf("mutated mapping invalid: %v", err)
 		}
@@ -113,14 +117,16 @@ func TestOperatorChainsStayValidProperty(t *testing.T) {
 		a := s.Random(rng)
 		b := s.Random(rng)
 		for step := 0; step < 10; step++ {
+			var child Mapping
 			switch rng.Intn(3) {
 			case 0:
-				a = s.Perturb(rng, &a)
+				child = s.Perturb(rng, &a)
 			case 1:
-				a = s.Crossover(rng, &a, &b)
+				s.CrossoverInto(rng, &a, &b, &child)
 			case 2:
-				a = s.Mutate(rng, &a, 0.3)
+				s.MutateInto(rng, &a, 0.3, &child)
 			}
+			a = child
 			if s.IsMember(&a) != nil {
 				return false
 			}

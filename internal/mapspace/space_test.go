@@ -127,9 +127,9 @@ func TestCumulativeTile(t *testing.T) {
 	m := s.minimalMapping()
 	// I = 64: put 2 in L1, 2 spatial, 4 in L2, 4 in DRAM.
 	m.SetChain(0, FactorChain{2, 2, 4, 4})
-	l1 := m.CumulativeTile(arch.L1)
-	l2 := m.CumulativeTile(arch.L2)
-	dram := m.CumulativeTile(arch.DRAM)
+	l1 := m.CumulativeTileInto(nil, arch.L1)
+	l2 := m.CumulativeTileInto(nil, arch.L2)
+	dram := m.CumulativeTileInto(nil, arch.DRAM)
 	if l1[0] != 2 || l2[0] != 16 || dram[0] != 64 {
 		t.Fatalf("cumulative tiles = %d/%d/%d, want 2/16/64", l1[0], l2[0], dram[0])
 	}
@@ -227,7 +227,7 @@ func TestRandomMappingInvariantsProperty(t *testing.T) {
 // footprintWords returns tensor t's resident footprint in words at an
 // on-chip level under mapping m.
 func footprintWords(s *Space, m *Mapping, level arch.Level, t int) float64 {
-	return float64(s.Prob.Algo.Tensors[t].Footprint(m.CumulativeTile(level)))
+	return float64(s.Prob.Algo.Tensors[t].Footprint(m.CumulativeTileInto(nil, level)))
 }
 
 func TestRepairAllocRaisesToFootprint(t *testing.T) {

@@ -90,8 +90,8 @@ func TestZeroSkipSemantics(t *testing.T) {
 	b := NewDense(2, 3)
 	b.Data = []float64{math.Inf(1), math.NaN(), math.Inf(-1), 1, 2, 3}
 	for r := 0; r < a.Rows; r++ {
-		a.Set(r, 0, 0)
-		a.Set(r, 1, float64(r)) // row 0 of a is all-zero: fully skipped sample
+		a.Data[r*a.Cols] = 0
+		a.Data[r*a.Cols+1] = float64(r) // row 0 of a is all-zero: fully skipped sample
 	}
 	dst := NewDense(5, 3)
 	MulNN(dst, a, b)
@@ -114,9 +114,9 @@ func TestZeroSkipSemantics(t *testing.T) {
 	g := NewDense(2, 3)
 	bs := NewDense(5, 3)
 	for s := 0; s < 5; s++ {
-		bs.Set(s, 0, math.Inf(1))
-		bs.Set(s, 1, 1)
-		bs.Set(s, 2, math.NaN())
+		bs.Data[s*bs.Cols] = math.Inf(1)
+		bs.Data[s*bs.Cols+1] = 1
+		bs.Data[s*bs.Cols+2] = math.NaN()
 	}
 	MulTNAcc(g, a, bs)
 	for j, v := range g.Row(0) {

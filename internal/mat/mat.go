@@ -37,9 +37,6 @@ func NewDense(rows, cols int) *Dense {
 // At returns the element at (r, c).
 func (m *Dense) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
-// Set stores v at (r, c).
-func (m *Dense) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // Row returns a view (not a copy) of row r.
 func (m *Dense) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 

@@ -30,7 +30,7 @@ func TestNewDensePanicsOnBadShape(t *testing.T) {
 
 func TestAtSetRow(t *testing.T) {
 	m := NewDense(2, 2)
-	m.Set(1, 0, 7)
+	m.Data[2] = 7 // (1, 0)
 	if m.At(1, 0) != 7 {
 		t.Fatalf("At(1,0) = %v", m.At(1, 0))
 	}
@@ -43,9 +43,9 @@ func TestAtSetRow(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	m := NewDense(1, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 	c := m.Clone()
-	c.Set(0, 0, 5)
+	c.Data[0] = 5
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone must not share storage")
 	}
@@ -259,11 +259,11 @@ func TestMulTNAccIsGradient(t *testing.T) {
 			return sum
 		}
 		orig := w.At(r, c)
-		w.Set(r, c, orig+h)
+		w.Data[r*w.Cols+c] = orig + h
 		fPlus := eval()
-		w.Set(r, c, orig-h)
+		w.Data[r*w.Cols+c] = orig - h
 		fMinus := eval()
-		w.Set(r, c, orig)
+		w.Data[r*w.Cols+c] = orig
 		fd := (fPlus - fMinus) / (2 * h)
 		if math.Abs(fd-grad.At(r, c)) > 1e-4*(1+math.Abs(fd)) {
 			t.Fatalf("gradient mismatch at (%d,%d): fd=%v MulTNAcc=%v", r, c, fd, grad.At(r, c))

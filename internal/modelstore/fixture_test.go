@@ -48,7 +48,7 @@ func TestFixtureStoreReopens(t *testing.T) {
 	if s := st.Stats(); s != (Stats{Artifacts: 2, Workloads: 1, Corrupt: 2}) {
 		t.Fatalf("Stats = %+v", s)
 	}
-	m, ok := st.Resolve(algoFP)
+	m, ok := st.ResolveMatching(algoFP, nil)
 	if !ok || m.ID != v2 || m.Version != 2 || m.Seed != 2 || !reflect.DeepEqual(m.HiddenSizes, []int{4}) {
 		t.Fatalf("Resolve = %+v ok=%v", m, ok)
 	}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"mindmappings/internal/blobstore"
 )
 
 // TestMisnamedManifestIsCorrupt pins that a manifest whose id is not its
@@ -22,13 +24,13 @@ func TestMisnamedManifestIsCorrupt(t *testing.T) {
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "store"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(dir, v2+ManifestExt), filepath.Join(dir, "aaaaaaaaaaaaaaaa"+ManifestExt)); err != nil {
+	if err := os.Rename(filepath.Join(dir, v2+blobstore.ManifestExt), filepath.Join(dir, "aaaaaaaaaaaaaaaa"+blobstore.ManifestExt)); err != nil {
 		t.Fatal(err)
 	}
 	for name, body := range map[string]string{
-		filepath.Join(root, "victim"+BlobExt):     `not a surrogate`,
-		filepath.Join(root, "victim"+ManifestExt): `{}`,
-		filepath.Join(dir, "escape"+ManifestExt):  `{"id":"../victim","algo_fp":"x"}`,
+		filepath.Join(root, "victim"+BlobExt):               `not a surrogate`,
+		filepath.Join(root, "victim"+blobstore.ManifestExt): `{}`,
+		filepath.Join(dir, "escape"+blobstore.ManifestExt):  `{"id":"../victim","algo_fp":"x"}`,
 	} {
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -44,7 +46,7 @@ func TestMisnamedManifestIsCorrupt(t *testing.T) {
 			t.Fatalf("misnamed manifest indexed as %q", id)
 		}
 	}
-	if m, ok := st.Resolve(algoFP); !ok || m.ID != v1 {
+	if m, ok := st.ResolveMatching(algoFP, nil); !ok || m.ID != v1 {
 		t.Fatalf("Resolve = %s ok=%v, want %s", m.ID, ok, v1)
 	}
 	if s := st.Stats(); s != (Stats{Artifacts: 1, Workloads: 1, Corrupt: 4}) {
@@ -59,7 +61,7 @@ func TestMisnamedManifestIsCorrupt(t *testing.T) {
 	if !reflect.DeepEqual(removed, want) {
 		t.Fatalf("GC removed %v, want %v", removed, want)
 	}
-	for _, name := range []string{"victim" + BlobExt, "victim" + ManifestExt} {
+	for _, name := range []string{"victim" + BlobExt, "victim" + blobstore.ManifestExt} {
 		if _, err := os.Stat(filepath.Join(root, name)); err != nil {
 			t.Fatalf("file outside the store was touched: %v", err)
 		}

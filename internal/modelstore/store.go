@@ -33,9 +33,8 @@ import (
 )
 
 const (
-	// BlobExt is the artifact-blob suffix; ManifestExt commits it.
-	BlobExt     = ".surrogate"
-	ManifestExt = blobstore.ManifestExt
+	// BlobExt is the artifact-blob suffix; blobstore.ManifestExt commits it.
+	BlobExt = ".surrogate"
 )
 
 // ErrUnknownArtifact is wrapped by Load and Delete for IDs the store does
@@ -132,9 +131,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.blobs.Dir() }
 
 // BlobPath returns the path of an artifact's blob file.
 func (s *Store) BlobPath(id string) string { return s.blobs.BlobPath(id) }
@@ -252,13 +248,6 @@ func (s *Store) Get(id string) (Manifest, bool) {
 		return *m, true
 	}
 	return Manifest{}, false
-}
-
-// Resolve returns the best artifact for a workload fingerprint: the
-// highest version (most recent publication). ok is false when no artifact
-// of that workload has been published.
-func (s *Store) Resolve(algoFP string) (Manifest, bool) {
-	return s.ResolveMatching(algoFP, nil)
 }
 
 // ResolveMatching returns the best (highest-version) artifact for a

@@ -86,11 +86,11 @@ func TestPublishResolveVersioning(t *testing.T) {
 	}
 
 	// Resolve picks the highest version for the workload fingerprint.
-	best, ok := st.Resolve(m1.AlgoFP)
+	best, ok := st.ResolveMatching(m1.AlgoFP, nil)
 	if !ok || best.ID != m2.ID {
 		t.Fatalf("resolve: %+v ok=%v, want %s", best, ok, m2.ID)
 	}
-	if _, ok := st.Resolve("no-such-fp"); ok {
+	if _, ok := st.ResolveMatching("no-such-fp", nil); ok {
 		t.Fatal("resolved a fingerprint never published")
 	}
 
@@ -138,7 +138,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	if got := len(st2.List()); got != 2 {
 		t.Fatalf("reopened store lists %d artifacts, want 2", got)
 	}
-	best, ok := st2.Resolve(m1.AlgoFP)
+	best, ok := st2.ResolveMatching(m1.AlgoFP, nil)
 	if !ok || best.ID != m2.ID || best.Version != 2 {
 		t.Fatalf("reopened resolve: %+v ok=%v", best, ok)
 	}
@@ -184,7 +184,7 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Torn manifest (no blob behind it).
-	if err := os.WriteFile(filepath.Join(dir, "cafecafecafecafe"+ManifestExt), []byte(`{"id":"cafecafecafecafe"`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "cafecafecafecafe"+blobstore.ManifestExt), []byte(`{"id":"cafecafecafecafe"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,7 +246,7 @@ func TestGCSupersededVersions(t *testing.T) {
 	if _, ok := st.Get(m1.ID); ok {
 		t.Fatal("superseded version still visible")
 	}
-	best, ok := st.Resolve(m2.AlgoFP)
+	best, ok := st.ResolveMatching(m2.AlgoFP, nil)
 	if !ok || best.ID != m2.ID {
 		t.Fatalf("resolve after GC: %+v ok=%v", best, ok)
 	}
@@ -286,7 +286,7 @@ func TestConcurrentPublishAndResolve(t *testing.T) {
 			if _, err := st.Publish(sur, PublishMeta{}); err != nil {
 				t.Errorf("publish: %v", err)
 			}
-			st.Resolve(sur.AlgoFP)
+			st.ResolveMatching(sur.AlgoFP, nil)
 			st.List()
 		}(i)
 	}

@@ -17,19 +17,6 @@ type Loss interface {
 	Eval(pred, target, grad []float64) float64
 }
 
-// LossByName returns the loss registered under name.
-func LossByName(name string) (Loss, error) {
-	switch name {
-	case "mse":
-		return MSE{}, nil
-	case "mae":
-		return MAE{}, nil
-	case "huber":
-		return Huber{Delta: 1}, nil
-	}
-	return nil, fmt.Errorf("nn: unknown loss %q", name)
-}
-
 func checkLossShapes(pred, target, grad []float64) {
 	if len(pred) != len(target) || len(pred) != len(grad) {
 		panic(fmt.Sprintf("nn: loss shapes pred=%d target=%d grad=%d",

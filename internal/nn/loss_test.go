@@ -7,21 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestLossByName(t *testing.T) {
-	for _, name := range []string{"mse", "mae", "huber"} {
-		l, err := LossByName(name)
-		if err != nil {
-			t.Fatalf("LossByName(%q): %v", name, err)
-		}
-		if l.Name() != name {
-			t.Fatalf("name round-trip %q != %q", l.Name(), name)
-		}
-	}
-	if _, err := LossByName("hinge"); err == nil {
-		t.Fatal("expected error for unknown loss")
-	}
-}
-
 func TestMSEKnown(t *testing.T) {
 	grad := make([]float64, 2)
 	loss := MSE{}.Eval([]float64{1, 3}, []float64{0, 1}, grad)
@@ -31,6 +16,9 @@ func TestMSEKnown(t *testing.T) {
 	}
 	if grad[0] != 1 || grad[1] != 2 {
 		t.Fatalf("MSE grad = %v, want [1 2]", grad)
+	}
+	if n := (MSE{}).Name(); n != "mse" {
+		t.Fatalf("MSE name %q", n)
 	}
 }
 
@@ -43,6 +31,9 @@ func TestMAEKnown(t *testing.T) {
 	}
 	if grad[0] != 0.5 || grad[1] != -0.5 {
 		t.Fatalf("MAE grad = %v", grad)
+	}
+	if n := (MAE{}).Name(); n != "mae" {
+		t.Fatalf("MAE name %q", n)
 	}
 }
 
@@ -74,6 +65,9 @@ func TestHuberLinearRegion(t *testing.T) {
 	}
 	if grad[0] != 1 {
 		t.Fatalf("Huber grad = %v, want 1", grad[0])
+	}
+	if n := (Huber{Delta: 1}).Name(); n != "huber" {
+		t.Fatalf("Huber name %q", n)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestRegistryCapIgnoresUnlabeledFamilies(t *testing.T) {
 	r := NewRegistry()
 	r.SetMaxCardinality(1)
 	r.Counter("mm_a_total", "h").Inc()
-	r.Gauge("mm_b", "h").Set(1)
+	r.Gauge("mm_b", "h").Add(1)
 	if got := r.DroppedLabels(); got != 0 {
 		t.Fatalf("unlabeled families counted against the cap: DroppedLabels = %d", got)
 	}

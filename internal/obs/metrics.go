@@ -45,9 +45,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds delta (a CAS loop; gauges are low-frequency metrics).
 func (g *Gauge) Add(delta float64) {
 	for {

@@ -19,7 +19,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	var g Gauge
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1.25)
 	if got := g.Value(); got != 1.25 {
 		t.Fatalf("gauge = %v, want 1.25", got)

@@ -11,7 +11,7 @@ func TestPrometheusExposition(t *testing.T) {
 	c := r.Counter("mm_jobs_total", "Jobs ever submitted.")
 	c.Add(3)
 	g := r.Gauge("mm_queue_depth", "Jobs waiting.")
-	g.Set(2)
+	g.Add(2)
 	r.CounterWith("mm_evals_total", "Paid evals.", []string{"backend"}, []string{"timeloop"}).Add(10)
 	r.CounterWith("mm_evals_total", "Paid evals.", []string{"backend"}, []string{"roofline"}).Add(4)
 	h := r.Histogram("mm_request_seconds", "Request latency.", []float64{0.001, 0.01, 0.1})

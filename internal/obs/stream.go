@@ -20,8 +20,7 @@ type Stream[T any] struct {
 	mu     sync.Mutex
 	ring   []T // retained elements; grows by append up to limit
 	limit  int
-	start  int // index of the oldest retained element (0 until full)
-	total  uint64
+	start  int               // index of the oldest retained element (0 until full)
 	subs   map[uint64]chan T // nil once closed
 	nextID uint64
 	closed bool
@@ -51,7 +50,6 @@ func (s *Stream[T]) Publish(v T) {
 		s.ring[s.start] = v
 		s.start = (s.start + 1) % len(s.ring)
 	}
-	s.total++
 	for _, ch := range s.subs {
 		select {
 		case ch <- v:
@@ -73,20 +71,6 @@ func (s *Stream[T]) historyLocked() []T {
 	out := make([]T, 0, len(s.ring))
 	out = append(out, s.ring[s.start:]...)
 	return append(out, s.ring[:s.start]...)
-}
-
-// Total returns how many samples have ever been published.
-func (s *Stream[T]) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Closed reports whether the stream is terminal.
-func (s *Stream[T]) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // Subscribe returns the retained history plus a channel delivering samples

@@ -22,9 +22,6 @@ func TestStreamHistoryAndRing(t *testing.T) {
 			t.Fatalf("history = %v, want %v", got, want)
 		}
 	}
-	if s.Total() != 6 {
-		t.Fatalf("total = %d, want 6", s.Total())
-	}
 	// Subscribe replays the wrapped ring oldest first too.
 	hist, _, cancel := s.Subscribe(1)
 	defer cancel()
@@ -116,9 +113,6 @@ func TestStreamCloseTerminatesSubscribers(t *testing.T) {
 	if len(got) != 1 || got[0] != "a" {
 		t.Fatalf("drained %v, want [a]", got)
 	}
-	if !s.Closed() {
-		t.Fatal("stream should report closed")
-	}
 	// Late subscriber: history plus an already-closed channel.
 	hist, late, cancel2 := s.Subscribe(1)
 	defer cancel2()
@@ -183,7 +177,14 @@ func TestStreamConcurrentPublishSubscribe(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	s.Close()
-	if s.Total() != 5000 {
-		t.Fatalf("total = %d", s.Total())
+	// Every publish landed: the ring holds the last 64, in order.
+	hist := s.History()
+	if len(hist) != 64 {
+		t.Fatalf("history after 5000 publishes holds %d, want 64", len(hist))
+	}
+	for i, v := range hist {
+		if v != 5000-64+i {
+			t.Fatalf("history after 5000 publishes = %v, want 4936..4999", hist)
+		}
 	}
 }

@@ -287,16 +287,6 @@ func (a *Admission) Release(tenant string) {
 	}
 }
 
-// InFlight returns tenant's current slot usage.
-func (a *Admission) InFlight(tenant string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if ts := a.tenants[tenant]; ts != nil {
-		return ts.inFlight
-	}
-	return 0
-}
-
 // Stats snapshots the counters.
 func (a *Admission) Stats() AdmissionStats {
 	a.mu.Lock()

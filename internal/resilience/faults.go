@@ -20,9 +20,6 @@ import (
 // (and retry policies) can classify them with errors.Is.
 var ErrInjected = errors.New("resilience: injected fault")
 
-// IsInjected reports whether err originates from a Faults injector.
-func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
-
 // Faults is a seeded, deterministic fault injector. Each named site (e.g.
 // "eval", "journal.write", "store.publish") keeps its own draw counter;
 // whether draw #n at a site fires is a pure function of (seed, site, n),

@@ -90,9 +90,6 @@ func (j *Journal) migrate() error {
 	return nil
 }
 
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Close releases the journal's segment file.
 func (j *Journal) Close() error { return j.seg.Close() }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mindmappings/internal/atlas"
+	"mindmappings/internal/blobstore"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 )
@@ -229,7 +230,7 @@ func TestAtlasUnreadableEntryFallsThrough(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, body := range map[string][]byte{e.ID + atlas.ManifestExt: manifest, e.ID + atlas.BlobExt: []byte("{not json")} {
+			for name, body := range map[string][]byte{e.ID + blobstore.ManifestExt: manifest, e.ID + atlas.BlobExt: []byte("{not json")} {
 				if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
 					t.Fatal(err)
 				}

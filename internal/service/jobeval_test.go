@@ -107,7 +107,7 @@ func TestJobEvaluatorFaultsDeterministic(t *testing.T) {
 		out := make([]bool, len(ms))
 		for i := range ms {
 			err := ev.attempt(context.Background(), &ms[i], &ws)
-			if err != nil && !resilience.IsInjected(err) {
+			if err != nil && !errors.Is(err, resilience.ErrInjected) {
 				t.Fatal(err)
 			}
 			out[i] = err != nil
@@ -161,7 +161,7 @@ func TestJobEvaluatorRetryAbsorbsFaults(t *testing.T) {
 		}
 	}
 	f.SetErrorRate(faultSiteEval, 1)
-	if err := ev.EvaluateInto(context.Background(), &ms[0], &ws); !resilience.IsInjected(err) {
+	if err := ev.EvaluateInto(context.Background(), &ms[0], &ws); !errors.Is(err, resilience.ErrInjected) {
 		t.Fatalf("eval failing every attempt returned %v, want the injected fault", err)
 	}
 }

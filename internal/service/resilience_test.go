@@ -543,7 +543,7 @@ func TestCancelQueuedFreesQueueAndQuotaSlot(t *testing.T) {
 	if !ok || snap.Status != JobCancelled {
 		t.Fatalf("cancel queued: ok=%v status=%s", ok, snap.Status)
 	}
-	if got := adm.InFlight("acme"); got != 1 {
+	if got := adm.Stats().InFlight; got != 1 {
 		t.Fatalf("quota slot not freed on cancel-queued: %d in flight, want 1", got)
 	}
 	c, err := jm.SubmitAs("acme", long)
@@ -597,9 +597,6 @@ func TestQuotaAccountingUnderConcurrentSubmitCancel(t *testing.T) {
 		if _, err := jm.Wait(ctx, id); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := adm.InFlight("acme"); got != 0 {
-		t.Fatalf("leaked %d quota slots after all jobs finished", got)
 	}
 	if st := adm.Stats(); st.InFlight != 0 {
 		t.Fatalf("controller reports %d slots in flight, want 0", st.InFlight)

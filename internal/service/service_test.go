@@ -223,7 +223,7 @@ func TestStridedJobMatchesDirectSearch(t *testing.T) {
 	live, _ := jobs.q.LookupLocked(job.ID)
 	stream := live.Stream()
 	jobs.mu.Unlock()
-	if got, want := stream.Total(), uint64(len(res.Trajectory)+2); got != want {
+	if got, want := len(stream.History()), len(res.Trajectory)+2; got != want {
 		t.Fatalf("job published %d events, want %d", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -181,7 +182,7 @@ func TestHTTPTrainSearchClosedLoop(t *testing.T) {
 	}
 
 	// Store state survives a reopen (the on-disk layout is the truth).
-	st2, err := modelstore.Open(store.Dir())
+	st2, err := modelstore.Open(filepath.Dir(store.BlobPath(artifact)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package stats provides small statistical utilities shared across the
 // repository: running moments, z-score normalization of datasets, geometric
-// means, percentiles, and deterministic RNG construction.
+// means, and deterministic RNG construction.
 //
 // Everything here is deliberately dependency-free; the surrogate training
 // pipeline (input whitening, output normalization) and the experiment
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // NewRNG returns a deterministic pseudo-random generator seeded with seed.
@@ -35,21 +34,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs, or 0 for fewer than
-// two samples.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // GeoMean returns the geometric mean of xs. All values must be positive.
 func GeoMean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -65,52 +49,16 @@ func GeoMean(xs []float64) (float64, error) {
 	return math.Exp(logSum / float64(len(xs))), nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of [0,100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // Running accumulates streaming mean and variance using Welford's algorithm.
 // The zero value is ready to use.
 type Running struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x into the running statistics.
 func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	r.n++
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
@@ -133,12 +81,6 @@ func (r *Running) Var() float64 {
 
 // Std returns the running population standard deviation.
 func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest observed value (0 if none).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observed value (0 if none).
-func (r *Running) Max() float64 { return r.max }
 
 // Normalizer applies per-dimension z-score normalization fitted on a
 // dataset, as used for the surrogate's input whitening and output cost
@@ -195,20 +137,7 @@ func (n *Normalizer) Applied(row []float64) []float64 {
 	return n.Apply(out)
 }
 
-// Invert undoes Apply in place and returns row.
-func (n *Normalizer) Invert(row []float64) []float64 {
-	for d := range row {
-		row[d] = row[d]*n.Std[d] + n.Mean[d]
-	}
-	return row
-}
-
 // InvertOne undoes normalization for a single column value.
 func (n *Normalizer) InvertOne(col int, v float64) float64 {
 	return v*n.Std[col] + n.Mean[col]
-}
-
-// ApplyOne normalizes a single column value.
-func (n *Normalizer) ApplyOne(col int, v float64) float64 {
-	return (v - n.Mean[col]) / n.Std[col]
 }

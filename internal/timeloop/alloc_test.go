@@ -42,7 +42,7 @@ func TestEvaluateIntoMatchesEvaluate(t *testing.T) {
 	ctx := context.Background()
 	var ws costmodel.Cost
 	for i := range ms {
-		want, err := model.Evaluate(&ms[i])
+		want, err := costmodel.Evaluate(nil, model, &ms[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,36 +85,6 @@ func TestEvaluateIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCostCloneDetaches checks that a Clone survives the workspace being
-// reused for another evaluation — the contract any caller keeping a Cost
-// relies on.
-func TestCostCloneDetaches(t *testing.T) {
-	model, _, ms := allocFixture(t)
-	ctx := context.Background()
-	var ws costmodel.Cost
-	if err := model.EvaluateInto(ctx, &ms[0], &ws); err != nil {
-		t.Fatal(err)
-	}
-	clone := ws.Clone()
-	snapshot := ws.Clone()
-	if err := model.EvaluateInto(ctx, &ms[1], &ws); err != nil {
-		t.Fatal(err)
-	}
-	if clone.EDP != snapshot.EDP || clone.EDP == ws.EDP {
-		t.Fatalf("clone EDP %v, snapshot %v, workspace now %v", clone.EDP, snapshot.EDP, ws.EDP)
-	}
-	if clone.Scratch != nil {
-		t.Fatal("clone kept a reference to the backend workspace")
-	}
-	for l := range clone.Accesses {
-		for tt := range clone.Accesses[l] {
-			if clone.Accesses[l][tt] != snapshot.Accesses[l][tt] {
-				t.Fatal("clone slice mutated by workspace reuse")
-			}
-		}
-	}
-}
-
 // TestConcurrentEvaluate exercises the shared model from concurrent
 // goroutines, each with its own Cost workspace (meaningful under -race):
 // the model itself must be read-only during evaluation.
@@ -146,7 +116,7 @@ func BenchmarkEvaluateAlloc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.Evaluate(&ms[i%len(ms)]); err != nil {
+		if _, err := costmodel.Evaluate(nil, model, &ms[i%len(ms)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mindmappings/internal/arch"
+	"mindmappings/internal/costmodel"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 )
@@ -24,11 +25,11 @@ func TestBiggerTilesNeverIncreaseDRAMTraffic(t *testing.T) {
 	big.SetChain(loopnest.CNNDimC, mapspace.FactorChain{8, 1, 1, 1})
 	big = space.Repair(big)
 
-	cs, err := model.Evaluate(&small)
+	cs, err := costmodel.Evaluate(nil, model, &small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := model.Evaluate(&big)
+	cb, err := costmodel.Evaluate(nil, model, &big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestAllocationAffectsEnergyNotTraffic(t *testing.T) {
 	fat := lean.Clone()
 	fat.Alloc[arch.L1] = []float64{0.9, 0.05, 0.05}
 
-	cl, err := model.Evaluate(&lean)
+	cl, err := costmodel.Evaluate(nil, model, &lean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := model.Evaluate(&fat)
+	cf, err := costmodel.Evaluate(nil, model, &fat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestBandwidthBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := mf.Evaluate(&m)
+	cf, err := costmodel.Evaluate(nil, mf, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := ms.Evaluate(&m)
+	cs, err := costmodel.Evaluate(nil, ms, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestEdgeArchWorks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 30; i++ {
 		m := space.Random(rng)
-		c, err := model.Evaluate(&m)
+		c, err := costmodel.Evaluate(nil, model, &m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestFullSpatialUtilization(t *testing.T) {
 	m := space.Minimal()
 	m.SetChain(0, mapspace.FactorChain{1, 256, 1, 1}) // I fully spatial
 	m = space.Repair(m)
-	c, err := model.Evaluate(&m)
+	c, err := costmodel.Evaluate(nil, model, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestOutputAccumulationAccounting(t *testing.T) {
 	m.SetChain(0, mapspace.FactorChain{4, 1, 1, 1})
 	m.SetChain(1, mapspace.FactorChain{2, 1, 1, 1})
 	m = space.Repair(m)
-	c, err := model.Evaluate(&m)
+	c, err := costmodel.Evaluate(nil, model, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestOutputAccumulationAccounting(t *testing.T) {
 func TestCostRender(t *testing.T) {
 	model, space := conv1dSetup(t)
 	m := space.Minimal()
-	c, err := model.Evaluate(&m)
+	c, err := costmodel.Evaluate(nil, model, &m)
 	if err != nil {
 		t.Fatal(err)
 	}

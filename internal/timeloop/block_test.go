@@ -128,7 +128,7 @@ func TestConcurrentIsMemberAndEvaluate(t *testing.T) {
 	model, space, ms := allocFixture(t)
 	ctx := context.Background()
 	shared := &ms[0]
-	want, err := model.Evaluate(shared)
+	want, err := costmodel.Evaluate(nil, model, shared)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,17 +166,6 @@ func allocEnergyScale(frac float64) float64 {
 	return 0.75 + 0.5*frac
 }
 
-// Evaluate computes the cost of a mapping into a fresh Cost. The mapping
-// must be structurally complete; callers are expected to pass members of
-// the map space (use mapspace.Space.IsMember to check), and structural
-// mismatches return an error rather than silently mis-costing. Hot paths
-// keep a reusable Cost and call EvaluateInto.
-func (m *Model) Evaluate(mp *mapspace.Mapping) (costmodel.Cost, error) {
-	var c costmodel.Cost
-	err := m.EvaluateInto(context.Background(), mp, &c)
-	return c, err
-}
-
 // EvaluateBatchInto implements costmodel.Evaluator sequentially.
 func (m *Model) EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []costmodel.Cost, errs []error) {
 	costmodel.SequentialBatch(ctx, m, ms, costs, errs)

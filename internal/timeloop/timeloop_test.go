@@ -156,7 +156,7 @@ func TestEvaluateHandComputedConv1D(t *testing.T) {
 	if err := space.IsMember(&m); err != nil {
 		t.Fatal(err)
 	}
-	c, err := model.Evaluate(&m)
+	c, err := costmodel.Evaluate(nil, model, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestOutputPartialSumTraffic(t *testing.T) {
 	reductionOuter := base.Clone()
 	reductionOuter.Order[arch.DRAM] = []int{2, 0, 1, 3} // K, I, J, L
 	reductionOuter = space.Repair(reductionOuter)
-	cOuter, err := model.Evaluate(&reductionOuter)
+	cOuter, err := costmodel.Evaluate(nil, model, &reductionOuter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestOutputPartialSumTraffic(t *testing.T) {
 	reductionInner := base.Clone()
 	reductionInner.Order[arch.DRAM] = []int{0, 1, 3, 2} // I, J, L, K
 	reductionInner = space.Repair(reductionInner)
-	cInner, err := model.Evaluate(&reductionInner)
+	cInner, err := costmodel.Evaluate(nil, model, &reductionInner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestLoopOrderAffectsTraffic(t *testing.T) {
 	b.Order[arch.DRAM] = []int{1, 0, 2, 3, 4, 5, 6} // K outermost
 	b = space.Repair(b)
 
-	ca, err := model.Evaluate(&a)
+	ca, err := costmodel.Evaluate(nil, model, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := model.Evaluate(&b)
+	cb, err := costmodel.Evaluate(nil, model, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSpatialMulticastAndSpeedup(t *testing.T) {
 	serial := space.Minimal()
 	serial.SetChain(loopnest.CNNDimK, mapspace.FactorChain{1, 1, 1, 16})
 	serial = space.Repair(serial)
-	cSerial, err := model.Evaluate(&serial)
+	cSerial, err := costmodel.Evaluate(nil, model, &serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestSpatialMulticastAndSpeedup(t *testing.T) {
 	parallel := serial.Clone()
 	parallel.SetChain(loopnest.CNNDimK, mapspace.FactorChain{1, 16, 1, 1})
 	parallel = space.Repair(parallel)
-	cParallel, err := model.Evaluate(&parallel)
+	cParallel, err := costmodel.Evaluate(nil, model, &parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestUtilizationBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		m := space.Random(rng)
-		c, err := model.Evaluate(&m)
+		c, err := costmodel.Evaluate(nil, model, &m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,17 +335,17 @@ func TestEvaluateArityErrors(t *testing.T) {
 
 	short := m.Clone()
 	short.Spatial = short.Spatial[:2]
-	if _, err := model.Evaluate(&short); err == nil {
+	if _, err := costmodel.Evaluate(nil, model, &short); err == nil {
 		t.Fatal("accepted short spatial")
 	}
 	badOrder := m.Clone()
 	badOrder.Order[arch.L2] = nil
-	if _, err := model.Evaluate(&badOrder); err == nil {
+	if _, err := costmodel.Evaluate(nil, model, &badOrder); err == nil {
 		t.Fatal("accepted missing order")
 	}
 	badAlloc := m.Clone()
 	badAlloc.Alloc[arch.L1] = nil
-	if _, err := model.Evaluate(&badAlloc); err == nil {
+	if _, err := costmodel.Evaluate(nil, model, &badAlloc); err == nil {
 		t.Fatal("accepted missing alloc")
 	}
 }
@@ -377,7 +377,7 @@ func TestMetaStatsShape(t *testing.T) {
 	cnnModel, cnnSpace := cnnSetup(t)
 	rng := rand.New(rand.NewSource(11))
 	m := cnnSpace.Random(rng)
-	c, err := cnnModel.Evaluate(&m)
+	c, err := costmodel.Evaluate(nil, cnnModel, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,13 +385,10 @@ func TestMetaStatsShape(t *testing.T) {
 	if got := len(c.MetaStats()); got != 12 {
 		t.Fatalf("CNN meta stats = %d, want 12", got)
 	}
-	if costmodel.MetaStatsLen(3) != 12 || costmodel.MetaStatsLen(4) != 15 {
-		t.Fatal("MetaStatsLen wrong")
-	}
 
 	mttModel, mttSpace := mttkrpSetup(t)
 	m2 := mttSpace.Random(rng)
-	c2, err := mttModel.Evaluate(&m2)
+	c2, err := costmodel.Evaluate(nil, mttModel, &m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +414,7 @@ func TestEvaluateInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := space.Random(rng)
-		c, err := model.Evaluate(&m)
+		c, err := costmodel.Evaluate(nil, model, &m)
 		if err != nil {
 			return false
 		}
@@ -455,7 +452,7 @@ func BenchmarkEvaluateCNN(b *testing.B) {
 	m := space.Random(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.Evaluate(&m); err != nil {
+		if _, err := costmodel.Evaluate(nil, model, &m); err != nil {
 			b.Fatal(err)
 		}
 	}

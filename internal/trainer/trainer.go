@@ -300,9 +300,6 @@ func New(store *modelstore.Store, workers, queueCap int) *Pipeline {
 	return p
 }
 
-// Store returns the artifact store the pipeline publishes into.
-func (p *Pipeline) Store() *modelstore.Store { return p.store }
-
 // Workers returns the worker-pool size.
 func (p *Pipeline) Workers() int { return p.q.Workers() }
 

@@ -73,10 +73,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("final progress: %+v", done.Progress)
 	}
 	// The artifact is loadable and resolvable from the store.
-	if _, err := p.Store().Load(m.ID); err != nil {
+	if _, err := p.store.Load(m.ID); err != nil {
 		t.Fatal(err)
 	}
-	best, ok := p.Store().Resolve(m.AlgoFP)
+	best, ok := p.store.ResolveMatching(m.AlgoFP, nil)
 	if !ok || best.ID != m.ID {
 		t.Fatalf("resolve: %+v ok=%v", best, ok)
 	}

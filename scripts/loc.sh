@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Non-test Go lines of code, per package: lines of non-test .go files that
 # are neither blank nor comment-only (a line whose first non-blank
-# characters are //, or a line inside a /* */ block). The root module's
-# packages come first, with their total; cmd/bench, a module of its own,
-# is reported separately below it.
+# characters are //, or a line inside a /* */ block). Files under a
+# testdata directory are not counted. The root module's packages come
+# first, with their total; each nested module (a directory with its own
+# go.mod, such as cmd/bench or scripts/deadapi) follows with its own
+# packages and total, outside the root module's.
 #
 #   scripts/loc.sh          # the working tree
 #   scripts/loc.sh BASE     # BASE and the working tree side by side, and the delta
@@ -45,7 +47,7 @@ count() {
 	'
 }
 
-is_counted() { [[ $1 == *.go && $1 != *_test.go ]]; }
+is_counted() { [[ $1 == *.go && $1 != *_test.go && $1 != testdata/* && $1 != */testdata/* ]]; }
 
 # tally SOURCE: "package lines" for every counted file of SOURCE, which is
 # "work" or a git revision.
@@ -66,6 +68,15 @@ tally() {
 	fi
 }
 
+# The nested modules of the working tree and of BASE, space-separated.
+nested=$(
+	{
+		git ls-files --cached --others --exclude-standard -- '*go.mod'
+		if [[ $# -eq 1 ]]; then git ls-tree -r --name-only "$rev" --; fi
+	} | grep -E '^(.*/)?go\.mod$' | grep -v -E '(^|/)testdata/' | grep -v '^go\.mod$' |
+		sed 's|/go\.mod$||' | sort -u | tr '\n' ' '
+)
+
 {
 	tally work | sed 's/^/w /'
 	if [[ $# -eq 1 ]]; then
@@ -75,7 +86,7 @@ tally() {
 	# "w|b package lines" in; "package work base" out, one line a package.
 	{ pkg[$2] = 1; n[$1, $2] += $3 }
 	END { for (p in pkg) print p, n["w", p] + 0, n["b", p] + 0 }
-' | sort | awk -v have_base=$# -v base_name="${1:-}" '
+' | sort | awk -v have_base=$# -v base_name="${1:-}" -v nested="$nested" '
 	function row(name, w, b) {
 		if (have_base) printf "%-36s %8d %8d %+8d\n", name, b, w, w - b
 		else printf "%-36s %8d\n", name, w
@@ -83,20 +94,33 @@ tally() {
 	BEGIN {
 		if (have_base) printf "%-36s %8s %8s %8s\n", "package", substr(base_name, 1, 8), "work", "delta"
 		else printf "%-36s %8s\n", "package", "lines"
+		nm = split(nested, mods, " ")
 	}
-	$1 == "cmd/bench" || index($1, "cmd/bench/") == 1 {
-		bench[++nb] = $0
-		next
+	# module: the innermost nested module holding package p, or "" for the
+	# root module.
+	function module(p,   i, m) {
+		m = ""
+		for (i = 1; i <= nm; i++)
+			if ((p == mods[i] || index(p, mods[i] "/") == 1) && length(mods[i]) > length(m)) m = mods[i]
+		return m
 	}
-	{ row($1, $2, $3); w += $2; b += $3 }
+	{
+		m = module($1)
+		if (m != "") { held[m] = held[m] $0 "\n"; next }
+		row($1, $2, $3); w += $2; b += $3
+	}
 	END {
 		row("total (module mindmappings)", w, b)
-		print ""
-		w = b = 0
-		for (i = 1; i <= nb; i++) {
-			split(bench[i], f, " ")
-			row(f[1], f[2], f[3]); w += f[2]; b += f[3]
+		for (i = 1; i <= nm; i++) {
+			print ""
+			w = b = 0
+			n = split(held[mods[i]], lines, "\n")
+			for (j = 1; j <= n; j++) {
+				if (lines[j] == "") continue
+				split(lines[j], f, " ")
+				row(f[1], f[2], f[3]); w += f[2]; b += f[3]
+			}
+			row("total " mods[i] " (own module)", w, b)
 		}
-		row("total cmd/bench (own module)", w, b)
 	}
 '
