@@ -148,11 +148,26 @@ func (t *tracker) emitCheckpoint(method string, rngDraws int64, state any) error
 	return nil
 }
 
+// Prefix is the trajectory a run resumed from c starts with: the samples
+// of c.Trajectory that record would have kept (improvements and
+// power-of-two evals), so a checkpoint written by a tracker that recorded
+// more resumes into the trajectory an uninterrupted run records.
+func (c *Checkpoint) Prefix() []Sample {
+	var out []Sample
+	best := math.Inf(1)
+	for _, s := range c.Trajectory {
+		if s.BestEDP < best {
+			best = s.BestEDP
+		} else if !powerOfTwo(s.Eval) {
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // restore rewinds the tracker to a checkpoint: budget position, best-so-far
-// state, and trajectory prefix. The prefix keeps only the samples record
-// would have kept (improvements and power-of-two evals), so a checkpoint
-// written by a tracker that recorded more resumes into the trajectory an
-// uninterrupted run records. The searcher separately restores its own
+// state, and trajectory Prefix. The searcher separately restores its own
 // State and RNG position.
 func (t *tracker) restore(c *Checkpoint) {
 	t.evals = c.Eval
@@ -162,15 +177,6 @@ func (t *tracker) restore(c *Checkpoint) {
 		t.bestM = c.Best.Clone()
 	}
 	t.sinceBest = c.SinceBest
-	t.traj = nil
-	best := math.Inf(1)
-	for _, s := range c.Trajectory {
-		if s.BestEDP < best {
-			best = s.BestEDP
-		} else if !powerOfTwo(s.Eval) {
-			continue
-		}
-		t.traj = append(t.traj, s)
-	}
+	t.traj = c.Prefix()
 	t.lastCheckpoint = c.Eval
 }

@@ -288,6 +288,55 @@ func TestAtlasUnreadableEntryFallsThrough(t *testing.T) {
 	}
 }
 
+// TestAtlasUnreadableNeighborStartsCold pins the warm-start read path
+// against an atlas record whose manifest decodes but whose mapping blob
+// does not: the mm job records atlas.lookup-error on the flight recorder,
+// as an unreadable exact hit does, and runs cold to done.
+func TestAtlasUnreadableNeighborStartsCold(t *testing.T) {
+	req := mmRequest(1)
+	neighbor := req
+	neighbor.Shape = []int{512, 5}
+	src, err := atlas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := spaceFor(t, neighbor).Minimal()
+	e := publishFor(t, src, neighbor, &m, 1)
+	src.Close()
+	manifest, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A per-file entry migrates into the segment as one record at Open.
+	dir := t.TempDir()
+	for name, body := range map[string][]byte{e.ID + blobstore.ManifestExt: manifest, e.ID + atlas.BlobExt: []byte("{not json")} {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := atlas.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	if st := a.Stats(); st.Entries != 1 || st.Corrupt != 0 {
+		t.Fatalf("Stats = %+v, want the one entry indexed", st)
+	}
+	jobs := NewJobManager(NewModelRegistry(modelDir(t, "conv1d.surrogate"), 2), nil, 1, 4)
+	t.Cleanup(func() { jobs.Shutdown(context.Background()) })
+	jobs.EnableAtlas(a, true)
+
+	if done := runToDone(t, jobs, req); done.Result == nil || done.Result.Source != "" {
+		t.Fatalf("result %+v, want a cold search", done.Result)
+	}
+	if n := flightKinds(jobs, "atlas.lookup-error"); n != 1 {
+		t.Fatalf("%d atlas.lookup-error events, want 1", n)
+	}
+	if st := atlasCountsOf(jobs); st.Cold != 1 || st.Neighbors != 0 {
+		t.Fatalf("counts %+v, want one cold job", st)
+	}
+}
+
 // TestAtlasConcurrentHits runs hits for one key from many goroutines,
 // alternating the problem name so the prepared answer is replaced while
 // others read it; run it under -race.

@@ -128,9 +128,12 @@ type JobResult struct {
 	// mapping served without running a search, "atlas-neighbor" when the
 	// search was warm-started from the nearest solved neighbor. Empty for
 	// a plain cold search.
-	Source     string            `json:"source,omitempty"`
-	Mapping    string            `json:"mapping,omitempty"`
-	LoopNest   string            `json:"loop_nest,omitempty"`
+	Source   string `json:"source,omitempty"`
+	Mapping  string `json:"mapping,omitempty"`
+	LoopNest string `json:"loop_nest,omitempty"`
+	// Trajectory is rendered into each snapshot from the job's event
+	// history, the one record of it (Job.trajectory); the stored result
+	// holds none.
 	Trajectory []TrajectoryPoint `json:"trajectory,omitempty"`
 	// Convergence reduces the trajectory to search-quality metrics:
 	// sample efficiency (evals to within 10%/1% of the final best),
@@ -163,26 +166,24 @@ type Job struct {
 	Request SearchRequest `json:"request"`
 	Result  *JobResult    `json:"result,omitempty"`
 	// CheckpointEval is the eval count of the job's latest checkpoint (0
-	// until the first snapshot); Resumable marks a terminal job that
-	// POST /v1/jobs/{id}/resume can continue.
+	// until the first snapshot), set where the checkpoint is stored;
+	// Resumable marks a terminal job that POST /v1/jobs/{id}/resume can
+	// continue.
 	CheckpointEval int  `json:"checkpoint_eval,omitempty"`
 	Resumable      bool `json:"resumable,omitempty"`
 
 	// admitted marks a job holding an admission-controller slot, released
 	// exactly once at finish; checkpoint is the latest searcher snapshot
 	// (also journaled when the journal is enabled), dropped when the job
-	// finishes done; resume, when set, continues the search from that
-	// snapshot instead of starting fresh.
+	// finishes done. A run that starts with a checkpoint continues the
+	// search from it instead of starting fresh.
 	admitted   bool
 	checkpoint *search.Checkpoint
-	resume     *search.Checkpoint
 	// plan is the resolved request: pinned at submit, or set under jm.mu
 	// on the first run of a job recovered from the journal. Only a run
 	// reads it, so a job that finishes done drops it and an atlas-served
-	// job never holds one. atlasSeeded marks a run warm-started from a
-	// nearest-neighbor atlas entry, stamped into Result.Source at finish.
-	plan        *plan
-	atlasSeeded bool
+	// job never holds one.
+	plan *plan
 	// tin is the tenant's instrument set, resolved once at submission
 	// (outside jm.mu) so the finish path under jm.mu only does atomic adds.
 	tin *tenantInstruments
@@ -422,12 +423,16 @@ func NewJobManager(registry *ModelRegistry, _ *EvalCache, workers, queueCap int)
 	}
 	jm.registerMetrics()
 	m := &jm.met
+	// A job's stream keeps every event it published, uncapped: a search
+	// publishes one per trajectory sample, and its trajectory rule
+	// (improvements plus ⌊log2 evals⌋+1 heartbeats, search.Sample) bounds
+	// those, so a 300-eval job retains ~17 events (about 1.8 KB).
 	jm.q = jobqueue.New(&jm.mu, jobqueue.Kind[Job, ProgressEvent, *Job]{
 		Workers:   workers,
 		Cap:       queueCap,
 		Retention: DefaultJobRetention,
 		Span:      "search-job",
-		Events:    maxTrajectorySamples,
+		Events:    math.MaxInt,
 		Full:      ErrQueueFull,
 		Closed:    errShuttingDown,
 		Run:       jm.run,
@@ -641,10 +646,12 @@ func (jm *JobManager) EnableJournal(j *resilience.Journal) (int, error) {
 			Tenant:     rec.Tenant,
 			Request:    rec.Request,
 			checkpoint: rec.Checkpoint,
-			resume:     rec.Checkpoint,
 			tin:        jm.tenantFor(rec.Tenant),
 		}
 		job.ID, job.Created = rec.ID, rec.Created
+		if rec.Checkpoint != nil {
+			job.CheckpointEval = rec.Checkpoint.Eval
+		}
 		jm.mu.Lock()
 		err := jm.q.AddLocked(job, true)
 		jm.mu.Unlock()
@@ -681,7 +688,6 @@ func (jm *JobManager) Resume(id string) (Job, error) {
 		return Job{}, err
 	}
 	job.Result = nil
-	job.resume = job.checkpoint
 	snap := jm.q.SnapshotLocked(job)
 	jm.journalPut(jm.w.journal, job, JobQueued, job.checkpoint)
 	jm.mu.Unlock()
@@ -863,15 +869,6 @@ func (req *SearchRequest) trainRequest() trainer.Request {
 	}
 	return treq
 }
-
-// maxTrajectorySamples caps how many events a job's stream retains for
-// late subscribers; the stream grows with what the job published and
-// allocates no slot beyond it. What a job publishes is bounded by the
-// search itself: one event per trajectory sample, and a search records
-// only its improvements plus ⌊log2 evals⌋+1 power-of-two heartbeats
-// (search.Sample), so a 300-eval job retains ~17 events (about 1.8 KB)
-// rather than 256 × 72 B.
-const maxTrajectorySamples = 256
 
 // budget converts the request's limits into a search.Budget.
 func (req *SearchRequest) budget() (search.Budget, error) {
@@ -1143,17 +1140,25 @@ func (jm *JobManager) prepareAnswer(at *atlas.Atlas, p *plan, id string) *atlasA
 func copyJob(j *Job) Job {
 	c := *j
 	c.checkpoint = nil
-	c.resume = nil
-	if j.checkpoint != nil {
-		c.CheckpointEval = j.checkpoint.Eval
-	}
 	c.Resumable = j.resumable()
 	if j.Result != nil {
 		r := *j.Result
-		r.Trajectory = append([]TrajectoryPoint(nil), j.Result.Trajectory...)
+		r.Trajectory = j.trajectory()
 		c.Result = &r
 	}
 	return c
+}
+
+// trajectory renders the job's best-so-far trajectory from its event
+// history: each running event past eval 0 is one recorded sample.
+func (j *Job) trajectory() []TrajectoryPoint {
+	var out []TrajectoryPoint
+	for _, ev := range j.Stream().History() {
+		if ev.Status == JobRunning && ev.Eval > 0 {
+			out = append(out, TrajectoryPoint{Eval: ev.Eval, ElapsedMS: ev.ElapsedMS, BestEDP: ev.BestEDP})
+		}
+	}
+	return out
 }
 
 // run executes one search job on a queue worker, stores its result on the
@@ -1189,19 +1194,17 @@ func (jm *JobManager) run(ctx context.Context, job *Job) (JobStatus, error) {
 		runCtx, cancelTimeout = context.WithTimeout(ctx, timeout)
 		defer cancelTimeout()
 	}
-	res, space, err := jm.execute(runCtx, job, p)
+	res, space, seeded, err := jm.execute(runCtx, job, p)
 	jm.met.run.Observe(time.Since(job.Started).Seconds())
 	// Deadline expiry with the job context intact is the anytime path;
 	// searchers observe it as cancellation and return best-so-far with a
 	// nil error, so err != nil here always means a genuine failure.
 	deadlined := errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil
 
-	jm.mu.Lock()
 	result := buildResult(res, space)
-	if result != nil && job.atlasSeeded {
+	if result != nil && seeded {
 		result.Source = "atlas-neighbor"
 	}
-	jm.mu.Unlock()
 	jm.observeConvergence(job, result)
 	// Atlas write-back eligibility: only full-budget successes. Degraded
 	// (deadline-cut) results are valid but under-searched — storing them
@@ -1281,13 +1284,10 @@ func (jm *JobManager) SetJobRetention(n int) { jm.q.SetRetention(n) }
 // the critical section that makes the job terminal: tenant accounting,
 // the flight-recorder entry, the admission slot, the journal record, and
 // what a done job no longer needs. A done job is never resumed, so it
-// drops its plan and its checkpoint and keeps the checkpoint's eval count
-// for its readers; a failed or cancelled job keeps both for Resume.
+// drops its plan and its checkpoint (CheckpointEval stays for its
+// readers); a failed or cancelled job keeps both for Resume.
 func (jm *JobManager) finish(job *Job) {
 	if job.Status == JobDone {
-		if job.checkpoint != nil {
-			job.CheckpointEval = job.checkpoint.Eval
-		}
 		job.checkpoint, job.plan = nil, nil
 	}
 	job.tin.finished(job)
@@ -1398,27 +1398,34 @@ func (e *jobEvaluator) attempt(ctx context.Context, m *mapspace.Mapping, c *cost
 
 // execute runs the search described by the job's plan p under ctx,
 // recording model-resolution and search spans on the job's trace and
-// publishing live progress to its event stream.
-func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.Result, *mapspace.Space, error) {
+// publishing live progress to its event stream. It resumes from the job's
+// checkpoint when it holds one, and reports whether it warm-started from
+// an atlas neighbor.
+func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.Result, *mapspace.Space, bool, error) {
 	jm.mu.Lock()
-	resume := job.resume
-	job.resume = nil // consumed: a later Resume re-arms it from job.checkpoint
+	resume := job.checkpoint
 	checkpointEvery := jm.w.checkpointEvery
 	jm.mu.Unlock()
 	root := job.Root()
 	sctx, err := search.NewContext(p.costModel, p.arch, p.prob)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	// Atlas nearest-neighbor warm start: on an exact-key miss the mm
 	// descent starts from the closest solved same-family shape, its
 	// mapping re-projected into this problem's space. Resumed jobs keep
 	// their checkpointed chains instead (SeedMapping is inert under
-	// Resume, so counting them cold would be wrong too).
+	// Resume, so counting them cold would be wrong too). An unreadable
+	// neighbor is recorded like an unreadable exact hit, and the job
+	// starts cold.
 	var seedMapping *mapspace.Mapping
 	if at := jm.wired().atlasStore; at != nil && resume == nil {
 		if p.searcher == "mm" {
-			if e, nm, dist, ok, nerr := at.Nearest(p.family, p.prob.Shape); nerr == nil && ok {
+			e, nm, dist, ok, nerr := at.Nearest(p.family, p.prob.Shape)
+			if nerr != nil {
+				jm.flight.Record(obs.SevWarn, "atlas.lookup-error", "atlas neighbor unreadable; the search starts cold",
+					map[string]string{"key": p.key, "error": nerr.Error()})
+			} else if ok {
 				seed := sctx.Space.Reproject(&nm)
 				seedMapping = &seed
 				root.Set("atlas_seed", e.ID)
@@ -1426,9 +1433,6 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 			}
 		}
 		if seedMapping != nil {
-			jm.mu.Lock()
-			job.atlasSeeded = true
-			jm.mu.Unlock()
 			jm.met.atlasNeighbors.Inc()
 		} else {
 			jm.met.atlasCold.Inc()
@@ -1440,7 +1444,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 	searcher, err := jm.searcher(ctx, &job.Request, p)
 	resolveSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	backend := sctx.Model.Name()
 	sctx.Model = &jobEvaluator{
@@ -1465,7 +1469,7 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 	// builds a fresh one per call), so it is kept without a copy.
 	sctx.Checkpoint = func(c *search.Checkpoint) {
 		jm.mu.Lock()
-		job.checkpoint = c
+		job.checkpoint, job.CheckpointEval = c, c.Eval
 		j := jm.w.journal
 		jm.mu.Unlock()
 		jm.journalPut(j, job, JobRunning, c)
@@ -1477,25 +1481,36 @@ func (jm *JobManager) execute(ctx context.Context, job *Job, p *plan) (*search.R
 			firstSample = false
 			jm.met.firstEval.Observe(time.Since(job.Started).Seconds())
 		}
-		ev := ProgressEvent{
-			Status:    JobRunning,
-			Eval:      pr.Eval,
-			BestEDP:   pr.Best,
-			ElapsedMS: float64(pr.Elapsed.Microseconds()) / 1e3,
-			Improved:  pr.Improved,
+		job.Stream().Publish(progressEvent(pr))
+	}
+	if resume != nil {
+		// The fresh stream first carries the restored trajectory prefix,
+		// published here rather than through Progress so that it does not
+		// time the first eval.
+		best := math.Inf(1)
+		for _, s := range resume.Prefix() {
+			job.Stream().Publish(progressEvent(search.Progress{
+				Eval: s.Eval, Best: s.BestEDP, Elapsed: s.Elapsed, Improved: s.BestEDP < best}))
+			best = s.BestEDP
 		}
-		if pr.Elapsed > 0 {
-			ev.EvalsPerSec = float64(pr.Eval) / pr.Elapsed.Seconds()
-		}
-		job.Stream().Publish(ev)
 	}
 	res, err := searcher.Search(sctx, p.budget)
 	searchSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	searchSpan.Set("evals", res.Evals)
-	return &res, sctx.Space, nil
+	return &res, sctx.Space, seedMapping != nil, nil
+}
+
+// progressEvent is the running event for one recorded trajectory sample.
+func progressEvent(pr search.Progress) ProgressEvent {
+	ev := ProgressEvent{Status: JobRunning, Eval: pr.Eval, BestEDP: pr.Best,
+		ElapsedMS: float64(pr.Elapsed.Microseconds()) / 1e3, Improved: pr.Improved}
+	if pr.Elapsed > 0 {
+		ev.EvalsPerSec = float64(pr.Eval) / pr.Elapsed.Seconds()
+	}
+	return ev
 }
 
 // searcher builds the requested search method, pulling the shared
@@ -1584,14 +1599,6 @@ func buildResult(res *search.Result, space *mapspace.Space) *JobResult {
 	if res.Evals > 0 && len(res.Best.Spatial) > 0 {
 		out.Mapping = res.Best.String()
 		out.LoopNest = space.RenderLoopNest(&res.Best)
-	}
-	out.Trajectory = make([]TrajectoryPoint, len(res.Trajectory))
-	for i, s := range res.Trajectory {
-		out.Trajectory[i] = TrajectoryPoint{
-			Eval:      s.Eval,
-			ElapsedMS: float64(s.Elapsed.Microseconds()) / 1e3,
-			BestEDP:   s.BestEDP,
-		}
 	}
 	if conv := res.Convergence(); len(res.Trajectory) > 0 {
 		out.Convergence = &conv

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -256,7 +257,7 @@ func runningEvent(i int) ProgressEvent {
 // flushes once per wake-up rather than once per frame.
 func TestSSECoalescesBurst(t *testing.T) {
 	const n = 100
-	stream := obs.NewStream[ProgressEvent](maxTrajectorySamples)
+	stream := obs.NewStream[ProgressEvent](math.MaxInt)
 	hist, ch, cancel := stream.Subscribe(n + 1)
 	var want strings.Builder
 	for i := 1; i <= n; i++ {
@@ -339,7 +340,7 @@ func TestSSEClosedMidBurstSendsOneTerminal(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stream := obs.NewStream[ProgressEvent](maxTrajectorySamples)
+			stream := obs.NewStream[ProgressEvent](math.MaxInt)
 			hist, ch, cancel := stream.Subscribe(16) // Watch's buffer
 			if tc.live {
 				go tc.publish(stream)
@@ -370,6 +371,56 @@ func TestSSEClosedMidBurstSendsOneTerminal(t *testing.T) {
 				t.Fatalf("%d terminal frames in %d, last %+v", terminals, len(events), events[len(events)-1])
 			}
 		})
+	}
+}
+
+// TestSearchJobStreamHasNoCap pins that a search job's event history keeps
+// everything the job published: more than 256 events published onto a
+// running job's stream all survive its end, in the history and in the
+// trajectory its snapshot renders from it.
+func TestSearchJobStreamHasNoCap(t *testing.T) {
+	const n, marker = 300, 1 << 40 // marked evals no search reaches
+	jm := newTestManager(t, 1, 4)
+	job, err := jm.Submit(SearchRequest{Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "1h", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the search's first sample, so the cancelled job has a result.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if events, _ := jm.Events(job.ID); len(events) >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no sample within 30 s")
+		}
+	}
+	jm.mu.Lock()
+	live, _ := jm.q.LookupLocked(job.ID)
+	stream := live.Stream()
+	jm.mu.Unlock()
+	for i := 1; i <= n; i++ {
+		stream.Publish(runningEvent(marker + i))
+	}
+	jm.Cancel(job.ID)
+	done, err := jm.Wait(context.Background(), job.ID)
+	if err != nil || done.Status != JobCancelled || done.Result == nil {
+		t.Fatalf("job %s, result %v, err %v; want cancelled with a result", done.Status, done.Result, err)
+	}
+	events, _ := jm.Events(job.ID)
+	marked := 0
+	for _, ev := range events {
+		if ev.Eval > marker {
+			marked++
+		}
+	}
+	points := 0
+	for _, p := range done.Result.Trajectory {
+		if p.Eval > marker {
+			points++
+		}
+	}
+	if marked != n || points != n {
+		t.Fatalf("history keeps %d and the trajectory %d of %d published events", marked, points, n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -229,6 +231,118 @@ func TestKillAndRecoverResumesBitCompatible(t *testing.T) {
 	if ids, _ := j2.List(); len(ids) != 0 {
 		t.Fatalf("terminal job left journal records: %v", ids)
 	}
+}
+
+// TestRecoveredJobEventsCarryRestoredPrefix pins a journal-recovered
+// job's event history as the one record of its trajectory: GET
+// /v1/jobs/{id}/events and the /trace events both hold the running event,
+// then every sample of the result's trajectory, starting with the
+// checkpoint's restored prefix, then the terminal event.
+func TestRecoveredJobEventsCarryRestoredPrefix(t *testing.T) {
+	dir := modelDir(t, "conv1d.surrogate")
+	req := SearchRequest{
+		Algo: "conv1d", Shape: []int{1024, 5},
+		Searcher: "mm", Model: "conv1d.surrogate",
+		Evals: 20000, Seed: 11,
+	}
+	// First process: read the job's journal record mid-search, the state a
+	// kill -9 leaves on disk, then stop.
+	j1, err := resilience.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jm1 := NewJobManager(NewModelRegistry(dir, 4), nil, 1, 4)
+	jm1.SetCheckpointInterval(500)
+	if _, err := jm1.EnableJournal(j1); err != nil {
+		t.Fatal(err)
+	}
+	job, err := jm1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec journalRecord
+	for deadline := time.Now().Add(time.Minute); rec.Checkpoint == nil; time.Sleep(time.Millisecond) {
+		if snap, _ := jm1.Get(job.ID); snap.Status.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("no checkpoint journaled (status %s)", snap.Status)
+		}
+		if err := j1.Get(job.ID, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jm1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint was written by this tracker, so all of its trajectory
+	// is the restored prefix.
+	prefix := rec.Checkpoint.Trajectory
+	if len(prefix) == 0 {
+		t.Fatal("the checkpoint restores no trajectory prefix")
+	}
+
+	// Second process: recover the record and run the job to done.
+	j2, err := resilience.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Put(rec.ID, rec); err != nil {
+		t.Fatal(err)
+	}
+	registry := NewModelRegistry(dir, 4)
+	jm2 := NewJobManager(registry, nil, 1, 4)
+	defer jm2.Shutdown(context.Background())
+	if n, err := jm2.EnableJournal(j2); err != nil || n != 1 {
+		t.Fatalf("EnableJournal = %d, %v; want 1 recovered", n, err)
+	}
+	ts := httptest.NewServer(NewServer(jm2, registry, nil).Handler())
+	defer ts.Close()
+	done := waitJob(t, ts, job.ID, 2*time.Minute)
+	if done.Status != JobDone || done.Result == nil || done.CheckpointEval == 0 {
+		t.Fatalf("recovered job: status %s (%s), checkpoint eval %d", done.Status, done.Error, done.CheckpointEval)
+	}
+	traj := done.Result.Trajectory
+	if len(traj) <= len(prefix) {
+		t.Fatalf("trajectory has %d samples, the restored prefix alone %d", len(traj), len(prefix))
+	}
+	for i, s := range prefix {
+		if p := traj[i]; p.Eval != s.Eval || p.BestEDP != s.BestEDP || p.ElapsedMS != float64(s.Elapsed.Microseconds())/1e3 {
+			t.Fatalf("trajectory sample %d is %+v, restored prefix sample %+v", i, p, s)
+		}
+	}
+
+	check := func(path string, events []ProgressEvent) {
+		t.Helper()
+		if len(events) != len(traj)+2 {
+			t.Fatalf("%s: %d events, want running + %d samples + terminal", path, len(events), len(traj))
+		}
+		if first := events[0]; first.Status != JobRunning || first.Eval != 0 {
+			t.Fatalf("%s: first event %+v, want the running event", path, first)
+		}
+		if last := events[len(events)-1]; last.Status != JobDone || last.Eval != done.Result.Evals {
+			t.Fatalf("%s: last event %+v, want the terminal event", path, last)
+		}
+		for i, p := range traj {
+			if ev := events[i+1]; ev.Status != JobRunning || ev.Eval != p.Eval || ev.BestEDP != p.BestEDP || ev.ElapsedMS != p.ElapsedMS {
+				t.Fatalf("%s: event %d is %+v, trajectory sample %+v", path, i+1, ev, p)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("/events", sseEvents(t, bufio.NewScanner(resp.Body)))
+	resp.Body.Close()
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + job.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Events []ProgressEvent }
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("/trace", body.Events)
 }
 
 // TestRecoveredUnresolvableJobFails guards journal recovery: a recovered
