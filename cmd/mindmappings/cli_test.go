@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"os"
@@ -227,11 +229,13 @@ func TestCmdSurfaceErrors(t *testing.T) {
 
 // TestCmdTrainStoreAndModels drives the versioned-store workflow through
 // the real command functions: train publishes into a store, a second run
-// warm-starts from the first, `models` lists both, and gc trims to one.
+// warm-starts from the first and writes its -out file byte for byte from
+// the stored artifact, `models` lists both, and gc trims to one.
 func TestCmdTrainStoreAndModels(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "store")
-	train := func(seed string, warm string) {
+	outFile := filepath.Join(dir, "conv1d.surrogate")
+	train := func(seed, warm, out string) {
 		t.Helper()
 		args := []string{
 			"-algo", "conv1d",
@@ -240,7 +244,7 @@ func TestCmdTrainStoreAndModels(t *testing.T) {
 			"-epochs", "3",
 			"-seed", seed,
 			"-store", storeDir,
-			"-out", "", // store only
+			"-out", out,
 		}
 		if warm != "" {
 			args = append(args, "-warm", warm)
@@ -249,8 +253,8 @@ func TestCmdTrainStoreAndModels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	train("1", "")
-	train("2", "auto")
+	train("1", "", "") // store only
+	train("2", "auto", outFile)
 
 	st, err := modelstore.Open(storeDir)
 	if err != nil {
@@ -262,6 +266,14 @@ func TestCmdTrainStoreAndModels(t *testing.T) {
 	}
 	if manifests[1].Parent != manifests[0].ID {
 		t.Fatalf("second run did not warm-start from the first: %+v", manifests[1])
+	}
+	written, err := os.ReadFile(outFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := st.Blob(manifests[1].ID)
+	if sum := sha256.Sum256(written); err != nil || !bytes.Equal(written, stored) || hex.EncodeToString(sum[:])[:16] != manifests[1].ID {
+		t.Fatalf("-out file (%d bytes) is not the stored artifact %s (%d bytes, %v)", len(written), manifests[1].ID, len(stored), err)
 	}
 
 	if err := cmdModels([]string{"-store", storeDir, "-v"}); err != nil {
@@ -289,8 +301,8 @@ func TestCmdTrainStoreAndModels(t *testing.T) {
 	}
 }
 
-// TestCmdTrainOutFileStillSearchable pins back-compat: the -out file the
-// pipeline-backed train writes is byte-for-byte a loadable surrogate.
+// TestCmdTrainNothingToProduce pins that train refuses to run with
+// neither an -out file nor a -store to publish into.
 func TestCmdTrainNothingToProduce(t *testing.T) {
 	if err := cmdTrain([]string{"-algo", "conv1d", "-out", ""}); err == nil {
 		t.Fatal("train with neither -out nor -store succeeded")

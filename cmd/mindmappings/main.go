@@ -233,6 +233,7 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer store.Close()
 	req := trainer.Request{
 		Algo:      *algoName,
 		Einsum:    *einsum,
@@ -262,7 +263,7 @@ func cmdTrain(args []string) error {
 		fmt.Printf("published artifact %s (version %d) -> %s\n", m.ID, m.Version, dir)
 	}
 	if *out != "" {
-		blob, err := os.ReadFile(store.BlobPath(m.ID))
+		blob, err := store.Blob(m.ID)
 		if err != nil {
 			return err
 		}

@@ -29,6 +29,7 @@ func cmdModels(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer store.Close()
 	if *del != "" {
 		if err := store.Delete(*del); err != nil {
 			return err

@@ -109,6 +109,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	defer store.Close()
 	registry := service.NewModelRegistry(*modelDir, *regCap)
 	jobs := service.NewJobManager(registry, nil, *workers, *queueCap)
 	jobs.SetMaxJobTime(*maxJobTime)

@@ -53,7 +53,7 @@
 // worker pool separate from the search pool (POST /v1/train, `mindmappings
 // train`), with per-epoch checkpoints and live phase/epoch/loss progress.
 // Finished surrogates land in internal/modelstore — a content-addressed,
-// versioned artifact store with atomic-rename commits, JSON manifests
+// versioned artifact store on an append-only log, JSON manifests
 // (workload/arch/cost-model fingerprints, training config, loss
 // trajectories, warm-start lineage), an index keyed by workload
 // fingerprint, and GC of superseded versions. Searches can name a model as

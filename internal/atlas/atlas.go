@@ -15,10 +15,11 @@
 // ("Demystifying Map Space Exploration for NPUs" observes that good
 // mappings transfer across similar shapes).
 //
-// Entries persist through internal/blobstore as records of one append-only
-// segment (atlas.log), each holding an entry's manifest and its mapping
-// blob (both JSON). Open migrates the older per-file layout — a mapping
-// blob (<id>.mapping) plus a manifest (<id>.json) per entry — into it.
+// Entries persist through internal/blobstore as manifest+blob records of
+// one append-only segment (atlas.log), each holding an entry's manifest and
+// its mapping blob (both JSON). Open migrates the older per-file layout — a
+// mapping blob (<id>.mapping) plus a manifest (<id>.json) per entry — into
+// it.
 package atlas
 
 import (
@@ -30,8 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -118,8 +117,8 @@ func ShapeDistance(a, b []int) float64 {
 // concurrent use.
 type Atlas struct {
 	seg *blobstore.Segment
-	// legacy is the per-file layout Open migrated from: its corrupt
-	// manifests and debris stay for GC to count and sweep.
+	// legacy is the per-file layout Open migrated from: it counts what
+	// Open could not index, and its debris stays for GC to sweep.
 	legacy    *blobstore.Store
 	failpoint blobstore.Failpoint
 
@@ -127,9 +126,6 @@ type Atlas struct {
 	byID     map[string]*Entry
 	byKey    map[string][]*Entry          // version-ascending per key
 	byFamily map[string]map[string]*Entry // family → key → best entry
-	// dropped counts what Open could not index from the segment or the
-	// per-file layout; GC resets it.
-	dropped int
 }
 
 // ErrUnknownEntry is returned by Delete for an ID the atlas does not hold.
@@ -140,21 +136,11 @@ var ErrUnknownEntry = errors.New("atlas: unknown entry")
 func (a *Atlas) SetFailpoint(fn func(op string) error) { a.failpoint.Set(fn) }
 
 // Open replays dir's segment (creating dir if needed) and indexes every
-// committed entry, dropping a torn tail. It then migrates each committed
-// entry of the per-file layout into the segment, appending first and
-// removing the files after, so a crash in between only repeats the
-// migration. Per-file crash debris stays invisible until GC sweeps it.
+// committed entry, dropping a torn tail, then migrates the per-file layout
+// into the segment (blobstore.OpenRecords). Per-file crash debris stays
+// invisible until GC sweeps it.
 func Open(dir string) (*Atlas, error) {
-	legacy, old, err := blobstore.Open(dir, BlobExt, func(raw []byte) (e Entry, id string) {
-		if json.Unmarshal(raw, &e) != nil || e.Key == "" || e.Family == "" {
-			return e, ""
-		}
-		return e, e.ID
-	})
-	if err != nil {
-		return nil, fmt.Errorf("atlas: %w", err)
-	}
-	seg, entries, err := blobstore.OpenSegment(filepath.Join(dir, SegmentFile), 0o644, decodeRecord)
+	seg, legacy, entries, err := blobstore.OpenRecords(dir, SegmentFile, BlobExt, decodeEntry)
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
 	}
@@ -164,77 +150,23 @@ func Open(dir string) (*Atlas, error) {
 		byID:     make(map[string]*Entry),
 		byKey:    make(map[string][]*Entry),
 		byFamily: make(map[string]map[string]*Entry),
-		dropped:  seg.Corrupt(),
 	}
 	for _, e := range entries {
 		a.indexLocked(&e)
 	}
-	if err := a.migrate(old); err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("atlas: migrating %s: %w", dir, err)
-	}
 	return a, nil
 }
 
-// migrate moves entries of the per-file layout into the segment. An entry
-// whose blob cannot be read is dropped, its files left for GC.
-func (a *Atlas) migrate(old []Entry) error {
-	for _, e := range old {
-		if _, ok := a.byID[e.ID]; !ok {
-			blob, err := os.ReadFile(a.legacy.BlobPath(e.ID))
-			if err != nil {
-				a.dropped++
-				continue
-			}
-			payload, err := encodeRecord(&e, blob)
-			if err != nil {
-				return err
-			}
-			if err := a.seg.Put(e.ID, payload); err != nil {
-				return err
-			}
-			a.indexLocked(&e)
-		}
-		if err := a.legacy.Remove(e.ID); err != nil {
-			return err
-		}
+// decodeEntry reads an entry manifest, rejecting one without its key.
+func decodeEntry(raw []byte) (e Entry, id string) {
+	if json.Unmarshal(raw, &e) != nil || e.Key == "" || e.Family == "" {
+		return e, ""
 	}
-	return nil
+	return e, e.ID
 }
 
 // Close releases the atlas's segment file.
 func (a *Atlas) Close() error { return a.seg.Close() }
-
-// encodeRecord lays out a segment payload: the manifest's length as a
-// uvarint, the manifest, then the mapping blob.
-func encodeRecord(e *Entry, blob []byte) ([]byte, error) {
-	manifest, err := json.Marshal(e)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(manifest)+len(blob))
-	buf = binary.AppendUvarint(buf, uint64(len(manifest)))
-	return append(append(buf, manifest...), blob...), nil
-}
-
-// splitRecord is the inverse of encodeRecord.
-func splitRecord(payload []byte) (manifest, blob []byte, ok bool) {
-	n, k := binary.Uvarint(payload)
-	if k <= 0 || n > uint64(len(payload)-k) {
-		return nil, nil, false
-	}
-	return payload[k : k+int(n)], payload[k+int(n):], true
-}
-
-// decodeRecord reads the manifest of a segment record, which must name
-// the record's id.
-func decodeRecord(id string, payload []byte) (e Entry, ok bool) {
-	manifest, _, ok := splitRecord(payload)
-	if !ok || json.Unmarshal(manifest, &e) != nil || e.ID != id || e.Key == "" || e.Family == "" {
-		return e, false
-	}
-	return e, true
-}
 
 // indexLocked inserts rec into all three indexes, keeping key groups
 // version-ascending and the family view at each key's best. Callers hold mu.
@@ -328,7 +260,7 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 		e.Version = superseded[len(superseded)-1].Version + 1
 	}
 	e.Created = time.Now().UTC()
-	payload, err := encodeRecord(&e, blob)
+	manifest, err := json.Marshal(&e)
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
@@ -336,7 +268,7 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 	for i, old := range superseded {
 		drop[i] = old.ID
 	}
-	if err := a.seg.Put(e.ID, payload, drop...); err != nil {
+	if err := a.seg.Put(e.ID, blobstore.EncodeRecord(manifest, blob), drop...); err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
 	a.indexLocked(&e)
@@ -370,7 +302,7 @@ func (a *Atlas) blobLocked(e *Entry) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
 	}
-	_, blob, _ := splitRecord(payload) // Open and Publish checked the split
+	_, blob, _ := blobstore.SplitRecord(payload) // Open and Publish checked the split
 	return blob, nil
 }
 
@@ -508,12 +440,10 @@ func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	for _, rec := range victims {
 		a.unindexLocked(rec)
 	}
-	// Every live entry is in the segment, so each per-file entry is debris.
-	debris, err := a.legacy.Sweep(func(string) bool { return false })
+	debris, err := a.legacy.Sweep()
 	if err != nil {
 		err = fmt.Errorf("atlas: gc: %w", err)
 	}
-	a.dropped = 0
 	return append(removed, debris...), err
 }
 
@@ -535,5 +465,5 @@ type Stats struct {
 func (a *Atlas) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return Stats{Entries: len(a.byID), Keys: len(a.byKey), Families: len(a.byFamily), Corrupt: a.legacy.Corrupt() + a.dropped}
+	return Stats{Entries: len(a.byID), Keys: len(a.byKey), Families: len(a.byFamily), Corrupt: a.legacy.Corrupt()}
 }

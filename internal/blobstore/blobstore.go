@@ -1,13 +1,14 @@
 // Package blobstore is the persistence core under the mapping atlas, the
 // job journal and the model store: Segment, an append-only log of keyed
-// records (the atlas and the journal); Store, directories of immutable
-// blob+manifest pairs committed by atomic rename (the model store, and the
-// layout the atlas migrates from); and WriteAtomic, the temp+rename writer
-// that replaces whole files. The typed layers keep only their indexes and
-// policy. DESIGN.md §14 states the guarantee.
+// records (all three stores); the manifest+blob record the atlas and the
+// model store keep per entry, opened by OpenRecords, which migrates the
+// per-file layout they used before (read through Store); and WriteAtomic,
+// the temp+rename writer that replaces whole files. The typed layers keep
+// only their indexes and policy. DESIGN.md §14 states the guarantee.
 package blobstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,12 +17,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// TmpPrefix starts every staging file of a Store; ManifestExt ends every
-// manifest, whose rename commits an entry.
+// TmpPrefix starts every staging file of the per-file layout; ManifestExt
+// ends every manifest of it.
 const (
 	TmpPrefix   = "tmp-"
 	ManifestExt = ".json"
@@ -83,16 +83,20 @@ func (f *Failpoint) Fire(op string) error {
 
 // WriteAtomic replaces path with data so that a process crash at any
 // instant leaves the old file or the new one: data goes to a fresh temp
-// file named tmpPrefix+<random> beside path, beforeRename runs, and a
-// rename puts the temp over path. A failed step removes the temp. Nothing
-// is fsynced (DESIGN.md §14).
-func WriteAtomic(path, tmpPrefix string, perm fs.FileMode, data []byte, beforeRename func() error) error {
-	tmp := tempName(filepath.Dir(path), tmpPrefix)
-	err := writeNew(tmp, perm, data)
+// file named tmpPrefix+<random> beside path, and a rename puts the temp
+// over path. A failed step removes the temp. Nothing is fsynced
+// (DESIGN.md §14).
+func WriteAtomic(path, tmpPrefix string, perm fs.FileMode, data []byte) error {
+	tmp := filepath.Join(filepath.Dir(path), fmt.Sprintf("%s%016x", tmpPrefix, rand.Uint64()))
+	f, err := disk.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
 	if err != nil {
 		return err
 	}
-	if err = beforeRename(); err == nil {
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
 		err = disk.Rename(tmp, path)
 	}
 	if err != nil {
@@ -101,41 +105,16 @@ func WriteAtomic(path, tmpPrefix string, perm fs.FileMode, data []byte, beforeRe
 	return err
 }
 
-func tempName(dir, prefix string) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%016x", prefix, rand.Uint64()))
-}
-
-// writeNew creates name, which must not exist, holding data; a failed
-// write leaves no file.
-func writeNew(name string, perm fs.FileMode, data []byte) error {
-	f, err := disk.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		disk.Remove(name)
-	}
-	return err
-}
-
-// Store is one directory of <id><blobExt> blobs and <id>.json manifests.
-// Stage is safe for concurrent use; the caller serializes Commit, Remove
-// and Sweep under the lock that guards its own index.
+// Store reads one directory of the per-file layout: <id><blobExt> blobs
+// beside <id>.json manifests, each entry committed by its manifest's
+// rename. Nothing writes that layout any more; OpenRecords migrates it,
+// and Sweep removes what a crash or the migration left behind. The caller
+// serializes Remove and Sweep.
 type Store struct {
 	dir, blobExt string
-
-	// Failpoint is the publish hook, fired by the typed layer.
-	Failpoint Failpoint
-
-	mu sync.Mutex
-	// pending names the staging files of in-flight publishes, registered
-	// before the file exists, so Sweep never takes one.
-	pending map[string]struct{}
-	// corrupt counts the manifests Open skipped; Sweep deletes them.
+	// corrupt counts what Open could not index; through OpenRecords, also
+	// the blobs it could not migrate and the records its segment dropped.
+	// Sweep resets it.
 	corrupt atomic.Int64
 }
 
@@ -151,7 +130,7 @@ func Open[M any](dir, blobExt string, decode func(raw []byte) (M, string)) (*Sto
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Store{dir: dir, blobExt: blobExt, pending: make(map[string]struct{})}
+	s := &Store{dir: dir, blobExt: blobExt}
 	var out []M
 	for _, de := range entries {
 		name := de.Name()
@@ -164,7 +143,7 @@ func Open[M any](dir, blobExt string, decode func(raw []byte) (M, string)) (*Sto
 		if err == nil {
 			m, id = decode(raw)
 		}
-		if id != strings.TrimSuffix(name, ManifestExt) || !ValidID(id) || !exists(s.BlobPath(id)) {
+		if id != strings.TrimSuffix(name, ManifestExt) || !ValidID(id) || !exists(s.blobPath(id)) {
 			s.corrupt.Add(1)
 			continue
 		}
@@ -178,69 +157,28 @@ func exists(path string) bool {
 	return err == nil
 }
 
-// BlobPath returns the path of an entry's blob.
-func (s *Store) BlobPath(id string) string { return filepath.Join(s.dir, id+s.blobExt) }
+func (s *Store) blobPath(id string) string { return filepath.Join(s.dir, id+s.blobExt) }
 
 func (s *Store) manifestPath(id string) string { return filepath.Join(s.dir, id+ManifestExt) }
 
-// Corrupt counts the skipped manifests no Sweep has removed yet.
+// Corrupt counts the corrupt entries no Sweep has removed yet.
 func (s *Store) Corrupt() int { return int(s.corrupt.Load()) }
 
-// Stage writes a blob to a fresh staging file, outside any caller lock.
-// The file is pending — Sweep leaves it alone — until it is passed to
-// exactly one of Commit or Discard.
-func (s *Store) Stage(blob []byte) (string, error) {
-	tmp := tempName(s.dir, TmpPrefix)
-	s.mu.Lock()
-	s.pending[filepath.Base(tmp)] = struct{}{}
-	s.mu.Unlock()
-	if err := writeNew(tmp, 0o644, blob); err != nil {
-		s.forget(tmp)
-		return "", err
-	}
-	return tmp, nil
-}
-
-// Discard removes a staged blob that will not be committed.
-func (s *Store) Discard(tmp string) {
-	disk.Remove(tmp)
-	s.forget(tmp)
-}
-
-func (s *Store) forget(tmp string) {
-	s.mu.Lock()
-	delete(s.pending, filepath.Base(tmp))
-	s.mu.Unlock()
-}
-
-// Commit publishes a staged blob as entry id: stage the manifest, rename
-// the blob into place, then rename the manifest — the commit point. A
-// failed step removes both files, so the entry never becomes visible.
-func (s *Store) Commit(tmp, id string, manifest []byte) error {
-	defer s.forget(tmp)
-	blob := s.BlobPath(id)
-	err := WriteAtomic(s.manifestPath(id), TmpPrefix, 0o644, manifest, func() error { return disk.Rename(tmp, blob) })
-	if err != nil {
-		disk.Remove(tmp) // whichever of the two the failed step left
-		disk.Remove(blob)
-	}
-	return err
-}
-
-// Remove deletes a committed entry manifest first, so a crash in between
-// leaves an orphan blob for Sweep, never a manifest pointing at nothing.
+// Remove deletes an entry, manifest first, so a crash in between leaves
+// an orphan blob for Sweep, never a manifest pointing at nothing.
 func (s *Store) Remove(id string) error {
 	if err := disk.Remove(s.manifestPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	disk.Remove(s.BlobPath(id))
+	disk.Remove(s.blobPath(id))
 	return nil
 }
 
-// Sweep removes crash debris — staging files no in-flight publish owns,
-// and blobs and manifests whose ID live rejects — returning their names
-// in directory order, and resets the corrupt count.
-func (s *Store) Sweep(live func(id string) bool) ([]string, error) {
+// Sweep removes what is left of the layout once OpenRecords has migrated
+// every committed entry: crash debris — staging files, orphan blobs,
+// corrupt manifests — and entries whose blob could not be read. It
+// returns their names in directory order and resets the corrupt count.
+func (s *Store) Sweep() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
@@ -248,11 +186,11 @@ func (s *Store) Sweep(live func(id string) bool) ([]string, error) {
 	var removed []string
 	for _, de := range entries {
 		name := de.Name()
-		if de.IsDir() || s.keep(name, live) {
+		if de.IsDir() || !s.owns(name) {
 			continue
 		}
 		if err := disk.Remove(filepath.Join(s.dir, name)); errors.Is(err, fs.ErrNotExist) {
-			continue // a concurrent Discard got there first
+			continue
 		} else if err != nil {
 			return removed, err
 		}
@@ -262,19 +200,85 @@ func (s *Store) Sweep(live func(id string) bool) ([]string, error) {
 	return removed, nil
 }
 
-// keep reports whether Sweep must leave a file alone: a pending staging
-// file, a live entry's blob or manifest, or a file the store does not own.
-func (s *Store) keep(name string, live func(id string) bool) bool {
-	if strings.HasPrefix(name, TmpPrefix) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_, ok := s.pending[name]
-		return ok
+// owns reports whether a file name belongs to the layout: a staging file,
+// a blob or a manifest.
+func (s *Store) owns(name string) bool {
+	return strings.HasPrefix(name, TmpPrefix) || strings.HasSuffix(name, s.blobExt) || strings.HasSuffix(name, ManifestExt)
+}
+
+// EncodeRecord lays out the payload of a manifest+blob record, the one
+// record the atlas and the model store keep per entry: the manifest's
+// length as a uvarint, the manifest, then the blob.
+func EncodeRecord(manifest, blob []byte) []byte {
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(manifest)+len(blob))
+	buf = binary.AppendUvarint(buf, uint64(len(manifest)))
+	return append(append(buf, manifest...), blob...)
+}
+
+// SplitRecord is the inverse of EncodeRecord.
+func SplitRecord(payload []byte) (manifest, blob []byte, ok bool) {
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return nil, nil, false
 	}
-	for _, ext := range [...]string{s.blobExt, ManifestExt} {
-		if id, ok := strings.CutSuffix(name, ext); ok {
-			return live(id)
+	return payload[k : k+int(n)], payload[k+int(n):], true
+}
+
+// legacyEntry is a committed entry of the per-file layout, awaiting
+// migration.
+type legacyEntry[M any] struct {
+	id       string
+	manifest []byte
+	m        M
+}
+
+// OpenRecords opens a directory of manifest+blob records: the segment
+// named segFile in dir, one live record per entry, whose manifest decode
+// reads (it returns the ID the manifest claims, or "" to reject it). A
+// record whose manifest is rejected or names another ID is corrupt. It
+// then migrates each committed entry of the per-file layout in dir into
+// the segment, appending first and removing the files after, so a crash
+// in between only repeats the migration; an entry whose blob cannot be
+// read is left for Sweep. It returns the segment, the per-file layout's
+// Store, which counts everything corrupt until Sweep, and the decoded
+// manifests: the segment's in log order, then the migrated ones.
+func OpenRecords[M any](dir, segFile, blobExt string, decode func(manifest []byte) (M, string)) (*Segment, *Store, []M, error) {
+	legacy, old, err := Open(dir, blobExt, func(raw []byte) (legacyEntry[M], string) {
+		m, id := decode(raw)
+		return legacyEntry[M]{id, raw, m}, id
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	seg, out, err := OpenSegment(filepath.Join(dir, segFile), 0o644, func(id string, payload []byte) (m M, ok bool) {
+		manifest, _, ok := SplitRecord(payload)
+		if !ok {
+			return m, false
+		}
+		m, claimed := decode(manifest)
+		return m, claimed == id
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	legacy.corrupt.Add(int64(seg.Corrupt()))
+	for _, e := range old {
+		if _, ok := seg.index[e.id]; !ok {
+			blob, err := os.ReadFile(legacy.blobPath(e.id))
+			if err != nil {
+				legacy.corrupt.Add(1)
+				continue
+			}
+			if err := seg.Put(e.id, EncodeRecord(e.manifest, blob)); err != nil {
+				seg.Close()
+				return nil, nil, nil, fmt.Errorf("migrating %s: %w", dir, err)
+			}
+			out = append(out, e.m)
+		}
+		if err := legacy.Remove(e.id); err != nil {
+			seg.Close()
+			return nil, nil, nil, fmt.Errorf("migrating %s: %w", dir, err)
 		}
 	}
-	return true
+	return seg, legacy, out, nil
 }

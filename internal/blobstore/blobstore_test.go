@@ -3,14 +3,11 @@ package blobstore
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -27,28 +24,20 @@ func decode(raw []byte) (m manifest, id string) {
 	return m, m.ID
 }
 
-func openStore(t *testing.T, dir string) (*Store, []string) {
+// openRecords opens dir's records through OpenRecords and returns the
+// ids of the manifests it indexed.
+func openRecords(t *testing.T, dir string) (*Segment, *Store, []string) {
 	t.Helper()
-	s, ms, err := Open(dir, blobExt, decode)
+	seg, legacy, ms, err := OpenRecords(dir, "s.log", blobExt, decode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { seg.Close() })
 	var ids []string
 	for _, m := range ms {
 		ids = append(ids, m.ID)
 	}
-	return s, ids
-}
-
-// publish runs the protocol the typed layers run: stage outside any lock,
-// then commit.
-func publish(s *Store, id string) error {
-	tmp, err := s.Stage([]byte("blob " + id))
-	if err != nil {
-		return err
-	}
-	raw, _ := json.Marshal(manifest{ID: id})
-	return s.Commit(tmp, id, raw)
+	return seg, legacy, ids
 }
 
 func files(t *testing.T, dir string) []string {
@@ -68,35 +57,6 @@ func write(t *testing.T, path, data string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPublishReopenRemove(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openStore(t, dir)
-	for _, id := range []string{"b", "a"} {
-		if err := publish(s, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := files(t, dir), []string{"a.blob", "a.json", "b.blob", "b.json"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("files = %v, want %v", got, want)
-	}
-	if raw, err := os.ReadFile(s.BlobPath("a")); err != nil || string(raw) != "blob a" {
-		t.Fatalf("blob a = %q, %v", raw, err)
-	}
-	s2, ids := openStore(t, dir)
-	if want := []string{"a", "b"}; !reflect.DeepEqual(ids, want) || s2.Corrupt() != 0 {
-		t.Fatalf("reopened ids = %v corrupt=%d", ids, s2.Corrupt())
-	}
-	if err := s2.Remove("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Remove("a"); err != nil {
-		t.Fatalf("removing a removed entry: %v", err)
-	}
-	if got, want := files(t, dir), []string{"b.blob", "b.json"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("files after Remove = %v, want %v", got, want)
 	}
 }
 
@@ -128,26 +88,6 @@ func useLayer(t *testing.T, l fileLayer) {
 	t.Cleanup(func() { disk = osLayer{} })
 }
 
-// failOpen makes the nth file open (1-based) fail: before creating the
-// file, or — torn — after creating it, so the write fails half-done.
-func failOpen(t *testing.T, nth int, torn bool) {
-	calls := 0
-	useLayer(t, faultLayer{openFile: func(name string, flag int, perm fs.FileMode) (file, error) {
-		if calls++; calls != nth {
-			return osLayer{}.OpenFile(name, flag, perm)
-		}
-		if !torn {
-			return nil, errInjected
-		}
-		f, err := os.OpenFile(name, flag, perm)
-		if err != nil {
-			return nil, err
-		}
-		f.Close()
-		return os.Open(name) // read-only: the write fails on a file that exists
-	}})
-}
-
 // failRename makes the rename onto a path with the given suffix fail.
 func failRename(t *testing.T, suffix string) {
 	useLayer(t, faultLayer{rename: func(from, to string) error {
@@ -158,63 +98,20 @@ func failRename(t *testing.T, suffix string) {
 	}})
 }
 
-// TestFaultAtEachCommitStep injects an error at every write step of a
-// publish. Each must fail cleanly: no new file survives, the committed
-// entry is untouched, a reopen sees exactly what it saw before, and the
-// same publish succeeds once the fault clears.
-func TestFaultAtEachCommitStep(t *testing.T) {
-	for _, tc := range []struct {
-		step   string
-		inject func(t *testing.T)
-	}{
-		{"stage blob", func(t *testing.T) { failOpen(t, 1, false) }},
-		{"stage blob torn", func(t *testing.T) { failOpen(t, 1, true) }},
-		{"stage manifest", func(t *testing.T) { failOpen(t, 2, false) }},
-		{"stage manifest torn", func(t *testing.T) { failOpen(t, 2, true) }},
-		{"blob rename", func(t *testing.T) { failRename(t, blobExt) }},
-		{"manifest rename", func(t *testing.T) { failRename(t, ManifestExt) }},
-	} {
-		t.Run(tc.step, func(t *testing.T) {
-			dir := t.TempDir()
-			s, _ := openStore(t, dir)
-			if err := publish(s, "old"); err != nil {
-				t.Fatal(err)
-			}
-			before := files(t, dir)
-			t.Run("inject", func(t *testing.T) {
-				tc.inject(t)
-				if err := publish(s, "new"); err == nil {
-					t.Fatal("publish survived the injected fault")
-				}
-			})
-			if got := files(t, dir); !reflect.DeepEqual(got, before) {
-				t.Fatalf("files after failed publish = %v, want %v", got, before)
-			}
-			if len(s.pending) != 0 {
-				t.Fatalf("failed publish left pending staging files: %v", s.pending)
-			}
-			s2, ids := openStore(t, dir)
-			if !reflect.DeepEqual(ids, []string{"old"}) || s2.Corrupt() != 0 {
-				t.Fatalf("reopened ids = %v corrupt=%d", ids, s2.Corrupt())
-			}
-			if err := publish(s2, "new"); err != nil {
-				t.Fatalf("publish after the fault cleared: %v", err)
-			}
-		})
-	}
-}
-
-// TestCrashDebrisInvisibleAndSwept lays down what a crash at each point
-// of publish or remove leaves behind, plus hand-damaged manifests. None
-// may become visible, each corrupt manifest is counted, and Sweep removes
+// TestCrashDebrisInvisibleAndSwept lays down a committed entry of the
+// per-file layout, what a crash at each point of a per-file publish or
+// remove left behind, and hand-damaged manifests. OpenRecords must migrate
+// the entry into the segment and remove its files, none of the debris may
+// become visible, each corrupt manifest is counted, and Sweep removes
 // exactly the debris.
 func TestCrashDebrisInvisibleAndSwept(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "store")
-	s, _ := openStore(t, dir)
-	if err := publish(s, "live"); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	write(t, filepath.Join(dir, "live.blob"), `blob live`)
+	write(t, filepath.Join(dir, "live.json"), `{"id":"live"}`)
 	write(t, filepath.Join(dir, TmpPrefix+"0123456789abcdef"), `blob to`) // torn staging file
 	write(t, filepath.Join(dir, "orphan.blob"), `blob orphan`)            // blob renamed, manifest not
 	write(t, filepath.Join(dir, "blobless.json"), `{"id":"blobless"}`)    // remove cut after the manifest
@@ -225,14 +122,18 @@ func TestCrashDebrisInvisibleAndSwept(t *testing.T) {
 	write(t, filepath.Join(root, "victim.json"), `{"id":"../victim"}`)
 	write(t, filepath.Join(dir, "README"), `not the store's`)
 
-	s2, ids := openStore(t, dir)
+	seg, legacy, ids := openRecords(t, dir)
 	if !reflect.DeepEqual(ids, []string{"live"}) {
 		t.Fatalf("debris became visible: %v", ids)
 	}
-	if got := s2.Corrupt(); got != 4 {
+	if got := legacy.Corrupt(); got != 4 {
 		t.Fatalf("Corrupt = %d, want 4 (blobless, torn, misnamed, escape)", got)
 	}
-	removed, err := s2.Sweep(func(id string) bool { return id == "live" })
+	payload, ok, err := seg.Get("live")
+	if manifest, blob, _ := SplitRecord(payload); err != nil || !ok || string(manifest) != `{"id":"live"}` || string(blob) != "blob live" {
+		t.Fatalf("migrated record = %q, %v, %v", payload, ok, err)
+	}
+	removed, err := legacy.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,143 +141,33 @@ func TestCrashDebrisInvisibleAndSwept(t *testing.T) {
 	if !reflect.DeepEqual(removed, want) {
 		t.Fatalf("Sweep removed %v, want %v", removed, want)
 	}
-	if got, want := files(t, dir), []string{"README", "live.blob", "live.json"}; !reflect.DeepEqual(got, want) {
+	if got, want := files(t, dir), []string{"README", "s.log"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("files after Sweep = %v, want %v", got, want)
 	}
 	if got, want := files(t, root), []string{"store", "victim.blob", "victim.json"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("files outside the store = %v, want %v", got, want)
 	}
-	if s2.Corrupt() != 0 {
+	if legacy.Corrupt() != 0 {
 		t.Fatal("Sweep did not reset the corrupt count")
 	}
-	if s3, ids := openStore(t, dir); !reflect.DeepEqual(ids, []string{"live"}) || s3.Corrupt() != 0 {
-		t.Fatalf("reopened after Sweep: ids=%v corrupt=%d", ids, s3.Corrupt())
-	}
-}
-
-// TestSweepSparesStagedBlob pins the pending registry: a blob staged
-// outside the caller's lock survives a Sweep that runs before its commit.
-func TestSweepSparesStagedBlob(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openStore(t, dir)
-	tmp, err := s.Stage([]byte("blob x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := s.Sweep(func(string) bool { return false })
-	if err != nil || len(removed) != 0 {
-		t.Fatalf("Sweep removed %v, %v", removed, err)
-	}
-	if err := s.Commit(tmp, "x", []byte(`{"id":"x"}`)); err != nil {
-		t.Fatalf("commit after Sweep: %v", err)
-	}
-	discarded, err := s.Stage([]byte("blob y"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Discard(discarded)
-	if removed, err := s.Sweep(func(id string) bool { return id == "x" }); err != nil || len(removed) != 0 {
-		t.Fatalf("Sweep after commit and discard removed %v, %v", removed, err)
-	}
-	if got, want := files(t, dir), []string{"x.blob", "x.json"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("files = %v, want %v", got, want)
-	}
-}
-
-// TestConcurrentPublishAndSweep races publishers, which stage outside the
-// index lock, against a sweeper: no staged blob and no committed entry is
-// ever swept, so every commit succeeds and a reopen sees every entry.
-func TestConcurrentPublishAndSweep(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openStore(t, dir)
-	var (
-		mu   sync.Mutex // the typed layer's index lock
-		live = map[string]bool{}
-		wg   sync.WaitGroup
-		done = make(chan struct{})
-	)
-	isLive := func(id string) bool { return live[id] }
-	const writers, each = 4, 25
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				id := fmt.Sprintf("w%d-%02d", w, i)
-				tmp, err := s.Stage([]byte(id))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				if i%5 == 4 { // a lost publish race: the staged blob is dropped
-					s.Discard(tmp)
-				} else if err := s.Commit(tmp, id, []byte(`{"id":"`+id+`"}`)); err != nil {
-					t.Errorf("commit %s: %v", id, err)
-				} else {
-					live[id] = true
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	swept := make(chan []string)
-	go func() {
-		var all []string
-		for {
-			select {
-			case <-done:
-				swept <- all
-				return
-			default:
-			}
-			mu.Lock()
-			removed, err := s.Sweep(isLive)
-			mu.Unlock()
-			if err != nil {
-				t.Error(err)
-			}
-			all = append(all, removed...)
-		}
-	}()
-	wg.Wait()
-	close(done)
-	if removed := <-swept; len(removed) != 0 {
-		t.Fatalf("Sweep took files of in-flight or committed publishes: %v", removed)
-	}
-	_, ids := openStore(t, dir)
-	want := make([]string, 0, len(live))
-	for id := range live {
-		want = append(want, id)
-	}
-	slices.Sort(want)
-	if len(want) != writers*each*4/5 || !reflect.DeepEqual(ids, want) {
-		t.Fatalf("reopened %d entries, want the %d committed", len(ids), len(want))
-	}
-	for _, name := range files(t, dir) {
-		if strings.HasPrefix(name, TmpPrefix) {
-			t.Fatalf("staging file left behind: %s", name)
-		}
+	if _, legacy, ids := openRecords(t, dir); !reflect.DeepEqual(ids, []string{"live"}) || legacy.Corrupt() != 0 {
+		t.Fatalf("reopened after Sweep: ids=%v corrupt=%d", ids, legacy.Corrupt())
 	}
 }
 
 func TestWriteAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rec.json")
-	noop := func() error { return nil }
-	if err := WriteAtomic(path, ".tmp-rec-", 0o600, []byte("v1"), noop); err != nil {
+	if err := WriteAtomic(path, ".tmp-rec-", 0o600, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o600 {
 		t.Fatalf("stat = %v, %v; want mode 0600", st, err)
 	}
-	// A failing hook or rename keeps the old record and leaves no temp.
-	if err := WriteAtomic(path, ".tmp-rec-", 0o600, []byte("v2"), func() error { return errInjected }); !errors.Is(err, errInjected) {
-		t.Fatalf("hook error = %v", err)
-	}
+	// A failing rename keeps the old record and leaves no temp.
 	t.Run("rename", func(t *testing.T) {
 		failRename(t, "rec.json")
-		if err := WriteAtomic(path, ".tmp-rec-", 0o600, []byte("v3"), noop); !errors.Is(err, errInjected) {
+		if err := WriteAtomic(path, ".tmp-rec-", 0o600, []byte("v3")); !errors.Is(err, errInjected) {
 			t.Fatalf("rename error = %v", err)
 		}
 	})
@@ -386,7 +177,7 @@ func TestWriteAtomic(t *testing.T) {
 	if got := files(t, dir); !reflect.DeepEqual(got, []string{"rec.json"}) {
 		t.Fatalf("files = %v, want only the record", got)
 	}
-	if err := WriteAtomic(path, ".tmp-rec-", 0o600, []byte("v4"), noop); err != nil {
+	if err := WriteAtomic(path, ".tmp-rec-", 0o600, []byte("v4")); err != nil {
 		t.Fatal(err)
 	}
 	if raw, _ := os.ReadFile(path); string(raw) != "v4" {

@@ -33,6 +33,10 @@ const (
 	// compactMin is the size a segment must pass before it is compacted;
 	// compaction also needs at least half of its records dead.
 	compactMin = 1 << 20
+
+	// maxKeptBuf bounds the append buffer a segment keeps between appends:
+	// a larger one, say a surrogate's record, is dropped after its write.
+	maxKeptBuf = 64 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -44,7 +48,7 @@ var errClosed = errors.New("blobstore: segment closed")
 type span struct{ off, n int64 }
 
 // Segment is an append-only log of keyed records in one file, under the
-// atlas and the job journal. Each append is a single write on an O_APPEND
+// atlas, the job journal and the model store. Each append is a single write on an O_APPEND
 // file, so a process crash leaves at most a torn last record, which
 // OpenSegment truncates; nothing is fsynced (DESIGN.md §14). The index
 // maps each live id to its record's offset; payloads stay on disk. Safe
@@ -243,7 +247,7 @@ func (s *Segment) Put(id string, payload []byte, drop ...string) error {
 		}
 	}
 	off := s.size
-	if err := s.writeLocked(s.buf); err != nil {
+	if err := s.writeLocked(); err != nil {
 		return err
 	}
 	for _, d := range drop {
@@ -271,7 +275,7 @@ func (s *Segment) Delete(ids ...string) error {
 	if frames == 0 {
 		return nil
 	}
-	if err := s.writeLocked(s.buf); err != nil {
+	if err := s.writeLocked(); err != nil {
 		return err
 	}
 	for _, id := range ids {
@@ -298,8 +302,12 @@ func (s *Segment) fileLocked() (file, error) {
 	return s.f, nil
 }
 
-// writeLocked appends buf with one write. Callers hold mu.
-func (s *Segment) writeLocked(buf []byte) error {
+// writeLocked appends s.buf with one write. Callers hold mu.
+func (s *Segment) writeLocked() error {
+	buf := s.buf
+	if cap(buf) > maxKeptBuf {
+		s.buf = nil
+	}
 	f, err := s.fileLocked()
 	if err != nil {
 		return err
@@ -350,7 +358,7 @@ func (s *Segment) compactLocked() error {
 		next[id] = span{off, sp.n}
 		off += sp.n
 	}
-	if err := WriteAtomic(s.path, s.tmpPrefix(), s.perm, buf, func() error { return nil }); err != nil {
+	if err := WriteAtomic(s.path, s.tmpPrefix(), s.perm, buf); err != nil {
 		return err
 	}
 	// The old file is unlinked: appends through its descriptor would be

@@ -190,6 +190,35 @@ func TestSegmentFailedAppendIsCutOff(t *testing.T) {
 	}
 }
 
+// TestSegmentDropsLargeBuffer pins that the append buffer stays bounded: a
+// model-sized record does not leave a model-sized buffer pinned for the
+// life of the segment, while a small one keeps its buffer for reuse.
+func TestSegmentDropsLargeBuffer(t *testing.T) {
+	s := openSegment(t, filepath.Join(t.TempDir(), "s.log"))
+	if err := s.Put("small", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.buf) == 0 {
+		t.Fatal("a small append dropped its buffer")
+	}
+	big := bytes.Repeat([]byte("m"), 4*maxKeptBuf)
+	if err := s.Put("big", big); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(s.buf); c > maxKeptBuf {
+		t.Fatalf("append buffer holds %d bytes after a %d-byte record, want ≤ %d", c, len(big), maxKeptBuf)
+	}
+	if err := s.Delete("small"); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(s.buf); c == 0 || c > maxKeptBuf {
+		t.Fatalf("append buffer holds %d bytes after a tombstone", c)
+	}
+	if !bytes.Equal([]byte(get(t, s, "big")), big) {
+		t.Fatal("the large record reads back changed")
+	}
+}
+
 // TestSegmentCompaction overwrites one id until the segment passes
 // compactMin with most records dead: the file shrinks to the live
 // records, in log order, and serves and reopens as before.
@@ -358,6 +387,7 @@ func FuzzSegmentReplay(f *testing.F) {
 	for _, fixture := range []string{
 		filepath.Join("..", "atlas", "testdata", "segment", "atlas.log"),
 		filepath.Join("..", "resilience", "testdata", "journal-segment", "journal.log"),
+		filepath.Join("..", "modelstore", "testdata", "segment", "models.log"),
 	} {
 		data, err := os.ReadFile(fixture)
 		if err != nil {

@@ -1,12 +1,14 @@
 // Package modelstore is the versioned, content-addressed artifact store
 // for trained Phase-1 surrogates — the persistence layer that closes the
 // train→search loop. Each published surrogate persists through
-// internal/blobstore as an immutable blob (`<id>.surrogate`, the surrogate
-// serialization, with id derived from the blob's SHA-256) plus a JSON
-// manifest (`<id>.json`) carrying everything needed to pick a model
-// without loading it — the workload fingerprint, architecture and
+// internal/blobstore as one manifest+blob record of an append-only segment
+// (models.log): the surrogate serialization, whose SHA-256 derives the
+// artifact id, and a JSON manifest carrying everything needed to pick a
+// model without loading it — the workload fingerprint, architecture and
 // cost-model fingerprints, the training configuration, final and per-epoch
-// losses, and the parent artifact for warm-started runs.
+// losses, and the parent artifact for warm-started runs. Open migrates the
+// older per-file layout — a blob (<id>.surrogate) plus a manifest
+// (<id>.json) per artifact — into it.
 //
 // An in-memory index keyed by workload fingerprint resolves "the best
 // model for this algorithm" — the highest version, ties broken by recency
@@ -22,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 	"time"
@@ -33,7 +34,9 @@ import (
 )
 
 const (
-	// BlobExt is the artifact-blob suffix; blobstore.ManifestExt commits it.
+	// SegmentFile names the store's segment inside its directory.
+	SegmentFile = "models.log"
+	// BlobExt is the extension of surrogate blob files in the per-file layout.
 	BlobExt = ".surrogate"
 )
 
@@ -87,16 +90,27 @@ type Manifest struct {
 // Store is a directory of published artifacts plus an in-memory index over
 // their manifests. All methods are safe for concurrent use.
 //
-// The index is owned by one process: Open scans the directory once and
+// The index is owned by one process: Open replays the directory once and
 // every later mutation goes through this Store's methods. Deleting or
 // GC-ing a live server's store from a second process (e.g. `mindmappings
-// models -gc` against the directory `serve` has open) leaves the server
-// indexing artifacts that no longer exist; manage a live store through
-// the server's own endpoints (DELETE /v1/models/{id}, POST /v1/models/gc)
-// and use the CLI for offline stores.
+// models -gc` against the directory `serve` has open) leaves the server's
+// index stale, and the server's next compaction of the segment drops what
+// the other process appended; manage a live store through the server's
+// own endpoints (DELETE /v1/models/{id}, POST /v1/models/gc) and use the
+// CLI for offline stores.
 type Store struct {
-	blobs *blobstore.Store // the files, corrupt count and publish failpoint
+	seg *blobstore.Segment
+	// legacy is the per-file layout Open migrated from: it counts what
+	// Open could not index, and its debris stays for GC to sweep.
+	legacy    *blobstore.Store
+	failpoint blobstore.Failpoint
 
+	// writeMu serializes the appends — Publish, Delete, GC — so mu is held
+	// only to update the index, never across a write: readers never wait
+	// behind a publish's MB-scale append.
+	writeMu sync.Mutex
+	// mu guards the index. Only writers change it, holding writeMu too, so
+	// a writer may read it without mu.
 	mu   sync.RWMutex
 	byID map[string]*Manifest
 	// byFP groups manifests per workload fingerprint, sorted best-last
@@ -105,26 +119,23 @@ type Store struct {
 }
 
 // SetFailpoint installs (or clears, with nil) the "store.publish" hook: an
-// error aborts Publish before anything is staged.
-func (s *Store) SetFailpoint(fn func(op string) error) { s.blobs.Failpoint.Set(fn) }
+// error aborts Publish before anything is written.
+func (s *Store) SetFailpoint(fn func(op string) error) { s.failpoint.Set(fn) }
 
-// Open scans dir (creating it if needed) and indexes every committed
-// manifest; crash debris stays invisible until GC sweeps it.
+// Open replays dir's segment (creating dir if needed) and indexes every
+// committed artifact, dropping a torn tail, then migrates the per-file
+// layout into the segment (blobstore.OpenRecords). Per-file crash debris
+// stays invisible until GC sweeps it.
 func Open(dir string) (*Store, error) {
-	blobs, manifests, err := blobstore.Open(dir, BlobExt, func(raw []byte) (m *Manifest, id string) {
-		m = new(Manifest)
-		if json.Unmarshal(raw, m) != nil || m.AlgoFP == "" {
-			return m, ""
-		}
-		return m, m.ID
-	})
+	seg, legacy, manifests, err := blobstore.OpenRecords(dir, SegmentFile, BlobExt, decodeManifest)
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: %w", err)
 	}
 	s := &Store{
-		blobs: blobs,
-		byID:  make(map[string]*Manifest),
-		byFP:  make(map[string][]*Manifest),
+		seg:    seg,
+		legacy: legacy,
+		byID:   make(map[string]*Manifest),
+		byFP:   make(map[string][]*Manifest),
 	}
 	for _, m := range manifests {
 		s.indexLocked(m)
@@ -132,8 +143,18 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// BlobPath returns the path of an artifact's blob file.
-func (s *Store) BlobPath(id string) string { return s.blobs.BlobPath(id) }
+// decodeManifest reads an artifact manifest, rejecting one without its
+// workload fingerprint.
+func decodeManifest(raw []byte) (m *Manifest, id string) {
+	m = new(Manifest)
+	if json.Unmarshal(raw, m) != nil || m.AlgoFP == "" {
+		return m, ""
+	}
+	return m, m.ID
+}
+
+// Close releases the store's segment file; later writes and loads fail.
+func (s *Store) Close() error { return s.seg.Close() }
 
 // indexLocked inserts m into both indexes and keeps the per-fingerprint
 // group sorted best-last. Callers hold mu (or own the store exclusively).
@@ -162,14 +183,14 @@ type PublishMeta struct {
 	TrainSeconds float64
 }
 
-// Publish writes the surrogate as a new committed artifact and returns its
-// manifest; republishing bit-identical content returns the existing
-// manifest without creating a new version. The MB-scale blob is staged
-// outside the store lock — Resolve/Get on the search path never stall
-// behind a publication — with only the version assignment and the commit
-// inside it.
+// Publish appends the surrogate as a new committed artifact, one record
+// holding its manifest and blob, and returns its manifest; republishing
+// bit-identical content returns the existing manifest without creating a
+// new version. Publishes are serialized on writeMu, and the index lock is
+// taken only to index the appended artifact, so Resolve/Get on the search
+// path never stall behind a publication.
 func (s *Store) Publish(sur *surrogate.Surrogate, meta PublishMeta) (Manifest, error) {
-	if err := s.blobs.Failpoint.Fire("store.publish"); err != nil {
+	if err := s.failpoint.Fire("store.publish"); err != nil {
 		return Manifest{}, err
 	}
 	var buf bytes.Buffer
@@ -213,30 +234,25 @@ func (s *Store) Publish(sur *surrogate.Surrogate, meta PublishMeta) (Manifest, e
 		m.FinalTest = meta.TestLoss[n-1]
 	}
 
-	tmp, err := s.blobs.Stage(buf.Bytes())
-	if err != nil {
-		return Manifest{}, fmt.Errorf("modelstore: %w", err)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if existing, ok := s.byID[id]; ok { // lost a publish race for identical content
-		s.blobs.Discard(tmp)
 		return *existing, nil
 	}
 	m.Version = 1
 	if group := s.byFP[m.AlgoFP]; len(group) > 0 {
 		m.Version = group[len(group)-1].Version + 1
 	}
-	raw, err := json.MarshalIndent(m, "", " ")
+	raw, err := json.Marshal(m)
 	if err != nil {
-		s.blobs.Discard(tmp)
 		return Manifest{}, fmt.Errorf("modelstore: %w", err)
 	}
-	if err := s.blobs.Commit(tmp, id, raw); err != nil {
+	if err := s.seg.Put(id, blobstore.EncodeRecord(raw, buf.Bytes())); err != nil {
 		return Manifest{}, fmt.Errorf("modelstore: %w", err)
 	}
+	s.mu.Lock()
 	s.indexLocked(m)
+	s.mu.Unlock()
 	return *m, nil
 }
 
@@ -282,72 +298,85 @@ func (s *Store) List() []Manifest {
 	return out
 }
 
-// Load deserializes the artifact's surrogate blob.
-func (s *Store) Load(id string) (*surrogate.Surrogate, error) {
-	s.mu.RLock()
-	_, ok := s.byID[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownArtifact, id)
-	}
-	f, err := os.Open(s.BlobPath(id))
+// Blob returns an artifact's serialized surrogate: the bytes its ID
+// addresses.
+func (s *Store) Blob(id string) ([]byte, error) {
+	payload, ok, err := s.seg.Get(id)
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: artifact %q: %w", id, err)
 	}
-	defer f.Close()
-	sur, err := surrogate.Load(f)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownArtifact, id)
+	}
+	_, blob, _ := blobstore.SplitRecord(payload) // Open and Publish checked the split
+	return blob, nil
+}
+
+// Load deserializes the artifact's surrogate blob.
+func (s *Store) Load(id string) (*surrogate.Surrogate, error) {
+	blob, err := s.Blob(id)
+	if err != nil {
+		return nil, err
+	}
+	sur, err := surrogate.Load(bytes.NewReader(blob))
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: artifact %q: %w", id, err)
 	}
 	return sur, nil
 }
 
-// Delete removes an artifact.
+// Delete removes an artifact, appending its tombstone.
 func (s *Store) Delete(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.byID[id]
-	if !ok {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	if _, ok := s.byID[id]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownArtifact, id)
 	}
-	return s.removeLocked(m)
-}
-
-// removeLocked deletes an artifact from disk and the index. Callers hold mu.
-func (s *Store) removeLocked(m *Manifest) error {
-	if err := s.blobs.Remove(m.ID); err != nil {
+	if err := s.removeLocked(id); err != nil {
 		return fmt.Errorf("modelstore: %w", err)
 	}
-	delete(s.byID, m.ID)
-	group := slices.DeleteFunc(s.byFP[m.AlgoFP], func(g *Manifest) bool { return g == m })
-	if len(group) == 0 {
-		delete(s.byFP, m.AlgoFP)
-	} else {
-		s.byFP[m.AlgoFP] = group
+	return nil
+}
+
+// removeLocked tombstones indexed artifacts with one append and drops them
+// from the index. Callers hold writeMu.
+func (s *Store) removeLocked(ids ...string) error {
+	if err := s.seg.Delete(ids...); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		m := s.byID[id]
+		delete(s.byID, id)
+		group := slices.DeleteFunc(s.byFP[m.AlgoFP], func(g *Manifest) bool { return g == m })
+		if len(group) == 0 {
+			delete(s.byFP, m.AlgoFP)
+		} else {
+			s.byFP[m.AlgoFP] = group
+		}
 	}
 	return nil
 }
 
 // GC removes superseded versions — keeping the newest keep versions per
-// workload fingerprint (minimum 1) — then crash debris. It returns the
-// removed artifact IDs followed by the debris file names.
+// workload fingerprint (minimum 1) — with one append of tombstones, then
+// sweeps the per-file layout's debris and resets the corrupt count. It
+// returns the removed artifact IDs followed by the debris file names.
 func (s *Store) GC(keep int) ([]string, error) {
-	if keep < 1 {
-		keep = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	keep = max(keep, 1)
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	var removed []string
-	for fp := range s.byFP {
-		for len(s.byFP[fp]) > keep {
-			old := s.byFP[fp][0]
-			if err := s.removeLocked(old); err != nil {
-				return removed, err
-			}
-			removed = append(removed, old.ID)
+	for _, group := range s.byFP {
+		for _, m := range group[:max(len(group)-keep, 0)] {
+			removed = append(removed, m.ID)
 		}
 	}
-	debris, err := s.blobs.Sweep(func(id string) bool { _, ok := s.byID[id]; return ok })
+	if err := s.removeLocked(removed...); err != nil {
+		return nil, fmt.Errorf("modelstore: gc: %w", err)
+	}
+	debris, err := s.legacy.Sweep()
 	if err != nil {
 		err = fmt.Errorf("modelstore: gc: %w", err)
 	}
@@ -359,8 +388,9 @@ func (s *Store) GC(keep int) ([]string, error) {
 type Stats struct {
 	Artifacts int `json:"artifacts"`
 	Workloads int `json:"workloads"`
-	// Corrupt counts manifests Open skipped as unreadable, uncommitted,
-	// or misnamed and GC has not swept yet.
+	// Corrupt counts what Open could not index and GC has not swept or
+	// reset yet: per-file manifests that are unreadable, uncommitted or
+	// misnamed, and a torn or CRC-bad segment tail.
 	Corrupt int `json:"corrupt"`
 }
 
@@ -368,7 +398,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Stats{Artifacts: len(s.byID), Workloads: len(s.byFP), Corrupt: s.blobs.Corrupt()}
+	return Stats{Artifacts: len(s.byID), Workloads: len(s.byFP), Corrupt: s.legacy.Corrupt()}
 }
 
 // defaultArchFPs caches ArchFingerprint(arch.Default(n)) by n (int →

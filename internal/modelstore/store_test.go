@@ -2,6 +2,7 @@ package modelstore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,7 +225,8 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 
 func TestGCSupersededVersions(t *testing.T) {
 	a, b := testSurrogates(t)
-	st, err := Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +252,15 @@ func TestGCSupersededVersions(t *testing.T) {
 	if !ok || best.ID != m2.ID {
 		t.Fatalf("resolve after GC: %+v ok=%v", best, ok)
 	}
-	if _, err := os.Stat(st.BlobPath(m1.ID)); !os.IsNotExist(err) {
-		t.Fatal("superseded blob still on disk")
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := re.Get(m1.ID); ok {
+		t.Fatal("superseded version came back on reopen")
+	}
+	if _, err := re.Load(m1.ID); !errors.Is(err, ErrUnknownArtifact) {
+		t.Fatalf("Load of the superseded version after reopen: %v", err)
 	}
 }
 

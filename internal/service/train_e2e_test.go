@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -22,7 +21,13 @@ import (
 // model the server ever serves must come in over HTTP.
 func testTrainingServer(t *testing.T) (*httptest.Server, *trainer.Pipeline, *modelstore.Store) {
 	t.Helper()
-	store, err := modelstore.Open(t.TempDir())
+	return testTrainingServerAt(t, t.TempDir())
+}
+
+// testTrainingServerAt is testTrainingServer over the store directory dir.
+func testTrainingServerAt(t *testing.T, dir string) (*httptest.Server, *trainer.Pipeline, *modelstore.Store) {
+	t.Helper()
+	store, err := modelstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +109,8 @@ func waitTrainJob(t *testing.T, ts *httptest.Server, id string, timeout time.Dur
 // mm search against it — and a search naming the stored artifact
 // explicitly returns bit-identical results to "model":"auto".
 func TestHTTPTrainSearchClosedLoop(t *testing.T) {
-	ts, _, store := testTrainingServer(t)
+	storeDir := t.TempDir()
+	ts, _, _ := testTrainingServerAt(t, storeDir)
 
 	// Cold start: nothing stored, so an auto search must fail cleanly.
 	job, resp := postSearch(t, ts, SearchRequest{
@@ -182,7 +188,7 @@ func TestHTTPTrainSearchClosedLoop(t *testing.T) {
 	}
 
 	// Store state survives a reopen (the on-disk layout is the truth).
-	st2, err := modelstore.Open(filepath.Dir(store.BlobPath(artifact)))
+	st2, err := modelstore.Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
