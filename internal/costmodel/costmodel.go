@@ -21,11 +21,11 @@ package costmodel
 import (
 	"context"
 	"encoding/binary"
-	"sync/atomic"
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
+	"mindmappings/internal/obs"
 )
 
 // Evaluator is a cost function f bound to one (accelerator, problem) pair.
@@ -60,18 +60,11 @@ type Evaluator interface {
 	EvaluateBatchInto(ctx context.Context, ms []mapspace.Mapping, costs []Cost, errs []error)
 }
 
-// Counter is shared, concurrency-safe evaluation accounting. One Counter
-// may be charged by many searches at once: the serve service keeps one per
-// backend and exposes it as costmodel_evals_total{backend} on /metrics.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Inc charges one evaluation.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Count returns the number of evaluations charged so far.
-func (c *Counter) Count() int64 { return c.n.Load() }
+// Counter is shared, concurrency-safe evaluation accounting: an obs
+// counter, so one may be charged by many searches at once and exposed as
+// is. The serve service charges the costmodel_evals_total{backend} series
+// of its registry directly.
+type Counter = obs.Counter
 
 // Evaluate is the convenience scalar form: it evaluates m into a fresh
 // Cost. Hot paths should hold a reusable Cost and call EvaluateInto.

@@ -545,6 +545,10 @@ func (j Jobs[T, E, P]) Final(id string) (ev E, ok bool) {
 	return ev, false
 }
 
+// Metrics returns the lifecycle instruments the queue keeps current, for
+// their owner to register where it exposes them.
+func (j Jobs[T, E, P]) Metrics() Metrics { return j.q.kind.Metrics }
+
 // Stats summarizes the lifecycle counters and the live queue gauges.
 type Stats struct {
 	Submitted uint64 `json:"submitted"`

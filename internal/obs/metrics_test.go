@@ -207,6 +207,37 @@ func TestRegistryReusesAndValidates(t *testing.T) {
 	}()
 }
 
+// TestRegisterAdoptsOwnersInstrument pins Register: the series reads the
+// instrument its owner keeps and bumps, the same name hands that
+// instrument back, and a second instrument under it panics.
+func TestRegisterAdoptsOwnersInstrument(t *testing.T) {
+	r := NewRegistry()
+	owned, level := new(Counter), new(Gauge)
+	r.Register("mm_owned_total", "help", owned)
+	r.Register("mm_owned_total", "help", owned)
+	r.Register("mm_level", "help", level)
+	owned.Add(3)
+	level.Add(2)
+	if got := r.Counter("mm_owned_total", "help"); got != owned {
+		t.Fatal("Counter returned a different instrument than the registered one")
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"mm_owned_total 3\n", "mm_level 2\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, sb.String())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second counter under one series should panic")
+		}
+	}()
+	r.Register("mm_owned_total", "help", new(Counter))
+}
+
 // TestRuntimeStats checks the runtime series carry plausible live values.
 func TestRuntimeStats(t *testing.T) {
 	r := NewRegistry()

@@ -184,9 +184,38 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return c.gauge
 }
 
+// Register adds an unlabeled series whose instrument — a *Counter or a
+// *Gauge — its owner already keeps and bumps where its event happens, so
+// exposition reads the owner's own count. Registering a second instrument
+// under one series panics: a count has one source.
+func (r *Registry) Register(name, help string, m instrument) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.familyFor(name, help, m.kind(), nil).childFor(r, nil)
+	switch m := m.(type) {
+	case *Counter:
+		if c.ctr != nil && c.ctr != m {
+			panic(fmt.Sprintf("obs: metric %q registered with a second counter", name))
+		}
+		c.ctr = m
+	case *Gauge:
+		if c.gauge != nil && c.gauge != m {
+			panic(fmt.Sprintf("obs: metric %q registered with a second gauge", name))
+		}
+		c.gauge = m
+	}
+}
+
+// instrument is a metric an owner keeps and Register adds: *Counter or
+// *Gauge.
+type instrument interface{ kind() metricKind }
+
+func (*Counter) kind() metricKind { return kindCounter }
+func (*Gauge) kind() metricKind   { return kindGauge }
+
 // GaugeFunc registers a gauge whose value is read from fn at exposition
-// time — the bridge for components that already keep their own counters
-// (job stats, cache stats, store stats) without double accounting.
+// time, for values read from state (pool sizes, index sizes, the runtime)
+// rather than counted.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.GaugeFuncWith(name, help, nil, nil, fn)
 }
@@ -200,17 +229,11 @@ func (r *Registry) GaugeFuncWith(name, help string, labelNames, labelValues []st
 }
 
 // CounterFunc registers a counter whose value is read from fn at
-// exposition time (for monotone totals owned elsewhere).
+// exposition time, for monotone totals the runtime or this package keeps.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.CounterFuncWith(name, help, nil, nil, fn)
-}
-
-// CounterFuncWith is CounterFunc with label values.
-func (r *Registry) CounterFuncWith(name, help string, labelNames, labelValues []string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.familyFor(name, help, kindCounter, labelNames).childFor(r, labelValues)
-	c.gaugeF = fn
+	r.familyFor(name, help, kindCounter, nil).childFor(r, nil).gaugeF = fn
 }
 
 // Histogram registers (or returns the existing) unlabeled histogram over

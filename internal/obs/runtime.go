@@ -24,10 +24,19 @@ func readBuildInfo() (module, revision string) {
 }
 
 // RegisterRuntimeMetrics exposes the process runtime to Prometheus scrapes:
-// goroutines, heap, GC totals, uptime, and a constant build-info series.
+// goroutines, heap, GC totals, uptime, a constant build-info series, and
+// how much telemetry obs itself discarded (label sets collapsed by r's
+// cardinality cap, spans dropped by the per-parent child cap; nonzero
+// values mean the telemetry is summarizing, not lying silently).
 // ReadMemStats runs per gauge read; scrapes are seconds apart, so the
 // stop-the-world cost is irrelevant.
 func RegisterRuntimeMetrics(r *Registry, started time.Time) {
+	r.CounterFunc("obs_dropped_labels_total",
+		"Label-set registrations collapsed into _overflow series by the cardinality cap.",
+		func() float64 { return float64(r.DroppedLabels()) })
+	r.CounterFunc("obs_dropped_spans_total",
+		"Trace spans dropped by the per-parent child cap.",
+		func() float64 { return float64(DroppedSpans()) })
 	r.GaugeFunc("go_goroutines", "Number of goroutines.", func() float64 {
 		return float64(runtime.NumGoroutine())
 	})

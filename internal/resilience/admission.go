@@ -58,16 +58,6 @@ type Decision struct {
 	RetryAfter time.Duration
 }
 
-// AdmissionStats is a counters snapshot, exposed by the service as the
-// admission_* series on /metrics.
-type AdmissionStats struct {
-	Admitted     int64 `json:"admitted"`
-	RejectedRate int64 `json:"rejected_rate"`
-	RejectedConc int64 `json:"rejected_concurrency"`
-	Shed         int64 `json:"shed"`
-	InFlight     int   `json:"in_flight"`
-}
-
 // Admission is a per-tenant token-bucket + concurrency-cap admission
 // controller with obs-signal-driven load shedding. Tenants are keyed by
 // an opaque string (the service uses the X-Tenant header, "" for
@@ -86,7 +76,6 @@ type Admission struct {
 	// sweeps out idle, refilled tenants: twice what the last sweep left,
 	// and at least minSweep.
 	sweepAt int
-	stats   AdmissionStats
 }
 
 const minSweep = 16
@@ -171,11 +160,9 @@ func (a *Admission) decide(tenant string, now time.Time, load Load) Decision {
 	}
 
 	if reason, shed := a.shedLocked(ts, load); shed {
-		a.stats.Shed++
 		return Decision{Code: 503, Reason: reason}
 	}
 	if a.cfg.MaxConcurrent > 0 && ts.inFlight >= a.cfg.MaxConcurrent {
-		a.stats.RejectedConc++
 		return Decision{Code: 429, Reason: fmt.Sprintf("tenant concurrency cap (%d in flight)", ts.inFlight)}
 	}
 	if a.cfg.Rate > 0 {
@@ -185,15 +172,12 @@ func (a *Admission) decide(tenant string, now time.Time, load Load) Decision {
 			ts.refilled = now
 		}
 		if ts.tokens < 1 {
-			a.stats.RejectedRate++
 			wait := time.Duration((1 - ts.tokens) / a.cfg.Rate * float64(time.Second))
 			return Decision{Code: 429, Reason: "tenant rate quota exhausted", RetryAfter: clampRetry(wait)}
 		}
 		ts.tokens--
 	}
 	ts.inFlight++
-	a.stats.Admitted++
-	a.stats.InFlight++
 	return Decision{OK: true}
 }
 
@@ -281,15 +265,7 @@ func (a *Admission) Release(tenant string) {
 		return
 	}
 	ts.inFlight--
-	a.stats.InFlight--
 	if a.idle(ts, a.now()) {
 		delete(a.tenants, tenant)
 	}
-}
-
-// Stats snapshots the counters.
-func (a *Admission) Stats() AdmissionStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
 }

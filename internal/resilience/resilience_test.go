@@ -307,10 +307,6 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	if d := a.Admit("t1"); !d.OK {
 		t.Fatalf("post-refill admit rejected: %+v", d)
 	}
-	st := a.Stats()
-	if st.Admitted != 4 || st.RejectedRate != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
 // TestAdmissionFractionalBurstRaisedToOne pins that a bucket deeper than
@@ -368,9 +364,6 @@ func TestAdmissionShedding(t *testing.T) {
 	if d := a.Admit("t"); d.OK || d.Code != 503 || d.RetryAfter < time.Second {
 		t.Fatalf("heavy tenant not shed under soft overload: %+v", d)
 	}
-	if a.Stats().Shed != 1 {
-		t.Fatalf("stats = %+v", a.Stats())
-	}
 }
 
 func TestAdmissionRetryHint(t *testing.T) {
@@ -422,39 +415,25 @@ func TestAdmissionForgetsIdleTenants(t *testing.T) {
 func TestAdmissionConcurrentAccounting(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 8}, nil)
 	const workers, iters = 16, 200
-	var admitted, rejected sync.Map
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			var adm, rej int
 			for i := 0; i < iters; i++ {
 				if a.Admit("shared").OK {
-					adm++
-					if got := a.Stats().InFlight; got < 1 || got > 8 {
+					a.mu.Lock()
+					got := a.tenants["shared"].inFlight
+					a.mu.Unlock()
+					if got < 1 || got > 8 {
 						t.Errorf("in-flight %d outside [1,8]", got)
 					}
 					a.Release("shared")
-				} else {
-					rej++
 				}
 			}
-			admitted.Store(w, adm)
-			rejected.Store(w, rej)
-		}(w)
+		}()
 	}
 	wg.Wait()
-	var totalAdm, totalRej int64
-	admitted.Range(func(_, v any) bool { totalAdm += int64(v.(int)); return true })
-	rejected.Range(func(_, v any) bool { totalRej += int64(v.(int)); return true })
-	st := a.Stats()
-	if st.InFlight != 0 {
-		t.Fatalf("in-flight %d after all releases", st.InFlight)
-	}
-	if st.Admitted != totalAdm || st.RejectedConc != totalRej {
-		t.Fatalf("stats %+v, want admitted=%d rejected=%d", st, totalAdm, totalRej)
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if ts := a.tenants["shared"]; ts != nil && ts.inFlight != 0 {

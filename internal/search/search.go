@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"mindmappings/internal/arch"
@@ -392,12 +393,8 @@ func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 func (t *tracker) evalValue(m *mapspace.Mapping, paid bool, ws *costmodel.Cost) (float64, error) {
 	if paid {
 		if d := t.ctx.QueryLatency; d > 0 {
-			stall := time.NewTimer(d)
-			select {
-			case <-stall.C:
-			case <-t.ectx.Done():
-				stall.Stop()
-				return 0, t.ectx.Err()
+			if err := stall(t.ectx, d); err != nil {
+				return 0, err
 			}
 		}
 		if t.ctx.Evals != nil {
@@ -408,6 +405,36 @@ func (t *tracker) evalValue(m *mapspace.Mapping, paid bool, ws *costmodel.Cost) 
 		return 0, err
 	}
 	return t.ctx.Objective.normalized(ws, t.ctx.Bound), nil
+}
+
+// stallPoll is the tail of a stall that stall waits out by polling the
+// clock: a timer wakes up to about a millisecond late, so it sleeps only
+// through the part of the wait before this margin.
+const stallPoll = 1500 * time.Microsecond
+
+// stall waits until d after it was called, or returns ctx's error as soon
+// as ctx ends. A timer covers all but the last stallPoll of the wait and a
+// loop that checks the clock and ctx and yields the processor covers the
+// rest, so an emulated query lasts d, not d rounded up to the timer's
+// granularity.
+func stall(ctx context.Context, d time.Duration) error {
+	deadline := time.Now().Add(d)
+	if d > stallPoll {
+		tm := time.NewTimer(d - stallPoll)
+		select {
+		case <-tm.C:
+		case <-ctx.Done():
+			tm.Stop()
+			return ctx.Err()
+		}
+	}
+	for time.Now().Before(deadline) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		runtime.Gosched()
+	}
+	return nil
 }
 
 // payEval runs a paid reference-cost-model query on m, records it, and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -336,7 +337,7 @@ func TestPaidQueryCharges(t *testing.T) {
 	if _, err := tr.payEvalBatch(cand[3:], nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctr.Count(); got != 7 || tr.evals != 7 {
+	if got := ctr.Value(); got != 7 || tr.evals != 7 {
 		t.Fatalf("counter = %d, budget = %d after 3 scalar + 4 batch paid queries, want 7 and 7", got, tr.evals)
 	}
 
@@ -349,8 +350,8 @@ func TestPaidQueryCharges(t *testing.T) {
 	if len(vals) != len(cand) || bare.evals != len(cand) || len(bare.traj) == 0 {
 		t.Fatalf("uncounted tracker paid %d values, budget %d, trajectory %d; want %d paid and recorded", len(vals), bare.evals, len(bare.traj), len(cand))
 	}
-	if ctr.Count() != 7 {
-		t.Fatalf("detached counter moved to %d", ctr.Count())
+	if ctr.Value() != 7 {
+		t.Fatalf("detached counter moved to %d", ctr.Value())
 	}
 }
 
@@ -378,6 +379,33 @@ func TestPaidQueryStalls(t *testing.T) {
 	}
 }
 
+// TestPaidQueryStallLastsWhatItSays pins the emulated latency's length at
+// a sub-millisecond setting, where a plain timer wakes about a millisecond
+// late: no paid query returns before its stall is over, and the median
+// query ends within 2x of the stall.
+func TestPaidQueryStallLastsWhatItSays(t *testing.T) {
+	ctx := conv1dContext(t, 65)
+	const stall, n = 300 * time.Microsecond, 50
+	ctx.QueryLatency = stall
+	m := ctx.Space.Random(stats.NewRNG(7))
+	tr := newTracker(ctx, Budget{MaxEvals: n})
+	took := make([]time.Duration, n)
+	for i := range took {
+		start := time.Now()
+		if _, err := tr.payEval(&m); err != nil {
+			t.Fatal(err)
+		}
+		took[i] = time.Since(start)
+		if took[i] < stall {
+			t.Fatalf("paid query %d returned after %v, before its %v stall", i, took[i], stall)
+		}
+	}
+	slices.Sort(took)
+	if med := took[n/2]; med >= 2*stall {
+		t.Fatalf("median paid query at %v latency took %v, want < %v", stall, med, 2*stall)
+	}
+}
+
 // TestPaidQueryStallsAndCharges pins the tracker's paid query: every
 // candidate waits QueryLatency in turn and is charged to Evals, while
 // offline scoring of the same candidates (MM's trajectory measurement) is
@@ -402,14 +430,14 @@ func TestPaidQueryStallsAndCharges(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < time.Duration(len(cand))*stall {
 		t.Fatalf("%d paid queries took %v, want >= %v: latency not paid", len(cand), elapsed, time.Duration(len(cand))*stall)
 	}
-	if got := ctr.Count(); got != int64(len(cand)) {
+	if got := ctr.Value(); got != int64(len(cand)) {
 		t.Fatalf("counter reads %d after %d paid queries", got, len(cand))
 	}
 	free, err := tr.scoreSurrogateBatch(cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ctr.Count(); got != int64(len(cand)) {
+	if got := ctr.Value(); got != int64(len(cand)) {
 		t.Fatalf("offline scoring was charged: counter reads %d, want %d", got, len(cand))
 	}
 	for i := range cand {
@@ -450,8 +478,8 @@ func TestCanceledStallIsNotCharged(t *testing.T) {
 	if _, err := tr.evalValue(&m, true, &tr.own); !errors.Is(err, context.Canceled) {
 		t.Fatalf("paid query on a canceled run: err %v, want context.Canceled", err)
 	}
-	if ctr.Count() != 0 || tr.evals != 0 || len(tr.traj) != 0 {
-		t.Fatalf("interrupted queries charged %d, budget %d, trajectory %d; want none", ctr.Count(), tr.evals, len(tr.traj))
+	if ctr.Value() != 0 || tr.evals != 0 || len(tr.traj) != 0 {
+		t.Fatalf("interrupted queries charged %d, budget %d, trajectory %d; want none", ctr.Value(), tr.evals, len(tr.traj))
 	}
 }
 
@@ -476,7 +504,7 @@ func TestCounterSharedAcrossSearches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, want := ctr.Count(), int64(evals[0]+evals[1]); got != want || want != 110 {
+	if got, want := ctr.Value(), int64(evals[0]+evals[1]); got != want || want != 110 {
 		t.Fatalf("shared counter = %d, searches paid %v", got, evals)
 	}
 }

@@ -258,12 +258,6 @@ type JobManager struct {
 	tenants        map[string]*tenantInstruments
 	tenantOverflow *tenantInstruments
 
-	// counters holds one shared paid-eval counter per cost-model backend
-	// (charged by the search tracker, exposed as costmodel_evals_total).
-	// Guarded by countersMu, not mu: jobs read them on the hot path.
-	countersMu sync.Mutex
-	counters   map[string]*costmodel.Counter
-
 	// answers holds the prepared exact-hit answer per atlas key (string →
 	// *atlasAnswer, see atlasAnswerFor): at most one per key the atlas has
 	// answered, replaced when the key's best entry or the problem name
@@ -316,6 +310,10 @@ type jobMetrics struct {
 	// Atlas read outcomes (exact hit, neighbor warm start, cold) and
 	// solutions published back.
 	atlasHits, atlasNeighbors, atlasCold, atlasWritebacks *obs.Counter
+	// Admission decisions (OK, 429, 503) and the slots admitted jobs hold;
+	// all read 0 until EnableAdmission.
+	admitted, rejected, shed *obs.Counter
+	inFlight                 *obs.Gauge
 
 	queueWait   *obs.Histogram
 	run         *obs.Histogram
@@ -332,9 +330,9 @@ var evalSecondsBuckets = obs.ExpBuckets(100e-9, 4, 14)
 var evalSecondsHelp = fmt.Sprintf("Sampled cost-model evaluation latency (1-in-%d sampling).", evalTimingSample)
 
 // registerMetrics builds the manager's registry: queue-wait and run
-// histograms, lifecycle and atlas counters, and live queue, admission and
-// atlas gauges. Per-backend, per-model and per-tenant series register
-// lazily as jobs first need them.
+// histograms, lifecycle, atlas and admission counters, and live queue,
+// admission and atlas gauges. Per-backend, per-model and per-tenant
+// series register lazily as jobs first need them.
 func (jm *JobManager) registerMetrics() {
 	reg := obs.NewRegistry()
 	jm.reg = reg
@@ -354,6 +352,14 @@ func (jm *JobManager) registerMetrics() {
 			"Search jobs run with no atlas assist (no exact hit, no neighbor)."),
 		atlasWritebacks: reg.Counter("atlas_writebacks_total",
 			"Completed search jobs whose solutions were published into the atlas."),
+		admitted: reg.Counter("admission_admitted_total",
+			"Requests admitted by the per-tenant admission controller."),
+		rejected: reg.Counter("admission_rejected_total",
+			"Requests rejected by per-tenant quotas (rate or concurrency)."),
+		shed: reg.Counter("admission_shed_total",
+			"Requests shed under overload (queue depth or SLO health)."),
+		inFlight: reg.Gauge("admission_in_flight",
+			"Admission-controller concurrency slots currently held."),
 		queueWait: reg.Histogram("search_job_queue_seconds",
 			"Time search jobs wait in the queue before a worker starts them.", nil),
 		run: reg.Histogram("search_job_run_seconds",
@@ -370,26 +376,8 @@ func (jm *JobManager) registerMetrics() {
 	reg.GaugeFunc("search_job_workers",
 		"Size of the search worker pool.",
 		func() float64 { return float64(jm.Workers()) })
-	// Admission and atlas gauges read through wired(), so they report
-	// 0 until EnableAdmission or EnableAtlas installs the component.
-	admStats := func() resilience.AdmissionStats {
-		if a := jm.wired().admission; a != nil {
-			return a.Stats()
-		}
-		return resilience.AdmissionStats{}
-	}
-	reg.CounterFunc("admission_admitted_total",
-		"Requests admitted by the per-tenant admission controller.",
-		func() float64 { return float64(admStats().Admitted) })
-	reg.CounterFunc("admission_rejected_total",
-		"Requests rejected by per-tenant quotas (rate or concurrency).",
-		func() float64 { s := admStats(); return float64(s.RejectedRate + s.RejectedConc) })
-	reg.CounterFunc("admission_shed_total",
-		"Requests shed under overload (queue depth or SLO health).",
-		func() float64 { return float64(admStats().Shed) })
-	reg.GaugeFunc("admission_in_flight",
-		"Admission-controller concurrency slots currently held.",
-		func() float64 { return float64(admStats().InFlight) })
+	// The atlas gauges read through wired(), so they report 0 until
+	// EnableAtlas installs the atlas.
 	atlasStats := func() atlas.Stats {
 		if at := jm.wired().atlasStore; at != nil {
 			return at.Stats()
@@ -419,7 +407,6 @@ func NewJobManager(registry *ModelRegistry, _ *EvalCache, workers, queueCap int)
 		registry: registry,
 		flight:   obs.NewFlightRecorder(0),
 		tenants:  make(map[string]*tenantInstruments),
-		counters: make(map[string]*costmodel.Counter),
 	}
 	jm.registerMetrics()
 	m := &jm.met
@@ -959,12 +946,17 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 			kind, sev := "admission.reject", obs.SevWarn
 			if d.Code == 503 {
 				kind = "admission.shed"
+				jm.met.shed.Inc()
+			} else {
+				jm.met.rejected.Inc()
 			}
 			jm.flight.Record(sev, kind, d.Reason,
 				map[string]string{"tenant": tenantLabel(tenant), "code": fmt.Sprint(d.Code)})
 			return Job{}, &AdmissionError{Decision: d}
 		}
 		admitted = true
+		jm.met.admitted.Inc()
+		jm.met.inFlight.Add(1)
 	}
 	job := &Job{Tenant: tenant, Request: req, admitted: admitted, plan: p, tin: ti}
 	job.Created = time.Now()
@@ -983,6 +975,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 	if err != nil {
 		if admitted {
 			adm.Release(tenant)
+			jm.met.inFlight.Add(-1)
 		}
 		if errors.Is(err, ErrQueueFull) {
 			jm.flight.Record(obs.SevWarn, "queue.full", "submission rejected: pending queue at capacity",
@@ -1307,6 +1300,7 @@ func (jm *JobManager) finish(job *Job) {
 	// The admission controller's lock is a leaf below jm.mu.
 	if job.admitted && jm.w.admission != nil {
 		jm.w.admission.Release(job.Tenant)
+		jm.met.inFlight.Add(-1)
 	}
 	job.admitted = false
 	// Journal bookkeeping: a terminal job's record is deleted — unless the
@@ -1629,22 +1623,13 @@ func (jm *JobManager) Stats() JobStats {
 	}
 }
 
-// counterFor returns the shared paid-eval counter for a cost-model
-// backend, creating it on first use. Jobs selecting the same backend share
-// one counter, exposed as costmodel_evals_total{backend}.
+// counterFor returns the paid-eval counter for a cost-model backend: its
+// costmodel_evals_total{backend} series, registered on first use and
+// shared by every job selecting that backend.
 func (jm *JobManager) counterFor(backend string) *costmodel.Counter {
-	jm.countersMu.Lock()
-	defer jm.countersMu.Unlock()
-	ctr, ok := jm.counters[backend]
-	if !ok {
-		ctr = &costmodel.Counter{}
-		jm.counters[backend] = ctr
-		jm.reg.CounterFuncWith("costmodel_evals_total",
-			"Paid cost-model evaluations per backend.",
-			[]string{"backend"}, []string{backend},
-			func() float64 { return float64(ctr.Count()) })
-	}
-	return ctr
+	return jm.reg.CounterWith("costmodel_evals_total",
+		"Paid cost-model evaluations per backend.",
+		[]string{"backend"}, []string{backend})
 }
 
 // Workers returns the worker-pool size.

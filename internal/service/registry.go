@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mindmappings/internal/modelstore"
+	"mindmappings/internal/obs"
 	"mindmappings/internal/surrogate"
 )
 
@@ -31,12 +32,12 @@ type ModelRegistry struct {
 	// through the store instead of scanning the raw directory.
 	store *modelstore.Store
 
-	mu       sync.RWMutex
-	loaded   map[string]*regEntry
-	useSeq   atomic.Uint64 // monotonic use clock for LRU ordering
-	loads    uint64        // disk loads performed, guarded by mu (write path only)
-	evicted  uint64
-	reloaded uint64 // stale raw files detected and dropped for reload
+	mu     sync.RWMutex
+	loaded map[string]*regEntry
+	useSeq atomic.Uint64 // monotonic use clock for LRU ordering
+	// loads counts disk loads and evicted the models the LRU bound drops;
+	// NewServer registers both as they are.
+	loads, evicted *obs.Counter
 
 	loadMu  sync.Mutex // guards loading; never held during disk I/O
 	loading map[string]*loadCall
@@ -44,7 +45,7 @@ type ModelRegistry struct {
 
 // loadCall deduplicates concurrent cold loads of one model (singleflight):
 // the leader reads the disk with no registry lock held, so warm Gets,
-// List, and Stats never stall behind a slow load.
+// and List never stall behind a slow load.
 type loadCall struct {
 	done chan struct{}
 	sur  *surrogate.Surrogate
@@ -78,6 +79,8 @@ func NewModelRegistry(dir string, capacity int) *ModelRegistry {
 		capacity: capacity,
 		loaded:   make(map[string]*regEntry),
 		loading:  make(map[string]*loadCall),
+		loads:    new(obs.Counter),
+		evicted:  new(obs.Counter),
 	}
 }
 
@@ -179,7 +182,6 @@ func (r *ModelRegistry) invalidate(name string, stale *regEntry) {
 	r.mu.Lock()
 	if cur, ok := r.loaded[name]; ok && cur == stale {
 		delete(r.loaded, name)
-		r.reloaded++
 	}
 	r.mu.Unlock()
 }
@@ -229,7 +231,7 @@ func (r *ModelRegistry) loadFromDisk(name string) (*regEntry, error) {
 func (r *ModelRegistry) insert(name string, e *regEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.loads++
+	r.loads.Inc()
 	e.used.Store(r.useSeq.Add(1))
 	r.loaded[name] = e
 	for len(r.loaded) > r.capacity {
@@ -247,7 +249,7 @@ func (r *ModelRegistry) insert(name string, e *regEntry) {
 			break
 		}
 		delete(r.loaded, oldestName)
-		r.evicted++
+		r.evicted.Inc()
 	}
 }
 
@@ -288,21 +290,9 @@ func (r *ModelRegistry) List() ([]ModelInfo, error) {
 	return out, nil
 }
 
-// RegistryStats is a point-in-time registry snapshot, exposed as the
-// model_registry_* series on /metrics.
-type RegistryStats struct {
-	Loaded   int    `json:"loaded"`
-	Capacity int    `json:"capacity"`
-	Loads    uint64 `json:"disk_loads"`
-	Evicted  uint64 `json:"evicted"`
-	// Reloaded counts raw files detected as republished (changed mtime or
-	// size) and dropped for a fresh load.
-	Reloaded uint64 `json:"reloaded"`
-}
-
-// Stats snapshots load/eviction counters.
-func (r *ModelRegistry) Stats() RegistryStats {
+// resident reports how many surrogates are loaded.
+func (r *ModelRegistry) resident() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return RegistryStats{Loaded: len(r.loaded), Capacity: r.capacity, Loads: r.loads, Evicted: r.evicted, Reloaded: r.reloaded}
+	return len(r.loaded)
 }

@@ -25,8 +25,8 @@ func TestRegistryLoadsOnceAndShares(t *testing.T) {
 	if a != b {
 		t.Fatal("second Get returned a different surrogate instance")
 	}
-	if st := r.Stats(); st.Loads != 1 || st.Loaded != 1 {
-		t.Fatalf("stats %+v", st)
+	if loads, loaded := r.loads.Value(), r.resident(); loads != 1 || loaded != 1 {
+		t.Fatalf("%d loads, %d loaded", loads, loaded)
 	}
 }
 
@@ -44,8 +44,8 @@ func TestRegistryConcurrentGetLoadsOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := r.Stats(); st.Loads != 1 {
-		t.Fatalf("concurrent Gets loaded %d times", st.Loads)
+	if loads := r.loads.Value(); loads != 1 {
+		t.Fatalf("concurrent Gets loaded %d times", loads)
 	}
 }
 
@@ -64,16 +64,15 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if _, err := r.Get("c.surrogate"); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
-	if st.Loaded != 2 || st.Evicted != 1 {
-		t.Fatalf("stats %+v", st)
+	if loaded, evicted := r.resident(), r.evicted.Value(); loaded != 2 || evicted != 1 {
+		t.Fatalf("%d loaded, %d evicted", loaded, evicted)
 	}
 	// b was evicted; fetching it again is a fresh disk load.
 	if _, err := r.Get("b.surrogate"); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.Loads != 4 {
-		t.Fatalf("loads %d, want 4 (a, b, c, b-again)", st.Loads)
+	if loads := r.loads.Value(); loads != 4 {
+		t.Fatalf("loads %d, want 4 (a, b, c, b-again)", loads)
 	}
 }
 
@@ -146,9 +145,8 @@ func TestRegistryReloadsRepublishedModel(t *testing.T) {
 	if second == first {
 		t.Fatal("republished model served from the stale in-memory copy")
 	}
-	st := r.Stats()
-	if st.Loads != 2 || st.Reloaded != 1 {
-		t.Fatalf("stats %+v, want 2 loads and 1 reload", st)
+	if loads := r.loads.Value(); loads != 2 {
+		t.Fatalf("%d loads, want 2 (the first and the reload)", loads)
 	}
 	// Steady state: unchanged files are NOT reloaded on every Get.
 	third, err := r.Get("m.surrogate")
@@ -158,8 +156,8 @@ func TestRegistryReloadsRepublishedModel(t *testing.T) {
 	if third != second {
 		t.Fatal("unchanged file reloaded")
 	}
-	if st := r.Stats(); st.Loads != 2 {
-		t.Fatalf("loads %d after warm Get, want 2", st.Loads)
+	if loads := r.loads.Value(); loads != 2 {
+		t.Fatalf("loads %d after warm Get, want 2", loads)
 	}
 }
 
@@ -200,7 +198,7 @@ func TestRegistryServesStoreArtifacts(t *testing.T) {
 	if _, err := r.Get("raw.surrogate"); err != nil {
 		t.Fatalf("raw file alongside store: %v", err)
 	}
-	if st := r.Stats(); st.Loads != 2 || st.Reloaded != 0 {
-		t.Fatalf("stats %+v", st)
+	if loads := r.loads.Value(); loads != 2 {
+		t.Fatalf("%d loads, want 2", loads)
 	}
 }

@@ -637,7 +637,7 @@ func TestReadyzFlipsWhenDraining(t *testing.T) {
 // worker.
 func TestCancelQueuedFreesQueueAndQuotaSlot(t *testing.T) {
 	jm := newTestManager(t, 1, 1)
-	adm := jm.EnableAdmission(resilience.AdmissionConfig{MaxConcurrent: 2})
+	jm.EnableAdmission(resilience.AdmissionConfig{MaxConcurrent: 2})
 	long := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Time: "1h"}
 
 	a, err := jm.SubmitAs("acme", long)
@@ -657,8 +657,8 @@ func TestCancelQueuedFreesQueueAndQuotaSlot(t *testing.T) {
 	if !ok || snap.Status != JobCancelled {
 		t.Fatalf("cancel queued: ok=%v status=%s", ok, snap.Status)
 	}
-	if got := adm.Stats().InFlight; got != 1 {
-		t.Fatalf("quota slot not freed on cancel-queued: %d in flight, want 1", got)
+	if got := jm.met.inFlight.Value(); got != 1 {
+		t.Fatalf("quota slot not freed on cancel-queued: %v in flight, want 1", got)
 	}
 	c, err := jm.SubmitAs("acme", long)
 	if err != nil {
@@ -673,7 +673,7 @@ func TestCancelQueuedFreesQueueAndQuotaSlot(t *testing.T) {
 // slot may be leaked. Run with -race.
 func TestQuotaAccountingUnderConcurrentSubmitCancel(t *testing.T) {
 	jm := newTestManager(t, 4, 64)
-	adm := jm.EnableAdmission(resilience.AdmissionConfig{MaxConcurrent: 8})
+	jm.EnableAdmission(resilience.AdmissionConfig{MaxConcurrent: 8})
 	req := SearchRequest{Algo: "conv1d", Shape: []int{1024, 5}, Searcher: "random", Evals: 30}
 
 	var mu sync.Mutex
@@ -712,8 +712,8 @@ func TestQuotaAccountingUnderConcurrentSubmitCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := adm.Stats(); st.InFlight != 0 {
-		t.Fatalf("controller reports %d slots in flight, want 0", st.InFlight)
+	if got := jm.met.inFlight.Value(); got != 0 {
+		t.Fatalf("admission_in_flight reads %v slots, want 0", got)
 	}
 }
 

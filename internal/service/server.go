@@ -86,28 +86,16 @@ func NewServer(jobs *JobManager, registry *ModelRegistry, _ *EvalCache) *Server 
 	s := &Server{jobs: jobs, registry: registry, started: time.Now(), reg: jobs.reg}
 	obs.RegisterRuntimeMetrics(s.reg, s.started)
 	s.httpMetrics = obs.NewHTTPMetrics(s.reg)
-	// Observability-hygiene counters: how much telemetry the obs layer
-	// itself discarded (label sets collapsed by the cardinality cap, spans
-	// dropped by the per-parent child cap). Nonzero values mean the
-	// telemetry is summarizing, not lying silently.
-	s.reg.CounterFunc("obs_dropped_labels_total",
-		"Label-set registrations collapsed into _overflow series by the cardinality cap.",
-		func() float64 { return float64(s.reg.DroppedLabels()) })
-	s.reg.CounterFunc("obs_dropped_spans_total",
-		"Trace spans dropped by the per-parent child cap.",
-		func() float64 { return float64(obs.DroppedSpans()) })
 	s.reg.GaugeFunc("admission_retry_after_hint_seconds",
 		"Live Retry-After estimate handed to rejected clients.",
 		func() float64 { return s.jobs.RetryAfterHint().Seconds() })
-	s.reg.CounterFunc("model_registry_disk_loads_total",
-		"Surrogate loads from disk (registry misses).",
-		func() float64 { return float64(s.registry.Stats().Loads) })
+	s.reg.Register("model_registry_disk_loads_total",
+		"Surrogate loads from disk (registry misses).", registry.loads)
 	s.reg.GaugeFunc("model_registry_loaded",
 		"Surrogates resident in the in-memory model registry.",
-		func() float64 { return float64(s.registry.Stats().Loaded) })
-	s.reg.CounterFunc("model_registry_evictions_total",
-		"Surrogates evicted from the in-memory model registry by its LRU bound.",
-		func() float64 { return float64(s.registry.Stats().Evicted) })
+		func() float64 { return float64(s.registry.resident()) })
+	s.reg.Register("model_registry_evictions_total",
+		"Surrogates evicted from the in-memory model registry by its LRU bound.", registry.evicted)
 	return s
 }
 
@@ -136,24 +124,13 @@ func (s *Server) WithTraining(store *modelstore.Store, tp *trainer.Pipeline) *Se
 	s.trainer = tp
 	s.registry.AttachStore(store)
 	s.jobs.EnableTraining(store, tp)
-	s.reg.CounterFunc("trainer_jobs_submitted_total",
-		"Training jobs accepted by POST /v1/train.",
-		func() float64 { return float64(tp.Stats().Submitted) })
-	s.reg.CounterFunc("trainer_jobs_done_total",
-		"Training jobs that published an artifact.",
-		func() float64 { return float64(tp.Stats().Done) })
-	s.reg.CounterFunc("trainer_jobs_failed_total",
-		"Training jobs that ended in an error.",
-		func() float64 { return float64(tp.Stats().Failed) })
-	s.reg.CounterFunc("trainer_jobs_cancelled_total",
-		"Training jobs cancelled by clients or shutdown.",
-		func() float64 { return float64(tp.Stats().Cancelled) })
-	s.reg.GaugeFunc("trainer_jobs_queued",
-		"Training jobs waiting for a pipeline worker.",
-		func() float64 { return float64(tp.Stats().Queued) })
-	s.reg.GaugeFunc("trainer_jobs_running",
-		"Training jobs currently executing.",
-		func() float64 { return float64(tp.Stats().Running) })
+	m := tp.Metrics()
+	s.reg.Register("trainer_jobs_submitted_total", "Training jobs accepted by POST /v1/train.", m.Submitted)
+	s.reg.Register("trainer_jobs_done_total", "Training jobs that published an artifact.", m.Done)
+	s.reg.Register("trainer_jobs_failed_total", "Training jobs that ended in an error.", m.Failed)
+	s.reg.Register("trainer_jobs_cancelled_total", "Training jobs cancelled by clients or shutdown.", m.Cancelled)
+	s.reg.Register("trainer_jobs_queued", "Training jobs waiting for a pipeline worker.", m.Queued)
+	s.reg.Register("trainer_jobs_running", "Training jobs currently executing.", m.Running)
 	s.reg.GaugeFunc("store_artifacts",
 		"Published surrogate artifacts in the model store.",
 		func() float64 { return float64(store.Stats().Artifacts) })

@@ -257,7 +257,7 @@ func TestCostModelSelectionPerJob(t *testing.T) {
 		t.Fatalf("timeloop and roofline jobs agreed exactly (%v) — backend selection is not wired through", tl.BestEDP)
 	}
 	counts := func() [2]int64 {
-		return [2]int64{jobs.counterFor("timeloop").Count(), jobs.counterFor("roofline").Count()}
+		return [2]int64{jobs.counterFor("timeloop").Value(), jobs.counterFor("roofline").Value()}
 	}
 	if c := counts(); c != [2]int64{50, 50} {
 		t.Fatalf("timeloop, roofline eval counts = %v, want 50 each", c)

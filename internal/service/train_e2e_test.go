@@ -269,8 +269,8 @@ func TestTrainOnMissTrainsAndSearches(t *testing.T) {
 		t.Fatalf("identical train-on-miss searches diverged: %v vs %v", f1.Result.BestEDP, f2.Result.BestEDP)
 	}
 	// One training run served both searches.
-	if st := pipeline.Stats(); st.Submitted != 1 {
-		t.Fatalf("training runs: %+v, want 1 submitted", st)
+	if n := pipeline.Metrics().Submitted.Value(); n != 1 {
+		t.Fatalf("training runs: %d submitted, want 1", n)
 	}
 
 	// Validation: train_on_miss without "auto" is rejected up front.

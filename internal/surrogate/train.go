@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"mindmappings/internal/arch"
@@ -134,7 +135,7 @@ func TrainWith(ds *RawDataset, cfg Config, opts TrainOptions) (*Surrogate, *nn.H
 	case opts.Resume != nil:
 		inNorm, outNorm = opts.Resume.InNorm, opts.Resume.OutNorm
 	case opts.Warm != nil:
-		if err := checkWarmParent(opts.Warm, ds, cfg); err != nil {
+		if err := CheckWarmParent(opts.Warm, ds, cfg); err != nil {
 			return nil, nil, err
 		}
 		inNorm, outNorm = opts.Warm.InNorm, opts.Warm.OutNorm
@@ -183,15 +184,9 @@ func TrainWith(ds *RawDataset, cfg Config, opts TrainOptions) (*Surrogate, *nn.H
 			return nil, nil, fmt.Errorf("surrogate: building MLP: %w", err)
 		}
 	}
-	if len(net.Sizes) != len(sizes) {
+	if !slices.Equal(net.Sizes, sizes) {
 		return nil, nil, fmt.Errorf("surrogate: inherited network topology %v does not fit configured %v",
 			net.Sizes, sizes)
-	}
-	for i, sz := range sizes {
-		if net.Sizes[i] != sz {
-			return nil, nil, fmt.Errorf("surrogate: inherited network topology %v does not fit configured %v",
-				net.Sizes, sizes)
-		}
 	}
 
 	s := &Surrogate{
@@ -253,13 +248,15 @@ func spliceHistory(prior, cur nn.History) nn.History {
 	}
 }
 
-// checkWarmParent validates a warm-start parent against the dataset and
+// CheckWarmParent validates a warm-start parent against the dataset and
 // config it is about to seed: same workload (by fingerprint when stamped),
 // same output representation, and a network whose topology matches the
-// configured hidden sizes — transfer across problem shapes of one
-// algorithm is the paper's generalization claim; transfer across workloads
-// is not.
-func checkWarmParent(parent *Surrogate, ds *RawDataset, cfg Config) error {
+// dataset's input and output widths and the configured hidden sizes —
+// transfer across problem shapes of one algorithm is the paper's
+// generalization claim; transfer across workloads is not. TrainWith calls
+// it; a caller choosing a parent calls it first to fall back to a cold
+// start.
+func CheckWarmParent(parent *Surrogate, ds *RawDataset, cfg Config) error {
 	if parent.AlgoName != ds.Algo.Name {
 		return fmt.Errorf("surrogate: warm-start parent was trained for %q, dataset is %q",
 			parent.AlgoName, ds.Algo.Name)
@@ -270,6 +267,11 @@ func checkWarmParent(parent *Surrogate, ds *RawDataset, cfg Config) error {
 	}
 	if parent.Mode != cfg.Mode || parent.LogOutputs != cfg.LogOutputs {
 		return errors.New("surrogate: warm-start parent uses a different output representation")
+	}
+	sizes := append(append([]int{len(ds.X[0])}, cfg.HiddenSizes...), len(ds.Y[0]))
+	if !slices.Equal(parent.Net.Sizes, sizes) {
+		return fmt.Errorf("surrogate: warm-start parent topology %v does not fit configured %v",
+			parent.Net.Sizes, sizes)
 	}
 	return nil
 }

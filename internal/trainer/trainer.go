@@ -582,7 +582,7 @@ func (p *Pipeline) resolveWarm(req *Request, algo *loopnest.Algorithm, cfg surro
 		if err != nil {
 			return nil, "", nil // unreadable parent: fall back to cold
 		}
-		if warmCompatible(sur, cfg, ds) != nil {
+		if surrogate.CheckWarmParent(sur, ds, cfg) != nil {
 			return nil, "", nil
 		}
 		return sur, m.ID, nil
@@ -599,34 +599,11 @@ func (p *Pipeline) resolveWarm(req *Request, algo *loopnest.Algorithm, cfg surro
 		if err != nil {
 			return nil, "", err
 		}
-		if err := warmCompatible(sur, cfg, ds); err != nil {
+		if err := surrogate.CheckWarmParent(sur, ds, cfg); err != nil {
 			return nil, "", err
 		}
 		return sur, m.ID, nil
 	}
-}
-
-// warmCompatible reports whether parent can seed a run of cfg over ds:
-// same workload fingerprint, same output representation, and the exact
-// network topology cfg implies (surrogate.TrainWith re-checks; this makes
-// auto fall back to a cold start instead of failing).
-func warmCompatible(parent *surrogate.Surrogate, cfg surrogate.Config, ds *surrogate.RawDataset) error {
-	if parent.AlgoFP == "" || parent.AlgoFP != ds.Algo.Fingerprint() {
-		return errors.New("trainer: warm-start parent is for a different workload")
-	}
-	if parent.Mode != cfg.Mode || parent.LogOutputs != cfg.LogOutputs {
-		return errors.New("trainer: warm-start parent uses a different output representation")
-	}
-	sizes := parent.Net.Sizes
-	if len(sizes) != len(cfg.HiddenSizes)+2 || sizes[0] != len(ds.X[0]) || sizes[len(sizes)-1] != len(ds.Y[0]) {
-		return errors.New("trainer: warm-start parent topology does not fit")
-	}
-	for i, h := range cfg.HiddenSizes {
-		if sizes[i+1] != h {
-			return errors.New("trainer: warm-start parent topology does not fit")
-		}
-	}
-	return nil
 }
 
 // effectiveBackend normalizes an empty cost-model name to the default.
@@ -649,17 +626,6 @@ func costModelFingerprint(name string, a arch.Spec, algo *loopnest.Algorithm) st
 	sum := sha256.Sum256(ev.AppendFingerprint(nil))
 	return hex.EncodeToString(sum[:])
 }
-
-// Stats summarizes pipeline lifecycle counts, exposed on /metrics as the
-// trainer_jobs_* series.
-type Stats struct {
-	jobqueue.Stats
-	Workers int `json:"workers"`
-}
-
-// Stats snapshots lifecycle counters and live queue state; it takes no
-// lock.
-func (p *Pipeline) Stats() Stats { return Stats{Stats: p.q.Stats(), Workers: p.q.Workers()} }
 
 // Shutdown cancels every job (queued and running) and waits for the
 // worker pool to drain, or for ctx to expire. New submissions fail once

@@ -80,7 +80,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if !ok || best.ID != m.ID {
 		t.Fatalf("resolve: %+v ok=%v", best, ok)
 	}
-	if st := p.Stats(); st.Done != 1 || st.Submitted != 1 {
+	if st := p.q.Stats(); st.Done != 1 || st.Submitted != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -456,7 +456,7 @@ func TestCancelQueuedTrainingJobFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit C after cancelling queued B: %v", err)
 	}
-	if st := p.Stats(); st.Submitted != 3 || st.Queued != 1 || st.Running != 1 || st.Cancelled != 1 {
+	if st := p.q.Stats(); st.Submitted != 3 || st.Queued != 1 || st.Running != 1 || st.Cancelled != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	p.Cancel(c.ID)
