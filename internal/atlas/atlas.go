@@ -30,9 +30,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -115,6 +116,12 @@ func ShapeDistance(a, b []int) float64 {
 
 // Atlas is the on-disk store plus its in-memory index. Safe for
 // concurrent use.
+//
+// The index keeps each committed entry as one slot of a slice, with what
+// entries share held once per atlas: the provenance strings are interned,
+// every shape lies in one slab, the log2 of each distinct size is taken
+// once, and byKey, byID and the family lists hold slot numbers. See
+// DESIGN.md §11.
 type Atlas struct {
 	seg *blobstore.Segment
 	// legacy is the per-file layout Open migrated from: it counts what
@@ -122,10 +129,56 @@ type Atlas struct {
 	legacy    *blobstore.Store
 	failpoint blobstore.Failpoint
 
-	mu       sync.RWMutex
-	byID     map[string]*Entry
-	byKey    map[string][]*Entry          // version-ascending per key
-	byFamily map[string]map[string]*Entry // family → key → best entry
+	mu    sync.RWMutex
+	slots []slot
+	free  []int32 // slots that hold no entry, for reuse
+	// byKey finds the slot of each key's best entry; byID finds every
+	// committed entry's slot.
+	byKey, byID table
+	// extra lists the slots of versions that are not their key's best:
+	// only a migration, or a crash between a publish and its tombstones,
+	// leaves a key more than one version.
+	extra []int32
+	// families maps a family to the slots of its keys' best entries, the
+	// list Nearest scans.
+	families map[string][]int32
+	provs    []provenance
+	provOf   map[provenance]int32
+	// shapes is a slab: a slot's shape is shapes[s.shape:][:dims], and
+	// dimLog[s.shape:][:dims] indexes the log2 of each of its sizes in
+	// logs. A removed entry's sizes stay until dead passes half the slab,
+	// which is then copied afresh, so a Shape an Entry returned never
+	// changes.
+	shapes []int
+	dimLog []int32
+	dead   int
+	// logs holds the log2 of every distinct size the atlas has indexed,
+	// and logOf the index of each size's.
+	logs  []float64
+	logOf map[int]int32
+}
+
+// slot is one committed entry, without what it shares with its
+// provenance.
+type slot struct {
+	// keyID is the entry's key followed by its ID, in one allocation that
+	// the segment's index shares.
+	keyID   string
+	best    float64
+	created int64 // Unix nanoseconds; 0 for the zero Time
+	evals   int
+	version int
+	prov    int32 // index in provs; -1 for a free slot
+	shape   int32 // offset in shapes and dimLog
+}
+
+// provenance is what an entry shares with every other of its family,
+// method and source: interned, it costs an entry one index. It includes
+// the lengths of the entry's shape and key, which every entry of a family
+// shares as well.
+type provenance struct {
+	family, algo, algoFP, archFP, costModel, objective, method, source string
+	dims, keyLen                                                       int
 }
 
 // ErrUnknownEntry is returned by Delete for an ID the atlas does not hold.
@@ -144,15 +197,25 @@ func Open(dir string) (*Atlas, error) {
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
 	}
+	dims := 0
+	for i := range entries {
+		dims += len(entries[i].Shape)
+	}
 	a := &Atlas{
 		seg:      seg,
 		legacy:   legacy,
-		byID:     make(map[string]*Entry),
-		byKey:    make(map[string][]*Entry),
-		byFamily: make(map[string]map[string]*Entry),
+		slots:    make([]slot, 0, len(entries)),
+		families: make(map[string][]int32),
+		provOf:   make(map[provenance]int32),
+		shapes:   make([]int, 0, dims),
+		dimLog:   make([]int32, 0, dims),
+		logOf:    make(map[int]int32),
 	}
-	for _, e := range entries {
-		a.indexLocked(&e)
+	seed := maphash.MakeSeed()
+	a.byKey = newTable(seed, len(entries), a.key)
+	a.byID = newTable(seed, len(entries), a.id)
+	for i := range entries {
+		a.indexLocked(&entries[i])
 	}
 	return a, nil
 }
@@ -168,45 +231,186 @@ func decodeEntry(raw []byte) (e Entry, id string) {
 // Close releases the atlas's segment file.
 func (a *Atlas) Close() error { return a.seg.Close() }
 
-// indexLocked inserts rec into all three indexes, keeping key groups
-// version-ascending and the family view at each key's best. Callers hold mu.
-func (a *Atlas) indexLocked(rec *Entry) {
-	a.byID[rec.ID] = rec
-	group := append(a.byKey[rec.Key], rec)
-	sort.SliceStable(group, func(i, j int) bool { return group[i].Version < group[j].Version })
-	a.byKey[rec.Key] = group
-	a.reindexFamilyLocked(rec.Key, rec.Family)
+// entryLocked assembles the Entry in slot s. Its Shape is a view of the
+// slab, so assembling one allocates nothing. Callers hold mu.
+func (a *Atlas) entryLocked(s int32) Entry {
+	sl := &a.slots[s]
+	p := &a.provs[sl.prov]
+	var created time.Time
+	if sl.created != 0 {
+		created = time.Unix(0, sl.created).UTC()
+	}
+	end := int(sl.shape) + p.dims
+	return Entry{
+		ID: sl.keyID[p.keyLen:], Key: sl.keyID[:p.keyLen], Family: p.family,
+		Algo: p.algo, AlgoFP: p.algoFP, ArchFP: p.archFP, CostModel: p.costModel, Objective: p.objective,
+		Shape:   a.shapes[sl.shape:end:end],
+		BestEDP: sl.best, Evals: sl.evals, Method: p.method, Source: p.source,
+		Version: sl.version, Created: created,
+	}
 }
 
-// reindexFamilyLocked repoints (or drops) the family view of one key at
-// the key group's current best record. Callers hold mu.
-func (a *Atlas) reindexFamilyLocked(key, family string) {
-	fam := a.byFamily[family]
-	if best := a.bestLocked(key); best != nil {
-		if fam == nil {
-			fam = make(map[string]*Entry)
-			a.byFamily[family] = fam
+// key, id and family read slot s's entry's. Callers hold mu.
+func (a *Atlas) key(s int32) string    { return a.slots[s].keyID[:a.provs[a.slots[s].prov].keyLen] }
+func (a *Atlas) id(s int32) string     { return a.slots[s].keyID[a.provs[a.slots[s].prov].keyLen:] }
+func (a *Atlas) family(s int32) string { return a.provs[a.slots[s].prov].family }
+
+// better reports whether slot s's entry beats slot t's as their key's
+// best: a lower BestEDP, then the newer version, then the one indexed
+// first (slots are taken in index order while Open runs, and only Open
+// leaves a key more than one version). Callers hold mu.
+func (a *Atlas) better(s, t int32) bool {
+	x, y := &a.slots[s], &a.slots[t]
+	return cmp.Or(cmp.Compare(x.best, y.best), cmp.Compare(y.version, x.version), cmp.Compare(s, t)) < 0
+}
+
+// addLocked puts e, whose keyID is its key and then its ID, in a free
+// slot, interning its provenance and filing its ID; the caller links it as
+// its key's best or as an extra version. Callers hold mu for writing.
+func (a *Atlas) addLocked(e *Entry, keyID string) int32 {
+	p := provenance{e.Family, e.Algo, e.AlgoFP, e.ArchFP, e.CostModel, e.Objective, e.Method, e.Source, len(e.Shape), len(e.Key)}
+	pi, ok := a.provOf[p]
+	if !ok {
+		pi = int32(len(a.provs))
+		a.provs = append(a.provs, p)
+		a.provOf[p] = pi
+	}
+	sl := slot{keyID: keyID, best: e.BestEDP, evals: e.Evals, version: e.Version, prov: pi, shape: int32(len(a.shapes))}
+	if !e.Created.IsZero() {
+		sl.created = e.Created.UnixNano()
+	}
+	a.shapes = append(a.shapes, e.Shape...)
+	for _, size := range e.Shape {
+		li, ok := a.logOf[size]
+		if !ok {
+			li = int32(len(a.logs))
+			a.logs = append(a.logs, math.Log2(float64(size)))
+			a.logOf[size] = li
 		}
-		fam[key] = best
+		a.dimLog = append(a.dimLog, li)
+	}
+	var s int32
+	if n := len(a.free); n > 0 {
+		s, a.free = a.free[n-1], a.free[:n-1]
+		a.slots[s] = sl
+	} else {
+		s = int32(len(a.slots))
+		a.slots = append(a.slots, sl)
+	}
+	a.byID.put(s)
+	return s
+}
+
+// releaseLocked frees slot s, which no index but byID holds, and copies
+// the slabs afresh once removed entries hold half of them. Callers hold
+// mu for writing.
+func (a *Atlas) releaseLocked(s int32) {
+	a.byID.remove(s)
+	a.dead += a.provs[a.slots[s].prov].dims
+	a.slots[s] = slot{prov: -1}
+	a.free = append(a.free, s)
+	if a.dead < 1024 || 2*a.dead < len(a.shapes) {
 		return
 	}
-	delete(fam, key)
-	if len(fam) == 0 {
-		delete(a.byFamily, family)
+	live := len(a.shapes) - a.dead
+	shapes, dimLog := make([]int, 0, live), make([]int32, 0, live)
+	for i := range a.slots {
+		sl := &a.slots[i]
+		if sl.prov < 0 {
+			continue
+		}
+		off, end := int(sl.shape), int(sl.shape)+a.provs[sl.prov].dims
+		sl.shape = int32(len(shapes))
+		shapes = append(shapes, a.shapes[off:end]...)
+		dimLog = append(dimLog, a.dimLog[off:end]...)
+	}
+	a.shapes, a.dimLog, a.dead = shapes, dimLog, 0
+}
+
+// linkLocked makes slot s its key's best entry, replacing slot old (-1
+// for none). Callers hold mu for writing.
+func (a *Atlas) linkLocked(s, old int32) {
+	if old < 0 {
+		a.byKey.put(s)
+	} else {
+		a.byKey.replace(old, s)
+		a.unfamilyLocked(old)
+	}
+	f := a.family(s)
+	a.families[f] = append(a.families[f], s)
+}
+
+// unfamilyLocked drops slot s from its family's list. Callers hold mu for
+// writing.
+func (a *Atlas) unfamilyLocked(s int32) {
+	f := a.family(s)
+	list := a.families[f]
+	i := slices.Index(list, s)
+	list[i] = list[len(list)-1]
+	if list = list[:len(list)-1]; len(list) == 0 {
+		delete(a.families, f)
+	} else {
+		a.families[f] = list
 	}
 }
 
-// bestLocked returns the key's best committed entry: lowest BestEDP,
-// ties broken by the newest version. Callers hold mu.
-func (a *Atlas) bestLocked(key string) *Entry {
-	var best *Entry
-	for _, rec := range a.byKey[key] {
-		if best == nil || rec.BestEDP < best.BestEDP ||
-			(rec.BestEDP == best.BestEDP && rec.Version > best.Version) {
-			best = rec
+// indexLocked adds a replayed entry as its key's best or as an extra
+// version. Callers hold mu for writing.
+func (a *Atlas) indexLocked(e *Entry) {
+	s := a.addLocked(e, e.Key+e.ID)
+	cur, ok := a.byKey.get(e.Key)
+	switch {
+	case !ok:
+		a.linkLocked(s, -1)
+	case a.better(s, cur):
+		a.linkLocked(s, cur)
+		a.extra = append(a.extra, cur)
+	default:
+		a.extra = append(a.extra, s)
+	}
+}
+
+// unindexLocked removes slot s's entry, promoting the best of its key's
+// extra versions when s was the key's best. Callers hold mu for writing.
+func (a *Atlas) unindexLocked(s int32) {
+	if i := slices.Index(a.extra, s); i >= 0 {
+		a.extra = slices.Delete(a.extra, i, i+1)
+		a.releaseLocked(s)
+		return
+	}
+	next := -1
+	for i, x := range a.extra {
+		if a.key(x) == a.key(s) && (next < 0 || a.better(x, a.extra[next])) {
+			next = i
 		}
 	}
-	return best
+	if next >= 0 {
+		a.linkLocked(a.extra[next], s)
+		a.extra = slices.Delete(a.extra, next, next+1)
+	} else {
+		a.byKey.remove(s)
+		a.unfamilyLocked(s)
+	}
+	a.releaseLocked(s)
+}
+
+// versionsLocked returns the slots of every version of key, best
+// included, in version order (ties in index order). Callers hold mu.
+func (a *Atlas) versionsLocked(key string) []int32 {
+	best, ok := a.byKey.get(key)
+	if !ok {
+		return nil
+	}
+	vs := []int32{best}
+	for _, x := range a.extra {
+		if a.key(x) == key {
+			vs = append(vs, x)
+		}
+	}
+	slices.SortFunc(vs, func(s, t int32) int {
+		return cmp.Or(cmp.Compare(a.slots[s].version, a.slots[t].version), cmp.Compare(s, t))
+	})
+	return vs
 }
 
 // Publish commits a solved mapping, unless the atlas already holds an
@@ -234,30 +438,39 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 	}
 	// The ID covers the key as well as the blob: the same mapping solved
 	// under two identities (say, two objectives) must yield two entries.
-	sum := sha256.New()
-	sum.Write([]byte(e.Key))
-	sum.Write(blob)
-	e.ID = hex.EncodeToString(sum.Sum(nil))[:16]
+	// The key and the ID share one allocation (see slot).
+	h := sha256.New()
+	h.Write([]byte(e.Key))
+	h.Write(blob)
+	var sum [sha256.Size]byte
+	var id [16]byte
+	hex.Encode(id[:], h.Sum(sum[:0])[:8])
+	var keyID strings.Builder
+	keyID.Grow(len(e.Key) + len(id))
+	keyID.WriteString(e.Key)
+	keyID.Write(id[:])
+	e.ID = keyID.String()[len(e.Key):]
 
 	a.mu.RLock()
-	cur := a.bestLocked(e.Key)
-	a.mu.RUnlock()
-	if cur != nil && cur.BestEDP <= e.BestEDP {
-		return *cur, false, nil
+	if cur, ok := a.byKey.get(e.Key); ok && a.slots[cur].best <= e.BestEDP {
+		defer a.mu.RUnlock()
+		return a.entryLocked(cur), false, nil
 	}
+	a.mu.RUnlock()
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if existing, ok := a.byID[e.ID]; ok {
-		return *existing, false, nil
+	if s, ok := a.byID.get(e.ID); ok {
+		return a.entryLocked(s), false, nil
 	}
-	if cur := a.bestLocked(e.Key); cur != nil && cur.BestEDP <= e.BestEDP {
-		return *cur, false, nil
+	cur, had := a.byKey.get(e.Key)
+	if had && a.slots[cur].best <= e.BestEDP {
+		return a.entryLocked(cur), false, nil
 	}
+	superseded := a.versionsLocked(e.Key)
 	e.Version = 1
-	superseded := a.byKey[e.Key]
 	if len(superseded) > 0 {
-		e.Version = superseded[len(superseded)-1].Version + 1
+		e.Version = a.slots[superseded[len(superseded)-1]].version + 1
 	}
 	e.Created = time.Now().UTC()
 	manifest, err := json.Marshal(&e)
@@ -266,38 +479,33 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 	}
 	drop := make([]string, len(superseded))
 	for i, old := range superseded {
-		drop[i] = old.ID
+		drop[i] = a.id(old)
 	}
 	if err := a.seg.Put(e.ID, blobstore.EncodeRecord(manifest, blob), drop...); err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
-	a.indexLocked(&e)
-	for _, id := range drop {
-		a.unindexLocked(a.byID[id])
+	s := a.addLocked(&e, keyID.String())
+	if !had {
+		cur = -1
+	}
+	a.linkLocked(s, cur)
+	for _, old := range superseded {
+		if old != cur {
+			a.extra = slices.DeleteFunc(a.extra, func(x int32) bool { return x == old })
+		}
+		a.releaseLocked(old)
 	}
 	return e, true, nil
 }
 
-// unindexLocked drops an entry from the indexes. Callers hold mu.
-func (a *Atlas) unindexLocked(rec *Entry) {
-	delete(a.byID, rec.ID)
-	group := slices.DeleteFunc(a.byKey[rec.Key], func(g *Entry) bool { return g == rec })
-	if len(group) == 0 {
-		delete(a.byKey, rec.Key)
-	} else {
-		a.byKey[rec.Key] = group
-	}
-	a.reindexFamilyLocked(rec.Key, rec.Family)
-}
-
-// blobLocked reads the mapping blob of a committed entry from the
+// blobLocked reads the mapping blob of committed entry id from the
 // segment. Callers hold mu, at least for reading, from picking the entry
 // to this read: Publish tombstones what it supersedes under the write lock,
 // so the entry cannot vanish in between.
-func (a *Atlas) blobLocked(e *Entry) ([]byte, error) {
-	payload, ok, err := a.seg.Get(e.ID)
+func (a *Atlas) blobLocked(id string) ([]byte, error) {
+	payload, ok, err := a.seg.Get(id)
 	if err == nil && !ok {
-		err = fmt.Errorf("%w: %q", ErrUnknownEntry, e.ID)
+		err = fmt.Errorf("%w: %q", ErrUnknownEntry, id)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
@@ -319,21 +527,23 @@ func decodeMapping(id string, blob []byte) (mapspace.Mapping, error) {
 // plus its mapping, decoded from the segment.
 func (a *Atlas) Lookup(key string) (Entry, mapspace.Mapping, bool, error) {
 	a.mu.RLock()
-	rec := a.bestLocked(key)
+	s, ok := a.byKey.get(key)
+	var e Entry
 	var blob []byte
 	var err error
-	if rec != nil {
-		blob, err = a.blobLocked(rec)
+	if ok {
+		e = a.entryLocked(s)
+		blob, err = a.blobLocked(e.ID)
 	}
 	a.mu.RUnlock()
-	if rec == nil || err != nil {
+	if !ok || err != nil {
 		return Entry{}, mapspace.Mapping{}, false, err
 	}
-	m, err := decodeMapping(rec.ID, blob)
+	m, err := decodeMapping(e.ID, blob)
 	if err != nil {
 		return Entry{}, mapspace.Mapping{}, false, err
 	}
-	return *rec, m, true, nil
+	return e, m, true, nil
 }
 
 // Best returns the best committed entry for the key without reading its
@@ -342,8 +552,8 @@ func (a *Atlas) Lookup(key string) (Entry, mapspace.Mapping, bool, error) {
 func (a *Atlas) Best(key string) (Entry, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if rec := a.bestLocked(key); rec != nil {
-		return *rec, true
+	if s, ok := a.byKey.get(key); ok {
+		return a.entryLocked(s), true
 	}
 	return Entry{}, false
 }
@@ -352,34 +562,54 @@ func (a *Atlas) Best(key string) (Entry, bool) {
 // shape differs from the target, the one at minimum ShapeDistance (ties
 // broken by key for determinism), with its mapping decoded from the segment.
 // Callers re-project the mapping into the target shape's map space.
+//
+// The scan takes the target's log2 once and reads each entry's from the
+// atlas's table of them, so it computes ShapeDistance's sums bit for bit
+// without a logarithm per entry. Entries of another rank lie at infinite distance
+// and are skipped.
 func (a *Atlas) Nearest(family string, shape []int) (Entry, mapspace.Mapping, float64, bool, error) {
+	var buf [8]float64
+	target := buf[:0]
+	for _, size := range shape {
+		target = append(target, math.Log2(float64(size)))
+	}
 	a.mu.RLock()
-	var best *Entry
-	bestDist := math.Inf(1)
-	for _, rec := range a.byFamily[family] {
-		if slices.Equal(rec.Shape, shape) {
+	best, bestDist := int32(-1), math.Inf(1)
+	for _, s := range a.families[family] {
+		sl := &a.slots[s]
+		if a.provs[sl.prov].dims != len(target) {
 			continue
 		}
-		d := ShapeDistance(rec.Shape, shape)
-		if d < bestDist || (d == bestDist && best != nil && rec.Key < best.Key) {
-			bestDist = d
-			best = rec
+		var sum float64
+		for i, li := range a.dimLog[sl.shape:][:len(target)] {
+			d := a.logs[li] - target[i]
+			sum += d * d
+		}
+		// Distinct sizes can share a log2 only past 2^52, so only a zero
+		// sum needs the sizes compared.
+		if sum == 0 && slices.Equal(a.shapes[sl.shape:][:len(shape)], shape) {
+			continue
+		}
+		d := math.Sqrt(sum)
+		if d < bestDist || (d == bestDist && best >= 0 && a.key(s) < a.key(best)) {
+			best, bestDist = s, d
 		}
 	}
-	if best == nil || math.IsInf(bestDist, 0) {
+	if best < 0 {
 		a.mu.RUnlock()
 		return Entry{}, mapspace.Mapping{}, 0, false, nil
 	}
-	blob, err := a.blobLocked(best)
+	e := a.entryLocked(best)
+	blob, err := a.blobLocked(e.ID)
 	a.mu.RUnlock()
 	if err != nil {
 		return Entry{}, mapspace.Mapping{}, 0, false, err
 	}
-	m, err := decodeMapping(best.ID, blob)
+	m, err := decodeMapping(e.ID, blob)
 	if err != nil {
 		return Entry{}, mapspace.Mapping{}, 0, false, err
 	}
-	return *best, m, bestDist, true, nil
+	return e, m, bestDist, true, nil
 }
 
 // List returns every committed entry, ordered by workload, then key, then
@@ -387,9 +617,11 @@ func (a *Atlas) Nearest(family string, shape []int) (Entry, mapspace.Mapping, fl
 func (a *Atlas) List() []Entry {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	out := make([]Entry, 0, len(a.byID))
-	for _, rec := range a.byID {
-		out = append(out, *rec)
+	out := make([]Entry, 0, len(a.slots)-len(a.free))
+	for s := range a.slots {
+		if a.slots[s].prov >= 0 {
+			out = append(out, a.entryLocked(int32(s)))
+		}
 	}
 	slices.SortFunc(out, func(x, y Entry) int {
 		return cmp.Or(cmp.Compare(x.Algo, y.Algo), cmp.Compare(x.Key, y.Key), x.Version-y.Version)
@@ -401,14 +633,14 @@ func (a *Atlas) List() []Entry {
 func (a *Atlas) Delete(id string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	rec, ok := a.byID[id]
+	s, ok := a.byID.get(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntry, id)
 	}
 	if err := a.seg.Delete(id); err != nil {
 		return fmt.Errorf("atlas: %w", err)
 	}
-	a.unindexLocked(rec)
+	a.unindexLocked(s)
 	return nil
 }
 
@@ -420,25 +652,31 @@ func (a *Atlas) Delete(id string) error {
 func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var victims []*Entry
-	for key, group := range a.byKey {
-		best := a.bestLocked(key)
-		for _, rec := range group {
-			if rec != best || (stale != nil && stale(*rec)) {
-				victims = append(victims, rec)
+	var staleBest []int32
+	if stale != nil {
+		for _, list := range a.families {
+			for _, s := range list {
+				if stale(a.entryLocked(s)) {
+					staleBest = append(staleBest, s)
+				}
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 	var removed []string
-	for _, rec := range victims {
-		removed = append(removed, rec.ID)
+	for _, s := range slices.Concat(a.extra, staleBest) {
+		removed = append(removed, a.id(s))
 	}
+	slices.Sort(removed)
 	if err := a.seg.Delete(removed...); err != nil {
 		return nil, fmt.Errorf("atlas: gc: %w", err)
 	}
-	for _, rec := range victims {
-		a.unindexLocked(rec)
+	// Every extra version goes, so the stale bests have none to promote.
+	for _, s := range a.extra {
+		a.releaseLocked(s)
+	}
+	a.extra = nil
+	for _, s := range staleBest {
+		a.unindexLocked(s)
 	}
 	debris, err := a.legacy.Sweep()
 	if err != nil {
@@ -465,5 +703,5 @@ type Stats struct {
 func (a *Atlas) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return Stats{Entries: len(a.byID), Keys: len(a.byKey), Families: len(a.byFamily), Corrupt: a.legacy.Corrupt()}
+	return Stats{Entries: len(a.slots) - len(a.free), Keys: a.byKey.n, Families: len(a.families), Corrupt: a.legacy.Corrupt()}
 }
