@@ -95,14 +95,20 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 		if t.exhaustedAt(now) {
 			break
 		}
-		temp := tMax * math.Pow(tMin/tMax, t.progress(now))
+		progress := t.progress(now)
 		ctx.Space.PerturbInto(rng, &cur, &next)
 		nextE, err := t.payEval(&next)
 		if err != nil {
 			return Result{}, err
 		}
 		delta := nextE - curE
-		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+		accept := delta <= 0
+		if !accept {
+			// Only the Metropolis test reads the temperature.
+			temp := tMax * math.Pow(tMin/tMax, progress)
+			accept = rng.Float64() < math.Exp(-delta/temp)
+		}
+		if accept {
 			cur, next, curE = next, cur, nextE
 		}
 	}

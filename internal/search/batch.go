@@ -55,7 +55,7 @@ func (t *tracker) evalBatch(ms []mapspace.Mapping, vals []float64, paid bool) ([
 		if err != nil {
 			return nil, err
 		}
-		if t.ctx.canceled() && math.IsInf(val, 1) {
+		if math.IsInf(val, 1) && t.ctx.canceled() {
 			// Interrupted mid-evaluation: the candidate was never
 			// recorded, so its sentinel value is not handed back either.
 			break

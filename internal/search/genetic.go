@@ -1,6 +1,8 @@
 package search
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -74,14 +76,14 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 	rank := make([]int, 0, pop)
 	var vals []float64
 	for !t.exhausted() && len(cur) >= 2 {
-		// Rank by fitness. A stable sort of indices makes exactly the
-		// comparisons and moves a stable sort of the individuals would, so
-		// the ranking is identical without moving any Mapping.
+		// Rank by fitness: indices sorted by EDP, then index, which is the
+		// order a stable sort of the individuals by EDP leaves, without
+		// moving any Mapping.
 		rank = rank[:len(cur)]
 		for i := range rank {
 			rank[i] = i
 		}
-		slices.SortStableFunc(rank, func(a, b int) int { return byEDP(curE[a], curE[b]) })
+		slices.SortFunc(rank, func(a, b int) int { return byRank(curE, a, b) })
 		// Elitism: best individuals survive with their known fitness (no
 		// re-evaluation cost).
 		nextE = nextE[:0]
@@ -124,6 +126,24 @@ func byEDP(a, b float64) int {
 		return 1
 	}
 	return 0
+}
+
+// byRank orders population indices a and b by their EDP in edp, ties by
+// index: the order a stable sort by EDP leaves, in O(n log n) comparisons
+// where a stable sort makes O(n log² n). A NaN EDP, which a stable sort
+// could not place (byEDP calls it equal to every value), ranks after
+// every number.
+func byRank(edp []float64, a, b int) int {
+	if c := byEDP(edp[a], edp[b]); c != 0 {
+		return c
+	}
+	if an, bn := math.IsNaN(edp[a]), math.IsNaN(edp[b]); an != bn {
+		if an {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(a, b)
 }
 
 // tournament returns the fittest of gaTournamentK random picks from the

@@ -229,9 +229,19 @@ func NewContext(costModel string, a arch.Spec, p loopnest.Problem) (*Context, er
 	return &Context{Space: space, Model: model, Bound: bound}, nil
 }
 
-// canceled reports whether the caller has canceled the run.
+// canceled reports whether the caller has canceled the run. It polls
+// Done, which takes no lock once the channel exists, where Err locks the
+// context on every call.
 func (c *Context) canceled() bool {
-	return c.Ctx != nil && c.Ctx.Err() != nil
+	if c.Ctx == nil {
+		return false
+	}
+	select {
+	case <-c.Ctx.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 // evalCtx returns the cancellation context threaded into evaluator calls.
