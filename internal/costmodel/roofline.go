@@ -25,13 +25,17 @@ import (
 //     per-access cost, independent of bank allocation.
 //
 // Delay is the classic roofline bound: the maximum of compute time and
-// every level's bandwidth time. Together with the per-word minimum
-// energies this closes the loop with oracle.Bound — Roofline's EDP lies
-// between the mapping-independent algorithmic minimum and the reference
-// model's order-aware estimate (the roofline tests pin both sides) —
-// while remaining mapping-sensitive enough to drive search through its
-// two levers: spatial parallelism (compute roofline, multicast split) and
-// the halo overhead of small tiles. Purely temporal re-tiling of
+// every level's bandwidth time. What holds, and what the roofline tests
+// pin: on every mapping Roofline's traffic and cycles are at most the
+// reference model's, and its EDP is at least oracle.Bound's
+// mapping-independent algorithmic minimum. Its energy, and so its EDP,
+// is not a lower bound on the reference model's: the reference model
+// scales SRAM access energy by 0.75 to 1.25 with bank allocation while
+// Roofline charges the nominal cost, so on some mappings Roofline's EDP
+// is the higher (up to about 1.2x on random Table-1 mappings; ROADMAP
+// item 23). Roofline stays mapping-sensitive enough to drive search
+// through its two levers: spatial parallelism (compute roofline,
+// multicast split) and the halo overhead of small tiles. Purely temporal re-tiling of
 // halo-free tensors is deliberately cost-neutral: under best-case reuse,
 // traffic is tile-size-invariant when footprints are multiplicative.
 type Roofline struct {
