@@ -161,8 +161,8 @@ type Atlas struct {
 // slot is one committed entry, without what it shares with its
 // provenance.
 type slot struct {
-	// keyID is the entry's key followed by its ID, in one allocation that
-	// the segment's index shares.
+	// keyID is the entry's key followed by its ID, in one allocation; the
+	// segment's index shares the ID half of one this atlas published.
 	keyID   string
 	best    float64
 	created int64 // Unix nanoseconds; 0 for the zero Time
@@ -585,8 +585,8 @@ func (a *Atlas) Nearest(family string, shape []int) (Entry, mapspace.Mapping, fl
 			d := a.logs[li] - target[i]
 			sum += d * d
 		}
-		// Distinct sizes can share a log2 only past 2^52, so only a zero
-		// sum needs the sizes compared.
+		// An equal shape sums to zero, so only then are the sizes
+		// compared (huge distinct sizes can share a log2).
 		if sum == 0 && slices.Equal(a.shapes[sl.shape:][:len(shape)], shape) {
 			continue
 		}

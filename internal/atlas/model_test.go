@@ -407,3 +407,54 @@ func TestBestAllocatesNothing(t *testing.T) {
 		t.Fatalf("Best allocates %v times a call", n)
 	}
 }
+
+// TestShapeSlabCompaction supersedes enough entries that the removed
+// shapes fill half the slab, which is then copied afresh: every read
+// after it must match the model, and a Shape read before it must not
+// change.
+func TestShapeSlabCompaction(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	_, m1 := testSolution(t, 1024, 1, 1)
+	_, m2 := testSolution(t, 1024, 1, 2)
+	ref := &model{mappings: map[string]string{}}
+	publish := func(width int, edp float64, m *mapspace.Mapping) {
+		t.Helper()
+		shape := []int{width, 5}
+		key, family := Key("algofp", "archfp", "timeloop", "EDP", shape)
+		e := Entry{Key: key, Family: family, Algo: "conv1d", AlgoFP: "algofp", ArchFP: "archfp",
+			CostModel: "timeloop", Objective: "EDP", Shape: shape, BestEDP: edp, Method: "GA"}
+		want, _ := ref.publish(e, m)
+		got, ok, err := a.Publish(e, m)
+		if err != nil || !ok {
+			t.Fatalf("publish %d: ok=%v err=%v", width, ok, err)
+		}
+		want.Created = got.Created
+		ref.entries = append(ref.entries, want)
+	}
+	// n two-size shapes, then a supersede of each: the last one leaves
+	// removed shapes holding half the slab, past the 1024 sizes a copy
+	// waits for.
+	const n = 700
+	for w := 1; w <= n; w++ {
+		publish(w, 5, &m1)
+	}
+	first, ok := a.Best(ref.entries[0].Key)
+	if !ok {
+		t.Fatal("best missed")
+	}
+	held := slices.Clone(first.Shape)
+	for w := 1; w <= n; w++ {
+		publish(w, 4, &m2)
+	}
+	if !slices.Equal(first.Shape, held) {
+		t.Fatalf("a returned Shape changed from %v to %v", held, first.Shape)
+	}
+	if a.dead != 0 || len(a.shapes) != 2*n {
+		t.Fatalf("slab of %d sizes, %d dead, after %d supersedes: not compacted", len(a.shapes), a.dead, n)
+	}
+	check(t, a, ref, "after compaction")
+}

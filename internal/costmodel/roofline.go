@@ -35,9 +35,10 @@ import (
 // is the higher (up to about 1.2x on random Table-1 mappings; ROADMAP
 // item 23). Roofline stays mapping-sensitive enough to drive search
 // through its two levers: spatial parallelism (compute roofline,
-// multicast split) and the halo overhead of small tiles. Purely temporal re-tiling of
-// halo-free tensors is deliberately cost-neutral: under best-case reuse,
-// traffic is tile-size-invariant when footprints are multiplicative.
+// multicast split) and the halo overhead of small tiles. Purely temporal
+// re-tiling of halo-free tensors is deliberately cost-neutral: under
+// best-case reuse, traffic is tile-size-invariant when footprints are
+// multiplicative.
 type Roofline struct {
 	Arch arch.Spec
 	Prob loopnest.Problem
