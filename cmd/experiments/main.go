@@ -49,7 +49,7 @@ func parseFlags(args []string, log io.Writer) (experiments.Options, string, erro
 	repeats := fs.Int("repeats", 0, "override runs averaged per method/problem (paper: 100)")
 	evals := fs.Int("evals", 0, "override iso-iteration budget (paper: ~1000)")
 	isoTime := fs.Duration("time", 0, "override iso-time budget")
-	latency := fs.Duration("latency", 0, "override emulated reference-model query latency")
+	latency := fs.Duration("latency", 0, "override reference-model query latency charged per paid query (iso-time)")
 	costModel := fs.String("costmodel", "", "cost-model backend to evaluate against (timeloop, roofline)")
 	seed := fs.Int64("seed", 0, "override random seed")
 	quiet := fs.Bool("quiet", false, "suppress progress logging")

@@ -457,8 +457,8 @@ func cmdCompare(args []string) error {
 	shape := fs.String("shape", "", "explicit problem shape (canonical sizes or name=size pairs)")
 	model := fs.String("model", "", costModelUsage)
 	evals := fs.Int("evals", 1000, "evaluation budget per method")
-	maxTime := fs.Duration("time", 0, "wall-clock budget per method (overrides -evals)")
-	latency := fs.Duration("latency", 2*time.Millisecond, "emulated reference-cost-model latency (iso-time only)")
+	maxTime := fs.Duration("time", 0, "time budget per method, query latency charged (overrides -evals)")
+	latency := fs.Duration("latency", 2*time.Millisecond, "reference-cost-model latency charged per paid query (iso-time only)")
 	rlHidden := fs.Int("rlhidden", 64, "RL network width (paper: 300)")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
@@ -489,7 +489,7 @@ func cmdCompare(args []string) error {
 		if err != nil {
 			return err
 		}
-		if isoTime && method.Name() != "MM" {
+		if isoTime {
 			pc.QueryLatency = *latency
 		}
 		res, err := mp.SearchWith(method, pc, budget, *seed)

@@ -31,10 +31,10 @@
 //
 // The cost function f is a pluggable layer: internal/costmodel defines the
 // Evaluator interface, a by-name backend registry, and the Counter that
-// paid-eval accounting shares; the search tracker charges and stalls its
-// own paid queries, and the service times each job's evaluations. The
-// reference Timeloop-style model (internal/timeloop) registers as
-// "timeloop", the default; an optimistic roofline/lower-bound model registers as
+// paid-eval accounting shares; the search tracker counts its own paid
+// queries and charges their latency to the run's clock, and the service
+// times each job's evaluations. The reference Timeloop-style model
+// (internal/timeloop) registers as "timeloop", the default; an optimistic roofline/lower-bound model registers as
 // "roofline". Backends are selected end-to-end — `mindmappings search
 // -model=roofline`, the service's "cost_model" request field (with
 // per-backend eval counters in /metrics), and `experiments -costmodel`

@@ -2,9 +2,9 @@
 // Evaluator interface every cost function f implements, the Cost record
 // all backends produce, a by-name backend registry, and the Counter that
 // evaluation accounting shares across searches. Nothing here wraps a
-// backend: the search tracker charges and stalls its own paid queries,
-// and the serve service times and fault-injects each job's evaluations
-// in one evaluator of its own.
+// backend: the search tracker counts its own paid queries and charges
+// their latency to the run's clock, and the serve service times and
+// fault-injects each job's evaluations in one evaluator of its own.
 //
 // The paper treats f as an exchangeable component (§2.3, §5.1.2 — Timeloop
 // is just the reference instantiation), so nothing above this package may

@@ -22,7 +22,8 @@ type MethodSeries struct {
 	FinalMean float64
 	// EvalsMean is the mean number of evaluations performed.
 	EvalsMean float64
-	// StepTime is the mean wall-clock time per evaluation.
+	// StepTime is the mean time per evaluation on the run's clock:
+	// wall-clock time plus the query latency charged to the run.
 	StepTime time.Duration
 }
 
@@ -92,9 +93,9 @@ func (h *Harness) RunIsoIteration() (*Comparison, error) {
 	return h.runComparison("iso-iteration", search.Budget{MaxEvals: h.opts.IsoIterations}, 0)
 }
 
-// RunIsoTime reproduces Figure 6: every method gets the same wall-clock
-// budget, with the reference cost model's per-query latency emulated for
-// the methods that pay it.
+// RunIsoTime reproduces Figure 6: every method gets the same time budget,
+// with the reference cost model's per-query latency charged to the
+// methods that pay it.
 func (h *Harness) RunIsoTime() (*Comparison, error) {
 	return h.runComparison("iso-time", search.Budget{MaxTime: h.opts.IsoTime}, h.opts.QueryLatency)
 }

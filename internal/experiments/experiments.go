@@ -39,11 +39,13 @@ type Options struct {
 	Repeats int
 	// IsoIterations is the evaluation budget for Figure 5.
 	IsoIterations int
-	// IsoTime is the wall-clock budget for Figure 6.
+	// IsoTime is the time budget for Figure 6: wall-clock time plus the
+	// query latency charged to the run.
 	IsoTime time.Duration
-	// QueryLatency emulates the reference cost model's per-query latency
-	// for iso-time runs (Timeloop queries cost milliseconds; see DESIGN.md
-	// §4). Iso-iteration runs never pay it.
+	// QueryLatency is charged to the run's clock for every paid query of
+	// an iso-time run, to emulate the reference cost model's per-query
+	// latency (Timeloop queries cost milliseconds; see DESIGN.md §4).
+	// Iso-iteration runs never pay it.
 	QueryLatency time.Duration
 	// RLHidden is the DDPG network width (paper: 300; default 64 for
 	// single-core tractability).

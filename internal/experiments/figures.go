@@ -388,7 +388,8 @@ func (h *Harness) OutputReprAblation(w io.Writer, algoName string) (*AblationRes
 	return res, nil
 }
 
-// StepCost is the per-evaluation wall-clock cost of one method.
+// StepCost is the per-evaluation cost of one method on the run's clock:
+// wall-clock time plus the query latency charged to it.
 type StepCost struct {
 	Method    string
 	PerStep   time.Duration
@@ -413,10 +414,6 @@ func (h *Harness) PerStepCost(w io.Writer) ([]StepCost, error) {
 	for i, method := range methods {
 		cells[i] = cell{prob: prob, searcher: method, seed: h.opts.Seed,
 			budget: search.Budget{MaxEvals: 100}, latency: h.opts.QueryLatency}
-		if method.Name() == "MM" {
-			// Mind Mappings never pays the reference-model latency.
-			cells[i].latency = 0
-		}
 	}
 	rows, err := h.run(cells, nil)
 	if err != nil {

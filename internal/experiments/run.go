@@ -25,7 +25,8 @@ type cell struct {
 	label  string
 	seed   int64
 	budget search.Budget
-	// latency emulates the reference cost model's per-query latency.
+	// latency is charged per paid query to emulate the reference cost
+	// model's per-query latency.
 	latency time.Duration
 	// backend is the cost-model backend; empty means Options.CostModel.
 	backend string

@@ -113,27 +113,6 @@ func (e *sampledTiming) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c
 	return err
 }
 
-// BenchmarkSearchGAQueryLatency replays the paper's setting, where each
-// reference-cost-model query takes real time (Timeloop queries take
-// milliseconds; 100µs emulated here): every query pays its stall in
-// turn, as the paper's fixed-time comparison charges them.
-func BenchmarkSearchGAQueryLatency(b *testing.B) {
-	const evals = 400
-	b.Run("serial", func(b *testing.B) {
-		total := 0
-		for i := 0; i < b.N; i++ {
-			ctx := benchSearchContext(b, int64(i))
-			ctx.QueryLatency = 100 * time.Microsecond
-			res, err := GeneticAlgorithm{}.Search(ctx, Budget{MaxEvals: evals})
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += res.Evals
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "evals/s")
-	})
-}
-
 // BenchmarkPayEvalBatch isolates the tracker's batch pipeline (no search
 // heuristics): cost of evaluating a 64-candidate batch per candidate.
 func BenchmarkPayEvalBatch(b *testing.B) {

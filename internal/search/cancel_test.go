@@ -8,15 +8,14 @@ import (
 
 func TestCancellationStopsInFlightSearch(t *testing.T) {
 	ctx := conv1dContext(t, 1)
-	// Slow the model down so the run would take ~an hour without the
-	// cancel, then cancel shortly after it starts.
-	ctx.QueryLatency = 10 * time.Millisecond
+	// The run would take an hour without the cancel; cancel shortly after
+	// it starts.
 	cctx, cancel := context.WithCancel(context.Background())
 	ctx.Ctx = cctx
 
 	done := make(chan Result, 1)
 	go func() {
-		res, err := RandomSearch{}.Search(ctx, Budget{MaxEvals: 500_000})
+		res, err := RandomSearch{}.Search(ctx, Budget{MaxTime: time.Hour})
 		if err != nil {
 			t.Error(err)
 		}
@@ -29,8 +28,8 @@ func TestCancellationStopsInFlightSearch(t *testing.T) {
 		if res.Evals <= 0 {
 			t.Fatalf("expected partial progress before cancel, got %d evals", res.Evals)
 		}
-		if res.Evals >= 500_000 {
-			t.Fatalf("run was not cut short: %d evals", res.Evals)
+		if res.Elapsed >= time.Hour {
+			t.Fatalf("run was not cut short: %v elapsed", res.Elapsed)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("search did not stop after cancellation")

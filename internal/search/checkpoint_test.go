@@ -156,7 +156,6 @@ func TestResumeRejectsWrongMethod(t *testing.T) {
 // at most one in-flight iteration.
 func TestCancelEmitsBoundaryCheckpoint(t *testing.T) {
 	ctx := conv1dContext(t, 3)
-	ctx.QueryLatency = 2 * time.Millisecond
 	ctx.CheckpointEvery = 10
 	var last *Checkpoint
 	ctx.Checkpoint = func(c *Checkpoint) { last = c }

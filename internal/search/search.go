@@ -4,19 +4,20 @@
 // algorithm, DDPG reinforcement learning, and uniform random search.
 //
 // All methods run under a common budget (fixed number of cost-function
-// evaluations for iso-iteration studies, fixed wall-clock for iso-time
-// studies) and record best-so-far normalized-EDP trajectories, the raw data
-// behind the paper's Figures 5 and 6.
+// evaluations for iso-iteration studies, fixed time for iso-time studies)
+// and record best-so-far normalized-EDP trajectories, the raw data behind
+// the paper's Figures 5 and 6.
 //
 // Searchers evaluate candidates through the pluggable costmodel layer:
 // Context.Model is any costmodel.Evaluator, and the tracker draws the
 // paper's line between a paid reference-model query and free offline
-// scoring: a paid query waits Context.QueryLatency, is charged to
-// Context.Evals and then calls Model, while scoring calls Model alone. No
-// searcher knows which backend computes its costs.
+// scoring: a paid query charges Context.QueryLatency to the run's clock,
+// counts one to Context.Evals and then calls Model, while scoring calls
+// Model alone. No searcher knows which backend computes its costs.
 // Every candidate is evaluated on the searcher's own goroutine, one query
-// after another, as the paper's fixed-time comparison charges a
-// baseline's queries.
+// after another, so a run's clock is its wall-clock time plus the latency
+// of the queries it paid for, as the paper's fixed-time comparison
+// charges a baseline's queries.
 package search
 
 import (
@@ -24,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"mindmappings/internal/arch"
@@ -42,7 +42,8 @@ type Budget struct {
 	// one surrogate query (§5.2: "In case of Mind Mappings, the cost
 	// function is the trained surrogate").
 	MaxEvals int
-	// MaxTime caps wall-clock time.
+	// MaxTime caps the run's time: wall-clock time plus the QueryLatency
+	// charged to its paid queries.
 	MaxTime time.Duration
 	// Patience, when positive, declares convergence after this many
 	// consecutive evaluations without improving the best-so-far value and
@@ -70,7 +71,8 @@ func (b Budget) validate() error {
 type Sample struct {
 	// Eval is the 1-based evaluation index at which this point was taken.
 	Eval int
-	// Elapsed is wall-clock time since the search started.
+	// Elapsed is the run's time (see Budget.MaxTime) since the search
+	// started.
 	Elapsed time.Duration
 	// BestEDP is the lowest true normalized EDP seen so far.
 	BestEDP float64
@@ -83,7 +85,8 @@ type Progress struct {
 	Eval int
 	// Best is the best-so-far normalized objective value.
 	Best float64
-	// Elapsed is wall-clock time since the search started.
+	// Elapsed is the run's time (see Budget.MaxTime) since the search
+	// started.
 	Elapsed time.Duration
 	// Improved reports whether this sample lowered the best-so-far value.
 	Improved bool
@@ -138,8 +141,8 @@ type Context struct {
 	Space *mapspace.Space
 	// Model is the cost function f: any registered costmodel backend (or
 	// a wrapper around one, such as the service's job evaluator). It is
-	// the free offline-scoring path as it stands; a paid query also pays
-	// QueryLatency and is charged to Evals, in the tracker.
+	// the free offline-scoring path as it stands; a paid query is also
+	// charged QueryLatency and counted to Evals, in the tracker.
 	Model costmodel.Evaluator
 	Bound oracle.Bound
 	Seed  int64
@@ -149,16 +152,17 @@ type Context struct {
 	Objective Objective
 	// Ctx, when non-nil, lets callers cancel an in-flight search: every
 	// searcher treats cancellation like budget exhaustion, stopping at the
-	// next evaluation boundary (interrupting an in-flight emulated-latency
-	// stall) and returning the best-so-far result with a nil error.
+	// next evaluation boundary and returning the best-so-far result with a
+	// nil error.
 	// Long-running callers (the serve job manager, client disconnects)
 	// rely on this for prompt teardown; nil means run to the budget.
 	Ctx context.Context
-	// QueryLatency, when positive, stalls every paid query by the given
-	// duration, before it is charged, to emulate the reference cost
-	// model's per-query cost; cancellation cuts the stall short and the
-	// query is then neither charged nor run. Free scoring queries — Mind
-	// Mappings trajectory measurements — never pay it. See DESIGN.md §4.
+	// QueryLatency, when positive, is charged to the run's clock for every
+	// paid query, to emulate the reference cost model's per-query cost: the
+	// query is booked at this cost, not waited out, so it moves MaxTime
+	// budgets, trajectory and result Elapsed times and annealing schedules
+	// without sleeping. Free scoring queries — Mind Mappings trajectory
+	// measurements — never pay it. See DESIGN.md §4.
 	QueryLatency time.Duration
 	// Evals, when non-nil, is charged one per paid query that reaches
 	// Model: free scoring queries are not charged.
@@ -286,9 +290,9 @@ type SurrogateQuerier interface {
 
 // tracker enforces the budget and records the best-so-far trajectory. It is
 // shared by all searchers so that budget accounting is identical across
-// methods. A paid query (a reference-model query) stalls QueryLatency and
-// is charged to Evals before it reaches Model; a free one (offline
-// trajectory scoring) goes to Model directly.
+// methods. A paid query (a reference-model query) is charged QueryLatency
+// on the run's clock and counted to Evals before it reaches Model; a free
+// one (offline trajectory scoring) goes to Model directly.
 type tracker struct {
 	ctx       *Context
 	ectx      context.Context
@@ -299,10 +303,12 @@ type tracker struct {
 	bestM     mapspace.Mapping
 	traj      []Sample
 	sinceBest int
-	// elapsed0 is wall-clock carried over from a resumed checkpoint, so
+	// elapsed0 is the run time carried over from a resumed checkpoint, so
 	// MaxTime budgets and trajectory timestamps span the whole logical run;
+	// charged is the QueryLatency booked by this process's paid queries;
 	// lastCheckpoint is the eval count at the last emitted snapshot.
 	elapsed0       time.Duration
+	charged        time.Duration
 	lastCheckpoint int
 
 	// own is the evaluation workspace: steady-state evaluation
@@ -397,16 +403,11 @@ func (t *tracker) record(m *mapspace.Mapping, edp float64) {
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // evalValue runs one cost-model query into the given workspace, returning
-// the normalized objective value. A paid query first waits QueryLatency
-// (returning ctx.Err() uncharged if the run is canceled mid-stall) and is
-// then charged to Context.Evals.
+// the normalized objective value. A paid query is first charged
+// QueryLatency on the run's clock and counted to Context.Evals.
 func (t *tracker) evalValue(m *mapspace.Mapping, paid bool, ws *costmodel.Cost) (float64, error) {
 	if paid {
-		if d := t.ctx.QueryLatency; d > 0 {
-			if err := stall(t.ectx, d); err != nil {
-				return 0, err
-			}
-		}
+		t.charged += t.ctx.QueryLatency
 		if t.ctx.Evals != nil {
 			t.ctx.Evals.Inc()
 		}
@@ -417,39 +418,9 @@ func (t *tracker) evalValue(m *mapspace.Mapping, paid bool, ws *costmodel.Cost) 
 	return t.ctx.Objective.normalized(ws, t.ctx.Bound), nil
 }
 
-// stallPoll is the tail of a stall that stall waits out by polling the
-// clock: a timer wakes up to about a millisecond late, so it sleeps only
-// through the part of the wait before this margin.
-const stallPoll = 1500 * time.Microsecond
-
-// stall waits until d after it was called, or returns ctx's error as soon
-// as ctx ends. A timer covers all but the last stallPoll of the wait and a
-// loop that checks the clock and ctx and yields the processor covers the
-// rest, so an emulated query lasts d, not d rounded up to the timer's
-// granularity.
-func stall(ctx context.Context, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	if d > stallPoll {
-		tm := time.NewTimer(d - stallPoll)
-		select {
-		case <-tm.C:
-		case <-ctx.Done():
-			tm.Stop()
-			return ctx.Err()
-		}
-	}
-	for time.Now().Before(deadline) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		runtime.Gosched()
-	}
-	return nil
-}
-
 // payEval runs a paid reference-cost-model query on m, records it, and
-// returns the true normalized EDP. A query interrupted by cancellation
-// (mid-latency-stall) records nothing and returns +Inf with a nil error;
+// returns the true normalized EDP. A query the cost model fails because the
+// run was canceled records nothing and returns +Inf with a nil error;
 // the caller's next exhausted() check stops the run, preserving the
 // cancellation contract (best-so-far result, nil error).
 func (t *tracker) payEval(m *mapspace.Mapping) (float64, error) {
@@ -482,10 +453,11 @@ func (t *tracker) scoreSurrogateStep(m *mapspace.Mapping) (float64, error) {
 	return val, nil
 }
 
-// elapsed is wall-clock since the logical start of the run: time in this
-// process plus whatever a resumed checkpoint already consumed.
+// elapsed is the run's time since its logical start: wall-clock time in
+// this process, plus the QueryLatency charged to its paid queries, plus
+// whatever a resumed checkpoint already consumed.
 func (t *tracker) elapsed() time.Duration {
-	return t.elapsed0 + time.Since(t.start)
+	return t.elapsed0 + t.charged + time.Since(t.start)
 }
 
 // result finalizes the run.
