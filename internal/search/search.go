@@ -158,11 +158,10 @@ type Context struct {
 	// rely on this for prompt teardown; nil means run to the budget.
 	Ctx context.Context
 	// QueryLatency, when positive, is charged to the run's clock for every
-	// paid query, to emulate the reference cost model's per-query cost: the
-	// query is booked at this cost, not waited out, so it moves MaxTime
-	// budgets, trajectory and result Elapsed times and annealing schedules
-	// without sleeping. Free scoring queries — Mind Mappings trajectory
-	// measurements — never pay it. See DESIGN.md §4.
+	// paid query, to emulate the reference cost model's per-query cost
+	// without sleeping: it counts toward MaxTime budgets, trajectory and
+	// result Elapsed times and annealing schedules. Free scoring queries —
+	// Mind Mappings trajectory measurements — never pay it. See DESIGN.md §4.
 	QueryLatency time.Duration
 	// Evals, when non-nil, is charged one per paid query that reaches
 	// Model: free scoring queries are not charged.
