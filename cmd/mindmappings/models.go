@@ -15,7 +15,7 @@ import (
 func cmdModels(args []string) error {
 	fs := flag.NewFlagSet("models", flag.ExitOnError)
 	storeDir := fs.String("store", "", "artifact store directory (required)")
-	gc := fs.Bool("gc", false, "drop superseded versions and crash debris")
+	gc := fs.Bool("gc", false, "drop superseded versions")
 	keep := fs.Int("keep", 2, "versions kept per workload with -gc")
 	del := fs.String("delete", "", "delete one artifact by ID")
 	verbose := fs.Bool("v", false, "also print fingerprints and loss histories")

@@ -17,9 +17,8 @@
 //
 // Entries persist through internal/blobstore as manifest+blob records of
 // one append-only segment (atlas.log), each holding an entry's manifest and
-// its mapping blob (both JSON). Open migrates the older per-file layout — a
-// mapping blob (<id>.mapping) plus a manifest (<id>.json) per entry — into
-// it.
+// its mapping blob (both JSON). The segment is the atlas's only on-disk
+// format.
 package atlas
 
 import (
@@ -41,12 +40,8 @@ import (
 	"mindmappings/internal/mapspace"
 )
 
-const (
-	// SegmentFile names the atlas segment inside the atlas directory.
-	SegmentFile = "atlas.log"
-	// BlobExt is the extension of mapping blob files in the per-file layout.
-	BlobExt = ".mapping"
-)
+// SegmentFile names the atlas segment inside the atlas directory.
+const SegmentFile = "atlas.log"
 
 // Entry is the manifest of one solved mapping. The ID is content-derived
 // (key + blob bytes), so republishing an identical solution is a no-op.
@@ -123,10 +118,7 @@ func ShapeDistance(a, b []int) float64 {
 // once, and byKey, byID and the family lists hold slot numbers. See
 // DESIGN.md §11.
 type Atlas struct {
-	seg *blobstore.Segment
-	// legacy is the per-file layout Open migrated from: it counts what
-	// Open could not index, and its debris stays for GC to sweep.
-	legacy    *blobstore.Store
+	seg       *blobstore.Segment
 	failpoint blobstore.Failpoint
 
 	mu    sync.RWMutex
@@ -136,8 +128,8 @@ type Atlas struct {
 	// committed entry's slot.
 	byKey, byID table
 	// extra lists the slots of versions that are not their key's best:
-	// only a migration, or a crash between a publish and its tombstones,
-	// leaves a key more than one version.
+	// only a crash between a publish and its tombstones leaves a key more
+	// than one version.
 	extra []int32
 	// families maps a family to the slots of its keys' best entries, the
 	// list Nearest scans.
@@ -189,11 +181,10 @@ var ErrUnknownEntry = errors.New("atlas: unknown entry")
 func (a *Atlas) SetFailpoint(fn func(op string) error) { a.failpoint.Set(fn) }
 
 // Open replays dir's segment (creating dir if needed) and indexes every
-// committed entry, dropping a torn tail, then migrates the per-file layout
-// into the segment (blobstore.OpenRecords). Per-file crash debris stays
-// invisible until GC sweeps it.
+// committed entry, dropping a torn tail (blobstore.OpenRecords). Other
+// files in dir are neither read nor touched.
 func Open(dir string) (*Atlas, error) {
-	seg, legacy, entries, err := blobstore.OpenRecords(dir, SegmentFile, BlobExt, decodeEntry)
+	seg, entries, err := blobstore.OpenRecords(dir, SegmentFile, decodeEntry)
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
 	}
@@ -203,7 +194,6 @@ func Open(dir string) (*Atlas, error) {
 	}
 	a := &Atlas{
 		seg:      seg,
-		legacy:   legacy,
 		slots:    make([]slot, 0, len(entries)),
 		families: make(map[string][]int32),
 		provOf:   make(map[provenance]int32),
@@ -646,9 +636,8 @@ func (a *Atlas) Delete(id string) error {
 
 // GC removes superseded per-key versions (all but each key's best) and the
 // entries the stale predicate condemns (drifted workload fingerprints,
-// say; nil keeps all) with one write of tombstones, then sweeps the
-// per-file layout's debris and resets the corrupt count. It returns the
-// removed entry IDs in ID order, then the debris file names.
+// say; nil keeps all) with one write of tombstones. It returns the removed
+// entry IDs in ID order.
 func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -678,11 +667,7 @@ func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	for _, s := range staleBest {
 		a.unindexLocked(s)
 	}
-	debris, err := a.legacy.Sweep()
-	if err != nil {
-		err = fmt.Errorf("atlas: gc: %w", err)
-	}
-	return append(removed, debris...), err
+	return removed, nil
 }
 
 // Stats is a point-in-time atlas snapshot for listings and the service's
@@ -693,9 +678,8 @@ type Stats struct {
 	Entries  int `json:"entries"`
 	Keys     int `json:"keys"`
 	Families int `json:"families"`
-	// Corrupt counts what Open could not index and GC has not swept or
-	// reset yet: per-file manifests that are unreadable, uncommitted or
-	// misnamed, and a torn or CRC-bad segment tail.
+	// Corrupt counts the records the last Open dropped: a torn or CRC-bad
+	// segment tail, and records whose manifest is unreadable or misnamed.
 	Corrupt int `json:"corrupt"`
 }
 
@@ -703,5 +687,5 @@ type Stats struct {
 func (a *Atlas) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return Stats{Entries: len(a.slots) - len(a.free), Keys: a.byKey.n, Families: len(a.families), Corrupt: a.legacy.Corrupt()}
+	return Stats{Entries: len(a.slots) - len(a.free), Keys: a.byKey.n, Families: len(a.families), Corrupt: a.seg.Corrupt()}
 }

@@ -1,13 +1,13 @@
 package atlas
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mindmappings/internal/arch"
@@ -353,11 +353,68 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	}
 }
 
-// TestCrashSafetyPartialWritesInvisible simulates the publish crash
-// windows — committed blob without manifest, half-written temp file, torn
-// manifest — and checks none becomes a visible entry; GC then reaps all
-// the debris without touching the committed entry.
+// TestCrashSafetyPartialWritesInvisible cuts the segment inside a
+// publish's one write, as a crash would. On reopen the torn record must
+// be invisible, counted corrupt and cut off, the entry committed before it
+// must still serve, and the key the torn publish was for must take a new
+// one.
 func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, m1 := testSolution(t, 1024, 5.0, 1)
+	committed, _, err := a.Publish(e1, &m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, SegmentFile)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, m2 := testSolution(t, 512, 4.0, 2)
+	if _, _, err := a.Publish(e2, &m2); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, (before.Size()+after.Size())/2); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if l := b.List(); len(l) != 1 || l[0].ID != committed.ID {
+		t.Fatalf("List = %v, want only %s", entryIDs(l), committed.ID)
+	}
+	if st := b.Stats(); st.Corrupt != 1 {
+		t.Fatalf("Stats = %+v, want the torn record counted corrupt", st)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != before.Size() {
+		t.Fatalf("segment after reopen: %v, %v; want %d bytes", st, err, before.Size())
+	}
+	if _, ok := b.Best(e2.Key); ok {
+		t.Fatal("the torn publish is visible")
+	}
+	if _, ok, err := b.Publish(e2, &m2); err != nil || !ok {
+		t.Fatalf("republish after the torn one: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestMisnamedManifestIsCorrupt pins that a segment record whose manifest
+// claims an ID other than the record's own — another entry's, or one
+// outside the directory such as "../victim" — is corrupt: never indexed,
+// counted, and out of reach of Delete and GC, while the entry whose ID it
+// claims still serves its own mapping.
+func TestMisnamedManifestIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir)
 	if err != nil {
@@ -368,58 +425,47 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Crash window 1: blob renamed into place, manifest never committed.
-	if err := os.WriteFile(filepath.Join(dir, "deadbeefdeadbeef"+BlobExt), []byte(`{"Spatial":[1]}`), 0o644); err != nil {
+	a.Close()
+	_, other := testSolution(t, 1024, 5.0, 2)
+	blob, err := json.Marshal(&other)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash window 2: half-written staging file.
-	if err := os.WriteFile(filepath.Join(dir, blobstore.TmpPrefix+"0123"), []byte(`{"trunc`), 0o644); err != nil {
+	escape := committed
+	escape.ID = "../victim"
+	seg, _, err := blobstore.OpenSegment[struct{}](filepath.Join(dir, SegmentFile), 0o644, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash window 3 (mid-delete): manifest without a blob behind it.
-	if err := os.WriteFile(filepath.Join(dir, "cafecafecafecafe"+blobstore.ManifestExt),
-		[]byte(`{"id":"cafecafecafecafe","key":"k","family":"f"}`), 0o644); err != nil {
-		t.Fatal(err)
+	for id, claim := range map[string]Entry{"aaaaaaaaaaaaaaaa": committed, "escape": escape} {
+		manifest, err := json.Marshal(claim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Put(id, blobstore.EncodeRecord(manifest, blob)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// And one plainly torn manifest.
-	if err := os.WriteFile(filepath.Join(dir, "feedfeedfeedfeed"+blobstore.ManifestExt), []byte(`{"id":"fe`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	seg.Close()
 
 	b, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Neither the blob without a manifest nor the manifest without a blob
-	// is visible.
-	if l := b.List(); len(l) != 1 || l[0].ID != committed.ID {
-		t.Fatalf("debris leaked into the listing: %+v", l)
+	defer b.Close()
+	if st := b.Stats(); st != (Stats{Entries: 1, Keys: 1, Families: 1, Corrupt: 2}) {
+		t.Fatalf("Stats = %+v", st)
 	}
-	if b.Stats().Corrupt == 0 {
-		t.Fatal("corrupt debris not counted")
-	}
-	removed, err := b.GC(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 4 {
-		t.Fatalf("GC removed %v, want the 4 debris files", removed)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), blobstore.TmpPrefix) {
-			t.Fatalf("tmp file survived GC: %s", de.Name())
+	for _, id := range []string{"aaaaaaaaaaaaaaaa", "escape", "../victim"} {
+		if err := b.Delete(id); !errors.Is(err, ErrUnknownEntry) {
+			t.Fatalf("Delete(%s) = %v, want ErrUnknownEntry", id, err)
 		}
 	}
-	if best, ok := b.Best(committed.Key); !ok || best.ID != committed.ID {
-		t.Fatal("GC removed the committed entry")
+	if removed, err := b.GC(nil); err != nil || len(removed) != 0 {
+		t.Fatalf("GC removed %v (%v), want nothing", removed, err)
 	}
-	if b.Stats().Corrupt != 0 {
-		t.Fatal("GC did not reset the corrupt count")
+	if got, gm, hit, err := b.Lookup(committed.Key); err != nil || !hit || got.ID != committed.ID || gm.String() != m.String() {
+		t.Fatalf("Lookup = %s hit=%v err=%v, want %s with its own mapping", got.ID, hit, err, committed.ID)
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package blobstore is the persistence core under the mapping atlas, the
 // job journal and the model store: Segment, an append-only log of keyed
-// records (all three stores); the manifest+blob record the atlas and the
-// model store keep per entry, opened by OpenRecords, which migrates the
-// per-file layout they used before (read through Store); and WriteAtomic,
-// the temp+rename writer that replaces whole files. The typed layers keep
-// only their indexes and policy. DESIGN.md §14 states the guarantee.
+// records and the only on-disk format of all three stores; the
+// manifest+blob record the atlas and the model store keep per entry,
+// opened by OpenRecords; and WriteAtomic, the temp+rename writer that
+// replaces whole files. The typed layers keep only their indexes and
+// policy. DESIGN.md §14 states the guarantee.
 package blobstore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -18,13 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-)
-
-// TmpPrefix starts every staging file of the per-file layout; ManifestExt
-// ends every manifest of it.
-const (
-	TmpPrefix   = "tmp-"
-	ManifestExt = ".json"
 )
 
 // fileLayer is every file mutation the package makes. The OS serves it;
@@ -105,107 +97,6 @@ func WriteAtomic(path, tmpPrefix string, perm fs.FileMode, data []byte) error {
 	return err
 }
 
-// Store reads one directory of the per-file layout: <id><blobExt> blobs
-// beside <id>.json manifests, each entry committed by its manifest's
-// rename. Nothing writes that layout any more; OpenRecords migrates it,
-// and Sweep removes what a crash or the migration left behind. The caller
-// serializes Remove and Sweep.
-type Store struct {
-	dir, blobExt string
-	// corrupt counts what Open could not index; through OpenRecords, also
-	// the blobs it could not migrate and the records its segment dropped.
-	// Sweep resets it.
-	corrupt atomic.Int64
-}
-
-// Open creates dir if needed and returns its store plus every committed
-// manifest, as decoded by decode, which returns the ID a manifest claims
-// or "" to reject it. A manifest that is unreadable, rejected, misnamed
-// (its ID invalid or not its file name) or blobless is counted corrupt.
-func Open[M any](dir, blobExt string, decode func(raw []byte) (M, string)) (*Store, []M, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &Store{dir: dir, blobExt: blobExt}
-	var out []M
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ManifestExt) || strings.HasPrefix(name, TmpPrefix) {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		var m M
-		id := ""
-		if err == nil {
-			m, id = decode(raw)
-		}
-		if id != strings.TrimSuffix(name, ManifestExt) || !ValidID(id) || !exists(s.blobPath(id)) {
-			s.corrupt.Add(1)
-			continue
-		}
-		out = append(out, m)
-	}
-	return s, out, nil
-}
-
-func exists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-func (s *Store) blobPath(id string) string { return filepath.Join(s.dir, id+s.blobExt) }
-
-func (s *Store) manifestPath(id string) string { return filepath.Join(s.dir, id+ManifestExt) }
-
-// Corrupt counts the corrupt entries no Sweep has removed yet.
-func (s *Store) Corrupt() int { return int(s.corrupt.Load()) }
-
-// Remove deletes an entry, manifest first, so a crash in between leaves
-// an orphan blob for Sweep, never a manifest pointing at nothing.
-func (s *Store) Remove(id string) error {
-	if err := disk.Remove(s.manifestPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	disk.Remove(s.blobPath(id))
-	return nil
-}
-
-// Sweep removes what is left of the layout once OpenRecords has migrated
-// every committed entry: crash debris — staging files, orphan blobs,
-// corrupt manifests — and entries whose blob could not be read. It
-// returns their names in directory order and resets the corrupt count.
-func (s *Store) Sweep() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var removed []string
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !s.owns(name) {
-			continue
-		}
-		if err := disk.Remove(filepath.Join(s.dir, name)); errors.Is(err, fs.ErrNotExist) {
-			continue
-		} else if err != nil {
-			return removed, err
-		}
-		removed = append(removed, name)
-	}
-	s.corrupt.Store(0)
-	return removed, nil
-}
-
-// owns reports whether a file name belongs to the layout: a staging file,
-// a blob or a manifest.
-func (s *Store) owns(name string) bool {
-	return strings.HasPrefix(name, TmpPrefix) || strings.HasSuffix(name, s.blobExt) || strings.HasSuffix(name, ManifestExt)
-}
-
 // EncodeRecord lays out the payload of a manifest+blob record, the one
 // record the atlas and the model store keep per entry: the manifest's
 // length as a uvarint, the manifest, then the blob.
@@ -224,33 +115,18 @@ func SplitRecord(payload []byte) (manifest, blob []byte, ok bool) {
 	return payload[k : k+int(n)], payload[k+int(n):], true
 }
 
-// legacyEntry is a committed entry of the per-file layout, awaiting
-// migration.
-type legacyEntry[M any] struct {
-	id       string
-	manifest []byte
-	m        M
-}
-
-// OpenRecords opens a directory of manifest+blob records: the segment
-// named segFile in dir, one live record per entry, whose manifest decode
-// reads (it returns the ID the manifest claims, or "" to reject it). A
-// record whose manifest is rejected or names another ID is corrupt. It
-// then migrates each committed entry of the per-file layout in dir into
-// the segment, appending first and removing the files after, so a crash
-// in between only repeats the migration; an entry whose blob cannot be
-// read is left for Sweep. It returns the segment, the per-file layout's
-// Store, which counts everything corrupt until Sweep, and the decoded
-// manifests: the segment's in log order, then the migrated ones.
-func OpenRecords[M any](dir, segFile, blobExt string, decode func(manifest []byte) (M, string)) (*Segment, *Store, []M, error) {
-	legacy, old, err := Open(dir, blobExt, func(raw []byte) (legacyEntry[M], string) {
-		m, id := decode(raw)
-		return legacyEntry[M]{id, raw, m}, id
-	})
-	if err != nil {
-		return nil, nil, nil, err
+// OpenRecords creates dir if needed and opens a directory of manifest+blob
+// records: the segment named segFile in dir, one live record per entry,
+// whose manifest decode reads (it returns the ID the manifest claims, or
+// "" to reject it). A record whose manifest is rejected or names another
+// ID is corrupt (Segment.Corrupt). It returns the segment and the decoded
+// manifests in log order. Files in dir other than the segment are left
+// alone.
+func OpenRecords[M any](dir, segFile string, decode func(manifest []byte) (M, string)) (*Segment, []M, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, err
 	}
-	seg, out, err := OpenSegment(filepath.Join(dir, segFile), 0o644, func(id string, payload []byte) (m M, ok bool) {
+	return OpenSegment(filepath.Join(dir, segFile), 0o644, func(id string, payload []byte) (m M, ok bool) {
 		manifest, _, ok := SplitRecord(payload)
 		if !ok {
 			return m, false
@@ -258,27 +134,4 @@ func OpenRecords[M any](dir, segFile, blobExt string, decode func(manifest []byt
 		m, claimed := decode(manifest)
 		return m, claimed == id
 	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	legacy.corrupt.Add(int64(seg.Corrupt()))
-	for _, e := range old {
-		if _, ok := seg.index[e.id]; !ok {
-			blob, err := os.ReadFile(legacy.blobPath(e.id))
-			if err != nil {
-				legacy.corrupt.Add(1)
-				continue
-			}
-			if err := seg.Put(e.id, EncodeRecord(e.manifest, blob)); err != nil {
-				seg.Close()
-				return nil, nil, nil, fmt.Errorf("migrating %s: %w", dir, err)
-			}
-			out = append(out, e.m)
-		}
-		if err := legacy.Remove(e.id); err != nil {
-			seg.Close()
-			return nil, nil, nil, fmt.Errorf("migrating %s: %w", dir, err)
-		}
-	}
-	return seg, legacy, out, nil
 }

@@ -1,7 +1,6 @@
 package blobstore
 
 import (
-	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -10,35 +9,6 @@ import (
 	"strings"
 	"testing"
 )
-
-const blobExt = ".blob"
-
-type manifest struct {
-	ID string `json:"id"`
-}
-
-func decode(raw []byte) (m manifest, id string) {
-	if json.Unmarshal(raw, &m) != nil {
-		return m, ""
-	}
-	return m, m.ID
-}
-
-// openRecords opens dir's records through OpenRecords and returns the
-// ids of the manifests it indexed.
-func openRecords(t *testing.T, dir string) (*Segment, *Store, []string) {
-	t.Helper()
-	seg, legacy, ms, err := OpenRecords(dir, "s.log", blobExt, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { seg.Close() })
-	var ids []string
-	for _, m := range ms {
-		ids = append(ids, m.ID)
-	}
-	return seg, legacy, ids
-}
 
 func files(t *testing.T, dir string) []string {
 	t.Helper()
@@ -96,63 +66,6 @@ func failRename(t *testing.T, suffix string) {
 		}
 		return os.Rename(from, to)
 	}})
-}
-
-// TestCrashDebrisInvisibleAndSwept lays down a committed entry of the
-// per-file layout, what a crash at each point of a per-file publish or
-// remove left behind, and hand-damaged manifests. OpenRecords must migrate
-// the entry into the segment and remove its files, none of the debris may
-// become visible, each corrupt manifest is counted, and Sweep removes
-// exactly the debris.
-func TestCrashDebrisInvisibleAndSwept(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "store")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	write(t, filepath.Join(dir, "live.blob"), `blob live`)
-	write(t, filepath.Join(dir, "live.json"), `{"id":"live"}`)
-	write(t, filepath.Join(dir, TmpPrefix+"0123456789abcdef"), `blob to`) // torn staging file
-	write(t, filepath.Join(dir, "orphan.blob"), `blob orphan`)            // blob renamed, manifest not
-	write(t, filepath.Join(dir, "blobless.json"), `{"id":"blobless"}`)    // remove cut after the manifest
-	write(t, filepath.Join(dir, "torn.json"), `{"id":"to`)                // unparseable
-	write(t, filepath.Join(dir, "misnamed.json"), `{"id":"live"}`)        // claims another entry's ID
-	write(t, filepath.Join(dir, "escape.json"), `{"id":"../victim"}`)     // ID outside the directory
-	write(t, filepath.Join(root, "victim.blob"), `not the store's`)
-	write(t, filepath.Join(root, "victim.json"), `{"id":"../victim"}`)
-	write(t, filepath.Join(dir, "README"), `not the store's`)
-
-	seg, legacy, ids := openRecords(t, dir)
-	if !reflect.DeepEqual(ids, []string{"live"}) {
-		t.Fatalf("debris became visible: %v", ids)
-	}
-	if got := legacy.Corrupt(); got != 4 {
-		t.Fatalf("Corrupt = %d, want 4 (blobless, torn, misnamed, escape)", got)
-	}
-	payload, ok, err := seg.Get("live")
-	if manifest, blob, _ := SplitRecord(payload); err != nil || !ok || string(manifest) != `{"id":"live"}` || string(blob) != "blob live" {
-		t.Fatalf("migrated record = %q, %v, %v", payload, ok, err)
-	}
-	removed, err := legacy.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"blobless.json", "escape.json", "misnamed.json", "orphan.blob", TmpPrefix + "0123456789abcdef", "torn.json"}
-	if !reflect.DeepEqual(removed, want) {
-		t.Fatalf("Sweep removed %v, want %v", removed, want)
-	}
-	if got, want := files(t, dir), []string{"README", "s.log"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("files after Sweep = %v, want %v", got, want)
-	}
-	if got, want := files(t, root), []string{"store", "victim.blob", "victim.json"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("files outside the store = %v, want %v", got, want)
-	}
-	if legacy.Corrupt() != 0 {
-		t.Fatal("Sweep did not reset the corrupt count")
-	}
-	if _, legacy, ids := openRecords(t, dir); !reflect.DeepEqual(ids, []string{"live"}) || legacy.Corrupt() != 0 {
-		t.Fatalf("reopened after Sweep: ids=%v corrupt=%d", ids, legacy.Corrupt())
-	}
 }
 
 func TestWriteAtomic(t *testing.T) {

@@ -46,11 +46,21 @@ func stores(t *testing.T, root string) (*atlas.Atlas, *resilience.Journal, *mode
 	return a, j, ms
 }
 
-// model returns the checked-in tiny conv1d surrogate with one bias moved
-// by i, so each i is a distinct artifact, and its serialization.
+// model returns the tiny conv1d surrogate b02ce43dcce6aa35 of the
+// checked-in model-store segment with one bias moved by i, so each i is a
+// distinct artifact, and its serialization.
 func model(t *testing.T, i int) (*surrogate.Surrogate, []byte) {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "modelstore", "testdata", "store", "b02ce43dcce6aa35"+modelstore.BlobExt))
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "modelstore", "testdata", "segment"))); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	raw, err := ms.Blob("b02ce43dcce6aa35")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,5 +362,68 @@ func TestSegmentSteadyStateCreatesNoFiles(t *testing.T) {
 	}
 	if err := j.Get("job-1", new(string)); !errors.Is(err, resilience.ErrNotJournaled) {
 		t.Fatalf("Get(job-1) = %v, want ErrNotJournaled", err)
+	}
+}
+
+// TestOldLayoutLeftAlone lays the files of the per-file layouts the
+// stores used before segments — manifests, mapping and surrogate blobs,
+// journal records and the staging files of both — into each store's
+// directory. The stores must open empty, count nothing corrupt, remove
+// nothing on GC, and leave every file byte for byte as it was.
+func TestOldLayoutLeftAlone(t *testing.T) {
+	old := map[string]string{
+		"6f68ea96d74577c4.json":      `{"id":"6f68ea96d74577c4","key":"046042e8c69caa8f","family":"9d46b549aa5b23aa","algo_fp":"a"}`,
+		"6f68ea96d74577c4.mapping":   `{"Spatial":[4,5]}`,
+		"6f68ea96d74577c4.surrogate": "surrogate blob",
+		"job-1.json":                 `{"id":"job-1","best":"m1","n":2}`,
+		"tmp-0123456789abcdef":       `{"trunc`,
+		".tmp-job-3-1234567":         `{"id":"jo`,
+	}
+	root := t.TempDir()
+	dirs := []string{"atlas", "jobs", "models"}
+	for _, dir := range dirs {
+		if err := os.Mkdir(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, body := range old {
+			if err := os.WriteFile(filepath.Join(root, dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, j, ms := stores(t, root)
+	ids, err := j.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(a.List()) + len(ids) + len(ms.List()); n != 0 {
+		t.Fatalf("the stores list %d entries from the old layout, want none", n)
+	}
+	if a.Stats().Corrupt != 0 || ms.Stats().Corrupt != 0 {
+		t.Fatalf("corrupt counts %d (atlas) and %d (models), want 0", a.Stats().Corrupt, ms.Stats().Corrupt)
+	}
+	removed, err := a.GC(func(atlas.Entry) bool { return true })
+	if err != nil || len(removed) != 0 {
+		t.Fatalf("atlas GC removed %v (%v), want nothing", removed, err)
+	}
+	if removed, err = ms.GC(1); err != nil || len(removed) != 0 {
+		t.Fatalf("model store GC removed %v (%v), want nothing", removed, err)
+	}
+	for _, dir := range dirs {
+		got := map[string]string{}
+		des, err := os.ReadDir(filepath.Join(root, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range des {
+			body, err := os.ReadFile(filepath.Join(root, dir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[de.Name()] = string(body)
+		}
+		if !maps.Equal(got, old) {
+			t.Fatalf("%s holds %v after open and GC, want %v", dir, got, old)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package blobstore_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,8 +17,10 @@ import (
 // stores' manifest decode. SplitRecord must not panic, and what it splits
 // must re-encode to a payload that splits the same way. An atlas and a
 // model store whose segment holds the record must open, and either index
-// one entry under that id or count the record corrupt. The live records
-// of the checked-in segment fixtures seed the corpus.
+// one entry under that id or count the record corrupt; a record whose
+// manifest does not decode, or claims another id, must be counted corrupt
+// and not indexed. The live records of the checked-in segment fixtures
+// seed the corpus, with one record of each of those two kinds.
 func FuzzManifestRecord(f *testing.F) {
 	for _, fixture := range []string{
 		filepath.Join("..", "atlas", "testdata", "segment", atlas.SegmentFile),
@@ -45,15 +48,24 @@ func FuzzManifestRecord(f *testing.F) {
 		seg.Close()
 	}
 	f.Add("x", []byte{0x80, 0x00, '{', '}'})
+	f.Add("x", blobstore.EncodeRecord([]byte(`{"id":"y","key":"k","family":"f","algo_fp":"a"}`), []byte(`{}`)))
+	f.Add("x", blobstore.EncodeRecord([]byte(`{not json`), []byte(`{}`)))
 	f.Fuzz(func(t *testing.T, id string, payload []byte) {
 		if !blobstore.ValidID(id) || len(id) > 255 {
 			return
 		}
+		// mustDrop: the manifest does not split off or decode, or it
+		// claims an id other than the record's.
+		mustDrop := true
 		if manifest, blob, ok := blobstore.SplitRecord(payload); ok {
 			m2, b2, ok := blobstore.SplitRecord(blobstore.EncodeRecord(manifest, blob))
 			if !ok || !bytes.Equal(m2, manifest) || !bytes.Equal(b2, blob) {
 				t.Fatalf("split %d+%d bytes do not re-encode", len(manifest), len(blob))
 			}
+			var claim struct {
+				ID *string `json:"id"`
+			}
+			mustDrop = json.Unmarshal(manifest, &claim) != nil || (claim.ID != nil && *claim.ID != id)
 		}
 		root := t.TempDir()
 		write := func(dir, file string) {
@@ -77,7 +89,7 @@ func FuzzManifestRecord(f *testing.F) {
 		}
 		defer a.Close()
 		entries, corrupt := a.List(), a.Stats().Corrupt
-		if !(len(entries) == 1 && entries[0].ID == id && corrupt == 0) && !(len(entries) == 0 && corrupt == 1) {
+		if !(len(entries) == 1 && entries[0].ID == id && corrupt == 0 && !mustDrop) && !(len(entries) == 0 && corrupt == 1) {
 			t.Fatalf("atlas indexed %d entries with %d corrupt from one record %q", len(entries), corrupt, id)
 		}
 		ms, err := modelstore.Open(filepath.Join(root, "models"))
@@ -86,7 +98,7 @@ func FuzzManifestRecord(f *testing.F) {
 		}
 		defer ms.Close()
 		models, corrupt := ms.List(), ms.Stats().Corrupt
-		if !(len(models) == 1 && models[0].ID == id && corrupt == 0) && !(len(models) == 0 && corrupt == 1) {
+		if !(len(models) == 1 && models[0].ID == id && corrupt == 0 && !mustDrop) && !(len(models) == 0 && corrupt == 1) {
 			t.Fatalf("model store indexed %d artifacts with %d corrupt from one record %q", len(models), corrupt, id)
 		}
 	})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -210,7 +211,11 @@ func (c *Comparison) Render(w io.Writer) {
 				fmt.Fprintf(w, "%-8d", int(cp))
 			}
 			for _, s := range pc.Series {
-				fmt.Fprintf(w, "%12.1f", s.Values[i])
+				if math.IsInf(s.Values[i], 1) { // no sample yet
+					fmt.Fprintf(w, "%12s", "—")
+				} else {
+					fmt.Fprintf(w, "%12.1f", s.Values[i])
+				}
 			}
 			fmt.Fprintln(w)
 		}

@@ -6,9 +6,8 @@
 // artifact id, and a JSON manifest carrying everything needed to pick a
 // model without loading it — the workload fingerprint, architecture and
 // cost-model fingerprints, the training configuration, final and per-epoch
-// losses, and the parent artifact for warm-started runs. Open migrates the
-// older per-file layout — a blob (<id>.surrogate) plus a manifest
-// (<id>.json) per artifact — into it.
+// losses, and the parent artifact for warm-started runs. The segment is
+// the store's only on-disk format.
 //
 // An in-memory index keyed by workload fingerprint resolves "the best
 // model for this algorithm" — the highest version, ties broken by recency
@@ -33,12 +32,8 @@ import (
 	"mindmappings/internal/surrogate"
 )
 
-const (
-	// SegmentFile names the store's segment inside its directory.
-	SegmentFile = "models.log"
-	// BlobExt is the extension of surrogate blob files in the per-file layout.
-	BlobExt = ".surrogate"
-)
+// SegmentFile names the store's segment inside its directory.
+const SegmentFile = "models.log"
 
 // ErrUnknownArtifact is wrapped by Load and Delete for IDs the store does
 // not index; callers map it to 404.
@@ -99,10 +94,7 @@ type Manifest struct {
 // own endpoints (DELETE /v1/models/{id}, POST /v1/models/gc) and use the
 // CLI for offline stores.
 type Store struct {
-	seg *blobstore.Segment
-	// legacy is the per-file layout Open migrated from: it counts what
-	// Open could not index, and its debris stays for GC to sweep.
-	legacy    *blobstore.Store
+	seg       *blobstore.Segment
 	failpoint blobstore.Failpoint
 
 	// writeMu serializes the appends — Publish, Delete, GC — so mu is held
@@ -123,19 +115,17 @@ type Store struct {
 func (s *Store) SetFailpoint(fn func(op string) error) { s.failpoint.Set(fn) }
 
 // Open replays dir's segment (creating dir if needed) and indexes every
-// committed artifact, dropping a torn tail, then migrates the per-file
-// layout into the segment (blobstore.OpenRecords). Per-file crash debris
-// stays invisible until GC sweeps it.
+// committed artifact, dropping a torn tail (blobstore.OpenRecords). Other
+// files in dir are neither read nor touched.
 func Open(dir string) (*Store, error) {
-	seg, legacy, manifests, err := blobstore.OpenRecords(dir, SegmentFile, BlobExt, decodeManifest)
+	seg, manifests, err := blobstore.OpenRecords(dir, SegmentFile, decodeManifest)
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: %w", err)
 	}
 	s := &Store{
-		seg:    seg,
-		legacy: legacy,
-		byID:   make(map[string]*Manifest),
-		byFP:   make(map[string][]*Manifest),
+		seg:  seg,
+		byID: make(map[string]*Manifest),
+		byFP: make(map[string][]*Manifest),
 	}
 	for _, m := range manifests {
 		s.indexLocked(m)
@@ -360,9 +350,8 @@ func (s *Store) removeLocked(ids ...string) error {
 }
 
 // GC removes superseded versions — keeping the newest keep versions per
-// workload fingerprint (minimum 1) — with one append of tombstones, then
-// sweeps the per-file layout's debris and resets the corrupt count. It
-// returns the removed artifact IDs followed by the debris file names.
+// workload fingerprint (minimum 1) — with one append of tombstones. It
+// returns the removed artifact IDs.
 func (s *Store) GC(keep int) ([]string, error) {
 	keep = max(keep, 1)
 	s.writeMu.Lock()
@@ -376,11 +365,7 @@ func (s *Store) GC(keep int) ([]string, error) {
 	if err := s.removeLocked(removed...); err != nil {
 		return nil, fmt.Errorf("modelstore: gc: %w", err)
 	}
-	debris, err := s.legacy.Sweep()
-	if err != nil {
-		err = fmt.Errorf("modelstore: gc: %w", err)
-	}
-	return append(removed, debris...), err
+	return removed, nil
 }
 
 // Stats is a point-in-time store snapshot, exposed by the service as the
@@ -388,9 +373,8 @@ func (s *Store) GC(keep int) ([]string, error) {
 type Stats struct {
 	Artifacts int `json:"artifacts"`
 	Workloads int `json:"workloads"`
-	// Corrupt counts what Open could not index and GC has not swept or
-	// reset yet: per-file manifests that are unreadable, uncommitted or
-	// misnamed, and a torn or CRC-bad segment tail.
+	// Corrupt counts the records the last Open dropped: a torn or CRC-bad
+	// segment tail, and records whose manifest is unreadable or misnamed.
 	Corrupt int `json:"corrupt"`
 }
 
@@ -398,7 +382,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Stats{Artifacts: len(s.byID), Workloads: len(s.byFP), Corrupt: s.legacy.Corrupt()}
+	return Stats{Artifacts: len(s.byID), Workloads: len(s.byFP), Corrupt: s.seg.Corrupt()}
 }
 
 // defaultArchFPs caches ArchFingerprint(arch.Default(n)) by n (int →

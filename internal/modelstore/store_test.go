@@ -2,10 +2,10 @@ package modelstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -156,11 +156,12 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	}
 }
 
-// TestCrashSafetyPartialWritesInvisible simulates the two crash windows —
-// after the blob write but before the manifest commit, and mid-temp-file —
-// and checks neither leaves a visible artifact; GC then reaps the debris.
+// TestCrashSafetyPartialWritesInvisible cuts the segment inside a
+// publish's one write, as a crash would. On reopen the torn artifact must
+// be invisible, counted corrupt and cut off, the artifact committed before
+// it must still load, and the surrogate must publish again.
 func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
-	a, _ := testSurrogates(t)
+	a, b := testSurrogates(t)
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -170,22 +171,21 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Crash window 1: committed blob, no manifest.
-	var blob bytes.Buffer
-	if err := a.Save(&blob); err != nil {
+	path := filepath.Join(dir, SegmentFile)
+	before, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	orphan := filepath.Join(dir, "deadbeefdeadbeef"+BlobExt)
-	if err := os.WriteFile(orphan, blob.Bytes(), 0o644); err != nil {
+	torn, err := st.Publish(b, PublishMeta{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash window 2: half-written temp file.
-	if err := os.WriteFile(filepath.Join(dir, blobstore.TmpPrefix+"0123"), blob.Bytes()[:100], 0o644); err != nil {
+	st.Close()
+	after, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Torn manifest (no blob behind it).
-	if err := os.WriteFile(filepath.Join(dir, "cafecafecafecafe"+blobstore.ManifestExt), []byte(`{"id":"cafecafecafecafe"`), 0o644); err != nil {
+	if err := os.Truncate(path, (before.Size()+after.Size())/2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,33 +193,88 @@ func TestCrashSafetyPartialWritesInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st2.List()); got != 1 {
-		t.Fatalf("partial artifacts leaked into the listing: %d entries", got)
+	defer st2.Close()
+	if got := st2.Stats(); got != (Stats{Artifacts: 1, Workloads: 1, Corrupt: 1}) {
+		t.Fatalf("Stats = %+v, want the committed artifact and the torn one counted corrupt", got)
 	}
-	if _, ok := st2.Get("deadbeefdeadbeef"); ok {
-		t.Fatal("blob without manifest is visible")
+	if fi, err := os.Stat(path); err != nil || fi.Size() != before.Size() {
+		t.Fatalf("segment after reopen: %v, %v; want %d bytes", fi, err, before.Size())
 	}
-	if st2.Stats().Corrupt == 0 {
-		t.Fatal("corrupt debris not counted")
+	if _, ok := st2.Get(torn.ID); ok {
+		t.Fatal("the torn publish is visible")
 	}
-	removed, err := st2.GC(10)
+	if _, err := st2.Load(m.ID); err != nil {
+		t.Fatalf("Load of the committed artifact: %v", err)
+	}
+	if again, err := st2.Publish(b, PublishMeta{}); err != nil || again.ID != torn.ID || again.Version != 2 {
+		t.Fatalf("republish after the torn one: %+v, %v", again, err)
+	}
+}
+
+// TestMisnamedManifestIsCorrupt pins that a segment record whose manifest
+// claims an ID other than the record's own — another artifact's, or one
+// outside the directory such as "../victim" — is corrupt: never indexed,
+// counted, and out of reach of Delete and GC, while the artifact whose ID
+// it claims still loads its own blob.
+func TestMisnamedManifestIsCorrupt(t *testing.T) {
+	a, b := testSurrogates(t)
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != 3 {
-		t.Fatalf("GC removed %v, want the 3 debris files", removed)
-	}
-	entries, err := os.ReadDir(dir)
+	m, err := st.Publish(a, PublishMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), blobstore.TmpPrefix) {
-			t.Fatalf("tmp file survived GC: %s", de.Name())
+	st.Close()
+	var blob bytes.Buffer
+	if err := b.Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	escape := m
+	escape.ID = "../victim"
+	seg, _, err := blobstore.OpenSegment[struct{}](filepath.Join(dir, SegmentFile), 0o644, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, claim := range map[string]Manifest{"aaaaaaaaaaaaaaaa": m, "escape": escape} {
+		manifest, err := json.Marshal(claim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Put(id, blobstore.EncodeRecord(manifest, blob.Bytes())); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, ok := st2.Get(m.ID); !ok {
-		t.Fatal("GC removed a committed artifact")
+	seg.Close()
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if got := st2.Stats(); got != (Stats{Artifacts: 1, Workloads: 1, Corrupt: 2}) {
+		t.Fatalf("Stats = %+v", got)
+	}
+	for _, id := range []string{"aaaaaaaaaaaaaaaa", "escape", "../victim"} {
+		if err := st2.Delete(id); !errors.Is(err, ErrUnknownArtifact) {
+			t.Fatalf("Delete(%s) = %v, want ErrUnknownArtifact", id, err)
+		}
+	}
+	if removed, err := st2.GC(1); err != nil || len(removed) != 0 {
+		t.Fatalf("GC removed %v (%v), want nothing", removed, err)
+	}
+	got, err := st2.Blob(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := a.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("Blob(%s) is not its own surrogate", m.ID)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"mindmappings/internal/blobstore"
 )
@@ -22,7 +21,6 @@ var ErrNotJournaled = errors.New("resilience: no journal record")
 // "journal.write") and a bounded retry policy, so injected storage faults
 // exercise the retry path real transient I/O errors would.
 type Journal struct {
-	dir string
 	// Retry governs Put; defaults to DefaultRetry. Set before first use.
 	Retry RetryPolicy
 
@@ -30,18 +28,12 @@ type Journal struct {
 	seg       *blobstore.Segment
 }
 
-const (
-	// journalFile names the segment inside the journal directory.
-	journalFile = "journal.log"
-	// journalTmpPrefix starts the temp files of the per-record layout.
-	journalTmpPrefix = ".tmp-"
-)
+// journalFile names the segment inside the journal directory.
+const journalFile = "journal.log"
 
-// OpenJournal creates dir if needed and returns the journal over it. It
-// replays the segment, and migrates records of the older one-file-per-id
-// layout (<id>.json) into it: each is appended first and its file removed
-// after, so a crash in between only repeats the migration. Temp debris of
-// that layout is removed.
+// OpenJournal creates dir if needed and returns the journal over it,
+// replaying its segment, the journal's only on-disk format. Other files
+// in dir are neither read nor touched.
 func OpenJournal(dir string) (*Journal, error) {
 	if dir == "" {
 		return nil, errors.New("resilience: journal dir required")
@@ -53,41 +45,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resilience: opening journal: %w", err)
 	}
-	j := &Journal{dir: dir, Retry: DefaultRetry, seg: seg}
-	if err := j.migrate(); err != nil {
-		seg.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-func (j *Journal) migrate() error {
-	ents, err := os.ReadDir(j.dir)
-	if err != nil {
-		return fmt.Errorf("resilience: reading journal dir: %w", err)
-	}
-	for _, e := range ents {
-		name := filepath.Join(j.dir, e.Name())
-		if strings.HasPrefix(e.Name(), journalTmpPrefix) {
-			os.Remove(name)
-			continue
-		}
-		id, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || e.IsDir() || validJournalID(id) != nil {
-			continue
-		}
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			return fmt.Errorf("resilience: migrating journal record %s: %w", id, err)
-		}
-		if err := j.seg.Put(id, raw); err != nil {
-			return fmt.Errorf("resilience: migrating journal record %s: %w", id, err)
-		}
-		if err := os.Remove(name); err != nil {
-			return fmt.Errorf("resilience: migrating journal record %s: %w", id, err)
-		}
-	}
-	return nil
+	return &Journal{Retry: DefaultRetry, seg: seg}, nil
 }
 
 // Close releases the journal's segment file.

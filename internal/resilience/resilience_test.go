@@ -182,7 +182,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	// A fresh open (the recovery path) sees the latest committed records.
-	j2, err := OpenJournal(j.dir)
+	j2, err := OpenJournal(filepath.Join(dir, "jobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +221,9 @@ func TestJournalIgnoresAndSweepsDebris(t *testing.T) {
 	if err := j.Put("job-1", rec{ID: "job-1"}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-Put: a torn temp file next to a good record.
-	debris := filepath.Join(dir, journalTmpPrefix+"job-2-123")
+	// Simulate a crash mid-compaction: a torn staging file of the segment
+	// next to it.
+	debris := filepath.Join(dir, journalFile+".tmp-0123456789abcdef")
 	if err := os.WriteFile(debris, []byte(`{"id":"jo`), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -102,9 +102,9 @@ type Result struct {
 	Elapsed    time.Duration
 }
 
-// BestAt returns the best-so-far EDP after the first n evaluations (or the
-// final best if n exceeds the trajectory), used to compare methods at a
-// fixed iteration count.
+// BestAt returns the best-so-far EDP after the first n evaluations, used
+// to compare methods at a fixed iteration count: +Inf before the run's
+// first sample.
 func (r *Result) BestAt(n int) float64 {
 	best := math.Inf(1)
 	for _, s := range r.Trajectory {
@@ -113,13 +113,11 @@ func (r *Result) BestAt(n int) float64 {
 		}
 		best = s.BestEDP
 	}
-	if math.IsInf(best, 1) {
-		return r.BestEDP
-	}
 	return best
 }
 
-// BestAtTime returns the best-so-far EDP at the given elapsed time.
+// BestAtTime returns the best-so-far EDP at the given elapsed time: +Inf
+// before the run's first sample.
 func (r *Result) BestAtTime(d time.Duration) float64 {
 	best := math.Inf(1)
 	for _, s := range r.Trajectory {
@@ -127,9 +125,6 @@ func (r *Result) BestAtTime(d time.Duration) float64 {
 			break
 		}
 		best = s.BestEDP
-	}
-	if math.IsInf(best, 1) {
-		return r.BestEDP
 	}
 	return best
 }

@@ -148,8 +148,11 @@ func TestResultBestAt(t *testing.T) {
 	if r.BestAt(100) != 2 {
 		t.Fatalf("BestAt(100) = %v", r.BestAt(100))
 	}
-	if r.BestAt(0) != 2 {
-		t.Fatal("BestAt before any sample should fall back to final")
+	if !math.IsInf(r.BestAt(0), 1) {
+		t.Fatalf("BestAt before any sample = %v, want +Inf", r.BestAt(0))
+	}
+	if !math.IsInf(r.BestAtTime(0), 1) {
+		t.Fatalf("BestAtTime before any sample = %v, want +Inf", r.BestAtTime(0))
 	}
 	if r.BestAtTime(2*time.Millisecond) != 5 {
 		t.Fatalf("BestAtTime = %v", r.BestAtTime(2*time.Millisecond))

@@ -197,12 +197,29 @@ func TestAtlasStaleEntryFallsThrough(t *testing.T) {
 	}
 }
 
+// putGarbageBlob writes into the atlas segment in dir a record that binds
+// e's manifest to a mapping blob that does not decode.
+func putGarbageBlob(t *testing.T, dir string, e atlas.Entry) {
+	t.Helper()
+	manifest, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, _, err := blobstore.OpenSegment[struct{}](filepath.Join(dir, atlas.SegmentFile), 0o644, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if err := seg.Put(e.ID, blobstore.EncodeRecord(manifest, []byte("{not json"))); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAtlasUnreadableEntryFallsThrough pins the unreadable-entry paths.
 // An entry whose mapping blob is garbage answers no request — each runs a
 // search — and the flight recorder reports the lookup error once, without
-// re-reading the blob per request; the garbage reaches the atlas through
-// the per-file layout that Open migrates. A segment record that fails its
-// CRC is dropped at Open and counted corrupt, so its key is simply cold.
+// re-reading the blob per request. A segment record that fails its CRC is
+// dropped at Open and counted corrupt, so its key is simply cold.
 func TestAtlasUnreadableEntryFallsThrough(t *testing.T) {
 	req := validRequest()
 	req.Searcher = "ga"
@@ -225,16 +242,7 @@ func TestAtlasUnreadableEntryFallsThrough(t *testing.T) {
 		corrupt      int
 	}{
 		{"garbage blob", func(t *testing.T, dir string) {
-			e := published(t, t.TempDir())
-			manifest, err := json.Marshal(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, body := range map[string][]byte{e.ID + blobstore.ManifestExt: manifest, e.ID + atlas.BlobExt: []byte("{not json")} {
-				if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			putGarbageBlob(t, dir, published(t, t.TempDir()))
 		}, 1, 0},
 		{"crc-bad record", func(t *testing.T, dir string) {
 			published(t, dir)
@@ -303,17 +311,8 @@ func TestAtlasUnreadableNeighborStartsCold(t *testing.T) {
 	m := spaceFor(t, neighbor).Minimal()
 	e := publishFor(t, src, neighbor, &m, 1)
 	src.Close()
-	manifest, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A per-file entry migrates into the segment as one record at Open.
 	dir := t.TempDir()
-	for name, body := range map[string][]byte{e.ID + blobstore.ManifestExt: manifest, e.ID + atlas.BlobExt: []byte("{not json")} {
-		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	putGarbageBlob(t, dir, e)
 	a, err := atlas.Open(dir)
 	if err != nil {
 		t.Fatal(err)

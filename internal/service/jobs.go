@@ -388,7 +388,7 @@ func (jm *JobManager) registerMetrics() {
 		"Committed mapping entries in the attached atlas.",
 		func() float64 { return float64(atlasStats().Entries) })
 	reg.GaugeFunc("atlas_corrupt_manifests",
-		"Atlas manifests and log tails skipped at open as torn, unreadable or misnamed (reset by GC).",
+		"Atlas manifests and log tails skipped at open as torn, unreadable or misnamed.",
 		func() float64 { return float64(atlasStats().Corrupt) })
 }
 

@@ -138,7 +138,7 @@ func (s *Server) WithTraining(store *modelstore.Store, tp *trainer.Pipeline) *Se
 		"Distinct workload fingerprints in the model store.",
 		func() float64 { return float64(store.Stats().Workloads) })
 	s.reg.GaugeFunc("store_corrupt_manifests",
-		"Model-store manifests and log tails skipped at open as torn, unreadable or misnamed (reset by GC).",
+		"Model-store manifests and log tails skipped at open as torn, unreadable or misnamed.",
 		func() float64 { return float64(store.Stats().Corrupt) })
 	return s
 }
