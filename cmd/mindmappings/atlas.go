@@ -26,7 +26,7 @@ func cmdAtlas(args []string) error {
 	}
 	fs := flag.NewFlagSet("atlas", flag.ExitOnError)
 	atlasDir := fs.String("atlas", "", "atlas directory (required)")
-	gc := fs.Bool("gc", false, "drop superseded versions and entries with drifted workload/arch fingerprints")
+	gc := fs.Bool("gc", false, "drop entries with drifted workload/arch fingerprints")
 	del := fs.String("delete", "", "delete one entry by ID")
 	verbose := fs.Bool("v", false, "also print fingerprints and keys")
 	if err := fs.Parse(args); err != nil {

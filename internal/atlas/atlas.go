@@ -15,6 +15,8 @@
 // ("Demystifying Map Space Exploration for NPUs" observes that good
 // mappings transfer across similar shapes).
 //
+// The atlas holds one entry per key: a better solution supersedes the
+// key's entry, and Open finishes a supersede that a crash cut off.
 // Entries persist through internal/blobstore as manifest+blob records of
 // one append-only segment (atlas.log), each holding an entry's manifest and
 // its mapping blob (both JSON). The segment is the atlas's only on-disk
@@ -112,38 +114,30 @@ func ShapeDistance(a, b []int) float64 {
 // Atlas is the on-disk store plus its in-memory index. Safe for
 // concurrent use.
 //
-// The index keeps each committed entry as one slot of a slice, with what
-// entries share held once per atlas: the provenance strings are interned,
-// every shape lies in one slab, the log2 of each distinct size is taken
-// once, and byKey, byID and the family lists hold slot numbers. See
-// DESIGN.md §11.
+// The atlas holds one entry per key, and the entry keeps one slot of a
+// slice for its life: a better publish rewrites its key's slot in place,
+// and Delete and GC leave the slot empty until the next Open. What entries
+// share is held once per atlas: the provenance strings are interned, every
+// shape lies in one slab, the log2 of each distinct size is taken once,
+// and byKey and the family lists hold slot numbers. See DESIGN.md §11.
 type Atlas struct {
 	seg       *blobstore.Segment
 	failpoint blobstore.Failpoint
 
 	mu    sync.RWMutex
 	slots []slot
-	free  []int32 // slots that hold no entry, for reuse
-	// byKey finds the slot of each key's best entry; byID finds every
-	// committed entry's slot.
-	byKey, byID table
-	// extra lists the slots of versions that are not their key's best:
-	// only a crash between a publish and its tombstones leaves a key more
-	// than one version.
-	extra []int32
-	// families maps a family to the slots of its keys' best entries, the
-	// list Nearest scans.
+	byKey table
+	// families maps a family to the slots of its keys, the list Nearest
+	// scans.
 	families map[string][]int32
 	provs    []provenance
 	provOf   map[provenance]int32
 	// shapes is a slab: a slot's shape is shapes[s.shape:][:dims], and
 	// dimLog[s.shape:][:dims] indexes the log2 of each of its sizes in
-	// logs. A removed entry's sizes stay until dead passes half the slab,
-	// which is then copied afresh, so a Shape an Entry returned never
-	// changes.
+	// logs. A slot's sizes stay where they are until the next Open, so a
+	// Shape an Entry returned never changes.
 	shapes []int
 	dimLog []int32
-	dead   int
 	// logs holds the log2 of every distinct size the atlas has indexed,
 	// and logOf the index of each size's.
 	logs  []float64
@@ -160,7 +154,7 @@ type slot struct {
 	created int64 // Unix nanoseconds; 0 for the zero Time
 	evals   int
 	version int
-	prov    int32 // index in provs; -1 for a free slot
+	prov    int32 // index in provs; -1 for an empty slot
 	shape   int32 // offset in shapes and dimLog
 }
 
@@ -180,32 +174,52 @@ var ErrUnknownEntry = errors.New("atlas: unknown entry")
 // by fault injection; the hook fires as "atlas.publish" before any write.
 func (a *Atlas) SetFailpoint(fn func(op string) error) { a.failpoint.Set(fn) }
 
-// Open replays dir's segment (creating dir if needed) and indexes every
-// committed entry, dropping a torn tail (blobstore.OpenRecords). Other
-// files in dir are neither read nor touched.
+// Open replays dir's segment (creating dir if needed), dropping a torn
+// tail (blobstore.OpenRecords), and indexes each key's best record: the
+// lowest BestEDP, then the newest version, then the first in the log. Only
+// a crash inside a supersede's one write leaves a key more than one
+// record; Open finishes that supersede by tombstoning the others in one
+// write before it indexes, and writes nothing to a log that holds none.
+// Other files in dir are neither read nor touched.
 func Open(dir string) (*Atlas, error) {
 	seg, entries, err := blobstore.OpenRecords(dir, SegmentFile, decodeEntry)
 	if err != nil {
 		return nil, fmt.Errorf("atlas: %w", err)
 	}
+	win := make(map[string]int, len(entries))
+	for i := range entries {
+		e := &entries[i]
+		if j, ok := win[e.Key]; !ok || cmp.Or(cmp.Compare(e.BestEDP, entries[j].BestEDP), cmp.Compare(entries[j].Version, e.Version)) < 0 {
+			win[e.Key] = i
+		}
+	}
+	var drop []string
 	dims := 0
 	for i := range entries {
-		dims += len(entries[i].Shape)
+		if win[entries[i].Key] != i {
+			drop = append(drop, entries[i].ID)
+		} else {
+			dims += len(entries[i].Shape)
+		}
+	}
+	if err := seg.Delete(drop...); err != nil {
+		seg.Close()
+		return nil, fmt.Errorf("atlas: finishing a cut-off supersede: %w", err)
 	}
 	a := &Atlas{
 		seg:      seg,
-		slots:    make([]slot, 0, len(entries)),
+		slots:    make([]slot, 0, len(win)),
 		families: make(map[string][]int32),
 		provOf:   make(map[provenance]int32),
 		shapes:   make([]int, 0, dims),
 		dimLog:   make([]int32, 0, dims),
 		logOf:    make(map[int]int32),
 	}
-	seed := maphash.MakeSeed()
-	a.byKey = newTable(seed, len(entries), a.key)
-	a.byID = newTable(seed, len(entries), a.id)
+	a.byKey = newTable(maphash.MakeSeed(), len(win), a.key)
 	for i := range entries {
-		a.indexLocked(&entries[i])
+		if win[entries[i].Key] == i {
+			a.addLocked(&entries[i], entries[i].Key+entries[i].ID)
+		}
 	}
 	return a, nil
 }
@@ -230,34 +244,29 @@ func (a *Atlas) entryLocked(s int32) Entry {
 	if sl.created != 0 {
 		created = time.Unix(0, sl.created).UTC()
 	}
-	end := int(sl.shape) + p.dims
 	return Entry{
 		ID: sl.keyID[p.keyLen:], Key: sl.keyID[:p.keyLen], Family: p.family,
 		Algo: p.algo, AlgoFP: p.algoFP, ArchFP: p.archFP, CostModel: p.costModel, Objective: p.objective,
-		Shape:   a.shapes[sl.shape:end:end],
+		Shape:   a.shape(s),
 		BestEDP: sl.best, Evals: sl.evals, Method: p.method, Source: p.source,
 		Version: sl.version, Created: created,
 	}
 }
 
-// key, id and family read slot s's entry's. Callers hold mu.
+// key, id, family and shape read slot s's entry's. Callers hold mu.
 func (a *Atlas) key(s int32) string    { return a.slots[s].keyID[:a.provs[a.slots[s].prov].keyLen] }
 func (a *Atlas) id(s int32) string     { return a.slots[s].keyID[a.provs[a.slots[s].prov].keyLen:] }
 func (a *Atlas) family(s int32) string { return a.provs[a.slots[s].prov].family }
-
-// better reports whether slot s's entry beats slot t's as their key's
-// best: a lower BestEDP, then the newer version, then the one indexed
-// first (slots are taken in index order while Open runs, and only Open
-// leaves a key more than one version). Callers hold mu.
-func (a *Atlas) better(s, t int32) bool {
-	x, y := &a.slots[s], &a.slots[t]
-	return cmp.Or(cmp.Compare(x.best, y.best), cmp.Compare(y.version, x.version), cmp.Compare(s, t)) < 0
+func (a *Atlas) shape(s int32) []int {
+	off := int(a.slots[s].shape)
+	end := off + a.provs[a.slots[s].prov].dims
+	return a.shapes[off:end:end]
 }
 
-// addLocked puts e, whose keyID is its key and then its ID, in a free
-// slot, interning its provenance and filing its ID; the caller links it as
-// its key's best or as an extra version. Callers hold mu for writing.
-func (a *Atlas) addLocked(e *Entry, keyID string) int32 {
+// slotLocked makes the slot of e, whose keyID is its key and then its ID,
+// with its shape at offset shape, interning its provenance. Callers hold
+// mu for writing.
+func (a *Atlas) slotLocked(e *Entry, keyID string, shape int32) slot {
 	p := provenance{e.Family, e.Algo, e.AlgoFP, e.ArchFP, e.CostModel, e.Objective, e.Method, e.Source, len(e.Shape), len(e.Key)}
 	pi, ok := a.provOf[p]
 	if !ok {
@@ -265,10 +274,18 @@ func (a *Atlas) addLocked(e *Entry, keyID string) int32 {
 		a.provs = append(a.provs, p)
 		a.provOf[p] = pi
 	}
-	sl := slot{keyID: keyID, best: e.BestEDP, evals: e.Evals, version: e.Version, prov: pi, shape: int32(len(a.shapes))}
+	sl := slot{keyID: keyID, best: e.BestEDP, evals: e.Evals, version: e.Version, prov: pi, shape: shape}
 	if !e.Created.IsZero() {
 		sl.created = e.Created.UnixNano()
 	}
+	return sl
+}
+
+// addLocked puts e, whose key the atlas does not hold, in a new slot and
+// files it under its key and its family. Callers hold mu for writing.
+func (a *Atlas) addLocked(e *Entry, keyID string) {
+	s := int32(len(a.slots))
+	a.slots = append(a.slots, a.slotLocked(e, keyID, int32(len(a.shapes))))
 	a.shapes = append(a.shapes, e.Shape...)
 	for _, size := range e.Shape {
 		li, ok := a.logOf[size]
@@ -279,60 +296,15 @@ func (a *Atlas) addLocked(e *Entry, keyID string) int32 {
 		}
 		a.dimLog = append(a.dimLog, li)
 	}
-	var s int32
-	if n := len(a.free); n > 0 {
-		s, a.free = a.free[n-1], a.free[:n-1]
-		a.slots[s] = sl
-	} else {
-		s = int32(len(a.slots))
-		a.slots = append(a.slots, sl)
-	}
-	a.byID.put(s)
-	return s
-}
-
-// releaseLocked frees slot s, which no index but byID holds, and copies
-// the slabs afresh once removed entries hold half of them. Callers hold
-// mu for writing.
-func (a *Atlas) releaseLocked(s int32) {
-	a.byID.remove(s)
-	a.dead += a.provs[a.slots[s].prov].dims
-	a.slots[s] = slot{prov: -1}
-	a.free = append(a.free, s)
-	if a.dead < 1024 || 2*a.dead < len(a.shapes) {
-		return
-	}
-	live := len(a.shapes) - a.dead
-	shapes, dimLog := make([]int, 0, live), make([]int32, 0, live)
-	for i := range a.slots {
-		sl := &a.slots[i]
-		if sl.prov < 0 {
-			continue
-		}
-		off, end := int(sl.shape), int(sl.shape)+a.provs[sl.prov].dims
-		sl.shape = int32(len(shapes))
-		shapes = append(shapes, a.shapes[off:end]...)
-		dimLog = append(dimLog, a.dimLog[off:end]...)
-	}
-	a.shapes, a.dimLog, a.dead = shapes, dimLog, 0
-}
-
-// linkLocked makes slot s its key's best entry, replacing slot old (-1
-// for none). Callers hold mu for writing.
-func (a *Atlas) linkLocked(s, old int32) {
-	if old < 0 {
-		a.byKey.put(s)
-	} else {
-		a.byKey.replace(old, s)
-		a.unfamilyLocked(old)
-	}
+	a.byKey.put(s)
 	f := a.family(s)
 	a.families[f] = append(a.families[f], s)
 }
 
-// unfamilyLocked drops slot s from its family's list. Callers hold mu for
-// writing.
-func (a *Atlas) unfamilyLocked(s int32) {
+// removeLocked unfiles slot s's entry and leaves the slot empty. Callers
+// hold mu for writing.
+func (a *Atlas) removeLocked(s int32) {
+	a.byKey.remove(s)
 	f := a.family(s)
 	list := a.families[f]
 	i := slices.Index(list, s)
@@ -342,73 +314,16 @@ func (a *Atlas) unfamilyLocked(s int32) {
 	} else {
 		a.families[f] = list
 	}
-}
-
-// indexLocked adds a replayed entry as its key's best or as an extra
-// version. Callers hold mu for writing.
-func (a *Atlas) indexLocked(e *Entry) {
-	s := a.addLocked(e, e.Key+e.ID)
-	cur, ok := a.byKey.get(e.Key)
-	switch {
-	case !ok:
-		a.linkLocked(s, -1)
-	case a.better(s, cur):
-		a.linkLocked(s, cur)
-		a.extra = append(a.extra, cur)
-	default:
-		a.extra = append(a.extra, s)
-	}
-}
-
-// unindexLocked removes slot s's entry, promoting the best of its key's
-// extra versions when s was the key's best. Callers hold mu for writing.
-func (a *Atlas) unindexLocked(s int32) {
-	if i := slices.Index(a.extra, s); i >= 0 {
-		a.extra = slices.Delete(a.extra, i, i+1)
-		a.releaseLocked(s)
-		return
-	}
-	next := -1
-	for i, x := range a.extra {
-		if a.key(x) == a.key(s) && (next < 0 || a.better(x, a.extra[next])) {
-			next = i
-		}
-	}
-	if next >= 0 {
-		a.linkLocked(a.extra[next], s)
-		a.extra = slices.Delete(a.extra, next, next+1)
-	} else {
-		a.byKey.remove(s)
-		a.unfamilyLocked(s)
-	}
-	a.releaseLocked(s)
-}
-
-// versionsLocked returns the slots of every version of key, best
-// included, in version order (ties in index order). Callers hold mu.
-func (a *Atlas) versionsLocked(key string) []int32 {
-	best, ok := a.byKey.get(key)
-	if !ok {
-		return nil
-	}
-	vs := []int32{best}
-	for _, x := range a.extra {
-		if a.key(x) == key {
-			vs = append(vs, x)
-		}
-	}
-	slices.SortFunc(vs, func(s, t int32) int {
-		return cmp.Or(cmp.Compare(a.slots[s].version, a.slots[t].version), cmp.Compare(s, t))
-	})
-	return vs
+	a.slots[s] = slot{prov: -1}
 }
 
 // Publish commits a solved mapping, unless the atlas already holds an
 // equal-or-better entry for the key ("only-if-better", DESIGN.md §11).
-// One write appends the entry's record and tombstones for the entries it
-// supersedes; extra entries a torn write leaves are resolved by best value
-// and reaped by GC. Returns the visible entry for the key and whether this
-// call committed a new one.
+// One write appends the entry's record and the tombstone of the entry it
+// supersedes, whose slot it then takes; the next Open finishes a write a
+// crash cut between the two. A publish whose Family or Shape differs from
+// its key's entry is refused: its key was not made by Key. Returns the
+// visible entry for the key and whether this call committed a new one.
 func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 	if err := a.failpoint.Fire("atlas.publish"); err != nil {
 		return Entry{}, false, err
@@ -450,40 +365,35 @@ func (a *Atlas) Publish(e Entry, m *mapspace.Mapping) (Entry, bool, error) {
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if s, ok := a.byID.get(e.ID); ok {
-		return a.entryLocked(s), false, nil
-	}
 	cur, had := a.byKey.get(e.Key)
-	if had && a.slots[cur].best <= e.BestEDP {
-		return a.entryLocked(cur), false, nil
-	}
-	superseded := a.versionsLocked(e.Key)
+	var drop []string
 	e.Version = 1
-	if len(superseded) > 0 {
-		e.Version = a.slots[superseded[len(superseded)-1]].version + 1
+	if had {
+		// An ID hashes its key with its blob, so an equal ID is this very
+		// entry.
+		if a.slots[cur].best <= e.BestEDP || a.id(cur) == e.ID {
+			return a.entryLocked(cur), false, nil
+		}
+		if e.Family != a.family(cur) || !slices.Equal(e.Shape, a.shape(cur)) {
+			return Entry{}, false, fmt.Errorf("atlas: publish under key %s with a family or shape other than its entry's", e.Key)
+		}
+		drop = []string{a.id(cur)}
+		e.Version = a.slots[cur].version + 1
 	}
 	e.Created = time.Now().UTC()
 	manifest, err := json.Marshal(&e)
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
-	drop := make([]string, len(superseded))
-	for i, old := range superseded {
-		drop[i] = a.id(old)
-	}
 	if err := a.seg.Put(e.ID, blobstore.EncodeRecord(manifest, blob), drop...); err != nil {
 		return Entry{}, false, fmt.Errorf("atlas: %w", err)
 	}
-	s := a.addLocked(&e, keyID.String())
-	if !had {
-		cur = -1
-	}
-	a.linkLocked(s, cur)
-	for _, old := range superseded {
-		if old != cur {
-			a.extra = slices.DeleteFunc(a.extra, func(x int32) bool { return x == old })
-		}
-		a.releaseLocked(old)
+	if had {
+		// The key fixes the family and the shape, so byKey, the family
+		// list and the slab stay as they are.
+		a.slots[cur] = a.slotLocked(&e, keyID.String(), a.slots[cur].shape)
+	} else {
+		a.addLocked(&e, keyID.String())
 	}
 	return e, true, nil
 }
@@ -602,70 +512,61 @@ func (a *Atlas) Nearest(family string, shape []int) (Entry, mapspace.Mapping, fl
 	return e, m, bestDist, true, nil
 }
 
-// List returns every committed entry, ordered by workload, then key, then
-// version — the `mindmappings atlas` listing order.
+// List returns every committed entry, ordered by workload, then key — the
+// `mindmappings atlas` listing order.
 func (a *Atlas) List() []Entry {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	out := make([]Entry, 0, len(a.slots)-len(a.free))
+	out := make([]Entry, 0, a.byKey.n)
 	for s := range a.slots {
 		if a.slots[s].prov >= 0 {
 			out = append(out, a.entryLocked(int32(s)))
 		}
 	}
 	slices.SortFunc(out, func(x, y Entry) int {
-		return cmp.Or(cmp.Compare(x.Algo, y.Algo), cmp.Compare(x.Key, y.Key), x.Version-y.Version)
+		return cmp.Or(cmp.Compare(x.Algo, y.Algo), cmp.Compare(x.Key, y.Key))
 	})
 	return out
 }
 
-// Delete removes one entry by ID.
+// Delete removes one entry by ID. It scans the slots: only the offline
+// `mindmappings atlas -delete` calls it.
 func (a *Atlas) Delete(id string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s, ok := a.byID.get(id)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEntry, id)
+	for s := range a.slots {
+		if a.slots[s].prov < 0 || a.id(int32(s)) != id {
+			continue
+		}
+		if err := a.seg.Delete(id); err != nil {
+			return fmt.Errorf("atlas: %w", err)
+		}
+		a.removeLocked(int32(s))
+		return nil
 	}
-	if err := a.seg.Delete(id); err != nil {
-		return fmt.Errorf("atlas: %w", err)
-	}
-	a.unindexLocked(s)
-	return nil
+	return fmt.Errorf("%w: %q", ErrUnknownEntry, id)
 }
 
-// GC removes superseded per-key versions (all but each key's best) and the
-// entries the stale predicate condemns (drifted workload fingerprints,
-// say; nil keeps all) with one write of tombstones. It returns the removed
-// entry IDs in ID order.
+// GC removes the entries the stale predicate condemns (drifted workload
+// fingerprints, say; nil keeps all) with one write of tombstones. It
+// returns the removed entry IDs in ID order.
 func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var staleBest []int32
-	if stale != nil {
-		for _, list := range a.families {
-			for _, s := range list {
-				if stale(a.entryLocked(s)) {
-					staleBest = append(staleBest, s)
-				}
-			}
-		}
-	}
+	var victims []int32
 	var removed []string
-	for _, s := range slices.Concat(a.extra, staleBest) {
-		removed = append(removed, a.id(s))
+	for s := range a.slots {
+		if stale != nil && a.slots[s].prov >= 0 && stale(a.entryLocked(int32(s))) {
+			victims = append(victims, int32(s))
+			removed = append(removed, a.id(int32(s)))
+		}
 	}
 	slices.Sort(removed)
 	if err := a.seg.Delete(removed...); err != nil {
 		return nil, fmt.Errorf("atlas: gc: %w", err)
 	}
-	// Every extra version goes, so the stale bests have none to promote.
-	for _, s := range a.extra {
-		a.releaseLocked(s)
-	}
-	a.extra = nil
-	for _, s := range staleBest {
-		a.unindexLocked(s)
+	for _, s := range victims {
+		a.removeLocked(s)
 	}
 	return removed, nil
 }
@@ -674,7 +575,8 @@ func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 // atlas_entries and atlas_corrupt_manifests series.
 type Stats struct {
 	// Entries counts committed entries; Keys counts distinct exact
-	// identities; Families counts shape-independent groups.
+	// identities, one entry each, so the two are equal; Families counts
+	// shape-independent groups.
 	Entries  int `json:"entries"`
 	Keys     int `json:"keys"`
 	Families int `json:"families"`
@@ -687,5 +589,5 @@ type Stats struct {
 func (a *Atlas) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return Stats{Entries: len(a.slots) - len(a.free), Keys: a.byKey.n, Families: len(a.families), Corrupt: a.seg.Corrupt()}
+	return Stats{Entries: a.byKey.n, Keys: a.byKey.n, Families: len(a.families), Corrupt: a.seg.Corrupt()}
 }

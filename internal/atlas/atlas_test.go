@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mindmappings/internal/arch"
@@ -542,5 +543,41 @@ func TestDeleteAndGCStale(t *testing.T) {
 	}
 	if st := a.Stats(); st.Entries != 0 || st.Keys != 0 || st.Families != 0 {
 		t.Fatalf("stats after full GC: %+v", st)
+	}
+}
+
+// TestPublishRefusesForeignFamilyOrShape pins that a better publish under a
+// key whose stored entry has another family or shape is refused: a
+// supersede rewrites its key's slot in place, which would file it under
+// the stored family and shape.
+func TestPublishRefusesForeignFamilyOrShape(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	e, m := testSolution(t, 1024, 5.0, 1)
+	stored, _, err := a.Publish(e, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	better, bm := testSolution(t, 1024, 3.0, 2)
+	for name, mutate := range map[string]func(*Entry){
+		"family": func(e *Entry) { e.Family = "0000000000000000" },
+		"shape":  func(e *Entry) { e.Shape = []int{1024, 3} },
+		"rank":   func(e *Entry) { e.Shape = []int{1024, 5, 1} },
+	} {
+		foreign := better
+		foreign.Shape = slices.Clone(better.Shape)
+		mutate(&foreign)
+		if got, ok, err := a.Publish(foreign, &bm); err == nil || ok {
+			t.Fatalf("%s: publish = %+v, %v, %v; want an error", name, got, ok, err)
+		}
+	}
+	if got, ok := a.Best(e.Key); !ok || !reflect.DeepEqual(got, stored) {
+		t.Fatalf("Best = %+v, %v after refused publishes, want %+v", got, ok, stored)
+	}
+	if got, ok, err := a.Publish(better, &bm); err != nil || !ok || got.Version != 2 {
+		t.Fatalf("matching publish = %+v, %v, %v", got, ok, err)
 	}
 }

@@ -30,7 +30,8 @@ type model struct {
 }
 
 // best is the key's best entry: lowest BestEDP, then newest version, then
-// first indexed.
+// first indexed. The model holds one entry per key but while it resolves
+// the records of a segment that holds several.
 func (r *model) best(key string) (Entry, bool) {
 	var best Entry
 	found := false
@@ -45,18 +46,13 @@ func (r *model) best(key string) (Entry, bool) {
 	return best, found
 }
 
-func (r *model) isBest(e Entry) bool {
-	b, _ := r.best(e.Key)
-	return b.ID == e.ID
-}
-
-// nearest scans the family's best entries for the one at the least
+// nearest scans the family's entries for the one at the least
 // ShapeDistance from shape, excluding shape itself, ties broken by key.
 func (r *model) nearest(family string, shape []int) (Entry, float64, bool) {
 	var best Entry
 	dist, found := math.Inf(1), false
 	for _, e := range r.entries {
-		if e.Family != family || !r.isBest(e) || slices.Equal(e.Shape, shape) {
+		if e.Family != family || slices.Equal(e.Shape, shape) {
 			continue
 		}
 		d := ShapeDistance(e.Shape, shape)
@@ -98,12 +94,12 @@ func (r *model) remove(ids ...string) {
 	r.entries = slices.DeleteFunc(r.entries, func(e Entry) bool { return slices.Contains(ids, e.ID) })
 }
 
-// gcVictims lists, in ID order, what GC must remove: every version but
-// each key's best, and the bests stale condemns.
+// gcVictims lists, in ID order, what GC must remove: the entries stale
+// condemns.
 func (r *model) gcVictims(stale func(Entry) bool) []string {
 	var ids []string
 	for _, e := range r.entries {
-		if !r.isBest(e) || (stale != nil && stale(e)) {
+		if stale != nil && stale(e) {
 			ids = append(ids, e.ID)
 		}
 	}
@@ -153,9 +149,11 @@ func modelTargets(id modelIdentity) [][]int {
 // atlas, from a directory of the per-file layout that came before
 // segments (which the atlas ignores, so it starts empty and must leave
 // those files as they are), from the checked-in segment fixture and from
-// a segment whose keys hold several versions, and after every step checks
+// a segment whose keys hold several versions (which Open must resolve to
+// each key's best and tombstone the rest), and after every step checks
 // Best, Lookup, Nearest, List, Stats and GC's removed IDs against the
-// brute-force model.
+// brute-force model. At the end the segment must hold exactly the entries
+// the atlas lists.
 func TestAtlasMatchesModel(t *testing.T) {
 	steps := 120
 	if testing.Short() {
@@ -178,6 +176,7 @@ func runModel(t *testing.T, start string, seed int64, steps int) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
+	ref := &model{mappings: map[string]string{}}
 	oldLayout := map[string]string{
 		"6f68ea96d74577c4.json":    `{"id":"6f68ea96d74577c4","key":"046042e8c69caa8f","family":"9d46b549aa5b23aa"}`,
 		"6f68ea96d74577c4.mapping": `{"Spatial":[4,5]}`,
@@ -195,21 +194,23 @@ func runModel(t *testing.T, start string, seed int64, steps int) {
 			t.Fatal(err)
 		}
 	case "versions":
-		writeVersions(t, dir, rng, mappings)
+		// The model resolves what was written; Open must agree with it.
+		written := &model{entries: writeVersions(t, dir, rng, mappings)}
+		for _, e := range written.entries {
+			if best, _ := written.best(e.Key); best.ID == e.ID {
+				ref.entries = append(ref.entries, e)
+			}
+		}
 	}
 	a, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { a.Close() }()
-	ref := &model{mappings: map[string]string{}}
-	// The fixtures' contents are pinned by their own tests; the model
-	// starts from what they hold, in the order Open indexes them.
-	ref.entries = a.List()
-	if start == "versions" {
-		slices.SortStableFunc(ref.entries, func(x, y Entry) int { return cmp.Compare(x.ID, y.ID) })
-	} else {
-		slices.SortStableFunc(ref.entries, func(x, y Entry) int { return cmp.Compare(x.Version, y.Version) })
+	if start != "versions" {
+		// The fixture's contents are pinned by its own test; the model
+		// starts from what it holds.
+		ref.entries = a.List()
 	}
 	check(t, a, ref, "start")
 	for step := range steps {
@@ -284,6 +285,19 @@ func runModel(t *testing.T, start string, seed int64, steps int) {
 		}
 		check(t, a, ref, fmt.Sprintf("step %d %s", step, op))
 	}
+	listed := entryIDs(a.List())
+	slices.Sort(listed)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, _, err := blobstore.OpenSegment[struct{}](filepath.Join(dir, SegmentFile), 0o644, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if live := seg.IDs(); !slices.Equal(live, listed) && !(len(live) == 0 && len(listed) == 0) {
+		t.Fatalf("the segment holds %v after the run, want the listed %v", live, listed)
+	}
 	if start == "store" {
 		for name, body := range oldLayout {
 			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
@@ -296,9 +310,9 @@ func runModel(t *testing.T, start string, seed int64, steps int) {
 // writeVersions writes an atlas segment whose keys hold several versions
 // at once, as puts whose tombstones a crash cut off leave them: versions
 // 1 to 3 with objective values 2 or 3, so some keys' versions tie on the
-// value and a few on the version too (the first indexed then wins). The
-// IDs ascend in log order.
-func writeVersions(t *testing.T, dir string, rng *rand.Rand, mappings []mapspace.Mapping) {
+// value and a few on the version too (the first in the log then wins). It
+// returns the entries in log order, in which their IDs ascend.
+func writeVersions(t *testing.T, dir string, rng *rand.Rand, mappings []mapspace.Mapping) []Entry {
 	t.Helper()
 	seg, _, err := blobstore.OpenSegment[struct{}](filepath.Join(dir, SegmentFile), 0o644, nil)
 	if err != nil {
@@ -306,6 +320,7 @@ func writeVersions(t *testing.T, dir string, rng *rand.Rand, mappings []mapspace
 	}
 	defer seg.Close()
 	id := modelIdentities[0]
+	var written []Entry
 	for i := range 24 {
 		shape := id.shapes[rng.Intn(4)]
 		key, family := Key(id.algoFP, id.archFP, id.costModel, id.objective, shape)
@@ -326,7 +341,9 @@ func writeVersions(t *testing.T, dir string, rng *rand.Rand, mappings []mapspace
 		if err := seg.Put(e.ID, blobstore.EncodeRecord(manifest, blob)); err != nil {
 			t.Fatal(err)
 		}
+		written = append(written, e)
 	}
+	return written
 }
 
 // check compares every read of the atlas with the model's.
@@ -423,10 +440,10 @@ func TestBestAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestShapeSlabCompaction supersedes enough entries that the removed
-// shapes fill half the slab, which is then copied afresh: every read
-// after it must match the model, and a Shape read before it must not
-// change.
+// TestShapeSlabCompaction supersedes every entry of an atlas: each
+// supersede must rewrite its key's slot in place, leaving the slots and
+// the shape slab at their size, every read must match the model, and a
+// Shape read before must not change.
 func TestShapeSlabCompaction(t *testing.T) {
 	a, err := Open(t.TempDir())
 	if err != nil {
@@ -450,9 +467,7 @@ func TestShapeSlabCompaction(t *testing.T) {
 		want.Created = got.Created
 		ref.entries = append(ref.entries, want)
 	}
-	// n two-size shapes, then a supersede of each: the last one leaves
-	// removed shapes holding half the slab, past the 1024 sizes a copy
-	// waits for.
+	// n two-size shapes, then a supersede of each.
 	const n = 700
 	for w := 1; w <= n; w++ {
 		publish(w, 5, &m1)
@@ -468,8 +483,8 @@ func TestShapeSlabCompaction(t *testing.T) {
 	if !slices.Equal(first.Shape, held) {
 		t.Fatalf("a returned Shape changed from %v to %v", held, first.Shape)
 	}
-	if a.dead != 0 || len(a.shapes) != 2*n {
-		t.Fatalf("slab of %d sizes, %d dead, after %d supersedes: not compacted", len(a.shapes), a.dead, n)
+	if len(a.slots) != n || len(a.shapes) != 2*n {
+		t.Fatalf("%d slots and a slab of %d sizes after %d supersedes of %d entries, want %d and %d", len(a.slots), len(a.shapes), n, n, n, 2*n)
 	}
-	check(t, a, ref, "after compaction")
+	check(t, a, ref, "after the supersedes")
 }

@@ -2,10 +2,9 @@ package atlas
 
 import "hash/maphash"
 
-// table finds a slot by a string it holds (its key, or its ID) by linear
-// probing over slot numbers: a cell is 4 bytes and a table is at most 3/4
-// full, where a map would keep the string's header and the slot number in
-// every cell.
+// table finds a slot by the key it holds, by linear probing over slot
+// numbers: a cell is 4 bytes and a table is at most 3/4 full, where a map
+// would keep the string's header and the slot number in every cell.
 type table struct {
 	seed  maphash.Seed
 	name  func(slot int32) string
@@ -67,9 +66,6 @@ func (t *table) put(s int32) {
 	t.cells[i] = s + 1
 	t.n++
 }
-
-// replace files slot s in the cell of slot old, which has the same name.
-func (t *table) replace(old, s int32) { t.cells[t.cell(old)] = s + 1 }
 
 // remove drops slot s, shifting back each later cell of its probe run
 // whose home does not lie between the emptied cell and it.

@@ -7,8 +7,7 @@ import (
 	"testing"
 )
 
-// TestTableMatchesMap drives a table through random puts, replaces and
-// removes, growing it from its smallest size, and checks every name
+// TestTableMatchesMap drives a table through random puts and removes, growing it from its smallest size, and checks every name
 // against a map after each step; removal's backward shift must keep every
 // probe run intact.
 func TestTableMatchesMap(t *testing.T) {
@@ -19,18 +18,12 @@ func TestTableMatchesMap(t *testing.T) {
 	for step := range 4000 {
 		name := strconv.Itoa(rng.Intn(300))
 		cur, ok := want[name]
-		switch {
-		case !ok:
+		if !ok {
 			names = append(names, name)
 			s := int32(len(names) - 1)
 			tb.put(s)
 			want[name] = s
-		case rng.Intn(2) == 0:
-			names = append(names, name)
-			s := int32(len(names) - 1)
-			tb.replace(cur, s)
-			want[name] = s
-		default:
+		} else {
 			tb.remove(cur)
 			delete(want, name)
 		}

@@ -323,14 +323,6 @@ func NewCNNProblem(name string, n, k, c, h, w, r, s int) (Problem, error) {
 	return algo.NewProblem(name, []int{n, k, c, x, y, r, s})
 }
 
-// MTTKRP dimension indices (paper Equation 4).
-const (
-	MTTKRPDimI = iota
-	MTTKRPDimJ
-	MTTKRPDimK
-	MTTKRPDimL
-)
-
 // NewMTTKRPProblem builds an MTTKRP problem with the given matrix shapes.
 func NewMTTKRPProblem(name string, i, j, k, l int) (Problem, error) {
 	algo, err := AlgorithmByName("mttkrp")

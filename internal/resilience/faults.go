@@ -10,6 +10,7 @@ package resilience
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,8 +157,10 @@ func clamp01(p float64) float64 {
 //
 // Entries are comma-separated. "seed=N" seeds the injector (default 1);
 // "<site>=<p>" arms an error rate; "<site>.lat=<p>:<dur>" arms latency
-// spikes of <dur> with probability <p>. An empty spec returns (nil, nil):
-// the nil injector, faults disabled.
+// spikes of <dur> with probability <p>. A spec that would arm nothing is
+// an error: an empty site name, a NaN probability or a spike of no
+// duration. An empty spec returns (nil, nil): the nil injector, faults
+// disabled.
 func ParseFaults(spec string) (*Faults, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -193,22 +196,27 @@ func ParseFaults(spec string) (*Faults, error) {
 			seed = n
 		case strings.HasSuffix(key, ".lat"):
 			site := strings.TrimSuffix(key, ".lat")
+			if site == "" {
+				return nil, fmt.Errorf("resilience: faults entry %q names no site", part)
+			}
 			pStr, dStr, ok := strings.Cut(val, ":")
 			if !ok {
 				return nil, fmt.Errorf("resilience: bad latency spec %q (want p:duration)", part)
 			}
 			p, err := strconv.ParseFloat(pStr, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(p) {
 				return nil, fmt.Errorf("resilience: bad latency probability %q", pStr)
 			}
 			d, err := time.ParseDuration(dStr)
-			if err != nil {
-				return nil, fmt.Errorf("resilience: bad latency duration %q", dStr)
+			if err != nil || d <= 0 {
+				return nil, fmt.Errorf("resilience: bad latency duration %q (want one above 0)", dStr)
 			}
 			lats = append(lats, latEntry{site, p, d})
+		case key == "":
+			return nil, fmt.Errorf("resilience: faults entry %q names no site", part)
 		default:
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(p) {
 				return nil, fmt.Errorf("resilience: bad fault rate %q", part)
 			}
 			errRates = append(errRates, struct {

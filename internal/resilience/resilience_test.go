@@ -90,7 +90,8 @@ func TestParseFaults(t *testing.T) {
 	if f, err := ParseFaults(""); f != nil || err != nil {
 		t.Fatalf("empty spec: got %v, %v", f, err)
 	}
-	for _, bad := range []string{"eval", "seed=x", "eval=x", "eval.lat=1", "eval.lat=1:xs"} {
+	for _, bad := range []string{"eval", "seed=x", "eval=x", "eval.lat=1", "eval.lat=1:xs",
+		"eval=NaN", "eval.lat=NaN:5ms", "eval.lat=0.5:-10ms", "eval.lat=0.5:0s", "=0.5", ".lat=1:5ms"} {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}

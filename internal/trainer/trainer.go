@@ -39,7 +39,6 @@ import (
 type Status = jobqueue.Status
 
 const (
-	StatusQueued    = jobqueue.Queued
 	StatusRunning   = jobqueue.Running
 	StatusDone      = jobqueue.Done
 	StatusFailed    = jobqueue.Failed
