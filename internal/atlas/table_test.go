@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// TestTableMatchesMap drives a table through random puts and removes, growing it from its smallest size, and checks every name
-// against a map after each step; removal's backward shift must keep every
-// probe run intact.
+// TestTableMatchesMap drives a table through random puts and removes,
+// growing it from its smallest size, and checks every name against a map
+// after each step; removal's backward shift must keep every probe run
+// intact.
 func TestTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var names []string // the name of each slot
