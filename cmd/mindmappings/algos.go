@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 
+	"mindmappings/internal/loopnest"
 	"mindmappings/internal/workload"
 )
 
@@ -38,7 +39,7 @@ func writeAlgos(w io.Writer, verbose bool) error {
 		fmt.Fprintf(w, "  tensors  %s\n", strings.Join(info.Tensors, "  "))
 		fmt.Fprintf(w, "  example  -shape %s\n", exampleShape(info))
 		if verbose {
-			algo, err := workload.Algorithm(info.Name)
+			algo, err := loopnest.AlgorithmByName(info.Name)
 			if err != nil {
 				return err
 			}

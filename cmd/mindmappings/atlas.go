@@ -201,8 +201,8 @@ func cmdAtlasBuild(args []string) error {
 		}
 	}
 	st := a.Stats()
-	fmt.Printf("atlas %s: %d entries across %d shapes (%d families)\n",
-		*atlasDir, st.Entries, st.Keys, st.Families)
+	fmt.Printf("atlas %s: %d entries (%d families)\n",
+		*atlasDir, st.Entries, st.Families)
 	if failed > 0 {
 		return fmt.Errorf("atlas build: %d of %d grid points failed", failed, len(shapes))
 	}

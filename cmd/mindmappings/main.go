@@ -97,7 +97,7 @@ workloads are selected with -algo <name> (registered: %s) or defined
 inline with -einsum "O[m,n] += A[m,k] * B[k,n]"
 
 run "mindmappings <command> -h" for per-command flags
-`, strings.Join(workload.Names(), ", "))
+`, strings.Join(loopnest.AlgorithmNames(), ", "))
 }
 
 // costModelUsage documents the -model flag shared by search and compare.
@@ -112,7 +112,7 @@ const einsumUsage = `inline workload spec, e.g. "O[m,n] += A[m,k] * B[k,n]" (ins
 // algoUsage documents the -algo flag: the list is generated from the
 // registry, so it can never go stale.
 func algoUsage() string {
-	return "target workload: " + strings.Join(workload.Names(), ", ") +
+	return "target workload: " + strings.Join(loopnest.AlgorithmNames(), ", ") +
 		" (default " + defaultAlgo + ")"
 }
 

@@ -19,8 +19,8 @@
 // Workloads are a declarative layer: internal/workload compiles einsum
 // index-expression specs ("O[m,n] += A[m,k] * B[k,n]"; halo subscripts
 // like I[n,c,x+r,y+s] for convolutions) into validated loopnest.Algorithm
-// values and keeps a by-name registry seeded with the paper's three
-// workloads plus gemm, batched-matmul, depthwise-conv, and
+// values and seeds loopnest's by-name algorithm registry with the paper's
+// three workloads plus gemm, batched-matmul, depthwise-conv, and
 // attention-score. Any registered workload — or an inline spec via the
 // CLI's -einsum flag and the service's "einsum" request field — flows
 // through the whole pipeline with zero per-algorithm code, and dataset or

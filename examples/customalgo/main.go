@@ -34,10 +34,10 @@ func run() error {
 	// contraction from Tucker decomposition. The spec is the whole
 	// "integration": the compiler derives dimensions (i,j,k,l,m), each
 	// tensor's relevance set and footprint, and the output tensor; the
-	// sample space guides Phase-1 problem sampling. Registering makes the
-	// workload addressable by name everywhere (CLI, HTTP service, dataset
-	// files) in this process.
-	algo, err := workload.RegisterSpec(workload.Spec{
+	// sample space guides Phase-1 problem sampling. Compiling is enough to
+	// map it; workload.Register would also make it addressable by name
+	// (CLI, HTTP service, dataset files) in this process.
+	algo, err := workload.Compile(workload.Spec{
 		Name: "ttmc",
 		Expr: "O[i,j,k] += A[i,l,m] * B[l,j] * C[m,k]",
 		SampleSpace: map[string][]int{
@@ -51,7 +51,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("registered %q: %d dims, %d tensors, %d operands/MAC, fingerprint %.12s…\n\n",
+	fmt.Printf("compiled %q: %d dims, %d tensors, %d operands/MAC, fingerprint %.12s…\n\n",
 		algo.Name, algo.NumDims(), len(algo.Tensors), algo.OperandsPerMAC, algo.Fingerprint())
 
 	// The TTMc datapath consumes 3 operands per MAC, like MTTKRP.

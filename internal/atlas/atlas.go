@@ -574,11 +574,9 @@ func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 // Stats is a point-in-time atlas snapshot for listings and the service's
 // atlas_entries and atlas_corrupt_manifests series.
 type Stats struct {
-	// Entries counts committed entries; Keys counts distinct exact
-	// identities, one entry each, so the two are equal; Families counts
-	// shape-independent groups.
+	// Entries counts committed entries, one per exact identity;
+	// Families counts shape-independent groups.
 	Entries  int `json:"entries"`
-	Keys     int `json:"keys"`
 	Families int `json:"families"`
 	// Corrupt counts the records the last Open dropped: a torn or CRC-bad
 	// segment tail, and records whose manifest is unreadable or misnamed.
@@ -589,5 +587,5 @@ type Stats struct {
 func (a *Atlas) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return Stats{Entries: a.byKey.n, Keys: a.byKey.n, Families: len(a.families), Corrupt: a.seg.Corrupt()}
+	return Stats{Entries: a.byKey.n, Families: len(a.families), Corrupt: a.seg.Corrupt()}
 }

@@ -224,7 +224,7 @@ func TestPublishOnlyIfBetter(t *testing.T) {
 		t.Fatalf("%d entries after supersede, want 1", n)
 	}
 	st := a.Stats()
-	if st.Entries != 1 || st.Keys != 1 || st.Families != 1 {
+	if st.Entries != 1 || st.Families != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	// Republishing the identical mapping is a no-op.
@@ -339,7 +339,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.Entries != 2 || st.Keys != 2 || st.Families != 1 {
+	if st := b.Stats(); st.Entries != 2 || st.Families != 1 {
 		t.Fatalf("reopened stats: %+v", st)
 	}
 	got, gm, hit, err := b.Lookup(e1.Key)
@@ -454,7 +454,7 @@ func TestMisnamedManifestIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if st := b.Stats(); st != (Stats{Entries: 1, Keys: 1, Families: 1, Corrupt: 2}) {
+	if st := b.Stats(); st != (Stats{Entries: 1, Families: 1, Corrupt: 2}) {
 		t.Fatalf("Stats = %+v", st)
 	}
 	for _, id := range []string{"aaaaaaaaaaaaaaaa", "escape", "../victim"} {
@@ -541,7 +541,7 @@ func TestDeleteAndGCStale(t *testing.T) {
 	if len(removed) != 1 || removed[0] != c2.ID {
 		t.Fatalf("stale GC removed %v, want [%s]", removed, c2.ID)
 	}
-	if st := a.Stats(); st.Entries != 0 || st.Keys != 0 || st.Families != 0 {
+	if st := a.Stats(); st.Entries != 0 || st.Families != 0 {
 		t.Fatalf("stats after full GC: %+v", st)
 	}
 }

@@ -39,7 +39,7 @@ func TestSegmentFixtureReopens(t *testing.T) {
 	if got, want := entryIDs(a.List()), []string{aV2, bV1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("List = %v, want %v", got, want)
 	}
-	if st := a.Stats(); st != (Stats{Entries: 2, Keys: 2, Families: 1, Corrupt: 1}) {
+	if st := a.Stats(); st != (Stats{Entries: 2, Families: 1, Corrupt: 1}) {
 		t.Fatalf("Stats = %+v", st)
 	}
 	if st, err := os.Stat(filepath.Join(dir, SegmentFile)); err != nil || st.Size() != goodSize {
@@ -66,7 +66,7 @@ func TestSegmentFixtureReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if st := b.Stats(); st != (Stats{Entries: 3, Keys: 3, Families: 1, Corrupt: 0}) {
+	if st := b.Stats(); st != (Stats{Entries: 3, Families: 1, Corrupt: 0}) {
 		t.Fatalf("reopened Stats = %+v", st)
 	}
 	if best, ok := b.Best(eD.Key); !ok || best.ID != d.ID {

@@ -414,7 +414,7 @@ func check(t *testing.T, a *Atlas, ref *model, at string) {
 		t.Fatalf("%s: List = %v, want %v", at, entryIDs(got), entryIDs(want))
 	}
 	entries, keyCount, families := ref.stats()
-	if st := a.Stats(); st.Entries != entries || st.Keys != keyCount || st.Families != families {
+	if st := a.Stats(); st.Entries != entries || st.Entries != keyCount || st.Families != families {
 		t.Fatalf("%s: Stats = %+v, want %d entries, %d keys, %d families", at, st, entries, keyCount, families)
 	}
 }

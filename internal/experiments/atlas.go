@@ -8,7 +8,6 @@ import (
 	"mindmappings/internal/atlas"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/search"
-	"mindmappings/internal/workload"
 )
 
 // Atlas warm-start study: the mapping atlas answers repeat shapes by
@@ -47,7 +46,7 @@ type AtlasRow struct {
 
 // AtlasSweep runs the warm-start study across every registered workload.
 func (h *Harness) AtlasSweep(w io.Writer) ([]AtlasRow, error) {
-	return h.AtlasSweepFor(w, workload.Names())
+	return h.AtlasSweepFor(w, loopnest.AlgorithmNames())
 }
 
 // AtlasSweepFor runs the warm-start study across the named workloads. Per

@@ -6,7 +6,6 @@ import (
 
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/search"
-	"mindmappings/internal/workload"
 )
 
 // Workload-sweep study: "Demystifying Map Space Exploration for NPUs"
@@ -33,7 +32,7 @@ type WorkloadRow struct {
 
 // WorkloadSweep runs the head-to-head across every registered workload.
 func (h *Harness) WorkloadSweep(w io.Writer) ([]WorkloadRow, error) {
-	return h.WorkloadSweepFor(w, workload.Names())
+	return h.WorkloadSweepFor(w, loopnest.AlgorithmNames())
 }
 
 // WorkloadSweepFor runs the head-to-head across the named workloads. The

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sync"
 )
 
 // AppendFingerprint appends a canonical binary identity of the algorithm to
@@ -84,24 +83,23 @@ func fingerprintTiles(d int) [][]int {
 	return tiles
 }
 
-// registeredFPs caches the Fingerprint of each registered algorithm
-// (*Algorithm → string). A registered algorithm is immutable, so its
-// identity is hashed once; any other algorithm hashes itself per call.
-var registeredFPs sync.Map
-
 // Fingerprint returns the hex SHA-256 of AppendFingerprint — the stable,
-// printable workload identity stamped into dataset and surrogate files.
+// printable workload identity stamped into dataset and surrogate files. A
+// registered algorithm returns the value hashed at registration; any other
+// algorithm, a by-value copy of a registered one included, hashes itself
+// per call.
 func (a *Algorithm) Fingerprint() string {
-	if fp, ok := registeredFPs.Load(a); ok {
-		return fp.(string)
-	}
-	sum := sha256.Sum256(a.AppendFingerprint(nil))
-	fp := hex.EncodeToString(sum[:])
 	regMu.RLock()
-	registered := registry[a.Name] == a
+	e, ok := registry[a.Name]
 	regMu.RUnlock()
-	if registered {
-		registeredFPs.Store(a, fp)
+	if ok && e.algo == a {
+		return e.fp
 	}
-	return fp
+	return a.hash()
+}
+
+// hash is the hex SHA-256 of AppendFingerprint.
+func (a *Algorithm) hash() string {
+	sum := sha256.Sum256(a.AppendFingerprint(nil))
+	return hex.EncodeToString(sum[:])
 }

@@ -4,14 +4,17 @@
 // a Problem is a parameterized instance of an algorithm (paper §2.1: "a
 // problem is a parameterized instance of an algorithm").
 //
-// Algorithms are registered by name (RegisterAlgorithm / AlgorithmByName),
-// mirroring the costmodel backend registry. The declarative einsum
-// front-end in internal/workload compiles index-expression specs into
-// validated Algorithms and seeds the registry with the paper's three
-// workloads — CNN-Layer (§5.1.1, Equation 3), MTTKRP (Equation 4), the
-// pedagogical 1D-Convolution from §3 (Equation 2) — plus further tensor
-// workloads; import it (directly or blank) to populate the registry.
-// Table1Problems reproduces the paper's Table 1 workloads.
+// Algorithms are registered by name (RegisterAlgorithm / AlgorithmByName /
+// AlgorithmNames), mirroring the costmodel backend registry. The registry
+// is the one record of which workloads exist: each entry holds the
+// algorithm, its einsum expression (Algorithm.Expr) and its fingerprint,
+// hashed once at registration. The declarative einsum front-end in
+// internal/workload compiles index-expression specs into validated
+// Algorithms and seeds the registry with the paper's three workloads —
+// CNN-Layer (§5.1.1, Equation 3), MTTKRP (Equation 4), the pedagogical
+// 1D-Convolution from §3 (Equation 2) — plus further tensor workloads;
+// import it (directly or blank) to populate the registry. Table1Problems
+// reproduces the paper's Table 1 workloads.
 package loopnest
 
 import (
@@ -59,7 +62,11 @@ func (t *Tensor) Footprint(tile []int) int64 {
 
 // Algorithm is a family of problems over fixed dimensions and tensors.
 type Algorithm struct {
-	Name     string
+	Name string
+	// Expr is the einsum expression the algorithm was compiled from
+	// (workload.Compile sets it; empty for a hand-built algorithm). It is
+	// descriptive only: AppendFingerprint does not read it.
+	Expr     string
 	DimNames []string
 	Tensors  []Tensor
 	// OperandsPerMAC is how many input operands each innermost compute
@@ -176,9 +183,17 @@ func (p *Problem) AppendPID(dst []float64) []float64 {
 	return dst
 }
 
+// registered is one registry entry: the algorithm and its Fingerprint,
+// hashed once at registration.
+type registered struct {
+	algo *Algorithm
+	fp   string
+}
+
+// The registry is the one record of which workloads exist.
 var (
 	regMu    sync.RWMutex
-	registry = map[string]*Algorithm{}
+	registry = map[string]registered{}
 )
 
 // RegisterAlgorithm makes an algorithm resolvable by name through
@@ -195,19 +210,20 @@ func RegisterAlgorithm(a *Algorithm) {
 	if a == nil || a.Name == "" {
 		panic("loopnest: RegisterAlgorithm with nil algorithm or empty name")
 	}
+	fp := a.hash()
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[a.Name]; dup {
 		panic(fmt.Sprintf("loopnest: algorithm %q registered twice", a.Name))
 	}
-	registry[a.Name] = a
+	registry[a.Name] = registered{algo: a, fp: fp}
 }
 
 // AlgorithmByName returns the algorithm registered under name. Unknown
 // names report the registered alternatives.
 func AlgorithmByName(name string) (*Algorithm, error) {
 	regMu.RLock()
-	a, ok := registry[name]
+	e, ok := registry[name]
 	regMu.RUnlock()
 	if !ok {
 		names := AlgorithmNames()
@@ -217,7 +233,7 @@ func AlgorithmByName(name string) (*Algorithm, error) {
 		return nil, fmt.Errorf("loopnest: unknown algorithm %q (registered: %s)",
 			name, strings.Join(names, ", "))
 	}
-	return a, nil
+	return e.algo, nil
 }
 
 // MustAlgorithm returns the registered algorithm or panics on an unknown
@@ -229,14 +245,6 @@ func MustAlgorithm(name string) *Algorithm {
 		panic(err)
 	}
 	return a
-}
-
-// AlgorithmRegistered reports whether name resolves through the registry.
-func AlgorithmRegistered(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
 }
 
 // AlgorithmNames returns the registered algorithm names, sorted.

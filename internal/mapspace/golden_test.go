@@ -13,7 +13,6 @@ import (
 
 	"mindmappings/internal/arch"
 	"mindmappings/internal/loopnest"
-	"mindmappings/internal/workload"
 )
 
 // The golden test pins the exact output streams of the map-space routines
@@ -71,7 +70,7 @@ func goldenSpaces(t testing.TB) (names []string, spaces []*Space) {
 		names = append(names, name)
 		spaces = append(spaces, s)
 	}
-	for _, w := range workload.Names() {
+	for _, w := range loopnest.AlgorithmNames() {
 		algo, err := loopnest.AlgorithmByName(w)
 		if err != nil {
 			t.Fatal(err)

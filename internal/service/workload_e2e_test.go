@@ -184,7 +184,7 @@ func TestModelsEndpointListsWorkloads(t *testing.T) {
 			t.Fatalf("workload %s listing incomplete: %+v", info.Name, info)
 		}
 	}
-	for _, want := range workload.Names() {
+	for _, want := range loopnest.AlgorithmNames() {
 		if !names[want] {
 			t.Fatalf("workload %s missing from /v1/models", want)
 		}

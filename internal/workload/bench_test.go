@@ -37,7 +37,7 @@ func BenchmarkCompileSpec(b *testing.B) {
 // layer's overhead across the whole registry.
 func BenchmarkWorkloadBatchEval(b *testing.B) {
 	const batch = 64
-	for _, name := range workload.Names() {
+	for _, name := range loopnest.AlgorithmNames() {
 		algo, err := loopnest.AlgorithmByName(name)
 		if err != nil {
 			b.Fatal(err)

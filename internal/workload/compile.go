@@ -119,6 +119,7 @@ func Compile(spec Spec) (*loopnest.Algorithm, error) {
 	}
 	algo := &loopnest.Algorithm{
 		Name:           name,
+		Expr:           spec.Expr,
 		DimNames:       dims,
 		OperandsPerMAC: len(ins),
 	}

@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"mindmappings/internal/loopnest"
 )
 
 func TestCompileDerivesStructure(t *testing.T) {
@@ -127,27 +131,70 @@ func TestAnonymousNameDeterministic(t *testing.T) {
 	}
 }
 
-func TestRegisterSpecRuntime(t *testing.T) {
-	algo, err := RegisterSpec(Spec{Name: "test-runtime-ttm", Expr: "O[i,j,k] += A[i,l] * B[l,j,k]"})
+// TestRegister: a runtime spec enters the one registry, loopnest's, and
+// resolves by name; a duplicate name and a malformed spec panic.
+func TestRegister(t *testing.T) {
+	Register(Spec{Name: "test-runtime-ttm", Expr: "O[i,j,k] += A[i,l] * B[l,j,k]"})
+	algo, err := loopnest.AlgorithmByName("test-runtime-ttm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if algo.Name != "test-runtime-ttm" {
-		t.Fatalf("name = %q", algo.Name)
+	if algo.Name != "test-runtime-ttm" || algo.Expr != "O[i,j,k] += A[i,l] * B[l,j,k]" {
+		t.Fatalf("name = %q, expr = %q", algo.Name, algo.Expr)
 	}
-	// Resolvable through both registries.
-	if _, err := Algorithm("test-runtime-ttm"); err != nil {
-		t.Fatal(err)
+	if !slices.Contains(loopnest.AlgorithmNames(), "test-runtime-ttm") {
+		t.Fatal("spec not listed")
 	}
-	if !slices.Contains(Names(), "test-runtime-ttm") {
-		t.Fatal("spec not recorded")
+	mustPanic := func(what string, spec Spec) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s registered without a panic", what)
+			}
+		}()
+		Register(spec)
 	}
-	if _, err := RegisterSpec(Spec{Name: "test-runtime-ttm", Expr: "O[i] += A[i]"}); err == nil {
-		t.Fatal("duplicate registration accepted")
+	mustPanic("duplicate name", Spec{Name: "test-runtime-ttm", Expr: "O[i] += A[i]"})
+	mustPanic("malformed spec", Spec{Name: "test-bad", Expr: "O[i] +="})
+	if _, err := loopnest.AlgorithmByName("test-bad"); err == nil {
+		t.Fatal("malformed spec resolves")
 	}
-	if _, err := RegisterSpec(Spec{Name: "test-bad", Expr: "O[i] +="}); err == nil {
-		t.Fatal("bad spec registered")
+}
+
+// TestRegisterWhileResolving: registrations run while other goroutines
+// resolve names and read a registered algorithm's cached fingerprint
+// (meaningful under -race).
+func TestRegisterWhileResolving(t *testing.T) {
+	gemm := loopnest.MustAlgorithm("gemm")
+	want := gemm.Fingerprint()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got := gemm.Fingerprint(); got != want {
+					t.Errorf("gemm fingerprint %s during registration, want %s", got, want)
+					return
+				}
+				if _, err := loopnest.AlgorithmByName(loopnest.AlgorithmNames()[0]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
+	for i := range 4 {
+		Register(Spec{Name: fmt.Sprintf("test-concurrent-%d", i), Expr: "O[m] += A[m,k] * B[k]"})
+	}
+	close(done)
+	wg.Wait()
 }
 
 func TestListCoversBuiltins(t *testing.T) {
@@ -167,7 +214,7 @@ func TestListCoversBuiltins(t *testing.T) {
 		if len(info.ExampleDims) != len(info.Dims) {
 			t.Fatalf("%s example dims incomplete: %+v", name, info.ExampleDims)
 		}
-		algo, err := Algorithm(name)
+		algo, err := loopnest.AlgorithmByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}

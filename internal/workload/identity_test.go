@@ -276,13 +276,15 @@ func TestSpecCompiledCostIdentity(t *testing.T) {
 // TestFingerprintHashedOnceMatchesFreshHash pins the cached identity of
 // registered workloads: each is hashed once, and the cached value must
 // equal a fresh hash of AppendFingerprint. An inline einsum, compiled per
-// request and never registered, still hashes itself on every call.
+// request and never registered, still hashes itself on every call, and so
+// does a by-value copy of a registered algorithm: the cache answers only
+// for the registered pointer itself.
 func TestFingerprintHashedOnceMatchesFreshHash(t *testing.T) {
 	fresh := func(a *loopnest.Algorithm) string {
 		sum := sha256.Sum256(a.AppendFingerprint(nil))
 		return hex.EncodeToString(sum[:])
 	}
-	for _, name := range workload.Names() {
+	for _, name := range loopnest.AlgorithmNames() {
 		a := loopnest.MustAlgorithm(name)
 		want := fresh(a)
 		for call := 1; call <= 2; call++ {
@@ -302,5 +304,11 @@ func TestFingerprintHashedOnceMatchesFreshHash(t *testing.T) {
 	inline.OperandsPerMAC++
 	if got := inline.Fingerprint(); got != fresh(inline) || got == before {
 		t.Fatalf("changed inline einsum: %s (was %s), fresh hash %s", got, before, fresh(inline))
+	}
+	reg := loopnest.MustAlgorithm("gemm")
+	cp := *reg
+	cp.OperandsPerMAC++
+	if got := cp.Fingerprint(); got != fresh(&cp) || got == reg.Fingerprint() {
+		t.Fatalf("changed copy of gemm: %s (registered %s), fresh hash %s", got, reg.Fingerprint(), fresh(&cp))
 	}
 }

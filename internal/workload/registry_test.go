@@ -20,7 +20,7 @@ import (
 
 func TestEveryRegisteredWorkloadRandomProblemsValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, name := range workload.Names() {
+	for _, name := range loopnest.AlgorithmNames() {
 		algo, err := loopnest.AlgorithmByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func smallProblem(t *testing.T, algo *loopnest.Algorithm) loopnest.Problem {
 
 func TestEveryRegisteredWorkloadMapSpaceAndCosts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, name := range workload.Names() {
+	for _, name := range loopnest.AlgorithmNames() {
 		algo, err := loopnest.AlgorithmByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -6,8 +6,8 @@
 // into validated loopnest.Algorithm values — deriving the dimension names,
 // each tensor's relevance set and footprint function (including the halo
 // footprints of convolution-style subscripts such as I[n,c,x+r,y+s]), the
-// output tensor, and the datapath width — and keeps a by-name registry of
-// workload specs, mirroring the costmodel backend registry idiom.
+// output tensor, and the datapath width, with the expression kept on the
+// algorithm (loopnest.Algorithm.Expr).
 //
 // The paper frames Mind Mappings as target-algorithm independent
 // (contribution 1: no domain-specific heuristics); this package makes that
@@ -20,19 +20,18 @@
 // and add gemm, batched-matmul, depthwise-conv, and attention-score.
 //
 // Importing this package (blank imports suffice) seeds the loopnest
-// algorithm registry, so loopnest.AlgorithmByName resolves every built-in
-// workload. Runtime-defined workloads enter the same registry through
-// RegisterSpec, or stay anonymous via CompileInline (the CLI's -einsum flag
-// and the service's "einsum" request field).
+// algorithm registry, the one record of which workloads exist, so
+// loopnest.AlgorithmByName resolves every built-in workload. Runtime-defined
+// workloads enter the same registry through Register, or stay anonymous via
+// Compile and CompileInline (the CLI's -einsum flag and the service's
+// "einsum" request field).
 package workload
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"mindmappings/internal/loopnest"
 )
@@ -76,59 +75,18 @@ func anonymousName(expr string) string {
 	return "einsum-" + hex.EncodeToString(sum[:8])
 }
 
-var (
-	regMu sync.RWMutex
-	specs = map[string]Spec{}
-)
-
-// Register compiles a spec and makes it resolvable by name — through this
-// package and through loopnest.AlgorithmByName. It panics on a compile
-// error or duplicate name, like costmodel.Register; built-in specs
-// register from this package's init. Use RegisterSpec for runtime-defined
-// workloads where errors must be recoverable.
+// Register compiles a spec and registers the algorithm with loopnest, so
+// loopnest.AlgorithmByName and loopnest.AlgorithmNames resolve it. It
+// panics on a compile error or a duplicate name, like costmodel.Register;
+// built-in specs register from this package's init. A workload that need
+// not be addressable by name is compiled with Compile or CompileInline
+// and never registered.
 func Register(spec Spec) {
-	if _, err := RegisterSpec(spec); err != nil {
-		panic(err.Error())
-	}
-}
-
-// RegisterSpec is the error-returning form of Register, for workloads
-// defined at runtime (an -einsum flag, a downstream tool loading specs
-// from configuration).
-func RegisterSpec(spec Spec) (*loopnest.Algorithm, error) {
 	algo, err := Compile(spec)
 	if err != nil {
-		return nil, err
+		panic(err.Error())
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := specs[algo.Name]; dup {
-		return nil, fmt.Errorf("workload: spec %q registered twice", algo.Name)
-	}
-	if loopnest.AlgorithmRegistered(algo.Name) {
-		return nil, fmt.Errorf("workload: algorithm %q already registered with loopnest", algo.Name)
-	}
-	spec.Name = algo.Name
 	loopnest.RegisterAlgorithm(algo)
-	specs[algo.Name] = spec
-	return algo, nil
-}
-
-// Algorithm resolves a registered workload's compiled algorithm by name.
-func Algorithm(name string) (*loopnest.Algorithm, error) {
-	return loopnest.AlgorithmByName(name)
-}
-
-// Names returns the registered workload names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(specs))
-	for name := range specs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Info describes one registered workload for listings (the `mindmappings
@@ -151,23 +109,16 @@ type Info struct {
 
 // List describes every registered workload, sorted by name.
 func List() []Info {
-	regMu.RLock()
-	all := make([]Spec, 0, len(specs))
-	for _, spec := range specs {
-		all = append(all, spec)
-	}
-	regMu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
-	out := make([]Info, 0, len(all))
-	for _, spec := range all {
-		name := spec.Name
+	names := loopnest.AlgorithmNames()
+	out := make([]Info, 0, len(names))
+	for _, name := range names {
 		algo, err := loopnest.AlgorithmByName(name)
 		if err != nil {
 			continue
 		}
 		info := Info{
 			Name:        name,
-			Expr:        spec.Expr,
+			Expr:        algo.Expr,
 			Dims:        append([]string(nil), algo.DimNames...),
 			ExampleDims: make(map[string]int, algo.NumDims()),
 			Fingerprint: algo.Fingerprint(),
@@ -176,7 +127,7 @@ func List() []Info {
 			vals := algo.SampleSpace[d]
 			info.ExampleDims[dn] = vals[len(vals)/2]
 		}
-		if outT, ins, err := parseExpr(spec.Expr); err == nil {
+		if outT, ins, err := parseExpr(algo.Expr); err == nil {
 			for _, t := range append(ins, outT) {
 				var axes []string
 				for _, term := range t.terms {
@@ -207,7 +158,7 @@ func Resolve(name, einsum string) (*loopnest.Algorithm, error) {
 	switch {
 	case (name == "") == (einsum == ""):
 		return nil, fmt.Errorf("exactly one of algo or einsum is required (registered workloads: %s)",
-			strings.Join(Names(), ", "))
+			strings.Join(loopnest.AlgorithmNames(), ", "))
 	case einsum != "":
 		return CompileInline(einsum)
 	}
