@@ -138,7 +138,7 @@ func (h *Harness) ArchGenerality(w io.Writer) (*GeneralityResult, error) {
 		return nil, err
 	}
 	a := arch.Edge(2)
-	cfg := h.opts.CNNSurrogate
+	cfg := h.opts.Surrogate
 	ds, err := surrogate.Generate(algo, a, cfg)
 	if err != nil {
 		return nil, err

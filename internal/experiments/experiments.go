@@ -58,9 +58,8 @@ type Options struct {
 	// SpaceSamples is the sample count for the §5.1.3 characterization
 	// (paper: 1M).
 	SpaceSamples int
-	// CNNSurrogate and MTTKRPSurrogate configure Phase 1 per algorithm.
-	CNNSurrogate    surrogate.Config
-	MTTKRPSurrogate surrogate.Config
+	// Surrogate configures Phase 1 for every algorithm.
+	Surrogate surrogate.Config
 	// Seed drives all randomness.
 	Seed int64
 	// Log, when non-nil, receives progress lines.
@@ -71,33 +70,27 @@ type Options struct {
 // options.
 func Defaults(fast bool) Options {
 	if fast {
-		cfg := surrogate.TinyConfig()
-		mtt := cfg
 		return Options{
-			Fast:            true,
-			Repeats:         1,
-			IsoIterations:   400,
-			IsoTime:         500 * time.Millisecond,
-			QueryLatency:    time.Millisecond,
-			RLHidden:        32,
-			SpaceSamples:    2000,
-			CNNSurrogate:    cfg,
-			MTTKRPSurrogate: mtt,
-			Seed:            1,
+			Fast:          true,
+			Repeats:       1,
+			IsoIterations: 400,
+			IsoTime:       500 * time.Millisecond,
+			QueryLatency:  time.Millisecond,
+			RLHidden:      32,
+			SpaceSamples:  2000,
+			Surrogate:     surrogate.TinyConfig(),
+			Seed:          1,
 		}
 	}
-	cnn := surrogate.SmallConfig()
-	mtt := surrogate.SmallConfig()
 	return Options{
-		Repeats:         5,
-		IsoIterations:   1000,
-		IsoTime:         10 * time.Second,
-		QueryLatency:    2 * time.Millisecond,
-		RLHidden:        64,
-		SpaceSamples:    50_000,
-		CNNSurrogate:    cnn,
-		MTTKRPSurrogate: mtt,
-		Seed:            1,
+		Repeats:       5,
+		IsoIterations: 1000,
+		IsoTime:       10 * time.Second,
+		QueryLatency:  2 * time.Millisecond,
+		RLHidden:      64,
+		SpaceSamples:  50_000,
+		Surrogate:     surrogate.SmallConfig(),
+		Seed:          1,
 	}
 }
 
@@ -131,9 +124,8 @@ func (h *Harness) logf(format string, args ...any) {
 
 // algoFor returns the algorithm, accelerator, and surrogate config for any
 // registered workload name. The accelerator datapath is sized to the
-// workload's operand count; the surrogate config follows the per-algorithm
-// options for the paper's two headline workloads and CNNSurrogate
-// otherwise. The config's CostModel follows Options.CostModel so Phase-1
+// workload's operand count; the surrogate config is Options.Surrogate.
+// The config's CostModel follows Options.CostModel so Phase-1
 // surrogates approximate the same f the experiments evaluate against — an
 // MM run under -costmodel roofline is guided by a roofline-trained
 // surrogate, keeping comparisons apples to apples.
@@ -142,10 +134,7 @@ func (h *Harness) algoFor(name string) (*loopnest.Algorithm, arch.Spec, surrogat
 	if err != nil {
 		return nil, arch.Spec{}, surrogate.Config{}, fmt.Errorf("experiments: %w", err)
 	}
-	cfg := h.opts.CNNSurrogate
-	if name == "mttkrp" {
-		cfg = h.opts.MTTKRPSurrogate
-	}
+	cfg := h.opts.Surrogate
 	if cfg.CostModel == "" {
 		cfg.CostModel = h.opts.CostModel
 	}

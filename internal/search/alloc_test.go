@@ -13,12 +13,18 @@ var raceEnabled bool
 // pay.
 func marginalAllocs(t *testing.T, s Searcher, short, long int) float64 {
 	t.Helper()
+	return marginalAllocsOn(t, s, func() *Context { return benchSearchContext(t, 1) }, short, long)
+}
+
+// marginalAllocsOn is marginalAllocs on the context mk builds.
+func marginalAllocsOn(t *testing.T, s Searcher, mk func() *Context, short, long int) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	run := func(evals int) float64 {
 		return testing.AllocsPerRun(2, func() {
-			if _, err := s.Search(benchSearchContext(t, 1), Budget{MaxEvals: evals}); err != nil {
+			if _, err := s.Search(mk(), Budget{MaxEvals: evals}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -54,5 +60,16 @@ func TestBeamAllocsPerChild(t *testing.T) {
 	perChild := marginalAllocs(t, BeamSearch{}, short, long) / (long - short)
 	if perChild > 0.1 {
 		t.Fatalf("beam allocates %.2f per child, want at most 0.1", perChild)
+	}
+}
+
+// SA+f* runs SA's loop: its energy encodes each neighbor into one reused
+// row and predicts into one reused buffer.
+func TestSurrogateSAAllocsPerMove(t *testing.T) {
+	const short, long = 2000, 8000
+	s := SurrogateSA{Surrogate: conv1dSurrogate(t)}
+	perMove := marginalAllocsOn(t, s, func() *Context { return conv1dContext(t, 1) }, short, long) / (long - short)
+	if perMove > 0.1 {
+		t.Fatalf("SA+f* allocates %.2f per move, want at most 0.1", perMove)
 	}
 }

@@ -50,46 +50,45 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 	if err := budget.validate(); err != nil {
 		return Result{}, err
 	}
-
-	rng := stats.NewRNG(ctx.Seed + 211)
 	t := newTracker(ctx, budget)
+	return anneal(ctx, t, s.Name(), ctx.Seed+211, t.payEval)
+}
 
+// anneal runs the annealing chain that SimulatedAnnealing and SurrogateSA
+// share, from a random start, with rng seed: a pilot phase of
+// saPilotMoves accepted moves tunes the schedule, then Metropolis runs to
+// the end of t's budget. energy pays for (or scores) one candidate through
+// t and returns the value the chain anneals.
+func anneal(ctx *Context, t *tracker, name string, seed int64, energy func(*mapspace.Mapping) (float64, error)) (Result, error) {
+	rng := stats.NewRNG(seed)
 	cur := ctx.Space.Random(rng)
-	curE, err := t.payEval(&cur)
+	curE, err := energy(&cur)
 	if err != nil {
 		return Result{}, err
 	}
 
+	// cur and next swap storage after every accepted move, so each
+	// neighbor is written over the last rejected (or superseded) one.
+	var next mapspace.Mapping
+
 	// Pilot phase: free exploration (all moves accepted) to estimate the
 	// typical uphill delta. These moves consume budget like any other.
-	// Because every pilot move is accepted, the chain depends only on the
-	// rng — so it can be generated up front and evaluated as one batch
-	// (the Metropolis loop below has a true serial dependency and cannot).
 	var deltas stats.Running
-	if !t.exhausted() {
-		chain := make([]mapspace.Mapping, t.remainingEvals(saPilotMoves))
-		prev := &cur
-		for i := range chain {
-			ctx.Space.PerturbInto(rng, prev, &chain[i])
-			prev = &chain[i]
-		}
-		vals, err := t.payEvalBatch(chain, nil)
+	for i := 0; i < saPilotMoves && !t.exhausted(); i++ {
+		ctx.Space.PerturbInto(rng, &cur, &next)
+		nextE, err := energy(&next)
 		if err != nil {
 			return Result{}, err
 		}
-		for i, nextE := range vals {
-			if d := math.Abs(nextE - curE); d > 0 {
-				deltas.Add(d)
-			}
-			cur, curE = chain[i], nextE
+		if d := math.Abs(nextE - curE); d > 0 {
+			deltas.Add(d)
 		}
+		cur, next, curE = next, cur, nextE
 	}
 	tMax, tMin := annealSchedule(&deltas, curE)
 
-	// cur and next swap storage on acceptance, so each neighbor is written
-	// over the last rejected (or superseded) one. One clock read per move
-	// serves both the budget test and the schedule.
-	var next mapspace.Mapping
+	// One clock read per move serves both the budget test and the
+	// schedule.
 	for {
 		now := t.clock()
 		if t.exhaustedAt(now) {
@@ -97,7 +96,7 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 		}
 		progress := t.progress(now)
 		ctx.Space.PerturbInto(rng, &cur, &next)
-		nextE, err := t.payEval(&next)
+		nextE, err := energy(&next)
 		if err != nil {
 			return Result{}, err
 		}
@@ -112,5 +111,5 @@ func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) 
 			cur, next, curE = next, cur, nextE
 		}
 	}
-	return t.result(s.Name()), nil
+	return t.result(name), nil
 }

@@ -46,50 +46,38 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 		m   mapspace.Mapping
 		edp float64
 	}
-	// Initial beam, evaluated as one batch (candidate generation consumes
-	// the rng in a per-candidate loop's order, so trajectories are
-	// identical).
+	// Initial beam. Its first member is paid before any budget check,
+	// every later candidate only after one.
 	var beam []entry
-	cohort := make([]mapspace.Mapping, 0, width*beamBranch)
-	for i := 0; i < t.remainingEvals(width); i++ {
-		cohort = append(cohort, ctx.Space.Random(rng))
-	}
-	vals, err := t.payEvalBatch(cohort, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, v := range vals {
-		beam = append(beam, entry{cohort[i], v})
+	for i := 0; i < width && (i == 0 || !t.exhausted()); i++ {
+		beam = append(beam, entry{m: ctx.Space.Random(rng)})
+		var err error
+		if beam[i].edp, err = t.payEval(&beam[i].m); err != nil {
+			return Result{}, err
+		}
 	}
 
-	// Mappings that fell out of the beam, or were never recorded, are
-	// spare storage for the next round's children.
+	// Mappings that fell out of the beam are spare storage for the next
+	// round's children.
 	var spare []mapspace.Mapping
 	var children []entry
 	for !t.exhausted() && len(beam) > 0 {
 		children = append(children[:0], beam...)
-		// Expand the whole round — every parent's children, parent-major,
-		// exactly the scalar generation order — then evaluate it as one
-		// batch.
-		cohort = cohort[:0]
-		limit := t.remainingEvals(len(beam) * beamBranch)
-		for i := range beam {
-			for c := 0; c < beamBranch && len(cohort) < limit; c++ {
-				var child mapspace.Mapping
-				if n := len(spare); n > 0 {
-					child, spare = spare[n-1], spare[:n-1]
-				}
-				ctx.Space.PerturbInto(rng, &beam[i].m, &child)
-				cohort = append(cohort, child)
+		// Expand every parent's children, parent-major, paying for each as
+		// it is made; the loop test above stands in for the first child's
+		// budget check.
+		for k := 0; k < len(beam)*beamBranch && (k == 0 || !t.exhausted()); k++ {
+			children = append(children, entry{})
+			child := &children[len(children)-1]
+			if n := len(spare); n > 0 {
+				child.m, spare = spare[n-1], spare[:n-1]
+			}
+			ctx.Space.PerturbInto(rng, &beam[k/beamBranch].m, &child.m)
+			var err error
+			if child.edp, err = t.payEval(&child.m); err != nil {
+				return Result{}, err
 			}
 		}
-		if vals, err = t.payEvalBatch(cohort, vals); err != nil {
-			return Result{}, err
-		}
-		for i, v := range vals {
-			children = append(children, entry{cohort[i], v})
-		}
-		spare = append(spare, cohort[len(vals):]...)
 		slices.SortStableFunc(children, func(a, b entry) int { return byEDP(a.edp, b.edp) })
 		if len(children) > width {
 			for _, e := range children[width:] {

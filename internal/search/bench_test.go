@@ -11,7 +11,6 @@ import (
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/obs"
 	"mindmappings/internal/oracle"
-	"mindmappings/internal/stats"
 )
 
 // End-to-end search throughput benchmarks: evaluations per second through
@@ -57,8 +56,9 @@ func runSearchBench(b *testing.B, s Searcher, mk func(seed int64) *Context) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "evals/s")
 }
 
-// BenchmarkSearchGA keeps its "batch" sub-benchmark name so runs line up
-// with BENCH_search.json's BenchmarkSearchGA/batch rows.
+// BenchmarkSearchGA keeps its "batch" sub-benchmark name, from when GA
+// paid for each generation as one batch, so runs line up with
+// BENCH_search.json's BenchmarkSearchGA/batch rows.
 func BenchmarkSearchGA(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		runSearchBench(b, GeneticAlgorithm{}, func(seed int64) *Context {
@@ -67,9 +67,8 @@ func BenchmarkSearchGA(b *testing.B) {
 	})
 }
 
-// BenchmarkSearchSA is BenchmarkSearchGA/batch for simulated annealing: a
-// batched pilot chain, then one perturbation and one paid query per
-// Metropolis move.
+// BenchmarkSearchSA is BenchmarkSearchGA/batch for simulated annealing:
+// one perturbation and one paid query per pilot and Metropolis move.
 func BenchmarkSearchSA(b *testing.B) {
 	runSearchBench(b, SimulatedAnnealing{}, func(seed int64) *Context {
 		return benchSearchContext(b, seed)
@@ -111,28 +110,4 @@ func (e *sampledTiming) EvaluateInto(ctx context.Context, m *mapspace.Mapping, c
 	err := e.Evaluator.EvaluateInto(ctx, m, c)
 	e.hist.ObserveDuration(time.Since(start))
 	return err
-}
-
-// BenchmarkPayEvalBatch isolates the tracker's batch pipeline (no search
-// heuristics): cost of evaluating a 64-candidate batch per candidate.
-func BenchmarkPayEvalBatch(b *testing.B) {
-	b.Run("batch", func(b *testing.B) {
-		ctx := benchSearchContext(b, 1)
-		rng := stats.NewRNG(2)
-		cand := make([]mapspace.Mapping, 64)
-		for i := range cand {
-			cand[i] = ctx.Space.Random(rng)
-		}
-		t := newTracker(ctx, Budget{MaxEvals: 1 << 30})
-		var vals []float64
-		var err error
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += len(cand) {
-			if vals, err = t.payEvalBatch(cand, vals); err != nil {
-				b.Fatal(err)
-			}
-			t.traj = t.traj[:0] // keep the trajectory from growing unboundedly
-		}
-	})
 }

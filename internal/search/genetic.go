@@ -54,19 +54,18 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 	rng := stats.NewRNG(ctx.Seed + 307)
 	t := newTracker(ctx, budget)
 
-	// Initial population, evaluated as one batch. Generation consumes the
-	// rng in exactly the order of a per-candidate loop (evals
-	// draw no randomness), and payEvalBatch records in candidate order,
-	// so trajectories match a per-candidate loop bit for bit.
+	// Initial population. Its first member is paid before any budget
+	// check, every later candidate only after one.
 	cur := make([]mapspace.Mapping, 0, pop)
-	for i := 0; i < t.remainingEvals(pop); i++ {
+	curE := make([]float64, 0, pop)
+	for i := 0; i < pop && (i == 0 || !t.exhausted()); i++ {
 		cur = append(cur, ctx.Space.Random(rng))
+		e, err := t.payEval(&cur[i])
+		if err != nil {
+			return Result{}, err
+		}
+		curE = append(curE, e)
 	}
-	curE, err := t.payEvalBatch(cur, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	cur = cur[:len(curE)]
 
 	// The population is double-buffered: each generation is bred into next
 	// from cur and the two swap, so a child is written over the storage of
@@ -74,7 +73,6 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 	next := make([]mapspace.Mapping, pop)
 	nextE := make([]float64, 0, pop)
 	rank := make([]int, 0, pop)
-	var vals []float64
 	for !t.exhausted() && len(cur) >= 2 {
 		// Rank by fitness: indices sorted by EDP, then index, which is the
 		// order a stable sort of the individuals by EDP leaves, without
@@ -91,25 +89,25 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 			cur[rank[i]].CloneInto(&next[i])
 			nextE = append(nextE, curE[rank[i]])
 		}
-		// Breed the generation's offspring cohort, then evaluate it as one
-		// batch.
+		// Breed and pay for the offspring one at a time; the loop test
+		// above stands in for the first child's budget check.
 		n := len(nextE)
-		kids := t.remainingEvals(len(cur) - n)
-		for i := 0; i < kids; i++ {
+		for i := n; i < len(cur) && (i == n || !t.exhausted()); i++ {
 			parentA := &cur[tournament(rng, curE, rank)]
 			parentB := &cur[tournament(rng, curE, rank)]
-			child := &next[n+i]
+			child := &next[i]
 			if rng.Float64() < gaCrossoverProb {
 				ctx.Space.CrossoverInto(rng, parentA, parentB, child)
 			} else {
 				parentA.CloneInto(child)
 			}
 			ctx.Space.MutateInto(rng, child, gaMutationRate, child)
+			e, err := t.payEval(child)
+			if err != nil {
+				return Result{}, err
+			}
+			nextE = append(nextE, e)
 		}
-		if vals, err = t.payEvalBatch(next[n:n+kids], vals); err != nil {
-			return Result{}, err
-		}
-		nextE = append(nextE, vals...)
 		cur, next = next[:len(nextE)], cur[:cap(cur)]
 		curE, nextE = nextE, curE
 	}

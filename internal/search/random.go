@@ -9,11 +9,6 @@ import (
 // It is the sanity-check baseline: any guided method must beat it.
 type RandomSearch struct{}
 
-// randomChunk is how many candidates RandomSearch draws per evaluation
-// batch; samples are independent, so chunking changes nothing but the
-// amortization.
-const randomChunk = 64
-
 // Name implements Searcher.
 func (RandomSearch) Name() string { return "Random" }
 
@@ -27,15 +22,10 @@ func (RandomSearch) Search(ctx *Context, budget Budget) (Result, error) {
 	}
 	rng := stats.NewRNG(ctx.Seed + 101)
 	t := newTracker(ctx, budget)
-	cohort := make([]mapspace.Mapping, 0, randomChunk)
-	var vals []float64
+	var m mapspace.Mapping
 	for !t.exhausted() {
-		cohort = cohort[:0]
-		for i := 0; i < t.remainingEvals(randomChunk); i++ {
-			cohort = append(cohort, ctx.Space.Random(rng))
-		}
-		var err error
-		if vals, err = t.payEvalBatch(cohort, vals); err != nil {
+		m = ctx.Space.Random(rng)
+		if _, err := t.payEval(&m); err != nil {
 			return Result{}, err
 		}
 	}

@@ -14,10 +14,12 @@
 // scoring: a paid query charges Context.QueryLatency to the run's clock,
 // counts one to Context.Evals and then calls Model, while scoring calls
 // Model alone. No searcher knows which backend computes its costs.
-// Every candidate is evaluated on the searcher's own goroutine, one query
-// after another, so a run's clock is its wall-clock time plus the latency
-// of the queries it paid for, as the paper's fixed-time comparison
-// charges a baseline's queries.
+// Every searcher pays for (or scores) each candidate as it generates it,
+// on its own goroutine, one query after another, with no batch layer in
+// between; so a run's clock is its wall-clock time plus the latency of
+// the queries it paid for, as the paper's fixed-time comparison charges a
+// baseline's queries. SA and SA+f* run one annealing loop with two energy
+// functions.
 package search
 
 import (

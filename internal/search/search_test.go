@@ -317,9 +317,9 @@ func TestQueryLatencySlowsPaidMethodsOnly(t *testing.T) {
 	}
 }
 
-// TestPaidQueryCharges pins that every paid query, scalar or batched, is
-// charged once to Context.Evals and to the budget, and that a context
-// without a Counter still pays and records its queries.
+// TestPaidQueryCharges pins that every paid query is charged once to
+// Context.Evals and to the budget, and that a context without a Counter
+// still pays and records its queries.
 func TestPaidQueryCharges(t *testing.T) {
 	ctx := conv1dContext(t, 63)
 	var ctr costmodel.Counter
@@ -330,36 +330,34 @@ func TestPaidQueryCharges(t *testing.T) {
 		cand[i] = ctx.Space.Random(rng)
 	}
 	tr := newTracker(ctx, Budget{MaxEvals: 100})
-	for i := 0; i < 3; i++ {
+	for i := range cand {
 		if _, err := tr.payEval(&cand[i]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := tr.payEvalBatch(cand[3:], nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := ctr.Value(); got != 7 || tr.evals != 7 {
-		t.Fatalf("counter = %d, budget = %d after 3 scalar + 4 batch paid queries, want 7 and 7", got, tr.evals)
+		if got := ctr.Value(); got != int64(i+1) || tr.evals != i+1 {
+			t.Fatalf("counter = %d, budget = %d after %d paid queries", got, tr.evals, i+1)
+		}
 	}
 
 	ctx.Evals = nil
 	bare := newTracker(ctx, Budget{MaxEvals: 100})
-	vals, err := bare.payEvalBatch(cand, nil)
-	if err != nil {
-		t.Fatal(err)
+	for i := range cand {
+		if _, err := bare.payEval(&cand[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(vals) != len(cand) || bare.evals != len(cand) || len(bare.traj) == 0 {
-		t.Fatalf("uncounted tracker paid %d values, budget %d, trajectory %d; want %d paid and recorded", len(vals), bare.evals, len(bare.traj), len(cand))
+	if bare.evals != len(cand) || len(bare.traj) == 0 {
+		t.Fatalf("uncounted tracker: budget %d, trajectory %d; want %d paid and recorded", bare.evals, len(bare.traj), len(cand))
 	}
-	if ctr.Value() != 7 {
+	if ctr.Value() != int64(len(cand)) {
 		t.Fatalf("detached counter moved to %d", ctr.Value())
 	}
 }
 
 // TestPaidQueryChargesScoringDoesNot pins the tracker's paid query: every
 // candidate charges QueryLatency to the run's clock and counts one to
-// Evals, while offline scoring of the same candidates (MM's trajectory
-// measurement) charges neither and returns the same values.
+// Evals, while offline scoring of the same candidates (MM's and SA+f*'s
+// trajectory measurement) charges neither and returns the same values.
 func TestPaidQueryChargesScoringDoesNot(t *testing.T) {
 	ctx := conv1dContext(t, 61)
 	var ctr costmodel.Counter
@@ -372,25 +370,28 @@ func TestPaidQueryChargesScoringDoesNot(t *testing.T) {
 		cand[i] = ctx.Space.Random(rng)
 	}
 	tr := newTracker(ctx, Budget{MaxEvals: 100})
-	paid, err := tr.payEvalBatch(cand, nil)
-	if err != nil {
-		t.Fatal(err)
+	paid := make([]float64, len(cand))
+	for i := range cand {
+		var err error
+		if paid[i], err = tr.payEval(&cand[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := time.Duration(len(cand)) * lat
 	if got := ctr.Value(); got != int64(len(cand)) || tr.charged != want {
 		t.Fatalf("%d paid queries: counter %d, charged %v; want %d and %v", len(cand), got, tr.charged, len(cand), want)
 	}
-	free, err := tr.scoreSurrogateBatch(cand, nil)
-	if err != nil {
-		t.Fatal(err)
+	for i := range cand {
+		free, err := tr.scoreSurrogateStep(&cand[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if free != paid[i] {
+			t.Fatalf("candidate %d: scored %v, paid %v", i, free, paid[i])
+		}
 	}
 	if got := ctr.Value(); got != int64(len(cand)) || tr.charged != want {
 		t.Fatalf("offline scoring was charged: counter %d, charged %v; want %d and %v", got, tr.charged, len(cand), want)
-	}
-	for i := range cand {
-		if free[i] != paid[i] {
-			t.Fatalf("candidate %d: scored %v, paid %v", i, free[i], paid[i])
-		}
 	}
 	if tr.evals != 2*len(cand) {
 		t.Fatalf("budget charged %d evals, want %d", tr.evals, 2*len(cand))

@@ -6,39 +6,37 @@ import (
 	"mindmappings/internal/obs/slo"
 )
 
-// SLOConfig declares the server's service-level objectives. A zero target
-// disables that objective; the zero config enables nothing. Targets are
-// good-fraction requirements in (0, 1); thresholds are the latency a "good"
-// event must beat, effectively rounded down to a histogram bucket edge.
+// SLOConfig declares the server's service-level objectives. A zero field
+// disables its objective; the zero config enables nothing. The burn-rate
+// windows are slo's defaults: 5m fast, 1h slow, 10s sampling, critical
+// burn 14.4.
 type SLOConfig struct {
 	// Availability is the target fraction of terminal search jobs that
 	// finish successfully (degraded anytime completions count as good:
 	// the client got a valid mapping; cancellations are the client's
-	// choice and are excluded).
+	// choice and are excluded), in (0, 1).
 	Availability float64
-	// QueueWait targets queue wait: QueueWaitTarget of jobs must start
+	// QueueWaitMax targets queue wait: latencyTarget of jobs must start
 	// within QueueWaitMax of submission.
-	QueueWaitMax    time.Duration
-	QueueWaitTarget float64
-	// FirstEval targets time-to-first-eval: FirstEvalTarget of jobs must
+	QueueWaitMax time.Duration
+	// FirstEvalMax targets time-to-first-eval: latencyTarget of jobs must
 	// produce their first progress sample within FirstEvalMax of starting.
-	FirstEvalMax    time.Duration
-	FirstEvalTarget float64
-	// Tracker tunes the burn-rate windows (zero values select slo's
-	// defaults: 5m fast, 1h slow, 10s sampling, critical burn 14.4).
-	Tracker slo.Config
+	FirstEvalMax time.Duration
 }
+
+// latencyTarget is the good fraction of both latency objectives. Their
+// thresholds are the latency a "good" job must beat, effectively rounded
+// down to a histogram bucket edge.
+const latencyTarget = 0.95
 
 // DefaultSLOConfig is the serve command's -slo preset: three nines of job
 // availability, 95% of jobs starting within 30s, 95% of jobs producing a
 // first evaluation within 5s of starting.
 func DefaultSLOConfig() SLOConfig {
 	return SLOConfig{
-		Availability:    0.999,
-		QueueWaitMax:    30 * time.Second,
-		QueueWaitTarget: 0.95,
-		FirstEvalMax:    5 * time.Second,
-		FirstEvalTarget: 0.95,
+		Availability: 0.999,
+		QueueWaitMax: 30 * time.Second,
+		FirstEvalMax: 5 * time.Second,
 	}
 }
 
@@ -53,7 +51,7 @@ func (s *Server) EnableSLO(cfg SLOConfig) *slo.Tracker {
 	if len(objs) == 0 {
 		return nil
 	}
-	t := slo.NewTracker(cfg.Tracker, objs...)
+	t := slo.NewTracker(slo.Config{}, objs...)
 	t.RegisterMetrics(s.reg)
 	s.jobs.SetHealth(t.Health)
 	s.slo = t
@@ -79,23 +77,23 @@ func (jm *JobManager) sloObjectives(cfg SLOConfig) []slo.Objective {
 			},
 		})
 	}
-	if cfg.QueueWaitMax > 0 && cfg.QueueWaitTarget > 0 {
+	if cfg.QueueWaitMax > 0 {
 		h, maxWait := jm.met.queueWait, cfg.QueueWaitMax.Seconds()
 		objs = append(objs, slo.Objective{
 			Name:        "queue_wait",
 			Description: "search jobs that reached a worker within the queue-wait threshold",
-			Target:      cfg.QueueWaitTarget,
+			Target:      latencyTarget,
 			SLI: func() (good, total float64) {
 				return float64(h.CountLE(maxWait)), float64(h.Count())
 			},
 		})
 	}
-	if cfg.FirstEvalMax > 0 && cfg.FirstEvalTarget > 0 {
+	if cfg.FirstEvalMax > 0 {
 		h, maxWait := jm.met.firstEval, cfg.FirstEvalMax.Seconds()
 		objs = append(objs, slo.Objective{
 			Name:        "first_eval",
 			Description: "search jobs that produced a first evaluation within the threshold",
-			Target:      cfg.FirstEvalTarget,
+			Target:      latencyTarget,
 			SLI: func() (good, total float64) {
 				return float64(h.CountLE(maxWait)), float64(h.Count())
 			},

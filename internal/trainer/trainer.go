@@ -245,11 +245,6 @@ type Pipeline struct {
 
 	store *modelstore.Store
 
-	// publishRetry absorbs transient store.Publish failures (including
-	// injected ones) so a blip at the very end of a long training run
-	// does not discard it. Set before the first Submit to override.
-	publishRetry resilience.RetryPolicy
-
 	// mu guards the queue's table, the records' progress and checkpoints,
 	// and the dedup map and checkpoint FIFO below; the queue's finish hook
 	// runs under it.
@@ -278,9 +273,8 @@ func New(store *modelstore.Store, workers, queueCap int) *Pipeline {
 		queueCap = 16
 	}
 	p := &Pipeline{
-		store:        store,
-		publishRetry: resilience.DefaultRetry,
-		active:       make(map[string]string),
+		store:  store,
+		active: make(map[string]string),
 	}
 	p.q = jobqueue.New(&p.mu, jobqueue.Kind[Job, Event, *Job]{
 		Workers:   workers,
@@ -533,7 +527,7 @@ func (p *Pipeline) execute(ctx context.Context, job *Job) (*modelstore.Manifest,
 	// training run, so a transient storage fault (or an injected one)
 	// here must not throw the run away.
 	var manifest modelstore.Manifest
-	err = p.publishRetry.Do(ctx, func() error {
+	err = resilience.DefaultRetry.Do(ctx, func() error {
 		var perr error
 		manifest, perr = p.store.Publish(sur, modelstore.PublishMeta{
 			Name:         req.Name,
