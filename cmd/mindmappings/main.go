@@ -116,27 +116,10 @@ func algoUsage() string {
 		" (default " + defaultAlgo + ")"
 }
 
-// resolveAlgo resolves the -algo/-einsum flag pair into an algorithm: a
-// registered workload name, or an inline einsum spec. Setting both is an
-// error (the flags default to empty so an explicit -algo is never
-// silently dropped); setting neither selects defaultAlgo.
-func resolveAlgo(algoName, einsum string) (*loopnest.Algorithm, error) {
-	if algoName != "" && einsum != "" {
-		return nil, fmt.Errorf("use -algo or -einsum, not both")
-	}
-	if einsum != "" {
-		return workload.CompileInline(einsum)
-	}
-	if algoName == "" {
-		algoName = defaultAlgo
-	}
-	return loopnest.AlgorithmByName(algoName)
-}
-
 // newMapper builds the mapper for a workload with the matching accelerator
-// datapath.
+// datapath: exactly one of a registered name or an inline einsum.
 func newMapper(algoName, einsum string) (*core.Mapper, error) {
-	algo, err := resolveAlgo(algoName, einsum)
+	algo, err := workload.Resolve(algoName, einsum)
 	if err != nil {
 		return nil, err
 	}
@@ -363,6 +346,9 @@ func cmdSearch(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *algoName == "" && *einsum == "" {
+		*algoName = defaultAlgo
+	}
 	obj, err := search.ParseObjective(*objective)
 	if err != nil {
 		return err
@@ -463,6 +449,9 @@ func cmdCompare(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *algoName == "" && *einsum == "" {
+		*algoName = defaultAlgo
 	}
 	mp, err := loadMapperWithSurrogate(*algoName, *einsum, *surPath)
 	if err != nil {

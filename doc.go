@@ -33,9 +33,11 @@
 // Evaluator interface, a by-name backend registry, and the Counter that
 // paid-eval accounting shares; the search tracker counts its own paid
 // queries and charges their latency to the run's clock, and the service
-// times each job's evaluations. The reference Timeloop-style model
-// (internal/timeloop) registers as "timeloop", the default; an optimistic roofline/lower-bound model registers as
-// "roofline". Backends are selected end-to-end — `mindmappings search
+// times each job's evaluations. One analytical model (internal/timeloop)
+// registers twice: as "timeloop", the reference Timeloop-style model and
+// the default, and as "roofline", the same model with three best-case
+// relaxations (best-order reuse, no partial-sum read-modify-write,
+// nominal SRAM energy). Backends are selected end-to-end — `mindmappings search
 // -model=roofline`, the service's "cost_model" request field (with
 // per-backend eval counters in /metrics), and `experiments -costmodel`
 // — and no searcher, trainer, or service code names a concrete backend.

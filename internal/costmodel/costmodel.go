@@ -9,11 +9,11 @@
 // The paper treats f as an exchangeable component (§2.3, §5.1.2 — Timeloop
 // is just the reference instantiation), so nothing above this package may
 // care which backend computes a cost: searchers, the surrogate trainer,
-// the Mapper API, and the serve service all work against Evaluator. Two
-// backends are built in — the reference Timeloop-style reuse-analysis
-// model (package timeloop, registered as "timeloop") and the optimistic
-// roofline/lower-bound model in this package (registered as "roofline") —
-// and new ones (a real-Timeloop subprocess, a learned model) plug in by
+// the Mapper API, and the serve service all work against Evaluator. This
+// package holds no backend. Package timeloop registers the two built-in
+// ones from one model — the reference Timeloop-style reuse analysis
+// ("timeloop") and its optimistic best-case relaxation ("roofline") — and
+// new ones (a real-Timeloop subprocess, a learned model) plug in by
 // calling Register without touching any searcher. See DESIGN.md §5 for the
 // layering.
 package costmodel

@@ -11,7 +11,7 @@ import (
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/stats"
 
-	_ "mindmappings/internal/timeloop" // register the reference backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 )
 
 // fixture bundles one (arch, problem) pair with its map space and a pool
@@ -102,7 +102,7 @@ func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
 		costmodel.Register(name, c)
 	}
 	dummy := func(a arch.Spec, p loopnest.Problem) (costmodel.Evaluator, error) {
-		return costmodel.NewRoofline(a, p)
+		return costmodel.New("roofline", a, p)
 	}
 	mustPanic("", dummy)
 	mustPanic("timeloop", dummy) // duplicate of the reference backend

@@ -28,9 +28,7 @@ var (
 // database/sql.Register. Backends register from their package init; pull
 // one in with a blank import:
 //
-//	import _ "mindmappings/internal/timeloop" // register the reference backend
-//
-// The roofline backend lives in this package and is always registered.
+//	import _ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 func Register(name string, c Constructor) {
 	if name == "" || c == nil {
 		panic("costmodel: Register with empty name or nil constructor")

@@ -18,15 +18,15 @@ func TestNewRooflineValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := costmodel.NewRoofline(arch.Default(3), p); err == nil {
+	if _, err := costmodel.New("roofline", arch.Default(3), p); err == nil {
 		t.Fatal("accepted 3-operand arch for 2-operand CNN")
 	}
 	bad := arch.Default(2)
 	bad.ClockHz = 0
-	if _, err := costmodel.NewRoofline(bad, p); err == nil {
+	if _, err := costmodel.New("roofline", bad, p); err == nil {
 		t.Fatal("accepted invalid arch")
 	}
-	if _, err := costmodel.NewRoofline(arch.Default(2), loopnest.Problem{}); err == nil {
+	if _, err := costmodel.New("roofline", arch.Default(2), loopnest.Problem{}); err == nil {
 		t.Fatal("accepted invalid problem")
 	}
 }
@@ -122,7 +122,7 @@ func TestRooflineRespondsToMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := costmodel.NewRoofline(a, p)
+	rf, err := costmodel.New("roofline", a, p)
 	if err != nil {
 		t.Fatal(err)
 	}

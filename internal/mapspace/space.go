@@ -426,24 +426,35 @@ func isPermutation(p []int, n int) bool {
 // After a bounded number of rejected tilings it falls back to the minimal
 // mapping, which is always valid.
 func (s *Space) Random(rng *rand.Rand) Mapping {
+	var m Mapping
+	s.RandomInto(rng, &m)
+	return m
+}
+
+// RandomInto is Random writing the sample into dst, whose storage it
+// reuses when dst has the space's shape and a footprint block; it makes
+// exactly Random's draws. dst must not share storage with a mapping the
+// caller still reads.
+func (s *Space) RandomInto(rng *rand.Rand, dst *Mapping) {
 	const maxTries = 64
 	ws := getScratch()
 	defer putScratch(ws)
-	m := s.emptyMapping()
-	blk := m.block()
+	if !s.shaped(dst) || dst.block() == nil {
+		*dst = s.emptyMapping()
+	}
+	blk := dst.block()
 	for try := 0; try < maxTries; try++ {
-		s.randomTiling(ws, rng, &m)
-		if s.fillFits(ws, &m, blk[1:]) {
+		s.randomTiling(ws, rng, dst)
+		if s.fillFits(ws, dst, blk[1:]) {
 			blk[0] = s.fp.stamp
-			s.randomOrders(rng, &m)
-			s.randomAlloc(ws, rng, &m, blk[1:])
-			return m
+			s.randomOrders(rng, dst)
+			s.randomAlloc(ws, rng, dst, blk[1:])
+			return
 		}
 	}
-	s.setMinimalTiling(&m)
-	s.coverAlloc(ws, &m, s.fillStamped(ws, &m)[1:])
-	s.randomOrders(rng, &m)
-	return m
+	s.setMinimalTiling(dst)
+	s.coverAlloc(ws, dst, s.fillStamped(ws, dst)[1:])
+	s.randomOrders(rng, dst)
 }
 
 // fillFits fills the footprints fps of a sampled tiling level by level and

@@ -3,6 +3,7 @@ package mapspace
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,31 @@ func TestRandomMappingsVaried(t *testing.T) {
 	}
 	if len(seen) < 45 {
 		t.Fatalf("only %d distinct mappings in 50 draws", len(seen))
+	}
+}
+
+// RandomInto makes Random's draws and writes Random's mapping, block
+// included, whether it reuses dst's storage or, for a dst of another
+// space's shape, replaces it.
+func TestRandomIntoMatchesRandom(t *testing.T) {
+	cnn, mtt := testSpaceCNN(t), testSpaceMTTKRP(t)
+	for _, s := range []*Space{cnn, mtt} {
+		rngA, rngB := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		other := cnn
+		if s == cnn {
+			other = mtt
+		}
+		dst := other.Random(rand.New(rand.NewSource(4)))
+		for i := 0; i < 200; i++ {
+			want := s.Random(rngA)
+			s.RandomInto(rngB, &dst)
+			if !reflect.DeepEqual(dst, want) || !reflect.DeepEqual(dst.block(), want.block()) {
+				t.Fatalf("%s draw %d: RandomInto wrote\n%s\nRandom returned\n%s", s.Prob.Name, i, dst.String(), want.String())
+			}
+		}
+		if rngA.Int63() != rngB.Int63() {
+			t.Fatalf("%s: RandomInto's draws differ from Random's", s.Prob.Name)
+		}
 	}
 }
 

@@ -73,3 +73,13 @@ func TestSurrogateSAAllocsPerMove(t *testing.T) {
 		t.Fatalf("SA+f* allocates %.2f per move, want at most 0.1", perMove)
 	}
 }
+
+// Random search draws every candidate into one reused mapping; only new
+// best-so-far clones and trajectory growth allocate.
+func TestRandomAllocsPerEval(t *testing.T) {
+	const short, long = 2000, 8000
+	perEval := marginalAllocs(t, RandomSearch{}, short, long) / (long - short)
+	if perEval > 0.1 {
+		t.Fatalf("random search allocates %.2f per eval, want at most 0.1", perEval)
+	}
+}

@@ -44,13 +44,10 @@ func (SimulatedAnnealing) Name() string { return "SA" }
 
 // Search implements Searcher.
 func (s SimulatedAnnealing) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := budget.validate(); err != nil {
-		return Result{}, err
-	}
-	t := newTracker(ctx, budget)
 	return anneal(ctx, t, s.Name(), ctx.Seed+211, t.payEval)
 }
 

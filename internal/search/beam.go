@@ -28,10 +28,8 @@ func (BeamSearch) Name() string { return "Beam" }
 
 // Search implements Searcher.
 func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := budget.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
 	width := beamWidth
@@ -40,7 +38,6 @@ func (bs BeamSearch) Search(ctx *Context, budget Budget) (Result, error) {
 	}
 
 	rng := stats.NewRNG(ctx.Seed + 601)
-	t := newTracker(ctx, budget)
 
 	type entry struct {
 		m   mapspace.Mapping

@@ -29,14 +29,11 @@ func (PrunedExhaustive) Name() string { return "Exhaustive" }
 
 // Search implements Searcher.
 func (e PrunedExhaustive) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := budget.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
 	rng := stats.NewRNG(ctx.Seed + 811)
-	t := newTracker(ctx, budget)
 	space := ctx.Space
 	d := space.NumDims()
 

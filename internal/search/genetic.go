@@ -39,10 +39,8 @@ func (GeneticAlgorithm) Name() string { return "GA" }
 
 // Search implements Searcher.
 func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := budget.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
 	pop := gaPopSize
@@ -52,7 +50,6 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 	elite := min(gaElite, pop/2)
 
 	rng := stats.NewRNG(ctx.Seed + 307)
-	t := newTracker(ctx, budget)
 
 	// Initial population. Its first member is paid before any budget
 	// check, every later candidate only after one.

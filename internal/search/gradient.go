@@ -2,7 +2,6 @@ package search
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,19 +81,14 @@ type mmState struct {
 
 // Search implements Searcher.
 func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := budget.validate(); err != nil {
+	if err := checkSurrogate(m.Surrogate, ctx.Space, "MindMappings", " (was it trained for a different algorithm?)"); err != nil {
 		return Result{}, err
-	}
-	if m.Surrogate == nil {
-		return Result{}, errors.New("search: MindMappings requires a trained surrogate")
 	}
 	sur := m.Surrogate
-	if sur.Net.InDim() != ctx.Space.VectorLen() {
-		return Result{}, errors.New("search: surrogate input width does not match this map space (was it trained for a different algorithm?)")
-	}
 	queries := SurrogateQuerier(sur)
 	if m.Queries != nil {
 		queries = m.Queries
@@ -106,7 +100,6 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 	// bit-identical to the historical stats.NewRNG one.
 	src := stats.NewCountedSource(ctx.Seed + 503)
 	rng := rand.New(src)
-	t := newTracker(ctx, budget)
 	eExp, dExp := objectiveExponents(ctx.Objective)
 
 	// Step 1 (§4.2): random valid initial mapping.

@@ -14,17 +14,14 @@ func (RandomSearch) Name() string { return "Random" }
 
 // Search implements Searcher.
 func (RandomSearch) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := budget.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
 	rng := stats.NewRNG(ctx.Seed + 101)
-	t := newTracker(ctx, budget)
 	var m mapspace.Mapping
 	for !t.exhausted() {
-		m = ctx.Space.Random(rng)
+		ctx.Space.RandomInto(rng, &m)
 		if _, err := t.payEval(&m); err != nil {
 			return Result{}, err
 		}

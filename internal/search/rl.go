@@ -99,10 +99,8 @@ type ddpg struct {
 
 // Search implements Searcher.
 func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := budget.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
 	hidden := r.Hidden
@@ -117,7 +115,6 @@ func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
 		return Result{}, err
 	}
 
-	t := newTracker(ctx, budget)
 	for !t.exhausted() {
 		// Reset: fresh random mapping starts each episode.
 		cur := ctx.Space.Random(rng)

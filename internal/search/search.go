@@ -34,6 +34,7 @@ import (
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/oracle"
+	"mindmappings/internal/surrogate"
 )
 
 // Budget bounds a search run. At least one limit must be set; whichever is
@@ -266,6 +267,20 @@ func (c *Context) validate() error {
 	return nil
 }
 
+// checkSurrogate is the surrogate check of the searchers that query one
+// (MM, SA+f*): a trained surrogate whose input width is space's vector
+// length. who names the searcher in the missing-surrogate error, and hint
+// ends the width error.
+func checkSurrogate(sur *surrogate.Surrogate, space *mapspace.Space, who, hint string) error {
+	if sur == nil {
+		return fmt.Errorf("search: %s requires a trained surrogate", who)
+	}
+	if sur.Net.InDim() != space.VectorLen() {
+		return errors.New("search: surrogate input width does not match this map space" + hint)
+	}
+	return nil
+}
+
 // Searcher is a mapping-space search method.
 type Searcher interface {
 	Name() string
@@ -312,14 +327,22 @@ type tracker struct {
 	own costmodel.Cost
 }
 
-func newTracker(ctx *Context, budget Budget) *tracker {
+// newTracker validates a search's context and budget, in that order, and
+// starts its tracker: every searcher's preamble.
+func newTracker(ctx *Context, budget Budget) (*tracker, error) {
+	if err := ctx.validate(); err != nil {
+		return nil, err
+	}
+	if err := budget.validate(); err != nil {
+		return nil, err
+	}
 	return &tracker{
 		ctx:    ctx,
 		ectx:   ctx.evalCtx(),
 		budget: budget,
 		start:  time.Now(),
 		best:   math.Inf(1),
-	}
+	}, nil
 }
 
 // exhausted reports whether the budget has run out, the run has converged

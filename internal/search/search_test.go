@@ -329,7 +329,10 @@ func TestPaidQueryCharges(t *testing.T) {
 	for i := range cand {
 		cand[i] = ctx.Space.Random(rng)
 	}
-	tr := newTracker(ctx, Budget{MaxEvals: 100})
+	tr, err := newTracker(ctx, Budget{MaxEvals: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range cand {
 		if _, err := tr.payEval(&cand[i]); err != nil {
 			t.Fatal(err)
@@ -340,7 +343,10 @@ func TestPaidQueryCharges(t *testing.T) {
 	}
 
 	ctx.Evals = nil
-	bare := newTracker(ctx, Budget{MaxEvals: 100})
+	bare, err := newTracker(ctx, Budget{MaxEvals: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range cand {
 		if _, err := bare.payEval(&cand[i]); err != nil {
 			t.Fatal(err)
@@ -369,7 +375,10 @@ func TestPaidQueryChargesScoringDoesNot(t *testing.T) {
 	for i := range cand {
 		cand[i] = ctx.Space.Random(rng)
 	}
-	tr := newTracker(ctx, Budget{MaxEvals: 100})
+	tr, err := newTracker(ctx, Budget{MaxEvals: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	paid := make([]float64, len(cand))
 	for i := range cand {
 		var err error

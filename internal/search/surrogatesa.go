@@ -1,8 +1,6 @@
 package search
 
 import (
-	"errors"
-
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/surrogate"
 )
@@ -30,19 +28,13 @@ func (SurrogateSA) Name() string { return "SA+f*" }
 
 // Search implements Searcher.
 func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
-	if err := ctx.validate(); err != nil {
+	t, err := newTracker(ctx, budget)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := budget.validate(); err != nil {
+	if err := checkSurrogate(s.Surrogate, ctx.Space, "SurrogateSA", ""); err != nil {
 		return Result{}, err
 	}
-	if s.Surrogate == nil {
-		return Result{}, errors.New("search: SurrogateSA requires a trained surrogate")
-	}
-	if s.Surrogate.Net.InDim() != ctx.Space.VectorLen() {
-		return Result{}, errors.New("search: surrogate input width does not match this map space")
-	}
-	t := newTracker(ctx, budget)
 
 	// The energy is a one-row PredictBatch over reused buffers; each move
 	// is then scored offline through the tracker.

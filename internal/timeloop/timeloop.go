@@ -13,11 +13,13 @@
 // (EDP) the search methods minimize. See DESIGN.md §3 for the analysis
 // rules and their relation to Timeloop's.
 //
-// Model implements costmodel.Evaluator and registers itself as "timeloop",
-// the costmodel registry's default backend. Eval accounting and
-// query-latency emulation belong to the search tracker, not the model.
-// Nothing outside this package (and its tests) constructs a *Model
-// directly; consumers go through costmodel.New.
+// Model implements costmodel.Evaluator and registers itself twice: as
+// "timeloop", the costmodel registry's default backend, and as
+// "roofline", the same model with three best-case relaxations (see
+// Model). Eval accounting and query-latency emulation belong to the
+// search tracker, not the model. Nothing outside this package (and its
+// tests) constructs a *Model directly; consumers go through
+// costmodel.New.
 package timeloop
 
 import (
@@ -31,10 +33,38 @@ import (
 )
 
 // Model evaluates mapping costs for one (accelerator, problem) pair.
+//
+// With roofline set (the "roofline" backend) it is an optimistic model in
+// the spirit of GOMA-style closed-form estimators: the reference model
+// with the best case assumed wherever the reference model charges for
+// mapping details, and nothing else changed.
+//
+//   - Loop order: each tensor's tile is refetched only when a
+//     tensor-relevant outer loop iterates (bestOrderQ, never more than
+//     reuseQ under any loop order), so its costs are loop-order-insensitive.
+//   - Partial sums: outputs accumulate without read-modify-write traffic
+//     above L1.
+//   - Buffer allocation: SRAM access energy is charged at the nominal
+//     per-access cost, independent of bank allocation.
+//
+// What holds, and what the roofline tests pin: on every mapping the
+// roofline's traffic and cycles are at most the reference model's, and
+// its EDP is at least oracle.Bound's mapping-independent algorithmic
+// minimum. Its energy, and so its EDP, is not a lower bound on the
+// reference model's: the reference model scales SRAM access energy by
+// 0.75 to 1.25 with bank allocation while the roofline charges the
+// nominal cost, so on some mappings the roofline's EDP is the higher (up
+// to about 1.2x on random Table-1 mappings; ROADMAP item 23). The
+// roofline stays mapping-sensitive through spatial parallelism (compute
+// roofline, multicast split) and the halo overhead of small tiles;
+// purely temporal re-tiling of halo-free tensors is cost-neutral under it,
+// because best-case reuse traffic is tile-size-invariant when footprints
+// are multiplicative.
 type Model struct {
 	Arch arch.Spec
 	Prob loopnest.Problem
 
+	roofline bool // the three best-case relaxations above
 	macs     float64
 	fullSize []float64 // per-tensor full footprints
 	relevant [][]bool  // relevant[t][d]: dimension d indexes tensor t
@@ -46,21 +76,32 @@ func init() {
 	costmodel.Register("timeloop", func(a arch.Spec, p loopnest.Problem) (costmodel.Evaluator, error) {
 		return New(a, p)
 	})
+	costmodel.Register("roofline", func(a arch.Spec, p loopnest.Problem) (costmodel.Evaluator, error) {
+		return newModel(a, p, true)
+	})
 }
 
-// New constructs a cost model, validating the architecture and problem.
+// New constructs the reference cost model, validating the architecture
+// and problem.
 func New(a arch.Spec, p loopnest.Problem) (*Model, error) {
+	return newModel(a, p, false)
+}
+
+// newModel constructs the reference model, or with roofline set its
+// best-case relaxation.
+func newModel(a arch.Spec, p loopnest.Problem, roofline bool) (*Model, error) {
+	m := &Model{Arch: a, Prob: p, roofline: roofline}
 	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("timeloop: %w", err)
+		return nil, fmt.Errorf("%s: %w", m.Name(), err)
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("timeloop: %w", err)
+		return nil, fmt.Errorf("%s: %w", m.Name(), err)
 	}
 	if want := len(p.Algo.Tensors) - 1; a.OperandsPerMAC != want {
-		return nil, fmt.Errorf("timeloop: architecture consumes %d operands/MAC but algorithm %s has %d input tensors",
-			a.OperandsPerMAC, p.Algo.Name, want)
+		return nil, fmt.Errorf("%s: architecture consumes %d operands/MAC but algorithm %s has %d input tensors",
+			m.Name(), a.OperandsPerMAC, p.Algo.Name, want)
 	}
-	m := &Model{Arch: a, Prob: p, macs: p.MACs(), relevant: p.Algo.Relevance(), fp: mapspace.NewFootprinter(p)}
+	m.macs, m.relevant, m.fp = p.MACs(), p.Algo.Relevance(), mapspace.NewFootprinter(p)
 	for t := range p.Algo.Tensors {
 		m.fullSize = append(m.fullSize, float64(p.Algo.Tensors[t].Footprint(p.Shape)))
 		dims := make([]int, 0, len(m.relevant[t])) // never nil: nil means every dim
@@ -75,7 +116,12 @@ func New(a arch.Spec, p loopnest.Problem) (*Model, error) {
 }
 
 // Name implements costmodel.Evaluator.
-func (m *Model) Name() string { return "timeloop" }
+func (m *Model) Name() string {
+	if m.roofline {
+		return "roofline"
+	}
+	return "timeloop"
+}
 
 // Problem implements costmodel.Evaluator.
 func (m *Model) Problem() loopnest.Problem { return m.Prob }
@@ -138,6 +184,24 @@ func reuseQ(relevant []bool, loops []loop) float64 {
 	return 1
 }
 
+// bestOrderQ returns the roofline's refetch multipliers for a tensor
+// indexed by dims: q2 covers the DRAM-level loops (L2 tile residencies),
+// q1 the DRAM- and L2-level loops (L1 tile residencies). Only
+// tensor-relevant loops force a refetch and every irrelevant loop reuses
+// the resident tile, so q is the product of the relevant trip counts,
+// multiplied in dims' order. The same pass returns relPEs, bit for bit
+// pesAlong(dims, mp.Spatial), so the roofline walks a tensor's dims once.
+func bestOrderQ(dims []int, mp *mapspace.Mapping) (q1, q2, relPEs float64) {
+	q1, q2, relPEs = 1, 1, 1
+	dram, l2 := mp.Tile[arch.DRAM], mp.Tile[arch.L2]
+	for _, d := range dims {
+		q2 *= float64(dram[d])
+		q1 *= float64(dram[d] * l2[d])
+		relPEs *= float64(mp.Spatial[d])
+	}
+	return q1, q2, relPEs
+}
+
 // pesAlong returns the product of the spatial factors of dims (every
 // dimension when dims is nil), multiplied in the order given: all active
 // PEs, or the PEs along a tensor's relevant dims. PEs along irrelevant
@@ -181,17 +245,17 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 	nd := m.Prob.Algo.NumDims()
 	if len(mp.Spatial) != nd || len(mp.Tile[arch.L1]) != nd ||
 		len(mp.Tile[arch.L2]) != nd || len(mp.Tile[arch.DRAM]) != nd {
-		return fmt.Errorf("timeloop: mapping has wrong arity for %d dims", nd)
+		return fmt.Errorf("%s: mapping has wrong arity for %d dims", m.Name(), nd)
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if len(mp.Order[l]) != nd {
-			return fmt.Errorf("timeloop: level %s order has wrong arity", l)
+			return fmt.Errorf("%s: level %s order has wrong arity", m.Name(), l)
 		}
 	}
 	nt := len(m.Prob.Algo.Tensors)
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		if len(mp.Alloc[level]) != nt {
-			return fmt.Errorf("timeloop: level %s allocation has wrong arity", level)
+			return fmt.Errorf("%s: level %s allocation has wrong arity", m.Name(), level)
 		}
 	}
 
@@ -202,16 +266,24 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 		c.Scratch = ws
 	}
 	fps := m.fp.Footprints(mp, &ws.fp)
-	ws.loops = appendTemporalLoops(ws.loops[:0], mp)
-	loopsL1, loopsL2 := ws.loops, ws.loops[:nd]
+	var loopsL1, loopsL2 []loop
+	if !m.roofline { // the roofline never reads the loop nest
+		ws.loops = appendTemporalLoops(ws.loops[:0], mp)
+		loopsL1, loopsL2 = ws.loops, ws.loops[:nd]
+	}
 	totalPEs := pesAlong(nil, mp.Spatial)
 
 	for t := range m.Prob.Algo.Tensors {
 		tensor := &m.Prob.Algo.Tensors[t]
 		fpL1, fpL2 := fps[t], fps[nt+t]
-		q1 := reuseQ(m.relevant[t], loopsL1)
-		q2 := reuseQ(m.relevant[t], loopsL2)
-		relPEs := pesAlong(m.relDims[t], mp.Spatial)
+		var q1, q2, relPEs float64
+		if m.roofline {
+			q1, q2, relPEs = bestOrderQ(m.relDims[t], mp)
+		} else {
+			q1 = reuseQ(m.relevant[t], loopsL1)
+			q2 = reuseQ(m.relevant[t], loopsL2)
+			relPEs = pesAlong(m.relDims[t], mp.Spatial)
+		}
 
 		if !tensor.Output {
 			perPEFills := fpL1 * q1
@@ -228,12 +300,17 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 		}
 
 		// Output tensor: accumulation at L1, partial-sum traffic upward.
-		spillPerPE := fpL1 * q1            // words each PE pushes up per residency change
-		arriveL2 := spillPerPE * relPEs    // after NoC reduction along irrelevant dims
-		freshL2 := fpL2 * q2               // distinct-element writes per L2 residency
-		rmwL2 := maxf(0, arriveL2-freshL2) // read-modify-write reads at L2
+		spillPerPE := fpL1 * q1         // words each PE pushes up per residency change
+		arriveL2 := spillPerPE * relPEs // after NoC reduction along irrelevant dims
+		freshL2 := fpL2 * q2            // distinct-element writes per L2 residency
 		toDRAM := freshL2
-		rmwDRAM := maxf(0, toDRAM-m.fullSize[t])
+		// Read-modify-write reads at L2 and DRAM; the roofline merges
+		// partial sums for free.
+		rmwL2, rmwDRAM := 0.0, 0.0
+		if !m.roofline {
+			rmwL2 = maxf(0, arriveL2-freshL2)
+			rmwDRAM = maxf(0, toDRAM-m.fullSize[t])
+		}
 
 		// L1: accumulate read+write per MAC plus spill reads.
 		c.Accesses[arch.L1][t] = 2*m.macs + spillPerPE*totalPEs
@@ -244,12 +321,12 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 		c.Accesses[arch.DRAM][t] = toDRAM + rmwDRAM
 	}
 
-	// Energy.
+	// Energy; the roofline charges the nominal per-access cost.
 	total := 0.0
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		for t := 0; t < nt; t++ {
 			scale := 1.0
-			if l < arch.OnChipLevels {
+			if l < arch.OnChipLevels && !m.roofline {
 				scale = allocEnergyScale(mp.Alloc[l][t])
 			}
 			e := c.Accesses[l][t] * m.Arch.EnergyPerAccess[l] * scale
