@@ -1,7 +1,7 @@
-// Package timeloop is the reference cost-model backend: a from-scratch
-// analytical model for flexible tensor accelerators in the style of
-// Timeloop (Parashar et al., ISPASS 2019), which the paper uses as its
-// reference cost function f (§5.1.2: "We model the programmable hardware
+// Package timeloop is the analytical cost model behind both built-in
+// backends: a from-scratch model for flexible tensor accelerators in the
+// style of Timeloop (Parashar et al., ISPASS 2019), which the paper uses as
+// its reference cost function f (§5.1.2: "We model the programmable hardware
 // accelerator using Timeloop, which uses an analytical cost model to
 // provide a high-fidelity cost estimation for hardware accelerators that
 // implement affine loopnests").
