@@ -35,9 +35,9 @@
 // queries and charges their latency to the run's clock, and the service
 // times each job's evaluations. One analytical model (internal/timeloop)
 // registers twice: as "timeloop", the reference Timeloop-style model and
-// the default, and as "roofline", the same model with three best-case
-// relaxations (best-order reuse, no partial-sum read-modify-write,
-// nominal SRAM energy). Backends are selected end-to-end — `mindmappings search
+// the default, and as "roofline", the same model with best-order reuse
+// (which, on bare-indexed outputs, also removes partial-sum
+// read-modify-write) and nominal SRAM energy. Backends are selected end-to-end — `mindmappings search
 // -model=roofline`, the service's "cost_model" request field (with
 // per-backend eval counters in /metrics), and `experiments -costmodel`
 // — and no searcher, trainer, or service code names a concrete backend.

@@ -20,7 +20,7 @@ import (
 	"mindmappings/internal/oracle"
 	"mindmappings/internal/search"
 
-	_ "mindmappings/internal/timeloop" // register the reference backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 	_ "mindmappings/internal/workload" // register the built-in workloads
 )
 

@@ -22,7 +22,7 @@ import (
 	"mindmappings/internal/search"
 	"mindmappings/internal/surrogate"
 
-	_ "mindmappings/internal/timeloop" // register the reference cost-model backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 	_ "mindmappings/internal/workload" // register the built-in workloads
 )
 

@@ -10,7 +10,7 @@ import (
 	"mindmappings/internal/costmodel"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
-	_ "mindmappings/internal/timeloop" // register the reference backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 )
 
 func TestComputeHandChecked(t *testing.T) {

@@ -2,6 +2,7 @@ package search
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -85,10 +86,13 @@ func (m MindMappings) Search(ctx *Context, budget Budget) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := checkSurrogate(m.Surrogate, ctx.Space, "MindMappings", " (was it trained for a different algorithm?)"); err != nil {
-		return Result{}, err
+	if m.Surrogate == nil {
+		return Result{}, errors.New("search: MindMappings requires a trained surrogate")
 	}
 	sur := m.Surrogate
+	if sur.Net.InDim() != ctx.Space.VectorLen() {
+		return Result{}, errors.New("search: surrogate input width does not match this map space (was it trained for a different algorithm?)")
+	}
 	queries := SurrogateQuerier(sur)
 	if m.Queries != nil {
 		queries = m.Queries

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/mat"
@@ -114,6 +115,7 @@ func (r RL) Search(ctx *Context, budget Budget) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	t.start = time.Now() // building the agent is not charged to the run
 
 	for !t.exhausted() {
 		// Reset: fresh random mapping starts each episode.

@@ -34,7 +34,6 @@ import (
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/oracle"
-	"mindmappings/internal/surrogate"
 )
 
 // Budget bounds a search run. At least one limit must be set; whichever is
@@ -263,20 +262,6 @@ func (c *Context) validate() error {
 	if p := c.Model.Problem(); c.Space.Prob.Name != p.Name {
 		return fmt.Errorf("search: space problem %q != model problem %q",
 			c.Space.Prob.Name, p.Name)
-	}
-	return nil
-}
-
-// checkSurrogate is the surrogate check of the searchers that query one
-// (MM, SA+f*): a trained surrogate whose input width is space's vector
-// length. who names the searcher in the missing-surrogate error, and hint
-// ends the width error.
-func checkSurrogate(sur *surrogate.Surrogate, space *mapspace.Space, who, hint string) error {
-	if sur == nil {
-		return fmt.Errorf("search: %s requires a trained surrogate", who)
-	}
-	if sur.Net.InDim() != space.VectorLen() {
-		return errors.New("search: surrogate input width does not match this map space" + hint)
 	}
 	return nil
 }

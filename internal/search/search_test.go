@@ -15,7 +15,7 @@ import (
 	"mindmappings/internal/stats"
 	"mindmappings/internal/surrogate"
 
-	_ "mindmappings/internal/timeloop" // register the reference backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 )
 
 // conv1dContext builds a small, fast search context plus a surrogate

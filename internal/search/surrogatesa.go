@@ -1,6 +1,8 @@
 package search
 
 import (
+	"errors"
+
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/surrogate"
 )
@@ -32,8 +34,11 @@ func (s SurrogateSA) Search(ctx *Context, budget Budget) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := checkSurrogate(s.Surrogate, ctx.Space, "SurrogateSA", ""); err != nil {
-		return Result{}, err
+	if s.Surrogate == nil {
+		return Result{}, errors.New("search: SurrogateSA requires a trained surrogate")
+	}
+	if s.Surrogate.Net.InDim() != ctx.Space.VectorLen() {
+		return Result{}, errors.New("search: surrogate input width does not match this map space")
 	}
 
 	// The energy is a one-row PredictBatch over reused buffers; each move

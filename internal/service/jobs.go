@@ -25,7 +25,7 @@ import (
 	"mindmappings/internal/trainer"
 	"mindmappings/internal/workload"
 
-	_ "mindmappings/internal/timeloop" // register the reference cost-model backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 )
 
 // JobStatus is the lifecycle state of a search job, shared with training

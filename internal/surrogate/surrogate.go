@@ -20,7 +20,7 @@ import (
 	"mindmappings/internal/oracle"
 	"mindmappings/internal/stats"
 
-	_ "mindmappings/internal/timeloop" // register the reference cost-model backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 )
 
 // OutputMode selects the surrogate's output representation.

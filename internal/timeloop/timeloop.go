@@ -43,7 +43,10 @@ import (
 //     tensor-relevant outer loop iterates (bestOrderQ, never more than
 //     reuseQ under any loop order), so its costs are loop-order-insensitive.
 //   - Partial sums: outputs accumulate without read-modify-write traffic
-//     above L1.
+//     above L1. This follows from best-order reuse and needs no line of
+//     its own: outputs are bare-indexed, so the partial sums reaching L2
+//     equal its fresh writes, the DRAM writes equal the output's size,
+//     and the reference model's RMW terms are 0.
 //   - Buffer allocation: SRAM access energy is charged at the nominal
 //     per-access cost, independent of bank allocation.
 //
@@ -64,7 +67,7 @@ type Model struct {
 	Arch arch.Spec
 	Prob loopnest.Problem
 
-	roofline bool // the three best-case relaxations above
+	roofline bool // best-order reuse and nominal SRAM energy, as above
 	macs     float64
 	fullSize []float64 // per-tensor full footprints
 	relevant [][]bool  // relevant[t][d]: dimension d indexes tensor t
@@ -300,17 +303,12 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 		}
 
 		// Output tensor: accumulation at L1, partial-sum traffic upward.
-		spillPerPE := fpL1 * q1         // words each PE pushes up per residency change
-		arriveL2 := spillPerPE * relPEs // after NoC reduction along irrelevant dims
-		freshL2 := fpL2 * q2            // distinct-element writes per L2 residency
+		spillPerPE := fpL1 * q1            // words each PE pushes up per residency change
+		arriveL2 := spillPerPE * relPEs    // after NoC reduction along irrelevant dims
+		freshL2 := fpL2 * q2               // distinct-element writes per L2 residency
+		rmwL2 := maxf(0, arriveL2-freshL2) // read-modify-write reads at L2
 		toDRAM := freshL2
-		// Read-modify-write reads at L2 and DRAM; the roofline merges
-		// partial sums for free.
-		rmwL2, rmwDRAM := 0.0, 0.0
-		if !m.roofline {
-			rmwL2 = maxf(0, arriveL2-freshL2)
-			rmwDRAM = maxf(0, toDRAM-m.fullSize[t])
-		}
+		rmwDRAM := maxf(0, toDRAM-m.fullSize[t])
 
 		// L1: accumulate read+write per MAC plus spill reads.
 		c.Accesses[arch.L1][t] = 2*m.macs + spillPerPE*totalPEs
@@ -324,9 +322,10 @@ func (m *Model) EvaluateInto(_ context.Context, mp *mapspace.Mapping, c *costmod
 	// Energy; the roofline charges the nominal per-access cost.
 	total := 0.0
 	for l := arch.L1; l < arch.NumLevels; l++ {
+		scaled := l < arch.OnChipLevels && !m.roofline
 		for t := 0; t < nt; t++ {
 			scale := 1.0
-			if l < arch.OnChipLevels && !m.roofline {
+			if scaled {
 				scale = allocEnergyScale(mp.Alloc[l][t])
 			}
 			e := c.Accesses[l][t] * m.Arch.EnergyPerAccess[l] * scale

@@ -31,7 +31,7 @@ import (
 	"mindmappings/internal/surrogate"
 	"mindmappings/internal/workload"
 
-	_ "mindmappings/internal/timeloop" // register the reference cost-model backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 )
 
 // Status is the lifecycle state of a training job, shared with search

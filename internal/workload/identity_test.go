@@ -18,7 +18,7 @@ import (
 	"mindmappings/internal/costmodel"
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
-	_ "mindmappings/internal/timeloop" // register the reference backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 	"mindmappings/internal/workload"   // also registers the built-in workloads
 )
 

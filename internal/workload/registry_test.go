@@ -14,7 +14,7 @@ import (
 	"mindmappings/internal/loopnest"
 	"mindmappings/internal/mapspace"
 	"mindmappings/internal/oracle"
-	_ "mindmappings/internal/timeloop" // register the reference backend
+	_ "mindmappings/internal/timeloop" // register the timeloop and roofline backends
 	"mindmappings/internal/workload"
 )
 
